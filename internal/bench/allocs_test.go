@@ -21,6 +21,30 @@ func TestMsgHopAllocFree(t *testing.T) {
 	}
 }
 
+// pinnedPoint returns the row BENCH_sim.json at the repo root pins for the
+// named benchmark; the gates below fence the current simulator at twice
+// its deterministic columns.
+func pinnedPoint(t *testing.T, name string) PerfPoint {
+	t.Helper()
+	blob, err := os.ReadFile("../../BENCH_sim.json")
+	if err != nil {
+		t.Skipf("no pinned report: %v", err)
+	}
+	var report struct {
+		Benchmarks []PerfPoint `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(blob, &report); err != nil {
+		t.Fatalf("BENCH_sim.json: %v", err)
+	}
+	for _, p := range report.Benchmarks {
+		if p.Name == name && p.AllocsPerOp > 0 && p.BytesPerOp > 0 {
+			return p
+		}
+	}
+	t.Fatalf("BENCH_sim.json has no %s allocs/op and bytes/op pin", name)
+	return PerfPoint{}
+}
+
 // TestE2ESOR8AllocsRegression is the allocation gate on the end-to-end
 // acceptance workload: it reads the E2ESOR8 allocs/op pinned in
 // BENCH_sim.json at the repo root and fails if the current simulator
@@ -33,28 +57,28 @@ func TestE2ESOR8AllocsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
 	}
-	blob, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Skipf("no pinned report: %v", err)
-	}
-	var report struct {
-		Benchmarks []PerfPoint `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	var pinned int64
-	for _, p := range report.Benchmarks {
-		if p.Name == "E2ESOR8" {
-			pinned = p.AllocsPerOp
-		}
-	}
-	if pinned <= 0 {
-		t.Fatal("BENCH_sim.json has no E2ESOR8 allocs/op pin")
-	}
+	pinned := pinnedPoint(t, "E2ESOR8").AllocsPerOp
 	r := testing.Benchmark(benchE2ESOR8)
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("E2ESOR8 allocates %d objects/op, more than 2x the pinned %d", got, pinned)
+	}
+}
+
+// TestE2ESOR64BytesRegression is the footprint gate: 64 hosts each map
+// the whole shared image n+1 times and touch little beyond their own band
+// of rows, so bytes/op stays near the pinned ~9 MB only while memory
+// objects are demand-zero and page-table entries packed. An eagerly
+// allocated image per host (75 MB/op before they became sparse), a fat
+// PTE or a fat directory entry multiplies by the host count and crosses
+// the 2x fence at once.
+func TestE2ESOR64BytesRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full benchmark")
+	}
+	pinned := pinnedPoint(t, "E2ESOR64").BytesPerOp
+	r := testing.Benchmark(benchE2ESOR64)
+	if got := r.AllocedBytesPerOp(); got > 2*pinned {
+		t.Fatalf("64-host SOR allocates %d bytes/op, more than 2x the pinned %d", got, pinned)
 	}
 }
 
@@ -69,25 +93,7 @@ func TestE2ESOR64ParAllocsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
 	}
-	blob, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Skipf("no pinned report: %v", err)
-	}
-	var report struct {
-		Benchmarks []PerfPoint `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	var pinned int64
-	for _, p := range report.Benchmarks {
-		if p.Name == "ParSpeedup" {
-			pinned = p.AllocsPerOp
-		}
-	}
-	if pinned <= 0 {
-		t.Fatal("BENCH_sim.json has no ParSpeedup allocs/op pin")
-	}
+	pinned := pinnedPoint(t, "ParSpeedup").AllocsPerOp
 	r := testing.Benchmark(benchE2ESOR64Par)
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("64-host parallel SOR allocates %d objects/op, more than 2x the pinned %d", got, pinned)
@@ -105,25 +111,7 @@ func TestE2EServeAllocsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
 	}
-	blob, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Skipf("no pinned report: %v", err)
-	}
-	var report struct {
-		Benchmarks []PerfPoint `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	var pinned int64
-	for _, p := range report.Benchmarks {
-		if p.Name == "E2EServe8" {
-			pinned = p.AllocsPerOp
-		}
-	}
-	if pinned <= 0 {
-		t.Fatal("BENCH_sim.json has no E2EServe8 allocs/op pin")
-	}
+	pinned := pinnedPoint(t, "E2EServe8").AllocsPerOp
 	r := testing.Benchmark(benchE2EServe8)
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("serving scenario allocates %d objects/op, more than 2x the pinned %d", got, pinned)

@@ -54,10 +54,8 @@ type Config struct {
 	Costs Costs
 
 	// Faults, when non-nil and enabled, makes the wire lossy per the
-	// plan and arms fastmsg's reliability layer. Protocol packages
-	// validate the plan (Plan.Validate) before building the runtime; an
-	// invalid plan panics here. Nil — or an all-zero plan — leaves the
-	// transport on its untouched clean path.
+	// plan and arms fastmsg's reliability layer. Nil — or an all-zero
+	// plan — leaves the transport on its untouched clean path.
 	Faults *faultnet.Plan
 
 	// Trace, if non-nil, records protocol events (message sends, fault
@@ -115,8 +113,9 @@ type Runtime struct {
 }
 
 // New builds the engine and network for cfg. Hosts are attached
-// afterwards with NewHost, one call per host in id order.
-func New(cfg Config) *Runtime {
+// afterwards with NewHost, one call per host in id order. A combination
+// of fields the runtime cannot run is an error naming the fields.
+func New(cfg Config) (*Runtime, error) {
 	cfg = cfg.withDefaults()
 	var eng *sim.Engine
 	switch cfg.Engine {
@@ -124,30 +123,30 @@ func New(cfg Config) *Runtime {
 		eng = sim.NewEngine(cfg.Seed)
 	case EnginePar:
 		if cfg.Faults.Enabled() {
-			panic(cfg.Name + `: Engine "par" is incompatible with fault injection (the reliability layer shares per-link state across hosts); use Engine "seq"`)
+			return nil, fmt.Errorf(`%s: Engine "par" is incompatible with Faults (the reliability layer shares per-link state across hosts); use Engine "seq"`, cfg.Name)
 		}
 		if cfg.Trace != nil {
-			panic(cfg.Name + `: Engine "par" is incompatible with tracing (the recorder is a single globally ordered ring); use Engine "seq"`)
+			return nil, fmt.Errorf(`%s: Engine "par" is incompatible with Trace (the recorder is a single globally ordered ring); use Engine "seq"`, cfg.Name)
 		}
 		eng = sim.NewShardedEngine(cfg.Seed, cfg.Hosts+1)
 		if cfg.ParWorkers > 0 {
 			eng.SetParWorkers(cfg.ParWorkers)
 		}
 	default:
-		panic(fmt.Sprintf("%s: unknown Engine %q (want %q or %q)", cfg.Name, cfg.Engine, EngineSeq, EnginePar))
+		return nil, fmt.Errorf("%s: unknown Engine %q (want %q or %q)", cfg.Name, cfg.Engine, EngineSeq, EnginePar)
 	}
 	net := fastmsg.New(eng, cfg.Hosts, cfg.Net)
 	rt := &Runtime{Cfg: cfg, Eng: eng, Net: net, Trace: cfg.Trace}
 	if cfg.Faults.Enabled() {
 		inj, err := faultnet.NewInjector(*cfg.Faults, cfg.Hosts, cfg.Seed)
 		if err != nil {
-			panic(fmt.Sprintf("%s: %v (validate the fault plan before cluster.New)", cfg.Name, err))
+			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 		}
 		net.InstallFaults(inj)
 		net.SetRestartHook(rt.onRestart)
 		rt.faulty = true
 	}
-	return rt
+	return rt, nil
 }
 
 // Faulty reports whether a fault plan is armed on this runtime.

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"millipage/internal/fastmsg"
+	"millipage/internal/faultnet"
 	"millipage/internal/sim"
+	"millipage/internal/trace"
 	"millipage/internal/vm"
 )
 
@@ -19,7 +21,10 @@ func (nopHandler) DescribeMsg(payload any) (uint16, int, uint64, int) {
 }
 
 func newTestRuntime(hosts, threadsPerHost int) *Runtime {
-	rt := New(Config{Name: "test", Hosts: hosts, ThreadsPerHost: threadsPerHost})
+	rt, err := New(Config{Name: "test", Hosts: hosts, ThreadsPerHost: threadsPerHost})
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < hosts; i++ {
 		rt.NewHost(vm.NewAddressSpace(), nopHandler{})
 	}
@@ -75,12 +80,46 @@ func TestRunGuards(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	rt := New(Config{})
+	rt, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := rt.Cfg
 	if cfg.Name != "cluster" || cfg.Hosts != 1 || cfg.ThreadsPerHost != 1 || cfg.Seed != 1 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	if cfg.Costs == (Costs{}) || cfg.Net == (fastmsg.Params{}) {
 		t.Fatal("zero cost/net tables not defaulted")
+	}
+}
+
+// TestNewRejectsUnrunnableConfigs: a combination of fields the runtime
+// cannot run is a validation error naming every field involved — never a
+// panic out of the constructor.
+func TestNewRejectsUnrunnableConfigs(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    Config
+		fields []string
+	}{
+		{"par with Faults", Config{Hosts: 2, Engine: EnginePar,
+			Faults: &faultnet.Plan{Drop: 0.01}}, []string{"Engine", "Faults"}},
+		{"par with Trace", Config{Hosts: 2, Engine: EnginePar,
+			Trace: trace.NewRecorder(16)}, []string{"Engine", "Trace"}},
+		{"unknown engine", Config{Hosts: 2, Engine: "warp"}, []string{"Engine", "warp"}},
+		{"invalid fault plan", Config{Hosts: 2,
+			Faults: &faultnet.Plan{Drop: 2}}, []string{"Drop"}},
+	}
+	for _, tc := range cases {
+		rt, err := New(tc.cfg)
+		if err == nil || rt != nil {
+			t.Errorf("%s: New = %v, %v; want an error", tc.name, rt, err)
+			continue
+		}
+		for _, f := range tc.fields {
+			if !strings.Contains(err.Error(), f) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, f)
+			}
+		}
 	}
 }

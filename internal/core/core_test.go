@@ -65,7 +65,7 @@ func TestLayoutDecomposeRoundTrip(t *testing.T) {
 func TestRegionMapsAllViews(t *testing.T) {
 	l := mustLayout(t, 4*vm.PageSize, 3)
 	as := vm.NewAddressSpace()
-	r, err := NewRegion(l, as)
+	r, err := NewRegion(l, as, vm.NewFramePool())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRegionMapsAllViews(t *testing.T) {
 func TestRegionProtectIsPerView(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 3)
 	as := vm.NewAddressSpace()
-	r, err := NewRegion(l, as)
+	r, err := NewRegion(l, as, vm.NewFramePool())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRegionProtectIsPerView(t *testing.T) {
 func TestPrivViewReadWrite(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 2)
 	as := vm.NewAddressSpace()
-	r, err := NewRegion(l, as)
+	r, err := NewRegion(l, as, vm.NewFramePool())
 	if err != nil {
 		t.Fatal(err)
 	}

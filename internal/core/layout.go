@@ -127,9 +127,11 @@ type Region struct {
 	Obj *vm.MemObject
 }
 
-// NewRegion creates the host-local memory object and maps all views.
-func NewRegion(l Layout, as *vm.AddressSpace) (*Region, error) {
-	obj := vm.NewMemObject(l.ObjectSize)
+// NewRegion creates the host-local memory object, its frames drawn from
+// pool on first touch, and maps all views. Every host of a cluster passes
+// the same pool, so the cluster's memory follows the pages its hosts touch.
+func NewRegion(l Layout, as *vm.AddressSpace, pool *vm.FramePool) (*Region, error) {
+	obj := pool.NewMemObject(l.ObjectSize)
 	// Reserve the whole span (view 0 through the privileged view) up
 	// front: mapping n+1 views one at a time would otherwise re-allocate
 	// and copy the dense page table once per view.

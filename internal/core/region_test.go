@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"millipage/internal/vm"
@@ -9,7 +10,7 @@ import (
 func TestRegionErrorPaths(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 2)
 	as := vm.NewAddressSpace()
-	r, err := NewRegion(l, as)
+	r, err := NewRegion(l, as, vm.NewFramePool())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestRegionErrorPaths(t *testing.T) {
 func TestPrivBytesAliasesSinglePage(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 2)
 	as := vm.NewAddressSpace()
-	r, err := NewRegion(l, as)
+	r, err := NewRegion(l, as, vm.NewFramePool())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +58,89 @@ func TestPrivBytesAliasesSinglePage(t *testing.T) {
 	}
 	if bs2[7] != 0x11 || bs2[8] != 0x22 {
 		t.Fatalf("cross-page PrivBytes contents wrong: %x", bs2)
+	}
+}
+
+// A region costs no frames until something touches it: NewRegion's n+1
+// MapViews and the protocol's Protect/ProtOf/Lookup traffic materialise
+// nothing, and untouched memory reads as zeros through either path.
+func TestRegionIsDemandZero(t *testing.T) {
+	l := mustLayout(t, 16*vm.PageSize, 4)
+	as := vm.NewAddressSpace()
+	r, err := NewRegion(l, as, vm.NewFramePool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := l.AppAddr(2, 5*vm.PageSize+40)
+	if err := r.Protect(base, 2*vm.PageSize, vm.ReadOnly); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := r.ProtOf(base); err != nil || p != vm.ReadOnly {
+		t.Fatalf("ProtOf = %v, %v", p, err)
+	}
+	if pte, ok := as.Lookup(l.PrivAddr(5 * vm.PageSize)); !ok || pte.Obj != r.Obj || pte.Frame != 5 {
+		t.Fatalf("Lookup = %+v, %v", pte, ok)
+	}
+	if n := r.Obj.Resident(); n != 0 {
+		t.Fatalf("%d frames resident in a region nothing has accessed", n)
+	}
+	got, err := as.ReadAt(nil, base, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	priv, err := r.ReadPriv(l.AppAddr(0, 9*vm.PageSize), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range got {
+		if got[i] != 0 || priv[i] != 0 {
+			t.Fatalf("untouched memory reads %x through the view, %x through ReadPriv", got, priv)
+		}
+	}
+	if n := r.Obj.Resident(); n != 2 {
+		t.Fatalf("%d frames resident after touching two pages, want 2", n)
+	}
+}
+
+// Regions on one pool (the hosts of one cluster) have disjoint memory, and
+// a frame first touched by an application write is the frame the
+// privileged view then serves from.
+func TestRegionsOnOnePoolAreDisjoint(t *testing.T) {
+	l := mustLayout(t, 4*vm.PageSize, 2)
+	pool := vm.NewFramePool()
+	var rs [3]*Region
+	for h := range rs {
+		r, err := NewRegion(l, vm.NewAddressSpace(), pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs[h] = r
+	}
+	base := l.AppAddr(1, vm.PageSize-4) // straddles pages 0/1
+	for h, r := range rs {
+		if err := r.Protect(base, 8, vm.ReadWrite); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.AS.WriteU64(nil, base, 0x1111_1111_1111_1111*uint64(h+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for h, r := range rs {
+		want := 0x1111_1111_1111_1111 * uint64(h+1)
+		got, err := r.PrivBytes(base, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint64(got); v != want {
+			t.Fatalf("host %d: PrivBytes reads %#x, the application wrote %#x", h, v, want)
+		}
+		other := l.AppAddr(0, vm.PageSize-4)
+		if err := r.Protect(other, 8, vm.ReadOnly); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := r.AS.ReadU64(nil, other); err != nil || v != want {
+			t.Fatalf("host %d: view 0 reads %#x (%v), view 1 wrote %#x", h, v, err, want)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package dsm
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -100,5 +102,23 @@ func TestRunReuseRejected(t *testing.T) {
 	// RunPerHost shares the guard.
 	if err := s.RunPerHost(func(th *Thread) {}); err == nil {
 		t.Fatal("RunPerHost after Run succeeded")
+	}
+}
+
+// TestDirEntryFootprint pins the directory entry's size: a run allocates
+// one per minipage, tens of thousands in all, so the replicated-management
+// state (an embedded message and three copysets) lives behind a pointer
+// that only Options.Replication fills in.
+func TestDirEntryFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(dirEntry{}); sz > 256 {
+		t.Fatalf("dirEntry is %d bytes, want <= 256", sz)
+	}
+	for _, repl := range []bool{false, true} {
+		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4,
+			Management: HomeBased, Replication: repl})
+		e := s.ManagerAt(0).newEntry(hostset.One(0), 0)
+		if (e.repl != nil) != repl {
+			t.Fatalf("Replication=%v: entry carries replication state = %v", repl, e.repl != nil)
+		}
 	}
 }

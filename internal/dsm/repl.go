@@ -146,7 +146,38 @@ type replMgr struct {
 
 	pushSeq int // manager-assigned TIDs for unstamped push requests
 
+	// reArena slab-allocates replEntry records alongside the manager's
+	// deArena.
+	reArena []replEntry
+
 	Stats ReplStats
+}
+
+// replEntry is the part of a directory entry only replicated management
+// uses. openTID/openTxn/openMsg identify the open transaction so late or
+// duplicate acks can be matched exactly; preCopyset/preOwner snapshot the
+// entry at admission for the intent mirror and state transfers;
+// invMask/pushMask track which hosts still owe a reply, so replies
+// forwarded from a deposed primary cannot double-count.
+type replEntry struct {
+	openTID    int
+	openTxn    uint64
+	openMsg    pmsg
+	preCopyset hostset.Set
+	preOwner   int
+	invMask    hostset.Set
+	pushMask   hostset.Set
+}
+
+// newReplEntry carves a directory entry's replication state out of the
+// slab arena.
+func (rp *replMgr) newReplEntry() *replEntry {
+	if len(rp.reArena) == 0 {
+		rp.reArena = make([]replEntry, 256)
+	}
+	re := &rp.reArena[0]
+	rp.reArena = rp.reArena[1:]
+	return re
 }
 
 func newReplMgr(mg *manager) *replMgr {
@@ -430,9 +461,10 @@ func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, run func(p *s
 		m.TID = -rp.pushSeq
 		m.Txn = 1
 	}
-	e.openTID, e.openTxn = m.TID, m.Txn
-	e.openMsg = *m
-	e.preCopyset, e.preOwner = e.copyset, e.owner
+	re := e.repl
+	re.openTID, re.openTxn = m.TID, m.Txn
+	re.openMsg = *m
+	re.preCopyset, re.preOwner = e.copyset, e.owner
 
 	shard := mg.sys.homeOf(m.Info.ID)
 	sv := rp.serving[shard]
@@ -441,7 +473,7 @@ func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, run func(p *s
 	}
 	rec := &mirrorRec{
 		Kind: mirIntent, Shard: shard, View: sv.num, ID: m.Info.ID,
-		Intent: *m, PreCopyset: e.preCopyset, PreOwner: e.preOwner,
+		Intent: *m, PreCopyset: re.preCopyset, PreOwner: re.preOwner,
 	}
 	rp.mirror(p, sv, rec, run)
 }
@@ -467,8 +499,8 @@ func (mg *manager) commitClose(p *sim.Proc, e *dirEntry, id int, tid int, txn ui
 		Copyset: e.copyset, Owner: e.owner, TID: tid, Txn: txn,
 	}
 	rp.mirror(p, sv, rec, func(p *sim.Proc) {
-		e.openTID, e.openTxn = 0, 0
-		e.openMsg = pmsg{}
+		e.repl.openTID, e.repl.openTxn = 0, 0
+		e.repl.openMsg = pmsg{}
 		mg.closeTxn(p, e)
 	})
 }
@@ -665,8 +697,8 @@ func (rp *replMgr) sendXfer(p *sim.Proc, k int, sv *shardServe, to int) {
 		}
 		xe := xferEntry{ID: id, Copyset: e.copyset, Owner: e.owner, Busy: e.busy}
 		if e.busy {
-			xe.Copyset, xe.Owner = e.preCopyset, e.preOwner
-			xe.Intent = e.openMsg
+			xe.Copyset, xe.Owner = e.repl.preCopyset, e.repl.preOwner
+			xe.Intent = e.repl.openMsg
 		}
 		st.Entries = append(st.Entries, xe)
 	}

@@ -174,7 +174,7 @@ func New(opt Options) (*System, error) {
 			return nil, fmt.Errorf("dsm: Replication requires the sequential engine")
 		}
 	}
-	rt := cluster.New(cluster.Config{
+	rt, err := cluster.New(cluster.Config{
 		Name:           "dsm",
 		Hosts:          opt.Hosts,
 		ThreadsPerHost: opt.ThreadsPerHost,
@@ -186,15 +186,19 @@ func New(opt Options) (*System, error) {
 		Faults:         opt.Faults,
 		Trace:          opt.Trace,
 	})
+	if err != nil {
+		return nil, err
+	}
 	s := &System{Opt: opt, Eng: rt.Eng, Net: rt.Net, Layout: layout, rt: rt}
 	s.pools = make([]*hostPool, rt.Eng.NumShards())
 	for i := range s.pools {
 		s.pools[i] = &hostPool{}
 	}
 
+	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
-		region, err := core.NewRegion(layout, as)
+		region, err := core.NewRegion(layout, as, frames)
 		if err != nil {
 			return nil, fmt.Errorf("dsm: host %d: %w", i, err)
 		}

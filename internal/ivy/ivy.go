@@ -196,7 +196,7 @@ func New(opt Options) (*System, error) {
 			return nil, fmt.Errorf("ivy: %w", err)
 		}
 	}
-	rt := cluster.New(cluster.Config{
+	rt, err := cluster.New(cluster.Config{
 		Name:       "ivy",
 		Hosts:      opt.Hosts,
 		Seed:       opt.Seed,
@@ -207,6 +207,9 @@ func New(opt Options) (*System, error) {
 		Faults:     opt.Faults,
 		Trace:      opt.Trace,
 	})
+	if err != nil {
+		return nil, err
+	}
 	opt.Seed = rt.Cfg.Seed
 	opt.Net = rt.Cfg.Net
 	opt.Costs = rt.Cfg.Costs
@@ -215,9 +218,10 @@ func New(opt Options) (*System, error) {
 		numPages: pages, base: base, nextAlloc: base,
 		locks: cluster.NewLockService[*pmsg](),
 	}
+	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
-		obj := vm.NewMemObject(pages * vm.PageSize)
+		obj := frames.NewMemObject(pages * vm.PageSize)
 		if err := as.MapView(base, obj, 0, pages, vm.NoAccess); err != nil {
 			return nil, err
 		}

@@ -201,7 +201,7 @@ func New(opt Options) (*System, error) {
 			return nil, fmt.Errorf("lrc: %w", err)
 		}
 	}
-	rt := cluster.New(cluster.Config{
+	rt, err := cluster.New(cluster.Config{
 		Name:       "lrc",
 		Hosts:      opt.Hosts,
 		Seed:       opt.Seed,
@@ -212,6 +212,9 @@ func New(opt Options) (*System, error) {
 		Faults:     opt.Faults,
 		Trace:      opt.Trace,
 	})
+	if err != nil {
+		return nil, err
+	}
 	opt.Seed = rt.Cfg.Seed
 	opt.Net = rt.Cfg.Net
 	opt.Costs = rt.Cfg.Costs
@@ -224,9 +227,10 @@ func New(opt Options) (*System, error) {
 		mpt:    core.NewMPT(layout, core.GrainMinipage, opt.ChunkLevel),
 		locks:  cluster.NewLockService[*pmsg](),
 	}
+	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
-		region, err := core.NewRegion(layout, as)
+		region, err := core.NewRegion(layout, as, frames)
 		if err != nil {
 			return nil, err
 		}

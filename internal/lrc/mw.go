@@ -434,7 +434,7 @@ func NewMW(opt Options) (*MWSystem, error) {
 			return nil, fmt.Errorf("lrc-mw: %w", err)
 		}
 	}
-	rt := cluster.New(cluster.Config{
+	rt, err := cluster.New(cluster.Config{
 		Name:       "lrc-mw",
 		Hosts:      opt.Hosts,
 		Seed:       opt.Seed,
@@ -445,6 +445,9 @@ func NewMW(opt Options) (*MWSystem, error) {
 		Faults:     opt.Faults,
 		Trace:      opt.Trace,
 	})
+	if err != nil {
+		return nil, err
+	}
 	opt.Seed = rt.Cfg.Seed
 	opt.Net = rt.Cfg.Net
 	opt.Costs = rt.Cfg.Costs
@@ -461,9 +464,10 @@ func NewMW(opt Options) (*MWSystem, error) {
 	for i := range s.pools {
 		s.pools[i] = &mwPool{}
 	}
+	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
-		region, err := core.NewRegion(layout, as)
+		region, err := core.NewRegion(layout, as, frames)
 		if err != nil {
 			return nil, err
 		}

@@ -9,14 +9,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strings"
 
 	"millipage/internal/sim"
 )
 
 // Histogram is a log-scale latency histogram: bucket i covers durations
-// in [2^i, 2^(i+1)) microsecond-eighths, giving ~12% resolution from
-// 125 ns to over an hour with 64 buckets. The zero value is ready to use.
+// in [2^i, 2^(i+1)) microsecond-eighths (units of 125 ns), so buckets are
+// powers of two and a quantile read from one is an upper bound within 2x
+// of the true value. 64 buckets reach from 125 ns past any run's length.
+// The zero value is ready to use.
 type Histogram struct {
 	buckets [64]uint64
 	count   uint64
@@ -35,23 +38,7 @@ func bucketOf(d sim.Duration) int {
 	if v == 0 {
 		return 0
 	}
-	b := 63 - leadingZeros(v)
-	if b > 63 {
-		b = 63
-	}
-	return b
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
-	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
+	return 63 - bits.LeadingZeros64(v)
 }
 
 // bucketLow returns the lower bound of bucket i.
@@ -132,9 +119,9 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // P50, P99 and P999 are the serving-report quantiles, as Quantile
-// shorthands. P999 is the one the bucket layout was sized for: with
-// ~12% resolution buckets the extreme tail still lands in its own
-// bucket instead of saturating a coarse top bin.
+// shorthands. P999 is the one the bucket layout was sized for: with 64
+// power-of-two buckets the extreme tail still lands in a bucket of its
+// own instead of saturating a coarse top bin.
 func (h *Histogram) P50() sim.Duration  { return h.Quantile(0.50) }
 func (h *Histogram) P99() sim.Duration  { return h.Quantile(0.99) }
 func (h *Histogram) P999() sim.Duration { return h.Quantile(0.999) }

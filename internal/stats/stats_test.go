@@ -186,3 +186,39 @@ func TestQuantileProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// bucketOfLoop is the shift-and-count bucketOf that math/bits replaced,
+// kept as the reference: every pinned Summary and golden was produced by
+// it, so the two must agree on every input.
+func bucketOfLoop(d sim.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	v := uint64(d) / 125
+	if v == 0 {
+		return 0
+	}
+	b := 63
+	for v&(1<<63) == 0 {
+		v <<= 1
+		b--
+	}
+	return b
+}
+
+func TestBucketOfMatchesReference(t *testing.T) {
+	ds := []sim.Duration{math.MinInt64, -1, 0, 1, 124, 125, 126, 249, 250, 251, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		p := sim.Duration(1) << k
+		ds = append(ds, p-1, p, p+1, 125*p-1, 125*p, 125*p+1)
+	}
+	for _, d := range ds {
+		got, want := bucketOf(d), bucketOfLoop(d)
+		if got != want {
+			t.Errorf("bucketOf(%d) = %d, want %d", int64(d), got, want)
+		}
+		if got < 0 || got > 63 {
+			t.Errorf("bucketOf(%d) = %d, outside the histogram", int64(d), got)
+		}
+	}
+}

@@ -21,6 +21,8 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 )
 
 // PageSize is the architecture page size used throughout the reproduction,
@@ -77,46 +79,120 @@ func (p Prot) allows(k AccessKind) bool {
 	return false
 }
 
+// slabMax caps the unit a FramePool grows by.
+const slabMax = 1 << 20
+
+// FramePool is the physical memory that memory objects draw page frames
+// from: it carves PageSize frames out of larger slabs. A slab is one Go
+// allocation, so the allocations of a cluster whose hosts share a pool
+// follow the megabytes its hosts touch together — not the pages (one
+// allocation per frame) and not the hosts (one extent each). Frames are
+// never returned; a pool lives and dies with the objects drawing on it.
+//
+// A pool is safe for concurrent use: under the parallel engine hosts on
+// different shards take their first touches at the same time.
+type FramePool struct {
+	mu   sync.Mutex
+	slab []byte // unconsumed tail of the newest slab
+}
+
+// NewFramePool returns an empty pool.
+func NewFramePool() *FramePool { return &FramePool{} }
+
+// frame hands out one zeroed frame, growing the pool by slabBytes when the
+// newest slab is used up.
+func (p *FramePool) frame(slabBytes int) *[PageSize]byte {
+	p.mu.Lock()
+	if len(p.slab) == 0 {
+		p.slab = make([]byte, slabBytes)
+	}
+	f := (*[PageSize]byte)(p.slab)
+	p.slab = p.slab[PageSize:]
+	p.mu.Unlock()
+	return f
+}
+
 // MemObject is a shared memory region backed by page frames — the analogue
 // of an NT memory section created with CreateFileMapping. Several views in
 // one or more address spaces may map (parts of) the same object; all views
 // alias the same frames.
+//
+// Like the section it stands for, the object is demand-zero: a frame
+// materialises, zeroed, the first time it is touched (Frame, and hence any
+// access or Bypass that reaches it). Mapping, protecting and looking up
+// pages touch nothing. An object is not safe for concurrent use; only the
+// pool behind it is.
 type MemObject struct {
-	data     []byte
-	numPages int
+	pool     *FramePool
+	frames   []*[PageSize]byte // nil until first touch
+	resident int
 }
 
-// NewMemObject creates a zero-filled memory object of the given size,
-// rounded up to a whole number of pages.
-func NewMemObject(size int) *MemObject {
+// NewMemObject creates a demand-zero memory object of the given size,
+// rounded up to a whole number of pages, on a pool of its own.
+func NewMemObject(size int) *MemObject { return NewFramePool().NewMemObject(size) }
+
+// NewMemObject creates a demand-zero memory object of the given size,
+// rounded up to a whole number of pages, whose frames come from p. The pool
+// grows by min(1 MB, object size) at a time, so objects smaller than a slab
+// never cost more together than they would have eagerly allocated.
+func (p *FramePool) NewMemObject(size int) *MemObject {
 	if size <= 0 {
 		panic("vm: NewMemObject with non-positive size")
 	}
 	pages := (size + PageSize - 1) / PageSize
-	return &MemObject{data: make([]byte, pages*PageSize), numPages: pages}
+	if pages > math.MaxInt32 {
+		panic("vm: NewMemObject larger than a page-table entry can address")
+	}
+	return &MemObject{pool: p, frames: make([]*[PageSize]byte, pages)}
 }
 
 // NumPages reports the number of page frames in the object.
-func (mo *MemObject) NumPages() int { return mo.numPages }
+func (mo *MemObject) NumPages() int { return len(mo.frames) }
 
 // Size reports the object's size in bytes (always a multiple of PageSize).
-func (mo *MemObject) Size() int { return len(mo.data) }
+func (mo *MemObject) Size() int { return len(mo.frames) * PageSize }
 
-// Frame returns the backing bytes of frame i. The returned slice aliases
-// the object's storage: writes through it are visible through every view.
+// Resident reports how many of the object's frames have been touched and
+// so occupy memory.
+func (mo *MemObject) Resident() int { return mo.resident }
+
+// Frame returns the backing bytes of frame i, materialising it zeroed on
+// first touch. The returned slice aliases the object's storage: writes
+// through it are visible through every view.
 func (mo *MemObject) Frame(i int) []byte {
-	return mo.data[i*PageSize : (i+1)*PageSize]
+	f := mo.frames[i]
+	if f == nil {
+		f = mo.touch(i)
+	}
+	return f[:]
 }
 
-// Bytes returns the object's entire backing store, aliased.
-func (mo *MemObject) Bytes() []byte { return mo.data }
+// touch is Frame's first-touch path, kept out of line so Frame inlines.
+//
+//go:noinline
+func (mo *MemObject) touch(i int) *[PageSize]byte {
+	f := mo.pool.frame(min(mo.Size(), slabMax))
+	mo.frames[i] = f
+	mo.resident++
+	return f
+}
 
-// PTE is one page-table entry: which frame of which object a virtual page
-// maps, and with what protection.
+// PTE is one page-table entry as Lookup reports it: which frame of which
+// object a virtual page maps, and with what protection.
 type PTE struct {
 	Obj   *MemObject
 	Frame int
 	Prot  Prot
+}
+
+// pte is a PTE as the page table stores it, packed to 8 bytes: the dense
+// table spans every view and the guard gaps between them, so its entry
+// size is most of a host's fixed footprint.
+type pte struct {
+	frame int32
+	obj   uint16 // index into AddressSpace.objs; 0 marks an unmapped slot
+	prot  Prot
 }
 
 // Fault describes a protection or presence violation, as delivered to the
@@ -159,8 +235,10 @@ const maxFaultRetries = 8
 // per-access translation an index instead of a map probe — the single
 // hottest operation in the whole simulator.
 type AddressSpace struct {
-	base    uint64 // vpn of pt[0]
-	pt      []PTE  // dense page table; a nil Obj marks an unmapped slot
+	base    uint64        // vpn of pt[0]
+	pt      []pte         // dense page table
+	objs    []*MemObject  // the objects pt's entries index; objs[0] is nil
+	objs0   [2]*MemObject // backs objs while one object is mapped: no allocation per host
 	handler FaultHandler
 
 	// Counters, read by the DSM statistics layer.
@@ -174,22 +252,41 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // slot returns the live entry for vpn, or nil if the page is unmapped.
-func (as *AddressSpace) slot(vpn uint64) *PTE {
-	if vpn < as.base || vpn >= as.base+uint64(len(as.pt)) {
+func (as *AddressSpace) slot(vpn uint64) *pte {
+	i := vpn - as.base // wraps past len(as.pt) when vpn < as.base
+	if i >= uint64(len(as.pt)) {
 		return nil
 	}
-	pte := &as.pt[vpn-as.base]
-	if pte.Obj == nil {
+	e := &as.pt[i]
+	if e.obj == 0 {
 		return nil
 	}
-	return pte
+	return e
+}
+
+// objIndex returns obj's index in the space's object list, adding it if
+// this is its first view here.
+func (as *AddressSpace) objIndex(obj *MemObject) (uint16, error) {
+	for i, o := range as.objs {
+		if o == obj {
+			return uint16(i), nil
+		}
+	}
+	if len(as.objs) == 0 {
+		as.objs = as.objs0[:1] // index 0 marks an unmapped slot
+	}
+	if len(as.objs) > math.MaxUint16 {
+		return 0, fmt.Errorf("vm: MapView of more than %d objects into one address space", math.MaxUint16)
+	}
+	as.objs = append(as.objs, obj)
+	return uint16(len(as.objs) - 1), nil
 }
 
 // ensure grows the table to cover vpns [lo, hi).
 func (as *AddressSpace) ensure(lo, hi uint64) {
 	if as.pt == nil {
 		as.base = lo
-		as.pt = make([]PTE, hi-lo)
+		as.pt = make([]pte, hi-lo)
 		return
 	}
 	end := as.base + uint64(len(as.pt))
@@ -203,7 +300,7 @@ func (as *AddressSpace) ensure(lo, hi uint64) {
 	if nb == as.base && ne == end {
 		return
 	}
-	np := make([]PTE, ne-nb)
+	np := make([]pte, ne-nb)
 	copy(np[as.base-nb:], as.pt)
 	as.base, as.pt = nb, np
 }
@@ -237,19 +334,24 @@ func (as *AddressSpace) MapView(va uint64, obj *MemObject, firstFrame, nPages in
 	if va%PageSize != 0 {
 		return fmt.Errorf("vm: MapView at unaligned address %#x", va)
 	}
-	if firstFrame < 0 || firstFrame+nPages > obj.numPages {
+	if firstFrame < 0 || firstFrame+nPages > obj.NumPages() {
 		return fmt.Errorf("vm: MapView frames [%d,%d) out of object range %d",
-			firstFrame, firstFrame+nPages, obj.numPages)
+			firstFrame, firstFrame+nPages, obj.NumPages())
+	}
+	oi, err := as.objIndex(obj)
+	if err != nil {
+		return err
 	}
 	vpn := va / PageSize
 	as.ensure(vpn, vpn+uint64(nPages))
-	for i := 0; i < nPages; i++ {
-		if as.pt[vpn-as.base+uint64(i)].Obj != nil {
+	view := as.pt[vpn-as.base:][:nPages]
+	for i := range view {
+		if view[i].obj != 0 {
 			return fmt.Errorf("vm: MapView overlaps existing mapping at %#x", (vpn+uint64(i))*PageSize)
 		}
 	}
-	for i := 0; i < nPages; i++ {
-		as.pt[vpn-as.base+uint64(i)] = PTE{Obj: obj, Frame: firstFrame + i, Prot: prot}
+	for i := range view {
+		view[i] = pte{frame: int32(firstFrame + i), obj: oi, prot: prot}
 	}
 	return nil
 }
@@ -259,7 +361,7 @@ func (as *AddressSpace) Unmap(va uint64, nPages int) {
 	vpn := va / PageSize
 	for i := 0; i < nPages; i++ {
 		if p := vpn + uint64(i); p >= as.base && p < as.base+uint64(len(as.pt)) {
-			as.pt[p-as.base] = PTE{}
+			as.pt[p-as.base] = pte{}
 		}
 	}
 }
@@ -271,32 +373,32 @@ func (as *AddressSpace) Unmap(va uint64, nPages int) {
 func (as *AddressSpace) Protect(va uint64, nPages int, prot Prot) error {
 	vpn := va / PageSize
 	for i := 0; i < nPages; i++ {
-		pte := as.slot(vpn + uint64(i))
-		if pte == nil {
+		e := as.slot(vpn + uint64(i))
+		if e == nil {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, (vpn+uint64(i))*PageSize)
 		}
-		pte.Prot = prot
+		e.prot = prot
 	}
 	return nil
 }
 
 // ProtOf returns the protection of the vpage containing va.
 func (as *AddressSpace) ProtOf(va uint64) (Prot, error) {
-	pte := as.slot(va / PageSize)
-	if pte == nil {
+	e := as.slot(va / PageSize)
+	if e == nil {
 		return NoAccess, fmt.Errorf("%w: %#x", ErrUnmapped, va)
 	}
-	return pte.Prot, nil
+	return e.prot, nil
 }
 
 // Lookup returns the PTE of the vpage containing va, if mapped. The
 // returned struct is a copy; use Protect to change protections.
 func (as *AddressSpace) Lookup(va uint64) (PTE, bool) {
-	pte := as.slot(va / PageSize)
-	if pte == nil {
+	e := as.slot(va / PageSize)
+	if e == nil {
 		return PTE{}, false
 	}
-	return *pte, true
+	return PTE{Obj: as.objs[e.obj], Frame: int(e.frame), Prot: e.prot}, true
 }
 
 // Mapped reports whether the vpage containing va is mapped.
@@ -309,13 +411,13 @@ func (as *AddressSpace) Mapped(va uint64) bool {
 // the fault handler.
 func (as *AddressSpace) resolve(ctx any, va uint64, n int, kind AccessKind) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		pte := as.slot(va / PageSize)
-		if pte == nil {
+		e := as.slot(va / PageSize)
+		if e == nil {
 			return nil, fmt.Errorf("%w: %#x", ErrUnmapped, va)
 		}
-		if pte.Prot.allows(kind) {
+		if e.prot.allows(kind) {
 			off := int(va % PageSize)
-			return pte.Obj.Frame(pte.Frame)[off : off+n], nil
+			return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil
 		}
 		if kind == Write {
 			as.WriteFaults++
@@ -323,12 +425,12 @@ func (as *AddressSpace) resolve(ctx any, va uint64, n int, kind AccessKind) ([]b
 			as.ReadFaults++
 		}
 		if as.handler == nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoHandler, Fault{Addr: va, Kind: kind, Prot: pte.Prot})
+			return nil, fmt.Errorf("%w: %v", ErrNoHandler, Fault{Addr: va, Kind: kind, Prot: e.prot})
 		}
 		if attempt >= maxFaultRetries {
-			return nil, fmt.Errorf("%w: %v", ErrFaultStorm, Fault{Addr: va, Kind: kind, Prot: pte.Prot})
+			return nil, fmt.Errorf("%w: %v", ErrFaultStorm, Fault{Addr: va, Kind: kind, Prot: e.prot})
 		}
-		if err := as.handler(ctx, Fault{Addr: va, Kind: kind, Prot: pte.Prot}); err != nil {
+		if err := as.handler(ctx, Fault{Addr: va, Kind: kind, Prot: e.prot}); err != nil {
 			return nil, err
 		}
 	}
@@ -383,12 +485,12 @@ func (as *AddressSpace) Bypass(va uint64, n int) ([]byte, error) {
 	if int(va%PageSize)+n > PageSize {
 		return nil, fmt.Errorf("vm: Bypass range at %#x+%d crosses a page boundary", va, n)
 	}
-	pte := as.slot(va / PageSize)
-	if pte == nil {
+	e := as.slot(va / PageSize)
+	if e == nil {
 		return nil, fmt.Errorf("%w: %#x", ErrUnmapped, va)
 	}
 	off := int(va % PageSize)
-	return pte.Obj.Frame(pte.Frame)[off : off+n], nil
+	return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil
 }
 
 // BypassRange is Bypass generalized to page-crossing ranges: it invokes fn

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,11 @@ func TestViewAliasingWithIndependentProtection(t *testing.T) {
 	if err := as.MapView(v2, mo, 0, 1, ReadOnly); err != nil {
 		t.Fatal(err)
 	}
+	// The frame's first touch is the write through view1: the frame it
+	// materialises must be the one view2 and Bypass then find.
+	if mo.Resident() != 0 {
+		t.Fatalf("%d frames resident before any access", mo.Resident())
+	}
 	if err := as.WriteAt(nil, v1+8, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +91,12 @@ func TestViewAliasingWithIndependentProtection(t *testing.T) {
 	}
 	if b != 0xAB {
 		t.Fatalf("write through view1 not visible through view2: got %#x", b)
+	}
+	if mem, err := as.Bypass(v2+8, 1); err != nil || mem[0] != 0xAB {
+		t.Fatalf("write through view1 not visible through Bypass: %v, %v", mem, err)
+	}
+	if mo.Resident() != 1 {
+		t.Fatalf("%d frames resident after touching one page through two views", mo.Resident())
 	}
 	// view2 is ReadOnly: a write must fault, and with no handler, error.
 	if err := as.WriteAt(nil, v2+8, []byte{1}); !errors.Is(err, ErrNoHandler) {
@@ -223,6 +235,9 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 	if err := as.MapView(0x10000, mo, 0, 2, NoAccess); err != nil {
 		t.Fatal(err)
 	}
+	if err := as.MapView(0x20000, mo, 0, 2, ReadOnly); err != nil {
+		t.Fatal(err)
+	}
 	n := 0
 	err := as.BypassRange(0x10000+uint64(PageSize)-10, 20, func(chunk []byte) error {
 		n += len(chunk)
@@ -239,6 +254,18 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 	}
 	if mo.Frame(0)[PageSize-1] != 0x5A || mo.Frame(1)[9] != 0x5A {
 		t.Fatal("BypassRange did not write both pages")
+	}
+	// Both frames were first touched by that privileged write; the other
+	// view reads it back.
+	got, err := as.ReadAt(nil, 0x20000+uint64(PageSize)-10, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 20)) {
+		t.Fatalf("BypassRange write read back through the second view as %x", got)
+	}
+	if mo.Resident() != 2 {
+		t.Fatalf("%d frames resident, want 2", mo.Resident())
 	}
 }
 
@@ -272,34 +299,197 @@ func TestTypedAccessors(t *testing.T) {
 // any other view of the same frames, for arbitrary offsets and contents.
 func TestViewAliasProperty(t *testing.T) {
 	const pages = 4
+	bases := []uint64{0x100000, 0x200000, 0x300000}
+	mapped := func() *AddressSpace {
+		mo := NewMemObject(pages * PageSize)
+		as := NewAddressSpace()
+		for _, b := range bases {
+			if err := as.MapView(b, mo, 0, pages, ReadWrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return as
+	}
+	// warm keeps one space across cases, so most writes land on resident
+	// frames; with fresh, every case's write is the first touch of the
+	// frames it reaches.
+	warm := mapped()
+	for name, space := range map[string]func() *AddressSpace{
+		"warm":  func() *AddressSpace { return warm },
+		"fresh": mapped,
+	} {
+		f := func(off uint16, data []byte, wi, ri uint8) bool {
+			if len(data) == 0 {
+				return true
+			}
+			if len(data) > 2*PageSize {
+				data = data[:2*PageSize]
+			}
+			as := space()
+			o := uint64(off) % uint64(pages*PageSize-len(data))
+			w := bases[int(wi)%len(bases)]
+			r := bases[int(ri)%len(bases)]
+			if err := as.WriteAt(nil, w+o, data); err != nil {
+				return false
+			}
+			got, err := as.ReadAt(nil, r+o, len(data))
+			if err != nil || !bytes.Equal(got, data) {
+				return false
+			}
+			var priv []byte
+			err = as.BypassRange(r+o, len(data), func(chunk []byte) error {
+				priv = append(priv, chunk...)
+				return nil
+			})
+			return err == nil && bytes.Equal(priv, data)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("%s object: %v", name, err)
+		}
+	}
+}
+
+// A memory object is demand-zero, like the NT section it stands for:
+// mapping, protecting and inspecting pages costs no frames; a frame appears
+// zeroed at the first access that reaches it.
+func TestMemObjectIsDemandZero(t *testing.T) {
+	const pages = 8
 	mo := NewMemObject(pages * PageSize)
 	as := NewAddressSpace()
-	bases := []uint64{0x100000, 0x200000, 0x300000}
-	for _, b := range bases {
-		if err := as.MapView(b, mo, 0, pages, ReadWrite); err != nil {
+	const v1, v2 = 0x10000, 0x40000
+	if err := as.MapView(v1, mo, 0, pages, NoAccess); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.MapView(v2, mo, 0, pages, ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Protect(v1, pages, ReadOnly); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < pages; i++ {
+		if p, err := as.ProtOf(v1 + i*PageSize); err != nil || p != ReadOnly {
+			t.Fatalf("ProtOf page %d = %v, %v", i, p, err)
+		}
+		if pte, ok := as.Lookup(v2 + i*PageSize); !ok || pte.Obj != mo || pte.Frame != int(i) || pte.Prot != ReadWrite {
+			t.Fatalf("Lookup page %d = %+v, %v", i, pte, ok)
+		}
+		if !as.Mapped(v1 + i*PageSize) {
+			t.Fatalf("page %d not mapped", i)
+		}
+	}
+	if mo.Resident() != 0 {
+		t.Fatalf("%d frames resident after MapView/Protect/ProtOf/Lookup, want 0", mo.Resident())
+	}
+	got, err := as.ReadAt(nil, v1+3*PageSize+100, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("first read of an untouched frame = %x, want zeros", got)
+	}
+	if mo.Resident() != 1 {
+		t.Fatalf("%d frames resident after reading one page, want 1", mo.Resident())
+	}
+	if mem, err := as.Bypass(v2+5*PageSize, PageSize); err != nil || !bytes.Equal(mem, make([]byte, PageSize)) {
+		t.Fatalf("first Bypass of an untouched frame is not a page of zeros (err %v)", err)
+	}
+	if mo.Resident() != 2 {
+		t.Fatalf("%d frames resident after touching two pages, want 2", mo.Resident())
+	}
+}
+
+// Objects sharing a pool share its slabs, never a frame.
+func TestPoolObjectsNeverShareFrames(t *testing.T) {
+	const pages = 300 // past one 1 MB slab between them
+	pool := NewFramePool()
+	a, b := pool.NewMemObject(pages*PageSize), pool.NewMemObject(pages*PageSize)
+	owner := map[*byte]string{}
+	for i := 0; i < pages; i++ {
+		// Interleave the first touches so neighbouring frames of a slab go
+		// to different objects.
+		for _, o := range []struct {
+			name string
+			mo   *MemObject
+			fill byte
+		}{{"a", a, 0xA0}, {"b", b, 0x0B}} {
+			f := o.mo.Frame(i)
+			if prev, dup := owner[&f[0]]; dup {
+				t.Fatalf("frame %d of %s is also a frame of %s", i, o.name, prev)
+			}
+			owner[&f[0]] = o.name
+			for j := range f {
+				f[j] = o.fill
+			}
+		}
+	}
+	for i := 0; i < pages; i++ {
+		if fa, fb := a.Frame(i), b.Frame(i); fa[0] != 0xA0 || fa[PageSize-1] != 0xA0 || fb[0] != 0x0B || fb[PageSize-1] != 0x0B {
+			t.Fatalf("frame %d: a wrote %#x..%#x, b wrote %#x..%#x", i, fa[0], fa[PageSize-1], fb[0], fb[PageSize-1])
+		}
+	}
+	if a.Resident() != pages || b.Resident() != pages {
+		t.Fatalf("resident = %d, %d, want %d each", a.Resident(), b.Resident(), pages)
+	}
+}
+
+// Under the parallel engine hosts on different shards take first touches
+// on the cluster's one pool at the same time. Run with -race -count=10.
+func TestPoolConcurrentFirstTouch(t *testing.T) {
+	const hosts, pages = 8, 96
+	pool := NewFramePool()
+	var wg sync.WaitGroup
+	for h := 0; h < hosts; h++ {
+		wg.Add(1)
+		go func(h int) {
+			defer wg.Done()
+			mo := pool.NewMemObject(pages * PageSize)
+			as := NewAddressSpace()
+			if err := as.MapView(0x10000, mo, 0, pages, ReadWrite); err != nil {
+				t.Error(err)
+				return
+			}
+			for i := uint64(0); i < pages; i++ {
+				if v, err := as.ReadU64(nil, 0x10000+i*PageSize+8); err != nil || v != 0 {
+					t.Errorf("host %d page %d: first read = %#x, %v", h, i, v, err)
+				}
+				if err := as.WriteU64(nil, 0x10000+i*PageSize+8, uint64(h)<<32|i); err != nil {
+					t.Error(err)
+				}
+			}
+			for i := uint64(0); i < pages; i++ {
+				if v, _ := as.ReadU64(nil, 0x10000+i*PageSize+8); v != uint64(h)<<32|i {
+					t.Errorf("host %d page %d: read back %#x", h, i, v)
+				}
+			}
+		}(h)
+	}
+	wg.Wait()
+}
+
+// The hottest path in the simulator — Access to a resident page — must
+// not allocate, whatever materialising frames costs.
+func TestAccessResidentAllocatesNothing(t *testing.T) {
+	const pages = 4
+	mo := NewMemObject(pages * PageSize)
+	as := NewAddressSpace()
+	if err := as.MapView(0x10000, mo, 0, pages, ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 2*PageSize)
+	if err := as.Access(nil, 0x10000, make([]byte, pages*PageSize), Write); err != nil {
+		t.Fatal(err) // every frame resident
+	}
+	i := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		va := 0x10000 + (i*1000)%(2*PageSize)
+		i++
+		if err := as.Access(nil, va, buf, Write); err != nil {
 			t.Fatal(err)
 		}
-	}
-	f := func(off uint16, data []byte, wi, ri uint8) bool {
-		if len(data) == 0 {
-			return true
+		if err := as.Access(nil, va, buf[:8], Read); err != nil {
+			t.Fatal(err)
 		}
-		if len(data) > 2*PageSize {
-			data = data[:2*PageSize]
-		}
-		o := uint64(off) % uint64(pages*PageSize-len(data))
-		w := bases[int(wi)%len(bases)]
-		r := bases[int(ri)%len(bases)]
-		if err := as.WriteAt(nil, w+o, data); err != nil {
-			return false
-		}
-		got, err := as.ReadAt(nil, r+o, len(data))
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(got, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	}); n != 0 {
+		t.Fatalf("Access on resident pages allocates %v times per run, want 0", n)
 	}
 }

@@ -199,14 +199,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Hosts < 1 || cfg.Hosts > 1024 {
 		return nil, fmt.Errorf("millipage: Config.Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8, the parallel engine scales to 256)", cfg.Hosts)
 	}
-	switch cfg.Engine {
-	case "", "seq", "par":
-	default:
-		return nil, fmt.Errorf("millipage: Config.Engine = %q unknown (want \"seq\" or \"par\")", cfg.Engine)
-	}
-	if cfg.Engine == "par" && cfg.Faults.Enabled() {
-		return nil, fmt.Errorf("millipage: the parallel engine does not support fault injection; use Engine \"seq\" with Faults")
-	}
+	// Engine is validated, alone and against Faults, where the engine is
+	// built (cluster.New, reached through every protocol constructor).
 	proto := strings.ToLower(cfg.Protocol)
 	if proto == "" {
 		proto = "millipage"

@@ -42,8 +42,29 @@ func TestNewClusterValidation(t *testing.T) {
 			}
 		}
 	}
-	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "warp"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	// Rejected combinations name every Config field involved. (par with
+	// tracing cannot be written as a Config — there is no Trace field; the
+	// layers that can express it share cluster.New's validation, see
+	// cluster.TestNewRejectsUnrunnableConfigs and dsm.TestParTraceRejected.)
+	rejected := []struct {
+		cfg    millipage.Config
+		fields []string
+	}{
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "warp"}, []string{"Engine"}},
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "par",
+			Faults: &faultnet.Plan{Drop: 0.01}}, []string{"Engine", "Faults"}},
+	}
+	for _, tc := range rejected {
+		_, err := millipage.NewCluster(tc.cfg)
+		if err == nil {
+			t.Errorf("config %+v accepted", tc.cfg)
+			continue
+		}
+		for _, f := range tc.fields {
+			if !strings.Contains(err.Error(), f) {
+				t.Errorf("error %q does not name Config.%s", err, f)
+			}
+		}
 	}
 	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
