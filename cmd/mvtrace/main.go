@@ -3,23 +3,25 @@
 // dispatch on the virtual clock. It is the fastest way to see the
 // Figure-3 protocol operate — a read miss, a write upgrade with
 // invalidation, and a competing request queued at the manager — and,
-// with -protocol, how Ivy's page-grain protocol or home-based LRC
-// handles the same access pattern.
+// with -protocol, how Ivy's page-grain protocol or either LRC
+// realization handles the same access pattern.
 //
 // Usage: mvtrace [-hosts N] [-kind read|write|competing|lock]
 //
-//	[-protocol millipage|ivy|lrc]
+//	[-protocol millipage|ivy|lrc|lrc-mw]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/ivy"
 	"millipage/internal/lrc"
+	"millipage/internal/registry"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
 )
@@ -27,7 +29,7 @@ import (
 func main() {
 	hosts := flag.Int("hosts", 3, "cluster size")
 	kind := flag.String("kind", "write", "scenario: read, write, competing, or lock")
-	protocol := flag.String("protocol", "millipage", "coherence protocol: millipage, ivy, lrc, or lrc-mw")
+	protocol := flag.String("protocol", "millipage", "coherence protocol: "+strings.Join(registry.Names(), ", "))
 	flag.Parse()
 
 	rec := trace.NewRecorder(4096)
@@ -89,75 +91,17 @@ func main() {
 		t.Compute(5 * sim.Millisecond) // let trailing acks drain into the trace
 	}
 
-	// tail prints the protocol-specific postscript after the transcript.
-	var run func() (tail func(), err error)
-	switch *protocol {
-	case "millipage":
-		run = func() (func(), error) {
-			sys, err := dsm.New(dsm.Options{
-				Hosts: *hosts, SharedSize: 1 << 16, Views: 4, Seed: 1, Trace: rec,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-					fmt.Printf("\ncompeting requests queued at the manager: %d\n",
-						sys.Manager().Stats.CompetingRequests)
-				}, sys.Run(func(t *dsm.Thread) {
-					scenario(t)
-				})
-		}
-	case "ivy":
-		run = func() (func(), error) {
-			sys, err := ivy.New(ivy.Options{
-				Hosts: *hosts, SharedSize: 1 << 16, Seed: 1, Trace: rec,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-					fmt.Printf("\ninvalidations: %d  competing requests: %d\n",
-						sys.Stats.Invalidates, sys.Stats.Competing)
-				}, sys.Run(func(t *ivy.Thread) {
-					scenario(t)
-				})
-		}
-	case "lrc":
-		run = func() (func(), error) {
-			sys, err := lrc.New(lrc.Options{
-				Hosts: *hosts, SharedSize: 1 << 16, Views: 4, Seed: 1, Trace: rec,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-					fmt.Printf("\nfetches: %d  diffs flushed: %d (%d bytes)  twins made: %d\n",
-						sys.Stats.Fetches, sys.Stats.DiffsSent, sys.Stats.DiffBytes, sys.Stats.TwinsMade)
-				}, sys.Run(func(t *lrc.Thread) {
-					scenario(t)
-				})
-		}
-	case "lrc-mw":
-		run = func() (func(), error) {
-			sys, err := lrc.NewMW(lrc.Options{
-				Hosts: *hosts, SharedSize: 1 << 16, Views: 4, Seed: 1, Trace: rec,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-					fmt.Printf("\nfetches: %d  diff fetches: %d  notices: %d  invalidations: %d  twins made: %d\n",
-						sys.Stats.Fetches, sys.Stats.DiffFetches, sys.Stats.Notices, sys.Stats.Invalidations, sys.Stats.TwinsMade)
-				}, sys.Run(func(t *lrc.MWThread) {
-					scenario(t)
-				})
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "mvtrace: unknown protocol %q (want millipage, ivy, lrc or lrc-mw)\n", *protocol)
+	spec, err := registry.Lookup(*protocol)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mvtrace:", err)
 		os.Exit(2)
 	}
-
-	tail, err := run()
+	sys, err := spec.New(registry.Options{
+		Hosts: *hosts, SharedSize: 1 << 16, Views: 4, Seed: 1, Trace: rec,
+	})
+	if err == nil {
+		err = sys.Run(scenario)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mvtrace:", err)
 		os.Exit(1)
@@ -165,5 +109,23 @@ func main() {
 
 	fmt.Printf("scenario %q under %s on %d hosts — %d events:\n\n", *kind, *protocol, *hosts, rec.Total())
 	rec.Dump(os.Stdout)
-	tail()
+
+	// The postscript is the one protocol-specific part: each protocol's
+	// own counters, which the portable Totals do not carry.
+	switch sys := sys.(type) {
+	case *dsm.System:
+		fmt.Printf("\ncompeting requests queued at the manager: %d\n",
+			sys.Manager().Stats.CompetingRequests)
+	case *ivy.System:
+		st := sys.Stats()
+		fmt.Printf("\ninvalidations: %d  competing requests: %d\n", st.Invalidates, st.Competing)
+	case *lrc.System:
+		st := sys.Stats()
+		fmt.Printf("\nfetches: %d  diffs flushed: %d (%d bytes)  twins made: %d\n",
+			st.Fetches, st.DiffsSent, st.DiffBytes, st.TwinsMade)
+	case *lrc.MWSystem:
+		st := sys.Stats()
+		fmt.Printf("\nfetches: %d  diff fetches: %d  notices: %d  invalidations: %d  twins made: %d\n",
+			st.Fetches, st.DiffFetches, st.Notices, st.Invalidations, st.TwinsMade)
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	millipage "millipage"
 	"millipage/internal/apps"
+	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/lrc"
 	"millipage/internal/sim"
@@ -49,7 +50,7 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 	workPerSlot := 100 * sim.Microsecond
 
 	scRun := func(chunkLevel int) (LRCRow, error) {
-		cluster, err := millipage.NewCluster(millipage.Config{
+		cl, err := millipage.NewCluster(millipage.Config{
 			Hosts:        hosts,
 			SharedMemory: 1 << 20,
 			Views:        16,
@@ -60,7 +61,7 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 			return LRCRow{}, err
 		}
 		vas := make([]millipage.Addr, slots)
-		_, err = cluster.Run(func(wk *millipage.Worker) {
+		_, err = cl.Run(func(wk *millipage.Worker) {
 			if wk.Host() == 0 {
 				for i := range vas {
 					vas[i] = wk.Malloc(slotBytes)
@@ -83,7 +84,7 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 		if err != nil {
 			return LRCRow{}, err
 		}
-		rep := cluster.System()
+		rep := cl.System()
 		var msgs uint64
 		var wf uint64
 		for i := 0; i < hosts; i++ {
@@ -93,20 +94,12 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 		return LRCRow{Elapsed: rep.Elapsed(), WriteFaults: wf, Messages: msgs}, nil
 	}
 
-	lrcRun := func(chunkLevel int) (LRCRow, error) {
-		sys, err := lrc.New(lrc.Options{
-			Hosts:      hosts,
-			SharedSize: 1 << 20,
-			Views:      16,
-			ChunkLevel: chunkLevel,
-			Seed:       7,
-			Costs:      dsm.DefaultCosts(),
-		})
-		if err != nil {
-			return LRCRow{}, err
-		}
+	// lrcRun is the same program on an LRC realization, built directly
+	// (not through the registry) because the write-fault count it reports
+	// is the protocol's own statistic.
+	lrcRun := func(sys cluster.System, writeFaults func() uint64) (LRCRow, error) {
 		vas := make([]uint64, slots)
-		err = sys.Run(func(t *lrc.Thread) {
+		err := sys.Run(func(t cluster.AppThread) {
 			if t.Host() == 0 {
 				for i := range vas {
 					vas[i] = t.Malloc(slotBytes)
@@ -129,54 +122,20 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 		if err != nil {
 			return LRCRow{}, err
 		}
+		rt := sys.Runtime()
 		var msgs uint64
 		for i := 0; i < hosts; i++ {
-			msgs += sys.Net.Endpoint(i).Stats().Sent
+			msgs += rt.Net.Endpoint(i).Stats().Sent
 		}
-		return LRCRow{Elapsed: sys.Elapsed(), WriteFaults: sys.Stats.WriteFault, Messages: msgs}, nil
+		return LRCRow{Elapsed: rt.Elapsed(), WriteFaults: writeFaults(), Messages: msgs}, nil
 	}
-
-	mwRun := func(chunkLevel int) (LRCRow, error) {
-		sys, err := lrc.NewMW(lrc.Options{
-			Hosts:      hosts,
-			SharedSize: 1 << 20,
-			Views:      16,
-			ChunkLevel: chunkLevel,
-			Seed:       7,
-			Costs:      dsm.DefaultCosts(),
-		})
-		if err != nil {
-			return LRCRow{}, err
-		}
-		vas := make([]uint64, slots)
-		err = sys.Run(func(t *lrc.MWThread) {
-			if t.Host() == 0 {
-				for i := range vas {
-					vas[i] = t.Malloc(slotBytes)
-				}
-			}
-			t.Barrier()
-			for it := 0; it < iters; it++ {
-				for round := 0; round < writeRounds; round++ {
-					for sIdx := t.Host(); sIdx < slots; sIdx += hosts {
-						t.WriteU32(vas[sIdx], uint32(it))
-						t.Compute(workPerSlot)
-					}
-				}
-				for sIdx := 0; sIdx < slots; sIdx++ {
-					_ = t.ReadU32(vas[sIdx])
-				}
-				t.Barrier()
-			}
-		})
-		if err != nil {
-			return LRCRow{}, err
-		}
-		var msgs uint64
-		for i := 0; i < hosts; i++ {
-			msgs += sys.Net.Endpoint(i).Stats().Sent
-		}
-		return LRCRow{Elapsed: sys.Elapsed(), WriteFaults: sys.Stats.WriteFault, Messages: msgs}, nil
+	lrcOpt := lrc.Options{
+		Hosts:      hosts,
+		SharedSize: 1 << 20,
+		Views:      16,
+		ChunkLevel: chunk,
+		Seed:       7,
+		Costs:      dsm.DefaultCosts(),
 	}
 
 	runs := []struct {
@@ -185,8 +144,20 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 	}{
 		{"SC, fine grain (1 slot/minipage)", func() (LRCRow, error) { return scRun(1) }},
 		{fmt.Sprintf("SC, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) { return scRun(chunk) }},
-		{fmt.Sprintf("LRC, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) { return lrcRun(chunk) }},
-		{fmt.Sprintf("LRC-MW, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) { return mwRun(chunk) }},
+		{fmt.Sprintf("LRC, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) {
+			sys, err := lrc.New(lrcOpt)
+			if err != nil {
+				return LRCRow{}, err
+			}
+			return lrcRun(sys, func() uint64 { return sys.Stats().WriteFault })
+		}},
+		{fmt.Sprintf("LRC-MW, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) {
+			sys, err := lrc.NewMW(lrcOpt)
+			if err != nil {
+				return LRCRow{}, err
+			}
+			return lrcRun(sys, func() uint64 { return sys.Stats().WriteFault })
+		}},
 	}
 	rows, err := sweep(len(runs), func(i int) (LRCRow, error) {
 		r, err := runs[i].run()

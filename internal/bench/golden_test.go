@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"millipage/internal/apps"
+	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/trace"
 )
@@ -88,7 +89,7 @@ func tracedRun(t *testing.T, rec *trace.Recorder) (elapsed int64, dump string) {
 		t.Fatal(err)
 	}
 	var vas [8]uint64
-	err = s.Run(func(th *dsm.Thread) {
+	err = s.Run(func(th cluster.AppThread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(64)

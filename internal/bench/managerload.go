@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"io"
 
+	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/sim"
 )
@@ -73,7 +74,7 @@ func ManagerLoad(cfg ManagerLoadConfig, m dsm.Management) (ManagerLoadResult, er
 	}
 	vas := make([]uint64, cfg.Vars)
 	sum := fnv.New64a()
-	err = s.Run(func(th *dsm.Thread) {
+	err = s.Run(func(th cluster.AppThread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(64)

@@ -5,23 +5,28 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
-	"millipage/internal/dsm"
+	"millipage/internal/registry"
 )
 
-// runDSM executes body on a small millipage cluster — the default
-// schedule, no faults. The protocol sweep lives in internal/cluster's
-// conformance suite; this test only proves the exported workload
-// bodies are runnable and their oracles accept a correct protocol.
-func runDSM(t *testing.T, hosts int, body func(w cluster.AppThread)) *cluster.Runtime {
+// newDSM builds a small millipage cluster through the registry. The
+// protocol sweep lives in internal/cluster's conformance suite; this
+// test only proves the exported workload bodies are runnable and their
+// oracles accept a correct protocol.
+func newDSM(t *testing.T, hosts int, seed int64) cluster.System {
 	t.Helper()
-	sys, err := dsm.New(dsm.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 1})
+	sys, err := registry.New("millipage", registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(func(th *dsm.Thread) { body(th) }); err != nil {
+	return sys
+}
+
+// runDSM executes body on the default schedule, no faults.
+func runDSM(t *testing.T, hosts int, body func(w cluster.AppThread)) {
+	t.Helper()
+	if err := newDSM(t, hosts, 1).Run(body); err != nil {
 		t.Fatal(err)
 	}
-	return sys.Runtime()
 }
 
 func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
@@ -54,12 +59,9 @@ func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 		}
 	})
 	t.Run("swmr", func(t *testing.T) {
-		sys, err := dsm.New(dsm.Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sys := newDSM(t, 3, 2)
 		wl := &check.SWMRSweep{Words: 3, Iters: 8, Seed: 2, Prots: check.RuntimeProts{RT: sys.Runtime()}}
-		if err := sys.Run(func(th *dsm.Thread) { wl.Body(th) }); err != nil {
+		if err := sys.Run(wl.Body); err != nil {
 			t.Fatal(err)
 		}
 		if err := wl.Err(); err != nil {

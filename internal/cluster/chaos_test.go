@@ -13,10 +13,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
-	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
-	"millipage/internal/ivy"
-	"millipage/internal/lrc"
 	"millipage/internal/sim"
 )
 
@@ -70,69 +67,22 @@ func schedules() []schedule {
 	}
 }
 
-// chaosRun builds one protocol cluster with a fault plan armed.
-type chaosRun struct {
-	name string
-	sc   bool
-	make func(hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(body func(t cluster.AppThread)) error, error)
-}
-
-func chaosProtocols() []chaosRun {
-	return []chaosRun{
-		{"millipage", true, func(hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := dsm.New(dsm.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *dsm.Thread) { body(t) })
-			}, nil
-		}},
-		{"ivy", true, func(hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := ivy.New(ivy.Options{Hosts: hosts, SharedSize: 1 << 16, Seed: seed, Faults: plan})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *ivy.Thread) { body(t) })
-			}, nil
-		}},
-		{"lrc", false, func(hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := lrc.New(lrc.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *lrc.Thread) { body(t) })
-			}, nil
-		}},
-		{"lrc-mw", false, func(hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := lrc.NewMW(lrc.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *lrc.MWThread) { body(t) })
-			}, nil
-		}},
-	}
-}
-
 // runChaos drives body on a freshly built faulty cluster with the
 // watchdog armed, and fails the test on timeout instead of hanging.
-func runChaos(t *testing.T, pr chaosRun, hosts int, seed int64, plan *faultnet.Plan,
+func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.Plan,
 	body func(rt *cluster.Runtime, w cluster.AppThread)) *cluster.Runtime {
 	t.Helper()
-	rt, run, err := pr.make(hosts, seed, plan)
+	sys, err := pr.make(hosts, seed, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := sys.Runtime()
 	if !rt.Faulty() {
 		t.Fatal("fault plan did not arm")
 	}
 	done := 0
 	rt.Eng.At(sim.Time(chaosWatchdog), rt.Eng.Stop)
-	err = run(func(w cluster.AppThread) {
+	err = sys.Run(func(w cluster.AppThread) {
 		body(rt, w)
 		done++
 	})
@@ -152,7 +102,7 @@ func runChaos(t *testing.T, pr chaosRun, hosts int, seed int64, plan *faultnet.P
 // matter what the wire does.
 func TestChaosDRFOracle(t *testing.T) {
 	const hosts = 4
-	for _, pr := range chaosProtocols() {
+	for _, pr := range protocols() {
 		for _, sc := range schedules() {
 			t.Run(pr.name+"/"+sc.name, func(t *testing.T) {
 				wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
@@ -175,7 +125,7 @@ func TestChaosDRFOracle(t *testing.T) {
 // drops, partitions and crash/restart windows.
 func TestChaosConcurrentMerge(t *testing.T) {
 	const hosts = 4
-	for _, pr := range chaosProtocols() {
+	for _, pr := range protocols() {
 		for _, sc := range schedules() {
 			t.Run(pr.name+"/"+sc.name, func(t *testing.T) {
 				wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
@@ -195,8 +145,8 @@ func TestChaosConcurrentMerge(t *testing.T) {
 // after every completed operation.
 func TestChaosSWMR(t *testing.T) {
 	const hosts = 4
-	for _, pr := range chaosProtocols() {
-		if !pr.sc {
+	for _, pr := range protocols() {
+		if !pr.spec.SC {
 			continue
 		}
 		for _, sc := range schedules() {
@@ -220,8 +170,8 @@ func TestChaosSWMR(t *testing.T) {
 // faults: observing the flag must still imply observing the data, even
 // while the wire drops, reorders and partitions.
 func TestChaosSCMessagePassing(t *testing.T) {
-	for _, pr := range chaosProtocols() {
-		if !pr.sc {
+	for _, pr := range protocols() {
+		if !pr.spec.SC {
 			continue
 		}
 		for _, sc := range schedules() {
@@ -261,7 +211,7 @@ func TestChaosDeterminism(t *testing.T) {
 		pl.Partitions = schedules()[2].plan(hosts, seed).Partitions
 		return pl
 	}
-	for _, pr := range chaosProtocols() {
+	for _, pr := range protocols() {
 		t.Run(pr.name, func(t *testing.T) {
 			var prints [2]string
 			for run := 0; run < 2; run++ {

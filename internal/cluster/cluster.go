@@ -1,15 +1,17 @@
 // Package cluster is the shared runtime substrate under every DSM
-// protocol in this repository (dsm's Millipage, ivy, lrc): host and
+// protocol in this repository (dsm's Millipage, ivy, lrc, lrc-mw): the
+// one Options struct with its defaulting and validation, host and
 // application-thread lifecycle, the fault/message rendezvous, message
 // endpoint wiring with pooled envelopes, per-thread time-breakdown
 // accounting, trace hooks, and the barrier/lock/queue services the
 // protocols' coordinator hosts run.
 //
 // A protocol implements the HostHandler interface — fault handling,
-// message handling and trace description — and otherwise consists purely
-// of policy: what a fault sends where, what a message does to the
-// directory, where allocations live. Everything mechanical (spawning
-// threads, busy-reference counting around blocking points, envelope
+// message handling and trace description — embeds a Lifecycle in its
+// System type, and otherwise consists purely of policy: what a fault
+// sends where, what a message does to the directory, where allocations
+// live. Everything mechanical (option checks, spawning threads, wrapper
+// installation, busy-reference counting around blocking points, envelope
 // pooling, stats) lives here exactly once.
 //
 // Determinism contract: the runtime performs no virtual-time operation
@@ -21,6 +23,7 @@ package cluster
 import (
 	"fmt"
 
+	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
@@ -28,14 +31,61 @@ import (
 	"millipage/internal/vm"
 )
 
-// Config describes the substrate of one simulated cluster.
-type Config struct {
-	// Name prefixes error messages ("dsm", "ivy", "lrc").
-	Name string
+// Management selects how a Millipage cluster places directory duties.
+type Management int
 
-	Hosts          int
-	ThreadsPerHost int
+const (
+	// Central is the paper's Section 3.3 configuration: host 0 handles
+	// every fault, invalidation reply, ack and push for every minipage.
+	Central Management = iota
+	// HomeBased shards the directory: each minipage has a statically
+	// assigned home host (Options.HomeOf, default id % Hosts) that runs
+	// its transactions. Host 0 remains the allocation authority, and
+	// barriers/locks stay centralized there.
+	HomeBased
+)
+
+func (m Management) String() string {
+	if m == HomeBased {
+		return "home-based"
+	}
+	return "central"
+}
+
+// Options configures one simulated cluster. Every protocol takes the
+// same struct — the registry builds any of them from one value — and
+// New is the one place it is defaulted and validated.
+type Options struct {
+	Hosts          int // number of hosts, in [1, 1024]; required
+	ThreadsPerHost int // application threads per host (paper: uniprocessors, 1)
+	SharedSize     int // bytes of shared memory; required
+	Views          int // application views (minipage protocols); see Table 2
+	ChunkLevel     int // the paper's chunking switch; 0/1 means off
 	Seed           int64
+
+	// Grain, Management, HomeOf and Replication are Millipage's directory
+	// policy. The other protocols fix their own sharing grain and
+	// placement (ivy: pages, manager p mod N; lrc: home = allocator) and
+	// ignore the first three; Replication they reject.
+	Grain core.Grain
+
+	// Management places directory duties: Central (the default, host 0
+	// does everything) or HomeBased (per-minipage home hosts).
+	Management Management
+
+	// HomeOf maps a minipage id to its home host under HomeBased
+	// management. Nil selects the static default, id % hosts. It must be
+	// a pure function: every host computes homes independently.
+	HomeOf func(id, hosts int) int
+
+	// Replication replicates each directory shard as a primary/backup
+	// pair coordinated by a view service on host 0: directory mutations
+	// are mirrored to the backup before their effects escape, and on the
+	// primary's death the synced backup promotes and re-serves, so a
+	// crashed manager no longer stalls the minipages it homes until
+	// restart. Requires HomeBased management and the sequential engine.
+	// See docs/PROTOCOL.md, "Replicated management".
+	Replication bool
 
 	// Engine selects the event engine: "seq" (default) is the classic
 	// single-calendar engine, bit-identical to every release since the
@@ -53,9 +103,12 @@ type Config struct {
 	Net   fastmsg.Params
 	Costs Costs
 
-	// Faults, when non-nil and enabled, makes the wire lossy per the
-	// plan and arms fastmsg's reliability layer. Nil — or an all-zero
-	// plan — leaves the transport on its untouched clean path.
+	// Faults, when non-nil and enabled, makes the wire lossy per the plan:
+	// frames drop, duplicate, jitter, links partition and hosts crash, all
+	// deterministically from the plan's seed. The transport's reliability
+	// layer and the protocols' retry/dedup machinery then restore
+	// exactly-once FIFO semantics. Nil (or an all-zero plan) leaves the
+	// clean path untouched.
 	Faults *faultnet.Plan
 
 	// Trace, if non-nil, records protocol events (message sends, fault
@@ -63,43 +116,90 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-func (c Config) withDefaults() Config {
-	if c.Name == "" {
-		c.Name = "cluster"
-	}
-	if c.Hosts == 0 {
-		c.Hosts = 1
-	}
-	if c.ThreadsPerHost == 0 {
-		c.ThreadsPerHost = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Net == (fastmsg.Params{}) {
-		c.Net = fastmsg.DefaultParams()
-	}
-	if c.Costs == (Costs{}) {
-		c.Costs = DefaultCosts()
-	}
-	if c.Engine == "" {
-		c.Engine = EngineSeq
-	}
-	return c
+// Traits are the Options a protocol can honour beyond the common core.
+// New rejects a request for one the protocol lacks — an unsupported
+// cell fails fast, it never silently degrades.
+type Traits struct {
+	MultiThreaded bool // ThreadsPerHost > 1
+	Replication   bool // Options.Replication
 }
 
-// Engine selector values for Config.Engine.
+// withDefaults fills zero fields with the calibrated defaults. Hosts and
+// SharedSize have none: they are required.
+func (o Options) withDefaults() Options {
+	if o.ThreadsPerHost == 0 {
+		o.ThreadsPerHost = 1
+	}
+	if o.Views == 0 {
+		o.Views = 1
+	}
+	if o.ChunkLevel == 0 {
+		o.ChunkLevel = 1
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.HomeOf == nil {
+		o.HomeOf = func(id, hosts int) int { return id % hosts }
+	}
+	if o.Net == (fastmsg.Params{}) {
+		o.Net = fastmsg.DefaultParams()
+	}
+	if o.Costs == (Costs{}) {
+		o.Costs = DefaultCosts()
+	}
+	if o.Engine == "" {
+		o.Engine = EngineSeq
+	}
+	return o
+}
+
+// validate rejects every value or combination the named protocol cannot
+// run, with an error naming the field. It is the only such check: the
+// root package, the registry and the protocol constructors all rely on
+// it.
+func (o Options) validate(name string, tr Traits) error {
+	switch {
+	case o.Hosts < 1 || o.Hosts > 1024:
+		return fmt.Errorf("%s: Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8, the parallel engine scales to 256)", name, o.Hosts)
+	case o.SharedSize <= 0:
+		return fmt.Errorf("%s: SharedSize = %d bytes of shared memory; must be positive", name, o.SharedSize)
+	case o.ThreadsPerHost < 1:
+		return fmt.Errorf("%s: ThreadsPerHost = %d; must be positive", name, o.ThreadsPerHost)
+	case o.ThreadsPerHost > 1 && !tr.MultiThreaded:
+		return fmt.Errorf("%s: ThreadsPerHost = %d, but this protocol runs one thread per host", name, o.ThreadsPerHost)
+	case o.ChunkLevel < 1:
+		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
+	case o.ParWorkers < 0:
+		return fmt.Errorf("%s: ParWorkers = %d; must not be negative", name, o.ParWorkers)
+	case o.Engine != EngineSeq && o.Engine != EnginePar:
+		return fmt.Errorf("%s: unknown Engine %q (want %q or %q)", name, o.Engine, EngineSeq, EnginePar)
+	case o.Engine == EnginePar && o.Faults.Enabled():
+		return fmt.Errorf(`%s: Engine "par" is incompatible with Faults (the reliability layer shares per-link state across hosts); use Engine "seq"`, name)
+	case o.Engine == EnginePar && o.Trace != nil:
+		return fmt.Errorf(`%s: Engine "par" is incompatible with Trace (the recorder is a single globally ordered ring); use Engine "seq"`, name)
+	case o.Replication && !tr.Replication:
+		return fmt.Errorf("%s: Replication is not supported by this protocol", name)
+	case o.Replication && o.Management != HomeBased:
+		return fmt.Errorf("%s: Replication requires HomeBased Management", name)
+	case o.Replication && o.Engine == EnginePar:
+		return fmt.Errorf(`%s: Replication requires Engine "seq"`, name)
+	}
+	return nil
+}
+
+// Engine selector values for Options.Engine.
 const (
 	EngineSeq = "seq"
 	EnginePar = "par"
 )
 
 // Runtime is one cluster's substrate: the simulation engine, the network,
-// the hosts and the application threads. Protocol packages wrap it in
-// their System types; host-count validation stays with them (each has its
-// own documented range and error text).
+// the hosts and the application threads. Protocol packages reach it
+// through the Lifecycle they embed in their System types.
 type Runtime struct {
-	Cfg   Config
+	Name  string  // the protocol's name; prefixes error messages
+	Opt   Options // as defaulted by New
 	Eng   *sim.Engine
 	Net   *fastmsg.Network
 	Trace *trace.Recorder
@@ -112,35 +212,29 @@ type Runtime struct {
 	faulty       bool
 }
 
-// New builds the engine and network for cfg. Hosts are attached
-// afterwards with NewHost, one call per host in id order. A combination
-// of fields the runtime cannot run is an error naming the fields.
-func New(cfg Config) (*Runtime, error) {
-	cfg = cfg.withDefaults()
-	var eng *sim.Engine
-	switch cfg.Engine {
-	case EngineSeq:
-		eng = sim.NewEngine(cfg.Seed)
-	case EnginePar:
-		if cfg.Faults.Enabled() {
-			return nil, fmt.Errorf(`%s: Engine "par" is incompatible with Faults (the reliability layer shares per-link state across hosts); use Engine "seq"`, cfg.Name)
-		}
-		if cfg.Trace != nil {
-			return nil, fmt.Errorf(`%s: Engine "par" is incompatible with Trace (the recorder is a single globally ordered ring); use Engine "seq"`, cfg.Name)
-		}
-		eng = sim.NewShardedEngine(cfg.Seed, cfg.Hosts+1)
-		if cfg.ParWorkers > 0 {
-			eng.SetParWorkers(cfg.ParWorkers)
-		}
-	default:
-		return nil, fmt.Errorf("%s: unknown Engine %q (want %q or %q)", cfg.Name, cfg.Engine, EngineSeq, EnginePar)
+// New defaults and validates opt for the protocol called name, then
+// builds the engine and network. Hosts are attached afterwards with
+// NewHost, one call per host in id order.
+func New(name string, opt Options, tr Traits) (*Runtime, error) {
+	opt = opt.withDefaults()
+	if err := opt.validate(name, tr); err != nil {
+		return nil, err
 	}
-	net := fastmsg.New(eng, cfg.Hosts, cfg.Net)
-	rt := &Runtime{Cfg: cfg, Eng: eng, Net: net, Trace: cfg.Trace}
-	if cfg.Faults.Enabled() {
-		inj, err := faultnet.NewInjector(*cfg.Faults, cfg.Hosts, cfg.Seed)
+	var eng *sim.Engine
+	if opt.Engine == EnginePar {
+		eng = sim.NewShardedEngine(opt.Seed, opt.Hosts+1)
+		if opt.ParWorkers > 0 {
+			eng.SetParWorkers(opt.ParWorkers)
+		}
+	} else {
+		eng = sim.NewEngine(opt.Seed)
+	}
+	net := fastmsg.New(eng, opt.Hosts, opt.Net)
+	rt := &Runtime{Name: name, Opt: opt, Eng: eng, Net: net, Trace: opt.Trace}
+	if opt.Faults.Enabled() {
+		inj, err := faultnet.NewInjector(*opt.Faults, opt.Hosts, opt.Seed)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		net.InstallFaults(inj)
 		net.SetRestartHook(rt.onRestart)
@@ -191,7 +285,7 @@ func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
 func (rt *Runtime) Host(i int) *Host { return rt.hosts[i] }
 
 // NumHosts returns the cluster size.
-func (rt *Runtime) NumHosts() int { return rt.Cfg.Hosts }
+func (rt *Runtime) NumHosts() int { return rt.Opt.Hosts }
 
 // Threads returns the application threads after Run (for statistics).
 func (rt *Runtime) Threads() []*Thread { return rt.threads }
@@ -206,21 +300,21 @@ func (rt *Runtime) Elapsed() sim.Duration { return sim.Duration(rt.Eng.Now()) }
 // Run starts ThreadsPerHost application threads on every host and drives
 // the simulation until all of them finish. mk is called once per thread,
 // in global-id order, with the thread's substrate record; it returns the
-// body to execute. A protocol's mk typically allocates its own thread
-// wrapper around t, installs it with t.SetSelf (so faults carry the
-// wrapper as context) and closes over it.
+// body to execute. Lifecycle.Run is the mk every protocol uses: it makes
+// the protocol's thread wrapper around t, installs it with t.SetSelf (so
+// faults carry the wrapper as context) and closes over it.
 func (rt *Runtime) Run(mk func(t *Thread) func()) error {
 	if mk == nil {
-		return fmt.Errorf("%s: nil thread body", rt.Cfg.Name)
+		return fmt.Errorf("%s: nil thread body", rt.Name)
 	}
 	if rt.ran {
-		return fmt.Errorf("%s: System.Run called twice; create a new System per run", rt.Cfg.Name)
+		return fmt.Errorf("%s: System.Run called twice; create a new System per run", rt.Name)
 	}
 	rt.ran = true
-	rt.totalThreads = rt.Cfg.Hosts * rt.Cfg.ThreadsPerHost
+	rt.totalThreads = rt.Opt.Hosts * rt.Opt.ThreadsPerHost
 	gid := 0
 	for _, h := range rt.hosts {
-		for j := 0; j < rt.Cfg.ThreadsPerHost; j++ {
+		for j := 0; j < rt.Opt.ThreadsPerHost; j++ {
 			t := &Thread{h: h, ID: gid, LID: j}
 			t.self = t
 			rt.threads = append(rt.threads, t)

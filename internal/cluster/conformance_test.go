@@ -17,66 +17,36 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
-	"millipage/internal/dsm"
-	"millipage/internal/ivy"
-	"millipage/internal/lrc"
+	"millipage/internal/faultnet"
+	"millipage/internal/registry"
 )
 
-// Every protocol thread implements the portable application surface.
-var (
-	_ cluster.AppThread = (*dsm.Thread)(nil)
-	_ cluster.AppThread = (*ivy.Thread)(nil)
-	_ cluster.AppThread = (*lrc.Thread)(nil)
-	_ cluster.AppThread = (*lrc.MWThread)(nil)
-)
-
-// protoRun builds a cluster for one protocol and runs a portable body on
-// it, returning the substrate runtime for introspection.
+// protoRun is one protocol under test: a registry entry, optionally with
+// replicated management on top (failover_test.go). The conformance, chaos
+// and failover suites all build their clusters through make.
 type protoRun struct {
 	name string
-	sc   bool // sequentially consistent for racy (non-DRF) programs
-	make func(hosts int, seed int64) (*cluster.Runtime, func(body func(t cluster.AppThread)) error, error)
+	spec registry.Spec // spec.SC: sequentially consistent for racy (non-DRF) programs
+	repl bool          // home-based management with primary/backup shard replication
 }
 
+// protocols returns every registered protocol.
 func protocols() []protoRun {
-	return []protoRun{
-		{"millipage", true, func(hosts int, seed int64) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := dsm.New(dsm.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *dsm.Thread) { body(t) })
-			}, nil
-		}},
-		{"ivy", true, func(hosts int, seed int64) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := ivy.New(ivy.Options{Hosts: hosts, SharedSize: 1 << 16, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *ivy.Thread) { body(t) })
-			}, nil
-		}},
-		{"lrc", false, func(hosts int, seed int64) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := lrc.New(lrc.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *lrc.Thread) { body(t) })
-			}, nil
-		}},
-		{"lrc-mw", false, func(hosts int, seed int64) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-			sys, err := lrc.NewMW(lrc.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
-			if err != nil {
-				return nil, nil, err
-			}
-			return sys.Runtime(), func(body func(cluster.AppThread)) error {
-				return sys.Run(func(t *lrc.MWThread) { body(t) })
-			}, nil
-		}},
+	var prs []protoRun
+	for _, name := range registry.Names() {
+		spec, _ := registry.Lookup(name)
+		prs = append(prs, protoRun{name: name, spec: spec})
 	}
+	return prs
+}
+
+// make builds the protocol's cluster; plan is nil for a clean wire.
+func (pr protoRun) make(hosts int, seed int64, plan *faultnet.Plan) (cluster.System, error) {
+	opt := registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan}
+	if pr.repl {
+		opt.Management, opt.Replication = cluster.HomeBased, true
+	}
+	return pr.spec.New(opt)
 }
 
 // TestSWMRInvariant drives a random-ish read/write workload over shared
@@ -85,17 +55,17 @@ func protocols() []protoRun {
 func TestSWMRInvariant(t *testing.T) {
 	const hosts = 4
 	for _, pr := range protocols() {
-		if !pr.sc {
+		if !pr.spec.SC {
 			continue // LRC allows concurrent writers between synch points by design
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
-				rt, run, err := pr.make(hosts, seed)
+				sys, err := pr.make(hosts, seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wl := &check.SWMRSweep{Words: 4, Iters: 24, Seed: uint64(seed), Prots: check.RuntimeProts{RT: rt}}
-				if err := run(wl.Body); err != nil {
+				wl := &check.SWMRSweep{Words: 4, Iters: 24, Seed: uint64(seed), Prots: check.RuntimeProts{RT: sys.Runtime()}}
+				if err := sys.Run(wl.Body); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {
@@ -112,17 +82,17 @@ func TestSWMRInvariant(t *testing.T) {
 // shared memory is racy, so this runs on the SC protocols only.
 func TestSCMessagePassing(t *testing.T) {
 	for _, pr := range protocols() {
-		if !pr.sc {
+		if !pr.spec.SC {
 			continue
 		}
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
-				_, run, err := pr.make(2, seed)
+				sys, err := pr.make(2, seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wl := &check.MessagePassing{}
-				if err := run(wl.Body); err != nil {
+				if err := sys.Run(wl.Body); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {
@@ -138,17 +108,17 @@ func TestSCMessagePassing(t *testing.T) {
 // host must observe the other's write; r0=r1=0 is the forbidden outcome.
 func TestSCDekker(t *testing.T) {
 	for _, pr := range protocols() {
-		if !pr.sc {
+		if !pr.spec.SC {
 			continue
 		}
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
-				_, run, err := pr.make(2, seed)
+				sys, err := pr.make(2, seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wl := &check.Dekker{}
-				if err := run(wl.Body); err != nil {
+				if err := sys.Run(wl.Body); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {
@@ -168,12 +138,12 @@ func TestDRFAgreement(t *testing.T) {
 	const hosts = 4
 	for _, pr := range protocols() {
 		t.Run(pr.name, func(t *testing.T) {
-			_, run, err := pr.make(hosts, 1)
+			sys, err := pr.make(hosts, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-			if err := run(wl.Body); err != nil {
+			if err := sys.Run(wl.Body); err != nil {
 				t.Fatal(err)
 			}
 			if err := wl.Err(); err != nil {
@@ -194,12 +164,12 @@ func TestConcurrentMergeAgreement(t *testing.T) {
 	for _, pr := range protocols() {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
-				_, run, err := pr.make(hosts, seed)
+				sys, err := pr.make(hosts, seed, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
-				if err := run(wl.Body); err != nil {
+				if err := sys.Run(wl.Body); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {

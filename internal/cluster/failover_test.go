@@ -11,8 +11,8 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
-	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
+	"millipage/internal/registry"
 	"millipage/internal/sim"
 )
 
@@ -42,21 +42,11 @@ func failoverSchedules() []schedule {
 	return out
 }
 
-// replicatedMillipage builds the one protocol under test here: millipage
+// replicatedMillipage is the one protocol under test here: millipage
 // with home-based management and primary/backup shard replication.
-func replicatedMillipage() chaosRun {
-	return chaosRun{"millipage-repl", true, func(hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-		sys, err := dsm.New(dsm.Options{
-			Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed,
-			Management: dsm.HomeBased, Replication: true, Faults: plan,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys.Runtime(), func(body func(cluster.AppThread)) error {
-			return sys.Run(func(t *dsm.Thread) { body(t) })
-		}, nil
-	}}
+func replicatedMillipage() protoRun {
+	spec, _ := registry.Lookup("millipage")
+	return protoRun{name: "millipage-repl", spec: spec, repl: true}
 }
 
 // TestFailoverDRFOracle: barrier hand-offs and a lock-guarded

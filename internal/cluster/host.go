@@ -80,7 +80,7 @@ func (h *Host) Runtime() *Runtime { return h.rt }
 func (h *Host) Shard() *sim.Shard { return h.sh }
 
 // Costs returns the cluster's host-local cost table.
-func (h *Host) Costs() Costs { return h.rt.Cfg.Costs }
+func (h *Host) Costs() Costs { return h.rt.Opt.Costs }
 
 // onFault is the installed vm fault handler: record the fault, then
 // delegate to the protocol. It runs in the faulting application thread's
@@ -107,7 +107,7 @@ func (h *Host) onMessage(p *sim.Proc, fm *fastmsg.Message) {
 // envelope (the envelope is recycled after the destination handler
 // returns; the payload object survives).
 func (h *Host) Send(p *sim.Proc, to int, payload any) {
-	h.SendSized(p, to, payload, h.rt.Cfg.Costs.HeaderSize)
+	h.SendSized(p, to, payload, h.rt.Opt.Costs.HeaderSize)
 }
 
 // SendSized is Send with an explicit wire size, for protocols whose

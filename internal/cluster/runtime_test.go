@@ -21,7 +21,7 @@ func (nopHandler) DescribeMsg(payload any) (uint16, int, uint64, int) {
 }
 
 func newTestRuntime(hosts, threadsPerHost int) *Runtime {
-	rt, err := New(Config{Name: "test", Hosts: hosts, ThreadsPerHost: threadsPerHost})
+	rt, err := New("test", Options{Hosts: hosts, ThreadsPerHost: threadsPerHost, SharedSize: vm.PageSize}, Traits{MultiThreaded: true})
 	if err != nil {
 		panic(err)
 	}
@@ -79,39 +79,56 @@ func TestRunGuards(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	rt, err := New(Config{})
+func TestOptionsDefaults(t *testing.T) {
+	rt, err := New("test", Options{Hosts: 1, SharedSize: vm.PageSize}, Traits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := rt.Cfg
-	if cfg.Name != "cluster" || cfg.Hosts != 1 || cfg.ThreadsPerHost != 1 || cfg.Seed != 1 {
-		t.Fatalf("defaults = %+v", cfg)
+	opt := rt.Opt
+	if rt.Name != "test" || opt.ThreadsPerHost != 1 || opt.Views != 1 || opt.ChunkLevel != 1 ||
+		opt.Seed != 1 || opt.Engine != EngineSeq || opt.HomeOf == nil {
+		t.Fatalf("defaults = %+v", opt)
 	}
-	if cfg.Costs == (Costs{}) || cfg.Net == (fastmsg.Params{}) {
+	if opt.Costs == (Costs{}) || opt.Net == (fastmsg.Params{}) {
 		t.Fatal("zero cost/net tables not defaulted")
 	}
 }
 
-// TestNewRejectsUnrunnableConfigs: a combination of fields the runtime
-// cannot run is a validation error naming every field involved — never a
-// panic out of the constructor.
-func TestNewRejectsUnrunnableConfigs(t *testing.T) {
+// TestNewRejectsUnrunnableOptions: New is the one validation site. A
+// value or combination the protocol cannot run is an error naming every
+// field involved — never a panic out of the constructor, never a silent
+// degrade.
+func TestNewRejectsUnrunnableOptions(t *testing.T) {
+	ok := func(mut func(*Options)) Options {
+		o := Options{Hosts: 2, SharedSize: vm.PageSize}
+		mut(&o)
+		return o
+	}
+	all := Traits{MultiThreaded: true, Replication: true}
 	cases := []struct {
 		name   string
-		cfg    Config
+		opt    Options
+		tr     Traits
 		fields []string
 	}{
-		{"par with Faults", Config{Hosts: 2, Engine: EnginePar,
-			Faults: &faultnet.Plan{Drop: 0.01}}, []string{"Engine", "Faults"}},
-		{"par with Trace", Config{Hosts: 2, Engine: EnginePar,
-			Trace: trace.NewRecorder(16)}, []string{"Engine", "Trace"}},
-		{"unknown engine", Config{Hosts: 2, Engine: "warp"}, []string{"Engine", "warp"}},
-		{"invalid fault plan", Config{Hosts: 2,
-			Faults: &faultnet.Plan{Drop: 2}}, []string{"Drop"}},
+		{"no hosts", ok(func(o *Options) { o.Hosts = 0 }), all, []string{"Hosts"}},
+		{"negative hosts", ok(func(o *Options) { o.Hosts = -1 }), all, []string{"Hosts"}},
+		{"too many hosts", ok(func(o *Options) { o.Hosts = 1025 }), all, []string{"Hosts"}},
+		{"no shared memory", ok(func(o *Options) { o.SharedSize = 0 }), all, []string{"SharedSize"}},
+		{"negative threads", ok(func(o *Options) { o.ThreadsPerHost = -1 }), all, []string{"ThreadsPerHost"}},
+		{"threads on a single-threaded protocol", ok(func(o *Options) { o.ThreadsPerHost = 2 }), Traits{}, []string{"ThreadsPerHost"}},
+		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), all, []string{"ChunkLevel"}},
+		{"negative par workers", ok(func(o *Options) { o.ParWorkers = -1 }), all, []string{"ParWorkers"}},
+		{"par with Faults", ok(func(o *Options) { o.Engine, o.Faults = EnginePar, &faultnet.Plan{Drop: 0.01} }), all, []string{"Engine", "Faults"}},
+		{"par with Trace", ok(func(o *Options) { o.Engine, o.Trace = EnginePar, trace.NewRecorder(16) }), all, []string{"Engine", "Trace"}},
+		{"unknown engine", ok(func(o *Options) { o.Engine = "warp" }), all, []string{"Engine", "warp"}},
+		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), all, []string{"Drop"}},
+		{"replication unsupported", ok(func(o *Options) { o.Management, o.Replication = HomeBased, true }), Traits{}, []string{"Replication"}},
+		{"replication under central management", ok(func(o *Options) { o.Replication = true }), all, []string{"Replication", "Management"}},
+		{"replication on par", ok(func(o *Options) { o.Management, o.Replication, o.Engine = HomeBased, true, EnginePar }), all, []string{"Replication", "Engine"}},
 	}
 	for _, tc := range cases {
-		rt, err := New(tc.cfg)
+		rt, err := New("test", tc.opt, tc.tr)
 		if err == nil || rt != nil {
 			t.Errorf("%s: New = %v, %v; want an error", tc.name, rt, err)
 			continue
@@ -121,5 +138,8 @@ func TestNewRejectsUnrunnableConfigs(t *testing.T) {
 				t.Errorf("%s: error %q does not name %s", tc.name, err, f)
 			}
 		}
+	}
+	if _, err := New("test", ok(func(o *Options) { o.ThreadsPerHost, o.Management, o.Replication = 2, HomeBased, true }), all); err != nil {
+		t.Errorf("supported traits rejected: %v", err)
 	}
 }

@@ -64,8 +64,8 @@ type Thread struct {
 }
 
 // SetSelf installs the protocol's thread wrapper as the fault-handler
-// context for this thread's memory accesses. Protocols call it from
-// their Run factory, before the body starts.
+// context for this thread's memory accesses. Lifecycle.Run calls it
+// before the body starts.
 func (t *Thread) SetSelf(self any) { t.self = self }
 
 // Proc returns the thread's simulated process (valid once running).
@@ -186,14 +186,14 @@ func (t *Thread) ResetStats() {
 // and fetching sharing units as the protocol dictates.
 func (t *Thread) Read(va uint64, buf []byte) {
 	if err := t.h.AS.Access(t.self, va, buf, vm.Read); err != nil {
-		panic(fmt.Sprintf("%s: thread %d: read %#x: %v", t.h.rt.Cfg.Name, t.ID, va, err))
+		panic(fmt.Sprintf("%s: thread %d: read %#x: %v", t.h.rt.Name, t.ID, va, err))
 	}
 }
 
 // Write stores data into shared memory at va.
 func (t *Thread) Write(va uint64, data []byte) {
 	if err := t.h.AS.Access(t.self, va, data, vm.Write); err != nil {
-		panic(fmt.Sprintf("%s: thread %d: write %#x: %v", t.h.rt.Cfg.Name, t.ID, va, err))
+		panic(fmt.Sprintf("%s: thread %d: write %#x: %v", t.h.rt.Name, t.ID, va, err))
 	}
 }
 

@@ -4,11 +4,18 @@ import (
 	"fmt"
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
+
+// run drives a typed body: System.Run hands bodies the portable
+// AppThread, and these tests exercise the Millipage thread behind it.
+func run(s *System, body func(th *Thread)) error {
+	return s.Run(func(t cluster.AppThread) { body(t.(*Thread)) })
+}
 
 func newSys(t *testing.T, opt Options) *System {
 	t.Helper()
@@ -22,7 +29,7 @@ func newSys(t *testing.T, opt Options) *System {
 func TestSingleHostMallocWriteRead(t *testing.T) {
 	s := newSys(t, Options{Hosts: 1, SharedSize: 1 << 16, Views: 4})
 	var got uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		va := th.Malloc(64)
 		th.WriteU64(va, 0xFEEDFACE)
 		got = th.ReadU64(va)
@@ -39,7 +46,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var got [2]uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 12345)
@@ -70,7 +77,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 func TestWriteInvalidatesReaders(t *testing.T) {
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -132,7 +139,7 @@ func checkSWMR(t *testing.T, s *System, info core.Info) {
 func TestSWMRInvariantUnderContention(t *testing.T) {
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 7})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 0)
@@ -166,7 +173,7 @@ func TestLockProtectedCounter(t *testing.T) {
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var final uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(8)
 			th.WriteU32(va, 0)
@@ -196,7 +203,7 @@ func TestFalseSharingAvoided(t *testing.T) {
 	// other (no write faults after the first).
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var vas [2]uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			vas[0] = th.Malloc(64)
 			vas[1] = th.Malloc(64)
@@ -234,7 +241,7 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 	// writers.
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 1, Grain: core.GrainPage})
 	var vas [2]uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			vas[0] = th.Malloc(64)
 			vas[1] = th.Malloc(64)
@@ -259,7 +266,7 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 func TestCompetingRequestsCounted(t *testing.T) {
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -286,7 +293,7 @@ func TestCompetingRequestsCounted(t *testing.T) {
 func TestBarrierRendezvous(t *testing.T) {
 	s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 14, Views: 1})
 	var order []int
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		th.Compute(sim.Duration(th.Host()) * sim.Millisecond) // staggered arrivals
 		th.Barrier()
 		order = append(order, th.Host())
@@ -297,8 +304,8 @@ func TestBarrierRendezvous(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("only %d threads passed the barrier", len(order))
 	}
-	if s.Manager().Stats.BarrierEpisodes != 1 {
-		t.Fatalf("episodes = %d", s.Manager().Stats.BarrierEpisodes)
+	if s.Totals().BarrierEpisodes != 1 {
+		t.Fatalf("episodes = %d", s.Totals().BarrierEpisodes)
 	}
 }
 
@@ -306,7 +313,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 	run := func(prefetch bool) sim.Duration {
 		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 20, Views: 1, Seed: 5})
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(4096)
 				th.Write(va, make([]byte, 4096))
@@ -346,7 +353,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 func TestPushReplicatesToAllHosts(t *testing.T) {
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 41)
@@ -378,7 +385,7 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 func TestChunkedAllocationSharesMinipage(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4})
 	var vas [8]uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(672)
@@ -410,7 +417,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 	// the final state is consistent; directory must be idle at the end.
 	s := newSys(t, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 11})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 0)
@@ -439,7 +446,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 func TestThreadStatsBreakdown(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 5)
@@ -481,7 +488,7 @@ func TestMultipleThreadsPerHost(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
 	counts := make(map[int]int)
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.ID == 0 {
 			va = th.Malloc(8)
 			th.WriteU32(va, 0)
@@ -508,7 +515,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
 		s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 99})
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(64)
 				th.WriteU32(va, 0)
@@ -540,7 +547,7 @@ func TestViewIsolationAcrossMinipages(t *testing.T) {
 	// page must still be NoAccess on host 1.
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va, vb uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			vb = th.Malloc(64)
@@ -572,7 +579,7 @@ func TestManyMinipagesStress(t *testing.T) {
 	const n = 200
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 20, Views: 16, Seed: 13})
 	vas := make([]uint64, n)
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(200)
@@ -626,7 +633,7 @@ func TestRequestsCountedOnceWhenQueued(t *testing.T) {
 	// again when dequeued.
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)

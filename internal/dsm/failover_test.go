@@ -42,7 +42,7 @@ func TestReplicationCleanRun(t *testing.T) {
 	var vas [3]uint64
 	var got [3]uint32
 	done := 0
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(128) // minipage i, homed at host i
@@ -111,7 +111,7 @@ func TestReplicationFailoverMidBurst(t *testing.T) {
 	var vas [hosts]uint64
 	var burstEnd [hosts]sim.Time
 	done := 0
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(128) // minipage i, homed at host i
@@ -198,7 +198,7 @@ func replReadU32(t *testing.T, s *System, va uint64) uint32 {
 			t.Fatalf("serving host %d has no entry for minipage %d", i, mp.ID)
 		}
 		var buf [4]byte
-		if err := s.hosts[e.owner].Region.ReadPrivInto(va, buf[:]); err != nil {
+		if err := s.Host(e.owner).Region.ReadPrivInto(va, buf[:]); err != nil {
 			t.Fatal(err)
 		}
 		return uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
@@ -216,7 +216,7 @@ func TestPromotionReplaysDedupTable(t *testing.T) {
 	s := newReplSys(t, Options{Hosts: 2, SharedSize: 1 << 14, Views: 2})
 	rt := s.Runtime()
 	rt.Eng.At(sim.Time(failoverWatchdog), rt.Eng.Stop)
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() != 0 {
 			return
 		}
@@ -291,7 +291,7 @@ func TestReplicationSoloPrimaryReleasesEffects(t *testing.T) {
 	var va uint64
 	var end sim.Time
 	done := 0
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() != 0 {
 			done++
 			return

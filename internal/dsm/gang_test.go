@@ -11,7 +11,7 @@ func TestGangFetchBringsAllMinipages(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	const n = 12
 	vas := make([]uint64, n)
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(256)
@@ -54,7 +54,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 3})
 		vas := make([]uint64, n)
 		var spent sim.Duration
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				for i := range vas {
 					vas[i] = th.Malloc(256)
@@ -96,7 +96,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 func TestGangFetchSkipsPresent(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 9)
@@ -123,7 +123,7 @@ func TestReportLatencyDecomposition(t *testing.T) {
 	// workload and check the report exposes sensible decomposition.
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4, Seed: 11})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 1)

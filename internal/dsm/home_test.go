@@ -16,7 +16,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Management: HomeBased})
 	var vas [2]uint64
 	var got [2]uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			vas[0] = th.Malloc(128) // minipage 0, homed at host 0
 			vas[1] = th.Malloc(128) // minipage 1, homed at host 1
@@ -61,7 +61,7 @@ func TestHomeOfOverride(t *testing.T) {
 		HomeOf:     func(id, hosts int) int { return hosts - 1 },
 	})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 7)
@@ -104,7 +104,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, Management: m})
 		var vas [nVars]uint64
 		var out outcome
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				for v := range vas {
 					vas[v] = th.Malloc(96)
@@ -220,7 +220,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, Management: HomeBased})
 	vas := make([]uint64, nVars)
 	var finalErr error
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(sizes[v])
@@ -300,7 +300,7 @@ func TestHomeBasedDeterministic(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
 		s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, Management: HomeBased})
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(64)
 				th.WriteU32(va, 0)
@@ -330,7 +330,7 @@ func TestHomeBasedPushAndChunking(t *testing.T) {
 	// Push and chunked allocation both work against remote homes.
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, Management: HomeBased})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 1 {
 			va = th.Malloc(128) // remote malloc; chunked minipage
 			th.WriteU32(va, 41)

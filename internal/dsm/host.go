@@ -52,7 +52,7 @@ type Host struct {
 // keeps fresh allocations and its existing lifetime rules.
 func (h *Host) allocPM() *pmsg {
 	pool := h.pool
-	if n := len(pool.freePM); n > 0 && !h.sys.rt.Faulty() {
+	if n := len(pool.freePM); n > 0 && !h.Runtime().Faulty() {
 		m := pool.freePM[n-1]
 		pool.freePM = pool.freePM[:n-1]
 		return m
@@ -64,7 +64,7 @@ func (h *Host) allocPM() *pmsg {
 // headers obtained from allocPM may be recycled — never a thread's fault
 // request (those live in the thread's own slot) and never dataMarker.
 func (h *Host) recyclePM(m *pmsg) {
-	if h.sys.rt.Faulty() {
+	if h.Runtime().Faulty() {
 		return
 	}
 	h.pool.freePM = append(h.pool.freePM, m)
@@ -75,7 +75,7 @@ func (h *Host) recyclePM(m *pmsg) {
 // installing the bytes.
 func (h *Host) allocBuf(n int) []byte {
 	pool := h.pool
-	if !h.sys.rt.Faulty() {
+	if !h.Runtime().Faulty() {
 		for i := len(pool.freeBuf) - 1; i >= 0; i-- {
 			if cap(pool.freeBuf[i]) >= n {
 				b := pool.freeBuf[i][:n]
@@ -92,7 +92,7 @@ func (h *Host) allocBuf(n int) []byte {
 // faulty path keeps buffers live: retransmission can re-ship a frame
 // after first delivery.
 func (h *Host) recycleBuf(b []byte) {
-	if h.sys.rt.Faulty() || cap(b) == 0 {
+	if h.Runtime().Faulty() || cap(b) == 0 {
 		return
 	}
 	h.pool.freeBuf = append(h.pool.freeBuf, b)
@@ -188,13 +188,13 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	// slot. The faulty path allocates fresh: retry copies and dedup can
 	// keep the original reachable past the wake.
 	var req *pmsg
-	if h.sys.rt.Faulty() {
+	if h.Runtime().Faulty() {
 		req = &pmsg{}
 	} else {
 		req = &t.reqMsg
 	}
 	*req = pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}
-	if h.sys.rt.Faulty() {
+	if h.Runtime().Faulty() {
 		// Tag the transaction so the home can deduplicate retries, send,
 		// and block with a backoff timer re-issuing the request — the
 		// request survives crashes on either side. The clean path below is

@@ -43,8 +43,6 @@ type ManagerStats struct {
 	WriteReqs         uint64
 	Invalidations     uint64 // invalidate requests issued
 	CompetingRequests uint64 // requests queued behind an open transaction
-	BarrierEpisodes   uint64
-	LockAcquisitions  uint64
 	Allocs            uint64
 	Pushes            uint64
 }
@@ -121,7 +119,7 @@ func (e *dirEntry) Copyset() (hostset.Set, int) { return e.copyset, e.owner }
 // Busy reports whether a transaction is open on the entry.
 func (e *dirEntry) Busy() bool { return e.busy }
 
-func (mg *manager) host() *Host  { return mg.sys.hosts[mg.me] }
+func (mg *manager) host() *Host  { return mg.sys.Host(mg.me) }
 func (mg *manager) costs() Costs { return mg.sys.Opt.Costs }
 func (mg *manager) entry(id int) *dirEntry {
 	if e := mg.entryOrNil(id); e != nil {
@@ -586,11 +584,10 @@ func (mg *manager) handleAlloc(p *sim.Proc, m *pmsg) {
 // handleBarrier collects arrivals and releases everyone once the last
 // thread arrives.
 func (mg *manager) handleBarrier(p *sim.Proc, m *pmsg) {
-	arrivals, done := mg.barrier.Arrive(m, mg.sys.rt.TotalThreads())
+	arrivals, done := mg.barrier.Arrive(m, mg.sys.Runtime().TotalThreads())
 	if !done {
 		return
 	}
-	mg.Stats.BarrierEpisodes++
 	for _, a := range arrivals {
 		rel := mg.host().allocPM()
 		*rel = pmsg{Type: mBarrierRelease, From: managerHost, Gen: mg.barrier.Gen, FW: a.FW}
@@ -604,7 +601,6 @@ func (mg *manager) handleLock(p *sim.Proc, m *pmsg) {
 	if !mg.locks.Acquire(m.LockID, m) {
 		return // queued: the service holds m until the unlock pops it
 	}
-	mg.Stats.LockAcquisitions++
 	grant := mg.host().allocPM()
 	*grant = pmsg{Type: mLockGrant, From: managerHost, LockID: m.LockID, FW: m.FW}
 	mg.host().Send(p, m.From, grant)
@@ -621,7 +617,6 @@ func (mg *manager) handleUnlock(p *sim.Proc, m *pmsg) {
 	if !granted {
 		return
 	}
-	mg.Stats.LockAcquisitions++
 	grant := mg.host().allocPM()
 	*grant = pmsg{Type: mLockGrant, From: managerHost, LockID: next.LockID, FW: next.FW}
 	mg.host().Send(p, next.From, grant)

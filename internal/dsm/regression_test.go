@@ -19,7 +19,7 @@ import (
 func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.Write(va, make([]byte, 256))
@@ -57,7 +57,7 @@ func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var vas [3]uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(256)
@@ -89,19 +89,15 @@ func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 // stale protocol state.
 func TestRunReuseRejected(t *testing.T) {
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 14, Views: 1})
-	if err := s.Run(func(th *Thread) { th.Barrier() }); err != nil {
+	if err := run(s, func(th *Thread) { th.Barrier() }); err != nil {
 		t.Fatal(err)
 	}
-	err := s.Run(func(th *Thread) {})
+	err := run(s, func(th *Thread) {})
 	if err == nil {
 		t.Fatal("second Run on the same System succeeded")
 	}
 	if !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("unexpected error: %v", err)
-	}
-	// RunPerHost shares the guard.
-	if err := s.RunPerHost(func(th *Thread) {}); err == nil {
-		t.Fatal("RunPerHost after Run succeeded")
 	}
 }
 

@@ -273,7 +273,7 @@ func (s *System) hbLinkUp(h int, now sim.Time) bool {
 func (s *System) startReplDaemons() {
 	rp0 := s.repl[managerHost]
 	for i := 1; i < s.Opt.Hosts; i++ {
-		h := s.hosts[i]
+		h := s.Host(i)
 		me := i
 		sh := h.Shard()
 		sh.SpawnDaemon(fmt.Sprintf("repl-ping-%d", i), func(p *sim.Proc) {
@@ -291,7 +291,7 @@ func (s *System) startReplDaemons() {
 	if s.Opt.Hosts < 2 {
 		return
 	}
-	h0 := s.hosts[managerHost]
+	h0 := s.Host(managerHost)
 	h0.Shard().SpawnDaemon("repl-tick", func(p *sim.Proc) {
 		for {
 			p.Sleep(tickInterval)

@@ -41,9 +41,9 @@ const prefetchRetryMax = 200 * sim.Millisecond
 func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, fw *cluster.Wait) {
 	h := t.host
 	req := &pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
-	if h.sys.replAt(h.ID()) != nil && h.sys.rt.Faulty() {
+	if h.sys.replAt(h.ID()) != nil && h.Runtime().Faulty() {
 		t.pfSeq++
-		req.TID = h.sys.rt.TotalThreads()*t.pfSeq + t.ID
+		req.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
 		req.Txn = 1
 		fw.Txn = 1
 		sh := h.Shard()
@@ -67,11 +67,6 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, 
 	h.Send(p, home, req)
 	t.Stats.Prefetches++
 }
-
-// ThreadStats is the per-thread execution-time breakdown reported in
-// Figure 6 (right); it lives in internal/cluster so every protocol
-// reports the same categories.
-type ThreadStats = cluster.ThreadStats
 
 // Malloc allocates size bytes of shared memory via the manager and
 // returns the application-view address, exactly like the paper's

@@ -26,7 +26,7 @@ func TestProtocolTracing(t *testing.T) {
 	rec := trace.NewRecorder(4096)
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Trace: rec})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 5)
@@ -71,7 +71,7 @@ func TestTracingFilter(t *testing.T) {
 	rec.Filter = func(e trace.Event) bool { return e.Kind == trace.Fault }
 	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)

@@ -22,37 +22,16 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/fastmsg"
-	"millipage/internal/faultnet"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
 	"millipage/internal/vm"
 )
 
-// Options configures an Ivy cluster.
-type Options struct {
-	Hosts      int
-	SharedSize int
-	Seed       int64
-	Net        fastmsg.Params
-	Costs      cluster.Costs
-
-	// Engine selects the event engine ("seq" default, "par" for the
-	// sharded parallel engine) and ParWorkers bounds its goroutines; see
-	// cluster.Config.
-	Engine     string
-	ParWorkers int
-
-	// Faults, when non-nil and enabled, makes the wire lossy per the
-	// plan; the transport's reliability layer restores exactly-once FIFO
-	// delivery, which is all this protocol's handlers assume. Nil (or an
-	// all-zero plan) leaves the clean path untouched.
-	Faults *faultnet.Plan
-
-	// Trace, if non-nil, records protocol events (message sends, fault
-	// entries, handler dispatches) for debugging.
-	Trace *trace.Recorder
-}
+// Options configures an Ivy cluster: the Options struct every protocol
+// shares. Sharing is page-grain with fixed distributed managers, so
+// Views, ChunkLevel, Grain, Management and HomeOf have no meaning here.
+type Options = cluster.Options
 
 type mtype int
 
@@ -131,13 +110,7 @@ type dirEntry struct {
 
 // System is an Ivy cluster.
 type System struct {
-	Opt Options
-	Eng *sim.Engine
-	Net *fastmsg.Network
-
-	rt      *cluster.Runtime
-	hosts   []*Host
-	threads []*Thread
+	cluster.Lifecycle[*Host, *Thread]
 
 	numPages int
 	base     uint64
@@ -149,8 +122,6 @@ type System struct {
 
 	barrier cluster.BarrierService[*pmsg]
 	locks   *cluster.LockService[*pmsg]
-
-	Stats Stats
 }
 
 // Stats aggregates cluster-wide counters.
@@ -172,10 +143,9 @@ type Host struct {
 
 	pendingHdr map[int]*pmsg
 
-	// stats accumulates this host's share of the cluster counters;
-	// folded into System.Stats after Run. Per-host rather than one
-	// shared struct so the parallel engine's shards never write the same
-	// counter.
+	// stats accumulates this host's share of the cluster counters, summed
+	// by System.Stats. Per-host rather than one shared struct so the
+	// parallel engine's shards never write the same counter.
 	stats Stats
 }
 
@@ -184,42 +154,17 @@ const base = uint64(0x4000_0000)
 // New builds the cluster. The shared region is mapped at the same base
 // address on every host, one view, page protection granularity.
 func New(opt Options) (*System, error) {
-	if opt.Hosts < 1 || opt.Hosts > 1024 {
-		return nil, fmt.Errorf("ivy: bad host count %d", opt.Hosts)
-	}
-	pages := (opt.SharedSize + vm.PageSize - 1) / vm.PageSize
-	if pages < 1 {
-		return nil, fmt.Errorf("ivy: shared size %d too small", opt.SharedSize)
-	}
-	if opt.Faults.Enabled() {
-		if err := opt.Faults.Validate(opt.Hosts); err != nil {
-			return nil, fmt.Errorf("ivy: %w", err)
-		}
-	}
-	rt, err := cluster.New(cluster.Config{
-		Name:       "ivy",
-		Hosts:      opt.Hosts,
-		Seed:       opt.Seed,
-		Engine:     opt.Engine,
-		ParWorkers: opt.ParWorkers,
-		Net:        opt.Net,
-		Costs:      opt.Costs,
-		Faults:     opt.Faults,
-		Trace:      opt.Trace,
-	})
+	s := &System{base: base, nextAlloc: base, locks: cluster.NewLockService[*pmsg]()}
+	err := s.Init("ivy", opt, cluster.Traits{},
+		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
 	if err != nil {
 		return nil, err
 	}
-	opt.Seed = rt.Cfg.Seed
-	opt.Net = rt.Cfg.Net
-	opt.Costs = rt.Cfg.Costs
-	s := &System{
-		Opt: opt, Eng: rt.Eng, Net: rt.Net, rt: rt,
-		numPages: pages, base: base, nextAlloc: base,
-		locks: cluster.NewLockService[*pmsg](),
-	}
+	hosts := s.Opt.Hosts
+	pages := (s.Opt.SharedSize + vm.PageSize - 1) / vm.PageSize
+	s.numPages = pages
 	frames := vm.NewFramePool()
-	for i := 0; i < opt.Hosts; i++ {
+	for i := 0; i < hosts; i++ {
 		as := vm.NewAddressSpace()
 		obj := frames.NewMemObject(pages * vm.PageSize)
 		if err := as.MapView(base, obj, 0, pages, vm.NoAccess); err != nil {
@@ -231,15 +176,14 @@ func New(opt Options) (*System, error) {
 			dir:        make(map[int]*dirEntry),
 			pendingHdr: make(map[int]*pmsg),
 		}
-		h.Host = rt.NewHost(as, h)
-		s.hosts = append(s.hosts, h)
+		h.Host = s.AddHost(as, h)
 	}
 	// Pages start owned by their managers, writable there.
 	for p := 0; p < pages; p++ {
-		mgr := p % opt.Hosts
-		s.hosts[mgr].dir[p] = &dirEntry{copyset: hostset.One(mgr), owner: mgr}
+		mgr := s.Host(p % hosts)
+		mgr.dir[p] = &dirEntry{copyset: hostset.One(mgr.ID()), owner: mgr.ID()}
 		va := base + uint64(p*vm.PageSize)
-		if err := s.hosts[mgr].AS.Protect(va, 1, vm.ReadWrite); err != nil {
+		if err := mgr.AS.Protect(va, 1, vm.ReadWrite); err != nil {
 			return nil, err
 		}
 	}
@@ -249,36 +193,30 @@ func New(opt Options) (*System, error) {
 // Base returns the shared region's base address (identical on all hosts).
 func (s *System) Base() uint64 { return s.base }
 
-// Host returns host i.
-func (s *System) Host(i int) *Host { return s.hosts[i] }
-
-// NumHosts returns the cluster size.
-func (s *System) NumHosts() int { return s.Opt.Hosts }
-
-// Runtime returns the shared cluster substrate (engine, network, threads),
-// for protocol-independent reporting.
-func (s *System) Runtime() *cluster.Runtime { return s.rt }
-
-// Threads returns the application threads after Run (for statistics).
-func (s *System) Threads() []*Thread { return s.threads }
-
-// Elapsed returns the run's virtual duration.
-func (s *System) Elapsed() sim.Duration { return sim.Duration(s.Eng.Now()) }
-
-// Messages returns the total messages sent.
-func (s *System) Messages() uint64 {
-	var n uint64
-	for _, h := range s.hosts {
-		n += h.EP.Stats().Sent
+// Stats sums the per-host counters.
+func (s *System) Stats() Stats {
+	var t Stats
+	for i := 0; i < s.NumHosts(); i++ {
+		hs := s.Host(i).stats
+		t.ReadFaults += hs.ReadFaults
+		t.WriteFaults += hs.WriteFaults
+		t.Invalidates += hs.Invalidates
+		t.Competing += hs.Competing
 	}
-	return n
+	return t
 }
 
-// BarrierEpisodes returns the number of completed barrier episodes.
-func (s *System) BarrierEpisodes() uint64 { return s.barrier.Episodes }
-
-// LockAcquisitions returns the number of lock grants handed out.
-func (s *System) LockAcquisitions() uint64 { return s.locks.Acquisitions }
+// Totals reports the run's protocol counters. Ivy shares whole pages, so
+// the minipage footprint stays zero.
+func (s *System) Totals() cluster.Totals {
+	st := s.Stats()
+	return cluster.Totals{
+		Invalidations:     st.Invalidates,
+		CompetingRequests: st.Competing,
+		BarrierEpisodes:   s.barrier.Episodes,
+		LockAcquisitions:  s.locks.Acquisitions,
+	}
+}
 
 // managerOf returns the host managing page p (static distribution).
 func (s *System) managerOf(p int) int { return p % s.Opt.Hosts }
@@ -289,30 +227,6 @@ func (s *System) managerOf(p int) int { return p % s.Opt.Hosts }
 type Thread struct {
 	*cluster.Thread
 	host *Host
-}
-
-// ThreadStats is the per-thread execution-time breakdown, shared across
-// protocols via internal/cluster.
-type ThreadStats = cluster.ThreadStats
-
-// Run starts one application thread per host.
-func (s *System) Run(body func(t *Thread)) error {
-	if body == nil {
-		return fmt.Errorf("ivy: nil thread body")
-	}
-	err := s.rt.Run(func(ct *cluster.Thread) func() {
-		t := &Thread{Thread: ct, host: s.hosts[ct.Host()]}
-		ct.SetSelf(t)
-		s.threads = append(s.threads, t)
-		return func() { body(t) }
-	})
-	for _, h := range s.hosts {
-		s.Stats.ReadFaults += h.stats.ReadFaults
-		s.Stats.WriteFaults += h.stats.WriteFaults
-		s.Stats.Invalidates += h.stats.Invalidates
-		s.Stats.Competing += h.stats.Competing
-	}
-	return err
 }
 
 // Malloc allocates size bytes of shared memory (8-byte aligned) from the
@@ -536,7 +450,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 
 	case mBarArrive:
 		s := h.sys
-		arrivals, done := s.barrier.Arrive(m, len(s.hosts))
+		arrivals, done := s.barrier.Arrive(m, s.NumHosts())
 		if !done {
 			return
 		}
@@ -651,7 +565,7 @@ func (h *Host) managerHandle(p *sim.Proc, m *pmsg) {
 }
 
 func (h *Host) sendInvalidates(p *sim.Proc, page int, mask hostset.Set) {
-	for i := 0; i < len(h.sys.hosts); i++ {
+	for i := 0; i < h.sys.NumHosts(); i++ {
 		if mask.Has(i) {
 			h.Send(p, i, &pmsg{Type: mInvReq, From: h.ID(), Page: page})
 		}

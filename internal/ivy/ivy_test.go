@@ -3,9 +3,16 @@ package ivy
 import (
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
+
+// run drives a typed body: System.Run hands bodies the portable
+// AppThread, and these tests exercise the Ivy thread behind it.
+func run(s *System, body func(th *Thread)) error {
+	return s.Run(func(t cluster.AppThread) { body(t.(*Thread)) })
+}
 
 func newSys(t *testing.T, hosts int) *System {
 	t.Helper()
@@ -19,7 +26,7 @@ func newSys(t *testing.T, hosts int) *System {
 func TestSingleHostRoundTrip(t *testing.T) {
 	s := newSys(t, 1)
 	var got uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		th.WriteU32(s.Base(), 99)
 		got = th.ReadU32(s.Base())
 	})
@@ -35,7 +42,7 @@ func TestCrossHostSharing(t *testing.T) {
 	s := newSys(t, 4)
 	base := s.Base()
 	var got [4]uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			th.WriteU32(base+vm.PageSize, 1234) // page 1: managed by host 1
 		}
@@ -74,7 +81,7 @@ func TestDistributedManagers(t *testing.T) {
 func TestWriteInvalidation(t *testing.T) {
 	s := newSys(t, 3)
 	base := s.Base()
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			th.WriteU32(base, 1)
 		}
@@ -92,7 +99,7 @@ func TestWriteInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats.Invalidates == 0 {
+	if s.Stats().Invalidates == 0 {
 		t.Fatal("no invalidations issued")
 	}
 }
@@ -102,7 +109,7 @@ func TestWriteInvalidation(t *testing.T) {
 func TestFalseSharingIsStructural(t *testing.T) {
 	s := newSys(t, 2)
 	base := s.Base()
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		mine := base + uint64(th.Host()*64)
 		for i := 0; i < 40; i++ {
 			th.WriteU32(mine, uint32(i))
@@ -113,15 +120,15 @@ func TestFalseSharingIsStructural(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats.WriteFaults < 10 {
-		t.Fatalf("write faults = %d, want many (page ping-pong)", s.Stats.WriteFaults)
+	if s.Stats().WriteFaults < 10 {
+		t.Fatalf("write faults = %d, want many (page ping-pong)", s.Stats().WriteFaults)
 	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() sim.Duration {
 		s := newSys(t, 4)
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			for i := 0; i < 5; i++ {
 				th.WriteU32(s.Base()+uint64(th.Host()*vm.PageSize), uint32(i))
 				th.Barrier()
@@ -140,7 +147,7 @@ func TestDeterministicRuns(t *testing.T) {
 func TestQueuedCompetingRequests(t *testing.T) {
 	s := newSys(t, 4)
 	base := s.Base()
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			th.WriteU32(base, 7)
 		}
@@ -151,7 +158,7 @@ func TestQueuedCompetingRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats.Competing == 0 {
+	if s.Stats().Competing == 0 {
 		t.Fatal("no competing requests recorded")
 	}
 }

@@ -1,0 +1,121 @@
+package lrc
+
+import (
+	"fmt"
+	"sync"
+
+	"millipage/internal/cluster"
+	"millipage/internal/core"
+	"millipage/internal/vm"
+)
+
+// Options configures an LRC cluster: the Options struct every protocol
+// shares. Sharing is minipage-grain and every minipage's home is its
+// allocating host, so Grain, Management and HomeOf have no meaning here.
+type Options = cluster.Options
+
+// base is what the single-writer and multi-writer realizations share:
+// the lifecycle, the MultiView layout, the minipage table host 0 owns,
+// and the home map (every minipage's home is its allocating host). H and
+// T are the realization's host and thread types.
+type base[H cluster.HostHandler, T cluster.AppThread] struct {
+	cluster.Lifecycle[H, T]
+	Layout core.Layout
+
+	mpt   *core.MPT
+	homes []int // minipage id -> home host
+
+	// homesMu is non-nil only under the parallel engine: homes grows on
+	// host 0's shard (the allocation authority) while every host's fault,
+	// release and acquire paths index it, and the append's reallocation
+	// needs a fence even though the protocol's messages already order each
+	// entry's write before any remote read of it.
+	homesMu *sync.RWMutex
+}
+
+// init builds the runtime, the layout, the minipage table and one
+// MultiView region per host. addHost wraps each region in the
+// realization's host type and attaches it with AddHost.
+func (b *base[H, T]) init(name string, opt Options, wrap func(*cluster.Thread, H) T,
+	addHost func(as *vm.AddressSpace, region *core.Region)) error {
+	err := b.Init(name, opt, cluster.Traits{}, wrap)
+	if err != nil {
+		return err
+	}
+	if b.Layout, err = core.NewLayout(b.Opt.SharedSize, b.Opt.Views); err != nil {
+		return err
+	}
+	b.mpt = core.NewMPT(b.Layout, core.GrainMinipage, b.Opt.ChunkLevel)
+	frames := vm.NewFramePool()
+	for i := 0; i < b.Opt.Hosts; i++ {
+		as := vm.NewAddressSpace()
+		region, err := core.NewRegion(b.Layout, as, frames)
+		if err != nil {
+			return err
+		}
+		addHost(as, region)
+	}
+	if b.Eng.NumShards() > 1 {
+		b.mpt.SetShared(true)
+		b.homesMu = &sync.RWMutex{}
+	}
+	return nil
+}
+
+// MPT exposes the minipage table.
+func (b *base[H, T]) MPT() *core.MPT { return b.mpt }
+
+// allocLocal carves size bytes out of the minipage table on behalf of
+// host from, which becomes the home of every minipage the allocation
+// opens. It runs only on host 0, the allocation authority.
+func (b *base[H, T]) allocLocal(from, size int) (core.Info, uint64, int) {
+	mp, va, err := b.mpt.Alloc(size)
+	if err != nil {
+		panic(fmt.Sprintf("%s: alloc %d: %v", b.Runtime().Name, size, err))
+	}
+	if b.homesMu != nil {
+		b.homesMu.Lock()
+	}
+	for id := len(b.homes); id < b.mpt.NumMinipages(); id++ {
+		b.homes = append(b.homes, from)
+	}
+	home := b.homes[mp.ID]
+	if b.homesMu != nil {
+		b.homesMu.Unlock()
+	}
+	return mp.Info(b.Layout), va, home
+}
+
+// homeOf returns minipage id's home host, taking the reader lock when the
+// parallel engine shares the homes slice across shards.
+func (b *base[H, T]) homeOf(id int) int {
+	if b.homesMu != nil {
+		b.homesMu.RLock()
+		defer b.homesMu.RUnlock()
+	}
+	return b.homes[id]
+}
+
+// describe fills a DescribeMsg reply for a header whose trace op code is
+// op and whose minipage is info (zero for synchronization and allocation
+// traffic, which concerns no minipage).
+func (b *base[H, T]) describe(op uint16, info core.Info) (uint16, int, uint64, int) {
+	if info.Size == 0 {
+		return op, -1, 0, -1
+	}
+	home := -1
+	if info.ID < len(b.homes) {
+		home = b.homes[info.ID]
+	}
+	return op, info.ID, info.Base, home
+}
+
+// footprint starts a Totals with what both realizations report alike:
+// the minipage table's Table-2 columns.
+func (b *base[H, T]) footprint() cluster.Totals {
+	return cluster.Totals{
+		Minipages:      b.mpt.NumMinipages(),
+		ViewsUsed:      b.mpt.ViewsUsed(),
+		BytesAllocated: b.mpt.BytesAllocated(),
+	}
+}

@@ -28,45 +28,16 @@ package lrc
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
-	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
 	"millipage/internal/twindiff"
 	"millipage/internal/vm"
 )
-
-// Options configures an LRC cluster.
-type Options struct {
-	Hosts      int
-	SharedSize int
-	Views      int
-	ChunkLevel int
-	Seed       int64
-	Net        fastmsg.Params
-	Costs      cluster.Costs
-
-	// Engine selects the event engine ("seq" default, "par" for the
-	// sharded parallel engine) and ParWorkers bounds its goroutines; see
-	// cluster.Config.
-	Engine     string
-	ParWorkers int
-
-	// Faults, when non-nil and enabled, makes the wire lossy per the
-	// plan; the transport's reliability layer restores exactly-once FIFO
-	// delivery, which is all this protocol's handlers assume. Nil (or an
-	// all-zero plan) leaves the clean path untouched.
-	Faults *faultnet.Plan
-
-	// Trace, if non-nil, records protocol events (message sends, fault
-	// entries, handler dispatches) for debugging.
-	Trace *trace.Recorder
-}
 
 // message types
 type mtype int
@@ -124,30 +95,10 @@ type pmsg struct {
 // System is an LRC cluster. Host 0 coordinates barriers and locks and
 // owns the minipage table; every minipage's home is its allocating host.
 type System struct {
-	Opt    Options
-	Eng    *sim.Engine
-	Net    *fastmsg.Network
-	Layout core.Layout
-
-	rt *cluster.Runtime
-
-	mpt   *core.MPT
-	homes []int // minipage id -> home host
-
-	// homesMu is non-nil only under the parallel engine: homes grows on
-	// host 0's shard (the allocation authority) while every host's fault
-	// and flush paths index it, and the append's reallocation needs a
-	// fence even though the protocol's messages already order each entry's
-	// write before any remote read of it.
-	homesMu *sync.RWMutex
-
-	hosts   []*Host
-	threads []*Thread
+	base[*Host, *Thread]
 
 	barrier cluster.BarrierService[*pmsg]
 	locks   *cluster.LockService[*pmsg]
-
-	Stats Stats
 }
 
 // Stats aggregates protocol activity across the run.
@@ -156,7 +107,6 @@ type Stats struct {
 	DiffsSent  uint64
 	DiffBytes  uint64
 	TwinsMade  uint64
-	Barriers   uint64
 	WriteFault uint64
 	ReadFault  uint64
 }
@@ -176,140 +126,61 @@ type Host struct {
 	flushDone  *sim.Event
 
 	// stats is this host's share of System.Stats, kept per-host so the
-	// parallel engine's shards never race on the counters; Run folds the
-	// shares into System.Stats once the simulation stops.
+	// parallel engine's shards never race on the counters.
 	stats Stats
 }
 
 // New builds an LRC cluster.
 func New(opt Options) (*System, error) {
-	if opt.Hosts < 1 || opt.Hosts > 1024 {
-		return nil, fmt.Errorf("lrc: Hosts = %d out of range", opt.Hosts)
-	}
-	if opt.ChunkLevel < 1 {
-		opt.ChunkLevel = 1
-	}
-	if opt.Views < 1 {
-		opt.Views = 1
-	}
-	layout, err := core.NewLayout(opt.SharedSize, opt.Views)
+	s := &System{locks: cluster.NewLockService[*pmsg]()}
+	err := s.init("lrc", opt,
+		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} },
+		func(as *vm.AddressSpace, region *core.Region) {
+			h := &Host{
+				sys:        s,
+				Region:     region,
+				twins:      make(map[int][]byte),
+				dirtyInfo:  make(map[int]core.Info),
+				present:    make(map[int]core.Info),
+				pendingHdr: make(map[int]*pmsg),
+			}
+			h.Host = s.AddHost(as, h)
+		})
 	if err != nil {
 		return nil, err
-	}
-	if opt.Faults.Enabled() {
-		if err := opt.Faults.Validate(opt.Hosts); err != nil {
-			return nil, fmt.Errorf("lrc: %w", err)
-		}
-	}
-	rt, err := cluster.New(cluster.Config{
-		Name:       "lrc",
-		Hosts:      opt.Hosts,
-		Seed:       opt.Seed,
-		Engine:     opt.Engine,
-		ParWorkers: opt.ParWorkers,
-		Net:        opt.Net,
-		Costs:      opt.Costs,
-		Faults:     opt.Faults,
-		Trace:      opt.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opt.Seed = rt.Cfg.Seed
-	opt.Net = rt.Cfg.Net
-	opt.Costs = rt.Cfg.Costs
-	s := &System{
-		Opt:    opt,
-		Eng:    rt.Eng,
-		Net:    rt.Net,
-		Layout: layout,
-		rt:     rt,
-		mpt:    core.NewMPT(layout, core.GrainMinipage, opt.ChunkLevel),
-		locks:  cluster.NewLockService[*pmsg](),
-	}
-	frames := vm.NewFramePool()
-	for i := 0; i < opt.Hosts; i++ {
-		as := vm.NewAddressSpace()
-		region, err := core.NewRegion(layout, as, frames)
-		if err != nil {
-			return nil, err
-		}
-		h := &Host{
-			sys:        s,
-			Region:     region,
-			twins:      make(map[int][]byte),
-			dirtyInfo:  make(map[int]core.Info),
-			present:    make(map[int]core.Info),
-			pendingHdr: make(map[int]*pmsg),
-		}
-		h.Host = rt.NewHost(as, h)
-		s.hosts = append(s.hosts, h)
-	}
-	if rt.Eng.NumShards() > 1 {
-		s.mpt.SetShared(true)
-		s.homesMu = &sync.RWMutex{}
 	}
 	return s, nil
 }
 
-// Host returns host i.
-func (s *System) Host(i int) *Host { return s.hosts[i] }
+// Stats sums the per-host counters.
+func (s *System) Stats() Stats {
+	var t Stats
+	for i := 0; i < s.NumHosts(); i++ {
+		hs := s.Host(i).stats
+		t.Fetches += hs.Fetches
+		t.DiffsSent += hs.DiffsSent
+		t.DiffBytes += hs.DiffBytes
+		t.TwinsMade += hs.TwinsMade
+		t.WriteFault += hs.WriteFault
+		t.ReadFault += hs.ReadFault
+	}
+	return t
+}
 
-// NumHosts returns the cluster size.
-func (s *System) NumHosts() int { return s.Opt.Hosts }
-
-// MPT exposes the minipage table.
-func (s *System) MPT() *core.MPT { return s.mpt }
-
-// Runtime returns the shared cluster substrate (engine, network, threads),
-// for protocol-independent reporting.
-func (s *System) Runtime() *cluster.Runtime { return s.rt }
-
-// Threads returns the application threads after Run (for statistics).
-func (s *System) Threads() []*Thread { return s.threads }
-
-// Elapsed returns the virtual time at which the run stopped.
-func (s *System) Elapsed() sim.Duration { return sim.Duration(s.Eng.Now()) }
-
-// BarrierEpisodes returns the number of completed barrier episodes.
-func (s *System) BarrierEpisodes() uint64 { return s.barrier.Episodes }
-
-// LockAcquisitions returns the number of lock grants handed out.
-func (s *System) LockAcquisitions() uint64 { return s.locks.Acquisitions }
+// Totals reports the run's protocol counters. Single-writer LRC never
+// invalidates a remote copy and never queues a request.
+func (s *System) Totals() cluster.Totals {
+	t := s.footprint()
+	t.BarrierEpisodes = s.barrier.Episodes
+	t.LockAcquisitions = s.locks.Acquisitions
+	return t
+}
 
 // Thread is an application thread's handle on the LRC DSM: the generic
 // substrate surface plus LRC's allocation and synchronization.
 type Thread struct {
 	*cluster.Thread
 	host *Host
-}
-
-// ThreadStats is the per-thread execution-time breakdown, shared across
-// protocols via internal/cluster.
-type ThreadStats = cluster.ThreadStats
-
-// Run starts one application thread per host and drives the simulation.
-func (s *System) Run(body func(t *Thread)) error {
-	if body == nil {
-		return fmt.Errorf("lrc: nil thread body")
-	}
-	err := s.rt.Run(func(ct *cluster.Thread) func() {
-		t := &Thread{Thread: ct, host: s.hosts[ct.Host()]}
-		ct.SetSelf(t)
-		s.threads = append(s.threads, t)
-		return func() { body(t) }
-	})
-	// Fold the per-host counters into the aggregate the callers read.
-	for _, h := range s.hosts {
-		s.Stats.Fetches += h.stats.Fetches
-		s.Stats.DiffsSent += h.stats.DiffsSent
-		s.Stats.DiffBytes += h.stats.DiffBytes
-		s.Stats.TwinsMade += h.stats.TwinsMade
-		s.Stats.Barriers += h.stats.Barriers
-		s.Stats.WriteFault += h.stats.WriteFault
-		s.Stats.ReadFault += h.stats.ReadFault
-	}
-	return err
 }
 
 // Malloc allocates shared memory; the allocating host becomes the
@@ -337,47 +208,11 @@ func (t *Thread) Malloc(size int) uint64 {
 	return fw.VA
 }
 
-func (s *System) allocLocal(from, size int) (core.Info, uint64, int) {
-	mp, va, err := s.mpt.Alloc(size)
-	if err != nil {
-		panic(fmt.Sprintf("lrc: alloc %d: %v", size, err))
-	}
-	if s.homesMu != nil {
-		s.homesMu.Lock()
-	}
-	for id := len(s.homes); id < s.mpt.NumMinipages(); id++ {
-		s.homes = append(s.homes, from)
-	}
-	home := s.homes[mp.ID]
-	if s.homesMu != nil {
-		s.homesMu.Unlock()
-	}
-	return mp.Info(s.Layout), va, home
-}
-
-// homeOf returns minipage id's home host, taking the reader lock when the
-// parallel engine shares the homes slice across shards.
-func (s *System) homeOf(id int) int {
-	if s.homesMu != nil {
-		s.homesMu.RLock()
-		defer s.homesMu.RUnlock()
-	}
-	return s.homes[id]
-}
-
 // DescribeMsg extracts the trace fields from a protocol header (the
 // cluster runtime calls it only when tracing is enabled).
 func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
 	m := payload.(*pmsg)
-	op = opBase + uint16(m.Type)
-	if m.Info.Size == 0 {
-		return op, -1, 0, -1
-	}
-	home = -1
-	if m.Info.ID < len(h.sys.homes) {
-		home = h.sys.homes[m.Info.ID]
-	}
-	return op, m.Info.ID, m.Info.Base, home
+	return h.sys.describe(opBase+uint16(m.Type), m.Info)
 }
 
 // HandleFault services read and write faults in LRC fashion: fetch from
@@ -460,12 +295,7 @@ func (t *Thread) flushDiffs() {
 	for id := range h.twins { //detlint:ok sorted below
 		dirty = append(dirty, id)
 	}
-	// Deterministic flush order.
-	for i := 1; i < len(dirty); i++ {
-		for j := i; j > 0 && dirty[j] < dirty[j-1]; j-- {
-			dirty[j], dirty[j-1] = dirty[j-1], dirty[j]
-		}
-	}
+	slices.Sort(dirty) // deterministic flush order
 	// Compute every diff first (charging the paper's diff-creation cost),
 	// then arm the completion latch and send, so an early ack can never
 	// release the latch while later diffs are still being encoded.
@@ -522,7 +352,7 @@ func (t *Thread) invalidatePresent() {
 	for id := range h.present { //detlint:ok sorted below
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		info := h.present[id]
 		p.Sleep(c.SetProt)
@@ -669,11 +499,10 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if h.ID() != 0 {
 			panic("lrc: barrier arrive at non-coordinator")
 		}
-		arrivals, done := s.barrier.Arrive(m, len(s.hosts))
+		arrivals, done := s.barrier.Arrive(m, s.NumHosts())
 		if !done {
 			return
 		}
-		h.stats.Barriers++
 		for _, a := range arrivals {
 			rel := pmsg{Type: mBarrierRelease, FW: a.FW}
 			h.Send(p, a.From, &rel)

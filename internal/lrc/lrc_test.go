@@ -3,9 +3,20 @@ package lrc
 import (
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
+
+// run and runMW drive typed bodies: System.Run hands bodies the portable
+// AppThread, and these tests exercise the LRC threads behind it.
+func run(s *System, body func(th *Thread)) error {
+	return s.Run(func(t cluster.AppThread) { body(t.(*Thread)) })
+}
+
+func runMW(s *MWSystem, body func(th *MWThread)) error {
+	return s.Run(func(t cluster.AppThread) { body(t.(*MWThread)) })
+}
 
 func newSys(t *testing.T, hosts, chunk int) *System {
 	t.Helper()
@@ -19,7 +30,7 @@ func newSys(t *testing.T, hosts, chunk int) *System {
 func TestSingleHostWriteRead(t *testing.T) {
 	s := newSys(t, 1, 1)
 	var got uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		va := th.Malloc(64)
 		th.WriteU32(va, 77)
 		got = th.ReadU32(va)
@@ -39,7 +50,7 @@ func TestDiffsMergeAtBarrier(t *testing.T) {
 	s := newSys(t, 2, 1)
 	var va uint64
 	var got [2][2]uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 		}
@@ -62,7 +73,7 @@ func TestDiffsMergeAtBarrier(t *testing.T) {
 			t.Fatalf("host %d sees %v, want [111 222]", h, got[h])
 		}
 	}
-	if s.Stats.DiffsSent == 0 {
+	if s.Stats().DiffsSent == 0 {
 		t.Fatal("no diffs flushed")
 	}
 }
@@ -73,7 +84,7 @@ func TestConcurrentWritersDoNotPingPong(t *testing.T) {
 	// writes are local.
 	s := newSys(t, 2, 1)
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(512)
 		}
@@ -89,8 +100,8 @@ func TestConcurrentWritersDoNotPingPong(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One write fault per host for the interval (plus host 1's fetch).
-	if s.Stats.WriteFault > 4 {
-		t.Fatalf("write faults = %d, want <= 4 (no ping-pong under LRC)", s.Stats.WriteFault)
+	if s.Stats().WriteFault > 4 {
+		t.Fatalf("write faults = %d, want <= 4 (no ping-pong under LRC)", s.Stats().WriteFault)
 	}
 }
 
@@ -98,7 +109,7 @@ func TestInvalidateAfterBarrierRefetches(t *testing.T) {
 	s := newSys(t, 2, 1)
 	var va uint64
 	var seen uint32
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -128,7 +139,7 @@ func TestInvalidateAfterBarrierRefetches(t *testing.T) {
 func TestHomeProtectionStaysWritable(t *testing.T) {
 	s := newSys(t, 2, 1)
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 5)
@@ -155,7 +166,7 @@ func TestChunkedLRCAgreesWithUnchunked(t *testing.T) {
 		const rows = 32
 		vas := make([]uint64, rows)
 		out := make([]uint32, rows)
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				for r := range vas {
 					vas[r] = th.Malloc(64)
@@ -196,7 +207,7 @@ func TestDeterministic(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
 		s := newSys(t, 4, 2)
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(256)
 			}
@@ -209,7 +220,7 @@ func TestDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Elapsed(), s.Stats.DiffBytes
+		return s.Elapsed(), s.Stats().DiffBytes
 	}
 	e1, d1 := run()
 	e2, d2 := run()

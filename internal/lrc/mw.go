@@ -38,8 +38,9 @@
 package lrc
 
 import (
+	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
@@ -181,7 +182,6 @@ type MWStats struct {
 	DiffsSent     uint64 // eager diff flushes to homes
 	DiffBytes     uint64
 	TwinsMade     uint64
-	Barriers      uint64
 	WriteFault    uint64
 	ReadFault     uint64
 	Invalidations uint64 // minipages invalidated by write notices
@@ -193,25 +193,7 @@ type MWStats struct {
 // locks and the write-notice log and owns the minipage table; every
 // minipage's home is its allocating host.
 type MWSystem struct {
-	Opt    Options
-	Eng    *sim.Engine
-	Net    *fastmsg.Network
-	Layout core.Layout
-
-	rt *cluster.Runtime
-
-	mpt   *core.MPT
-	homes []int // minipage id -> home host
-
-	// homesMu is non-nil only under the parallel engine: homes grows on
-	// host 0's shard (the allocation authority) while every host's fault,
-	// release and acquire paths index it, and the append's reallocation
-	// needs a fence even though the protocol's messages already order each
-	// entry's write before any remote read of it.
-	homesMu *sync.RWMutex
-
-	hosts   []*MWHost
-	threads []*MWThread
+	base[*MWHost, *MWThread]
 
 	// Coordinator state (host 0 only).
 	log     []mwCNotice // append-only between barriers, cleared at each
@@ -229,8 +211,6 @@ type MWSystem struct {
 	// request pairs with a reply). See MWHost.allocMW / allocBuf /
 	// allocIval.
 	pools []*mwPool
-
-	Stats MWStats
 }
 
 // mwPool is one calendar shard's clean-path freelists.
@@ -248,7 +228,7 @@ type mwPool struct {
 // payload after its first delivery, so pooling is clean-path only.
 func (h *MWHost) allocMW() *mwmsg {
 	po := h.pool
-	if n := len(po.freeMW); n > 0 && !h.sys.rt.Faulty() {
+	if n := len(po.freeMW); n > 0 && !h.Runtime().Faulty() {
 		m := po.freeMW[n-1]
 		po.freeMW = po.freeMW[:n-1]
 		return m
@@ -259,7 +239,7 @@ func (h *MWHost) allocMW() *mwmsg {
 // recycleMW returns a fully consumed pooled header to this host's
 // shard's freelist, keeping its slice capacities for reuse.
 func (h *MWHost) recycleMW(m *mwmsg) {
-	if h.sys.rt.Faulty() {
+	if h.Runtime().Faulty() {
 		return
 	}
 	for i := range m.Notices {
@@ -275,7 +255,7 @@ func (h *MWHost) recycleMW(m *mwmsg) {
 // allocBuf returns a byte buffer of length n (twin, minipage snapshot,
 // fetch payload); pass 0 for an empty append target (encoded diffs).
 func (h *MWHost) allocBuf(n int) []byte {
-	if !h.sys.rt.Faulty() {
+	if !h.Runtime().Faulty() {
 		po := h.pool
 		for i := len(po.freeBuf) - 1; i >= 0; i-- {
 			if cap(po.freeBuf[i]) >= n {
@@ -292,7 +272,7 @@ func (h *MWHost) allocBuf(n int) []byte {
 // recycleBuf returns a fully consumed buffer to this host's shard's
 // freelist.
 func (h *MWHost) recycleBuf(b []byte) {
-	if h.sys.rt.Faulty() || cap(b) == 0 {
+	if h.Runtime().Faulty() || cap(b) == 0 {
 		return
 	}
 	h.pool.freeBuf = append(h.pool.freeBuf, b)
@@ -301,7 +281,7 @@ func (h *MWHost) recycleBuf(b []byte) {
 // allocIval returns an interval record with an empty diff map.
 func (h *MWHost) allocIval(n int) *mwInterval {
 	po := h.pool
-	if k := len(po.freeIval); k > 0 && !h.sys.rt.Faulty() {
+	if k := len(po.freeIval); k > 0 && !h.Runtime().Faulty() {
 		iv := po.freeIval[k-1]
 		po.freeIval = po.freeIval[:k-1]
 		return iv
@@ -315,7 +295,7 @@ func (h *MWHost) allocIval(n int) *mwInterval {
 // every in-flight diff reply, home flush and granted notice, so nothing
 // can still alias either here.
 func (h *MWHost) recycleIval(iv *mwInterval) {
-	if h.sys.rt.Faulty() {
+	if h.Runtime().Faulty() {
 		return
 	}
 	for id, enc := range iv.diffs { //detlint:ok freelist order is invisible: every pooled buffer is fully overwritten before use
@@ -332,7 +312,7 @@ func (h *MWHost) recycleIval(iv *mwInterval) {
 // allocMPs returns an int slice of length n for a notice's minipage
 // list, retained by the creator's interval record until GC.
 func (h *MWHost) allocMPs(n int) []int {
-	if !h.sys.rt.Faulty() {
+	if !h.Runtime().Faulty() {
 		po := h.pool
 		for i := len(po.freeMPs) - 1; i >= 0; i-- {
 			if cap(po.freeMPs[i]) >= n {
@@ -350,7 +330,7 @@ func (h *MWHost) allocMPs(n int) []int {
 // once the notice is logged (the log keeps a value copy).
 func (h *MWHost) allocNotice() *mwNotice {
 	po := h.pool
-	if n := len(po.freeNotice); n > 0 && !h.sys.rt.Faulty() {
+	if n := len(po.freeNotice); n > 0 && !h.Runtime().Faulty() {
 		nt := po.freeNotice[n-1]
 		po.freeNotice = po.freeNotice[:n-1]
 		return nt
@@ -362,7 +342,7 @@ func (h *MWHost) allocNotice() *mwNotice {
 // freelist. The MPs backing array stays with the creator's interval
 // record.
 func (h *MWHost) recycleNotice(n *mwNotice) {
-	if h.sys.rt.Faulty() {
+	if h.Runtime().Faulty() {
 		return
 	}
 	*n = mwNotice{}
@@ -379,13 +359,13 @@ type MWHost struct {
 
 	twins     map[int][]byte // minipage id -> twin (the dirty set)
 	dirtyInfo map[int]core.Info
-	copies    map[int]core.Info    // non-home minipages with a local copy
-	seen      map[int][]uint64     // minipage id -> per-creator interval floor the copy reflects
-	pend      map[int][]pendEntry  // minipage id -> notices invalidated but not yet merged
-	ivals     []*mwInterval        // own closed intervals, ivals[i] has seq ivalBase+1+i
-	ivalBase  uint64               // intervals with seq <= ivalBase are purged
-	floorPrev uint64               // GC floor: own seq as of two barriers ago
-	floorCur  uint64               // own seq as of the last barrier
+	copies    map[int]core.Info   // non-home minipages with a local copy
+	seen      map[int][]uint64    // minipage id -> per-creator interval floor the copy reflects
+	pend      map[int][]pendEntry // minipage id -> notices invalidated but not yet merged
+	ivals     []*mwInterval       // own closed intervals, ivals[i] has seq ivalBase+1+i
+	ivalBase  uint64              // intervals with seq <= ivalBase are purged
+	floorPrev uint64              // GC floor: own seq as of two barriers ago
+	floorCur  uint64              // own seq as of the last barrier
 
 	pendingHdr map[int]*mwmsg // fetch header awaiting its data message, by sender
 
@@ -409,176 +389,75 @@ type MWHost struct {
 	pool *mwPool
 
 	// stats is this host's share of MWSystem.Stats, kept per-host so the
-	// parallel engine's shards never race on the counters; Run folds the
-	// shares into MWSystem.Stats once the simulation stops.
+	// parallel engine's shards never race on the counters.
 	stats MWStats
 }
 
 // NewMW builds a multi-writer LRC cluster.
 func NewMW(opt Options) (*MWSystem, error) {
-	if opt.Hosts < 1 || opt.Hosts > 1024 {
-		return nil, fmt.Errorf("lrc-mw: Hosts = %d out of range", opt.Hosts)
-	}
-	if opt.ChunkLevel < 1 {
-		opt.ChunkLevel = 1
-	}
-	if opt.Views < 1 {
-		opt.Views = 1
-	}
-	layout, err := core.NewLayout(opt.SharedSize, opt.Views)
+	s := &MWSystem{locks: cluster.NewLockService[*mwmsg]()}
+	err := s.init("lrc-mw", opt,
+		func(ct *cluster.Thread, h *MWHost) *MWThread { return &MWThread{Thread: ct, host: h} },
+		func(as *vm.AddressSpace, region *core.Region) {
+			h := &MWHost{
+				sys:        s,
+				Region:     region,
+				vc:         make([]uint64, s.Opt.Hosts),
+				twins:      make(map[int][]byte),
+				dirtyInfo:  make(map[int]core.Info),
+				copies:     make(map[int]core.Info),
+				seen:       make(map[int][]uint64),
+				pend:       make(map[int][]pendEntry),
+				pendingHdr: make(map[int]*mwmsg),
+			}
+			h.Host = s.AddHost(as, h)
+			shard := h.Shard().ID()
+			for len(s.pools) <= shard {
+				s.pools = append(s.pools, &mwPool{})
+			}
+			h.pool = s.pools[shard]
+		})
 	if err != nil {
 		return nil, err
-	}
-	if opt.Faults.Enabled() {
-		if err := opt.Faults.Validate(opt.Hosts); err != nil {
-			return nil, fmt.Errorf("lrc-mw: %w", err)
-		}
-	}
-	rt, err := cluster.New(cluster.Config{
-		Name:       "lrc-mw",
-		Hosts:      opt.Hosts,
-		Seed:       opt.Seed,
-		Engine:     opt.Engine,
-		ParWorkers: opt.ParWorkers,
-		Net:        opt.Net,
-		Costs:      opt.Costs,
-		Faults:     opt.Faults,
-		Trace:      opt.Trace,
-	})
-	if err != nil {
-		return nil, err
-	}
-	opt.Seed = rt.Cfg.Seed
-	opt.Net = rt.Cfg.Net
-	opt.Costs = rt.Cfg.Costs
-	s := &MWSystem{
-		Opt:    opt,
-		Eng:    rt.Eng,
-		Net:    rt.Net,
-		Layout: layout,
-		rt:     rt,
-		mpt:    core.NewMPT(layout, core.GrainMinipage, opt.ChunkLevel),
-		locks:  cluster.NewLockService[*mwmsg](),
-	}
-	s.pools = make([]*mwPool, rt.Eng.NumShards())
-	for i := range s.pools {
-		s.pools[i] = &mwPool{}
-	}
-	frames := vm.NewFramePool()
-	for i := 0; i < opt.Hosts; i++ {
-		as := vm.NewAddressSpace()
-		region, err := core.NewRegion(layout, as, frames)
-		if err != nil {
-			return nil, err
-		}
-		h := &MWHost{
-			sys:        s,
-			Region:     region,
-			vc:         make([]uint64, opt.Hosts),
-			twins:      make(map[int][]byte),
-			dirtyInfo:  make(map[int]core.Info),
-			copies:     make(map[int]core.Info),
-			seen:       make(map[int][]uint64),
-			pend:       make(map[int][]pendEntry),
-			pendingHdr: make(map[int]*mwmsg),
-		}
-		h.Host = rt.NewHost(as, h)
-		h.pool = s.pools[h.Shard().ID()]
-		s.hosts = append(s.hosts, h)
-	}
-	if rt.Eng.NumShards() > 1 {
-		s.mpt.SetShared(true)
-		s.homesMu = &sync.RWMutex{}
 	}
 	return s, nil
 }
 
-// Host returns host i.
-func (s *MWSystem) Host(i int) *MWHost { return s.hosts[i] }
+// Stats sums the per-host counters.
+func (s *MWSystem) Stats() MWStats {
+	var t MWStats
+	for i := 0; i < s.NumHosts(); i++ {
+		hs := s.Host(i).stats
+		t.Fetches += hs.Fetches
+		t.DiffFetches += hs.DiffFetches
+		t.DiffsFetched += hs.DiffsFetched
+		t.HomeFallbacks += hs.HomeFallbacks
+		t.DiffsSent += hs.DiffsSent
+		t.DiffBytes += hs.DiffBytes
+		t.TwinsMade += hs.TwinsMade
+		t.WriteFault += hs.WriteFault
+		t.ReadFault += hs.ReadFault
+		t.Invalidations += hs.Invalidations
+		t.Notices += hs.Notices
+		t.IntervalsGCed += hs.IntervalsGCed
+	}
+	return t
+}
 
-// NumHosts returns the cluster size.
-func (s *MWSystem) NumHosts() int { return s.Opt.Hosts }
-
-// MPT exposes the minipage table.
-func (s *MWSystem) MPT() *core.MPT { return s.mpt }
-
-// Runtime returns the shared cluster substrate.
-func (s *MWSystem) Runtime() *cluster.Runtime { return s.rt }
-
-// Threads returns the application threads after Run (for statistics).
-func (s *MWSystem) Threads() []*MWThread { return s.threads }
-
-// Elapsed returns the virtual time at which the run stopped.
-func (s *MWSystem) Elapsed() sim.Duration { return sim.Duration(s.Eng.Now()) }
-
-// BarrierEpisodes returns the number of completed barrier episodes.
-func (s *MWSystem) BarrierEpisodes() uint64 { return s.barrier.Episodes }
-
-// LockAcquisitions returns the number of lock grants handed out.
-func (s *MWSystem) LockAcquisitions() uint64 { return s.locks.Acquisitions }
+// Totals reports the run's protocol counters; invalidations are the
+// minipages write notices made inaccessible.
+func (s *MWSystem) Totals() cluster.Totals {
+	t := s.footprint()
+	t.Invalidations = s.Stats().Invalidations
+	t.BarrierEpisodes = s.barrier.Episodes
+	t.LockAcquisitions = s.locks.Acquisitions
+	return t
+}
 
 // MWThread is an application thread's handle on the multi-writer DSM.
 type MWThread struct {
 	*cluster.Thread
 	host *MWHost
-}
-
-// Run starts one application thread per host and drives the simulation.
-func (s *MWSystem) Run(body func(t *MWThread)) error {
-	if body == nil {
-		return fmt.Errorf("lrc-mw: nil thread body")
-	}
-	err := s.rt.Run(func(ct *cluster.Thread) func() {
-		t := &MWThread{Thread: ct, host: s.hosts[ct.Host()]}
-		ct.SetSelf(t)
-		s.threads = append(s.threads, t)
-		return func() { body(t) }
-	})
-	// Fold the per-host counters into the aggregate the callers read.
-	for _, h := range s.hosts {
-		s.Stats.Fetches += h.stats.Fetches
-		s.Stats.DiffFetches += h.stats.DiffFetches
-		s.Stats.DiffsFetched += h.stats.DiffsFetched
-		s.Stats.HomeFallbacks += h.stats.HomeFallbacks
-		s.Stats.DiffsSent += h.stats.DiffsSent
-		s.Stats.DiffBytes += h.stats.DiffBytes
-		s.Stats.TwinsMade += h.stats.TwinsMade
-		s.Stats.Barriers += h.stats.Barriers
-		s.Stats.WriteFault += h.stats.WriteFault
-		s.Stats.ReadFault += h.stats.ReadFault
-		s.Stats.Invalidations += h.stats.Invalidations
-		s.Stats.Notices += h.stats.Notices
-		s.Stats.IntervalsGCed += h.stats.IntervalsGCed
-	}
-	return err
-}
-
-func (s *MWSystem) allocLocal(from, size int) (core.Info, uint64, int) {
-	mp, va, err := s.mpt.Alloc(size)
-	if err != nil {
-		panic(fmt.Sprintf("lrc-mw: alloc %d: %v", size, err))
-	}
-	if s.homesMu != nil {
-		s.homesMu.Lock()
-	}
-	for id := len(s.homes); id < s.mpt.NumMinipages(); id++ {
-		s.homes = append(s.homes, from)
-	}
-	home := s.homes[mp.ID]
-	if s.homesMu != nil {
-		s.homesMu.Unlock()
-	}
-	return mp.Info(s.Layout), va, home
-}
-
-// homeOf returns minipage id's home host, taking the reader lock when the
-// parallel engine shares the homes slice across shards.
-func (s *MWSystem) homeOf(id int) int {
-	if s.homesMu != nil {
-		s.homesMu.RLock()
-		defer s.homesMu.RUnlock()
-	}
-	return s.homes[id]
 }
 
 // Malloc allocates shared memory; the allocating host becomes the
@@ -618,15 +497,7 @@ func (t *MWThread) Malloc(size int) uint64 {
 // DescribeMsg extracts the trace fields from a protocol header.
 func (h *MWHost) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
 	m := payload.(*mwmsg)
-	op = mwOpBase + uint16(m.Type)
-	if m.Info.Size == 0 {
-		return op, -1, 0, -1
-	}
-	home = -1
-	if m.Info.ID < len(h.sys.homes) {
-		home = h.sys.homes[m.Info.ID]
-	}
-	return op, m.Info.ID, m.Info.Base, home
+	return h.sys.describe(mwOpBase+uint16(m.Type), m.Info)
 }
 
 // HandleFault services read and write faults: merge pending write
@@ -718,7 +589,12 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 	// Sorting by (creator, seq) groups the per-creator requests — creators
 	// ascending, seqs ascending within one — without staging them through
 	// per-call maps. Entries are unique, so the order is deterministic.
-	sortPend(pend)
+	slices.SortFunc(pend, func(a, b pendEntry) int {
+		if c := cmp.Compare(a.creator, b.creator); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	diffs := h.mergeDiffs[:0]
 	for a := 0; a < len(pend); {
 		cr := pend[a].creator
@@ -763,7 +639,9 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 		h.recycleMW(reply)
 		a = b
 	}
-	sortFetched(diffs)
+	// vtsum is globally unique: the coordinator stamps each notice with a
+	// fresh counter value.
+	slices.SortFunc(diffs, func(a, b mwFetched) int { return cmp.Compare(a.vtsum, b.vtsum) })
 	h.mergeDiffs = diffs
 	cur := h.allocBuf(info.Size)
 	if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
@@ -800,34 +678,6 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 	}
 	h.pend[id] = pend[:0] // keep the entry capacity for the next notice
 	return true
-}
-
-// sortPend is an in-place insertion sort by (creator, seq) — pending
-// sets are tiny and the stdlib sorts allocate.
-func sortPend(a []pendEntry) {
-	for i := 1; i < len(a); i++ {
-		e := a[i]
-		j := i - 1
-		for j >= 0 && (a[j].creator > e.creator || (a[j].creator == e.creator && a[j].seq > e.seq)) {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = e
-	}
-}
-
-// sortFetched is an in-place insertion sort by vtsum (globally unique:
-// the coordinator stamps each notice with a fresh counter value).
-func sortFetched(a []mwFetched) {
-	for i := 1; i < len(a); i++ {
-		e := a[i]
-		j := i - 1
-		for j >= 0 && a[j].vtsum > e.vtsum {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = e
-	}
 }
 
 // fetchFromHome pulls the minipage's merged contents from its home (the
@@ -878,7 +728,7 @@ func (t *MWThread) release() *mwNotice {
 	for id := range h.twins { //detlint:ok sorted below
 		dirty = append(dirty, id)
 	}
-	sortInts(dirty)
+	slices.Sort(dirty)
 	h.relDirty = dirty
 
 	seq := h.vc[h.ID()] + 1
@@ -945,19 +795,6 @@ func (t *MWThread) release() *mwNotice {
 	n.Seq = seq
 	n.MPs = mps
 	return n
-}
-
-// sortInts is an in-place insertion sort for small id sets.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		e := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > e {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = e
-	}
 }
 
 // acquire applies the write notices delivered with the last lock grant
@@ -1243,16 +1080,15 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			h.recycleNotice(m.Notice)
 			m.Notice = nil
 		}
-		arrivals, done := s.barrier.Arrive(m, len(s.hosts))
+		arrivals, done := s.barrier.Arrive(m, s.NumHosts())
 		if !done {
 			return
 		}
-		h.stats.Barriers++
 		// One converged-clock scratch serves every release message: each
 		// acquirer only reads it, and all of them have consumed it before
 		// the next episode can complete and overwrite it.
 		if s.maxvc == nil {
-			s.maxvc = make([]uint64, len(s.hosts))
+			s.maxvc = make([]uint64, s.NumHosts())
 		}
 		maxvc := s.maxvc
 		for i := range maxvc {

@@ -19,7 +19,7 @@ func newMWSys(t *testing.T, hosts, chunk int) *MWSystem {
 func TestMWSingleHostWriteRead(t *testing.T) {
 	s := newMWSys(t, 1, 1)
 	var got uint32
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		va := th.Malloc(64)
 		th.WriteU32(va, 77)
 		got = th.ReadU32(va)
@@ -38,7 +38,7 @@ func TestMWDiffsMergeAtBarrier(t *testing.T) {
 	s := newMWSys(t, 2, 1)
 	var va uint64
 	var got [2][2]uint32
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 		}
@@ -61,11 +61,11 @@ func TestMWDiffsMergeAtBarrier(t *testing.T) {
 			t.Fatalf("host %d sees %v, want [111 222]", h, got[h])
 		}
 	}
-	if s.Stats.DiffsSent == 0 {
+	if s.Stats().DiffsSent == 0 {
 		t.Fatal("no diffs flushed")
 	}
-	if s.Stats.TwinsMade < 2 {
-		t.Fatalf("TwinsMade = %d, want at least one per writer", s.Stats.TwinsMade)
+	if s.Stats().TwinsMade < 2 {
+		t.Fatalf("TwinsMade = %d, want at least one per writer", s.Stats().TwinsMade)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestMWConcurrentWritersDoNotPingPong(t *testing.T) {
 	s := newMWSys(t, 2, 1)
 	var va uint64
 	const writes = 50
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		if th.Host() == 0 {
 			va = th.Malloc(512)
 		}
@@ -91,8 +91,8 @@ func TestMWConcurrentWritersDoNotPingPong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Stats.WriteFault > 4 {
-		t.Fatalf("WriteFault = %d for %d writes by 2 hosts; concurrent writers ping-pong", s.Stats.WriteFault, 2*writes)
+	if s.Stats().WriteFault > 4 {
+		t.Fatalf("WriteFault = %d for %d writes by 2 hosts; concurrent writers ping-pong", s.Stats().WriteFault, 2*writes)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	var vaA, vaB uint64
 	var gotA, gotB uint32
 	var protA, protB vm.Prot
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		if th.Host() == 0 {
 			vaA = th.Malloc(256)
 			vaB = th.Malloc(256)
@@ -145,7 +145,7 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	if gotA != 11 || gotB != 2 {
 		t.Fatalf("host 2 reads A=%d B=%d, want 11 2", gotA, gotB)
 	}
-	if s.Stats.DiffFetches == 0 {
+	if s.Stats().DiffFetches == 0 {
 		t.Fatal("merging the noticed minipage should go through a lazy diff fetch")
 	}
 }
@@ -157,7 +157,7 @@ func TestMWLazyDiffFetchNotFullFetch(t *testing.T) {
 	var va uint64
 	var got uint32
 	var fullBefore uint64
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 5)
@@ -174,7 +174,7 @@ func TestMWLazyDiffFetchNotFullFetch(t *testing.T) {
 		if th.Host() == 1 {
 			// Mid-run, the aggregate Stats are not folded yet: read the
 			// per-host share (host 1 is the only fetcher in this program).
-			fullBefore = s.hosts[1].stats.Fetches
+			fullBefore = s.Host(1).stats.Fetches
 			got = th.ReadU32(va) // invalidated: lazy diff merge
 		}
 		th.Barrier()
@@ -185,11 +185,11 @@ func TestMWLazyDiffFetchNotFullFetch(t *testing.T) {
 	if got != 6 {
 		t.Fatalf("got %d, want 6", got)
 	}
-	if s.Stats.DiffFetches == 0 {
+	if s.Stats().DiffFetches == 0 {
 		t.Fatal("no lazy diff fetch recorded")
 	}
-	if s.Stats.Fetches != fullBefore {
-		t.Fatalf("re-validation did a full home fetch (%d -> %d), want diff-only", fullBefore, s.Stats.Fetches)
+	if s.Stats().Fetches != fullBefore {
+		t.Fatalf("re-validation did a full home fetch (%d -> %d), want diff-only", fullBefore, s.Stats().Fetches)
 	}
 }
 
@@ -200,7 +200,7 @@ func TestMWLockedAccumulator(t *testing.T) {
 	s := newMWSys(t, hosts, 1)
 	var va uint64
 	var got [hosts]uint32
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 0)
@@ -235,7 +235,7 @@ func TestMWIntervalGCFallsBackToHome(t *testing.T) {
 	s := newMWSys(t, 3, 1)
 	var va uint64
 	var got uint32
-	err := s.Run(func(th *MWThread) {
+	err := runMW(s, func(th *MWThread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 1)
@@ -262,10 +262,10 @@ func TestMWIntervalGCFallsBackToHome(t *testing.T) {
 	if got != 7 {
 		t.Fatalf("got %d, want 7", got)
 	}
-	if s.Stats.IntervalsGCed == 0 {
+	if s.Stats().IntervalsGCed == 0 {
 		t.Fatal("no interval records were garbage-collected")
 	}
-	if s.Stats.HomeFallbacks == 0 {
+	if s.Stats().HomeFallbacks == 0 {
 		t.Fatal("expected the purged interval to force a home fetch fallback")
 	}
 }
@@ -274,7 +274,7 @@ func TestMWDeterminism(t *testing.T) {
 	run := func() (sim.Duration, MWStats) {
 		s := newMWSys(t, 4, 1)
 		var va uint64
-		err := s.Run(func(th *MWThread) {
+		err := runMW(s, func(th *MWThread) {
 			if th.Host() == 0 {
 				va = th.Malloc(1024)
 			}
@@ -297,7 +297,7 @@ func TestMWDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Elapsed(), s.Stats
+		return s.Elapsed(), s.Stats()
 	}
 	e1, st1 := run()
 	e2, st2 := run()

@@ -14,10 +14,8 @@ import (
 	"path/filepath"
 
 	"millipage/internal/cluster"
-	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
-	"millipage/internal/ivy"
-	"millipage/internal/lrc"
+	"millipage/internal/registry"
 	"millipage/internal/sim"
 )
 
@@ -85,55 +83,23 @@ type Report struct {
 	Failure   *FailureReport
 }
 
-// buildSystem constructs one protocol cluster and its runner.
-func buildSystem(protocol string, hosts int, seed int64, plan *faultnet.Plan) (*cluster.Runtime, func(func(cluster.AppThread)) error, error) {
-	switch protocol {
-	case "millipage":
-		sys, err := dsm.New(dsm.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan})
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys.Runtime(), func(body func(cluster.AppThread)) error {
-			return sys.Run(func(t *dsm.Thread) { body(t) })
-		}, nil
-	case "millipage-repl":
-		sys, err := dsm.New(dsm.Options{
-			Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed,
-			Management: dsm.HomeBased, Replication: true, Faults: plan,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys.Runtime(), func(body func(cluster.AppThread)) error {
-			return sys.Run(func(t *dsm.Thread) { body(t) })
-		}, nil
-	case "ivy":
-		sys, err := ivy.New(ivy.Options{Hosts: hosts, SharedSize: 1 << 16, Seed: seed, Faults: plan})
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys.Runtime(), func(body func(cluster.AppThread)) error {
-			return sys.Run(func(t *ivy.Thread) { body(t) })
-		}, nil
-	case "lrc":
-		sys, err := lrc.New(lrc.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan})
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys.Runtime(), func(body func(cluster.AppThread)) error {
-			return sys.Run(func(t *lrc.Thread) { body(t) })
-		}, nil
-	case "lrc-mw":
-		sys, err := lrc.NewMW(lrc.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan})
-		if err != nil {
-			return nil, nil, err
-		}
-		return sys.Runtime(), func(body func(cluster.AppThread)) error {
-			return sys.Run(func(t *lrc.MWThread) { body(t) })
-		}, nil
-	default:
-		return nil, nil, fmt.Errorf("mcheck: unknown protocol %q", protocol)
+// replProtocol is millipage with home-based management and shard
+// replication. It is a name of this package, not of the registry — saved
+// MCHK1 traces carry it — mapped to registry options by resolve.
+const replProtocol = "millipage-repl"
+
+// resolve maps an Options.Protocol value to its registry entry, and
+// reports whether it asks for replicated management on top.
+func resolve(protocol string) (registry.Spec, bool, error) {
+	repl := protocol == replProtocol
+	if repl {
+		protocol = "millipage"
 	}
+	spec, err := registry.Lookup(protocol)
+	if err != nil {
+		return spec, repl, fmt.Errorf("mcheck: %w, or %s", err, replProtocol)
+	}
+	return spec, repl, nil
 }
 
 // fingerprint reduces one finished run to a comparable value: elapsed
@@ -151,7 +117,11 @@ func fingerprint(rt *cluster.Runtime) string {
 // faults, seed) under explorer x and classifies the outcome. Every
 // call builds a fresh system: schedules never share state.
 func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
-	wl, err := buildWorkload(o)
+	proto, repl, err := resolve(o.Protocol)
+	if err != nil {
+		return "", nil, err
+	}
+	wl, err := buildWorkload(o, proto.SC, repl)
 	if err != nil {
 		return "", nil, err
 	}
@@ -161,14 +131,19 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 			return "", nil, err
 		}
 	}
-	rt, run, err := buildSystem(o.Protocol, wl.hosts, o.Seed, plan)
+	opt := registry.Options{Hosts: wl.hosts, SharedSize: 1 << 16, Views: 8, Seed: o.Seed, Faults: plan}
+	if repl {
+		opt.Management, opt.Replication = cluster.HomeBased, true
+	}
+	sys, err := proto.New(opt)
 	if err != nil {
 		return "", nil, err
 	}
+	rt := sys.Runtime()
 	rt.Eng.SetExplorer(x)
 	rt.Eng.At(sim.Time(Watchdog), rt.Eng.Stop)
 	done := 0
-	runErr := run(func(w cluster.AppThread) {
+	runErr := sys.Run(func(w cluster.AppThread) {
 		wl.body(rt, w)
 		done++
 	})

@@ -137,16 +137,17 @@ func WorkloadNames() []string {
 }
 
 // buildWorkload resolves o.Workload (and a zero o.Hosts) into a fresh
-// workload instance for one run.
-func buildWorkload(o *Options) (workloadRun, error) {
+// workload instance for one run. sc and repl describe o.Protocol (see
+// resolve): sequentially consistent, replicated management.
+func buildWorkload(o *Options, sc, repl bool) (workloadRun, error) {
 	spec, ok := workloads[o.Workload]
 	if !ok {
 		return workloadRun{}, fmt.Errorf("mcheck: unknown workload %q (have %v)", o.Workload, WorkloadNames())
 	}
-	if spec.sc && (o.Protocol == "lrc" || o.Protocol == "lrc-mw") {
+	if spec.sc && !sc {
 		return workloadRun{}, fmt.Errorf("mcheck: workload %q needs sequential consistency; %s guarantees DRF programs only", o.Workload, o.Protocol)
 	}
-	if spec.repl && o.Protocol != "millipage-repl" {
+	if spec.repl && !repl {
 		return workloadRun{}, fmt.Errorf("mcheck: workload %q exercises replicated directory management; run it under the millipage-repl protocol", o.Workload)
 	}
 	if o.Hosts == 0 {

@@ -1,0 +1,83 @@
+// Package registry is the one place a protocol name becomes a running
+// system. The root package, the model checker, the CLIs and the
+// conformance suites all build through it, so a protocol is added (or
+// removed) by editing the table below and nothing else.
+package registry
+
+import (
+	"fmt"
+	"strings"
+
+	"millipage/internal/cluster"
+	"millipage/internal/dsm"
+	"millipage/internal/ivy"
+	"millipage/internal/lrc"
+)
+
+// Options is the configuration every protocol is built from.
+type Options = cluster.Options
+
+// Spec describes one registered protocol.
+type Spec struct {
+	Name string
+
+	// SC reports the consistency contract: true means sequentially
+	// consistent for every program; false means sequentially consistent
+	// for data-race-free programs only (DRF-SC) — callers must then
+	// synchronize through Barrier/Lock and never spin on shared memory.
+	SC bool
+
+	New func(Options) (cluster.System, error)
+}
+
+var specs = []Spec{
+	{"millipage", true, build(dsm.New)},
+	{"ivy", true, build(ivy.New)},
+	{"lrc", false, build(lrc.New)},
+	{"lrc-mw", false, build(lrc.NewMW)},
+}
+
+// build adapts a protocol's typed constructor; a failed construction must
+// come back as a nil interface, not a nil pointer inside one.
+func build[S cluster.System](mk func(Options) (S, error)) func(Options) (cluster.System, error) {
+	return func(opt Options) (cluster.System, error) {
+		s, err := mk(opt)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+}
+
+// Names lists the registered protocols in their canonical order.
+func Names() []string {
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.Name
+	}
+	return names
+}
+
+// Lookup resolves a protocol name, case-insensitively; "" means
+// "millipage".
+func Lookup(name string) (Spec, error) {
+	want := strings.ToLower(name)
+	if want == "" {
+		want = "millipage"
+	}
+	for _, sp := range specs {
+		if sp.Name == want {
+			return sp, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("unknown protocol %q (want one of %s)", name, strings.Join(Names(), ", "))
+}
+
+// New builds the named protocol's system from opt.
+func New(name string, opt Options) (cluster.System, error) {
+	sp, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return sp.New(opt)
+}

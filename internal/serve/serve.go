@@ -33,6 +33,7 @@ import (
 	millipage "millipage"
 	"millipage/internal/faultnet"
 	"millipage/internal/mcheck"
+	"millipage/internal/registry"
 	"millipage/internal/sim"
 	"millipage/internal/stats"
 )
@@ -273,10 +274,14 @@ func Run(sc Scenario) (*Result, error) {
 	}
 
 	threads := sc.Hosts
-	// The LRC protocols' correctness contract is data-race freedom, so
-	// their GETs synchronize through the bucket lock; the SC protocols
-	// serve GETs lock-free (the coherence protocol itself orders them).
-	lockedReads := sc.Protocol == "lrc" || sc.Protocol == "lrc-mw"
+	// A DRF-SC protocol's correctness contract is data-race freedom, so
+	// its GETs synchronize through the bucket lock; the SC protocols serve
+	// GETs lock-free (the coherence protocol itself orders them).
+	proto, err := registry.Lookup(cl.Protocol())
+	if err != nil {
+		return nil, err
+	}
+	lockedReads := !proto.SC
 
 	keyAddr := make([]millipage.Addr, sc.Keys)
 	sts := make([]threadState, threads)

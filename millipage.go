@@ -43,15 +43,13 @@ package millipage
 
 import (
 	"fmt"
-	"strings"
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/dsm"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
-	"millipage/internal/ivy"
-	"millipage/internal/lrc"
+	"millipage/internal/registry"
 	"millipage/internal/sim"
 )
 
@@ -97,7 +95,8 @@ type Config struct {
 	Hosts int
 
 	// ThreadsPerHost is the number of application threads per host.
-	// The paper's machines are uniprocessors; default 1.
+	// The paper's machines are uniprocessors; default 1. Only the
+	// millipage protocol runs more than one.
 	ThreadsPerHost int
 
 	// SharedMemory is the size of the shared region in bytes. Required.
@@ -174,11 +173,7 @@ type Config struct {
 // configured protocol.
 type Cluster struct {
 	protocol string
-	mp       *dsm.System    // Protocol "millipage"
-	ivySys   *ivy.System    // Protocol "ivy"
-	lrcSys   *lrc.System    // Protocol "lrc"
-	mwSys    *lrc.MWSystem  // Protocol "lrc-mw"
-	ran      bool
+	sys      cluster.System
 }
 
 // netParams returns the fastmsg parameters cfg implies: zero (letting
@@ -194,135 +189,44 @@ func (cfg Config) netParams() fastmsg.Params {
 	return p
 }
 
-// NewCluster builds a cluster from cfg.
+// NewCluster builds a cluster from cfg. Every value and combination the
+// chosen protocol cannot run is rejected by the kernel's one validation
+// site (cluster.New, reached through the registry) with an error naming
+// the field.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.Hosts < 1 || cfg.Hosts > 1024 {
-		return nil, fmt.Errorf("millipage: Config.Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8, the parallel engine scales to 256)", cfg.Hosts)
+	spec, err := registry.Lookup(cfg.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("millipage: %w", err)
 	}
-	// Engine is validated, alone and against Faults, where the engine is
-	// built (cluster.New, reached through every protocol constructor).
-	proto := strings.ToLower(cfg.Protocol)
-	if proto == "" {
-		proto = "millipage"
+	opt := registry.Options{
+		Hosts:          cfg.Hosts,
+		ThreadsPerHost: cfg.ThreadsPerHost,
+		SharedSize:     cfg.SharedMemory,
+		Views:          cfg.Views,
+		ChunkLevel:     cfg.ChunkLevel,
+		Seed:           cfg.Seed,
+		Replication:    cfg.ManagerReplication,
+		Engine:         cfg.Engine,
+		ParWorkers:     cfg.ParWorkers,
+		Net:            cfg.netParams(),
+		Faults:         cfg.Faults,
 	}
-	if cfg.ManagerReplication {
-		if proto != "millipage" {
-			return nil, fmt.Errorf("millipage: Config.ManagerReplication is millipage-only (got protocol %q)", proto)
-		}
-		if !cfg.HomeBasedManagement {
-			return nil, fmt.Errorf("millipage: Config.ManagerReplication requires HomeBasedManagement")
-		}
-		if cfg.Engine == "par" {
-			return nil, fmt.Errorf("millipage: Config.ManagerReplication requires the sequential engine")
-		}
+	if cfg.HomeBasedManagement {
+		opt.Management = cluster.HomeBased
 	}
-	switch proto {
-	case "millipage":
-		opt := dsm.Options{
-			Hosts:          cfg.Hosts,
-			ThreadsPerHost: cfg.ThreadsPerHost,
-			SharedSize:     cfg.SharedMemory,
-			Views:          cfg.Views,
-			ChunkLevel:     cfg.ChunkLevel,
-			Seed:           cfg.Seed,
-			Engine:         cfg.Engine,
-			ParWorkers:     cfg.ParWorkers,
-			Net:            cfg.netParams(),
-			Faults:         cfg.Faults,
-		}
-		if cfg.HomeBasedManagement {
-			opt.Management = dsm.HomeBased
-		}
-		opt.Replication = cfg.ManagerReplication
-		if cfg.PageGranularity {
-			opt.Grain = core.GrainPage
-			if opt.Views == 0 {
-				opt.Views = 1
-			}
-		}
-		sys, err := dsm.New(opt)
-		if err != nil {
-			return nil, err
-		}
-		return &Cluster{protocol: proto, mp: sys}, nil
-	case "ivy":
-		if cfg.ThreadsPerHost > 1 {
-			return nil, fmt.Errorf("millipage: protocol %q runs one thread per host", proto)
-		}
-		sys, err := ivy.New(ivy.Options{
-			Hosts:      cfg.Hosts,
-			SharedSize: cfg.SharedMemory,
-			Seed:       cfg.Seed,
-			Engine:     cfg.Engine,
-			ParWorkers: cfg.ParWorkers,
-			Net:        cfg.netParams(),
-			Faults:     cfg.Faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Cluster{protocol: proto, ivySys: sys}, nil
-	case "lrc":
-		if cfg.ThreadsPerHost > 1 {
-			return nil, fmt.Errorf("millipage: protocol %q runs one thread per host", proto)
-		}
-		sys, err := lrc.New(lrc.Options{
-			Hosts:      cfg.Hosts,
-			SharedSize: cfg.SharedMemory,
-			Views:      cfg.Views,
-			ChunkLevel: cfg.ChunkLevel,
-			Seed:       cfg.Seed,
-			Engine:     cfg.Engine,
-			ParWorkers: cfg.ParWorkers,
-			Net:        cfg.netParams(),
-			Faults:     cfg.Faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Cluster{protocol: proto, lrcSys: sys}, nil
-	case "lrc-mw":
-		if cfg.ThreadsPerHost > 1 {
-			return nil, fmt.Errorf("millipage: protocol %q runs one thread per host", proto)
-		}
-		sys, err := lrc.NewMW(lrc.Options{
-			Hosts:      cfg.Hosts,
-			SharedSize: cfg.SharedMemory,
-			Views:      cfg.Views,
-			ChunkLevel: cfg.ChunkLevel,
-			Seed:       cfg.Seed,
-			Engine:     cfg.Engine,
-			ParWorkers: cfg.ParWorkers,
-			Net:        cfg.netParams(),
-			Faults:     cfg.Faults,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Cluster{protocol: proto, mwSys: sys}, nil
-	default:
-		return nil, fmt.Errorf("millipage: unknown protocol %q (want millipage, ivy, lrc or lrc-mw)", cfg.Protocol)
+	if cfg.PageGranularity {
+		opt.Grain = core.GrainPage
 	}
+	sys, err := spec.New(opt)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{protocol: spec.Name, sys: sys}, nil
 }
 
 // Protocol returns the protocol this cluster runs ("millipage", "ivy",
 // "lrc" or "lrc-mw").
 func (c *Cluster) Protocol() string { return c.protocol }
-
-// runtime returns the protocol-independent cluster substrate, the basis
-// of the generic half of the Report.
-func (c *Cluster) runtime() *cluster.Runtime {
-	switch {
-	case c.mp != nil:
-		return c.mp.Runtime()
-	case c.ivySys != nil:
-		return c.ivySys.Runtime()
-	case c.mwSys != nil:
-		return c.mwSys.Runtime()
-	default:
-		return c.lrcSys.Runtime()
-	}
-}
 
 // EngineStats reports the event engine's execution shape: calendar
 // shards, worker width, and — after Run, on the parallel engine — the
@@ -330,7 +234,7 @@ func (c *Cluster) runtime() *cluster.Runtime {
 // shards active in a single window (the run's effective parallelism
 // bound). The sequential engine reports 1 shard and 0 windows.
 func (c *Cluster) EngineStats() (shards, workers int, windows uint64, maxActive int) {
-	eng := c.runtime().Eng
+	eng := c.sys.Runtime().Eng
 	return eng.NumShards(), eng.ParWorkers(), eng.Windows(), eng.MaxShardsActive()
 }
 
@@ -338,29 +242,10 @@ func (c *Cluster) EngineStats() (shards, workers int, windows uint64, maxActive 
 // and blocks until all of them finish, returning the run's Report. A
 // Cluster runs one application; create a new Cluster per run.
 func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
-	if c.ran {
-		return nil, fmt.Errorf("millipage: Cluster.Run called twice; create a new Cluster per run")
-	}
-	c.ran = true
-	var err error
-	switch {
-	case c.mp != nil:
-		err = c.mp.Run(func(t *dsm.Thread) {
-			body(&Worker{t: t, mp: t})
-		})
-	case c.ivySys != nil:
-		err = c.ivySys.Run(func(t *ivy.Thread) {
-			body(&Worker{t: t})
-		})
-	case c.mwSys != nil:
-		err = c.mwSys.Run(func(t *lrc.MWThread) {
-			body(&Worker{t: t})
-		})
-	default:
-		err = c.lrcSys.Run(func(t *lrc.Thread) {
-			body(&Worker{t: t})
-		})
-	}
+	err := c.sys.Run(func(t cluster.AppThread) {
+		mp, _ := t.(*dsm.Thread)
+		body(&Worker{t: t, mp: mp})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -371,4 +256,7 @@ func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
 // tests that need raw access (statistics, directory state). It is nil
 // when the cluster runs another protocol; most applications never need
 // it.
-func (c *Cluster) System() *dsm.System { return c.mp }
+func (c *Cluster) System() *dsm.System {
+	sys, _ := c.sys.(*dsm.System)
+	return sys
+}

@@ -53,6 +53,31 @@ func TestNewClusterValidation(t *testing.T) {
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "warp"}, []string{"Engine"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "par",
 			Faults: &faultnet.Plan{Drop: 0.01}}, []string{"Engine", "Faults"}},
+		// A negative count used to build and run zero threads (millipage)
+		// or be ignored (the rest): reject it under every protocol.
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
+		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
+		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
+		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
+		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ParWorkers: -1}, []string{"ParWorkers"}},
+		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, Engine: "par", ParWorkers: -1}, []string{"ParWorkers"}},
+		// Only millipage runs several threads per host.
+		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
+		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
+		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
+		// The host range holds under every protocol.
+		{millipage.Config{Protocol: "ivy", Hosts: 0, SharedMemory: 1 << 16}, []string{"Hosts"}},
+		{millipage.Config{Protocol: "lrc", Hosts: 1025, SharedMemory: 1 << 16}, []string{"Hosts"}},
+		{millipage.Config{Protocol: "lrc-mw", Hosts: -1, SharedMemory: 1 << 16}, []string{"Hosts"}},
+		// Replicated management: millipage, home-based, sequential engine.
+		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true,
+			ManagerReplication: true}, []string{"Replication"}},
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ManagerReplication: true}, []string{"Replication", "HomeBased"}},
+		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true, ManagerReplication: true,
+			Engine: "par"}, []string{"Replication", "Engine"}},
+		{millipage.Config{Protocol: "treadmarks", Hosts: 2, SharedMemory: 1 << 16}, []string{"treadmarks", "lrc-mw"}},
 	}
 	for _, tc := range rejected {
 		_, err := millipage.NewCluster(tc.cfg)
@@ -71,6 +96,9 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "par"}); err != nil {
 		t.Fatalf("valid parallel config rejected: %v", err)
+	}
+	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}); err != nil {
+		t.Fatalf("two threads per host rejected under millipage: %v", err)
 	}
 }
 

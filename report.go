@@ -93,7 +93,7 @@ func (tr ThreadReport) Breakdown() (comp, prefetch, readF, writeF, synch float64
 }
 
 func (c *Cluster) report() *Report {
-	rt := c.runtime()
+	rt := c.sys.Runtime()
 	r := &Report{
 		Protocol: c.protocol,
 		Hosts:    rt.NumHosts(),
@@ -156,45 +156,16 @@ func (c *Cluster) report() *Report {
 	}
 
 	// The protocol half: directory activity and memory footprint.
-	switch {
-	case c.mp != nil:
-		// Sum over every directory shard (under central management only
-		// host 0's is populated).
-		ms := c.mp.ManagerStatsTotal()
-		r.Invalidations = ms.Invalidations
-		r.CompetingRequests = ms.CompetingRequests
-		r.Barriers = ms.BarrierEpisodes
-		r.LockAcquisitions = ms.LockAcquisitions
-		mpt := c.mp.Manager().MPT()
-		r.Minipages = mpt.NumMinipages()
-		r.ViewsUsed = mpt.ViewsUsed()
-		r.SharedUsed = mpt.BytesAllocated()
-		for i := 0; i < rt.NumHosts(); i++ {
-			rs := c.mp.ReplStatsAt(i)
-			r.MirrorsSent += rs.MirrorsSent
-			r.Promotions += rs.Promotions
-		}
-	case c.ivySys != nil:
-		r.Invalidations = c.ivySys.Stats.Invalidates
-		r.CompetingRequests = c.ivySys.Stats.Competing
-		r.Barriers = c.ivySys.BarrierEpisodes()
-		r.LockAcquisitions = c.ivySys.LockAcquisitions()
-	case c.mwSys != nil:
-		r.Invalidations = c.mwSys.Stats.Invalidations
-		r.Barriers = c.mwSys.BarrierEpisodes()
-		r.LockAcquisitions = c.mwSys.LockAcquisitions()
-		mpt := c.mwSys.MPT()
-		r.Minipages = mpt.NumMinipages()
-		r.ViewsUsed = mpt.ViewsUsed()
-		r.SharedUsed = mpt.BytesAllocated()
-	default:
-		r.Barriers = c.lrcSys.BarrierEpisodes()
-		r.LockAcquisitions = c.lrcSys.LockAcquisitions()
-		mpt := c.lrcSys.MPT()
-		r.Minipages = mpt.NumMinipages()
-		r.ViewsUsed = mpt.ViewsUsed()
-		r.SharedUsed = mpt.BytesAllocated()
-	}
+	tot := c.sys.Totals()
+	r.Invalidations = tot.Invalidations
+	r.CompetingRequests = tot.CompetingRequests
+	r.Barriers = tot.BarrierEpisodes
+	r.LockAcquisitions = tot.LockAcquisitions
+	r.MirrorsSent = tot.MirrorsSent
+	r.Promotions = tot.Promotions
+	r.Minipages = tot.Minipages
+	r.ViewsUsed = tot.ViewsUsed
+	r.SharedUsed = tot.BytesAllocated
 	return r
 }
 
