@@ -117,3 +117,22 @@ func TestE2EServeAllocsRegression(t *testing.T) {
 		t.Fatalf("serving scenario allocates %d objects/op, more than 2x the pinned %d", got, pinned)
 	}
 }
+
+// TestE2EServeLossyAllocsRegression gates the armed path the same way:
+// the crash-restart serving scenario (reliability layer on, retry timers
+// and transaction stamps on every fault, two hosts crashing and
+// recovering) must stay within twice its pinned allocs/op. One request,
+// reply or retry allocated per operation instead of drawn from a
+// freelist puts tens of thousands of objects on a pin of about a
+// thousand — which is what the path cost while pooling was switched off
+// under a fault plan.
+func TestE2EServeLossyAllocsRegression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full benchmark")
+	}
+	pinned := pinnedPoint(t, "E2EServeLossy").AllocsPerOp
+	r := testing.Benchmark(benchE2EServeLossy)
+	if got := r.AllocsPerOp(); got > 2*pinned {
+		t.Fatalf("lossy serving scenario allocates %d objects/op, more than 2x the pinned %d", got, pinned)
+	}
+}

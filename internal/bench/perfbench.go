@@ -61,6 +61,7 @@ var perfSuite = []struct {
 	{"E2ESOR64", PerfBaseline{102808427, 3651, 72700476}, benchE2ESOR64},
 	{"E2ESOR256", PerfBaseline{285312197, 14497, 167084576}, benchE2ESOR256},
 	{"E2EServe8", PerfBaseline{serveBaselineNs, serveBaselineAllocs, serveBaselineBytes}, benchE2EServe8},
+	{"E2EServeLossy", PerfBaseline{serveLossyBaselineNs, serveLossyBaselineAllocs, serveLossyBaselineBytes}, benchE2EServeLossy},
 }
 
 // The E2EServe8 baseline was frozen when the serving subsystem landed,
@@ -78,16 +79,43 @@ const (
 // scenario (8 hosts, 100k simulated clients, 20k Zipfian ops under
 // SC-Millipage) — the acceptance workload of the serving subsystem and
 // the anchor of its allocs/op CI gate (TestE2EServeAllocsRegression).
-func benchE2EServe8(b *testing.B) {
-	sc, err := serve.Lookup("base-millipage")
+func benchE2EServe8(b *testing.B) { benchScenario(b, "base-millipage", nil) }
+
+// benchScenario runs the named serving scenario b.N times, reshaped by
+// shape when it is not nil.
+func benchScenario(b *testing.B, name string, shape func(*serve.Scenario)) {
+	sc, err := serve.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if shape != nil {
+		shape(&sc)
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := serve.Run(sc); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// The E2EServeLossy baseline is the same scenario at the commit before
+// the armed path lost its allocating twin: under a fault plan every
+// protocol header, snapshot buffer, fault request and retry timer was a
+// fresh heap object then, so the allocs column reads as what one pooled
+// send path saved (and the row's CI gate, TestE2EServeLossyAllocsRegression,
+// as the fence against a second path growing back).
+const (
+	serveLossyBaselineNs     = 321_861_140
+	serveLossyBaselineAllocs = 132_604
+	serveLossyBaselineBytes  = 15_249_179
+)
+
+// benchE2EServeLossy: one serving scenario with the reliability layer
+// armed — 4 hosts, 20k ops at 2000 ops/s under the crash-restart preset
+// (2% frame loss, two host crash/restarts): the benchmark harness's
+// serve-lossy workload.
+func benchE2EServeLossy(b *testing.B) {
+	benchScenario(b, "crash-restart", func(sc *serve.Scenario) { sc.Rate, sc.Ops = 2_000, 20_000 })
 }
 
 // benchEventDispatch: schedule-and-fire throughput of the engine calendar.
@@ -354,7 +382,7 @@ func WritePerfBench(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), and the E2EServe8 row whose baseline was frozen when the serving subsystem landed",
+	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), the E2EServe8 row whose baseline was frozen when the serving subsystem landed, and the E2EServeLossy row whose baseline is the same scenario on the allocating armed path it replaced",
 		parBenchWorkers, runtime.GOMAXPROCS(0))
 	report.Benchmarks = pts
 	if err := writeBenchReport(path, report); err != nil {

@@ -47,24 +47,89 @@ type Host struct {
 	// map iteration would make crash recovery's re-send order depend on
 	// Go's map hashing and break run determinism.
 	inflight []*retryEntry
+
+	freeRetry Pool[retryEntry]
+	retrySeq  uint64    // arms so far; numbers the entries
+	retryFn   func(any) // h.retryFire, bound at the first arm
 }
 
-// retryEntry is one registered in-flight blocking request.
+// Resender re-issues a request whose reply has not arrived, from the
+// requester's own record of it: a header already sent belongs to the
+// handler that received it. Resend may be invoked from engine context
+// (p == nil) and must not block.
+type Resender interface {
+	Resend(p *sim.Proc)
+}
+
+// retryMax caps the exponential backoff of a re-send timer.
+const retryMax = 200 * sim.Millisecond
+
+// retryEntry is one armed re-send timer and, while its thread is parked
+// in BlockRetry, the host's in-flight registration. The one pending
+// calendar event holds it; it is recycled once that event has fired
+// stale and the thread has woken.
 type retryEntry struct {
-	fw     *Wait
-	gen    uint64            // Wait generation at registration; staleness guard
-	resend func(p *sim.Proc) // re-issues the request (p may be nil: engine context)
+	fw      *Wait
+	gen     uint64 // Wait generation at arming; staleness guard
+	seq     uint64 // arming order on this host
+	delay   sim.Duration
+	rs      Resender
+	armed   bool // a timer event is pending
+	blocked bool // registered in inflight
+}
+
+func (ent *retryEntry) stale() bool { return ent.fw.gen != ent.gen || ent.fw.Ev.IsSet() }
+
+// ArmRetry starts a timer that calls rs.Resend(nil) after base, 2·base,
+// ... (capped at retryMax) until fw's event is set or the slot is reset
+// for a new transaction.
+func (h *Host) ArmRetry(fw *Wait, base sim.Duration, rs Resender) { h.armRetry(fw, base, rs) }
+
+func (h *Host) armRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
+	if h.retryFn == nil {
+		h.retryFn = h.retryFire
+	}
+	h.retrySeq++
+	ent := h.freeRetry.Get()
+	*ent = retryEntry{fw: fw, gen: fw.gen, seq: h.retrySeq, delay: base, rs: rs, armed: true}
+	h.sh.AfterArg(base, h.retryFn, ent)
+	return ent
+}
+
+// retryFire is the calendar-side entry of an armed timer.
+func (h *Host) retryFire(a any) {
+	ent := a.(*retryEntry)
+	if ent.stale() {
+		if ent.armed = false; !ent.blocked {
+			h.freeRetry.Put(ent)
+		}
+		return
+	}
+	ent.rs.Resend(nil)
+	if ent.delay *= 2; ent.delay > retryMax {
+		ent.delay = retryMax
+	}
+	h.sh.AfterArg(ent.delay, h.retryFn, ent)
 }
 
 // resendInflight re-issues every still-pending blocking request, in
 // registration order. Crash recovery calls it after protocol recovery.
+// Resend sleeps, so threads wake and register while the loop runs: it
+// goes by arming number (the list is in that order) to visit exactly the
+// entries registered when it started, once each.
 func (h *Host) resendInflight(p *sim.Proc) {
-	live := append([]*retryEntry(nil), h.inflight...)
-	for _, ent := range live {
-		if ent.fw.gen != ent.gen || ent.fw.Ev.IsSet() {
-			continue
+	for last, limit := uint64(0), h.retrySeq; ; {
+		i := 0
+		for i < len(h.inflight) && h.inflight[i].seq <= last {
+			i++
 		}
-		ent.resend(p)
+		if i == len(h.inflight) || h.inflight[i].seq > limit {
+			return
+		}
+		ent := h.inflight[i]
+		if last = ent.seq; !ent.stale() {
+			ent.rs.Resend(p)
+		}
 	}
 }
 

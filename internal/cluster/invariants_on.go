@@ -1,0 +1,82 @@
+//go:build invariants
+
+package cluster
+
+// Lifecycle invariants for the protocols' freelists, mirroring fastmsg's
+// envelope state machine. A pooled header or buffer has one owner at a
+// time; the checks below turn the ways of breaking that — using or
+// sending a header after recycling it, recycling anything twice, writing
+// through a stale pointer while it sits in a freelist — into a panic at
+// the spot instead of a silently aliased record.
+
+// PoolState is embedded in pooled protocol headers.
+type PoolState struct{ recycled bool }
+
+// CheckLive panics if the header sits in a freelist; where names the use.
+func (s *PoolState) CheckLive(where string) {
+	if s.recycled {
+		panic("cluster: " + where + " of a recycled header")
+	}
+}
+
+func (s *PoolState) retire() {
+	if s.recycled {
+		panic("cluster: header recycled twice")
+	}
+	s.recycled = true
+}
+
+// reuse finds the mark cleared only if somebody assigned the whole
+// struct through a stale pointer while the header was parked.
+func (s *PoolState) reuse() {
+	if !s.recycled {
+		panic("cluster: pooled header was written after it was recycled")
+	}
+	s.recycled = false
+}
+
+type marked interface{ state() *PoolState }
+
+func (s *PoolState) state() *PoolState { return s }
+
+func retire[T any](v *T) {
+	if m, ok := any(v).(marked); ok {
+		m.state().retire()
+	}
+}
+
+func reuse[T any](v *T) {
+	if m, ok := any(v).(marked); ok {
+		m.state().reuse()
+	}
+}
+
+const poison = 0xDB
+
+// retireSlice panics if s's backing array is already parked in free and,
+// for byte buffers, poisons all of it.
+func retireSlice[T any](s []T, free [][]T) {
+	s = s[:cap(s)]
+	for _, f := range free {
+		if &f[:1][0] == &s[0] {
+			panic("cluster: buffer recycled twice")
+		}
+	}
+	if b, ok := any(s).([]byte); ok {
+		for i := range b {
+			b[i] = poison
+		}
+	}
+}
+
+// reuseSlice checks the poison is intact on a byte buffer leaving a
+// freelist.
+func reuseSlice[T any](s []T) {
+	if b, ok := any(s[:cap(s)]).([]byte); ok {
+		for _, c := range b {
+			if c != poison {
+				panic("cluster: pooled buffer was written after it was recycled")
+			}
+		}
+	}
+}

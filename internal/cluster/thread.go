@@ -131,39 +131,18 @@ func (t *Thread) BlockOn(ev *sim.Event) {
 	t.h.EP.SetBusy(+1)
 }
 
-// retryMax caps the exponential backoff of BlockRetry's re-send timer.
-const retryMax = 200 * sim.Millisecond
-
 // BlockRetry is Block for requests that must survive faults: while the
-// thread is parked, a timer re-issues the request via resend with
-// exponential backoff (base, 2·base, ... capped at retryMax), and the
-// request is registered in the host's in-flight table so crash recovery
-// re-sends it immediately after restart. resend may be invoked from
-// engine context (p == nil) and must not block; receivers deduplicate by
-// the transaction id stamped in fw.Txn. The timer and the registration
-// both die when fw's event is set or the slot is recycled.
-func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, resend func(p *sim.Proc)) {
+// thread is parked, a timer re-issues the request via rs with exponential
+// backoff (see Host.ArmRetry), and the request is registered in the
+// host's in-flight table so crash recovery re-sends it immediately after
+// restart. Receivers deduplicate by the transaction id stamped in fw.Txn.
+// The timer and the registration both die when fw's event is set or the
+// slot is recycled.
+func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, rs Resender) {
 	h := t.h
-	ent := &retryEntry{fw: fw, gen: fw.gen, resend: resend}
+	ent := h.armRetry(fw, base, rs)
+	ent.blocked = true
 	h.inflight = append(h.inflight, ent)
-
-	sh := h.sh
-	delay := base
-	var fire func()
-	fire = func() {
-		if fw.gen != ent.gen || fw.Ev.IsSet() {
-			return
-		}
-		resend(nil)
-		if delay < retryMax {
-			delay *= 2
-			if delay > retryMax {
-				delay = retryMax
-			}
-		}
-		sh.After(delay, fire)
-	}
-	sh.After(delay, fire)
 
 	t.Block(fw)
 
@@ -172,6 +151,9 @@ func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, resend func(p *sim.Proc
 			h.inflight = append(h.inflight[:i], h.inflight[i+1:]...)
 			break
 		}
+	}
+	if ent.blocked = false; !ent.armed {
+		h.freeRetry.Put(ent)
 	}
 }
 

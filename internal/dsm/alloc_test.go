@@ -1,0 +1,91 @@
+package dsm
+
+import (
+	"testing"
+
+	"millipage/internal/faultnet"
+	"millipage/internal/sim"
+)
+
+// armedPlan keeps the reliability layer, the retry timers and the
+// transaction stamps switched on without ever firing a fault: one
+// partition, in the far future.
+func armedPlan() *faultnet.Plan {
+	far := sim.Time(1 << 60)
+	return &faultnet.Plan{Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}
+}
+
+// armedAllocsPerOp runs op on two hosts in lockstep (op must end in a
+// rendezvous of its own) and returns host 0's steady-state heap
+// allocations per call, process-wide — the simulator runs one goroutine
+// at a time, so that is the whole cluster's cost of one round.
+func armedAllocsPerOp(t *testing.T, op func(th *Thread, cell uint64, i int)) float64 {
+	t.Helper()
+	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: 1, Faults: armedPlan()})
+	if !s.Runtime().Faulty() {
+		t.Fatal("fault plan did not arm")
+	}
+	const warmup, measured = 300, 1000
+	var cell uint64
+	avg := -1.0
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			cell = th.Malloc(64)
+			th.WriteU32(cell, 0)
+		}
+		th.Barrier()
+		i := 0
+		round := func() { op(th, cell, i); i++ }
+		for i < warmup {
+			round()
+		}
+		if th.Host() == 0 {
+			avg = testing.AllocsPerRun(measured, round) // one extra warm-up call, then measured
+		} else {
+			for i < warmup+1+measured {
+				round()
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return avg
+}
+
+// TestArmedFaultPingPongAllocFree: with a fault plan armed, a minipage
+// bouncing between two hosts — a write fault with an invalidation on one
+// side, a read fault then an upgrade on the other, every request stamped,
+// registered for crash recovery and covered by a retry timer — allocates
+// nothing once the pools are warm. Headers, snapshot buffers and retry
+// records all come from freelists; there is no second, allocating path.
+func TestArmedFaultPingPongAllocFree(t *testing.T) {
+	avg := armedAllocsPerOp(t, func(th *Thread, cell uint64, i int) {
+		if th.Host() == 0 {
+			th.WriteU32(cell, uint32(i))
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.WriteU32(cell, th.ReadU32(cell)+1)
+		}
+		th.Barrier()
+	})
+	if avg != 0 {
+		t.Fatalf("armed fault ping-pong allocates %.0f objects/round in steady state, want 0", avg)
+	}
+}
+
+// TestArmedLockPingPongAllocFree is the same gate for the synchronization
+// path: a lock handed back and forth, guarding a counter that migrates
+// with it.
+func TestArmedLockPingPongAllocFree(t *testing.T) {
+	avg := armedAllocsPerOp(t, func(th *Thread, cell uint64, i int) {
+		th.Lock(1)
+		th.WriteU32(cell, th.ReadU32(cell)+1)
+		th.Unlock(1)
+		th.Barrier()
+	})
+	if avg != 0 {
+		t.Fatalf("armed lock ping-pong allocates %.0f objects/round in steady state, want 0", avg)
+	}
+}

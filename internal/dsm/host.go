@@ -42,61 +42,56 @@ type Host struct {
 	Stats HostStats
 }
 
-// allocPM returns a protocol header for a message whose consumer will
-// recycle it. The caller must fully initialize the result (*m = pmsg{...});
-// pooled headers are returned dirty. The freelists belong to the host's
-// calendar shard (every host shares one on the sequential engine; each
-// host owns its own under the parallel engine) and stay empty under
-// fault injection: retries, duplicate drops and late replies can
-// reference a header after its transaction closed, so the faulty path
-// keeps fresh allocations and its existing lifetime rules.
+// allocPM returns a protocol header from the host's shard's freelist
+// (every host shares one on the sequential engine). The caller must fully
+// initialize it (*m = pmsg{...}); pooled headers are returned dirty.
+//
+// A header has one owner at a time, with and without a fault plan: the
+// sender until Send, then the handler that receives it — which the
+// transport runs exactly once per message, duplicates and retransmits
+// included. The owner forwards it (mutate and resend), parks it (a
+// directory queue, pendingHdr) or recycles it. A requester that may have
+// to repeat a request keeps its own copy (see request).
 func (h *Host) allocPM() *pmsg {
-	pool := h.pool
-	if n := len(pool.freePM); n > 0 && !h.Runtime().Faulty() {
-		m := pool.freePM[n-1]
-		pool.freePM = pool.freePM[:n-1]
-		return m
-	}
-	return &pmsg{}
+	h.pool.livePM++
+	return h.pool.freePM.Get()
 }
 
-// recyclePM returns a fully consumed pooled header to the freelist. Only
-// headers obtained from allocPM may be recycled — never a thread's fault
-// request (those live in the thread's own slot) and never dataMarker.
+// recyclePM returns a header its owner is done with to the freelist.
+// Only headers obtained from allocPM may be recycled — never dataMarker.
 func (h *Host) recyclePM(m *pmsg) {
-	if h.Runtime().Faulty() {
-		return
-	}
-	h.pool.freePM = append(h.pool.freePM, m)
+	h.pool.livePM--
+	h.pool.freePM.Put(m)
 }
 
-// allocBuf returns a byte buffer of length n for a minipage snapshot
-// that travels on a data message; the receiver recycles it after
-// installing the bytes.
-func (h *Host) allocBuf(n int) []byte {
-	pool := h.pool
-	if !h.Runtime().Faulty() {
-		for i := len(pool.freeBuf) - 1; i >= 0; i-- {
-			if cap(pool.freeBuf[i]) >= n {
-				b := pool.freeBuf[i][:n]
-				pool.freeBuf[i] = pool.freeBuf[len(pool.freeBuf)-1]
-				pool.freeBuf = pool.freeBuf[:len(pool.freeBuf)-1]
-				return b
-			}
-		}
-	}
-	return make([]byte, n)
+// Send ships header m to host `to` and with it the ownership of m.
+func (h *Host) Send(p *sim.Proc, to int, m *pmsg) {
+	m.CheckLive("Send")
+	h.Host.Send(p, to, m)
 }
 
-// recycleBuf returns a delivered snapshot buffer to the freelist. The
-// faulty path keeps buffers live: retransmission can re-ship a frame
-// after first delivery.
-func (h *Host) recycleBuf(b []byte) {
-	if h.Runtime().Faulty() || cap(b) == 0 {
-		return
-	}
-	h.pool.freeBuf = append(h.pool.freeBuf, b)
+// sendNew ships a fresh pooled header holding v.
+func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) {
+	m := h.allocPM()
+	*m = v
+	h.Send(p, to, m)
 }
+
+// request is a requester's own copy of a directory request in flight.
+// Every send — the first, a retry timer's, crash recovery's — copies it
+// into a pooled header; the header that was sent belongs to the home,
+// which fills it in and forwards it, and is never looked at again here.
+type request struct {
+	h   *Host
+	hdr pmsg
+}
+
+func (r *request) send(p *sim.Proc, to int) { r.h.sendNew(p, to, r.hdr) }
+
+// Resend repeats the request (cluster.Resender). Under replicated
+// management the believed primary is recomputed per retry: that is how a
+// requester finds the promoted backup.
+func (r *request) Resend(p *sim.Proc) { r.send(p, r.h.primaryFor(r.hdr.Info.ID)) }
 
 type span struct {
 	base uint64
@@ -152,7 +147,7 @@ func (h *Host) route(p *sim.Proc, va uint64) (int, core.Info) {
 // readMinipage snapshots a minipage's bytes through the privileged view
 // into a pooled buffer (recycled by the receiver once installed).
 func (h *Host) readMinipage(info core.Info) []byte {
-	data := h.allocBuf(info.Size)
+	data := h.pool.freeBuf.Get(info.Size)
 	if err := h.Region.ReadPrivInto(info.Base, data); err != nil {
 		panic(fmt.Sprintf("dsm: host %d: privileged read of %+v: %v", h.ID(), info, err))
 	}
@@ -182,53 +177,31 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		typ = mWriteReq
 	}
 	home, info := h.route(p, f.Addr)
-	// A fault transaction never references the request after the faulting
-	// thread wakes (the home forwards a copy and clears pendingWrite before
-	// granting), so on the clean path the request lives in a per-thread
-	// slot. The faulty path allocates fresh: retry copies and dedup can
-	// keep the original reachable past the wake.
-	var req *pmsg
-	if h.Runtime().Faulty() {
-		req = &pmsg{}
-	} else {
-		req = &t.reqMsg
+	req := &t.req
+	*req = request{h, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}}
+	faulty := h.Runtime().Faulty()
+	if faulty {
+		// Tag the transaction so the home can deduplicate retries, and
+		// block with a backoff timer re-issuing the request — it survives
+		// crashes on either side. The clean path arms no timer and stamps
+		// nothing (bit-identical virtual time).
+		req.hdr.TID = t.ID
+		req.hdr.Txn = t.NextTxn()
+		fw.Txn = req.hdr.Txn
 	}
-	*req = pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}
-	if h.Runtime().Faulty() {
-		// Tag the transaction so the home can deduplicate retries, send,
-		// and block with a backoff timer re-issuing the request — the
-		// request survives crashes on either side. The clean path below is
-		// untouched (bit-identical virtual time).
-		req.TID = t.ID
-		req.Txn = t.NextTxn()
-		fw.Txn = req.Txn
-		h.Send(p, home, req)
-		p.Sleep(c.BlockThread)
-		t.BlockRetry(fw, requestRetryBase, func(rp *sim.Proc) {
-			// The home mutates the original request in place (Info fill-in,
-			// Requeued when it pops the queue) — simulator messages travel
-			// by pointer. Re-send a copy with the queue marker cleared, or
-			// the duplicate would bypass the home's dedup check. Under
-			// replicated management the believed primary is recomputed per
-			// retry: that is how a requester finds the promoted backup.
-			cp := *req
-			cp.Requeued = false
-			cp.Redrive = false
-			h.Send(rp, h.primaryFor(req.Info.ID), &cp)
-		})
+	req.send(p, home)
+	p.Sleep(c.BlockThread)
+	if faulty {
+		t.BlockRetry(fw, requestRetryBase, req)
 	} else {
-		h.Send(p, home, req)
-		p.Sleep(c.BlockThread)
 		t.Block(fw) // the host may go idle; the poller takes over
 	}
 	p.Sleep(c.ThreadWake + c.FaultResume)
 
 	// The ack that closes the transaction at the minipage's home. TID/Txn
 	// (zero on the clean path) let the home record the transaction as done.
-	ack := h.allocPM()
-	*ack = pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
-		Write: f.Kind == vm.Write, TID: t.ID, Txn: fw.Txn}
-	h.Send(p, h.primaryFor(fw.Info.ID), ack)
+	h.sendNew(p, h.primaryFor(fw.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
+		Write: f.Kind == vm.Write, TID: t.ID, Txn: fw.Txn})
 
 	elapsed := p.Now().Sub(start)
 	switch {
@@ -267,6 +240,7 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 // queuing, no table lookups and no translation of any kind.
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
+	m.CheckLive("HandleMessage")
 	switch m.Type {
 	// ---- Directory traffic, handled by the minipage's home ----------
 	case mReadReq, mWriteReq, mAck, mInvalidateReply, mPushReq, mPushAck, mDirInit,
@@ -300,12 +274,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			}
 		}
 		h.Stats.RequestsServed++
-		reply := h.allocPM()
-		*reply = *m
-		reply.Type = mReadReply
-		h.Send(p, m.From, reply)
-		h.SendData(p, m.From, h.readMinipage(m.Info), dataMarker)
-		h.recyclePM(m) // the forwarded request ends here
+		h.replyWithData(p, m, mReadReply)
 
 	case mWriteFwd:
 		// Handle Write Request: invalidate own copy, reply with data. The
@@ -317,12 +286,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			panic(err)
 		}
 		h.Stats.RequestsServed++
-		reply := h.allocPM()
-		*reply = *m
-		reply.Type = mWriteReply
-		h.Send(p, m.From, reply)
-		h.SendData(p, m.From, h.readMinipage(m.Info), dataMarker)
-		h.recyclePM(m)
+		h.replyWithData(p, m, mWriteReply)
 
 	case mInvalidateReq:
 		c := h.Costs()
@@ -331,12 +295,11 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			panic(err)
 		}
 		h.Stats.Invalidations++
-		// The reply returns to whichever home issued the invalidation,
-		// echoing the transaction identity (zero off the replicated path).
-		rep := h.allocPM()
-		*rep = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
-		h.Send(p, fm.From, rep)
-		h.recyclePM(m)
+		// The request turns around as the reply to whichever home issued
+		// the invalidation, echoing the transaction identity (zero off the
+		// replicated path).
+		*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
+		h.Send(p, fm.From, m)
 
 	// ---- Replies back at the requester ------------------------------
 	case mReadReply, mWriteReply, mPushData:
@@ -351,7 +314,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		h.pendingHdr[fm.From] = nil
 		h.installMinipage(p, hdr, fm.Data)
 		h.recyclePM(hdr)
-		h.recycleBuf(fm.Data)
+		h.pool.freeBuf.Put(fm.Data)
 
 	case mUpgradeGrant:
 		if m.Txn != 0 && m.FW.Txn != m.Txn {
@@ -359,10 +322,12 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			// replication it may be the re-driven twin of a completed
 			// transaction — the re-ack closes it at the new primary.
 			h.replReAck(p, m)
+			h.recyclePM(m)
 			return
 		}
 		if h.sys.replAt(h.ID()) != nil && m.FW.Ev.IsSet() {
 			h.replReAck(p, m) // duplicate grant for the same transaction
+			h.recyclePM(m)
 			return
 		}
 		c := h.Costs()
@@ -396,6 +361,16 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	default:
 		panic(fmt.Sprintf("dsm: host %d: unexpected message type %v", h.ID(), m.Type))
 	}
+}
+
+// replyWithData answers a forwarded request from the privileged view:
+// the forward itself turns around as the reply header, and the minipage
+// bytes follow on the same channel.
+func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) {
+	to, info := m.From, m.Info
+	m.Type = typ
+	h.Send(p, to, m)
+	h.SendData(p, to, h.readMinipage(info), dataMarker)
 }
 
 // installMinipage receives minipage contents into the privileged view,
@@ -437,15 +412,11 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	case hdr.Type == mPushData:
 		// Pushed replica: ack to the home; nobody is waiting. TID/Txn
 		// (zero off the replicated path) match the ack to the open push.
-		ack := h.allocPM()
-		*ack = pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, TID: hdr.TID, Txn: hdr.Txn}
-		h.Send(p, home, ack)
+		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, TID: hdr.TID, Txn: hdr.Txn})
 	case hdr.Prefetch:
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
-		ack := h.allocPM()
-		*ack = pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Write: false, TID: hdr.TID, Txn: hdr.Txn}
-		h.Send(p, home, ack)
+		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Write: false, TID: hdr.TID, Txn: hdr.Txn})
 		if hdr.FW != nil {
 			hdr.FW.Ev.Set()
 		}
@@ -467,10 +438,8 @@ func (h *Host) replReAck(p *sim.Proc, m *pmsg) {
 		return
 	}
 	rp.Stats.ReAcks++
-	ack := h.allocPM()
-	*ack = pmsg{Type: mAck, From: h.ID(), Info: m.Info,
-		Write: m.Type == mUpgradeGrant || m.Type == mWriteReply, TID: m.TID, Txn: m.Txn}
-	h.Send(p, h.primaryFor(m.Info.ID), ack)
+	h.sendNew(p, h.primaryFor(m.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: m.Info,
+		Write: m.Type == mUpgradeGrant || m.Type == mWriteReply, TID: m.TID, Txn: m.Txn})
 }
 
 // RecoverCrash runs after this host's network stack restarts (fail-restart

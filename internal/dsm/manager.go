@@ -187,16 +187,16 @@ func (mg *manager) dropDup(m *pmsg) bool {
 // dispatch routes one manager-bound message.
 func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
 	switch m.Type {
-	case mReadReq:
+	case mReadReq, mWriteReq:
 		if mg.dropDup(m) {
+			mg.host().recyclePM(m)
 			return
 		}
-		mg.handleRead(p, m)
-	case mWriteReq:
-		if mg.dropDup(m) {
-			return
+		if m.Type == mReadReq {
+			mg.handleRead(p, m)
+		} else {
+			mg.handleWrite(p, m)
 		}
-		mg.handleWrite(p, m)
 	case mAck:
 		mg.handleAck(p, m)
 	case mInvalidateReply:
@@ -320,15 +320,14 @@ func (mg *manager) handleRead(p *sim.Proc, m *pmsg) {
 }
 
 // readEffect is the directory effect of an admitted read: pick a source,
-// extend the copyset, forward. Under replication it runs only after the
-// admission has been mirrored to the backup.
+// extend the copyset, and forward the request itself, translation filled
+// in. Under replication it runs only after the admission has been
+// mirrored to the backup.
 func (mg *manager) readEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	src := mg.findReplica(e)
 	e.copyset = e.copyset.With(m.From)
-	fwd := mg.host().allocPM()
-	*fwd = *m
-	fwd.Type = mReadFwd
-	mg.host().Send(p, src, fwd)
+	m.Type = mReadFwd
+	mg.host().Send(p, src, m)
 }
 
 // findReplica picks the host to source the minipage from: the owner if it
@@ -377,10 +376,8 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 			panic(fmt.Sprintf("dsm: write fault on minipage %d with empty copyset", m.Info.ID))
 		}
 		e.owner = m.From
-		grant := mg.host().allocPM()
-		*grant = *m
-		grant.Type = mUpgradeGrant
-		mg.host().Send(p, m.From, grant)
+		m.Type = mUpgradeGrant
+		mg.host().Send(p, m.From, m)
 		return
 	}
 
@@ -423,43 +420,40 @@ func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) {
 			continue
 		}
 		mg.Stats.Invalidations++
-		inv := mg.host().allocPM()
 		// TID/Txn (zero on the clean path) are echoed in the reply so a
 		// replicated home can match it against the open transaction.
-		*inv = pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn}
-		mg.host().Send(p, h, inv)
+		mg.host().sendNew(p, h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn})
 	}
 }
 
-// forwardWrite sends the translated write request to the chosen source,
-// transferring ownership to the requester.
+// forwardWrite forwards the translated write request to the chosen
+// source, transferring ownership of the minipage to the requester.
 func (mg *manager) forwardWrite(p *sim.Proc, e *dirEntry, m *pmsg, src int) {
 	e.copyset = hostset.One(m.From)
 	e.owner = m.From
-	fwd := mg.host().allocPM()
-	*fwd = *m
-	fwd.Type = mWriteFwd
-	mg.host().Send(p, src, fwd)
+	m.Type = mWriteFwd
+	mg.host().Send(p, src, m)
 }
 
 // handleInvReply is "Manager: Handle Invalidate Reply": once every
 // invalidation is confirmed, release the pending write.
 func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
+	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
+	mg.host().recyclePM(m) // the invalidate reply ends here, counted or not
 	if rp := mg.sys.replAt(mg.me); rp != nil {
 		// A reply forwarded from a deposed primary (or re-delivered after a
 		// re-drive) must not double-count: accept one reply per host per
 		// open invalidation round, matched to the open transaction.
-		e := mg.entryOrNil(m.Info.ID)
+		e := mg.entryOrNil(id)
 		if e == nil || e.pendingWrite == nil || e.invAwait == 0 ||
-			!e.repl.invMask.Has(m.From) || m.TID != e.repl.openTID || m.Txn != e.repl.openTxn {
+			!e.repl.invMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
 			return
 		}
-		e.repl.invMask = e.repl.invMask.Without(m.From)
+		e.repl.invMask = e.repl.invMask.Without(from)
 	}
-	e := mg.entry(m.Info.ID)
+	e := mg.entry(id)
 	// The replying host no longer holds a copy.
-	e.copyset = e.copyset.Without(m.From)
-	mg.host().recyclePM(m) // the invalidate reply ends here
+	e.copyset = e.copyset.Without(from)
 	if e.invAwait--; e.invAwait > 0 {
 		return
 	}
@@ -469,10 +463,8 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 		e.upgrade = false
 		e.copyset = hostset.One(w.From)
 		e.owner = w.From
-		grant := mg.host().allocPM()
-		*grant = *w
-		grant.Type = mUpgradeGrant
-		mg.host().Send(p, w.From, grant)
+		w.Type = mUpgradeGrant
+		mg.host().Send(p, w.From, w)
 		return
 	}
 	mg.forwardWrite(p, e, w, e.writeSrc)
@@ -482,8 +474,10 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 // records it as done (so late retries of it are dropped, not replayed),
 // and serves the next competing request.
 func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
-	if m.Txn != 0 && m.Txn > mg.done[m.TID] {
-		mg.done[m.TID] = m.Txn
+	id, tid, txn := m.Info.ID, m.TID, m.Txn
+	mg.host().recyclePM(m) // the ack ends here, matched or not
+	if txn != 0 && txn > mg.done[tid] {
+		mg.done[tid] = txn
 	}
 	if mg.sys.replAt(mg.me) != nil {
 		// Replicated path: duplicate re-acks (a requester dropping the
@@ -493,20 +487,18 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
 		// clean path, where delivery is FIFO and duplicates cannot arise)
 		// carry the thread id in TID but open with TID 0, so they match on
 		// Txn alone.
-		e := mg.entryOrNil(m.Info.ID)
+		e := mg.entryOrNil(id)
 		if e == nil || !e.busy {
 			return
 		}
-		unstamped := m.Txn == 0 && e.repl.openTxn == 0
-		if !unstamped && (m.TID != e.repl.openTID || m.Txn != e.repl.openTxn) {
+		unstamped := txn == 0 && e.repl.openTxn == 0
+		if !unstamped && (tid != e.repl.openTID || txn != e.repl.openTxn) {
 			return
 		}
-		mg.commitClose(p, e, m.Info.ID, m.TID, m.Txn)
+		mg.commitClose(p, e, id, tid, txn)
 		return
 	}
-	e := mg.entry(m.Info.ID)
-	mg.host().recyclePM(m) // the ack ends here
-	mg.closeTxn(p, e)
+	mg.closeTxn(p, mg.entry(id))
 }
 
 // allocLocal carves minipage(s) for host `from` and creates directory
@@ -540,9 +532,7 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (core.Info, uint64, b
 			mg.setEntry(id, mg.newEntry(hostset.One(from), from))
 		} else {
 			nmp, _ := mpt.ByID(id)
-			init := mg.host().allocPM()
-			*init = pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)}
-			mg.host().Send(p, home, init)
+			mg.host().sendNew(p, home, pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)})
 		}
 	}
 	mg.dirInited = mpt.NumMinipages()
@@ -570,15 +560,9 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (core.Info, uint64, b
 // handleAlloc services the malloc-like API for non-manager hosts.
 func (mg *manager) handleAlloc(p *sim.Proc, m *pmsg) {
 	p.Sleep(mg.costs().MallocBase)
-	info, va, owner := mg.allocLocal(p, m.From, m.AllocSize)
-	reply := mg.host().allocPM()
-	*reply = *m
-	reply.Type = mAllocReply
-	reply.Info = info
-	reply.AllocVA = va
-	reply.Owner = owner
-	mg.host().Send(p, m.From, reply)
-	mg.host().recyclePM(m) // the alloc request ends here
+	m.Info, m.AllocVA, m.Owner = mg.allocLocal(p, m.From, m.AllocSize)
+	m.Type = mAllocReply // the request turns around as the reply
+	mg.host().Send(p, m.From, m)
 }
 
 // handleBarrier collects arrivals and releases everyone once the last
@@ -589,10 +573,9 @@ func (mg *manager) handleBarrier(p *sim.Proc, m *pmsg) {
 		return
 	}
 	for _, a := range arrivals {
-		rel := mg.host().allocPM()
-		*rel = pmsg{Type: mBarrierRelease, From: managerHost, Gen: mg.barrier.Gen, FW: a.FW}
-		mg.host().Send(p, a.From, rel)
-		mg.host().recyclePM(a) // the arrival ends here
+		to := a.From // each arrival turns around as that thread's release
+		*a = pmsg{Type: mBarrierRelease, From: managerHost, Gen: mg.barrier.Gen, FW: a.FW}
+		mg.host().Send(p, to, a)
 	}
 }
 
@@ -601,10 +584,14 @@ func (mg *manager) handleLock(p *sim.Proc, m *pmsg) {
 	if !mg.locks.Acquire(m.LockID, m) {
 		return // queued: the service holds m until the unlock pops it
 	}
-	grant := mg.host().allocPM()
-	*grant = pmsg{Type: mLockGrant, From: managerHost, LockID: m.LockID, FW: m.FW}
-	mg.host().Send(p, m.From, grant)
-	mg.host().recyclePM(m) // immediate grant: the request ends here
+	mg.grantLock(p, m)
+}
+
+// grantLock turns a lock request around as its grant.
+func (mg *manager) grantLock(p *sim.Proc, m *pmsg) {
+	to := m.From
+	*m = pmsg{Type: mLockGrant, From: managerHost, LockID: m.LockID, FW: m.FW}
+	mg.host().Send(p, to, m)
 }
 
 // handleUnlock passes the lock to the next waiter or frees it.
@@ -614,13 +601,9 @@ func (mg *manager) handleUnlock(p *sim.Proc, m *pmsg) {
 		panic(fmt.Sprintf("dsm: unlock of free lock %d", m.LockID))
 	}
 	mg.host().recyclePM(m) // the unlock ends here
-	if !granted {
-		return
+	if granted {
+		mg.grantLock(p, next)
 	}
-	grant := mg.host().allocPM()
-	*grant = pmsg{Type: mLockGrant, From: managerHost, LockID: next.LockID, FW: next.FW}
-	mg.host().Send(p, next.From, grant)
-	mg.host().recyclePM(next) // the queued request ends here
 }
 
 // handlePush opens a push transaction: order the owner to replicate the
@@ -665,32 +648,30 @@ func (mg *manager) pushEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 		}
 		e.repl.pushMask = mask
 	}
-	order := mg.host().allocPM()
-	*order = *m
-	order.Type = mPushOrder
-	mg.host().Send(p, src, order)
-	mg.host().recyclePM(m) // the push request ends here
+	m.Type = mPushOrder // the request itself goes on to the owner
+	mg.host().Send(p, src, m)
 }
 
 // handlePushAck completes the push once every other host holds a copy.
 func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) {
+	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
+	mg.host().recyclePM(m) // the push ack ends here, counted or not
 	if rp := mg.sys.replAt(mg.me); rp != nil {
-		e := mg.entryOrNil(m.Info.ID)
+		e := mg.entryOrNil(id)
 		if e == nil || !e.busy || e.pushAwait == 0 ||
-			!e.repl.pushMask.Has(m.From) || m.TID != e.repl.openTID || m.Txn != e.repl.openTxn {
+			!e.repl.pushMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
 			return
 		}
-		e.repl.pushMask = e.repl.pushMask.Without(m.From)
-		e.copyset = e.copyset.With(m.From)
+		e.repl.pushMask = e.repl.pushMask.Without(from)
+		e.copyset = e.copyset.With(from)
 		if e.pushAwait--; e.pushAwait > 0 {
 			return
 		}
-		mg.commitClose(p, e, m.Info.ID, e.repl.openTID, e.repl.openTxn)
+		mg.commitClose(p, e, id, e.repl.openTID, e.repl.openTxn)
 		return
 	}
-	e := mg.entry(m.Info.ID)
-	e.copyset = e.copyset.With(m.From)
-	mg.host().recyclePM(m) // the push ack ends here
+	e := mg.entry(id)
+	e.copyset = e.copyset.With(from)
 	if e.pushAwait--; e.pushAwait > 0 {
 		return
 	}

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 
+	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/trace"
 	"millipage/internal/viewsvc"
@@ -91,6 +92,8 @@ var dataMarker = &pmsg{Type: mData}
 // The FW pointer models the requester-local event handle that rides in the
 // header; only the requester dereferences it.
 type pmsg struct {
+	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
+
 	Type mtype
 	From int    // original requester host
 	Addr uint64 // faulting address (all a request carries when it leaves the requester)
@@ -113,7 +116,7 @@ type pmsg struct {
 	// per-thread transaction number: together they let the home recognize
 	// and drop duplicate requests created by retry timers and crash
 	// recovery, and let the requester discard replies to an abandoned
-	// transaction. They ride the forward chain untouched (struct copies).
+	// transaction. They ride the forward chain untouched.
 	TID int
 	Txn uint64
 

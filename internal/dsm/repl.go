@@ -301,8 +301,7 @@ func (s *System) startReplDaemons() {
 				views := rp0.svc.Views()
 				rp0.applyViews(p, views)
 				for i := 1; i < s.Opt.Hosts; i++ {
-					upd := &pmsg{Type: mViewUpdate, Views: rp0.svc.Views()}
-					h0.Send(nil, i, upd)
+					h0.sendNew(nil, i, pmsg{Type: mViewUpdate, Views: rp0.svc.Views()})
 				}
 			}
 		}
@@ -339,32 +338,34 @@ func (s *System) replAt(i int) *replMgr {
 // dispatchDir routes one directory-bound message under replication.
 // Serving shards dispatch locally; anything else is forwarded to the
 // believed primary (dropped if that is ourselves with no serving state:
-// the view will catch up and the requester's retry re-delivers).
+// the view will catch up and the requester's retry re-delivers). Like
+// every handler it owns m: each branch forwards, turns around or
+// recycles it.
 func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 	switch m.Type {
-	case mPing:
-		rp.svc.Heartbeat(m.From, int64(p.Now()))
-		return
-	case mViewUpdate:
-		rp.applyViews(p, m.Views)
-		return
 	case mMirror:
 		rp.handleMirror(p, m)
 		return
-	case mMirrorAck:
-		rp.handleMirrorAck(p, m)
-		return
-	case mMirrorNak:
-		rp.handleMirrorNak(p, m)
-		return
-	case mStateXfer:
-		rp.handleStateXfer(p, m)
-		return
-	case mSyncAck:
-		rp.svc.AckSync(m.Mir.Shard, m.From, m.Mir.View)
-		return
-	case mDirInit:
-		rp.handleSeed(p, m)
+	case mPing, mViewUpdate, mMirrorAck, mMirrorNak, mStateXfer, mSyncAck, mDirInit:
+		// Control traffic ends here: take what it carries, then recycle.
+		typ, from, txn, info, rec, views := m.Type, m.From, m.Txn, m.Info, m.Mir, m.Views
+		rp.host().recyclePM(m)
+		switch typ {
+		case mPing:
+			rp.svc.Heartbeat(from, int64(p.Now()))
+		case mViewUpdate:
+			rp.applyViews(p, views)
+		case mMirrorAck:
+			rp.handleMirrorAck(p, rec)
+		case mMirrorNak:
+			rp.handleMirrorNak(rec, txn)
+		case mStateXfer:
+			rp.handleStateXfer(p, rec)
+		case mSyncAck:
+			rp.svc.AckSync(rec.Shard, from, rec.View)
+		case mDirInit:
+			rp.handleSeed(p, info.ID, from)
+		}
 		return
 	}
 
@@ -378,22 +379,21 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 	// the requester's retry will find the promoted primary.
 	if to := rp.views[shard].Primary; to != rp.me {
 		rp.Stats.Forwards++
-		fwd := &pmsg{}
-		*fwd = *m
-		fwd.Requeued = false
-		rp.host().Send(p, to, fwd)
+		m.Requeued = false
+		rp.host().Send(p, to, m)
+	} else {
+		rp.host().recyclePM(m)
 	}
 }
 
 // handleSeed installs a directory seed. The allocation authority sends a
 // seed to both the shard's primary (who serves it) and its backup (who
 // shadows it); either may be this host, in any view.
-func (rp *replMgr) handleSeed(p *sim.Proc, m *pmsg) {
-	id := m.Info.ID
+func (rp *replMgr) handleSeed(p *sim.Proc, id, from int) {
 	shard := rp.mg.sys.homeOf(id)
 	if _, ok := rp.serving[shard]; ok {
 		if rp.mg.entryOrNil(id) == nil {
-			rp.mg.setEntry(id, rp.mg.newEntry(hostset.One(m.From), m.From))
+			rp.mg.setEntry(id, rp.mg.newEntry(hostset.One(from), from))
 			if q := rp.mg.waitInit[id]; len(q) > 0 {
 				delete(rp.mg.waitInit, id)
 				for _, held := range q {
@@ -406,7 +406,7 @@ func (rp *replMgr) handleSeed(p *sim.Proc, m *pmsg) {
 	}
 	if sh, ok := rp.shadows[shard]; ok {
 		if _, dup := sh.entries[id]; !dup {
-			sh.entries[id] = &dirEntry{copyset: hostset.One(m.From), owner: m.From}
+			sh.entries[id] = &dirEntry{copyset: hostset.One(from), owner: from}
 		}
 		return
 	}
@@ -432,11 +432,10 @@ func (mg *manager) seedRepl(p *sim.Proc, rp *replMgr, id, from int) {
 			continue
 		}
 		if to == mg.me {
-			rp.handleSeed(p, &pmsg{Type: mDirInit, From: from, Info: info})
+			rp.handleSeed(p, id, from)
 			continue
 		}
-		init := &pmsg{Type: mDirInit, From: from, Info: info}
-		mg.host().Send(p, to, init)
+		mg.host().sendNew(p, to, pmsg{Type: mDirInit, From: from, Info: info})
 	}
 }
 
@@ -515,15 +514,13 @@ func (rp *replMgr) mirror(p *sim.Proc, sv *shardServe, rec *mirrorRec, run func(
 	sv.seq++
 	rec.Seq = sv.seq
 	rp.Stats.MirrorsSent++
-	mir := &pmsg{Type: mMirror, From: rp.me, Mir: rec}
-	rp.host().Send(p, sv.mirrorTo, mir)
+	rp.host().sendNew(p, sv.mirrorTo, pmsg{Type: mMirror, From: rp.me, Mir: rec})
 	sv.pending = append(sv.pending, pendingMirror{seq: rec.Seq, run: run})
 }
 
 // handleMirrorAck releases the oldest pending effect. Acks for a stale
 // view (a departed backup's) are dropped.
-func (rp *replMgr) handleMirrorAck(p *sim.Proc, m *pmsg) {
-	rec := m.Mir
+func (rp *replMgr) handleMirrorAck(p *sim.Proc, rec *mirrorRec) {
 	sv, ok := rp.serving[rec.Shard]
 	if !ok || rec.View != sv.num || len(sv.pending) == 0 || sv.pending[0].seq != rec.Seq {
 		return
@@ -534,14 +531,9 @@ func (rp *replMgr) handleMirrorAck(p *sim.Proc, m *pmsg) {
 }
 
 // handleMirrorNak demotes this primary if the naker has seen a newer
-// view (its believed number rides in pmsg.Txn).
-func (rp *replMgr) handleMirrorNak(p *sim.Proc, m *pmsg) {
-	rec := m.Mir
-	sv, ok := rp.serving[rec.Shard]
-	if !ok {
-		return
-	}
-	if m.Txn > sv.num {
+// view (num, its believed number, rode in pmsg.Txn).
+func (rp *replMgr) handleMirrorNak(rec *mirrorRec, num uint64) {
+	if sv, ok := rp.serving[rec.Shard]; ok && num > sv.num {
 		rp.demote(rec.Shard)
 	}
 }
@@ -552,14 +544,15 @@ func (rp *replMgr) handleMirrorNak(p *sim.Proc, m *pmsg) {
 
 // handleMirror applies one mirrored mutation to the shard's shadow, or
 // Naks it when the sender's view is stale (our believed number rides in
-// the nak's pmsg.Txn).
+// the nak's pmsg.Txn). Either way the mirror header turns around as the
+// answer.
 func (rp *replMgr) handleMirror(p *sim.Proc, m *pmsg) {
-	rec := m.Mir
+	rec, primary := m.Mir, m.From
 	shard := rec.Shard
 	if _, srv := rp.serving[shard]; srv || rec.View < rp.views[shard].Num {
 		rp.Stats.MirrorNaks++
-		nak := &pmsg{Type: mMirrorNak, From: rp.me, Txn: rp.views[shard].Num, Mir: rec}
-		rp.host().Send(p, m.From, nak)
+		*m = pmsg{Type: mMirrorNak, From: rp.me, Txn: rp.views[shard].Num, Mir: rec}
+		rp.host().Send(p, primary, m)
 		return
 	}
 	sh := rp.shadows[shard]
@@ -593,14 +586,13 @@ func (rp *replMgr) handleMirror(p *sim.Proc, m *pmsg) {
 			sh.done[rec.TID] = rec.Txn
 		}
 	}
-	ack := &pmsg{Type: mMirrorAck, From: rp.me, Mir: rec}
-	rp.host().Send(p, m.From, ack)
+	*m = pmsg{Type: mMirrorAck, From: rp.me, Mir: rec}
+	rp.host().Send(p, primary, m)
 }
 
 // handleStateXfer installs a full shard snapshot as this host's shadow
 // and acks the sync to the view service.
-func (rp *replMgr) handleStateXfer(p *sim.Proc, m *pmsg) {
-	rec := m.Mir
+func (rp *replMgr) handleStateXfer(p *sim.Proc, rec *mirrorRec) {
 	shard := rec.Shard
 	if rec.View < rp.views[shard].Num {
 		return // stale transfer from a deposed primary
@@ -625,8 +617,7 @@ func (rp *replMgr) handleStateXfer(p *sim.Proc, m *pmsg) {
 	}
 	rp.shadows[shard] = sh
 	rp.Stats.StateXfers++
-	ack := &pmsg{Type: mSyncAck, From: rp.me, Mir: &mirrorRec{Shard: shard, View: rec.View}}
-	rp.host().Send(p, managerHost, ack)
+	rp.host().sendNew(p, managerHost, pmsg{Type: mSyncAck, From: rp.me, Mir: &mirrorRec{Shard: shard, View: rec.View}})
 }
 
 // ---------------------------------------------------------------------
@@ -718,9 +709,8 @@ func (rp *replMgr) sendXfer(p *sim.Proc, k int, sv *shardServe, to int) {
 		st.Done = append(st.Done, doneRec{TID: tid, Txn: mg.done[tid]})
 	}
 	rp.Stats.StateXfers++
-	xfer := &pmsg{Type: mStateXfer, From: rp.me,
-		Mir: &mirrorRec{Kind: mirState, Shard: k, View: sv.num, State: st}}
-	rp.host().Send(p, to, xfer)
+	rp.host().sendNew(p, to, pmsg{Type: mStateXfer, From: rp.me,
+		Mir: &mirrorRec{Kind: mirState, Shard: k, View: sv.num, State: st}})
 }
 
 // promote turns this host's shadow of shard k into live serving state:
@@ -776,9 +766,8 @@ func (rp *replMgr) promote(p *sim.Proc, k int, nv viewsvc.View) {
 	}
 	sort.Ints(open)
 	for _, id := range open {
-		m := sh.intents[id]
-		req := &pmsg{}
-		*req = m
+		req := mg.host().allocPM()
+		*req = sh.intents[id]
 		req.Requeued = false
 		req.Redrive = true
 		rp.Stats.Redrives++

@@ -34,19 +34,22 @@ type System struct {
 	mgrs []*manager // one directory shard per host
 	repl []*replMgr // per-host replication layer; nil when Replication is off
 
-	// pools holds the clean-path freelists (recycled protocol headers
-	// and minipage-snapshot buffers), one per calendar shard. On the
-	// sequential engine every host shares pools[0] — the historical
-	// system-wide pool; under the parallel engine each host owns its
-	// shard's pool, so the freelists never cross shards. See
-	// Host.allocPM / Host.allocBuf.
+	// pools holds the freelists (recycled protocol headers and
+	// minipage-snapshot buffers), one per calendar shard. On the
+	// sequential engine every host shares pools[0]; under the parallel
+	// engine each host owns its shard's pool, so the freelists never
+	// cross shards. See Host.allocPM.
 	pools []*hostPool
 }
 
-// hostPool is one calendar shard's clean-path freelists.
+// hostPool is one calendar shard's freelists.
 type hostPool struct {
-	freePM  []*pmsg
-	freeBuf [][]byte
+	freePM  cluster.Pool[pmsg]
+	freeBuf cluster.SlicePool[byte] // minipage snapshots: filled by the sender, recycled once installed
+
+	// livePM is allocPM minus recyclePM here; summed over the pools
+	// (headers migrate between them), the headers somebody still owns.
+	livePM int
 }
 
 // New builds a cluster. The memory object, views and privileged view are

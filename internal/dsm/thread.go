@@ -16,20 +16,14 @@ type Thread struct {
 	*cluster.Thread
 	host *Host
 
-	// reqMsg is the thread's reusable fault-request header (clean path
-	// only). A fault transaction never references the request after the
-	// faulting thread wakes — the home forwards a copy and clears
-	// pendingWrite before granting — so one slot per thread suffices.
-	reqMsg pmsg
+	// req is the thread's copy of its fault request in flight (a thread
+	// blocks on one at a time); retries are built from it.
+	req request
 
 	// pfSeq numbers this thread's prefetches for the replicated path's
 	// private prefetch transaction identity (see sendPrefetch).
 	pfSeq int
 }
-
-// prefetchRetryMax caps the doubling prefetch re-send backoff, matching
-// the fault path's retry ceiling.
-const prefetchRetryMax = 200 * sim.Millisecond
 
 // sendPrefetch issues one prefetch request for the minipage backing va.
 // Under replicated management with fault injection the request gets a
@@ -40,31 +34,16 @@ const prefetchRetryMax = 200 * sim.Millisecond
 // not stall a waiting GangFetch.
 func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, fw *cluster.Wait) {
 	h := t.host
-	req := &pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
+	req := request{h, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}}
 	if h.sys.replAt(h.ID()) != nil && h.Runtime().Faulty() {
 		t.pfSeq++
-		req.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
-		req.Txn = 1
+		req.hdr.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
+		req.hdr.Txn = 1
 		fw.Txn = 1
-		sh := h.Shard()
-		delay := requestRetryBase
-		var rearm func()
-		rearm = func() {
-			if fw.Ev.IsSet() {
-				return
-			}
-			cp := *req
-			cp.Requeued = false
-			cp.Redrive = false
-			h.Send(nil, h.primaryFor(info.ID), &cp)
-			if delay *= 2; delay > prefetchRetryMax {
-				delay = prefetchRetryMax
-			}
-			sh.After(delay, rearm)
-		}
-		sh.After(delay, rearm)
+		rec := req // outlives this call: the timer re-sends from it
+		h.ArmRetry(fw, requestRetryBase, &rec)
 	}
-	h.Send(p, home, req)
+	req.send(p, home)
 	t.Stats.Prefetches++
 }
 
@@ -92,9 +71,7 @@ func (t *Thread) Malloc(size int) uint64 {
 		return va
 	}
 	fw := t.WaitSlot()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw}
-	t.host.Send(p, managerHost, req)
+	t.host.sendNew(p, managerHost, pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw})
 	t.Block(fw)
 	p.Sleep(c.ThreadWake)
 	t.Stats.MallocTime += p.Now().Sub(start)
@@ -108,9 +85,7 @@ func (t *Thread) Barrier() {
 	c := t.host.Costs()
 	p.Sleep(c.BarrierBase)
 	fw := t.WaitSlot()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw}
-	t.host.Send(p, managerHost, req)
+	t.host.sendNew(p, managerHost, pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw})
 	t.Block(fw)
 	p.Sleep(c.ThreadWake)
 	t.Stats.SynchTime += p.Now().Sub(start)
@@ -123,9 +98,7 @@ func (t *Thread) Lock(id int) {
 	p := t.Proc()
 	start := p.Now()
 	fw := t.WaitSlot()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw}
-	t.host.Send(p, managerHost, req)
+	t.host.sendNew(p, managerHost, pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw})
 	t.Block(fw)
 	p.Sleep(t.host.Costs().ThreadWake)
 	t.Stats.SynchTime += p.Now().Sub(start)
@@ -137,9 +110,7 @@ func (t *Thread) Lock(id int) {
 func (t *Thread) Unlock(id int) {
 	p := t.Proc()
 	start := p.Now()
-	req := t.host.allocPM()
-	*req = pmsg{Type: mUnlock, From: t.host.ID(), LockID: id}
-	t.host.Send(p, managerHost, req)
+	t.host.sendNew(p, managerHost, pmsg{Type: mUnlock, From: t.host.ID(), LockID: id})
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.LockOps++
 }
@@ -171,9 +142,7 @@ func (t *Thread) Prefetch(va uint64, size int) {
 func (t *Thread) Push(va uint64) {
 	p := t.Proc()
 	home, info := t.host.route(p, va)
-	req := t.host.allocPM()
-	*req = pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info}
-	t.host.Send(p, home, req)
+	t.host.sendNew(p, home, pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info})
 }
 
 // Span names a shared region for group operations.

@@ -134,10 +134,14 @@ func (pr Params) OneWay(size int) sim.Duration {
 //
 // Allocation-sensitive senders obtain envelopes with AllocMessage
 // instead of allocating literals. A pool envelope is sent at most once
-// and is recycled as soon as the destination's handler returns, so
-// neither sender nor handler may retain it. Literal-constructed
-// messages keep the historical ownership: the receiver may hold on to
-// them indefinitely.
+// and neither sender nor handler may retain it past the handler's
+// return. What it carries has one owner, with or without a fault plan:
+// Payload and Data pass to the destination's handler, which runs exactly
+// once per message and may recycle them. Under faults the send log,
+// duplicates and retransmits share the envelope past that point, so
+// completion detaches Payload and Data and leaves them a header-only
+// ghost that arrive drops on Seq. Literal-constructed messages keep the
+// historical ownership: the receiver may hold on to them indefinitely.
 type Message struct {
 	From    int
 	To      int

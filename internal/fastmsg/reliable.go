@@ -35,7 +35,7 @@ package fastmsg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
@@ -59,6 +59,8 @@ type reliability struct {
 	// Scratch for the per-frame codec self-check (see selfCheckFrame).
 	frameBuf []byte
 	frameTmp Frame
+
+	seqScratch []uint64 // crash: a reorder buffer's keys, sorted
 }
 
 // timerRec is one armed retransmission timer on the engine calendar.
@@ -328,8 +330,9 @@ func (r *reliability) beginService(ep *Endpoint, m *Message) {
 }
 
 // complete advances the link's processed floor once the handler for m
-// has returned, and sends the cumulative ack. Called from the service
-// thread; acks are charged no CPU (FM acks piggyback on the NIC).
+// has returned, sends the cumulative ack, and detaches a pool envelope's
+// Payload and Data. Called from the service thread; acks are charged no
+// CPU (FM acks piggyback on the NIC).
 func (r *reliability) complete(ep *Endpoint, m *Message) {
 	rh := r.hosts[ep.id]
 	rs := &rh.recv[m.From]
@@ -345,6 +348,11 @@ func (r *reliability) complete(ep *Endpoint, m *Message) {
 	}
 	rh.inServiceFrom, rh.inServiceSeq = -1, 0
 	r.sendAck(ep.id, m.From, m.Seq)
+	if m.pooled {
+		// The handler owns these now and may have recycled them; the send
+		// log and wire duplicates that share the envelope keep a ghost.
+		m.Payload, m.Data = nil, nil
+	}
 }
 
 // sendAck ships a cumulative ack for the (to → from) link over the same
@@ -458,14 +466,15 @@ func (r *reliability) crash(h int) {
 		if len(rs.ooo) > 0 {
 			// Release the reorder buffer's holds in sequence order so the
 			// pool's contents stay deterministic run to run.
-			seqs := make([]uint64, 0, len(rs.ooo))
+			seqs := r.seqScratch[:0]
 			for seq := range rs.ooo { //detlint:ok sorted below
 				seqs = append(seqs, seq)
 			}
-			sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
+			slices.Sort(seqs)
 			for _, seq := range seqs {
 				r.nw.releaseMessage(rs.ooo[seq])
 			}
+			r.seqScratch = seqs
 		}
 		rs.ooo = nil
 		if rs.nextAccept > rs.nextProcess {

@@ -252,6 +252,100 @@ func TestReliableCrashRedelivery(t *testing.T) {
 	}
 }
 
+// TestCompletedEnvelopeIsGhost pins the ownership rule the protocols'
+// pools rest on: Payload and Data belong to the handler, which runs
+// exactly once per message, so it may recycle them on the spot. Here it
+// does — the sender's next message reuses the same box and buffer — while
+// the wire drops and duplicates half the frames and the receiver crashes
+// mid-stream. No handler may ever see a box or buffer it did not get
+// first-hand, and once a handler returns, the envelope the send log,
+// duplicates and retransmits still share must carry neither.
+func TestCompletedEnvelopeIsGhost(t *testing.T) {
+	type box struct {
+		v    int
+		free bool
+	}
+	const msgs = 200
+	eng := sim.NewEngine(3)
+	nw := New(eng, 2, DefaultParams())
+	inj, err := faultnet.NewInjector(faultnet.Plan{
+		Drop: 0.5, Dup: 0.5,
+		Crashes: []faultnet.Crash{{Host: 1, At: sim.Time(20 * sim.Millisecond), RestartAt: sim.Time(45 * sim.Millisecond)}},
+	}, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.InstallFaults(inj)
+	var boxes []*box
+	var bufs [][]byte
+	next := 0
+	var inHandler *Message
+	// Simulated processes are not the test goroutine: report and stop.
+	bad := func(format string, args ...any) {
+		t.Errorf(format, args...)
+		eng.Stop()
+	}
+	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
+		b := m.Payload.(*box)
+		if b.free || b.v != next || len(m.Data) != 8 || int(m.Data[0]) != next%251 {
+			bad("message %d: handler got box %+v data %v — recycled memory reached a handler", next, *b, m.Data)
+			return
+		}
+		next++
+		b.free = true
+		boxes = append(boxes, b)
+		m.Data[0] = 0xDB
+		bufs = append(bufs, m.Data)
+		inHandler = m
+		p.Sleep(200 * sim.Microsecond) // retransmits of m land while it is in service
+		inHandler = nil
+	})
+	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) {})
+	eng.At(sim.Time(30*sim.Second), eng.Stop)
+	eng.Spawn("sender", func(p *sim.Proc) {
+		ep := nw.Endpoint(0)
+		for k := 0; k < msgs; k++ {
+			b, data := &box{}, make([]byte, 8)
+			if n := len(boxes); n > 0 {
+				b, boxes = boxes[n-1], boxes[:n-1]
+				data, bufs = bufs[n-1], bufs[:n-1]
+			}
+			*b = box{v: k}
+			data[0] = byte(k % 251)
+			m := ep.AllocMessage()
+			m.Size = 40
+			m.Payload, m.Data = b, data
+			ep.Send(p, 1, m)
+			p.Sleep(300 * sim.Microsecond)
+			for _, held := range nw.rel.hosts[0].send[1].outstanding() {
+				if done := held.Seq < nw.rel.hosts[1].recv[0].nextProcess; done && (held.Payload != nil || held.Data != nil) {
+					bad("envelope seq %d still carries payload %v data %v after its handler returned", held.Seq, held.Payload, held.Data)
+					return
+				} else if !done && held != inHandler && held.Payload == nil {
+					bad("envelope seq %d lost its payload before any handler ran", held.Seq)
+					return
+				}
+			}
+		}
+		for next < msgs {
+			p.Sleep(sim.Millisecond)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	if next != msgs {
+		t.Fatalf("delivered %d of %d", next, msgs)
+	}
+	st := nw.Endpoint(1).Stats()
+	if st.DupsDropped == 0 || st.DroppedDown == 0 || nw.Endpoint(0).Stats().Retransmits == 0 {
+		t.Fatalf("the wire never misbehaved: %+v", st)
+	}
+}
+
 // TestReliableDeterminism: two runs with identical plan and seed produce
 // identical virtual end times and identical transport counters.
 func TestReliableDeterminism(t *testing.T) {

@@ -115,6 +115,8 @@ type mwDiffOut struct {
 var mwDataMarker = &mwmsg{Type: mwFetchData}
 
 type mwmsg struct {
+	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
+
 	Type mwtype
 	From int
 	Info core.Info
@@ -202,46 +204,36 @@ type MWSystem struct {
 	locks   *cluster.LockService[*mwmsg]
 	maxvc   []uint64 // barrier-episode scratch; every release shares it
 
-	// pools holds the clean-path freelists (recycled protocol headers,
+	// pools holds the freelists (recycled protocol headers,
 	// twin/snapshot/diff buffers and interval records), one per calendar
-	// shard. On the sequential engine every host shares pools[0] — the
-	// historical system-wide freelists; under the parallel engine each
-	// host owns its shard's pool, so the freelists never cross shards
-	// (objects migrate between pools, which balances because every
-	// request pairs with a reply). See MWHost.allocMW / allocBuf /
-	// allocIval.
+	// shard. On the sequential engine every host shares pools[0]; under
+	// the parallel engine each host owns its shard's pool, so the
+	// freelists never cross shards (objects migrate between pools, which
+	// balances because every request pairs with a reply).
 	pools []*mwPool
 }
 
-// mwPool is one calendar shard's clean-path freelists.
+// mwPool is one calendar shard's freelists.
 type mwPool struct {
-	freeMW     []*mwmsg
-	freeBuf    [][]byte
-	freeIval   []*mwInterval
-	freeMPs    [][]int
-	freeNotice []*mwNotice
+	freeMW     cluster.Pool[mwmsg]
+	freeBuf    cluster.SlicePool[byte]
+	freeIval   cluster.Pool[mwInterval]
+	freeMPs    cluster.SlicePool[int]
+	freeNotice cluster.Pool[mwNotice]
 }
 
 // allocMW returns a protocol header for a message whose consumer will
 // recycle it. The caller must set every field it needs; recycleMW zeroes
-// the rest. Under fault injection the reliability layer may retransmit a
-// payload after its first delivery, so pooling is clean-path only.
-func (h *MWHost) allocMW() *mwmsg {
-	po := h.pool
-	if n := len(po.freeMW); n > 0 && !h.Runtime().Faulty() {
-		m := po.freeMW[n-1]
-		po.freeMW = po.freeMW[:n-1]
-		return m
-	}
-	return &mwmsg{}
-}
+// the rest. A header has one owner at a time, with and without a fault
+// plan: sending it passes it to the handler that receives it, which the
+// transport runs exactly once per message — a retransmitted or duplicated
+// frame never reaches a handler again, so it can never expose a header
+// (or the buffers it names) that the first delivery's owner recycled.
+func (h *MWHost) allocMW() *mwmsg { return h.pool.freeMW.Get() }
 
 // recycleMW returns a fully consumed pooled header to this host's
 // shard's freelist, keeping its slice capacities for reuse.
 func (h *MWHost) recycleMW(m *mwmsg) {
-	if h.Runtime().Faulty() {
-		return
-	}
 	for i := range m.Notices {
 		m.Notices[i] = mwCNotice{}
 	}
@@ -249,44 +241,32 @@ func (h *MWHost) recycleMW(m *mwmsg) {
 		m.DiffsOut[i] = mwDiffOut{}
 	}
 	*m = mwmsg{VC: m.VC[:0], Notices: m.Notices[:0], Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
-	h.pool.freeMW = append(h.pool.freeMW, m)
+	h.pool.freeMW.Put(m)
 }
+
+// SendSized ships header m (and its ownership), size bytes on the wire.
+func (h *MWHost) SendSized(p *sim.Proc, to int, m *mwmsg, size int) {
+	m.CheckLive("Send")
+	h.Host.SendSized(p, to, m, size)
+}
+
+// Send is SendSized for a bare header.
+func (h *MWHost) Send(p *sim.Proc, to int, m *mwmsg) { h.SendSized(p, to, m, h.Costs().HeaderSize) }
 
 // allocBuf returns a byte buffer of length n (twin, minipage snapshot,
 // fetch payload); pass 0 for an empty append target (encoded diffs).
-func (h *MWHost) allocBuf(n int) []byte {
-	if !h.Runtime().Faulty() {
-		po := h.pool
-		for i := len(po.freeBuf) - 1; i >= 0; i-- {
-			if cap(po.freeBuf[i]) >= n {
-				b := po.freeBuf[i][:n]
-				po.freeBuf[i] = po.freeBuf[len(po.freeBuf)-1]
-				po.freeBuf = po.freeBuf[:len(po.freeBuf)-1]
-				return b
-			}
-		}
-	}
-	return make([]byte, n)
-}
+func (h *MWHost) allocBuf(n int) []byte { return h.pool.freeBuf.Get(n) }
 
-// recycleBuf returns a fully consumed buffer to this host's shard's
-// freelist.
-func (h *MWHost) recycleBuf(b []byte) {
-	if h.Runtime().Faulty() || cap(b) == 0 {
-		return
-	}
-	h.pool.freeBuf = append(h.pool.freeBuf, b)
-}
+// recycleBuf returns a fully consumed buffer to the shard's freelist.
+func (h *MWHost) recycleBuf(b []byte) { h.pool.freeBuf.Put(b) }
 
 // allocIval returns an interval record with an empty diff map.
 func (h *MWHost) allocIval(n int) *mwInterval {
-	po := h.pool
-	if k := len(po.freeIval); k > 0 && !h.Runtime().Faulty() {
-		iv := po.freeIval[k-1]
-		po.freeIval = po.freeIval[:k-1]
-		return iv
+	iv := h.pool.freeIval.Get()
+	if iv.diffs == nil {
+		iv.diffs = make(map[int][]byte, n)
 	}
-	return &mwInterval{diffs: make(map[int][]byte, n)}
+	return iv
 }
 
 // recycleIval returns a garbage-collected interval to the freelist,
@@ -295,58 +275,29 @@ func (h *MWHost) allocIval(n int) *mwInterval {
 // every in-flight diff reply, home flush and granted notice, so nothing
 // can still alias either here.
 func (h *MWHost) recycleIval(iv *mwInterval) {
-	if h.Runtime().Faulty() {
-		return
-	}
 	for id, enc := range iv.diffs { //detlint:ok freelist order is invisible: every pooled buffer is fully overwritten before use
 		h.recycleBuf(enc)
 		delete(iv.diffs, id)
 	}
-	if iv.mps != nil {
-		h.pool.freeMPs = append(h.pool.freeMPs, iv.mps)
-		iv.mps = nil
-	}
-	h.pool.freeIval = append(h.pool.freeIval, iv)
+	h.pool.freeMPs.Put(iv.mps)
+	iv.mps = nil
+	h.pool.freeIval.Put(iv)
 }
 
 // allocMPs returns an int slice of length n for a notice's minipage
 // list, retained by the creator's interval record until GC.
-func (h *MWHost) allocMPs(n int) []int {
-	if !h.Runtime().Faulty() {
-		po := h.pool
-		for i := len(po.freeMPs) - 1; i >= 0; i-- {
-			if cap(po.freeMPs[i]) >= n {
-				b := po.freeMPs[i][:n]
-				po.freeMPs[i] = po.freeMPs[len(po.freeMPs)-1]
-				po.freeMPs = po.freeMPs[:len(po.freeMPs)-1]
-				return b
-			}
-		}
-	}
-	return make([]int, n)
-}
+func (h *MWHost) allocMPs(n int) []int { return h.pool.freeMPs.Get(n) }
 
 // allocNotice returns a write-notice header; the coordinator recycles it
 // once the notice is logged (the log keeps a value copy).
-func (h *MWHost) allocNotice() *mwNotice {
-	po := h.pool
-	if n := len(po.freeNotice); n > 0 && !h.Runtime().Faulty() {
-		nt := po.freeNotice[n-1]
-		po.freeNotice = po.freeNotice[:n-1]
-		return nt
-	}
-	return &mwNotice{}
-}
+func (h *MWHost) allocNotice() *mwNotice { return h.pool.freeNotice.Get() }
 
 // recycleNotice returns a logged notice header to this host's shard's
 // freelist. The MPs backing array stays with the creator's interval
 // record.
 func (h *MWHost) recycleNotice(n *mwNotice) {
-	if h.Runtime().Faulty() {
-		return
-	}
 	*n = mwNotice{}
-	h.pool.freeNotice = append(h.pool.freeNotice, n)
+	h.pool.freeNotice.Put(n)
 }
 
 // MWHost is one multi-writer LRC process.
@@ -385,7 +336,7 @@ type MWHost struct {
 	relFlush   []mwFlush
 	mergeDiffs []mwFetched
 
-	// pool is this host's shard's clean-path freelists (see MWSystem.pools).
+	// pool is this host's shard's freelists (see MWSystem.pools).
 	pool *mwPool
 
 	// stats is this host's share of MWSystem.Stats, kept per-host so the
@@ -850,14 +801,17 @@ func (t *MWThread) acquire() {
 // has provably merged or can refetch from home: anything two barrier
 // epochs old. Runs after each completed barrier.
 func (h *MWHost) gcIntervals() {
-	for h.ivalBase < h.floorPrev && len(h.ivals) > 0 {
-		iv := h.ivals[0]
-		h.ivals[0] = nil
-		h.ivals = h.ivals[1:]
+	k := 0
+	for ; h.ivalBase < h.floorPrev && k < len(h.ivals); k++ {
 		h.ivalBase++
 		h.stats.IntervalsGCed++
-		h.recycleIval(iv)
+		h.recycleIval(h.ivals[k])
 	}
+	// Slide the survivors down: re-slicing from the front would shed
+	// capacity and make release's append reallocate every other barrier.
+	n := copy(h.ivals, h.ivals[k:])
+	clear(h.ivals[n:])
+	h.ivals = h.ivals[:n]
 	h.floorPrev = h.floorCur
 	h.floorCur = h.vc[h.ID()]
 }
@@ -961,6 +915,7 @@ func (s *MWSystem) grantLock(p *sim.Proc, h *MWHost, m *mwmsg) {
 // HandleMessage is the multi-writer server-thread dispatcher.
 func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*mwmsg)
+	m.CheckLive("HandleMessage")
 	s := h.sys
 	c := h.Costs()
 	switch m.Type {
