@@ -43,9 +43,8 @@ type Host struct {
 
 	// inflight is the host's registry of blocking requests that must
 	// survive faults: each entry was registered by Thread.BlockRetry and
-	// stays until its thread wakes. Kept as an order-preserving slice —
-	// map iteration would make crash recovery's re-send order depend on
-	// Go's map hashing and break run determinism.
+	// stays until its thread wakes. An order-preserving slice — a map
+	// would make crash recovery's re-send order depend on Go's hashing.
 	inflight []*retryEntry
 
 	freeRetry Pool[retryEntry]
@@ -53,45 +52,41 @@ type Host struct {
 	retryFn   func(any) // h.retryFire, bound at the first arm
 }
 
-// Resender re-issues a request whose reply has not arrived, from the
-// requester's own record of it: a header already sent belongs to the
-// handler that received it. Resend may be invoked from engine context
-// (p == nil) and must not block.
+// Resender is a requester's own record of a request in flight, held by a
+// retry timer. Resend re-issues the request from it — a header already
+// sent belongs to the handler that received it — possibly from engine
+// context (p == nil), so it must not block. Release hands the record back.
 type Resender interface {
 	Resend(p *sim.Proc)
+	Release()
 }
 
 // retryMax caps the exponential backoff of a re-send timer.
 const retryMax = 200 * sim.Millisecond
 
 // retryEntry is one armed re-send timer and, while its thread is parked
-// in BlockRetry, the host's in-flight registration. The one pending
-// calendar event holds it; it is recycled once that event has fired
-// stale and the thread has woken.
+// in BlockRetry, the host's in-flight registration.
 type retryEntry struct {
-	fw      *Wait
-	gen     uint64 // Wait generation at arming; staleness guard
-	seq     uint64 // arming order on this host
-	delay   sim.Duration
-	rs      Resender
-	armed   bool // a timer event is pending
-	blocked bool // registered in inflight
+	fw    *Wait
+	gen   uint64 // Wait generation at arming; staleness guard
+	seq   uint64 // arming order on this host
+	delay sim.Duration
+	rs    Resender
+	holds int // the one pending timer event, plus the thread parked on it
 }
 
 func (ent *retryEntry) stale() bool { return ent.fw.gen != ent.gen || ent.fw.Ev.IsSet() }
 
 // ArmRetry starts a timer that calls rs.Resend(nil) after base, 2·base,
 // ... (capped at retryMax) until fw's event is set or the slot is reset
-// for a new transaction.
-func (h *Host) ArmRetry(fw *Wait, base sim.Duration, rs Resender) { h.armRetry(fw, base, rs) }
-
-func (h *Host) armRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
+// for a new transaction. The entry it returns is BlockRetry's business.
+func (h *Host) ArmRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
 	if h.retryFn == nil {
 		h.retryFn = h.retryFire
 	}
 	h.retrySeq++
 	ent := h.freeRetry.Get()
-	*ent = retryEntry{fw: fw, gen: fw.gen, seq: h.retrySeq, delay: base, rs: rs, armed: true}
+	*ent = retryEntry{fw: fw, gen: fw.gen, seq: h.retrySeq, delay: base, rs: rs, holds: 1}
 	h.sh.AfterArg(base, h.retryFn, ent)
 	return ent
 }
@@ -100,9 +95,7 @@ func (h *Host) armRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
 func (h *Host) retryFire(a any) {
 	ent := a.(*retryEntry)
 	if ent.stale() {
-		if ent.armed = false; !ent.blocked {
-			h.freeRetry.Put(ent)
-		}
+		h.drop(ent)
 		return
 	}
 	ent.rs.Resend(nil)
@@ -112,11 +105,19 @@ func (h *Host) retryFire(a any) {
 	h.sh.AfterArg(ent.delay, h.retryFn, ent)
 }
 
+// drop gives up one hold on ent: the timer's when it fires stale, the
+// thread's when it wakes. The last one out recycles it.
+func (h *Host) drop(ent *retryEntry) {
+	if ent.holds--; ent.holds == 0 {
+		ent.rs.Release()
+		h.freeRetry.Put(ent)
+	}
+}
+
 // resendInflight re-issues every still-pending blocking request, in
-// registration order. Crash recovery calls it after protocol recovery.
-// Resend sleeps, so threads wake and register while the loop runs: it
-// goes by arming number (the list is in that order) to visit exactly the
-// entries registered when it started, once each.
+// registration order, after crash recovery. Resend sleeps, so threads
+// wake and register while the loop runs: it goes by arming number (the
+// list's order) to visit the entries registered at its start, once each.
 func (h *Host) resendInflight(p *sim.Proc) {
 	for last, limit := uint64(0), h.retrySeq; ; {
 		i := 0

@@ -4,11 +4,14 @@ package cluster
 
 // PoolState is embedded in pooled protocol headers. Built with -tags
 // invariants it carries the recycled mark the freelists set and check
-// (see invariants_on.go); in a normal build it is empty and every check
-// compiles to nothing.
+// (invariants_on.go); otherwise it is empty and the checks are no-ops.
 type PoolState struct{}
 
 func (*PoolState) CheckLive(string) {}
+
+type poolCount struct{}
+
+func (poolCount) inc() {}
 
 func retire[T any](*T)                  {}
 func reuse[T any](*T)                   {}

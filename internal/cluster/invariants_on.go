@@ -35,6 +35,16 @@ func (s *PoolState) reuse() {
 	s.recycled = false
 }
 
+// poolCount is a Pool's tally of records created.
+type poolCount int
+
+func (c *poolCount) inc() { *c++ }
+
+// Live returns the records somebody still owns: made and not parked here.
+// Records migrate between pools, so only the sum over a system's pools
+// means anything.
+func (pl *Pool[T]) Live() int { return int(pl.made) - len(pl.free) }
+
 type marked interface{ state() *PoolState }
 
 func (s *PoolState) state() *PoolState { return s }

@@ -3,9 +3,12 @@ package cluster
 // Pool is a LIFO freelist of recycled records — protocol headers,
 // interval records, retry entries. Get hands out a recycled record as it
 // was put back (the caller initializes it) or a new one when the list is
-// empty. Built with -tags invariants, a record that embeds PoolState is
-// marked while it sits here (see invariants_on.go).
-type Pool[T any] struct{ free []*T }
+// empty. Under -tags invariants a record that embeds PoolState is marked
+// while it sits here and the pool counts what it made (invariants_on.go).
+type Pool[T any] struct {
+	made poolCount
+	free []*T
+}
 
 func (pl *Pool[T]) Get() *T {
 	if n := len(pl.free); n > 0 {
@@ -14,6 +17,7 @@ func (pl *Pool[T]) Get() *T {
 		reuse(v)
 		return v
 	}
+	pl.made.inc()
 	return new(T)
 }
 

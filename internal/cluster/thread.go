@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"millipage/internal/core"
 	"millipage/internal/sim"
@@ -134,27 +135,20 @@ func (t *Thread) BlockOn(ev *sim.Event) {
 // BlockRetry is Block for requests that must survive faults: while the
 // thread is parked, a timer re-issues the request via rs with exponential
 // backoff (see Host.ArmRetry), and the request is registered in the
-// host's in-flight table so crash recovery re-sends it immediately after
+// host's in-flight table so crash recovery re-sends it at once after
 // restart. Receivers deduplicate by the transaction id stamped in fw.Txn.
-// The timer and the registration both die when fw's event is set or the
-// slot is recycled.
+// Timer and registration die when fw's event is set or the slot recycled.
 func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, rs Resender) {
 	h := t.h
-	ent := h.armRetry(fw, base, rs)
-	ent.blocked = true
+	ent := h.ArmRetry(fw, base, rs)
+	ent.holds++
 	h.inflight = append(h.inflight, ent)
 
 	t.Block(fw)
 
-	for i, e := range h.inflight {
-		if e == ent {
-			h.inflight = append(h.inflight[:i], h.inflight[i+1:]...)
-			break
-		}
-	}
-	if ent.blocked = false; !ent.armed {
-		h.freeRetry.Put(ent)
-	}
+	i := slices.Index(h.inflight, ent)
+	h.inflight = slices.Delete(h.inflight, i, i+1)
+	h.drop(ent)
 }
 
 // ResetStats zeroes the thread's accumulated statistics and restarts its

@@ -15,14 +15,22 @@ func armedPlan() *faultnet.Plan {
 	return &faultnet.Plan{Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}
 }
 
-// armedAllocsPerOp runs op on two hosts in lockstep (op must end in a
+// armedAllocsPerOp is allocsPerOp on a central-manager cluster with the
+// plan armed.
+func armedAllocsPerOp(t *testing.T, op func(th *Thread, cell uint64, i int)) float64 {
+	t.Helper()
+	return allocsPerOp(t, Options{Faults: armedPlan()}, op)
+}
+
+// allocsPerOp runs op on two hosts in lockstep (op must end in a
 // rendezvous of its own) and returns host 0's steady-state heap
 // allocations per call, process-wide — the simulator runs one goroutine
 // at a time, so that is the whole cluster's cost of one round.
-func armedAllocsPerOp(t *testing.T, op func(th *Thread, cell uint64, i int)) float64 {
+func allocsPerOp(t *testing.T, opt Options, op func(th *Thread, cell uint64, i int)) float64 {
 	t.Helper()
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: 1, Faults: armedPlan()})
-	if !s.Runtime().Faulty() {
+	opt.Hosts, opt.SharedSize, opt.Views, opt.Seed = 2, 1<<16, 4, 1
+	s := newSys(t, opt)
+	if s.Runtime().Faulty() != (opt.Faults != nil) {
 		t.Fatal("fault plan did not arm")
 	}
 	const warmup, measured = 300, 1000
@@ -87,5 +95,34 @@ func TestArmedLockPingPongAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("armed lock ping-pong allocates %.0f objects/round in steady state, want 0", avg)
+	}
+}
+
+// TestArmedPrefetchCostsWhatACleanOneDoes: under replicated management a
+// prefetch issued with a fault plan armed carries a transaction identity
+// and a re-send timer of its own. The timer's entry and the request
+// record it re-sends from come from freelists and go back when the timer
+// fires stale, so a round allocates what it does on a clean wire — the
+// prefetch's rendezvous, and nothing for having been armed.
+func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
+	round := func(th *Thread, cell uint64, i int) {
+		if th.Host() == 0 {
+			th.WriteU32(cell, uint32(i)) // takes host 1's copy away
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.Prefetch(cell, 4)
+			th.Compute(2 * requestRetryBase) // the timer fires stale in here
+			if got := th.ReadU32(cell); got != uint32(i) {
+				t.Errorf("round %d: prefetched cell reads %d", i, got)
+			}
+		}
+		th.Barrier()
+	}
+	repl := Options{Management: HomeBased, Replication: true}
+	clean := allocsPerOp(t, repl, round)
+	repl.Faults = armedPlan()
+	if armed := allocsPerOp(t, repl, round); armed != clean {
+		t.Fatalf("an armed prefetch round allocates %.0f objects, a clean one %.0f", armed, clean)
 	}
 }

@@ -50,19 +50,13 @@ type Host struct {
 // sender until Send, then the handler that receives it — which the
 // transport runs exactly once per message, duplicates and retransmits
 // included. The owner forwards it (mutate and resend), parks it (a
-// directory queue, pendingHdr) or recycles it. A requester that may have
-// to repeat a request keeps its own copy (see request).
-func (h *Host) allocPM() *pmsg {
-	h.pool.livePM++
-	return h.pool.freePM.Get()
-}
+// directory queue, pendingHdr) or recycles it; see request for requests.
+func (h *Host) allocPM() *pmsg { return h.pool.freePM.Get() }
 
 // recyclePM returns a header its owner is done with to the freelist.
-// Only headers obtained from allocPM may be recycled — never dataMarker.
-func (h *Host) recyclePM(m *pmsg) {
-	h.pool.livePM--
-	h.pool.freePM.Put(m)
-}
+// Only headers obtained from allocPM may be recycled — never dataMarker,
+// never a lent request.
+func (h *Host) recyclePM(m *pmsg) { h.pool.freePM.Put(m) }
 
 // Send ships header m to host `to` and with it the ownership of m.
 func (h *Host) Send(p *sim.Proc, to int, m *pmsg) {
@@ -77,21 +71,31 @@ func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) {
 	h.Send(p, to, m)
 }
 
-// request is a requester's own copy of a directory request in flight.
-// Every send — the first, a retry timer's, crash recovery's — copies it
-// into a pooled header; the header that was sent belongs to the home,
-// which fills it in and forwards it, and is never looked at again here.
+// request is a requester's own record of a directory request in flight:
+// a faulting thread's slot (it blocks on one at a time) or a prefetch's
+// record from the shard's freelist. Under a fault plan every send — the
+// first, a retry timer's, crash recovery's — copies it into a pooled
+// header, since the home may have consumed the last one. On a clean wire
+// the record itself travels, lent, and the home copies it (HandleMessage):
+// a fault is two messages to the home (request, ack) and one back, so
+// with all three pooled the parallel engine's per-shard freelists would
+// drain from the requesters into the homes.
 type request struct {
-	h   *Host
-	hdr pmsg
+	h      *Host
+	hdr    pmsg
+	pooled bool // from freeReq; the timer that holds it releases it
 }
-
-func (r *request) send(p *sim.Proc, to int) { r.h.sendNew(p, to, r.hdr) }
 
 // Resend repeats the request (cluster.Resender). Under replicated
 // management the believed primary is recomputed per retry: that is how a
 // requester finds the promoted backup.
-func (r *request) Resend(p *sim.Proc) { r.send(p, r.h.primaryFor(r.hdr.Info.ID)) }
+func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.primaryFor(r.hdr.Info.ID), r.hdr) }
+
+func (r *request) Release() {
+	if r.pooled {
+		r.h.pool.freeReq.Put(r)
+	}
+}
 
 type span struct {
 	base uint64
@@ -178,22 +182,21 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	}
 	home, info := h.route(p, f.Addr)
 	req := &t.req
-	*req = request{h, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}}
-	faulty := h.Runtime().Faulty()
-	if faulty {
+	*req = request{h: h, hdr: pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}}
+	if h.Runtime().Faulty() {
 		// Tag the transaction so the home can deduplicate retries, and
-		// block with a backoff timer re-issuing the request — it survives
-		// crashes on either side. The clean path arms no timer and stamps
-		// nothing (bit-identical virtual time).
+		// block with a backoff timer re-issuing the request: it survives
+		// crashes on either side. The clean path arms and stamps nothing.
 		req.hdr.TID = t.ID
 		req.hdr.Txn = t.NextTxn()
 		fw.Txn = req.hdr.Txn
-	}
-	req.send(p, home)
-	p.Sleep(c.BlockThread)
-	if faulty {
+		h.sendNew(p, home, req.hdr)
+		p.Sleep(c.BlockThread)
 		t.BlockRetry(fw, requestRetryBase, req)
 	} else {
+		req.hdr.Lent = true
+		h.Send(p, home, &req.hdr)
+		p.Sleep(c.BlockThread)
 		t.Block(fw) // the host may go idle; the poller takes over
 	}
 	p.Sleep(c.ThreadWake + c.FaultResume)
@@ -241,6 +244,12 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
 	m.CheckLive("HandleMessage")
+	if m.Lent { // a requester's own record: take the copy this host owns
+		lent := m
+		m = h.allocPM()
+		*m = *lent
+		m.Lent = false
+	}
 	switch m.Type {
 	// ---- Directory traffic, handled by the minipage's home ----------
 	case mReadReq, mWriteReq, mAck, mInvalidateReply, mPushReq, mPushAck, mDirInit,

@@ -35,10 +35,9 @@ type System struct {
 	repl []*replMgr // per-host replication layer; nil when Replication is off
 
 	// pools holds the freelists (recycled protocol headers and
-	// minipage-snapshot buffers), one per calendar shard. On the
-	// sequential engine every host shares pools[0]; under the parallel
-	// engine each host owns its shard's pool, so the freelists never
-	// cross shards. See Host.allocPM.
+	// minipage-snapshot buffers), one per calendar shard: pools[0] for
+	// every host on the sequential engine, a pool per host on the
+	// parallel one, which nothing crosses. See Host.allocPM, request.
 	pools []*hostPool
 }
 
@@ -46,10 +45,7 @@ type System struct {
 type hostPool struct {
 	freePM  cluster.Pool[pmsg]
 	freeBuf cluster.SlicePool[byte] // minipage snapshots: filled by the sender, recycled once installed
-
-	// livePM is allocPM minus recyclePM here; summed over the pools
-	// (headers migrate between them), the headers somebody still owns.
-	livePM int
+	freeReq cluster.Pool[request]   // prefetch retry records; they never leave the shard
 }
 
 // New builds a cluster. The memory object, views and privileged view are

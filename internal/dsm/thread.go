@@ -16,8 +16,7 @@ type Thread struct {
 	*cluster.Thread
 	host *Host
 
-	// req is the thread's copy of its fault request in flight (a thread
-	// blocks on one at a time); retries are built from it.
+	// req is the thread's record of its fault request in flight.
 	req request
 
 	// pfSeq numbers this thread's prefetches for the replicated path's
@@ -34,16 +33,17 @@ type Thread struct {
 // not stall a waiting GangFetch.
 func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, fw *cluster.Wait) {
 	h := t.host
-	req := request{h, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}}
+	hdr := pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
 	if h.sys.replAt(h.ID()) != nil && h.Runtime().Faulty() {
 		t.pfSeq++
-		req.hdr.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
-		req.hdr.Txn = 1
+		hdr.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
+		hdr.Txn = 1
 		fw.Txn = 1
-		rec := req // outlives this call: the timer re-sends from it
-		h.ArmRetry(fw, requestRetryBase, &rec)
+		rec := h.pool.freeReq.Get() // the timer re-sends from it, then releases it
+		*rec = request{h, hdr, true}
+		h.ArmRetry(fw, requestRetryBase, rec)
 	}
-	req.send(p, home)
+	h.sendNew(p, home, hdr)
 	t.Stats.Prefetches++
 }
 

@@ -138,10 +138,9 @@ func (pr Params) OneWay(size int) sim.Duration {
 // return. What it carries has one owner, with or without a fault plan:
 // Payload and Data pass to the destination's handler, which runs exactly
 // once per message and may recycle them. Under faults the send log,
-// duplicates and retransmits share the envelope past that point, so
-// completion detaches Payload and Data and leaves them a header-only
-// ghost that arrive drops on Seq. Literal-constructed messages keep the
-// historical ownership: the receiver may hold on to them indefinitely.
+// duplicates and retransmits still share the envelope, so completion
+// detaches both and leaves a header-only ghost that arrive drops on Seq.
+// Literal-constructed messages may be kept by the receiver indefinitely.
 type Message struct {
 	From    int
 	To      int

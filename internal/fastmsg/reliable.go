@@ -349,8 +349,7 @@ func (r *reliability) complete(ep *Endpoint, m *Message) {
 	rh.inServiceFrom, rh.inServiceSeq = -1, 0
 	r.sendAck(ep.id, m.From, m.Seq)
 	if m.pooled {
-		// The handler owns these now and may have recycled them; the send
-		// log and wire duplicates that share the envelope keep a ghost.
+		// The handler's now, maybe recycled: the shared envelope is a ghost.
 		m.Payload, m.Data = nil, nil
 	}
 }

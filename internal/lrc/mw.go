@@ -207,9 +207,8 @@ type MWSystem struct {
 	// pools holds the freelists (recycled protocol headers,
 	// twin/snapshot/diff buffers and interval records), one per calendar
 	// shard. On the sequential engine every host shares pools[0]; under
-	// the parallel engine each host owns its shard's pool, so the
-	// freelists never cross shards (objects migrate between pools, which
-	// balances because every request pairs with a reply).
+	// the parallel engine each host owns its shard's pool (objects migrate
+	// between pools; every request pairs with a reply, so it balances).
 	pools []*mwPool
 }
 
@@ -227,8 +226,7 @@ type mwPool struct {
 // the rest. A header has one owner at a time, with and without a fault
 // plan: sending it passes it to the handler that receives it, which the
 // transport runs exactly once per message — a retransmitted or duplicated
-// frame never reaches a handler again, so it can never expose a header
-// (or the buffers it names) that the first delivery's owner recycled.
+// frame never reaches a handler, so it cannot expose a recycled header.
 func (h *MWHost) allocMW() *mwmsg { return h.pool.freeMW.Get() }
 
 // recycleMW returns a fully consumed pooled header to this host's
