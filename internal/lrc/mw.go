@@ -199,6 +199,8 @@ type MWSystem struct {
 
 	// Coordinator state (host 0 only).
 	log     []mwCNotice // append-only between barriers, cleared at each
+	logPrev []int       // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
+	logLast []int       // per creator: position of its latest notice, or -1 (Seq rises along each chain)
 	vtctr   uint64      // global notice stamp; monotone across clears
 	barrier cluster.BarrierService[*mwmsg]
 	locks   *cluster.LockService[*mwmsg]
@@ -891,7 +893,44 @@ func (h *MWHost) logNotice(n *mwNotice) {
 	s := h.sys
 	s.vtctr++
 	h.stats.Notices++
+	if s.logLast == nil {
+		s.logLast = make([]int, s.NumHosts())
+		for c := range s.logLast {
+			s.logLast[c] = -1
+		}
+	}
+	last := s.logLast[n.Creator]
+	if last >= 0 && s.log[last].Seq >= n.Seq {
+		panic(fmt.Sprintf("lrc-mw: host %d's notice %d logged after its notice %d", n.Creator, n.Seq, s.log[last].Seq))
+	}
+	s.logPrev = append(s.logPrev, last)
+	s.logLast[n.Creator] = len(s.log)
 	s.log = append(s.log, mwCNotice{mwNotice: *n, VTSum: s.vtctr})
+}
+
+// newerThan appends to dst every logged notice newer than vector clock
+// vc, in log (VTSum) order. A creator's notices are logged in Seq order,
+// so the ones vc has not seen are the tail of its chain, walked from
+// its latest notice back; the scan then starts at the earliest of those
+// instead of at the head of the log. A host's clock covers everything
+// its last grant delivered, so what lies past that point is new to it,
+// apart from its own releases: the cost is the notices emitted, not the
+// log's length.
+func (s *MWSystem) newerThan(dst []mwCNotice, vc []uint64) []mwCNotice {
+	start := len(s.log)
+	for c, i := range s.logLast {
+		for ; i >= 0 && s.log[i].Seq > vc[c]; i = s.logPrev[i] {
+			if i < start {
+				start = i
+			}
+		}
+	}
+	for _, n := range s.log[start:] {
+		if n.Seq > vc[n.Creator] {
+			dst = append(dst, n)
+		}
+	}
+	return dst
 }
 
 // grantLock sends m's requester the lock plus every logged notice newer
@@ -901,11 +940,7 @@ func (s *MWSystem) grantLock(p *sim.Proc, h *MWHost, m *mwmsg) {
 	g.Type = mwLockGrant
 	g.LockID = m.LockID
 	g.FW = m.FW
-	for _, n := range s.log {
-		if n.Seq > m.VC[n.Creator] {
-			g.Notices = append(g.Notices, n)
-		}
-	}
+	g.Notices = s.newerThan(g.Notices, m.VC)
 	h.Send(p, m.From, g)
 	h.recycleMW(m)
 }
@@ -1064,17 +1099,17 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			rel.Type = mwBarrierRelease
 			rel.MaxVC = maxvc
 			rel.FW = a.FW
-			for _, n := range s.log {
-				if n.Seq > a.VC[n.Creator] {
-					rel.Notices = append(rel.Notices, n)
-				}
-			}
+			rel.Notices = s.newerThan(rel.Notices, a.VC)
 			h.Send(p, a.From, rel)
 			h.recycleMW(a)
 		}
 		// Every host's clock now converges to maxvc, so nothing in the log
 		// can ever be granted again: clear it.
 		s.log = s.log[:0]
+		s.logPrev = s.logPrev[:0]
+		for c := range s.logLast {
+			s.logLast[c] = -1
+		}
 
 	case mwBarrierRelease:
 		h.acqNotices = m.Notices

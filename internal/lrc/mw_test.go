@@ -1,6 +1,7 @@
 package lrc
 
 import (
+	"math/rand"
 	"testing"
 
 	"millipage/internal/sim"
@@ -303,5 +304,49 @@ func TestMWDeterminism(t *testing.T) {
 	e2, st2 := run()
 	if e1 != e2 || st1 != st2 {
 		t.Fatalf("nondeterministic run: %v %+v vs %v %+v", e1, st1, e2, st2)
+	}
+}
+
+// TestMWNewerThanMatchesFullScan: the coordinator's indexed selection of
+// notices for a grant is, element for element, the filter over the whole
+// log it replaced — for random logs (Seq rising per creator, as the
+// transport's per-link order guarantees) and random requester clocks,
+// including clocks staler than the log's first entry and newer than its
+// last.
+func TestMWNewerThanMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		hosts := 1 + rng.Intn(8)
+		s := &MWSystem{logLast: make([]int, hosts)}
+		for c := range s.logLast {
+			s.logLast[c] = -1
+		}
+		seq := make([]uint64, hosts)
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			c := rng.Intn(hosts)
+			seq[c] += 1 + uint64(rng.Intn(3))
+			s.logPrev = append(s.logPrev, s.logLast[c])
+			s.logLast[c] = len(s.log)
+			s.log = append(s.log, mwCNotice{mwNotice: mwNotice{Creator: c, Seq: seq[c]}, VTSum: uint64(i + 1)})
+		}
+		vc := make([]uint64, hosts)
+		for c := range vc {
+			vc[c] = uint64(rng.Intn(int(seq[c]) + 3))
+		}
+		var want []mwCNotice
+		for _, n := range s.log {
+			if n.Seq > vc[n.Creator] {
+				want = append(want, n)
+			}
+		}
+		got := s.newerThan(nil, vc)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d notices, full scan gives %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].VTSum != want[i].VTSum {
+				t.Fatalf("trial %d: notice %d is VTSum %d, full scan gives %d", trial, i, got[i].VTSum, want[i].VTSum)
+			}
+		}
 	}
 }

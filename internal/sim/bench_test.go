@@ -61,3 +61,25 @@ func BenchmarkQueueHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkProcessHandover measures a real process switch: two processes
+// sleep on interleaved phases, so every Sleep finds the other's resume
+// first in the calendar and gives up the processor to it (park, yield
+// to the driver loop, resume the successor). 0 allocs/op.
+func BenchmarkProcessHandover(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 2; i++ {
+		i := i
+		e.Spawn("p", func(p *Proc) {
+			p.Sleep(Duration(i))
+			for j := 0; j < b.N/2; j++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -13,10 +13,9 @@ import (
 type procState int8
 
 const (
-	stateNew procState = iota
-	stateRunning
-	stateBlocked   // parked, waiting on a Signal; no event scheduled
-	stateScheduled // parked, a resume event is in the calendar
+	stateRunning   procState = iota
+	stateBlocked             // parked, waiting on a Signal; no event scheduled
+	stateScheduled           // parked, a resume event is in the calendar
 	stateDone
 )
 
@@ -31,13 +30,15 @@ const maxTime = Time(math.MaxInt64)
 //
 // In the single-shard engine all methods must be called either from the
 // goroutine that calls Run (for setup and engine callbacks) or from a
-// simulated process's own goroutine while that process is the running
+// simulated process's own body while that process is the running
 // process; the engine enforces the one-runnable-process-at-a-time
-// discipline itself. In a sharded engine the same discipline holds per
-// shard: each shard runs at most one of its processes at a time, and all
-// simulation state a shard's processes and callbacks touch must belong to
-// that shard (cross-shard effects travel through Shard.Post, which
-// enforces the lookahead contract). Engine-level convenience methods
+// discipline itself (a process is a coroutine the Run goroutine resumes,
+// so at most one of them executes at any moment by construction). In a
+// sharded engine the same discipline holds per shard: each shard runs at
+// most one of its processes at a time, and all simulation state a
+// shard's processes and callbacks touch must belong to that shard
+// (cross-shard effects travel through Shard.Post, which enforces the
+// lookahead contract). Engine-level convenience methods
 // (Spawn, At, Now, ...) address shard 0.
 type Engine struct {
 	shards []*Shard
@@ -49,8 +50,8 @@ type Engine struct {
 	// window safe (see Run). Declared by the transport via SetLookahead.
 	lookahead Duration
 
-	workers   int  // goroutines executing shard windows; 1 = serial
-	maxActive int  // high-water mark of shards active in one window
+	workers   int // goroutines executing shard windows; 1 = serial
+	maxActive int // high-water mark of shards active in one window
 	windows   uint64
 
 	// finalNow is the sharded engine's answer to Now(): the current
@@ -73,10 +74,10 @@ type Engine struct {
 	parActive []*Shard
 	parNext   atomic.Int64
 	parWG     sync.WaitGroup
+	parPanic  atomic.Pointer[any] // first panic out of a worker's window
 	poolSize  int
 
 	stopped atomic.Bool // Stop was called; may be set from any shard
-	reaping bool        // Run is over; woken processes must exit, not run
 	running bool
 
 	// Exploration state (explore.go); all nil/empty unless SetExplorer
@@ -118,12 +119,15 @@ type Shard struct {
 	ring     []event
 	ringHead int
 
-	rng     *rand.Rand
-	parked  chan struct{} // signalled when the shard's window is over
-	nextID  int
-	procs   map[int]*Proc
-	liveFG  int // live non-daemon processes on this shard
-	current *Proc // process currently executing, nil when engine code runs
+	rng    *rand.Rand
+	nextID int
+	procs  map[int]*Proc
+	liveFG int // live non-daemon processes on this shard
+
+	// next is the hand-over slot: a process that parks dispatches events
+	// itself (park) and leaves the successor it found here for the
+	// driver loop (runWindow) to resume; nil means the window is over.
+	next *Proc
 
 	// horizon is the exclusive upper bound on executable event times for
 	// the current window; maxTime on the single-shard engine. A shard
@@ -193,7 +197,6 @@ func newEngine(seed int64, shards int) *Engine {
 			e:       e,
 			id:      i,
 			rng:     rand.New(rand.NewSource(shardSeed(seed, i))),
-			parked:  make(chan struct{}),
 			procs:   make(map[int]*Proc),
 			horizon: maxTime,
 			fgHalt:  shards == 1,
@@ -419,49 +422,28 @@ func (s *Shard) SpawnDaemon(name string, fn func(*Proc)) *Proc {
 }
 
 func (s *Shard) spawn(name string, fn func(*Proc), daemon bool) *Proc {
-	e := s.e
 	s.nextID++
 	p := &Proc{
-		e:      e,
+		e:      s.e,
 		sh:     s,
 		id:     s.nextID,
 		name:   name,
 		daemon: daemon,
-		resume: make(chan struct{}),
-		state:  stateNew,
+		fn:     fn,
+		state:  stateScheduled,
 	}
 	s.procs[p.id] = p
 	if !daemon {
 		s.liveFG++
 	}
-	go func() {
-		<-p.resume
-		if e.reaping {
-			return // reaped before ever running
-		}
-		if e.x != nil {
-			// Under exploration a panic is a finding, not a crash: record
-			// it, stop the run, and hand control back to the engine.
-			defer func() {
-				if r := recover(); r != nil {
-					e.explorePanic(p.name, r)
-					p.finish()
-				}
-			}()
-		}
-		fn(p)
-		p.finish()
-	}()
-	p.state = stateScheduled
 	s.scheduleResume(s.now, p)
 	return p
 }
 
-// finish retires the process: it runs on the process's own goroutine as
-// the last thing before it exits (normally or, under exploration, from
-// a recovered panic). The departing goroutine dispatches the shard's
-// next event itself, so retirement hands control on with a single
-// channel send.
+// finish retires the process. It runs inside the process's coroutine as
+// the last thing its body does (normally or, under exploration, from a
+// recovered panic); the coroutine then yields, and the driver — seeing
+// stateDone — takes the carrier back and dispatches the next event.
 func (p *Proc) finish() {
 	s := p.sh
 	p.state = stateDone
@@ -472,25 +454,19 @@ func (p *Proc) finish() {
 			s.fgEnd = s.now
 		}
 	}
-	s.current = nil
-	if next := s.nextProc(); next != nil {
-		s.handoff(next)
-	} else {
-		s.parked <- struct{}{}
-	}
 }
 
-// nextProc advances the shard on the calling goroutine: it pops and
-// fires events below the horizon — running engine callbacks inline —
-// until it reaches a process resume, returned for the caller to hand
-// control to, or an end condition (Stop called, the shard's foreground
-// drained under fgHalt, or no event left below the horizon), signalled
-// by returning nil.
+// nextProc advances the shard on the calling goroutine or coroutine: it
+// pops and fires events below the horizon — running engine callbacks
+// inline — until it reaches a process resume, returned for the driver
+// to switch to, or an end condition (Stop called, the shard's
+// foreground drained under fgHalt, or no event left below the horizon),
+// signalled by returning nil.
 //
-// Centralizing dispatch here is what makes a process switch cost one
-// channel handoff instead of two: the goroutine giving up the processor
-// resumes its successor directly rather than bouncing through a
-// dedicated scheduler goroutine (see park and finish).
+// The driver loop (runWindow) calls it between processes; park calls it
+// from inside the process giving up the processor, so that callbacks
+// between two resumes — and a resume that turns out to be the parker's
+// own — cost no coroutine switch at all.
 func (s *Shard) nextProc() *Proc {
 	e := s.e
 	for {
@@ -521,15 +497,6 @@ func (s *Shard) nextProc() *Proc {
 	}
 }
 
-// handoff transfers control to next and returns immediately. The calling
-// goroutine must block on its own resume channel (park), wait for the
-// window to end (runWindow), or exit (finish) right after.
-func (s *Shard) handoff(next *Proc) {
-	next.state = stateRunning
-	s.current = next
-	next.resume <- struct{}{}
-}
-
 // wake moves a blocked process into its shard's calendar at the shard's
 // current time. It is a no-op if the process is already scheduled,
 // running, or done. The caller must be executing on the process's own
@@ -542,15 +509,42 @@ func (e *Engine) wake(p *Proc) {
 	p.sh.scheduleResume(p.sh.now, p)
 }
 
-// runWindow drives the shard until nextProc finds no more work below
-// the horizon; on return every process of the shard is parked. It is
-// the body of classic Run (horizon = maxTime) and of one shard's turn
-// inside a conservative window.
+// runWindow is the shard's one dispatch loop: resume the next process's
+// coroutine, wait for it to yield back, repeat until nextProc finds no
+// more work below the horizon. On return every process of the shard is
+// parked. It is the body of classic Run (horizon = maxTime) and of one
+// shard's turn inside a conservative window; whichever goroutine calls
+// it is the shard's driver for that window.
 func (s *Shard) runWindow() {
-	if next := s.nextProc(); next != nil {
-		s.handoff(next)
-		<-s.parked
+	for p := s.nextProc(); p != nil; {
+		p = s.switchTo(p)
 	}
+}
+
+// switchTo runs p until it parks or finishes and returns the process to
+// run after it. A parked process has already dispatched up to its
+// successor and left it in the hand-over slot. A finished one has
+// yielded from the end of its body: the driver — never the coroutine
+// itself — returns its carrier to the idle list, because only here,
+// after resume has come back, is the coroutine known to be at rest
+// (released from inside, a second engine could resume it mid-yield).
+func (s *Shard) switchTo(p *Proc) *Proc {
+	c := p.c
+	if c == nil { // first resume: the process takes a carrier only now
+		c = takeCarrier()
+		c.p, p.c = p, c
+	}
+	p.state = stateRunning
+	alive := c.resume()
+	if p.state != stateDone {
+		next := s.next
+		s.next = nil
+		return next
+	}
+	if alive {
+		c.release()
+	}
+	return s.nextProc()
 }
 
 // BlockedProc names one process stuck in a deadlock, together with the
@@ -627,22 +621,25 @@ func (e *Engine) Run() error {
 	return e.deadlockError()
 }
 
-// reapProcs runs when Run returns: every process still parked at that
-// point (abandoned daemons and, after Stop or a deadlock, blocked
-// processes) is woken one last time and exits instead of resuming.
-// Without this the goroutines block on their resume channels forever,
-// and — since each one references the engine — keep the entire
-// simulation heap live; programs that run many simulations (benchmarks,
-// model checkers, parameter sweeps) then accumulate stacks and heaps
-// without bound.
+// reapProcs runs when Run returns (or unwinds): every process still
+// parked at that point (abandoned daemons and, after Stop or a
+// deadlock, blocked processes) is resumed one last time marked done,
+// which makes park raise the reaped sentinel instead of returning. The
+// panic unwinds the process's stack — its deferred functions run — and
+// is recovered at the top of the carrier (Proc.run), which goes back to
+// the idle list intact. A suspended coroutine cannot just be dropped: it
+// is a parked goroutine that pins the engine's heap, and programs that
+// run many simulations would accumulate them without bound. A process
+// that never ran holds no carrier and needs no reaping.
 func (e *Engine) reapProcs() {
-	e.reaping = true
 	for _, s := range e.shards {
 		for _, p := range s.procs { //detlint:ok post-run teardown, order invisible
-			if p.state == stateDone {
-				continue
+			if c := p.c; c != nil {
+				p.state = stateDone
+				if c.resume() {
+					c.release()
+				}
 			}
-			p.resume <- struct{}{} // wakes in park or at the spawn gate; exits
 		}
 	}
 }
@@ -671,14 +668,15 @@ func (e *Engine) deadlockError() error {
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // Proc is a simulated process (thread). All Proc methods must be called
-// from the process's own goroutine while it is the running process.
+// from the process's own body while it is the running process.
 type Proc struct {
 	e      *Engine
 	sh     *Shard
 	id     int
 	name   string
 	daemon bool
-	resume chan struct{}
+	fn     func(*Proc)
+	c      *carrier // coroutine hosting the body; nil until the first resume
 	state  procState
 
 	// waitOn is the Signal the process most recently parked on; consulted
@@ -707,36 +705,63 @@ func (p *Proc) Shard() *Shard { return p.sh }
 // Now returns the current virtual time on the process's shard.
 func (p *Proc) Now() Time { return p.sh.now }
 
+// reaped is the sentinel park panics with when reapProcs resumes a
+// process after Run is over.
+type reaped struct{}
+
+// run is the process's life inside its carrier: the body, then finish.
+// It reports whether the carrier may host another process afterwards.
+// The reaped sentinel is recovered here and leaves the carrier reusable.
+// Under exploration a panic is a finding, not a crash: it is recorded,
+// the run stops, and the carrier it unwound retires. Any other panic is
+// left alone: iter.Pull catches it at the coroutine's top and re-raises
+// the same value from the driver's resume, so it surfaces out of
+// Engine.Run on the caller's goroutine.
+func (p *Proc) run() (ok bool) {
+	defer func() {
+		switch {
+		case ok:
+		case p.state == stateDone: // resumed by reapProcs
+			if r := recover(); r != (reaped{}) {
+				panic(r)
+			}
+			ok = true
+		case p.e.x != nil:
+			p.e.explorePanic(p.name, recover())
+			p.finish()
+		}
+	}()
+	p.fn(p)
+	p.finish()
+	return true
+}
+
 // park gives up the processor and blocks until resumed. The caller must
 // have arranged a wakeup (calendar event or Signal registration) before
 // calling park, or the process deadlocks.
 //
-// The parking goroutine dispatches events itself until the next process
-// switch (nextProc). Two outcomes avoid channel traffic entirely: the
+// The parking process dispatches events itself until the next process
+// switch (nextProc). Two outcomes avoid a coroutine switch entirely: the
 // next resume may be this process's own (sleep across engine callbacks),
-// and engine callbacks between resumes run inline. Otherwise control
-// moves to the successor — or, when the window is over, back to the
-// shard driver — with a single send.
+// and engine callbacks between resumes run inline. Otherwise the
+// successor — or nil, when the window is over — goes into the shard's
+// hand-over slot and the process yields to the driver loop.
 func (p *Proc) park(st procState) {
+	if p.state == stateDone {
+		panic(reaped{}) // a deferred function blocked while being reaped
+	}
 	s := p.sh
 	p.state = st
-	s.current = nil
 	next := s.nextProc()
 	if next == p {
 		p.state = stateRunning
-		s.current = p
 		return
 	}
-	if next != nil {
-		s.handoff(next)
-	} else {
-		s.parked <- struct{}{} // window over: wake the driver, then await resume
+	s.next = next
+	p.c.yield()
+	if p.state == stateDone {
+		panic(reaped{}) // run over: unwind instead of resuming
 	}
-	<-p.resume
-	if p.e.reaping {
-		runtime.Goexit() // run over: unwind instead of resuming
-	}
-	p.state = stateRunning
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations
@@ -747,7 +772,7 @@ func (p *Proc) park(st procState) {
 // lies inside the shard's window, the resume record this Sleep would
 // push is exactly the event the engine would pop next. The process then
 // advances the clock itself and keeps running — same execution order, no
-// heap traffic, and no goroutine handshake. Events already scheduled for
+// heap traffic, and no coroutine switch. Events already scheduled for
 // the wakeup instant have smaller sequence numbers than the would-be
 // resume, so the fast path requires the calendar minimum to lie strictly
 // after the wakeup time.

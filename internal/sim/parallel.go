@@ -111,7 +111,10 @@ func (s *Shard) nextAt() Time {
 // package comment above), so the split of shards over goroutines is
 // invisible to the simulation. Workers come from the persistent pool;
 // the barrier goroutine itself steals too, so w goroutines total work
-// the window with only w-1 channel handoffs.
+// the window with only w-1 channel handoffs. A panic out of any shard
+// (a process's, re-raised by its carrier's resume on whichever worker
+// drove it) is re-raised here, on Run's goroutine, once the window's
+// other workers have come to rest.
 func (e *Engine) runShards(active []*Shard) {
 	w := e.workers
 	if w > len(active) {
@@ -126,12 +129,27 @@ func (e *Engine) runShards(active []*Shard) {
 	e.growPool(w - 1)
 	e.parActive = active
 	e.parNext.Store(0)
-	e.parWG.Add(w - 1)
+	e.parWG.Add(w)
 	for i := 0; i < w-1; i++ {
 		e.parWork <- struct{}{}
 	}
-	e.stealShards(active)
+	e.workWindow()
 	e.parWG.Wait()
+	if r := e.parPanic.Load(); r != nil {
+		panic(*r)
+	}
+}
+
+// workWindow is one goroutine's share of the current window.
+func (e *Engine) workWindow() {
+	defer e.parWG.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			v := r // escapes; declared here so only a panic pays for it
+			e.parPanic.CompareAndSwap(nil, &v)
+		}
+	}()
+	e.stealShards(e.parActive)
 }
 
 // growPool brings the persistent worker pool up to n goroutines. Each
@@ -144,11 +162,11 @@ func (e *Engine) growPool(n int) {
 	if e.parWork == nil {
 		e.parWork = make(chan struct{})
 	}
+	work := e.parWork // a worker may first run after stopPool has cleared the field
 	for ; e.poolSize < n; e.poolSize++ {
 		go func() {
-			for range e.parWork {
-				e.stealShards(e.parActive)
-				e.parWG.Done()
+			for range work {
+				e.workWindow()
 			}
 		}()
 	}

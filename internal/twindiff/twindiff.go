@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"millipage/internal/sim"
 )
@@ -41,25 +42,42 @@ func Diff(twin, cur []byte) ([]Run, error) {
 	if len(twin) != len(cur) {
 		return nil, fmt.Errorf("twindiff: twin %d bytes vs page %d bytes", len(twin), len(cur))
 	}
-	const minGap = 8
 	var runs []Run
-	i := 0
-	for i < len(cur) {
-		if twin[i] == cur[i] {
-			i++
-			continue
-		}
-		start := i
-		last := i
-		for j := i + 1; j < len(cur) && j-last < minGap; j++ {
-			if twin[j] != cur[j] {
-				last = j
-			}
-		}
-		runs = append(runs, Run{Off: start, Data: append([]byte(nil), cur[start:last+1]...)})
-		i = last + 1
+	for start, end := nextRun(twin, cur, 0); start < end; start, end = nextRun(twin, cur, end) {
+		runs = append(runs, Run{Off: start, Data: append([]byte(nil), cur[start:end]...)})
 	}
 	return runs, nil
+}
+
+// nextRun returns the first modified span [start, end) of cur at or
+// after offset i, or an empty span at len(cur) when the rest is equal.
+// Most of a page is unchanged, so the equal stretch before a run is
+// skipped a word at a time (the XOR's lowest set bit names the first
+// differing byte) with a byte loop for the last len%8 bytes; the run
+// itself is walked by bytes, a change less than minGap past the last
+// one extending it.
+func nextRun(twin, cur []byte, i int) (start, end int) {
+	const minGap = 8
+	for i+8 <= len(cur) {
+		if x := binary.LittleEndian.Uint64(twin[i:]) ^ binary.LittleEndian.Uint64(cur[i:]); x != 0 {
+			i += bits.TrailingZeros64(x) / 8
+			break
+		}
+		i += 8
+	}
+	for i < len(cur) && twin[i] == cur[i] {
+		i++
+	}
+	if i == len(cur) {
+		return i, i
+	}
+	last := i
+	for j := i + 1; j < len(cur) && j-last < minGap; j++ {
+		if twin[j] != cur[j] {
+			last = j
+		}
+	}
+	return i, last + 1
 }
 
 // Apply patches page with runs (as produced by Diff against page's twin).
@@ -83,30 +101,16 @@ func AppendDiff(dst, twin, cur []byte) ([]byte, error) {
 	if len(twin) != len(cur) {
 		return nil, fmt.Errorf("twindiff: twin %d bytes vs page %d bytes", len(twin), len(cur))
 	}
-	const minGap = 8
 	var hdr [4]byte
-	i := 0
-	for i < len(cur) {
-		if twin[i] == cur[i] {
-			i++
-			continue
-		}
-		start := i
-		last := i
-		for j := i + 1; j < len(cur) && j-last < minGap; j++ {
-			if twin[j] != cur[j] {
-				last = j
-			}
-		}
-		n := last + 1 - start
+	for start, end := nextRun(twin, cur, 0); start < end; start, end = nextRun(twin, cur, end) {
+		n := end - start
 		if start > maxField || n > maxField {
 			return nil, fmt.Errorf("twindiff: run at offset %d length %d outside uint16 range", start, n)
 		}
 		binary.LittleEndian.PutUint16(hdr[0:2], uint16(start))
 		binary.LittleEndian.PutUint16(hdr[2:4], uint16(n))
 		dst = append(dst, hdr[:]...)
-		dst = append(dst, cur[start:last+1]...)
-		i = last + 1
+		dst = append(dst, cur[start:end]...)
 	}
 	return dst, nil
 }

@@ -294,3 +294,103 @@ func TestCostsMatchPaper(t *testing.T) {
 		t.Fatal("non-positive auxiliary costs")
 	}
 }
+
+// diffBytewise is the reference Diff: one byte at a time, exactly the
+// loop the word-skipping nextRun replaced.
+func diffBytewise(twin, cur []byte) []Run {
+	const minGap = 8
+	var runs []Run
+	for i := 0; i < len(cur); {
+		if twin[i] == cur[i] {
+			i++
+			continue
+		}
+		start, last := i, i
+		for j := i + 1; j < len(cur) && j-last < minGap; j++ {
+			if twin[j] != cur[j] {
+				last = j
+			}
+		}
+		runs = append(runs, Run{Off: start, Data: append([]byte(nil), cur[start:last+1]...)})
+		i = last + 1
+	}
+	return runs
+}
+
+// checkAgainstBytewise compares Diff and AppendDiff with the reference.
+func checkAgainstBytewise(t *testing.T, twin, cur []byte) {
+	t.Helper()
+	want := diffBytewise(twin, cur)
+	got, err := Diff(twin, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("len %d: %d runs, byte-wise reference gives %d", len(cur), len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Off != want[i].Off || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("len %d: run %d is [%d,+%d), reference gives [%d,+%d)", len(cur), i,
+				got[i].Off, len(got[i].Data), want[i].Off, len(want[i].Data))
+		}
+	}
+	wantEnc, err := Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotEnc, err := AppendDiff(nil, twin, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotEnc, wantEnc) {
+		t.Fatalf("len %d: AppendDiff differs from the encoded reference", len(cur))
+	}
+}
+
+// TestWordSkipMatchesBytewise pins the word-at-a-time scan to the
+// byte-wise reference where the two could part: the only difference in
+// the last 1-7 bytes (the byte tail after the last whole word), lengths
+// that are not a multiple of 8, a difference in every byte lane of a
+// word, and runs that coalesce across a word boundary.
+func TestWordSkipMatchesBytewise(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 15, 16, 17, 63, 100, 4093, 4096} {
+		twin := make([]byte, n)
+		for i := range twin {
+			twin[i] = byte(i * 7)
+		}
+		checkAgainstBytewise(t, twin, Twin(twin)) // unchanged
+		for back := 1; back <= 7 && back <= n; back++ {
+			cur := Twin(twin)
+			cur[n-back] ^= 0x80 // the only difference, in the tail
+			checkAgainstBytewise(t, twin, cur)
+		}
+		for lane := 0; lane < 8 && lane < n; lane++ {
+			cur := Twin(twin)
+			cur[lane] ^= 1
+			if far := lane + 7; far < n {
+				cur[far] ^= 1 // gap 7: same run, across the word boundary
+			}
+			if far := lane + 16; far < n {
+				cur[far] ^= 1 // gap 9: a run of its own
+			}
+			checkAgainstBytewise(t, twin, cur)
+		}
+	}
+	f := func(orig []byte, edits []struct {
+		Off uint16
+		Val byte
+	}) bool {
+		if len(orig) == 0 {
+			orig = []byte{0}
+		}
+		cur := Twin(orig)
+		for _, e := range edits {
+			cur[int(e.Off)%len(cur)] = e.Val
+		}
+		checkAgainstBytewise(t, orig, cur)
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
