@@ -91,12 +91,13 @@ type EngineShape struct {
 	Workers   int
 	Windows   uint64
 	MaxActive int
+	Counters  sim.Counters // the engine's work counts for the run
 }
 
 // engineShape captures a cluster's execution shape after Run.
 func engineShape(c *millipage.Cluster) EngineShape {
 	shards, workers, windows, maxActive := c.EngineStats()
-	return EngineShape{Shards: shards, Workers: workers, Windows: windows, MaxActive: maxActive}
+	return EngineShape{Shards: shards, Workers: workers, Windows: windows, MaxActive: maxActive, Counters: c.EngineCounters()}
 }
 
 func (r Result) String() string {

@@ -189,6 +189,7 @@ type MWRow struct {
 	Timed    sim.Duration
 	Faults   uint64
 	Messages uint64
+	Engine   sim.Counters // what the run cost the event engine
 }
 
 // FalseShareKernel runs the interleaved-writer false-sharing kernel —
@@ -229,6 +230,7 @@ func FalseShareKernel(protocol string, seed int64) (MWRow, error) {
 	return MWRow{
 		Name: "falseshare chunk8/4H", Protocol: protocol, Timed: sim.Duration(rep.Elapsed),
 		Faults: rep.ReadFaults + rep.WriteFaults, Messages: rep.MessagesSent,
+		Engine: cluster.EngineCounters(),
 	}, nil
 }
 
@@ -245,6 +247,7 @@ func WaterChunkPoint(protocol string, scale float64, seed int64) (MWRow, error) 
 	return MWRow{
 		Name: "WATER chunk5/8H", Protocol: protocol, Timed: res.Timed,
 		Faults: rep.ReadFaults + rep.WriteFaults, Messages: rep.MessagesSent,
+		Engine: res.Engine.Counters,
 	}, nil
 }
 

@@ -58,7 +58,7 @@ func TestE2ESOR8AllocsRegression(t *testing.T) {
 		t.Skip("runs a full benchmark")
 	}
 	pinned := pinnedPoint(t, "E2ESOR8").AllocsPerOp
-	r := testing.Benchmark(benchE2ESOR8)
+	r := testing.Benchmark(benchE2E("E2ESOR8"))
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("E2ESOR8 allocates %d objects/op, more than 2x the pinned %d", got, pinned)
 	}
@@ -76,7 +76,7 @@ func TestE2ESOR64BytesRegression(t *testing.T) {
 		t.Skip("runs a full benchmark")
 	}
 	pinned := pinnedPoint(t, "E2ESOR64").BytesPerOp
-	r := testing.Benchmark(benchE2ESOR64)
+	r := testing.Benchmark(benchE2E("E2ESOR64"))
 	if got := r.AllocedBytesPerOp(); got > 2*pinned {
 		t.Fatalf("64-host SOR allocates %d bytes/op, more than 2x the pinned %d", got, pinned)
 	}
@@ -94,7 +94,7 @@ func TestE2ESOR64ParAllocsRegression(t *testing.T) {
 		t.Skip("runs a full benchmark")
 	}
 	pinned := pinnedPoint(t, "ParSpeedup").AllocsPerOp
-	r := testing.Benchmark(benchE2ESOR64Par)
+	r := testing.Benchmark(benchE2E("ParSpeedup"))
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("64-host parallel SOR allocates %d objects/op, more than 2x the pinned %d", got, pinned)
 	}
@@ -112,7 +112,7 @@ func TestE2EServeAllocsRegression(t *testing.T) {
 		t.Skip("runs a full benchmark")
 	}
 	pinned := pinnedPoint(t, "E2EServe8").AllocsPerOp
-	r := testing.Benchmark(benchE2EServe8)
+	r := testing.Benchmark(benchE2E("E2EServe8"))
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("serving scenario allocates %d objects/op, more than 2x the pinned %d", got, pinned)
 	}
@@ -131,7 +131,7 @@ func TestE2EServeLossyAllocsRegression(t *testing.T) {
 		t.Skip("runs a full benchmark")
 	}
 	pinned := pinnedPoint(t, "E2EServeLossy").AllocsPerOp
-	r := testing.Benchmark(benchE2EServeLossy)
+	r := testing.Benchmark(benchE2E("E2EServeLossy"))
 	if got := r.AllocsPerOp(); got > 2*pinned {
 		t.Fatalf("lossy serving scenario allocates %d objects/op, more than 2x the pinned %d", got, pinned)
 	}

@@ -162,3 +162,25 @@ func TestDiffCostsOutput(t *testing.T) {
 		t.Fatalf("DiffCosts missing the paper's 250us point:\n%s", buf.String())
 	}
 }
+
+// TestCalendarStaysSmall pins the assumption the engine's calendar rests
+// on: its insertion scan is O(pending events), which is the right trade
+// only while a shard's calendar holds tens to hundreds of events (past
+// about a thousand a heap wins — DESIGN.md §6). Pending events scale
+// with hosts and in-flight timers, so the widest and the lossiest pinned
+// shapes are the ones that would show traffic outgrowing it.
+func TestCalendarStaysSmall(t *testing.T) {
+	for _, name := range []string{"E2ESOR8", "E2ESOR16", "E2ESOR64", "E2ESOR256", "E2EServe8", "E2EServeLossy"} {
+		c, err := e2eRuns[name]()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Events == 0 || c.Switches == 0 || c.Switches > c.Events {
+			t.Errorf("%s: implausible engine counters %+v", name, c)
+		}
+		if c.MaxPending > 1024 {
+			t.Errorf("%s: %d events pending at once, more than the 1024 the sorted calendar is sized for", name, c.MaxPending)
+		}
+		t.Logf("%-13s events=%d switches=%d sleep_fast=%d max_pending=%d", name, c.Events, c.Switches, c.SleepFast, c.MaxPending)
+	}
+}

@@ -38,6 +38,13 @@ type PerfPoint struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 
+	// Engine work per op on the rows that run a whole application or
+	// scenario (E2E*, ParSpeedup): deterministic counts, so a wall-clock
+	// move with these unchanged is a change in cost per event, not in
+	// event count.
+	EventsPerOp   uint64 `json:"events_per_op,omitempty"`
+	SwitchesPerOp uint64 `json:"switches_per_op,omitempty"`
+
 	Baseline     PerfBaseline `json:"baseline"`
 	Speedup      float64      `json:"speedup"`       // baseline ns / current ns
 	AllocsFactor float64      `json:"allocs_factor"` // baseline allocs / current allocs (+Inf -> 0 allocs now)
@@ -53,15 +60,131 @@ var perfSuite = []struct {
 	{"ProcessSwitch", PerfBaseline{575.0, 3, 0}, benchProcessSwitch},
 	{"MsgHop", PerfBaseline{2387, 18, 0}, benchMsgHop},
 	{"MsgHopReliable", PerfBaseline{2517.5, 0, 44}, benchMsgHopReliable},
-	{"E2ESOR8", PerfBaseline{114463687, 455085, 24604741}, benchE2ESOR8},
-	{"E2ESOR16", PerfBaseline{70414522, 28140, 46085881}, benchE2ESOR16},
-	{"E2ESOR32", PerfBaseline{86816046, 33629, 88812270}, benchE2ESOR32},
-	{"E2EFalseShareMW", PerfBaseline{5552905, 968, 12191948}, benchE2EFalseShareMW},
-	{"E2EWATER8MW", PerfBaseline{34954527, 11433, 28237266}, benchE2EWATER8MW},
-	{"E2ESOR64", PerfBaseline{102808427, 3651, 72700476}, benchE2ESOR64},
-	{"E2ESOR256", PerfBaseline{285312197, 14497, 167084576}, benchE2ESOR256},
-	{"E2EServe8", PerfBaseline{serveBaselineNs, serveBaselineAllocs, serveBaselineBytes}, benchE2EServe8},
-	{"E2EServeLossy", PerfBaseline{serveLossyBaselineNs, serveLossyBaselineAllocs, serveLossyBaselineBytes}, benchE2EServeLossy},
+	{"E2ESOR8", PerfBaseline{114463687, 455085, 24604741}, benchE2E("E2ESOR8")},
+	{"E2ESOR16", PerfBaseline{70414522, 28140, 46085881}, benchE2E("E2ESOR16")},
+	{"E2ESOR32", PerfBaseline{86816046, 33629, 88812270}, benchE2E("E2ESOR32")},
+	{"E2EFalseShareMW", PerfBaseline{5552905, 968, 12191948}, benchE2E("E2EFalseShareMW")},
+	{"E2EWATER8MW", PerfBaseline{34954527, 11433, 28237266}, benchE2E("E2EWATER8MW")},
+	{"E2ESOR64", PerfBaseline{102808427, 3651, 72700476}, benchE2E("E2ESOR64")},
+	{"E2ESOR256", PerfBaseline{285312197, 14497, 167084576}, benchE2E("E2ESOR256")},
+	{"E2EServe8", PerfBaseline{serveBaselineNs, serveBaselineAllocs, serveBaselineBytes}, benchE2E("E2EServe8")},
+	{"E2EServeLossy", PerfBaseline{serveLossyBaselineNs, serveLossyBaselineAllocs, serveLossyBaselineBytes}, benchE2E("E2EServeLossy")},
+}
+
+// e2eRuns are the end-to-end rows' workloads: one whole run each,
+// reporting what it cost the event engine.
+var e2eRuns = map[string]func() (sim.Counters, error){
+	// The 8-host SOR run (reduced scale), the acceptance workload for
+	// the hot-path work.
+	"E2ESOR8": sorRun(apps.Params{Hosts: 8, Scale: 0.1}),
+
+	// The same workload at wider host counts, where per-host protocol
+	// state and barrier fan-in dominate. Their baselines were measured at
+	// the pooled-envelope pin (these rows did not exist in the
+	// pre-optimization simulator), so speedup reads as the gain from the
+	// alloc-free protocol rework alone.
+	"E2ESOR16": sorRun(apps.Params{Hosts: 16, Scale: 0.1}),
+	"E2ESOR32": sorRun(apps.Params{Hosts: 32, Scale: 0.1}),
+
+	// The cluster-scaling workloads added with the sharded engine, on the
+	// classic sequential engine. Their baselines were frozen when the
+	// rows were introduced (at the sharded-engine pin), so speedup reads
+	// as drift since then. 256 hosts runs at half scale to keep one
+	// iteration bounded; its cost is dominated by the 257-way barrier
+	// fan-in and per-host protocol state.
+	"E2ESOR64":  sorRun(apps.Params{Hosts: 64, Scale: 0.1}),
+	"E2ESOR256": sorRun(apps.Params{Hosts: 256, Scale: 0.05}),
+
+	// The 64-host SOR workload on the sharded parallel engine. It is not
+	// a perfSuite row of its own; RunPerfBench measures it against the
+	// sequential E2ESOR64 point from the same invocation and reports the
+	// ratio as ParSpeedup — a wall-clock engine-vs-engine comparison, not
+	// a drift row. On a single-core host the ratio reads below 1: the
+	// shard barriers and merge sort are pure overhead when the windows
+	// cannot actually overlap.
+	"ParSpeedup": sorRun(apps.Params{Hosts: 64, Scale: 0.1, Engine: "par", ParWorkers: parBenchWorkers}),
+
+	// The SC-vs-multi-writer comparison kernels under lrc-mw (twins,
+	// run-length diffs, write notices). Unlike the rows above, their
+	// frozen baselines are the SAME workload under SC-Millipage measured
+	// at pin time, so "speedup" reads as the relative simulator cost of
+	// the twin/diff machinery: ~1.0 means multi-writer LRC simulates
+	// about as fast as the SC protocol it is compared against.
+	"E2EFalseShareMW": mwRun(func() (MWRow, error) { return FalseShareKernel("lrc-mw", 1) }),
+	"E2EWATER8MW":     mwRun(func() (MWRow, error) { return WaterChunkPoint("lrc-mw", 0.1, 1) }),
+
+	// One base serving scenario (8 hosts, 100k simulated clients, 20k
+	// Zipfian ops under SC-Millipage) — the acceptance workload of the
+	// serving subsystem and the anchor of its allocs/op CI gate
+	// (TestE2EServeAllocsRegression).
+	"E2EServe8": scenarioRun("base-millipage", nil),
+
+	// One serving scenario with the reliability layer armed — 4 hosts,
+	// 20k ops at 2000 ops/s under the crash-restart preset (2% frame
+	// loss, two host crash/restarts): the benchmark harness's
+	// serve-lossy workload.
+	"E2EServeLossy": scenarioRun("crash-restart", func(sc *serve.Scenario) {
+		sc.Rate, sc.Ops = 2_000, 20_000
+	}),
+}
+
+// parShape records the engine shape of the last SOR run. RunPerfBench
+// measures ParSpeedup last, so the report header shows that row's shards
+// alongside the sweep width.
+var parShape apps.EngineShape
+
+func sorRun(p apps.Params) func() (sim.Counters, error) {
+	p.Seed = 1
+	return func() (sim.Counters, error) {
+		r, err := apps.RunSOR(p)
+		parShape = r.Engine
+		return r.Engine.Counters, err
+	}
+}
+
+func mwRun(kernel func() (MWRow, error)) func() (sim.Counters, error) {
+	return func() (sim.Counters, error) {
+		row, err := kernel()
+		return row.Engine, err
+	}
+}
+
+// scenarioRun runs the named serving scenario, reshaped by shape when it
+// is not nil.
+func scenarioRun(name string, shape func(*serve.Scenario)) func() (sim.Counters, error) {
+	return func() (sim.Counters, error) {
+		sc, err := serve.Lookup(name)
+		if err != nil {
+			return sim.Counters{}, err
+		}
+		if shape != nil {
+			shape(&sc)
+		}
+		res, err := serve.Run(sc)
+		if err != nil {
+			return sim.Counters{}, err
+		}
+		return res.Engine, nil
+	}
+}
+
+// lastCounters records the engine counters of the last end-to-end
+// benchmark iteration, for RunPerfBench's events_per_op /
+// switches_per_op columns.
+var lastCounters sim.Counters
+
+// benchE2E is the wall-clock benchmark of one e2eRuns shape.
+func benchE2E(name string) func(b *testing.B) {
+	run := e2eRuns[name]
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c, err := run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			lastCounters = c
+		}
+	}
 }
 
 // The E2EServe8 baseline was frozen when the serving subsystem landed,
@@ -75,29 +198,6 @@ const (
 	serveBaselineBytes  = 4_486_268
 )
 
-// benchE2EServe8: the end-to-end wall-clock cost of one base serving
-// scenario (8 hosts, 100k simulated clients, 20k Zipfian ops under
-// SC-Millipage) — the acceptance workload of the serving subsystem and
-// the anchor of its allocs/op CI gate (TestE2EServeAllocsRegression).
-func benchE2EServe8(b *testing.B) { benchScenario(b, "base-millipage", nil) }
-
-// benchScenario runs the named serving scenario b.N times, reshaped by
-// shape when it is not nil.
-func benchScenario(b *testing.B, name string, shape func(*serve.Scenario)) {
-	sc, err := serve.Lookup(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if shape != nil {
-		shape(&sc)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := serve.Run(sc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // The E2EServeLossy baseline is the same scenario at the commit before
 // the armed path lost its allocating twin: under a fault plan every
 // protocol header, snapshot buffer, fault request and retry timer was a
@@ -109,14 +209,6 @@ const (
 	serveLossyBaselineAllocs = 132_604
 	serveLossyBaselineBytes  = 15_249_179
 )
-
-// benchE2EServeLossy: one serving scenario with the reliability layer
-// armed — 4 hosts, 20k ops at 2000 ops/s under the crash-restart preset
-// (2% frame loss, two host crash/restarts): the benchmark harness's
-// serve-lossy workload.
-func benchE2EServeLossy(b *testing.B) {
-	benchScenario(b, "crash-restart", func(sc *serve.Scenario) { sc.Rate, sc.Ops = 2_000, 20_000 })
-}
 
 // benchEventDispatch: schedule-and-fire throughput of the engine calendar.
 func benchEventDispatch(b *testing.B) {
@@ -218,109 +310,12 @@ func benchMsgHopReliable(b *testing.B) {
 	}
 }
 
-// benchE2ESOR8: the end-to-end wall-clock cost of simulating an 8-host
-// SOR run (reduced scale), the acceptance workload for the hot-path work.
-func benchE2ESOR8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := apps.RunSOR(apps.Params{Hosts: 8, Scale: 0.1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchE2ESOR16 / benchE2ESOR32: the same workload at wider host counts,
-// where per-host protocol state and barrier fan-in dominate. Their
-// baselines were measured at the pooled-envelope pin (these rows did not
-// exist in the pre-optimization simulator), so speedup reads as the gain
-// from the alloc-free protocol rework alone.
-func benchE2ESOR16(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := apps.RunSOR(apps.Params{Hosts: 16, Scale: 0.1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchE2ESOR32(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := apps.RunSOR(apps.Params{Hosts: 32, Scale: 0.1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchE2ESOR64 / benchE2ESOR256: the cluster-scaling workloads added
-// with the sharded engine, on the classic sequential engine. Their
-// baselines were frozen when the rows were introduced (at the sharded-
-// engine pin), so speedup reads as drift since then. 256 hosts runs at
-// half scale to keep one iteration bounded; its cost is dominated by the
-// 257-way barrier fan-in and per-host protocol state.
-func benchE2ESOR64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := apps.RunSOR(apps.Params{Hosts: 64, Scale: 0.1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchE2ESOR256(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := apps.RunSOR(apps.Params{Hosts: 256, Scale: 0.05, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// parShape records the engine shape of the last parallel benchmark run,
-// for the report header (shards used alongside the sweep width).
-var parShape apps.EngineShape
-
-// benchE2ESOR64Par: the 64-host SOR workload on the sharded parallel
-// engine. It is not a perfSuite row of its own; RunPerfBench measures it
-// against the sequential E2ESOR64 point from the same invocation and
-// reports the ratio as ParSpeedup — a wall-clock engine-vs-engine
-// comparison, not a drift row. On a single-core host the ratio reads
-// below 1: the shard barriers and merge sort are pure overhead when the
-// windows cannot actually overlap.
-func benchE2ESOR64Par(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := apps.RunSOR(apps.Params{Hosts: 64, Scale: 0.1, Seed: 1, Engine: "par", ParWorkers: parBenchWorkers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		parShape = r.Engine
-	}
-}
-
 // parBenchWorkers is the goroutine budget for the ParSpeedup row: 4, the
 // smallest width where window overlap can pay for the barrier cost on
 // real multi-core hardware. The report's note records the cores the
 // measurement actually had — on fewer than 4 the ratio is an
 // oversubscription number, not a speedup.
 const parBenchWorkers = 4
-
-// benchE2EFalseShareMW / benchE2EWATER8MW: the wall-clock cost of
-// simulating the SC-vs-multi-writer comparison kernels under lrc-mw
-// (twins, run-length diffs, write notices). Unlike the rows above,
-// their frozen baselines are the SAME workload under SC-Millipage
-// measured at pin time, so "speedup" reads as the relative simulator
-// cost of the twin/diff machinery: ~1.0 means multi-writer LRC
-// simulates about as fast as the SC protocol it is compared against.
-func benchE2EFalseShareMW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := FalseShareKernel("lrc-mw", 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchE2EWATER8MW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := WaterChunkPoint("lrc-mw", 0.1, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // RunPerfBench measures the simulator benchmark suite, then the
 // ParSpeedup row: the 64-host SOR workload on the parallel engine,
@@ -330,13 +325,16 @@ func benchE2EWATER8MW(b *testing.B) {
 func RunPerfBench() []PerfPoint {
 	var out []PerfPoint
 	measure := func(name string, run func(b *testing.B), baseline PerfBaseline) PerfPoint {
+		lastCounters = sim.Counters{}
 		r := testing.Benchmark(run)
 		p := PerfPoint{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Baseline:    baseline,
+			Name:          name,
+			NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp:   r.AllocsPerOp(),
+			BytesPerOp:    r.AllocedBytesPerOp(),
+			EventsPerOp:   lastCounters.Events,
+			SwitchesPerOp: lastCounters.Switches,
+			Baseline:      baseline,
 		}
 		if p.NsPerOp > 0 {
 			p.Speedup = p.Baseline.NsPerOp / p.NsPerOp
@@ -356,7 +354,7 @@ func RunPerfBench() []PerfPoint {
 		}
 		out = append(out, p)
 	}
-	out = append(out, measure("ParSpeedup", benchE2ESOR64Par, seqSOR64))
+	out = append(out, measure("ParSpeedup", benchE2E("ParSpeedup"), seqSOR64))
 	return out
 }
 
@@ -367,11 +365,15 @@ func WritePerfBench(w io.Writer, path string) error {
 	fmt.Fprintln(w, "Simulator wall-clock benchmarks (before = pre-optimization baseline)")
 	fmt.Fprintf(w, "sweep workers=%d; parallel engine: shards=%d workers=%d (machine cores=%d)\n",
 		Workers(), parShape.Shards, parShape.Workers, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s\n",
-		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op")
+	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s %13s %15s\n",
+		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op", "events_per_op", "switches_per_op")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-15s %14.1f %14.1f %7.2fx %13d %13d %13d\n",
+		fmt.Fprintf(w, "%-15s %14.1f %14.1f %7.2fx %13d %13d %13d",
 			p.Name, p.Baseline.NsPerOp, p.NsPerOp, p.Speedup, p.Baseline.AllocsPerOp, p.AllocsPerOp, p.BytesPerOp)
+		if p.EventsPerOp > 0 { // the micro rows' op is an event or a message, not a run
+			fmt.Fprintf(w, " %13d %15d", p.EventsPerOp, p.SwitchesPerOp)
+		}
+		fmt.Fprintln(w)
 	}
 	if path == "" {
 		return nil

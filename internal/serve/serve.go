@@ -141,6 +141,8 @@ type Result struct {
 
 	Violations     uint64 // oracle violations observed in-line (0 on a correct run)
 	FirstViolation string
+
+	Engine sim.Counters // what the run cost the event engine (whole run, setup included)
 }
 
 // String renders the run summary the CLI prints.
@@ -399,7 +401,7 @@ func Run(sc Scenario) (*Result, error) {
 		return nil, oracleErr
 	}
 
-	res := &Result{Scenario: sc, Report: report, Elapsed: sts[0].elapsed}
+	res := &Result{Scenario: sc, Report: report, Elapsed: sts[0].elapsed, Engine: cl.EngineCounters()}
 	fp := uint64(fnvOffset)
 	for i := range sts {
 		st := &sts[i]

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEventDispatch measures raw calendar throughput: schedule and
 // fire engine callbacks.
@@ -26,8 +29,9 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the goroutine-handshake cost of one
-// Sleep (park + resume round trip).
+// BenchmarkProcessSwitch measures one Sleep with nothing else pending:
+// the fast path, which advances the clock in place — no calendar event
+// and no coroutine switch (BenchmarkProcessHandover measures a real one).
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("sleeper", func(p *Proc) {
@@ -81,5 +85,71 @@ func BenchmarkProcessHandover(b *testing.B) {
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// holdModel drives a calendar the way the classic hold benchmark does —
+// pop the minimum, push one event later than it — so the pending count
+// stays where fill put it. The delays are the engine's mix: seven of
+// eight events land within 256 ns of the clock (CPU charges, wire
+// arrivals, poll fires) and one in eight is a far timer (a retransmit
+// timeout), which then sits behind thousands of near-term events.
+type holdModel struct {
+	cal calendar
+	seq uint64
+	rng uint64
+}
+
+func (h *holdModel) push(now Time) {
+	h.rng ^= h.rng << 13
+	h.rng ^= h.rng >> 7
+	h.rng ^= h.rng << 17
+	d := Time(h.rng >> 56)
+	if h.rng&7 == 0 {
+		d += 100_000
+	}
+	h.seq++
+	h.cal.push(now+d, h.seq, payload{fn: callFunc0})
+}
+
+func newHoldModel(pending int) *holdModel {
+	h := &holdModel{rng: 0x9E3779B97F4A7C15}
+	for i := 0; i < pending; i++ {
+		h.push(0)
+	}
+	h.run(4 * pending) // reach the steady mix of near events and far timers
+	return h
+}
+
+func (h *holdModel) run(ops int) {
+	for i := 0; i < ops; i++ {
+		now, _ := h.cal.pop()
+		h.push(now)
+	}
+}
+
+// BenchmarkCalendarHold prices one pop + push at a fixed number of
+// pending events. The engine runs at 5–45 pending on the measured
+// workloads and a few hundred at worst; 4096 is there to show where the
+// O(pending) insertion scan stops paying (DESIGN.md §6 has the crossover
+// against the retired heap).
+func BenchmarkCalendarHold(b *testing.B) {
+	for _, pending := range []int{8, 64, 256, 4096} {
+		b.Run(fmt.Sprint(pending), func(b *testing.B) {
+			h := newHoldModel(pending)
+			b.ReportAllocs()
+			b.ResetTimer()
+			h.run(b.N)
+		})
+	}
+}
+
+// TestCalendarSteadyStateAllocFree pins the calendar's steady state at
+// 0 allocs per push/pop, key array, slab and free list included: once
+// the arrays have grown to the working size, slots only recycle.
+func TestCalendarSteadyStateAllocFree(t *testing.T) {
+	h := newHoldModel(200)
+	if avg := testing.AllocsPerRun(100, func() { h.run(1000) }); avg != 0 {
+		t.Fatalf("calendar steady state allocates: %.2f allocs per 1000 pop+push, want 0", avg)
 	}
 }

@@ -84,40 +84,30 @@ type Engine struct {
 	// installed a schedule explorer, so the default path is untouched.
 	// Exploration requires the single-shard engine: a strategy must see
 	// one global event order.
-	x         Explorer
-	yieldSeq  map[uint64]struct{} // seqs of resumes scheduled by Yield/Sleep(0)
-	tieEvents []event             // scratch for popTie
-	tieInfos  []EventInfo         // scratch for popTie
-	panicErr  *ErrPanic           // first panic captured under exploration
+	x        Explorer
+	yieldSeq map[uint64]struct{} // seqs of resumes scheduled by Yield/Sleep(0)
+	tieInfos []EventInfo         // scratch for chooseTie
+	panicErr *ErrPanic           // first panic captured under exploration
 }
 
-// Shard owns one slice of the simulation: a calendar, a same-instant
-// ring, a clock, a random stream, and the processes bound to it. The
-// single-shard engine is exactly one Shard driven with an open horizon;
-// the sharded engine executes many Shards inside conservative windows
-// (see Engine.Run). A Shard's methods follow the same calling discipline
-// as the classic engine, per shard: at most one of its processes runs at
-// a time, and only that process (or the shard's own engine callbacks)
-// may touch the shard.
+// Shard owns one slice of the simulation: a calendar, a clock, a random
+// stream, and the processes bound to it. The single-shard engine is
+// exactly one Shard driven with an open horizon; the sharded engine
+// executes many Shards inside conservative windows (see Engine.Run). A
+// Shard's methods follow the same calling discipline as the classic
+// engine, per shard: at most one of its processes runs at a time, and
+// only that process (or the shard's own engine callbacks) may touch the
+// shard.
 type Shard struct {
 	e  *Engine
 	id int
 
-	now  Time
-	seq  uint64
-	calQ calendar
+	now Time
+	seq uint64
+	cal calendar
 
-	// ring is the same-instant FIFO: events scheduled for the current
-	// virtual time (wakes, yields, zero-latency callbacks — the majority
-	// of all events) are appended here instead of sifting through the
-	// heap, and popped in O(1). Appends carry strictly increasing seq, so
-	// the ring is seq-sorted by construction; popNext merges it with the
-	// heap on (at, seq), preserving the shard's deterministic order
-	// exactly. Invariant: every ring entry has at == now (now only
-	// advances by popping a later heap event, possible only when the
-	// ring is drained). Unused under exploration (see SetExplorer).
-	ring     []event
-	ringHead int
+	// Work counts behind Engine.Counters.
+	events, switches, sleepFast uint64
 
 	rng    *rand.Rand
 	nextID int
@@ -256,6 +246,30 @@ func (e *Engine) MaxShardsActive() int { return e.maxActive }
 // Windows reports how many conservative windows the sharded run executed.
 func (e *Engine) Windows() uint64 { return e.windows }
 
+// Counters are the engine's work counts, summed over shards. They are
+// pure functions of (program, seed, shard count), so two builds of the
+// simulator that claim the same behaviour must agree on them exactly.
+// The shards keep them as plain integers: read them after Run, or from
+// simulation context on the single-shard engine.
+type Counters struct {
+	Events     uint64 // calendar events fired: process resumes and callbacks
+	Switches   uint64 // coroutine switches: a driver loop resuming a process
+	SleepFast  uint64 // Sleeps that advanced the clock in place, with no event
+	MaxPending uint64 // most events pending on one shard's calendar at once
+}
+
+// Counters reports the work counts so far.
+func (e *Engine) Counters() Counters {
+	var c Counters
+	for _, s := range e.shards {
+		c.Events += s.events
+		c.Switches += s.switches
+		c.SleepFast += s.sleepFast
+		c.MaxPending = max(c.MaxPending, uint64(s.cal.peak))
+	}
+	return c
+}
+
 // Now returns the current virtual time. On a sharded engine the shards'
 // clocks advance independently inside a window, so Now reports the
 // current window floor while running and the finish time of the last
@@ -293,55 +307,16 @@ func (s *Shard) clamp(at Time) Time {
 	return at
 }
 
-// scheduleResume inserts a resume record for p at absolute time at.
+// scheduleResume inserts a resume event for p at absolute time at.
 func (s *Shard) scheduleResume(at Time, p *Proc) {
 	s.seq++
-	if at = s.clamp(at); at == s.now && s.e.x == nil {
-		s.ring = append(s.ring, event{at: at, seq: s.seq, proc: p})
-		return
-	}
-	s.calQ.push(event{at: at, seq: s.seq, proc: p})
+	s.cal.push(s.clamp(at), s.seq, payload{proc: p})
 }
 
-// scheduleFn inserts a callback record at absolute time at.
+// scheduleFn inserts a callback event at absolute time at.
 func (s *Shard) scheduleFn(at Time, fn func(any), arg any) {
 	s.seq++
-	if at = s.clamp(at); at == s.now && s.e.x == nil {
-		s.ring = append(s.ring, event{at: at, seq: s.seq, fn: fn, arg: arg})
-		return
-	}
-	s.calQ.push(event{at: at, seq: s.seq, fn: fn, arg: arg})
-}
-
-// ringEmpty reports whether the same-instant FIFO is drained.
-func (s *Shard) ringEmpty() bool { return s.ringHead == len(s.ring) }
-
-// popNext removes the shard's earliest event, merging the same-instant
-// ring with the calendar heap on (at, seq).
-func (s *Shard) popNext() event {
-	if s.ringHead < len(s.ring) {
-		rh := &s.ring[s.ringHead]
-		// Ring entries sit at the current instant; the heap wins only
-		// with an equal timestamp and an older seq.
-		if s.calQ.Len() == 0 {
-			return s.popRing()
-		}
-		if m := s.calQ.min(); m.at != rh.at || m.seq > rh.seq {
-			return s.popRing()
-		}
-	}
-	return s.calQ.pop()
-}
-
-func (s *Shard) popRing() event {
-	ev := s.ring[s.ringHead]
-	s.ring[s.ringHead] = event{} // release the arg/proc references
-	s.ringHead++
-	if s.ringHead == len(s.ring) {
-		s.ring = s.ring[:0]
-		s.ringHead = 0
-	}
-	return ev
+	s.cal.push(s.clamp(at), s.seq, payload{fn: fn, arg: arg})
 }
 
 // At schedules fn to run in engine context at absolute virtual time at
@@ -473,16 +448,15 @@ func (s *Shard) nextProc() *Proc {
 		if e.stopped.Load() || (s.fgHalt && s.liveFG == 0) {
 			return nil
 		}
-		if s.ringHead == len(s.ring) && (s.calQ.Len() == 0 || s.calQ.min().at >= s.horizon) {
+		if s.cal.minAt() >= s.horizon {
 			return nil
 		}
-		var ev event
 		if e.x != nil {
-			ev = e.popTie()
-		} else {
-			ev = s.popNext()
+			e.chooseTie()
 		}
-		s.now = ev.at
+		var ev payload
+		s.now, ev = s.cal.pop()
+		s.events++
 		switch {
 		case ev.proc != nil:
 			if ev.proc.state == stateDone {
@@ -535,6 +509,7 @@ func (s *Shard) switchTo(p *Proc) *Proc {
 		c.p, p.c = p, c
 	}
 	p.state = stateRunning
+	s.switches++
 	alive := c.resume()
 	if p.state != stateDone {
 		next := s.next
@@ -772,10 +747,10 @@ func (p *Proc) park(st procState) {
 // lies inside the shard's window, the resume record this Sleep would
 // push is exactly the event the engine would pop next. The process then
 // advances the clock itself and keeps running — same execution order, no
-// heap traffic, and no coroutine switch. Events already scheduled for
-// the wakeup instant have smaller sequence numbers than the would-be
-// resume, so the fast path requires the calendar minimum to lie strictly
-// after the wakeup time.
+// calendar traffic, and no coroutine switch. Events already scheduled for
+// the wakeup instant — the current one included, for Sleep(0) — have
+// smaller sequence numbers than the would-be resume, so the fast path
+// requires the calendar minimum to lie strictly after the wakeup time.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
@@ -783,9 +758,9 @@ func (p *Proc) Sleep(d Duration) {
 	s := p.sh
 	e := p.e
 	at := s.now.Add(d)
-	if !e.stopped.Load() && s.ringEmpty() && at < s.horizon &&
-		(s.calQ.Len() == 0 || at < s.calQ.min().at) {
+	if !e.stopped.Load() && at < s.horizon && at < s.cal.minAt() {
 		s.now = at
+		s.sleepFast++
 		return
 	}
 	s.scheduleResume(at, p)

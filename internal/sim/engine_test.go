@@ -233,6 +233,69 @@ func TestEngineCallbacks(t *testing.T) {
 	}
 }
 
+// TestSameInstantOrder pins the order at one instant T, which the
+// calendar alone now carries: an event scheduled for T before the clock
+// got there fires ahead of everything scheduled at T during T, however
+// those are addressed (At(T), After(0), a time already past).
+func TestSameInstantOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	e.At(10, func() {
+		order = append(order, "first")
+		e.At(10, mark("during-1"))
+		e.After(0, mark("during-2"))
+		e.At(3, mark("during-3")) // the past is not addressable: fires now
+		e.At(11, mark("later"))
+	})
+	e.At(10, mark("older"))
+	e.Spawn("w", func(p *Proc) { p.Sleep(100) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[first older during-1 during-2 during-3 later]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// TestSleepFastPathConditions pins when Sleep may advance the clock in
+// place: never past or onto an event already scheduled — one tying the
+// wake-up time has the smaller seq and must fire first, and for Sleep(0)
+// that includes events at the current instant — and always on an empty
+// calendar, Sleep(0) included. The counters show which path ran.
+func TestSleepFastPathConditions(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	e.At(10, func() { order = append(order, "timer") })
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(10) // the timer ties the wake-up time
+		order = append(order, "woke")
+		if c := e.Counters(); c.SleepFast != 0 || c.Events != 3 || c.Switches != 1 {
+			t.Errorf("after the tied Sleep: %+v, want 3 events (spawn, timer, resume), 1 switch, no fast path", c)
+		}
+		p.Sleep(0) // nothing pending
+		p.Sleep(5)
+		if c := e.Counters(); c.SleepFast != 2 || c.Events != 3 {
+			t.Errorf("on an empty calendar: %+v, want 2 fast sleeps and no new event", c)
+		}
+		e.After(0, func() { order = append(order, "same-instant") })
+		p.Sleep(0) // an event at the current instant is pending
+		order = append(order, "yielded")
+		if c := e.Counters(); c.SleepFast != 2 || c.Events != 5 || c.Switches != 1 || c.MaxPending != 2 {
+			t.Errorf("after the yield: %+v, want 5 events, still 1 switch and 2 fast sleeps, at most 2 pending", c)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[timer woke same-instant yielded]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if e.Now() != 15 {
+		t.Fatalf("finished at %v, want 15", e.Now())
+	}
+}
+
 // Determinism: the same seed and program must produce the identical
 // interleaving, observed here as the exact sequence of (time, proc) pairs.
 func TestDeterministicReplay(t *testing.T) {

@@ -59,54 +59,37 @@ func (e *Engine) SetExplorer(x Explorer) {
 	if x != nil && e.yieldSeq == nil {
 		e.yieldSeq = make(map[uint64]struct{})
 	}
-	// Exploration pops through popTie, which consults only the heap, so
-	// flush anything the same-instant ring gathered before the explorer
-	// was installed (events scheduled during setup keep their seq, hence
-	// their deterministic order).
-	s := e.shards[0]
-	for s.ringHead < len(s.ring) {
-		s.calQ.push(s.popRing())
-	}
 }
 
-// popTie is the exploring replacement for calQ.pop: gather every event
-// tied at the minimum timestamp, let the explorer pick one, and return
-// the rest to the calendar with their original sequence numbers (so
-// their relative default order is preserved for the next decision).
-func (e *Engine) popTie() event {
-	s := e.shards[0]
-	first := s.calQ.pop()
-	if s.calQ.Len() == 0 || s.calQ.min().at != first.at {
-		delete(e.yieldSeq, first.seq)
-		return first // forced move: no decision point
-	}
-	ties := e.tieEvents[:0]
-	ties = append(ties, first)
-	for s.calQ.Len() > 0 && s.calQ.min().at == first.at {
-		ties = append(ties, s.calQ.pop())
-	}
-	infos := e.tieInfos[:0]
-	for _, ev := range ties {
-		info := EventInfo{}
-		if ev.proc != nil {
-			info.Proc = ev.proc.name
-			_, info.FromYield = e.yieldSeq[ev.seq]
+// chooseTie is the exploring step before a pop: when several events are
+// tied at the minimum timestamp the explorer picks one, whose key moves
+// to the minimum position. The others keep their keys — hence their
+// sequence numbers and their relative default order — for the next
+// decision.
+func (e *Engine) chooseTie() {
+	c := &e.shards[0].cal
+	ties := c.ties()
+	last := len(ties) - 1
+	if last > 0 {
+		infos := e.tieInfos[:0]
+		for i := last; i >= 0; i-- { // seq order
+			info := EventInfo{}
+			if p := c.slab[ties[i].slot].proc; p != nil {
+				info.Proc = p.name
+				_, info.FromYield = e.yieldSeq[ties[i].seq]
+			}
+			infos = append(infos, info)
 		}
-		infos = append(infos, info)
-	}
-	k := e.x.ChooseTie(infos)
-	if k < 0 || k >= len(ties) {
-		panic("sim: Explorer.ChooseTie returned an out-of-range index")
-	}
-	chosen := ties[k]
-	for i, ev := range ties {
-		if i != k {
-			s.calQ.push(ev)
+		e.tieInfos = infos[:0]
+		k := e.x.ChooseTie(infos)
+		if k < 0 || k > last {
+			panic("sim: Explorer.ChooseTie returned an out-of-range index")
 		}
+		chosen := ties[last-k]
+		copy(ties[last-k:], ties[last-k+1:])
+		ties[last] = chosen
 	}
-	e.tieEvents, e.tieInfos = ties[:0], infos[:0]
-	delete(e.yieldSeq, chosen.seq)
-	return chosen
+	delete(e.yieldSeq, ties[last].seq)
 }
 
 // ErrPanic is returned by Run when, under an installed Explorer, a
@@ -142,7 +125,7 @@ func (e *Engine) explorePanic(proc string, r any) {
 func renderPanic(r any) string { return fmt.Sprint(r) }
 
 // runEventExplored fires one callback event with panic capture.
-func (e *Engine) runEventExplored(ev event) {
+func (e *Engine) runEventExplored(ev payload) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.explorePanic("", r)

@@ -245,3 +245,37 @@ func TestExplorerTiePushback(t *testing.T) {
 		t.Fatalf("arities = %v, want [4 3 2]", arities)
 	}
 }
+
+// TestSetExplorerKeepsEarlierEvents: events scheduled for the current
+// instant before the explorer was installed are offered with the ones
+// scheduled after it, in seq order, and keep their seq when passed over.
+func TestSetExplorerKeepsEarlierEvents(t *testing.T) {
+	run := func(pick func(n int) int) (order string, arities []int) {
+		e := NewEngine(1)
+		var fired []string
+		mark := func(s string) func() { return func() { fired = append(fired, s) } }
+		e.At(0, mark("a"))
+		e.At(0, mark("b"))
+		e.SetExplorer(chooserFunc(func(ties []EventInfo) int {
+			arities = append(arities, len(ties))
+			return pick(len(ties))
+		}))
+		e.At(0, mark("c"))
+		e.Spawn("w", func(p *Proc) {
+			fired = append(fired, "w")
+			p.Sleep(1) // Run ends with its last process; let the tie drain first
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(fired), arities
+	}
+	if order, arities := run(func(int) int { return 0 }); order != "[a b c w]" || fmt.Sprint(arities) != "[4 3 2]" {
+		t.Errorf("always-first: order %v arities %v, want [a b c w] [4 3 2]", order, arities)
+	}
+	// Picking the second of the tie each time passes "a" over three times;
+	// it must still be the oldest when it finally runs, forced.
+	if order, arities := run(func(int) int { return 1 }); order != "[b c w a]" || fmt.Sprint(arities) != "[4 3 2]" {
+		t.Errorf("always-second: order %v arities %v, want [b c w a] [4 3 2]", order, arities)
+	}
+}

@@ -39,15 +39,12 @@ func (e *Engine) runSharded() error {
 	nexts := make([]Time, len(e.shards))
 	for {
 		// Barrier state, in one pass: each shard's earliest pending event,
-		// the two smallest such times across shards, and the live
-		// foreground count. Rings matter here: before the first window —
-		// and after any top-level Spawn/At at the current instant — a
-		// shard's next work sits on its ring, not its calendar, so nextAt
-		// consults both.
+		// the smallest such time across shards, and the live foreground
+		// count.
 		min1 := maxTime
 		totalFG := 0
 		for i, s := range e.shards {
-			at := s.nextAt()
+			at := s.cal.minAt()
 			nexts[i] = at
 			if at < min1 {
 				min1 = at
@@ -91,19 +88,6 @@ func (e *Engine) runSharded() error {
 		e.runShards(active)
 		e.mergeOutboxes(active)
 	}
-}
-
-// nextAt returns the virtual time of the shard's earliest pending work:
-// its current instant when the same-instant ring holds entries, else the
-// calendar minimum, else "never".
-func (s *Shard) nextAt() Time {
-	if !s.ringEmpty() {
-		return s.now
-	}
-	if s.calQ.Len() > 0 {
-		return s.calQ.min().at
-	}
-	return maxTime
 }
 
 // runShards executes the active shards' windows, across up to

@@ -238,6 +238,11 @@ func (c *Cluster) EngineStats() (shards, workers int, windows uint64, maxActive 
 	return eng.NumShards(), eng.ParWorkers(), eng.Windows(), eng.MaxShardsActive()
 }
 
+// EngineCounters reports the event engine's deterministic work counts
+// (events fired, process switches, fast-path sleeps, calendar high-water
+// mark): what a run cost the simulator, as opposed to what it simulated.
+func (c *Cluster) EngineCounters() sim.Counters { return c.sys.Runtime().Eng.Counters() }
+
 // Run executes body on ThreadsPerHost application threads on every host
 // and blocks until all of them finish, returning the run's Report. A
 // Cluster runs one application; create a new Cluster per run.
