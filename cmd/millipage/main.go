@@ -122,8 +122,8 @@ func dispatch(cmd string, args []string) error {
 }
 
 // usageText is the complete subcommand reference. Every dispatch case
-// must appear here with its protocol/engine flags spelled out where it
-// takes them — cmd/millipage's usage golden test walks dispatch and this
+// must appear here with its protocol flag spelled out where it takes
+// one — cmd/millipage's usage golden test walks dispatch and this
 // text to keep the two in lockstep.
 const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunking|ablation|managerload|chaos|explore|serve|bench|all> [flags]
   costs                Table 1 and the Section 4.2 microbenchmarks
@@ -133,7 +133,6 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -hosts L      comma list of host counts (default 1,2,4,8)
                          -only A       run a single application
                          -protocol P   coherence protocol: millipage, ivy, lrc, lrc-mw
-                         -engine E     event engine: seq (classic) or par (sharded parallel)
                          -seed N
   chunking [flags]     Figure 7: chunking in WATER (-scale, -seed)
   ablation [flags]     Section 5 / 3.5 ablations: LRC over chunking,
@@ -175,7 +174,6 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -all          run the default matrix, record serving rows
                          -out F        with -all: report path (default BENCH_sim.json)
                          -protocol P   millipage, ivy, lrc or lrc-mw
-                         -engine E     event engine: seq (classic) or par (sharded parallel)
                          -hosts/-clients/-rate/-ops/-seed/-faults   overrides
   bench [-out F]       simulator wall-clock benchmarks vs the frozen
                        pre-optimization baseline (default -out BENCH_sim.json)
@@ -222,8 +220,8 @@ func parseHosts(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad host count %q", f)
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("bad host count %q (want a comma list of positive integers)", f)
 		}
 		out = append(out, v)
 	}
@@ -237,7 +235,6 @@ func runApps(args []string) error {
 	only := fs.String("only", "", "run a single application (SOR, IS, WATER, LU, TSP)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	protocol := fs.String("protocol", "millipage", "coherence protocol (millipage, ivy, lrc, lrc-mw)")
-	engine := fs.String("engine", "seq", "event engine: seq (classic) or par (sharded parallel)")
 	fs.Parse(args)
 
 	cfg := bench.DefaultFigure6()
@@ -245,14 +242,16 @@ func runApps(args []string) error {
 	cfg.Seed = *seed
 	cfg.Only = *only
 	cfg.Protocol = *protocol
-	cfg.Engine = *engine
 	hs, err := parseHosts(*hosts)
 	if err != nil {
 		return err
 	}
 	cfg.Hosts = hs
+	if cfg, err = cfg.Checked(); err != nil {
+		return err
+	}
 
-	fmt.Printf("running application suite under %s (%s engine) at scale %.2f on hosts %v ...\n", *protocol, *engine, *scale, hs)
+	fmt.Printf("running application suite under %s at scale %.2f on hosts %v ...\n", *protocol, cfg.Scale, hs)
 	runs, err := bench.Figure6(cfg, os.Stdout)
 	if err != nil {
 		return err

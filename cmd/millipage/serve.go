@@ -23,7 +23,6 @@ func runServe(args []string) error {
 	all := fs.Bool("all", false, "run the default serving matrix and record it (see -out)")
 	out := fs.String("out", "BENCH_sim.json", "with -all: serving-rows report path (empty = table only)")
 	protocol := fs.String("protocol", "", "override the scenario's coherence protocol (millipage, ivy, lrc, lrc-mw)")
-	engine := fs.String("engine", "", "override the event engine: seq (classic) or par (sharded parallel)")
 	hosts := fs.Int("hosts", 0, "override the cluster size")
 	clients := fs.Int("clients", 0, "override the simulated client count")
 	rate := fs.Float64("rate", 0, "override the offered load (ops/sec of virtual time)")
@@ -59,9 +58,6 @@ func runServe(args []string) error {
 	}
 	if *protocol != "" {
 		sc.Protocol = *protocol
-	}
-	if *engine != "" {
-		sc.Engine = *engine
 	}
 	if *hosts != 0 {
 		sc.Hosts = *hosts

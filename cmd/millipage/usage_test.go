@@ -99,14 +99,12 @@ func TestUsageListsEveryDispatchCase(t *testing.T) {
 	}
 }
 
-// TestUsageProtocolEngineFlags keeps the cross-cutting flags honest:
-// every subcommand that accepts -protocol or -engine must say so in its
-// usage block, with the same value vocabulary everywhere.
-func TestUsageProtocolEngineFlags(t *testing.T) {
+// TestUsageProtocolFlags keeps the cross-cutting flag honest: every
+// subcommand that accepts -protocol must say so in its usage block, with
+// the same value vocabulary everywhere.
+func TestUsageProtocolFlags(t *testing.T) {
 	blocks := usageBlocks(t)
-	wantProtocol := []string{"apps", "chaos", "explore", "serve"}
-	wantEngine := []string{"apps", "serve"}
-	for _, cmd := range wantProtocol {
+	for _, cmd := range []string{"apps", "chaos", "explore", "serve"} {
 		if !strings.Contains(blocks[cmd], "-protocol P") {
 			t.Errorf("%s takes -protocol but its usage block does not list it", cmd)
 		}
@@ -114,12 +112,30 @@ func TestUsageProtocolEngineFlags(t *testing.T) {
 			t.Errorf("%s: -protocol vocabulary differs from the other subcommands", cmd)
 		}
 	}
-	for _, cmd := range wantEngine {
-		if !strings.Contains(blocks[cmd], "-engine E") {
-			t.Errorf("%s takes -engine but its usage block does not list it", cmd)
+}
+
+// TestAppsRejectsBadInput: `apps` used to exit 0 on each of these — empty
+// tables for an unknown -only, a "0 hosts" row for -hosts 0, every data
+// set silently clamped to its minimum for a negative -scale.
+func TestAppsRejectsBadInput(t *testing.T) {
+	for _, bad := range []string{"0", "-2", "1,0", "4,x", ""} {
+		if hs, err := parseHosts(bad); err == nil {
+			t.Errorf("parseHosts(%q) = %v, want an error", bad, hs)
 		}
-		if !strings.Contains(blocks[cmd], "seq (classic) or par (sharded parallel)") {
-			t.Errorf("%s: -engine vocabulary differs from the other subcommands", cmd)
+	}
+	if hs, err := parseHosts("1, 2,8"); err != nil || len(hs) != 3 || hs[2] != 8 {
+		t.Errorf("parseHosts(\"1, 2,8\") = %v, %v", hs, err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // the error names this
+	}{
+		{[]string{"-only", "NOPE", "-scale", "0.02"}, "NOPE"},
+		{[]string{"-hosts", "0", "-only", "SOR", "-scale", "0.02"}, "host count"},
+		{[]string{"-scale", "-1", "-only", "SOR", "-hosts", "1"}, "Scale"},
+	} {
+		if err := runApps(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("apps %v: error = %v, want one naming %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -42,10 +42,11 @@ type Params struct {
 	Seed          int64
 	Scale         float64 // problem scale: 1.0 = the paper's data sets
 
-	// Engine selects the event engine ("seq" default, "par" for the
-	// sharded parallel engine) and ParWorkers bounds its goroutines; see
-	// millipage.Config. Virtual-time results are engine-independent.
-	Engine     string
+	// Engine accepts only "" or "seq": there is one event engine. Kept so
+	// the benchmark module compiles; goes with its `kernel/sim.par` group.
+	Engine string
+	// ParWorkers accepts only 0. Kept so the benchmark module compiles;
+	// goes with its `kernel/sim.par` group.
 	ParWorkers int
 }
 
@@ -60,6 +61,34 @@ func (p Params) withDefaults() Params {
 		p.Scale = 1.0
 	}
 	return p
+}
+
+// newCluster is the one place a suite application's Params become a
+// millipage.Config: it rejects what no application can run, then builds
+// the cluster around the application's own shared-memory size and view
+// count. chunkLevel is WATER's p.ChunkLevel; the other applications pass
+// 0 and ignore the field.
+func (p Params) newCluster(sharedMemory, views, chunkLevel int) (*millipage.Cluster, error) {
+	switch {
+	case p.Hosts < 0:
+		return nil, fmt.Errorf("apps: Hosts = %d; must not be negative", p.Hosts)
+	case p.Scale < 0:
+		return nil, fmt.Errorf("apps: Scale = %g; must not be negative", p.Scale)
+	case p.Engine != "" && p.Engine != "seq":
+		return nil, fmt.Errorf("apps: Engine = %q; there is one event engine (\"seq\")", p.Engine)
+	case p.ParWorkers != 0:
+		return nil, fmt.Errorf("apps: ParWorkers = %d; there is no parallel engine to give workers to", p.ParWorkers)
+	}
+	return millipage.NewCluster(millipage.Config{
+		Protocol:        p.Protocol,
+		Hosts:           p.Hosts,
+		SharedMemory:    sharedMemory,
+		Views:           views,
+		ChunkLevel:      chunkLevel,
+		PageGranularity: p.PageGrain,
+		Seed:            p.Seed,
+		PerfectTimers:   p.PerfectTimers,
+	})
 }
 
 // scaled applies the problem scale to a paper-sized quantity, keeping at
@@ -80,24 +109,15 @@ type Result struct {
 	Timed   sim.Duration // the timed parallel section (excludes setup), for speedups
 	Check   float64      // application checksum; equal across host counts iff SC holds
 	Checked bool         // application-level verification ran and passed
-	Engine  EngineShape  // event-engine execution shape of the run
+	Engine  EngineShape  // what the run cost the event engine
 }
 
-// EngineShape records how the event engine executed the run (see
-// millipage.Cluster.EngineStats): 1 shard / 0 windows on the sequential
-// engine, hosts+1 shards on the parallel one.
+// EngineShape records what the run cost the event engine.
 type EngineShape struct {
-	Shards    int
-	Workers   int
-	Windows   uint64
-	MaxActive int
-	Counters  sim.Counters // the engine's work counts for the run
-}
-
-// engineShape captures a cluster's execution shape after Run.
-func engineShape(c *millipage.Cluster) EngineShape {
-	shards, workers, windows, maxActive := c.EngineStats()
-	return EngineShape{Shards: shards, Workers: workers, Windows: windows, MaxActive: maxActive, Counters: c.EngineCounters()}
+	// Windows is always 0. Kept so the benchmark module compiles; goes
+	// with its `kernel/sim.par` group.
+	Windows  uint64
+	Counters sim.Counters // the engine's work counts for the run
 }
 
 func (r Result) String() string {

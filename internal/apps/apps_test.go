@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -221,6 +222,32 @@ func TestTable2ViewCounts(t *testing.T) {
 		}
 		if r.Report.ViewsUsed != c.views {
 			t.Errorf("%s views = %d, want %d", r.Name, r.Report.ViewsUsed, c.views)
+		}
+	}
+}
+
+// TestParamsRejected: every application refuses Params it cannot honour,
+// with an error naming the field — a negative Scale used to clamp every
+// data set to its minimum without a word, and Engine/ParWorkers survive
+// only as a shim that accepts their zero values.
+func TestParamsRejected(t *testing.T) {
+	cases := []struct {
+		p     Params
+		field string
+	}{
+		{Params{Hosts: -1, Scale: 0.02}, "apps: Hosts"},
+		{Params{Hosts: 2, Scale: -1}, "Scale"},
+		{Params{Hosts: 2, Scale: 0.02, Engine: "par"}, "Engine"},
+		{Params{Hosts: 2, Scale: 0.02, ParWorkers: 2}, "ParWorkers"},
+	}
+	for _, app := range Suite() {
+		for _, c := range cases {
+			if _, err := app.Run(c.p); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s(%+v): error = %v, want one naming %s", app.Name, c.p, err, c.field)
+			}
+		}
+		if _, err := app.Run(Params{Hosts: 2, Scale: 0.02, Engine: "seq"}); err != nil {
+			t.Errorf("%s: Engine \"seq\" rejected: %v", app.Name, err)
 		}
 	}
 }

@@ -48,17 +48,7 @@ func RunIS(p Params) (Result, error) {
 		shared = need
 	}
 
-	cluster, err := millipage.NewCluster(millipage.Config{
-		Protocol:        p.Protocol,
-		Hosts:           hosts,
-		SharedMemory:    shared,
-		Views:           8, // Table 2's value
-		PageGranularity: p.PageGrain,
-		Seed:            p.Seed,
-		PerfectTimers:   p.PerfectTimers,
-		Engine:          p.Engine,
-		ParWorkers:      p.ParWorkers,
-	})
+	cluster, err := p.newCluster(shared, 8, 0) // 8 views: Table 2's value
 	if err != nil {
 		return Result{}, err
 	}
@@ -149,7 +139,7 @@ func RunIS(p Params) (Result, error) {
 	}
 	// The weighted bucket sum is a deterministic function of the keys, so
 	// it validates coherence exactly (integer arithmetic: no FP ordering).
-	return Result{Name: "IS", Hosts: hosts, Report: report, Timed: timed, Check: check, Checked: check != 0, Engine: engineShape(cluster)}, nil
+	return Result{Name: "IS", Hosts: hosts, Report: report, Timed: timed, Check: check, Checked: check != 0, Engine: EngineShape{Counters: cluster.EngineCounters()}}, nil
 }
 
 // isKeyAt is a splitmix64-style hash of the global key index: a

@@ -34,17 +34,8 @@ func RunLU(p Params) (Result, error) {
 	n = (n / luBlock) * luBlock
 	nb := n / luBlock // blocks per dimension
 
-	cluster, err := millipage.NewCluster(millipage.Config{
-		Protocol:        p.Protocol,
-		Hosts:           p.Hosts,
-		SharedMemory:    nb*nb*luBlockSz + (64 << 10),
-		Views:           1, // Table 2's value: a block is a full page
-		PageGranularity: p.PageGrain,
-		Seed:            p.Seed,
-		PerfectTimers:   p.PerfectTimers,
-		Engine:          p.Engine,
-		ParWorkers:      p.ParWorkers,
-	})
+	// One view is Table 2's value: a block is a full page.
+	cluster, err := p.newCluster(nb*nb*luBlockSz+(64<<10), 1, 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -175,7 +166,7 @@ func RunLU(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Name: "LU", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: !math.IsNaN(check) && check != 0, Engine: engineShape(cluster)}, nil
+	return Result{Name: "LU", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: !math.IsNaN(check) && check != 0, Engine: EngineShape{Counters: cluster.EngineCounters()}}, nil
 }
 
 // factorBlock performs an in-place unblocked LU (no pivoting) on a

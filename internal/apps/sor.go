@@ -33,17 +33,8 @@ func RunSOR(p Params) (Result, error) {
 	rows := scaled(sorRowsFull, p.Scale, 64)
 	iters := sorIterFull
 
-	cluster, err := millipage.NewCluster(millipage.Config{
-		Protocol:        p.Protocol,
-		Hosts:           p.Hosts,
-		SharedMemory:    rows*sorRowBytes + (64 << 10),
-		Views:           16, // 4096/256: Table 2's value
-		PageGranularity: p.PageGrain,
-		Seed:            p.Seed,
-		PerfectTimers:   p.PerfectTimers,
-		Engine:          p.Engine,
-		ParWorkers:      p.ParWorkers,
-	})
+	// 16 views = 4096/256: Table 2's value.
+	cluster, err := p.newCluster(rows*sorRowBytes+(64<<10), 16, 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -128,7 +119,7 @@ func RunSOR(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Name: "SOR", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: check > 0, Engine: engineShape(cluster)}, nil
+	return Result{Name: "SOR", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: check > 0, Engine: EngineShape{Counters: cluster.EngineCounters()}}, nil
 }
 
 // band returns thread t's contiguous row range out of n threads.

@@ -45,17 +45,8 @@ func RunTSP(p Params) (Result, error) {
 	dist := tspDistances(cities, p.Seed)
 	bnd := makeBounds(dist)
 
-	cluster, err := millipage.NewCluster(millipage.Config{
-		Protocol:        p.Protocol,
-		Hosts:           p.Hosts,
-		SharedMemory:    2 << 20,
-		Views:           27, // floor(4096/148): Table 2's value
-		PageGranularity: p.PageGrain,
-		Seed:            p.Seed,
-		PerfectTimers:   p.PerfectTimers,
-		Engine:          p.Engine,
-		ParWorkers:      p.ParWorkers,
-	})
+	// 27 views = floor(4096/148): Table 2's value.
+	cluster, err := p.newCluster(2<<20, 27, 0)
 	if err != nil {
 		return Result{}, err
 	}
@@ -159,7 +150,7 @@ func RunTSP(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Name: "TSP", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: check > 0, Engine: engineShape(cluster)}, nil
+	return Result{Name: "TSP", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: check > 0, Engine: EngineShape{Counters: cluster.EngineCounters()}}, nil
 }
 
 // pushWork pushes a tour slot on the shared work stack. Caller holds (or

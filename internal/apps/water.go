@@ -48,18 +48,7 @@ func RunWATER(p Params) (Result, error) {
 	// floor(4096/672) = 6, Table 2's value; chunked minipages need fewer,
 	// so 6 remains sufficient for every chunking level.
 	views := 6
-	cluster, err := millipage.NewCluster(millipage.Config{
-		Protocol:        p.Protocol,
-		Hosts:           p.Hosts,
-		SharedMemory:    mols*4096/4 + (256 << 10), // molecules plus slack
-		Views:           views,
-		ChunkLevel:      p.ChunkLevel,
-		PageGranularity: p.PageGrain,
-		Seed:            p.Seed,
-		PerfectTimers:   p.PerfectTimers,
-		Engine:          p.Engine,
-		ParWorkers:      p.ParWorkers,
-	})
+	cluster, err := p.newCluster(mols*4096/4+(256<<10), views, p.ChunkLevel) // molecules plus slack
 	if err != nil {
 		return Result{}, err
 	}
@@ -214,7 +203,7 @@ func RunWATER(p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Name: "WATER", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: check != 0, Engine: engineShape(cluster)}, nil
+	return Result{Name: "WATER", Hosts: p.Hosts, Report: report, Timed: timed, Check: check, Checked: check != 0, Engine: EngineShape{Counters: cluster.EngineCounters()}}, nil
 }
 
 // pairForce is a soft inverse-square interaction — a real (if simplified)

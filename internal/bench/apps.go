@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"millipage/internal/apps"
 	"millipage/internal/sim"
@@ -23,9 +24,8 @@ type Figure6Config struct {
 	Hosts      []int   // cluster sizes (paper: 1..8)
 	Scale      float64 // 1.0 = the paper's data sets
 	Seed       int64
-	ChunkWATER int    // chunking level for WATER (paper uses chunking for its results)
+	ChunkWATER int // chunking level for WATER (paper uses chunking for its results)
 	Only       string
-	Engine     string // event engine: "" / "seq" classic, "par" sharded parallel
 }
 
 // DefaultFigure6 matches the paper's runs: 1, 2, 4, 8 hosts at full scale,
@@ -34,14 +34,31 @@ func DefaultFigure6() Figure6Config {
 	return Figure6Config{Hosts: []int{1, 2, 4, 8}, Scale: 1.0, Seed: 1, ChunkWATER: 5}
 }
 
+// Checked returns cfg as Figure6 will run it — a zero Scale is the
+// paper's 1.0 — or an error when Only names no suite application.
+func (cfg Figure6Config) Checked() (Figure6Config, error) {
+	if cfg.Scale == 0 {
+		cfg.Scale = 1.0
+	}
+	var names []string
+	for _, app := range apps.Suite() {
+		if cfg.Only == "" || cfg.Only == app.Name {
+			return cfg, nil
+		}
+		names = append(names, app.Name)
+	}
+	return cfg, fmt.Errorf("bench: Only = %q names no suite application (want one of %s)", cfg.Only, strings.Join(names, ", "))
+}
+
 // Figure6 runs the five-application suite over the host counts and
 // returns speedups relative to each application's 1-host run. The grid's
 // cells are independent simulations, so they run Workers-wide; speedups
 // and progress lines are derived afterwards in grid order, making the
 // output byte-identical to a sequential sweep.
 func Figure6(cfg Figure6Config, progress io.Writer) ([]AppRun, error) {
-	if cfg.Scale == 0 {
-		cfg.Scale = 1.0
+	cfg, err := cfg.Checked()
+	if err != nil {
+		return nil, err
 	}
 	type cell struct {
 		app   apps.App
@@ -58,7 +75,7 @@ func Figure6(cfg Figure6Config, progress io.Writer) ([]AppRun, error) {
 	}
 	results, err := sweep(len(grid), func(i int) (apps.Result, error) {
 		c := grid[i]
-		p := apps.Params{Protocol: cfg.Protocol, Hosts: c.hosts, Scale: cfg.Scale, Seed: cfg.Seed, Engine: cfg.Engine}
+		p := apps.Params{Protocol: cfg.Protocol, Hosts: c.hosts, Scale: cfg.Scale, Seed: cfg.Seed}
 		if c.app.Name == "WATER" {
 			p.ChunkLevel = cfg.ChunkWATER
 		}

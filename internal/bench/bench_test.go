@@ -3,8 +3,11 @@ package bench
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"millipage/internal/apps"
 )
 
 func TestTable1Output(t *testing.T) {
@@ -125,6 +128,25 @@ func TestFigure6SmallScale(t *testing.T) {
 	}
 }
 
+// TestFigure6RejectsUnknownOnly: an Only that names no suite application
+// is an error listing the five, raised before anything runs — it used to
+// run nothing and print empty tables.
+func TestFigure6RejectsUnknownOnly(t *testing.T) {
+	var progress bytes.Buffer
+	runs, err := Figure6(Figure6Config{Hosts: []int{1}, Scale: 0.02, Seed: 1, Only: "NOPE"}, &progress)
+	if err == nil || runs != nil || progress.Len() != 0 {
+		t.Fatalf("Figure6(Only: NOPE) = %d runs, %v, progress %q; want an error before any run", len(runs), err, progress.String())
+	}
+	for _, app := range apps.Suite() {
+		if !strings.Contains(err.Error(), app.Name) {
+			t.Errorf("error %q does not list %s", err, app.Name)
+		}
+	}
+	if cfg, err := (Figure6Config{Only: "LU"}).Checked(); err != nil || cfg.Scale != 1.0 {
+		t.Errorf("Checked(Only: LU, Scale: 0) = scale %v, %v; want the paper's 1.0 and no error", cfg.Scale, err)
+	}
+}
+
 func TestFigure7SmallScale(t *testing.T) {
 	cfg := Figure7Config{Hosts: []int{4}, Levels: []int{1, 4, 0}, Scale: 0.04, Seed: 1}
 	pts, err := Figure7(cfg, io.Discard)
@@ -165,7 +187,7 @@ func TestDiffCostsOutput(t *testing.T) {
 
 // TestCalendarStaysSmall pins the assumption the engine's calendar rests
 // on: its insertion scan is O(pending events), which is the right trade
-// only while a shard's calendar holds tens to hundreds of events (past
+// only while the calendar holds tens to hundreds of events (past
 // about a thousand a heap wins — DESIGN.md §6). Pending events scale
 // with hosts and in-flight timers, so the widest and the lossiest pinned
 // shapes are the ones that would show traffic outgrowing it.
@@ -182,5 +204,58 @@ func TestCalendarStaysSmall(t *testing.T) {
 			t.Errorf("%s: %d events pending at once, more than the 1024 the sorted calendar is sized for", name, c.MaxPending)
 		}
 		t.Logf("%-13s events=%d switches=%d sleep_fast=%d max_pending=%d", name, c.Events, c.Switches, c.SleepFast, c.MaxPending)
+	}
+}
+
+// suiteCell is one application under one protocol.
+type suiteCell struct {
+	app      apps.App
+	protocol string
+}
+
+// equivMatrix is the reduced suite x protocol matrix `-short` (the -race
+// CI leg) runs: one cell per protocol.
+var equivMatrix = []suiteCell{
+	{apps.App{Name: "SOR", Run: apps.RunSOR}, "millipage"},
+	{apps.App{Name: "TSP", Run: apps.RunTSP}, "ivy"},
+	{apps.App{Name: "IS", Run: apps.RunIS}, "lrc"},
+	{apps.App{Name: "WATER", Run: apps.RunWATER}, "lrc-mw"},
+}
+
+// TestSuiteEveryProtocolChecksAndRepeats is the one place all five
+// applications run under all four protocols: at 8 hosts with idealized
+// timers every cell passes its own verification, and a second run
+// reproduces the first's report and timed section exactly.
+func TestSuiteEveryProtocolChecksAndRepeats(t *testing.T) {
+	cells := equivMatrix
+	if !testing.Short() {
+		cells = nil
+		for _, app := range apps.Suite() {
+			for _, protocol := range []string{"millipage", "ivy", "lrc", "lrc-mw"} {
+				cells = append(cells, suiteCell{app, protocol})
+			}
+		}
+	}
+	for _, c := range cells {
+		t.Run(c.app.Name+"/"+c.protocol, func(t *testing.T) {
+			p := apps.Params{Protocol: c.protocol, Hosts: 8, Scale: 0.05, Seed: 1, PerfectTimers: true}
+			first, err := c.app.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !first.Checked {
+				t.Errorf("not checked: checksum %v", first.Check)
+			}
+			again, err := c.app.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Timed != first.Timed {
+				t.Errorf("timed section: %v, then %v", first.Timed, again.Timed)
+			}
+			if !reflect.DeepEqual(again.Report, first.Report) {
+				t.Errorf("reports differ between two runs:\nfirst:  %+v\nsecond: %+v", first.Report, again.Report)
+			}
+		})
 	}
 }

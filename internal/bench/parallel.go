@@ -2,7 +2,7 @@ package bench
 
 import (
 	"runtime"
-	"sync"
+	"sync" //detlint:ok replica sweeps fan independent simulations out over goroutines
 	"sync/atomic"
 )
 

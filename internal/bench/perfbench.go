@@ -39,8 +39,8 @@ type PerfPoint struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 
 	// Engine work per op on the rows that run a whole application or
-	// scenario (E2E*, ParSpeedup): deterministic counts, so a wall-clock
-	// move with these unchanged is a change in cost per event, not in
+	// scenario (E2E*): deterministic counts, so a wall-clock move with
+	// these unchanged is a change in cost per event, not in
 	// event count.
 	EventsPerOp   uint64 `json:"events_per_op,omitempty"`
 	SwitchesPerOp uint64 `json:"switches_per_op,omitempty"`
@@ -86,23 +86,12 @@ var e2eRuns = map[string]func() (sim.Counters, error){
 	"E2ESOR16": sorRun(apps.Params{Hosts: 16, Scale: 0.1}),
 	"E2ESOR32": sorRun(apps.Params{Hosts: 32, Scale: 0.1}),
 
-	// The cluster-scaling workloads added with the sharded engine, on the
-	// classic sequential engine. Their baselines were frozen when the
-	// rows were introduced (at the sharded-engine pin), so speedup reads
-	// as drift since then. 256 hosts runs at half scale to keep one
-	// iteration bounded; its cost is dominated by the 257-way barrier
-	// fan-in and per-host protocol state.
+	// The cluster-scaling workloads. Their baselines were frozen when the
+	// rows were introduced, so speedup reads as drift since then. 256
+	// hosts runs at half scale to keep one iteration bounded; its cost is
+	// dominated by the 257-way barrier fan-in and per-host protocol state.
 	"E2ESOR64":  sorRun(apps.Params{Hosts: 64, Scale: 0.1}),
 	"E2ESOR256": sorRun(apps.Params{Hosts: 256, Scale: 0.05}),
-
-	// The 64-host SOR workload on the sharded parallel engine. It is not
-	// a perfSuite row of its own; RunPerfBench measures it against the
-	// sequential E2ESOR64 point from the same invocation and reports the
-	// ratio as ParSpeedup — a wall-clock engine-vs-engine comparison, not
-	// a drift row. On a single-core host the ratio reads below 1: the
-	// shard barriers and merge sort are pure overhead when the windows
-	// cannot actually overlap.
-	"ParSpeedup": sorRun(apps.Params{Hosts: 64, Scale: 0.1, Engine: "par", ParWorkers: parBenchWorkers}),
 
 	// The SC-vs-multi-writer comparison kernels under lrc-mw (twins,
 	// run-length diffs, write notices). Unlike the rows above, their
@@ -116,7 +105,7 @@ var e2eRuns = map[string]func() (sim.Counters, error){
 	// One base serving scenario (8 hosts, 100k simulated clients, 20k
 	// Zipfian ops under SC-Millipage) — the acceptance workload of the
 	// serving subsystem and the anchor of its allocs/op CI gate
-	// (TestE2EServeAllocsRegression).
+	// (TestE2EAllocsRegression/E2EServe8).
 	"E2EServe8": scenarioRun("base-millipage", nil),
 
 	// One serving scenario with the reliability layer armed — 4 hosts,
@@ -128,16 +117,10 @@ var e2eRuns = map[string]func() (sim.Counters, error){
 	}),
 }
 
-// parShape records the engine shape of the last SOR run. RunPerfBench
-// measures ParSpeedup last, so the report header shows that row's shards
-// alongside the sweep width.
-var parShape apps.EngineShape
-
 func sorRun(p apps.Params) func() (sim.Counters, error) {
 	p.Seed = 1
 	return func() (sim.Counters, error) {
 		r, err := apps.RunSOR(p)
-		parShape = r.Engine
 		return r.Engine.Counters, err
 	}
 }
@@ -202,7 +185,7 @@ const (
 // the armed path lost its allocating twin: under a fault plan every
 // protocol header, snapshot buffer, fault request and retry timer was a
 // fresh heap object then, so the allocs column reads as what one pooled
-// send path saved (and the row's CI gate, TestE2EServeLossyAllocsRegression,
+// send path saved (and the row's CI gate, TestE2EAllocsRegression/E2EServeLossy,
 // as the fence against a second path growing back).
 const (
 	serveLossyBaselineNs     = 321_861_140
@@ -310,31 +293,20 @@ func benchMsgHopReliable(b *testing.B) {
 	}
 }
 
-// parBenchWorkers is the goroutine budget for the ParSpeedup row: 4, the
-// smallest width where window overlap can pay for the barrier cost on
-// real multi-core hardware. The report's note records the cores the
-// measurement actually had — on fewer than 4 the ratio is an
-// oversubscription number, not a speedup.
-const parBenchWorkers = 4
-
-// RunPerfBench measures the simulator benchmark suite, then the
-// ParSpeedup row: the 64-host SOR workload on the parallel engine,
-// whose baseline is the sequential E2ESOR64 measurement from this same
-// invocation (so the Speedup column is seq wall / par wall, apples to
-// apples on this machine, not a frozen pin).
+// RunPerfBench measures the simulator benchmark suite.
 func RunPerfBench() []PerfPoint {
 	var out []PerfPoint
-	measure := func(name string, run func(b *testing.B), baseline PerfBaseline) PerfPoint {
+	for _, s := range perfSuite {
 		lastCounters = sim.Counters{}
-		r := testing.Benchmark(run)
+		r := testing.Benchmark(s.run)
 		p := PerfPoint{
-			Name:          name,
+			Name:          s.name,
 			NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp:   r.AllocsPerOp(),
 			BytesPerOp:    r.AllocedBytesPerOp(),
 			EventsPerOp:   lastCounters.Events,
 			SwitchesPerOp: lastCounters.Switches,
-			Baseline:      baseline,
+			Baseline:      s.baseline,
 		}
 		if p.NsPerOp > 0 {
 			p.Speedup = p.Baseline.NsPerOp / p.NsPerOp
@@ -344,17 +316,8 @@ func RunPerfBench() []PerfPoint {
 		} else if p.Baseline.AllocsPerOp > 0 {
 			p.AllocsFactor = 0 // rendered as "now allocation-free"
 		}
-		return p
-	}
-	var seqSOR64 PerfBaseline
-	for _, s := range perfSuite {
-		p := measure(s.name, s.run, s.baseline)
-		if s.name == "E2ESOR64" {
-			seqSOR64 = PerfBaseline{NsPerOp: p.NsPerOp, AllocsPerOp: p.AllocsPerOp, BytesPerOp: p.BytesPerOp}
-		}
 		out = append(out, p)
 	}
-	out = append(out, measure("ParSpeedup", benchE2E("ParSpeedup"), seqSOR64))
 	return out
 }
 
@@ -363,8 +326,7 @@ func RunPerfBench() []PerfPoint {
 func WritePerfBench(w io.Writer, path string) error {
 	pts := RunPerfBench()
 	fmt.Fprintln(w, "Simulator wall-clock benchmarks (before = pre-optimization baseline)")
-	fmt.Fprintf(w, "sweep workers=%d; parallel engine: shards=%d workers=%d (machine cores=%d)\n",
-		Workers(), parShape.Shards, parShape.Workers, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "sweep workers=%d (machine cores=%d)\n", Workers(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s %13s %15s\n",
 		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op", "events_per_op", "switches_per_op")
 	for _, p := range pts {
@@ -384,8 +346,7 @@ func WritePerfBench(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	report.Note = fmt.Sprintf("wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the ParSpeedup row whose baseline is the sequential-engine E2ESOR64 measured in the same invocation (speedup = seq wall / par wall at %d shard workers on %d machine cores — below 1 when cores < workers), the E2EServe8 row whose baseline was frozen when the serving subsystem landed, and the E2EServeLossy row whose baseline is the same scenario on the allocating armed path it replaced",
-		parBenchWorkers, runtime.GOMAXPROCS(0))
+	report.Note = "wall-clock simulator performance; baseline = pre-optimization simulator on the same workloads, except the *MW rows whose baseline is the same workload under SC-Millipage (speedup = SC cost / multi-writer-LRC cost), the E2EServe8 row whose baseline was frozen when the serving subsystem landed, and the E2EServeLossy row whose baseline is the same scenario on the allocating armed path it replaced"
 	report.Benchmarks = pts
 	if err := writeBenchReport(path, report); err != nil {
 		return err

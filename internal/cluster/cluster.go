@@ -83,22 +83,9 @@ type Options struct {
 	// are mirrored to the backup before their effects escape, and on the
 	// primary's death the synced backup promotes and re-serves, so a
 	// crashed manager no longer stalls the minipages it homes until
-	// restart. Requires HomeBased management and the sequential engine.
+	// restart. Requires HomeBased management.
 	// See docs/PROTOCOL.md, "Replicated management".
 	Replication bool
-
-	// Engine selects the event engine: "seq" (default) is the classic
-	// single-calendar engine, bit-identical to every release since the
-	// simulator landed; "par" shards the calendar per host (plus shard 0
-	// for global services) and executes the shards concurrently inside
-	// conservative lookahead windows. The parallel engine is incompatible
-	// with fault injection and tracing, which share state across hosts.
-	Engine string
-
-	// ParWorkers bounds the parallel engine's worker goroutines
-	// (0 = GOMAXPROCS). The simulation's outcome is identical at every
-	// width; only wall-clock time changes.
-	ParWorkers int
 
 	Net   fastmsg.Params
 	Costs Costs
@@ -148,9 +135,6 @@ func (o Options) withDefaults() Options {
 	if o.Costs == (Costs{}) {
 		o.Costs = DefaultCosts()
 	}
-	if o.Engine == "" {
-		o.Engine = EngineSeq
-	}
 	return o
 }
 
@@ -161,7 +145,7 @@ func (o Options) withDefaults() Options {
 func (o Options) validate(name string, tr Traits) error {
 	switch {
 	case o.Hosts < 1 || o.Hosts > 1024:
-		return fmt.Errorf("%s: Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8, the parallel engine scales to 256)", name, o.Hosts)
+		return fmt.Errorf("%s: Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8)", name, o.Hosts)
 	case o.SharedSize <= 0:
 		return fmt.Errorf("%s: SharedSize = %d bytes of shared memory; must be positive", name, o.SharedSize)
 	case o.ThreadsPerHost < 1:
@@ -170,29 +154,13 @@ func (o Options) validate(name string, tr Traits) error {
 		return fmt.Errorf("%s: ThreadsPerHost = %d, but this protocol runs one thread per host", name, o.ThreadsPerHost)
 	case o.ChunkLevel < 1:
 		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
-	case o.ParWorkers < 0:
-		return fmt.Errorf("%s: ParWorkers = %d; must not be negative", name, o.ParWorkers)
-	case o.Engine != EngineSeq && o.Engine != EnginePar:
-		return fmt.Errorf("%s: unknown Engine %q (want %q or %q)", name, o.Engine, EngineSeq, EnginePar)
-	case o.Engine == EnginePar && o.Faults.Enabled():
-		return fmt.Errorf(`%s: Engine "par" is incompatible with Faults (the reliability layer shares per-link state across hosts); use Engine "seq"`, name)
-	case o.Engine == EnginePar && o.Trace != nil:
-		return fmt.Errorf(`%s: Engine "par" is incompatible with Trace (the recorder is a single globally ordered ring); use Engine "seq"`, name)
 	case o.Replication && !tr.Replication:
 		return fmt.Errorf("%s: Replication is not supported by this protocol", name)
 	case o.Replication && o.Management != HomeBased:
 		return fmt.Errorf("%s: Replication requires HomeBased Management", name)
-	case o.Replication && o.Engine == EnginePar:
-		return fmt.Errorf(`%s: Replication requires Engine "seq"`, name)
 	}
 	return nil
 }
-
-// Engine selector values for Options.Engine.
-const (
-	EngineSeq = "seq"
-	EnginePar = "par"
-)
 
 // Runtime is one cluster's substrate: the simulation engine, the network,
 // the hosts and the application threads. Protocol packages reach it
@@ -220,15 +188,7 @@ func New(name string, opt Options, tr Traits) (*Runtime, error) {
 	if err := opt.validate(name, tr); err != nil {
 		return nil, err
 	}
-	var eng *sim.Engine
-	if opt.Engine == EnginePar {
-		eng = sim.NewShardedEngine(opt.Seed, opt.Hosts+1)
-		if opt.ParWorkers > 0 {
-			eng.SetParWorkers(opt.ParWorkers)
-		}
-	} else {
-		eng = sim.NewEngine(opt.Seed)
-	}
+	eng := sim.NewEngine(opt.Seed)
 	net := fastmsg.New(eng, opt.Hosts, opt.Net)
 	rt := &Runtime{Name: name, Opt: opt, Eng: eng, Net: net, Trace: opt.Trace}
 	if opt.Faults.Enabled() {
@@ -260,7 +220,7 @@ type CrashRecoverer interface {
 // in-flight blocking request registered with BlockRetry.
 func (rt *Runtime) onRestart(h int) {
 	host := rt.hosts[h]
-	host.sh.SpawnDaemon(fmt.Sprintf("recover-%d", h), func(p *sim.Proc) {
+	rt.Eng.SpawnDaemon(fmt.Sprintf("recover-%d", h), func(p *sim.Proc) {
 		if cr, ok := host.handler.(CrashRecoverer); ok {
 			cr.RecoverCrash(p)
 		}
@@ -273,8 +233,7 @@ func (rt *Runtime) onRestart(h int) {
 // trace recording layered on top.
 func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
 	id := len(rt.hosts)
-	ep := rt.Net.Endpoint(id)
-	h := &Host{rt: rt, id: id, AS: as, EP: ep, sh: ep.Shard(), handler: hh}
+	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh}
 	as.SetFaultHandler(h.onFault)
 	h.EP.SetHandler(h.onMessage)
 	rt.hosts = append(rt.hosts, h)
@@ -321,7 +280,7 @@ func (rt *Runtime) Run(mk func(t *Thread) func()) error {
 			gid++
 			h := h
 			body := mk(t)
-			h.sh.Spawn(fmt.Sprintf("app-%d.%d", h.id, j), func(p *sim.Proc) {
+			rt.Eng.Spawn(fmt.Sprintf("app-%d.%d", h.id, j), func(p *sim.Proc) {
 				t.p = p
 				h.EP.SetBusy(+1)
 				t.Stats.Start = p.Now()

@@ -35,7 +35,6 @@ type HostHandler interface {
 type Host struct {
 	rt      *Runtime
 	id      int
-	sh      *sim.Shard // the host's calendar shard (= its endpoint's)
 	handler HostHandler
 
 	AS *vm.AddressSpace
@@ -87,7 +86,7 @@ func (h *Host) ArmRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
 	h.retrySeq++
 	ent := h.freeRetry.Get()
 	*ent = retryEntry{fw: fw, gen: fw.gen, seq: h.retrySeq, delay: base, rs: rs, holds: 1}
-	h.sh.AfterArg(base, h.retryFn, ent)
+	h.rt.Eng.AfterArg(base, h.retryFn, ent)
 	return ent
 }
 
@@ -102,7 +101,7 @@ func (h *Host) retryFire(a any) {
 	if ent.delay *= 2; ent.delay > retryMax {
 		ent.delay = retryMax
 	}
-	h.sh.AfterArg(ent.delay, h.retryFn, ent)
+	h.rt.Eng.AfterArg(ent.delay, h.retryFn, ent)
 }
 
 // drop gives up one hold on ent: the timer's when it fires stale, the
@@ -140,11 +139,6 @@ func (h *Host) ID() int { return h.id }
 // Runtime returns the owning cluster runtime.
 func (h *Host) Runtime() *Runtime { return h.rt }
 
-// Shard returns the calendar shard that owns this host's processes and
-// timers. Protocol code that schedules engine callbacks on behalf of a
-// host must use it instead of the engine-level (shard 0) methods.
-func (h *Host) Shard() *sim.Shard { return h.sh }
-
 // Costs returns the cluster's host-local cost table.
 func (h *Host) Costs() Costs { return h.rt.Opt.Costs }
 
@@ -154,7 +148,7 @@ func (h *Host) Costs() Costs { return h.rt.Opt.Costs }
 // around each application thread (Section 3.5.1 of the paper).
 func (h *Host) onFault(ctx any, f vm.Fault) error {
 	if tr := h.rt.Trace; tr.Enabled() {
-		tr.RecordFault(h.sh.Now(), h.id, f.Kind == vm.Write, f.Addr)
+		tr.RecordFault(h.rt.Eng.Now(), h.id, f.Kind == vm.Write, f.Addr)
 	}
 	return h.handler.HandleFault(ctx, f)
 }
@@ -181,7 +175,7 @@ func (h *Host) Send(p *sim.Proc, to int, payload any) {
 func (h *Host) SendSized(p *sim.Proc, to int, payload any, size int) {
 	if tr := h.rt.Trace; tr.Enabled() {
 		op, mp, addr, home := h.handler.DescribeMsg(payload)
-		tr.RecordMsg(h.sh.Now(), trace.Send, h.id, to, home, op, mp, addr)
+		tr.RecordMsg(h.rt.Eng.Now(), trace.Send, h.id, to, home, op, mp, addr)
 	}
 	fm := h.EP.AllocMessage()
 	fm.Size = size

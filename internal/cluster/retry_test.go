@@ -9,7 +9,7 @@ import (
 
 // stampResender records when it was asked to re-send, and by whom.
 type stampResender struct {
-	sh    *sim.Shard
+	eng   *sim.Engine
 	at    []sim.Duration
 	procs int // calls that came with a process (crash recovery)
 	freed int // Release calls
@@ -18,7 +18,7 @@ type stampResender struct {
 func (r *stampResender) Release() { r.freed++ }
 
 func (r *stampResender) Resend(p *sim.Proc) {
-	r.at = append(r.at, sim.Duration(r.sh.Now()))
+	r.at = append(r.at, sim.Duration(r.eng.Now()))
 	if p != nil {
 		r.procs++
 	}
@@ -33,14 +33,14 @@ func (r *stampResender) Resend(p *sim.Proc) {
 func TestBlockRetryBackoffRecoveryAndStop(t *testing.T) {
 	rt := newTestRuntime(1, 1)
 	h := rt.Host(0)
-	rs := &stampResender{sh: h.Shard()}
+	rs := &stampResender{eng: rt.Eng}
 	const base = 10 * sim.Millisecond
 	ms := func(n int) sim.Duration { return sim.Duration(n) * sim.Millisecond }
 	var fw *Wait
-	h.Shard().At(sim.Time(ms(100)), func() {
-		h.Shard().SpawnDaemon("recover", func(p *sim.Proc) { h.resendInflight(p) })
+	rt.Eng.At(sim.Time(ms(100)), func() {
+		rt.Eng.SpawnDaemon("recover", func(p *sim.Proc) { h.resendInflight(p) })
 	})
-	h.Shard().At(sim.Time(ms(600)), func() { fw.Ev.Set() })
+	rt.Eng.At(sim.Time(ms(600)), func() { fw.Ev.Set() })
 	var again float64
 	err := rt.Run(func(ct *Thread) func() {
 		return func() {
@@ -58,7 +58,7 @@ func TestBlockRetryBackoffRecoveryAndStop(t *testing.T) {
 			}
 			again = testing.AllocsPerRun(10, func() {
 				fw := ct.WaitSlot()
-				h.Shard().After(base/2, fw.Ev.Set)
+				rt.Eng.After(base/2, fw.Ev.Set)
 				ct.BlockRetry(fw, base, rs)
 				ct.Compute(base)
 			})

@@ -7,7 +7,6 @@ import (
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
-	"millipage/internal/trace"
 	"millipage/internal/vm"
 )
 
@@ -86,7 +85,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	opt := rt.Opt
 	if rt.Name != "test" || opt.ThreadsPerHost != 1 || opt.Views != 1 || opt.ChunkLevel != 1 ||
-		opt.Seed != 1 || opt.Engine != EngineSeq || opt.HomeOf == nil {
+		opt.Seed != 1 || opt.HomeOf == nil {
 		t.Fatalf("defaults = %+v", opt)
 	}
 	if opt.Costs == (Costs{}) || opt.Net == (fastmsg.Params{}) {
@@ -118,14 +117,9 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		{"negative threads", ok(func(o *Options) { o.ThreadsPerHost = -1 }), all, []string{"ThreadsPerHost"}},
 		{"threads on a single-threaded protocol", ok(func(o *Options) { o.ThreadsPerHost = 2 }), Traits{}, []string{"ThreadsPerHost"}},
 		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), all, []string{"ChunkLevel"}},
-		{"negative par workers", ok(func(o *Options) { o.ParWorkers = -1 }), all, []string{"ParWorkers"}},
-		{"par with Faults", ok(func(o *Options) { o.Engine, o.Faults = EnginePar, &faultnet.Plan{Drop: 0.01} }), all, []string{"Engine", "Faults"}},
-		{"par with Trace", ok(func(o *Options) { o.Engine, o.Trace = EnginePar, trace.NewRecorder(16) }), all, []string{"Engine", "Trace"}},
-		{"unknown engine", ok(func(o *Options) { o.Engine = "warp" }), all, []string{"Engine", "warp"}},
 		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), all, []string{"Drop"}},
 		{"replication unsupported", ok(func(o *Options) { o.Management, o.Replication = HomeBased, true }), Traits{}, []string{"Replication"}},
 		{"replication under central management", ok(func(o *Options) { o.Replication = true }), all, []string{"Replication", "Management"}},
-		{"replication on par", ok(func(o *Options) { o.Management, o.Replication, o.Engine = HomeBased, true, EnginePar }), all, []string{"Replication", "Engine"}},
 	}
 	for _, tc := range cases {
 		rt, err := New("test", tc.opt, tc.tr)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"millipage/internal/vm"
 )
@@ -104,16 +103,6 @@ type MPT struct {
 	chunk *openChunk
 
 	maxSlots int // high-water mark of minipages per page = views actually needed
-
-	// mu is non-nil when the table is shared across engine shards (a
-	// parallel-engine DSM run: host 0 grows the table at allocation time
-	// while every host's router reads it). Window barriers already order
-	// growth before any remote use of a new minipage — a host can only
-	// touch an address after learning it through a message — so the lock
-	// adds no ordering the simulation needs; it makes the concurrent
-	// slice/field access clean under the race detector. Nil (the
-	// default) keeps the sequential engine's lock-free paths.
-	mu *sync.RWMutex
 }
 
 // NewMPT creates a minipage table over layout l. chunkLevel <= 1 disables
@@ -129,19 +118,6 @@ func NewMPT(l Layout, grain Grain, chunkLevel int) *MPT {
 		chunkLevel: chunkLevel,
 		pages:      make([]pageState, l.NumPages),
 		byPage:     make([][]*Minipage, l.NumPages),
-	}
-}
-
-// SetShared declares whether the table is read concurrently from other
-// engine shards while the owner grows it; see the mu field. Call it at
-// system construction, before any traffic.
-func (t *MPT) SetShared(shared bool) {
-	if shared {
-		if t.mu == nil {
-			t.mu = &sync.RWMutex{}
-		}
-	} else {
-		t.mu = nil
 	}
 }
 
@@ -220,10 +196,6 @@ func (t *MPT) newSlotList() []*Minipage {
 // minipage, so distinct calls can return the same *Minipage with
 // different addresses.
 func (t *MPT) Alloc(size int) (*Minipage, uint64, error) {
-	if t.mu != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-	}
 	if size <= 0 {
 		return nil, 0, fmt.Errorf("core: Alloc(%d): size must be positive", size)
 	}
@@ -417,10 +389,6 @@ func (t *MPT) allocPageGrain(size int) (*Minipage, uint64, error) {
 // the manager's MPT lookup (7 µs in Table 1). ok is false for addresses
 // outside any allocation.
 func (t *MPT) Lookup(va uint64) (*Minipage, bool) {
-	if t.mu != nil {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-	}
 	view, off, ok := t.l.Decompose(va)
 	if !ok || view >= t.l.NumViews {
 		return nil, false
@@ -446,10 +414,6 @@ func (t *MPT) Lookup(va uint64) (*Minipage, bool) {
 
 // ByID returns minipage id, if allocated.
 func (t *MPT) ByID(id int) (*Minipage, bool) {
-	if t.mu != nil {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-	}
 	if id < 0 || id >= len(t.mps) {
 		return nil, false
 	}

@@ -26,10 +26,6 @@ func TestReplicationOptionValidation(t *testing.T) {
 	if _, err := New(Options{Hosts: 2, SharedSize: 1 << 12, Replication: true}); err == nil {
 		t.Fatal("Replication under Central management was accepted")
 	}
-	if _, err := New(Options{Hosts: 2, SharedSize: 1 << 12, Management: HomeBased,
-		Replication: true, Engine: "par"}); err == nil {
-		t.Fatal("Replication under the parallel engine was accepted")
-	}
 }
 
 // TestReplicationCleanRun: with replication on and no faults, every

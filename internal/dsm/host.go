@@ -28,7 +28,6 @@ const requestRetryBase = 10 * sim.Millisecond
 type Host struct {
 	*cluster.Host
 	sys    *System
-	pool   *hostPool // the host's shard's freelists (shared on shard 0)
 	Region *core.Region
 
 	// pendingHdr pairs a reply header with the mData message that follows
@@ -42,21 +41,20 @@ type Host struct {
 	Stats HostStats
 }
 
-// allocPM returns a protocol header from the host's shard's freelist
-// (every host shares one on the sequential engine). The caller must fully
-// initialize it (*m = pmsg{...}); pooled headers are returned dirty.
+// allocPM returns a protocol header from the cluster's freelist. The
+// caller must fully initialize it (*m = pmsg{...}); pooled headers are
+// returned dirty.
 //
 // A header has one owner at a time, with and without a fault plan: the
 // sender until Send, then the handler that receives it — which the
 // transport runs exactly once per message, duplicates and retransmits
 // included. The owner forwards it (mutate and resend), parks it (a
 // directory queue, pendingHdr) or recycles it; see request for requests.
-func (h *Host) allocPM() *pmsg { return h.pool.freePM.Get() }
+func (h *Host) allocPM() *pmsg { return h.sys.freePM.Get() }
 
 // recyclePM returns a header its owner is done with to the freelist.
-// Only headers obtained from allocPM may be recycled — never dataMarker,
-// never a lent request.
-func (h *Host) recyclePM(m *pmsg) { h.pool.freePM.Put(m) }
+// Only headers obtained from allocPM may be recycled — never dataMarker.
+func (h *Host) recyclePM(m *pmsg) { h.sys.freePM.Put(m) }
 
 // Send ships header m to host `to` and with it the ownership of m.
 func (h *Host) Send(p *sim.Proc, to int, m *pmsg) {
@@ -73,13 +71,9 @@ func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) {
 
 // request is a requester's own record of a directory request in flight:
 // a faulting thread's slot (it blocks on one at a time) or a prefetch's
-// record from the shard's freelist. Under a fault plan every send — the
-// first, a retry timer's, crash recovery's — copies it into a pooled
-// header, since the home may have consumed the last one. On a clean wire
-// the record itself travels, lent, and the home copies it (HandleMessage):
-// a fault is two messages to the home (request, ack) and one back, so
-// with all three pooled the parallel engine's per-shard freelists would
-// drain from the requesters into the homes.
+// record from the freelist. Every send — the first, a retry timer's,
+// crash recovery's — copies it into a pooled header, since the home may
+// have consumed the last one.
 type request struct {
 	h      *Host
 	hdr    pmsg
@@ -93,7 +87,7 @@ func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.primaryFor(r.hdr.Info
 
 func (r *request) Release() {
 	if r.pooled {
-		r.h.pool.freeReq.Put(r)
+		r.h.sys.freeReq.Put(r)
 	}
 }
 
@@ -151,7 +145,7 @@ func (h *Host) route(p *sim.Proc, va uint64) (int, core.Info) {
 // readMinipage snapshots a minipage's bytes through the privileged view
 // into a pooled buffer (recycled by the receiver once installed).
 func (h *Host) readMinipage(info core.Info) []byte {
-	data := h.pool.freeBuf.Get(info.Size)
+	data := h.sys.freeBuf.Get(info.Size)
 	if err := h.Region.ReadPrivInto(info.Base, data); err != nil {
 		panic(fmt.Sprintf("dsm: host %d: privileged read of %+v: %v", h.ID(), info, err))
 	}
@@ -183,20 +177,21 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	home, info := h.route(p, f.Addr)
 	req := &t.req
 	*req = request{h: h, hdr: pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}}
-	if h.Runtime().Faulty() {
-		// Tag the transaction so the home can deduplicate retries, and
-		// block with a backoff timer re-issuing the request: it survives
-		// crashes on either side. The clean path arms and stamps nothing.
+	faulty := h.Runtime().Faulty()
+	if faulty {
+		// Tag the transaction so the home can deduplicate retries. The
+		// clean path stamps nothing.
 		req.hdr.TID = t.ID
 		req.hdr.Txn = t.NextTxn()
 		fw.Txn = req.hdr.Txn
-		h.sendNew(p, home, req.hdr)
-		p.Sleep(c.BlockThread)
+	}
+	h.sendNew(p, home, req.hdr)
+	p.Sleep(c.BlockThread)
+	if faulty {
+		// Block with a backoff timer re-issuing the request: it survives
+		// crashes on either side. The clean path arms nothing.
 		t.BlockRetry(fw, requestRetryBase, req)
 	} else {
-		req.hdr.Lent = true
-		h.Send(p, home, &req.hdr)
-		p.Sleep(c.BlockThread)
 		t.Block(fw) // the host may go idle; the poller takes over
 	}
 	p.Sleep(c.ThreadWake + c.FaultResume)
@@ -244,12 +239,6 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
 	m.CheckLive("HandleMessage")
-	if m.Lent { // a requester's own record: take the copy this host owns
-		lent := m
-		m = h.allocPM()
-		*m = *lent
-		m.Lent = false
-	}
 	switch m.Type {
 	// ---- Directory traffic, handled by the minipage's home ----------
 	case mReadReq, mWriteReq, mAck, mInvalidateReply, mPushReq, mPushAck, mDirInit,
@@ -323,7 +312,7 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		h.pendingHdr[fm.From] = nil
 		h.installMinipage(p, hdr, fm.Data)
 		h.recyclePM(hdr)
-		h.pool.freeBuf.Put(fm.Data)
+		h.sys.freeBuf.Put(fm.Data)
 
 	case mUpgradeGrant:
 		if m.Txn != 0 && m.FW.Txn != m.Txn {

@@ -103,7 +103,6 @@ type pmsg struct {
 	Write    bool // for mAck: closing a write transaction
 	Prefetch bool // request was issued by a prefetch: no thread is waiting
 	Requeued bool // dispatched again from a directory queue (stats count it once)
-	Lent     bool // the requester's own record, not a pooled header: the receiver copies it (see request)
 
 	// Redrive marks a request re-dispatched from a promoted backup's
 	// mirror (Options.Replication). It bypasses the done-side dedup

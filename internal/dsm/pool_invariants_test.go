@@ -19,9 +19,7 @@ import (
 // wire quiet the two must agree — a header owned but parked nowhere was
 // dropped by some exit that forgot to recycle it.
 func headerBalance(s *System) (owned, parked int) {
-	for _, pool := range s.pools {
-		owned += pool.freePM.Live()
-	}
+	owned = s.freePM.Live()
 	for _, mg := range s.mgrs {
 		for _, e := range mg.dir {
 			if e == nil {
@@ -110,56 +108,5 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestParShardPoolsStayBalanced: on the parallel engine every host has a
-// freelist of its own, and a header recycled where it ends is lost to the
-// shard that made it. A fault is two messages to the home (request, ack)
-// and one back to the requester (the reply header), so shipping all three
-// in pooled headers drains requesters into homes at one header — and one
-// heap allocation — per remote fault; the request travels lent instead
-// (see request). Pool.Live is made minus parked here: a shard that keeps
-// making headers it never gets back counts up, the one hoarding them
-// counts down, and a balanced protocol leaves every shard near zero
-// however long it runs.
-func TestParShardPoolsStayBalanced(t *testing.T) {
-	const hosts, rounds = 4, 400
-	for _, mgmt := range []Management{Central, HomeBased} {
-		t.Run(mgmt.String(), func(t *testing.T) {
-			s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 3,
-				Management: mgmt, Engine: "par", ParWorkers: 2})
-			var cells [hosts]uint64
-			err := run(s, func(th *Thread) {
-				me := th.Host()
-				cells[me] = th.Malloc(64)
-				th.WriteU32(cells[me], 0)
-				th.Barrier()
-				for i := 0; i < rounds; i++ {
-					// A write fault with invalidations on my neighbour's
-					// cell, read faults and upgrades on everyone's.
-					next := cells[(me+1)%hosts]
-					th.WriteU32(next, th.ReadU32(next)+1)
-					th.Barrier()
-					var sum uint32
-					for _, c := range cells {
-						sum += th.ReadU32(c)
-					}
-					if want := uint32(hosts * (i + 1)); sum != want {
-						t.Errorf("host %d round %d: cells sum to %d, want %d", me, i, sum, want)
-					}
-					th.Barrier()
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, pool := range s.pools {
-				if live := pool.freePM.Live(); live < -hosts || live > hosts {
-					t.Errorf("shard %d made %d more headers than it holds after %d rounds: headers drift between shards",
-						i, live, rounds)
-				}
-			}
-		})
 	}
 }

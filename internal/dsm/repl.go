@@ -273,14 +273,12 @@ func (s *System) hbLinkUp(h int, now sim.Time) bool {
 func (s *System) startReplDaemons() {
 	rp0 := s.repl[managerHost]
 	for i := 1; i < s.Opt.Hosts; i++ {
-		h := s.Host(i)
 		me := i
-		sh := h.Shard()
-		sh.SpawnDaemon(fmt.Sprintf("repl-ping-%d", i), func(p *sim.Proc) {
+		s.Eng.SpawnDaemon(fmt.Sprintf("repl-ping-%d", i), func(p *sim.Proc) {
 			for {
 				if s.hbLinkUp(me, p.Now()) {
 					at := int64(p.Now()) + int64(hbLatency)
-					sh.After(hbLatency, func() {
+					s.Eng.After(hbLatency, func() {
 						rp0.svc.Heartbeat(me, at)
 					})
 				}
@@ -292,7 +290,7 @@ func (s *System) startReplDaemons() {
 		return
 	}
 	h0 := s.Host(managerHost)
-	h0.Shard().SpawnDaemon("repl-tick", func(p *sim.Proc) {
+	s.Eng.SpawnDaemon("repl-tick", func(p *sim.Proc) {
 		for {
 			p.Sleep(tickInterval)
 			now := int64(p.Now())

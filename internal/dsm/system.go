@@ -34,18 +34,11 @@ type System struct {
 	mgrs []*manager // one directory shard per host
 	repl []*replMgr // per-host replication layer; nil when Replication is off
 
-	// pools holds the freelists (recycled protocol headers and
-	// minipage-snapshot buffers), one per calendar shard: pools[0] for
-	// every host on the sequential engine, a pool per host on the
-	// parallel one, which nothing crosses. See Host.allocPM, request.
-	pools []*hostPool
-}
-
-// hostPool is one calendar shard's freelists.
-type hostPool struct {
+	// The cluster's freelists, shared by every host. See Host.allocPM,
+	// request.
 	freePM  cluster.Pool[pmsg]
 	freeBuf cluster.SlicePool[byte] // minipage snapshots: filled by the sender, recycled once installed
-	freeReq cluster.Pool[request]   // prefetch retry records; they never leave the shard
+	freeReq cluster.Pool[request]   // prefetch retry records
 }
 
 // New builds a cluster. The memory object, views and privileged view are
@@ -62,10 +55,6 @@ func New(opt Options) (*System, error) {
 	if s.Layout, err = core.NewLayout(opt.SharedSize, opt.Views); err != nil {
 		return nil, err
 	}
-	s.pools = make([]*hostPool, s.Eng.NumShards())
-	for i := range s.pools {
-		s.pools[i] = &hostPool{}
-	}
 
 	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {
@@ -80,15 +69,8 @@ func New(opt Options) (*System, error) {
 			pendingHdr: make([]*pmsg, opt.Hosts),
 		}
 		h.Host = s.AddHost(as, h)
-		h.pool = s.pools[h.Shard().ID()]
 	}
 	s.mpt = core.NewMPT(s.Layout, opt.Grain, opt.ChunkLevel)
-	if s.Eng.NumShards() > 1 {
-		// Every host routes through the shared MPT replica concurrently
-		// under the parallel engine; host 0's allocation-time growth needs
-		// the replica's reader lock (see core.MPT.SetShared).
-		s.mpt.SetShared(true)
-	}
 	for i := 0; i < opt.Hosts; i++ {
 		s.mgrs = append(s.mgrs, newManager(s, i))
 	}

@@ -39,7 +39,7 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, 
 		hdr.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
 		hdr.Txn = 1
 		fw.Txn = 1
-		rec := h.pool.freeReq.Get() // the timer re-sends from it, then releases it
+		rec := h.sys.freeReq.Get() // the timer re-sends from it, then releases it
 		*rec = request{h, hdr, true}
 		h.ArmRetry(fw, requestRetryBase, rec)
 	}

@@ -1,26 +1,10 @@
 package dsm
 
 import (
-	"strings"
 	"testing"
 
 	"millipage/internal/trace"
 )
-
-// TestParTraceRejected: the parallel engine cannot feed the single
-// globally ordered recorder; asking for both is an error naming both
-// fields, not a panic out of the runtime constructor.
-func TestParTraceRejected(t *testing.T) {
-	_, err := New(Options{Hosts: 2, SharedSize: 1 << 16, Engine: "par", Trace: trace.NewRecorder(16)})
-	if err == nil {
-		t.Fatal(`Engine "par" with Trace accepted`)
-	}
-	for _, f := range []string{"Engine", "Trace"} {
-		if !strings.Contains(err.Error(), f) {
-			t.Errorf("error %q does not name %s", err, f)
-		}
-	}
-}
 
 func TestProtocolTracing(t *testing.T) {
 	rec := trace.NewRecorder(4096)

@@ -111,15 +111,6 @@ func (pr Params) RecvCPU(size int) sim.Duration {
 	return pr.RecvBase + sim.Duration(size)*pr.RecvPerByte
 }
 
-// LatencyFloor returns the smallest cross-host delay the model can
-// produce: the wire latency of a zero-byte frame. Every Send schedules
-// its arrival at least this far in the future (WireLatency grows with
-// size, and the per-destination FIFO bump only pushes arrivals later),
-// which is exactly the lookahead contract a sharded engine's
-// conservative windows rely on — fastmsg declares it via
-// sim.Engine.SetLookahead in New.
-func (pr Params) LatencyFloor() sim.Duration { return pr.WireBase }
-
 // OneWay returns the full uncontended cost of moving size bytes from a
 // sender process to a receiver handler on an idle host — the quantity
 // Table 1 reports as "message send/recv".
@@ -188,14 +179,9 @@ type Network struct {
 	params Params
 	eps    []*Endpoint
 
-	// pools holds the recycled-envelope freelists, one per calendar
-	// shard: every alloc and recycle happens on the owning shard, so no
-	// locking. On the single-shard engine all endpoints share pools[0] —
-	// the historical network-wide pool, where even one-way flows recycle
-	// back to their sender. On a sharded engine each host pools its own
-	// envelopes (allocated from the sender's pool, recycled into the
-	// receiver's; request/reply traffic balances the flows).
-	pools []*msgPool
+	// free is the network-wide freelist of recycled envelopes: even
+	// one-way flows recycle back to their sender.
+	free []*Message
 
 	// rel is non-nil once a fault plan is installed: the sequence/ack/
 	// retransmission machinery of reliable.go. Nil on the clean path.
@@ -203,42 +189,15 @@ type Network struct {
 	restartHook func(host int)
 }
 
-// msgPool is one shard's envelope freelist.
-type msgPool struct {
-	free []*Message
-}
-
 // New creates a network of n endpoints on eng. Each endpoint gets a
 // daemon service-thread process that runs its handler.
-//
-// On a sharded engine the network binds endpoint i to shard i+1 (shard
-// 0 is reserved for global services, per the engine's convention), so
-// eng must have been built with n+1 shards; New also declares the cost
-// model's latency floor as the engine's lookahead, which is what lets
-// the conservative windows run the hosts concurrently.
 func New(eng *sim.Engine, n int, params Params) *Network {
 	nw := &Network{eng: eng, params: params}
 	nw.eps = make([]*Endpoint, n)
-	sharded := eng.NumShards() > 1
-	if sharded {
-		if eng.NumShards() != n+1 {
-			panic(fmt.Sprintf("fastmsg: sharded engine has %d shards for %d endpoints (want one per endpoint plus shard 0)", eng.NumShards(), n))
-		}
-		eng.SetLookahead(params.LatencyFloor())
-	}
-	nw.pools = make([]*msgPool, eng.NumShards())
-	for i := range nw.pools {
-		nw.pools[i] = &msgPool{}
-	}
 	for i := range nw.eps {
-		sh := eng.Shard(0)
-		if sharded {
-			sh = eng.Shard(i + 1)
-		}
 		ep := &Endpoint{
 			nw:          nw,
-			sh:          sh,
-			pool:        nw.pools[sh.ID()],
+			eng:         eng,
 			id:          i,
 			ready:       sim.NewQueue[*Message](eng),
 			lastDeliver: make([]sim.Time, n),
@@ -248,21 +207,21 @@ func New(eng *sim.Engine, n int, params Params) *Network {
 		ep.arriveFn = ep.arriveAny
 		ep.fireFn = ep.fireAny
 		nw.eps[i] = ep
-		sh.SpawnDaemon(fmt.Sprintf("fm-server-%d", i), ep.serve)
+		eng.SpawnDaemon(fmt.Sprintf("fm-server-%d", i), ep.serve)
 	}
 	return nw
 }
 
-// allocMessage reuses a recycled envelope from the endpoint's shard
-// pool when one is available. Under an installed fault plan the
+// allocMessage reuses a recycled envelope from the network's freelist
+// when one is available. Under an installed fault plan the
 // retransmission buffer and duplicated wire arrivals share the envelope
 // past the handler's return, so there the pool is driven by the
 // reference count (releaseMessage) instead of the handler's completion.
 func (ep *Endpoint) allocMessage() *Message {
-	pool := ep.pool
-	if n := len(pool.free); n > 0 {
-		m := pool.free[n-1]
-		pool.free = pool.free[:n-1]
+	nw := ep.nw
+	if n := len(nw.free); n > 0 {
+		m := nw.free[n-1]
+		nw.free = nw.free[:n-1]
 		m.pooled = true
 		m.state = msgAllocated
 		return m
@@ -270,8 +229,8 @@ func (ep *Endpoint) allocMessage() *Message {
 	return &Message{pooled: true, state: msgAllocated}
 }
 
-// recycleMessage returns a delivered pool envelope to this endpoint's
-// shard pool. A recycled envelope is zeroed, so recycling it twice (a
+// recycleMessage returns a delivered pool envelope to the network's
+// freelist. A recycled envelope is zeroed, so recycling it twice (a
 // handler retained it past return and a later path freed it again)
 // trips the state check here rather than corrupting the pool with an
 // aliased record.
@@ -281,7 +240,7 @@ func (ep *Endpoint) recycleMessage(m *Message) {
 	}
 	*m = Message{}
 	m.state = msgRecycled
-	ep.pool.free = append(ep.pool.free, m)
+	ep.nw.free = append(ep.nw.free, m)
 }
 
 // retainMessage records one more reliability-layer holder of m. Only
@@ -336,15 +295,10 @@ func (s Stats) AvgServiceDelay() sim.Duration {
 	return s.ServiceDelay / sim.Duration(s.Received)
 }
 
-// Endpoint is one host's attachment to the network. All of an
-// endpoint's mutable state is owned by its calendar shard (the host's
-// shard on a sharded engine, shard 0 otherwise): arrivals, fires, and
-// the service thread all execute there, and cross-host sends travel
-// through Shard.Post.
+// Endpoint is one host's attachment to the network.
 type Endpoint struct {
 	nw          *Network
-	sh          *sim.Shard // calendar shard that owns this endpoint
-	pool        *msgPool   // the shard's envelope freelist (shared on shard 0)
+	eng         *sim.Engine
 	id          int
 	handler     Handler
 	ready       *sim.Queue[*Message]
@@ -368,11 +322,6 @@ type pendingMsg struct {
 
 // ID returns the endpoint's host id.
 func (ep *Endpoint) ID() int { return ep.id }
-
-// Shard returns the calendar shard that owns this endpoint. Everything
-// a host does — application threads, service handlers, timers — must be
-// scheduled on its endpoint's shard.
-func (ep *Endpoint) Shard() *sim.Shard { return ep.sh }
 
 // Stats returns a copy of the endpoint's counters.
 func (ep *Endpoint) Stats() Stats { return ep.stats }
@@ -398,7 +347,7 @@ func (ep *Endpoint) SetBusy(delta int) {
 				continue
 			}
 			pm.refs++
-			ep.sh.AfterArg(ep.nw.params.PollIdle, ep.fireFn, pm)
+			ep.eng.AfterArg(ep.nw.params.PollIdle, ep.fireFn, pm)
 		}
 	}
 }
@@ -438,7 +387,7 @@ func (ep *Endpoint) Send(p *sim.Proc, to int, m *Message) {
 		r.send(ep, to, m)
 		return
 	}
-	at := ep.sh.Now().Add(pr.WireLatency(m.Size))
+	at := ep.eng.Now().Add(pr.WireLatency(m.Size))
 	if at <= ep.lastDeliver[to] {
 		at = ep.lastDeliver[to] + 1 // preserve FIFO ordering per destination
 	}
@@ -446,10 +395,7 @@ func (ep *Endpoint) Send(p *sim.Proc, to int, m *Message) {
 	ep.stats.Sent++
 	ep.stats.BytesSent += uint64(m.Size)
 	dst := ep.nw.eps[to]
-	// Cross-shard arrivals respect the engine's lookahead: at is at
-	// least WireBase past this shard's clock (the FIFO bump above only
-	// pushes later), which is the floor New declared.
-	ep.sh.Post(dst.sh, at, dst.arriveFn, m)
+	ep.eng.AtArg(at, dst.arriveFn, m)
 }
 
 // arriveAny runs in engine context when a message reaches this
@@ -465,9 +411,9 @@ func (ep *Endpoint) arriveAny(a any) {
 }
 
 // deliver admits one message to the poll/sweep machinery that hands it
-// to the service thread. It runs on the endpoint's own shard.
+// to the service thread.
 func (ep *Endpoint) deliver(m *Message) {
-	pm := ep.newPending(m, ep.sh.Now())
+	pm := ep.newPending(m, ep.eng.Now())
 	ep.pending = append(ep.pending, pm)
 	var wait sim.Duration
 	if ep.busy == 0 {
@@ -476,7 +422,7 @@ func (ep *Endpoint) deliver(m *Message) {
 		wait = ep.nextSweepGap()
 	}
 	pm.refs++
-	ep.sh.AfterArg(wait, ep.fireFn, pm)
+	ep.eng.AfterArg(wait, ep.fireFn, pm)
 }
 
 // newPending reuses a recycled pending record when one is available.
@@ -559,13 +505,13 @@ func (ep *Endpoint) fire(pm *pendingMsg) {
 		}
 	}
 	ep.stats.Received++
-	ep.stats.ServiceDelay += ep.sh.Now().Sub(pm.arrived)
+	ep.stats.ServiceDelay += ep.eng.Now().Sub(pm.arrived)
 	ep.ready.Put(pm.m)
 }
 
 // nextSweepGap returns the wait until the busy host's sweeper next runs.
 func (ep *Endpoint) nextSweepGap() sim.Duration {
-	now := ep.sh.Now()
+	now := ep.eng.Now()
 	if ep.sweepTick < now {
 		ep.sweepTick = now
 	}
@@ -575,14 +521,10 @@ func (ep *Endpoint) nextSweepGap() sim.Duration {
 	return ep.sweepTick.Sub(now)
 }
 
-// sweepGap draws one inter-tick gap from the NT timer model. The draw
-// comes from the endpoint's shard stream: on the single-shard engine
-// that is the engine's historical stream (digests unchanged); on a
-// sharded engine each host consumes its own stream, so the draws are
-// independent of other hosts' traffic — and of worker count.
+// sweepGap draws one inter-tick gap from the NT timer model.
 func (ep *Endpoint) sweepGap() sim.Duration {
 	pr := ep.nw.params
-	rng := ep.sh.Rand()
+	rng := ep.eng.Rand()
 	if pr.PerfectTimers {
 		return pr.SweepShortLo
 	}

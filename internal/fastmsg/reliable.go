@@ -119,13 +119,6 @@ func (nw *Network) InstallFaults(inj *faultnet.Injector) {
 	if nw.rel != nil {
 		panic("fastmsg: InstallFaults called twice")
 	}
-	if nw.eng.NumShards() > 1 {
-		// The reliability layer threads per-link session state through
-		// every host's sends and acks — cross-shard shared mutation with
-		// no window discipline. Fault injection stays on the sequential
-		// engine.
-		panic("fastmsg: fault injection requires the sequential engine (faults share per-link session state across hosts)")
-	}
 	for _, ep := range nw.eps {
 		if ep.stats.Sent != 0 || ep.stats.Received != 0 {
 			panic("fastmsg: InstallFaults after traffic")

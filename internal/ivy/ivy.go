@@ -144,8 +144,7 @@ type Host struct {
 	pendingHdr map[int]*pmsg
 
 	// stats accumulates this host's share of the cluster counters, summed
-	// by System.Stats. Per-host rather than one shared struct so the
-	// parallel engine's shards never write the same counter.
+	// by System.Stats.
 	stats Stats
 }
 

@@ -4,7 +4,10 @@
 // a pure function of (program, seed, decision trace) — see
 // docs/MODEL.md — so wall-clock reads, the process-global RNG, and
 // iteration over Go maps (whose order is deliberately randomized by the
-// runtime) are all banned on simulation paths.
+// runtime) are all banned on simulation paths. So is importing sync or
+// sync/atomic: one engine runs one process at a time, so simulation
+// state has a single accessor by construction, and a lock among it means
+// a second runner has appeared — which has to argue for itself.
 //
 // Intentional exceptions carry a `//detlint:ok <reason>` directive on
 // the offending line or the line above — for example a map iteration
@@ -27,7 +30,7 @@ import (
 // Finding is one determinism hazard.
 type Finding struct {
 	Pos  token.Position
-	Rule string // "time-now", "global-rand" or "map-range"
+	Rule string // "time-now", "global-rand", "map-range" or "sync-import"
 	Msg  string
 }
 
@@ -175,6 +178,13 @@ func checkFile(fset *token.FileSet, f *ast.File, info *types.Info) []Finding {
 			return
 		}
 		fs = append(fs, Finding{Pos: fset.Position(pos), Rule: rule, Msg: msg})
+	}
+
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"sync"` || imp.Path.Value == `"sync/atomic"` {
+			report(imp.Pos(), "sync-import",
+				"the simulator has one runner and needs no locks; say who else runs with //detlint:ok <reason>")
+		}
 	}
 
 	ast.Inspect(f, func(n ast.Node) bool {

@@ -8,8 +8,9 @@ import (
 )
 
 // TestInternalIsDeterministic is the lint gate: no simulation code under
-// internal/ may read the wall clock, draw from the global RNG, or
-// iterate a map without either sorting or a //detlint:ok exemption.
+// internal/ may read the wall clock, draw from the global RNG, import
+// sync or sync/atomic, or iterate a map without either sorting or a
+// //detlint:ok exemption.
 func TestInternalIsDeterministic(t *testing.T) {
 	root, err := filepath.Abs("..")
 	if err != nil {
@@ -118,5 +119,51 @@ func good() int {
 	}
 	if len(fs) != 0 {
 		t.Fatalf("false positives on shadowed identifier: %v", fs)
+	}
+}
+
+// TestCheckFlagsSyncImports: a lock in simulation code is a finding
+// unless the import says who the second runner is; test files may
+// synchronize freely.
+func TestCheckFlagsSyncImports(t *testing.T) {
+	dir := writeFixture(t, `package fix
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+var mu sync.Mutex
+var n atomic.Int64
+`)
+	testFile := `package fix
+
+import "sync"
+
+var wg sync.WaitGroup
+`
+	if err := os.WriteFile(filepath.Join(dir, "fix_test.go"), []byte(testFile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Check(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rules(fs), ","); got != "sync-import,sync-import" {
+		t.Fatalf("rules = %q, want sync-import,sync-import (fix.go only)\nfindings: %v", got, fs)
+	}
+
+	dir = writeFixture(t, `package fix
+
+import (
+	"sync" //detlint:ok the list is shared by engines on other goroutines
+	"sync/atomic"
+)
+
+var mu sync.Mutex
+var n atomic.Int64
+`)
+	if fs, err = Check(dir); err != nil || len(fs) != 0 {
+		t.Fatalf("suppressed imports still reported: %v, %v", fs, err)
 	}
 }

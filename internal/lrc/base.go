@@ -2,7 +2,6 @@ package lrc
 
 import (
 	"fmt"
-	"sync"
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
@@ -24,13 +23,6 @@ type base[H cluster.HostHandler, T cluster.AppThread] struct {
 
 	mpt   *core.MPT
 	homes []int // minipage id -> home host
-
-	// homesMu is non-nil only under the parallel engine: homes grows on
-	// host 0's shard (the allocation authority) while every host's fault,
-	// release and acquire paths index it, and the append's reallocation
-	// needs a fence even though the protocol's messages already order each
-	// entry's write before any remote read of it.
-	homesMu *sync.RWMutex
 }
 
 // init builds the runtime, the layout, the minipage table and one
@@ -55,10 +47,6 @@ func (b *base[H, T]) init(name string, opt Options, wrap func(*cluster.Thread, H
 		}
 		addHost(as, region)
 	}
-	if b.Eng.NumShards() > 1 {
-		b.mpt.SetShared(true)
-		b.homesMu = &sync.RWMutex{}
-	}
 	return nil
 }
 
@@ -73,27 +61,10 @@ func (b *base[H, T]) allocLocal(from, size int) (core.Info, uint64, int) {
 	if err != nil {
 		panic(fmt.Sprintf("%s: alloc %d: %v", b.Runtime().Name, size, err))
 	}
-	if b.homesMu != nil {
-		b.homesMu.Lock()
-	}
 	for id := len(b.homes); id < b.mpt.NumMinipages(); id++ {
 		b.homes = append(b.homes, from)
 	}
-	home := b.homes[mp.ID]
-	if b.homesMu != nil {
-		b.homesMu.Unlock()
-	}
-	return mp.Info(b.Layout), va, home
-}
-
-// homeOf returns minipage id's home host, taking the reader lock when the
-// parallel engine shares the homes slice across shards.
-func (b *base[H, T]) homeOf(id int) int {
-	if b.homesMu != nil {
-		b.homesMu.RLock()
-		defer b.homesMu.RUnlock()
-	}
-	return b.homes[id]
+	return mp.Info(b.Layout), va, b.homes[mp.ID]
 }
 
 // describe fills a DescribeMsg reply for a header whose trace op code is

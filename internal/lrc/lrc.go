@@ -125,8 +125,7 @@ type Host struct {
 	flushAwait int
 	flushDone  *sim.Event
 
-	// stats is this host's share of System.Stats, kept per-host so the
-	// parallel engine's shards never race on the counters.
+	// stats is this host's share of System.Stats.
 	stats Stats
 }
 
@@ -236,7 +235,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		return fmt.Errorf("lrc: %#x outside any minipage", f.Addr)
 	}
 	info := mp.Info(s.Layout)
-	home := s.homeOf(mp.ID)
+	home := s.homes[mp.ID]
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess && home != h.ID() {
 		// Fetch current contents from home.
@@ -307,7 +306,7 @@ func (t *Thread) flushDiffs() {
 	var flushes []flush
 	for _, id := range dirty {
 		info := h.dirtyInfo[id]
-		home := s.homeOf(id)
+		home := s.homes[id]
 		cur, err := h.Region.ReadPriv(info.Base, info.Size)
 		if err != nil {
 			panic(err)

@@ -206,16 +206,8 @@ type MWSystem struct {
 	locks   *cluster.LockService[*mwmsg]
 	maxvc   []uint64 // barrier-episode scratch; every release shares it
 
-	// pools holds the freelists (recycled protocol headers,
-	// twin/snapshot/diff buffers and interval records), one per calendar
-	// shard. On the sequential engine every host shares pools[0]; under
-	// the parallel engine each host owns its shard's pool (objects migrate
-	// between pools; every request pairs with a reply, so it balances).
-	pools []*mwPool
-}
-
-// mwPool is one calendar shard's freelists.
-type mwPool struct {
+	// The cluster's freelists, shared by every host: recycled protocol
+	// headers, twin/snapshot/diff buffers and interval records.
 	freeMW     cluster.Pool[mwmsg]
 	freeBuf    cluster.SlicePool[byte]
 	freeIval   cluster.Pool[mwInterval]
@@ -229,10 +221,10 @@ type mwPool struct {
 // plan: sending it passes it to the handler that receives it, which the
 // transport runs exactly once per message — a retransmitted or duplicated
 // frame never reaches a handler, so it cannot expose a recycled header.
-func (h *MWHost) allocMW() *mwmsg { return h.pool.freeMW.Get() }
+func (h *MWHost) allocMW() *mwmsg { return h.sys.freeMW.Get() }
 
-// recycleMW returns a fully consumed pooled header to this host's
-// shard's freelist, keeping its slice capacities for reuse.
+// recycleMW returns a fully consumed pooled header to the freelist,
+// keeping its slice capacities for reuse.
 func (h *MWHost) recycleMW(m *mwmsg) {
 	for i := range m.Notices {
 		m.Notices[i] = mwCNotice{}
@@ -241,7 +233,7 @@ func (h *MWHost) recycleMW(m *mwmsg) {
 		m.DiffsOut[i] = mwDiffOut{}
 	}
 	*m = mwmsg{VC: m.VC[:0], Notices: m.Notices[:0], Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
-	h.pool.freeMW.Put(m)
+	h.sys.freeMW.Put(m)
 }
 
 // SendSized ships header m (and its ownership), size bytes on the wire.
@@ -255,14 +247,14 @@ func (h *MWHost) Send(p *sim.Proc, to int, m *mwmsg) { h.SendSized(p, to, m, h.C
 
 // allocBuf returns a byte buffer of length n (twin, minipage snapshot,
 // fetch payload); pass 0 for an empty append target (encoded diffs).
-func (h *MWHost) allocBuf(n int) []byte { return h.pool.freeBuf.Get(n) }
+func (h *MWHost) allocBuf(n int) []byte { return h.sys.freeBuf.Get(n) }
 
-// recycleBuf returns a fully consumed buffer to the shard's freelist.
-func (h *MWHost) recycleBuf(b []byte) { h.pool.freeBuf.Put(b) }
+// recycleBuf returns a fully consumed buffer to the freelist.
+func (h *MWHost) recycleBuf(b []byte) { h.sys.freeBuf.Put(b) }
 
 // allocIval returns an interval record with an empty diff map.
 func (h *MWHost) allocIval(n int) *mwInterval {
-	iv := h.pool.freeIval.Get()
+	iv := h.sys.freeIval.Get()
 	if iv.diffs == nil {
 		iv.diffs = make(map[int][]byte, n)
 	}
@@ -279,25 +271,24 @@ func (h *MWHost) recycleIval(iv *mwInterval) {
 		h.recycleBuf(enc)
 		delete(iv.diffs, id)
 	}
-	h.pool.freeMPs.Put(iv.mps)
+	h.sys.freeMPs.Put(iv.mps)
 	iv.mps = nil
-	h.pool.freeIval.Put(iv)
+	h.sys.freeIval.Put(iv)
 }
 
 // allocMPs returns an int slice of length n for a notice's minipage
 // list, retained by the creator's interval record until GC.
-func (h *MWHost) allocMPs(n int) []int { return h.pool.freeMPs.Get(n) }
+func (h *MWHost) allocMPs(n int) []int { return h.sys.freeMPs.Get(n) }
 
 // allocNotice returns a write-notice header; the coordinator recycles it
 // once the notice is logged (the log keeps a value copy).
-func (h *MWHost) allocNotice() *mwNotice { return h.pool.freeNotice.Get() }
+func (h *MWHost) allocNotice() *mwNotice { return h.sys.freeNotice.Get() }
 
-// recycleNotice returns a logged notice header to this host's shard's
-// freelist. The MPs backing array stays with the creator's interval
-// record.
+// recycleNotice returns a logged notice header to the freelist. The MPs
+// backing array stays with the creator's interval record.
 func (h *MWHost) recycleNotice(n *mwNotice) {
 	*n = mwNotice{}
-	h.pool.freeNotice.Put(n)
+	h.sys.freeNotice.Put(n)
 }
 
 // MWHost is one multi-writer LRC process.
@@ -336,11 +327,7 @@ type MWHost struct {
 	relFlush   []mwFlush
 	mergeDiffs []mwFetched
 
-	// pool is this host's shard's freelists (see MWSystem.pools).
-	pool *mwPool
-
-	// stats is this host's share of MWSystem.Stats, kept per-host so the
-	// parallel engine's shards never race on the counters.
+	// stats is this host's share of MWSystem.Stats.
 	stats MWStats
 }
 
@@ -362,11 +349,6 @@ func NewMW(opt Options) (*MWSystem, error) {
 				pendingHdr: make(map[int]*mwmsg),
 			}
 			h.Host = s.AddHost(as, h)
-			shard := h.Shard().ID()
-			for len(s.pools) <= shard {
-				s.pools = append(s.pools, &mwPool{})
-			}
-			h.pool = s.pools[shard]
 		})
 	if err != nil {
 		return nil, err
@@ -470,7 +452,7 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 		return fmt.Errorf("lrc-mw: %#x outside any minipage", f.Addr)
 	}
 	info := mp.Info(s.Layout)
-	home := s.homeOf(mp.ID)
+	home := s.homes[mp.ID]
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess {
 		if home == h.ID() {
@@ -687,7 +669,7 @@ func (t *MWThread) release() *mwNotice {
 	flushes := h.relFlush[:0]
 	for _, id := range dirty {
 		info := h.dirtyInfo[id]
-		home := s.homeOf(id)
+		home := s.homes[id]
 		twin := h.twins[id]
 		cur := h.allocBuf(info.Size)
 		if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
@@ -762,7 +744,7 @@ func (t *MWThread) acquire() {
 			h.vc[n.Creator] = n.Seq
 		}
 		for _, id := range n.MPs {
-			if s.homeOf(id) == h.ID() {
+			if s.homes[id] == h.ID() {
 				continue // the home had this diff applied before the notice could circulate
 			}
 			_, dirty := h.twins[id]

@@ -60,8 +60,7 @@ type Scenario struct {
 	// Replicated turns on primary/backup directory-shard replication
 	// (Config.ManagerReplication, which implies home-based management):
 	// the service keeps answering while a shard's primary is dead,
-	// because the synced backup promotes and re-serves. Millipage-only,
-	// sequential engine only.
+	// because the synced backup promotes and re-serves. Millipage-only.
 	Replicated bool
 
 	// PerfectTimers removes the NT timer pathology from the service
@@ -70,9 +69,7 @@ type Scenario struct {
 	// the paper's Section 3.5.1 timer tail reappear at p999.
 	PerfectTimers bool
 
-	Engine     string // event engine, "seq" (default) or "par"
-	ParWorkers int
-	Views      int // minipages per page bound; default 16
+	Views int // minipages per page bound; default 16
 }
 
 // withDefaults fills the optional fields.
@@ -111,12 +108,8 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("serve: scenario %q needs ReadFrac in [0, 1], got %g", sc.Name, sc.ReadFrac)
 	case sc.ZipfS < 0:
 		return fmt.Errorf("serve: scenario %q needs ZipfS >= 0, got %g", sc.Name, sc.ZipfS)
-	case sc.Faults != "" && sc.Engine == "par":
-		return fmt.Errorf("serve: scenario %q combines a fault preset with the parallel engine; faults need Engine \"seq\"", sc.Name)
 	case sc.Replicated && sc.Protocol != "millipage":
 		return fmt.Errorf("serve: scenario %q sets Replicated, which is millipage-only (got protocol %q)", sc.Name, sc.Protocol)
-	case sc.Replicated && sc.Engine == "par":
-		return fmt.Errorf("serve: scenario %q combines Replicated with the parallel engine; replication needs Engine \"seq\"", sc.Name)
 	}
 	return nil
 }
@@ -265,8 +258,6 @@ func Run(sc Scenario) (*Result, error) {
 		Views:               sc.Views,
 		Seed:                sc.Seed,
 		PerfectTimers:       sc.PerfectTimers,
-		Engine:              sc.Engine,
-		ParWorkers:          sc.ParWorkers,
 		Faults:              plan,
 		HomeBasedManagement: sc.Replicated,
 		ManagerReplication:  sc.Replicated,

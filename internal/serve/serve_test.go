@@ -28,7 +28,6 @@ func TestScenarioValidation(t *testing.T) {
 		{"no ops", func(s *Scenario) { s.Ops = 0 }, "Ops"},
 		{"bad mix", func(s *Scenario) { s.ReadFrac = 1.5 }, "ReadFrac"},
 		{"negative skew", func(s *Scenario) { s.ZipfS = -1 }, "ZipfS"},
-		{"faults on par engine", func(s *Scenario) { s.Faults, s.Engine = "drop-heavy", "par" }, "parallel engine"},
 		{"unknown preset", func(s *Scenario) { s.Faults = "nonsense" }, "unknown fault preset"},
 	}
 	for _, tc := range cases {

@@ -1,8 +1,8 @@
 package sim
 
 // The calendar is a sorted array of pointer-free keys over a slab of
-// payloads. A shard's calendar is small — ten to forty pending events on
-// the measured workloads, a few hundred at worst (EXPERIMENTS.md, "Event
+// payloads. It is small — ten to forty pending events on the
+// measured workloads, a few hundred at worst (EXPERIMENTS.md, "Event
 // core") — and at that size an insertion scan over 24-byte keys beats a
 // heap's data-dependent sifts of whole event records several times over.
 // The keys sit in descending (at, seq) order, minimum last: pop is a
@@ -85,7 +85,7 @@ func (c *calendar) push(at Time, seq uint64, pl payload) {
 }
 
 // grow doubles both arrays together, starting at 64 entries: pending
-// events rarely exceed that, so a shard pays two allocations on its
+// events rarely exceed that, so an engine pays two allocations on its
 // first push and, as a rule, none after.
 func (c *calendar) grow() {
 	old := len(c.keys)

@@ -175,8 +175,7 @@ func TestCalendarPopClearsSlot(t *testing.T) {
 // TestCalendarAllocatesTogetherAndLazily pins the calendar's footprint:
 // the first push sizes the key array and the slab together — two
 // allocations cover the first 64 pending events, not a growth chain per
-// array — and a shard that never schedules owns no memory (shard 0 of a
-// sharded engine usually does not; at 256 hosts that is one of 257).
+// array — and an engine that never schedules owns no memory.
 func TestCalendarAllocatesTogetherAndLazily(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, func() {
 		var cal calendar
@@ -186,18 +185,7 @@ func TestCalendarAllocatesTogetherAndLazily(t *testing.T) {
 	}); avg != 2 {
 		t.Errorf("64 pushes into an empty calendar cost %.0f allocations, want 2", avg)
 	}
-	e := NewShardedEngine(1, 3)
-	e.SetLookahead(10)
-	e.Shard(1).Spawn("p", func(p *Proc) { p.Sleep(100) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Shard(1).cal.keys == nil {
-		t.Error("the shard that ran a process has no calendar")
-	}
-	for _, i := range []int{0, 2} {
-		if c := &e.Shard(i).cal; c.keys != nil || c.slab != nil {
-			t.Errorf("shard %d never scheduled, yet its calendar holds %d cells", i, len(c.keys))
-		}
+	if c := &NewEngine(1).cal; c.keys != nil || c.slab != nil {
+		t.Errorf("a new engine's calendar holds %d cells", len(c.keys))
 	}
 }

@@ -9,7 +9,7 @@ package sim
 
 import (
 	"iter"
-	"sync"
+	"sync" //detlint:ok the idle list is shared by engines running concurrently (bench.Workers, -race tests)
 )
 
 // carrier is a runtime coroutine that hosts process bodies one after

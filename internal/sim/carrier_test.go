@@ -224,41 +224,30 @@ func pingPong(t *testing.T, procs, rounds int) Time {
 // are still reaped, and the carrier the panic unwound is not reused.
 func TestProcPanicSurfacesFromRun(t *testing.T) {
 	type boom struct{ n int }
-	for _, shards := range []int{1, 3} {
-		var e *Engine
-		sh := 0
-		if shards == 1 {
-			e = NewEngine(1)
-		} else {
-			e = NewShardedEngine(1, shards)
-			e.SetLookahead(10)
-			e.SetParWorkers(2)
-			sh = 2
-		}
-		var hosted *carrier
-		bystanderDefers := 0
-		e.Shard(0).Spawn("bystander", func(p *Proc) {
-			defer func() { bystanderDefers++ }()
-			p.Sleep(1000)
-		})
-		e.Shard(sh).Spawn("faulty", func(p *Proc) {
-			hosted = p.c
-			p.Sleep(5)
-			panic(boom{42})
-		})
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			return e.Run()
-		}()
-		if got != (boom{42}) {
-			t.Fatalf("%d shards: Run gave %v, want panic(boom{42})", shards, got)
-		}
-		if bystanderDefers != 1 {
-			t.Errorf("%d shards: bystander's deferred function ran %d times, want 1", shards, bystanderDefers)
-		}
-		if isIdle(hosted) {
-			t.Errorf("%d shards: the carrier a panic unwound is back on the idle list", shards)
-		}
+	e := NewEngine(1)
+	var hosted *carrier
+	bystanderDefers := 0
+	e.Spawn("bystander", func(p *Proc) {
+		defer func() { bystanderDefers++ }()
+		p.Sleep(1000)
+	})
+	e.Spawn("faulty", func(p *Proc) {
+		hosted = p.c
+		p.Sleep(5)
+		panic(boom{42})
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		return e.Run()
+	}()
+	if got != (boom{42}) {
+		t.Fatalf("Run gave %v, want panic(boom{42})", got)
+	}
+	if bystanderDefers != 1 {
+		t.Errorf("bystander's deferred function ran %d times, want 1", bystanderDefers)
+	}
+	if isIdle(hosted) {
+		t.Error("the carrier a panic unwound is back on the idle list")
 	}
 }
 

@@ -45,15 +45,10 @@ type Explorer interface {
 }
 
 // SetExplorer installs (or, with nil, removes) the engine's schedule
-// explorer. It must be called before Run. Exploration requires the
-// single-shard engine: a strategy perturbs one global event order, and
-// the sharded executor has no such order until its windows merge.
+// explorer. It must be called before Run.
 func (e *Engine) SetExplorer(x Explorer) {
 	if e.running {
 		panic("sim: SetExplorer after Run")
-	}
-	if x != nil && !e.single {
-		panic("sim: SetExplorer on a sharded engine (exploration needs the single global event order)")
 	}
 	e.x = x
 	if x != nil && e.yieldSeq == nil {
@@ -67,7 +62,7 @@ func (e *Engine) SetExplorer(x Explorer) {
 // sequence numbers and their relative default order — for the next
 // decision.
 func (e *Engine) chooseTie() {
-	c := &e.shards[0].cal
+	c := &e.cal
 	ties := c.ties()
 	last := len(ties) - 1
 	if last > 0 {
@@ -117,9 +112,9 @@ func (e *ErrPanic) Error() string {
 // unwinds) keep the first message, which is the root cause.
 func (e *Engine) explorePanic(proc string, r any) {
 	if e.panicErr == nil {
-		e.panicErr = &ErrPanic{At: e.shards[0].now, Proc: proc, Msg: renderPanic(r)}
+		e.panicErr = &ErrPanic{At: e.now, Proc: proc, Msg: renderPanic(r)}
 	}
-	e.stopped.Store(true)
+	e.stopped = true
 }
 
 func renderPanic(r any) string { return fmt.Sprint(r) }

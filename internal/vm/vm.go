@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // PageSize is the architecture page size used throughout the reproduction,
@@ -88,11 +87,7 @@ const slabMax = 1 << 20
 // follow the megabytes its hosts touch together — not the pages (one
 // allocation per frame) and not the hosts (one extent each). Frames are
 // never returned; a pool lives and dies with the objects drawing on it.
-//
-// A pool is safe for concurrent use: under the parallel engine hosts on
-// different shards take their first touches at the same time.
 type FramePool struct {
-	mu   sync.Mutex
 	slab []byte // unconsumed tail of the newest slab
 }
 
@@ -102,13 +97,11 @@ func NewFramePool() *FramePool { return &FramePool{} }
 // frame hands out one zeroed frame, growing the pool by slabBytes when the
 // newest slab is used up.
 func (p *FramePool) frame(slabBytes int) *[PageSize]byte {
-	p.mu.Lock()
 	if len(p.slab) == 0 {
 		p.slab = make([]byte, slabBytes)
 	}
 	f := (*[PageSize]byte)(p.slab)
 	p.slab = p.slab[PageSize:]
-	p.mu.Unlock()
 	return f
 }
 
@@ -120,8 +113,7 @@ func (p *FramePool) frame(slabBytes int) *[PageSize]byte {
 // Like the section it stands for, the object is demand-zero: a frame
 // materialises, zeroed, the first time it is touched (Frame, and hence any
 // access or Bypass that reaches it). Mapping, protecting and looking up
-// pages touch nothing. An object is not safe for concurrent use; only the
-// pool behind it is.
+// pages touch nothing.
 type MemObject struct {
 	pool     *FramePool
 	frames   []*[PageSize]byte // nil until first touch

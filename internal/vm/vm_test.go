@@ -3,7 +3,6 @@ package vm
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -430,40 +429,6 @@ func TestPoolObjectsNeverShareFrames(t *testing.T) {
 	if a.Resident() != pages || b.Resident() != pages {
 		t.Fatalf("resident = %d, %d, want %d each", a.Resident(), b.Resident(), pages)
 	}
-}
-
-// Under the parallel engine hosts on different shards take first touches
-// on the cluster's one pool at the same time. Run with -race -count=10.
-func TestPoolConcurrentFirstTouch(t *testing.T) {
-	const hosts, pages = 8, 96
-	pool := NewFramePool()
-	var wg sync.WaitGroup
-	for h := 0; h < hosts; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			mo := pool.NewMemObject(pages * PageSize)
-			as := NewAddressSpace()
-			if err := as.MapView(0x10000, mo, 0, pages, ReadWrite); err != nil {
-				t.Error(err)
-				return
-			}
-			for i := uint64(0); i < pages; i++ {
-				if v, err := as.ReadU64(nil, 0x10000+i*PageSize+8); err != nil || v != 0 {
-					t.Errorf("host %d page %d: first read = %#x, %v", h, i, v, err)
-				}
-				if err := as.WriteU64(nil, 0x10000+i*PageSize+8, uint64(h)<<32|i); err != nil {
-					t.Error(err)
-				}
-			}
-			for i := uint64(0); i < pages; i++ {
-				if v, _ := as.ReadU64(nil, 0x10000+i*PageSize+8); v != uint64(h)<<32|i {
-					t.Errorf("host %d page %d: read back %#x", h, i, v)
-				}
-			}
-		}(h)
-	}
-	wg.Wait()
 }
 
 // The hottest path in the simulator — Access to a resident page — must

@@ -90,8 +90,8 @@ type Config struct {
 	// this field.
 	Protocol string
 
-	// Hosts is the number of machines (the paper's cluster has 8; the
-	// parallel engine scales to 64/256). Required, in [1, 1024].
+	// Hosts is the number of machines (the paper's cluster has 8).
+	// Required, in [1, 1024].
 	Hosts int
 
 	// ThreadsPerHost is the number of application threads per host.
@@ -131,8 +131,7 @@ type Config struct {
 	// escape, and when a shard's primary crashes the synced backup
 	// promotes and keeps serving the shard's minipages — no stall until
 	// the dead host restarts. Millipage-only; requires
-	// HomeBasedManagement and the sequential engine. See docs/PROTOCOL.md,
-	// "Replicated management".
+	// HomeBasedManagement. See docs/PROTOCOL.md, "Replicated management".
 	ManagerReplication bool
 
 	// Seed makes runs reproducible; equal seeds give identical traces.
@@ -143,20 +142,6 @@ type Config struct {
 	// service threads (Section 3.5.1) — the "once the polling and timer
 	// resolution problems are solved" ablation.
 	PerfectTimers bool
-
-	// Engine selects the event engine: "seq" (or "", the default) runs
-	// the classic sequential calendar; "par" shards the calendar per host
-	// and executes shards concurrently inside conservative windows whose
-	// lookahead is the network's minimum cross-host latency. Observable
-	// results (virtual times, counters, digests) are identical; only
-	// wall-clock time changes. "par" is incompatible with Faults and
-	// tracing.
-	Engine string
-
-	// ParWorkers bounds the parallel engine's worker goroutines; 0 means
-	// GOMAXPROCS. Ignored under the sequential engine. The simulation's
-	// outcome never depends on it.
-	ParWorkers int
 
 	// Faults, when non-nil and enabled, injects deterministic network and
 	// host faults per the plan (drops, duplicates, reordering, delay
@@ -206,8 +191,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		ChunkLevel:     cfg.ChunkLevel,
 		Seed:           cfg.Seed,
 		Replication:    cfg.ManagerReplication,
-		Engine:         cfg.Engine,
-		ParWorkers:     cfg.ParWorkers,
 		Net:            cfg.netParams(),
 		Faults:         cfg.Faults,
 	}
@@ -227,16 +210,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // Protocol returns the protocol this cluster runs ("millipage", "ivy",
 // "lrc" or "lrc-mw").
 func (c *Cluster) Protocol() string { return c.protocol }
-
-// EngineStats reports the event engine's execution shape: calendar
-// shards, worker width, and — after Run, on the parallel engine — the
-// number of conservative windows executed and the high-water mark of
-// shards active in a single window (the run's effective parallelism
-// bound). The sequential engine reports 1 shard and 0 windows.
-func (c *Cluster) EngineStats() (shards, workers int, windows uint64, maxActive int) {
-	eng := c.sys.Runtime().Eng
-	return eng.NumShards(), eng.ParWorkers(), eng.Windows(), eng.MaxShardsActive()
-}
 
 // EngineCounters reports the event engine's deterministic work counts
 // (events fired, process switches, fast-path sleeps, calendar high-water

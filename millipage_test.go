@@ -42,17 +42,11 @@ func TestNewClusterValidation(t *testing.T) {
 			}
 		}
 	}
-	// Rejected combinations name every Config field involved. (par with
-	// tracing cannot be written as a Config — there is no Trace field; the
-	// layers that can express it share cluster.New's validation, see
-	// cluster.TestNewRejectsUnrunnableConfigs and dsm.TestParTraceRejected.)
+	// Rejected combinations name every Config field involved.
 	rejected := []struct {
 		cfg    millipage.Config
 		fields []string
 	}{
-		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "warp"}, []string{"Engine"}},
-		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "par",
-			Faults: &faultnet.Plan{Drop: 0.01}}, []string{"Engine", "Faults"}},
 		// A negative count used to build and run zero threads (millipage)
 		// or be ignored (the rest): reject it under every protocol.
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
@@ -61,8 +55,6 @@ func TestNewClusterValidation(t *testing.T) {
 		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
 		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
-		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ParWorkers: -1}, []string{"ParWorkers"}},
-		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, Engine: "par", ParWorkers: -1}, []string{"ParWorkers"}},
 		// Only millipage runs several threads per host.
 		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
@@ -71,12 +63,10 @@ func TestNewClusterValidation(t *testing.T) {
 		{millipage.Config{Protocol: "ivy", Hosts: 0, SharedMemory: 1 << 16}, []string{"Hosts"}},
 		{millipage.Config{Protocol: "lrc", Hosts: 1025, SharedMemory: 1 << 16}, []string{"Hosts"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: -1, SharedMemory: 1 << 16}, []string{"Hosts"}},
-		// Replicated management: millipage, home-based, sequential engine.
+		// Replicated management: millipage, home-based.
 		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true,
 			ManagerReplication: true}, []string{"Replication"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ManagerReplication: true}, []string{"Replication", "HomeBased"}},
-		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true, ManagerReplication: true,
-			Engine: "par"}, []string{"Replication", "Engine"}},
 		{millipage.Config{Protocol: "treadmarks", Hosts: 2, SharedMemory: 1 << 16}, []string{"treadmarks", "lrc-mw"}},
 	}
 	for _, tc := range rejected {
@@ -93,9 +83,6 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
-	}
-	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Engine: "par"}); err != nil {
-		t.Fatalf("valid parallel config rejected: %v", err)
 	}
 	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}); err != nil {
 		t.Fatalf("two threads per host rejected under millipage: %v", err)
@@ -213,12 +200,11 @@ func TestReportString(t *testing.T) {
 // mid-run, a lock-guarded increment burst against minipages homed
 // there completes exactly-once, long before the dead host restarts.
 func TestManagerReplicationEndToEnd(t *testing.T) {
-	// Validation: replication is millipage-only, needs home-based
-	// management and the sequential engine.
+	// Validation: replication is millipage-only and needs home-based
+	// management.
 	bad := []millipage.Config{
 		{Hosts: 4, SharedMemory: 1 << 16, ManagerReplication: true},
 		{Hosts: 4, SharedMemory: 1 << 16, Protocol: "ivy", HomeBasedManagement: true, ManagerReplication: true},
-		{Hosts: 4, SharedMemory: 1 << 16, Engine: "par", HomeBasedManagement: true, ManagerReplication: true},
 	}
 	for i, cfg := range bad {
 		if _, err := millipage.NewCluster(cfg); err == nil {
