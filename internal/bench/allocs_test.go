@@ -91,10 +91,18 @@ func TestE2EAllocsRegression(t *testing.T) {
 
 // TestE2ECountersPinned holds the event engine to the event stream
 // BENCH_sim.json recorded: every end-to-end row's run must fire exactly
-// the pinned number of calendar events and coroutine switches. The counts
+// the pinned number of calendar events and process switches, and pay
+// exactly the pinned number of coroutine switches for them. The counts
 // are pure functions of (program, seed), so unlike the fences above this
 // is an equality — an engine change that claims the same behaviour
-// either reproduces them or has changed the schedule.
+// either reproduces them or has changed the schedule. On top of the
+// equality a bound: no row's schedule may cost more than 1.4 coroswitches
+// per process switch (they measure 1.17-1.39 under direct hand-off; 2.0
+// is every switch bouncing through the Run goroutine again). The one row
+// held to 1.6 instead is E2ESOR256, at 1.53: a 257-way barrier releases
+// its hosts in lockstep, which is the round-robin shape — a resume chain
+// built 256 deep and yielded all the way back down — whose price is
+// 2(n-1)/n whatever the discipline.
 func TestE2ECountersPinned(t *testing.T) {
 	for _, p := range pinnedPoints(t) {
 		if p.EventsPerOp == 0 {
@@ -110,9 +118,18 @@ func TestE2ECountersPinned(t *testing.T) {
 			t.Errorf("%s: %v", p.Name, err)
 			continue
 		}
-		if c.Events != p.EventsPerOp || c.Switches != p.SwitchesPerOp {
-			t.Errorf("%s: %d events / %d switches, pinned %d / %d",
-				p.Name, c.Events, c.Switches, p.EventsPerOp, p.SwitchesPerOp)
+		if c.Events != p.EventsPerOp || c.Switches != p.SwitchesPerOp || c.Coroswitches != p.CoroswitchesPerOp {
+			t.Errorf("%s: %d events / %d switches / %d coroswitches, pinned %d / %d / %d",
+				p.Name, c.Events, c.Switches, c.Coroswitches, p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp)
+		}
+		ratio := float64(c.Coroswitches) / float64(c.Switches)
+		t.Logf("%-15s %.3f coroswitches per switch", p.Name, ratio)
+		bound := 1.4
+		if p.Name == "E2ESOR256" {
+			bound = 1.6
+		}
+		if ratio > bound {
+			t.Errorf("%s: %.3f coroswitches per process switch, want at most %.1f", p.Name, ratio, bound)
 		}
 	}
 }

@@ -41,9 +41,12 @@ type PerfPoint struct {
 	// Engine work per op on the rows that run a whole application or
 	// scenario (E2E*): deterministic counts, so a wall-clock move with
 	// these unchanged is a change in cost per event, not in
-	// event count.
-	EventsPerOp   uint64 `json:"events_per_op,omitempty"`
-	SwitchesPerOp uint64 `json:"switches_per_op,omitempty"`
+	// event count. Coroswitches over switches is what the schedule's
+	// shape lets a process switch cost (1 trading between two processes,
+	// 2 at worst).
+	EventsPerOp       uint64 `json:"events_per_op,omitempty"`
+	SwitchesPerOp     uint64 `json:"switches_per_op,omitempty"`
+	CoroswitchesPerOp uint64 `json:"coroswitches_per_op,omitempty"`
 
 	Baseline     PerfBaseline `json:"baseline"`
 	Speedup      float64      `json:"speedup"`       // baseline ns / current ns
@@ -58,6 +61,7 @@ var perfSuite = []struct {
 }{
 	{"EventDispatch", PerfBaseline{88.31, 2, 0}, benchEventDispatch},
 	{"ProcessSwitch", PerfBaseline{575.0, 3, 0}, benchProcessSwitch},
+	{"ProcessHandover", PerfBaseline{handoverBaselineNs, 0, 0}, benchProcessHandover},
 	{"MsgHop", PerfBaseline{2387, 18, 0}, benchMsgHop},
 	{"MsgHopReliable", PerfBaseline{2517.5, 0, 44}, benchMsgHopReliable},
 	{"E2ESOR8", PerfBaseline{114463687, 455085, 24604741}, benchE2E("E2ESOR8")},
@@ -153,7 +157,7 @@ func scenarioRun(name string, shape func(*serve.Scenario)) func() (sim.Counters,
 
 // lastCounters records the engine counters of the last end-to-end
 // benchmark iteration, for RunPerfBench's events_per_op /
-// switches_per_op columns.
+// switches_per_op / coroswitches_per_op columns.
 var lastCounters sim.Counters
 
 // benchE2E is the wall-clock benchmark of one e2eRuns shape.
@@ -231,6 +235,33 @@ func benchProcessSwitch(b *testing.B) {
 	}
 }
 
+// The ProcessHandover baseline is the same loop at the commit before
+// direct hand-off, when every process switch was two coroswitches
+// through the Run goroutine (sim.BenchmarkProcessHandover there).
+const handoverBaselineNs = 140.0
+
+// benchProcessHandover: a real process switch, which ProcessSwitch — the
+// Sleep fast path since PR 2 — never takes. Two processes sleep on
+// interleaved phases, so every Sleep finds the other's resume first in
+// the calendar and hands the processor over (the loop of
+// sim.BenchmarkProcessHandover).
+func benchProcessHandover(b *testing.B) {
+	e := sim.NewEngine(1)
+	for i := 0; i < 2; i++ {
+		i := i
+		e.Spawn("p", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(i))
+			for j := 0; j < b.N/2; j++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // benchMsgHop: the full fastmsg one-hop path with pooled envelopes and
 // tracing off — the message hot path exactly as the DSM drives it.
 func benchMsgHop(b *testing.B) {
@@ -300,13 +331,14 @@ func RunPerfBench() []PerfPoint {
 		lastCounters = sim.Counters{}
 		r := testing.Benchmark(s.run)
 		p := PerfPoint{
-			Name:          s.name,
-			NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp:   r.AllocsPerOp(),
-			BytesPerOp:    r.AllocedBytesPerOp(),
-			EventsPerOp:   lastCounters.Events,
-			SwitchesPerOp: lastCounters.Switches,
-			Baseline:      s.baseline,
+			Name:              s.name,
+			NsPerOp:           float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp:       r.AllocsPerOp(),
+			BytesPerOp:        r.AllocedBytesPerOp(),
+			EventsPerOp:       lastCounters.Events,
+			SwitchesPerOp:     lastCounters.Switches,
+			CoroswitchesPerOp: lastCounters.Coroswitches,
+			Baseline:          s.baseline,
 		}
 		if p.NsPerOp > 0 {
 			p.Speedup = p.Baseline.NsPerOp / p.NsPerOp
@@ -327,13 +359,13 @@ func WritePerfBench(w io.Writer, path string) error {
 	pts := RunPerfBench()
 	fmt.Fprintln(w, "Simulator wall-clock benchmarks (before = pre-optimization baseline)")
 	fmt.Fprintf(w, "sweep workers=%d (machine cores=%d)\n", Workers(), runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s %13s %15s\n",
-		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op", "events_per_op", "switches_per_op")
+	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s %13s %15s %19s\n",
+		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op", "events_per_op", "switches_per_op", "coroswitches_per_op")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%-15s %14.1f %14.1f %7.2fx %13d %13d %13d",
 			p.Name, p.Baseline.NsPerOp, p.NsPerOp, p.Speedup, p.Baseline.AllocsPerOp, p.AllocsPerOp, p.BytesPerOp)
 		if p.EventsPerOp > 0 { // the micro rows' op is an event or a message, not a run
-			fmt.Fprintf(w, " %13d %15d", p.EventsPerOp, p.SwitchesPerOp)
+			fmt.Fprintf(w, " %13d %15d %19d", p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp)
 		}
 		fmt.Fprintln(w)
 	}

@@ -66,26 +66,66 @@ func BenchmarkQueueHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessHandover measures a real process switch: two processes
-// sleep on interleaved phases, so every Sleep finds the other's resume
-// first in the calendar and gives up the processor to it (park, yield
-// to the driver loop, resume the successor). 0 allocs/op.
-func BenchmarkProcessHandover(b *testing.B) {
-	e := NewEngine(1)
-	for i := 0; i < 2; i++ {
+// spawnRoundRobin spawns procs processes that sleep on interleaved
+// phases, so every Sleep finds another process's resume first in the
+// calendar and gives up the processor to it: switches real hand-offs in
+// all, p0 -> p1 -> ... -> p0.
+func spawnRoundRobin(e *Engine, procs, switches int) {
+	for i := 0; i < procs; i++ {
 		i := i
 		e.Spawn("p", func(p *Proc) {
 			p.Sleep(Duration(i))
-			for j := 0; j < b.N/2; j++ {
-				p.Sleep(2)
+			for j := 0; j < switches/procs; j++ {
+				p.Sleep(Duration(procs))
 			}
 		})
 	}
+}
+
+// spawnSignalPingPong spawns two processes that wake each other through
+// a Signal each and block, switches times in all: the rendezvous shape
+// (request, reply) with the clock standing still.
+func spawnSignalPingPong(e *Engine, switches int) {
+	ping, pong := NewSignal(e), NewSignal(e)
+	e.Spawn("pong", func(p *Proc) {
+		for i := 0; i < switches/2; i++ {
+			pong.Wait(p)
+			ping.Pulse()
+		}
+	})
+	e.Spawn("ping", func(p *Proc) {
+		for i := 0; i < switches/2; i++ {
+			pong.Pulse()
+			ping.Wait(p)
+		}
+	})
+}
+
+// The hand-over benchmarks price a real process switch by the shape of
+// the schedule, without a workload (TestHandoverPrice pins the
+// coroswitch counts behind them): two processes trading the processor
+// pay one coroswitch per switch — the parker resumes its successor,
+// which yields straight back — through Sleep and through Signal alike,
+// and a round-robin over n pays 2(n-1)/n, n-1 resumes up the chain and
+// n-1 yields back down it per lap. 0 allocs/op.
+func benchHandover(b *testing.B, spawn func(e *Engine, switches int)) {
+	e := NewEngine(1)
+	spawn(e, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+func BenchmarkProcessHandover(b *testing.B) {
+	benchHandover(b, func(e *Engine, n int) { spawnRoundRobin(e, 2, n) })
+}
+
+func BenchmarkProcessHandoverSignal(b *testing.B) { benchHandover(b, spawnSignalPingPong) }
+
+func BenchmarkProcessHandover8(b *testing.B) {
+	benchHandover(b, func(e *Engine, n int) { spawnRoundRobin(e, 8, n) })
 }
 
 // holdModel drives a calendar the way the classic hold benchmark does —

@@ -13,8 +13,9 @@ import (
 )
 
 // carrier is a runtime coroutine that hosts process bodies one after
-// another, so a process switch is two coroswitches (process -> driver ->
-// process) on one goroutine: no channel, no wakep, no Go scheduler.
+// another, so a process switch is coroswitches only — a resume onto the
+// chain of drivers or yields back down it (Engine.dispatch), at most two
+// amortised — with no channel, no wakep, no Go scheduler.
 // Processes ride carriers instead of owning a coroutine each because
 // iter.Pull costs about ten heap objects. Idle carriers wait in a
 // package-level list that outlives engines: a program that runs many
@@ -57,7 +58,7 @@ func (c *carrier) host(pause func(struct{}) bool) {
 
 // resume switches into the coroutine until it yields and reports
 // whether it is still alive. A panic that ended it comes out of here,
-// on the caller's goroutine, with its original value.
+// on the caller's goroutine or coroutine, with its original value.
 func (c *carrier) resume() bool {
 	_, alive := c.next()
 	return alive
@@ -66,9 +67,10 @@ func (c *carrier) resume() bool {
 // yield switches from the hosted process back to whoever resumed it.
 func (c *carrier) yield() { c.pause(struct{}{}) }
 
-// release puts the carrier on the idle list. Only a driver may call it,
-// after resume has returned with the hosted process done: the coroutine
-// is then at rest in host's pause and holds nothing of the engine.
+// release puts the carrier on the idle list. Only whoever called resume
+// may call it, after resume has returned with the hosted process done:
+// the coroutine is then at rest in host's pause and holds nothing of the
+// engine.
 func (c *carrier) release() {
 	c.p = nil
 	idleCarriers.Lock()

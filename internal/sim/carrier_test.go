@@ -26,9 +26,65 @@ func isIdle(c *carrier) bool {
 	return false
 }
 
-// The four ways a Run ends, each with lifecycleProcs processes live at
-// once: everything finishes; Stop with everything mid-flight; a
-// deadlock; daemons abandoned when the foreground drains.
+// drivers returns the processes of e waiting in a resume call: the
+// resume chain above Run, in no particular order.
+func drivers(e *Engine) []*Proc {
+	var ds []*Proc
+	for _, p := range e.procs {
+		if p.driving {
+			ds = append(ds, p)
+		}
+	}
+	return ds
+}
+
+// driving is the depth of the resume chain above Run.
+func driving(e *Engine) int { return len(drivers(e)) }
+
+// stack spawns n processes whose first Sleep parks each on top of the
+// one before — p0's successor is p1's first resume, p1's is p2's — so
+// that the last, which wakes first, runs top with the other n-1 waiting
+// below it as a chain of drivers; those sleep on if the hand-over ever
+// unwinds to them. Below the top they are daemons when asked. The slice
+// returned counts how often each process's deferred function ran.
+func stack(t *testing.T, e *Engine, n int, daemonsBelow bool, top func(*Proc)) []int {
+	exits := make([]int, n)
+	for i := 0; i < n; i++ {
+		i := i
+		spawn := e.Spawn
+		if daemonsBelow && i < n-1 {
+			spawn = e.SpawnDaemon
+		}
+		spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			defer func() { exits[i]++ }()
+			p.Sleep(Duration(10 * (n - i)))
+			if i < n-1 {
+				p.Sleep(1000)
+				return
+			}
+			if d := driving(e); d != n-1 {
+				t.Errorf("top of the stack runs above %d drivers, want %d", d, n-1)
+			}
+			top(p)
+		})
+	}
+	return exits
+}
+
+// wantExits checks that every deferred function stack counted ran once.
+func wantExits(t *testing.T, exits []int) {
+	t.Helper()
+	for i, n := range exits {
+		if n != 1 {
+			t.Errorf("p%d's deferred function ran %d times, want once", i, n)
+		}
+	}
+}
+
+// The ways a Run ends, each with lifecycleProcs processes live at once:
+// everything finishes; Stop with everything mid-flight; a deadlock;
+// daemons abandoned when the foreground drains; Stop from the top of a
+// resume chain lifecycleProcs-1 drivers deep.
 const lifecycleProcs = 12
 
 var lifecycleShapes = []func(t *testing.T){
@@ -87,6 +143,14 @@ var lifecycleShapes = []func(t *testing.T){
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+	},
+	func(t *testing.T) { // stop, deep
+		e := NewEngine(1)
+		exits := stack(t, e, lifecycleProcs, false, func(*Proc) { e.Stop() })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		wantExits(t, exits)
 	},
 }
 
@@ -200,14 +264,21 @@ func TestConcurrentEnginesShareCarriers(t *testing.T) {
 
 // pingPong runs procs processes that each sleep rounds times on
 // interleaved phases — every Sleep is a real switch to another process —
-// plus a short-lived child per process, and returns the end time.
+// plus a short-lived child per process, and returns the end time. A
+// child is resumed, and when it finishes its carrier released, by
+// whichever process parked before it — not by the Run goroutine.
 func pingPong(t *testing.T, procs, rounds int) Time {
 	e := NewEngine(1)
 	for i := 0; i < procs; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			p.Sleep(Duration(i))
-			e.Spawn("child", func(q *Proc) { q.Sleep(1) })
+			e.Spawn("child", func(q *Proc) {
+				if driving(e) == 0 {
+					t.Error("a child was resumed by Run, not by the process that parked")
+				}
+				q.Sleep(1)
+			})
 			for j := 0; j < rounds; j++ {
 				p.Sleep(Duration(procs))
 			}
@@ -294,37 +365,179 @@ func TestExploredPanicRetiresCarrier(t *testing.T) {
 	}
 }
 
+// TestChildCarrierReleasedByResumer: a child that finishes hands its
+// carrier back through the process that resumed it — the parent here,
+// parked in its Sleep — and it is on the idle list before Run's
+// goroutine has run again.
+func TestChildCarrierReleasedByResumer(t *testing.T) {
+	e := NewEngine(1)
+	e.Spawn("parent", func(p *Proc) {
+		var hosted *carrier
+		e.Spawn("child", func(q *Proc) { hosted = q.c })
+		p.Sleep(5)
+		if !isIdle(hosted) {
+			t.Error("the finished child's carrier is not on the idle list when its resumer runs on")
+		}
+		if c := e.Counters(); c.Switches != 3 || c.Coroswitches != 3 {
+			t.Errorf("%+v, want 3 switches (parent, child, parent) for 3 coroswitches (2 resumes, the child's last yield)", c)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chainProcs is how many processes the chain tests stack: Run -> p0 ->
+// p1 -> p2 -> p3, three drivers and Run below the one that ends the run.
+const chainProcs = 4
+
+// TestChainPanicSurfacesFromRun: a panic on top of a resume chain comes
+// out of Run on the caller's goroutine with its original value. On the
+// way down it unwinds every driver below it (their deferred functions
+// run, once); a parked process off the chain is reaped as usual.
+func TestChainPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ n int }
+	e := NewEngine(1)
+	exits := stack(t, e, chainProcs, false, func(*Proc) { panic(boom{42}) })
+	bystanderDefers := 0
+	e.Spawn("bystander", func(p *Proc) {
+		defer func() { bystanderDefers++ }()
+		p.Sleep(1000)
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		return e.Run()
+	}()
+	if got != (boom{42}) {
+		t.Fatalf("Run gave %v, want panic(boom{42})", got)
+	}
+	wantExits(t, exits)
+	if bystanderDefers != 1 {
+		t.Errorf("bystander's deferred function ran %d times, want 1", bystanderDefers)
+	}
+}
+
+// TestChainGoexitEndsRunGoroutine: t.Fatal on top of a resume chain ends
+// the goroutine that called Run, through every driver in between.
+func TestChainGoexitEndsRunGoroutine(t *testing.T) {
+	returned := false
+	var exits []int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e := NewEngine(1)
+		exits = stack(t, e, chainProcs, false, func(*Proc) { runtime.Goexit() })
+		_ = e.Run() // unreachable result: the goroutine exits inside Run
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Error("Run returned normally after a Goexit on top of a chain")
+	}
+	wantExits(t, exits)
+}
+
+// TestChainExploredPanicNamesItsProcess: under exploration the panic is
+// recovered where it happened, so the finding names the process on top
+// of the chain, not a driver below it — those are reaped as usual and
+// only the carrier the panic unwound retires.
+func TestChainExploredPanicNamesItsProcess(t *testing.T) {
+	e := NewEngine(1)
+	e.SetExplorer(firstTie{})
+	var below []*carrier
+	exits := stack(t, e, chainProcs, false, func(*Proc) {
+		for _, p := range drivers(e) {
+			below = append(below, p.c)
+		}
+		panic("invariant broken")
+	})
+	pe, ok := e.Run().(*ErrPanic)
+	if !ok || pe.Proc != fmt.Sprintf("p%d", chainProcs-1) || pe.Msg != "invariant broken" {
+		t.Fatalf("Run gave %v, want ErrPanic from p%d", pe, chainProcs-1)
+	}
+	wantExits(t, exits)
+	for _, c := range below {
+		if !isIdle(c) {
+			t.Error("a driver's carrier did not return to the idle list")
+		}
+	}
+}
+
+// TestChainUnwindsWhenRunEnds: Stop, and the last foreground process
+// finishing, on top of a resume chain hand nil down through every driver
+// to Run, which returns nil and reaps them.
+func TestChainUnwindsWhenRunEnds(t *testing.T) {
+	for name, daemonsBelow := range map[string]bool{"stop": false, "last foreground": true} {
+		e := NewEngine(1)
+		exits := stack(t, e, chainProcs, daemonsBelow, func(*Proc) {
+			if !daemonsBelow {
+				e.Stop()
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Errorf("%s: Run gave %v, want nil", name, err)
+		}
+		if e.Now() != 10 {
+			t.Errorf("%s: ended at %v, want 10ns", name, e.Now())
+		}
+		wantExits(t, exits)
+	}
+}
+
+// TestChainDeadlockReport: a deadlock found by the process on top of a
+// resume chain — every process blocks as its first act, so each drives
+// the next and the last finds the calendar empty — reports every blocked
+// process with its wait label, drivers included.
+func TestChainDeadlockReport(t *testing.T) {
+	e := NewEngine(1)
+	for i := 0; i < chainProcs; i++ {
+		i := i
+		s := NewSignal(e)
+		s.SetLabel(fmt.Sprintf("reply %d", i))
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			if d := driving(e); d != i {
+				t.Errorf("p%d blocks above %d drivers, want %d", i, d, i)
+			}
+			s.Wait(p)
+		})
+	}
+	de, ok := e.Run().(*ErrDeadlock)
+	if !ok {
+		t.Fatal("no deadlock reported")
+	}
+	want := "sim: deadlock at t=0.000us: blocked processes [p0 (waiting on reply 0) p1 (waiting on reply 1) " +
+		"p2 (waiting on reply 2) p3 (waiting on reply 3)]"
+	if de.Error() != want {
+		t.Errorf("got  %s\nwant %s", de.Error(), want)
+	}
+}
+
 type firstTie struct{}
 
 func (firstTie) ChooseTie([]EventInfo) int { return 0 }
 
-// switchAllocs is the number of heap objects one engine run of two
-// processes trading the processor n times each allocates.
-func switchAllocs(n int) float64 {
+// switchAllocs is the number of heap objects one engine run of procs
+// processes trading the processor n times in all allocates.
+func switchAllocs(procs, n int) float64 {
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
-		for i := 0; i < 2; i++ {
-			i := i
-			e.Spawn("p", func(p *Proc) {
-				p.Sleep(Duration(i))
-				for j := 0; j < n; j++ {
-					p.Sleep(2) // the other process wakes first: never the fast path
-				}
-			})
-		}
+		spawnRoundRobin(e, procs, n) // another process wakes first: never the fast path
 		if err := e.Run(); err != nil {
 			panic(err)
 		}
 	})
 }
 
-// TestProcessSwitchAllocFree: a real switch between two processes (park,
-// yield to the driver, resume the other) allocates nothing — a run with
+// TestProcessSwitchAllocFree: a real hand-off between processes (one
+// parks and resumes its successor, which parks and yields back — through
+// a chain of seven drivers, with eight) allocates nothing: a run with
 // twenty times the switches costs not one object more.
 func TestProcessSwitchAllocFree(t *testing.T) {
-	few, many := switchAllocs(1000), switchAllocs(20000)
-	if many > few {
-		t.Fatalf("%v objects for 2x1000 switches, %v for 2x20000: switching allocates", few, many)
+	for _, procs := range []int{2, 8} {
+		few, many := switchAllocs(procs, 2000), switchAllocs(procs, 40000)
+		if many > few {
+			t.Errorf("%d processes: %v objects for 2000 switches, %v for 40000: switching allocates", procs, few, many)
+		}
 	}
 }
 

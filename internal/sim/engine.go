@@ -27,24 +27,24 @@ const maxTime = Time(math.MaxInt64)
 // (for setup and engine callbacks) or from a simulated process's own body
 // while that process is the running process; the engine enforces the
 // one-runnable-process-at-a-time discipline itself (a process is a
-// coroutine the Run goroutine resumes, so at most one of them executes at
-// any moment by construction).
+// coroutine resumed by Run or by another process that then waits for it,
+// so at most one of them executes at any moment by construction).
 type Engine struct {
 	now Time
 	seq uint64
 	cal calendar
 
 	// Work counts behind Counters.
-	events, switches, sleepFast uint64
+	events, switches, coroswitches, sleepFast uint64
 
 	rng    *rand.Rand
 	nextID int
 	procs  map[int]*Proc
 	liveFG int // live non-daemon processes
 
-	// next is the hand-over slot: a process that parks dispatches events
-	// itself (park) and leaves the successor it found here for the
-	// driver loop (Run) to resume; nil means the run is over.
+	// next is the hand-over slot: whoever finds the next process to run
+	// (a parking process, or the resumer of one that finished) leaves it
+	// here for the dispatch loop; nil means the run is over.
 	next *Proc
 
 	stopped bool // Stop was called
@@ -73,19 +73,21 @@ func NewEngine(seed int64) *Engine {
 // behaviour must agree on them exactly. The engine keeps them as plain
 // integers: read them after Run, or from simulation context.
 type Counters struct {
-	Events     uint64 // calendar events fired: process resumes and callbacks
-	Switches   uint64 // coroutine switches: the driver loop resuming a process
-	SleepFast  uint64 // Sleeps that advanced the clock in place, with no event
-	MaxPending uint64 // most events pending on the calendar at once
+	Events       uint64 // calendar events fired: process resumes and callbacks
+	Switches     uint64 // process switches: a process other than the previous one starts running
+	Coroswitches uint64 // coroutine switches paid for them: every resume of a process, every yield back
+	SleepFast    uint64 // Sleeps that advanced the clock in place, with no event
+	MaxPending   uint64 // most events pending on the calendar at once
 }
 
 // Counters reports the work counts so far.
 func (e *Engine) Counters() Counters {
 	return Counters{
-		Events:     e.events,
-		Switches:   e.switches,
-		SleepFast:  e.sleepFast,
-		MaxPending: uint64(e.cal.peak),
+		Events:       e.events,
+		Switches:     e.switches,
+		Coroswitches: e.coroswitches,
+		SleepFast:    e.sleepFast,
+		MaxPending:   uint64(e.cal.peak),
 	}
 }
 
@@ -171,10 +173,12 @@ func (e *Engine) spawn(name string, fn func(*Proc), daemon bool) *Proc {
 
 // finish retires the process. It runs inside the process's coroutine as
 // the last thing its body does (normally or, under exploration, from a
-// recovered panic); the coroutine then yields, and the driver — seeing
-// stateDone — takes the carrier back and dispatches the next event.
+// recovered panic); the coroutine then switches back to whoever resumed
+// it, who — seeing stateDone — takes the carrier back and dispatches the
+// next event.
 func (p *Proc) finish() {
 	p.state = stateDone
+	p.e.coroswitches++
 	delete(p.e.procs, p.id)
 	if !p.daemon {
 		p.e.liveFG--
@@ -183,14 +187,14 @@ func (p *Proc) finish() {
 
 // nextProc advances the engine on the calling goroutine or coroutine: it
 // pops and fires events — running engine callbacks inline — until it
-// reaches a process resume, returned for the driver to switch to, or an
-// end condition (Stop called, the last non-daemon process finished, or
-// no event left), signalled by returning nil.
+// reaches a process resume, returned for the dispatch loop to switch to,
+// or an end condition (Stop called, the last non-daemon process finished,
+// or no event left), signalled by returning nil.
 //
-// The driver loop (Run) calls it between processes; park calls it from
-// inside the process giving up the processor, so that callbacks between
-// two resumes — and a resume that turns out to be the parker's own —
-// cost no coroutine switch at all.
+// park calls it from inside the process giving up the processor, so that
+// callbacks between two resumes — and a resume that turns out to be the
+// parker's own — cost no coroutine switch at all; dispatch calls it when
+// the process it resumed finished instead of parking.
 func (e *Engine) nextProc() *Proc {
 	for {
 		if e.stopped || e.liveFG == 0 || e.cal.n == 0 {
@@ -226,31 +230,43 @@ func (e *Engine) wake(p *Proc) {
 	e.scheduleResume(e.now, p)
 }
 
-// switchTo runs p until it parks or finishes and returns the process to
-// run after it. A parked process has already dispatched up to its
-// successor and left it in the hand-over slot. A finished one has
-// yielded from the end of its body: the driver — never the coroutine
-// itself — returns its carrier to the idle list, because only here,
+// dispatch is the engine's one dispatch loop: resume the process in the
+// hand-over slot until the slot holds nil (the run is over) or a process
+// that is driving. Run runs it at the bottom of the resume chain; a
+// parking process runs it from inside park, as the driver of its
+// successor, so that control reaches the successor in one coroswitch
+// instead of two through Run, and comes back in one when the successor
+// parks with the driver's own resume next. A driving process waits in its
+// resume call further down the chain and cannot be resumed again: it is
+// reached by yielding toward it, each driver in between finding it in the
+// slot, leaving its loop and yielding once more. Every resume onto the
+// chain pays for at most that one yield off it, so no schedule costs more
+// than a lone driver's two coroswitches per process switch.
+//
+// When resume returns, the process has either parked — after dispatching
+// up to its successor, left in the slot — or finished and yielded from
+// the end of its body. Whoever called resume — never the coroutine
+// itself — then returns its carrier to the idle list, because only here,
 // after resume has come back, is the coroutine known to be at rest
 // (released from inside, a second engine could resume it mid-yield).
-func (e *Engine) switchTo(p *Proc) *Proc {
-	c := p.c
-	if c == nil { // first resume: the process takes a carrier only now
-		c = takeCarrier()
-		c.p, p.c = p, c
+func (e *Engine) dispatch() {
+	for p := e.next; p != nil && !p.driving; p = e.next {
+		c := p.c
+		if c == nil { // first resume: the process takes a carrier only now
+			c = takeCarrier()
+			c.p, p.c = p, c
+		}
+		p.state = stateRunning
+		e.switches++
+		e.coroswitches++
+		alive := c.resume()
+		if p.state == stateDone {
+			if alive {
+				c.release()
+			}
+			e.next = e.nextProc()
+		}
 	}
-	p.state = stateRunning
-	e.switches++
-	alive := c.resume()
-	if p.state != stateDone {
-		next := e.next
-		e.next = nil
-		return next
-	}
-	if alive {
-		c.release()
-	}
-	return e.nextProc()
 }
 
 // BlockedProc names one process stuck in a deadlock, together with the
@@ -290,18 +306,17 @@ func (e *ErrDeadlock) Error() string {
 // otherwise. Run must be called exactly once, from the goroutine that
 // created the engine.
 //
-// Its loop is the engine's one dispatch loop: resume the next process's
-// coroutine, wait for it to yield back, repeat until nextProc finds no
-// more work. When it ends every process is parked.
+// It is the bottom of the resume chain (dispatch): when the hand-over
+// comes back to it with nothing to resume, every process is parked in a
+// yield and no one is driving.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("sim: Engine.Run called twice")
 	}
 	e.running = true
 	defer e.reapProcs()
-	for p := e.nextProc(); p != nil; {
-		p = e.switchTo(p)
-	}
+	e.next = e.nextProc()
+	e.dispatch()
 	if e.stopped {
 		if e.panicErr != nil {
 			return e.panicErr
@@ -365,6 +380,10 @@ type Proc struct {
 	c      *carrier // coroutine hosting the body; nil until the first resume
 	state  procState
 
+	// driving marks a parked process that is inside dispatch: it resumed
+	// its successor itself and waits in that resume call.
+	driving bool
+
 	// waitOn is the Signal the process most recently parked on; consulted
 	// only while state == stateBlocked, for deadlock reporting.
 	waitOn *Signal
@@ -398,8 +417,10 @@ type reaped struct{}
 // Under exploration a panic is a finding, not a crash: it is recorded,
 // the run stops, and the carrier it unwound retires. Any other panic is
 // left alone: iter.Pull catches it at the coroutine's top and re-raises
-// the same value from the driver's resume, so it surfaces out of
-// Engine.Run on the caller's goroutine.
+// the same value from the resume call of whoever was driving, and so on
+// down the resume chain — unwinding each driving process on the way, its
+// deferred functions run — until it surfaces out of Engine.Run on the
+// caller's goroutine.
 func (p *Proc) run() (ok bool) {
 	defer func() {
 		switch {
@@ -428,19 +449,31 @@ func (p *Proc) run() (ok bool) {
 // next resume may be this process's own (sleep across engine callbacks),
 // and engine callbacks between resumes run inline. Otherwise the
 // successor — or nil, when the run is over — goes into the engine's
-// hand-over slot and the process yields to the driver loop.
+// hand-over slot and the process drives it (dispatch) until the slot
+// holds its own resume, or someone it has to yield toward: a driver
+// further down the chain, or Run when the run is over.
 func (p *Proc) park(st procState) {
 	if p.state == stateDone {
 		panic(reaped{}) // a deferred function blocked while being reaped
 	}
+	e := p.e
 	p.state = st
-	next := p.e.nextProc()
+	next := e.nextProc()
 	if next == p {
 		p.state = stateRunning
 		return
 	}
-	p.e.next = next
-	p.c.yield()
+	e.next = next
+	p.driving = true
+	e.dispatch()
+	p.driving = false
+	if e.next == p { // back from the processes p drove
+		e.switches++
+		p.state = stateRunning
+		return
+	}
+	e.coroswitches++
+	p.c.yield() // until dispatch resumes p, which counts the switch
 	if p.state == stateDone {
 		panic(reaped{}) // run over: unwind instead of resuming
 	}

@@ -143,6 +143,63 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestQueueThatNeverDrainsStaysSmall: a saturated consumer keeps one to
+// three items queued for a million messages, so the queue never empties
+// and never gets to rewind its head; Put must slide the live items down
+// instead of dragging the dead prefix along. A second getter keeps the
+// signal's waiter list from draining the same way. Order is FIFO
+// throughout, through Get and TryGet alike.
+func TestQueueThatNeverDrainsStaysSmall(t *testing.T) {
+	msgs := 1_000_000
+	if testing.Short() {
+		msgs = 50_000
+	}
+	e := NewEngine(1)
+	q := NewQueue[int](e)
+	idle := NewQueue[int](e) // never fed: its getters wait for good
+	for i := 0; i < 2; i++ {
+		e.SpawnDaemon("idler", func(p *Proc) { idle.Get(p) })
+	}
+	e.Spawn("producer", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			q.Put(i)
+		}
+		for i := 3; i < msgs; i++ {
+			p.Sleep(2)
+			q.Put(i)
+			idle.sig.Pulse() // one idler wakes, finds nothing and waits again behind the other
+		}
+	})
+	e.Spawn("consumer", func(p *Proc) {
+		p.Sleep(1)
+		for want := 0; want < msgs; want++ {
+			if n := q.Len(); n < 1 || n > 3 {
+				t.Fatalf("%d items queued before message %d, want 1 to 3", n, want)
+			}
+			var got int
+			ok := true
+			if want%2 == 0 {
+				got = q.Get(p)
+			} else {
+				got, ok = q.TryGet()
+			}
+			if !ok || got != want {
+				t.Fatalf("message %d: got %d (ok=%v)", want, got, ok)
+			}
+			p.Sleep(2)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(q.items); c > 8 {
+		t.Errorf("the queue's backing array grew to %d slots holding at most 3 items", c)
+	}
+	if c := cap(idle.sig.waiters); c > 8 {
+		t.Errorf("the signal's waiter list grew to %d slots holding at most 2 waiters", c)
+	}
+}
+
 func TestMutexMutualExclusion(t *testing.T) {
 	e := NewEngine(1)
 	m := NewMutex(e)
@@ -293,6 +350,40 @@ func TestSleepFastPathConditions(t *testing.T) {
 	}
 	if e.Now() != 15 {
 		t.Fatalf("finished at %v, want 15", e.Now())
+	}
+}
+
+// TestHandoverPrice pins what a process switch costs in coroutine
+// switches, by the shape of the schedule: two processes trading the
+// processor pay exactly one per switch, a round-robin over eight pays
+// 2(n-1)/n = 1.75, and nothing pays more than two. The allowance is the
+// end of the run: each process's last yield is a switch to no one.
+func TestHandoverPrice(t *testing.T) {
+	const switches = 8000
+	for _, row := range []struct {
+		name     string
+		procs    uint64
+		spawn    func(e *Engine)
+		num, den uint64 // coroswitches per switch, at most
+	}{
+		{"sleep ping-pong", 2, func(e *Engine) { spawnRoundRobin(e, 2, switches) }, 1, 1},
+		{"signal ping-pong", 2, func(e *Engine) { spawnSignalPingPong(e, switches) }, 1, 1},
+		{"round-robin 8", 8, func(e *Engine) { spawnRoundRobin(e, 8, switches) }, 7, 4},
+	} {
+		e := NewEngine(1)
+		row.spawn(e)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		c := e.Counters()
+		t.Logf("%-16s %d switches, %d coroswitches (%.3f per switch)", row.name, c.Switches, c.Coroswitches,
+			float64(c.Coroswitches)/float64(c.Switches))
+		if c.Switches < switches {
+			t.Errorf("%s: %d switches, want at least %d: the shape no longer switches on every park", row.name, c.Switches, switches)
+		}
+		if c.Coroswitches < c.Switches || c.Coroswitches*row.den > c.Switches*row.num+2*row.procs*row.den {
+			t.Errorf("%s: %d coroswitches for %d switches, want %d/%d per switch", row.name, c.Coroswitches, c.Switches, row.num, row.den)
+		}
 	}
 }
 

@@ -6,6 +6,20 @@ package sim
 // the simulator's hottest paths — so they keep an explicit head index
 // and reset to the start of the backing array whenever they drain.
 
+// makeRoom prepares such a collection for an append. One that never
+// drains (a saturated consumer's queue, a signal that always has a
+// waiter) would otherwise drag an ever-longer dead prefix behind its
+// head: once the slice is full and at least half of it is dead, the live
+// items slide down to the start — amortised O(1), order unchanged.
+func makeRoom[T any](s []T, head int) ([]T, int) {
+	if head > 0 && len(s) == cap(s) && 2*head >= len(s) {
+		n := copy(s, s[head:])
+		clear(s[n:]) // release the references
+		return s[:n], 0
+	}
+	return s, head
+}
+
 // Signal is a condition-variable-like wakeup primitive. Processes block on
 // it with Wait; any simulation code (another process or an engine callback)
 // releases them with Broadcast or Pulse. Waiters are released in FIFO
@@ -34,6 +48,7 @@ func (s *Signal) Label() string { return s.label }
 
 // Wait blocks p until the signal is pulsed or broadcast.
 func (s *Signal) Wait(p *Proc) {
+	s.waiters, s.head = makeRoom(s.waiters, s.head)
 	s.waiters = append(s.waiters, p)
 	p.waitOn = s
 	p.park(stateBlocked)
@@ -156,6 +171,7 @@ func (q *Queue[T]) SetLabel(label string) { q.sig.SetLabel(label) }
 // Put appends v and wakes one waiting getter. It may be called from
 // process context or an engine callback.
 func (q *Queue[T]) Put(v T) {
+	q.items, q.head = makeRoom(q.items, q.head)
 	q.items = append(q.items, v)
 	q.sig.Pulse()
 }

@@ -212,8 +212,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 func (c *Cluster) Protocol() string { return c.protocol }
 
 // EngineCounters reports the event engine's deterministic work counts
-// (events fired, process switches, fast-path sleeps, calendar high-water
-// mark): what a run cost the simulator, as opposed to what it simulated.
+// (events fired, process switches and the coroutine switches they took,
+// fast-path sleeps, calendar high-water mark): what a run cost the
+// simulator, as opposed to what it simulated.
 func (c *Cluster) EngineCounters() sim.Counters { return c.sys.Runtime().Eng.Counters() }
 
 // Run executes body on ThreadsPerHost application threads on every host
