@@ -203,7 +203,7 @@ func TestCalendarStaysSmall(t *testing.T) {
 		if c.MaxPending > 1024 {
 			t.Errorf("%s: %d events pending at once, more than the 1024 the sorted calendar is sized for", name, c.MaxPending)
 		}
-		t.Logf("%-13s events=%d switches=%d sleep_fast=%d max_pending=%d coroswitches=%d", name, c.Events, c.Switches, c.SleepFast, c.MaxPending, c.Coroswitches)
+		t.Logf("%-13s events=%d switches=%d sleep_fast=%d max_pending=%d coroswitches=%d hops=%d", name, c.Events, c.Switches, c.SleepFast, c.MaxPending, c.Coroswitches, c.Hops)
 	}
 }
 

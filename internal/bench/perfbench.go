@@ -43,10 +43,12 @@ type PerfPoint struct {
 	// these unchanged is a change in cost per event, not in
 	// event count. Coroswitches over switches is what the schedule's
 	// shape lets a process switch cost (1 trading between two processes,
-	// 2 at worst).
+	// 2 at worst); hops are the resume events a wait sequence took in
+	// engine context, each a process switch that did not happen.
 	EventsPerOp       uint64 `json:"events_per_op,omitempty"`
 	SwitchesPerOp     uint64 `json:"switches_per_op,omitempty"`
 	CoroswitchesPerOp uint64 `json:"coroswitches_per_op,omitempty"`
+	HopsPerOp         uint64 `json:"hops_per_op,omitempty"`
 
 	Baseline     PerfBaseline `json:"baseline"`
 	Speedup      float64      `json:"speedup"`       // baseline ns / current ns
@@ -157,7 +159,7 @@ func scenarioRun(name string, shape func(*serve.Scenario)) func() (sim.Counters,
 
 // lastCounters records the engine counters of the last end-to-end
 // benchmark iteration, for RunPerfBench's events_per_op /
-// switches_per_op / coroswitches_per_op columns.
+// switches_per_op / coroswitches_per_op / hops_per_op columns.
 var lastCounters sim.Counters
 
 // benchE2E is the wall-clock benchmark of one e2eRuns shape.
@@ -338,6 +340,7 @@ func RunPerfBench() []PerfPoint {
 			EventsPerOp:       lastCounters.Events,
 			SwitchesPerOp:     lastCounters.Switches,
 			CoroswitchesPerOp: lastCounters.Coroswitches,
+			HopsPerOp:         lastCounters.Hops,
 			Baseline:          s.baseline,
 		}
 		if p.NsPerOp > 0 {
@@ -359,13 +362,13 @@ func WritePerfBench(w io.Writer, path string) error {
 	pts := RunPerfBench()
 	fmt.Fprintln(w, "Simulator wall-clock benchmarks (before = pre-optimization baseline)")
 	fmt.Fprintf(w, "sweep workers=%d (machine cores=%d)\n", Workers(), runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s %13s %15s %19s\n",
-		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op", "events_per_op", "switches_per_op", "coroswitches_per_op")
+	fmt.Fprintf(w, "%-15s %14s %14s %8s %13s %13s %13s %13s %15s %19s %11s\n",
+		"benchmark", "before ns/op", "now ns/op", "speedup", "before allocs", "now allocs", "now B/op", "events_per_op", "switches_per_op", "coroswitches_per_op", "hops_per_op")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%-15s %14.1f %14.1f %7.2fx %13d %13d %13d",
 			p.Name, p.Baseline.NsPerOp, p.NsPerOp, p.Speedup, p.Baseline.AllocsPerOp, p.AllocsPerOp, p.BytesPerOp)
 		if p.EventsPerOp > 0 { // the micro rows' op is an event or a message, not a run
-			fmt.Fprintf(w, " %13d %15d %19d", p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp)
+			fmt.Fprintf(w, " %13d %15d %19d %11d", p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp, p.HopsPerOp)
 		}
 		fmt.Fprintln(w)
 	}

@@ -11,8 +11,8 @@
 // System type, and otherwise consists purely of policy: what a fault
 // sends where, what a message does to the directory, where allocations
 // live. Everything mechanical (option checks, spawning threads, wrapper
-// installation, busy-reference counting around blocking points, envelope
-// pooling, stats) lives here exactly once.
+// installation, the one blocking point with its busy-reference counting,
+// envelope pooling, stats) lives here exactly once.
 //
 // Determinism contract: the runtime performs no virtual-time operation
 // of its own — every Sleep, Send and Wait is issued by the protocol — so
@@ -217,7 +217,7 @@ type CrashRecoverer interface {
 
 // onRestart is the fastmsg restart hook: spawn the host's recovery
 // process, which runs protocol recovery and then re-sends every
-// in-flight blocking request registered with BlockRetry.
+// in-flight blocking request registered by a Block with a Retry.
 func (rt *Runtime) onRestart(h int) {
 	host := rt.hosts[h]
 	rt.Eng.SpawnDaemon(fmt.Sprintf("recover-%d", h), func(p *sim.Proc) {

@@ -41,8 +41,8 @@ type Host struct {
 	EP *fastmsg.Endpoint
 
 	// inflight is the host's registry of blocking requests that must
-	// survive faults: each entry was registered by Thread.BlockRetry and
-	// stays until its thread wakes. An order-preserving slice — a map
+	// survive faults: each entry was registered by a Thread.Block with a
+	// Retry and stays until its thread wakes. An order-preserving slice — a map
 	// would make crash recovery's re-send order depend on Go's hashing.
 	inflight []*retryEntry
 
@@ -64,7 +64,7 @@ type Resender interface {
 const retryMax = 200 * sim.Millisecond
 
 // retryEntry is one armed re-send timer and, while its thread is parked
-// in BlockRetry, the host's in-flight registration.
+// in a Block with a Retry, the host's in-flight registration.
 type retryEntry struct {
 	fw    *Wait
 	gen   uint64 // Wait generation at arming; staleness guard
@@ -78,7 +78,7 @@ func (ent *retryEntry) stale() bool { return ent.fw.gen != ent.gen || ent.fw.Ev.
 
 // ArmRetry starts a timer that calls rs.Resend(nil) after base, 2·base,
 // ... (capped at retryMax) until fw's event is set or the slot is reset
-// for a new transaction. The entry it returns is BlockRetry's business.
+// for a new transaction. The entry it returns is Thread.Block's business.
 func (h *Host) ArmRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
 	if h.retryFn == nil {
 		h.retryFn = h.retryFire
@@ -173,6 +173,12 @@ func (h *Host) Send(p *sim.Proc, to int, payload any) {
 // SendSized is Send with an explicit wire size, for protocols whose
 // headers carry variable-length extras (lrc's encoded diffs).
 func (h *Host) SendSized(p *sim.Proc, to int, payload any, size int) {
+	h.EP.Send(p, to, h.envelope(to, payload, size))
+}
+
+// envelope records the send and wraps payload in a pooled envelope of
+// the given wire size, for Send or for a call's Post (Thread.Step).
+func (h *Host) envelope(to int, payload any, size int) *fastmsg.Message {
 	if tr := h.rt.Trace; tr.Enabled() {
 		op, mp, addr, home := h.handler.DescribeMsg(payload)
 		tr.RecordMsg(h.rt.Eng.Now(), trace.Send, h.id, to, home, op, mp, addr)
@@ -180,7 +186,7 @@ func (h *Host) SendSized(p *sim.Proc, to int, payload any, size int) {
 	fm := h.EP.AllocMessage()
 	fm.Size = size
 	fm.Payload = payload
-	h.EP.Send(p, to, fm)
+	return fm
 }
 
 // SendData ships raw sharing-unit bytes (no header: FM delivers them

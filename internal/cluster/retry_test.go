@@ -24,8 +24,8 @@ func (r *stampResender) Resend(p *sim.Proc) {
 	}
 }
 
-// TestBlockRetryBackoffRecoveryAndStop: a thread parked in BlockRetry has
-// its request re-sent after base, 2·base, 4·base ... capped at retryMax;
+// TestBlockRetryBackoffRecoveryAndStop: a thread parked in a Block with a
+// Retry has its request re-sent after base, 2·base, 4·base ... capped at retryMax;
 // crash recovery re-sends it at once and leaves the timer alone; both
 // stop when the reply sets the event, and the entry goes back to the
 // freelist, and the record to its owner, once its last timer has fired
@@ -45,7 +45,7 @@ func TestBlockRetryBackoffRecoveryAndStop(t *testing.T) {
 	err := rt.Run(func(ct *Thread) func() {
 		return func() {
 			fw = ct.WaitSlot()
-			ct.BlockRetry(fw, base, rs)
+			ct.Block(Blocking{For: "reply", FW: fw, Retry: rs, RetryBase: base})
 			if len(h.inflight) != 0 {
 				t.Errorf("%d entries still registered after the thread woke", len(h.inflight))
 			}
@@ -59,7 +59,7 @@ func TestBlockRetryBackoffRecoveryAndStop(t *testing.T) {
 			again = testing.AllocsPerRun(10, func() {
 				fw := ct.WaitSlot()
 				rt.Eng.After(base/2, fw.Ev.Set)
-				ct.BlockRetry(fw, base, rs)
+				ct.Block(Blocking{For: "reply", FW: fw, Retry: rs, RetryBase: base})
 				ct.Compute(base)
 			})
 		}
@@ -78,6 +78,6 @@ func TestBlockRetryBackoffRecoveryAndStop(t *testing.T) {
 		t.Fatalf("%d records released over 12 chains", rs.freed)
 	}
 	if again > 1 { // the closure handed to After
-		t.Fatalf("a warmed-up BlockRetry allocates %.0f objects, want only the test's own closure", again)
+		t.Fatalf("a warmed-up Block with a Retry allocates %.0f objects, want only the test's own closure", again)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -135,5 +136,47 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 	}
 	if _, err := New("test", ok(func(o *Options) { o.ThreadsPerHost, o.Management, o.Replication = 2, HomeBased, true }), all); err != nil {
 		t.Errorf("supported traits rejected: %v", err)
+	}
+}
+
+// TestDeadlockNamesWhatThreadsWaitFor: a run whose replies never come
+// ends in a deadlock report that says, thread by thread, which operation
+// hangs — the wait reason every Block carries — whether the thread was
+// blocked by its own first Step (no request, nothing to charge) or, mid-
+// sequence, by one the engine ran after the request's send charge.
+func TestDeadlockNamesWhatThreadsWaitFor(t *testing.T) {
+	rt := newTestRuntime(3, 1)
+	set := sim.NewEvent(rt.Eng)
+	set.Set()
+	err := rt.Run(func(ct *Thread) func() {
+		return func() {
+			switch ct.ID {
+			case 0: // a call nobody answers (nopHandler drops the request)
+				ct.Block(Blocking{For: "lock grant", FW: ct.WaitSlot(), To: 1, Request: "request", Wake: sim.Microsecond})
+			case 1:
+				ct.Block(Blocking{For: "flush done", On: sim.NewEvent(rt.Eng), Pre: sim.Microsecond})
+			case 2: // the group's first member is there, the second never comes
+				ct.Block(Blocking{For: "prefetch group", Group: []*sim.Event{set, sim.NewEvent(rt.Eng)}})
+			}
+			t.Errorf("thread %d woke", ct.ID)
+		}
+	})
+	de, ok := err.(*sim.ErrDeadlock)
+	if !ok {
+		t.Fatalf("Run = %v, want a deadlock", err)
+	}
+	want := []sim.BlockedProc{
+		{Name: "app-0.0", Waiting: "lock grant"},
+		{Name: "app-1.0", Waiting: "flush done"},
+		{Name: "app-2.0", Waiting: "prefetch group"},
+	}
+	if !slices.Equal(de.Waits, want) {
+		t.Errorf("blocked on %v, want %v", de.Waits, want)
+	}
+	if got := rt.Net.Endpoint(1).Stats().Received; got != 1 {
+		t.Errorf("host 1 received %d requests, want thread 0's", got)
+	}
+	if rt.Eng.Counters().Hops == 0 {
+		t.Error("no Step ran in engine context: nobody was blocked mid-sequence")
 	}
 }

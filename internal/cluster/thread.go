@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"millipage/internal/core"
+	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 	"millipage/internal/stats"
 	"millipage/internal/vm"
@@ -60,6 +61,16 @@ type Thread struct {
 	// txnSeq feeds NextTxn: the per-thread transaction counter protocols
 	// use to tag retryable requests.
 	txnSeq uint64
+
+	// The blocking operation in progress (Block), which the thread itself
+	// is the stepper of: what it is (op.Group the events still to wait
+	// for; one backs the common list of one), where Step is in it, the
+	// posted request, the armed path's in-flight registration.
+	op      Blocking
+	stage   opStage
+	one     [1]*sim.Event
+	request *fastmsg.Message
+	ent     *retryEntry
 
 	Stats ThreadStats
 }
@@ -121,34 +132,123 @@ func (t *Thread) NextTxn() uint64 {
 	return t.txnSeq
 }
 
-// Block parks the thread on fw's event, releasing the host's busy
-// reference so the endpoint poller takes over while it waits.
-func (t *Thread) Block(fw *Wait) { t.BlockOn(fw.Ev) }
+// Blocking describes one blocking operation of an application thread,
+// the argument of Thread.Block: what to wait for, what the wait costs the
+// thread on either side and, for a call, the request that goes out first.
+type Blocking struct {
+	// For says what the thread waits for ("fault reply", "lock grant"); a
+	// deadlock report prints it as the thread's wait reason.
+	For string
 
-// BlockOn is Block for a bare event (lrc's flush-completion latch).
-func (t *Thread) BlockOn(ev *sim.Event) {
-	t.h.EP.SetBusy(-1)
-	ev.Wait(t.p)
-	t.h.EP.SetBusy(+1)
+	// The wait ends when FW's event is set — or, without a rendezvous, the
+	// bare event On, or every event of Group, awaited in order.
+	FW    *Wait
+	On    *sim.Event
+	Group []*sim.Event
+
+	Pre  sim.Duration // charged before blocking (suspending the thread on its event); 0 charges nothing
+	Wake sim.Duration // charged after waking (SetEvent and scheduler latency, fault resumption)
+
+	// Request, when not nil, makes the operation a call: the header-sized
+	// payload is sent to host To first, as Host.Send would.
+	To      int
+	Request any
+
+	// Retry, when not nil, keeps a call on FW alive under faults: while the
+	// thread is parked a timer re-issues the request through it with
+	// exponential backoff from RetryBase (Host.ArmRetry), and the request
+	// is registered in the host's in-flight table so crash recovery
+	// re-sends it at once after restart. Receivers deduplicate by the
+	// transaction id stamped in FW.Txn. Timer and registration die when
+	// FW's event is set or the slot recycled.
+	Retry     Resender
+	RetryBase sim.Duration
 }
 
-// BlockRetry is Block for requests that must survive faults: while the
-// thread is parked, a timer re-issues the request via rs with exponential
-// backoff (see Host.ArmRetry), and the request is registered in the
-// host's in-flight table so crash recovery re-sends it at once after
-// restart. Receivers deduplicate by the transaction id stamped in fw.Txn.
-// Timer and registration die when fw's event is set or the slot recycled.
-func (t *Thread) BlockRetry(fw *Wait, base sim.Duration, rs Resender) {
-	h := t.h
-	ent := h.ArmRetry(fw, base, rs)
-	ent.holds++
-	h.inflight = append(h.inflight, ent)
+// opStage is where a blocking operation's sequence stands.
+type opStage uint8
 
-	t.Block(fw)
+const (
+	opSend     opStage = iota // post the request, charge its send CPU
+	opTransmit                // put it on the wire
+	opSuspend                 // charge Pre
+	opRelease                 // arm the retry, give up the host's busy reference
+	opWait                    // wait for the events, take the busy reference back, charge Wake
+	opDone
+)
 
-	i := slices.Index(h.inflight, ent)
-	h.inflight = slices.Delete(h.inflight, i, i+1)
-	h.drop(ent)
+// Block is the one place an application thread blocks: it sends b's
+// request, if any, and parks the thread until what b names has happened,
+// releasing the host's busy reference meanwhile so the endpoint poller
+// takes over. The whole operation — send CPU, wire, Pre, the wait itself,
+// Wake — is one engine-side wait sequence (sim.Stepper, Step below), so
+// the thread is switched to once, when it is over, not at every charge.
+func (t *Thread) Block(b Blocking) {
+	t.op, t.stage = b, opSuspend
+	switch {
+	case b.FW != nil:
+		t.one[0], t.op.Group = b.FW.Ev, t.one[:]
+	case b.On != nil:
+		t.one[0], t.op.Group = b.On, t.one[:]
+	}
+	if b.Request != nil {
+		t.stage = opSend
+	}
+	t.p.Drive(t)
+}
+
+// Step advances the blocking operation in progress (sim.Stepper): the
+// first one in the thread itself, at Block, the later ones in engine
+// context at the thread's resume events, doing there exactly what the
+// thread did between its Sleeps and Waits when it ran them itself.
+func (t *Thread) Step() (sim.Action, sim.Duration) {
+	h, op := t.h, &t.op
+	switch t.stage {
+	case opSend:
+		t.request = h.envelope(op.To, op.Request, h.rt.Opt.Costs.HeaderSize)
+		op.Request = nil
+		t.stage = opTransmit
+		return sim.SleepFor, h.EP.Post(op.To, t.request)
+	case opTransmit:
+		h.EP.Transmit(t.request)
+		t.request = nil
+		t.stage = opSuspend
+		fallthrough
+	case opSuspend:
+		t.stage = opRelease
+		if op.Pre != 0 {
+			return sim.SleepFor, op.Pre
+		}
+		fallthrough
+	case opRelease:
+		if op.Retry != nil {
+			t.ent = h.ArmRetry(op.FW, op.RetryBase, op.Retry)
+			t.ent.holds++
+			h.inflight = append(h.inflight, t.ent)
+		}
+		h.EP.SetBusy(-1)
+		t.stage = opWait
+		fallthrough
+	case opWait:
+		for ; len(op.Group) > 0; op.Group = op.Group[1:] {
+			if ev := op.Group[0]; !ev.IsSet() {
+				ev.SetLabel(op.For)
+				ev.Enlist(t.p)
+				return sim.Block, 0
+			}
+		}
+		h.EP.SetBusy(+1)
+		if ent := t.ent; ent != nil {
+			i := slices.Index(h.inflight, ent)
+			h.inflight = slices.Delete(h.inflight, i, i+1)
+			h.drop(ent)
+			t.ent = nil
+		}
+		t.stage = opDone
+		return sim.SleepFor, op.Wake
+	default:
+		return sim.Run, 0
+	}
 }
 
 // ResetStats zeroes the thread's accumulated statistics and restarts its

@@ -19,7 +19,7 @@ type faultWait = cluster.Wait
 // requestRetryBase is the initial re-send timeout for fault-path manager
 // requests under fault injection: comfortably above a clean round trip
 // plus a long sweeper tick, so retries only fire when something was
-// actually lost. BlockRetry doubles it up to its own cap.
+// actually lost. The retry timer doubles it up to its own cap.
 const requestRetryBase = 10 * sim.Millisecond
 
 // Host is one Millipage process: the substrate host (address space, FM
@@ -67,6 +67,16 @@ func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) {
 	m := h.allocPM()
 	*m = v
 	h.Send(p, to, m)
+}
+
+// call is sendNew for a request whose reply thread t then waits for, as b
+// says: send and wait are one sequence (cluster.Thread.Block).
+func (t *Thread) call(to int, v pmsg, b cluster.Blocking) {
+	m := t.host.allocPM()
+	*m = v
+	m.CheckLive("Send")
+	b.To, b.Request = to, m
+	t.Block(b)
 }
 
 // request is a requester's own record of a directory request in flight:
@@ -185,16 +195,13 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		req.hdr.Txn = t.NextTxn()
 		fw.Txn = req.hdr.Txn
 	}
-	h.sendNew(p, home, req.hdr)
-	p.Sleep(c.BlockThread)
+	b := cluster.Blocking{For: "fault reply", FW: fw, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume}
 	if faulty {
 		// Block with a backoff timer re-issuing the request: it survives
 		// crashes on either side. The clean path arms nothing.
-		t.BlockRetry(fw, requestRetryBase, req)
-	} else {
-		t.Block(fw) // the host may go idle; the poller takes over
+		b.Retry, b.RetryBase = req, requestRetryBase
 	}
-	p.Sleep(c.ThreadWake + c.FaultResume)
+	t.call(home, req.hdr, b) // the host may go idle; the poller takes over
 
 	// The ack that closes the transaction at the minipage's home. TID/Txn
 	// (zero on the clean path) let the home record the transaction as done.

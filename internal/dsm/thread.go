@@ -71,9 +71,8 @@ func (t *Thread) Malloc(size int) uint64 {
 		return va
 	}
 	fw := t.WaitSlot()
-	t.host.sendNew(p, managerHost, pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw})
-	t.Block(fw)
-	p.Sleep(c.ThreadWake)
+	t.call(managerHost, pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw},
+		cluster.Blocking{For: "malloc reply", FW: fw, Wake: c.ThreadWake})
 	t.Stats.MallocTime += p.Now().Sub(start)
 	return fw.VA
 }
@@ -85,9 +84,8 @@ func (t *Thread) Barrier() {
 	c := t.host.Costs()
 	p.Sleep(c.BarrierBase)
 	fw := t.WaitSlot()
-	t.host.sendNew(p, managerHost, pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw})
-	t.Block(fw)
-	p.Sleep(c.ThreadWake)
+	t.call(managerHost, pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw},
+		cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake})
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.Barriers++
 }
@@ -98,9 +96,8 @@ func (t *Thread) Lock(id int) {
 	p := t.Proc()
 	start := p.Now()
 	fw := t.WaitSlot()
-	t.host.sendNew(p, managerHost, pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw})
-	t.Block(fw)
-	p.Sleep(t.host.Costs().ThreadWake)
+	t.call(managerHost, pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw},
+		cluster.Blocking{For: "lock grant", FW: fw, Wake: t.host.Costs().ThreadWake})
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.LockOps++
 }
@@ -177,12 +174,7 @@ func (t *Thread) GangFetch(spans []Span) {
 		evs = append(evs, fw.Ev)
 	}
 	if len(evs) > 0 {
-		h.EP.SetBusy(-1)
-		for _, ev := range evs {
-			ev.Wait(p)
-		}
-		h.EP.SetBusy(+1)
-		p.Sleep(c.ThreadWake)
+		t.Block(cluster.Blocking{For: "prefetch group", Group: evs, Wake: c.ThreadWake})
 	}
 	t.Stats.PrefetchTime += p.Now().Sub(start)
 }

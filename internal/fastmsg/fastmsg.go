@@ -202,6 +202,7 @@ func New(eng *sim.Engine, n int, params Params) *Network {
 			ready:       sim.NewQueue[*Message](eng),
 			lastDeliver: make([]sim.Time, n),
 		}
+		ep.ready.SetLabel("inbox")
 		// Bind the hot-path callbacks once so scheduling an arrival or a
 		// service-thread handoff never allocates a closure.
 		ep.arriveFn = ep.arriveAny
@@ -319,6 +320,11 @@ type Endpoint struct {
 	arriveFn    func(any)     // ep.arriveAny, bound once at New
 	fireFn      func(any)     // ep.fireAny, bound once at New
 	stats       Stats
+
+	// The service thread and the message it has received: the state of the
+	// receive sequence (Step), which the endpoint itself is the stepper of.
+	server  *sim.Proc
+	serving *Message
 }
 
 type pendingMsg struct {
@@ -373,6 +379,19 @@ func (ep *Endpoint) AllocMessage() *Message { return ep.allocMessage() }
 // charge nothing). Delivery is reliable and FIFO per destination —
 // natively on the clean path, via the reliability layer under faults.
 func (ep *Endpoint) Send(p *sim.Proc, to int, m *Message) {
+	cpu := ep.Post(to, m)
+	if p != nil {
+		p.Sleep(cpu)
+	}
+	ep.Transmit(m)
+}
+
+// Post is the first half of Send: it addresses m to endpoint `to`, walks
+// the envelope's lifecycle to sent, and returns the sender-side CPU cost
+// the caller has to charge before Transmit. Only a wait sequence that
+// charges it with a SleepFor has reason to take Send apart (the cluster
+// runtime's call sequence).
+func (ep *Endpoint) Post(to int, m *Message) sim.Duration {
 	if m.Size <= 0 {
 		m.Size = len(m.Data)
 	}
@@ -387,15 +406,18 @@ func (ep *Endpoint) Send(p *sim.Proc, to int, m *Message) {
 	}
 	m.From = ep.id
 	m.To = to
-	pr := ep.nw.params
-	if p != nil {
-		p.Sleep(pr.SendCPU(m.Size))
-	}
+	return ep.nw.params.SendCPU(m.Size)
+}
+
+// Transmit is the second half of Send: it puts a posted message on the
+// wire, or hands it to the reliability layer. It may run in engine context.
+func (ep *Endpoint) Transmit(m *Message) {
+	to := m.To
 	if r := ep.nw.rel; r != nil {
 		r.send(ep, to, m)
 		return
 	}
-	at := ep.eng.Now().Add(pr.WireLatency(m.Size))
+	at := ep.eng.Now().Add(ep.nw.params.WireLatency(m.Size))
 	if at <= ep.lastDeliver[to] {
 		at = ep.lastDeliver[to] + 1 // preserve FIFO ordering per destination
 	}
@@ -548,23 +570,20 @@ func (ep *Endpoint) sweepGap() sim.Duration {
 	return uniform(pr.SweepLongLo, pr.SweepLongHi)
 }
 
-// serve is the endpoint's service-thread body: receive, charge receive
-// CPU, run the protocol handler, then (under faults) acknowledge the
-// completed sequence number and (clean path) recycle the envelope.
+// serve is the endpoint's service-thread body: receive (Step), run the
+// protocol handler, then (under faults) acknowledge the completed
+// sequence number and (clean path) recycle the envelope.
 func (ep *Endpoint) serve(p *sim.Proc) {
+	ep.server = p
 	for {
-		m := ep.ready.Get(p)
-		m.state = msgDelivered
-		r := ep.nw.rel
-		if r != nil && m.Seq != 0 {
-			r.beginService(ep, m)
-		}
-		p.Sleep(ep.nw.params.RecvCPU(m.Size))
+		p.Drive(ep)
+		m := ep.serving
 		if ep.handler == nil {
 			panic(fmt.Sprintf("fastmsg: endpoint %d received %T with no handler", ep.id, m.Payload))
 		}
 		ep.handler(p, m)
-		if r != nil && m.Seq != 0 {
+		ep.serving = nil
+		if r := ep.nw.rel; r != nil && m.Seq != 0 {
 			r.complete(ep, m)
 			// Under faults the send log and late wire duplicates may still
 			// hold the envelope; drop only the delivery pipeline's hold.
@@ -573,4 +592,26 @@ func (ep *Endpoint) serve(p *sim.Proc) {
 			ep.recycleMessage(m)
 		}
 	}
+}
+
+// Step is the service thread's receive as an engine-side wait sequence
+// (sim.Stepper): take the oldest ready message — or enlist for one and
+// block; the take happens at the wake event, so a crash draining the
+// queue in between finds what it always found — mark it delivered (and,
+// under faults, in service), charge the receive CPU, run the handler.
+func (ep *Endpoint) Step() (sim.Action, sim.Duration) {
+	if ep.serving != nil {
+		return sim.Run, 0 // received and charged
+	}
+	m, ok := ep.ready.TryGet()
+	if !ok {
+		ep.ready.Enlist(ep.server)
+		return sim.Block, 0
+	}
+	m.state = msgDelivered
+	if r := ep.nw.rel; r != nil && m.Seq != 0 {
+		r.beginService(ep, m)
+	}
+	ep.serving = m
+	return sim.SleepFor, ep.nw.params.RecvCPU(m.Size)
 }

@@ -252,6 +252,91 @@ func TestReliableCrashRedelivery(t *testing.T) {
 	}
 }
 
+// TestCrashAtTheFireInstant: a crash landing at the very instant a message
+// is handed to the service thread drains what the order of the three
+// same-instant events — the fire, the crash, the service thread's wake —
+// says it should. The service thread's receive is an engine-side sequence
+// that takes the message at the wake event, not before, so: a crash ahead
+// of the fire kills the pending record; one between the fire and the wake
+// finds the message in the ready queue and wipes it, and the woken thread
+// finds nothing and waits on; one after the wake finds the queue empty and
+// the message in service, whose handler completes. Either way the
+// handler runs exactly once.
+func TestCrashAtTheFireInstant(t *testing.T) {
+	pr := DefaultParams()
+	arrive := sim.Time(pr.WireLatency(32))
+	fire := arrive.Add(pr.PollIdle)
+	restart := fire.Add(2 * sim.Millisecond)
+	for _, tc := range []struct {
+		name      string
+		schedule  func(eng *sim.Engine, crash func())
+		inService bool   // the message was taken before the crash: handled at once
+		received  uint64 // hand-offs to the service thread, wiped ones included
+	}{
+		// Scheduled before the message is even sent: first at its instant.
+		{"before the fire", func(eng *sim.Engine, crash func()) { eng.At(fire, crash) }, false, 1},
+		// Scheduled after the arrival scheduled the fire, before the fire
+		// schedules the wake: between the two.
+		{"between fire and wake", func(eng *sim.Engine, crash func()) {
+			eng.At(arrive+1, func() { eng.At(fire, crash) })
+		}, false, 2},
+		// Scheduled from between the two: after the wake.
+		{"after the wake", func(eng *sim.Engine, crash func()) {
+			eng.At(arrive+1, func() { eng.At(fire, func() { eng.At(fire, crash) }) })
+		}, true, 1},
+	} {
+		eng := sim.NewEngine(1)
+		nw := New(eng, 2, pr)
+		far := sim.Time(1 << 60)
+		inj, err := faultnet.NewInjector(faultnet.Plan{ // armed, and nothing fires by itself
+			Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
+		}, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.InstallFaults(inj)
+		var handledAt []sim.Time
+		nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { handledAt = append(handledAt, p.Now()) })
+		nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) {})
+		var crashedAt sim.Time
+		var readyAtCrash int
+		tc.schedule(eng, func() {
+			crashedAt, readyAtCrash = eng.Now(), nw.Endpoint(1).ready.Len()
+			nw.rel.crash(1)
+		})
+		eng.At(restart, func() { nw.rel.restart(1) })
+		m := nw.Endpoint(0).AllocMessage()
+		m.Size = 32
+		nw.Endpoint(0).Send(nil, 1, m) // at time zero, from engine context: no send CPU
+		eng.Spawn("watch", func(p *sim.Proc) {
+			for len(handledAt) == 0 {
+				p.Sleep(sim.Millisecond)
+			}
+			p.Sleep(sim.Millisecond)
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if crashedAt != fire {
+			t.Fatalf("%s: crashed at %v, want the fire instant %v", tc.name, crashedAt, fire)
+		}
+		if want := tc.received == 2; (readyAtCrash == 1) != want {
+			t.Errorf("%s: the crash found %d messages in the ready queue", tc.name, readyAtCrash)
+		}
+		if len(handledAt) != 1 {
+			t.Fatalf("%s: handler ran %d times, want once", tc.name, len(handledAt))
+		}
+		if at := handledAt[0]; tc.inService && at != fire.Add(pr.RecvCPU(32)) {
+			t.Errorf("%s: handled at %v, want %v: in service when the crash hit, it completes", tc.name, at, fire.Add(pr.RecvCPU(32)))
+		} else if !tc.inService && at < restart {
+			t.Errorf("%s: handled at %v, before the restart at %v: the crash did not wipe it", tc.name, at, restart)
+		}
+		if got := nw.Endpoint(1).Stats().Received; got != tc.received {
+			t.Errorf("%s: %d hand-offs to the service thread, want %d", tc.name, got, tc.received)
+		}
+	}
+}
+
 // TestCompletedEnvelopeIsGhost pins the ownership rule the protocols'
 // pools rest on: Payload and Data belong to the handler, which runs
 // exactly once per message, so it may recycle them on the spot. Here it

@@ -243,9 +243,8 @@ func (t *Thread) Malloc(size int) uint64 {
 		return va
 	}
 	fw := t.WaitSlot()
-	t.host.Send(p, 0, &pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw})
-	t.Block(fw)
-	p.Sleep(c.ThreadWake)
+	t.Block(cluster.Blocking{For: "malloc reply", FW: fw, Wake: c.ThreadWake,
+		To: 0, Request: &pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw}})
 	t.Stats.MallocTime += p.Now().Sub(start)
 	return fw.VA
 }
@@ -269,9 +268,8 @@ func (t *Thread) Barrier() {
 	c := h.Costs()
 	p.Sleep(c.BarrierBase)
 	fw := t.WaitSlot()
-	h.Send(p, 0, &pmsg{Type: mBarArrive, From: h.ID(), FW: fw})
-	t.Block(fw)
-	p.Sleep(c.ThreadWake)
+	t.Block(cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake,
+		To: 0, Request: &pmsg{Type: mBarArrive, From: h.ID(), FW: fw}})
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.Barriers++
 }
@@ -281,9 +279,8 @@ func (t *Thread) Lock(id int) {
 	p := t.Proc()
 	start := p.Now()
 	fw := t.WaitSlot()
-	t.host.Send(p, 0, &pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw})
-	t.Block(fw)
-	p.Sleep(t.host.Costs().ThreadWake)
+	t.Block(cluster.Blocking{For: "lock grant", FW: fw, Wake: t.host.Costs().ThreadWake,
+		To: 0, Request: &pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw}})
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.LockOps++
 }
@@ -340,10 +337,8 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		h.stats.ReadFaults++
 	}
 	fw := t.WaitSlot()
-	h.Send(p, h.sys.managerOf(page), &pmsg{Type: typ, From: h.ID(), Page: page, FW: fw})
-	p.Sleep(c.BlockThread)
-	t.Block(fw)
-	p.Sleep(c.ThreadWake + c.FaultResume)
+	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume,
+		To: h.sys.managerOf(page), Request: &pmsg{Type: typ, From: h.ID(), Page: page, FW: fw}})
 	h.Send(p, h.sys.managerOf(page), &pmsg{Type: mAck, From: h.ID(), Page: page, Write: f.Kind == vm.Write})
 
 	elapsed := p.Now().Sub(start)

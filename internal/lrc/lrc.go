@@ -197,9 +197,8 @@ func (t *Thread) Malloc(size int) uint64 {
 		return va
 	}
 	fw := t.WaitSlot()
-	h.Send(p, 0, &pmsg{Type: mAllocReq, From: h.ID(), AllocSize: size, FW: fw})
-	t.Block(fw)
-	p.Sleep(h.Costs().ThreadWake)
+	t.Block(cluster.Blocking{For: "malloc reply", FW: fw, Wake: h.Costs().ThreadWake,
+		To: 0, Request: &pmsg{Type: mAllocReq, From: h.ID(), AllocSize: size, FW: fw}})
 	if fw.Home == h.ID() {
 		h.Region.Protect(fw.Info.Base, fw.Info.Size, vm.ReadWrite)
 	}
@@ -244,9 +243,8 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 			h.stats.ReadFault++
 		}
 		fw := t.WaitSlot()
-		h.Send(p, home, &pmsg{Type: mFetchReq, From: h.ID(), Info: info, FW: fw})
-		t.Block(fw)
-		p.Sleep(c.ThreadWake + c.FaultResume)
+		t.Block(cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume,
+			To: home, Request: &pmsg{Type: mFetchReq, From: h.ID(), Info: info, FW: fw}})
 		h.present[mp.ID] = info
 	}
 
@@ -335,8 +333,7 @@ func (t *Thread) flushDiffs() {
 			h.stats.DiffBytes += uint64(len(f.enc))
 			h.SendSized(p, f.home, &pmsg{Type: mDiffFlush, From: h.ID(), Info: f.info, Diff: f.enc}, c.HeaderSize+len(f.enc))
 		}
-		t.BlockOn(h.flushDone)
-		p.Sleep(c.ThreadWake)
+		t.Block(cluster.Blocking{For: "flush done", On: h.flushDone, Wake: c.ThreadWake})
 	}
 }
 
@@ -377,9 +374,8 @@ func (t *Thread) Barrier() {
 	// Rendezvous.
 	p.Sleep(c.BarrierBase)
 	fw := t.WaitSlot()
-	h.Send(p, 0, &pmsg{Type: mBarrierArrive, From: h.ID(), FW: fw})
-	t.Block(fw)
-	p.Sleep(c.ThreadWake)
+	t.Block(cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake,
+		To: 0, Request: &pmsg{Type: mBarrierArrive, From: h.ID(), FW: fw}})
 
 	// Invalidate non-home copies (acquire).
 	t.invalidatePresent()
@@ -397,9 +393,8 @@ func (t *Thread) Lock(id int) {
 	p := t.Proc()
 	start := p.Now()
 	fw := t.WaitSlot()
-	h.Send(p, 0, &pmsg{Type: mLockReq, From: h.ID(), LockID: id, FW: fw})
-	t.Block(fw)
-	p.Sleep(h.Costs().ThreadWake)
+	t.Block(cluster.Blocking{For: "lock grant", FW: fw, Wake: h.Costs().ThreadWake,
+		To: 0, Request: &pmsg{Type: mLockReq, From: h.ID(), LockID: id, FW: fw}})
 	t.invalidatePresent()
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.LockOps++

@@ -245,6 +245,14 @@ func (h *MWHost) SendSized(p *sim.Proc, to int, m *mwmsg, size int) {
 // Send is SendSized for a bare header.
 func (h *MWHost) Send(p *sim.Proc, to int, m *mwmsg) { h.SendSized(p, to, m, h.Costs().HeaderSize) }
 
+// call is Send for a request whose reply thread t then waits for, as b
+// says: send and wait are one sequence (cluster.Thread.Block).
+func (t *MWThread) call(to int, m *mwmsg, b cluster.Blocking) {
+	m.CheckLive("Send")
+	b.To, b.Request = to, m
+	t.Block(b)
+}
+
 // allocBuf returns a byte buffer of length n (twin, minipage snapshot,
 // fetch payload); pass 0 for an empty append target (encoded diffs).
 func (h *MWHost) allocBuf(n int) []byte { return h.sys.freeBuf.Get(n) }
@@ -417,9 +425,7 @@ func (t *MWThread) Malloc(size int) uint64 {
 	req.From = h.ID()
 	req.AllocSize = size
 	req.FW = fw
-	h.Send(p, 0, req)
-	t.Block(fw)
-	p.Sleep(h.Costs().ThreadWake)
+	t.call(0, req, cluster.Blocking{For: "malloc reply", FW: fw, Wake: h.Costs().ThreadWake})
 	if fw.Home == h.ID() {
 		h.Region.Protect(fw.Info.Base, fw.Info.Size, vm.ReadOnly)
 	}
@@ -545,9 +551,7 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 		for k := a; k < b; k++ {
 			req.Seqs = append(req.Seqs, pend[k].seq)
 		}
-		h.Send(p, cr, req)
-		t.Block(fw)
-		p.Sleep(c.ThreadWake)
+		t.call(cr, req, cluster.Blocking{For: "diff reply", FW: fw, Wake: c.ThreadWake})
 		reply := h.diffReply
 		h.diffReply = nil
 		for i, d := range reply.DiffsOut {
@@ -619,7 +623,6 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 func (t *MWThread) fetchFromHome(id int, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
-	p := t.Proc()
 	h.stats.Fetches++
 	fw := t.WaitSlot()
 	req := h.allocMW()
@@ -627,9 +630,7 @@ func (t *MWThread) fetchFromHome(id int, info core.Info, home int) {
 	req.From = h.ID()
 	req.Info = info
 	req.FW = fw
-	h.Send(p, home, req)
-	t.Block(fw)
-	p.Sleep(c.ThreadWake + c.FaultResume)
+	t.call(home, req, cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	h.copies[id] = info
 	sn := h.seen[id]
 	if sn == nil {
@@ -713,8 +714,7 @@ func (t *MWThread) release() *mwNotice {
 			fm.Diff = f.enc
 			h.SendSized(p, f.home, fm, c.HeaderSize+len(f.enc))
 		}
-		t.BlockOn(h.flushDone)
-		p.Sleep(c.ThreadWake)
+		t.Block(cluster.Blocking{For: "flush done", On: h.flushDone, Wake: c.ThreadWake})
 	}
 	// The notice's minipage list is retained by the coordinator's log (and
 	// shared by every granted copy) until the next barrier, so it cannot
@@ -817,9 +817,7 @@ func (t *MWThread) Barrier() {
 	m.FW = fw
 	m.Notice = notice
 	m.VC = append(m.VC[:0], h.vc...)
-	h.Send(p, 0, m)
-	t.Block(fw)
-	p.Sleep(c.ThreadWake)
+	t.call(0, m, cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake})
 
 	t.acquire()
 	h.gcIntervals()
@@ -843,9 +841,7 @@ func (t *MWThread) Lock(id int) {
 	m.LockID = id
 	m.FW = fw
 	m.VC = append(m.VC[:0], h.vc...)
-	h.Send(p, 0, m)
-	t.Block(fw)
-	p.Sleep(h.Costs().ThreadWake)
+	t.call(0, m, cluster.Blocking{For: "lock grant", FW: fw, Wake: h.Costs().ThreadWake})
 	t.acquire()
 	t.Stats.SynchTime += p.Now().Sub(start)
 	t.Stats.LockOps++

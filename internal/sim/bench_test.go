@@ -128,6 +128,149 @@ func BenchmarkProcessHandover8(b *testing.B) {
 	benchHandover(b, func(e *Engine, n int) { spawnRoundRobin(e, 8, n) })
 }
 
+// receiver is a consumer's receive as a wait sequence, the shape of a
+// service thread's: take the oldest item — or enlist for one and block —
+// charge for it, run.
+type receiver struct {
+	p     *Proc
+	q     *Queue[int]
+	taken bool
+}
+
+func (r *receiver) Step() (Action, Duration) {
+	if r.taken {
+		r.taken = false
+		return Run, 0
+	}
+	if _, ok := r.q.TryGet(); !ok {
+		r.q.Enlist(r.p)
+		return Block, 0
+	}
+	r.taken = true
+	return SleepFor, 2
+}
+
+// spawnReceive spawns two producer-consumer pairs, n items in all, each
+// consumer's receive a charged take: process code, or a receiver
+// sequence. The pairs run a tick apart, so that one's producer runs
+// inside the other's charge and no charge takes Sleep's in-place fast
+// path — as on a cluster, where some other host's event is always next.
+func spawnReceive(e *Engine, n int, driven bool) {
+	for pair := 0; pair < 2; pair++ {
+		pair := pair
+		q := NewQueue[int](e)
+		e.Spawn("producer", func(p *Proc) {
+			p.Sleep(Duration(pair))
+			for i := 0; i < n/2; i++ {
+				q.Put(i)
+				p.Sleep(4)
+			}
+		})
+		e.Spawn("consumer", func(p *Proc) {
+			r := &receiver{p: p, q: q}
+			for i := 0; i < n/2; i++ {
+				if driven {
+					p.Drive(r)
+				} else {
+					q.Get(p)
+					p.Sleep(2)
+				}
+			}
+		})
+	}
+}
+
+// caller is a request-reply call as a wait sequence, the shape of a
+// blocking thread operation's: charge the send, put the posted request
+// on the server's queue, block until the reply latch is set, charge the
+// wake-up, run.
+type caller struct {
+	p     *Proc
+	reqs  *Queue[*Event]
+	reply *Event
+	stage int
+}
+
+func (c *caller) Step() (Action, Duration) {
+	switch c.stage {
+	case 0: // posted: charge the send
+		c.stage = 1
+		return SleepFor, 2
+	case 1: // transmit
+		c.reqs.Put(c.reply)
+		c.stage = 2
+		fallthrough
+	case 2: // wait for the reply
+		if !c.reply.IsSet() {
+			c.reply.Enlist(c.p)
+			return Block, 0
+		}
+		c.stage = 3
+		return SleepFor, 3
+	default:
+		c.stage = 0
+		return Run, 0
+	}
+}
+
+// spawnCall spawns two client-server pairs, n calls in all: process code,
+// or a caller sequence. Like spawnReceive's, the pairs interleave, so
+// every charge is a real wait with another process running inside it.
+func spawnCall(e *Engine, n int, driven bool) {
+	for pair := 0; pair < 2; pair++ {
+		pair := pair
+		reqs := NewQueue[*Event](e)
+		e.SpawnDaemon("server", func(p *Proc) {
+			for {
+				reply := reqs.Get(p)
+				p.Sleep(2)
+				reply.Set()
+			}
+		})
+		e.Spawn("client", func(p *Proc) {
+			p.Sleep(Duration(pair))
+			c := &caller{p: p, reqs: reqs, reply: NewEvent(e)}
+			for i := 0; i < n/2; i++ {
+				c.reply.Reset()
+				if driven {
+					p.Drive(c)
+				} else {
+					p.Sleep(2)
+					reqs.Put(c.reply)
+					c.reply.Wait(p)
+					p.Sleep(3)
+				}
+			}
+		})
+	}
+}
+
+// The Drive benchmarks price the two wait sequences the substrate runs
+// engine-side, each against the same program as process code (the
+// process/ sub-benchmark; BenchmarkQueueHandoff is the receive without
+// the charge): the process version pays a switch at every Sleep and Wait,
+// the stepper version one per operation. 0 allocs/op either way.
+func benchDrive(b *testing.B, spawn func(e *Engine, n int, driven bool)) {
+	for _, mode := range []struct {
+		name   string
+		driven bool
+	}{{"process", false}, {"stepper", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			e := NewEngine(1)
+			spawn(e, b.N, mode.driven)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+func BenchmarkDriveReceive(b *testing.B) { benchDrive(b, spawnReceive) }
+
+func BenchmarkDriveCall(b *testing.B) { benchDrive(b, spawnCall) }
+
 // holdModel drives a calendar the way the classic hold benchmark does —
 // pop the minimum, push one event later than it — so the pending count
 // stays where fill put it. The delays are the engine's mix: seven of

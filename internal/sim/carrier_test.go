@@ -84,7 +84,8 @@ func wantExits(t *testing.T, exits []int) {
 // The ways a Run ends, each with lifecycleProcs processes live at once:
 // everything finishes; Stop with everything mid-flight; a deadlock;
 // daemons abandoned when the foreground drains; Stop from the top of a
-// resume chain lifecycleProcs-1 drivers deep.
+// resume chain lifecycleProcs-1 drivers deep; the foreground draining
+// with every other process parked mid-sequence by a Stepper.
 const lifecycleProcs = 12
 
 var lifecycleShapes = []func(t *testing.T){
@@ -147,6 +148,28 @@ var lifecycleShapes = []func(t *testing.T){
 	func(t *testing.T) { // stop, deep
 		e := NewEngine(1)
 		exits := stack(t, e, lifecycleProcs, false, func(*Proc) { e.Stop() })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		wantExits(t, exits)
+	},
+	func(t *testing.T) { // mid-sequence
+		e := NewEngine(1)
+		sig, never := NewSignal(e), false
+		exits := make([]int, lifecycleProcs-1)
+		for i := range exits {
+			i := i
+			e.SpawnDaemon("d", func(p *Proc) {
+				defer func() { exits[i]++ }()
+				if i%2 == 0 {
+					p.Drive(&napper{d: 7, n: 1 << 30}) // reaped with a resume in the calendar
+				} else {
+					p.Drive(&awaiter{p: p, sig: sig, done: &never}) // reaped blocked
+				}
+				t.Error("a process reaped mid-sequence ran on past Drive")
+			})
+		}
+		e.Spawn("w", func(p *Proc) { p.Sleep(100) })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -519,9 +542,17 @@ func (firstTie) ChooseTie([]EventInfo) int { return 0 }
 // switchAllocs is the number of heap objects one engine run of procs
 // processes trading the processor n times in all allocates.
 func switchAllocs(procs, n int) float64 {
+	return runAllocs(func(e *Engine) {
+		spawnRoundRobin(e, procs, n) // another process wakes first: never the fast path
+	})
+}
+
+// runAllocs is the number of heap objects one engine run of what spawn
+// sets up allocates.
+func runAllocs(spawn func(e *Engine)) float64 {
 	return testing.AllocsPerRun(5, func() {
 		e := NewEngine(1)
-		spawnRoundRobin(e, procs, n) // another process wakes first: never the fast path
+		spawn(e)
 		if err := e.Run(); err != nil {
 			panic(err)
 		}
@@ -531,12 +562,25 @@ func switchAllocs(procs, n int) float64 {
 // TestProcessSwitchAllocFree: a real hand-off between processes (one
 // parks and resumes its successor, which parks and yields back — through
 // a chain of seven drivers, with eight) allocates nothing: a run with
-// twenty times the switches costs not one object more.
+// twenty times the switches costs not one object more. Nor does Drive:
+// the stepper is an object the caller already has, and the receive and
+// call sequences of the kernels (bench_test.go) run twenty times as often
+// on the same heap.
 func TestProcessSwitchAllocFree(t *testing.T) {
 	for _, procs := range []int{2, 8} {
 		few, many := switchAllocs(procs, 2000), switchAllocs(procs, 40000)
 		if many > few {
 			t.Errorf("%d processes: %v objects for 2000 switches, %v for 40000: switching allocates", procs, few, many)
+		}
+	}
+	for name, spawn := range map[string]func(e *Engine, n int){
+		"receive": func(e *Engine, n int) { spawnReceive(e, n, true) },
+		"call":    func(e *Engine, n int) { spawnCall(e, n, true) },
+	} {
+		few := runAllocs(func(e *Engine) { spawn(e, 1000) })
+		many := runAllocs(func(e *Engine) { spawn(e, 20000) })
+		if many > few {
+			t.Errorf("%s sequence: %v objects for 1000 Drives, %v for 20000: Drive allocates", name, few, many)
 		}
 	}
 }

@@ -35,7 +35,7 @@ type Engine struct {
 	cal calendar
 
 	// Work counts behind Counters.
-	events, switches, coroswitches, sleepFast uint64
+	events, switches, coroswitches, hops, sleepFast uint64
 
 	rng    *rand.Rand
 	nextID int
@@ -76,6 +76,7 @@ type Counters struct {
 	Events       uint64 // calendar events fired: process resumes and callbacks
 	Switches     uint64 // process switches: a process other than the previous one starts running
 	Coroswitches uint64 // coroutine switches paid for them: every resume of a process, every yield back
+	Hops         uint64 // resume events a Stepper consumed in engine context, the process not entered
 	SleepFast    uint64 // Sleeps that advanced the clock in place, with no event
 	MaxPending   uint64 // most events pending on the calendar at once
 }
@@ -86,6 +87,7 @@ func (e *Engine) Counters() Counters {
 		Events:       e.events,
 		Switches:     e.switches,
 		Coroswitches: e.coroswitches,
+		Hops:         e.hops,
 		SleepFast:    e.sleepFast,
 		MaxPending:   uint64(e.cal.peak),
 	}
@@ -186,8 +188,9 @@ func (p *Proc) finish() {
 }
 
 // nextProc advances the engine on the calling goroutine or coroutine: it
-// pops and fires events — running engine callbacks inline — until it
-// reaches a process resume, returned for the dispatch loop to switch to,
+// pops and fires events — running engine callbacks inline, and the Steps
+// of a process that has a stepper (hop) — until it reaches the resume of
+// a process that is to run, returned for the dispatch loop to switch to,
 // or an end condition (Stop called, the last non-daemon process finished,
 // or no event left), signalled by returning nil.
 //
@@ -208,10 +211,14 @@ func (e *Engine) nextProc() *Proc {
 		e.events++
 		switch {
 		case ev.proc != nil:
-			if ev.proc.state == stateDone {
+			p := ev.proc
+			if p.state == stateDone {
 				continue
 			}
-			return ev.proc
+			if p.stepper != nil && !e.hop(p) {
+				continue
+			}
+			return p
 		case e.x != nil:
 			e.runEventExplored(ev)
 		default:
@@ -387,6 +394,10 @@ type Proc struct {
 	// waitOn is the Signal the process most recently parked on; consulted
 	// only while state == stateBlocked, for deadlock reporting.
 	waitOn *Signal
+
+	// stepper, while not nil, takes the process's resume events in engine
+	// context in the process's stead (Drive, stepper.go).
+	stepper Stepper
 }
 
 // waitLabel returns the label of the primitive the process is blocked
@@ -492,21 +503,34 @@ func (p *Proc) park(st procState) {
 // would-be resume, so the fast path requires the calendar minimum to lie
 // strictly after the wakeup time.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
+	if e := p.e; !e.sleepInPlace(d) {
+		e.scheduleSleep(p, d)
+		p.park(stateScheduled)
 	}
-	e := p.e
-	at := e.now.Add(d)
-	if !e.stopped && at < e.cal.minAt() {
-		e.now = at
-		e.sleepFast++
-		return
+}
+
+// sleepInPlace and scheduleSleep are Sleep up to the park, shared with a
+// Stepper's SleepFor. sleepInPlace is the fast path: it reports whether
+// the clock advanced without an event. (It is small enough to inline, so
+// the fast path costs Sleep no call.)
+func (e *Engine) sleepInPlace(d Duration) bool {
+	at := e.now.Add(max(d, 0))
+	if e.stopped || at >= e.cal.minAt() {
+		return false
 	}
-	e.scheduleResume(at, p)
-	if d == 0 && e.x != nil {
-		e.yieldSeq[e.seq] = struct{}{} // tag the resume as a yield for the explorer
+	e.now = at
+	e.sleepFast++
+	return true
+}
+
+// scheduleSleep is the slow path: p's resume goes into the calendar —
+// tagged, when the sleep is a zero one, as a yield for the explorer — and
+// p has to give up the processor.
+func (e *Engine) scheduleSleep(p *Proc, d Duration) {
+	e.scheduleResume(e.now.Add(max(d, 0)), p)
+	if d <= 0 && e.x != nil {
+		e.yieldSeq[e.seq] = struct{}{}
 	}
-	p.park(stateScheduled)
 }
 
 // Yield lets every other event scheduled for the current instant run

@@ -48,10 +48,16 @@ func (s *Signal) Label() string { return s.label }
 
 // Wait blocks p until the signal is pulsed or broadcast.
 func (s *Signal) Wait(p *Proc) {
+	s.Enlist(p)
+	p.park(stateBlocked)
+}
+
+// Enlist is Wait up to the park: p joins the tail of the wait list. It is
+// for a Stepper, whose Step enlists its process and returns Block.
+func (s *Signal) Enlist(p *Proc) {
 	s.waiters, s.head = makeRoom(s.waiters, s.head)
 	s.waiters = append(s.waiters, p)
 	p.waitOn = s
-	p.park(stateBlocked)
 }
 
 // Broadcast wakes every waiting process. The wakeups are delivered at the
@@ -107,6 +113,10 @@ func (ev *Event) Wait(p *Proc) {
 		ev.sig.Wait(p)
 	}
 }
+
+// Enlist registers p to be woken by Set, without parking it (see
+// Signal.Enlist); the caller has found the event unset.
+func (ev *Event) Enlist(p *Proc) { ev.sig.Enlist(p) }
 
 // Set fires the event, releasing all current and future waiters.
 func (ev *Event) Set() {
@@ -192,6 +202,10 @@ func (q *Queue[T]) Get(p *Proc) T {
 	}
 	return v
 }
+
+// Enlist registers p to be woken by the next Put, without parking it (see
+// Signal.Enlist); the caller has found the queue empty with TryGet.
+func (q *Queue[T]) Enlist(p *Proc) { q.sig.Enlist(p) }
 
 // TryGet removes and returns the oldest item without blocking. ok is false
 // if the queue is empty.
