@@ -8,54 +8,91 @@ import (
 	"millipage/internal/check"
 	"millipage/internal/cluster"
 	"millipage/internal/registry"
+	"millipage/internal/sim"
+	"millipage/internal/trace"
 )
 
-// pinned are the Totals of check.DRF{Rounds: 3, LockReps: 2} at seed 1,
-// SharedSize 64 KB, 8 views — recorded from Report at the commit before
-// the four System types moved onto cluster.Lifecycle, when each protocol
-// still counted these through its own accessors. A protocol that reports
-// anything else has changed behaviour, not just shape.
-var pinned = map[string]cluster.Totals{
-	"millipage/1": {BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128},
-	"millipage/2": {Invalidations: 8, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192},
-	"millipage/8": {Invalidations: 128, CompetingRequests: 81, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576},
-	"ivy/1":       {BarrierEpisodes: 9, LockAcquisitions: 2},
-	"ivy/2":       {Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4},
-	"ivy/8":       {Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16},
-	"lrc/1":       {BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128},
-	"lrc/2":       {BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192},
-	"lrc/8":       {BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576},
-	"lrc-mw/1":    {BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128},
-	"lrc-mw/2":    {Invalidations: 3, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192},
-	"lrc-mw/8":    {Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576},
+// cell is what one run of the DRF agreement program is pinned to: the
+// protocol counters, the virtual time it ended at, the events the engine
+// executed and the events a trace recorder saw.
+type cell struct {
+	Totals  cluster.Totals
+	Elapsed sim.Duration
+	Events  uint64
+	Traced  uint64
+}
+
+// pinned are check.DRF{Rounds: 3, LockReps: 2} at seed 1, SharedSize
+// 64 KB, 8 views, per protocol/hosts at chunk level 1 and, with the
+// /chunk4 suffix, 4. The chunk-1 Totals were recorded from Report at the
+// commit before the four System types moved onto cluster.Lifecycle, when
+// each protocol still counted these through its own accessors; the rest
+// at the commit before Malloc, Barrier, Lock and Unlock moved into
+// internal/cluster — the program mallocs, locks and barriers from every
+// host. A protocol that reports anything else has changed behaviour, not
+// just shape.
+var pinned = map[string]cell{
+	"millipage/1":        {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 995664, 87, 48},
+	"millipage/1/chunk4": {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 995664, 87, 48},
+	"millipage/2":        {cluster.Totals{Invalidations: 8, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 4126588, 746, 304},
+	"millipage/2/chunk4": {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 4126828, 596, 262},
+	"millipage/8":        {cluster.Totals{Invalidations: 128, CompetingRequests: 81, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 21296795, 8456, 3100},
+	"millipage/8/chunk4": {cluster.Totals{Invalidations: 44, CompetingRequests: 53, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 15839139, 3991, 1540},
+	"ivy/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2}, 957664, 87, 48},
+	"ivy/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2}, 957664, 87, 48},
+	"ivy/2":              {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4}, 4956576, 591, 262},
+	"ivy/2/chunk4":       {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4}, 4956576, 591, 262},
+	"ivy/8":              {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16}, 22088737, 3108, 1294},
+	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16}, 22088737, 3108, 1294},
+	"lrc/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 957664, 87, 48},
+	"lrc/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 957664, 87, 48},
+	"lrc/2":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 3561121, 430, 190},
+	"lrc/2/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 3145735, 393, 172},
+	"lrc/8":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 10991522, 5661, 1798},
+	"lrc/8/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 8263725, 3069, 1042},
+	"lrc-mw/1":           {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 1338282, 87, 55},
+	"lrc-mw/1/chunk4":    {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 1343783, 87, 55},
+	"lrc-mw/2":           {cluster.Totals{Invalidations: 3, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 2863286, 357, 161},
+	"lrc-mw/2/chunk4":    {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 2821521, 353, 159},
+	"lrc-mw/8":           {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 12927104, 4841, 1751},
+	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 11798715, 4077, 1520},
 }
 
 // TestEveryProtocolBuildsRunsAndCounts: every registered name builds at
-// 1, 2 and 8 hosts, runs the DRF agreement program to its oracle, and
-// reports the pinned Totals.
+// 1, 2 and 8 hosts and chunk levels 1 and 4, runs the DRF agreement
+// program to its oracle, and reports the pinned cell.
 func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
-	if got := len(registry.Names()) * 3; got != len(pinned) {
-		t.Fatalf("%d protocol x host cells, %d pinned: pin the new protocol's Totals", got, len(pinned))
+	if got := len(registry.Names()) * 3 * 2; got != len(pinned) {
+		t.Fatalf("%d protocol x host x chunk cells, %d pinned: pin the new protocol's cells", got, len(pinned))
 	}
 	for _, name := range registry.Names() {
 		for _, hosts := range []int{1, 2, 8} {
-			cell := fmt.Sprintf("%s/%d", name, hosts)
-			t.Run(cell, func(t *testing.T) {
-				sys, err := registry.New(name, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 1})
-				if err != nil {
-					t.Fatal(err)
+			for _, chunk := range []int{1, 4} {
+				id := fmt.Sprintf("%s/%d", name, hosts)
+				if chunk != 1 {
+					id += fmt.Sprintf("/chunk%d", chunk)
 				}
-				wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-				if err := sys.Run(wl.Body); err != nil {
-					t.Fatal(err)
-				}
-				if err := wl.Err(); err != nil {
-					t.Fatal(err)
-				}
-				if got := sys.Totals(); got != pinned[cell] {
-					t.Fatalf("Totals = %+v\n        want %+v", got, pinned[cell])
-				}
-			})
+				t.Run(id, func(t *testing.T) {
+					rec := trace.NewRecorder(16)
+					sys, err := registry.New(name, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8,
+						ChunkLevel: chunk, Seed: 1, Trace: rec})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
+					if err := sys.Run(wl.Body); err != nil {
+						t.Fatal(err)
+					}
+					if err := wl.Err(); err != nil {
+						t.Fatal(err)
+					}
+					rt := sys.Runtime()
+					got := cell{sys.Totals(), rt.Elapsed(), rt.Eng.Counters().Events, rec.Total()}
+					if got != pinned[id] {
+						t.Fatalf("got  %+v\nwant %+v", got, pinned[id])
+					}
+				})
+			}
 		}
 	}
 }
