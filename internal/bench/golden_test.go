@@ -133,8 +133,8 @@ func TestGoldenTraceDigest(t *testing.T) {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(dump))
-	if got := h.Sum64(); got != 0x9f5c539ef8a29fe9 {
-		t.Errorf("trace dump digest = %#x, want 0x9f5c539ef8a29fe9", got)
+	if got := h.Sum64(); got != 0x12f74cf2971b2f85 {
+		t.Errorf("trace dump digest = %#x, want 0x12f74cf2971b2f85", got)
 	}
 }
 

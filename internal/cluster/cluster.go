@@ -174,6 +174,7 @@ type Runtime struct {
 
 	hosts   []*Host
 	threads []*Thread
+	svc     services // the coordinator's allocator, barrier and lock state
 
 	totalThreads int
 	ran          bool
@@ -234,6 +235,8 @@ func (rt *Runtime) onRestart(h int) {
 func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
 	id := len(rt.hosts)
 	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh}
+	h.cons, _ = hh.(Consistency)
+	h.log, _ = hh.(NoticeLog)
 	as.SetFaultHandler(h.onFault)
 	h.EP.SetHandler(h.onMessage)
 	rt.hosts = append(rt.hosts, h)

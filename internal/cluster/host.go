@@ -27,6 +27,19 @@ type HostHandler interface {
 	// sharing-unit id, the address, and the home host (-1 when the message
 	// carries none). Called only when tracing is enabled.
 	DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int)
+
+	// Alloc is the allocator behind Thread.Malloc: carve size (> 0) bytes
+	// for host from, seeding whatever directory state the new sharing
+	// units need. It runs on the Coordinator — in the server thread for a
+	// remote request, in the allocating thread itself when local — and
+	// charges its own cost to p. An error means out of shared memory.
+	Alloc(p *sim.Proc, from, size int, local bool) (Allocation, error)
+
+	// Mapped runs on the allocating host once it knows its allocation —
+	// in the server thread that received the reply, or in the thread
+	// itself on the Coordinator — and maps the new bytes as the protocol
+	// lets their allocator hold them.
+	Mapped(p *sim.Proc, a Allocation)
 }
 
 // Host is one process of the simulated cluster: an address space, an FM
@@ -36,6 +49,8 @@ type Host struct {
 	rt      *Runtime
 	id      int
 	handler HostHandler
+	cons    Consistency // handler's, if it is release-consistent
+	log     NoticeLog   // handler's, if synchronization carries notices
 
 	AS *vm.AddressSpace
 	EP *fastmsg.Endpoint
@@ -153,14 +168,27 @@ func (h *Host) onFault(ctx any, f vm.Fault) error {
 	return h.handler.HandleFault(ctx, f)
 }
 
-// onMessage records the dispatch, then delegates to the protocol's
-// message handler in the host's DSM server thread.
+// onMessage records the dispatch, then serves a service message itself
+// and delegates any other to the protocol's message handler, in the
+// host's DSM server thread.
 func (h *Host) onMessage(p *sim.Proc, fm *fastmsg.Message) {
 	if tr := h.rt.Trace; tr.Enabled() {
-		op, mp, _, home := h.handler.DescribeMsg(fm.Payload)
+		op, mp, _, home := h.describe(fm.Payload)
 		tr.RecordMsg(p.Now(), trace.Handle, h.id, fm.From, home, op, mp, 0)
 	}
+	if m, ok := fm.Payload.(*SvcMsg); ok {
+		h.serve(p, m)
+		return
+	}
 	h.handler.HandleMessage(p, fm)
+}
+
+// describe is DescribeMsg with the kernel's own headers answered here.
+func (h *Host) describe(payload any) (op uint16, mp int, addr uint64, home int) {
+	if m, ok := payload.(*SvcMsg); ok {
+		return svcOpBase + uint16(m.Type), -1, 0, -1
+	}
+	return h.handler.DescribeMsg(payload)
 }
 
 // Send ships a header-sized protocol message to host `to` in a pooled
@@ -180,7 +208,7 @@ func (h *Host) SendSized(p *sim.Proc, to int, payload any, size int) {
 // the given wire size, for Send or for a call's Post (Thread.Step).
 func (h *Host) envelope(to int, payload any, size int) *fastmsg.Message {
 	if tr := h.rt.Trace; tr.Enabled() {
-		op, mp, addr, home := h.handler.DescribeMsg(payload)
+		op, mp, addr, home := h.describe(payload)
 		tr.RecordMsg(h.rt.Eng.Now(), trace.Send, h.id, to, home, op, mp, addr)
 	}
 	fm := h.EP.AllocMessage()

@@ -19,6 +19,10 @@ func (nopHandler) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {}
 func (nopHandler) DescribeMsg(payload any) (uint16, int, uint64, int) {
 	return 0, -1, 0, -1
 }
+func (nopHandler) Alloc(p *sim.Proc, from, size int, local bool) (Allocation, error) {
+	return Allocation{}, nil
+}
+func (nopHandler) Mapped(p *sim.Proc, a Allocation) {}
 
 func newTestRuntime(hosts, threadsPerHost int) *Runtime {
 	rt, err := New("test", Options{Hosts: hosts, ThreadsPerHost: threadsPerHost, SharedSize: vm.PageSize}, Traits{MultiThreaded: true})

@@ -1,0 +1,285 @@
+package cluster
+
+import (
+	"fmt"
+
+	"millipage/internal/core"
+	"millipage/internal/sim"
+	"millipage/internal/trace"
+)
+
+// Coordinator is the host that runs the paper's three protocol-independent
+// manager jobs (Sections 3.3-3.4): the malloc-like allocator, barriers
+// and FIFO locks. The four thread operations below and the handlers
+// behind them are the whole of it, under every protocol.
+const Coordinator = 0
+
+// SvcType enumerates the service messages.
+type SvcType uint8
+
+const (
+	SvcAllocReq SvcType = iota
+	SvcAllocReply
+	SvcBarrierArrive
+	SvcBarrierRelease
+	SvcLockReq
+	SvcLockGrant
+	SvcUnlock
+)
+
+var svcNames = [...]string{
+	"ALLOC_REQUEST", "ALLOC_REPLY",
+	"BARRIER_ARRIVE", "BARRIER_RELEASE", "LOCK_REQUEST", "LOCK_GRANT", "UNLOCK",
+}
+
+var svcOpBase = trace.RegisterOps(svcNames[:])
+
+func (t SvcType) String() string { return svcNames[t] }
+
+// SvcMsg is the service header, pooled per cluster. A request turns
+// around in place as its answer, so the header a thread sends is the one
+// that wakes it. Service traffic concerns no sharing unit: traces show
+// it with mp=-1, no address and no home.
+type SvcMsg struct {
+	PoolState // recycled mark under -tags invariants; empty otherwise
+
+	Type   SvcType
+	From   int   // the requesting host, on the way out and back
+	FW     *Wait // requester-local rendezvous
+	LockID int
+	Size   int        // SvcAllocReq
+	Alloc  Allocation // SvcAllocReply
+
+	// Ext is a release-consistent protocol's piggyback (vector clock,
+	// write notices), attached in Consistency.Release, read and refilled
+	// by the coordinator's NoticeLog and consumed in Consistency.Acquire.
+	Ext any
+}
+
+// Allocation is what HostHandler.Alloc hands out.
+type Allocation struct {
+	VA    uint64
+	Info  core.Info // the sharing unit the bytes landed in; zero without one
+	Owner bool      // the requester may map the unit writable at once
+	Home  int       // the unit's home host, where the protocol has one
+}
+
+// Consistency is optionally implemented by a release-consistent
+// protocol's HostHandler. Both run in the synchronizing thread (ctx is
+// its wrapper): Release before a BARRIER_ARRIVE, LOCK_REQUEST or UNLOCK
+// leaves, Acquire once the BARRIER_RELEASE or LOCK_GRANT has woken it,
+// with the header that came back. The kernel recycles the header after
+// Acquire; without a Consistency the requester's handler does.
+type Consistency interface {
+	Release(ctx any, m *SvcMsg)
+	Acquire(ctx any, m *SvcMsg)
+}
+
+// NoticeLog is optionally implemented by the coordinator's HostHandler
+// when synchronization carries consistency information (lrc-mw's write
+// notices), all in m.Ext: Released sees every BARRIER_ARRIVE and UNLOCK
+// as it arrives, Granting a LOCK_REQUEST about to turn into its grant,
+// Converged the arrivals of a completed barrier episode before they turn
+// into releases.
+type NoticeLog interface {
+	Released(m *SvcMsg)
+	Granting(m *SvcMsg)
+	Converged(arrivals []*SvcMsg)
+}
+
+// services is the coordinator's state plus the cluster's header pool.
+type services struct {
+	barrier BarrierService
+	locks   LockService
+	free    Pool[SvcMsg]
+}
+
+// Totals returns the counters the kernel keeps itself; a protocol's
+// Totals starts from it.
+func (rt *Runtime) Totals() Totals {
+	return Totals{BarrierEpisodes: rt.svc.barrier.Episodes, LockAcquisitions: rt.svc.locks.Acquisitions}
+}
+
+// misuse reports an application's misuse of a service: it surfaces from
+// Run naming the protocol, the requesting host and what it asked for.
+func (rt *Runtime) misuse(from int, format string, args ...any) {
+	panic(fmt.Sprintf("%s: host %d: %s", rt.Name, from, fmt.Sprintf(format, args...)))
+}
+
+func (h *Host) newSvc(typ SvcType, lock int) *SvcMsg {
+	m := h.rt.svc.free.Get()
+	*m = SvcMsg{Type: typ, From: h.id, LockID: lock}
+	return m
+}
+
+func (h *Host) sendSvc(p *sim.Proc, to int, m *SvcMsg) {
+	m.CheckLive("Send")
+	h.Send(p, to, m)
+}
+
+// alloc runs the protocol's allocator on the coordinator for host from.
+func (h *Host) alloc(p *sim.Proc, from, size int, local bool) Allocation {
+	a, err := h.handler.Alloc(p, from, size, local)
+	if err != nil {
+		h.rt.misuse(from, "Malloc(%d): %v", size, err)
+	}
+	return a
+}
+
+// Malloc allocates size bytes of shared memory and returns the address,
+// like the paper's malloc-like API: the pointer is used normally
+// afterwards; sharing is managed underneath. On the coordinator it is an
+// in-process call, as in the real library; elsewhere one round trip.
+func (t *Thread) Malloc(size int) uint64 {
+	h := t.h
+	start := t.p.Now()
+	if size <= 0 {
+		h.rt.misuse(h.id, "Malloc(%d): size must be positive", size)
+	}
+	var va uint64
+	if h.id == Coordinator {
+		a := h.alloc(t.p, h.id, size, true)
+		h.handler.Mapped(t.p, a)
+		va = a.VA
+	} else {
+		m := h.newSvc(SvcAllocReq, 0)
+		m.Size = size
+		t.call(m, "malloc reply")
+		va = t.fw.VA
+	}
+	t.Stats.MallocTime += t.p.Now().Sub(start)
+	return va
+}
+
+// call sends request m to the coordinator and blocks until its answer.
+func (t *Thread) call(m *SvcMsg, what string) {
+	fw := t.WaitSlot()
+	m.FW = fw
+	m.CheckLive("Send")
+	t.Block(Blocking{For: what, FW: fw, Wake: t.h.rt.Opt.Costs.ThreadWake, To: Coordinator, Request: m})
+}
+
+// release and acquire run the protocol's consistency hooks, if it has
+// any, around a synchronization; after acquire the answer's header is
+// spent.
+func (t *Thread) release(m *SvcMsg) {
+	if c := t.h.cons; c != nil {
+		c.Release(t.self, m)
+	}
+}
+
+func (t *Thread) acquire(m *SvcMsg) {
+	if c := t.h.cons; c != nil {
+		c.Acquire(t.self, m)
+		t.h.rt.svc.free.Put(m)
+	}
+}
+
+// Barrier blocks until every application thread in the cluster arrives.
+func (t *Thread) Barrier() {
+	start := t.p.Now()
+	m := t.h.newSvc(SvcBarrierArrive, 0)
+	t.release(m)
+	t.p.Sleep(t.h.rt.Opt.Costs.BarrierBase)
+	t.call(m, "barrier release")
+	t.acquire(m)
+	t.Stats.SynchTime += t.p.Now().Sub(start)
+	t.Stats.Barriers++
+}
+
+// Lock acquires the cluster-wide lock with the given id (FIFO at the
+// coordinator).
+func (t *Thread) Lock(id int) {
+	start := t.p.Now()
+	m := t.h.newSvc(SvcLockReq, id)
+	t.release(m)
+	t.call(m, "lock grant")
+	t.acquire(m)
+	t.Stats.SynchTime += t.p.Now().Sub(start)
+	t.Stats.LockOps++
+}
+
+// Unlock releases the lock with the given id. The release is
+// asynchronous; the coordinator grants it to the next waiter in FIFO
+// order.
+func (t *Thread) Unlock(id int) {
+	start := t.p.Now()
+	m := t.h.newSvc(SvcUnlock, id)
+	t.release(m)
+	t.h.sendSvc(t.p, Coordinator, m)
+	t.Stats.SynchTime += t.p.Now().Sub(start)
+	t.Stats.LockOps++
+}
+
+// serve handles one service message in the host's server thread:
+// requests at the coordinator, their answers at the requester.
+func (h *Host) serve(p *sim.Proc, m *SvcMsg) {
+	m.CheckLive("HandleMessage")
+	svc := &h.rt.svc
+	switch m.Type {
+	case SvcAllocReply:
+		h.handler.Mapped(p, m.Alloc)
+		m.FW.VA = m.Alloc.VA
+		m.FW.Ev.Set()
+		svc.free.Put(m)
+		return
+	case SvcBarrierRelease, SvcLockGrant:
+		m.FW.Ev.Set()
+		if h.cons == nil {
+			svc.free.Put(m)
+		}
+		return
+	}
+	if h.id != Coordinator {
+		panic(fmt.Sprintf("%s: host %d received %v", h.rt.Name, h.id, m.Type))
+	}
+	switch m.Type {
+	case SvcAllocReq:
+		m.Alloc = h.alloc(p, m.From, m.Size, false)
+		m.Type = SvcAllocReply
+		h.sendSvc(p, m.From, m)
+
+	case SvcBarrierArrive:
+		if h.log != nil {
+			h.log.Released(m)
+		}
+		arrivals, done := svc.barrier.Arrive(m, h.rt.totalThreads)
+		if !done {
+			return
+		}
+		if h.log != nil {
+			h.log.Converged(arrivals)
+		}
+		for _, a := range arrivals {
+			a.Type = SvcBarrierRelease
+			h.sendSvc(p, a.From, a)
+		}
+
+	case SvcLockReq:
+		if svc.locks.Acquire(m) {
+			h.grant(p, m)
+		} // else queued: the table holds m until an unlock pops it
+
+	case SvcUnlock:
+		if h.log != nil {
+			h.log.Released(m)
+		}
+		next, err := svc.locks.Release(m.LockID, m.From)
+		if err != nil {
+			h.rt.misuse(m.From, "%v", err)
+		}
+		svc.free.Put(m)
+		if next != nil {
+			h.grant(p, next)
+		}
+	}
+}
+
+// grant turns a lock request around as its grant.
+func (h *Host) grant(p *sim.Proc, m *SvcMsg) {
+	if h.log != nil {
+		h.log.Granting(m)
+	}
+	m.Type = SvcLockGrant
+	h.sendSvc(p, m.From, m)
+}

@@ -1,5 +1,7 @@
 package cluster
 
+import "fmt"
+
 // FIFO is a head-indexed queue. Pop advances a head index instead of
 // re-slicing away the front: the q = q[1:] pattern sheds the array's
 // front capacity, so a queue that cycles under load re-allocates on
@@ -32,83 +34,82 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// BarrierService collects barrier arrivals at the coordinating host.
-// T is the protocol's arrival record (typically its message type).
-type BarrierService[T any] struct {
-	arrivals []T
+// BarrierService collects barrier arrivals at the coordinator.
+type BarrierService struct {
+	arrivals []*SvcMsg
 
-	Gen      int    // completed episodes, as carried in release messages
-	Episodes uint64 // same count, as a stats counter
+	Episodes uint64 // completed episodes
 }
 
 // Arrive records one arrival. When the total-th thread arrives, the
-// episode completes: the generation advances and every arrival is
-// returned for release (done = true). The returned slice aliases the
-// service's backing array, which the next episode reuses — callers must
-// consume it before recording another arrival (every protocol drains it
-// synchronously inside the completing handler).
-func (b *BarrierService[T]) Arrive(m T, total int) (arrivals []T, done bool) {
+// episode completes and every arrival is returned for release (done =
+// true). The returned slice aliases the service's backing array, which
+// the next episode reuses — the caller must consume it before recording
+// another arrival (the coordinator drains it inside the completing
+// handler).
+func (b *BarrierService) Arrive(m *SvcMsg, total int) (arrivals []*SvcMsg, done bool) {
 	b.arrivals = append(b.arrivals, m)
 	if len(b.arrivals) < total {
 		return nil, false
 	}
 	arrivals = b.arrivals
 	b.arrivals = b.arrivals[:0]
-	b.Gen++
 	b.Episodes++
 	return arrivals, true
 }
 
-// LockService is a FIFO lock table for the coordinating host. T is the
-// protocol's queued waiter record.
-type LockService[T any] struct {
-	locks map[int]*lockState[T]
+// LockService is the coordinator's FIFO lock table. The zero value is
+// an empty table.
+type LockService struct {
+	locks map[int]*lockState
 
 	Acquisitions uint64 // grants handed out (immediate and queued)
 }
 
-type lockState[T any] struct {
-	held  bool
-	queue FIFO[T]
+type lockState struct {
+	held   bool
+	holder int // the host the lock was granted to, while held
+	queue  FIFO[*SvcMsg]
 }
 
-// NewLockService returns an empty lock table.
-func NewLockService[T any]() *LockService[T] {
-	return &LockService[T]{locks: make(map[int]*lockState[T])}
-}
-
-// Acquire grants lock id immediately (true) or queues the waiter behind
-// the current holder (false); grants are FIFO.
-func (l *LockService[T]) Acquire(id int, m T) bool {
-	ls := l.locks[id]
+// Acquire grants lock m.LockID to m.From immediately (true) or queues m
+// behind the current holder (false); grants are FIFO.
+func (l *LockService) Acquire(m *SvcMsg) bool {
+	ls := l.locks[m.LockID]
 	if ls == nil {
-		ls = &lockState[T]{}
-		l.locks[id] = ls
+		if l.locks == nil {
+			l.locks = make(map[int]*lockState)
+		}
+		ls = &lockState{}
+		l.locks[m.LockID] = ls
 	}
 	if ls.held {
 		ls.queue.Push(m)
 		return false
 	}
-	ls.held = true
+	ls.held, ls.holder = true, m.From
 	l.Acquisitions++
 	return true
 }
 
-// Release frees lock id or passes it to the next queued waiter (granted
-// = true and next is that waiter's record). wasHeld is false for a
-// release of a lock nobody holds — a protocol error the caller turns
-// into its own panic or message.
-func (l *LockService[T]) Release(id int) (next T, granted, wasHeld bool) {
-	var zero T
+// Release frees lock id on behalf of host from, or passes it to the next
+// queued waiter, whose request it returns. Releasing a lock that is free
+// or held by another host is the application's error and changes
+// nothing.
+func (l *LockService) Release(id, from int) (next *SvcMsg, err error) {
 	ls := l.locks[id]
-	if ls == nil || !ls.held {
-		return zero, false, false
+	switch {
+	case ls == nil || !ls.held:
+		return nil, fmt.Errorf("unlock of free lock %d", id)
+	case ls.holder != from:
+		return nil, fmt.Errorf("unlock of lock %d, which host %d holds", id, ls.holder)
 	}
-	n, ok := ls.queue.Pop()
+	next, ok := ls.queue.Pop()
 	if !ok {
 		ls.held = false
-		return zero, false, true
+		return nil, nil
 	}
+	ls.holder = next.From
 	l.Acquisitions++
-	return n, true, true
+	return next, nil
 }

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestFIFOOrderAndDrainReset(t *testing.T) {
 	var q FIFO[int]
@@ -55,61 +58,60 @@ func TestFIFOReleasesReferences(t *testing.T) {
 }
 
 func TestBarrierServiceEpisodes(t *testing.T) {
-	var b BarrierService[int]
+	var b BarrierService
 	for ep := 0; ep < 3; ep++ {
 		for i := 0; i < 3; i++ {
-			arrivals, done := b.Arrive(100*ep+i, 4)
+			arrivals, done := b.Arrive(&SvcMsg{From: 100*ep + i}, 4)
 			if done || arrivals != nil {
 				t.Fatalf("episode %d: barrier completed after %d arrivals", ep, i+1)
 			}
 		}
-		arrivals, done := b.Arrive(100*ep+3, 4)
+		arrivals, done := b.Arrive(&SvcMsg{From: 100*ep + 3}, 4)
 		if !done || len(arrivals) != 4 {
 			t.Fatalf("episode %d: done=%v arrivals=%d, want true, 4", ep, done, len(arrivals))
 		}
 		for i, a := range arrivals {
-			if a != 100*ep+i {
-				t.Fatalf("episode %d: arrival %d = %d (order lost)", ep, i, a)
+			if a.From != 100*ep+i {
+				t.Fatalf("episode %d: arrival %d = %d (order lost)", ep, i, a.From)
 			}
 		}
-		if b.Gen != ep+1 || b.Episodes != uint64(ep+1) {
-			t.Fatalf("episode %d: Gen=%d Episodes=%d", ep, b.Gen, b.Episodes)
+		if b.Episodes != uint64(ep+1) {
+			t.Fatalf("episode %d: Episodes=%d", ep, b.Episodes)
 		}
 	}
 }
 
 func TestLockServiceFIFOGrants(t *testing.T) {
-	l := NewLockService[string]()
-	if !l.Acquire(7, "a") {
+	var l LockService
+	req := func(id, from int) *SvcMsg { return &SvcMsg{LockID: id, From: from} }
+	if !l.Acquire(req(7, 0)) {
 		t.Fatal("first Acquire not granted immediately")
 	}
-	if l.Acquire(7, "b") || l.Acquire(7, "c") {
+	b, c := req(7, 1), req(7, 2)
+	if l.Acquire(b) || l.Acquire(c) {
 		t.Fatal("Acquire of a held lock granted immediately")
 	}
 	// Another lock id is independent.
-	if !l.Acquire(8, "x") {
+	if !l.Acquire(req(8, 3)) {
 		t.Fatal("independent lock id not granted")
 	}
-	next, granted, wasHeld := l.Release(7)
-	if !wasHeld || !granted || next != "b" {
-		t.Fatalf("Release = %q, %v, %v; want b, true, true", next, granted, wasHeld)
+	// Only the holder may release, and a refused release changes nothing.
+	if next, err := l.Release(7, 2); err == nil || next != nil || !strings.Contains(err.Error(), "host 0 holds") {
+		t.Fatalf("Release by a waiter = %v, %v; want an error naming holder 0", next, err)
 	}
-	next, granted, wasHeld = l.Release(7)
-	if !wasHeld || !granted || next != "c" {
-		t.Fatalf("Release = %q, %v, %v; want c, true, true", next, granted, wasHeld)
-	}
-	if _, granted, wasHeld = l.Release(7); granted || !wasHeld {
-		t.Fatalf("final Release granted=%v wasHeld=%v; want false, true", granted, wasHeld)
+	for from, want := range []*SvcMsg{b, c, nil} {
+		if next, err := l.Release(7, from); err != nil || next != want {
+			t.Fatalf("Release by host %d = %v, %v; want %v", from, next, err, want)
+		}
 	}
 	if l.Acquisitions != 4 {
 		t.Fatalf("Acquisitions = %d, want 4", l.Acquisitions)
 	}
-	// Releasing a free lock is the caller's protocol error, reported via
-	// wasHeld, not a panic here.
-	if _, granted, wasHeld := l.Release(7); granted || wasHeld {
-		t.Fatalf("Release of free lock = granted=%v wasHeld=%v", granted, wasHeld)
-	}
-	if _, _, wasHeld := l.Release(99); wasHeld {
-		t.Fatal("Release of never-acquired lock reported wasHeld")
+	// Releasing a free lock is the application's error, reported, not a
+	// panic here.
+	for _, id := range []int{7, 99} {
+		if _, err := l.Release(id, 2); err == nil || !strings.Contains(err.Error(), "free lock") {
+			t.Fatalf("Release of free lock %d = %v", id, err)
+		}
 	}
 }

@@ -24,18 +24,16 @@ func (h *stubHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {}
 func (h *stubHost) DescribeMsg(payload any) (uint16, int, uint64, int) {
 	return 0, -1, 0, -1
 }
+func (h *stubHost) Alloc(p *sim.Proc, from, size int, local bool) (Allocation, error) {
+	return Allocation{VA: stubBase}, nil
+}
+func (h *stubHost) Mapped(p *sim.Proc, a Allocation) {}
 
-// stubThread is the matching thread wrapper; the synchronization half of
-// AppThread is never called by these tests.
+// stubThread is the matching thread wrapper: an AppThread by embedding.
 type stubThread struct {
 	*Thread
 	host *stubHost
 }
-
-func (t *stubThread) Malloc(size int) uint64 { return stubBase }
-func (t *stubThread) Barrier()               {}
-func (t *stubThread) Lock(id int)            {}
-func (t *stubThread) Unlock(id int)          {}
 
 const stubBase = uint64(0x10000)
 

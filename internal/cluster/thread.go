@@ -15,11 +15,9 @@ import (
 // its host's DSM server thread: the event the thread blocks on, plus the
 // reply fields the handler fills in before setting it.
 type Wait struct {
-	Ev    *sim.Event
-	Info  core.Info // translation info carried back by the reply
-	VA    uint64    // allocation replies: the address handed out
-	Owner bool      // allocation replies: requester owns the new unit
-	Home  int       // allocation replies: the unit's home host
+	Ev   *sim.Event
+	Info core.Info // translation info carried back by the reply
+	VA   uint64    // allocation replies: the address handed out
 
 	// Txn is the transaction id the rendezvous is currently waiting for.
 	// Under fault injection the protocol stamps it on outgoing requests so
@@ -118,8 +116,6 @@ func (t *Thread) WaitSlot() *Wait {
 	fw.Ev.Reset()
 	fw.Info = core.Info{}
 	fw.VA = 0
-	fw.Owner = false
-	fw.Home = 0
 	fw.Txn = 0
 	fw.gen++
 	return fw

@@ -239,9 +239,8 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 
 // HandleMessage dispatches one delivered message in the host's DSM server
 // thread. Directory traffic is routed to this host's shard (the whole
-// directory under Central management, where only host 0 receives it);
-// allocation and synchronization stay with host 0. Everything else is
-// the thin non-manager protocol of Figure 3 — note that it does no
+// directory under Central management, where only host 0 receives it).
+// Everything else is the thin non-manager protocol of Figure 3 — note that it does no
 // queuing, no table lookups and no translation of any kind.
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
@@ -258,13 +257,6 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			panic(fmt.Sprintf("dsm: host %d received manager message %v", h.ID(), m.Type))
 		}
 		h.sys.mgrs[h.ID()].dispatch(p, m)
-
-	// ---- Allocation and synchronization, centralized on host 0 ------
-	case mAllocReq, mBarrierArrive, mLockReq, mUnlock:
-		if h.ID() != managerHost {
-			panic(fmt.Sprintf("dsm: host %d received manager message %v", h.ID(), m.Type))
-		}
-		h.sys.mgrs[managerHost].dispatch(p, m)
 
 	// ---- Forwarded requests served by any host ----------------------
 	case mReadFwd:
@@ -344,27 +336,37 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		m.FW.Ev.Set()
 		h.recyclePM(m)
 
-	case mAllocReply:
-		if m.FW.Owner = m.Owner; m.Owner {
-			p.Sleep(h.Costs().SetProt)
-			if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadWrite); err != nil {
-				panic(err)
-			}
-		}
-		m.FW.Info = m.Info
-		m.FW.VA = m.AllocVA
-		m.FW.Ev.Set()
-		h.recyclePM(m)
-
-	case mBarrierRelease, mLockGrant:
-		m.FW.Ev.Set()
-		h.recyclePM(m)
-
 	case mPushOrder:
 		h.servePush(p, m)
 
 	default:
 		panic(fmt.Sprintf("dsm: host %d: unexpected message type %v", h.ID(), m.Type))
+	}
+}
+
+// Alloc is the allocator behind Malloc (cluster.HostHandler), run on the
+// manager host: a remote request pays the allocator's bookkeeping in the
+// server thread; the manager host's own malloc is an in-process call on
+// the MPT, as in the real library, and pays the lookup with it.
+func (h *Host) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
+	c := h.Costs()
+	cost := c.MallocBase
+	if local {
+		cost += c.MPTLookup
+	}
+	p.Sleep(cost)
+	return h.sys.mgrs[managerHost].allocLocal(p, from, size)
+}
+
+// Mapped gives the allocating host the minipage writable with no fault
+// when it owns it (cluster.HostHandler).
+func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
+	if !a.Owner {
+		return
+	}
+	p.Sleep(h.Costs().SetProt)
+	if err := h.Region.Protect(a.Info.Base, a.Info.Size, vm.ReadWrite); err != nil {
+		panic(err)
 	}
 }
 

@@ -51,9 +51,8 @@ type ManagerStats struct {
 // minipage homed at that host. Its handlers run in the host's server
 // thread; the job is essentially "to mark and forward requests to hosts".
 // Host 0's instance is additionally the allocation authority (the MPT
-// grows only there) and runs the centralized barrier and lock services.
-// Under Central management host 0 is home to every minipage and the
-// other shards stay empty.
+// grows only there). Under Central management host 0 is home to every
+// minipage and the other shards stay empty.
 type manager struct {
 	sys *System
 	me  int // the host this shard runs on
@@ -89,9 +88,6 @@ type manager struct {
 	// adds up to tens of thousands of records per run.
 	deArena []dirEntry
 
-	barrier cluster.BarrierService[*pmsg]
-	locks   *cluster.LockService[*pmsg]
-
 	Stats ManagerStats
 }
 
@@ -99,7 +95,6 @@ func newManager(s *System, me int) *manager {
 	return &manager{
 		sys: s, me: me,
 		waitInit: make(map[int][]*pmsg),
-		locks:    cluster.NewLockService[*pmsg](),
 		done:     make(map[int]uint64),
 		inflight: make(map[int]uint64),
 	}
@@ -201,14 +196,6 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
 		mg.handleAck(p, m)
 	case mInvalidateReply:
 		mg.handleInvReply(p, m)
-	case mAllocReq:
-		mg.handleAlloc(p, m)
-	case mBarrierArrive:
-		mg.handleBarrier(p, m)
-	case mLockReq:
-		mg.handleLock(p, m)
-	case mUnlock:
-		mg.handleUnlock(p, m)
 	case mPushReq:
 		mg.handlePush(p, m)
 	case mPushAck:
@@ -504,18 +491,14 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
 // allocLocal carves minipage(s) for host `from` and creates directory
 // entries it owns — locally when this host is the minipage's home,
 // via a DIR_INIT message to the home otherwise. It runs only on host 0
-// (the allocation authority: the MPT grows nowhere else) and is shared
-// by the remote allocation path and the manager host's local malloc
-// (which, as in the real system, is an in-process call, not a message).
-func (mg *manager) allocLocal(p *sim.Proc, from, size int) (core.Info, uint64, bool) {
-	if mg.me != managerHost {
-		panic(fmt.Sprintf("dsm: host %d is not the allocation authority", mg.me))
-	}
+// (the allocation authority: the MPT grows nowhere else), behind
+// Host.Alloc.
+func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, error) {
 	mg.Stats.Allocs++
 	mpt := mg.sys.mpt
 	mp, va, err := mpt.Alloc(size)
 	if err != nil {
-		panic(fmt.Sprintf("dsm: allocation of %d bytes failed: %v", size, err))
+		return cluster.Allocation{}, err
 	}
 	firstNew := mg.dirInited
 	rp := mg.sys.replAt(mg.me)
@@ -554,56 +537,7 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (core.Info, uint64, b
 			owner = mg.entry(mp.ID).owner == from
 		}
 	}
-	return mp.Info(mg.sys.Layout), va, owner
-}
-
-// handleAlloc services the malloc-like API for non-manager hosts.
-func (mg *manager) handleAlloc(p *sim.Proc, m *pmsg) {
-	p.Sleep(mg.costs().MallocBase)
-	m.Info, m.AllocVA, m.Owner = mg.allocLocal(p, m.From, m.AllocSize)
-	m.Type = mAllocReply // the request turns around as the reply
-	mg.host().Send(p, m.From, m)
-}
-
-// handleBarrier collects arrivals and releases everyone once the last
-// thread arrives.
-func (mg *manager) handleBarrier(p *sim.Proc, m *pmsg) {
-	arrivals, done := mg.barrier.Arrive(m, mg.sys.Runtime().TotalThreads())
-	if !done {
-		return
-	}
-	for _, a := range arrivals {
-		to := a.From // each arrival turns around as that thread's release
-		*a = pmsg{Type: mBarrierRelease, From: managerHost, Gen: mg.barrier.Gen, FW: a.FW}
-		mg.host().Send(p, to, a)
-	}
-}
-
-// handleLock grants or queues a lock request (FIFO).
-func (mg *manager) handleLock(p *sim.Proc, m *pmsg) {
-	if !mg.locks.Acquire(m.LockID, m) {
-		return // queued: the service holds m until the unlock pops it
-	}
-	mg.grantLock(p, m)
-}
-
-// grantLock turns a lock request around as its grant.
-func (mg *manager) grantLock(p *sim.Proc, m *pmsg) {
-	to := m.From
-	*m = pmsg{Type: mLockGrant, From: managerHost, LockID: m.LockID, FW: m.FW}
-	mg.host().Send(p, to, m)
-}
-
-// handleUnlock passes the lock to the next waiter or frees it.
-func (mg *manager) handleUnlock(p *sim.Proc, m *pmsg) {
-	next, granted, wasHeld := mg.locks.Release(m.LockID)
-	if !wasHeld {
-		panic(fmt.Sprintf("dsm: unlock of free lock %d", m.LockID))
-	}
-	mg.host().recyclePM(m) // the unlock ends here
-	if granted {
-		mg.grantLock(p, next)
-	}
+	return cluster.Allocation{VA: va, Info: mp.Info(mg.sys.Layout), Owner: owner}, nil
 }
 
 // handlePush opens a push transaction: order the owner to replicate the

@@ -10,12 +10,13 @@ import (
 )
 
 // managerHost is the elected manager process (Section 3.3: "one of the
-// processes is elected as the manager").
-const managerHost = 0
+// processes is elected as the manager"), which is also the kernel's
+// allocation and synchronization coordinator.
+const managerHost = cluster.Coordinator
 
-// mtype enumerates the protocol message types of Figure 3, plus the
-// service messages (allocation, synchronization, push updates) the paper
-// describes in prose.
+// mtype enumerates the protocol message types of Figure 3, plus the push
+// updates the paper describes in prose. Allocation and synchronization
+// traffic is the kernel's (cluster.SvcMsg).
 type mtype int
 
 const (
@@ -30,15 +31,6 @@ const (
 	mInvalidateReq
 	mInvalidateReply
 	mAck // faulting thread's transaction-closing ack to the manager
-
-	mAllocReq
-	mAllocReply
-
-	mBarrierArrive
-	mBarrierRelease
-	mLockReq
-	mLockGrant
-	mUnlock
 
 	mPushReq   // app thread asks the manager to replicate a minipage everywhere
 	mPushOrder // manager tells the owner to push
@@ -61,8 +53,6 @@ var mtypeNames = [...]string{
 	"READ_REQUEST", "WRITE_REQUEST", "READ_FWD", "WRITE_FWD",
 	"READ_REPLY", "WRITE_REPLY", "UPGRADE_GRANT", "DATA",
 	"INVALIDATE_REQUEST", "INVALIDATE_REPLY", "ACK",
-	"ALLOC_REQUEST", "ALLOC_REPLY",
-	"BARRIER_ARRIVE", "BARRIER_RELEASE", "LOCK_REQUEST", "LOCK_GRANT", "UNLOCK",
 	"PUSH_REQUEST", "PUSH_ORDER", "PUSH_DATA", "PUSH_ACK",
 	"DIR_INIT",
 	"PING", "VIEW_UPDATE", "MIRROR", "MIRROR_ACK", "MIRROR_NAK",
@@ -121,13 +111,6 @@ type pmsg struct {
 	Txn uint64
 
 	FW *faultWait // requester-local rendezvous (event + reply landing zone)
-
-	// Service fields.
-	AllocSize int    // mAllocReq
-	AllocVA   uint64 // mAllocReply: address handed to the application
-	Owner     bool   // mAllocReply: requester owns the (new) minipage
-	LockID    int    // mLockReq / mLockGrant / mUnlock
-	Gen       int    // mBarrierArrive / mBarrierRelease generation
 
 	// Replicated-management payloads (nil/empty off the replicated path).
 	Mir   *mirrorRec     // mMirror / mMirrorAck / mMirrorNak / mStateXfer / mSyncAck

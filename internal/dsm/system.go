@@ -107,16 +107,12 @@ func (s *System) ManagerStatsTotal() ManagerStats {
 // Totals sums the protocol counters over every directory shard and
 // replication layer, with the MPT's footprint.
 func (s *System) Totals() cluster.Totals {
-	ms, mg0 := s.ManagerStatsTotal(), s.mgrs[managerHost]
-	t := cluster.Totals{
-		Invalidations:     ms.Invalidations,
-		CompetingRequests: ms.CompetingRequests,
-		BarrierEpisodes:   mg0.barrier.Episodes,
-		LockAcquisitions:  mg0.locks.Acquisitions,
-		Minipages:         s.mpt.NumMinipages(),
-		ViewsUsed:         s.mpt.ViewsUsed(),
-		BytesAllocated:    s.mpt.BytesAllocated(),
-	}
+	ms, t := s.ManagerStatsTotal(), s.Runtime().Totals()
+	t.Invalidations = ms.Invalidations
+	t.CompetingRequests = ms.CompetingRequests
+	t.Minipages = s.mpt.NumMinipages()
+	t.ViewsUsed = s.mpt.ViewsUsed()
+	t.BytesAllocated = s.mpt.BytesAllocated()
 	for _, rp := range s.repl {
 		t.MirrorsSent += rp.Stats.MirrorsSent
 		t.Promotions += rp.Stats.Promotions

@@ -9,8 +9,9 @@ import (
 
 // Thread is one application thread's view of the DSM: the entire
 // user-facing Millipage API (Section 3.4's library interface). The
-// generic surface (memory access, Compute, stats) is the embedded
-// substrate thread; this type adds the Millipage protocol operations.
+// generic surface (memory access, Malloc, Barrier, Lock, Unlock, Compute,
+// stats) is the embedded substrate thread; this type adds the Millipage
+// protocol operations.
 // All methods must be called from the thread's own body function.
 type Thread struct {
 	*cluster.Thread
@@ -45,71 +46,6 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, 
 	}
 	h.sendNew(p, home, hdr)
 	t.Stats.Prefetches++
-}
-
-// Malloc allocates size bytes of shared memory via the manager and
-// returns the application-view address, exactly like the paper's
-// malloc-like API: the pointer is used normally afterwards; sharing is
-// managed per-minipage underneath.
-func (t *Thread) Malloc(size int) uint64 {
-	p := t.Proc()
-	start := p.Now()
-	c := t.host.Costs()
-	if t.host.ID() == managerHost {
-		// On the manager host, malloc is an in-process call on the MPT,
-		// as in the real library — no protocol messages (though DIR_INITs
-		// may be sent to remote homes under HomeBased management).
-		p.Sleep(c.MallocBase + c.MPTLookup)
-		info, va, owner := t.host.sys.mgrs[managerHost].allocLocal(p, t.host.ID(), size)
-		if owner {
-			p.Sleep(c.SetProt)
-			if err := t.host.Region.Protect(info.Base, info.Size, vm.ReadWrite); err != nil {
-				panic(err)
-			}
-		}
-		t.Stats.MallocTime += p.Now().Sub(start)
-		return va
-	}
-	fw := t.WaitSlot()
-	t.call(managerHost, pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw},
-		cluster.Blocking{For: "malloc reply", FW: fw, Wake: c.ThreadWake})
-	t.Stats.MallocTime += p.Now().Sub(start)
-	return fw.VA
-}
-
-// Barrier blocks until every application thread in the cluster arrives.
-func (t *Thread) Barrier() {
-	p := t.Proc()
-	start := p.Now()
-	c := t.host.Costs()
-	p.Sleep(c.BarrierBase)
-	fw := t.WaitSlot()
-	t.call(managerHost, pmsg{Type: mBarrierArrive, From: t.host.ID(), FW: fw},
-		cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.Barriers++
-}
-
-// Lock acquires the cluster-wide lock with the given id (FIFO at the
-// manager).
-func (t *Thread) Lock(id int) {
-	p := t.Proc()
-	start := p.Now()
-	fw := t.WaitSlot()
-	t.call(managerHost, pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw},
-		cluster.Blocking{For: "lock grant", FW: fw, Wake: t.host.Costs().ThreadWake})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
-}
-
-// Unlock releases the lock with the given id. The release is
-// asynchronous; the manager grants it to the next waiter in FIFO order.
-func (t *Thread) Unlock(id int) {
-	p := t.Proc()
-	start := p.Now()
-	t.host.sendNew(p, managerHost, pmsg{Type: mUnlock, From: t.host.ID(), LockID: id})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
 }
 
 // Prefetch asynchronously requests a read copy of the minipage(s) backing

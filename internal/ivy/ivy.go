@@ -47,22 +47,12 @@ const (
 	mInvReq
 	mInvReply
 	mAck
-	mBarArrive
-	mBarRelease
-
-	mAllocReq
-	mAllocReply
-	mLockReq
-	mLockGrant
-	mUnlock
 )
 
 var mtypeNames = [...]string{
 	"READ_REQUEST", "WRITE_REQUEST", "READ_FWD", "WRITE_FWD",
 	"READ_REPLY", "WRITE_REPLY", "UPGRADE_GRANT", "DATA",
 	"INVALIDATE_REQUEST", "INVALIDATE_REPLY", "ACK",
-	"BARRIER_ARRIVE", "BARRIER_RELEASE",
-	"ALLOC_REQUEST", "ALLOC_REPLY", "LOCK_REQUEST", "LOCK_GRANT", "UNLOCK",
 }
 
 // The trace recorder stores message types as raw codes offset by the
@@ -86,11 +76,6 @@ type pmsg struct {
 	Page  int
 	Write bool
 	FW    *cluster.Wait
-
-	// Service fields.
-	AllocSize int
-	AllocVA   uint64
-	LockID    int
 }
 
 // dirEntry is one page's directory record at its manager host.
@@ -119,9 +104,6 @@ type System struct {
 	// allocation authority (page ownership stays with the per-page
 	// managers — allocation only hands out addresses).
 	nextAlloc uint64
-
-	barrier cluster.BarrierService[*pmsg]
-	locks   *cluster.LockService[*pmsg]
 }
 
 // Stats aggregates cluster-wide counters.
@@ -153,7 +135,7 @@ const base = uint64(0x4000_0000)
 // New builds the cluster. The shared region is mapped at the same base
 // address on every host, one view, page protection granularity.
 func New(opt Options) (*System, error) {
-	s := &System{base: base, nextAlloc: base, locks: cluster.NewLockService[*pmsg]()}
+	s := &System{base: base, nextAlloc: base}
 	err := s.Init("ivy", opt, cluster.Traits{},
 		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
 	if err != nil {
@@ -208,92 +190,39 @@ func (s *System) Stats() Stats {
 // Totals reports the run's protocol counters. Ivy shares whole pages, so
 // the minipage footprint stays zero.
 func (s *System) Totals() cluster.Totals {
-	st := s.Stats()
-	return cluster.Totals{
-		Invalidations:     st.Invalidates,
-		CompetingRequests: st.Competing,
-		BarrierEpisodes:   s.barrier.Episodes,
-		LockAcquisitions:  s.locks.Acquisitions,
-	}
+	st, t := s.Stats(), s.Runtime().Totals()
+	t.Invalidations = st.Invalidates
+	t.CompetingRequests = st.Competing
+	return t
 }
 
 // managerOf returns the host managing page p (static distribution).
 func (s *System) managerOf(p int) int { return p % s.Opt.Hosts }
 
 // Thread is one application thread's handle: the generic substrate
-// surface (memory access, Compute, time-breakdown stats) plus Ivy's
-// synchronization and allocation operations.
+// surface, which is all of Ivy's application API.
 type Thread struct {
 	*cluster.Thread
 	host *Host
 }
 
-// Malloc allocates size bytes of shared memory (8-byte aligned) from the
-// cluster-wide bump allocator at host 0 and returns the address. Pages
-// remain owned by their per-page managers; allocation only assigns
-// addresses, so the first access faults the page over as usual.
-func (t *Thread) Malloc(size int) uint64 {
-	p := t.Proc()
-	start := p.Now()
-	c := t.host.Costs()
-	if t.host.ID() == 0 {
-		p.Sleep(c.MallocBase)
-		va := t.host.sys.allocLocal(size)
-		t.Stats.MallocTime += p.Now().Sub(start)
-		return va
-	}
-	fw := t.WaitSlot()
-	t.Block(cluster.Blocking{For: "malloc reply", FW: fw, Wake: c.ThreadWake,
-		To: 0, Request: &pmsg{Type: mAllocReq, From: t.host.ID(), AllocSize: size, FW: fw}})
-	t.Stats.MallocTime += p.Now().Sub(start)
-	return fw.VA
-}
-
-// allocLocal bumps the shared allocation pointer (host 0 only).
-func (s *System) allocLocal(size int) uint64 {
+// Alloc bumps the cluster-wide allocation pointer, 8-byte aligned
+// (cluster.HostHandler; host 0 only). Pages remain owned by their
+// per-page managers; allocation only assigns addresses, so the first
+// access faults the page over as usual — Mapped has nothing to do.
+func (h *Host) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
+	p.Sleep(h.Costs().MallocBase)
+	s := h.sys
 	va := (s.nextAlloc + 7) &^ 7
 	limit := s.base + uint64(s.numPages*vm.PageSize)
-	if size <= 0 || va+uint64(size) > limit {
-		panic(fmt.Sprintf("ivy: out of shared memory: alloc %d with %d free", size, limit-va))
+	if va+uint64(size) > limit {
+		return cluster.Allocation{}, fmt.Errorf("out of shared memory: %d bytes free", limit-va)
 	}
 	s.nextAlloc = va + uint64(size)
-	return va
+	return cluster.Allocation{VA: va}, nil
 }
 
-// Barrier rendezvouses all threads (coordinated at host 0).
-func (t *Thread) Barrier() {
-	p := t.Proc()
-	start := p.Now()
-	h := t.host
-	c := h.Costs()
-	p.Sleep(c.BarrierBase)
-	fw := t.WaitSlot()
-	t.Block(cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake,
-		To: 0, Request: &pmsg{Type: mBarArrive, From: h.ID(), FW: fw}})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.Barriers++
-}
-
-// Lock acquires the cluster-wide lock with the given id (FIFO at host 0).
-func (t *Thread) Lock(id int) {
-	p := t.Proc()
-	start := p.Now()
-	fw := t.WaitSlot()
-	t.Block(cluster.Blocking{For: "lock grant", FW: fw, Wake: t.host.Costs().ThreadWake,
-		To: 0, Request: &pmsg{Type: mLockReq, From: t.host.ID(), LockID: id, FW: fw}})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
-}
-
-// Unlock releases the lock with the given id (asynchronous; host 0
-// grants it to the next waiter in FIFO order).
-func (t *Thread) Unlock(id int) {
-	p := t.Proc()
-	start := p.Now()
-	t.host.Send(p, 0, &pmsg{Type: mUnlock, From: t.host.ID(), LockID: id})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
-}
+func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {}
 
 // sendPage ships a page's bytes to host `to` (zero-copy data message; the
 // header that describes it was sent separately).
@@ -309,12 +238,7 @@ func (h *Host) pageVA(page int) uint64 { return h.sys.base + uint64(page*vm.Page
 // cluster runtime calls it only when tracing is enabled).
 func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
 	m := payload.(*pmsg)
-	op = opBase + uint16(m.Type)
-	switch m.Type {
-	case mBarArrive, mBarRelease, mAllocReq, mAllocReply, mLockReq, mLockGrant, mUnlock:
-		return op, -1, 0, -1
-	}
-	return op, m.Page, h.pageVA(m.Page), h.sys.managerOf(m.Page)
+	return opBase + uint16(m.Type), m.Page, h.pageVA(m.Page), h.sys.managerOf(m.Page)
 }
 
 // HandleFault sends the request to the page's distributed manager and
@@ -441,52 +365,6 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		p.Sleep(c.SetProt)
 		h.AS.Protect(h.pageVA(m.Page), 1, vm.ReadWrite)
 		m.FW.Ev.Set()
-
-	case mBarArrive:
-		s := h.sys
-		arrivals, done := s.barrier.Arrive(m, s.NumHosts())
-		if !done {
-			return
-		}
-		for _, a := range arrivals {
-			rel := pmsg{Type: mBarRelease, FW: a.FW}
-			h.Send(p, a.From, &rel)
-		}
-
-	case mBarRelease:
-		m.FW.Ev.Set()
-
-	case mAllocReq:
-		p.Sleep(c.MallocBase)
-		reply := *m
-		reply.Type = mAllocReply
-		reply.AllocVA = h.sys.allocLocal(m.AllocSize)
-		h.Send(p, m.From, &reply)
-
-	case mAllocReply:
-		m.FW.VA = m.AllocVA
-		m.FW.Ev.Set()
-
-	case mLockReq:
-		if !h.sys.locks.Acquire(m.LockID, m) {
-			return
-		}
-		grant := pmsg{Type: mLockGrant, LockID: m.LockID, FW: m.FW}
-		h.Send(p, m.From, &grant)
-
-	case mLockGrant:
-		m.FW.Ev.Set()
-
-	case mUnlock:
-		next, granted, wasHeld := h.sys.locks.Release(m.LockID)
-		if !wasHeld {
-			panic(fmt.Sprintf("ivy: unlock of free lock %d", m.LockID))
-		}
-		if !granted {
-			return
-		}
-		grant := pmsg{Type: mLockGrant, LockID: next.LockID, FW: next.FW}
-		h.Send(p, next.From, &grant)
 
 	default:
 		panic(fmt.Sprintf("ivy: unexpected message %d", int(m.Type)))

@@ -1,10 +1,9 @@
 package lrc
 
 import (
-	"fmt"
-
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
 
@@ -53,18 +52,20 @@ func (b *base[H, T]) init(name string, opt Options, wrap func(*cluster.Thread, H
 // MPT exposes the minipage table.
 func (b *base[H, T]) MPT() *core.MPT { return b.mpt }
 
-// allocLocal carves size bytes out of the minipage table on behalf of
-// host from, which becomes the home of every minipage the allocation
-// opens. It runs only on host 0, the allocation authority.
-func (b *base[H, T]) allocLocal(from, size int) (core.Info, uint64, int) {
+// alloc carves size bytes out of the minipage table on behalf of host
+// from, which becomes the home of every minipage the allocation opens.
+// It is both realizations' cluster.HostHandler Alloc: it runs only on
+// host 0, the allocation authority, and charges p the bookkeeping.
+func (b *base[H, T]) alloc(p *sim.Proc, from, size int) (cluster.Allocation, error) {
+	p.Sleep(b.Opt.Costs.MallocBase)
 	mp, va, err := b.mpt.Alloc(size)
 	if err != nil {
-		panic(fmt.Sprintf("%s: alloc %d: %v", b.Runtime().Name, size, err))
+		return cluster.Allocation{}, err
 	}
 	for id := len(b.homes); id < b.mpt.NumMinipages(); id++ {
 		b.homes = append(b.homes, from)
 	}
-	return mp.Info(b.Layout), va, b.homes[mp.ID]
+	return cluster.Allocation{VA: va, Info: mp.Info(b.Layout), Home: b.homes[mp.ID]}, nil
 }
 
 // describe fills a DescribeMsg reply for a header whose trace op code is
@@ -82,11 +83,11 @@ func (b *base[H, T]) describe(op uint16, info core.Info) (uint16, int, uint64, i
 }
 
 // footprint starts a Totals with what both realizations report alike:
-// the minipage table's Table-2 columns.
+// the kernel's counters and the minipage table's Table-2 columns.
 func (b *base[H, T]) footprint() cluster.Totals {
-	return cluster.Totals{
-		Minipages:      b.mpt.NumMinipages(),
-		ViewsUsed:      b.mpt.ViewsUsed(),
-		BytesAllocated: b.mpt.BytesAllocated(),
-	}
+	t := b.Runtime().Totals()
+	t.Minipages = b.mpt.NumMinipages()
+	t.ViewsUsed = b.mpt.ViewsUsed()
+	t.BytesAllocated = b.mpt.BytesAllocated()
+	return t
 }

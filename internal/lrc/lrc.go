@@ -48,19 +48,10 @@ const (
 	mFetchData
 	mDiffFlush
 	mDiffAck
-	mBarrierArrive
-	mBarrierRelease
-	mAllocReq
-	mAllocReply
-	mLockReq
-	mLockGrant
-	mUnlock
 )
 
 var mtypeNames = [...]string{
 	"FETCH_REQUEST", "FETCH_REPLY", "FETCH_DATA", "DIFF_FLUSH", "DIFF_ACK",
-	"BARRIER_ARRIVE", "BARRIER_RELEASE", "ALLOC_REQUEST", "ALLOC_REPLY",
-	"LOCK_REQUEST", "LOCK_GRANT", "UNLOCK",
 }
 
 // The trace recorder stores message types as raw codes offset by the
@@ -85,20 +76,12 @@ type pmsg struct {
 	Diff []byte // encoded run-length diff (mDiffFlush)
 
 	FW *cluster.Wait
-
-	AllocSize int
-	AllocVA   uint64
-	Home      int
-	LockID    int
 }
 
-// System is an LRC cluster. Host 0 coordinates barriers and locks and
-// owns the minipage table; every minipage's home is its allocating host.
+// System is an LRC cluster. Host 0 owns the minipage table; every
+// minipage's home is its allocating host.
 type System struct {
 	base[*Host, *Thread]
-
-	barrier cluster.BarrierService[*pmsg]
-	locks   *cluster.LockService[*pmsg]
 }
 
 // Stats aggregates protocol activity across the run.
@@ -131,7 +114,7 @@ type Host struct {
 
 // New builds an LRC cluster.
 func New(opt Options) (*System, error) {
-	s := &System{locks: cluster.NewLockService[*pmsg]()}
+	s := &System{}
 	err := s.init("lrc", opt,
 		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} },
 		func(as *vm.AddressSpace, region *core.Region) {
@@ -168,42 +151,30 @@ func (s *System) Stats() Stats {
 
 // Totals reports the run's protocol counters. Single-writer LRC never
 // invalidates a remote copy and never queues a request.
-func (s *System) Totals() cluster.Totals {
-	t := s.footprint()
-	t.BarrierEpisodes = s.barrier.Episodes
-	t.LockAcquisitions = s.locks.Acquisitions
-	return t
-}
+func (s *System) Totals() cluster.Totals { return s.footprint() }
 
 // Thread is an application thread's handle on the LRC DSM: the generic
-// substrate surface plus LRC's allocation and synchronization.
+// substrate surface. Barrier, Lock and Unlock get their release-consistency
+// discipline from Host.Release and Host.Acquire.
 type Thread struct {
 	*cluster.Thread
 	host *Host
 }
 
-// Malloc allocates shared memory; the allocating host becomes the
-// minipage's home.
-func (t *Thread) Malloc(size int) uint64 {
-	h := t.host
-	s := h.sys
-	p := t.Proc()
-	start := p.Now()
-	if h.ID() == 0 {
-		p.Sleep(h.Costs().MallocBase)
-		info, va, _ := s.allocLocal(h.ID(), size)
-		h.Region.Protect(info.Base, info.Size, vm.ReadWrite)
-		t.Stats.MallocTime += p.Now().Sub(start)
-		return va
+// Alloc allocates shared memory (cluster.HostHandler); the allocating
+// host becomes the home of the minipages the allocation opens.
+func (h *Host) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
+	return h.sys.alloc(p, from, size)
+}
+
+// Mapped maps the allocation writable at its home (cluster.HostHandler).
+// An allocation that extended another host's chunked minipage stays
+// unmapped here: the first write must fault, or no twin and no diff
+// would ever carry it home.
+func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
+	if a.Home == h.ID() {
+		h.Region.Protect(a.Info.Base, a.Info.Size, vm.ReadWrite)
 	}
-	fw := t.WaitSlot()
-	t.Block(cluster.Blocking{For: "malloc reply", FW: fw, Wake: h.Costs().ThreadWake,
-		To: 0, Request: &pmsg{Type: mAllocReq, From: h.ID(), AllocSize: size, FW: fw}})
-	if fw.Home == h.ID() {
-		h.Region.Protect(fw.Info.Base, fw.Info.Size, vm.ReadWrite)
-	}
-	t.Stats.MallocTime += p.Now().Sub(start)
-	return fw.VA
 }
 
 // DescribeMsg extracts the trace fields from a protocol header (the
@@ -280,8 +251,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 
 // flushDiffs run-length-diffs every dirty minipage against its twin and
 // flushes the diffs to the minipages' homes, blocking until every home
-// has acked. It is the release half of the consistency model, shared by
-// Barrier and Unlock.
+// has acked.
 func (t *Thread) flushDiffs() {
 	h := t.host
 	s := h.sys
@@ -338,8 +308,7 @@ func (t *Thread) flushDiffs() {
 }
 
 // invalidatePresent drops every non-home copy this host holds, so the
-// next access refetches the merged contents from the home. It is the
-// acquire half of the consistency model, shared by Barrier and Lock.
+// next access refetches the merged contents from the home.
 func (t *Thread) invalidatePresent() {
 	h := t.host
 	c := h.Costs()
@@ -359,82 +328,27 @@ func (t *Thread) invalidatePresent() {
 	}
 }
 
-// Barrier flushes this host's dirty minipages to their homes, then
-// rendezvouses with every other thread; on release, non-home copies are
-// invalidated so subsequent accesses see the merged state.
-func (t *Thread) Barrier() {
-	h := t.host
-	c := h.Costs()
-	p := t.Proc()
-	start := p.Now()
-
-	// Flush diffs and wait for the homes' acks (release).
-	t.flushDiffs()
-
-	// Rendezvous.
-	p.Sleep(c.BarrierBase)
-	fw := t.WaitSlot()
-	t.Block(cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake,
-		To: 0, Request: &pmsg{Type: mBarrierArrive, From: h.ID(), FW: fw}})
-
-	// Invalidate non-home copies (acquire).
-	t.invalidatePresent()
-
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.Barriers++
+// Release is the release half of the consistency model
+// (cluster.Consistency): before a barrier arrival or an unlock leaves,
+// this host's dirty minipages are flushed to their homes and acked, so
+// the writes are visible to whoever synchronizes next. A lock request
+// releases nothing.
+func (h *Host) Release(ctx any, m *cluster.SvcMsg) {
+	if m.Type != cluster.SvcLockReq {
+		ctx.(*Thread).flushDiffs()
+	}
 }
 
-// Lock acquires the cluster-wide lock with the given id (FIFO at host 0)
-// and then invalidates this host's non-home copies, so accesses inside
-// the critical section observe everything flushed by the previous
-// holder's Unlock — release consistency over the same diff machinery.
-func (t *Thread) Lock(id int) {
-	h := t.host
-	p := t.Proc()
-	start := p.Now()
-	fw := t.WaitSlot()
-	t.Block(cluster.Blocking{For: "lock grant", FW: fw, Wake: h.Costs().ThreadWake,
-		To: 0, Request: &pmsg{Type: mLockReq, From: h.ID(), LockID: id, FW: fw}})
-	t.invalidatePresent()
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
-}
-
-// Unlock flushes this host's dirty minipages to their homes (the release
-// that makes the critical section's writes visible to the next holder),
-// then releases the lock asynchronously.
-func (t *Thread) Unlock(id int) {
-	h := t.host
-	p := t.Proc()
-	start := p.Now()
-	t.flushDiffs()
-	h.Send(p, 0, &pmsg{Type: mUnlock, From: h.ID(), LockID: id})
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
-}
+// Acquire is the acquire half (cluster.Consistency): past a barrier or
+// holding a fresh lock grant, the host drops its non-home copies, so its
+// next accesses observe everything flushed before the synchronization.
+func (h *Host) Acquire(ctx any, m *cluster.SvcMsg) { ctx.(*Thread).invalidatePresent() }
 
 // HandleMessage is the LRC server-thread dispatcher.
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
-	s := h.sys
 	c := h.Costs()
 	switch m.Type {
-	case mAllocReq:
-		p.Sleep(c.MallocBase)
-		info, va, home := s.allocLocal(m.From, m.AllocSize)
-		reply := *m
-		reply.Type = mAllocReply
-		reply.Info = info
-		reply.AllocVA = va
-		reply.Home = home
-		h.Send(p, m.From, &reply)
-
-	case mAllocReply:
-		m.FW.Info = m.Info
-		m.FW.VA = m.AllocVA
-		m.FW.Home = m.Home
-		m.FW.Ev.Set()
-
 	case mFetchReq:
 		// Home ships its current copy (always readable at home via the
 		// privileged view).
@@ -488,49 +402,6 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if h.flushAwait--; h.flushAwait == 0 {
 			h.flushDone.Set()
 		}
-
-	case mBarrierArrive:
-		if h.ID() != 0 {
-			panic("lrc: barrier arrive at non-coordinator")
-		}
-		arrivals, done := s.barrier.Arrive(m, s.NumHosts())
-		if !done {
-			return
-		}
-		for _, a := range arrivals {
-			rel := pmsg{Type: mBarrierRelease, FW: a.FW}
-			h.Send(p, a.From, &rel)
-		}
-
-	case mBarrierRelease:
-		m.FW.Ev.Set()
-
-	case mLockReq:
-		if h.ID() != 0 {
-			panic("lrc: lock request at non-coordinator")
-		}
-		if !s.locks.Acquire(m.LockID, m) {
-			return
-		}
-		grant := pmsg{Type: mLockGrant, LockID: m.LockID, FW: m.FW}
-		h.Send(p, m.From, &grant)
-
-	case mLockGrant:
-		m.FW.Ev.Set()
-
-	case mUnlock:
-		if h.ID() != 0 {
-			panic("lrc: unlock at non-coordinator")
-		}
-		next, granted, wasHeld := s.locks.Release(m.LockID)
-		if !wasHeld {
-			panic(fmt.Sprintf("lrc: unlock of free lock %d", m.LockID))
-		}
-		if !granted {
-			return
-		}
-		grant := pmsg{Type: mLockGrant, LockID: next.LockID, FW: next.FW}
-		h.Send(p, next.From, &grant)
 
 	default:
 		panic(fmt.Sprintf("lrc: unexpected message %d", int(m.Type)))

@@ -62,20 +62,11 @@ const (
 	mwDiffAck
 	mwDiffReq
 	mwDiffReply
-	mwBarrierArrive
-	mwBarrierRelease
-	mwAllocReq
-	mwAllocReply
-	mwLockReq
-	mwLockGrant
-	mwUnlock
 )
 
 var mwtypeNames = [...]string{
 	"MW_FETCH_REQUEST", "MW_FETCH_REPLY", "MW_FETCH_DATA", "MW_DIFF_FLUSH",
-	"MW_DIFF_ACK", "MW_DIFF_REQUEST", "MW_DIFF_REPLY", "MW_BARRIER_ARRIVE",
-	"MW_BARRIER_RELEASE", "MW_ALLOC_REQUEST", "MW_ALLOC_REPLY",
-	"MW_LOCK_REQUEST", "MW_LOCK_GRANT", "MW_UNLOCK",
+	"MW_DIFF_ACK", "MW_DIFF_REQUEST", "MW_DIFF_REPLY",
 }
 
 var mwOpBase = trace.RegisterOps(mwtypeNames[:])
@@ -125,19 +116,22 @@ type mwmsg struct {
 
 	FW *cluster.Wait
 
-	AllocSize int
-	AllocVA   uint64
-	Home      int
-	LockID    int
-
-	VC      []uint64    // sender's vector clock (mwLockReq, mwBarrierArrive)
-	Notice  *mwNotice   // the releaser's closed interval (mwUnlock, mwBarrierArrive)
-	Notices []mwCNotice // piggybacked write notices (mwLockGrant, mwBarrierRelease)
-	MaxVC   []uint64    // converged clock (mwBarrierRelease)
-
 	MP       int         // minipage id (mwDiffReq, mwDiffReply)
 	Seqs     []uint64    // requested interval seqs (mwDiffReq)
 	DiffsOut []mwDiffOut // served diffs (mwDiffReply)
+}
+
+// mwSync is what the protocol piggybacks on the kernel's synchronization
+// headers (cluster.SvcMsg.Ext). One pooled record travels out with a
+// request and back with its answer, so its slice capacities are reused
+// from one synchronization to the next.
+type mwSync struct {
+	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
+
+	VC      []uint64    // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
+	Notice  *mwNotice   // the releaser's closed interval (UNLOCK, BARRIER_ARRIVE)
+	Notices []mwCNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
+	MaxVC   []uint64    // converged clock (BARRIER_RELEASE)
 }
 
 // mwInterval is one closed interval's retained diffs, kept by the
@@ -191,9 +185,9 @@ type MWStats struct {
 	IntervalsGCed uint64 // interval records purged at barriers
 }
 
-// MWSystem is a multi-writer LRC cluster. Host 0 coordinates barriers,
-// locks and the write-notice log and owns the minipage table; every
-// minipage's home is its allocating host.
+// MWSystem is a multi-writer LRC cluster. Host 0 keeps the write-notice
+// log beside the kernel's barriers and locks and owns the minipage table;
+// every minipage's home is its allocating host.
 type MWSystem struct {
 	base[*MWHost, *MWThread]
 
@@ -202,13 +196,12 @@ type MWSystem struct {
 	logPrev []int       // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
 	logLast []int       // per creator: position of its latest notice, or -1 (Seq rises along each chain)
 	vtctr   uint64      // global notice stamp; monotone across clears
-	barrier cluster.BarrierService[*mwmsg]
-	locks   *cluster.LockService[*mwmsg]
-	maxvc   []uint64 // barrier-episode scratch; every release shares it
+	maxvc   []uint64    // barrier-episode scratch; every release shares it
 
 	// The cluster's freelists, shared by every host: recycled protocol
 	// headers, twin/snapshot/diff buffers and interval records.
 	freeMW     cluster.Pool[mwmsg]
+	freeSync   cluster.Pool[mwSync]
 	freeBuf    cluster.SlicePool[byte]
 	freeIval   cluster.Pool[mwInterval]
 	freeMPs    cluster.SlicePool[int]
@@ -226,14 +219,25 @@ func (h *MWHost) allocMW() *mwmsg { return h.sys.freeMW.Get() }
 // recycleMW returns a fully consumed pooled header to the freelist,
 // keeping its slice capacities for reuse.
 func (h *MWHost) recycleMW(m *mwmsg) {
-	for i := range m.Notices {
-		m.Notices[i] = mwCNotice{}
-	}
-	for i := range m.DiffsOut {
-		m.DiffsOut[i] = mwDiffOut{}
-	}
-	*m = mwmsg{VC: m.VC[:0], Notices: m.Notices[:0], Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
+	clear(m.DiffsOut)
+	*m = mwmsg{Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
 	h.sys.freeMW.Put(m)
+}
+
+// sync returns the piggyback record riding on m.
+func (h *MWHost) sync(m *cluster.SvcMsg) *mwSync {
+	x := m.Ext.(*mwSync)
+	x.CheckLive("dispatch")
+	return x
+}
+
+// recycleSync takes a consumed piggyback record off m and returns it to
+// the freelist, keeping its slice capacities for reuse.
+func (h *MWHost) recycleSync(m *cluster.SvcMsg, x *mwSync) {
+	m.Ext = nil
+	clear(x.Notices)
+	*x = mwSync{VC: x.VC[:0], Notices: x.Notices[:0]}
+	h.sys.freeSync.Put(x)
 }
 
 // SendSized ships header m (and its ownership), size bytes on the wire.
@@ -322,13 +326,9 @@ type MWHost struct {
 	flushAwait int
 	flushDone  *sim.Event
 
-	// Acquire-side handoff from the message handler to the (single)
-	// application thread: the notices and converged clock delivered with
-	// the last lock grant or barrier release, and the last diff reply.
-	acqNotices []mwCNotice
-	acqMaxVC   []uint64
-	acqMsg     *mwmsg // the pooled grant/release header, recycled by acquire
-	diffReply  *mwmsg
+	// diffReply hands the last diff reply from the message handler to the
+	// (single) application thread.
+	diffReply *mwmsg
 
 	// Steady-state scratch, reused across releases and merges.
 	relDirty   []int
@@ -341,7 +341,7 @@ type MWHost struct {
 
 // NewMW builds a multi-writer LRC cluster.
 func NewMW(opt Options) (*MWSystem, error) {
-	s := &MWSystem{locks: cluster.NewLockService[*mwmsg]()}
+	s := &MWSystem{}
 	err := s.init("lrc-mw", opt,
 		func(ct *cluster.Thread, h *MWHost) *MWThread { return &MWThread{Thread: ct, host: h} },
 		func(as *vm.AddressSpace, region *core.Region) {
@@ -390,8 +390,6 @@ func (s *MWSystem) Stats() MWStats {
 func (s *MWSystem) Totals() cluster.Totals {
 	t := s.footprint()
 	t.Invalidations = s.Stats().Invalidations
-	t.BarrierEpisodes = s.barrier.Episodes
-	t.LockAcquisitions = s.locks.Acquisitions
 	return t
 }
 
@@ -401,36 +399,20 @@ type MWThread struct {
 	host *MWHost
 }
 
-// Malloc allocates shared memory; the allocating host becomes the
-// minipage's home. Unlike the single-writer protocol, the home maps its
-// own minipages read-only: a home write must fault so it is twinned into
-// an interval and announced by a write notice like any other write.
-func (t *MWThread) Malloc(size int) uint64 {
-	h := t.host
-	s := h.sys
-	p := t.Proc()
-	start := p.Now()
-	if h.ID() == 0 {
-		p.Sleep(h.Costs().MallocBase)
-		info, va, home := s.allocLocal(h.ID(), size)
-		if home == h.ID() {
-			h.Region.Protect(info.Base, info.Size, vm.ReadOnly)
-		}
-		t.Stats.MallocTime += p.Now().Sub(start)
-		return va
+// Alloc allocates shared memory (cluster.HostHandler); the allocating
+// host becomes the home of the minipages the allocation opens.
+func (h *MWHost) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
+	return h.sys.alloc(p, from, size)
+}
+
+// Mapped maps the allocation at its home (cluster.HostHandler). Unlike
+// the single-writer protocol, the home maps its own minipages read-only:
+// a home write must fault so it is twinned into an interval and announced
+// by a write notice like any other write.
+func (h *MWHost) Mapped(p *sim.Proc, a cluster.Allocation) {
+	if a.Home == h.ID() {
+		h.Region.Protect(a.Info.Base, a.Info.Size, vm.ReadOnly)
 	}
-	fw := t.WaitSlot()
-	req := h.allocMW()
-	req.Type = mwAllocReq
-	req.From = h.ID()
-	req.AllocSize = size
-	req.FW = fw
-	t.call(0, req, cluster.Blocking{For: "malloc reply", FW: fw, Wake: h.Costs().ThreadWake})
-	if fw.Home == h.ID() {
-		h.Region.Protect(fw.Info.Base, fw.Info.Size, vm.ReadOnly)
-	}
-	t.Stats.MallocTime += p.Now().Sub(start)
-	return fw.VA
 }
 
 // DescribeMsg extracts the trace fields from a protocol header.
@@ -730,16 +712,16 @@ func (t *MWThread) release() *mwNotice {
 	return n
 }
 
-// acquire applies the write notices delivered with the last lock grant
-// or barrier release: advance the vector clock, and invalidate exactly
-// the minipages a causally newer notice names — the diffs are fetched
-// lazily on the next fault.
-func (t *MWThread) acquire() {
+// acquire applies the write notices delivered with a lock grant or
+// barrier release, and a barrier's converged clock: advance the vector
+// clock, and invalidate exactly the minipages a causally newer notice
+// names — the diffs are fetched lazily on the next fault.
+func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
 	p := t.Proc()
-	for _, n := range h.acqNotices {
+	for _, n := range notices {
 		if n.Seq > h.vc[n.Creator] {
 			h.vc[n.Creator] = n.Seq
 		}
@@ -764,18 +746,10 @@ func (t *MWThread) acquire() {
 			}
 		}
 	}
-	if h.acqMaxVC != nil {
-		for i, v := range h.acqMaxVC {
-			if v > h.vc[i] {
-				h.vc[i] = v
-			}
+	for i, v := range maxvc {
+		if v > h.vc[i] {
+			h.vc[i] = v
 		}
-	}
-	h.acqNotices = nil
-	h.acqMaxVC = nil
-	if h.acqMsg != nil {
-		h.recycleMW(h.acqMsg)
-		h.acqMsg = nil
 	}
 }
 
@@ -798,71 +772,96 @@ func (h *MWHost) gcIntervals() {
 	h.floorCur = h.vc[h.ID()]
 }
 
-// Barrier closes the interval (release), rendezvouses with every other
-// thread, then applies the write notices the coordinator piggybacked on
-// the release and garbage-collects old intervals.
-func (t *MWThread) Barrier() {
-	h := t.host
-	c := h.Costs()
-	p := t.Proc()
-	start := p.Now()
-
-	notice := t.release()
-
-	p.Sleep(c.BarrierBase)
-	fw := t.WaitSlot()
-	m := h.allocMW()
-	m.Type = mwBarrierArrive
-	m.From = h.ID()
-	m.FW = fw
-	m.Notice = notice
-	m.VC = append(m.VC[:0], h.vc...)
-	t.call(0, m, cluster.Blocking{For: "barrier release", FW: fw, Wake: c.ThreadWake})
-
-	t.acquire()
-	h.gcIntervals()
-
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.Barriers++
+// Release is the release half of the consistency model
+// (cluster.Consistency). A barrier arrival and an unlock close the
+// interval — diffs flushed and acked before the message leaves — and
+// carry its write notice for the coordinator's log; a barrier arrival and
+// a lock request carry the vector clock the answer's notices are chosen
+// against.
+func (h *MWHost) Release(ctx any, m *cluster.SvcMsg) {
+	x := h.sys.freeSync.Get()
+	m.Ext = x
+	if m.Type != cluster.SvcLockReq {
+		x.Notice = ctx.(*MWThread).release()
+	}
+	if m.Type != cluster.SvcUnlock {
+		x.VC = append(x.VC[:0], h.vc...)
+	}
+	x.CheckLive("Send")
 }
 
-// Lock acquires the cluster-wide lock with the given id (FIFO at host 0)
-// and applies the write notices piggybacked on the grant: only minipages
-// with a causally newer write are invalidated, everything else this host
-// holds stays mapped.
-func (t *MWThread) Lock(id int) {
-	h := t.host
-	p := t.Proc()
-	start := p.Now()
-	fw := t.WaitSlot()
-	m := h.allocMW()
-	m.Type = mwLockReq
-	m.From = h.ID()
-	m.LockID = id
-	m.FW = fw
-	m.VC = append(m.VC[:0], h.vc...)
-	t.call(0, m, cluster.Blocking{For: "lock grant", FW: fw, Wake: h.Costs().ThreadWake})
-	t.acquire()
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
+// Acquire is the acquire half (cluster.Consistency): apply the write
+// notices piggybacked on the grant or release — only minipages with a
+// causally newer write are invalidated, everything else this host holds
+// stays mapped — and, past a barrier, converge the clock and
+// garbage-collect old intervals.
+func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
+	x := h.sync(m)
+	ctx.(*MWThread).acquire(x.Notices, x.MaxVC)
+	if m.Type == cluster.SvcBarrierRelease {
+		h.gcIntervals()
+	}
+	h.recycleSync(m, x)
 }
 
-// Unlock closes the interval (release, with diffs flushed and acked
-// before the lock moves on) and hands the lock back with the interval's
-// write notice for the coordinator's log.
-func (t *MWThread) Unlock(id int) {
-	h := t.host
-	p := t.Proc()
-	start := p.Now()
-	notice := t.release()
-	m := h.allocMW()
-	m.Type = mwUnlock
-	m.From = h.ID()
-	m.LockID = id
-	m.Notice = notice
-	h.Send(p, 0, m)
-	t.Stats.SynchTime += p.Now().Sub(start)
-	t.Stats.LockOps++
+// Released logs the write notice a barrier arrival or an unlock carries
+// (cluster.NoticeLog; host 0 only). An unlock's record ends here.
+func (h *MWHost) Released(m *cluster.SvcMsg) {
+	x := h.sync(m)
+	if x.Notice != nil {
+		h.logNotice(x.Notice)
+		h.recycleNotice(x.Notice)
+		x.Notice = nil
+	}
+	if m.Type == cluster.SvcUnlock {
+		h.recycleSync(m, x)
+	}
+}
+
+// Granting fills a lock grant with every logged notice newer than the
+// requester's vector clock (cluster.NoticeLog).
+func (h *MWHost) Granting(m *cluster.SvcMsg) {
+	x := h.sync(m)
+	x.Notices = h.sys.newerThan(x.Notices, x.VC)
+}
+
+// Converged completes a barrier episode (cluster.NoticeLog): every
+// release gets the converged clock and the notices its arrival's clock
+// had not covered, and the log is cleared.
+func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
+	s := h.sys
+	// One converged-clock scratch serves every release message: each
+	// acquirer only reads it, and all of them have consumed it before
+	// the next episode can complete and overwrite it.
+	if s.maxvc == nil {
+		s.maxvc = make([]uint64, s.NumHosts())
+	}
+	maxvc := s.maxvc
+	clear(maxvc)
+	for _, a := range arrivals {
+		for i, v := range h.sync(a).VC {
+			if v > maxvc[i] {
+				maxvc[i] = v
+			}
+		}
+	}
+	for _, n := range s.log {
+		if n.Seq > maxvc[n.Creator] {
+			maxvc[n.Creator] = n.Seq
+		}
+	}
+	for _, a := range arrivals {
+		x := h.sync(a)
+		x.MaxVC = maxvc
+		x.Notices = s.newerThan(x.Notices, x.VC)
+	}
+	// Every host's clock now converges to maxvc, so nothing in the log
+	// can ever be granted again: clear it.
+	s.log = s.log[:0]
+	s.logPrev = s.logPrev[:0]
+	for c := range s.logLast {
+		s.logLast[c] = -1
+	}
 }
 
 // logNotice stamps and appends a release's write notice at the
@@ -911,45 +910,16 @@ func (s *MWSystem) newerThan(dst []mwCNotice, vc []uint64) []mwCNotice {
 	return dst
 }
 
-// grantLock sends m's requester the lock plus every logged notice newer
-// than the requester's vector clock, then recycles the request header.
-func (s *MWSystem) grantLock(p *sim.Proc, h *MWHost, m *mwmsg) {
-	g := h.allocMW()
-	g.Type = mwLockGrant
-	g.LockID = m.LockID
-	g.FW = m.FW
-	g.Notices = s.newerThan(g.Notices, m.VC)
-	h.Send(p, m.From, g)
-	h.recycleMW(m)
-}
-
 // HandleMessage is the multi-writer server-thread dispatcher.
 func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*mwmsg)
 	m.CheckLive("HandleMessage")
-	s := h.sys
 	c := h.Costs()
 	switch m.Type {
-	case mwAllocReq:
-		p.Sleep(c.MallocBase)
-		info, va, home := s.allocLocal(m.From, m.AllocSize)
+	case mwFetchReq:
 		// Request headers turn around in place (the requester is blocked
 		// on FW and holds no other reference); the reply's consumer
 		// recycles them.
-		m.Type = mwAllocReply
-		m.Info = info
-		m.AllocVA = va
-		m.Home = home
-		h.Send(p, m.From, m)
-
-	case mwAllocReply:
-		m.FW.Info = m.Info
-		m.FW.VA = m.AllocVA
-		m.FW.Home = m.Home
-		m.FW.Ev.Set()
-		h.recycleMW(m)
-
-	case mwFetchReq:
 		data := h.allocBuf(m.Info.Size)
 		if err := h.Region.ReadPrivInto(m.Info.Base, data); err != nil {
 			panic(err)
@@ -1036,97 +1006,6 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	case mwDiffReply:
 		h.diffReply = m
 		m.FW.Ev.Set()
-
-	case mwBarrierArrive:
-		if h.ID() != 0 {
-			panic("lrc-mw: barrier arrive at non-coordinator")
-		}
-		if m.Notice != nil {
-			h.logNotice(m.Notice)
-			h.recycleNotice(m.Notice)
-			m.Notice = nil
-		}
-		arrivals, done := s.barrier.Arrive(m, s.NumHosts())
-		if !done {
-			return
-		}
-		// One converged-clock scratch serves every release message: each
-		// acquirer only reads it, and all of them have consumed it before
-		// the next episode can complete and overwrite it.
-		if s.maxvc == nil {
-			s.maxvc = make([]uint64, s.NumHosts())
-		}
-		maxvc := s.maxvc
-		for i := range maxvc {
-			maxvc[i] = 0
-		}
-		for _, a := range arrivals {
-			for i, v := range a.VC {
-				if v > maxvc[i] {
-					maxvc[i] = v
-				}
-			}
-		}
-		for _, n := range s.log {
-			if n.Seq > maxvc[n.Creator] {
-				maxvc[n.Creator] = n.Seq
-			}
-		}
-		for _, a := range arrivals {
-			rel := h.allocMW()
-			rel.Type = mwBarrierRelease
-			rel.MaxVC = maxvc
-			rel.FW = a.FW
-			rel.Notices = s.newerThan(rel.Notices, a.VC)
-			h.Send(p, a.From, rel)
-			h.recycleMW(a)
-		}
-		// Every host's clock now converges to maxvc, so nothing in the log
-		// can ever be granted again: clear it.
-		s.log = s.log[:0]
-		s.logPrev = s.logPrev[:0]
-		for c := range s.logLast {
-			s.logLast[c] = -1
-		}
-
-	case mwBarrierRelease:
-		h.acqNotices = m.Notices
-		h.acqMaxVC = m.MaxVC
-		h.acqMsg = m
-		m.FW.Ev.Set()
-
-	case mwLockReq:
-		if h.ID() != 0 {
-			panic("lrc-mw: lock request at non-coordinator")
-		}
-		if !s.locks.Acquire(m.LockID, m) {
-			return
-		}
-		s.grantLock(p, h, m)
-
-	case mwLockGrant:
-		h.acqNotices = m.Notices
-		h.acqMaxVC = nil
-		h.acqMsg = m
-		m.FW.Ev.Set()
-
-	case mwUnlock:
-		if h.ID() != 0 {
-			panic("lrc-mw: unlock at non-coordinator")
-		}
-		if m.Notice != nil {
-			h.logNotice(m.Notice)
-			h.recycleNotice(m.Notice)
-			m.Notice = nil
-		}
-		next, granted, wasHeld := s.locks.Release(m.LockID)
-		if !wasHeld {
-			panic(fmt.Sprintf("lrc-mw: unlock of free lock %d", m.LockID))
-		}
-		if granted {
-			s.grantLock(p, h, next)
-		}
-		h.recycleMW(m)
 
 	default:
 		panic(fmt.Sprintf("lrc-mw: unexpected message %d", int(m.Type)))
