@@ -191,6 +191,37 @@ func (m *ConcurrentMerge) Body(w cluster.AppThread) {
 
 func (m *ConcurrentMerge) Err() error { return m.bad }
 
+// ChunkExtend is the allocation-placement program, for three hosts: host
+// 1 allocates and writes a word, then host 0 allocates and writes one —
+// with chunking on, into the minipage host 1's allocation opened, so the
+// allocating host is not the unit's first owner or home — and after a
+// barrier every host reads both. The program is data-race-free; a
+// protocol that maps host 0's allocation writable without making it a
+// writer the others know of loses the second word.
+type ChunkExtend struct {
+	a, b uint64
+	bad  error
+}
+
+func (c *ChunkExtend) Body(w cluster.AppThread) {
+	if w.Host() == 1 {
+		c.a = w.Malloc(64)
+		w.WriteU32(c.a, 11)
+	}
+	w.Barrier()
+	if w.Host() == 0 {
+		c.b = w.Malloc(64)
+		w.WriteU32(c.b, 22)
+	}
+	w.Barrier()
+	if a, b := w.ReadU32(c.a), w.ReadU32(c.b); (a != 11 || b != 22) && c.bad == nil {
+		c.bad = fmt.Errorf("host %d reads a=%d b=%d after the barrier, want 11 and 22", w.Host(), a, b)
+	}
+	w.Barrier()
+}
+
+func (c *ChunkExtend) Err() error { return c.bad }
+
 // SWMRSweep drives a seed-dependent read/write mix over Words shared
 // words and asserts the SW/MR invariant after every completed
 // operation. Prots must be set (normally RuntimeProts around the

@@ -3,21 +3,28 @@
 // one Options struct with its defaulting and validation, host and
 // application-thread lifecycle, the fault/message rendezvous, message
 // endpoint wiring with pooled envelopes, per-thread time-breakdown
-// accounting, trace hooks, and the barrier/lock/queue services the
-// protocols' coordinator hosts run.
+// accounting, trace hooks, and the coordinator — the allocation, barrier
+// and lock services of the paper's manager with the four thread
+// operations in front of them (service.go).
 //
 // A protocol implements the HostHandler interface — fault handling,
-// message handling and trace description — embeds a Lifecycle in its
-// System type, and otherwise consists purely of policy: what a fault
-// sends where, what a message does to the directory, where allocations
-// live. Everything mechanical (option checks, spawning threads, wrapper
-// installation, the one blocking point with its busy-reference counting,
-// envelope pooling, stats) lives here exactly once.
+// message handling, trace description, the allocator — embeds a
+// Lifecycle in its System type, and otherwise consists purely of policy:
+// what a fault sends where, what a message does to the directory, where
+// allocations live, what a release-consistent protocol does around a
+// synchronization (Consistency, NoticeLog). Everything mechanical (option
+// checks, spawning threads, wrapper installation, the one blocking point
+// with its busy-reference counting, envelope pooling, the service
+// messages and their handlers, stats) lives here exactly once.
 //
-// Determinism contract: the runtime performs no virtual-time operation
-// of its own — every Sleep, Send and Wait is issued by the protocol — so
-// porting a protocol onto this package is bit-identical in virtual time
-// as long as the protocol issues the same sequence of operations.
+// Determinism contract: the runtime issues the virtual-time operations
+// of the service paths itself — the BarrierBase charge before a barrier
+// arrival, the ThreadWake after a service reply, and the sends and waits
+// between them — and no others. What an allocation costs (MallocBase,
+// MPTLookup, SetProt) and every Sleep, Send and Wait of a fault or a
+// coherence message is the protocol's to issue, so porting a protocol
+// onto this package is bit-identical in virtual time as long as the
+// protocol issues the same sequence of operations.
 package cluster
 
 import (

@@ -13,6 +13,7 @@ package cluster_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"millipage/internal/check"
@@ -150,6 +151,77 @@ func TestDRFAgreement(t *testing.T) {
 				t.Fatalf("%s: %v", pr.name, err)
 			}
 		})
+	}
+}
+
+// TestChunkExtendedAllocation runs the allocation-placement program under
+// every protocol with chunking off and on. At chunk level 4 host 0's
+// allocation extends the minipage host 1's opened: its write must reach
+// host 2 like any other.
+func TestChunkExtendedAllocation(t *testing.T) {
+	for _, name := range registry.Names() {
+		for _, chunk := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/chunk%d", name, chunk), func(t *testing.T) {
+				sys, err := registry.New(name, registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, ChunkLevel: chunk})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wl := &check.ChunkExtend{}
+				if err := sys.Run(wl.Body); err != nil {
+					t.Fatal(err)
+				}
+				if err := wl.Err(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestServiceMisuse: an application's misuse of the allocator or a lock
+// fails once, the same way under every protocol — a panic out of Run
+// naming the protocol, the requesting host and what it asked for — from
+// the coordinator's own host and from a remote one.
+func TestServiceMisuse(t *testing.T) {
+	cases := []struct {
+		name string
+		op   func(w cluster.AppThread)
+		want string // after "<protocol>: host <h>: "
+	}{
+		{"malloc-zero", func(w cluster.AppThread) { w.Malloc(0) }, "Malloc(0): size must be positive"},
+		{"malloc-negative", func(w cluster.AppThread) { w.Malloc(-8) }, "Malloc(-8): size must be positive"},
+		{"out-of-memory", func(w cluster.AppThread) { w.Malloc(1 << 20) }, "Malloc(1048576): "},
+		{"unlock-free", func(w cluster.AppThread) { w.Unlock(3) }, "unlock of free lock 3"},
+		{"unlock-not-holder", func(w cluster.AppThread) { w.Unlock(5) }, "unlock of lock 5, which host 2 holds"},
+	}
+	for _, pr := range protocols() {
+		for _, tc := range cases {
+			for _, host := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/%s/host%d", pr.name, tc.name, host), func(t *testing.T) {
+					sys, err := pr.make(3, 1, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := fmt.Sprintf("%s: host %d: %s", sys.Runtime().Name, host, tc.want)
+					defer func() {
+						if got := fmt.Sprint(recover()); !strings.HasPrefix(got, want) {
+							t.Fatalf("Run panicked with %q, want %q...", got, want)
+						}
+					}()
+					err = sys.Run(func(w cluster.AppThread) {
+						if w.Host() == 2 {
+							w.Lock(5)
+						}
+						w.Barrier()
+						if w.Host() == host {
+							tc.op(w)
+						}
+						w.Barrier()
+					})
+					t.Fatalf("Run returned %v", err)
+				})
+			}
+		}
 	}
 }
 

@@ -90,3 +90,8 @@ func reuseSlice[T any](s []T) {
 		}
 	}
 }
+
+// LiveServiceHeaders returns the service headers somebody still owns.
+// With every thread finished and the wire quiet there are none: nothing
+// parks one past a run.
+func (rt *Runtime) LiveServiceHeaders() int { return rt.svc.free.Live() }

@@ -136,19 +136,19 @@ func (t *Thread) Malloc(size int) uint64 {
 	if size <= 0 {
 		h.rt.misuse(h.id, "Malloc(%d): size must be positive", size)
 	}
-	var va uint64
+	var a Allocation
 	if h.id == Coordinator {
-		a := h.alloc(t.p, h.id, size, true)
+		a = h.alloc(t.p, h.id, size, true)
 		h.handler.Mapped(t.p, a)
-		va = a.VA
 	} else {
 		m := h.newSvc(SvcAllocReq, 0)
 		m.Size = size
 		t.call(m, "malloc reply")
-		va = t.fw.VA
+		a = m.Alloc
+		h.rt.svc.free.Put(m)
 	}
 	t.Stats.MallocTime += t.p.Now().Sub(start)
-	return va
+	return a.VA
 }
 
 // call sends request m to the coordinator and blocks until its answer.
@@ -219,9 +219,7 @@ func (h *Host) serve(p *sim.Proc, m *SvcMsg) {
 	switch m.Type {
 	case SvcAllocReply:
 		h.handler.Mapped(p, m.Alloc)
-		m.FW.VA = m.Alloc.VA
-		m.FW.Ev.Set()
-		svc.free.Put(m)
+		m.FW.Ev.Set() // the woken thread reads the allocation and recycles m
 		return
 	case SvcBarrierRelease, SvcLockGrant:
 		m.FW.Ev.Set()

@@ -17,7 +17,6 @@ import (
 type Wait struct {
 	Ev   *sim.Event
 	Info core.Info // translation info carried back by the reply
-	VA   uint64    // allocation replies: the address handed out
 
 	// Txn is the transaction id the rendezvous is currently waiting for.
 	// Under fault injection the protocol stamps it on outgoing requests so
@@ -37,10 +36,11 @@ type Wait struct {
 func NewWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
 
 // Thread is one application thread's substrate record: its simulated
-// process, its rendezvous slot, and its time-breakdown statistics.
-// Protocol packages embed *Thread in their own Thread types, which adds
-// the protocol-specific API (Malloc, Barrier, ...) on top of the generic
-// surface here.
+// process, its rendezvous slot, and its time-breakdown statistics. It is
+// the whole protocol-independent application API (AppThread; Malloc,
+// Barrier, Lock and Unlock are in service.go); protocol packages embed
+// *Thread in their own Thread types, which add only what is theirs
+// (dsm's Prefetch, Push, GangFetch).
 type Thread struct {
 	h    *Host
 	self any // the protocol's thread wrapper; fault-handler context
@@ -115,7 +115,6 @@ func (t *Thread) WaitSlot() *Wait {
 	fw := t.fw
 	fw.Ev.Reset()
 	fw.Info = core.Info{}
-	fw.VA = 0
 	fw.Txn = 0
 	fw.gen++
 	return fw
@@ -353,9 +352,8 @@ func (st ThreadStats) Other() sim.Duration {
 }
 
 // AppThread is the protocol-independent application API: the surface a
-// portable DSM program (and the root millipage package) uses, implemented
-// by every protocol's Thread type. The generic half comes from the
-// embedded *Thread; Malloc, Barrier, Lock and Unlock are protocol policy.
+// portable DSM program (and the root millipage package) uses, which every
+// protocol's Thread type has by embedding *Thread.
 type AppThread interface {
 	Host() int
 	NumHosts() int

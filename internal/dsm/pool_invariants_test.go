@@ -10,7 +10,8 @@ import (
 	"millipage/internal/sim"
 )
 
-// headerBalance returns the pooled headers somebody still owns (made and
+// headerBalance returns the pooled headers somebody still owns — the
+// protocol's and the kernel's service headers — (made and
 // not on a freelist, which the pools count under -tags invariants only,
 // hence the build tag) and the ones the protocol has parked
 // where it will find them again: directory queues, writes waiting for
@@ -19,7 +20,7 @@ import (
 // wire quiet the two must agree — a header owned but parked nowhere was
 // dropped by some exit that forgot to recycle it.
 func headerBalance(s *System) (owned, parked int) {
-	owned = s.freePM.Live()
+	owned = s.freePM.Live() + s.Runtime().LiveServiceHeaders()
 	for _, mg := range s.mgrs {
 		for _, e := range mg.dir {
 			if e == nil {

@@ -69,8 +69,8 @@ func (b *base[H, T]) alloc(p *sim.Proc, from, size int) (cluster.Allocation, err
 }
 
 // describe fills a DescribeMsg reply for a header whose trace op code is
-// op and whose minipage is info (zero for synchronization and allocation
-// traffic, which concerns no minipage).
+// op and whose minipage is info (zero for lrc-mw's diff requests and
+// replies, which name theirs by id).
 func (b *base[H, T]) describe(op uint16, info core.Info) (uint16, int, uint64, int) {
 	if info.Size == 0 {
 		return op, -1, 0, -1

@@ -1,0 +1,44 @@
+//go:build invariants
+
+package lrc
+
+import (
+	"testing"
+
+	"millipage/internal/check"
+	"millipage/internal/faultnet"
+	"millipage/internal/sim"
+)
+
+// TestMWSyncRecordsBalance: every piggyback record lrc-mw hung on a
+// barrier arrival, lock request or unlock is back on its freelist once
+// the threads have finished — an unlock's recycled by the coordinator's
+// log, the others by the acquire that consumed the answer — on a clean
+// wire and a drop-heavy one. (The pools count what they make only under
+// -tags invariants, hence the build tag.)
+func TestMWSyncRecordsBalance(t *testing.T) {
+	const hosts = 4
+	for name, plan := range map[string]*faultnet.Plan{"clean": nil, "drop-heavy": {Seed: 17, Drop: 0.25, Dup: 0.15}} {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewMW(Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 5, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
+			err = runMW(s, func(th *MWThread) {
+				d.Body(th)
+				th.Compute(sim.Second) // outlast every retransmission
+				th.Barrier()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if live := s.freeSync.Live(); live != 0 {
+				t.Fatalf("%d piggyback records are still owned after the run (recycled twice, if negative)", live)
+			}
+		})
+	}
+}
