@@ -67,8 +67,9 @@ func schedules() []schedule {
 	}
 }
 
-// runChaos drives body on a freshly built faulty cluster with the
-// watchdog armed, and fails the test on timeout instead of hanging.
+// runChaos drives body on a freshly built cluster — faulty, unless plan
+// is nil — with the watchdog armed, and fails the test on timeout instead
+// of hanging.
 func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.Plan,
 	body func(rt *cluster.Runtime, w cluster.AppThread)) *cluster.Runtime {
 	t.Helper()
@@ -77,7 +78,7 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 		t.Fatal(err)
 	}
 	rt := sys.Runtime()
-	if !rt.Faulty() {
+	if rt.Faulty() != (plan != nil) {
 		t.Fatal("fault plan did not arm")
 	}
 	done := 0

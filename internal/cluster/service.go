@@ -38,8 +38,9 @@ func (t SvcType) String() string { return svcNames[t] }
 
 // SvcMsg is the service header, pooled per cluster. A request turns
 // around in place as its answer, so the header a thread sends is the one
-// that wakes it. Service traffic concerns no sharing unit: traces show
-// it with mp=-1, no address and no home.
+// that wakes it, and the thread recycles it once it has read the answer.
+// Service traffic concerns no sharing unit: traces show it with mp=-1, no
+// address and no home.
 type SvcMsg struct {
 	PoolState // recycled mark under -tags invariants; empty otherwise
 
@@ -68,8 +69,7 @@ type Allocation struct {
 // protocol's HostHandler. Both run in the synchronizing thread (ctx is
 // its wrapper): Release before a BARRIER_ARRIVE, LOCK_REQUEST or UNLOCK
 // leaves, Acquire once the BARRIER_RELEASE or LOCK_GRANT has woken it,
-// with the header that came back. The kernel recycles the header after
-// Acquire; without a Consistency the requester's handler does.
+// with the header that came back.
 type Consistency interface {
 	Release(ctx any, m *SvcMsg)
 	Acquire(ctx any, m *SvcMsg)
@@ -160,8 +160,7 @@ func (t *Thread) call(m *SvcMsg, what string) {
 }
 
 // release and acquire run the protocol's consistency hooks, if it has
-// any, around a synchronization; after acquire the answer's header is
-// spent.
+// any, around a synchronization; acquire ends the answer's header.
 func (t *Thread) release(m *SvcMsg) {
 	if c := t.h.cons; c != nil {
 		c.Release(t.self, m)
@@ -171,8 +170,8 @@ func (t *Thread) release(m *SvcMsg) {
 func (t *Thread) acquire(m *SvcMsg) {
 	if c := t.h.cons; c != nil {
 		c.Acquire(t.self, m)
-		t.h.rt.svc.free.Put(m)
 	}
+	t.h.rt.svc.free.Put(m)
 }
 
 // Barrier blocks until every application thread in the cluster arrives.
@@ -219,13 +218,9 @@ func (h *Host) serve(p *sim.Proc, m *SvcMsg) {
 	switch m.Type {
 	case SvcAllocReply:
 		h.handler.Mapped(p, m.Alloc)
-		m.FW.Ev.Set() // the woken thread reads the allocation and recycles m
-		return
+		fallthrough
 	case SvcBarrierRelease, SvcLockGrant:
-		m.FW.Ev.Set()
-		if h.cons == nil {
-			svc.free.Put(m)
-		}
+		m.FW.Ev.Set() // the woken thread reads the answer and recycles m
 		return
 	}
 	if h.id != Coordinator {

@@ -240,8 +240,9 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 // HandleMessage dispatches one delivered message in the host's DSM server
 // thread. Directory traffic is routed to this host's shard (the whole
 // directory under Central management, where only host 0 receives it).
-// Everything else is the thin non-manager protocol of Figure 3 — note that it does no
-// queuing, no table lookups and no translation of any kind.
+// Everything else is the thin non-manager protocol of Figure 3 — note
+// that it does no queuing, no table lookups and no translation of any
+// kind.
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
 	m.CheckLive("HandleMessage")

@@ -137,7 +137,7 @@ const base = uint64(0x4000_0000)
 func New(opt Options) (*System, error) {
 	s := &System{base: base, nextAlloc: base}
 	err := s.Init("ivy", opt, cluster.Traits{},
-		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
+		func(ct *cluster.Thread, _ *Host) *Thread { return &Thread{ct} })
 	if err != nil {
 		return nil, err
 	}
@@ -201,10 +201,7 @@ func (s *System) managerOf(p int) int { return p % s.Opt.Hosts }
 
 // Thread is one application thread's handle: the generic substrate
 // surface, which is all of Ivy's application API.
-type Thread struct {
-	*cluster.Thread
-	host *Host
-}
+type Thread struct{ *cluster.Thread }
 
 // Alloc bumps the cluster-wide allocation pointer, 8-byte aligned
 // (cluster.HostHandler; host 0 only). Pages remain owned by their

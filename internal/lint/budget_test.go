@@ -14,11 +14,14 @@ import (
 // a change that deletes lines lowers its package's ceiling to the new
 // count in the same commit, and one that needs a ceiling raised says so
 // in review.
-var kernelBudget = map[string]int{
-	"cluster": 0,
-	"dsm":     0,
-	"ivy":     0,
-	"lrc":     0,
+var kernelBudget = []struct {
+	pkg string
+	max int
+}{
+	{"cluster", 1634},
+	{"dsm", 2332},
+	{"ivy", 450},
+	{"lrc", 1515},
 }
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
@@ -26,7 +29,8 @@ var kernelBudget = map[string]int{
 // instead of a finding several PRs later.
 func TestKernelLineBudget(t *testing.T) {
 	total, ceiling := 0, 0
-	for pkg, max := range kernelBudget { //detlint:ok independent checks and sums
+	for _, b := range kernelBudget {
+		pkg, max := b.pkg, b.max
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("internal/%s: no sources (%v)", pkg, err)

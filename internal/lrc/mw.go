@@ -224,8 +224,8 @@ func (h *MWHost) recycleMW(m *mwmsg) {
 	h.sys.freeMW.Put(m)
 }
 
-// sync returns the piggyback record riding on m.
-func (h *MWHost) sync(m *cluster.SvcMsg) *mwSync {
+// ext returns the piggyback record riding on m.
+func (h *MWHost) ext(m *cluster.SvcMsg) *mwSync {
 	x := m.Ext.(*mwSync)
 	x.CheckLive("dispatch")
 	return x
@@ -796,7 +796,7 @@ func (h *MWHost) Release(ctx any, m *cluster.SvcMsg) {
 // stays mapped — and, past a barrier, converge the clock and
 // garbage-collect old intervals.
 func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
-	x := h.sync(m)
+	x := h.ext(m)
 	ctx.(*MWThread).acquire(x.Notices, x.MaxVC)
 	if m.Type == cluster.SvcBarrierRelease {
 		h.gcIntervals()
@@ -807,7 +807,7 @@ func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
 // Released logs the write notice a barrier arrival or an unlock carries
 // (cluster.NoticeLog; host 0 only). An unlock's record ends here.
 func (h *MWHost) Released(m *cluster.SvcMsg) {
-	x := h.sync(m)
+	x := h.ext(m)
 	if x.Notice != nil {
 		h.logNotice(x.Notice)
 		h.recycleNotice(x.Notice)
@@ -821,7 +821,7 @@ func (h *MWHost) Released(m *cluster.SvcMsg) {
 // Granting fills a lock grant with every logged notice newer than the
 // requester's vector clock (cluster.NoticeLog).
 func (h *MWHost) Granting(m *cluster.SvcMsg) {
-	x := h.sync(m)
+	x := h.ext(m)
 	x.Notices = h.sys.newerThan(x.Notices, x.VC)
 }
 
@@ -839,7 +839,7 @@ func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
 	maxvc := s.maxvc
 	clear(maxvc)
 	for _, a := range arrivals {
-		for i, v := range h.sync(a).VC {
+		for i, v := range h.ext(a).VC {
 			if v > maxvc[i] {
 				maxvc[i] = v
 			}
@@ -851,7 +851,7 @@ func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
 		}
 	}
 	for _, a := range arrivals {
-		x := h.sync(a)
+		x := h.ext(a)
 		x.MaxVC = maxvc
 		x.Notices = s.newerThan(x.Notices, x.VC)
 	}

@@ -10,13 +10,13 @@ import (
 	"millipage/internal/sim"
 )
 
-// TestMWSyncRecordsBalance: every piggyback record lrc-mw hung on a
+// TestChaosMWSyncRecordsBalance: every piggyback record lrc-mw hung on a
 // barrier arrival, lock request or unlock is back on its freelist once
 // the threads have finished — an unlock's recycled by the coordinator's
 // log, the others by the acquire that consumed the answer — on a clean
 // wire and a drop-heavy one. (The pools count what they make only under
 // -tags invariants, hence the build tag.)
-func TestMWSyncRecordsBalance(t *testing.T) {
+func TestChaosMWSyncRecordsBalance(t *testing.T) {
 	const hosts = 4
 	for name, plan := range map[string]*faultnet.Plan{"clean": nil, "drop-heavy": {Seed: 17, Drop: 0.25, Dup: 0.15}} {
 		t.Run(name, func(t *testing.T) {
