@@ -28,8 +28,8 @@ type cell struct {
 // commit before the four System types moved onto cluster.Lifecycle, when
 // each protocol still counted these through its own accessors; the rest
 // at the commit before Malloc, Barrier, Lock and Unlock moved into
-// internal/cluster — the program mallocs, locks and barriers from every
-// host. A protocol that reports anything else has changed behaviour, not
+// internal/cluster — the program mallocs on host 0 and locks and
+// barriers from every host. A protocol that reports anything else has changed behaviour, not
 // just shape.
 var pinned = map[string]cell{
 	"millipage/1":        {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 995664, 87, 48},
