@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"encoding/binary"
+
 	millipage "millipage"
 	"millipage/internal/sim"
 )
@@ -100,10 +102,11 @@ func RunIS(p Params) (Result, error) {
 			for phase := 0; phase < hosts; phase++ {
 				r := (h + phase) % hosts
 				w.Read(regionAddr[r], buf)
-				lo := r * perRegion
-				for b := 0; b < perRegion && lo+b < isValues; b++ {
-					v := leU32(buf[4*b:]) + local[lo+b]
-					putU32(buf[4*b:], v)
+				words := buf
+				for _, n := range isRegionOf(local, r, perRegion) {
+					e := (*[4]byte)(words)
+					binary.LittleEndian.PutUint32(e[:], binary.LittleEndian.Uint32(e[:])+n)
+					words = words[4:]
 				}
 				w.Write(regionAddr[r], buf)
 				w.Compute(sim.Duration(perRegion) * isKey)
@@ -115,9 +118,10 @@ func RunIS(p Params) (Result, error) {
 			// the next iteration.
 			w.Read(regionAddr[h], buf)
 			var sum uint64
-			lo := h * perRegion
-			for b := 0; b < perRegion && lo+b < isValues; b++ {
-				sum += uint64(leU32(buf[4*b:])) * uint64(lo+b)
+			words := buf
+			for b := range isRegionOf(local, h, perRegion) {
+				sum += uint64(binary.LittleEndian.Uint32((*[4]byte)(words)[:])) * uint64(h*perRegion+b)
+				words = words[4:]
 			}
 			w.Compute(sim.Duration(nKeys) * isKey / 2)
 			if it == isIters-1 {
@@ -154,10 +158,9 @@ func isKeyAt(i, seed uint64) uint64 {
 	return z % isValues
 }
 
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+// isRegionOf returns region r's part of the per-value array: perRegion
+// values, fewer or none where the region reaches past the value range.
+func isRegionOf(values []uint32, r, perRegion int) []uint32 {
+	lo := min(r*perRegion, isValues)
+	return values[lo:min(lo+perRegion, isValues)]
 }

@@ -24,7 +24,8 @@ import (
 const (
 	luNFull   = 1024
 	luBlock   = 32
-	luBlockSz = luBlock * luBlock * 4 // float32: the paper's 4 KB block
+	luElems   = luBlock * luBlock
+	luBlockSz = luElems * 4 // float32: the paper's 4 KB block
 )
 
 // RunLU executes blocked LU on p.Hosts hosts.
@@ -59,7 +60,8 @@ func RunLU(p Params) (Result, error) {
 		// Each thread initializes the blocks it owns (first touch where
 		// the block is used, as in SPLASH-2): a deterministic diagonally
 		// dominant matrix, stable without pivoting.
-		blk := make([]float32, luBlock*luBlock)
+		blk := make([]float32, luElems)
+		buf := new([luBlockSz]byte) // the block in flight between shared memory and a float32 block
 		for bi := 0; bi < nb; bi++ {
 			for bj := 0; bj < nb; bj++ {
 				if owner(bi, bj) != me {
@@ -75,24 +77,24 @@ func RunLU(p Params) (Result, error) {
 						blk[x*luBlock+y] = v
 					}
 				}
-				writeBlockF32(w, addr(bi, bj), blk)
+				writeBlockF32(w, addr(bi, bj), blk, buf)
 			}
 		}
 		w.Barrier()
 		w.ResetStats()
 		start := w.Now()
 
-		diag := make([]float32, luBlock*luBlock)
-		row := make([]float32, luBlock*luBlock)
-		col := make([]float32, luBlock*luBlock)
-		cur := make([]float32, luBlock*luBlock)
+		diag := make([]float32, luElems)
+		row := make([]float32, luElems)
+		col := make([]float32, luElems)
+		cur := make([]float32, luElems)
 
 		for k := 0; k < nb; k++ {
 			// Factor the diagonal block.
 			if owner(k, k) == me {
-				readBlockF32(w, addr(k, k), cur)
+				readBlockF32(w, addr(k, k), cur, buf)
 				factorBlock(cur)
-				writeBlockF32(w, addr(k, k), cur)
+				writeBlockF32(w, addr(k, k), cur, buf)
 				w.Compute(sim.Duration(luBlock*luBlock*luBlock/3) * luMADD)
 			}
 			w.Barrier()
@@ -102,22 +104,22 @@ func RunLU(p Params) (Result, error) {
 			for t := k + 1; t < nb; t++ {
 				if owner(k, t) == me {
 					if !perimDone {
-						readBlockF32(w, addr(k, k), diag)
+						readBlockF32(w, addr(k, k), diag, buf)
 						perimDone = true
 					}
-					readBlockF32(w, addr(k, t), cur)
+					readBlockF32(w, addr(k, t), cur, buf)
 					lowerSolve(diag, cur)
-					writeBlockF32(w, addr(k, t), cur)
+					writeBlockF32(w, addr(k, t), cur, buf)
 					w.Compute(sim.Duration(luBlock*luBlock*luBlock/2) * luMADD)
 				}
 				if owner(t, k) == me {
 					if !perimDone {
-						readBlockF32(w, addr(k, k), diag)
+						readBlockF32(w, addr(k, k), diag, buf)
 						perimDone = true
 					}
-					readBlockF32(w, addr(t, k), cur)
+					readBlockF32(w, addr(t, k), cur, buf)
 					upperSolve(diag, cur)
-					writeBlockF32(w, addr(t, k), cur)
+					writeBlockF32(w, addr(t, k), cur, buf)
 					w.Compute(sim.Duration(luBlock*luBlock*luBlock/2) * luMADD)
 				}
 			}
@@ -141,11 +143,11 @@ func RunLU(p Params) (Result, error) {
 					if owner(bi, bj) != me {
 						continue
 					}
-					readBlockF32(w, addr(bi, k), col)
-					readBlockF32(w, addr(k, bj), row)
-					readBlockF32(w, addr(bi, bj), cur)
+					readBlockF32(w, addr(bi, k), col, buf)
+					readBlockF32(w, addr(k, bj), row, buf)
+					readBlockF32(w, addr(bi, bj), cur, buf)
 					matmulSub(cur, col, row)
-					writeBlockF32(w, addr(bi, bj), cur)
+					writeBlockF32(w, addr(bi, bj), cur, buf)
 					w.Compute(sim.Duration(luBlock*luBlock*luBlock) * luMADD)
 				}
 			}
@@ -156,7 +158,7 @@ func RunLU(p Params) (Result, error) {
 			// Checksum the factored matrix (bitwise deterministic across
 			// host counts: every block sees the same update sequence).
 			for bi := 0; bi < nb; bi++ {
-				readBlockF32(w, addr(bi, bi), cur)
+				readBlockF32(w, addr(bi, bi), cur, buf)
 				for _, v := range cur {
 					check += float64(v)
 				}
@@ -231,18 +233,31 @@ func matmulSub(cur, col, row []float32) {
 	}
 }
 
-func readBlockF32(w *millipage.Worker, addr millipage.Addr, dst []float32) {
-	buf := make([]byte, len(dst)*4)
-	w.Read(addr, buf)
+// readBlockF32 reads the block at addr into dst through the thread's
+// scratch buf.
+func readBlockF32(w *millipage.Worker, addr millipage.Addr, dst []float32, buf *[luBlockSz]byte) {
+	w.Read(addr, buf[:])
+	decodeBlockF32((*[luElems]float32)(dst), buf)
+}
+
+// writeBlockF32 writes src to the block at addr through the thread's
+// scratch buf.
+func writeBlockF32(w *millipage.Worker, addr millipage.Addr, src []float32, buf *[luBlockSz]byte) {
+	encodeBlockF32(buf, (*[luElems]float32)(src))
+	w.Write(addr, buf[:])
+}
+
+// decodeBlockF32 and encodeBlockF32 are the block's codec: little-endian
+// float32 elements, between arrays of fixed size so the loops carry no
+// bounds check.
+func decodeBlockF32(dst *[luElems]float32, buf *[luBlockSz]byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
 	}
 }
 
-func writeBlockF32(w *millipage.Worker, addr millipage.Addr, src []float32) {
-	buf := make([]byte, len(src)*4)
+func encodeBlockF32(buf *[luBlockSz]byte, src *[luElems]float32) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 	}
-	w.Write(addr, buf)
 }

@@ -111,7 +111,7 @@ func RunSOR(p Params) (Result, error) {
 			for r := 0; r < rows; r += 97 {
 				w.Read(rowAddr[r], buf)
 				for c := 0; c < sorCols; c++ {
-					check += float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*c:])))
+					check += float64(sorElemAt((*[sorRowBytes]byte)(buf), c))
 				}
 			}
 		}
@@ -136,26 +136,29 @@ func band(rows, n, t int) (lo, hi int) {
 // sorUpdateRow computes one relaxation step for a row from its vertical
 // neighbors (the 64-column rows make horizontal terms intra-row).
 func sorUpdateRow(up, cur, down, out []byte) {
-	// The center row rides in a rolling three-element window (prev, curv,
-	// next), so every element of every row is decoded exactly once — the
-	// naive form re-decodes cur twice per column through the clamped
-	// left/right terms. The summation keeps the original operand order,
-	// so results are bit-identical.
-	g := func(b []byte, c int) float32 {
-		return math.Float32frombits(binary.LittleEndian.Uint32(b[4*c:]))
-	}
-	prev := g(cur, 0) // left term clamps to column 0 at the edge
+	// The rows are taken as the fixed-size arrays they are, so the column
+	// loop decodes and encodes with no bounds check. The center row rides
+	// in a rolling three-element window (prev, curv, next), so every
+	// element of every row is decoded exactly once — the naive form
+	// re-decodes cur twice per column through the clamped left/right
+	// terms. The summation keeps the original operand order, so results
+	// are bit-identical.
+	u, m, d, o := (*[sorRowBytes]byte)(up), (*[sorRowBytes]byte)(cur), (*[sorRowBytes]byte)(down), (*[sorRowBytes]byte)(out)
+	prev := sorElemAt(m, 0) // left term clamps to column 0 at the edge
 	curv := prev
 	for c := 0; c < sorCols; c++ {
-		var next float32
+		next := curv // right term clamps to the last column
 		if c+1 < sorCols {
-			next = g(cur, c+1)
-		} else {
-			next = curv // right term clamps to the last column
+			next = sorElemAt(m, c+1)
 		}
-		v := 0.25 * (g(up, c) + g(down, c) + prev + next)
-		binary.LittleEndian.PutUint32(out[4*c:], math.Float32bits(v))
+		v := 0.25 * (sorElemAt(u, c) + sorElemAt(d, c) + prev + next)
+		binary.LittleEndian.PutUint32(o[4*c:], math.Float32bits(v))
 		prev = curv
 		curv = next
 	}
+}
+
+// sorElemAt decodes column c of a row.
+func sorElemAt(row *[sorRowBytes]byte, c int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(row[4*c:]))
 }

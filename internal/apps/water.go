@@ -83,6 +83,10 @@ func RunWATER(p Params) (Result, error) {
 		own := hi - lo
 		half := mols / 2
 		const dt = 1e-3
+		// Phase 3's force contributions to every molecule it touched, combined
+		// in phase 4; cleared at the start of each iteration's phase 3.
+		acc := make([][3]float64, mols)
+		touched := make([]bool, mols)
 
 		for it := 0; it < waterIters; it++ {
 			// Phase 1: predict positions from velocities (write own).
@@ -111,8 +115,8 @@ func RunWATER(p Params) (Result, error) {
 				}
 				w.GangFetch(spans)
 			}
-			acc := make([][3]float64, mols)
-			touched := make([]bool, mols)
+			clear(acc)
+			clear(touched)
 			for m := lo; m < hi; m++ {
 				xi, yi, zi := readTriple(w, molAddr[m]+wPos)
 				var fx, fy, fz float64

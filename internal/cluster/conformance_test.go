@@ -225,6 +225,50 @@ func TestServiceMisuse(t *testing.T) {
 	}
 }
 
+// TestAccessFailureNamesThread: a shared-memory access that cannot complete
+// — here, to an address no view maps — fails the same way through all eight
+// access methods and under every protocol: a panic out of Run naming the
+// protocol, the thread, the kind of access and the address, then the cause.
+func TestAccessFailureNamesThread(t *testing.T) {
+	const va = 0x18 // below every view
+	ops := []struct {
+		name, kind string
+		op         func(w cluster.AppThread)
+	}{
+		{"Read", "read", func(w cluster.AppThread) { w.Read(va, make([]byte, 8)) }},
+		{"Write", "write", func(w cluster.AppThread) { w.Write(va, make([]byte, 8)) }},
+		{"ReadU32", "read", func(w cluster.AppThread) { w.ReadU32(va) }},
+		{"WriteU32", "write", func(w cluster.AppThread) { w.WriteU32(va, 1) }},
+		{"ReadU64", "read", func(w cluster.AppThread) { w.ReadU64(va) }},
+		{"WriteU64", "write", func(w cluster.AppThread) { w.WriteU64(va, 1) }},
+		{"ReadF64", "read", func(w cluster.AppThread) { w.ReadF64(va) }},
+		{"WriteF64", "write", func(w cluster.AppThread) { w.WriteF64(va, 1) }},
+	}
+	for _, pr := range protocols() {
+		for _, tc := range ops {
+			t.Run(pr.name+"/"+tc.name, func(t *testing.T) {
+				sys, err := pr.make(3, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprintf("%s: thread 1: %s %#x: vm: address not mapped: %#x", sys.Runtime().Name, tc.kind, va, va)
+				defer func() {
+					if got := fmt.Sprint(recover()); got != want {
+						t.Fatalf("Run panicked with %q, want %q", got, want)
+					}
+				}()
+				err = sys.Run(func(w cluster.AppThread) {
+					if w.ThreadID() == 1 {
+						tc.op(w)
+					}
+					w.Barrier()
+				})
+				t.Fatalf("Run returned %v", err)
+			})
+		}
+	}
+}
+
 // TestConcurrentMergeAgreement runs the multiple-writer agreement
 // program — every host writes its own word of ONE shared minipage each
 // round — under every protocol. The program is DRF, so every protocol

@@ -253,67 +253,67 @@ func (t *Thread) ResetStats() {
 	t.Stats = ThreadStats{Start: t.p.Now()}
 }
 
+// checkAccess panics out of Run when a shared-memory access failed — a bug
+// in the program or the protocol — naming the protocol, the thread, the kind
+// of access and the address. It inlines to a nil test: an access that does
+// not fault is a translation, a protection test and the copy, or for the
+// typed ones a load or store in the frame itself (vm/typed.go).
+func (t *Thread) checkAccess(kind vm.AccessKind, va uint64, err error) {
+	if err != nil {
+		t.accessFailed(kind, va, err)
+	}
+}
+
+//go:noinline
+func (t *Thread) accessFailed(kind vm.AccessKind, va uint64, err error) {
+	panic(fmt.Sprintf("%s: thread %d: %v %#x: %v", t.h.rt.Name, t.ID, kind, va, err))
+}
+
 // Read copies len(buf) bytes of shared memory at va into buf, faulting
 // and fetching sharing units as the protocol dictates.
 func (t *Thread) Read(va uint64, buf []byte) {
-	if err := t.h.AS.Access(t.self, va, buf, vm.Read); err != nil {
-		panic(fmt.Sprintf("%s: thread %d: read %#x: %v", t.h.rt.Name, t.ID, va, err))
-	}
+	t.checkAccess(vm.Read, va, t.h.AS.Access(t.self, va, buf, vm.Read))
 }
 
 // Write stores data into shared memory at va.
 func (t *Thread) Write(va uint64, data []byte) {
-	if err := t.h.AS.Access(t.self, va, data, vm.Write); err != nil {
-		panic(fmt.Sprintf("%s: thread %d: write %#x: %v", t.h.rt.Name, t.ID, va, err))
-	}
+	t.checkAccess(vm.Write, va, t.h.AS.Access(t.self, va, data, vm.Write))
 }
 
 // ReadU32 reads a shared little-endian uint32.
 func (t *Thread) ReadU32(va uint64) uint32 {
 	v, err := t.h.AS.ReadU32(t.self, va)
-	if err != nil {
-		panic(err)
-	}
+	t.checkAccess(vm.Read, va, err)
 	return v
 }
 
 // WriteU32 writes a shared little-endian uint32.
 func (t *Thread) WriteU32(va uint64, v uint32) {
-	if err := t.h.AS.WriteU32(t.self, va, v); err != nil {
-		panic(err)
-	}
+	t.checkAccess(vm.Write, va, t.h.AS.WriteU32(t.self, va, v))
 }
 
 // ReadU64 reads a shared little-endian uint64.
 func (t *Thread) ReadU64(va uint64) uint64 {
 	v, err := t.h.AS.ReadU64(t.self, va)
-	if err != nil {
-		panic(err)
-	}
+	t.checkAccess(vm.Read, va, err)
 	return v
 }
 
 // WriteU64 writes a shared little-endian uint64.
 func (t *Thread) WriteU64(va uint64, v uint64) {
-	if err := t.h.AS.WriteU64(t.self, va, v); err != nil {
-		panic(err)
-	}
+	t.checkAccess(vm.Write, va, t.h.AS.WriteU64(t.self, va, v))
 }
 
 // ReadF64 reads a shared float64.
 func (t *Thread) ReadF64(va uint64) float64 {
 	v, err := t.h.AS.ReadF64(t.self, va)
-	if err != nil {
-		panic(err)
-	}
+	t.checkAccess(vm.Read, va, err)
 	return v
 }
 
 // WriteF64 writes a shared float64.
 func (t *Thread) WriteF64(va uint64, v float64) {
-	if err := t.h.AS.WriteF64(t.self, va, v); err != nil {
-		panic(err)
-	}
+	t.checkAccess(vm.Write, va, t.h.AS.WriteF64(t.self, va, v))
 }
 
 // ThreadStats is the per-thread execution-time breakdown reported in

@@ -49,3 +49,41 @@ func BenchmarkProtect(b *testing.B) {
 		as.Protect(0x10000, 1, Prot(i%3))
 	}
 }
+
+// BenchmarkTypedReadU64 measures a typed load on a resident, readable
+// page — every Worker.ReadF64 of the applications.
+func BenchmarkTypedReadU64(b *testing.B) {
+	mo := NewMemObject(PageSize)
+	as := NewAddressSpace()
+	if err := as.MapView(0x10000, mo, 0, 1, ReadWrite); err != nil {
+		b.Fatal(err)
+	}
+	var sum uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := as.ReadU64(nil, 0x10000+uint64(i%512)*8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum += v
+	}
+	benchSink = sum
+}
+
+// BenchmarkTypedWriteU64 measures a typed store on a resident, writable
+// page.
+func BenchmarkTypedWriteU64(b *testing.B) {
+	mo := NewMemObject(PageSize)
+	as := NewAddressSpace()
+	if err := as.MapView(0x10000, mo, 0, 1, ReadWrite); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := as.WriteU64(nil, 0x10000+uint64(i%512)*8, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var benchSink uint64

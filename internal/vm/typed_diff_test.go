@@ -211,7 +211,7 @@ func sameErr(a, b error) bool {
 // the frame): a seeded random program of protection changes, unmaps and
 // remaps, handler changes, typed accesses of every width — at random
 // offsets and at the last bytes of a page, so words straddle page,
-// protection, view and mapping boundaries — and plain accesses of 1–600
+// protection, view and mapping boundaries — and plain accesses of 0–600
 // bytes runs on two identical address spaces, one through the package's
 // accessors and one through the reference above. After every step the two
 // must agree on the value, the error, the fault counters, the handler's
@@ -274,7 +274,7 @@ func TestTypedAccessMatchesByteAccess(t *testing.T) {
 					errB = refWrite(b.as, b, va, widthSize(w), v)
 				}
 			default:
-				va, n := addr(), 1+rng.Intn(600)
+				va, n := addr(), rng.Intn(601)
 				bufA := make([]byte, n)
 				rng.Read(bufA)
 				bufB := slices.Clone(bufA)

@@ -152,12 +152,15 @@ func (mo *MemObject) Resident() int { return mo.resident }
 // Frame returns the backing bytes of frame i, materialising it zeroed on
 // first touch. The returned slice aliases the object's storage: writes
 // through it are visible through every view.
-func (mo *MemObject) Frame(i int) []byte {
+func (mo *MemObject) Frame(i int) []byte { return mo.frame(i)[:] }
+
+// frame is Frame for callers that want the page as the array it is.
+func (mo *MemObject) frame(i int) *[PageSize]byte {
 	f := mo.frames[i]
 	if f == nil {
 		f = mo.touch(i)
 	}
-	return f[:]
+	return f
 }
 
 // touch is Frame's first-touch path, kept out of line so Frame inlines.
@@ -211,6 +214,9 @@ var (
 	ErrNoHandler  = errors.New("vm: fault with no handler installed")
 	ErrFaultStorm = errors.New("vm: access still faulting after repeated handler invocations")
 )
+
+// unmapped is the error of an operation on the unmapped address va.
+func unmapped(va uint64) error { return fmt.Errorf("%w: %#x", ErrUnmapped, va) }
 
 // maxFaultRetries bounds handler-retry loops so a handler that fails to
 // raise the protection surfaces as an error instead of livelock.
@@ -361,15 +367,26 @@ func (as *AddressSpace) Unmap(va uint64, nPages int) {
 // Protect sets the protection of nPages vpages starting at the page
 // containing va — the analogue of VirtualProtect. It affects only these
 // vpages; other views of the same frames are untouched, which is the
-// property MultiView is built on.
+// property MultiView is built on. Like MapView it validates the whole range
+// before it touches any of it: a range with an unmapped page is an error and
+// changes no page.
 func (as *AddressSpace) Protect(va uint64, nPages int, prot Prot) error {
 	vpn := va / PageSize
-	for i := 0; i < nPages; i++ {
-		e := as.slot(vpn + uint64(i))
+	if nPages == 1 { // the hot case: the pass that validates the page sets it
+		e := as.slot(vpn)
 		if e == nil {
-			return fmt.Errorf("%w: %#x", ErrUnmapped, (vpn+uint64(i))*PageSize)
+			return unmapped(vpn * PageSize)
 		}
 		e.prot = prot
+		return nil
+	}
+	for i := 0; i < nPages; i++ {
+		if as.slot(vpn+uint64(i)) == nil {
+			return unmapped((vpn + uint64(i)) * PageSize)
+		}
+	}
+	for i := 0; i < nPages; i++ {
+		as.pt[vpn+uint64(i)-as.base].prot = prot
 	}
 	return nil
 }
@@ -378,7 +395,7 @@ func (as *AddressSpace) Protect(va uint64, nPages int, prot Prot) error {
 func (as *AddressSpace) ProtOf(va uint64) (Prot, error) {
 	e := as.slot(va / PageSize)
 	if e == nil {
-		return NoAccess, fmt.Errorf("%w: %#x", ErrUnmapped, va)
+		return NoAccess, unmapped(va)
 	}
 	return e.prot, nil
 }
@@ -398,18 +415,37 @@ func (as *AddressSpace) Mapped(va uint64) bool {
 	return as.slot(va/PageSize) != nil
 }
 
-// resolve returns the frame bytes addressed by va..va+n (within one page)
-// after protection checking, faulting as needed. ctx is passed through to
-// the fault handler.
-func (as *AddressSpace) resolve(ctx any, va uint64, n int, kind AccessKind) ([]byte, error) {
+// resolve returns the frame behind the vpage containing va once the page's
+// protection allows an access of kind. It is the hit and nothing else — slot
+// in range, mapped, protection sufficient, frame resident: a translation, a
+// protection test and a load, what an access that does not fault costs on
+// the paper's MMU. Everything else is fault's.
+func (as *AddressSpace) resolve(ctx any, va uint64, kind AccessKind) (*[PageSize]byte, error) {
+	if i := va/PageSize - as.base; i < uint64(len(as.pt)) { // wraps past len(as.pt) when va is below the table
+		if e := as.pt[i]; e.obj != 0 && e.prot.allows(kind) {
+			if f := as.objs[e.obj].frames[e.frame]; f != nil {
+				return f, nil
+			}
+		}
+	}
+	return as.fault(ctx, va, kind)
+}
+
+// fault is resolve off the hit path, kept out of line so the hit stays a
+// leaf: an unmapped page is an error; an insufficient protection is counted
+// and handed to the fault handler in the accessing thread's context (ctx is
+// passed through), and the access retries when the handler returns; a frame
+// never touched materialises.
+//
+//go:noinline
+func (as *AddressSpace) fault(ctx any, va uint64, kind AccessKind) (*[PageSize]byte, error) {
 	for attempt := 0; ; attempt++ {
 		e := as.slot(va / PageSize)
 		if e == nil {
-			return nil, fmt.Errorf("%w: %#x", ErrUnmapped, va)
+			return nil, unmapped(va)
 		}
 		if e.prot.allows(kind) {
-			off := int(va % PageSize)
-			return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil
+			return as.objs[e.obj].frame(int(e.frame)), nil
 		}
 		if kind == Write {
 			as.WriteFaults++
@@ -432,21 +468,23 @@ func (as *AddressSpace) resolve(ctx any, va uint64, n int, kind AccessKind) ([]b
 // page-protection machinery, invoking the fault handler as needed. For
 // reads the bytes are copied into buf; for writes buf is copied into the
 // frames. Accesses may span pages (each page is checked independently,
-// as the hardware would).
+// as the hardware would); one that does not — every Read and Write the
+// applications issue — returns after its one copy.
 func (as *AddressSpace) Access(ctx any, va uint64, buf []byte, kind AccessKind) error {
 	for len(buf) > 0 {
-		n := PageSize - int(va%PageSize)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		mem, err := as.resolve(ctx, va, n, kind)
+		off := int(va % PageSize)
+		n := min(PageSize-off, len(buf))
+		f, err := as.resolve(ctx, va, kind)
 		if err != nil {
 			return err
 		}
 		if kind == Write {
-			copy(mem, buf[:n])
+			copy(f[off:], buf[:n])
 		} else {
-			copy(buf[:n], mem)
+			copy(buf[:n], f[off:])
+		}
+		if n == len(buf) {
+			return nil
 		}
 		va += uint64(n)
 		buf = buf[n:]
@@ -479,7 +517,7 @@ func (as *AddressSpace) Bypass(va uint64, n int) ([]byte, error) {
 	}
 	e := as.slot(va / PageSize)
 	if e == nil {
-		return nil, fmt.Errorf("%w: %#x", ErrUnmapped, va)
+		return nil, unmapped(va)
 	}
 	off := int(va % PageSize)
 	return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil

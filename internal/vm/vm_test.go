@@ -208,6 +208,44 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// A Protect that fails — its range runs into an unmapped vpage — must leave
+// every page as it was, as a failing MapView does: a chunked minipage is
+// re-protected whole or not at all.
+func TestProtectFailingChangesNothing(t *testing.T) {
+	mo := NewMemObject(3 * PageSize)
+	as := NewAddressSpace()
+	const base = 0x10000
+	prots := []Prot{ReadOnly, ReadWrite, NoAccess}
+	for i, p := range prots {
+		if err := as.MapView(base+uint64(i)*PageSize, mo, i, 1, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	as.Reserve(base, 8) // the table covers the unmapped pages past the view too
+	for _, c := range []struct {
+		va uint64
+		n  int
+	}{{base, 4}, {base + PageSize, 5}, {base + 2*PageSize + 7, 2}, {base - PageSize, 3}, {base + 3*PageSize, 1}} {
+		err := as.Protect(c.va, c.n, ReadWrite)
+		if !errors.Is(err, ErrUnmapped) {
+			t.Fatalf("Protect(%#x, %d): err = %v, want ErrUnmapped", c.va, c.n, err)
+		}
+		for i, want := range prots {
+			if got, _ := as.ProtOf(base + uint64(i)*PageSize); got != want {
+				t.Fatalf("after failing Protect(%#x, %d): page %d is %v, was %v", c.va, c.n, i, got, want)
+			}
+		}
+	}
+	if err := as.Protect(base, 3, ReadOnly); err != nil {
+		t.Fatal(err)
+	}
+	for i := range prots {
+		if got, _ := as.ProtOf(base + uint64(i)*PageSize); got != ReadOnly {
+			t.Fatalf("after Protect of the whole view: page %d is %v", i, got)
+		}
+	}
+}
+
 func TestBypassIgnoresProtection(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
@@ -456,5 +494,39 @@ func TestAccessResidentAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Access on resident pages allocates %v times per run, want 0", n)
+	}
+	// The typed accessors, in the frame and (the last word straddles two
+	// pages) through Access.
+	if n := testing.AllocsPerRun(1000, func() {
+		for _, va := range []uint64{0x10000 + (i*8)%PageSize, 0x10000 + PageSize - 3} {
+			v, err := as.ReadU64(nil, va)
+			if err == nil {
+				err = as.WriteU64(nil, va, v+1)
+			}
+			if err == nil {
+				_, err = as.ReadU32(nil, va)
+			}
+			if err == nil {
+				err = as.WriteU32(nil, va, uint32(i))
+			}
+			if err == nil {
+				err = as.WriteF64(nil, va, float64(i))
+			}
+			if err == nil {
+				_, err = as.ReadF64(nil, va)
+			}
+			if err == nil {
+				err = as.WriteU8(nil, va, byte(i))
+			}
+			if err == nil {
+				_, err = as.ReadU8(nil, va)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("typed accesses to resident pages allocate %v times per run, want 0", n)
 	}
 }
