@@ -61,7 +61,7 @@ func RunLU(p Params) (Result, error) {
 		// the block is used, as in SPLASH-2): a deterministic diagonally
 		// dominant matrix, stable without pivoting.
 		blk := make([]float32, luElems)
-		buf := new([luBlockSz]byte) // the block in flight between shared memory and a float32 block
+		buf := new([luBlockSz]byte) // scratch for a block's bytes on their way in or out
 		for bi := 0; bi < nb; bi++ {
 			for bj := 0; bj < nb; bj++ {
 				if owner(bi, bj) != me {
@@ -233,23 +233,20 @@ func matmulSub(cur, col, row []float32) {
 	}
 }
 
-// readBlockF32 reads the block at addr into dst through the thread's
-// scratch buf.
+// readBlockF32 and writeBlockF32 move a block between shared memory and its
+// float32 form through buf, the thread's scratch for the block's bytes.
 func readBlockF32(w *millipage.Worker, addr millipage.Addr, dst []float32, buf *[luBlockSz]byte) {
 	w.Read(addr, buf[:])
 	decodeBlockF32((*[luElems]float32)(dst), buf)
 }
 
-// writeBlockF32 writes src to the block at addr through the thread's
-// scratch buf.
 func writeBlockF32(w *millipage.Worker, addr millipage.Addr, src []float32, buf *[luBlockSz]byte) {
 	encodeBlockF32(buf, (*[luElems]float32)(src))
 	w.Write(addr, buf[:])
 }
 
-// decodeBlockF32 and encodeBlockF32 are the block's codec: little-endian
-// float32 elements, between arrays of fixed size so the loops carry no
-// bounds check.
+// decodeBlockF32 and encodeBlockF32 are the block's codec, little-endian
+// float32 elements between arrays of fixed size: no bounds check in the loops.
 func decodeBlockF32(dst *[luElems]float32, buf *[luBlockSz]byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))

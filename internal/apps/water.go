@@ -83,8 +83,7 @@ func RunWATER(p Params) (Result, error) {
 		own := hi - lo
 		half := mols / 2
 		const dt = 1e-3
-		// Phase 3's force contributions to every molecule it touched, combined
-		// in phase 4; cleared at the start of each iteration's phase 3.
+		// Phase 3's force contributions per molecule, combined in phase 4.
 		acc := make([][3]float64, mols)
 		touched := make([]bool, mols)
 

@@ -416,10 +416,9 @@ func (as *AddressSpace) Mapped(va uint64) bool {
 }
 
 // resolve returns the frame behind the vpage containing va once the page's
-// protection allows an access of kind. It is the hit and nothing else — slot
-// in range, mapped, protection sufficient, frame resident: a translation, a
-// protection test and a load, what an access that does not fault costs on
-// the paper's MMU. Everything else is fault's.
+// protection allows an access of kind. It is the hit and nothing else (in
+// range, mapped, protection sufficient, frame resident): a translation, a
+// protection test and a load, as on the paper's MMU. The rest is fault's.
 func (as *AddressSpace) resolve(ctx any, va uint64, kind AccessKind) (*[PageSize]byte, error) {
 	if i := va/PageSize - as.base; i < uint64(len(as.pt)) { // wraps past len(as.pt) when va is below the table
 		if e := as.pt[i]; e.obj != 0 && e.prot.allows(kind) {
@@ -431,11 +430,10 @@ func (as *AddressSpace) resolve(ctx any, va uint64, kind AccessKind) (*[PageSize
 	return as.fault(ctx, va, kind)
 }
 
-// fault is resolve off the hit path, kept out of line so the hit stays a
-// leaf: an unmapped page is an error; an insufficient protection is counted
-// and handed to the fault handler in the accessing thread's context (ctx is
-// passed through), and the access retries when the handler returns; a frame
-// never touched materialises.
+// fault is resolve off the hit path, out of line so the hit stays a leaf: an
+// unmapped page is an error, a frame never touched materialises, and an
+// insufficient protection is counted and handed to the fault handler in the
+// accessing thread's context (ctx), after which the access retries.
 //
 //go:noinline
 func (as *AddressSpace) fault(ctx any, va uint64, kind AccessKind) (*[PageSize]byte, error) {
