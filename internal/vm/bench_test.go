@@ -50,14 +50,21 @@ func BenchmarkProtect(b *testing.B) {
 	}
 }
 
+// benchPage maps one page at 0x10000 with protection prot.
+func benchPage(b *testing.B, prot Prot) *AddressSpace {
+	as := NewAddressSpace()
+	if err := as.MapView(0x10000, NewMemObject(PageSize), 0, 1, prot); err != nil {
+		b.Fatal(err)
+	}
+	return as
+}
+
+var benchSink uint64
+
 // BenchmarkTypedReadU64 measures a typed load on a resident, readable
 // page — every Worker.ReadF64 of the applications.
 func BenchmarkTypedReadU64(b *testing.B) {
-	mo := NewMemObject(PageSize)
-	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 1, ReadWrite); err != nil {
-		b.Fatal(err)
-	}
+	as := benchPage(b, ReadWrite)
 	var sum uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,11 +80,7 @@ func BenchmarkTypedReadU64(b *testing.B) {
 // BenchmarkTypedWriteU64 measures a typed store on a resident, writable
 // page.
 func BenchmarkTypedWriteU64(b *testing.B) {
-	mo := NewMemObject(PageSize)
-	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 1, ReadWrite); err != nil {
-		b.Fatal(err)
-	}
+	as := benchPage(b, ReadWrite)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := as.WriteU64(nil, 0x10000+uint64(i%512)*8, uint64(i)); err != nil {
@@ -86,4 +89,17 @@ func BenchmarkTypedWriteU64(b *testing.B) {
 	}
 }
 
-var benchSink uint64
+// BenchmarkFaultUpcall measures an access that faults once: the missed
+// hit, the out-of-line fault loop, the handler's Protect and the retry.
+func BenchmarkFaultUpcall(b *testing.B) {
+	as := benchPage(b, NoAccess)
+	as.SetFaultHandler(func(_ any, f Fault) error { return as.Protect(f.Addr, 1, ReadWrite) })
+	var buf [8]byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := as.Access(nil, 0x10000, buf[:], Write); err != nil {
+			b.Fatal(err)
+		}
+		as.Protect(0x10000, 1, NoAccess)
+	}
+}

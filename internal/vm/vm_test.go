@@ -495,34 +495,18 @@ func TestAccessResidentAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Access on resident pages allocates %v times per run, want 0", n)
 	}
-	// The typed accessors, in the frame and (the last word straddles two
-	// pages) through Access.
+	// The typed accessors of every width, in the frame and (the last word
+	// straddles two pages) through Access.
 	if n := testing.AllocsPerRun(1000, func() {
 		for _, va := range []uint64{0x10000 + (i*8)%PageSize, 0x10000 + PageSize - 3} {
-			v, err := as.ReadU64(nil, va)
-			if err == nil {
-				err = as.WriteU64(nil, va, v+1)
-			}
-			if err == nil {
-				_, err = as.ReadU32(nil, va)
-			}
-			if err == nil {
-				err = as.WriteU32(nil, va, uint32(i))
-			}
-			if err == nil {
-				err = as.WriteF64(nil, va, float64(i))
-			}
-			if err == nil {
-				_, err = as.ReadF64(nil, va)
-			}
-			if err == nil {
-				err = as.WriteU8(nil, va, byte(i))
-			}
-			if err == nil {
-				_, err = as.ReadU8(nil, va)
-			}
-			if err != nil {
-				t.Fatal(err)
+			for w := 0; w < numWidths; w++ {
+				v, err := typedRead(as, nil, va, w)
+				if err == nil {
+					err = typedWrite(as, nil, va, w, v+1)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		i++
