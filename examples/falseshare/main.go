@@ -7,7 +7,10 @@
 // ownership transfer apiece the hosts never communicate again. (See
 // internal/examples.FalseShare for the body.)
 //
-// Usage: falseshare [millipage|ivy|lrc]
+// Usage: falseshare [millipage|ivy|lrc|lrc-mw]
+//
+// The layout is millipage's option; under the other protocols the program
+// prints their one run (ivy ping-pongs, the lrc pair's twins do not).
 package main
 
 import (

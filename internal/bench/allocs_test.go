@@ -149,8 +149,6 @@ func TestE2ECountersPinned(t *testing.T) {
 // a receive, block or call was a switch into the process.
 var switchesBeforeHops = map[string]uint64{
 	"E2ESOR8":         52_379,
-	"E2ESOR16":        63_684,
-	"E2ESOR32":        79_841,
 	"E2EFalseShareMW": 2_961,
 	"E2EWATER8MW":     36_115,
 	"E2ESOR64":        110_652,

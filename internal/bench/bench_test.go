@@ -192,7 +192,7 @@ func TestDiffCostsOutput(t *testing.T) {
 // with hosts and in-flight timers, so the widest and the lossiest pinned
 // shapes are the ones that would show traffic outgrowing it.
 func TestCalendarStaysSmall(t *testing.T) {
-	for _, name := range []string{"E2ESOR8", "E2ESOR16", "E2ESOR64", "E2ESOR256", "E2EServe8", "E2EServeLossy"} {
+	for _, name := range []string{"E2ESOR8", "E2ESOR64", "E2ESOR256", "E2EServe8", "E2EServeLossy"} {
 		c, err := e2eRuns[name]()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -24,16 +24,17 @@ import (
 func TestGoldenManagerLoad(t *testing.T) {
 	cfg := ManagerLoadConfig{Hosts: 4, Vars: 16, Rounds: 3, Seed: 21}
 	want := []struct {
-		m        dsm.Management
+		m        string
+		homeOf   func(id, hosts int) int
 		elapsed  int64
 		pershard string
 	}{
-		{dsm.Central, 16165735, "[200 0 0 0]"},
-		{dsm.HomeBased, 13953191, "[44 52 52 52]"},
+		{"central", nil, 16165735, "[200 0 0 0]"},
+		{"home-based", cluster.HomeMod, 13953191, "[44 52 52 52]"},
 	}
 	const wantChecksum = uint64(0xc91651f70709a3a9)
 	for _, w := range want {
-		r, err := ManagerLoad(cfg, w.m)
+		r, err := ManagerLoad(cfg, w.homeOf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestGoldenWATER(t *testing.T) {
 func tracedRun(t *testing.T, rec *trace.Recorder) (elapsed int64, dump string) {
 	t.Helper()
 	s, err := dsm.New(dsm.Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, Seed: 9,
-		Management: dsm.HomeBased, Trace: rec})
+		HomeOf: cluster.HomeMod, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

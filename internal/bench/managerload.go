@@ -10,13 +10,12 @@ import (
 	"millipage/internal/sim"
 )
 
-// ManagerLoadResult is one management configuration's run of the
-// write-heavy directory workload.
+// ManagerLoadResult is one directory placement's run of the write-heavy
+// directory workload.
 type ManagerLoadResult struct {
-	Management dsm.Management
-	Elapsed    sim.Duration
-	PerShard   []uint64 // directory requests (read + write) served per host
-	Checksum   uint64   // FNV-64a over the final variable values
+	Elapsed  sim.Duration
+	PerShard []uint64 // directory requests (read + write) served per host
+	Checksum uint64   // FNV-64a over the final variable values
 }
 
 // MaxMeanRatio is the load-balance figure of merit: the busiest shard's
@@ -52,13 +51,14 @@ func DefaultManagerLoad() ManagerLoadConfig {
 	return ManagerLoadConfig{Hosts: 8, Vars: 64, Rounds: 6, Seed: 21}
 }
 
-// ManagerLoad runs the workload under one management mode and reports
-// how the directory requests spread across hosts. The program is DRF and
+// ManagerLoad runs the workload under one directory placement (homeOf is
+// dsm.Options.HomeOf: nil homes every minipage at host 0) and reports how
+// the directory requests spread across hosts. The program is DRF and
 // phase-deterministic: in round r variable v is written by host
 // (v+r) mod hosts, then every host reads the full table — so the final
-// contents (and the checksum) are independent of the management mode.
-func ManagerLoad(cfg ManagerLoadConfig, m dsm.Management) (ManagerLoadResult, error) {
-	res := ManagerLoadResult{Management: m}
+// contents (and the checksum) are independent of the placement.
+func ManagerLoad(cfg ManagerLoadConfig, homeOf func(id, hosts int) int) (ManagerLoadResult, error) {
+	var res ManagerLoadResult
 	if cfg.Hosts < 1 {
 		return res, fmt.Errorf("bench: manager load needs at least one host, got %d", cfg.Hosts)
 	}
@@ -67,7 +67,7 @@ func ManagerLoad(cfg ManagerLoadConfig, m dsm.Management) (ManagerLoadResult, er
 		SharedSize: 1 << 20,
 		Views:      16,
 		Seed:       cfg.Seed,
-		Management: m,
+		HomeOf:     homeOf,
 	})
 	if err != nil {
 		return res, err
@@ -119,9 +119,12 @@ func ManagerLoad(cfg ManagerLoadConfig, m dsm.Management) (ManagerLoadResult, er
 // management and renders the comparison: identical application results,
 // different directory load placement.
 func ManagerLoadCompare(w io.Writer, cfg ManagerLoadConfig) error {
-	modes := []dsm.Management{dsm.Central, dsm.HomeBased}
+	modes := []struct {
+		name   string
+		homeOf func(id, hosts int) int
+	}{{"central", nil}, {"home-based", cluster.HomeMod}}
 	rows, err := sweep(len(modes), func(i int) (ManagerLoadResult, error) {
-		return ManagerLoad(cfg, modes[i])
+		return ManagerLoad(cfg, modes[i].homeOf)
 	})
 	if err != nil {
 		return err
@@ -131,9 +134,9 @@ func ManagerLoadCompare(w io.Writer, cfg ManagerLoadConfig) error {
 		cfg.Hosts, cfg.Vars, cfg.Rounds)
 	fmt.Fprintf(w, "%-12s %12s %10s %-28s %18s\n",
 		"management", "elapsed", "max/mean", "requests per shard", "checksum")
-	for _, r := range []ManagerLoadResult{central, homed} {
+	for i, r := range rows {
 		fmt.Fprintf(w, "%-12v %12v %10.2f %-28s %#18x\n",
-			r.Management, r.Elapsed, r.MaxMeanRatio(), fmt.Sprint(r.PerShard), r.Checksum)
+			modes[i].name, r.Elapsed, r.MaxMeanRatio(), fmt.Sprint(r.PerShard), r.Checksum)
 	}
 	if central.Checksum != homed.Checksum {
 		return fmt.Errorf("bench: management modes diverged: checksums %#x vs %#x",

@@ -5,17 +5,17 @@ import (
 	"strings"
 	"testing"
 
-	"millipage/internal/dsm"
+	"millipage/internal/cluster"
 )
 
 func TestManagerLoadSpreadsAcrossHomes(t *testing.T) {
 	cfg := DefaultManagerLoad()
 
-	central, err := ManagerLoad(cfg, dsm.Central)
+	central, err := ManagerLoad(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	homed, err := ManagerLoad(cfg, dsm.HomeBased)
+	homed, err := ManagerLoad(cfg, cluster.HomeMod)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,6 @@ var perfSuite = []struct {
 	{"MsgHop", PerfBaseline{2387, 18, 0}, benchMsgHop},
 	{"MsgHopReliable", PerfBaseline{2517.5, 0, 44}, benchMsgHopReliable},
 	{"E2ESOR8", PerfBaseline{114463687, 455085, 24604741}, benchE2E("E2ESOR8")},
-	{"E2ESOR16", PerfBaseline{70414522, 28140, 46085881}, benchE2E("E2ESOR16")},
-	{"E2ESOR32", PerfBaseline{86816046, 33629, 88812270}, benchE2E("E2ESOR32")},
 	{"E2EFalseShareMW", PerfBaseline{5552905, 968, 12191948}, benchE2E("E2EFalseShareMW")},
 	{"E2EWATER8MW", PerfBaseline{34954527, 11433, 28237266}, benchE2E("E2EWATER8MW")},
 	{"E2ESOR64", PerfBaseline{102808427, 3651, 72700476}, benchE2E("E2ESOR64")},
@@ -83,14 +81,6 @@ var e2eRuns = map[string]func() (sim.Counters, error){
 	// The 8-host SOR run (reduced scale), the acceptance workload for
 	// the hot-path work.
 	"E2ESOR8": sorRun(apps.Params{Hosts: 8, Scale: 0.1}),
-
-	// The same workload at wider host counts, where per-host protocol
-	// state and barrier fan-in dominate. Their baselines were measured at
-	// the pooled-envelope pin (these rows did not exist in the
-	// pre-optimization simulator), so speedup reads as the gain from the
-	// alloc-free protocol rework alone.
-	"E2ESOR16": sorRun(apps.Params{Hosts: 16, Scale: 0.1}),
-	"E2ESOR32": sorRun(apps.Params{Hosts: 32, Scale: 0.1}),
 
 	// The cluster-scaling workloads. Their baselines were frozen when the
 	// rows were introduced, so speedup reads as drift since then. 256

@@ -38,27 +38,6 @@ import (
 	"millipage/internal/vm"
 )
 
-// Management selects how a Millipage cluster places directory duties.
-type Management int
-
-const (
-	// Central is the paper's Section 3.3 configuration: host 0 handles
-	// every fault, invalidation reply, ack and push for every minipage.
-	Central Management = iota
-	// HomeBased shards the directory: each minipage has a statically
-	// assigned home host (Options.HomeOf, default id % Hosts) that runs
-	// its transactions. Host 0 remains the allocation authority, and
-	// barriers/locks stay centralized there.
-	HomeBased
-)
-
-func (m Management) String() string {
-	if m == HomeBased {
-		return "home-based"
-	}
-	return "central"
-}
-
 // Options configures one simulated cluster. Every protocol takes the
 // same struct — the registry builds any of them from one value — and
 // New is the one place it is defaulted and validated.
@@ -70,19 +49,18 @@ type Options struct {
 	ChunkLevel     int // the paper's chunking switch; 0/1 means off
 	Seed           int64
 
-	// Grain, Management, HomeOf and Replication are Millipage's directory
-	// policy. The other protocols fix their own sharing grain and
-	// placement (ivy: pages, manager p mod N; lrc: home = allocator) and
-	// ignore the first three; Replication they reject.
+	// Grain, HomeOf and Replication are Millipage's directory policy. The
+	// other protocols fix their own sharing grain and placement (ivy:
+	// pages, manager p mod N; lrc: home = allocator) and reject all three
+	// (Traits.Directory).
 	Grain core.Grain
 
-	// Management places directory duties: Central (the default, host 0
-	// does everything) or HomeBased (per-minipage home hosts).
-	Management Management
-
-	// HomeOf maps a minipage id to its home host under HomeBased
-	// management. Nil selects the static default, id % hosts. It must be
-	// a pure function: every host computes homes independently.
+	// HomeOf maps a minipage id to the host that runs its directory
+	// transactions. Nil is the paper's Section 3.3 configuration: every
+	// minipage is homed at the Coordinator and requests leave their host
+	// untranslated. It must be a pure function into [0, hosts): every host
+	// computes homes independently. The Coordinator remains the allocation
+	// authority, and barriers and locks stay there, either way.
 	HomeOf func(id, hosts int) int
 
 	// Replication replicates each directory shard as a primary/backup
@@ -90,8 +68,9 @@ type Options struct {
 	// are mirrored to the backup before their effects escape, and on the
 	// primary's death the synced backup promotes and re-serves, so a
 	// crashed manager no longer stalls the minipages it homes until
-	// restart. Requires HomeBased management.
-	// See docs/PROTOCOL.md, "Replicated management".
+	// restart. Requires HomeOf: a directory homed entirely at the
+	// Coordinator, which the crash model never kills, has no shard to
+	// fail over. See docs/PROTOCOL.md, "Replicated management".
 	Replication bool
 
 	Net   fastmsg.Params
@@ -110,12 +89,16 @@ type Options struct {
 	Trace *trace.Recorder
 }
 
+// HomeMod is the HomeOf that the root package's HomeBasedManagement
+// selects: minipage id is homed at host id % hosts.
+func HomeMod(id, hosts int) int { return id % hosts }
+
 // Traits are the Options a protocol can honour beyond the common core.
 // New rejects a request for one the protocol lacks — an unsupported
 // cell fails fast, it never silently degrades.
 type Traits struct {
 	MultiThreaded bool // ThreadsPerHost > 1
-	Replication   bool // Options.Replication
+	Directory     bool // Millipage's directory policy: Grain, HomeOf, Replication
 }
 
 // withDefaults fills zero fields with the calibrated defaults. Hosts and
@@ -132,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.HomeOf == nil {
-		o.HomeOf = func(id, hosts int) int { return id % hosts }
 	}
 	if o.Net == (fastmsg.Params{}) {
 		o.Net = fastmsg.DefaultParams()
@@ -161,10 +141,14 @@ func (o Options) validate(name string, tr Traits) error {
 		return fmt.Errorf("%s: ThreadsPerHost = %d, but this protocol runs one thread per host", name, o.ThreadsPerHost)
 	case o.ChunkLevel < 1:
 		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
-	case o.Replication && !tr.Replication:
+	case o.Replication && !tr.Directory:
 		return fmt.Errorf("%s: Replication is not supported by this protocol", name)
-	case o.Replication && o.Management != HomeBased:
-		return fmt.Errorf("%s: Replication requires HomeBased Management", name)
+	case o.Grain != core.GrainMinipage && !tr.Directory:
+		return fmt.Errorf("%s: Grain is set (PageGranularity), but this protocol fixes its own sharing grain", name)
+	case o.HomeOf != nil && !tr.Directory:
+		return fmt.Errorf("%s: HomeOf is set (HomeBasedManagement), but this protocol places its own directory", name)
+	case o.Replication && o.HomeOf == nil:
+		return fmt.Errorf("%s: Replication requires HomeOf (HomeBasedManagement): a directory homed entirely at host %d has no shard to fail over", name, Coordinator)
 	}
 	return nil
 }

@@ -45,7 +45,7 @@ func protocols() []protoRun {
 func (pr protoRun) make(hosts int, seed int64, plan *faultnet.Plan) (cluster.System, error) {
 	opt := registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan}
 	if pr.repl {
-		opt.Management, opt.Replication = cluster.HomeBased, true
+		opt.HomeOf, opt.Replication = cluster.HomeMod, true
 	}
 	return pr.spec.New(opt)
 }
@@ -222,6 +222,35 @@ func TestServiceMisuse(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHomeOfOutsideTheClusterIsMisuse: a HomeOf that names a host outside
+// [0, Hosts) fails at the allocation that first asks it — on the
+// coordinator, off the fault path — as the kernel's misuse panic, wherever
+// the Malloc came from; not as an index out of range under a later send.
+func TestHomeOfOutsideTheClusterIsMisuse(t *testing.T) {
+	for _, host := range []int{0, 1} {
+		t.Run(fmt.Sprintf("malloc-on-host%d", host), func(t *testing.T) {
+			sys, err := registry.New("millipage", registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 8,
+				HomeOf: func(id, hosts int) int { return hosts + 3 }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const want = "dsm: host 0: HomeOf(0, 2) = 5 is not a host"
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Fatalf("Run panicked with %q, want %q", got, want)
+				}
+			}()
+			err = sys.Run(func(w cluster.AppThread) {
+				if w.Host() == host {
+					w.Malloc(64)
+				}
+				w.Barrier()
+			})
+			t.Fatalf("Run returned %v", err)
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -12,10 +14,12 @@ import (
 // itself. See docs/PROTOCOL.md ("The Protocol interface") for the full
 // contract, including determinism rules and trace obligations.
 type HostHandler interface {
-	// HandleFault services an application-thread access fault. ctx is the
-	// value installed with Thread.SetSelf (the protocol's thread wrapper).
-	// It runs in the faulting thread's simulated context and may Sleep,
-	// Send and block.
+	// HandleFault services an application thread's access fault inside
+	// the kernel's frame (Host.onFault), which has charged AccessFault and
+	// books the elapsed time when it returns nil. ctx is the value
+	// installed with Thread.SetSelf (the protocol's thread wrapper). It
+	// runs in the faulting thread's simulated context and may Sleep, Send
+	// and block.
 	HandleFault(ctx any, f vm.Fault) error
 
 	// HandleMessage dispatches one delivered protocol message in the
@@ -157,15 +161,40 @@ func (h *Host) Runtime() *Runtime { return h.rt }
 // Costs returns the cluster's host-local cost table.
 func (h *Host) Costs() Costs { return h.rt.Opt.Costs }
 
-// onFault is the installed vm fault handler: record the fault, then
-// delegate to the protocol. It runs in the faulting application thread's
+// onFault is the installed vm fault handler and the frame every fault is
+// serviced in: it records the fault, charges the trap, has the protocol
+// service it and books the time to the thread — as a read or a write
+// fault, or as a wait on a prefetch in flight when the protocol said so
+// (Thread.WaitedOnPrefetch). It runs in the faulting application thread's
 // context — the analogue of the SEH handler the wrapper routine installs
 // around each application thread (Section 3.5.1 of the paper).
 func (h *Host) onFault(ctx any, f vm.Fault) error {
 	if tr := h.rt.Trace; tr.Enabled() {
 		tr.RecordFault(h.rt.Eng.Now(), h.id, f.Kind == vm.Write, f.Addr)
 	}
-	return h.handler.HandleFault(ctx, f)
+	t, ok := ctx.(*Thread)
+	if !ok {
+		return fmt.Errorf("%s: host %d: fault at %#x outside an application thread", h.rt.Name, h.id, f.Addr)
+	}
+	start := t.p.Now()
+	t.p.Sleep(h.rt.Opt.Costs.AccessFault)
+	if err := h.handler.HandleFault(t.self, f); err != nil {
+		return err
+	}
+	elapsed := t.p.Now().Sub(start)
+	st := &t.Stats
+	time, n, hist := &st.ReadFaultTime, &st.ReadFaults, &st.ReadFaultHist
+	switch {
+	case f.Kind == vm.Write:
+		time, n, hist = &st.WriteFaultTime, &st.WriteFaults, &st.WriteFaultHist
+	case t.prefetchWait:
+		time = &st.PrefetchTime
+	}
+	t.prefetchWait = false
+	*time += elapsed
+	*n++
+	hist.Add(elapsed)
+	return nil
 }
 
 // onMessage records the dispatch, then serves a service message itself

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
@@ -90,7 +91,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	opt := rt.Opt
 	if rt.Name != "test" || opt.ThreadsPerHost != 1 || opt.Views != 1 || opt.ChunkLevel != 1 ||
-		opt.Seed != 1 || opt.HomeOf == nil {
+		opt.Seed != 1 || opt.HomeOf != nil {
 		t.Fatalf("defaults = %+v", opt)
 	}
 	if opt.Costs == (Costs{}) || opt.Net == (fastmsg.Params{}) {
@@ -108,7 +109,7 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		mut(&o)
 		return o
 	}
-	all := Traits{MultiThreaded: true, Replication: true}
+	all := Traits{MultiThreaded: true, Directory: true}
 	cases := []struct {
 		name   string
 		opt    Options
@@ -123,8 +124,10 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		{"threads on a single-threaded protocol", ok(func(o *Options) { o.ThreadsPerHost = 2 }), Traits{}, []string{"ThreadsPerHost"}},
 		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), all, []string{"ChunkLevel"}},
 		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), all, []string{"Drop"}},
-		{"replication unsupported", ok(func(o *Options) { o.Management, o.Replication = HomeBased, true }), Traits{}, []string{"Replication"}},
-		{"replication under central management", ok(func(o *Options) { o.Replication = true }), all, []string{"Replication", "Management"}},
+		{"replication unsupported", ok(func(o *Options) { o.HomeOf, o.Replication = HomeMod, true }), Traits{}, []string{"Replication"}},
+		{"grain unsupported", ok(func(o *Options) { o.Grain = core.GrainPage }), Traits{MultiThreaded: true}, []string{"Grain"}},
+		{"placement unsupported", ok(func(o *Options) { o.HomeOf = HomeMod }), Traits{MultiThreaded: true}, []string{"HomeOf"}},
+		{"replication of a single home", ok(func(o *Options) { o.Replication = true }), all, []string{"Replication", "HomeOf"}},
 	}
 	for _, tc := range cases {
 		rt, err := New("test", tc.opt, tc.tr)
@@ -138,7 +141,9 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 			}
 		}
 	}
-	if _, err := New("test", ok(func(o *Options) { o.ThreadsPerHost, o.Management, o.Replication = 2, HomeBased, true }), all); err != nil {
+	if _, err := New("test", ok(func(o *Options) {
+		o.ThreadsPerHost, o.Grain, o.HomeOf, o.Replication = 2, core.GrainPage, HomeMod, true
+	}), all); err != nil {
 		t.Errorf("supported traits rejected: %v", err)
 	}
 }

@@ -100,9 +100,10 @@ func (rt *Runtime) Totals() Totals {
 	return Totals{BarrierEpisodes: rt.svc.barrier.Episodes, LockAcquisitions: rt.svc.locks.Acquisitions}
 }
 
-// misuse reports an application's misuse of a service: it surfaces from
-// Run naming the protocol, the requesting host and what it asked for.
-func (rt *Runtime) misuse(from int, format string, args ...any) {
+// Misuse reports an application's misuse of a service, or of an Options
+// function a protocol found out about at run time (HomeOf): it surfaces
+// from Run naming the protocol, the host concerned and what was asked.
+func (rt *Runtime) Misuse(from int, format string, args ...any) {
 	panic(fmt.Sprintf("%s: host %d: %s", rt.Name, from, fmt.Sprintf(format, args...)))
 }
 
@@ -121,7 +122,7 @@ func (h *Host) sendSvc(p *sim.Proc, to int, m *SvcMsg) {
 func (h *Host) alloc(p *sim.Proc, from, size int, local bool) Allocation {
 	a, err := h.handler.Alloc(p, from, size, local)
 	if err != nil {
-		h.rt.misuse(from, "Malloc(%d): %v", size, err)
+		h.rt.Misuse(from, "Malloc(%d): %v", size, err)
 	}
 	return a
 }
@@ -134,7 +135,7 @@ func (t *Thread) Malloc(size int) uint64 {
 	h := t.h
 	start := t.p.Now()
 	if size <= 0 {
-		h.rt.misuse(h.id, "Malloc(%d): size must be positive", size)
+		h.rt.Misuse(h.id, "Malloc(%d): size must be positive", size)
 	}
 	var a Allocation
 	if h.id == Coordinator {
@@ -259,7 +260,7 @@ func (h *Host) serve(p *sim.Proc, m *SvcMsg) {
 		}
 		next, err := svc.locks.Release(m.LockID, m.From)
 		if err != nil {
-			h.rt.misuse(m.From, "%v", err)
+			h.rt.Misuse(m.From, "%v", err)
 		}
 		svc.free.Put(m)
 		if next != nil {

@@ -62,7 +62,9 @@ func newStubSystem(t *testing.T, opt Options) *stubSystem {
 
 // TestLifecycle covers the base every protocol's System embeds: the
 // accessors, wrapper creation (the body and HandleFault both receive the
-// wrapper made for that thread) and the single run-twice guard.
+// wrapper made for that thread), the fault frame (the kernel charges the
+// trap and books the fault, whatever the protocol does inside) and the
+// single run-twice guard.
 func TestLifecycle(t *testing.T) {
 	s := newStubSystem(t, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: vm.PageSize})
 	if s.NumHosts() != 2 || s.Runtime().NumHosts() != 2 || s.Eng != s.Runtime().Eng || s.Net != s.Runtime().Net {
@@ -88,9 +90,12 @@ func TestLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ths := s.Threads()
-	if len(ths) != 4 || len(bodies) != 4 || s.Elapsed() != sim.Millisecond {
+	ths, trap := s.Threads(), s.Opt.Costs.AccessFault
+	if len(ths) != 4 || len(bodies) != 4 || s.Elapsed() != sim.Millisecond+trap {
 		t.Fatalf("threads = %d, bodies = %d, elapsed = %v", len(ths), len(bodies), s.Elapsed())
+	}
+	if st := ths[3].Stats; st.WriteFaults != 1 || st.WriteFaultTime != trap || st.ReadFaults != 0 || st.WriteFaultHist.Count() != 1 {
+		t.Fatalf("thread 3's fault booked as %d write faults over %v, %d read faults", st.WriteFaults, st.WriteFaultTime, st.ReadFaults)
 	}
 	for i, th := range ths {
 		if th.Thread != s.Runtime().Threads()[i] || th.host != s.Host(th.Host()) {

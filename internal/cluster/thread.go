@@ -43,7 +43,7 @@ func NewWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
 // (dsm's Prefetch, Push, GangFetch).
 type Thread struct {
 	h    *Host
-	self any // the protocol's thread wrapper; fault-handler context
+	self any // the protocol's thread wrapper; its handlers' context
 	p    *sim.Proc
 
 	// fw is the thread's reusable rendezvous for synchronous blocking
@@ -70,6 +70,8 @@ type Thread struct {
 	request *fastmsg.Message
 	ent     *retryEntry
 
+	prefetchWait bool // the fault in service waited on a prefetch (WaitedOnPrefetch)
+
 	Stats ThreadStats
 }
 
@@ -77,6 +79,10 @@ type Thread struct {
 // context for this thread's memory accesses. Lifecycle.Run calls it
 // before the body starts.
 func (t *Thread) SetSelf(self any) { t.self = self }
+
+// WaitedOnPrefetch, called from HandleFault, has the fault frame book the
+// read fault in service as prefetch wait instead of read-fault time.
+func (t *Thread) WaitedOnPrefetch() { t.prefetchWait = true }
 
 // Proc returns the thread's simulated process (valid once running).
 func (t *Thread) Proc() *sim.Proc { return t.p }
@@ -272,48 +278,48 @@ func (t *Thread) accessFailed(kind vm.AccessKind, va uint64, err error) {
 // Read copies len(buf) bytes of shared memory at va into buf, faulting
 // and fetching sharing units as the protocol dictates.
 func (t *Thread) Read(va uint64, buf []byte) {
-	t.checkAccess(vm.Read, va, t.h.AS.Access(t.self, va, buf, vm.Read))
+	t.checkAccess(vm.Read, va, t.h.AS.Access(t, va, buf, vm.Read))
 }
 
 // Write stores data into shared memory at va.
 func (t *Thread) Write(va uint64, data []byte) {
-	t.checkAccess(vm.Write, va, t.h.AS.Access(t.self, va, data, vm.Write))
+	t.checkAccess(vm.Write, va, t.h.AS.Access(t, va, data, vm.Write))
 }
 
 // ReadU32 reads a shared little-endian uint32.
 func (t *Thread) ReadU32(va uint64) uint32 {
-	v, err := t.h.AS.ReadU32(t.self, va)
+	v, err := t.h.AS.ReadU32(t, va)
 	t.checkAccess(vm.Read, va, err)
 	return v
 }
 
 // WriteU32 writes a shared little-endian uint32.
 func (t *Thread) WriteU32(va uint64, v uint32) {
-	t.checkAccess(vm.Write, va, t.h.AS.WriteU32(t.self, va, v))
+	t.checkAccess(vm.Write, va, t.h.AS.WriteU32(t, va, v))
 }
 
 // ReadU64 reads a shared little-endian uint64.
 func (t *Thread) ReadU64(va uint64) uint64 {
-	v, err := t.h.AS.ReadU64(t.self, va)
+	v, err := t.h.AS.ReadU64(t, va)
 	t.checkAccess(vm.Read, va, err)
 	return v
 }
 
 // WriteU64 writes a shared little-endian uint64.
 func (t *Thread) WriteU64(va uint64, v uint64) {
-	t.checkAccess(vm.Write, va, t.h.AS.WriteU64(t.self, va, v))
+	t.checkAccess(vm.Write, va, t.h.AS.WriteU64(t, va, v))
 }
 
 // ReadF64 reads a shared float64.
 func (t *Thread) ReadF64(va uint64) float64 {
-	v, err := t.h.AS.ReadF64(t.self, va)
+	v, err := t.h.AS.ReadF64(t, va)
 	t.checkAccess(vm.Read, va, err)
 	return v
 }
 
 // WriteF64 writes a shared float64.
 func (t *Thread) WriteF64(va uint64, v float64) {
-	t.checkAccess(vm.Write, va, t.h.AS.WriteF64(t.self, va, v))
+	t.checkAccess(vm.Write, va, t.h.AS.WriteF64(t, va, v))
 }
 
 // ThreadStats is the per-thread execution-time breakdown reported in

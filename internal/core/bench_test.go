@@ -48,30 +48,3 @@ func BenchmarkMPTLookup(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkStaticLookup measures the static layout's arithmetic
-// resolution (no table search).
-func BenchmarkStaticLookup(b *testing.B) {
-	l, err := NewLayout(64<<20, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mpt, err := NewStaticMPT(l, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var vas []uint64
-	for i := 0; i < 50_000; i++ {
-		_, va, err := mpt.Alloc(mpt.SlotSize())
-		if err != nil {
-			b.Fatal(err)
-		}
-		vas = append(vas, va)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := mpt.Lookup(vas[i%len(vas)]); !ok {
-			b.Fatal("lookup failed")
-		}
-	}
-}

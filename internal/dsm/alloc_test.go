@@ -3,6 +3,7 @@ package dsm
 import (
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 )
@@ -119,7 +120,7 @@ func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
 		}
 		th.Barrier()
 	}
-	repl := Options{Management: HomeBased, Replication: true}
+	repl := Options{HomeOf: cluster.HomeMod, Replication: true}
 	clean := allocsPerOp(t, repl, round)
 	repl.Faults = armedPlan()
 	if armed := allocsPerOp(t, repl, round); armed != clean {

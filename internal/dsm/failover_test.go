@@ -3,6 +3,7 @@ package dsm
 import (
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/viewsvc"
@@ -13,7 +14,7 @@ const failoverWatchdog = 10 * sim.Second
 
 func newReplSys(t *testing.T, opt Options) *System {
 	t.Helper()
-	opt.Management = HomeBased
+	opt.HomeOf = cluster.HomeMod
 	opt.Replication = true
 	s, err := New(opt)
 	if err != nil {
@@ -24,7 +25,7 @@ func newReplSys(t *testing.T, opt Options) *System {
 
 func TestReplicationOptionValidation(t *testing.T) {
 	if _, err := New(Options{Hosts: 2, SharedSize: 1 << 12, Replication: true}); err == nil {
-		t.Fatal("Replication under Central management was accepted")
+		t.Fatal("Replication of a single-home directory was accepted")
 	}
 }
 

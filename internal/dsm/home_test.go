@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -13,7 +14,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 	// The TwoHostReadFetch scenario under home-based management: same
 	// application results, but the directory entry lives at the minipage's
 	// home shard, not (necessarily) host 0.
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Management: HomeBased})
+	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeMod})
 	var vas [2]uint64
 	var got [2]uint32
 	err := run(s, func(th *Thread) {
@@ -57,8 +58,7 @@ func TestHomeOfOverride(t *testing.T) {
 	// A custom HomeOf places every minipage at the last host.
 	s := newSys(t, Options{
 		Hosts: 3, SharedSize: 1 << 16, Views: 4,
-		Management: HomeBased,
-		HomeOf:     func(id, hosts int) int { return hosts - 1 },
+		HomeOf: func(id, hosts int) int { return hosts - 1 },
 	})
 	var va uint64
 	err := run(s, func(th *Thread) {
@@ -83,6 +83,43 @@ func TestHomeOfOverride(t *testing.T) {
 	}
 }
 
+// TestMisdeliveredRequestNamesHome: a directory request delivered to a
+// host that is not the minipage's home panics out of Run naming the host,
+// the minipage and its home — whether the request left untranslated (no
+// HomeOf: the wrong host does the lookup itself) or translated. It is the
+// one misrouting check; there is no per-placement one.
+func TestMisdeliveredRequestNamesHome(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		homeOf func(id, hosts int) int
+		home   int // of minipage 1 on three hosts
+	}{{"single-home", nil, 0}, {"home-mod", cluster.HomeMod, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, HomeOf: tc.homeOf})
+			want := fmt.Sprintf("dsm: host 2 got request for minipage 1 homed at host %d", tc.home)
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Fatalf("Run panicked with %q, want %q", got, want)
+				}
+			}()
+			var va uint64
+			err := run(s, func(th *Thread) {
+				if th.Host() == 0 {
+					th.Malloc(64)
+					va = th.Malloc(64) // minipage 1
+				}
+				th.Barrier()
+				if th.Host() == 1 {
+					_, info := th.host.route(th.Proc(), va)
+					th.host.sendNew(th.Proc(), 2, pmsg{Type: mReadReq, From: 1, Addr: va, Info: info})
+				}
+				th.Barrier()
+			})
+			t.Fatalf("Run returned %v", err)
+		})
+	}
+}
+
 // TestCentralHomeBasedEquivalence runs the same barrier-phased,
 // histogram-style workload under both management modes. The program is
 // DRF and phase-deterministic, so application results — final variable
@@ -100,8 +137,8 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		invs    uint64
 		shardRq [hosts]uint64
 	}
-	run := func(m Management) outcome {
-		s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, Management: m})
+	run := func(homeOf func(id, hosts int) int) outcome {
+		s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, HomeOf: homeOf})
 		var vas [nVars]uint64
 		var out outcome
 		err := run(s, func(th *Thread) {
@@ -144,7 +181,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		return out
 	}
 
-	central, homed := run(Central), run(HomeBased)
+	central, homed := run(nil), run(cluster.HomeMod)
 
 	// Application results are identical.
 	want := func(v int) uint32 { return uint32(v) + rounds*(rounds+1)/2 }
@@ -217,7 +254,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	}
 	val := func(v, r int) uint32 { return uint32(v*999983 + r*10007 + 7) }
 
-	s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, Management: HomeBased})
+	s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: cluster.HomeMod})
 	vas := make([]uint64, nVars)
 	var finalErr error
 	err := run(s, func(th *Thread) {
@@ -298,7 +335,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 
 func TestHomeBasedDeterministic(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
-		s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, Management: HomeBased})
+		s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: cluster.HomeMod})
 		var va uint64
 		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
@@ -328,7 +365,7 @@ func TestHomeBasedDeterministic(t *testing.T) {
 
 func TestHomeBasedPushAndChunking(t *testing.T) {
 	// Push and chunked allocation both work against remote homes.
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, Management: HomeBased})
+	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: cluster.HomeMod})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 1 {

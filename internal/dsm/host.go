@@ -135,13 +135,13 @@ func (h *Host) homeOfMsg(m *pmsg) int {
 }
 
 // route returns the host that runs the directory transaction for the
-// minipage backing va. Under Central management that is host 0 and the
+// minipage backing va. With no HomeOf that is the manager host and the
 // request leaves untranslated (the manager performs the MPT lookup);
-// under HomeBased management the requester resolves va against its MPT
-// replica — charging the same MPTLookup the manager would have — and
-// returns the translation so the home can skip its own lookup.
+// with one the requester resolves va against its MPT replica — charging
+// the same MPTLookup the manager would have — and returns the
+// translation so the home can skip its own lookup.
 func (h *Host) route(p *sim.Proc, va uint64) (int, core.Info) {
-	if h.sys.Opt.Management == Central {
+	if h.sys.Opt.HomeOf == nil {
 		return managerHost, core.Info{}
 	}
 	p.Sleep(h.Costs().MPTLookup)
@@ -163,21 +163,16 @@ func (h *Host) readMinipage(info core.Info) []byte {
 }
 
 // HandleFault services one application access fault. It runs in the
-// faulting thread's context; the cluster runtime has already recorded the
-// fault event.
+// faulting thread's context, inside the kernel's fault frame, which has
+// recorded the fault and charged the trap and books the time afterwards.
 //
 // Per Figure 3 ("On Read or Write Fault"): build a request carrying only
 // the faulting address, send it to the manager, and wait on the thread's
 // event. On wakeup, send the transaction-closing ack.
 func (h *Host) HandleFault(ctx any, f vm.Fault) error {
-	t, ok := ctx.(*Thread)
-	if !ok {
-		return fmt.Errorf("dsm: fault at %#x outside an application thread", f.Addr)
-	}
+	t := ctx.(*Thread)
 	c := h.Costs()
 	p := t.Proc()
-	start := p.Now()
-	p.Sleep(c.AccessFault)
 
 	fw := t.WaitSlot()
 	typ := mReadReq
@@ -208,20 +203,8 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	h.sendNew(p, h.primaryFor(fw.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
 		Write: f.Kind == vm.Write, TID: t.ID, Txn: fw.Txn})
 
-	elapsed := p.Now().Sub(start)
-	switch {
-	case f.Kind == vm.Write:
-		t.Stats.WriteFaultTime += elapsed
-		t.Stats.WriteFaults++
-		t.Stats.WriteFaultHist.Add(elapsed)
-	case t.inPrefetchSpan(f.Addr):
-		t.Stats.PrefetchTime += elapsed
-		t.Stats.ReadFaults++
-		t.Stats.ReadFaultHist.Add(elapsed)
-	default:
-		t.Stats.ReadFaultTime += elapsed
-		t.Stats.ReadFaults++
-		t.Stats.ReadFaultHist.Add(elapsed)
+	if f.Kind == vm.Read && t.inPrefetchSpan(f.Addr) {
+		t.WaitedOnPrefetch()
 	}
 	return nil
 }
@@ -238,11 +221,10 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 }
 
 // HandleMessage dispatches one delivered message in the host's DSM server
-// thread. Directory traffic is routed to this host's shard (the whole
-// directory under Central management, where only host 0 receives it).
-// Everything else is the thin non-manager protocol of Figure 3 — note
-// that it does no queuing, no table lookups and no translation of any
-// kind.
+// thread. Directory traffic goes to this host's shard, which checks that
+// the minipage is homed here (resolve, entry). Everything else is the
+// thin non-manager protocol of Figure 3 — note that it does no queuing,
+// no table lookups and no translation of any kind.
 func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	m := fm.Payload.(*pmsg)
 	m.CheckLive("HandleMessage")
@@ -253,9 +235,6 @@ func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		if rp := h.sys.replAt(h.ID()); rp != nil {
 			rp.dispatchDir(p, m)
 			return
-		}
-		if h.sys.Opt.Management == Central && h.ID() != managerHost {
-			panic(fmt.Sprintf("dsm: host %d received manager message %v", h.ID(), m.Type))
 		}
 		h.sys.mgrs[h.ID()].dispatch(p, m)
 

@@ -51,8 +51,8 @@ type ManagerStats struct {
 // minipage homed at that host. Its handlers run in the host's server
 // thread; the job is essentially "to mark and forward requests to hosts".
 // Host 0's instance is additionally the allocation authority (the MPT
-// grows only there). Under Central management host 0 is home to every
-// minipage and the other shards stay empty.
+// grows only there). With no HomeOf host 0 is home to every minipage and
+// the other shards stay empty.
 type manager struct {
 	sys *System
 	me  int // the host this shard runs on
@@ -104,8 +104,8 @@ func newManager(s *System, me int) *manager {
 func (mg *manager) MPT() *core.MPT { return mg.sys.mpt }
 
 // Directory returns the shard's directory entries, indexed by minipage
-// id. Entries homed at other hosts are nil (under Central management,
-// host 0's shard has every entry).
+// id. Entries homed at other hosts are nil (with no HomeOf, host 0's
+// shard has every entry).
 func (mg *manager) Directory() []*dirEntry { return mg.dir }
 
 // Copyset returns the copyset and owner of minipage id.
@@ -135,6 +135,17 @@ func (mg *manager) setEntry(id int, e *dirEntry) {
 		mg.dir = append(mg.dir, nil)
 	}
 	mg.dir[id] = e
+}
+
+// serves reports whether this host runs minipage id's directory: as its
+// home or, under replication, as the current primary of its home's shard.
+func (mg *manager) serves(id int) bool {
+	home := mg.sys.homeOf(id)
+	if rp := mg.sys.replAt(mg.me); rp != nil {
+		_, ok := rp.serving[home]
+		return ok
+	}
+	return home == mg.me
 }
 
 // newEntry carves a directory entry out of the shard's slab arena.
@@ -188,34 +199,38 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
 			return
 		}
 		if m.Type == mReadReq {
-			mg.handleRead(p, m)
+			mg.admit(p, m, effRead, &mg.Stats.ReadReqs)
 		} else {
-			mg.handleWrite(p, m)
+			mg.admit(p, m, effWrite, &mg.Stats.WriteReqs)
 		}
+	case mPushReq:
+		mg.admit(p, m, effPush, &mg.Stats.Pushes)
 	case mAck:
 		mg.handleAck(p, m)
 	case mInvalidateReply:
 		mg.handleInvReply(p, m)
-	case mPushReq:
-		mg.handlePush(p, m)
 	case mPushAck:
 		mg.handlePushAck(p, m)
 	case mDirInit:
-		mg.handleDirInit(p, m)
+		id, from := m.Info.ID, m.From
+		mg.host().recyclePM(m) // the DIR_INIT ends here
+		mg.seed(p, id, from)
 	default:
 		panic(fmt.Sprintf("dsm: manager got %v", m.Type))
 	}
 }
 
 // resolve performs the directory side of Figure 3's Translate step and
-// locates the shard entry. Under Central management the manager always
-// does the MPT lookup itself (the request carries only the fault
-// address); under HomeBased management the requester has already
-// resolved the address against its MPT replica and filled m.Info, so
-// the home only fetches its entry. ok is false when the request had to
-// be parked until the allocation authority's DIR_INIT arrives.
+// locates the shard entry. A request that left its host untranslated (no
+// HomeOf: it carries only the fault address) gets its MPT lookup here;
+// with a HomeOf the requester has already resolved the address against
+// its MPT replica and filled m.Info, so the home only fetches its entry.
+// A single home pays the lookup again for a request re-dispatched from a
+// directory queue (DESIGN.md §3, "the requeue lookup"). ok is false when
+// the request had to be parked until the allocation authority's DIR_INIT
+// arrives.
 func (mg *manager) resolve(p *sim.Proc, m *pmsg) (e *dirEntry, ok bool) {
-	if mg.sys.Opt.Management == Central || m.Info.Size == 0 {
+	if mg.sys.Opt.HomeOf == nil || m.Info.Size == 0 {
 		p.Sleep(mg.costs().MPTLookup)
 		mp, found := mg.sys.mpt.Lookup(m.Addr)
 		if !found {
@@ -224,40 +239,44 @@ func (mg *manager) resolve(p *sim.Proc, m *pmsg) (e *dirEntry, ok bool) {
 		m.Info = mp.Info(mg.sys.Layout)
 	}
 	id := m.Info.ID
-	if home := mg.sys.homeOf(id); home != mg.me && mg.sys.replAt(mg.me) == nil {
-		// Under replication a promoted backup legitimately serves shards
-		// homed elsewhere; dispatchDir already gated on serving state.
-		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", mg.me, id, home))
+	if !mg.serves(id) {
+		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", mg.me, id, mg.sys.homeOf(id)))
 	}
 	if e := mg.entryOrNil(id); e != nil {
 		return e, true
-	}
-	if mg.sys.Opt.Management == Central {
-		panic(fmt.Sprintf("dsm: no directory entry for minipage %d", id))
 	}
 	mg.waitInit[id] = append(mg.waitInit[id], m)
 	return nil, false
 }
 
-// handleDirInit seeds the shard entry for a freshly allocated minipage
-// (copyset and ownership start at the allocating host) and replays any
-// requests that raced ahead of the init.
-func (mg *manager) handleDirInit(p *sim.Proc, m *pmsg) {
-	id := m.Info.ID
-	if home := mg.sys.homeOf(id); home != mg.me {
-		panic(fmt.Sprintf("dsm: host %d got DIR_INIT for minipage %d homed at host %d", mg.me, id, home))
+// seed is the first commit point: the directory entry of a freshly
+// allocated minipage, whose copyset and ownership start at the allocating
+// host, placed where the allocation authority's DIR_INIT (or allocLocal
+// itself) says it is served — then the requests that raced ahead of it
+// replay. Under replication the authority seeds a shard's primary and its
+// backup, in any view: a host that does not serve the minipage shadows
+// it, and a re-seed is a no-op.
+func (mg *manager) seed(p *sim.Proc, id, from int) {
+	rp := mg.sys.replAt(mg.me)
+	if !mg.serves(id) {
+		if rp == nil {
+			panic(fmt.Sprintf("dsm: host %d got DIR_INIT for minipage %d homed at host %d", mg.me, id, mg.sys.homeOf(id)))
+		}
+		rp.shadowSeed(id, from)
+		return
 	}
 	if mg.entryOrNil(id) != nil {
-		panic(fmt.Sprintf("dsm: duplicate DIR_INIT for minipage %d", id))
-	}
-	mg.setEntry(id, mg.newEntry(hostset.One(m.From), m.From))
-	mg.host().recyclePM(m) // the DIR_INIT ends here
-	if q := mg.waitInit[id]; len(q) > 0 {
-		delete(mg.waitInit, id)
-		for _, held := range q {
-			held.Requeued = true
-			mg.dispatch(p, held)
+		if rp == nil {
+			panic(fmt.Sprintf("dsm: duplicate DIR_INIT for minipage %d", id))
 		}
+		return
+	}
+	mg.setEntry(id, mg.newEntry(hostset.One(from), from))
+	q := mg.waitInit[id]
+	delete(mg.waitInit, id)
+	for _, held := range q {
+		held.Requeued = true
+		mg.dispatch(p, held)
 	}
 }
 
@@ -284,11 +303,44 @@ func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) {
 	}
 }
 
-// handleRead is Figure 3's "Manager: Handle Read Request": translate,
-// pick a replica, add the requester to the copyset, and forward.
-func (mg *manager) handleRead(p *sim.Proc, m *pmsg) {
+// effect names what a commit point releases once the mutation behind it
+// is safe: the forward of an admitted read, write or push, or the close of
+// the open transaction.
+type effect uint8
+
+const (
+	effRead effect = iota
+	effWrite
+	effPush
+	effClose
+)
+
+// release performs a committed effect: at once on an unreplicated or solo
+// shard, on the backup's mirror ack otherwise (repl.go).
+func (mg *manager) release(p *sim.Proc, kind effect, e *dirEntry, m *pmsg) {
+	switch kind {
+	case effRead:
+		mg.readEffect(p, e, m)
+	case effWrite:
+		mg.writeEffect(p, e, m)
+	case effPush:
+		mg.pushEffect(p, e, m)
+	case effClose:
+		if re := e.repl; re != nil {
+			re.openTID, re.openTxn, re.openMsg = 0, 0, pmsg{}
+		}
+		mg.closeTxn(p, e)
+	}
+}
+
+// admit is the front of Figure 3's "Manager: Handle Read Request" and
+// "Handle Write Request", and of a push: count it (n is its counter),
+// translate, queue it behind an open transaction, else open one and commit
+// its intent. The effect — readEffect, writeEffect, pushEffect — is the
+// rest of the figure's handler.
+func (mg *manager) admit(p *sim.Proc, m *pmsg, kind effect, n *uint64) {
 	if !m.Requeued {
-		mg.Stats.ReadReqs++
+		*n++
 	}
 	e, ok := mg.resolve(p, m)
 	if !ok {
@@ -298,18 +350,16 @@ func (mg *manager) handleRead(p *sim.Proc, m *pmsg) {
 		mg.enqueue(e, m)
 		return
 	}
-	e.busy = true
-	if mg.sys.replAt(mg.me) != nil {
-		mg.commitIntent(p, e, m, func(p *sim.Proc) { mg.readEffect(p, e, m) })
-		return
+	if kind == effPush && mg.sys.NumHosts() == 1 {
+		mg.host().recyclePM(m)
+		return // nothing to replicate to
 	}
-	mg.readEffect(p, e, m)
+	mg.commitIntent(p, e, m, kind)
 }
 
-// readEffect is the directory effect of an admitted read: pick a source,
-// extend the copyset, and forward the request itself, translation filled
-// in. Under replication it runs only after the admission has been
-// mirrored to the backup.
+// readEffect is the directory effect of an admitted read — translate is
+// done; pick a replica, add the requester to the copyset, and forward the
+// request itself, translation filled in.
 func (mg *manager) readEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	src := mg.findReplica(e)
 	e.copyset = e.copyset.With(m.From)
@@ -329,31 +379,9 @@ func (mg *manager) findReplica(e *dirEntry) int {
 	return e.copyset.First()
 }
 
-// handleWrite is "Manager: Handle Write Request": invalidate every other
-// replica, then have the remaining one ship the minipage (or grant an
-// upgrade if the requester already holds the only bytes).
-func (mg *manager) handleWrite(p *sim.Proc, m *pmsg) {
-	if !m.Requeued {
-		mg.Stats.WriteReqs++
-	}
-	e, ok := mg.resolve(p, m)
-	if !ok {
-		return
-	}
-	if e.busy {
-		mg.enqueue(e, m)
-		return
-	}
-	e.busy = true
-	if mg.sys.replAt(mg.me) != nil {
-		mg.commitIntent(p, e, m, func(p *sim.Proc) { mg.writeEffect(p, e, m) })
-		return
-	}
-	mg.writeEffect(p, e, m)
-}
-
-// writeEffect is the directory effect of an admitted write; under
-// replication it runs only after the admission has been mirrored.
+// writeEffect is the directory effect of an admitted write: invalidate
+// every other replica, then have the remaining one ship the minipage (or
+// grant an upgrade if the requester already holds the only bytes).
 func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	others := e.copyset.Without(m.From)
 
@@ -482,17 +510,15 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
 		if !unstamped && (tid != e.repl.openTID || txn != e.repl.openTxn) {
 			return
 		}
-		mg.commitClose(p, e, id, tid, txn)
-		return
 	}
-	mg.closeTxn(p, mg.entry(id))
+	mg.commitClose(p, mg.entry(id), id, tid, txn)
 }
 
-// allocLocal carves minipage(s) for host `from` and creates directory
-// entries it owns — locally when this host is the minipage's home,
-// via a DIR_INIT message to the home otherwise. It runs only on host 0
+// allocLocal carves minipage(s) for host `from` and has directory entries
+// it owns seeded where they are served (seedTargets): locally when that
+// is this host, via a DIR_INIT message otherwise. It runs only on host 0
 // (the allocation authority: the MPT grows nowhere else), behind
-// Host.Alloc.
+// Host.Alloc, and is the first to ask HomeOf about each id.
 func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, error) {
 	mg.Stats.Allocs++
 	mpt := mg.sys.mpt
@@ -501,77 +527,39 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, 
 		return cluster.Allocation{}, err
 	}
 	firstNew := mg.dirInited
-	rp := mg.sys.replAt(mg.me)
 	for id := firstNew; id < mpt.NumMinipages(); id++ {
-		if rp != nil {
-			// Replicated management: seed both the shard's current primary
-			// and its backup (per the authoritative view service on this
-			// host), so neither a failover nor a lost seed can stall the
-			// minipage until restart.
-			mg.seedRepl(p, rp, id, from)
-			continue
+		home := mg.sys.homeOf(id)
+		if hosts := mg.sys.NumHosts(); home < 0 || home >= hosts {
+			mg.host().Runtime().Misuse(mg.me, "HomeOf(%d, %d) = %d is not a host", id, hosts, home)
 		}
-		if home := mg.sys.homeOf(id); home == mg.me {
-			mg.setEntry(id, mg.newEntry(hostset.One(from), from))
-		} else {
-			nmp, _ := mpt.ByID(id)
-			mg.host().sendNew(p, home, pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)})
+		nmp, _ := mpt.ByID(id)
+		for _, to := range mg.sys.seedTargets(home) {
+			if to == mg.me {
+				mg.seed(p, id, from)
+			} else if to >= 0 {
+				mg.host().sendNew(p, to, pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)})
+			}
 		}
 	}
 	mg.dirInited = mpt.NumMinipages()
 
 	// Does the requester own the minipage (and so get it writable with
 	// no fault)? Fresh minipages: always — nobody else can hold a copy
-	// yet. Chunk-extended minipages whose directory lives here: ask the
-	// live entry, exactly as the central manager does. Chunk-extended
-	// minipages homed remotely: conservatively no — the first write
-	// faults to the home instead, which keeps SW/MR without another
-	// round-trip from the allocation path.
-	owner := mp.ID >= firstNew
-	if !owner {
-		if rp != nil {
-			if _, ok := rp.serving[mg.sys.homeOf(mp.ID)]; ok {
-				owner = mg.entry(mp.ID).owner == from
-			}
-		} else if mg.sys.homeOf(mp.ID) == mg.me {
-			owner = mg.entry(mp.ID).owner == from
-		}
-	}
+	// yet. Chunk-extended minipages whose directory is served here: ask
+	// the live entry. Chunk-extended minipages served elsewhere:
+	// conservatively no — the first write faults to the home instead,
+	// which keeps SW/MR without another round-trip from the allocation
+	// path.
+	owner := mp.ID >= firstNew || mg.serves(mp.ID) && mg.entry(mp.ID).owner == from
 	return cluster.Allocation{VA: va, Info: mp.Info(mg.sys.Layout), Owner: owner}, nil
 }
 
-// handlePush opens a push transaction: order the owner to replicate the
-// minipage to all hosts.
-func (mg *manager) handlePush(p *sim.Proc, m *pmsg) {
-	if !m.Requeued {
-		mg.Stats.Pushes++
-	}
-	e, ok := mg.resolve(p, m)
-	if !ok {
-		return
-	}
-	if e.busy {
-		mg.enqueue(e, m)
-		return
-	}
-	if mg.sys.NumHosts() == 1 {
-		mg.host().recyclePM(m)
-		return // nothing to replicate to
-	}
-	e.busy = true
-	if mg.sys.replAt(mg.me) != nil {
-		mg.commitIntent(p, e, m, func(p *sim.Proc) { mg.pushEffect(p, e, m) })
-		return
-	}
-	mg.pushEffect(p, e, m)
-}
-
-// pushEffect is the directory effect of an admitted push; under
-// replication it runs only after the admission has been mirrored.
+// pushEffect is the directory effect of an admitted push: order the owner
+// to replicate the minipage to all hosts.
 func (mg *manager) pushEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	e.pushAwait = mg.sys.NumHosts() - 1
 	src := mg.findReplica(e)
-	if mg.sys.replAt(mg.me) != nil {
+	if e.repl != nil {
 		// Expect one ack from every host but the pusher; acks forwarded
 		// from a deposed primary must not double-count (see handlePushAck).
 		var mask hostset.Set
@@ -590,24 +578,20 @@ func (mg *manager) pushEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) {
 	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
 	mg.host().recyclePM(m) // the push ack ends here, counted or not
-	if rp := mg.sys.replAt(mg.me); rp != nil {
+	if mg.sys.replAt(mg.me) != nil {
+		// One ack per host per open push, matched to the open transaction
+		// (as handleInvReply).
 		e := mg.entryOrNil(id)
 		if e == nil || !e.busy || e.pushAwait == 0 ||
 			!e.repl.pushMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
 			return
 		}
 		e.repl.pushMask = e.repl.pushMask.Without(from)
-		e.copyset = e.copyset.With(from)
-		if e.pushAwait--; e.pushAwait > 0 {
-			return
-		}
-		mg.commitClose(p, e, id, e.repl.openTID, e.repl.openTxn)
-		return
 	}
 	e := mg.entry(id)
 	e.copyset = e.copyset.With(from)
 	if e.pushAwait--; e.pushAwait > 0 {
 		return
 	}
-	mg.closeTxn(p, e)
+	mg.commitClose(p, e, id, tid, txn)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"millipage/internal/check"
+	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 )
@@ -68,13 +69,16 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 			{A: 0b0011, B: 0b1100, From: sim.Time(2 * sim.Millisecond), Until: sim.Time(12 * sim.Millisecond)}}}},
 		{"crash-restart", faultnet.Plan{Drop: 0.02, Crashes: crashes}},
 	}
-	for _, mgmt := range []Management{Central, HomeBased} {
+	for _, mgmt := range []struct {
+		name   string
+		homeOf func(id, hosts int) int
+	}{{"central", nil}, {"home-based", cluster.HomeMod}} {
 		for _, pl := range plans {
-			t.Run(mgmt.String()+"/"+pl.name, func(t *testing.T) {
+			t.Run(mgmt.name+"/"+pl.name, func(t *testing.T) {
 				plan := pl.plan
 				plan.Seed = 17
 				s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 5,
-					Management: mgmt, Faults: &plan})
+					HomeOf: mgmt.homeOf, Faults: &plan})
 				s.Eng.At(sim.Time(20*sim.Second), s.Eng.Stop) // watchdog
 				d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
 				done := 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"millipage/internal/cluster"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
@@ -111,7 +112,7 @@ func TestDirEntryFootprint(t *testing.T) {
 	}
 	for _, repl := range []bool{false, true} {
 		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4,
-			Management: HomeBased, Replication: repl})
+			HomeOf: cluster.HomeMod, Replication: repl})
 		e := s.ManagerAt(0).newEntry(hostset.One(0), 0)
 		if (e.repl != nil) != repl {
 			t.Fatalf("Replication=%v: entry carries replication state = %v", repl, e.repl != nil)

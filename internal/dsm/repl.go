@@ -99,14 +99,18 @@ type shardServe struct {
 	mirrorTo int    // current backup, -1 for solo (effects release immediately)
 	seq      uint64 // next mirror sequence
 
-	// pending holds mirror continuations in FIFO order; pending[0]
-	// matches the next ack.
+	// pending holds the effects gated on mirror acks in FIFO order;
+	// pending[0] matches the next ack.
 	pending []pendingMirror
 }
 
+// pendingMirror is one effect awaiting its mirror's ack: what
+// manager.release runs then (m is nil for effClose).
 type pendingMirror struct {
-	seq uint64
-	run func(p *sim.Proc)
+	seq  uint64
+	kind effect
+	e    *dirEntry
+	m    *pmsg
 }
 
 // shardShadow is the backup-side mirror of a shard: enough to promote.
@@ -362,7 +366,7 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 		case mSyncAck:
 			rp.svc.AckSync(rec.Shard, from, rec.View)
 		case mDirInit:
-			rp.handleSeed(p, info.ID, from)
+			rp.mg.seed(p, info.ID, from)
 		}
 		return
 	}
@@ -384,71 +388,43 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 	}
 }
 
-// handleSeed installs a directory seed. The allocation authority sends a
-// seed to both the shard's primary (who serves it) and its backup (who
-// shadows it); either may be this host, in any view.
-func (rp *replMgr) handleSeed(p *sim.Proc, id, from int) {
-	shard := rp.mg.sys.homeOf(id)
-	if _, ok := rp.serving[shard]; ok {
-		if rp.mg.entryOrNil(id) == nil {
-			rp.mg.setEntry(id, rp.mg.newEntry(hostset.One(from), from))
-			if q := rp.mg.waitInit[id]; len(q) > 0 {
-				delete(rp.mg.waitInit, id)
-				for _, held := range q {
-					held.Requeued = true
-					rp.mg.dispatch(p, held)
-				}
-			}
-		}
-		return
+// shadowSeed is manager.seed at a host that does not serve minipage id:
+// the shard's backup shadows the entry. Neither serving nor shadowing, the
+// seed is a stale one for a shard that moved on — the authority re-seeds
+// the live pair — and is dropped.
+func (rp *replMgr) shadowSeed(id, from int) {
+	if sh, ok := rp.shadows[rp.mg.sys.homeOf(id)]; ok && sh.entries[id] == nil {
+		sh.entries[id] = &dirEntry{copyset: hostset.One(from), owner: from}
 	}
-	if sh, ok := rp.shadows[shard]; ok {
-		if _, dup := sh.entries[id]; !dup {
-			sh.entries[id] = &dirEntry{copyset: hostset.One(from), owner: from}
-		}
-		return
-	}
-	// Neither serving nor shadowing: a stale seed for a shard that moved
-	// on. The authority re-seeds the live pair; drop.
 }
 
-// seedRepl places the directory seed for freshly allocated minipage id
-// with both the shard's current primary and backup, per this host's
-// authoritative view service (it runs only on host 0). Local targets are
-// applied in-process; handleSeed is idempotent on re-seeds.
-func (mg *manager) seedRepl(p *sim.Proc, rp *replMgr, id, from int) {
-	shard := mg.sys.homeOf(id)
-	v := rp.svc.View(shard)
-	mp, _ := mg.sys.mpt.ByID(id)
-	info := mp.Info(mg.sys.Layout)
-	targets := [2]int{v.Primary, -1}
-	if v.HasBackup() {
-		targets[1] = v.Backup
+// seedTargets returns the hosts a fresh minipage homed at home is seeded
+// at (-1: none): the home, or under replication its shard's current
+// primary and backup per the authoritative view service — it runs only on
+// host 0 — so neither a failover nor a lost seed can stall the minipage
+// until restart.
+func (s *System) seedTargets(home int) [2]int {
+	rp := s.replAt(managerHost)
+	if rp == nil {
+		return [2]int{home, -1}
 	}
-	for _, to := range targets {
-		if to < 0 {
-			continue
-		}
-		if to == mg.me {
-			rp.handleSeed(p, id, from)
-			continue
-		}
-		mg.host().sendNew(p, to, pmsg{Type: mDirInit, From: from, Info: info})
-	}
+	v := rp.svc.View(home)
+	return [2]int{v.Primary, v.Backup}
 }
 
 // ---------------------------------------------------------------------
 // Primary side: mirror-before-effect.
 // ---------------------------------------------------------------------
 
-// commitIntent admits request m on entry e: records the open transaction,
-// mirrors the admission, and runs the effect (run) once the backup acks —
-// immediately when serving solo. Pushes arrive unstamped; the manager
-// assigns them a private negative TID so acks can be matched.
-func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, run func(p *sim.Proc)) {
+// commitIntent is the second commit point: it admits request m on entry
+// e — opens the transaction, records it, mirrors the admission — and
+// releases the effect kind once the backup acks; at once when the shard is
+// unreplicated or served solo.
+func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, kind effect) {
+	e.busy = true
 	rp := mg.sys.replAt(mg.me)
 	if rp == nil {
-		run(p)
+		mg.release(p, kind, e, m)
 		return
 	}
 	if m.Type == mPushReq && m.Txn == 0 {
@@ -472,16 +448,17 @@ func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, run func(p *s
 		Kind: mirIntent, Shard: shard, View: sv.num, ID: m.Info.ID,
 		Intent: *m, PreCopyset: re.preCopyset, PreOwner: re.preOwner,
 	}
-	rp.mirror(p, sv, rec, run)
+	rp.mirror(p, sv, rec, pendingMirror{kind: kind, e: e, m: m})
 }
 
-// commitClose closes the open transaction on e: mirrors the final entry
-// state plus the dedup record, then (on ack) clears the open markers and
-// runs closeTxn. handleAck already recorded done[tid] locally.
+// commitClose is the third commit point: it closes the open transaction
+// on e — mirrors the final entry state plus the dedup record, then (on
+// ack) clears the open markers and runs closeTxn. handleAck already
+// recorded done[tid] locally.
 func (mg *manager) commitClose(p *sim.Proc, e *dirEntry, id int, tid int, txn uint64) {
 	rp := mg.sys.replAt(mg.me)
 	if rp == nil {
-		mg.closeTxn(p, e)
+		mg.release(p, effClose, e, nil)
 		return
 	}
 	shard := mg.sys.homeOf(id)
@@ -495,25 +472,21 @@ func (mg *manager) commitClose(p *sim.Proc, e *dirEntry, id int, tid int, txn ui
 		Kind: mirClose, Shard: shard, View: sv.num, ID: id,
 		Copyset: e.copyset, Owner: e.owner, TID: tid, Txn: txn,
 	}
-	rp.mirror(p, sv, rec, func(p *sim.Proc) {
-		e.repl.openTID, e.repl.openTxn = 0, 0
-		e.repl.openMsg = pmsg{}
-		mg.closeTxn(p, e)
-	})
+	rp.mirror(p, sv, rec, pendingMirror{kind: effClose, e: e})
 }
 
-// mirror sends rec to the shard's backup and queues run behind the ack;
-// with no backup the effect releases immediately.
-func (rp *replMgr) mirror(p *sim.Proc, sv *shardServe, rec *mirrorRec, run func(p *sim.Proc)) {
+// mirror sends rec to the shard's backup and queues the effect behind the
+// ack; with no backup the effect releases immediately.
+func (rp *replMgr) mirror(p *sim.Proc, sv *shardServe, rec *mirrorRec, eff pendingMirror) {
 	if sv.mirrorTo < 0 {
-		run(p)
+		rp.mg.release(p, eff.kind, eff.e, eff.m)
 		return
 	}
 	sv.seq++
-	rec.Seq = sv.seq
+	rec.Seq, eff.seq = sv.seq, sv.seq
 	rp.Stats.MirrorsSent++
 	rp.host().sendNew(p, sv.mirrorTo, pmsg{Type: mMirror, From: rp.me, Mir: rec})
-	sv.pending = append(sv.pending, pendingMirror{seq: rec.Seq, run: run})
+	sv.pending = append(sv.pending, eff)
 }
 
 // handleMirrorAck releases the oldest pending effect. Acks for a stale
@@ -525,7 +498,7 @@ func (rp *replMgr) handleMirrorAck(p *sim.Proc, rec *mirrorRec) {
 	}
 	next := sv.pending[0]
 	sv.pending = sv.pending[1:]
-	next.run(p)
+	rp.mg.release(p, next.kind, next.e, next.m)
 }
 
 // handleMirrorNak demotes this primary if the naker has seen a newer
@@ -669,7 +642,7 @@ func (rp *replMgr) flushPending(p *sim.Proc, sv *shardServe) {
 	for len(sv.pending) > 0 {
 		next := sv.pending[0]
 		sv.pending = sv.pending[1:]
-		next.run(p)
+		rp.mg.release(p, next.kind, next.e, next.m)
 	}
 }
 

@@ -8,24 +8,15 @@ import (
 	"millipage/internal/vm"
 )
 
-// Management selects how directory duties are placed across the cluster;
-// the type lives with the shared Options in internal/cluster.
-type Management = cluster.Management
-
-const (
-	Central   = cluster.Central
-	HomeBased = cluster.HomeBased
-)
-
 // Options configures a Millipage cluster. It is the one Options struct
 // every protocol shares; cluster.New defaults and validates it.
 type Options = cluster.Options
 
 // System is one Millipage cluster: the shared cluster runtime plus the
 // protocol state — the MPT and one directory shard per host. Host 0 is
-// the allocation authority and, under Central management, the sole
-// directory manager; under HomeBased management every host runs the
-// directory shard for the minipages it is home to.
+// the allocation authority; every host runs the directory shard for the
+// minipages Options.HomeOf homes at it, which with no HomeOf is host 0
+// for all of them — the paper's manager.
 type System struct {
 	cluster.Lifecycle[*Host, *Thread]
 	Layout core.Layout
@@ -46,7 +37,7 @@ type System struct {
 // between hosts is ever needed).
 func New(opt Options) (*System, error) {
 	s := &System{}
-	err := s.Init("dsm", opt, cluster.Traits{MultiThreaded: true, Replication: true},
+	err := s.Init("dsm", opt, cluster.Traits{MultiThreaded: true, Directory: true},
 		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
 	if err != nil {
 		return nil, err
@@ -82,15 +73,15 @@ func New(opt Options) (*System, error) {
 }
 
 // Manager returns host 0's manager state (directory, MPT, counters).
-// Under Central management it holds every directory entry.
+// With no HomeOf it holds every directory entry.
 func (s *System) Manager() *manager { return s.mgrs[managerHost] }
 
-// ManagerAt returns host i's directory shard. Under Central management
-// only host 0's shard is populated.
+// ManagerAt returns host i's directory shard. With no HomeOf only host
+// 0's shard is populated.
 func (s *System) ManagerAt(i int) *manager { return s.mgrs[i] }
 
 // ManagerStatsTotal sums the protocol counters over every directory
-// shard. Under Central management it equals Manager().Stats.
+// shard. With no HomeOf it equals Manager().Stats.
 func (s *System) ManagerStatsTotal() ManagerStats {
 	var tot ManagerStats
 	for _, mg := range s.mgrs {
@@ -121,9 +112,10 @@ func (s *System) Totals() cluster.Totals {
 }
 
 // homeOf returns the host that runs the directory for minipage id:
-// host 0 under Central management, Options.HomeOf otherwise.
+// Options.HomeOf's answer, the manager host's with none. It is the one
+// placement function; allocLocal checks its range once per id.
 func (s *System) homeOf(id int) int {
-	if s.Opt.Management == Central {
+	if s.Opt.HomeOf == nil {
 		return managerHost
 	}
 	return s.Opt.HomeOf(id, s.Opt.Hosts)

@@ -31,9 +31,9 @@ var exampleSmoke = []struct {
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
 		"millipage": {elapsedNS: 42890570, digest: 0xf3da425141b65a59},
-		"ivy":       {elapsedNS: 84931489, digest: 0x331e825ce5a430c1},
-		"lrc":       {elapsedNS: 41732500, digest: 0xca1ffa20ac6af7eb},
-		"lrc-mw":    {elapsedNS: 41732500, digest: 0x55b5471d9fe0602d},
+		"ivy":       {elapsedNS: 84931489, digest: 0xcab2c2999f619105},
+		"lrc":       {elapsedNS: 41732500, digest: 0xcd2369937b164083},
+		"lrc-mw":    {elapsedNS: 41732500, digest: 0x6c1017990b472b93},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
 		"millipage": {elapsedNS: 17130674, digest: 0x1754937f5345594a},

@@ -29,8 +29,9 @@ import (
 )
 
 // Options configures an Ivy cluster: the Options struct every protocol
-// shares. Sharing is page-grain with fixed distributed managers, so
-// Views, ChunkLevel, Grain, Management and HomeOf have no meaning here.
+// shares. Sharing is page-grain with fixed distributed managers, so Views
+// and ChunkLevel have no meaning here and Grain, HomeOf and Replication
+// are rejected.
 type Options = cluster.Options
 
 type mtype int
@@ -241,14 +242,9 @@ func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home in
 // HandleFault sends the request to the page's distributed manager and
 // waits. It runs in the faulting thread's context.
 func (h *Host) HandleFault(ctx any, f vm.Fault) error {
-	t, ok := ctx.(*Thread)
-	if !ok {
-		return fmt.Errorf("ivy: fault outside app thread")
-	}
+	t := ctx.(*Thread)
 	c := h.Costs()
 	p := t.Proc()
-	start := p.Now()
-	p.Sleep(c.AccessFault)
 	page := int((f.Addr - h.sys.base) / vm.PageSize)
 	typ := mReadReq
 	if f.Kind == vm.Write {
@@ -261,17 +257,6 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume,
 		To: h.sys.managerOf(page), Request: &pmsg{Type: typ, From: h.ID(), Page: page, FW: fw}})
 	h.Send(p, h.sys.managerOf(page), &pmsg{Type: mAck, From: h.ID(), Page: page, Write: f.Kind == vm.Write})
-
-	elapsed := p.Now().Sub(start)
-	if f.Kind == vm.Write {
-		t.Stats.WriteFaultTime += elapsed
-		t.Stats.WriteFaults++
-		t.Stats.WriteFaultHist.Add(elapsed)
-	} else {
-		t.Stats.ReadFaultTime += elapsed
-		t.Stats.ReadFaults++
-		t.Stats.ReadFaultHist.Add(elapsed)
-	}
 	return nil
 }
 

@@ -18,11 +18,15 @@ var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1634},
-	{"dsm", 2332},
-	{"ivy", 450},
-	{"lrc", 1515},
+	{"cluster", 1654},
+	{"dsm", 2260},
+	{"ivy", 435},
+	{"lrc", 1485},
 }
+
+// kernelTarget is ROADMAP item 5's goal for the four packages together:
+// 10 % under the 6,137 they had before the kernel refactor began.
+const kernelTarget = 5523
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above
@@ -54,5 +58,5 @@ func TestKernelLineBudget(t *testing.T) {
 		}
 		total, ceiling = total+lines, ceiling+max
 	}
-	t.Logf("kernel: %d non-test lines of %d budgeted", total, ceiling)
+	t.Logf("kernel: %d non-test lines of %d budgeted, %d from item 5's %d", total, ceiling, total-kernelTarget, kernelTarget)
 }

@@ -9,7 +9,7 @@ import (
 
 // Options configures an LRC cluster: the Options struct every protocol
 // shares. Sharing is minipage-grain and every minipage's home is its
-// allocating host, so Grain, Management and HomeOf have no meaning here.
+// allocating host, so Grain, HomeOf and Replication are rejected.
 type Options = cluster.Options
 
 // base is what the single-writer and multi-writer realizations share:

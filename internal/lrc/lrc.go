@@ -188,14 +188,9 @@ func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home in
 // home if absent; on write, twin and proceed — never invalidate other
 // hosts.
 func (h *Host) HandleFault(ctx any, f vm.Fault) error {
-	t, ok := ctx.(*Thread)
-	if !ok {
-		return fmt.Errorf("lrc: fault outside app thread at %#x", f.Addr)
-	}
+	t := ctx.(*Thread)
 	c := h.Costs()
 	p := t.Proc()
-	start := p.Now()
-	p.Sleep(c.AccessFault)
 	s := h.sys
 
 	// Identify the minipage (homes and the MPT are replicated read-only
@@ -233,20 +228,10 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 			p.Sleep(twindiff.TwinCost(info.Size))
 		}
 		p.Sleep(c.SetProt)
-		err := h.Region.Protect(info.Base, info.Size, vm.ReadWrite)
-		elapsed := p.Now().Sub(start)
-		t.Stats.WriteFaultTime += elapsed
-		t.Stats.WriteFaults++
-		t.Stats.WriteFaultHist.Add(elapsed)
-		return err
+		return h.Region.Protect(info.Base, info.Size, vm.ReadWrite)
 	}
 	p.Sleep(c.SetProt)
-	err := h.Region.Protect(info.Base, info.Size, vm.ReadOnly)
-	elapsed := p.Now().Sub(start)
-	t.Stats.ReadFaultTime += elapsed
-	t.Stats.ReadFaults++
-	t.Stats.ReadFaultHist.Add(elapsed)
-	return err
+	return h.Region.Protect(info.Base, info.Size, vm.ReadOnly)
 }
 
 // flushDiffs run-length-diffs every dirty minipage against its twin and

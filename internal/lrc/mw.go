@@ -425,14 +425,9 @@ func (h *MWHost) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home 
 // notices (lazy diff fetch) or fetch from home if absent; on write, twin
 // and proceed — concurrent writers to one minipage never ping-pong.
 func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
-	t, ok := ctx.(*MWThread)
-	if !ok {
-		return fmt.Errorf("lrc-mw: fault outside app thread at %#x", f.Addr)
-	}
+	t := ctx.(*MWThread)
 	c := h.Costs()
 	p := t.Proc()
-	start := p.Now()
-	p.Sleep(c.AccessFault)
 	s := h.sys
 
 	mp, okk := s.mpt.Lookup(f.Addr)
@@ -469,12 +464,7 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 			p.Sleep(twindiff.TwinCost(info.Size))
 		}
 		p.Sleep(c.SetProt)
-		err := h.Region.Protect(info.Base, info.Size, vm.ReadWrite)
-		elapsed := p.Now().Sub(start)
-		t.Stats.WriteFaultTime += elapsed
-		t.Stats.WriteFaults++
-		t.Stats.WriteFaultHist.Add(elapsed)
-		return err
+		return h.Region.Protect(info.Base, info.Size, vm.ReadWrite)
 	}
 	// A dirty minipage stays writable after a read fault: the thread is
 	// mid-interval and its next write must not lose the twin.
@@ -483,12 +473,7 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 		want = vm.ReadWrite
 	}
 	p.Sleep(c.SetProt)
-	err := h.Region.Protect(info.Base, info.Size, want)
-	elapsed := p.Now().Sub(start)
-	t.Stats.ReadFaultTime += elapsed
-	t.Stats.ReadFaults++
-	t.Stats.ReadFaultHist.Add(elapsed)
-	return err
+	return h.Region.Protect(info.Base, info.Size, want)
 }
 
 // mergePending fetches the diffs named by the minipage's pending write

@@ -133,7 +133,7 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 	}
 	opt := registry.Options{Hosts: wl.hosts, SharedSize: 1 << 16, Views: 8, Seed: o.Seed, Faults: plan}
 	if repl {
-		opt.Management, opt.Replication = cluster.HomeBased, true
+		opt.HomeOf, opt.Replication = cluster.HomeMod, true
 	}
 	sys, err := proto.New(opt)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/core"
 	"millipage/internal/registry"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -93,6 +94,77 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestOptionMatrix: every registered protocol crossed with every option
+// beyond the common core either builds and runs with the option in force,
+// or is refused with an error naming the field — never accepted and
+// ignored. In force is observed, not assumed: a page grain packs the two
+// cells into one sharing unit, a HomeOf gets asked, replication sends
+// mirrors, two threads a host run twice the bodies.
+func TestOptionMatrix(t *testing.T) {
+	const hosts = 3
+	asked := 0
+	homeOf := func(id, n int) int { asked++; return id % n }
+	options := []struct {
+		name    string
+		fields  []string // what a refusal names
+		set     func(o *registry.Options)
+		inForce func(tot cluster.Totals, bodies int) bool
+	}{
+		{"grain-page", []string{"Grain"}, func(o *registry.Options) { o.Grain = core.GrainPage },
+			func(tot cluster.Totals, _ int) bool { return tot.Minipages == 1 }},
+		{"home-of", []string{"HomeOf"}, func(o *registry.Options) { o.HomeOf = homeOf },
+			func(cluster.Totals, int) bool { return asked > 0 }},
+		{"replication", []string{"Replication"}, func(o *registry.Options) { o.HomeOf, o.Replication = homeOf, true },
+			func(tot cluster.Totals, _ int) bool { return tot.MirrorsSent > 0 }},
+		{"replication-without-home-of", []string{"Replication"}, func(o *registry.Options) { o.Replication = true },
+			func(cluster.Totals, int) bool { return false }}, // no protocol runs it
+		{"two-threads-a-host", []string{"ThreadsPerHost"}, func(o *registry.Options) { o.ThreadsPerHost = 2 },
+			func(_ cluster.Totals, bodies int) bool { return bodies == 2*hosts }},
+	}
+	for _, name := range registry.Names() {
+		for _, oc := range options {
+			t.Run(name+"/"+oc.name, func(t *testing.T) {
+				opt := registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 1}
+				oc.set(&opt)
+				asked = 0
+				sys, err := registry.New(name, opt)
+				if err != nil {
+					for _, f := range oc.fields {
+						if !strings.Contains(err.Error(), f) {
+							t.Errorf("refused with %q, which does not name %s", err, f)
+						}
+					}
+					return
+				}
+				var cells [2]uint64
+				bodies := 0
+				err = sys.Run(func(w cluster.AppThread) {
+					if w.ThreadID() == 0 {
+						cells[0], cells[1] = w.Malloc(64), w.Malloc(64)
+						w.WriteU32(cells[0], 0)
+					}
+					w.Barrier()
+					w.Lock(1)
+					w.WriteU32(cells[0], w.ReadU32(cells[0])+1)
+					w.WriteU32(cells[1], uint32(w.ThreadID()))
+					w.Unlock(1)
+					w.Barrier()
+					if got := w.ReadU32(cells[0]); got != uint32(w.NumThreads()) {
+						t.Errorf("thread %d reads %d increments of %d", w.ThreadID(), got, w.NumThreads())
+					}
+					bodies++
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !oc.inForce(sys.Totals(), bodies) {
+					t.Errorf("accepted and ignored: %+v after %d bodies, HomeOf asked %d times", sys.Totals(), bodies, asked)
+				}
+			})
 		}
 	}
 }

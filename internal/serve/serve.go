@@ -108,8 +108,6 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("serve: scenario %q needs ReadFrac in [0, 1], got %g", sc.Name, sc.ReadFrac)
 	case sc.ZipfS < 0:
 		return fmt.Errorf("serve: scenario %q needs ZipfS >= 0, got %g", sc.Name, sc.ZipfS)
-	case sc.Replicated && sc.Protocol != "millipage":
-		return fmt.Errorf("serve: scenario %q sets Replicated, which is millipage-only (got protocol %q)", sc.Name, sc.Protocol)
 	}
 	return nil
 }

@@ -307,4 +307,9 @@ func TestScenarioTable(t *testing.T) {
 			t.Errorf("Names/Lookup disagree on %q: %v", name, err)
 		}
 	}
+	// What a protocol cannot run is the kernel's to reject, by field name.
+	if _, err := Run(Scenario{Protocol: "lrc", Hosts: 2, Keys: 8, Buckets: 2, Clients: 2, Rate: 1000, Ops: 4, Replicated: true}); err == nil ||
+		!strings.Contains(err.Error(), "Replication") {
+		t.Errorf("Replicated under lrc: %v, want the kernel's Replication error", err)
+	}
 }

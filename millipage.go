@@ -70,8 +70,7 @@ type Config struct {
 	//	        sequentially consistent Single-Writer/Multiple-Readers.
 	//	"ivy"       — the Li/Hudak page-granularity baseline with
 	//	        distributed page managers (internal/ivy). Page-grain
-	//	        sharing; Views, ChunkLevel, PageGranularity and
-	//	        HomeBasedManagement are ignored.
+	//	        sharing; Views and ChunkLevel have no meaning.
 	//	"lrc"       — home-based lazy release consistency over minipages
 	//	        (internal/lrc): twins and diffs, updates propagate at
 	//	        acquires and barriers. Programs must be data-race-free
@@ -87,7 +86,9 @@ type Config struct {
 	//
 	// All protocols run the same Worker API on the same simulated
 	// substrate, so apps and benchmarks sweep protocols by changing only
-	// this field.
+	// this field. PageGranularity, HomeBasedManagement and
+	// ManagerReplication are the millipage directory's policy: the other
+	// three fix their own sharing grain and placement and reject them.
 	Protocol string
 
 	// Hosts is the number of machines (the paper's cluster has 8).
@@ -113,16 +114,17 @@ type Config struct {
 	// PageGranularity selects the traditional page-based layout instead
 	// of MultiView: allocations pack with no regard for sharing units and
 	// the sharing grain is the full page. This is the false-sharing
-	// baseline (and Figure 7's "none" configuration).
+	// baseline (and Figure 7's "none" configuration). Millipage-only.
 	PageGranularity bool
 
 	// HomeBasedManagement shards directory duties across the cluster:
 	// each minipage is managed by a statically assigned home host
 	// (id % Hosts) instead of funneling every fault, invalidation and
-	// ack through host 0. Host 0 remains the allocation authority and
-	// keeps the barrier and lock services. Application results are
-	// identical to the central configuration; only the protocol load
-	// distribution (and hence timing) changes.
+	// ack through host 0, the paper's manager — the same directory under
+	// another placement function. Host 0 remains the allocation authority
+	// and keeps the barrier and lock services. Application results are
+	// identical either way; only the protocol load distribution (and
+	// hence timing) changes. Millipage-only.
 	HomeBasedManagement bool
 
 	// ManagerReplication replicates each home-based directory shard as a
@@ -195,7 +197,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Faults:         cfg.Faults,
 	}
 	if cfg.HomeBasedManagement {
-		opt.Management = cluster.HomeBased
+		opt.HomeOf = cluster.HomeMod
 	}
 	if cfg.PageGranularity {
 		opt.Grain = core.GrainPage
