@@ -13,7 +13,10 @@ type poolCount struct{}
 
 func (poolCount) inc() {}
 
-func retire[T any](*T)                  {}
-func reuse[T any](*T)                   {}
-func retireSlice[T any](_ []T, _ [][]T) {}
-func reuseSlice[T any]([]T)             {}
+func retire[T any](*T)                         {}
+func reuse[T any](*T)                          {}
+func retireSlice[T byte | int](_ []T, _ [][]T) {}
+
+// Poison and CheckPoison mark and verify retired buffers under the tag.
+func Poison[T byte | int]([]T)      {}
+func CheckPoison[T byte | int]([]T) {}

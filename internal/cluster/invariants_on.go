@@ -2,6 +2,8 @@
 
 package cluster
 
+import "slices"
+
 // Lifecycle invariants for the protocols' freelists, mirroring fastmsg's
 // envelope state machine. A pooled header or buffer has one owner at a
 // time; the checks below turn the ways of breaking that — using or
@@ -63,32 +65,34 @@ func reuse[T any](v *T) {
 
 const poison = 0xDB
 
-// retireSlice panics if s's backing array is already parked in free and,
-// for byte buffers, poisons all of it.
-func retireSlice[T any](s []T, free [][]T) {
+// poisonExt is poison sign-extended: 0xDB as a byte, -37 as a minipage id.
+var poisonExt int8 = poison - 256
+
+// Poison fills a retired buffer or arena — bytes or minipage ids — with
+// poison: neither a diff nor a minipage to a reader through a stale alias.
+func Poison[T byte | int](s []T) {
+	for i := range s {
+		s[i] = T(poisonExt)
+	}
+}
+
+// CheckPoison panics if s has been written since Poison filled it.
+func CheckPoison[T byte | int](s []T) {
+	if slices.ContainsFunc(s, func(v T) bool { return v != T(poisonExt) }) {
+		panic("cluster: pooled buffer was written after it was recycled")
+	}
+}
+
+// retireSlice panics if s's backing array is already parked in free and
+// poisons all of it.
+func retireSlice[T byte | int](s []T, free [][]T) {
 	s = s[:cap(s)]
 	for _, f := range free {
 		if &f[:1][0] == &s[0] {
 			panic("cluster: buffer recycled twice")
 		}
 	}
-	if b, ok := any(s).([]byte); ok {
-		for i := range b {
-			b[i] = poison
-		}
-	}
-}
-
-// reuseSlice checks the poison is intact on a byte buffer leaving a
-// freelist.
-func reuseSlice[T any](s []T) {
-	if b, ok := any(s[:cap(s)]).([]byte); ok {
-		for _, c := range b {
-			if c != poison {
-				panic("cluster: pooled buffer was written after it was recycled")
-			}
-		}
-	}
+	Poison(s)
 }
 
 // LiveServiceHeaders returns the service headers somebody still owns.

@@ -48,8 +48,13 @@ func TestSlicePoolInvariants(t *testing.T) {
 	b[:cap(b)][40] = 1 // a write through a stale slice
 	mustPanic(t, "written after it was recycled", func() { sp.Get(16) })
 
-	var ints SlicePool[int] // not poisoned, still caught when recycled twice
+	var ints SlicePool[int] // ids are poisoned negative: no stale reader finds a minipage
 	s := make([]int, 4)
 	ints.Put(s)
+	if s[3] >= 0 {
+		t.Fatalf("a recycled id list holds %d, want a negative poison", s[3])
+	}
 	mustPanic(t, "buffer recycled twice", func() { ints.Put(s) })
+	s[1] = 7
+	mustPanic(t, "written after it was recycled", func() { ints.Get(2) })
 }

@@ -26,9 +26,9 @@ func (pl *Pool[T]) Put(v *T) {
 	pl.free = append(pl.free, v)
 }
 
-// SlicePool is a freelist of slices of mixed capacity: snapshot buffers,
-// twins, encoded diffs, notice lists.
-type SlicePool[T any] struct{ free [][]T }
+// SlicePool is a freelist of slices of mixed capacity, bytes or minipage
+// ids: snapshot buffers, twins.
+type SlicePool[T byte | int] struct{ free [][]T }
 
 // Get returns a slice of length n with undefined contents, reusing the
 // most recently recycled one that is large enough.
@@ -39,7 +39,7 @@ func (sp *SlicePool[T]) Get(n int) []T {
 			last := len(sp.free) - 1
 			sp.free[i] = sp.free[last]
 			sp.free = sp.free[:last]
-			reuseSlice(s)
+			CheckPoison(s[:cap(s)])
 			return s
 		}
 	}

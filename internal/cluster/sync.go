@@ -62,6 +62,7 @@ func (b *BarrierService) Arrive(m *SvcMsg, total int) (arrivals []*SvcMsg, done 
 // an empty table.
 type LockService struct {
 	locks map[int]*lockState
+	slab  []lockState // records not yet handed out: one allocation serves 64 lock ids
 
 	Acquisitions uint64 // grants handed out (immediate and queued)
 }
@@ -80,7 +81,10 @@ func (l *LockService) Acquire(m *SvcMsg) bool {
 		if l.locks == nil {
 			l.locks = make(map[int]*lockState)
 		}
-		ls = &lockState{}
+		if len(l.slab) == 0 {
+			l.slab = make([]lockState, 64)
+		}
+		ls, l.slab = &l.slab[0], l.slab[1:]
 		l.locks[m.LockID] = ls
 	}
 	if ls.held {

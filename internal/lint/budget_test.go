@@ -14,14 +14,20 @@ import (
 // a change that deletes lines lowers its package's ceiling to the new
 // count in the same commit, and one that needs a ceiling raised says so
 // in review.
+//
+// Raised once, cluster 1,654 -> 1,665 (PR 24): the lock table carves its
+// lockState records from a slab (+4: a third of water8's allocations were
+// one record a lock id), and Poison/CheckPoison are exported so lrc-mw's
+// interval arenas get the freelists' use-after-recycle check under -tags
+// invariants (+7, net of the slice-pool hooks now built on them).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1654},
+	{"cluster", 1665},
 	{"dsm", 2260},
 	{"ivy", 435},
-	{"lrc", 1485},
+	{"lrc", 1483},
 }
 
 // kernelTarget is ROADMAP item 5's goal for the four packages together:

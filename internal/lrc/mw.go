@@ -32,9 +32,10 @@
 //     sound for the data-race-free programs LRC covers.
 //   - Garbage collection: the coordinator clears its notice log at every
 //     barrier (all vector clocks converge to the global max, so nothing
-//     logged earlier can ever be granted again), and each host purges
-//     interval diff records two barriers after their creation; purged
-//     intervals trigger the home-fetch fallback above.
+//     logged earlier can ever be granted again), and each host keeps its
+//     closed intervals in three generations — this barrier epoch's, the
+//     last one's and the one before — and drops the oldest at every
+//     barrier; purged intervals trigger the home-fetch fallback above.
 package lrc
 
 import (
@@ -129,21 +130,53 @@ type mwSync struct {
 	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
 
 	VC      []uint64    // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
-	Notice  *mwNotice   // the releaser's closed interval (UNLOCK, BARRIER_ARRIVE)
+	Notice  mwNotice    // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK, BARRIER_ARRIVE)
 	Notices []mwCNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
 	MaxVC   []uint64    // converged clock (BARRIER_RELEASE)
 }
 
-// mwInterval is one closed interval's retained diffs, kept by the
-// creator for lazy serving until garbage collection.
-type mwInterval struct {
-	diffs map[int][]byte // minipage id -> encoded diff; keyed lookups only
+// mwGen holds the intervals a host closed in one barrier epoch, kept for
+// lazy serving until garbage collection. It is flat: interval i's diffs
+// are ents[spans[i][0]:spans[i][1]], sorted by minipage, each an encoding
+// in bytes; mps backs the minipage lists of the intervals' write notices.
+// Home flushes, diff replies and logged notices alias the two arenas, and
+// the creator is their one owner: a closed interval is never written,
+// growth by append leaves the old backing array intact, and gcIntervals
+// resets a generation two barriers after its epoch — a barrier drains
+// every flush, reply and granted notice in flight.
+type mwGen struct {
+	spans [][2]int
+	ents  []mwEnt
+	bytes []byte
+	mps   []int
+}
 
-	// mps is the backing array of the interval's write-notice minipage
-	// list. The coordinator's log (and every granted copy of the notice)
-	// shares it, and the interval's two-barrier retention strictly
-	// outlives all of them, so recycling it with the interval is safe.
-	mps []int
+// mwEnt locates one minipage's encoded diff, bytes[off:end] of its mwGen.
+type mwEnt struct{ mp, off, end int }
+
+// mwMP is what a host keeps for one minipage, in MWHost.mps by id.
+type mwMP struct {
+	twin []byte      // the twin while the minipage is dirty, else nil
+	info core.Info   // as of the twin
+	copy core.Info   // the non-home local copy, as of its fetch; Size 0 if none
+	seen []uint64    // per-creator interval floor the copy reflects
+	pend []pendEntry // notices invalidated but not yet merged
+}
+
+// pendCap is the capacity of a minipage's first pend slice; a full one
+// moves to a piece twice its size.
+const pendCap = 8
+
+// carve cuts n zeroed elements, capacity clipped, off the front of
+// *slab, which it refills 256 elements at a time: one allocation serves
+// many minipages' rows instead of one each.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, 256))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // mwFlush is one eager home flush staged by a release.
@@ -199,13 +232,10 @@ type MWSystem struct {
 	maxvc   []uint64    // barrier-episode scratch; every release shares it
 
 	// The cluster's freelists, shared by every host: recycled protocol
-	// headers, twin/snapshot/diff buffers and interval records.
-	freeMW     cluster.Pool[mwmsg]
-	freeSync   cluster.Pool[mwSync]
-	freeBuf    cluster.SlicePool[byte]
-	freeIval   cluster.Pool[mwInterval]
-	freeMPs    cluster.SlicePool[int]
-	freeNotice cluster.Pool[mwNotice]
+	// headers and twin/snapshot buffers.
+	freeMW   cluster.Pool[mwmsg]
+	freeSync cluster.Pool[mwSync]
+	freeBuf  cluster.SlicePool[byte]
 }
 
 // allocMW returns a protocol header for a message whose consumer will
@@ -258,50 +288,11 @@ func (t *MWThread) call(to int, m *mwmsg, b cluster.Blocking) {
 }
 
 // allocBuf returns a byte buffer of length n (twin, minipage snapshot,
-// fetch payload); pass 0 for an empty append target (encoded diffs).
+// fetch payload).
 func (h *MWHost) allocBuf(n int) []byte { return h.sys.freeBuf.Get(n) }
 
 // recycleBuf returns a fully consumed buffer to the freelist.
 func (h *MWHost) recycleBuf(b []byte) { h.sys.freeBuf.Put(b) }
-
-// allocIval returns an interval record with an empty diff map.
-func (h *MWHost) allocIval(n int) *mwInterval {
-	iv := h.sys.freeIval.Get()
-	if iv.diffs == nil {
-		iv.diffs = make(map[int][]byte, n)
-	}
-	return iv
-}
-
-// recycleIval returns a garbage-collected interval to the freelist,
-// recycling its retained diff encodings and notice minipage list. GC
-// runs two barriers after the interval closed, and a barrier drains
-// every in-flight diff reply, home flush and granted notice, so nothing
-// can still alias either here.
-func (h *MWHost) recycleIval(iv *mwInterval) {
-	for id, enc := range iv.diffs { //detlint:ok freelist order is invisible: every pooled buffer is fully overwritten before use
-		h.recycleBuf(enc)
-		delete(iv.diffs, id)
-	}
-	h.sys.freeMPs.Put(iv.mps)
-	iv.mps = nil
-	h.sys.freeIval.Put(iv)
-}
-
-// allocMPs returns an int slice of length n for a notice's minipage
-// list, retained by the creator's interval record until GC.
-func (h *MWHost) allocMPs(n int) []int { return h.sys.freeMPs.Get(n) }
-
-// allocNotice returns a write-notice header; the coordinator recycles it
-// once the notice is logged (the log keeps a value copy).
-func (h *MWHost) allocNotice() *mwNotice { return h.sys.freeNotice.Get() }
-
-// recycleNotice returns a logged notice header to the freelist. The MPs
-// backing array stays with the creator's interval record.
-func (h *MWHost) recycleNotice(n *mwNotice) {
-	*n = mwNotice{}
-	h.sys.freeNotice.Put(n)
-}
 
 // MWHost is one multi-writer LRC process.
 type MWHost struct {
@@ -311,17 +302,24 @@ type MWHost struct {
 
 	vc []uint64 // vector clock: vc[c] = newest interval of host c known here
 
-	twins     map[int][]byte // minipage id -> twin (the dirty set)
-	dirtyInfo map[int]core.Info
-	copies    map[int]core.Info   // non-home minipages with a local copy
-	seen      map[int][]uint64    // minipage id -> per-creator interval floor the copy reflects
-	pend      map[int][]pendEntry // minipage id -> notices invalidated but not yet merged
-	ivals     []*mwInterval       // own closed intervals, ivals[i] has seq ivalBase+1+i
-	ivalBase  uint64              // intervals with seq <= ivalBase are purged
-	floorPrev uint64              // GC floor: own seq as of two barriers ago
-	floorCur  uint64              // own seq as of the last barrier
+	// mps is indexed by minipage id and covers the ids this host has
+	// faulted on. Only a fault grows it, and a host runs one application
+	// thread, so a *mwMP holds until that thread's next fault; the server
+	// thread checks the bound and never grows it.
+	mps      []mwMP
+	dirty    []int    // minipages with a twin, in twinning order; sorted at release
+	seenSlab []uint64 // what mwMP.seen rows and first pend slices are carved from
+	pendSlab []pendEntry
 
-	pendingHdr map[int]*mwmsg // fetch header awaiting its data message, by sender
+	// Own closed intervals by barrier epoch — gens[2] the current one,
+	// gens[1] the last, gens[0] the one before — with seqs rising from
+	// ivalBase+1 through them in that order.
+	gens      [3]mwGen
+	ivalBase  uint64 // intervals with seq <= ivalBase are purged
+	floorPrev uint64 // GC floor: own seq as of two barriers ago
+	floorCur  uint64 // own seq as of the last barrier
+
+	pendingHdr []*mwmsg // fetch header awaiting its data message, by sender
 
 	flushAwait int
 	flushDone  *sim.Event
@@ -331,7 +329,6 @@ type MWHost struct {
 	diffReply *mwmsg
 
 	// Steady-state scratch, reused across releases and merges.
-	relDirty   []int
 	relFlush   []mwFlush
 	mergeDiffs []mwFetched
 
@@ -349,12 +346,7 @@ func NewMW(opt Options) (*MWSystem, error) {
 				sys:        s,
 				Region:     region,
 				vc:         make([]uint64, s.Opt.Hosts),
-				twins:      make(map[int][]byte),
-				dirtyInfo:  make(map[int]core.Info),
-				copies:     make(map[int]core.Info),
-				seen:       make(map[int][]uint64),
-				pend:       make(map[int][]pendEntry),
-				pendingHdr: make(map[int]*mwmsg),
+				pendingHdr: make([]*mwmsg, s.Opt.Hosts),
 			}
 			h.Host = s.AddHost(as, h)
 		})
@@ -436,6 +428,10 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 	}
 	info := mp.Info(s.Layout)
 	home := s.homes[mp.ID]
+	if mp.ID >= len(h.mps) {
+		h.mps = append(h.mps, make([]mwMP, len(s.homes)-len(h.mps))...)
+	}
+	m := &h.mps[mp.ID]
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess {
 		if home == h.ID() {
@@ -444,13 +440,12 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 		if f.Kind == vm.Read {
 			h.stats.ReadFault++
 		}
-		_, have := h.copies[mp.ID]
-		if !have || !t.mergePending(mp.ID, info) {
-			t.fetchFromHome(mp.ID, info, home)
+		if m.copy.Size == 0 || !t.mergePending(m, info) {
+			t.fetchFromHome(m, info, home)
 		}
 	}
 
-	_, dirty := h.twins[mp.ID]
+	dirty := m.twin != nil
 	if f.Kind == vm.Write {
 		h.stats.WriteFault++
 		if !dirty {
@@ -458,8 +453,8 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 			if err := h.Region.ReadPrivInto(info.Base, twin); err != nil {
 				return err
 			}
-			h.twins[mp.ID] = twin
-			h.dirtyInfo[mp.ID] = info
+			m.twin, m.info = twin, info
+			h.dirty = append(h.dirty, mp.ID)
 			h.stats.TwinsMade++
 			p.Sleep(twindiff.TwinCost(info.Size))
 		}
@@ -481,11 +476,11 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 // and reports success. A purged interval at any creator makes it return
 // false (after verifying the copy is clean), and the caller refetches
 // from home instead.
-func (t *MWThread) mergePending(id int, info core.Info) bool {
+func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 	h := t.host
 	c := h.Costs()
 	p := t.Proc()
-	pend := h.pend[id]
+	id, pend := info.ID, m.pend
 	if len(pend) == 0 {
 		// Invalidated with no pending notices cannot happen (pend and the
 		// NoAccess protection are set together), but a fresh never-fetched
@@ -524,7 +519,7 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 		for i, d := range reply.DiffsOut {
 			if d.Purged {
 				h.stats.HomeFallbacks++
-				if _, dirty := h.twins[id]; dirty {
+				if m.twin != nil {
 					// Purge retention spans two barrier epochs and a dirty twin
 					// cannot survive a barrier, so a dirty minipage's pending
 					// notices are always younger than any purge. A full refetch
@@ -551,7 +546,7 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 	if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
 		panic(err)
 	}
-	twin := h.twins[id]
+	twin := m.twin
 	for _, d := range diffs {
 		if err := twindiff.ApplyEncoded(cur, d.enc); err != nil {
 			panic(err)
@@ -570,24 +565,19 @@ func (t *MWThread) mergePending(id int, info core.Info) bool {
 	}
 	h.recycleBuf(cur)
 	h.mergeDiffs = diffs[:0]
-	sn := h.seen[id]
-	if sn == nil {
-		sn = make([]uint64, len(h.vc))
-		h.seen[id] = sn
-	}
-	for _, pe := range pend {
-		if pe.seq > sn[pe.creator] {
-			sn[pe.creator] = pe.seq
+	for _, pe := range pend { // m.seen is set: the copy these notices invalidated was fetched
+		if pe.seq > m.seen[pe.creator] {
+			m.seen[pe.creator] = pe.seq
 		}
 	}
-	h.pend[id] = pend[:0] // keep the entry capacity for the next notice
+	m.pend = pend[:0] // keep the entry capacity for the next notice
 	return true
 }
 
 // fetchFromHome pulls the minipage's merged contents from its home (the
 // home is current for every notice this host can have seen, because
 // diffs are flushed and acked before any notice circulates).
-func (t *MWThread) fetchFromHome(id int, info core.Info, home int) {
+func (t *MWThread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
 	h.stats.Fetches++
@@ -598,61 +588,58 @@ func (t *MWThread) fetchFromHome(id int, info core.Info, home int) {
 	req.Info = info
 	req.FW = fw
 	t.call(home, req, cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
-	h.copies[id] = info
-	sn := h.seen[id]
-	if sn == nil {
-		sn = make([]uint64, len(h.vc))
-		h.seen[id] = sn
+	m.copy = info
+	if m.seen == nil {
+		m.seen = carve(&h.seenSlab, len(h.vc))
 	}
-	copy(sn, h.vc)
-	if pe, ok := h.pend[id]; ok {
-		h.pend[id] = pe[:0]
-	}
+	copy(m.seen, h.vc)
+	m.pend = m.pend[:0]
 }
 
 // release closes the current interval: diff every dirty minipage against
 // its twin, retain the diffs for lazy serving, flush non-home diffs to
 // their homes (acked before the caller may announce the interval), and
 // downgrade the dirty set to read-only so the next write opens a new
-// interval. Returns the interval's write notice, or nil if no writes
+// interval. Returns the interval's write notice, its MPs nil if no writes
 // happened since the last release.
-func (t *MWThread) release() *mwNotice {
+func (t *MWThread) release() mwNotice {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
 	p := t.Proc()
 
-	if len(h.twins) == 0 {
-		return nil
+	if len(h.dirty) == 0 {
+		return mwNotice{}
 	}
-	dirty := h.relDirty[:0]
-	for id := range h.twins { //detlint:ok sorted below
-		dirty = append(dirty, id)
-	}
-	slices.Sort(dirty)
-	h.relDirty = dirty
-
+	slices.Sort(h.dirty)
 	seq := h.vc[h.ID()] + 1
-	iv := h.allocIval(len(dirty))
-	flushes := h.relFlush[:0]
-	for _, id := range dirty {
-		info := h.dirtyInfo[id]
+	g := &h.gens[2]
+	if len(g.spans) == 0 {
+		// The epoch's first interval: nothing wrote through a stale alias
+		// since gcIntervals reset the arenas (checked under -tags invariants).
+		cluster.CheckPoison(g.bytes[:cap(g.bytes)])
+		cluster.CheckPoison(g.mps[:cap(g.mps)])
+	}
+	flushes, lo := h.relFlush[:0], len(g.ents)
+	for _, id := range h.dirty {
+		m := &h.mps[id]
+		info, twin := m.info, m.twin
 		home := s.homes[id]
-		twin := h.twins[id]
 		cur := h.allocBuf(info.Size)
 		if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
 			panic(err)
 		}
 		p.Sleep(twindiff.CreateCost(info.Size))
-		enc, err := twindiff.AppendDiff(h.allocBuf(0), twin, cur)
-		if err != nil {
+		off := len(g.bytes)
+		var err error
+		if g.bytes, err = twindiff.AppendDiff(g.bytes, twin, cur); err != nil {
 			panic(err) // minipages are sub-page: offsets always fit the header
 		}
+		enc := g.bytes[off:len(g.bytes):len(g.bytes)]
+		g.ents = append(g.ents, mwEnt{mp: id, off: off, end: len(g.bytes)})
 		h.recycleBuf(cur)
 		h.recycleBuf(twin)
-		iv.diffs[id] = enc
-		delete(h.twins, id)
-		delete(h.dirtyInfo, id)
+		m.twin = nil
 		p.Sleep(c.SetProt)
 		if err := h.Region.Protect(info.Base, info.Size, vm.ReadOnly); err != nil {
 			panic(err)
@@ -661,7 +648,7 @@ func (t *MWThread) release() *mwNotice {
 			flushes = append(flushes, mwFlush{home: home, info: info, enc: enc})
 		}
 	}
-	h.ivals = append(h.ivals, iv)
+	g.spans = append(g.spans, [2]int{lo, len(g.ents)})
 	h.vc[h.ID()] = seq
 	h.relFlush = flushes[:0]
 	if len(flushes) > 0 {
@@ -685,16 +672,12 @@ func (t *MWThread) release() *mwNotice {
 	}
 	// The notice's minipage list is retained by the coordinator's log (and
 	// shared by every granted copy) until the next barrier, so it cannot
-	// ride in per-release scratch; it is pooled with the interval record,
-	// whose two-barrier retention outlives every reader.
-	mps := h.allocMPs(len(dirty))
-	copy(mps, dirty)
-	iv.mps = mps
-	n := h.allocNotice()
-	n.Creator = h.ID()
-	n.Seq = seq
-	n.MPs = mps
-	return n
+	// ride in per-release scratch; it lies in the generation's arena, whose
+	// two-barrier retention outlives every reader.
+	at := len(g.mps)
+	g.mps = append(g.mps, h.dirty...)
+	h.dirty = h.dirty[:0]
+	return mwNotice{Creator: h.ID(), Seq: seq, MPs: g.mps[at:len(g.mps):len(g.mps)]}
 }
 
 // acquire applies the write notices delivered with a lock grant or
@@ -711,18 +694,21 @@ func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 			h.vc[n.Creator] = n.Seq
 		}
 		for _, id := range n.MPs {
-			if s.homes[id] == h.ID() {
-				continue // the home had this diff applied before the notice could circulate
+			if s.homes[id] == h.ID() || id >= len(h.mps) {
+				continue // the home had this diff applied before the notice could circulate; an id never faulted on has no copy
 			}
-			_, dirty := h.twins[id]
-			info, have := h.copies[id]
-			if dirty {
-				info = h.dirtyInfo[id]
-			} else if !have {
+			m := &h.mps[id]
+			info := m.copy
+			if m.twin != nil {
+				info = m.info
+			} else if info.Size == 0 {
 				continue // no copy: nothing to invalidate, a future fetch sees the merge
 			}
-			h.pend[id] = append(h.pend[id], pendEntry{vtsum: n.VTSum, creator: n.Creator, seq: n.Seq})
-			if len(h.pend[id]) == 1 {
+			if len(m.pend) == cap(m.pend) {
+				m.pend = append(carve(&h.pendSlab, max(pendCap, 2*cap(m.pend)))[:0], m.pend...)
+			}
+			m.pend = append(m.pend, pendEntry{vtsum: n.VTSum, creator: n.Creator, seq: n.Seq})
+			if len(m.pend) == 1 {
 				h.stats.Invalidations++
 				p.Sleep(c.SetProt)
 				if err := h.Region.Protect(info.Base, info.Size, vm.NoAccess); err != nil {
@@ -738,23 +724,45 @@ func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 	}
 }
 
-// gcIntervals purges this host's interval records that every other host
-// has provably merged or can refetch from home: anything two barrier
-// epochs old. Runs after each completed barrier.
+// gcIntervals purges this host's intervals that every other host has
+// provably merged or can refetch from home — anything two barrier epochs
+// old, which is the oldest generation — and makes its arenas the new
+// epoch's. Runs after each completed barrier.
 func (h *MWHost) gcIntervals() {
-	k := 0
-	for ; h.ivalBase < h.floorPrev && k < len(h.ivals); k++ {
-		h.ivalBase++
-		h.stats.IntervalsGCed++
-		h.recycleIval(h.ivals[k])
+	g := h.gens[0]
+	h.ivalBase += uint64(len(g.spans))
+	h.stats.IntervalsGCed += uint64(len(g.spans))
+	if h.ivalBase != h.floorPrev {
+		panic(fmt.Sprintf("lrc-mw: host %d purged through interval %d, GC floor is %d", h.ID(), h.ivalBase, h.floorPrev))
 	}
-	// Slide the survivors down: re-slicing from the front would shed
-	// capacity and make release's append reallocate every other barrier.
-	n := copy(h.ivals, h.ivals[k:])
-	clear(h.ivals[n:])
-	h.ivals = h.ivals[:n]
+	cluster.Poison(g.bytes[:cap(g.bytes)])
+	cluster.Poison(g.mps[:cap(g.mps)])
+	h.gens = [3]mwGen{h.gens[1], h.gens[2], {g.spans[:0], g.ents[:0], g.bytes[:0], g.mps[:0]}}
 	h.floorPrev = h.floorCur
 	h.floorCur = h.vc[h.ID()]
+}
+
+// diffOf returns this host's diff of minipage mp in its interval seq for
+// a lazy fetcher; ok is false if the interval is purged.
+func (h *MWHost) diffOf(seq uint64, mp int) (enc []byte, ok bool) {
+	if seq <= h.ivalBase {
+		return nil, false
+	}
+	i := int(seq - h.ivalBase - 1)
+	for gi := range h.gens {
+		g := &h.gens[gi]
+		if i >= len(g.spans) {
+			i -= len(g.spans)
+			continue
+		}
+		ents := g.ents[g.spans[i][0]:g.spans[i][1]]
+		k, found := slices.BinarySearchFunc(ents, mp, func(e mwEnt, mp int) int { return cmp.Compare(e.mp, mp) })
+		if !found {
+			break
+		}
+		return g.bytes[ents[k].off:ents[k].end:ents[k].end], true
+	}
+	panic(fmt.Sprintf("lrc-mw: interval %d at host %d has no diff for noticed minipage %d", seq, h.ID(), mp))
 }
 
 // Release is the release half of the consistency model
@@ -793,10 +801,8 @@ func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
 // (cluster.NoticeLog; host 0 only). An unlock's record ends here.
 func (h *MWHost) Released(m *cluster.SvcMsg) {
 	x := h.ext(m)
-	if x.Notice != nil {
+	if x.Notice.MPs != nil {
 		h.logNotice(x.Notice)
-		h.recycleNotice(x.Notice)
-		x.Notice = nil
 	}
 	if m.Type == cluster.SvcUnlock {
 		h.recycleSync(m, x)
@@ -851,7 +857,7 @@ func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
 
 // logNotice stamps and appends a release's write notice at the
 // coordinator (host 0 only).
-func (h *MWHost) logNotice(n *mwNotice) {
+func (h *MWHost) logNotice(n mwNotice) {
 	s := h.sys
 	s.vtctr++
 	h.stats.Notices++
@@ -867,7 +873,7 @@ func (h *MWHost) logNotice(n *mwNotice) {
 	}
 	s.logPrev = append(s.logPrev, last)
 	s.logLast[n.Creator] = len(s.log)
-	s.log = append(s.log, mwCNotice{mwNotice: *n, VTSum: s.vtctr})
+	s.log = append(s.log, mwCNotice{mwNotice: n, VTSum: s.vtctr})
 }
 
 // newerThan appends to dst every logged notice newer than vector clock
@@ -918,11 +924,11 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		h.pendingHdr[fm.From] = m
 
 	case mwFetchData:
-		hdr, ok := h.pendingHdr[fm.From]
-		if !ok {
+		hdr := h.pendingHdr[fm.From]
+		if hdr == nil {
 			panic("lrc-mw: data without header")
 		}
-		delete(h.pendingHdr, fm.From)
+		h.pendingHdr[fm.From] = nil
 		if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
 			panic(err)
 		}
@@ -947,10 +953,10 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 			panic(err)
 		}
 		h.recycleBuf(cur)
-		if twin, dirty := h.twins[m.Info.ID]; dirty {
+		if id := m.Info.ID; id < len(h.mps) && h.mps[id].twin != nil {
 			// The home is itself mid-interval on this minipage: patch the
 			// twin too, so the home's own diff stays writes-only.
-			if err := twindiff.ApplyEncoded(twin, m.Diff); err != nil {
+			if err := twindiff.ApplyEncoded(h.mps[id].twin, m.Diff); err != nil {
 				panic(err)
 			}
 		}
@@ -958,7 +964,7 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 		to := m.From
 		m.Type = mwDiffAck
 		m.From = h.ID()
-		m.Diff = nil // the encoding stays with the sender's interval record
+		m.Diff = nil // the encoding stays in the sender's arena
 		h.Send(p, to, m)
 
 	case mwDiffAck:
@@ -970,16 +976,8 @@ func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
 	case mwDiffReq:
 		size := c.HeaderSize
 		for _, seq := range m.Seqs {
-			if seq <= h.ivalBase {
-				m.DiffsOut = append(m.DiffsOut, mwDiffOut{Seq: seq, Purged: true})
-				continue
-			}
-			iv := h.ivals[seq-h.ivalBase-1]
-			enc, ok := iv.diffs[m.MP]
-			if !ok {
-				panic(fmt.Sprintf("lrc-mw: interval %d at host %d has no diff for noticed minipage %d", seq, h.ID(), m.MP))
-			}
-			m.DiffsOut = append(m.DiffsOut, mwDiffOut{Seq: seq, Enc: enc})
+			enc, ok := h.diffOf(seq, m.MP)
+			m.DiffsOut = append(m.DiffsOut, mwDiffOut{Seq: seq, Enc: enc, Purged: !ok})
 			size += len(enc)
 		}
 		to := m.From

@@ -1,6 +1,7 @@
 package lrc
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -347,6 +348,76 @@ func TestMWNewerThanMatchesFullScan(t *testing.T) {
 			if got[i].VTSum != want[i].VTSum {
 				t.Fatalf("trial %d: notice %d is VTSum %d, full scan gives %d", trial, i, got[i].VTSum, want[i].VTSum)
 			}
+		}
+	}
+}
+
+// TestMWLockHeavyRunPinned holds a whole lock-heavy run to the values
+// recorded before the protocol state moved from per-interval maps and
+// pooled records to generation arenas and dense per-minipage records: 4
+// hosts at chunk level 4 (four cells to a minipage, so every minipage has
+// several concurrent writers), 60 lock releases a host an epoch — each
+// closes an interval that is then held for two barriers — over 5 epochs,
+// so the arenas rotate, GC runs with work to drop and some lazy fetches
+// find their interval purged. Every host owns one
+// word of every cell and reads the others' under the cell's lock; the
+// protocol counters, the elapsed virtual time and a hash of the memory
+// every host reads back at the end must not move.
+func TestMWLockHeavyRunPinned(t *testing.T) {
+	const hosts, cells, epochs, locksPerEpoch = 4, 64, 5, 60
+	s := newMWSys(t, hosts, 4)
+	var va [cells]uint64
+	var sums [hosts]uint64
+	err := runMW(s, func(th *MWThread) {
+		me := th.Host()
+		if me == 0 {
+			for c := range va {
+				va[c] = th.Malloc(64)
+			}
+		}
+		th.Barrier()
+		for e := 0; e < epochs; e++ {
+			for i := 0; i < locksPerEpoch; i++ {
+				// Epochs 0-1 and 4 work on the first eight minipages, epochs 2-3
+				// on the other eight: a copy invalidated late in epoch 1 is
+				// next touched after its notices' intervals are purged.
+				c := 4*((i+me)%8+8*(e/2%2)) + (i/8+me)%4
+				th.Lock(c)
+				var seen uint32
+				for h := 0; h < hosts; h++ {
+					seen += th.ReadU32(va[c] + uint64(h)*8)
+				}
+				th.WriteU32(va[c]+uint64(me)*8, seen+uint32(e*locksPerEpoch+i+1))
+				th.Unlock(c)
+				th.Compute(20 * sim.Microsecond)
+			}
+			th.Barrier()
+		}
+		h := fnv.New64a()
+		var buf [64]byte
+		for c := range va {
+			th.Read(va[c], buf[:])
+			h.Write(buf[:])
+		}
+		sums[me] = h.Sum64()
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantStats := MWStats{Fetches: 70, DiffFetches: 2066, DiffsFetched: 2560, HomeFallbacks: 22, DiffsSent: 900,
+		DiffBytes: 5672, TwinsMade: 1200, WriteFault: 1200, ReadFault: 933, Invalidations: 885, Notices: 1200,
+		IntervalsGCed: 960}
+	const wantElapsed, wantSum = sim.Duration(156225719), uint64(0x35fd9ab15bfbde49)
+	if got := s.Stats(); got != wantStats {
+		t.Errorf("stats %+v, recorded %+v", got, wantStats)
+	}
+	if got := s.Elapsed(); got != wantElapsed {
+		t.Errorf("elapsed %d, recorded %d", got, wantElapsed)
+	}
+	for h, sum := range sums {
+		if sum != wantSum {
+			t.Errorf("host %d reads back memory hashing to %#x, recorded %#x", h, sum, wantSum)
 		}
 	}
 }
