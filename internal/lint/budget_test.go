@@ -27,7 +27,7 @@ var kernelBudget = []struct {
 	{"cluster", 1665},
 	{"dsm", 2260},
 	{"ivy", 435},
-	{"lrc", 1483},
+	{"lrc", 1484},
 }
 
 // kernelTarget is ROADMAP item 5's goal for the four packages together:

@@ -154,7 +154,8 @@ type mwGen struct {
 // mwEnt locates one minipage's encoded diff, bytes[off:end] of its mwGen.
 type mwEnt struct{ mp, off, end int }
 
-// mwMP is what a host keeps for one minipage, in MWHost.mps by id.
+// mwMP is what a host keeps for one minipage, in MWHost.mps by id. It
+// holds two Infos because a chunked minipage grows with each allocation.
 type mwMP struct {
 	twin []byte      // the twin while the minipage is dirty, else nil
 	info core.Info   // as of the twin
@@ -215,7 +216,7 @@ type MWStats struct {
 	ReadFault     uint64
 	Invalidations uint64 // minipages invalidated by write notices
 	Notices       uint64 // write notices logged at the coordinator
-	IntervalsGCed uint64 // interval records purged at barriers
+	IntervalsGCed uint64 // closed intervals purged at barriers
 }
 
 // MWSystem is a multi-writer LRC cluster. Host 0 keeps the write-notice
@@ -308,7 +309,7 @@ type MWHost struct {
 	// thread checks the bound and never grows it.
 	mps      []mwMP
 	dirty    []int    // minipages with a twin, in twinning order; sorted at release
-	seenSlab []uint64 // what mwMP.seen rows and first pend slices are carved from
+	seenSlab []uint64 // what the mwMP.seen rows and pend slices are carved from
 	pendSlab []pendEntry
 
 	// Own closed intervals by barrier epoch — gens[2] the current one,
