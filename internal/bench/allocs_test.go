@@ -103,17 +103,20 @@ func TestE2EAllocsRegression(t *testing.T) {
 // above this is an equality — an engine change that claims the same
 // behaviour either reproduces them or has changed the schedule. On top
 // of the equality two bounds. No row's schedule may cost more than 1.4
-// coroswitches per process switch (they measure 1.09-1.33 under direct
+// coroswitches per process switch (they measure 1.21-1.32 under direct
 // hand-off; 2.0 is every switch bouncing through the Run goroutine
-// again); the one row held to 1.6 instead is E2ESOR256, at 1.40: a
+// again); the one row held to 1.6 instead is E2ESOR256, at 1.47: a
 // 257-way barrier releases its hosts in lockstep, which is the
 // round-robin shape — a resume chain built 256 deep and yielded all the
 // way back down — whose price is 2(n-1)/n whatever the discipline. And
-// no row may switch more than 0.78 times as often as it did before the
+// no row may switch more than 0.59 times as often as it did before the
 // substrate's receive, block and call sequences moved into the engine
-// (switchesBeforeHops, that commit's pins; they measure 0.67-0.71): a
-// sequence that falls back to process code shows here, with events_per_op
-// — which those sequences must not and did not move — still equal.
+// (switchesBeforeHops, that commit's pins): they measured 0.67-0.71 then,
+// and 0.39-0.54 once the protocols' message tables put fronts, tails and
+// engine-context handlers into the receive sequence too (PR 25), the
+// bound being the worst row, E2EServeLossy, plus 0.05. A sequence that
+// falls back to process code shows here, with events_per_op — which
+// those sequences must not and did not move — still equal.
 func TestE2ECountersPinned(t *testing.T) {
 	for _, p := range pinnedPoints(t) {
 		if p.EventsPerOp == 0 {
@@ -144,8 +147,8 @@ func TestE2ECountersPinned(t *testing.T) {
 		if ratio > bound {
 			t.Errorf("%s: %.3f coroswitches per process switch, want at most %.1f", p.Name, ratio, bound)
 		}
-		if before == 0 || kept > 0.78 {
-			t.Errorf("%s: %d process switches, want at most 0.78 x the %d of the commit before engine-side wait sequences", p.Name, c.Switches, before)
+		if before == 0 || kept > 0.59 {
+			t.Errorf("%s: %d process switches, want at most 0.59 x the %d of the commit before engine-side wait sequences", p.Name, c.Switches, before)
 		}
 	}
 }

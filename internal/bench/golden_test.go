@@ -9,6 +9,7 @@ import (
 	"millipage/internal/apps"
 	"millipage/internal/cluster"
 	"millipage/internal/dsm"
+	"millipage/internal/registry"
 	"millipage/internal/trace"
 )
 
@@ -136,6 +137,71 @@ func TestGoldenTraceDigest(t *testing.T) {
 	h.Write([]byte(dump))
 	if got := h.Sum64(); got != 0x12f74cf2971b2f85 {
 		t.Errorf("trace dump digest = %#x, want 0x12f74cf2971b2f85", got)
+	}
+}
+
+// tracedLockRun is a traced three-host run under any protocol that goes
+// through the lock service as well as barriers: every host takes the
+// lock of each variable it updates, so grants queue and pass between
+// hosts, and under lrc-mw write notices ride the grants and releases and
+// the next holder fetches the diffs lazily.
+func tracedLockRun(t *testing.T, protocol string, rec *trace.Recorder) (elapsed int64, dump string) {
+	t.Helper()
+	s, err := registry.New(protocol, registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, Seed: 9, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vas [6]uint64
+	err = s.Run(func(th cluster.AppThread) {
+		if th.Host() == 0 {
+			for i := range vas {
+				vas[i] = th.Malloc(64)
+			}
+		}
+		th.Barrier()
+		for r := 0; r < 3; r++ {
+			for v := range vas {
+				if (v+r)%3 == th.Host() || v%2 == 0 {
+					th.Lock(v)
+					th.WriteU32(vas[v], th.ReadU32(vas[v])*7+uint32(r+th.Host()))
+					th.Unlock(v)
+				}
+			}
+			th.Barrier()
+			_ = th.ReadU32(vas[r])
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	rec.Dump(&buf)
+	return int64(s.Runtime().Elapsed()), buf.String()
+}
+
+// TestGoldenTraceDigestLocks pins the trace of tracedLockRun under lrc-mw
+// and ivy, recorded before the lock service's messages and the protocols'
+// reply headers were handled in engine context (PR 25): the Handle and
+// Send records of every message, in order, at their virtual times.
+func TestGoldenTraceDigestLocks(t *testing.T) {
+	for _, w := range []struct {
+		protocol string
+		total    uint64
+		elapsed  int64
+		digest   uint64
+	}{
+		{"lrc-mw", 608, 7019594, 0xadc934c9595c006b},
+		{"ivy", 807, 12614287, 0x85a91abc7f38a046},
+	} {
+		rec := trace.NewRecorder(1 << 16)
+		elapsed, dump := tracedLockRun(t, w.protocol, rec)
+		h := fnv.New64a()
+		h.Write([]byte(dump))
+		if rec.Total() != w.total || elapsed != w.elapsed || h.Sum64() != w.digest {
+			t.Errorf("%s: trace total %d, elapsed %d, digest %#x; recorded %d, %d, %#x",
+				w.protocol, rec.Total(), elapsed, h.Sum64(), w.total, w.elapsed, w.digest)
+		}
 	}
 }
 

@@ -225,11 +225,11 @@ func (rt *Runtime) onRestart(h int) {
 // trace recording layered on top.
 func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
 	id := len(rt.hosts)
-	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh}
+	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh, parked: make([]any, rt.Opt.Hosts)}
 	h.cons, _ = hh.(Consistency)
 	h.log, _ = hh.(NoticeLog)
 	as.SetFaultHandler(h.onFault)
-	h.EP.SetHandler(h.onMessage)
+	h.EP.SetServer(h)
 	rt.hosts = append(rt.hosts, h)
 	return h
 }

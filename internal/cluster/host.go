@@ -22,16 +22,6 @@ type HostHandler interface {
 	// and block.
 	HandleFault(ctx any, f vm.Fault) error
 
-	// HandleMessage dispatches one delivered protocol message in the
-	// host's DSM server thread.
-	HandleMessage(p *sim.Proc, fm *fastmsg.Message)
-
-	// DescribeMsg extracts the trace fields from a protocol payload: the
-	// registered op code (trace.RegisterOps base + message type), the
-	// sharing-unit id, the address, and the home host (-1 when the message
-	// carries none). Called only when tracing is enabled.
-	DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int)
-
 	// Alloc is the allocator behind Thread.Malloc: carve size (> 0) bytes
 	// for host from, seeding whatever directory state the new sharing
 	// units need. It runs on the Coordinator — in the server thread for a
@@ -44,6 +34,99 @@ type HostHandler interface {
 	// itself on the Coordinator — and maps the new bytes as the protocol
 	// lets their allocator hold them.
 	Mapped(p *sim.Proc, a Allocation)
+}
+
+// Msg is a header as the kernel sees it: its protocol's message table and
+// its row there. Every payload a Host sends is one, data markers included.
+type Msg interface {
+	Table() (t Table, typ int)
+	CheckLive(where string) // PoolState's
+}
+
+// Table is a *MsgTable as the kernel dispatches it.
+type Table interface {
+	describe(h *Host, typ int, payload any) (op uint16, mp int, addr uint64, home int)
+	receive(h *Host, typ int, fm *fastmsg.Message) (front sim.Duration, engine bool)
+	serve(h *Host, typ int, p *sim.Proc, fm *fastmsg.Message) (tail *fastmsg.Message)
+}
+
+// MsgTable is a protocol's message table, H its host type and M its header
+// type: a header's trace fields (-1, 0, -1: no sharing unit), a row a type.
+type MsgTable[H, M any] struct {
+	Describe func(h H, m M) (mp int, addr uint64, home int)
+	Rows     []MsgSpec[H, M]
+	op       uint16 // Rows[0]'s trace op code (Register)
+}
+
+// MsgSpec is what receiving one type does once RecvCPU is charged, all run
+// by the receive sequence where the server thread ran it (DESIGN.md §6):
+// Front, the charge its handler opens with (NoFront: none), set only where
+// a "front:" line says why nothing observable precedes it; Engine, a
+// handler that never waits, or Proc; either returns its tail or nil.
+type MsgSpec[H, M any] struct {
+	Name   string
+	Front  func(h H, m M) sim.Duration
+	Engine func(h H, m M, fm *fastmsg.Message) (tail *fastmsg.Message)
+	Proc   func(h H, p *sim.Proc, m M, fm *fastmsg.Message) (tail *fastmsg.Message)
+}
+
+// Register registers t's type names with the trace recorder.
+func Register[H, M any](t MsgTable[H, M]) *MsgTable[H, M] {
+	names := make([]string, len(t.Rows))
+	for i, row := range t.Rows {
+		names[i] = row.Name
+	}
+	t.op = trace.RegisterOps(names)
+	return &t
+}
+
+func (t *MsgTable[H, M]) describe(h *Host, typ int, payload any) (uint16, int, uint64, int) {
+	mp, addr, home := t.Describe(hostOf[H](h), payload.(M))
+	return t.op + uint16(typ), mp, addr, home
+}
+
+func (t *MsgTable[H, M]) receive(h *Host, typ int, fm *fastmsg.Message) (sim.Duration, bool) {
+	if row := &t.Rows[typ]; row.Front != nil {
+		return row.Front(hostOf[H](h), fm.Payload.(M)), row.Engine != nil
+	}
+	return fastmsg.NoFront, t.Rows[typ].Engine != nil
+}
+
+func (t *MsgTable[H, M]) serve(h *Host, typ int, p *sim.Proc, fm *fastmsg.Message) (tail *fastmsg.Message) {
+	if p != nil {
+		return t.Rows[typ].Proc(hostOf[H](h), p, fm.Payload.(M), fm)
+	}
+	h.inEngine = true
+	tail = t.Rows[typ].Engine(hostOf[H](h), fm.Payload.(M), fm)
+	h.inEngine = false
+	return tail
+}
+
+// hostOf is h as a table's host type: the kernel's own, or the protocol's.
+func hostOf[H any](h *Host) H {
+	if k, ok := h.handler.(H); ok {
+		return k
+	}
+	return any(h).(H)
+}
+
+// Park is the row of a reply header whose bytes follow it on the same
+// channel: it waits for them, by sender, in the kernel (Unpark).
+func Park[H interface{ park(*fastmsg.Message) }, M any](h H, _ M, fm *fastmsg.Message) *fastmsg.Message {
+	h.park(fm)
+	return nil
+}
+
+func (h *Host) park(fm *fastmsg.Message) { h.parked[fm.From] = fm.Payload }
+
+// Unpark takes the header parked for data message fm.
+func (h *Host) Unpark(fm *fastmsg.Message) any {
+	hdr := h.parked[fm.From]
+	if hdr == nil {
+		panic(fmt.Sprintf("%s: host %d: data from %d with no pending header", h.rt.Name, h.id, fm.From))
+	}
+	h.parked[fm.From] = nil
+	return hdr
 }
 
 // Host is one process of the simulated cluster: an address space, an FM
@@ -68,6 +151,11 @@ type Host struct {
 	freeRetry Pool[retryEntry]
 	retrySeq  uint64    // arms so far; numbers the entries
 	retryFn   func(any) // h.retryFire, bound at the first arm
+
+	parked   []any // reply headers waiting for their bytes, by sender (Park)
+	rx       Table // the table and row of the message in service (Receive)
+	rxType   int
+	inEngine bool // an engine-context row is running (checkEngineSend)
 }
 
 // Resender is a requester's own record of a request in flight, held by a
@@ -197,63 +285,63 @@ func (h *Host) onFault(ctx any, f vm.Fault) error {
 	return nil
 }
 
-// onMessage records the dispatch, then serves a service message itself
-// and delegates any other to the protocol's message handler, in the
-// host's DSM server thread.
-func (h *Host) onMessage(p *sim.Proc, fm *fastmsg.Message) {
+// Receive and Serve make the Host its endpoint's fastmsg.Server. Receive
+// records the dispatch, at the RecvCPU resume as the thread did, and finds
+// the message's row and its front; Serve runs the row.
+func (h *Host) Receive(fm *fastmsg.Message) (sim.Duration, bool) {
+	checkLive(fm.Payload, "receive")
+	h.rx, h.rxType = fm.Payload.(Msg).Table()
 	if tr := h.rt.Trace; tr.Enabled() {
-		op, mp, _, home := h.describe(fm.Payload)
-		tr.RecordMsg(p.Now(), trace.Handle, h.id, fm.From, home, op, mp, 0)
+		op, mp, _, home := h.rx.describe(h, h.rxType, fm.Payload)
+		tr.RecordMsg(h.rt.Eng.Now(), trace.Handle, h.id, fm.From, home, op, mp, 0)
 	}
-	if m, ok := fm.Payload.(*SvcMsg); ok {
-		h.serve(p, m)
-		return
-	}
-	h.handler.HandleMessage(p, fm)
+	return h.rx.receive(h, h.rxType, fm)
 }
 
-// describe is DescribeMsg with the kernel's own headers answered here.
-func (h *Host) describe(payload any) (op uint16, mp int, addr uint64, home int) {
-	if m, ok := payload.(*SvcMsg); ok {
-		return svcOpBase + uint16(m.Type), -1, 0, -1
-	}
-	return h.handler.DescribeMsg(payload)
+func (h *Host) Serve(p *sim.Proc, fm *fastmsg.Message) *fastmsg.Message {
+	return h.rx.serve(h, h.rxType, p, fm)
 }
 
 // Send ships a header-sized protocol message to host `to` in a pooled
-// envelope (the envelope is recycled after the destination handler
-// returns; the payload object survives).
-func (h *Host) Send(p *sim.Proc, to int, payload any) {
-	h.SendSized(p, to, payload, h.rt.Opt.Costs.HeaderSize)
+// envelope, recycled after the destination handler returns, and with it
+// the ownership of the header.
+func (h *Host) Send(p *sim.Proc, to int, payload any) { h.Flush(p, h.Post(to, payload)) }
+
+// Post is Send up to the charge: it records the send and returns the
+// posted envelope, for a handler's tail or Flush. PostSized gives the wire
+// size of a header with variable-length extras (lrc's encoded diffs).
+func (h *Host) Post(to int, payload any) *fastmsg.Message {
+	return h.PostSized(to, payload, h.rt.Opt.Costs.HeaderSize)
 }
 
-// SendSized is Send with an explicit wire size, for protocols whose
-// headers carry variable-length extras (lrc's encoded diffs).
-func (h *Host) SendSized(p *sim.Proc, to int, payload any, size int) {
-	h.EP.Send(p, to, h.envelope(to, payload, size))
-}
-
-// envelope records the send and wraps payload in a pooled envelope of
-// the given wire size, for Send or for a call's Post (Thread.Step).
-func (h *Host) envelope(to int, payload any, size int) *fastmsg.Message {
+func (h *Host) PostSized(to int, payload any, size int) *fastmsg.Message {
+	checkLive(payload, "Send")
 	if tr := h.rt.Trace; tr.Enabled() {
-		op, mp, addr, home := h.describe(payload)
+		t, typ := payload.(Msg).Table()
+		op, mp, addr, home := t.describe(h, typ, payload)
 		tr.RecordMsg(h.rt.Eng.Now(), trace.Send, h.id, to, home, op, mp, addr)
 	}
 	fm := h.EP.AllocMessage()
-	fm.Size = size
-	fm.Payload = payload
+	fm.Size, fm.Payload = size, payload
+	h.EP.Post(to, fm)
 	return fm
 }
 
-// SendData ships raw sharing-unit bytes (no header: FM delivers them
-// directly into the destination's memory, the paper's zero-copy path).
-// marker is the protocol's shared immutable data-message payload; bulk
-// data is deliberately not traced — the preceding header send is.
-func (h *Host) SendData(p *sim.Proc, to int, data []byte, marker any) {
+// PostData posts raw sharing-unit bytes (no header: FM delivers them
+// directly into the destination's memory, the paper's zero-copy path);
+// marker is the protocol's immutable data payload. The header is traced.
+func (h *Host) PostData(to int, data []byte, marker any) *fastmsg.Message {
 	fm := h.EP.AllocMessage()
-	fm.Size = len(data)
-	fm.Data = data
-	fm.Payload = marker
-	h.EP.Send(p, to, fm)
+	fm.Size, fm.Data, fm.Payload = len(data), data, marker
+	h.EP.Post(to, fm)
+	return fm
+}
+
+// Flush is the rest of Send for a posted envelope, if any: charge p (none
+// if nil, as for a retry timer's Resend; checked under -tags invariants).
+func (h *Host) Flush(p *sim.Proc, fm *fastmsg.Message) {
+	if fm != nil {
+		h.checkEngineSend(p == nil, fm.Payload)
+		h.EP.Finish(p, fm)
+	}
 }

@@ -8,6 +8,9 @@ package cluster
 type PoolState struct{}
 
 func (*PoolState) CheckLive(string) {}
+func checkLive(any, string)         {}
+
+func (*Host) checkEngineSend(bool, any) {}
 
 type poolCount struct{}
 

@@ -2,7 +2,11 @@
 
 package cluster
 
-import "slices"
+import (
+	"slices"
+
+	"millipage/internal/trace"
+)
 
 // Lifecycle invariants for the protocols' freelists, mirroring fastmsg's
 // envelope state machine. A pooled header or buffer has one owner at a
@@ -13,6 +17,8 @@ import "slices"
 
 // PoolState is embedded in pooled protocol headers.
 type PoolState struct{ recycled bool }
+
+func checkLive(payload any, where string) { payload.(Msg).CheckLive(where) }
 
 // CheckLive panics if the header sits in a freelist; where names the use.
 func (s *PoolState) CheckLive(where string) {
@@ -35,6 +41,16 @@ func (s *PoolState) reuse() {
 		panic("cluster: pooled header was written after it was recycled")
 	}
 	s.recycled = false
+}
+
+// checkEngineSend panics on a send charged to no process from inside an
+// engine-context row, which returns its last send as the tail instead.
+func (h *Host) checkEngineSend(uncharged bool, payload any) {
+	if uncharged && h.inEngine {
+		t, typ := payload.(Msg).Table()
+		op, _, _, _ := t.describe(h, typ, payload)
+		panic("cluster: " + trace.OpName(op) + " sent with no process from an engine-context row")
+	}
 }
 
 // poolCount is a Pool's tally of records created.
@@ -93,6 +109,11 @@ func retireSlice[T byte | int](s []T, free [][]T) {
 		}
 	}
 	Poison(s)
+}
+
+// Parked returns the reply headers parked at h waiting for their bytes.
+func (h *Host) Parked() int {
+	return len(slices.DeleteFunc(slices.Clone(h.parked), func(hdr any) bool { return hdr == nil }))
 }
 
 // LiveServiceHeaders returns the service headers somebody still owns.

@@ -5,6 +5,10 @@ package cluster
 import (
 	"strings"
 	"testing"
+
+	"millipage/internal/fastmsg"
+	"millipage/internal/sim"
+	"millipage/internal/vm"
 )
 
 func mustPanic(t *testing.T, want string, fn func()) {
@@ -57,4 +61,38 @@ func TestSlicePoolInvariants(t *testing.T) {
 	mustPanic(t, "buffer recycled twice", func() { ints.Put(s) })
 	s[1] = 7
 	mustPanic(t, "written after it was recycled", func() { ints.Get(2) })
+}
+
+// synUncharged is an engine-context row that sends in-process, with no
+// process to charge, instead of returning the send as its tail.
+var synUncharged = Register(synTable{Describe: synDescribe, Rows: []MsgSpec[*synHost, *synMsg]{
+	{Name: "SYN_UNCHARGED", Engine: func(h *synHost, m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
+		h.Send(nil, fm.From, &synMsg{tab: m.tab})
+		return nil
+	}},
+}})
+
+// TestEngineRowSendPanics: under -tags invariants a send charged to no
+// process from inside an engine-context row panics, naming the message
+// type. (A retry timer's Resend(nil) does not: the crash-restart run of
+// TestReceiveSequenceIsTheServer re-sends that way under this tag.)
+func TestEngineRowSendPanics(t *testing.T) {
+	rt, err := New("syn", Options{Hosts: 2, SharedSize: vm.PageSize}, Traits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := []*synHost{{tab: synUncharged}, {tab: synUncharged}}
+	for _, h := range hs {
+		h.Host = rt.NewHost(vm.NewAddressSpace(), h)
+	}
+	mustPanic(t, "SYN_UNCHARGED sent with no process from an engine-context row", func() {
+		rt.Run(func(ct *Thread) func() {
+			return func() {
+				if ct.ID == 0 { // host 1 is idle: it serves the message at once
+					hs[0].Send(ct.p, 1, &synMsg{tab: synUncharged})
+					ct.Compute(sim.Millisecond)
+				}
+			}
+		})
+	})
 }

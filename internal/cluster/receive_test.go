@@ -1,0 +1,322 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"millipage/internal/fastmsg"
+	"millipage/internal/faultnet"
+	"millipage/internal/sim"
+	"millipage/internal/trace"
+	"millipage/internal/vm"
+)
+
+// The synthetic protocol of the receive-sequence tests: no shared memory,
+// only messages, and a row of every kind the receive sequence runs. A
+// message carries a hop budget; every handler folds what it received, and
+// when, into its host's state and, while the budget lasts, passes messages
+// on. Application threads start such chains and make calls that are
+// answered in engine context.
+const (
+	synFront    = iota // a front, then a process handler that waits and sends in-process
+	synEngTail         // engine context, its forward (or a call's answer) as the tail
+	synEng             // engine context, no tail: wakes a caller
+	synProcTail        // a process handler that sends in-process and returns a tail
+	synProcSend        // a process handler that sends in-process and returns nil
+	synKinds
+)
+
+type synTable = MsgTable[*synHost, *synMsg]
+
+type synMsg struct {
+	PoolState
+	typ, hops, val int
+	fw             *Wait
+	tab            Table
+}
+
+func (m *synMsg) Table() (Table, int) { return m.tab, m.typ }
+
+type synHost struct {
+	*Host
+	tab  Table
+	sum  uint64        // what it received, and when
+	seen [synKinds]int // messages received, by type
+}
+
+func (*synHost) HandleFault(any, vm.Fault) error                     { return nil }
+func (*synHost) Alloc(*sim.Proc, int, int, bool) (Allocation, error) { return Allocation{}, nil }
+func (*synHost) Mapped(*sim.Proc, Allocation)                        {}
+
+func (h *synHost) fold(m *synMsg) *synMsg {
+	h.sum = h.sum*1_000_003 + uint64(h.rt.Eng.Now())<<8 + uint64(m.typ<<4+m.hops) + uint64(m.val)
+	h.seen[m.typ]++
+	return m
+}
+
+// post posts what m passes on, as type typ, while its budget lasts.
+func (h *synHost) post(m *synMsg, typ int) *fastmsg.Message {
+	if m.hops == 0 {
+		return nil
+	}
+	to := (h.id + 1 + m.val%3) % h.rt.NumHosts()
+	return h.Post(to, &synMsg{typ: typ, hops: m.hops - 1, val: m.val*7 + h.id, tab: h.tab})
+}
+
+// synFrontCost applies to three messages in four.
+func synFrontCost(_ *synHost, m *synMsg) sim.Duration {
+	if m.val%4 == 0 {
+		return fastmsg.NoFront
+	}
+	return 3 * sim.Microsecond
+}
+
+func (h *synHost) frontProc(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.fold(m)
+	p.Sleep(2 * sim.Microsecond)
+	h.Flush(p, h.post(m, synEngTail))
+	return nil
+}
+
+func (h *synHost) engTail(m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
+	if h.fold(m).fw != nil {
+		return h.Post(fm.From, &synMsg{typ: synEng, val: m.val, fw: m.fw, tab: h.tab})
+	}
+	return h.post(m, synProcTail)
+}
+
+func (h *synHost) eng(m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+	if h.fold(m).fw != nil {
+		m.fw.Ev.Set()
+	}
+	return nil
+}
+
+func (h *synHost) procTail(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.fold(m)
+	p.Sleep(4 * sim.Microsecond)
+	h.Flush(p, h.post(m, synProcSend))
+	return h.post(m, synFront)
+}
+
+func (h *synHost) procSend(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.Flush(p, h.post(h.fold(m), synFront))
+	p.Sleep(sim.Microsecond)
+	return nil
+}
+
+func synDescribe(_ *synHost, m *synMsg) (int, uint64, int) { return m.val % 5, uint64(m.hops), -1 }
+
+var synNames = [synKinds]string{"SYN_FRONT", "SYN_ENGINE_TAIL", "SYN_ENGINE", "SYN_PROC_TAIL", "SYN_PROC_SEND"}
+
+// synDeclared is the protocol as the kernel runs it: one row of each kind.
+var synDeclared = Register(synTable{Describe: synDescribe, Rows: []MsgSpec[*synHost, *synMsg]{
+	synFront:    {Name: synNames[synFront], Front: synFrontCost, Proc: (*synHost).frontProc},
+	synEngTail:  {Name: synNames[synEngTail], Engine: (*synHost).engTail},
+	synEng:      {Name: synNames[synEng], Engine: (*synHost).eng},
+	synProcTail: {Name: synNames[synProcTail], Proc: (*synHost).procTail},
+	synProcSend: {Name: synNames[synProcSend], Proc: (*synHost).procSend},
+}})
+
+// handleMessage is the same protocol written as a HandleMessage was before
+// the receive sequence ran fronts, engine-context handlers and tails:
+// every charge and every send in the server thread.
+func (h *synHost) handleMessage(p *sim.Proc, m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
+	switch m.typ {
+	case synFront:
+		if d := synFrontCost(h, m); d != fastmsg.NoFront {
+			p.Sleep(d)
+		}
+		return h.frontProc(p, m, fm)
+	case synEngTail:
+		h.Flush(p, h.engTail(m, fm))
+	case synEng:
+		h.eng(m, fm)
+	case synProcTail:
+		h.Flush(p, h.procTail(p, m, fm))
+	case synProcSend:
+		h.procSend(p, m, fm)
+	}
+	return nil
+}
+
+var synInProcess = func() *synTable {
+	t := synTable{Describe: synDescribe}
+	for _, name := range synNames {
+		t.Rows = append(t.Rows, MsgSpec[*synHost, *synMsg]{Name: name, Proc: (*synHost).handleMessage})
+	}
+	return Register(t)
+}()
+
+// synResend re-issues an application thread's call after a loss.
+type synResend struct {
+	h       *synHost
+	to, val int
+	fw      *Wait
+}
+
+func (r *synResend) Resend(p *sim.Proc) {
+	r.h.Send(p, r.to, &synMsg{typ: synEngTail, val: r.val, fw: r.fw, tab: r.h.tab})
+}
+func (r *synResend) Release() {}
+
+// synResult is everything the receive sequence must leave as it was.
+type synResult struct {
+	err                        string
+	now                        sim.Time
+	events, sleepFast, pending uint64
+	switches                   uint64
+	dump                       string
+	stats                      []fastmsg.Stats
+	sums                       []uint64
+	seen                       [synKinds]int
+}
+
+// synRun runs the synthetic protocol on four hosts under table tab, on a
+// wire with the fault plan (nil: clean).
+func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
+	t.Helper()
+	const hosts = 4
+	rec := trace.NewRecorder(1 << 17)
+	rt, err := New("syn", Options{Hosts: hosts, SharedSize: vm.PageSize, Seed: 3, Faults: plan, Trace: rec}, Traits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := make([]*synHost, hosts)
+	for i := range hs {
+		hs[i] = &synHost{tab: tab}
+		hs[i].Host = rt.NewHost(vm.NewAddressSpace(), hs[i])
+	}
+	rt.Eng.At(sim.Time(10*sim.Second), rt.Eng.Stop) // a call lost for good still ends the run
+	runErr := rt.Run(func(ct *Thread) func() {
+		return func() {
+			h := hs[ct.h.id]
+			for i := 0; i < 60; i++ {
+				ct.Compute(sim.Duration(20+(i*37+ct.ID*11)%90) * sim.Microsecond)
+				to, val := (ct.ID+1+i%3)%hosts, 4*i+ct.ID
+				if i%3 != 2 {
+					typ := []int{synFront, synProcTail, synProcSend, synEngTail}[i%4]
+					h.Send(ct.p, to, &synMsg{typ: typ, hops: 4, val: val, tab: tab})
+					continue
+				}
+				fw := ct.WaitSlot()
+				b := Blocking{For: "syn answer", FW: fw, Wake: sim.Microsecond, To: to,
+					Request: &synMsg{typ: synEngTail, val: val, fw: fw, tab: tab}}
+				if plan != nil {
+					b.Retry, b.RetryBase = &synResend{h, to, val, fw}, 5*sim.Millisecond
+				}
+				ct.Block(b)
+			}
+		}
+	})
+	c := rt.Eng.Counters()
+	var dump bytes.Buffer
+	rec.Dump(&dump)
+	r := synResult{err: fmt.Sprint(runErr), now: rt.Eng.Now(), events: c.Events, sleepFast: c.SleepFast,
+		pending: c.MaxPending, switches: c.Switches, dump: dump.String()}
+	for i, h := range hs {
+		r.stats = append(r.stats, rt.Net.Endpoint(i).Stats())
+		r.sums = append(r.sums, h.sum)
+		for k, n := range h.seen {
+			r.seen[k] += n
+		}
+	}
+	return r
+}
+
+// TestReceiveSequenceIsTheServer: the synthetic protocol with a row of
+// every kind — a front before a process handler, engine-context handlers
+// with and without a tail, process handlers returning a tail and sending
+// in-process — runs event for event as the same protocol written as an
+// in-process HandleMessage: the same Events, SleepFast and MaxPending, the
+// same trace record stream, endpoint Stats and host state, the same end;
+// only the switches fall. On a clean wire, under drop-heavy and under
+// crash-restart, where retry timers re-send with no process to charge.
+func TestReceiveSequenceIsTheServer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan *faultnet.Plan
+	}{
+		{"clean", nil},
+		{"drop-heavy", &faultnet.Plan{Seed: 11, Drop: 0.25, Dup: 0.15}},
+		{"crash-restart", &faultnet.Plan{Seed: 11, Drop: 0.02, Crashes: []faultnet.Crash{
+			{Host: 2, At: sim.Time(sim.Millisecond), RestartAt: sim.Time(3 * sim.Millisecond)},
+			{Host: 0, At: sim.Time(4 * sim.Millisecond), RestartAt: sim.Time(6 * sim.Millisecond)}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, got := synRun(t, synInProcess, tc.plan), synRun(t, synDeclared, tc.plan)
+			if got.err != want.err || got.now != want.now {
+				t.Fatalf("declared: Run = %s at %v; in-process: %s at %v", got.err, got.now, want.err, want.now)
+			}
+			if got.events != want.events || got.sleepFast != want.sleepFast || got.pending != want.pending {
+				t.Fatalf("declared: %d events, %d SleepFast, %d pending; in-process: %d, %d, %d",
+					got.events, got.sleepFast, got.pending, want.events, want.sleepFast, want.pending)
+			}
+			if got.dump != want.dump {
+				t.Fatalf("the trace record streams differ (%d and %d bytes)", len(got.dump), len(want.dump))
+			}
+			if !slices.Equal(got.stats, want.stats) || !slices.Equal(got.sums, want.sums) || got.seen != want.seen {
+				t.Fatalf("declared: stats %v, state %x, seen %v; in-process: %v, %x, %v",
+					got.stats, got.sums, got.seen, want.stats, want.sums, want.seen)
+			}
+			for k, n := range got.seen {
+				if n == 0 {
+					t.Fatalf("no %s was received: the run does not cover its row", synNames[k])
+				}
+			}
+			if got.switches >= want.switches {
+				t.Fatalf("declared: %d switches, in-process %d: nothing ran in the sequence", got.switches, want.switches)
+			}
+			t.Logf("%d events, switches %d -> %d, %d messages received", got.events, want.switches, got.switches, got.seen)
+		})
+	}
+}
+
+// TestReceiveAllocFree: a lock handed back and forth between two hosts
+// with a barrier after each round — a lock request turned into its grant
+// as the tail, the grant and the unlock handled in engine context, the
+// barrier's releases sent as a process handler's tail — allocates nothing
+// in steady state, on a clean wire and with a fault plan armed.
+func TestReceiveAllocFree(t *testing.T) {
+	far := sim.Time(1 << 60)
+	for _, plan := range []*faultnet.Plan{nil, {Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}} {
+		rt, err := New("test", Options{Hosts: 2, SharedSize: vm.PageSize, Faults: plan}, Traits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			rt.NewHost(vm.NewAddressSpace(), nopHandler{})
+		}
+		const warmup, measured = 300, 1000
+		avg := -1.0
+		err = rt.Run(func(ct *Thread) func() {
+			return func() {
+				i := 0
+				round := func() {
+					ct.Lock(1)
+					ct.Unlock(1)
+					ct.Barrier()
+					i++
+				}
+				for i < warmup {
+					round()
+				}
+				if ct.Host() == 0 {
+					avg = testing.AllocsPerRun(measured, round)
+					return
+				}
+				for i < warmup+1+measured {
+					round()
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avg != 0 {
+			t.Fatalf("armed=%v: a lock round allocates %.1f objects in steady state, want 0", plan != nil, avg)
+		}
+	}
+}

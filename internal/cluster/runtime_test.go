@@ -12,18 +12,26 @@ import (
 	"millipage/internal/vm"
 )
 
-// nopHandler is the minimal protocol: no faults, no messages.
+// nopHandler is the minimal protocol: no faults, and one message, nopMsg,
+// which it drops.
 type nopHandler struct{}
 
-func (nopHandler) HandleFault(ctx any, f vm.Fault) error          { return nil }
-func (nopHandler) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {}
-func (nopHandler) DescribeMsg(payload any) (uint16, int, uint64, int) {
-	return 0, -1, 0, -1
-}
+func (nopHandler) HandleFault(ctx any, f vm.Fault) error { return nil }
 func (nopHandler) Alloc(p *sim.Proc, from, size int, local bool) (Allocation, error) {
 	return Allocation{}, nil
 }
 func (nopHandler) Mapped(p *sim.Proc, a Allocation) {}
+
+type nopMsg struct{ PoolState }
+
+var nopTable = Register(MsgTable[nopHandler, *nopMsg]{
+	Describe: func(nopHandler, *nopMsg) (int, uint64, int) { return -1, 0, -1 },
+	Rows: []MsgSpec[nopHandler, *nopMsg]{{Name: "NOP", Proc: func(nopHandler, *sim.Proc, *nopMsg, *fastmsg.Message) *fastmsg.Message {
+		return nil
+	}}},
+})
+
+func (*nopMsg) Table() (Table, int) { return nopTable, 0 }
 
 func newTestRuntime(hosts, threadsPerHost int) *Runtime {
 	rt, err := New("test", Options{Hosts: hosts, ThreadsPerHost: threadsPerHost, SharedSize: vm.PageSize}, Traits{MultiThreaded: true})
@@ -161,7 +169,7 @@ func TestDeadlockNamesWhatThreadsWaitFor(t *testing.T) {
 		return func() {
 			switch ct.ID {
 			case 0: // a call nobody answers (nopHandler drops the request)
-				ct.Block(Blocking{For: "lock grant", FW: ct.WaitSlot(), To: 1, Request: "request", Wake: sim.Microsecond})
+				ct.Block(Blocking{For: "lock grant", FW: ct.WaitSlot(), To: 1, Request: &nopMsg{}, Wake: sim.Microsecond})
 			case 1:
 				ct.Block(Blocking{For: "flush done", On: sim.NewEvent(rt.Eng), Pre: sim.Microsecond})
 			case 2: // the group's first member is there, the second never comes

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"millipage/internal/core"
+	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
-	"millipage/internal/trace"
 )
 
 // Coordinator is the host that runs the paper's three protocol-independent
@@ -27,14 +27,7 @@ const (
 	SvcUnlock
 )
 
-var svcNames = [...]string{
-	"ALLOC_REQUEST", "ALLOC_REPLY",
-	"BARRIER_ARRIVE", "BARRIER_RELEASE", "LOCK_REQUEST", "LOCK_GRANT", "UNLOCK",
-}
-
-var svcOpBase = trace.RegisterOps(svcNames[:])
-
-func (t SvcType) String() string { return svcNames[t] }
+func (t SvcType) String() string { return svcTable.Rows[t].Name }
 
 // SvcMsg is the service header, pooled per cluster. A request turns
 // around in place as its answer, so the header a thread sends is the one
@@ -113,11 +106,6 @@ func (h *Host) newSvc(typ SvcType, lock int) *SvcMsg {
 	return m
 }
 
-func (h *Host) sendSvc(p *sim.Proc, to int, m *SvcMsg) {
-	m.CheckLive("Send")
-	h.Send(p, to, m)
-}
-
 // alloc runs the protocol's allocator on the coordinator for host from.
 func (h *Host) alloc(p *sim.Proc, from, size int, local bool) Allocation {
 	a, err := h.handler.Alloc(p, from, size, local)
@@ -156,7 +144,6 @@ func (t *Thread) Malloc(size int) uint64 {
 func (t *Thread) call(m *SvcMsg, what string) {
 	fw := t.WaitSlot()
 	m.FW = fw
-	m.CheckLive("Send")
 	t.Block(Blocking{For: what, FW: fw, Wake: t.h.rt.Opt.Costs.ThreadWake, To: Coordinator, Request: m})
 }
 
@@ -206,74 +193,100 @@ func (t *Thread) Unlock(id int) {
 	start := t.p.Now()
 	m := t.h.newSvc(SvcUnlock, id)
 	t.release(m)
-	t.h.sendSvc(t.p, Coordinator, m)
+	t.h.Send(t.p, Coordinator, m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)
 	t.Stats.LockOps++
 }
 
-// serve handles one service message in the host's server thread:
-// requests at the coordinator, their answers at the requester.
-func (h *Host) serve(p *sim.Proc, m *SvcMsg) {
-	m.CheckLive("HandleMessage")
-	svc := &h.rt.svc
-	switch m.Type {
-	case SvcAllocReply:
-		h.handler.Mapped(p, m.Alloc)
-		fallthrough
-	case SvcBarrierRelease, SvcLockGrant:
-		m.FW.Ev.Set() // the woken thread reads the answer and recycles m
-		return
-	}
+// svcTable is the kernel's message table. Setting an event, granting a
+// lock or queueing its request never waits (nor does the NoticeLog): those
+// rows run in engine context, a grant as the tail.
+var svcTable = Register(MsgTable[*Host, *SvcMsg]{Rows: []MsgSpec[*Host, *SvcMsg]{
+	SvcAllocReq:       {Name: "ALLOC_REQUEST", Proc: (*Host).allocRequest},
+	SvcAllocReply:     {Name: "ALLOC_REPLY", Proc: (*Host).allocReply},
+	SvcBarrierArrive:  {Name: "BARRIER_ARRIVE", Proc: (*Host).barrierArrive},
+	SvcBarrierRelease: {Name: "BARRIER_RELEASE", Engine: (*Host).answer},
+	SvcLockReq:        {Name: "LOCK_REQUEST", Engine: (*Host).lockRequest},
+	SvcLockGrant:      {Name: "LOCK_GRANT", Engine: (*Host).answer},
+	SvcUnlock:         {Name: "UNLOCK", Engine: (*Host).unlock},
+}, Describe: func(*Host, *SvcMsg) (int, uint64, int) { return -1, 0, -1 }})
+
+func (m *SvcMsg) Table() (Table, int) { return svcTable, int(m.Type) }
+
+// request is a service request's header, at the coordinator only.
+func (h *Host) request(m *SvcMsg) *SvcMsg {
 	if h.id != Coordinator {
 		panic(fmt.Sprintf("%s: host %d received %v", h.rt.Name, h.id, m.Type))
 	}
-	switch m.Type {
-	case SvcAllocReq:
-		m.Alloc = h.alloc(p, m.From, m.Size, false)
-		m.Type = SvcAllocReply
-		h.sendSvc(p, m.From, m)
+	return m
+}
 
-	case SvcBarrierArrive:
-		if h.log != nil {
-			h.log.Released(m)
-		}
-		arrivals, done := svc.barrier.Arrive(m, h.rt.totalThreads)
-		if !done {
-			return
-		}
-		if h.log != nil {
-			h.log.Converged(arrivals)
-		}
-		for _, a := range arrivals {
-			a.Type = SvcBarrierRelease
-			h.sendSvc(p, a.From, a)
-		}
+func (h *Host) allocRequest(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.request(m).Alloc = h.alloc(p, m.From, m.Size, false)
+	m.Type = SvcAllocReply
+	return h.Post(m.From, m)
+}
 
-	case SvcLockReq:
-		if svc.locks.Acquire(m) {
-			h.grant(p, m)
-		} // else queued: the table holds m until an unlock pops it
+func (h *Host) allocReply(p *sim.Proc, m *SvcMsg, fm *fastmsg.Message) *fastmsg.Message {
+	h.handler.Mapped(p, m.Alloc)
+	return h.answer(m, fm)
+}
 
-	case SvcUnlock:
-		if h.log != nil {
-			h.log.Released(m)
-		}
-		next, err := svc.locks.Release(m.LockID, m.From)
-		if err != nil {
-			h.rt.Misuse(m.From, "%v", err)
-		}
-		svc.free.Put(m)
-		if next != nil {
-			h.grant(p, next)
-		}
+// answer wakes the requester, which reads the answer and recycles it.
+func (h *Host) answer(m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+	m.FW.Ev.Set()
+	return nil
+}
+
+func (h *Host) barrierArrive(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) (tail *fastmsg.Message) {
+	h.request(m)
+	if h.log != nil {
+		h.log.Released(m)
 	}
+	arrivals, done := h.rt.svc.barrier.Arrive(m, h.rt.totalThreads)
+	if !done {
+		return nil
+	}
+	if h.log != nil {
+		h.log.Converged(arrivals)
+	}
+	for _, a := range arrivals {
+		h.Flush(p, tail)
+		a.Type = SvcBarrierRelease
+		tail = h.Post(a.From, a)
+	}
+	return tail
+}
+
+func (h *Host) lockRequest(m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+	if h.rt.svc.locks.Acquire(h.request(m)) {
+		return h.grant(m)
+	}
+	return nil // queued: the table holds m until an unlock pops it
+}
+
+func (h *Host) unlock(m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+	svc := &h.rt.svc
+	h.request(m)
+	if h.log != nil {
+		h.log.Released(m)
+	}
+	next, err := svc.locks.Release(m.LockID, m.From)
+	if err != nil {
+		h.rt.Misuse(m.From, "%v", err)
+	}
+	svc.free.Put(m)
+	if next == nil {
+		return nil
+	}
+	return h.grant(next)
 }
 
 // grant turns a lock request around as its grant.
-func (h *Host) grant(p *sim.Proc, m *SvcMsg) {
+func (h *Host) grant(m *SvcMsg) *fastmsg.Message {
 	if h.log != nil {
 		h.log.Granting(m)
 	}
 	m.Type = SvcLockGrant
-	h.sendSvc(p, m.From, m)
+	return h.Post(m.From, m)
 }

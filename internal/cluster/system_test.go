@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -19,10 +18,6 @@ type stubHost struct {
 func (h *stubHost) HandleFault(ctx any, f vm.Fault) error {
 	h.faultCtx = append(h.faultCtx, ctx)
 	return h.AS.Protect(stubBase, 1, vm.ReadWrite)
-}
-func (h *stubHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {}
-func (h *stubHost) DescribeMsg(payload any) (uint16, int, uint64, int) {
-	return 0, -1, 0, -1
 }
 func (h *stubHost) Alloc(p *sim.Proc, from, size int, local bool) (Allocation, error) {
 	return Allocation{VA: stubBase}, nil

@@ -206,10 +206,10 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 	h, op := t.h, &t.op
 	switch t.stage {
 	case opSend:
-		t.request = h.envelope(op.To, op.Request, h.rt.Opt.Costs.HeaderSize)
+		t.request = h.Post(op.To, op.Request)
 		op.Request = nil
 		t.stage = opTransmit
-		return sim.SleepFor, h.EP.Post(op.To, t.request)
+		return sim.SleepFor, h.rt.Opt.Net.SendCPU(t.request.Size)
 	case opTransmit:
 		h.EP.Transmit(t.request)
 		t.request = nil

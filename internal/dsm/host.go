@@ -30,10 +30,6 @@ type Host struct {
 	sys    *System
 	Region *core.Region
 
-	// pendingHdr pairs a reply header with the mData message that follows
-	// it on the same FIFO channel, indexed by source host id.
-	pendingHdr []*pmsg
-
 	// prefetchSpans tracks in-flight prefetch requests so a fault into a
 	// prefetched region is accounted as prefetch wait, not a read fault.
 	prefetchSpans []span
@@ -49,24 +45,20 @@ type Host struct {
 // sender until Send, then the handler that receives it — which the
 // transport runs exactly once per message, duplicates and retransmits
 // included. The owner forwards it (mutate and resend), parks it (a
-// directory queue, pendingHdr) or recycles it; see request for requests.
+// directory queue, the kernel's Park) or recycles it; see request for requests.
 func (h *Host) allocPM() *pmsg { return h.sys.freePM.Get() }
 
 // recyclePM returns a header its owner is done with to the freelist.
 // Only headers obtained from allocPM may be recycled — never dataMarker.
 func (h *Host) recyclePM(m *pmsg) { h.sys.freePM.Put(m) }
 
-// Send ships header m to host `to` and with it the ownership of m.
-func (h *Host) Send(p *sim.Proc, to int, m *pmsg) {
-	m.CheckLive("Send")
-	h.Host.Send(p, to, m)
-}
+// sendNew ships a fresh pooled header holding v; postNew posts it.
+func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) { h.Flush(p, h.postNew(to, v)) }
 
-// sendNew ships a fresh pooled header holding v.
-func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) {
+func (h *Host) postNew(to int, v pmsg) *fastmsg.Message {
 	m := h.allocPM()
 	*m = v
-	h.Send(p, to, m)
+	return h.Post(to, m)
 }
 
 // call is sendNew for a request whose reply thread t then waits for, as b
@@ -74,7 +66,6 @@ func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) {
 func (t *Thread) call(to int, v pmsg, b cluster.Blocking) {
 	m := t.host.allocPM()
 	*m = v
-	m.CheckLive("Send")
 	b.To, b.Request = to, m
 	t.Block(b)
 }
@@ -117,21 +108,14 @@ type HostStats struct {
 	PushesServed   uint64
 }
 
-// DescribeMsg extracts the trace fields from a protocol header (the
-// cluster runtime calls it only when tracing is enabled).
-func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
-	m := payload.(*pmsg)
-	return opBase + uint16(m.Type), m.Info.ID, m.Addr, h.homeOfMsg(m)
-}
-
-// homeOfMsg returns the home host of the minipage a message concerns,
-// or -1 for messages that carry no translation record (untranslated
-// requests, synchronization and allocation traffic).
-func (h *Host) homeOfMsg(m *pmsg) int {
+// describe gives the trace a header's minipage, address and home host —
+// -1 for messages that carry no translation record (untranslated
+// requests, the replication layer's control traffic).
+func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
-		return -1
+		return m.Info.ID, m.Addr, -1
 	}
-	return h.sys.homeOf(m.Info.ID)
+	return m.Info.ID, m.Addr, h.sys.homeOf(m.Info.ID)
 }
 
 // route returns the host that runs the directory transaction for the
@@ -220,108 +204,128 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 	return false
 }
 
-// HandleMessage dispatches one delivered message in the host's DSM server
-// thread. Directory traffic goes to this host's shard, which checks that
-// the minipage is homed here (resolve, entry). Everything else is the
-// thin non-manager protocol of Figure 3 — note that it does no queuing,
-// no table lookups and no translation of any kind.
-func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
-	m := fm.Payload.(*pmsg)
-	m.CheckLive("HandleMessage")
-	switch m.Type {
-	// ---- Directory traffic, handled by the minipage's home ----------
-	case mReadReq, mWriteReq, mAck, mInvalidateReply, mPushReq, mPushAck, mDirInit,
-		mPing, mViewUpdate, mMirror, mMirrorAck, mMirrorNak, mStateXfer, mSyncAck:
-		if rp := h.sys.replAt(h.ID()); rp != nil {
-			rp.dispatchDir(p, m)
-			return
-		}
-		h.sys.mgrs[h.ID()].dispatch(p, m)
+// table is the protocol's message table (cluster.MsgTable). Directory
+// traffic goes to this host's shard, which checks that the minipage is
+// homed here (resolve, entry). Everything else is the thin non-manager
+// protocol of Figure 3 — note that it does no queuing, no table lookups
+// and no translation of any kind.
+var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
+	// front: resolve opens with the MPT lookup; dropDup before it reads nothing of an unstamped request.
+	mReadReq:  {Name: "READ_REQUEST", Front: (*Host).lookupFront, Proc: dir},
+	mWriteReq: {Name: "WRITE_REQUEST", Front: (*Host).lookupFront, Proc: dir},
+	mPushReq:  {Name: "PUSH_REQUEST", Front: (*Host).lookupFront, Proc: dir},
+	// front: these open with a protection probe or change; nothing before it.
+	mReadFwd:       {Name: "READ_FWD", Front: getProt, Proc: (*Host).readFwd},
+	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Proc: (*Host).writeFwd},
+	mInvalidateReq: {Name: "INVALIDATE_REQUEST", Front: setProt, Proc: (*Host).invalidate},
+	mPushOrder:     {Name: "PUSH_ORDER", Front: getProt, Proc: (*Host).servePush},
+	// front: a plain grant has no late or duplicate twin to drop before its charge.
+	mUpgradeGrant: {Name: "UPGRADE_GRANT", Front: (*Host).upgradeFront, Proc: (*Host).upgradeGrant},
+	mReadReply:    {Name: "READ_REPLY", Engine: park}, mWriteReply: {Name: "WRITE_REPLY", Engine: park},
+	mPushData: {Name: "PUSH_DATA", Engine: park}, mData: {Name: "DATA", Proc: (*Host).data},
+	mInvalidateReply: {Name: "INVALIDATE_REPLY", Proc: dir}, mAck: {Name: "ACK", Proc: dir},
+	mPushAck: {Name: "PUSH_ACK", Proc: dir}, mDirInit: {Name: "DIR_INIT", Proc: dir},
+	mPing: {Name: "PING", Proc: dir}, mViewUpdate: {Name: "VIEW_UPDATE", Proc: dir},
+	mMirror: {Name: "MIRROR", Proc: dir}, mMirrorAck: {Name: "MIRROR_ACK", Proc: dir},
+	mMirrorNak: {Name: "MIRROR_NAK", Proc: dir}, mStateXfer: {Name: "STATE_XFER", Proc: dir},
+	mSyncAck: {Name: "SYNC_ACK", Proc: dir},
+}})
 
-	// ---- Forwarded requests served by any host ----------------------
-	case mReadFwd:
-		// Handle Read Request: downgrade a writable copy, then reply with
-		// header and data straight out of the privileged view.
-		c := h.Costs()
-		p.Sleep(c.GetProt)
-		if prot, _ := h.Region.ProtOf(m.Info.Base); prot == vm.ReadWrite {
-			p.Sleep(c.SetProt)
-			if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadOnly); err != nil {
-				panic(err)
-			}
-		}
-		h.Stats.RequestsServed++
-		h.replyWithData(p, m, mReadReply)
+var dir, park = (*Host).directory, cluster.Park[*Host, *pmsg]
 
-	case mWriteFwd:
-		// Handle Write Request: invalidate own copy, reply with data. The
-		// privileged view still reaches the bytes after the application
-		// views are NoAccess — that is what makes this safe and atomic.
-		c := h.Costs()
-		p.Sleep(c.SetProt)
-		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
+func getProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().GetProt }
+func setProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().SetProt }
+
+// plain reports whether m is unstamped and the directory unreplicated:
+// no duplicate to drop, no twin to re-ack, a manager with no mirror.
+func (h *Host) plain(m *pmsg) bool { return m.Txn == 0 && h.sys.repl == nil }
+
+// lookupFront is a directory request's MPT lookup (resolve), when it is a
+// plain one that left its host untranslated.
+func (h *Host) lookupFront(m *pmsg) sim.Duration {
+	if h.plain(m) && (h.sys.Opt.HomeOf == nil || m.Info.Size == 0) {
+		return h.Costs().MPTLookup
+	}
+	return fastmsg.NoFront
+}
+
+func (h *Host) upgradeFront(m *pmsg) sim.Duration {
+	if h.plain(m) {
+		return h.Costs().SetProt
+	}
+	return fastmsg.NoFront
+}
+
+func (h *Host) directory(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	if rp := h.sys.replAt(h.ID()); rp != nil {
+		return rp.dispatchDir(p, m)
+	}
+	return h.sys.mgrs[h.ID()].dispatch(p, m)
+}
+
+// readFwd is Handle Read Request: downgrade a writable copy, then reply
+// with header and data straight out of the privileged view.
+func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	if prot, _ := h.Region.ProtOf(m.Info.Base); prot == vm.ReadWrite {
+		p.Sleep(h.Costs().SetProt)
+		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadOnly); err != nil {
 			panic(err)
 		}
-		h.Stats.RequestsServed++
-		h.replyWithData(p, m, mWriteReply)
+	}
+	h.Stats.RequestsServed++
+	return h.replyWithData(p, m, mReadReply)
+}
 
-	case mInvalidateReq:
-		c := h.Costs()
-		p.Sleep(c.SetProt)
-		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
-			panic(err)
-		}
-		h.Stats.Invalidations++
-		// The request turns around as the reply to whichever home issued
-		// the invalidation, echoing the transaction identity (zero off the
-		// replicated path).
-		*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
-		h.Send(p, fm.From, m)
+// writeFwd is Handle Write Request: invalidate own copy, reply with data.
+// The privileged view still reaches the bytes after the application views
+// are NoAccess — that is what makes this safe and atomic.
+func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
+		panic(err)
+	}
+	h.Stats.RequestsServed++
+	return h.replyWithData(p, m, mWriteReply)
+}
 
-	// ---- Replies back at the requester ------------------------------
-	case mReadReply, mWriteReply, mPushData:
-		// Header first; the minipage bytes follow on the same channel.
-		h.pendingHdr[fm.From] = m
+// invalidate drops this host's copy. The request turns around as the
+// reply to whichever home issued the invalidation, echoing the
+// transaction identity (zero off the replicated path).
+func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
+		panic(err)
+	}
+	h.Stats.Invalidations++
+	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
+	return h.Post(fm.From, m)
+}
 
-	case mData:
-		hdr := h.pendingHdr[fm.From]
-		if hdr == nil {
-			panic(fmt.Sprintf("dsm: host %d: data from %d with no pending header", h.ID(), fm.From))
-		}
-		h.pendingHdr[fm.From] = nil
-		h.installMinipage(p, hdr, fm.Data)
-		h.recyclePM(hdr)
-		h.sys.freeBuf.Put(fm.Data)
+func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	hdr := h.Unpark(fm).(*pmsg)
+	h.installMinipage(p, hdr, fm.Data)
+	h.recyclePM(hdr)
+	h.sys.freeBuf.Put(fm.Data)
+	return nil
+}
 
-	case mUpgradeGrant:
-		if m.Txn != 0 && m.FW.Txn != m.Txn {
-			// Late grant for an abandoned transaction: drop it. Under
-			// replication it may be the re-driven twin of a completed
-			// transaction — the re-ack closes it at the new primary.
+func (h *Host) upgradeGrant(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	if !h.plain(m) {
+		// Late grant for an abandoned transaction, or a duplicate for this
+		// one: drop it. Under replication it may be the re-driven twin of a
+		// completed transaction — the re-ack closes it at the new primary.
+		if m.Txn != 0 && m.FW.Txn != m.Txn || h.sys.replAt(h.ID()) != nil && m.FW.Ev.IsSet() {
 			h.replReAck(p, m)
 			h.recyclePM(m)
-			return
+			return nil
 		}
-		if h.sys.replAt(h.ID()) != nil && m.FW.Ev.IsSet() {
-			h.replReAck(p, m) // duplicate grant for the same transaction
-			h.recyclePM(m)
-			return
-		}
-		c := h.Costs()
-		p.Sleep(c.SetProt)
-		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadWrite); err != nil {
-			panic(err)
-		}
-		m.FW.Info = m.Info
-		m.FW.Ev.Set()
-		h.recyclePM(m)
-
-	case mPushOrder:
-		h.servePush(p, m)
-
-	default:
-		panic(fmt.Sprintf("dsm: host %d: unexpected message type %v", h.ID(), m.Type))
+		p.Sleep(h.Costs().SetProt)
 	}
+	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadWrite); err != nil {
+		panic(err)
+	}
+	m.FW.Info = m.Info
+	m.FW.Ev.Set()
+	h.recyclePM(m)
+	return nil
 }
 
 // Alloc is the allocator behind Malloc (cluster.HostHandler), run on the
@@ -352,12 +356,12 @@ func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
 
 // replyWithData answers a forwarded request from the privileged view:
 // the forward itself turns around as the reply header, and the minipage
-// bytes follow on the same channel.
-func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) {
+// bytes follow on the same channel, as the tail.
+func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
 	to, info := m.From, m.Info
 	m.Type = typ
 	h.Send(p, to, m)
-	h.SendData(p, to, h.readMinipage(info), dataMarker)
+	return h.PostData(to, h.readMinipage(info), dataMarker)
 }
 
 // installMinipage receives minipage contents into the privileged view,
@@ -439,11 +443,9 @@ func (h *Host) RecoverCrash(p *sim.Proc) {
 
 // servePush is the owner side of a push update: downgrade to ReadOnly,
 // then replicate the minipage to every other host.
-func (h *Host) servePush(p *sim.Proc, m *pmsg) {
-	c := h.Costs()
-	p.Sleep(c.GetProt)
+func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if prot, _ := h.Region.ProtOf(m.Info.Base); prot == vm.ReadWrite {
-		p.Sleep(c.SetProt)
+		p.Sleep(h.Costs().SetProt)
 		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadOnly); err != nil {
 			panic(err)
 		}
@@ -459,9 +461,10 @@ func (h *Host) servePush(p *sim.Proc, m *pmsg) {
 		h.Send(p, i, hdr)
 		// One snapshot per destination: each buffer is recycled
 		// independently by its receiver's install path.
-		h.SendData(p, i, h.readMinipage(m.Info), dataMarker)
+		h.Flush(p, h.PostData(i, h.readMinipage(m.Info), dataMarker))
 	}
 	h.recyclePM(m) // the push order ends here
+	return nil
 }
 
 // clearPrefetchSpan removes the in-flight markers satisfied by the

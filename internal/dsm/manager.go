@@ -5,6 +5,7 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
@@ -190,34 +191,35 @@ func (mg *manager) dropDup(m *pmsg) bool {
 	return false
 }
 
-// dispatch routes one manager-bound message.
-func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
+// dispatch routes one manager-bound message and returns the tail of its
+// handler: the last send, posted, when nothing follows it (cluster.MsgSpec).
+// Every function below that returns a *fastmsg.Message returns such a tail.
+func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	switch m.Type {
 	case mReadReq, mWriteReq:
 		if mg.dropDup(m) {
 			mg.host().recyclePM(m)
-			return
+			return nil
 		}
 		if m.Type == mReadReq {
-			mg.admit(p, m, effRead, &mg.Stats.ReadReqs)
-		} else {
-			mg.admit(p, m, effWrite, &mg.Stats.WriteReqs)
+			return mg.admit(p, m, effRead, &mg.Stats.ReadReqs)
 		}
+		return mg.admit(p, m, effWrite, &mg.Stats.WriteReqs)
 	case mPushReq:
-		mg.admit(p, m, effPush, &mg.Stats.Pushes)
+		return mg.admit(p, m, effPush, &mg.Stats.Pushes)
 	case mAck:
-		mg.handleAck(p, m)
+		return mg.handleAck(p, m)
 	case mInvalidateReply:
-		mg.handleInvReply(p, m)
+		return mg.handleInvReply(m)
 	case mPushAck:
-		mg.handlePushAck(p, m)
+		return mg.handlePushAck(p, m)
 	case mDirInit:
 		id, from := m.Info.ID, m.From
 		mg.host().recyclePM(m) // the DIR_INIT ends here
 		mg.seed(p, id, from)
-	default:
-		panic(fmt.Sprintf("dsm: manager got %v", m.Type))
+		return nil
 	}
+	panic(fmt.Sprintf("dsm: manager got %v", m.Type))
 }
 
 // resolve performs the directory side of Figure 3's Translate step and
@@ -226,12 +228,15 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) {
 // with a HomeOf the requester has already resolved the address against
 // its MPT replica and filled m.Info, so the home only fetches its entry.
 // A single home pays the lookup again for a request re-dispatched from a
-// directory queue (DESIGN.md §3, "the requeue lookup"). ok is false when
-// the request had to be parked until the allocation authority's DIR_INIT
-// arrives.
+// directory queue (DESIGN.md §3, "the requeue lookup"); the receive
+// sequence charged it for a plain one off the wire (Host.lookupFront). ok
+// is false when the request had to be parked until the allocation
+// authority's DIR_INIT arrives.
 func (mg *manager) resolve(p *sim.Proc, m *pmsg) (e *dirEntry, ok bool) {
 	if mg.sys.Opt.HomeOf == nil || m.Info.Size == 0 {
-		p.Sleep(mg.costs().MPTLookup)
+		if m.Requeued || !mg.host().plain(m) {
+			p.Sleep(mg.costs().MPTLookup)
+		}
 		mp, found := mg.sys.mpt.Lookup(m.Addr)
 		if !found {
 			panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", m.Addr))
@@ -276,7 +281,7 @@ func (mg *manager) seed(p *sim.Proc, id, from int) {
 	delete(mg.waitInit, id)
 	for _, held := range q {
 		held.Requeued = true
-		mg.dispatch(p, held)
+		mg.host().Flush(p, mg.dispatch(p, held))
 	}
 }
 
@@ -291,16 +296,22 @@ func (mg *manager) enqueue(e *dirEntry, m *pmsg) {
 // requests until one reopens the entry (or the queue drains). The loop
 // matters under fault injection: a queued request whose dispatch ends up
 // dropped or deflected must not strand the requests behind it.
-func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) {
+func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) (tail *fastmsg.Message) {
 	e.busy = false
 	for !e.busy {
+		mg.host().Flush(p, tail)
 		next, ok := e.queue.Pop()
 		if !ok {
-			return
+			return nil
 		}
 		next.Requeued = true
-		mg.dispatch(p, next)
+		if tail = mg.dispatch(p, next); mg.sys.repl != nil {
+			// A view change on host 0 may close e meanwhile: look after the send.
+			mg.host().Flush(p, tail)
+			tail = nil
+		}
 	}
+	return tail
 }
 
 // effect names what a commit point releases once the mutation behind it
@@ -317,20 +328,19 @@ const (
 
 // release performs a committed effect: at once on an unreplicated or solo
 // shard, on the backup's mirror ack otherwise (repl.go).
-func (mg *manager) release(p *sim.Proc, kind effect, e *dirEntry, m *pmsg) {
+func (mg *manager) release(p *sim.Proc, kind effect, e *dirEntry, m *pmsg) *fastmsg.Message {
 	switch kind {
 	case effRead:
-		mg.readEffect(p, e, m)
+		return mg.readEffect(e, m)
 	case effWrite:
-		mg.writeEffect(p, e, m)
+		return mg.writeEffect(p, e, m)
 	case effPush:
-		mg.pushEffect(p, e, m)
-	case effClose:
-		if re := e.repl; re != nil {
-			re.openTID, re.openTxn, re.openMsg = 0, 0, pmsg{}
-		}
-		mg.closeTxn(p, e)
+		return mg.pushEffect(e, m)
 	}
+	if re := e.repl; re != nil {
+		re.openTID, re.openTxn, re.openMsg = 0, 0, pmsg{}
+	}
+	return mg.closeTxn(p, e)
 }
 
 // admit is the front of Figure 3's "Manager: Handle Read Request" and
@@ -338,33 +348,33 @@ func (mg *manager) release(p *sim.Proc, kind effect, e *dirEntry, m *pmsg) {
 // translate, queue it behind an open transaction, else open one and commit
 // its intent. The effect — readEffect, writeEffect, pushEffect — is the
 // rest of the figure's handler.
-func (mg *manager) admit(p *sim.Proc, m *pmsg, kind effect, n *uint64) {
+func (mg *manager) admit(p *sim.Proc, m *pmsg, kind effect, n *uint64) *fastmsg.Message {
 	if !m.Requeued {
 		*n++
 	}
 	e, ok := mg.resolve(p, m)
 	if !ok {
-		return
+		return nil
 	}
 	if e.busy {
 		mg.enqueue(e, m)
-		return
+		return nil
 	}
 	if kind == effPush && mg.sys.NumHosts() == 1 {
 		mg.host().recyclePM(m)
-		return // nothing to replicate to
+		return nil // nothing to replicate to
 	}
-	mg.commitIntent(p, e, m, kind)
+	return mg.commitIntent(p, e, m, kind)
 }
 
 // readEffect is the directory effect of an admitted read — translate is
 // done; pick a replica, add the requester to the copyset, and forward the
 // request itself, translation filled in.
-func (mg *manager) readEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
+func (mg *manager) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 	src := mg.findReplica(e)
 	e.copyset = e.copyset.With(m.From)
 	m.Type = mReadFwd
-	mg.host().Send(p, src, m)
+	return mg.host().Post(src, m)
 }
 
 // findReplica picks the host to source the minipage from: the owner if it
@@ -382,7 +392,7 @@ func (mg *manager) findReplica(e *dirEntry) int {
 // writeEffect is the directory effect of an admitted write: invalidate
 // every other replica, then have the remaining one ship the minipage (or
 // grant an upgrade if the requester already holds the only bytes).
-func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
+func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
 	others := e.copyset.Without(m.From)
 
 	if others.Empty() {
@@ -392,8 +402,7 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 		}
 		e.owner = m.From
 		m.Type = mUpgradeGrant
-		mg.host().Send(p, m.From, m)
-		return
+		return mg.host().Post(m.From, m)
 	}
 
 	if e.copyset.Has(m.From) {
@@ -404,8 +413,7 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 		if e.repl != nil {
 			e.repl.invMask = others
 		}
-		mg.sendInvalidates(p, m, others)
-		return
+		return mg.sendInvalidates(p, m, others)
 	}
 
 	// The requester has nothing: pick a source, invalidate the rest.
@@ -415,8 +423,7 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	}
 	invTargets := others.Without(src)
 	if invTargets.Empty() {
-		mg.forwardWrite(p, e, m, src)
-		return
+		return mg.forwardWrite(e, m, src)
 	}
 	e.pendingWrite = m
 	e.upgrade = false
@@ -425,34 +432,36 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 	if e.repl != nil {
 		e.repl.invMask = invTargets
 	}
-	mg.sendInvalidates(p, m, invTargets)
+	return mg.sendInvalidates(p, m, invTargets)
 }
 
 // sendInvalidates issues INVALIDATE_REQUESTs to every host in mask.
-func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) {
+func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) (tail *fastmsg.Message) {
 	for h := 0; h < mg.sys.NumHosts(); h++ {
 		if !mask.Has(h) {
 			continue
 		}
+		mg.host().Flush(p, tail)
 		mg.Stats.Invalidations++
 		// TID/Txn (zero on the clean path) are echoed in the reply so a
 		// replicated home can match it against the open transaction.
-		mg.host().sendNew(p, h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn})
+		tail = mg.host().postNew(h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn})
 	}
+	return tail
 }
 
 // forwardWrite forwards the translated write request to the chosen
 // source, transferring ownership of the minipage to the requester.
-func (mg *manager) forwardWrite(p *sim.Proc, e *dirEntry, m *pmsg, src int) {
+func (mg *manager) forwardWrite(e *dirEntry, m *pmsg, src int) *fastmsg.Message {
 	e.copyset = hostset.One(m.From)
 	e.owner = m.From
 	m.Type = mWriteFwd
-	mg.host().Send(p, src, m)
+	return mg.host().Post(src, m)
 }
 
 // handleInvReply is "Manager: Handle Invalidate Reply": once every
 // invalidation is confirmed, release the pending write.
-func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
+func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
 	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
 	mg.host().recyclePM(m) // the invalidate reply ends here, counted or not
 	if rp := mg.sys.replAt(mg.me); rp != nil {
@@ -462,7 +471,7 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 		e := mg.entryOrNil(id)
 		if e == nil || e.pendingWrite == nil || e.invAwait == 0 ||
 			!e.repl.invMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
-			return
+			return nil
 		}
 		e.repl.invMask = e.repl.invMask.Without(from)
 	}
@@ -470,7 +479,7 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 	// The replying host no longer holds a copy.
 	e.copyset = e.copyset.Without(from)
 	if e.invAwait--; e.invAwait > 0 {
-		return
+		return nil
 	}
 	w := e.pendingWrite
 	e.pendingWrite = nil
@@ -479,16 +488,15 @@ func (mg *manager) handleInvReply(p *sim.Proc, m *pmsg) {
 		e.copyset = hostset.One(w.From)
 		e.owner = w.From
 		w.Type = mUpgradeGrant
-		mg.host().Send(p, w.From, w)
-		return
+		return mg.host().Post(w.From, w)
 	}
-	mg.forwardWrite(p, e, w, e.writeSrc)
+	return mg.forwardWrite(e, w, e.writeSrc)
 }
 
 // handleAck closes the transaction the woken faulting thread confirms,
 // records it as done (so late retries of it are dropped, not replayed),
 // and serves the next competing request.
-func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
+func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	id, tid, txn := m.Info.ID, m.TID, m.Txn
 	mg.host().recyclePM(m) // the ack ends here, matched or not
 	if txn != 0 && txn > mg.done[tid] {
@@ -504,14 +512,14 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) {
 		// Txn alone.
 		e := mg.entryOrNil(id)
 		if e == nil || !e.busy {
-			return
+			return nil
 		}
 		unstamped := txn == 0 && e.repl.openTxn == 0
 		if !unstamped && (tid != e.repl.openTID || txn != e.repl.openTxn) {
-			return
+			return nil
 		}
 	}
-	mg.commitClose(p, mg.entry(id), id, tid, txn)
+	return mg.commitClose(p, mg.entry(id), id, tid, txn)
 }
 
 // allocLocal carves minipage(s) for host `from` and has directory entries
@@ -556,7 +564,7 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, 
 
 // pushEffect is the directory effect of an admitted push: order the owner
 // to replicate the minipage to all hosts.
-func (mg *manager) pushEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
+func (mg *manager) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 	e.pushAwait = mg.sys.NumHosts() - 1
 	src := mg.findReplica(e)
 	if e.repl != nil {
@@ -571,11 +579,11 @@ func (mg *manager) pushEffect(p *sim.Proc, e *dirEntry, m *pmsg) {
 		e.repl.pushMask = mask
 	}
 	m.Type = mPushOrder // the request itself goes on to the owner
-	mg.host().Send(p, src, m)
+	return mg.host().Post(src, m)
 }
 
 // handlePushAck completes the push once every other host holds a copy.
-func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) {
+func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
 	mg.host().recyclePM(m) // the push ack ends here, counted or not
 	if mg.sys.replAt(mg.me) != nil {
@@ -584,14 +592,14 @@ func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) {
 		e := mg.entryOrNil(id)
 		if e == nil || !e.busy || e.pushAwait == 0 ||
 			!e.repl.pushMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
-			return
+			return nil
 		}
 		e.repl.pushMask = e.repl.pushMask.Without(from)
 	}
 	e := mg.entry(id)
 	e.copyset = e.copyset.With(from)
 	if e.pushAwait--; e.pushAwait > 0 {
-		return
+		return nil
 	}
-	mg.commitClose(p, e, id, tid, txn)
+	return mg.commitClose(p, e, id, tid, txn)
 }

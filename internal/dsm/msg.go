@@ -5,7 +5,6 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
-	"millipage/internal/trace"
 	"millipage/internal/viewsvc"
 )
 
@@ -49,27 +48,14 @@ const (
 	mSyncAck    // fresh backup -> view service: state transfer installed
 )
 
-var mtypeNames = [...]string{
-	"READ_REQUEST", "WRITE_REQUEST", "READ_FWD", "WRITE_FWD",
-	"READ_REPLY", "WRITE_REPLY", "UPGRADE_GRANT", "DATA",
-	"INVALIDATE_REQUEST", "INVALIDATE_REPLY", "ACK",
-	"PUSH_REQUEST", "PUSH_ORDER", "PUSH_DATA", "PUSH_ACK",
-	"DIR_INIT",
-	"PING", "VIEW_UPDATE", "MIRROR", "MIRROR_ACK", "MIRROR_NAK",
-	"STATE_XFER", "SYNC_ACK",
-}
-
-// The trace recorder stores message types as raw codes (offset by the
-// package's registered base, so dsm/ivy/lrc coexist in one binary) and
-// renders the names only at dump time.
-var opBase = trace.RegisterOps(mtypeNames[:])
-
 func (m mtype) String() string {
-	if int(m) >= 0 && int(m) < len(mtypeNames) {
-		return mtypeNames[m]
+	if m >= 0 && int(m) < len(table.Rows) {
+		return table.Rows[m].Name
 	}
 	return fmt.Sprintf("mtype(%d)", int(m))
 }
+
+func (m *pmsg) Table() (cluster.Table, int) { return table, int(m.Type) }
 
 // dataMarker is the shared payload of every bulk mData message: the
 // header that matters was sent separately, so data messages all carry

@@ -37,11 +37,7 @@ func headerBalance(s *System) (owned, parked int) {
 		}
 	}
 	for i := 0; i < s.NumHosts(); i++ {
-		for _, hdr := range s.Host(i).pendingHdr {
-			if hdr != nil {
-				parked++
-			}
-		}
+		parked += s.Host(i).Parked()
 	}
 	return owned, parked
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/viewsvc"
@@ -343,11 +344,11 @@ func (s *System) replAt(i int) *replMgr {
 // the view will catch up and the requester's retry re-delivers). Like
 // every handler it owns m: each branch forwards, turns around or
 // recycles it.
-func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
+func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	switch m.Type {
 	case mMirror:
 		rp.handleMirror(p, m)
-		return
+		return nil
 	case mPing, mViewUpdate, mMirrorAck, mMirrorNak, mStateXfer, mSyncAck, mDirInit:
 		// Control traffic ends here: take what it carries, then recycle.
 		typ, from, txn, info, rec, views := m.Type, m.From, m.Txn, m.Info, m.Mir, m.Views
@@ -358,7 +359,7 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 		case mViewUpdate:
 			rp.applyViews(p, views)
 		case mMirrorAck:
-			rp.handleMirrorAck(p, rec)
+			return rp.handleMirrorAck(p, rec)
 		case mMirrorNak:
 			rp.handleMirrorNak(rec, txn)
 		case mStateXfer:
@@ -368,13 +369,12 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 		case mDirInit:
 			rp.mg.seed(p, info.ID, from)
 		}
-		return
+		return nil
 	}
 
 	shard := rp.mg.sys.homeOf(m.Info.ID)
 	if _, ok := rp.serving[shard]; ok {
-		rp.mg.dispatch(p, m)
-		return
+		return rp.mg.dispatch(p, m)
 	}
 	// Not serving: forward to the believed primary. If we believe that is
 	// ourselves the view is stale in a way forwarding can't fix — drop,
@@ -382,10 +382,10 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) {
 	if to := rp.views[shard].Primary; to != rp.me {
 		rp.Stats.Forwards++
 		m.Requeued = false
-		rp.host().Send(p, to, m)
-	} else {
-		rp.host().recyclePM(m)
+		return rp.host().Post(to, m)
 	}
+	rp.host().recyclePM(m)
+	return nil
 }
 
 // shadowSeed is manager.seed at a host that does not serve minipage id:
@@ -420,12 +420,11 @@ func (s *System) seedTargets(home int) [2]int {
 // e — opens the transaction, records it, mirrors the admission — and
 // releases the effect kind once the backup acks; at once when the shard is
 // unreplicated or served solo.
-func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, kind effect) {
+func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, kind effect) *fastmsg.Message {
 	e.busy = true
 	rp := mg.sys.replAt(mg.me)
 	if rp == nil {
-		mg.release(p, kind, e, m)
-		return
+		return mg.release(p, kind, e, m)
 	}
 	if m.Type == mPushReq && m.Txn == 0 {
 		// Pushes arrive unstamped (fire-and-forget, no waiting thread):
@@ -448,57 +447,57 @@ func (mg *manager) commitIntent(p *sim.Proc, e *dirEntry, m *pmsg, kind effect) 
 		Kind: mirIntent, Shard: shard, View: sv.num, ID: m.Info.ID,
 		Intent: *m, PreCopyset: re.preCopyset, PreOwner: re.preOwner,
 	}
-	rp.mirror(p, sv, rec, pendingMirror{kind: kind, e: e, m: m})
+	return rp.mirror(p, sv, rec, pendingMirror{kind: kind, e: e, m: m})
 }
 
 // commitClose is the third commit point: it closes the open transaction
 // on e — mirrors the final entry state plus the dedup record, then (on
 // ack) clears the open markers and runs closeTxn. handleAck already
 // recorded done[tid] locally.
-func (mg *manager) commitClose(p *sim.Proc, e *dirEntry, id int, tid int, txn uint64) {
+func (mg *manager) commitClose(p *sim.Proc, e *dirEntry, id int, tid int, txn uint64) *fastmsg.Message {
 	rp := mg.sys.replAt(mg.me)
 	if rp == nil {
-		mg.release(p, effClose, e, nil)
-		return
+		return mg.release(p, effClose, e, nil)
 	}
 	shard := mg.sys.homeOf(id)
 	sv := rp.serving[shard]
 	if sv == nil {
 		// Demoted with the transaction open: the new primary re-drives it
 		// from the mirror; nothing to close here.
-		return
+		return nil
 	}
 	rec := &mirrorRec{
 		Kind: mirClose, Shard: shard, View: sv.num, ID: id,
 		Copyset: e.copyset, Owner: e.owner, TID: tid, Txn: txn,
 	}
-	rp.mirror(p, sv, rec, pendingMirror{kind: effClose, e: e})
+	return rp.mirror(p, sv, rec, pendingMirror{kind: effClose, e: e})
 }
 
 // mirror sends rec to the shard's backup and queues the effect behind the
-// ack; with no backup the effect releases immediately.
-func (rp *replMgr) mirror(p *sim.Proc, sv *shardServe, rec *mirrorRec, eff pendingMirror) {
+// ack; with no backup the effect releases immediately. The mirror itself
+// is no tail: the effect is queued after it is sent.
+func (rp *replMgr) mirror(p *sim.Proc, sv *shardServe, rec *mirrorRec, eff pendingMirror) *fastmsg.Message {
 	if sv.mirrorTo < 0 {
-		rp.mg.release(p, eff.kind, eff.e, eff.m)
-		return
+		return rp.mg.release(p, eff.kind, eff.e, eff.m)
 	}
 	sv.seq++
 	rec.Seq, eff.seq = sv.seq, sv.seq
 	rp.Stats.MirrorsSent++
 	rp.host().sendNew(p, sv.mirrorTo, pmsg{Type: mMirror, From: rp.me, Mir: rec})
 	sv.pending = append(sv.pending, eff)
+	return nil
 }
 
 // handleMirrorAck releases the oldest pending effect. Acks for a stale
 // view (a departed backup's) are dropped.
-func (rp *replMgr) handleMirrorAck(p *sim.Proc, rec *mirrorRec) {
+func (rp *replMgr) handleMirrorAck(p *sim.Proc, rec *mirrorRec) *fastmsg.Message {
 	sv, ok := rp.serving[rec.Shard]
 	if !ok || rec.View != sv.num || len(sv.pending) == 0 || sv.pending[0].seq != rec.Seq {
-		return
+		return nil
 	}
 	next := sv.pending[0]
 	sv.pending = sv.pending[1:]
-	rp.mg.release(p, next.kind, next.e, next.m)
+	return rp.mg.release(p, next.kind, next.e, next.m)
 }
 
 // handleMirrorNak demotes this primary if the naker has seen a newer
@@ -642,7 +641,7 @@ func (rp *replMgr) flushPending(p *sim.Proc, sv *shardServe) {
 	for len(sv.pending) > 0 {
 		next := sv.pending[0]
 		sv.pending = sv.pending[1:]
-		rp.mg.release(p, next.kind, next.e, next.m)
+		rp.host().Flush(p, rp.mg.release(p, next.kind, next.e, next.m))
 	}
 }
 
@@ -742,7 +741,7 @@ func (rp *replMgr) promote(p *sim.Proc, k int, nv viewsvc.View) {
 		req.Requeued = false
 		req.Redrive = true
 		rp.Stats.Redrives++
-		mg.dispatch(p, req)
+		mg.host().Flush(p, mg.dispatch(p, req))
 	}
 }
 

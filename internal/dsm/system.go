@@ -54,11 +54,7 @@ func New(opt Options) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dsm: host %d: %w", i, err)
 		}
-		h := &Host{
-			sys:        s,
-			Region:     region,
-			pendingHdr: make([]*pmsg, opt.Hosts),
-		}
+		h := &Host{sys: s, Region: region}
 		h.Host = s.AddHost(as, h)
 	}
 	s.mpt = core.NewMPT(s.Layout, opt.Grain, opt.ChunkLevel)

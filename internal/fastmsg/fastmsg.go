@@ -170,8 +170,22 @@ const (
 
 // Handler processes one delivered message in the destination's service
 // thread. It runs in process context: it may sleep (to charge protocol
-// CPU costs) and send further messages.
+// CPU costs) and send further messages: a Server with no front or tail.
 type Handler func(p *sim.Proc, m *Message)
+
+func (h Handler) Receive(*Message) (sim.Duration, bool)  { return NoFront, false }
+func (h Handler) Serve(p *sim.Proc, m *Message) *Message { h(p, m); return nil }
+
+// Server is what the receive sequence (Step) hands a message to once the
+// receive CPU is charged. Receive returns the front, the charge its
+// handler opens with (NoFront: none), and whether Serve runs in engine
+// context (p nil). Serve returns its tail, a posted message, or nil.
+type Server interface {
+	Receive(m *Message) (front sim.Duration, engine bool)
+	Serve(p *sim.Proc, m *Message) (tail *Message)
+}
+
+const NoFront sim.Duration = -1
 
 // Network connects n endpoints over the simulated fabric.
 type Network struct {
@@ -309,7 +323,7 @@ type Endpoint struct {
 	nw          *Network
 	eng         *sim.Engine
 	id          int
-	handler     Handler
+	handler     Server
 	ready       *sim.Queue[*Message]
 	busy        int // number of runnable application threads on this host
 	lastDeliver []sim.Time
@@ -321,11 +335,23 @@ type Endpoint struct {
 	fireFn      func(any)     // ep.fireAny, bound once at New
 	stats       Stats
 
-	// The service thread and the message it has received: the state of the
-	// receive sequence (Step), which the endpoint itself is the stepper of.
+	// The state of the receive sequence (Step), which the endpoint itself
+	// is the stepper of: the service thread, the message it received, the
+	// tail its handler returned and the next stage.
 	server  *sim.Proc
 	serving *Message
+	tail    *Message
+	stage   uint8
 }
+
+const (
+	recvTake     = iota // take a message or wait for one, charge RecvCPU
+	recvFront           // ask the server, charge the front
+	recvServe           // run an engine-context handler
+	recvThread          // switch to the thread, which runs it
+	recvTail            // charge the tail's SendCPU
+	recvTransmit        // transmit it, complete the message served
+)
 
 type pendingMsg struct {
 	m       *Message
@@ -343,6 +369,8 @@ func (ep *Endpoint) Stats() Stats { return ep.stats }
 // SetHandler installs the message handler. It must be set before any
 // message arrives.
 func (ep *Endpoint) SetHandler(h Handler) { ep.handler = h }
+
+func (ep *Endpoint) SetServer(s Server) { ep.handler = s }
 
 // SetBusy adjusts the count of runnable application threads on this host.
 // The transition to zero (host idle) releases any messages waiting for a
@@ -379,9 +407,14 @@ func (ep *Endpoint) AllocMessage() *Message { return ep.allocMessage() }
 // charge nothing). Delivery is reliable and FIFO per destination —
 // natively on the clean path, via the reliability layer under faults.
 func (ep *Endpoint) Send(p *sim.Proc, to int, m *Message) {
-	cpu := ep.Post(to, m)
+	ep.Post(to, m)
+	ep.Finish(p, m)
+}
+
+// Finish is the rest of Send for a posted message: charge p, Transmit.
+func (ep *Endpoint) Finish(p *sim.Proc, m *Message) {
 	if p != nil {
-		p.Sleep(cpu)
+		p.Sleep(ep.nw.params.SendCPU(m.Size))
 	}
 	ep.Transmit(m)
 }
@@ -390,7 +423,7 @@ func (ep *Endpoint) Send(p *sim.Proc, to int, m *Message) {
 // the envelope's lifecycle to sent, and returns the sender-side CPU cost
 // the caller has to charge before Transmit. Only a wait sequence that
 // charges it with a SleepFor has reason to take Send apart (the cluster
-// runtime's call sequence).
+// runtime's call sequence, and the receive sequence's tail).
 func (ep *Endpoint) Post(to int, m *Message) sim.Duration {
 	if m.Size <= 0 {
 		m.Size = len(m.Data)
@@ -570,48 +603,75 @@ func (ep *Endpoint) sweepGap() sim.Duration {
 	return uniform(pr.SweepLongLo, pr.SweepLongHi)
 }
 
-// serve is the endpoint's service-thread body: receive (Step), run the
-// protocol handler, then (under faults) acknowledge the completed
-// sequence number and (clean path) recycle the envelope.
+// serve is the endpoint's service-thread body: the receive sequence
+// (Step), which returns only for a handler that runs in the thread.
 func (ep *Endpoint) serve(p *sim.Proc) {
 	ep.server = p
 	for {
 		p.Drive(ep)
-		m := ep.serving
-		if ep.handler == nil {
-			panic(fmt.Sprintf("fastmsg: endpoint %d received %T with no handler", ep.id, m.Payload))
-		}
-		ep.handler(p, m)
-		ep.serving = nil
-		if r := ep.nw.rel; r != nil && m.Seq != 0 {
-			r.complete(ep, m)
-			// Under faults the send log and late wire duplicates may still
-			// hold the envelope; drop only the delivery pipeline's hold.
-			ep.nw.releaseMessage(m)
-		} else if m.pooled {
-			ep.recycleMessage(m)
-		}
+		ep.tail = ep.handler.Serve(p, ep.serving)
 	}
 }
 
-// Step is the service thread's receive as an engine-side wait sequence
+// Step is the service thread's work as an engine-side wait sequence
 // (sim.Stepper): take the oldest ready message — or enlist for one and
 // block; the take happens at the wake event, so a crash draining the
 // queue in between finds what it always found — mark it delivered (and,
-// under faults, in service), charge the receive CPU, run the handler.
+// under faults, in service), charge the receive CPU and the front, run an
+// engine-context handler or the thread's, charge and transmit its tail,
+// then (under faults) acknowledge the completed sequence number and
+// (clean path) recycle the envelope: after every send of the handler.
 func (ep *Endpoint) Step() (sim.Action, sim.Duration) {
-	if ep.serving != nil {
-		return sim.Run, 0 // received and charged
+	for {
+		switch ep.stage {
+		case recvTake:
+			m, ok := ep.ready.TryGet()
+			if !ok {
+				ep.ready.Enlist(ep.server)
+				return sim.Block, 0
+			}
+			m.state = msgDelivered
+			if r := ep.nw.rel; r != nil && m.Seq != 0 {
+				r.beginService(ep, m)
+			}
+			ep.serving, ep.stage = m, recvFront
+			return sim.SleepFor, ep.nw.params.RecvCPU(m.Size)
+		case recvFront:
+			if ep.handler == nil {
+				panic(fmt.Sprintf("fastmsg: endpoint %d received %T with no handler", ep.id, ep.serving.Payload))
+			}
+			front, engine := ep.handler.Receive(ep.serving)
+			ep.stage = recvServe
+			if !engine {
+				ep.stage = recvThread
+			}
+			if front != NoFront {
+				return sim.SleepFor, front
+			}
+		case recvServe:
+			ep.tail, ep.stage = ep.handler.Serve(nil, ep.serving), recvTail
+		case recvThread:
+			ep.stage = recvTail // where the thread's next Drive, after the handler, goes on
+			return sim.Run, 0
+		case recvTail:
+			ep.stage = recvTransmit
+			if ep.tail != nil {
+				return sim.SleepFor, ep.nw.params.SendCPU(ep.tail.Size)
+			}
+		case recvTransmit:
+			if ep.tail != nil {
+				ep.Transmit(ep.tail)
+			}
+			m := ep.serving
+			ep.tail, ep.serving, ep.stage = nil, nil, recvTake
+			if r := ep.nw.rel; r != nil && m.Seq != 0 {
+				r.complete(ep, m)
+				// Under faults the send log and late wire duplicates may still
+				// hold the envelope; drop only the delivery pipeline's hold.
+				ep.nw.releaseMessage(m)
+			} else if m.pooled {
+				ep.recycleMessage(m)
+			}
+		}
 	}
-	m, ok := ep.ready.TryGet()
-	if !ok {
-		ep.ready.Enlist(ep.server)
-		return sim.Block, 0
-	}
-	m.state = msgDelivered
-	if r := ep.nw.rel; r != nil && m.Seq != 0 {
-		r.beginService(ep, m)
-	}
-	ep.serving = m
-	return sim.SleepFor, ep.nw.params.RecvCPU(m.Size)
 }

@@ -24,7 +24,6 @@ import (
 	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
-	"millipage/internal/trace"
 	"millipage/internal/vm"
 )
 
@@ -50,28 +49,13 @@ const (
 	mAck
 )
 
-var mtypeNames = [...]string{
-	"READ_REQUEST", "WRITE_REQUEST", "READ_FWD", "WRITE_FWD",
-	"READ_REPLY", "WRITE_REPLY", "UPGRADE_GRANT", "DATA",
-	"INVALIDATE_REQUEST", "INVALIDATE_REPLY", "ACK",
-}
-
-// The trace recorder stores message types as raw codes offset by the
-// package's registered base, so dsm/ivy/lrc coexist in one binary.
-var opBase = trace.RegisterOps(mtypeNames[:])
-
-func (m mtype) String() string {
-	if int(m) >= 0 && int(m) < len(mtypeNames) {
-		return mtypeNames[m]
-	}
-	return fmt.Sprintf("mtype(%d)", int(m))
-}
-
 // dataMarker is the shared payload of every bulk mData message: the
 // header that matters was sent separately.
 var dataMarker = &pmsg{Type: mData}
 
 type pmsg struct {
+	cluster.PoolState // the kernel's Msg; ivy's headers are not pooled
+
 	Type  mtype
 	From  int
 	Page  int
@@ -105,6 +89,8 @@ type System struct {
 	// allocation authority (page ownership stays with the per-page
 	// managers — allocation only hands out addresses).
 	nextAlloc uint64
+
+	stats Stats // every host's counters: hosts run one at a time
 }
 
 // Stats aggregates cluster-wide counters.
@@ -123,12 +109,6 @@ type Host struct {
 	obj *vm.MemObject
 
 	dir map[int]*dirEntry // pages this host manages
-
-	pendingHdr map[int]*pmsg
-
-	// stats accumulates this host's share of the cluster counters, summed
-	// by System.Stats.
-	stats Stats
 }
 
 const base = uint64(0x4000_0000)
@@ -152,12 +132,7 @@ func New(opt Options) (*System, error) {
 		if err := as.MapView(base, obj, 0, pages, vm.NoAccess); err != nil {
 			return nil, err
 		}
-		h := &Host{
-			sys:        s,
-			obj:        obj,
-			dir:        make(map[int]*dirEntry),
-			pendingHdr: make(map[int]*pmsg),
-		}
+		h := &Host{sys: s, obj: obj, dir: make(map[int]*dirEntry)}
 		h.Host = s.AddHost(as, h)
 	}
 	// Pages start owned by their managers, writable there.
@@ -175,18 +150,8 @@ func New(opt Options) (*System, error) {
 // Base returns the shared region's base address (identical on all hosts).
 func (s *System) Base() uint64 { return s.base }
 
-// Stats sums the per-host counters.
-func (s *System) Stats() Stats {
-	var t Stats
-	for i := 0; i < s.NumHosts(); i++ {
-		hs := s.Host(i).stats
-		t.ReadFaults += hs.ReadFaults
-		t.WriteFaults += hs.WriteFaults
-		t.Invalidates += hs.Invalidates
-		t.Competing += hs.Competing
-	}
-	return t
-}
+// Stats returns the cluster's counters.
+func (s *System) Stats() Stats { return s.stats }
 
 // Totals reports the run's protocol counters. Ivy shares whole pages, so
 // the minipage footprint stays zero.
@@ -222,22 +187,23 @@ func (h *Host) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocatio
 
 func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {}
 
-// sendPage ships a page's bytes to host `to` (zero-copy data message; the
-// header that describes it was sent separately).
-func (h *Host) sendPage(p *sim.Proc, to int, page int) {
+// postPage posts a page's bytes to host `to` (zero-copy data message; the
+// header that describes it was sent separately) as a handler's tail.
+func (h *Host) postPage(to int, page int) *fastmsg.Message {
 	data := make([]byte, vm.PageSize)
 	copy(data, h.obj.Frame(page))
-	h.SendData(p, to, data, dataMarker)
+	return h.PostData(to, data, dataMarker)
 }
 
 func (h *Host) pageVA(page int) uint64 { return h.sys.base + uint64(page*vm.PageSize) }
 
-// DescribeMsg extracts the trace fields from a protocol header (the
-// cluster runtime calls it only when tracing is enabled).
-func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
-	m := payload.(*pmsg)
-	return opBase + uint16(m.Type), m.Page, h.pageVA(m.Page), h.sys.managerOf(m.Page)
+// describe gives the trace a header's page, its address and its manager.
+func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
+	return m.Page, h.pageVA(m.Page), h.sys.managerOf(m.Page)
 }
+
+// Table places the header in the protocol's message table (cluster.Msg).
+func (m *pmsg) Table() (cluster.Table, int) { return table, int(m.Type) }
 
 // HandleFault sends the request to the page's distributed manager and
 // waits. It runs in the faulting thread's context.
@@ -249,9 +215,9 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	typ := mReadReq
 	if f.Kind == vm.Write {
 		typ = mWriteReq
-		h.stats.WriteFaults++
+		h.sys.stats.WriteFaults++
 	} else {
-		h.stats.ReadFaults++
+		h.sys.stats.ReadFaults++
 	}
 	fw := t.WaitSlot()
 	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume,
@@ -260,104 +226,109 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	return nil
 }
 
-// HandleMessage dispatches protocol messages; directory operations run at
-// the page's manager (this host, for its residue class).
-func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
-	m := fm.Payload.(*pmsg)
-	c := h.Costs()
-	switch m.Type {
-	case mReadReq, mWriteReq:
-		h.managerHandle(p, m)
+// table is the protocol's message table (cluster.MsgTable); directory
+// operations run at the page's manager (this host, for its residue class).
+var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
+	// front: a request off the wire opens with the manager's lookup (ack charges a requeued one's).
+	mReadReq:  {Name: "READ_REQUEST", Front: lookup, Proc: (*Host).manage},
+	mWriteReq: {Name: "WRITE_REQUEST", Front: lookup, Proc: (*Host).manage},
+	// front: these open with a protection probe or change; nothing before it.
+	mReadFwd:  {Name: "READ_FWD", Front: getProt, Proc: (*Host).readFwd},
+	mWriteFwd: {Name: "WRITE_FWD", Front: setProt, Proc: (*Host).writeFwd},
+	mInvReq:   {Name: "INVALIDATE_REQUEST", Front: setProt, Proc: (*Host).invalidate},
+	mUpgrade:  {Name: "UPGRADE_GRANT", Front: setProt, Proc: (*Host).upgrade},
 
-	case mAck:
-		e := h.dir[m.Page]
-		e.busy = false
-		if next, ok := e.queue.Pop(); ok {
-			h.managerHandle(p, next)
-		}
+	mReadReply:  {Name: "READ_REPLY", Engine: cluster.Park[*Host, *pmsg]},
+	mWriteReply: {Name: "WRITE_REPLY", Engine: cluster.Park[*Host, *pmsg]},
+	mData:       {Name: "DATA", Proc: (*Host).data},
+	mInvReply:   {Name: "INVALIDATE_REPLY", Proc: (*Host).invReply},
+	mAck:        {Name: "ACK", Proc: (*Host).ack},
+}})
 
-	case mInvReply:
-		e := h.dir[m.Page]
-		e.copyset = e.copyset.Without(m.From)
-		if e.invAwait--; e.invAwait > 0 {
-			return
-		}
-		wr := e.pendingWrite
-		e.pendingWrite = nil
-		if e.upgrade {
-			e.upgrade = false
-			e.copyset = hostset.One(wr.From)
-			e.owner = wr.From
-			grant := *wr
-			grant.Type = mUpgrade
-			h.Send(p, wr.From, &grant)
-			return
-		}
-		e.copyset = hostset.One(wr.From)
-		e.owner = wr.From
-		fwd := *wr
-		fwd.Type = mWriteFwd
-		h.Send(p, e.writeSrc, &fwd)
+func lookup(h *Host, _ *pmsg) sim.Duration  { return h.Costs().MPTLookup }
+func getProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().GetProt }
+func setProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().SetProt }
 
-	case mReadFwd:
-		p.Sleep(c.GetProt)
-		va := h.pageVA(m.Page)
-		if prot, _ := h.AS.ProtOf(va); prot == vm.ReadWrite {
-			p.Sleep(c.SetProt)
-			h.AS.Protect(va, 1, vm.ReadOnly)
-		}
-		reply := *m
-		reply.Type = mReadReply
-		h.Send(p, m.From, &reply)
-		h.sendPage(p, m.From, m.Page)
-
-	case mWriteFwd:
-		p.Sleep(c.SetProt)
-		h.AS.Protect(h.pageVA(m.Page), 1, vm.NoAccess)
-		reply := *m
-		reply.Type = mWriteReply
-		h.Send(p, m.From, &reply)
-		h.sendPage(p, m.From, m.Page)
-
-	case mInvReq:
-		p.Sleep(c.SetProt)
-		h.AS.Protect(h.pageVA(m.Page), 1, vm.NoAccess)
-		h.stats.Invalidates++
-		h.Send(p, h.sys.managerOf(m.Page), &pmsg{Type: mInvReply, From: h.ID(), Page: m.Page})
-
-	case mReadReply, mWriteReply:
-		h.pendingHdr[fm.From] = m
-
-	case mData:
-		hdr, ok := h.pendingHdr[fm.From]
-		if !ok {
-			panic("ivy: data without header")
-		}
-		delete(h.pendingHdr, fm.From)
-		copy(h.obj.Frame(hdr.Page), fm.Data)
-		p.Sleep(c.SetProt + sim.Duration(len(fm.Data))*c.InstallPerByte)
-		prot := vm.ReadOnly
-		if hdr.Type == mWriteReply {
-			prot = vm.ReadWrite
-		}
-		h.AS.Protect(h.pageVA(hdr.Page), 1, prot)
-		hdr.FW.Ev.Set()
-
-	case mUpgrade:
-		p.Sleep(c.SetProt)
-		h.AS.Protect(h.pageVA(m.Page), 1, vm.ReadWrite)
-		m.FW.Ev.Set()
-
-	default:
-		panic(fmt.Sprintf("ivy: unexpected message %d", int(m.Type)))
+func (h *Host) ack(p *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	e := h.dir[m.Page]
+	e.busy = false
+	next, ok := e.queue.Pop()
+	if !ok {
+		return nil
 	}
+	p.Sleep(h.Costs().MPTLookup)
+	return h.manage(p, next, fm)
 }
 
-// managerHandle runs the SW/MR directory logic for a page this host
-// manages.
-func (h *Host) managerHandle(p *sim.Proc, m *pmsg) {
+func (h *Host) invReply(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	e := h.dir[m.Page]
+	e.copyset = e.copyset.Without(m.From)
+	if e.invAwait--; e.invAwait > 0 {
+		return nil
+	}
+	wr := e.pendingWrite
+	e.pendingWrite = nil
+	e.copyset = hostset.One(wr.From)
+	e.owner = wr.From
+	if e.upgrade {
+		e.upgrade = false
+		return h.Post(wr.From, wr.as(mUpgrade))
+	}
+	return h.Post(e.writeSrc, wr.as(mWriteFwd))
+}
+
+// as is a copy of m turned into a message of type typ.
+func (m *pmsg) as(typ mtype) *pmsg {
+	c := *m
+	c.Type = typ
+	return &c
+}
+
+func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	va := h.pageVA(m.Page)
+	if prot, _ := h.AS.ProtOf(va); prot == vm.ReadWrite {
+		p.Sleep(h.Costs().SetProt)
+		h.AS.Protect(va, 1, vm.ReadOnly)
+	}
+	h.Send(p, m.From, m.as(mReadReply))
+	return h.postPage(m.From, m.Page)
+}
+
+func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.AS.Protect(h.pageVA(m.Page), 1, vm.NoAccess)
+	h.Send(p, m.From, m.as(mWriteReply))
+	return h.postPage(m.From, m.Page)
+}
+
+func (h *Host) invalidate(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.AS.Protect(h.pageVA(m.Page), 1, vm.NoAccess)
+	h.sys.stats.Invalidates++
+	return h.Post(h.sys.managerOf(m.Page), &pmsg{Type: mInvReply, From: h.ID(), Page: m.Page})
+}
+
+func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	hdr := h.Unpark(fm).(*pmsg)
+	copy(h.obj.Frame(hdr.Page), fm.Data)
 	c := h.Costs()
-	p.Sleep(c.MPTLookup)
+	p.Sleep(c.SetProt + sim.Duration(len(fm.Data))*c.InstallPerByte)
+	prot := vm.ReadOnly
+	if hdr.Type == mWriteReply {
+		prot = vm.ReadWrite
+	}
+	h.AS.Protect(h.pageVA(hdr.Page), 1, prot)
+	hdr.FW.Ev.Set()
+	return nil
+}
+
+func (h *Host) upgrade(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.AS.Protect(h.pageVA(m.Page), 1, vm.ReadWrite)
+	m.FW.Ev.Set()
+	return nil
+}
+
+// manage runs the SW/MR directory logic for a page this host manages, its
+// lookup charged.
+func (h *Host) manage(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	e := h.dir[m.Page]
 	if e == nil {
 		panic(fmt.Sprintf("ivy: host %d asked to manage page %d", h.ID(), m.Page))
@@ -365,8 +336,8 @@ func (h *Host) managerHandle(p *sim.Proc, m *pmsg) {
 	if e.busy {
 		e.queue.Push(m)
 		e.Competing++
-		h.stats.Competing++
-		return
+		h.sys.stats.Competing++
+		return nil
 	}
 	e.busy = true
 
@@ -376,27 +347,20 @@ func (h *Host) managerHandle(p *sim.Proc, m *pmsg) {
 			src = firstBit(e.copyset)
 		}
 		e.copyset = e.copyset.With(m.From)
-		fwd := *m
-		fwd.Type = mReadFwd
-		h.Send(p, src, &fwd)
-		return
+		return h.Post(src, m.as(mReadFwd))
 	}
 
 	// Write request.
 	others := e.copyset.Without(m.From)
 	if others.Empty() {
 		e.owner = m.From
-		grant := *m
-		grant.Type = mUpgrade
-		h.Send(p, m.From, &grant)
-		return
+		return h.Post(m.From, m.as(mUpgrade))
 	}
 	if e.copyset.Has(m.From) {
 		e.pendingWrite = m
 		e.upgrade = true
 		e.invAwait = others.Count()
-		h.sendInvalidates(p, m.Page, others)
-		return
+		return h.sendInvalidates(p, m.Page, others)
 	}
 	src := e.owner
 	if !e.copyset.Has(src) {
@@ -406,24 +370,23 @@ func (h *Host) managerHandle(p *sim.Proc, m *pmsg) {
 	if targets.Empty() {
 		e.copyset = hostset.One(m.From)
 		e.owner = m.From
-		fwd := *m
-		fwd.Type = mWriteFwd
-		h.Send(p, src, &fwd)
-		return
+		return h.Post(src, m.as(mWriteFwd))
 	}
 	e.pendingWrite = m
 	e.upgrade = false
 	e.writeSrc = src
 	e.invAwait = targets.Count()
-	h.sendInvalidates(p, m.Page, targets)
+	return h.sendInvalidates(p, m.Page, targets)
 }
 
-func (h *Host) sendInvalidates(p *sim.Proc, page int, mask hostset.Set) {
+func (h *Host) sendInvalidates(p *sim.Proc, page int, mask hostset.Set) (tail *fastmsg.Message) {
 	for i := 0; i < h.sys.NumHosts(); i++ {
 		if mask.Has(i) {
-			h.Send(p, i, &pmsg{Type: mInvReq, From: h.ID(), Page: page})
+			h.Flush(p, tail)
+			tail = h.Post(i, &pmsg{Type: mInvReq, From: h.ID(), Page: page})
 		}
 	}
+	return tail
 }
 
 func firstBit(s hostset.Set) int {

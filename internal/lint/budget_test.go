@@ -20,14 +20,22 @@ import (
 // one record a lock id), and Poison/CheckPoison are exported so lrc-mw's
 // interval arenas get the freelists' use-after-recycle check under -tags
 // invariants (+7, net of the slice-pool hooks now built on them).
+//
+// Moved, not raised, cluster 1,665 -> 1,790 (PR 25): the message table
+// the kernel dispatches (MsgTable, Register, the receive sequence's
+// Server, Post/Flush, the parked reply headers, the engine-row check)
+// replaced four HandleMessage switches, four DescribeMsg methods, four
+// name tables and four pending-header maps; with that, and ivy's, lrc's
+// and lrc-mw's per-host counters summed into one set a cluster, dsm, ivy
+// and lrc fell by 8 + 37 + 82 and the four stand 2 under their old sum.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1665},
-	{"dsm", 2260},
-	{"ivy", 435},
-	{"lrc", 1484},
+	{"cluster", 1790},
+	{"dsm", 2252},
+	{"ivy", 398},
+	{"lrc", 1402},
 }
 
 // kernelTarget is ROADMAP item 5's goal for the four packages together:

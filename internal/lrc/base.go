@@ -68,18 +68,18 @@ func (b *base[H, T]) alloc(p *sim.Proc, from, size int) (cluster.Allocation, err
 	return cluster.Allocation{VA: va, Info: mp.Info(b.Layout), Home: b.homes[mp.ID]}, nil
 }
 
-// describe fills a DescribeMsg reply for a header whose trace op code is
-// op and whose minipage is info (zero for lrc-mw's diff requests and
-// replies, which name theirs by id).
-func (b *base[H, T]) describe(op uint16, info core.Info) (uint16, int, uint64, int) {
+// describe gives the trace a header's minipage, address and home from
+// its info (zero for lrc-mw's diff requests and replies, which name
+// theirs by id).
+func (b *base[H, T]) describe(info core.Info) (int, uint64, int) {
 	if info.Size == 0 {
-		return op, -1, 0, -1
+		return -1, 0, -1
 	}
 	home := -1
 	if info.ID < len(b.homes) {
 		home = b.homes[info.ID]
 	}
-	return op, info.ID, info.Base, home
+	return info.ID, info.Base, home
 }
 
 // footprint starts a Totals with what both realizations report alike:

@@ -34,7 +34,6 @@ import (
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
-	"millipage/internal/trace"
 	"millipage/internal/twindiff"
 	"millipage/internal/vm"
 )
@@ -50,25 +49,12 @@ const (
 	mDiffAck
 )
 
-var mtypeNames = [...]string{
-	"FETCH_REQUEST", "FETCH_REPLY", "FETCH_DATA", "DIFF_FLUSH", "DIFF_ACK",
-}
-
-// The trace recorder stores message types as raw codes offset by the
-// package's registered base, so dsm/ivy/lrc coexist in one binary.
-var opBase = trace.RegisterOps(mtypeNames[:])
-
-func (m mtype) String() string {
-	if int(m) >= 0 && int(m) < len(mtypeNames) {
-		return mtypeNames[m]
-	}
-	return fmt.Sprintf("mtype(%d)", int(m))
-}
-
 // dataMarker is the shared payload of every bulk mFetchData message.
 var dataMarker = &pmsg{Type: mFetchData}
 
 type pmsg struct {
+	cluster.PoolState // the kernel's Msg; lrc's headers are not pooled
+
 	Type mtype
 	From int
 	Info core.Info
@@ -82,6 +68,7 @@ type pmsg struct {
 // minipage's home is its allocating host.
 type System struct {
 	base[*Host, *Thread]
+	stats Stats // every host's counters: hosts run one at a time
 }
 
 // Stats aggregates protocol activity across the run.
@@ -100,16 +87,12 @@ type Host struct {
 	sys    *System
 	Region *core.Region
 
-	twins      map[int][]byte // minipage id -> twin (dirty set)
-	dirtyInfo  map[int]core.Info
-	present    map[int]core.Info // non-home minipages currently mapped in
-	pendingHdr map[int]*pmsg
+	twins     map[int][]byte // minipage id -> twin (dirty set)
+	dirtyInfo map[int]core.Info
+	present   map[int]core.Info // non-home minipages currently mapped in
 
 	flushAwait int
 	flushDone  *sim.Event
-
-	// stats is this host's share of System.Stats.
-	stats Stats
 }
 
 // New builds an LRC cluster.
@@ -119,12 +102,11 @@ func New(opt Options) (*System, error) {
 		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} },
 		func(as *vm.AddressSpace, region *core.Region) {
 			h := &Host{
-				sys:        s,
-				Region:     region,
-				twins:      make(map[int][]byte),
-				dirtyInfo:  make(map[int]core.Info),
-				present:    make(map[int]core.Info),
-				pendingHdr: make(map[int]*pmsg),
+				sys:       s,
+				Region:    region,
+				twins:     make(map[int][]byte),
+				dirtyInfo: make(map[int]core.Info),
+				present:   make(map[int]core.Info),
 			}
 			h.Host = s.AddHost(as, h)
 		})
@@ -134,20 +116,8 @@ func New(opt Options) (*System, error) {
 	return s, nil
 }
 
-// Stats sums the per-host counters.
-func (s *System) Stats() Stats {
-	var t Stats
-	for i := 0; i < s.NumHosts(); i++ {
-		hs := s.Host(i).stats
-		t.Fetches += hs.Fetches
-		t.DiffsSent += hs.DiffsSent
-		t.DiffBytes += hs.DiffBytes
-		t.TwinsMade += hs.TwinsMade
-		t.WriteFault += hs.WriteFault
-		t.ReadFault += hs.ReadFault
-	}
-	return t
-}
+// Stats returns the cluster's counters.
+func (s *System) Stats() Stats { return s.stats }
 
 // Totals reports the run's protocol counters. Single-writer LRC never
 // invalidates a remote copy and never queues a request.
@@ -177,12 +147,10 @@ func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
 	}
 }
 
-// DescribeMsg extracts the trace fields from a protocol header (the
-// cluster runtime calls it only when tracing is enabled).
-func (h *Host) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
-	m := payload.(*pmsg)
-	return h.sys.describe(opBase+uint16(m.Type), m.Info)
-}
+func (h *Host) describe(m *pmsg) (int, uint64, int) { return h.sys.describe(m.Info) }
+
+// Table places the header in the protocol's message table (cluster.Msg).
+func (m *pmsg) Table() (cluster.Table, int) { return table, int(m.Type) }
 
 // HandleFault services read and write faults in LRC fashion: fetch from
 // home if absent; on write, twin and proceed — never invalidate other
@@ -204,9 +172,9 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess && home != h.ID() {
 		// Fetch current contents from home.
-		h.stats.Fetches++
+		h.sys.stats.Fetches++
 		if f.Kind == vm.Read {
-			h.stats.ReadFault++
+			h.sys.stats.ReadFault++
 		}
 		fw := t.WaitSlot()
 		t.Block(cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume,
@@ -216,7 +184,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 
 	if f.Kind == vm.Write {
 		// Twin and write locally; the diff travels at the next release.
-		h.stats.WriteFault++
+		h.sys.stats.WriteFault++
 		if _, dirty := h.twins[mp.ID]; !dirty {
 			data, err := h.Region.ReadPriv(info.Base, info.Size)
 			if err != nil {
@@ -224,7 +192,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 			}
 			h.twins[mp.ID] = twindiff.Twin(data)
 			h.dirtyInfo[mp.ID] = info
-			h.stats.TwinsMade++
+			h.sys.stats.TwinsMade++
 			p.Sleep(twindiff.TwinCost(info.Size))
 		}
 		p.Sleep(c.SetProt)
@@ -284,9 +252,9 @@ func (t *Thread) flushDiffs() {
 		h.flushAwait = len(flushes)
 		h.flushDone = sim.NewEvent(s.Eng)
 		for _, f := range flushes {
-			h.stats.DiffsSent++
-			h.stats.DiffBytes += uint64(len(f.enc))
-			h.SendSized(p, f.home, &pmsg{Type: mDiffFlush, From: h.ID(), Info: f.info, Diff: f.enc}, c.HeaderSize+len(f.enc))
+			h.sys.stats.DiffsSent++
+			h.sys.stats.DiffBytes += uint64(len(f.enc))
+			h.Flush(p, h.PostSized(f.home, &pmsg{Type: mDiffFlush, From: h.ID(), Info: f.info, Diff: f.enc}, c.HeaderSize+len(f.enc)))
 		}
 		t.Block(cluster.Blocking{For: "flush done", On: h.flushDone, Wake: c.ThreadWake})
 	}
@@ -329,66 +297,65 @@ func (h *Host) Release(ctx any, m *cluster.SvcMsg) {
 // next accesses observe everything flushed before the synchronization.
 func (h *Host) Acquire(ctx any, m *cluster.SvcMsg) { ctx.(*Thread).invalidatePresent() }
 
-// HandleMessage is the LRC server-thread dispatcher.
-func (h *Host) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
-	m := fm.Payload.(*pmsg)
-	c := h.Costs()
-	switch m.Type {
-	case mFetchReq:
-		// Home ships its current copy (always readable at home via the
-		// privileged view).
-		data, err := h.Region.ReadPriv(m.Info.Base, m.Info.Size)
-		if err != nil {
-			panic(err)
-		}
-		reply := *m
-		reply.Type = mFetchReply
-		h.Send(p, m.From, &reply)
-		h.SendData(p, m.From, data, dataMarker)
+// table is the protocol's message table (cluster.MsgTable). No handler opens
+// with a charge; a reply header and a flush ack run in engine context.
+var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
+	mFetchReq:   {Name: "FETCH_REQUEST", Proc: (*Host).fetch},
+	mFetchReply: {Name: "FETCH_REPLY", Engine: cluster.Park[*Host, *pmsg]},
+	mFetchData:  {Name: "FETCH_DATA", Proc: (*Host).fetchData},
+	mDiffFlush:  {Name: "DIFF_FLUSH", Proc: (*Host).diffFlush},
+	mDiffAck:    {Name: "DIFF_ACK", Engine: (*Host).diffAck},
+}})
 
-	case mFetchReply:
-		h.pendingHdr[fm.From] = m
-
-	case mFetchData:
-		hdr, ok := h.pendingHdr[fm.From]
-		if !ok {
-			panic("lrc: data without header")
-		}
-		delete(h.pendingHdr, fm.From)
-		if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
-			panic(err)
-		}
-		p.Sleep(c.SetProt)
-		if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly); err != nil {
-			panic(err)
-		}
-		hdr.FW.Info = hdr.Info
-		hdr.FW.Ev.Set()
-
-	case mDiffFlush:
-		runs, err := twindiff.Decode(m.Diff)
-		if err != nil {
-			panic(err)
-		}
-		cur, err := h.Region.ReadPriv(m.Info.Base, m.Info.Size)
-		if err != nil {
-			panic(err)
-		}
-		if err := twindiff.Apply(cur, runs); err != nil {
-			panic(err)
-		}
-		if err := h.Region.WritePriv(m.Info.Base, cur); err != nil {
-			panic(err)
-		}
-		p.Sleep(twindiff.ApplyCost(len(m.Diff)))
-		h.Send(p, m.From, &pmsg{Type: mDiffAck, From: h.ID(), Info: m.Info})
-
-	case mDiffAck:
-		if h.flushAwait--; h.flushAwait == 0 {
-			h.flushDone.Set()
-		}
-
-	default:
-		panic(fmt.Sprintf("lrc: unexpected message %d", int(m.Type)))
+// fetch ships the home's current copy (always readable at home via the
+// privileged view), the bytes as the tail.
+func (h *Host) fetch(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	data, err := h.Region.ReadPriv(m.Info.Base, m.Info.Size)
+	if err != nil {
+		panic(err)
 	}
+	reply := *m
+	reply.Type = mFetchReply
+	h.Send(p, m.From, &reply)
+	return h.PostData(m.From, data, dataMarker)
+}
+
+func (h *Host) fetchData(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	hdr := h.Unpark(fm).(*pmsg)
+	if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
+		panic(err)
+	}
+	p.Sleep(h.Costs().SetProt)
+	if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly); err != nil {
+		panic(err)
+	}
+	hdr.FW.Info = hdr.Info
+	hdr.FW.Ev.Set()
+	return nil
+}
+
+func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	runs, err := twindiff.Decode(m.Diff)
+	if err != nil {
+		panic(err)
+	}
+	cur, err := h.Region.ReadPriv(m.Info.Base, m.Info.Size)
+	if err != nil {
+		panic(err)
+	}
+	if err := twindiff.Apply(cur, runs); err != nil {
+		panic(err)
+	}
+	if err := h.Region.WritePriv(m.Info.Base, cur); err != nil {
+		panic(err)
+	}
+	p.Sleep(twindiff.ApplyCost(len(m.Diff)))
+	return h.Post(m.From, &pmsg{Type: mDiffAck, From: h.ID(), Info: m.Info})
+}
+
+func (h *Host) diffAck(*pmsg, *fastmsg.Message) *fastmsg.Message {
+	if h.flushAwait--; h.flushAwait == 0 {
+		h.flushDone.Set()
+	}
+	return nil
 }

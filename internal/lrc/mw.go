@@ -47,7 +47,6 @@ import (
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
-	"millipage/internal/trace"
 	"millipage/internal/twindiff"
 	"millipage/internal/vm"
 )
@@ -64,20 +63,6 @@ const (
 	mwDiffReq
 	mwDiffReply
 )
-
-var mwtypeNames = [...]string{
-	"MW_FETCH_REQUEST", "MW_FETCH_REPLY", "MW_FETCH_DATA", "MW_DIFF_FLUSH",
-	"MW_DIFF_ACK", "MW_DIFF_REQUEST", "MW_DIFF_REPLY",
-}
-
-var mwOpBase = trace.RegisterOps(mwtypeNames[:])
-
-func (m mwtype) String() string {
-	if int(m) >= 0 && int(m) < len(mwtypeNames) {
-		return mwtypeNames[m]
-	}
-	return fmt.Sprintf("mwtype(%d)", int(m))
-}
 
 // mwNotice is a write notice as created at a release: one closed
 // interval and the minipages it modified.
@@ -237,6 +222,8 @@ type MWSystem struct {
 	freeMW   cluster.Pool[mwmsg]
 	freeSync cluster.Pool[mwSync]
 	freeBuf  cluster.SlicePool[byte]
+
+	stats MWStats // every host's counters: hosts run one at a time
 }
 
 // allocMW returns a protocol header for a message whose consumer will
@@ -271,29 +258,12 @@ func (h *MWHost) recycleSync(m *cluster.SvcMsg, x *mwSync) {
 	h.sys.freeSync.Put(x)
 }
 
-// SendSized ships header m (and its ownership), size bytes on the wire.
-func (h *MWHost) SendSized(p *sim.Proc, to int, m *mwmsg, size int) {
-	m.CheckLive("Send")
-	h.Host.SendSized(p, to, m, size)
-}
-
-// Send is SendSized for a bare header.
-func (h *MWHost) Send(p *sim.Proc, to int, m *mwmsg) { h.SendSized(p, to, m, h.Costs().HeaderSize) }
-
 // call is Send for a request whose reply thread t then waits for, as b
 // says: send and wait are one sequence (cluster.Thread.Block).
 func (t *MWThread) call(to int, m *mwmsg, b cluster.Blocking) {
-	m.CheckLive("Send")
 	b.To, b.Request = to, m
 	t.Block(b)
 }
-
-// allocBuf returns a byte buffer of length n (twin, minipage snapshot,
-// fetch payload).
-func (h *MWHost) allocBuf(n int) []byte { return h.sys.freeBuf.Get(n) }
-
-// recycleBuf returns a fully consumed buffer to the freelist.
-func (h *MWHost) recycleBuf(b []byte) { h.sys.freeBuf.Put(b) }
 
 // MWHost is one multi-writer LRC process.
 type MWHost struct {
@@ -320,8 +290,6 @@ type MWHost struct {
 	floorPrev uint64 // GC floor: own seq as of two barriers ago
 	floorCur  uint64 // own seq as of the last barrier
 
-	pendingHdr []*mwmsg // fetch header awaiting its data message, by sender
-
 	flushAwait int
 	flushDone  *sim.Event
 
@@ -332,9 +300,6 @@ type MWHost struct {
 	// Steady-state scratch, reused across releases and merges.
 	relFlush   []mwFlush
 	mergeDiffs []mwFetched
-
-	// stats is this host's share of MWSystem.Stats.
-	stats MWStats
 }
 
 // NewMW builds a multi-writer LRC cluster.
@@ -344,10 +309,9 @@ func NewMW(opt Options) (*MWSystem, error) {
 		func(ct *cluster.Thread, h *MWHost) *MWThread { return &MWThread{Thread: ct, host: h} },
 		func(as *vm.AddressSpace, region *core.Region) {
 			h := &MWHost{
-				sys:        s,
-				Region:     region,
-				vc:         make([]uint64, s.Opt.Hosts),
-				pendingHdr: make([]*mwmsg, s.Opt.Hosts),
+				sys:    s,
+				Region: region,
+				vc:     make([]uint64, s.Opt.Hosts),
 			}
 			h.Host = s.AddHost(as, h)
 		})
@@ -357,26 +321,8 @@ func NewMW(opt Options) (*MWSystem, error) {
 	return s, nil
 }
 
-// Stats sums the per-host counters.
-func (s *MWSystem) Stats() MWStats {
-	var t MWStats
-	for i := 0; i < s.NumHosts(); i++ {
-		hs := s.Host(i).stats
-		t.Fetches += hs.Fetches
-		t.DiffFetches += hs.DiffFetches
-		t.DiffsFetched += hs.DiffsFetched
-		t.HomeFallbacks += hs.HomeFallbacks
-		t.DiffsSent += hs.DiffsSent
-		t.DiffBytes += hs.DiffBytes
-		t.TwinsMade += hs.TwinsMade
-		t.WriteFault += hs.WriteFault
-		t.ReadFault += hs.ReadFault
-		t.Invalidations += hs.Invalidations
-		t.Notices += hs.Notices
-		t.IntervalsGCed += hs.IntervalsGCed
-	}
-	return t
-}
+// Stats returns the cluster's counters.
+func (s *MWSystem) Stats() MWStats { return s.stats }
 
 // Totals reports the run's protocol counters; invalidations are the
 // minipages write notices made inaccessible.
@@ -408,11 +354,10 @@ func (h *MWHost) Mapped(p *sim.Proc, a cluster.Allocation) {
 	}
 }
 
-// DescribeMsg extracts the trace fields from a protocol header.
-func (h *MWHost) DescribeMsg(payload any) (op uint16, mp int, addr uint64, home int) {
-	m := payload.(*mwmsg)
-	return h.sys.describe(mwOpBase+uint16(m.Type), m.Info)
-}
+func (h *MWHost) describe(m *mwmsg) (int, uint64, int) { return h.sys.describe(m.Info) }
+
+// Table places the header in the protocol's message table (cluster.Msg).
+func (m *mwmsg) Table() (cluster.Table, int) { return mwTable, int(m.Type) }
 
 // HandleFault services read and write faults: merge pending write
 // notices (lazy diff fetch) or fetch from home if absent; on write, twin
@@ -439,7 +384,7 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 			return fmt.Errorf("lrc-mw: home minipage %d unmapped at its home %d", mp.ID, h.ID())
 		}
 		if f.Kind == vm.Read {
-			h.stats.ReadFault++
+			h.sys.stats.ReadFault++
 		}
 		if m.copy.Size == 0 || !t.mergePending(m, info) {
 			t.fetchFromHome(m, info, home)
@@ -448,15 +393,15 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 
 	dirty := m.twin != nil
 	if f.Kind == vm.Write {
-		h.stats.WriteFault++
+		h.sys.stats.WriteFault++
 		if !dirty {
-			twin := h.allocBuf(info.Size)
+			twin := h.sys.freeBuf.Get(info.Size)
 			if err := h.Region.ReadPrivInto(info.Base, twin); err != nil {
 				return err
 			}
 			m.twin, m.info = twin, info
 			h.dirty = append(h.dirty, mp.ID)
-			h.stats.TwinsMade++
+			h.sys.stats.TwinsMade++
 			p.Sleep(twindiff.TwinCost(info.Size))
 		}
 		p.Sleep(c.SetProt)
@@ -504,7 +449,7 @@ func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 		for b < len(pend) && pend[b].creator == cr {
 			b++
 		}
-		h.stats.DiffFetches++
+		h.sys.stats.DiffFetches++
 		fw := t.WaitSlot()
 		req := h.allocMW()
 		req.Type = mwDiffReq
@@ -519,7 +464,7 @@ func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 		h.diffReply = nil
 		for i, d := range reply.DiffsOut {
 			if d.Purged {
-				h.stats.HomeFallbacks++
+				h.sys.stats.HomeFallbacks++
 				if m.twin != nil {
 					// Purge retention spans two barrier epochs and a dirty twin
 					// cannot survive a barrier, so a dirty minipage's pending
@@ -531,7 +476,7 @@ func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 				h.recycleMW(reply)
 				return false
 			}
-			h.stats.DiffsFetched++
+			h.sys.stats.DiffsFetched++
 			// The reply serves the requested seqs in order, so entry i
 			// carries the diff for pend[a+i]'s notice.
 			diffs = append(diffs, mwFetched{vtsum: pend[a+i].vtsum, enc: d.Enc})
@@ -543,7 +488,7 @@ func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 	// fresh counter value.
 	slices.SortFunc(diffs, func(a, b mwFetched) int { return cmp.Compare(a.vtsum, b.vtsum) })
 	h.mergeDiffs = diffs
-	cur := h.allocBuf(info.Size)
+	cur := h.sys.freeBuf.Get(info.Size)
 	if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
 		panic(err)
 	}
@@ -564,7 +509,7 @@ func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 	if err := h.Region.WritePriv(info.Base, cur); err != nil {
 		panic(err)
 	}
-	h.recycleBuf(cur)
+	h.sys.freeBuf.Put(cur)
 	h.mergeDiffs = diffs[:0]
 	for _, pe := range pend { // m.seen is set: the copy these notices invalidated was fetched
 		if pe.seq > m.seen[pe.creator] {
@@ -581,7 +526,7 @@ func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
 func (t *MWThread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
-	h.stats.Fetches++
+	h.sys.stats.Fetches++
 	fw := t.WaitSlot()
 	req := h.allocMW()
 	req.Type = mwFetchReq
@@ -626,7 +571,7 @@ func (t *MWThread) release() mwNotice {
 		m := &h.mps[id]
 		info, twin := m.info, m.twin
 		home := s.homes[id]
-		cur := h.allocBuf(info.Size)
+		cur := h.sys.freeBuf.Get(info.Size)
 		if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
 			panic(err)
 		}
@@ -638,8 +583,8 @@ func (t *MWThread) release() mwNotice {
 		}
 		enc := g.bytes[off:len(g.bytes):len(g.bytes)]
 		g.ents = append(g.ents, mwEnt{mp: id, off: off, end: len(g.bytes)})
-		h.recycleBuf(cur)
-		h.recycleBuf(twin)
+		h.sys.freeBuf.Put(cur)
+		h.sys.freeBuf.Put(twin)
 		m.twin = nil
 		p.Sleep(c.SetProt)
 		if err := h.Region.Protect(info.Base, info.Size, vm.ReadOnly); err != nil {
@@ -660,14 +605,14 @@ func (t *MWThread) release() mwNotice {
 			h.flushDone.Reset()
 		}
 		for _, f := range flushes {
-			h.stats.DiffsSent++
-			h.stats.DiffBytes += uint64(len(f.enc))
+			h.sys.stats.DiffsSent++
+			h.sys.stats.DiffBytes += uint64(len(f.enc))
 			fm := h.allocMW()
 			fm.Type = mwDiffFlush
 			fm.From = h.ID()
 			fm.Info = f.info
 			fm.Diff = f.enc
-			h.SendSized(p, f.home, fm, c.HeaderSize+len(f.enc))
+			h.Flush(p, h.PostSized(f.home, fm, c.HeaderSize+len(f.enc)))
 		}
 		t.Block(cluster.Blocking{For: "flush done", On: h.flushDone, Wake: c.ThreadWake})
 	}
@@ -710,7 +655,7 @@ func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 			}
 			m.pend = append(m.pend, pendEntry{vtsum: n.VTSum, creator: n.Creator, seq: n.Seq})
 			if len(m.pend) == 1 {
-				h.stats.Invalidations++
+				h.sys.stats.Invalidations++
 				p.Sleep(c.SetProt)
 				if err := h.Region.Protect(info.Base, info.Size, vm.NoAccess); err != nil {
 					panic(err)
@@ -732,7 +677,7 @@ func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 func (h *MWHost) gcIntervals() {
 	g := h.gens[0]
 	h.ivalBase += uint64(len(g.spans))
-	h.stats.IntervalsGCed += uint64(len(g.spans))
+	h.sys.stats.IntervalsGCed += uint64(len(g.spans))
 	if h.ivalBase != h.floorPrev {
 		panic(fmt.Sprintf("lrc-mw: host %d purged through interval %d, GC floor is %d", h.ID(), h.ivalBase, h.floorPrev))
 	}
@@ -861,7 +806,7 @@ func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
 func (h *MWHost) logNotice(n mwNotice) {
 	s := h.sys
 	s.vtctr++
-	h.stats.Notices++
+	h.sys.stats.Notices++
 	if s.logLast == nil {
 		s.logLast = make([]int, s.NumHosts())
 		for c := range s.logLast {
@@ -902,96 +847,102 @@ func (s *MWSystem) newerThan(dst []mwCNotice, vc []uint64) []mwCNotice {
 	return dst
 }
 
-// HandleMessage is the multi-writer server-thread dispatcher.
-func (h *MWHost) HandleMessage(p *sim.Proc, fm *fastmsg.Message) {
-	m := fm.Payload.(*mwmsg)
-	m.CheckLive("HandleMessage")
-	c := h.Costs()
-	switch m.Type {
-	case mwFetchReq:
-		// Request headers turn around in place (the requester is blocked
-		// on FW and holds no other reference); the reply's consumer
-		// recycles them.
-		data := h.allocBuf(m.Info.Size)
-		if err := h.Region.ReadPrivInto(m.Info.Base, data); err != nil {
-			panic(err)
-		}
-		to := m.From
-		m.Type = mwFetchReply
-		h.Send(p, to, m)
-		h.SendData(p, to, data, mwDataMarker)
+// mwTable is the multi-writer message table (cluster.MsgTable). No handler
+// opens with a charge. Reply headers and acks only record themselves, a
+// diff request is answered from the arenas: those run in engine context.
+var mwTable = cluster.Register(cluster.MsgTable[*MWHost, *mwmsg]{Describe: (*MWHost).describe, Rows: []cluster.MsgSpec[*MWHost, *mwmsg]{
+	mwFetchReq:   {Name: "MW_FETCH_REQUEST", Proc: (*MWHost).fetch},
+	mwFetchReply: {Name: "MW_FETCH_REPLY", Engine: cluster.Park[*MWHost, *mwmsg]},
+	mwFetchData:  {Name: "MW_FETCH_DATA", Proc: (*MWHost).fetchData},
+	mwDiffFlush:  {Name: "MW_DIFF_FLUSH", Proc: (*MWHost).diffFlush},
+	mwDiffAck:    {Name: "MW_DIFF_ACK", Engine: (*MWHost).diffAck},
+	mwDiffReq:    {Name: "MW_DIFF_REQUEST", Engine: (*MWHost).diffRequest},
+	mwDiffReply:  {Name: "MW_DIFF_REPLY", Engine: (*MWHost).diffReplied},
+}})
 
-	case mwFetchReply:
-		h.pendingHdr[fm.From] = m
-
-	case mwFetchData:
-		hdr := h.pendingHdr[fm.From]
-		if hdr == nil {
-			panic("lrc-mw: data without header")
-		}
-		h.pendingHdr[fm.From] = nil
-		if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
-			panic(err)
-		}
-		h.recycleBuf(fm.Data)
-		p.Sleep(c.SetProt)
-		if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly); err != nil {
-			panic(err)
-		}
-		hdr.FW.Info = hdr.Info
-		hdr.FW.Ev.Set()
-		h.recycleMW(hdr)
-
-	case mwDiffFlush:
-		cur := h.allocBuf(m.Info.Size)
-		if err := h.Region.ReadPrivInto(m.Info.Base, cur); err != nil {
-			panic(err)
-		}
-		if err := twindiff.ApplyEncoded(cur, m.Diff); err != nil {
-			panic(err)
-		}
-		if err := h.Region.WritePriv(m.Info.Base, cur); err != nil {
-			panic(err)
-		}
-		h.recycleBuf(cur)
-		if id := m.Info.ID; id < len(h.mps) && h.mps[id].twin != nil {
-			// The home is itself mid-interval on this minipage: patch the
-			// twin too, so the home's own diff stays writes-only.
-			if err := twindiff.ApplyEncoded(h.mps[id].twin, m.Diff); err != nil {
-				panic(err)
-			}
-		}
-		p.Sleep(twindiff.ApplyCost(len(m.Diff)))
-		to := m.From
-		m.Type = mwDiffAck
-		m.From = h.ID()
-		m.Diff = nil // the encoding stays in the sender's arena
-		h.Send(p, to, m)
-
-	case mwDiffAck:
-		if h.flushAwait--; h.flushAwait == 0 {
-			h.flushDone.Set()
-		}
-		h.recycleMW(m)
-
-	case mwDiffReq:
-		size := c.HeaderSize
-		for _, seq := range m.Seqs {
-			enc, ok := h.diffOf(seq, m.MP)
-			m.DiffsOut = append(m.DiffsOut, mwDiffOut{Seq: seq, Enc: enc, Purged: !ok})
-			size += len(enc)
-		}
-		to := m.From
-		m.Type = mwDiffReply
-		m.From = h.ID()
-		m.Seqs = m.Seqs[:0]
-		h.SendSized(p, to, m, size)
-
-	case mwDiffReply:
-		h.diffReply = m
-		m.FW.Ev.Set()
-
-	default:
-		panic(fmt.Sprintf("lrc-mw: unexpected message %d", int(m.Type)))
+// fetch ships the home's copy. Request headers turn around in place (the
+// requester is blocked on FW and holds no other reference); the reply's
+// consumer recycles them. The bytes are the tail.
+func (h *MWHost) fetch(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+	data := h.sys.freeBuf.Get(m.Info.Size)
+	if err := h.Region.ReadPrivInto(m.Info.Base, data); err != nil {
+		panic(err)
 	}
+	to := m.From
+	m.Type = mwFetchReply
+	h.Send(p, to, m)
+	return h.PostData(to, data, mwDataMarker)
+}
+
+func (h *MWHost) fetchData(p *sim.Proc, _ *mwmsg, fm *fastmsg.Message) *fastmsg.Message {
+	hdr := h.Unpark(fm).(*mwmsg)
+	if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
+		panic(err)
+	}
+	h.sys.freeBuf.Put(fm.Data)
+	p.Sleep(h.Costs().SetProt)
+	if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly); err != nil {
+		panic(err)
+	}
+	hdr.FW.Info = hdr.Info
+	hdr.FW.Ev.Set()
+	h.recycleMW(hdr)
+	return nil
+}
+
+func (h *MWHost) diffFlush(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+	cur := h.sys.freeBuf.Get(m.Info.Size)
+	if err := h.Region.ReadPrivInto(m.Info.Base, cur); err != nil {
+		panic(err)
+	}
+	if err := twindiff.ApplyEncoded(cur, m.Diff); err != nil {
+		panic(err)
+	}
+	if err := h.Region.WritePriv(m.Info.Base, cur); err != nil {
+		panic(err)
+	}
+	h.sys.freeBuf.Put(cur)
+	if id := m.Info.ID; id < len(h.mps) && h.mps[id].twin != nil {
+		// The home is itself mid-interval on this minipage: patch the
+		// twin too, so the home's own diff stays writes-only.
+		if err := twindiff.ApplyEncoded(h.mps[id].twin, m.Diff); err != nil {
+			panic(err)
+		}
+	}
+	p.Sleep(twindiff.ApplyCost(len(m.Diff)))
+	to := m.From
+	m.Type = mwDiffAck
+	m.From = h.ID()
+	m.Diff = nil // the encoding stays in the sender's arena
+	return h.Post(to, m)
+}
+
+func (h *MWHost) diffAck(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+	if h.flushAwait--; h.flushAwait == 0 {
+		h.flushDone.Set()
+	}
+	h.recycleMW(m)
+	return nil
+}
+
+// diffRequest serves a lazy fetcher the requested intervals' diffs of one
+// minipage, or Purged for those garbage-collected.
+func (h *MWHost) diffRequest(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+	size := h.Costs().HeaderSize
+	for _, seq := range m.Seqs {
+		enc, ok := h.diffOf(seq, m.MP)
+		m.DiffsOut = append(m.DiffsOut, mwDiffOut{Seq: seq, Enc: enc, Purged: !ok})
+		size += len(enc)
+	}
+	to := m.From
+	m.Type = mwDiffReply
+	m.From = h.ID()
+	m.Seqs = m.Seqs[:0]
+	return h.PostSized(to, m, size)
+}
+
+func (h *MWHost) diffReplied(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.diffReply = m
+	m.FW.Ev.Set()
+	return nil
 }

@@ -99,9 +99,9 @@ func TestMWIntervalStoreMatchesMaps(t *testing.T) {
 						}
 					}
 				}
-				if h.ivalBase != ref.base || h.stats.IntervalsGCed != ref.gced {
+				if h.ivalBase != ref.base || h.sys.stats.IntervalsGCed != ref.gced {
 					t.Fatalf("seed %d step %d: ivalBase %d IntervalsGCed %d, the map store has %d and %d",
-						seed, step, h.ivalBase, h.stats.IntervalsGCed, ref.base, ref.gced)
+						seed, step, h.ivalBase, h.sys.stats.IntervalsGCed, ref.base, ref.gced)
 				}
 				for i, iv := range ref.ivals {
 					if n := notices[int(ref.base)+i]; !slices.Equal(n.MPs, iv.mps) {

@@ -174,10 +174,8 @@ func TestMWLazyDiffFetchNotFullFetch(t *testing.T) {
 		}
 		th.Barrier()
 		if th.Host() == 1 {
-			// Mid-run, the aggregate Stats are not folded yet: read the
-			// per-host share (host 1 is the only fetcher in this program).
-			fullBefore = s.Host(1).stats.Fetches
-			got = th.ReadU32(va) // invalidated: lazy diff merge
+			fullBefore = s.Stats().Fetches // host 1 is the only fetcher in this program
+			got = th.ReadU32(va)           // invalidated: lazy diff merge
 		}
 		th.Barrier()
 	})

@@ -57,7 +57,8 @@ func RegisterOps(names []string) uint16 {
 	return uint16(base)
 }
 
-func opName(op uint16) string {
+// OpName returns the registered name of op.
+func OpName(op uint16) string {
 	if int(op) < len(opNames) {
 		return opNames[op]
 	}
@@ -112,9 +113,9 @@ func (e Event) detail() string {
 		}
 		return fmt.Sprintf("%s fault @%#x", word, e.Addr)
 	case Handle, Deliver:
-		return fmt.Sprintf("%s mp=%d", opName(e.Op), e.MP)
+		return fmt.Sprintf("%s mp=%d", OpName(e.Op), e.MP)
 	default:
-		return fmt.Sprintf("%s mp=%d addr=%#x", opName(e.Op), e.MP, e.Addr)
+		return fmt.Sprintf("%s mp=%d addr=%#x", OpName(e.Op), e.MP, e.Addr)
 	}
 }
 
@@ -360,6 +361,6 @@ func compileQuery(query string) func(Event) bool {
 			}
 			return strings.Contains(word, query)
 		}
-		return strings.Contains(opName(e.Op), query)
+		return strings.Contains(OpName(e.Op), query)
 	}
 }
