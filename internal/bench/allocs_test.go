@@ -102,18 +102,21 @@ func TestE2EAllocsRegression(t *testing.T) {
 // The counts are pure functions of (program, seed), so unlike the fences
 // above this is an equality — an engine change that claims the same
 // behaviour either reproduces them or has changed the schedule. On top
-// of the equality two bounds. No row's schedule may cost more than 1.4
-// coroswitches per process switch (they measure 1.21-1.32 under direct
-// hand-off; 2.0 is every switch bouncing through the Run goroutine
-// again); the one row held to 1.6 instead is E2ESOR256, at 1.47: a
-// 257-way barrier releases its hosts in lockstep, which is the
-// round-robin shape — a resume chain built 256 deep and yielded all the
-// way back down — whose price is 2(n-1)/n whatever the discipline. And
-// no row may switch more than 0.59 times as often as it did before the
-// substrate's receive, block and call sequences moved into the engine
+// of the equality two bounds. No row's schedule may cost more than 1.8
+// coroswitches per process switch: 2.0 is every switch bouncing through
+// the Run goroutine again, as is a resume chain capped at one driver.
+// The rows read 1.21-1.32 while the servers' switches were most of them
+// (a server and a thread handing off to each other cost 1 + 1), and
+// 1.23-1.59 since dsm's rows run in engine context first: what is left
+// is mostly application threads released by a barrier in lockstep, the
+// round-robin shape whose price is 2(n-1)/n whatever the discipline
+// (E2ESOR8, 8 threads, 1.59; the bound was 1.4, and 1.6 for E2ESOR256).
+// And no row may switch more than 0.50 times as often as it did before
+// the substrate's receive, block and call sequences moved into the engine
 // (switchesBeforeHops, that commit's pins): they measured 0.67-0.71 then,
-// and 0.39-0.54 once the protocols' message tables put fronts, tails and
-// engine-context handlers into the receive sequence too (PR 25), the
+// 0.39-0.54 once the protocols' message tables put fronts, tails and
+// engine-context handlers into the receive sequence too, and 0.09-0.45
+// since dsm's rows run there first and decline only what would wait, the
 // bound being the worst row, E2EServeLossy, plus 0.05. A sequence that
 // falls back to process code shows here, with events_per_op — which
 // those sequences must not and did not move — still equal.
@@ -140,15 +143,11 @@ func TestE2ECountersPinned(t *testing.T) {
 		before := switchesBeforeHops[p.Name]
 		kept := float64(c.Switches) / float64(before)
 		t.Logf("%-15s %.3f coroswitches per switch, %.3f of the %d switches before hops", p.Name, ratio, kept, before)
-		bound := 1.4
-		if p.Name == "E2ESOR256" {
-			bound = 1.6
+		if ratio > 1.8 {
+			t.Errorf("%s: %.3f coroswitches per process switch, want at most 1.8", p.Name, ratio)
 		}
-		if ratio > bound {
-			t.Errorf("%s: %.3f coroswitches per process switch, want at most %.1f", p.Name, ratio, bound)
-		}
-		if before == 0 || kept > 0.59 {
-			t.Errorf("%s: %d process switches, want at most 0.59 x the %d of the commit before engine-side wait sequences", p.Name, c.Switches, before)
+		if before == 0 || kept > 0.50 {
+			t.Errorf("%s: %d process switches, want at most 0.50 x the %d of the commit before engine-side wait sequences", p.Name, c.Switches, before)
 		}
 	}
 }

@@ -61,13 +61,15 @@ type MsgTable[H, M any] struct {
 // MsgSpec is what receiving one type does once RecvCPU is charged, all run
 // by the receive sequence where the server thread ran it (DESIGN.md §6):
 // Front, the charge its handler opens with (NoFront: none), set only where
-// a "front:" line says why nothing observable precedes it; Engine, a
-// handler that never waits, or Proc; either returns its tail or nil.
+// a "front:" line says why nothing observable precedes it; Handle, which
+// returns its tail or nil. With Engine set Handle runs first in engine
+// context, p nil, and returns fastmsg.Decline, before any effect, for a
+// message it would wait on: the thread then runs it with p.
 type MsgSpec[H, M any] struct {
 	Name   string
-	Front  func(h H, m M) sim.Duration
-	Engine func(h H, m M, fm *fastmsg.Message) (tail *fastmsg.Message)
-	Proc   func(h H, p *sim.Proc, m M, fm *fastmsg.Message) (tail *fastmsg.Message)
+	Front  func(h H, m M, fm *fastmsg.Message) sim.Duration
+	Handle func(h H, p *sim.Proc, m M, fm *fastmsg.Message) (tail *fastmsg.Message)
+	Engine bool
 }
 
 // Register registers t's type names with the trace recorder.
@@ -87,18 +89,18 @@ func (t *MsgTable[H, M]) describe(h *Host, typ int, payload any) (uint16, int, u
 
 func (t *MsgTable[H, M]) receive(h *Host, typ int, fm *fastmsg.Message) (sim.Duration, bool) {
 	if row := &t.Rows[typ]; row.Front != nil {
-		return row.Front(hostOf[H](h), fm.Payload.(M)), row.Engine != nil
+		return row.Front(hostOf[H](h), fm.Payload.(M), fm), row.Engine
 	}
-	return fastmsg.NoFront, t.Rows[typ].Engine != nil
+	return fastmsg.NoFront, t.Rows[typ].Engine
 }
 
 func (t *MsgTable[H, M]) serve(h *Host, typ int, p *sim.Proc, fm *fastmsg.Message) (tail *fastmsg.Message) {
-	if p != nil {
-		return t.Rows[typ].Proc(hostOf[H](h), p, fm.Payload.(M), fm)
-	}
-	h.inEngine = true
-	tail = t.Rows[typ].Engine(hostOf[H](h), fm.Payload.(M), fm)
+	h.inEngine, h.late = p == nil, false
+	tail = t.Rows[typ].Handle(hostOf[H](h), p, fm.Payload.(M), fm)
 	h.inEngine = false
+	if tail == fastmsg.Decline {
+		h.checkDecline(fm)
+	}
 	return tail
 }
 
@@ -112,20 +114,24 @@ func hostOf[H any](h *Host) H {
 
 // Park is the row of a reply header whose bytes follow it on the same
 // channel: it waits for them, by sender, in the kernel (Unpark).
-func Park[H interface{ park(*fastmsg.Message) }, M any](h H, _ M, fm *fastmsg.Message) *fastmsg.Message {
+func Park[H interface{ park(*fastmsg.Message) }, M any](h H, _ *sim.Proc, _ M, fm *fastmsg.Message) *fastmsg.Message {
 	h.park(fm)
 	return nil
 }
 
 func (h *Host) park(fm *fastmsg.Message) { h.parked[fm.From] = fm.Payload }
 
-// Unpark takes the header parked for data message fm.
-func (h *Host) Unpark(fm *fastmsg.Message) any {
+// Unpark takes the header parked for data message fm; Peek only looks.
+func (h *Host) Unpark(fm *fastmsg.Message) (hdr any) {
+	hdr, h.parked[fm.From] = h.Peek(fm), nil
+	return hdr
+}
+
+func (h *Host) Peek(fm *fastmsg.Message) any {
 	hdr := h.parked[fm.From]
 	if hdr == nil {
 		panic(fmt.Sprintf("%s: host %d: data from %d with no pending header", h.rt.Name, h.id, fm.From))
 	}
-	h.parked[fm.From] = nil
 	return hdr
 }
 
@@ -155,7 +161,8 @@ type Host struct {
 	parked   []any // reply headers waiting for their bytes, by sender (Park)
 	rx       Table // the table and row of the message in service (Receive)
 	rxType   int
-	inEngine bool // an engine-context row is running (checkEngineSend)
+	inEngine bool // an engine-context row is running: Flush(nil) queues
+	late     bool // the row in service posted there: Sending stamps its sends
 }
 
 // Resender is a requester's own record of a request in flight, held by a
@@ -285,9 +292,9 @@ func (h *Host) onFault(ctx any, f vm.Fault) error {
 	return nil
 }
 
-// Receive and Serve make the Host its endpoint's fastmsg.Server. Receive
-// records the dispatch, at the RecvCPU resume as the thread did, and finds
-// the message's row and its front; Serve runs the row.
+// Receive, Serve and Sending make the Host its endpoint's fastmsg.Server.
+// Receive records the dispatch, at the RecvCPU resume as the thread did,
+// and finds the message's row and its front; Serve runs the row.
 func (h *Host) Receive(fm *fastmsg.Message) (sim.Duration, bool) {
 	checkLive(fm.Payload, "receive")
 	h.rx, h.rxType = fm.Payload.(Msg).Table()
@@ -309,22 +316,40 @@ func (h *Host) Send(p *sim.Proc, to int, payload any) { h.Flush(p, h.Post(to, pa
 
 // Post is Send up to the charge: it records the send and returns the
 // posted envelope, for a handler's tail or Flush. PostSized gives the wire
-// size of a header with variable-length extras (lrc's encoded diffs).
+// size of a header with variable-length extras (lrc's encoded diffs). From
+// an engine-context row the record waits for the send's turn (Sending).
 func (h *Host) Post(to int, payload any) *fastmsg.Message {
 	return h.PostSized(to, payload, h.rt.Opt.Costs.HeaderSize)
 }
 
 func (h *Host) PostSized(to int, payload any, size int) *fastmsg.Message {
 	checkLive(payload, "Send")
-	if tr := h.rt.Trace; tr.Enabled() {
-		t, typ := payload.(Msg).Table()
-		op, mp, addr, home := t.describe(h, typ, payload)
-		tr.RecordMsg(h.rt.Eng.Now(), trace.Send, h.id, to, home, op, mp, addr)
-	}
 	fm := h.EP.AllocMessage()
 	fm.Size, fm.Payload = size, payload
 	h.EP.Post(to, fm)
+	if h.inEngine {
+		h.late = true
+	} else {
+		h.stamp(fm)
+	}
 	return fm
+}
+
+// Sending stamps a header an engine-context row posted as its charge
+// begins: where the thread, sending in-process, posted it. (PostData's
+// bytes, which are never nil, are not traced.)
+func (h *Host) Sending(fm *fastmsg.Message) {
+	if h.late && fm.Data == nil {
+		h.stamp(fm)
+	}
+}
+
+func (h *Host) stamp(fm *fastmsg.Message) {
+	if tr := h.rt.Trace; tr.Enabled() {
+		t, typ := fm.Payload.(Msg).Table()
+		op, mp, addr, home := t.describe(h, typ, fm.Payload)
+		tr.RecordMsg(h.rt.Eng.Now(), trace.Send, h.id, fm.To, home, op, mp, addr)
+	}
 }
 
 // PostData posts raw sharing-unit bytes (no header: FM delivers them
@@ -334,14 +359,19 @@ func (h *Host) PostData(to int, data []byte, marker any) *fastmsg.Message {
 	fm := h.EP.AllocMessage()
 	fm.Size, fm.Data, fm.Payload = len(data), data, marker
 	h.EP.Post(to, fm)
+	h.late = h.late || h.inEngine // for checkDecline; the bytes are not traced
 	return fm
 }
 
-// Flush is the rest of Send for a posted envelope, if any: charge p (none
-// if nil, as for a retry timer's Resend; checked under -tags invariants).
+// Flush is the rest of Send for a posted envelope, if any: charge p and
+// transmit. With p nil an engine-context row queues it, for the receive
+// sequence to charge; anything else, as a retry timer's Resend, is free.
 func (h *Host) Flush(p *sim.Proc, fm *fastmsg.Message) {
-	if fm != nil {
-		h.checkEngineSend(p == nil, fm.Payload)
+	switch {
+	case fm == nil:
+	case p == nil && h.inEngine:
+		h.EP.Queue(fm)
+	default:
 		h.EP.Finish(p, fm)
 	}
 }

@@ -2,6 +2,8 @@
 
 package cluster
 
+import "millipage/internal/fastmsg"
+
 // PoolState is embedded in pooled protocol headers. Built with -tags
 // invariants it carries the recycled mark the freelists set and check
 // (invariants_on.go); otherwise it is empty and the checks are no-ops.
@@ -10,7 +12,7 @@ type PoolState struct{}
 func (*PoolState) CheckLive(string) {}
 func checkLive(any, string)         {}
 
-func (*Host) checkEngineSend(bool, any) {}
+func (*Host) checkDecline(*fastmsg.Message) {}
 
 type poolCount struct{}
 

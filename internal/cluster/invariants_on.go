@@ -5,6 +5,7 @@ package cluster
 import (
 	"slices"
 
+	"millipage/internal/fastmsg"
 	"millipage/internal/trace"
 )
 
@@ -43,13 +44,15 @@ func (s *PoolState) reuse() {
 	s.recycled = false
 }
 
-// checkEngineSend panics on a send charged to no process from inside an
-// engine-context row, which returns its last send as the tail instead.
-func (h *Host) checkEngineSend(uncharged bool, payload any) {
-	if uncharged && h.inEngine {
-		t, typ := payload.(Msg).Table()
-		op, _, _, _ := t.describe(h, typ, payload)
-		panic("cluster: " + trace.OpName(op) + " sent with no process from an engine-context row")
+// checkDecline panics unless a row that declined engine context left no
+// mark for the thread to find: no send posted (nor so queued), the message
+// in hand not recycled.
+func (h *Host) checkDecline(fm *fastmsg.Message) {
+	checkLive(fm.Payload, "decline")
+	if h.late {
+		t, typ := fm.Payload.(Msg).Table()
+		op, _, _, _ := t.describe(h, typ, fm.Payload)
+		panic("cluster: " + trace.OpName(op) + " declined engine context after posting or queueing a send")
 	}
 }
 

@@ -63,36 +63,51 @@ func TestSlicePoolInvariants(t *testing.T) {
 	mustPanic(t, "written after it was recycled", func() { ints.Get(2) })
 }
 
-// synUncharged is an engine-context row that sends in-process, with no
-// process to charge, instead of returning the send as its tail.
-var synUncharged = Register(synTable{Describe: synDescribe, Rows: []MsgSpec[*synHost, *synMsg]{
-	{Name: "SYN_UNCHARGED", Engine: func(h *synHost, m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
-		h.Send(nil, fm.From, &synMsg{tab: m.tab})
-		return nil
-	}},
-}})
-
-// TestEngineRowSendPanics: under -tags invariants a send charged to no
-// process from inside an engine-context row panics, naming the message
-// type. (A retry timer's Resend(nil) does not: the crash-restart run of
-// TestReceiveSequenceIsTheServer re-sends that way under this tag.)
-func TestEngineRowSendPanics(t *testing.T) {
-	rt, err := New("syn", Options{Hosts: 2, SharedSize: vm.PageSize}, Traits{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := []*synHost{{tab: synUncharged}, {tab: synUncharged}}
-	for _, h := range hs {
-		h.Host = rt.NewHost(vm.NewAddressSpace(), h)
-	}
-	mustPanic(t, "SYN_UNCHARGED sent with no process from an engine-context row", func() {
-		rt.Run(func(ct *Thread) func() {
-			return func() {
-				if ct.ID == 0 { // host 1 is idle: it serves the message at once
-					hs[0].Send(ct.p, 1, &synMsg{tab: synUncharged})
-					ct.Compute(sim.Millisecond)
+// TestDeclineLeavesNoMark: under -tags invariants a row that declines
+// engine context after an effect — a send posted, a send queued, the
+// message in hand recycled — panics, naming what it did: the thread that
+// serves the message next would find the state the row left, not the one
+// it would have found.
+func TestDeclineLeavesNoMark(t *testing.T) {
+	var pool Pool[synMsg]
+	for _, tc := range []struct {
+		want   string
+		effect func(h *synHost, m *synMsg, fm *fastmsg.Message)
+	}{
+		{"SYN_BAD declined engine context after posting or queueing a send", func(h *synHost, m *synMsg, fm *fastmsg.Message) {
+			h.Post(fm.From, &synMsg{tab: m.tab})
+		}},
+		{"SYN_BAD declined engine context after posting or queueing a send", func(h *synHost, m *synMsg, fm *fastmsg.Message) {
+			h.Send(nil, fm.From, &synMsg{tab: m.tab})
+		}},
+		{"decline of a recycled header", func(_ *synHost, m *synMsg, _ *fastmsg.Message) { pool.Put(m) }},
+	} {
+		bad := Register(synTable{Describe: synDescribe, Rows: []MsgSpec[*synHost, *synMsg]{
+			{Name: "SYN_BAD", Engine: true, Handle: func(h *synHost, p *sim.Proc, m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
+				if p == nil {
+					tc.effect(h, m, fm)
+					return fastmsg.Decline
 				}
-			}
+				return nil
+			}},
+		}})
+		rt, err := New("syn", Options{Hosts: 2, SharedSize: vm.PageSize}, Traits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := []*synHost{{tab: bad}, {tab: bad}}
+		for _, h := range hs {
+			h.Host = rt.NewHost(vm.NewAddressSpace(), h)
+		}
+		mustPanic(t, tc.want, func() {
+			rt.Run(func(ct *Thread) func() {
+				return func() {
+					if ct.ID == 0 { // host 1 is idle: it serves the message at once
+						hs[0].Send(ct.p, 1, &synMsg{tab: bad})
+						ct.Compute(sim.Millisecond)
+					}
+				}
+			})
 		})
-	})
+	}
 }

@@ -25,6 +25,8 @@ const (
 	synEng             // engine context, no tail: wakes a caller
 	synProcTail        // a process handler that sends in-process and returns a tail
 	synProcSend        // a process handler that sends in-process and returns nil
+	synDecline         // engine context, but one message in four waits: it declines
+	synQueue           // engine context, two sends queued before its tail
 	synKinds
 )
 
@@ -41,9 +43,10 @@ func (m *synMsg) Table() (Table, int) { return m.tab, m.typ }
 
 type synHost struct {
 	*Host
-	tab  Table
-	sum  uint64        // what it received, and when
-	seen [synKinds]int // messages received, by type
+	tab      Table
+	sum      uint64        // what it received, and when
+	seen     [synKinds]int // messages received, by type
+	declined int           // engine-context runs that declined
 }
 
 func (*synHost) HandleFault(any, vm.Fault) error                     { return nil }
@@ -66,7 +69,7 @@ func (h *synHost) post(m *synMsg, typ int) *fastmsg.Message {
 }
 
 // synFrontCost applies to three messages in four.
-func synFrontCost(_ *synHost, m *synMsg) sim.Duration {
+func synFrontCost(_ *synHost, m *synMsg, _ *fastmsg.Message) sim.Duration {
 	if m.val%4 == 0 {
 		return fastmsg.NoFront
 	}
@@ -80,14 +83,14 @@ func (h *synHost) frontProc(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg
 	return nil
 }
 
-func (h *synHost) engTail(m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
+func (h *synHost) engTail(_ *sim.Proc, m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
 	if h.fold(m).fw != nil {
 		return h.Post(fm.From, &synMsg{typ: synEng, val: m.val, fw: m.fw, tab: h.tab})
 	}
 	return h.post(m, synProcTail)
 }
 
-func (h *synHost) eng(m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *synHost) eng(_ *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.fold(m).fw != nil {
 		m.fw.Ev.Set()
 	}
@@ -107,37 +110,68 @@ func (h *synHost) procSend(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.
 	return nil
 }
 
+// decline waits, between two sends, for one message in four, which it
+// declines in engine context before doing anything.
+func (h *synHost) decline(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+	if m.val%4 != 1 {
+		return h.post(h.fold(m), synQueue)
+	}
+	if p == nil {
+		h.declined++
+		return fastmsg.Decline
+	}
+	h.Flush(p, h.post(h.fold(m), synEngTail))
+	p.Sleep(5 * sim.Microsecond)
+	return h.post(m, synQueue)
+}
+
+// queue sends two messages in-process, then returns a third as its tail.
+func (h *synHost) queue(p *sim.Proc, m *synMsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.Flush(p, h.post(h.fold(m), synFront))
+	h.Flush(p, h.post(m, synEng))
+	return h.post(m, synDecline)
+}
+
 func synDescribe(_ *synHost, m *synMsg) (int, uint64, int) { return m.val % 5, uint64(m.hops), -1 }
 
-var synNames = [synKinds]string{"SYN_FRONT", "SYN_ENGINE_TAIL", "SYN_ENGINE", "SYN_PROC_TAIL", "SYN_PROC_SEND"}
+var synNames = [synKinds]string{"SYN_FRONT", "SYN_ENGINE_TAIL", "SYN_ENGINE", "SYN_PROC_TAIL", "SYN_PROC_SEND",
+	"SYN_DECLINE", "SYN_QUEUE"}
 
 // synDeclared is the protocol as the kernel runs it: one row of each kind.
 var synDeclared = Register(synTable{Describe: synDescribe, Rows: []MsgSpec[*synHost, *synMsg]{
-	synFront:    {Name: synNames[synFront], Front: synFrontCost, Proc: (*synHost).frontProc},
-	synEngTail:  {Name: synNames[synEngTail], Engine: (*synHost).engTail},
-	synEng:      {Name: synNames[synEng], Engine: (*synHost).eng},
-	synProcTail: {Name: synNames[synProcTail], Proc: (*synHost).procTail},
-	synProcSend: {Name: synNames[synProcSend], Proc: (*synHost).procSend},
+	synFront:    {Name: synNames[synFront], Front: synFrontCost, Handle: (*synHost).frontProc},
+	synEngTail:  {Name: synNames[synEngTail], Handle: (*synHost).engTail, Engine: true},
+	synEng:      {Name: synNames[synEng], Handle: (*synHost).eng, Engine: true},
+	synProcTail: {Name: synNames[synProcTail], Handle: (*synHost).procTail},
+	synProcSend: {Name: synNames[synProcSend], Handle: (*synHost).procSend},
+	synDecline:  {Name: synNames[synDecline], Front: synFrontCost, Handle: (*synHost).decline, Engine: true},
+	synQueue:    {Name: synNames[synQueue], Handle: (*synHost).queue, Engine: true},
 }})
 
 // handleMessage is the same protocol written as a HandleMessage was before
 // the receive sequence ran fronts, engine-context handlers and tails:
 // every charge and every send in the server thread.
 func (h *synHost) handleMessage(p *sim.Proc, m *synMsg, fm *fastmsg.Message) *fastmsg.Message {
-	switch m.typ {
-	case synFront:
-		if d := synFrontCost(h, m); d != fastmsg.NoFront {
+	if m.typ == synFront || m.typ == synDecline {
+		if d := synFrontCost(h, m, fm); d != fastmsg.NoFront {
 			p.Sleep(d)
 		}
+	}
+	switch m.typ {
+	case synFront:
 		return h.frontProc(p, m, fm)
 	case synEngTail:
-		h.Flush(p, h.engTail(m, fm))
+		h.Flush(p, h.engTail(p, m, fm))
 	case synEng:
-		h.eng(m, fm)
+		h.eng(p, m, fm)
 	case synProcTail:
 		h.Flush(p, h.procTail(p, m, fm))
 	case synProcSend:
 		h.procSend(p, m, fm)
+	case synDecline:
+		h.Flush(p, h.decline(p, m, fm))
+	case synQueue:
+		h.Flush(p, h.queue(p, m, fm))
 	}
 	return nil
 }
@@ -145,7 +179,7 @@ func (h *synHost) handleMessage(p *sim.Proc, m *synMsg, fm *fastmsg.Message) *fa
 var synInProcess = func() *synTable {
 	t := synTable{Describe: synDescribe}
 	for _, name := range synNames {
-		t.Rows = append(t.Rows, MsgSpec[*synHost, *synMsg]{Name: name, Proc: (*synHost).handleMessage})
+		t.Rows = append(t.Rows, MsgSpec[*synHost, *synMsg]{Name: name, Handle: (*synHost).handleMessage})
 	}
 	return Register(t)
 }()
@@ -167,7 +201,7 @@ type synResult struct {
 	err                        string
 	now                        sim.Time
 	events, sleepFast, pending uint64
-	switches                   uint64
+	switches, declined         uint64
 	dump                       string
 	stats                      []fastmsg.Stats
 	sums                       []uint64
@@ -197,7 +231,7 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 				ct.Compute(sim.Duration(20+(i*37+ct.ID*11)%90) * sim.Microsecond)
 				to, val := (ct.ID+1+i%3)%hosts, 4*i+ct.ID
 				if i%3 != 2 {
-					typ := []int{synFront, synProcTail, synProcSend, synEngTail}[i%4]
+					typ := []int{synFront, synProcTail, synQueue, synProcSend, synEngTail, synDecline}[(i-i/3)%6]
 					h.Send(ct.p, to, &synMsg{typ: typ, hops: 4, val: val, tab: tab})
 					continue
 				}
@@ -219,6 +253,7 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 	for i, h := range hs {
 		r.stats = append(r.stats, rt.Net.Endpoint(i).Stats())
 		r.sums = append(r.sums, h.sum)
+		r.declined += uint64(h.declined)
 		for k, n := range h.seen {
 			r.seen[k] += n
 		}
@@ -228,12 +263,15 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 
 // TestReceiveSequenceIsTheServer: the synthetic protocol with a row of
 // every kind — a front before a process handler, engine-context handlers
-// with and without a tail, process handlers returning a tail and sending
-// in-process — runs event for event as the same protocol written as an
-// in-process HandleMessage: the same Events, SleepFast and MaxPending, the
-// same trace record stream, endpoint Stats and host state, the same end;
-// only the switches fall. On a clean wire, under drop-heavy and under
-// crash-restart, where retry timers re-send with no process to charge.
+// with and without a tail, one that declines the messages it would wait
+// on, one that queues two sends before its tail, process handlers
+// returning a tail and sending in-process — runs event for event as the
+// same protocol written as an in-process HandleMessage: the same Events,
+// SleepFast and MaxPending, the same trace record stream (a queued send's
+// Send record stamped at its turn), endpoint Stats and host state, the
+// same end; only the switches fall. On a clean wire, under drop-heavy and
+// under crash-restart, where retry timers re-send with no process to
+// charge.
 func TestReceiveSequenceIsTheServer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -269,7 +307,10 @@ func TestReceiveSequenceIsTheServer(t *testing.T) {
 			if got.switches >= want.switches {
 				t.Fatalf("declared: %d switches, in-process %d: nothing ran in the sequence", got.switches, want.switches)
 			}
-			t.Logf("%d events, switches %d -> %d, %d messages received", got.events, want.switches, got.switches, got.seen)
+			if got.declined == 0 {
+				t.Fatal("no SYN_DECLINE declined engine context: the run does not cover the thread's side of it")
+			}
+			t.Logf("%d events, switches %d -> %d, %d declined, %d messages received", got.events, want.switches, got.switches, got.declined, got.seen)
 		})
 	}
 }

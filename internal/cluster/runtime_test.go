@@ -26,7 +26,7 @@ type nopMsg struct{ PoolState }
 
 var nopTable = Register(MsgTable[nopHandler, *nopMsg]{
 	Describe: func(nopHandler, *nopMsg) (int, uint64, int) { return -1, 0, -1 },
-	Rows: []MsgSpec[nopHandler, *nopMsg]{{Name: "NOP", Proc: func(nopHandler, *sim.Proc, *nopMsg, *fastmsg.Message) *fastmsg.Message {
+	Rows: []MsgSpec[nopHandler, *nopMsg]{{Name: "NOP", Handle: func(nopHandler, *sim.Proc, *nopMsg, *fastmsg.Message) *fastmsg.Message {
 		return nil
 	}}},
 })

@@ -202,13 +202,13 @@ func (t *Thread) Unlock(id int) {
 // lock or queueing its request never waits (nor does the NoticeLog): those
 // rows run in engine context, a grant as the tail.
 var svcTable = Register(MsgTable[*Host, *SvcMsg]{Rows: []MsgSpec[*Host, *SvcMsg]{
-	SvcAllocReq:       {Name: "ALLOC_REQUEST", Proc: (*Host).allocRequest},
-	SvcAllocReply:     {Name: "ALLOC_REPLY", Proc: (*Host).allocReply},
-	SvcBarrierArrive:  {Name: "BARRIER_ARRIVE", Proc: (*Host).barrierArrive},
-	SvcBarrierRelease: {Name: "BARRIER_RELEASE", Engine: (*Host).answer},
-	SvcLockReq:        {Name: "LOCK_REQUEST", Engine: (*Host).lockRequest},
-	SvcLockGrant:      {Name: "LOCK_GRANT", Engine: (*Host).answer},
-	SvcUnlock:         {Name: "UNLOCK", Engine: (*Host).unlock},
+	SvcAllocReq:       {Name: "ALLOC_REQUEST", Handle: (*Host).allocRequest},
+	SvcAllocReply:     {Name: "ALLOC_REPLY", Handle: (*Host).allocReply},
+	SvcBarrierArrive:  {Name: "BARRIER_ARRIVE", Handle: (*Host).barrierArrive},
+	SvcBarrierRelease: {Name: "BARRIER_RELEASE", Handle: (*Host).answer, Engine: true},
+	SvcLockReq:        {Name: "LOCK_REQUEST", Handle: (*Host).lockRequest, Engine: true},
+	SvcLockGrant:      {Name: "LOCK_GRANT", Handle: (*Host).answer, Engine: true},
+	SvcUnlock:         {Name: "UNLOCK", Handle: (*Host).unlock, Engine: true},
 }, Describe: func(*Host, *SvcMsg) (int, uint64, int) { return -1, 0, -1 }})
 
 func (m *SvcMsg) Table() (Table, int) { return svcTable, int(m.Type) }
@@ -229,11 +229,11 @@ func (h *Host) allocRequest(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg
 
 func (h *Host) allocReply(p *sim.Proc, m *SvcMsg, fm *fastmsg.Message) *fastmsg.Message {
 	h.handler.Mapped(p, m.Alloc)
-	return h.answer(m, fm)
+	return h.answer(p, m, fm)
 }
 
 // answer wakes the requester, which reads the answer and recycles it.
-func (h *Host) answer(m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) answer(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
 	m.FW.Ev.Set()
 	return nil
 }
@@ -258,14 +258,14 @@ func (h *Host) barrierArrive(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) (tail *
 	return tail
 }
 
-func (h *Host) lockRequest(m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) lockRequest(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.rt.svc.locks.Acquire(h.request(m)) {
 		return h.grant(m)
 	}
 	return nil // queued: the table holds m until an unlock pops it
 }
 
-func (h *Host) unlock(m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
 	svc := &h.rt.svc
 	h.request(m)
 	if h.log != nil {

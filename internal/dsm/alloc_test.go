@@ -23,13 +23,14 @@ func armedAllocsPerOp(t *testing.T, op func(th *Thread, cell uint64, i int)) flo
 	return allocsPerOp(t, Options{Faults: armedPlan()}, op)
 }
 
-// allocsPerOp runs op on two hosts in lockstep (op must end in a
-// rendezvous of its own) and returns host 0's steady-state heap
-// allocations per call, process-wide — the simulator runs one goroutine
-// at a time, so that is the whole cluster's cost of one round.
+// allocsPerOp runs op on opt.Hosts hosts (two if unset) in lockstep (op
+// must end in a rendezvous of its own) and returns host 0's steady-state
+// heap allocations per call, process-wide — the simulator runs one
+// goroutine at a time, so that is the whole cluster's cost of one round.
 func allocsPerOp(t *testing.T, opt Options, op func(th *Thread, cell uint64, i int)) float64 {
 	t.Helper()
-	opt.Hosts, opt.SharedSize, opt.Views, opt.Seed = 2, 1<<16, 4, 1
+	opt.Hosts = max(opt.Hosts, 2)
+	opt.SharedSize, opt.Views, opt.Seed = 1<<16, 4, 1
 	s := newSys(t, opt)
 	if s.Runtime().Faulty() != (opt.Faults != nil) {
 		t.Fatal("fault plan did not arm")
@@ -81,6 +82,30 @@ func TestArmedFaultPingPongAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("armed fault ping-pong allocates %.0f objects/round in steady state, want 0", avg)
+	}
+}
+
+// TestReceiveAllocFree: read faults on two hosts, then a write fault that
+// invalidates both copies — the manager's requests, the forwards turned
+// around as header and data, the data installed, the two invalidations
+// queued before the fan-out's tail, their replies, the grant and the acks,
+// all served in engine context where they do not decline — allocate
+// nothing once the pools are warm, on a clean wire and with a plan armed.
+func TestReceiveAllocFree(t *testing.T) {
+	round := func(th *Thread, cell uint64, i int) {
+		if th.Host() != 0 {
+			th.ReadU32(cell)
+		}
+		th.Barrier()
+		if th.Host() == 0 {
+			th.WriteU32(cell, uint32(i))
+		}
+		th.Barrier()
+	}
+	for _, plan := range []*faultnet.Plan{nil, armedPlan()} {
+		if avg := allocsPerOp(t, Options{Hosts: 3, Faults: plan}, round); avg != 0 {
+			t.Fatalf("armed=%v: a read and write fault round allocates %.1f objects in steady state, want 0", plan != nil, avg)
+		}
 	}
 }
 

@@ -211,30 +211,33 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 // and no translation of any kind.
 var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
 	// front: resolve opens with the MPT lookup; dropDup before it reads nothing of an unstamped request.
-	mReadReq:  {Name: "READ_REQUEST", Front: (*Host).lookupFront, Proc: dir},
-	mWriteReq: {Name: "WRITE_REQUEST", Front: (*Host).lookupFront, Proc: dir},
-	mPushReq:  {Name: "PUSH_REQUEST", Front: (*Host).lookupFront, Proc: dir},
+	mReadReq:  {Name: "READ_REQUEST", Front: (*Host).lookupFront, Handle: dir, Engine: true},
+	mWriteReq: {Name: "WRITE_REQUEST", Front: (*Host).lookupFront, Handle: dir, Engine: true},
+	mPushReq:  {Name: "PUSH_REQUEST", Front: (*Host).lookupFront, Handle: dir},
 	// front: these open with a protection probe or change; nothing before it.
-	mReadFwd:       {Name: "READ_FWD", Front: getProt, Proc: (*Host).readFwd},
-	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Proc: (*Host).writeFwd},
-	mInvalidateReq: {Name: "INVALIDATE_REQUEST", Front: setProt, Proc: (*Host).invalidate},
-	mPushOrder:     {Name: "PUSH_ORDER", Front: getProt, Proc: (*Host).servePush},
+	mReadFwd:       {Name: "READ_FWD", Front: getProt, Handle: (*Host).readFwd, Engine: true},
+	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Handle: (*Host).writeFwd, Engine: true},
+	mInvalidateReq: {Name: "INVALIDATE_REQUEST", Front: setProt, Handle: (*Host).invalidate, Engine: true},
+	mPushOrder:     {Name: "PUSH_ORDER", Front: getProt, Handle: (*Host).servePush},
 	// front: a plain grant has no late or duplicate twin to drop before its charge.
-	mUpgradeGrant: {Name: "UPGRADE_GRANT", Front: (*Host).upgradeFront, Proc: (*Host).upgradeGrant},
-	mReadReply:    {Name: "READ_REPLY", Engine: park}, mWriteReply: {Name: "WRITE_REPLY", Engine: park},
-	mPushData: {Name: "PUSH_DATA", Engine: park}, mData: {Name: "DATA", Proc: (*Host).data},
-	mInvalidateReply: {Name: "INVALIDATE_REPLY", Proc: dir}, mAck: {Name: "ACK", Proc: dir},
-	mPushAck: {Name: "PUSH_ACK", Proc: dir}, mDirInit: {Name: "DIR_INIT", Proc: dir},
-	mPing: {Name: "PING", Proc: dir}, mViewUpdate: {Name: "VIEW_UPDATE", Proc: dir},
-	mMirror: {Name: "MIRROR", Proc: dir}, mMirrorAck: {Name: "MIRROR_ACK", Proc: dir},
-	mMirrorNak: {Name: "MIRROR_NAK", Proc: dir}, mStateXfer: {Name: "STATE_XFER", Proc: dir},
-	mSyncAck: {Name: "SYNC_ACK", Proc: dir},
+	mUpgradeGrant: {Name: "UPGRADE_GRANT", Front: (*Host).upgradeFront, Handle: (*Host).upgradeGrant, Engine: true},
+	// front: nor has a plain reply before its install. Its bytes land after the charge, through
+	// the privileged view only this thread uses, in a copy NoAccess here (or ReadOnly, same bytes).
+	mData:      {Name: "DATA", Front: (*Host).installFront, Handle: (*Host).data, Engine: true},
+	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
+	mPushData:        {Name: "PUSH_DATA", Handle: park, Engine: true},
+	mInvalidateReply: {Name: "INVALIDATE_REPLY", Handle: dir, Engine: true}, mAck: {Name: "ACK", Handle: dir, Engine: true},
+	mPushAck: {Name: "PUSH_ACK", Handle: dir}, mDirInit: {Name: "DIR_INIT", Handle: dir},
+	mPing: {Name: "PING", Handle: dir}, mViewUpdate: {Name: "VIEW_UPDATE", Handle: dir},
+	mMirror: {Name: "MIRROR", Handle: dir}, mMirrorAck: {Name: "MIRROR_ACK", Handle: dir},
+	mMirrorNak: {Name: "MIRROR_NAK", Handle: dir}, mStateXfer: {Name: "STATE_XFER", Handle: dir},
+	mSyncAck: {Name: "SYNC_ACK", Handle: dir},
 }})
 
 var dir, park = (*Host).directory, cluster.Park[*Host, *pmsg]
 
-func getProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().GetProt }
-func setProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().SetProt }
+func getProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
+func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
 
 // plain reports whether m is unstamped and the directory unreplicated:
 // no duplicate to drop, no twin to re-ack, a manager with no mirror.
@@ -242,31 +245,49 @@ func (h *Host) plain(m *pmsg) bool { return m.Txn == 0 && h.sys.repl == nil }
 
 // lookupFront is a directory request's MPT lookup (resolve), when it is a
 // plain one that left its host untranslated.
-func (h *Host) lookupFront(m *pmsg) sim.Duration {
+func (h *Host) lookupFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 	if h.plain(m) && (h.sys.Opt.HomeOf == nil || m.Info.Size == 0) {
 		return h.Costs().MPTLookup
 	}
 	return fastmsg.NoFront
 }
 
-func (h *Host) upgradeFront(m *pmsg) sim.Duration {
+func (h *Host) upgradeFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 	if h.plain(m) {
 		return h.Costs().SetProt
 	}
 	return fastmsg.NoFront
 }
 
+func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
+	if c := h.Costs(); h.plain(h.Peek(fm).(*pmsg)) {
+		return sim.Duration(len(fm.Data))*c.InstallPerByte + c.SetProt
+	}
+	return fastmsg.NoFront
+}
+
+// directory leaves to the thread a stamped or replicated message, which may
+// be dropped, re-acked or mirrored first, and an ack closing onto queued
+// requests, each dispatched again behind a lookup charge of its own.
 func (h *Host) directory(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	mg := h.sys.mgrs[h.ID()]
+	if p == nil && (!h.plain(m) || m.Type == mAck && mg.entry(m.Info.ID).queue.Len() > 0) {
+		return fastmsg.Decline
+	}
 	if rp := h.sys.replAt(h.ID()); rp != nil {
 		return rp.dispatchDir(p, m)
 	}
-	return h.sys.mgrs[h.ID()].dispatch(p, m)
+	return mg.dispatch(p, m)
 }
 
 // readFwd is Handle Read Request: downgrade a writable copy, then reply
-// with header and data straight out of the privileged view.
+// with header and data straight out of the privileged view (the thread's
+// job for a downgrade, charged between the probe and the Protect).
 func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if prot, _ := h.Region.ProtOf(m.Info.Base); prot == vm.ReadWrite {
+		if p == nil {
+			return fastmsg.Decline
+		}
 		p.Sleep(h.Costs().SetProt)
 		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadOnly); err != nil {
 			panic(err)
@@ -299,7 +320,13 @@ func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Me
 	return h.Post(fm.From, m)
 }
 
+// data installs the bytes its parked header announced. The thread serves a
+// stamped or replicated reply, which may be dropped and re-acked first, and
+// a prefetch's, whose waiters wake only after its ack is charged.
 func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	if hdr := h.Peek(fm).(*pmsg); p == nil && (!h.plain(hdr) || hdr.Prefetch) {
+		return fastmsg.Decline
+	}
 	hdr := h.Unpark(fm).(*pmsg)
 	h.installMinipage(p, hdr, fm.Data)
 	h.recyclePM(hdr)
@@ -309,6 +336,9 @@ func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message 
 
 func (h *Host) upgradeGrant(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if !h.plain(m) {
+		if p == nil {
+			return fastmsg.Decline
+		}
 		// Late grant for an abandoned transaction, or a duplicate for this
 		// one: drop it. Under replication it may be the re-driven twin of a
 		// completed transaction — the re-ack closes it at the new primary.
@@ -356,12 +386,14 @@ func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
 
 // replyWithData answers a forwarded request from the privileged view:
 // the forward itself turns around as the reply header, and the minipage
-// bytes follow on the same channel, as the tail.
+// bytes follow on the same channel, as the tail. They are snapshot before
+// the header's charge; nothing can write them during it, as this host's
+// copy is ReadOnly or NoAccess and its privileged view is this thread's.
 func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
-	to, info := m.From, m.Info
+	to, data := m.From, h.readMinipage(m.Info)
 	m.Type = typ
 	h.Send(p, to, m)
-	return h.PostData(to, h.readMinipage(info), dataMarker)
+	return h.PostData(to, data, dataMarker)
 }
 
 // installMinipage receives minipage contents into the privileged view,
@@ -382,7 +414,9 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 		h.replReAck(p, hdr)
 		return
 	}
-	c := h.Costs()
+	if c := h.Costs(); !h.plain(hdr) {
+		p.Sleep(sim.Duration(len(data))*c.InstallPerByte + c.SetProt) // a plain reply's is its front
+	}
 	if len(data) != hdr.Info.Size {
 		panic(fmt.Sprintf("dsm: host %d: minipage %d size mismatch: got %d want %d",
 			h.ID(), hdr.Info.ID, len(data), hdr.Info.Size))
@@ -390,7 +424,6 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if err := h.Region.WritePriv(hdr.Info.Base, data); err != nil {
 		panic(err)
 	}
-	p.Sleep(sim.Duration(len(data))*c.InstallPerByte + c.SetProt)
 	prot := vm.ReadOnly
 	if hdr.Type == mWriteReply {
 		prot = vm.ReadWrite

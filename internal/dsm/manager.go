@@ -553,12 +553,14 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, 
 
 	// Does the requester own the minipage (and so get it writable with
 	// no fault)? Fresh minipages: always — nobody else can hold a copy
-	// yet. Chunk-extended minipages whose directory is served here: ask
-	// the live entry. Chunk-extended minipages served elsewhere:
+	// yet. Chunk-extended minipages whose directory is served here: if the
+	// live entry is idle and the requester holds its only copy (an owner
+	// with readers would write past their copies). Served elsewhere:
 	// conservatively no — the first write faults to the home instead,
 	// which keeps SW/MR without another round-trip from the allocation
 	// path.
-	owner := mp.ID >= firstNew || mg.serves(mp.ID) && mg.entry(mp.ID).owner == from
+	e := mg.entryOrNil(mp.ID)
+	owner := mp.ID >= firstNew || mg.serves(mp.ID) && !e.busy && e.copyset == hostset.One(from)
 	return cluster.Allocation{VA: va, Info: mp.Info(mg.sys.Layout), Owner: owner}, nil
 }
 

@@ -85,6 +85,46 @@ func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 	}
 }
 
+// TestChunkExtensionKeepsReadersCoherent covers a chunk extension that
+// handed its allocator a writable copy while a reader held one: at chunk
+// level 4 a second 8-byte Malloc extends the first one's minipage, and
+// the allocation path raised it to ReadWrite because the allocator was
+// the directory's owner, with host 1's copy still in the copyset. The
+// write then went through without a fault, so no invalidation reached
+// host 1, which went on reading the first value.
+func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
+	for _, allocator := range []int{0, 2} {
+		s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4})
+		var va uint64
+		err := run(s, func(th *Thread) {
+			if th.Host() == allocator {
+				va = th.Malloc(8)
+				th.WriteU32(va, 1)
+			}
+			th.Barrier()
+			if th.Host() == 1 && th.ReadU32(va) != 1 {
+				t.Errorf("allocator %d: host 1 does not read the first value", allocator)
+			}
+			th.Barrier()
+			if th.Host() == allocator {
+				if next := th.Malloc(8); next != va+8 {
+					t.Fatalf("allocator %d: second Malloc at %#x, want the chunk extended to %#x", allocator, next, va+8)
+				}
+				th.WriteU32(va, 2)
+			}
+			th.Barrier()
+			if th.Host() == 1 {
+				if got := th.ReadU32(va); got != 2 {
+					t.Errorf("allocator %d: host 1 reads %d after the allocator wrote 2", allocator, got)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRunReuseRejected covers the Run-twice guard: a System drives one
 // application; reusing it would restart a spent simulation engine over
 // stale protocol state.

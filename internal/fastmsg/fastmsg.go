@@ -175,17 +175,27 @@ type Handler func(p *sim.Proc, m *Message)
 
 func (h Handler) Receive(*Message) (sim.Duration, bool)  { return NoFront, false }
 func (h Handler) Serve(p *sim.Proc, m *Message) *Message { h(p, m); return nil }
+func (h Handler) Sending(*Message)                       {}
 
 // Server is what the receive sequence (Step) hands a message to once the
 // receive CPU is charged. Receive returns the front, the charge its
-// handler opens with (NoFront: none), and whether Serve runs in engine
-// context (p nil). Serve returns its tail, a posted message, or nil.
+// handler opens with (NoFront: none), and whether Serve runs first in
+// engine context (p nil). Serve returns its tail, a posted message, or
+// nil; in engine context it may return Decline instead, before any effect,
+// and the thread serves the message. Sending is told of each send of the
+// message in service (Queue, then the tail) as its charge begins.
 type Server interface {
 	Receive(m *Message) (front sim.Duration, engine bool)
 	Serve(p *sim.Proc, m *Message) (tail *Message)
+	Sending(m *Message)
 }
 
 const NoFront sim.Duration = -1
+
+// Decline is what an engine-context Serve returns for a message it would
+// wait on: the sequence switches to the thread, which serves it at the
+// same event, where it would have started it anyway.
+var Decline = new(Message)
 
 // Network connects n endpoints over the simulated fabric.
 type Network struct {
@@ -217,6 +227,7 @@ func New(eng *sim.Engine, n int, params Params) *Network {
 			lastDeliver: make([]sim.Time, n),
 		}
 		ep.ready.SetLabel("inbox")
+		ep.out = ep.outBuf[:0]
 		// Bind the hot-path callbacks once so scheduling an arrival or a
 		// service-thread handoff never allocates a closure.
 		ep.arriveFn = ep.arriveAny
@@ -336,21 +347,24 @@ type Endpoint struct {
 	stats       Stats
 
 	// The state of the receive sequence (Step), which the endpoint itself
-	// is the stepper of: the service thread, the message it received, the
-	// tail its handler returned and the next stage.
+	// is the stepper of: the service thread, the message it received, its
+	// handler's sends — those queued in engine context, then the tail —
+	// of which the first sent are transmitted, and the next stage.
 	server  *sim.Proc
 	serving *Message
-	tail    *Message
+	out     []*Message // reused, on outBuf up to a fan-out of 8: a send allocates nothing
+	outBuf  [8]*Message
+	sent    int
 	stage   uint8
 }
 
 const (
 	recvTake     = iota // take a message or wait for one, charge RecvCPU
 	recvFront           // ask the server, charge the front
-	recvServe           // run an engine-context handler
+	recvServe           // run the handler in engine context
 	recvThread          // switch to the thread, which runs it
-	recvTail            // charge the tail's SendCPU
-	recvTransmit        // transmit it, complete the message served
+	recvSend            // charge the next send's SendCPU, or complete the message served
+	recvTransmit        // transmit it
 )
 
 type pendingMsg struct {
@@ -440,6 +454,15 @@ func (ep *Endpoint) Post(to int, m *Message) sim.Duration {
 	m.From = ep.id
 	m.To = to
 	return ep.nw.params.SendCPU(m.Size)
+}
+
+// Queue is how an engine-context handler sends: it appends a posted message
+// (nil: none) to the sends of the message in service, which Step charges
+// and transmits in post order once the handler returns, its tail last.
+func (ep *Endpoint) Queue(m *Message) {
+	if m != nil {
+		ep.out = append(ep.out, m)
+	}
 }
 
 // Transmit is the second half of Send: it puts a posted message on the
@@ -609,7 +632,7 @@ func (ep *Endpoint) serve(p *sim.Proc) {
 	ep.server = p
 	for {
 		p.Drive(ep)
-		ep.tail = ep.handler.Serve(p, ep.serving)
+		ep.Queue(ep.handler.Serve(p, ep.serving))
 	}
 }
 
@@ -617,9 +640,10 @@ func (ep *Endpoint) serve(p *sim.Proc) {
 // (sim.Stepper): take the oldest ready message — or enlist for one and
 // block; the take happens at the wake event, so a crash draining the
 // queue in between finds what it always found — mark it delivered (and,
-// under faults, in service), charge the receive CPU and the front, run an
-// engine-context handler or the thread's, charge and transmit its tail,
-// then (under faults) acknowledge the completed sequence number and
+// under faults, in service), charge the receive CPU and the front, run the
+// handler in engine context or, if it has to wait or declines, the
+// thread's, charge and transmit each send it queued and its tail, in
+// order, then (under faults) acknowledge the completed sequence number and
 // (clean path) recycle the envelope: after every send of the handler.
 func (ep *Endpoint) Step() (sim.Action, sim.Duration) {
 	for {
@@ -649,21 +673,23 @@ func (ep *Endpoint) Step() (sim.Action, sim.Duration) {
 				return sim.SleepFor, front
 			}
 		case recvServe:
-			ep.tail, ep.stage = ep.handler.Serve(nil, ep.serving), recvTail
-		case recvThread:
-			ep.stage = recvTail // where the thread's next Drive, after the handler, goes on
-			return sim.Run, 0
-		case recvTail:
-			ep.stage = recvTransmit
-			if ep.tail != nil {
-				return sim.SleepFor, ep.nw.params.SendCPU(ep.tail.Size)
+			ep.stage = recvThread
+			if tail := ep.handler.Serve(nil, ep.serving); tail != Decline {
+				ep.Queue(tail)
+				ep.stage = recvSend
 			}
-		case recvTransmit:
-			if ep.tail != nil {
-				ep.Transmit(ep.tail)
+		case recvThread:
+			ep.stage = recvSend // where the thread's next Drive, after the handler, goes on
+			return sim.Run, 0
+		case recvSend:
+			if ep.sent < len(ep.out) {
+				m := ep.out[ep.sent]
+				ep.handler.Sending(m)
+				ep.stage = recvTransmit
+				return sim.SleepFor, ep.nw.params.SendCPU(m.Size)
 			}
 			m := ep.serving
-			ep.tail, ep.serving, ep.stage = nil, nil, recvTake
+			ep.out, ep.sent, ep.serving, ep.stage = ep.out[:0], 0, nil, recvTake
 			if r := ep.nw.rel; r != nil && m.Seq != 0 {
 				r.complete(ep, m)
 				// Under faults the send log and late wire duplicates may still
@@ -672,6 +698,9 @@ func (ep *Endpoint) Step() (sim.Action, sim.Duration) {
 			} else if m.pooled {
 				ep.recycleMessage(m)
 			}
+		case recvTransmit:
+			ep.Transmit(ep.out[ep.sent])
+			ep.sent, ep.stage = ep.sent+1, recvSend
 		}
 	}
 }

@@ -230,24 +230,24 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 // operations run at the page's manager (this host, for its residue class).
 var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
 	// front: a request off the wire opens with the manager's lookup (ack charges a requeued one's).
-	mReadReq:  {Name: "READ_REQUEST", Front: lookup, Proc: (*Host).manage},
-	mWriteReq: {Name: "WRITE_REQUEST", Front: lookup, Proc: (*Host).manage},
+	mReadReq:  {Name: "READ_REQUEST", Front: lookup, Handle: (*Host).manage},
+	mWriteReq: {Name: "WRITE_REQUEST", Front: lookup, Handle: (*Host).manage},
 	// front: these open with a protection probe or change; nothing before it.
-	mReadFwd:  {Name: "READ_FWD", Front: getProt, Proc: (*Host).readFwd},
-	mWriteFwd: {Name: "WRITE_FWD", Front: setProt, Proc: (*Host).writeFwd},
-	mInvReq:   {Name: "INVALIDATE_REQUEST", Front: setProt, Proc: (*Host).invalidate},
-	mUpgrade:  {Name: "UPGRADE_GRANT", Front: setProt, Proc: (*Host).upgrade},
+	mReadFwd:  {Name: "READ_FWD", Front: getProt, Handle: (*Host).readFwd},
+	mWriteFwd: {Name: "WRITE_FWD", Front: setProt, Handle: (*Host).writeFwd},
+	mInvReq:   {Name: "INVALIDATE_REQUEST", Front: setProt, Handle: (*Host).invalidate},
+	mUpgrade:  {Name: "UPGRADE_GRANT", Front: setProt, Handle: (*Host).upgrade},
 
-	mReadReply:  {Name: "READ_REPLY", Engine: cluster.Park[*Host, *pmsg]},
-	mWriteReply: {Name: "WRITE_REPLY", Engine: cluster.Park[*Host, *pmsg]},
-	mData:       {Name: "DATA", Proc: (*Host).data},
-	mInvReply:   {Name: "INVALIDATE_REPLY", Proc: (*Host).invReply},
-	mAck:        {Name: "ACK", Proc: (*Host).ack},
+	mReadReply:  {Name: "READ_REPLY", Handle: cluster.Park[*Host, *pmsg], Engine: true},
+	mWriteReply: {Name: "WRITE_REPLY", Handle: cluster.Park[*Host, *pmsg], Engine: true},
+	mData:       {Name: "DATA", Handle: (*Host).data},
+	mInvReply:   {Name: "INVALIDATE_REPLY", Handle: (*Host).invReply},
+	mAck:        {Name: "ACK", Handle: (*Host).ack},
 }})
 
-func lookup(h *Host, _ *pmsg) sim.Duration  { return h.Costs().MPTLookup }
-func getProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().GetProt }
-func setProt(h *Host, _ *pmsg) sim.Duration { return h.Costs().SetProt }
+func lookup(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration  { return h.Costs().MPTLookup }
+func getProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
+func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
 
 func (h *Host) ack(p *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
 	e := h.dir[m.Page]

@@ -28,17 +28,25 @@ import (
 // name tables and four pending-header maps; with that, and ivy's, lrc's
 // and lrc-mw's per-host counters summed into one set a cluster, dsm, ivy
 // and lrc fell by 8 + 37 + 82 and the four stand 2 under their old sum.
+//
+// Raised, cluster 1,790 -> 1,825 and dsm 2,252 -> 2,287, when dsm's rows
+// began to run in engine context first: one handler whose process may be
+// nil, the decline sentinel and its invariants check, sends queued for the
+// receive sequence with their trace records stamped at their turn, and
+// DATA's install charge as its front (with fastmsg's +29, 97 lines for
+// 0.38x the switches of E2EServe8); 2 of dsm's are the chunk-extension
+// fix, which stopped handing an allocator a writable copy over readers.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1790},
-	{"dsm", 2252},
+	{"cluster", 1825},
+	{"dsm", 2287},
 	{"ivy", 398},
 	{"lrc", 1402},
 }
 
-// kernelTarget is ROADMAP item 5's goal for the four packages together:
+// kernelTarget is ROADMAP item 4's goal for the four packages together:
 // 10 % under the 6,137 they had before the kernel refactor began.
 const kernelTarget = 5523
 
@@ -72,5 +80,5 @@ func TestKernelLineBudget(t *testing.T) {
 		}
 		total, ceiling = total+lines, ceiling+max
 	}
-	t.Logf("kernel: %d non-test lines of %d budgeted, %d from item 5's %d", total, ceiling, total-kernelTarget, kernelTarget)
+	t.Logf("kernel: %d non-test lines of %d budgeted, %d from item 4's %d", total, ceiling, total-kernelTarget, kernelTarget)
 }

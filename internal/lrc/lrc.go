@@ -300,11 +300,11 @@ func (h *Host) Acquire(ctx any, m *cluster.SvcMsg) { ctx.(*Thread).invalidatePre
 // table is the protocol's message table (cluster.MsgTable). No handler opens
 // with a charge; a reply header and a flush ack run in engine context.
 var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
-	mFetchReq:   {Name: "FETCH_REQUEST", Proc: (*Host).fetch},
-	mFetchReply: {Name: "FETCH_REPLY", Engine: cluster.Park[*Host, *pmsg]},
-	mFetchData:  {Name: "FETCH_DATA", Proc: (*Host).fetchData},
-	mDiffFlush:  {Name: "DIFF_FLUSH", Proc: (*Host).diffFlush},
-	mDiffAck:    {Name: "DIFF_ACK", Engine: (*Host).diffAck},
+	mFetchReq:   {Name: "FETCH_REQUEST", Handle: (*Host).fetch},
+	mFetchReply: {Name: "FETCH_REPLY", Handle: cluster.Park[*Host, *pmsg], Engine: true},
+	mFetchData:  {Name: "FETCH_DATA", Handle: (*Host).fetchData},
+	mDiffFlush:  {Name: "DIFF_FLUSH", Handle: (*Host).diffFlush},
+	mDiffAck:    {Name: "DIFF_ACK", Handle: (*Host).diffAck, Engine: true},
 }})
 
 // fetch ships the home's current copy (always readable at home via the
@@ -353,7 +353,7 @@ func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 	return h.Post(m.From, &pmsg{Type: mDiffAck, From: h.ID(), Info: m.Info})
 }
 
-func (h *Host) diffAck(*pmsg, *fastmsg.Message) *fastmsg.Message {
+func (h *Host) diffAck(*sim.Proc, *pmsg, *fastmsg.Message) *fastmsg.Message {
 	if h.flushAwait--; h.flushAwait == 0 {
 		h.flushDone.Set()
 	}

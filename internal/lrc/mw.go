@@ -851,13 +851,13 @@ func (s *MWSystem) newerThan(dst []mwCNotice, vc []uint64) []mwCNotice {
 // opens with a charge. Reply headers and acks only record themselves, a
 // diff request is answered from the arenas: those run in engine context.
 var mwTable = cluster.Register(cluster.MsgTable[*MWHost, *mwmsg]{Describe: (*MWHost).describe, Rows: []cluster.MsgSpec[*MWHost, *mwmsg]{
-	mwFetchReq:   {Name: "MW_FETCH_REQUEST", Proc: (*MWHost).fetch},
-	mwFetchReply: {Name: "MW_FETCH_REPLY", Engine: cluster.Park[*MWHost, *mwmsg]},
-	mwFetchData:  {Name: "MW_FETCH_DATA", Proc: (*MWHost).fetchData},
-	mwDiffFlush:  {Name: "MW_DIFF_FLUSH", Proc: (*MWHost).diffFlush},
-	mwDiffAck:    {Name: "MW_DIFF_ACK", Engine: (*MWHost).diffAck},
-	mwDiffReq:    {Name: "MW_DIFF_REQUEST", Engine: (*MWHost).diffRequest},
-	mwDiffReply:  {Name: "MW_DIFF_REPLY", Engine: (*MWHost).diffReplied},
+	mwFetchReq:   {Name: "MW_FETCH_REQUEST", Handle: (*MWHost).fetch},
+	mwFetchReply: {Name: "MW_FETCH_REPLY", Handle: cluster.Park[*MWHost, *mwmsg], Engine: true},
+	mwFetchData:  {Name: "MW_FETCH_DATA", Handle: (*MWHost).fetchData},
+	mwDiffFlush:  {Name: "MW_DIFF_FLUSH", Handle: (*MWHost).diffFlush},
+	mwDiffAck:    {Name: "MW_DIFF_ACK", Handle: (*MWHost).diffAck, Engine: true},
+	mwDiffReq:    {Name: "MW_DIFF_REQUEST", Handle: (*MWHost).diffRequest, Engine: true},
+	mwDiffReply:  {Name: "MW_DIFF_REPLY", Handle: (*MWHost).diffReplied, Engine: true},
 }})
 
 // fetch ships the home's copy. Request headers turn around in place (the
@@ -917,7 +917,7 @@ func (h *MWHost) diffFlush(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.M
 	return h.Post(to, m)
 }
 
-func (h *MWHost) diffAck(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *MWHost) diffAck(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.flushAwait--; h.flushAwait == 0 {
 		h.flushDone.Set()
 	}
@@ -927,7 +927,7 @@ func (h *MWHost) diffAck(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 
 // diffRequest serves a lazy fetcher the requested intervals' diffs of one
 // minipage, or Purged for those garbage-collected.
-func (h *MWHost) diffRequest(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *MWHost) diffRequest(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 	size := h.Costs().HeaderSize
 	for _, seq := range m.Seqs {
 		enc, ok := h.diffOf(seq, m.MP)
@@ -941,7 +941,7 @@ func (h *MWHost) diffRequest(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 	return h.PostSized(to, m, size)
 }
 
-func (h *MWHost) diffReplied(m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *MWHost) diffReplied(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 	h.diffReply = m
 	m.FW.Ev.Set()
 	return nil
