@@ -3,8 +3,8 @@
 // dispatch on the virtual clock. It is the fastest way to see the
 // Figure-3 protocol operate — a read miss, a write upgrade with
 // invalidation, and a competing request queued at the manager — and,
-// with -protocol, how Ivy's page-grain protocol or either LRC
-// realization handles the same access pattern.
+// with -protocol, how the page-grain ivy preset or either LRC realization
+// handles the same access pattern.
 //
 // Usage: mvtrace [-hosts N] [-kind read|write|competing|lock]
 //
@@ -19,7 +19,6 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/dsm"
-	"millipage/internal/ivy"
 	"millipage/internal/lrc"
 	"millipage/internal/registry"
 	"millipage/internal/sim"
@@ -115,10 +114,7 @@ func main() {
 	switch sys := sys.(type) {
 	case *dsm.System:
 		fmt.Printf("\ncompeting requests queued at the manager: %d\n",
-			sys.Manager().Stats.CompetingRequests)
-	case *ivy.System:
-		st := sys.Stats()
-		fmt.Printf("\ninvalidations: %d  competing requests: %d\n", st.Invalidates, st.Competing)
+			sys.ManagerStatsTotal().CompetingRequests)
 	case *lrc.System:
 		st := sys.Stats()
 		fmt.Printf("\nfetches: %d  diffs flushed: %d (%d bytes)  twins made: %d\n",

@@ -9,14 +9,14 @@ import (
 	"millipage/internal/vm"
 )
 
-// protocolLabels names the four protocols in presentation order, with
+// protocolLabels names the registry's protocols in presentation order, with
 // the row labels the sweep table prints.
 var protocolLabels = []struct {
 	proto string
 	label string
 }{
 	{"millipage", "Millipage (minipage granularity)"},
-	{"ivy", "Ivy (page granularity, dist. mgr)"},
+	{"ivy", "Ivy preset (pages, mgr p mod N)"},
 	{"lrc", "LRC (home-based, twins+diffs)"},
 	{"lrc-mw", "LRC-MW (multi-writer, notices)"},
 }
@@ -24,7 +24,8 @@ var protocolLabels = []struct {
 // Baseline runs the paper's motivating scenario — hosts updating small
 // unrelated variables that pack onto shared pages — through every
 // protocol behind the root API: Millipage's minipage-grain SW/MR
-// protocol, a classic Li/Hudak page-based DSM (internal/ivy), and
+// protocol, the same protocol as a classic Li/Hudak page-based DSM (the
+// ivy preset: page grain, page p managed at host p mod N), and
 // home-based lazy release consistency (internal/lrc). One driver, one
 // workload; only Config.Protocol changes. It is the quantified version
 // of the paper's introduction: page-grain false sharing is the problem,

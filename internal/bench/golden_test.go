@@ -182,8 +182,9 @@ func tracedLockRun(t *testing.T, protocol string, rec *trace.Recorder) (elapsed 
 
 // TestGoldenTraceDigestLocks pins the trace of tracedLockRun under lrc-mw
 // and ivy, recorded before the lock service's messages and the protocols'
-// reply headers were handled in engine context (PR 25): the Handle and
-// Send records of every message, in order, at their virtual times.
+// reply headers were handled in engine context, ivy's again when it
+// became millipage's page-grain preset: the Handle and Send records of
+// every message, in order, at their virtual times.
 func TestGoldenTraceDigestLocks(t *testing.T) {
 	for _, w := range []struct {
 		protocol string
@@ -192,7 +193,7 @@ func TestGoldenTraceDigestLocks(t *testing.T) {
 		digest   uint64
 	}{
 		{"lrc-mw", 608, 7019594, 0xadc934c9595c006b},
-		{"ivy", 807, 12614287, 0x85a91abc7f38a046},
+		{"ivy", 807, 12550943, 0xb6f74c0147e6cbf0},
 	} {
 		rec := trace.NewRecorder(1 << 16)
 		elapsed, dump := tracedLockRun(t, w.protocol, rec)

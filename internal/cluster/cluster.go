@@ -1,5 +1,5 @@
 // Package cluster is the shared runtime substrate under every DSM
-// protocol in this repository (dsm's Millipage, ivy, lrc, lrc-mw): the
+// protocol in this repository (dsm's Millipage, lrc, lrc-mw): the
 // one Options struct with its defaulting and validation, host and
 // application-thread lifecycle, the fault/message rendezvous, message
 // endpoint wiring with pooled envelopes, per-thread time-breakdown
@@ -49,10 +49,9 @@ type Options struct {
 	ChunkLevel     int // the paper's chunking switch; 0/1 means off
 	Seed           int64
 
-	// Grain, HomeOf and Replication are Millipage's directory policy. The
-	// other protocols fix their own sharing grain and placement (ivy:
-	// pages, manager p mod N; lrc: home = allocator) and reject all three
-	// (Traits.Directory).
+	// Grain, HomeOf and Replication are Millipage's directory policy (its
+	// ivy preset is GrainPage with HomeMod). lrc and lrc-mw home each
+	// minipage at its allocator and reject all three (Traits.Directory).
 	Grain core.Grain
 
 	// HomeOf maps a minipage id to the host that runs its directory

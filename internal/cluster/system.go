@@ -26,8 +26,8 @@ type System interface {
 }
 
 // Totals is the protocol-independent counter set. A field stays zero
-// where a protocol has no equivalent (ivy has no minipages, only
-// replicated Millipage mirrors).
+// where a protocol has no equivalent (only replicated Millipage sends
+// mirrors).
 type Totals struct {
 	Invalidations     uint64
 	CompetingRequests uint64 // requests queued behind open transactions

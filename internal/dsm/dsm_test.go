@@ -263,6 +263,27 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 	}
 }
 
+// TestPageGrainAllocationOwnsEveryPage: an allocation spanning pages at
+// page grain hands its allocator every fresh page writable, not only the
+// first, so a 1-host run takes no fault at all.
+func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
+	s := newSys(t, Options{Hosts: 1, SharedSize: 1 << 16, Grain: core.GrainPage})
+	err := run(s, func(th *Thread) {
+		for _, size := range []int{6000, 9000, 100, 5000} {
+			va := th.Malloc(size)
+			for off := 0; off < size; off += 512 {
+				th.WriteU32(va+uint64(off), 1)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as := s.Host(0).AS; as.ReadFaults+as.WriteFaults != 0 {
+		t.Fatalf("%d read and %d write faults on one host, want none", as.ReadFaults, as.WriteFaults)
+	}
+}
+
 func TestCompetingRequestsCounted(t *testing.T) {
 	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64

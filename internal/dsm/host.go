@@ -372,8 +372,8 @@ func (h *Host) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocatio
 	return h.sys.mgrs[managerHost].allocLocal(p, from, size)
 }
 
-// Mapped gives the allocating host the minipage writable with no fault
-// when it owns it (cluster.HostHandler).
+// Mapped gives the allocating host the minipages it owns writable with no
+// fault (cluster.HostHandler): allocLocal's Info covers every one of them.
 func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
 	if !a.Owner {
 		return

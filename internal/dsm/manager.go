@@ -553,15 +553,25 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, 
 
 	// Does the requester own the minipage (and so get it writable with
 	// no fault)? Fresh minipages: always — nobody else can hold a copy
-	// yet. Chunk-extended minipages whose directory is served here: if the
-	// live entry is idle and the requester holds its only copy (an owner
-	// with readers would write past their copies). Served elsewhere:
-	// conservatively no — the first write faults to the home instead,
-	// which keeps SW/MR without another round-trip from the allocation
-	// path.
+	// yet, and at page grain that includes each later page the allocation
+	// spans: Info covers the owned run. Chunk-extended minipages whose
+	// directory is served here: if the live entry is idle and the requester
+	// holds its only copy (an owner with readers would write past their
+	// copies). Served elsewhere: conservatively no — the first write faults
+	// to the home instead, which keeps SW/MR without another round-trip
+	// from the allocation path.
 	e := mg.entryOrNil(mp.ID)
 	owner := mp.ID >= firstNew || mg.serves(mp.ID) && !e.busy && e.copyset == hostset.One(from)
-	return cluster.Allocation{VA: va, Info: mp.Info(mg.sys.Layout), Owner: owner}, nil
+	info := mp.Info(mg.sys.Layout)
+	if hi, _ := mpt.ByID(mg.dirInited - 1); hi.ID > mp.ID {
+		lo, _ := mpt.ByID(firstNew)
+		if owner {
+			lo = mp
+		}
+		info, owner = lo.Info(mg.sys.Layout), true
+		info.Size = hi.Off + hi.Size - lo.Off
+	}
+	return cluster.Allocation{VA: va, Info: info, Owner: owner}, nil
 }
 
 // pushEffect is the directory effect of an admitted push: order the owner

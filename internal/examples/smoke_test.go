@@ -25,25 +25,25 @@ var exampleSmoke = []struct {
 }{
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
 		"millipage": {elapsedNS: 18513564, digest: 0xb72a594aa3712b99},
-		"ivy":       {elapsedNS: 22313692, digest: 0x060a2ff85e19c831},
+		"ivy":       {elapsedNS: 22327884, digest: 0xc57a633e9fab918e},
 		"lrc":       {elapsedNS: 10841730, digest: 0x432b81c63acd55c4},
 		"lrc-mw":    {elapsedNS: 13677218, digest: 0x6188b8bf20720928},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
 		"millipage": {elapsedNS: 42890570, digest: 0xf3da425141b65a59},
-		"ivy":       {elapsedNS: 84931489, digest: 0xcab2c2999f619105},
+		"ivy":       {elapsedNS: 84907345, digest: 0x713a17e1bc234410},
 		"lrc":       {elapsedNS: 41732500, digest: 0xcd2369937b164083},
 		"lrc-mw":    {elapsedNS: 41732500, digest: 0x6c1017990b472b93},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
 		"millipage": {elapsedNS: 17130674, digest: 0x1754937f5345594a},
-		"ivy":       {elapsedNS: 34024661, digest: 0xe2b81781d492ca78},
+		"ivy":       {elapsedNS: 41116217, digest: 0xe0d39143eaa1b3ac},
 		"lrc":       {elapsedNS: 9893526, digest: 0xca0952503de5b068},
 		"lrc-mw":    {elapsedNS: 10961205, digest: 0xbbea382d74761067},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
 		"millipage": {elapsedNS: 27255393, digest: 0xab83f08930399638},
-		"ivy":       {elapsedNS: 44564640, digest: 0x3ff4dc312ccc9c37},
+		"ivy":       {elapsedNS: 45559278, digest: 0xead0c6394f458e07},
 		"lrc":       {elapsedNS: 21044130, digest: 0x677dc56404984491},
 		"lrc-mw":    {elapsedNS: 23664798, digest: 0x918e57319c1c1a06},
 	}},

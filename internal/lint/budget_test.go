@@ -10,7 +10,7 @@ import (
 
 // kernelBudget is the ceiling on each kernel package's non-test .go
 // lines — what `cat internal/<pkg>/*.go | wc -l` prints with the _test.go
-// files left out, the count ROADMAP item 2 tracks. It only ratchets down:
+// files left out, the count ROADMAP item 4 tracks. It only ratchets down:
 // a change that deletes lines lowers its package's ceiling to the new
 // count in the same commit, and one that needs a ceiling raised says so
 // in review.
@@ -25,9 +25,9 @@ import (
 // the kernel dispatches (MsgTable, Register, the receive sequence's
 // Server, Post/Flush, the parked reply headers, the engine-row check)
 // replaced four HandleMessage switches, four DescribeMsg methods, four
-// name tables and four pending-header maps; with that, and ivy's, lrc's
-// and lrc-mw's per-host counters summed into one set a cluster, dsm, ivy
-// and lrc fell by 8 + 37 + 82 and the four stand 2 under their old sum.
+// name tables and four pending-header maps; with that, and the per-host
+// counters of the other protocols summed into one set the kernel fell by
+// 8 + 37 + 82 and stood 2 under its old sum.
 //
 // Raised, cluster 1,790 -> 1,825 and dsm 2,252 -> 2,287, when dsm's rows
 // began to run in engine context first: one handler whose process may be
@@ -36,18 +36,24 @@ import (
 // DATA's install charge as its front (with fastmsg's +29, 97 lines for
 // 0.38x the switches of E2EServe8); 2 of dsm's are the chunk-extension
 // fix, which stopped handing an allocator a writable copy over readers.
+//
+// ivy's 398 lines went when it became millipage's page-grain, HomeMod
+// preset (a registry row); dsm took +10 so a page-grain allocation that
+// spans pages maps every fresh page at its allocator, and cluster -1 of
+// comment.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1825},
-	{"dsm", 2287},
-	{"ivy", 398},
+	{"cluster", 1824},
+	{"dsm", 2297},
 	{"lrc", 1402},
 }
 
-// kernelTarget is ROADMAP item 4's goal for the four packages together:
-// 10 % under the 6,137 they had before the kernel refactor began.
+// kernelTarget is ROADMAP item 4's goal for the kernel (cluster, dsm and
+// lrc; ivy's 398 were counted in until it became a preset): 10 % under the
+// 6,137 the four packages had before the kernel refactor began. A change
+// that takes the kernel past it fails, whatever the per-package ceilings.
 const kernelTarget = 5523
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
@@ -80,5 +86,8 @@ func TestKernelLineBudget(t *testing.T) {
 		}
 		total, ceiling = total+lines, ceiling+max
 	}
-	t.Logf("kernel: %d non-test lines of %d budgeted, %d from item 4's %d", total, ceiling, total-kernelTarget, kernelTarget)
+	if total > kernelTarget {
+		t.Errorf("kernel: %d non-test lines, %d over item 4's target of %d", total, total-kernelTarget, kernelTarget)
+	}
+	t.Logf("kernel: %d non-test lines of %d budgeted, target %d", total, ceiling, kernelTarget)
 }

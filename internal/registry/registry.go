@@ -9,8 +9,8 @@ import (
 	"strings"
 
 	"millipage/internal/cluster"
+	"millipage/internal/core"
 	"millipage/internal/dsm"
-	"millipage/internal/ivy"
 	"millipage/internal/lrc"
 )
 
@@ -32,7 +32,7 @@ type Spec struct {
 
 var specs = []Spec{
 	{"millipage", true, build(dsm.New)},
-	{"ivy", true, build(ivy.New)},
+	{"ivy", true, ivy},
 	{"lrc", false, build(lrc.New)},
 	{"lrc-mw", false, build(lrc.NewMW)},
 }
@@ -47,6 +47,21 @@ func build[S cluster.System](mk func(Options) (S, error)) func(Options) (cluster
 		}
 		return s, nil
 	}
+}
+
+// ivy is the Li/Hudak page-based baseline as a preset of millipage: the
+// sharing unit is the page and page p's directory is served at host p mod
+// N (Li & Hudak's "fixed distributed manager"). The two are the preset, so
+// a caller may not set them.
+func ivy(opt Options) (cluster.System, error) {
+	switch {
+	case opt.Grain != core.GrainMinipage:
+		return nil, fmt.Errorf("ivy: Grain is set (PageGranularity), but ivy is millipage at page grain already")
+	case opt.HomeOf != nil:
+		return nil, fmt.Errorf("ivy: HomeOf is set (HomeBasedManagement), but ivy homes page p at host p mod N already")
+	}
+	opt.Grain, opt.HomeOf = core.GrainPage, cluster.HomeMod
+	return build(dsm.New)(opt)
 }
 
 // Names lists the registered protocols in their canonical order.

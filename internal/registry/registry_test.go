@@ -30,8 +30,9 @@ type cell struct {
 // each protocol still counted these through its own accessors; the rest
 // at the commit before Malloc, Barrier, Lock and Unlock moved into
 // internal/cluster — the program mallocs on host 0 and locks and
-// barriers from every host. A protocol that reports anything else has changed behaviour, not
-// just shape.
+// barriers from every host; the ivy cells when ivy became millipage's
+// page-grain, HomeMod preset. A protocol that reports anything else has
+// changed behaviour, not just shape.
 var pinned = map[string]cell{
 	"millipage/1":        {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 995664, 87, 48},
 	"millipage/1/chunk4": {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 995664, 87, 48},
@@ -39,12 +40,12 @@ var pinned = map[string]cell{
 	"millipage/2/chunk4": {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 4126828, 596, 262},
 	"millipage/8":        {cluster.Totals{Invalidations: 128, CompetingRequests: 81, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 21296795, 8456, 3100},
 	"millipage/8/chunk4": {cluster.Totals{Invalidations: 44, CompetingRequests: 53, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 15839139, 3991, 1540},
-	"ivy/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2}, 957664, 87, 48},
-	"ivy/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2}, 957664, 87, 48},
-	"ivy/2":              {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4}, 4956576, 591, 262},
-	"ivy/2/chunk4":       {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4}, 4956576, 591, 262},
-	"ivy/8":              {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16}, 22088737, 3108, 1294},
-	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16}, 22088737, 3108, 1294},
+	"ivy/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 995664, 87, 48},
+	"ivy/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 995664, 87, 48},
+	"ivy/2":              {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 4990240, 587, 262},
+	"ivy/2/chunk4":       {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 4990240, 587, 262},
+	"ivy/8":              {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 21706424, 3156, 1294},
+	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 21706424, 3156, 1294},
 	"lrc/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 957664, 87, 48},
 	"lrc/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 957664, 87, 48},
 	"lrc/2":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 3561121, 430, 190},
@@ -103,14 +104,15 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 // or is refused with an error naming the field — never accepted and
 // ignored. In force is observed, not assumed: a page grain packs the two
 // cells into one sharing unit, a HomeOf gets asked, replication sends
-// mirrors, two threads a host run twice the bodies.
+// mirrors, two threads a host run twice the bodies. ivy's grain and HomeOf
+// are its preset, so it refuses both and runs replication without one.
 func TestOptionMatrix(t *testing.T) {
 	const hosts = 3
 	asked := 0
 	homeOf := func(id, n int) int { asked++; return id % n }
 	options := []struct {
 		name    string
-		fields  []string // what a refusal names
+		fields  []string // a refusal names one of them
 		set     func(o *registry.Options)
 		inForce func(tot cluster.Totals, bodies int) bool
 	}{
@@ -118,10 +120,10 @@ func TestOptionMatrix(t *testing.T) {
 			func(tot cluster.Totals, _ int) bool { return tot.Minipages == 1 }},
 		{"home-of", []string{"HomeOf"}, func(o *registry.Options) { o.HomeOf = homeOf },
 			func(cluster.Totals, int) bool { return asked > 0 }},
-		{"replication", []string{"Replication"}, func(o *registry.Options) { o.HomeOf, o.Replication = homeOf, true },
+		{"replication", []string{"Replication", "HomeOf"}, func(o *registry.Options) { o.HomeOf, o.Replication = homeOf, true },
 			func(tot cluster.Totals, _ int) bool { return tot.MirrorsSent > 0 }},
 		{"replication-without-home-of", []string{"Replication"}, func(o *registry.Options) { o.Replication = true },
-			func(cluster.Totals, int) bool { return false }}, // no protocol runs it
+			func(tot cluster.Totals, _ int) bool { return tot.MirrorsSent > 0 }},
 		{"two-threads-a-host", []string{"ThreadsPerHost"}, func(o *registry.Options) { o.ThreadsPerHost = 2 },
 			func(_ cluster.Totals, bodies int) bool { return bodies == 2*hosts }},
 	}
@@ -134,10 +136,11 @@ func TestOptionMatrix(t *testing.T) {
 				sys, err := registry.New(name, opt)
 				if err != nil {
 					for _, f := range oc.fields {
-						if !strings.Contains(err.Error(), f) {
-							t.Errorf("refused with %q, which does not name %s", err, f)
+						if strings.Contains(err.Error(), f) {
+							return
 						}
 					}
+					t.Errorf("refused with %q, which names none of %v", err, oc.fields)
 					return
 				}
 				var cells [2]uint64

@@ -46,10 +46,10 @@ func (k Kind) String() string {
 // read-only afterwards.
 var opNames []string
 
-// RegisterOps appends a protocol's operation-name table to the shared
-// registry and returns the code of its first entry. Each protocol
-// package registers once from an init function and records events as
-// base+op, so several protocols (dsm, ivy, lrc) coexist in one binary
+// RegisterOps appends a message table's operation names to the shared
+// registry and returns the code of its first entry. Each table (dsm's,
+// lrc's, lrc-mw's, the kernel's services) registers once from an init
+// function and records events as base+op, so they coexist in one binary
 // without clobbering each other's names.
 func RegisterOps(names []string) uint16 {
 	base := len(opNames)

@@ -69,8 +69,10 @@ type Config struct {
 	//	"millipage" (or "") — the paper's protocol: MultiView minipages,
 	//	        sequentially consistent Single-Writer/Multiple-Readers.
 	//	"ivy"       — the Li/Hudak page-granularity baseline with
-	//	        distributed page managers (internal/ivy). Page-grain
-	//	        sharing; Views and ChunkLevel have no meaning.
+	//	        distributed page managers: millipage with
+	//	        PageGranularity and HomeBasedManagement as its preset,
+	//	        so it rejects either set here; Views and ChunkLevel have
+	//	        no meaning at page grain.
 	//	"lrc"       — home-based lazy release consistency over minipages
 	//	        (internal/lrc): twins and diffs, updates propagate at
 	//	        acquires and barriers. Programs must be data-race-free
@@ -87,8 +89,9 @@ type Config struct {
 	// All protocols run the same Worker API on the same simulated
 	// substrate, so apps and benchmarks sweep protocols by changing only
 	// this field. PageGranularity, HomeBasedManagement and
-	// ManagerReplication are the millipage directory's policy: the other
-	// three fix their own sharing grain and placement and reject them.
+	// ManagerReplication are the millipage directory's policy: ivy fixes
+	// the first two, and lrc and lrc-mw fix their own sharing grain and
+	// placement and reject all three.
 	Protocol string
 
 	// Hosts is the number of machines (the paper's cluster has 8).
@@ -96,8 +99,8 @@ type Config struct {
 	Hosts int
 
 	// ThreadsPerHost is the number of application threads per host.
-	// The paper's machines are uniprocessors; default 1. Only the
-	// millipage protocol runs more than one.
+	// The paper's machines are uniprocessors; default 1. Only millipage
+	// (and its ivy preset) runs more than one.
 	ThreadsPerHost int
 
 	// SharedMemory is the size of the shared region in bytes. Required.
@@ -114,7 +117,8 @@ type Config struct {
 	// PageGranularity selects the traditional page-based layout instead
 	// of MultiView: allocations pack with no regard for sharing units and
 	// the sharing grain is the full page. This is the false-sharing
-	// baseline (and Figure 7's "none" configuration). Millipage-only.
+	// baseline (and Figure 7's "none" configuration). Millipage-only
+	// (ivy is millipage with it set).
 	PageGranularity bool
 
 	// HomeBasedManagement shards directory duties across the cluster:
@@ -133,7 +137,8 @@ type Config struct {
 	// escape, and when a shard's primary crashes the synced backup
 	// promotes and keeps serving the shard's minipages — no stall until
 	// the dead host restarts. Millipage-only; requires
-	// HomeBasedManagement. See docs/PROTOCOL.md, "Replicated management".
+	// HomeBasedManagement, which ivy sets itself. See docs/PROTOCOL.md,
+	// "Replicated management".
 	ManagerReplication bool
 
 	// Seed makes runs reproducible; equal seeds give identical traces.

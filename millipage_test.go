@@ -55,8 +55,7 @@ func TestNewClusterValidation(t *testing.T) {
 		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
 		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
-		// Only millipage runs several threads per host.
-		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
+		// Only millipage and its ivy preset run several threads per host.
 		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
 		// The host range holds under every protocol.
@@ -67,6 +66,9 @@ func TestNewClusterValidation(t *testing.T) {
 		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true,
 			ManagerReplication: true}, []string{"Replication"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ManagerReplication: true}, []string{"Replication", "HomeBased"}},
+		// ivy is millipage at page grain with HomeMod: both are its preset.
+		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, PageGranularity: true}, []string{"Grain", "PageGranularity"}},
+		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true}, []string{"HomeOf", "HomeBasedManagement"}},
 		{millipage.Config{Protocol: "treadmarks", Hosts: 2, SharedMemory: 1 << 16}, []string{"treadmarks", "lrc-mw"}},
 	}
 	for _, tc := range rejected {
@@ -84,8 +86,10 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16}); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}); err != nil {
-		t.Fatalf("two threads per host rejected under millipage: %v", err)
+	for _, proto := range []string{"millipage", "ivy"} {
+		if _, err := millipage.NewCluster(millipage.Config{Protocol: proto, Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}); err != nil {
+			t.Fatalf("two threads per host rejected under %s: %v", proto, err)
+		}
 	}
 }
 
@@ -200,8 +204,8 @@ func TestReportString(t *testing.T) {
 // mid-run, a lock-guarded increment burst against minipages homed
 // there completes exactly-once, long before the dead host restarts.
 func TestManagerReplicationEndToEnd(t *testing.T) {
-	// Validation: replication is millipage-only and needs home-based
-	// management.
+	// Validation: replication needs home-based management, which ivy
+	// fixes itself.
 	bad := []millipage.Config{
 		{Hosts: 4, SharedMemory: 1 << 16, ManagerReplication: true},
 		{Hosts: 4, SharedMemory: 1 << 16, Protocol: "ivy", HomeBasedManagement: true, ManagerReplication: true},

@@ -17,7 +17,7 @@ import (
 // performance hints; under other protocols they are correct no-ops.
 type Worker struct {
 	t  cluster.AppThread
-	mp *dsm.Thread // non-nil only under the millipage protocol
+	mp *dsm.Thread // non-nil only under millipage and its ivy preset
 }
 
 // Host returns the id of the host this worker runs on (0..Hosts-1).
@@ -88,7 +88,7 @@ func (w *Worker) Unlock(id int) { w.t.Unlock(id) }
 
 // Prefetch asynchronously requests a read copy of the minipage(s) backing
 // [addr, addr+size), overlapping the fetch with computation. It is a
-// Millipage performance hint; under other protocols it is a no-op.
+// Millipage performance hint (ivy too); under lrc and lrc-mw a no-op.
 func (w *Worker) Prefetch(addr Addr, size int) {
 	if w.mp != nil {
 		w.mp.Prefetch(addr, size)
@@ -98,8 +98,8 @@ func (w *Worker) Prefetch(addr Addr, size int) {
 // Push replicates the minipage containing addr — which this worker's host
 // must hold writable — to every host as a read copy. Use it for
 // frequently read, rarely written values (the paper's TSP minimal-tour
-// bound). It is a Millipage performance hint; under other protocols it
-// is a no-op.
+// bound). It is a Millipage performance hint (ivy too); under lrc and
+// lrc-mw it is a no-op.
 func (w *Worker) Push(addr Addr) {
 	if w.mp != nil {
 		w.mp.Push(addr)
@@ -112,8 +112,8 @@ type Span = dsm.Span
 // GangFetch fetches every missing minipage backing the spans
 // concurrently and blocks once for the whole group — the paper's
 // composed-views idea: coarse-grain read phases over fine-grain sharing
-// units. It is a Millipage performance hint; under other protocols it is
-// a no-op.
+// units. It is a Millipage performance hint (ivy too); under lrc and
+// lrc-mw it is a no-op.
 func (w *Worker) GangFetch(spans []Span) {
 	if w.mp != nil {
 		w.mp.GangFetch(spans)
