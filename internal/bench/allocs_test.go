@@ -107,10 +107,11 @@ func TestE2EAllocsRegression(t *testing.T) {
 // the Run goroutine again, as is a resume chain capped at one driver.
 // The rows read 1.21-1.32 while the servers' switches were most of them
 // (a server and a thread handing off to each other cost 1 + 1), and
-// 1.23-1.59 since dsm's rows run in engine context first: what is left
-// is mostly application threads released by a barrier in lockstep, the
-// round-robin shape whose price is 2(n-1)/n whatever the discipline
-// (E2ESOR8, 8 threads, 1.59; the bound was 1.4, and 1.6 for E2ESOR256).
+// 1.23-1.59 since dsm's rows run in engine context first, 1.23-1.61 since
+// barrier arrivals do too: what is left is mostly application threads
+// released by a barrier in lockstep, the round-robin shape whose price is
+// 2(n-1)/n whatever the discipline (E2ESOR8, 8 threads, 1.61; the bound
+// was 1.4, and 1.6 for E2ESOR256).
 // And no row may switch more than 0.50 times as often as it did before
 // the substrate's receive, block and call sequences moved into the engine
 // (switchesBeforeHops, that commit's pins): they measured 0.67-0.71 then,

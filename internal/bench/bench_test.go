@@ -70,6 +70,15 @@ func TestBarrierLinearInHosts(t *testing.T) {
 	if us := b8.Microseconds(); us < 90 || us > 250 {
 		t.Fatalf("8-host barrier = %.0fus, want within [90,250] (paper 153)", us)
 	}
+	// Past the paper's testbed the barrier combines up a fan-in-8 tree:
+	// three levels at 256 hosts, not 256 arrivals into one service thread.
+	b256, err := measureBarrier(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b256 > 3*b8 {
+		t.Fatalf("256-host barrier (%v) over 3x the 8-host one (%v)", b256, b8)
+	}
 }
 
 func TestLockUnlockInPaperBand(t *testing.T) {

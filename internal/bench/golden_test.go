@@ -140,14 +140,14 @@ func TestGoldenTraceDigest(t *testing.T) {
 	}
 }
 
-// tracedLockRun is a traced three-host run under any protocol that goes
-// through the lock service as well as barriers: every host takes the
-// lock of each variable it updates, so grants queue and pass between
-// hosts, and under lrc-mw write notices ride the grants and releases and
-// the next holder fetches the diffs lazily.
-func tracedLockRun(t *testing.T, protocol string, rec *trace.Recorder) (elapsed int64, dump string) {
+// tracedLockRun is a traced run under any protocol that goes through the
+// lock service as well as barriers: every host takes the lock of each
+// variable it updates, so grants queue and pass between hosts, and under
+// lrc-mw write notices ride the grants and releases and the next holder
+// fetches the diffs lazily.
+func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder) (elapsed int64, dump string) {
 	t.Helper()
-	s, err := registry.New(protocol, registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, Seed: 9, Trace: rec})
+	s, err := registry.New(protocol, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 4, Seed: 9, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func tracedLockRun(t *testing.T, protocol string, rec *trace.Recorder) (elapsed 
 		th.Barrier()
 		for r := 0; r < 3; r++ {
 			for v := range vas {
-				if (v+r)%3 == th.Host() || v%2 == 0 {
+				if (v+r)%hosts == th.Host() || v%2 == 0 {
 					th.Lock(v)
 					th.WriteU32(vas[v], th.ReadU32(vas[v])*7+uint32(r+th.Host()))
 					th.Unlock(v)
@@ -181,27 +181,33 @@ func tracedLockRun(t *testing.T, protocol string, rec *trace.Recorder) (elapsed 
 }
 
 // TestGoldenTraceDigestLocks pins the trace of tracedLockRun under lrc-mw
-// and ivy, recorded before the lock service's messages and the protocols'
-// reply headers were handled in engine context, ivy's again when it
-// became millipage's page-grain preset: the Handle and Send records of
-// every message, in order, at their virtual times.
+// and ivy at three hosts, recorded before the lock service's messages and
+// the protocols' reply headers were handled in engine context, ivy's again
+// when it became millipage's page-grain preset: the Handle and Send
+// records of every message, in order, at their virtual times. The 8-host
+// rows were recorded before barriers combined up a tree: at 8 hosts the
+// tree is the star, and its arrivals, now handled in engine context, send
+// their releases at the same times.
 func TestGoldenTraceDigestLocks(t *testing.T) {
 	for _, w := range []struct {
 		protocol string
+		hosts    int
 		total    uint64
 		elapsed  int64
 		digest   uint64
 	}{
-		{"lrc-mw", 608, 7019594, 0xadc934c9595c006b},
-		{"ivy", 807, 12550943, 0xb6f74c0147e6cbf0},
+		{"lrc-mw", 3, 608, 7019594, 0xadc934c9595c006b},
+		{"ivy", 3, 807, 12550943, 0xb6f74c0147e6cbf0},
+		{"lrc-mw", 8, 2247, 16152616, 0x98f5df819c09407f},
+		{"millipage", 8, 2543, 19697862, 0x7b84a91620589744},
 	} {
 		rec := trace.NewRecorder(1 << 16)
-		elapsed, dump := tracedLockRun(t, w.protocol, rec)
+		elapsed, dump := tracedLockRun(t, w.protocol, w.hosts, rec)
 		h := fnv.New64a()
 		h.Write([]byte(dump))
 		if rec.Total() != w.total || elapsed != w.elapsed || h.Sum64() != w.digest {
-			t.Errorf("%s: trace total %d, elapsed %d, digest %#x; recorded %d, %d, %#x",
-				w.protocol, rec.Total(), elapsed, h.Sum64(), w.total, w.elapsed, w.digest)
+			t.Errorf("%s/%d: trace total %d, elapsed %d, digest %#x; recorded %d, %d, %#x",
+				w.protocol, w.hosts, rec.Total(), elapsed, h.Sum64(), w.total, w.elapsed, w.digest)
 		}
 	}
 }

@@ -85,7 +85,8 @@ var e2eRuns = map[string]func() (sim.Counters, error){
 	// The cluster-scaling workloads. Their baselines were frozen when the
 	// rows were introduced, so speedup reads as drift since then. 256
 	// hosts runs at half scale to keep one iteration bounded; its cost is
-	// dominated by the 257-way barrier fan-in and per-host protocol state.
+	// dominated by per-host protocol state and 256 threads' barrier
+	// arrivals, which combine up the fan-in-8 barrier tree.
 	"E2ESOR64":  sorRun(apps.Params{Hosts: 64, Scale: 0.1}),
 	"E2ESOR256": sorRun(apps.Params{Hosts: 256, Scale: 0.05}),
 

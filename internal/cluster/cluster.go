@@ -4,8 +4,8 @@
 // application-thread lifecycle, the fault/message rendezvous, message
 // endpoint wiring with pooled envelopes, per-thread time-breakdown
 // accounting, trace hooks, and the coordinator — the allocation, barrier
-// and lock services of the paper's manager with the four thread
-// operations in front of them (service.go).
+// and lock services of the paper's manager, barriers combining up a tree
+// rooted there, with the four thread operations in front (service.go).
 //
 // A protocol implements the HostHandler interface — fault handling,
 // message handling, trace description, the allocator — embeds a
@@ -59,7 +59,7 @@ type Options struct {
 	// minipage is homed at the Coordinator and requests leave their host
 	// untranslated. It must be a pure function into [0, hosts): every host
 	// computes homes independently. The Coordinator remains the allocation
-	// authority, and barriers and locks stay there, either way.
+	// authority, the lock table and the barrier tree's root, either way.
 	HomeOf func(id, hosts int) int
 
 	// Replication replicates each directory shard as a primary/backup
@@ -225,6 +225,7 @@ func (rt *Runtime) onRestart(h int) {
 func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
 	id := len(rt.hosts)
 	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh, parked: make([]any, rt.Opt.Hosts)}
+	h.node, h.parent, h.expect = barrierTree(id, rt.Opt.Hosts, rt.Opt.ThreadsPerHost)
 	h.cons, _ = hh.(Consistency)
 	h.log, _ = hh.(NoticeLog)
 	as.SetFaultHandler(h.onFault)

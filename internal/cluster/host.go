@@ -158,6 +158,9 @@ type Host struct {
 	retrySeq  uint64    // arms so far; numbers the entries
 	retryFn   func(any) // h.retryFire, bound at the first arm
 
+	node, parent, expect int       // its place in the barrier tree (barrierTree)
+	got                  []*SvcMsg // what it collected of the episode so far
+
 	parked   []any // reply headers waiting for their bytes, by sender (Park)
 	rx       Table // the table and row of the message in service (Receive)
 	rxType   int

@@ -317,9 +317,9 @@ func TestReceiveSequenceIsTheServer(t *testing.T) {
 
 // TestReceiveAllocFree: a lock handed back and forth between two hosts
 // with a barrier after each round — a lock request turned into its grant
-// as the tail, the grant and the unlock handled in engine context, the
-// barrier's releases sent as a process handler's tail — allocates nothing
-// in steady state, on a clean wire and with a fault plan armed.
+// as the tail, the grant, the unlock and the barrier's arrivals handled in
+// engine context, its releases a queued send and the tail — allocates
+// nothing in steady state, on a clean wire and with a fault plan armed.
 func TestReceiveAllocFree(t *testing.T) {
 	far := sim.Time(1 << 60)
 	for _, plan := range []*faultnet.Plan{nil, {Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}} {

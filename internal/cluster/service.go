@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
@@ -43,6 +44,7 @@ type SvcMsg struct {
 	LockID int
 	Size   int        // SvcAllocReq
 	Alloc  Allocation // SvcAllocReply
+	Group  []*SvcMsg  // a barrier group: what its tree node collected, up and back down
 
 	// Ext is a release-consistent protocol's piggyback (vector clock,
 	// write notices), attached in Consistency.Release, read and refilled
@@ -70,10 +72,10 @@ type Consistency interface {
 
 // NoticeLog is optionally implemented by the coordinator's HostHandler
 // when synchronization carries consistency information (lrc-mw's write
-// notices), all in m.Ext: Released sees every BARRIER_ARRIVE and UNLOCK
-// as it arrives, Granting a LOCK_REQUEST about to turn into its grant,
-// Converged the arrivals of a completed barrier episode before they turn
-// into releases.
+// notices), all in m.Ext: Released sees every thread's BARRIER_ARRIVE, as
+// it or its group arrives, and every UNLOCK, Granting a LOCK_REQUEST about
+// to turn into its grant, Converged the arrivals of a completed barrier
+// episode before they turn into releases.
 type NoticeLog interface {
 	Released(m *SvcMsg)
 	Granting(m *SvcMsg)
@@ -82,15 +84,16 @@ type NoticeLog interface {
 
 // services is the coordinator's state plus the cluster's header pool.
 type services struct {
-	barrier BarrierService
-	locks   LockService
-	free    Pool[SvcMsg]
+	episodes uint64    // completed barrier episodes
+	arrivals []*SvcMsg // the episode's threads, for a NoticeLog's Converged
+	locks    LockService
+	free     Pool[SvcMsg]
 }
 
 // Totals returns the counters the kernel keeps itself; a protocol's
 // Totals starts from it.
 func (rt *Runtime) Totals() Totals {
-	return Totals{BarrierEpisodes: rt.svc.barrier.Episodes, LockAcquisitions: rt.svc.locks.Acquisitions}
+	return Totals{BarrierEpisodes: rt.svc.episodes, LockAcquisitions: rt.svc.locks.Acquisitions}
 }
 
 // Misuse reports an application's misuse of a service, or of an Options
@@ -132,7 +135,7 @@ func (t *Thread) Malloc(size int) uint64 {
 	} else {
 		m := h.newSvc(SvcAllocReq, 0)
 		m.Size = size
-		t.call(m, "malloc reply")
+		t.call(Coordinator, m, "malloc reply")
 		a = m.Alloc
 		h.rt.svc.free.Put(m)
 	}
@@ -140,11 +143,11 @@ func (t *Thread) Malloc(size int) uint64 {
 	return a.VA
 }
 
-// call sends request m to the coordinator and blocks until its answer.
-func (t *Thread) call(m *SvcMsg, what string) {
+// call sends request m to host `to` and blocks until its answer.
+func (t *Thread) call(to int, m *SvcMsg, what string) {
 	fw := t.WaitSlot()
 	m.FW = fw
-	t.Block(Blocking{For: what, FW: fw, Wake: t.h.rt.Opt.Costs.ThreadWake, To: Coordinator, Request: m})
+	t.Block(Blocking{For: what, FW: fw, Wake: t.h.rt.Opt.Costs.ThreadWake, To: to, Request: m})
 }
 
 // release and acquire run the protocol's consistency hooks, if it has
@@ -168,7 +171,7 @@ func (t *Thread) Barrier() {
 	m := t.h.newSvc(SvcBarrierArrive, 0)
 	t.release(m)
 	t.p.Sleep(t.h.rt.Opt.Costs.BarrierBase)
-	t.call(m, "barrier release")
+	t.call(t.h.node, m, "barrier release")
 	t.acquire(m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)
 	t.Stats.Barriers++
@@ -180,7 +183,7 @@ func (t *Thread) Lock(id int) {
 	start := t.p.Now()
 	m := t.h.newSvc(SvcLockReq, id)
 	t.release(m)
-	t.call(m, "lock grant")
+	t.call(Coordinator, m, "lock grant")
 	t.acquire(m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)
 	t.Stats.LockOps++
@@ -198,14 +201,15 @@ func (t *Thread) Unlock(id int) {
 	t.Stats.LockOps++
 }
 
-// svcTable is the kernel's message table. Setting an event, granting a
-// lock or queueing its request never waits (nor does the NoticeLog): those
-// rows run in engine context, a grant as the tail.
+// svcTable is the kernel's message table. Setting an event, collecting or
+// releasing a barrier, granting a lock or queueing its request never waits
+// (nor does the NoticeLog): those rows run in engine context, the last
+// send as the tail.
 var svcTable = Register(MsgTable[*Host, *SvcMsg]{Rows: []MsgSpec[*Host, *SvcMsg]{
 	SvcAllocReq:       {Name: "ALLOC_REQUEST", Handle: (*Host).allocRequest},
 	SvcAllocReply:     {Name: "ALLOC_REPLY", Handle: (*Host).allocReply},
-	SvcBarrierArrive:  {Name: "BARRIER_ARRIVE", Handle: (*Host).barrierArrive},
-	SvcBarrierRelease: {Name: "BARRIER_RELEASE", Handle: (*Host).answer, Engine: true},
+	SvcBarrierArrive:  {Name: "BARRIER_ARRIVE", Handle: (*Host).barrierArrive, Engine: true},
+	SvcBarrierRelease: {Name: "BARRIER_RELEASE", Handle: (*Host).barrierRelease, Engine: true},
 	SvcLockReq:        {Name: "LOCK_REQUEST", Handle: (*Host).lockRequest, Engine: true},
 	SvcLockGrant:      {Name: "LOCK_GRANT", Handle: (*Host).answer, Engine: true},
 	SvcUnlock:         {Name: "UNLOCK", Handle: (*Host).unlock, Engine: true},
@@ -213,16 +217,8 @@ var svcTable = Register(MsgTable[*Host, *SvcMsg]{Rows: []MsgSpec[*Host, *SvcMsg]
 
 func (m *SvcMsg) Table() (Table, int) { return svcTable, int(m.Type) }
 
-// request is a service request's header, at the coordinator only.
-func (h *Host) request(m *SvcMsg) *SvcMsg {
-	if h.id != Coordinator {
-		panic(fmt.Sprintf("%s: host %d received %v", h.rt.Name, h.id, m.Type))
-	}
-	return m
-}
-
 func (h *Host) allocRequest(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
-	h.request(m).Alloc = h.alloc(p, m.From, m.Size, false)
+	m.Alloc = h.alloc(p, m.From, m.Size, false)
 	m.Type = SvcAllocReply
 	return h.Post(m.From, m)
 }
@@ -238,28 +234,84 @@ func (h *Host) answer(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Messa
 	return nil
 }
 
-func (h *Host) barrierArrive(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) (tail *fastmsg.Message) {
-	h.request(m)
-	if h.log != nil {
-		h.log.Released(m)
+// fanIn is the barrier tree's: host h's children are hosts 8h+1 to 8h+8,
+// so up to 9 hosts it is the star (DESIGN.md, "The barrier tree").
+const fanIn = 8
+
+// barrierTree places host id of n with tph threads a host: where its
+// threads arrive (itself, if it is the root or has children, else its
+// parent), its parent (-1 at the root) and how many arrivals it collects an
+// episode (0 on a leaf), a thread's or a child node's group.
+func barrierTree(id, n, tph int) (node, parent, expect int) {
+	inner := func(h int) bool { return h == 0 || fanIn*h+1 < n }
+	node, parent = id, (id+fanIn-1)/fanIn-1
+	if !inner(id) {
+		return parent, parent, 0
 	}
-	arrivals, done := h.rt.svc.barrier.Arrive(m, h.rt.totalThreads)
-	if !done {
+	for c := fanIn*id + 1; c <= fanIn*id+fanIn && c < n; c++ {
+		expect += tph
+		if inner(c) {
+			expect += 1 - tph // one group
+		}
+	}
+	return node, parent, expect + tph
+}
+
+// barrierArrive collects a thread's arrival, or a child node's group, at
+// its tree node. With the last the node's group goes up or, at the root,
+// the episode is complete and turns around as the releases.
+func (h *Host) barrierArrive(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+	if h.id == Coordinator && h.log != nil {
+		h.logArrival(m)
+	}
+	if h.got = append(h.got, m); len(h.got) < h.expect {
 		return nil
 	}
-	if h.log != nil {
-		h.log.Converged(arrivals)
+	g := h.newSvc(SvcBarrierArrive, 0)
+	if g.Group = h.got; h.id != Coordinator {
+		return h.Post(h.parent, g)
 	}
-	for _, a := range arrivals {
-		h.Flush(p, tail)
+	svc := &h.rt.svc
+	svc.episodes++
+	if h.log != nil {
+		h.log.Converged(svc.arrivals)
+		svc.arrivals = svc.arrivals[:0]
+	}
+	return h.barrierRelease(nil, g, nil)
+}
+
+// logArrival shows the NoticeLog every thread's arrival m carries, itself
+// or in its group, and keeps them for Converged.
+func (h *Host) logArrival(m *SvcMsg) {
+	if m.Group == nil {
+		h.log.Released(m)
+		h.rt.svc.arrivals = append(h.rt.svc.arrivals, m)
+	}
+	for _, a := range m.Group {
+		h.logArrival(a)
+	}
+}
+
+// barrierRelease wakes a released thread or, for a group, releases what its
+// node collected: groups first, the largest first, as they have further to
+// go, then threads in the order they came.
+func (h *Host) barrierRelease(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) (tail *fastmsg.Message) {
+	if m.Group == nil {
+		return h.answer(nil, m, nil)
+	}
+	h.rt.svc.free.Put(m)
+	slices.SortStableFunc(h.got, func(a, b *SvcMsg) int { return len(b.Group) - len(a.Group) })
+	for _, a := range h.got {
+		h.Flush(nil, tail)
 		a.Type = SvcBarrierRelease
 		tail = h.Post(a.From, a)
 	}
+	h.got = h.got[:0]
 	return tail
 }
 
 func (h *Host) lockRequest(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
-	if h.rt.svc.locks.Acquire(h.request(m)) {
+	if h.rt.svc.locks.Acquire(m) {
 		return h.grant(m)
 	}
 	return nil // queued: the table holds m until an unlock pops it
@@ -267,7 +319,6 @@ func (h *Host) lockRequest(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.
 
 func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
 	svc := &h.rt.svc
-	h.request(m)
 	if h.log != nil {
 		h.log.Released(m)
 	}

@@ -12,16 +12,24 @@ import (
 )
 
 // TestChaosServiceHeaderPoolBalances: under every protocol, on a clean
-// wire and a drop-heavy one, every service header the DRF program's
+// wire and a drop-heavy one, at 4 hosts and at 24, where barriers combine
+// up the tree in group headers, every service header the DRF program's
 // mallocs, barriers and locks took from the kernel's freelist is back on
 // it once the threads have finished, and none twice, which the
 // freelist's own checks would have caught on the way. (The pools count
 // what they make only under -tags invariants, hence the build tag.)
 func TestChaosServiceHeaderPoolBalances(t *testing.T) {
-	const hosts = 4
 	for _, pr := range protocols() {
-		for name, plan := range map[string]*faultnet.Plan{"clean": nil, "drop-heavy": schedules()[0].plan(hosts, 17)} {
-			t.Run(pr.name+"/"+name, func(t *testing.T) {
+		for _, c := range []struct {
+			name  string
+			hosts int
+			plan  *faultnet.Plan
+		}{
+			{"clean", 4, nil}, {"drop-heavy", 4, schedules()[0].plan(4, 17)},
+			{"tree-clean", 24, nil}, {"tree-drop-heavy", 24, schedules()[0].plan(24, 17)},
+		} {
+			hosts, plan := c.hosts, c.plan
+			t.Run(pr.name+"/"+c.name, func(t *testing.T) {
 				d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
 				rt := runChaos(t, pr, hosts, 5, plan, func(_ *cluster.Runtime, w cluster.AppThread) {
 					d.Body(w)

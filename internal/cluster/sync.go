@@ -34,30 +34,6 @@ func (q *FIFO[T]) Pop() (v T, ok bool) {
 	return v, true
 }
 
-// BarrierService collects barrier arrivals at the coordinator.
-type BarrierService struct {
-	arrivals []*SvcMsg
-
-	Episodes uint64 // completed episodes
-}
-
-// Arrive records one arrival. When the total-th thread arrives, the
-// episode completes and every arrival is returned for release (done =
-// true). The returned slice aliases the service's backing array, which
-// the next episode reuses — the caller must consume it before recording
-// another arrival (the coordinator drains it inside the completing
-// handler).
-func (b *BarrierService) Arrive(m *SvcMsg, total int) (arrivals []*SvcMsg, done bool) {
-	b.arrivals = append(b.arrivals, m)
-	if len(b.arrivals) < total {
-		return nil, false
-	}
-	arrivals = b.arrivals
-	b.arrivals = b.arrivals[:0]
-	b.Episodes++
-	return arrivals, true
-}
-
 // LockService is the coordinator's FIFO lock table. The zero value is
 // an empty table.
 type LockService struct {

@@ -87,9 +87,6 @@ func (t *Thread) WaitedOnPrefetch() { t.prefetchWait = true }
 // Proc returns the thread's simulated process (valid once running).
 func (t *Thread) Proc() *sim.Proc { return t.p }
 
-// HostRef returns the substrate host the thread runs on.
-func (t *Thread) HostRef() *Host { return t.h }
-
 // Host returns the hosting process's id.
 func (t *Thread) Host() int { return t.h.id }
 

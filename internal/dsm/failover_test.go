@@ -319,3 +319,31 @@ func TestReplicationSoloPrimaryReleasesEffects(t *testing.T) {
 		t.Fatalf("shard 0 view %+v — dead backup not dropped", v)
 	}
 }
+
+// Serving reports whether host i currently serves shard k.
+func (s *System) Serving(i, k int) bool {
+	rp := s.replAt(i)
+	if rp == nil {
+		return s.homeOf(k) == i // degenerate: shard == native home
+	}
+	_, ok := rp.serving[k]
+	return ok
+}
+
+// ReplStatsAt returns host i's replication counters (zero value when
+// replication is off).
+func (s *System) ReplStatsAt(i int) ReplStats {
+	if rp := s.replAt(i); rp != nil {
+		return rp.Stats
+	}
+	return ReplStats{}
+}
+
+// ViewOf returns host 0's authoritative view of shard k.
+func (s *System) ViewOf(k int) viewsvc.View {
+	rp := s.replAt(managerHost)
+	if rp == nil || rp.svc == nil {
+		return viewsvc.View{}
+	}
+	return rp.svc.View(k)
+}

@@ -10,12 +10,6 @@ import (
 	"millipage/internal/vm"
 )
 
-// faultWait is the per-transaction rendezvous between a requesting thread
-// and its host's DSM server thread — the shared substrate record (the
-// event the thread blocks on, plus the translation info the reply carries
-// back, which the thread needs for its ack message).
-type faultWait = cluster.Wait
-
 // requestRetryBase is the initial re-send timeout for fault-path manager
 // requests under fault injection: comfortably above a clean round trip
 // plus a long sweeper tick, so retries only fire when something was
@@ -33,8 +27,6 @@ type Host struct {
 	// prefetchSpans tracks in-flight prefetch requests so a fault into a
 	// prefetched region is accounted as prefetch wait, not a read fault.
 	prefetchSpans []span
-
-	Stats HostStats
 }
 
 // allocPM returns a protocol header from the cluster's freelist. The
@@ -99,13 +91,6 @@ type span struct {
 
 func (sp span) contains(va uint64) bool {
 	return va >= sp.base && va < sp.base+uint64(sp.size)
-}
-
-// HostStats aggregates per-host protocol activity.
-type HostStats struct {
-	RequestsServed uint64 // read/write forwards served by this host
-	Invalidations  uint64 // invalidate requests honored
-	PushesServed   uint64
 }
 
 // describe gives the trace a header's minipage, address and home host —
@@ -293,7 +278,6 @@ func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messag
 			panic(err)
 		}
 	}
-	h.Stats.RequestsServed++
 	return h.replyWithData(p, m, mReadReply)
 }
 
@@ -304,7 +288,6 @@ func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messa
 	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
 		panic(err)
 	}
-	h.Stats.RequestsServed++
 	return h.replyWithData(p, m, mWriteReply)
 }
 
@@ -315,7 +298,6 @@ func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Me
 	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
 		panic(err)
 	}
-	h.Stats.Invalidations++
 	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
 	return h.Post(fm.From, m)
 }
@@ -461,7 +443,6 @@ func (h *Host) replReAck(p *sim.Proc, m *pmsg) {
 	if rp == nil || m.Txn == 0 {
 		return
 	}
-	rp.Stats.ReAcks++
 	h.sendNew(p, h.primaryFor(m.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: m.Info,
 		Write: m.Type == mUpgradeGrant || m.Type == mWriteReply, TID: m.TID, Txn: m.Txn})
 }
@@ -483,7 +464,6 @@ func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 			panic(err)
 		}
 	}
-	h.Stats.PushesServed++
 	for i := 0; i < h.sys.NumHosts(); i++ {
 		if i == h.ID() {
 			continue

@@ -96,7 +96,7 @@ type pmsg struct {
 	TID int
 	Txn uint64
 
-	FW *faultWait // requester-local rendezvous (event + reply landing zone)
+	FW *cluster.Wait // requester-local rendezvous (event + reply landing zone)
 
 	// Replicated-management payloads (nil/empty off the replicated path).
 	Mir   *mirrorRec     // mMirror / mMirrorAck / mMirrorNak / mStateXfer / mSyncAck

@@ -126,13 +126,8 @@ type shardShadow struct {
 // ReplStats counts replication-layer activity (test observability).
 type ReplStats struct {
 	MirrorsSent uint64
-	MirrorNaks  uint64
 	Promotions  uint64
 	Demotions   uint64
-	Redrives    uint64
-	StateXfers  uint64
-	Forwards    uint64 // misrouted requests forwarded to the believed primary
-	ReAcks      uint64 // duplicate replies re-acked by requesters
 }
 
 // replMgr is one host's replication layer: its view table, the shards it
@@ -380,7 +375,6 @@ func (rp *replMgr) dispatchDir(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	// ourselves the view is stale in a way forwarding can't fix — drop,
 	// the requester's retry will find the promoted primary.
 	if to := rp.views[shard].Primary; to != rp.me {
-		rp.Stats.Forwards++
 		m.Requeued = false
 		return rp.host().Post(to, m)
 	}
@@ -520,7 +514,6 @@ func (rp *replMgr) handleMirror(p *sim.Proc, m *pmsg) {
 	rec, primary := m.Mir, m.From
 	shard := rec.Shard
 	if _, srv := rp.serving[shard]; srv || rec.View < rp.views[shard].Num {
-		rp.Stats.MirrorNaks++
 		*m = pmsg{Type: mMirrorNak, From: rp.me, Txn: rp.views[shard].Num, Mir: rec}
 		rp.host().Send(p, primary, m)
 		return
@@ -586,7 +579,6 @@ func (rp *replMgr) handleStateXfer(p *sim.Proc, rec *mirrorRec) {
 		sh.done[d.TID] = d.Txn
 	}
 	rp.shadows[shard] = sh
-	rp.Stats.StateXfers++
 	rp.host().sendNew(p, managerHost, pmsg{Type: mSyncAck, From: rp.me, Mir: &mirrorRec{Shard: shard, View: rec.View}})
 }
 
@@ -678,7 +670,6 @@ func (rp *replMgr) sendXfer(p *sim.Proc, k int, sv *shardServe, to int) {
 	for _, tid := range tids {
 		st.Done = append(st.Done, doneRec{TID: tid, Txn: mg.done[tid]})
 	}
-	rp.Stats.StateXfers++
 	rp.host().sendNew(p, to, pmsg{Type: mStateXfer, From: rp.me,
 		Mir: &mirrorRec{Kind: mirState, Shard: k, View: sv.num, State: st}})
 }
@@ -740,7 +731,6 @@ func (rp *replMgr) promote(p *sim.Proc, k int, nv viewsvc.View) {
 		*req = sh.intents[id]
 		req.Requeued = false
 		req.Redrive = true
-		rp.Stats.Redrives++
 		mg.host().Flush(p, mg.dispatch(p, req))
 	}
 }
@@ -755,32 +745,4 @@ func (rp *replMgr) demote(k int) {
 	}
 	delete(rp.serving, k)
 	rp.Stats.Demotions++
-}
-
-// Serving reports whether host i currently serves shard k (tests).
-func (s *System) Serving(i, k int) bool {
-	rp := s.replAt(i)
-	if rp == nil {
-		return s.homeOf(k) == i // degenerate: shard == native home
-	}
-	_, ok := rp.serving[k]
-	return ok
-}
-
-// ReplStatsAt returns host i's replication counters (zero value when
-// replication is off).
-func (s *System) ReplStatsAt(i int) ReplStats {
-	if rp := s.replAt(i); rp != nil {
-		return rp.Stats
-	}
-	return ReplStats{}
-}
-
-// ViewOf returns host 0's authoritative view of shard k (tests).
-func (s *System) ViewOf(k int) viewsvc.View {
-	rp := s.replAt(managerHost)
-	if rp == nil || rp.svc == nil {
-		return viewsvc.View{}
-	}
-	return rp.svc.View(k)
 }

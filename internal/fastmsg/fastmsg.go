@@ -207,6 +207,12 @@ type Network struct {
 	// one-way flows recycle back to their sender.
 	free []*Message
 
+	// freePM and pmSlab hold every endpoint's pending records: recycled,
+	// and not yet handed out. A record's identity is invisible, so a burst
+	// at one endpoint reuses what another's left.
+	freePM []*pendingMsg
+	pmSlab []pendingMsg
+
 	// rel is non-nil once a fault plan is installed: the sequence/ack/
 	// retransmission machinery of reliable.go. Nil on the clean path.
 	rel         *reliability
@@ -341,7 +347,6 @@ type Endpoint struct {
 	sweepTick   sim.Time
 	pending     []*pendingMsg // in-flight arrivals, live from pendHead
 	pendHead    int           // head index: popping with [1:] would shed capacity and realloc per message
-	freePM      []*pendingMsg // recycled pending records
 	arriveFn    func(any)     // ep.arriveAny, bound once at New
 	fireFn      func(any)     // ep.fireAny, bound once at New
 	stats       Stats
@@ -511,15 +516,21 @@ func (ep *Endpoint) deliver(m *Message) {
 	ep.eng.AfterArg(wait, ep.fireFn, pm)
 }
 
-// newPending reuses a recycled pending record when one is available.
+// newPending takes a pending record from the network's freelist, or carves
+// it from the slab, 64 records an allocation.
 func (ep *Endpoint) newPending(m *Message, at sim.Time) *pendingMsg {
-	if n := len(ep.freePM); n > 0 {
-		pm := ep.freePM[n-1]
-		ep.freePM = ep.freePM[:n-1]
-		pm.m, pm.arrived = m, at
-		return pm
+	nw := ep.nw
+	var pm *pendingMsg
+	if n := len(nw.freePM); n > 0 {
+		pm, nw.freePM = nw.freePM[n-1], nw.freePM[:n-1]
+	} else {
+		if len(nw.pmSlab) == 0 {
+			nw.pmSlab = make([]pendingMsg, 64)
+		}
+		pm, nw.pmSlab = &nw.pmSlab[0], nw.pmSlab[1:]
 	}
-	return &pendingMsg{m: m, arrived: at}
+	pm.m, pm.arrived = m, at
+	return pm
 }
 
 // fireAny is the calendar-side entry: it drops the event's reference and
@@ -532,7 +543,7 @@ func (ep *Endpoint) fireAny(a any) {
 	ep.fire(pm)
 	if pm.fired && pm.refs == 0 {
 		*pm = pendingMsg{}
-		ep.freePM = append(ep.freePM, pm)
+		ep.nw.freePM = append(ep.nw.freePM, pm)
 	}
 }
 

@@ -41,13 +41,22 @@ import (
 // preset (a registry row); dsm took +10 so a page-grain allocation that
 // spans pages maps every fresh page at its allocator, and cluster -1 of
 // comment.
+//
+// Raised, cluster 1,824 -> 1,852 and lrc 1,402 -> 1,422, when barriers
+// began to combine up a fan-in-8 tree: every host a node that collects into
+// its Host and sends one group up, releases down the same two rows
+// (BarrierService and the coordinator-only guard went), and lrc-mw's
+// barrier arrival carrying its epoch's notices, as it can now overtake the
+// host's unlocks. Paid for in dsm, 2,297 -> 2,239: three test-only
+// replication accessors moved to the test that reads them, write-only
+// counters (HostStats, five ReplStats fields) and a one-use alias went.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1824},
-	{"dsm", 2297},
-	{"lrc", 1402},
+	{"cluster", 1852},
+	{"dsm", 2239},
+	{"lrc", 1422},
 }
 
 // kernelTarget is ROADMAP item 4's goal for the kernel (cluster, dsm and

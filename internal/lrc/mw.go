@@ -115,7 +115,8 @@ type mwSync struct {
 	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
 
 	VC      []uint64    // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
-	Notice  mwNotice    // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK, BARRIER_ARRIVE)
+	Notice  mwNotice    // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
+	Epoch   *MWHost     // the releaser, whose epoch's notices ride along (BARRIER_ARRIVE)
 	Notices []mwCNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
 	MaxVC   []uint64    // converged clock (BARRIER_RELEASE)
 }
@@ -620,10 +621,18 @@ func (t *MWThread) release() mwNotice {
 	// shared by every granted copy) until the next barrier, so it cannot
 	// ride in per-release scratch; it lies in the generation's arena, whose
 	// two-barrier retention outlives every reader.
-	at := len(g.mps)
 	g.mps = append(g.mps, h.dirty...)
 	h.dirty = h.dirty[:0]
-	return mwNotice{Creator: h.ID(), Seq: seq, MPs: g.mps[at:len(g.mps):len(g.mps)]}
+	return h.epochNotice(len(g.spans) - 1)
+}
+
+// epochNotice is the write notice of the i-th interval this host closed in
+// the current barrier epoch (gens[2]): its minipages lie in mps where its
+// diffs lie in ents.
+func (h *MWHost) epochNotice(i int) mwNotice {
+	g := &h.gens[2]
+	sp := g.spans[i]
+	return mwNotice{h.ID(), h.vc[h.ID()] - uint64(len(g.spans)-1-i), g.mps[sp[0]:sp[1]:sp[1]]}
 }
 
 // acquire applies the write notices delivered with a lock grant or
@@ -714,9 +723,11 @@ func (h *MWHost) diffOf(seq uint64, mp int) (enc []byte, ok bool) {
 // Release is the release half of the consistency model
 // (cluster.Consistency). A barrier arrival and an unlock close the
 // interval — diffs flushed and acked before the message leaves — and
-// carry its write notice for the coordinator's log; a barrier arrival and
-// a lock request carry the vector clock the answer's notices are chosen
-// against.
+// carry write notices for the coordinator's log: an unlock its interval's,
+// a barrier arrival every one of its epoch, since it may reach the
+// coordinator through the barrier tree ahead of this host's unlocks. A
+// barrier arrival and a lock request carry the vector clock the answer's
+// notices are chosen against.
 func (h *MWHost) Release(ctx any, m *cluster.SvcMsg) {
 	x := h.sys.freeSync.Get()
 	m.Ext = x
@@ -725,6 +736,9 @@ func (h *MWHost) Release(ctx any, m *cluster.SvcMsg) {
 	}
 	if m.Type != cluster.SvcUnlock {
 		x.VC = append(x.VC[:0], h.vc...)
+	}
+	if m.Type == cluster.SvcBarrierArrive {
+		x.Epoch = h // read in place: the epoch stays as it is until this barrier's release
 	}
 	x.CheckLive("Send")
 }
@@ -743,11 +757,16 @@ func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
 	h.recycleSync(m, x)
 }
 
-// Released logs the write notice a barrier arrival or an unlock carries
+// Released logs the write notices a barrier arrival or an unlock carries
 // (cluster.NoticeLog; host 0 only). An unlock's record ends here.
 func (h *MWHost) Released(m *cluster.SvcMsg) {
 	x := h.ext(m)
-	if x.Notice.MPs != nil {
+	switch r := x.Epoch; {
+	case r != nil:
+		for i := range r.gens[2].spans {
+			h.logNotice(r.epochNotice(i))
+		}
+	case x.Notice.MPs != nil:
 		h.logNotice(x.Notice)
 	}
 	if m.Type == cluster.SvcUnlock {
@@ -802,11 +821,10 @@ func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
 }
 
 // logNotice stamps and appends a release's write notice at the
-// coordinator (host 0 only).
+// coordinator (host 0 only), unless a notice of its creator as new is
+// logged already: a barrier arrival's epoch repeats its unlocks'.
 func (h *MWHost) logNotice(n mwNotice) {
 	s := h.sys
-	s.vtctr++
-	h.sys.stats.Notices++
 	if s.logLast == nil {
 		s.logLast = make([]int, s.NumHosts())
 		for c := range s.logLast {
@@ -815,8 +833,10 @@ func (h *MWHost) logNotice(n mwNotice) {
 	}
 	last := s.logLast[n.Creator]
 	if last >= 0 && s.log[last].Seq >= n.Seq {
-		panic(fmt.Sprintf("lrc-mw: host %d's notice %d logged after its notice %d", n.Creator, n.Seq, s.log[last].Seq))
+		return
 	}
+	s.vtctr++
+	h.sys.stats.Notices++
 	s.logPrev = append(s.logPrev, last)
 	s.logLast[n.Creator] = len(s.log)
 	s.log = append(s.log, mwCNotice{mwNotice: n, VTSum: s.vtctr})
