@@ -12,7 +12,7 @@ import (
 
 func runExplore(args []string) error {
 	fs := flag.NewFlagSet("explore", flag.ExitOnError)
-	protocol := fs.String("protocol", "millipage", "coherence protocol (millipage, millipage-repl, ivy, lrc, lrc-mw)")
+	protocol := fs.String("protocol", "millipage", "coherence protocol (millipage, millipage-repl, ivy, lrc-mw)")
 	workload := fs.String("workload", "drf", "litmus workload: "+strings.Join(mcheck.WorkloadNames(), ", "))
 	faults := fs.String("faults", "", "fault preset ("+strings.Join(mcheck.FaultNames(), ", ")+"); empty = clean network")
 	hosts := fs.Int("hosts", 0, "cluster size (0 = the workload's default)")

@@ -132,7 +132,7 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -scale F      problem scale (default 1.0 = paper)
                          -hosts L      comma list of host counts (default 1,2,4,8)
                          -only A       run a single application
-                         -protocol P   coherence protocol: millipage, ivy, lrc, lrc-mw
+                         -protocol P   coherence protocol: millipage, ivy or lrc-mw
                          -seed N
   chunking [flags]     Figure 7: chunking in WATER (-scale, -seed)
   ablation [flags]     Section 5 / 3.5 ablations: LRC over chunking,
@@ -143,7 +143,7 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
   chaos [flags]        seeded fault injection: run the write-heavy workload
                        while the wire drops, duplicates, reorders, partitions
                        and crashes hosts, then check the results converged
-                         -protocol P   millipage, ivy, lrc or lrc-mw
+                         -protocol P   millipage, ivy or lrc-mw
                          -hosts/-vars/-rounds/-seed   workload size
                          -drop/-dup/-reorder F        per-frame probabilities
                          -jitter D     reorder hold-back bound (e.g. 2ms)
@@ -156,7 +156,7 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                        assert the SW/MR, consistency and agreement oracles
                        after each, shrink any failing schedule to a minimal
                        replayable trace
-                         -protocol P   millipage, ivy, lrc or lrc-mw, plus
+                         -protocol P   millipage, ivy or lrc-mw, plus
                                        millipage-repl (replicated management)
                          -workload W   swmr, mp, dekker, drf, merge, failover, drf-nolock
                          -faults F     fault preset (see -h), default clean
@@ -173,7 +173,7 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -check        run twice, fail on fingerprint mismatch
                          -all          run the default matrix, record serving rows
                          -out F        with -all: report path (default BENCH_sim.json)
-                         -protocol P   millipage, ivy, lrc or lrc-mw
+                         -protocol P   millipage, ivy or lrc-mw
                          -hosts/-clients/-rate/-ops/-seed/-faults   overrides
   bench [-out F]       simulator wall-clock benchmarks vs the frozen
                        pre-optimization baseline (default -out BENCH_sim.json)
@@ -234,7 +234,7 @@ func runApps(args []string) error {
 	hosts := fs.String("hosts", "1,2,4,8", "comma-separated host counts")
 	only := fs.String("only", "", "run a single application (SOR, IS, WATER, LU, TSP)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	protocol := fs.String("protocol", "millipage", "coherence protocol (millipage, ivy, lrc, lrc-mw)")
+	protocol := fs.String("protocol", "millipage", "coherence protocol (millipage, ivy, lrc-mw)")
 	fs.Parse(args)
 
 	cfg := bench.DefaultFigure6()
@@ -348,7 +348,7 @@ func halves(n int) (a, b uint64) {
 func runChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	cfg := bench.DefaultChaos()
-	protocol := fs.String("protocol", cfg.Protocol, "coherence protocol (millipage, ivy, lrc, lrc-mw)")
+	protocol := fs.String("protocol", cfg.Protocol, "coherence protocol (millipage, ivy, lrc-mw)")
 	hosts := fs.Int("hosts", cfg.Hosts, "cluster size")
 	vars := fs.Int("vars", cfg.Vars, "shared variables")
 	rounds := fs.Int("rounds", cfg.Rounds, "write-heavy rounds")

@@ -22,7 +22,7 @@ func runServe(args []string) error {
 	check := fs.Bool("check", false, "run the scenario twice and verify the fingerprints match")
 	all := fs.Bool("all", false, "run the default serving matrix and record it (see -out)")
 	out := fs.String("out", "BENCH_sim.json", "with -all: serving-rows report path (empty = table only)")
-	protocol := fs.String("protocol", "", "override the scenario's coherence protocol (millipage, ivy, lrc, lrc-mw)")
+	protocol := fs.String("protocol", "", "override the scenario's coherence protocol (millipage, ivy, lrc-mw)")
 	hosts := fs.Int("hosts", 0, "override the cluster size")
 	clients := fs.Int("clients", 0, "override the simulated client count")
 	rate := fs.Float64("rate", 0, "override the offered load (ops/sec of virtual time)")

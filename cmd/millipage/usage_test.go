@@ -108,7 +108,7 @@ func TestUsageProtocolFlags(t *testing.T) {
 		if !strings.Contains(blocks[cmd], "-protocol P") {
 			t.Errorf("%s takes -protocol but its usage block does not list it", cmd)
 		}
-		if !strings.Contains(blocks[cmd], "millipage, ivy, lrc") {
+		if !strings.Contains(blocks[cmd], "millipage, ivy or lrc-mw") {
 			t.Errorf("%s: -protocol vocabulary differs from the other subcommands", cmd)
 		}
 	}

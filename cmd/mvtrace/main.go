@@ -3,12 +3,12 @@
 // dispatch on the virtual clock. It is the fastest way to see the
 // Figure-3 protocol operate — a read miss, a write upgrade with
 // invalidation, and a competing request queued at the manager — and,
-// with -protocol, how the page-grain ivy preset or either LRC realization
+// with -protocol, how the page-grain ivy preset or multi-writer LRC
 // handles the same access pattern.
 //
 // Usage: mvtrace [-hosts N] [-kind read|write|competing|lock]
 //
-//	[-protocol millipage|ivy|lrc|lrc-mw]
+//	[-protocol millipage|ivy|lrc-mw]
 package main
 
 import (
@@ -51,7 +51,7 @@ func main() {
 		case "write":
 			// All hosts take read copies, then the last host writes:
 			// the manager invalidates every replica first (under LRC the
-			// readers instead refetch from the home after the barrier).
+			// write notice invalidates the readers' copies at the barrier).
 			if t.Host() == 0 {
 				va = t.Malloc(128)
 				t.WriteU32(va, 1)
@@ -106,7 +106,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("scenario %q under %s on %d hosts — %d events:\n\n", *kind, *protocol, *hosts, rec.Total())
+	fmt.Printf("scenario %q under %s on %d hosts — %d events:\n\n", *kind, spec.Name, *hosts, rec.Total())
 	rec.Dump(os.Stdout)
 
 	// The postscript is the one protocol-specific part: each protocol's
@@ -115,10 +115,6 @@ func main() {
 	case *dsm.System:
 		fmt.Printf("\ncompeting requests queued at the manager: %d\n",
 			sys.ManagerStatsTotal().CompetingRequests)
-	case *lrc.System:
-		st := sys.Stats()
-		fmt.Printf("\nfetches: %d  diffs flushed: %d (%d bytes)  twins made: %d\n",
-			st.Fetches, st.DiffsSent, st.DiffBytes, st.TwinsMade)
 	case *lrc.MWSystem:
 		st := sys.Stats()
 		fmt.Printf("\nfetches: %d  diff fetches: %d  notices: %d  invalidations: %d  twins made: %d\n",

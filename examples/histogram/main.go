@@ -8,7 +8,7 @@
 // while still summing the current one. (See internal/examples.Histogram
 // for the body.)
 //
-// Usage: histogram [millipage|ivy|lrc]
+// Usage: histogram [millipage|ivy|lrc-mw]
 package main
 
 import (

@@ -1,4 +1,4 @@
-// Lazyrelease demonstrates the paper's Section-5 extension: home-based
+// Lazyrelease demonstrates the paper's Section-5 extension: multi-writer
 // lazy release consistency over chunked minipages.
 //
 // Four hosts write interleaved slots that chunking has packed into the
@@ -10,7 +10,7 @@
 // other protocols for comparison. (See internal/examples.LazyRelease
 // for the body.)
 //
-// Usage: lazyrelease [millipage|ivy|lrc]  (default lrc)
+// Usage: lazyrelease [millipage|ivy|lrc-mw]  (default lrc-mw)
 package main
 
 import (
@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	protocol := "lrc"
+	protocol := "lrc-mw"
 	if len(os.Args) > 1 {
 		protocol = os.Args[1]
 	}

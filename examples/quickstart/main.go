@@ -3,7 +3,7 @@
 // the whole Section 3.4 API surface in one page of code (see
 // internal/examples.Quickstart for the body).
 //
-// Usage: quickstart [millipage|ivy|lrc]
+// Usage: quickstart [millipage|ivy|lrc-mw]
 package main
 
 import (

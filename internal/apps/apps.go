@@ -30,7 +30,7 @@ import (
 // Params selects a cluster configuration shared by all applications.
 type Params struct {
 	// Protocol selects the coherence protocol (millipage.Config.Protocol):
-	// "" or "millipage", "ivy", "lrc", or "lrc-mw". Every application is
+	// "" or "millipage", "ivy" or "lrc-mw". Every application is
 	// data-race-free (barrier/lock structured), so the suite runs — and
 	// its checksums hold — under any of the three.
 	Protocol      string

@@ -6,9 +6,6 @@ import (
 
 	millipage "millipage"
 	"millipage/internal/apps"
-	"millipage/internal/cluster"
-	"millipage/internal/dsm"
-	"millipage/internal/lrc"
 	"millipage/internal/sim"
 )
 
@@ -19,7 +16,7 @@ import (
 //     minipages coarser than the sharing unit, a lazy-release-consistency
 //     protocol can absorb the reintroduced false sharing. Compares
 //     sequential consistency at fine grain, SC on chunked minipages
-//     (ping-pong), and home-based LRC on the same chunked minipages.
+//     (ping-pong), and multi-writer LRC on the same chunked minipages.
 //
 //   - AblationTimers: Section 3.5's "once the fm polling problem is
 //     resolved and/or the operating system timer resolution is refined"
@@ -41,16 +38,17 @@ type LRCRow struct {
 //     minipage in the read phase;
 //   - SC on chunked minipages fetches fewer, larger minipages but the
 //     interleaved writers ping-pong each chunk;
-//   - LRC on the same chunked minipages takes one twin per chunk per
-//     interval, merges run-length diffs at the barrier, and keeps the
+//   - LRC-MW on the same chunked minipages takes one twin per chunk per
+//     interval, merges run-length diffs at synchronization, and keeps the
 //     coarse fetch granularity — both advantages at once.
 func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 	const slotBytes = 64
 	const writeRounds = 2
 	workPerSlot := 100 * sim.Microsecond
 
-	scRun := func(chunkLevel int) (LRCRow, error) {
+	run := func(protocol string, chunkLevel int) (LRCRow, error) {
 		cl, err := millipage.NewCluster(millipage.Config{
+			Protocol:     protocol,
 			Hosts:        hosts,
 			SharedMemory: 1 << 20,
 			Views:        16,
@@ -61,7 +59,7 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 			return LRCRow{}, err
 		}
 		vas := make([]millipage.Addr, slots)
-		_, err = cl.Run(func(wk *millipage.Worker) {
+		rep, err := cl.Run(func(wk *millipage.Worker) {
 			if wk.Host() == 0 {
 				for i := range vas {
 					vas[i] = wk.Malloc(slotBytes)
@@ -84,80 +82,16 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 		if err != nil {
 			return LRCRow{}, err
 		}
-		rep := cl.System()
-		var msgs uint64
-		var wf uint64
-		for i := 0; i < hosts; i++ {
-			msgs += rep.Net.Endpoint(i).Stats().Sent
-			wf += rep.Host(i).AS.WriteFaults
-		}
-		return LRCRow{Elapsed: rep.Elapsed(), WriteFaults: wf, Messages: msgs}, nil
-	}
-
-	// lrcRun is the same program on an LRC realization, built directly
-	// (not through the registry) because the write-fault count it reports
-	// is the protocol's own statistic.
-	lrcRun := func(sys cluster.System, writeFaults func() uint64) (LRCRow, error) {
-		vas := make([]uint64, slots)
-		err := sys.Run(func(t cluster.AppThread) {
-			if t.Host() == 0 {
-				for i := range vas {
-					vas[i] = t.Malloc(slotBytes)
-				}
-			}
-			t.Barrier()
-			for it := 0; it < iters; it++ {
-				for round := 0; round < writeRounds; round++ {
-					for sIdx := t.Host(); sIdx < slots; sIdx += hosts {
-						t.WriteU32(vas[sIdx], uint32(it))
-						t.Compute(workPerSlot)
-					}
-				}
-				for sIdx := 0; sIdx < slots; sIdx++ {
-					_ = t.ReadU32(vas[sIdx])
-				}
-				t.Barrier()
-			}
-		})
-		if err != nil {
-			return LRCRow{}, err
-		}
-		rt := sys.Runtime()
-		var msgs uint64
-		for i := 0; i < hosts; i++ {
-			msgs += rt.Net.Endpoint(i).Stats().Sent
-		}
-		return LRCRow{Elapsed: rt.Elapsed(), WriteFaults: writeFaults(), Messages: msgs}, nil
-	}
-	lrcOpt := lrc.Options{
-		Hosts:      hosts,
-		SharedSize: 1 << 20,
-		Views:      16,
-		ChunkLevel: chunk,
-		Seed:       7,
-		Costs:      dsm.DefaultCosts(),
+		return LRCRow{Elapsed: rep.Elapsed, WriteFaults: rep.WriteFaults, Messages: rep.MessagesSent}, nil
 	}
 
 	runs := []struct {
 		name string
 		run  func() (LRCRow, error)
 	}{
-		{"SC, fine grain (1 slot/minipage)", func() (LRCRow, error) { return scRun(1) }},
-		{fmt.Sprintf("SC, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) { return scRun(chunk) }},
-		{fmt.Sprintf("LRC, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) {
-			sys, err := lrc.New(lrcOpt)
-			if err != nil {
-				return LRCRow{}, err
-			}
-			return lrcRun(sys, func() uint64 { return sys.Stats().WriteFault })
-		}},
-		{fmt.Sprintf("LRC-MW, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) {
-			sys, err := lrc.NewMW(lrcOpt)
-			if err != nil {
-				return LRCRow{}, err
-			}
-			return lrcRun(sys, func() uint64 { return sys.Stats().WriteFault })
-		}},
+		{"SC, fine grain (1 slot/minipage)", func() (LRCRow, error) { return run("millipage", 1) }},
+		{fmt.Sprintf("SC, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) { return run("millipage", chunk) }},
+		{fmt.Sprintf("LRC-MW, chunked (%d slots/minipage)", chunk), func() (LRCRow, error) { return run("lrc-mw", chunk) }},
 	}
 	rows, err := sweep(len(runs), func(i int) (LRCRow, error) {
 		r, err := runs[i].run()
@@ -174,10 +108,10 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-36s %12v %13d %10d\n", r.Name, r.Elapsed, r.WriteFaults, r.Messages)
 	}
-	fmt.Fprintln(w, "(expected: SC-chunked ping-pongs; LRC absorbs the intra-minipage false")
-	fmt.Fprintln(w, " sharing while keeping the chunked layout's lower minipage count; LRC-MW")
-	fmt.Fprintln(w, " additionally merges concurrent twins with run-length diffs at the barrier,")
-	fmt.Fprintln(w, " paying the calibrated twin/diff costs instead of whole-minipage refetches)")
+	fmt.Fprintln(w, "(expected: SC-chunked ping-pongs; LRC-MW absorbs the intra-minipage false")
+	fmt.Fprintln(w, " sharing while keeping the chunked layout's lower minipage count, merging")
+	fmt.Fprintln(w, " concurrent twins with run-length diffs and paying the calibrated twin/diff")
+	fmt.Fprintln(w, " costs instead of whole-minipage refetches)")
 	return nil
 }
 

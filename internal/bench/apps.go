@@ -20,7 +20,7 @@ type AppRun struct {
 
 // Figure6Config controls the application sweep.
 type Figure6Config struct {
-	Protocol   string  // coherence protocol ("" = millipage; "ivy", "lrc", "lrc-mw")
+	Protocol   string  // coherence protocol ("" = millipage; "ivy", "lrc-mw")
 	Hosts      []int   // cluster sizes (paper: 1..8)
 	Scale      float64 // 1.0 = the paper's data sets
 	Seed       int64

@@ -17,7 +17,6 @@ var protocolLabels = []struct {
 }{
 	{"millipage", "Millipage (minipage granularity)"},
 	{"ivy", "Ivy preset (pages, mgr p mod N)"},
-	{"lrc", "LRC (home-based, twins+diffs)"},
 	{"lrc-mw", "LRC-MW (multi-writer, notices)"},
 }
 
@@ -26,7 +25,7 @@ var protocolLabels = []struct {
 // protocol behind the root API: Millipage's minipage-grain SW/MR
 // protocol, the same protocol as a classic Li/Hudak page-based DSM (the
 // ivy preset: page grain, page p managed at host p mod N), and
-// home-based lazy release consistency (internal/lrc). One driver, one
+// multi-writer lazy release consistency (internal/lrc). One driver, one
 // workload; only Config.Protocol changes. It is the quantified version
 // of the paper's introduction: page-grain false sharing is the problem,
 // MultiView minipages and relaxed consistency are the two escapes.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"millipage/internal/apps"
+	"millipage/internal/registry"
 )
 
 func TestTable1Output(t *testing.T) {
@@ -223,7 +224,7 @@ type suiteCell struct {
 }
 
 // equivMatrix is the reduced suite x protocol matrix `-short` (the -race
-// CI leg) runs: one cell per protocol.
+// CI leg) runs: one cell per protocol, and one under the "lrc" alias.
 var equivMatrix = []suiteCell{
 	{apps.App{Name: "SOR", Run: apps.RunSOR}, "millipage"},
 	{apps.App{Name: "TSP", Run: apps.RunTSP}, "ivy"},
@@ -232,15 +233,15 @@ var equivMatrix = []suiteCell{
 }
 
 // TestSuiteEveryProtocolChecksAndRepeats is the one place all five
-// applications run under all four protocols: at 8 hosts with idealized
-// timers every cell passes its own verification, and a second run
-// reproduces the first's report and timed section exactly.
+// applications run under every protocol, and the "lrc" alias: at 8 hosts
+// with idealized timers every cell passes its own verification, and a
+// second run reproduces the first's report and timed section exactly.
 func TestSuiteEveryProtocolChecksAndRepeats(t *testing.T) {
 	cells := equivMatrix
 	if !testing.Short() {
 		cells = nil
 		for _, app := range apps.Suite() {
-			for _, protocol := range []string{"millipage", "ivy", "lrc", "lrc-mw"} {
+			for _, protocol := range append(registry.Names(), "lrc") {
 				cells = append(cells, suiteCell{app, protocol})
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // executed through the public Worker API under any protocol while the
 // fault plan mangles the wire.
 type ChaosConfig struct {
-	Protocol string // "millipage", "ivy", "lrc" or "lrc-mw"
+	Protocol string // "millipage", "ivy" or "lrc-mw"
 	Hosts    int
 	Vars     int // shared variables, each its own minipage
 	Rounds   int // barrier-separated write/read rounds

@@ -14,7 +14,7 @@ import (
 // a host crash at once — and requires the oracle to hold: faults change
 // timing, never application results.
 func TestChaosAllProtocols(t *testing.T) {
-	for _, proto := range []string{"millipage", "ivy", "lrc"} {
+	for _, proto := range []string{"millipage", "ivy", "lrc-mw"} {
 		cfg := DefaultChaos()
 		cfg.Protocol = proto
 		cfg.Plan.Partitions = []faultnet.Partition{{
@@ -55,13 +55,13 @@ func TestChaosCleanPlanStaysClean(t *testing.T) {
 }
 
 // TestFigure6SweepIvyLrc pushes the parallel replica sweep through the
-// ivy and lrc protocol paths: the grid must produce identical points and
+// ivy and lrc-mw protocol paths: the grid must produce identical points and
 // identical progress bytes whether it runs sequentially or Workers-wide.
 func TestFigure6SweepIvyLrc(t *testing.T) {
 	saved := Workers()
 	defer SetWorkers(saved)
 
-	for _, proto := range []string{"ivy", "lrc"} {
+	for _, proto := range []string{"ivy", "lrc-mw"} {
 		run := func(workers int) ([]AppRun, string) {
 			SetWorkers(workers)
 			var progress bytes.Buffer

@@ -191,6 +191,44 @@ func (m *ConcurrentMerge) Body(w cluster.AppThread) {
 
 func (m *ConcurrentMerge) Err() error { return m.bad }
 
+// DirtyAcquire is the dirty-acquire litmus, for two or more hosts: every
+// host writes 7 into its own word of one minipage host 0 allocated, then
+// takes a lock, reads its word back and unlocks; after a barrier every
+// host reads every word. The program is data-race-free. A
+// release-consistent protocol that drops a dirty copy at the acquire
+// refetches the home's bytes over the host's own write, whose diff then
+// comes out empty, and the write is lost.
+type DirtyAcquire struct {
+	Hosts int
+
+	block uint64
+	bad   error
+}
+
+func (d *DirtyAcquire) Body(w cluster.AppThread) {
+	h := w.Host()
+	if h == 0 {
+		d.block = w.Malloc(4 * d.Hosts)
+	}
+	w.Barrier()
+	mine := d.block + uint64(4*h)
+	w.WriteU32(mine, 7)
+	w.Lock(0)
+	if got := w.ReadU32(mine); got != 7 && d.bad == nil {
+		d.bad = fmt.Errorf("host %d reads its own word = %d under the lock, want 7", h, got)
+	}
+	w.Unlock(0)
+	w.Barrier()
+	for c := 0; c < d.Hosts; c++ {
+		if got := w.ReadU32(d.block + uint64(4*c)); got != 7 && d.bad == nil {
+			d.bad = fmt.Errorf("host %d reads word %d = %d after the barrier, want 7", h, c, got)
+		}
+	}
+	w.Barrier()
+}
+
+func (d *DirtyAcquire) Err() error { return d.bad }
+
 // ChunkExtend is the allocation-placement program, for three hosts: host
 // 1 allocates and writes a word, then host 0 allocates and writes one —
 // with chunking on, into the minipage host 1's allocation opened, so the

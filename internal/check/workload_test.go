@@ -58,6 +58,13 @@ func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("dirty-acquire", func(t *testing.T) {
+		wl := &check.DirtyAcquire{Hosts: 3}
+		runDSM(t, 3, wl.Body)
+		if err := wl.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("chunk-extend", func(t *testing.T) {
 		wl := &check.ChunkExtend{}
 		runDSM(t, 3, wl.Body)

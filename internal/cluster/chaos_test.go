@@ -97,21 +97,22 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 	return rt
 }
 
-// TestChaosDRFOracle is the check.DRF agreement oracle under every
-// fault schedule, for every protocol: barrier hand-offs and a
-// lock-guarded accumulator must produce the exact oracle state no
-// matter what the wire does.
+// TestChaosDRFOracle is the data-race-free oracles under every fault
+// schedule, for every protocol: barrier hand-offs, a lock-guarded
+// accumulator and a lock taken over a dirty copy must produce the exact
+// oracle state no matter what the wire does.
 func TestChaosDRFOracle(t *testing.T) {
 	const hosts = 4
 	for _, pr := range protocols() {
 		for _, sc := range schedules() {
 			t.Run(pr.name+"/"+sc.name, func(t *testing.T) {
-				wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-				runChaos(t, pr, hosts, 1, sc.plan(hosts, 7), func(rt *cluster.Runtime, w cluster.AppThread) {
-					wl.Body(w)
-				})
-				if err := wl.Err(); err != nil {
-					t.Fatalf("%s/%s: %v", pr.name, sc.name, err)
+				for _, wl := range drfWorkloads(hosts) {
+					runChaos(t, pr, hosts, 1, sc.plan(hosts, 7), func(rt *cluster.Runtime, w cluster.AppThread) {
+						wl.body(w)
+					})
+					if err := wl.err(); err != nil {
+						t.Fatalf("%s/%s: %v", pr.name, sc.name, err)
+					}
 				}
 			})
 		}

@@ -1,5 +1,5 @@
 // Package cluster is the shared runtime substrate under every DSM
-// protocol in this repository (dsm's Millipage, lrc, lrc-mw): the
+// protocol in this repository (dsm's Millipage, lrc-mw): the
 // one Options struct with its defaulting and validation, host and
 // application-thread lifecycle, the fault/message rendezvous, message
 // endpoint wiring with pooled envelopes, per-thread time-breakdown
@@ -12,7 +12,7 @@
 // Lifecycle in its System type, and otherwise consists purely of policy:
 // what a fault sends where, what a message does to the directory, where
 // allocations live, what a release-consistent protocol does around a
-// synchronization (Consistency, NoticeLog). Everything mechanical (option
+// synchronization (Consistency). Everything mechanical (option
 // checks, spawning threads, wrapper installation, the one blocking point
 // with its busy-reference counting, envelope pooling, the service
 // messages and their handlers, stats) lives here exactly once.
@@ -50,8 +50,8 @@ type Options struct {
 	Seed           int64
 
 	// Grain, HomeOf and Replication are Millipage's directory policy (its
-	// ivy preset is GrainPage with HomeMod). lrc and lrc-mw home each
-	// minipage at its allocator and reject all three (Traits.Directory).
+	// ivy preset is GrainPage with HomeMod). lrc-mw homes each minipage
+	// at its allocator and rejects all three (Traits.Directory).
 	Grain core.Grain
 
 	// HomeOf maps a minipage id to the host that runs its directory
@@ -227,7 +227,6 @@ func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
 	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh, parked: make([]any, rt.Opt.Hosts)}
 	h.node, h.parent, h.expect = barrierTree(id, rt.Opt.Hosts, rt.Opt.ThreadsPerHost)
 	h.cons, _ = hh.(Consistency)
-	h.log, _ = hh.(NoticeLog)
 	as.SetFaultHandler(h.onFault)
 	h.EP.SetServer(h)
 	rt.hosts = append(rt.hosts, h)

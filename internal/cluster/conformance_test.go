@@ -5,10 +5,10 @@
 // asserts the same properties after every explored schedule; these
 // tests pin them on the default schedule. The SW/MR and
 // sequential-consistency properties apply to the two SC protocols
-// (millipage's dsm and ivy); lrc is lazy release consistency, which
+// (millipage's dsm and ivy); lrc-mw is lazy release consistency, which
 // deliberately allows concurrent writers between synchronization points,
-// so it joins only the data-race-free agreement test — the guarantee LRC
-// actually makes.
+// so it joins only the data-race-free tests — the guarantee LRC actually
+// makes.
 package cluster_test
 
 import (
@@ -31,10 +31,12 @@ type protoRun struct {
 	repl bool          // home-based management with primary/backup shard replication
 }
 
-// protocols returns every registered protocol.
+// protocols returns every registered protocol, then the "lrc" alias of
+// lrc-mw: a name the registry accepts gets the oracles of the protocol it
+// builds.
 func protocols() []protoRun {
 	var prs []protoRun
-	for _, name := range registry.Names() {
+	for _, name := range append(registry.Names(), "lrc") {
 		spec, _ := registry.Lookup(name)
 		prs = append(prs, protoRun{name: name, spec: spec})
 	}
@@ -130,25 +132,40 @@ func TestSCDekker(t *testing.T) {
 	}
 }
 
-// TestDRFAgreement runs one barrier- and lock-structured (data-race-free)
-// program under all three protocols and asserts every protocol produces
-// the exact oracle state. This is the portability contract of the
-// Protocol interface: a DRF application may switch Config.Protocol
-// freely without changing results.
+// workload is one program body and the oracle to consult after its run.
+type workload struct {
+	body func(cluster.AppThread)
+	err  func() error
+}
+
+// drfWorkloads are the data-race-free programs every protocol must run to
+// their oracle state on a cluster of the given size.
+func drfWorkloads(hosts int) []workload {
+	drf := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
+	dirty := &check.DirtyAcquire{Hosts: hosts}
+	return []workload{{drf.Body, drf.Err}, {dirty.Body, dirty.Err}}
+}
+
+// TestDRFAgreement runs the barrier- and lock-structured (data-race-free)
+// programs under every protocol and asserts every protocol produces the
+// exact oracle state. This is the portability contract of the Protocol
+// interface: a DRF application may switch Config.Protocol freely without
+// changing results.
 func TestDRFAgreement(t *testing.T) {
 	const hosts = 4
 	for _, pr := range protocols() {
 		t.Run(pr.name, func(t *testing.T) {
-			sys, err := pr.make(hosts, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-			if err := sys.Run(wl.Body); err != nil {
-				t.Fatal(err)
-			}
-			if err := wl.Err(); err != nil {
-				t.Fatalf("%s: %v", pr.name, err)
+			for _, wl := range drfWorkloads(hosts) {
+				sys, err := pr.make(hosts, 1, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sys.Run(wl.body); err != nil {
+					t.Fatal(err)
+				}
+				if err := wl.err(); err != nil {
+					t.Fatalf("%s: %v", pr.name, err)
+				}
 			}
 		})
 	}
@@ -159,10 +176,10 @@ func TestDRFAgreement(t *testing.T) {
 // allocation extends the minipage host 1's opened: its write must reach
 // host 2 like any other.
 func TestChunkExtendedAllocation(t *testing.T) {
-	for _, name := range registry.Names() {
+	for _, pr := range protocols() {
 		for _, chunk := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/chunk%d", name, chunk), func(t *testing.T) {
-				sys, err := registry.New(name, registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, ChunkLevel: chunk})
+			t.Run(fmt.Sprintf("%s/chunk%d", pr.name, chunk), func(t *testing.T) {
+				sys, err := pr.spec.New(registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, ChunkLevel: chunk})
 				if err != nil {
 					t.Fatal(err)
 				}

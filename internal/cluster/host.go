@@ -143,7 +143,6 @@ type Host struct {
 	id      int
 	handler HostHandler
 	cons    Consistency // handler's, if it is release-consistent
-	log     NoticeLog   // handler's, if synchronization carries notices
 
 	AS *vm.AddressSpace
 	EP *fastmsg.Endpoint

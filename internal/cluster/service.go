@@ -48,7 +48,7 @@ type SvcMsg struct {
 
 	// Ext is a release-consistent protocol's piggyback (vector clock,
 	// write notices), attached in Consistency.Release, read and refilled
-	// by the coordinator's NoticeLog and consumed in Consistency.Acquire.
+	// on the coordinator and consumed in Consistency.Acquire.
 	Ext any
 }
 
@@ -61,22 +61,18 @@ type Allocation struct {
 }
 
 // Consistency is optionally implemented by a release-consistent
-// protocol's HostHandler. Both run in the synchronizing thread (ctx is
-// its wrapper): Release before a BARRIER_ARRIVE, LOCK_REQUEST or UNLOCK
-// leaves, Acquire once the BARRIER_RELEASE or LOCK_GRANT has woken it,
-// with the header that came back.
+// protocol's HostHandler; what synchronization carries for it (lrc-mw's
+// write notices) rides in m.Ext. Release and Acquire run in the
+// synchronizing thread (ctx is its wrapper): Release before a
+// BARRIER_ARRIVE, LOCK_REQUEST or UNLOCK leaves, Acquire once the
+// BARRIER_RELEASE or LOCK_GRANT has woken it, with the header that came
+// back. The rest run on the coordinator: Released sees every thread's
+// BARRIER_ARRIVE, as it or its group arrives, and every UNLOCK, Granting a
+// LOCK_REQUEST about to turn into its grant, Converged the arrivals of a
+// completed barrier episode before they turn into releases.
 type Consistency interface {
 	Release(ctx any, m *SvcMsg)
 	Acquire(ctx any, m *SvcMsg)
-}
-
-// NoticeLog is optionally implemented by the coordinator's HostHandler
-// when synchronization carries consistency information (lrc-mw's write
-// notices), all in m.Ext: Released sees every thread's BARRIER_ARRIVE, as
-// it or its group arrives, and every UNLOCK, Granting a LOCK_REQUEST about
-// to turn into its grant, Converged the arrivals of a completed barrier
-// episode before they turn into releases.
-type NoticeLog interface {
 	Released(m *SvcMsg)
 	Granting(m *SvcMsg)
 	Converged(arrivals []*SvcMsg)
@@ -85,7 +81,7 @@ type NoticeLog interface {
 // services is the coordinator's state plus the cluster's header pool.
 type services struct {
 	episodes uint64    // completed barrier episodes
-	arrivals []*SvcMsg // the episode's threads, for a NoticeLog's Converged
+	arrivals []*SvcMsg // the episode's threads, for Consistency.Converged
 	locks    LockService
 	free     Pool[SvcMsg]
 }
@@ -203,8 +199,8 @@ func (t *Thread) Unlock(id int) {
 
 // svcTable is the kernel's message table. Setting an event, collecting or
 // releasing a barrier, granting a lock or queueing its request never waits
-// (nor does the NoticeLog): those rows run in engine context, the last
-// send as the tail.
+// (nor does the coordinator's Consistency): those rows run in engine
+// context, the last send as the tail.
 var svcTable = Register(MsgTable[*Host, *SvcMsg]{Rows: []MsgSpec[*Host, *SvcMsg]{
 	SvcAllocReq:       {Name: "ALLOC_REQUEST", Handle: (*Host).allocRequest},
 	SvcAllocReply:     {Name: "ALLOC_REPLY", Handle: (*Host).allocReply},
@@ -261,7 +257,7 @@ func barrierTree(id, n, tph int) (node, parent, expect int) {
 // its tree node. With the last the node's group goes up or, at the root,
 // the episode is complete and turns around as the releases.
 func (h *Host) barrierArrive(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
-	if h.id == Coordinator && h.log != nil {
+	if h.id == Coordinator && h.cons != nil {
 		h.logArrival(m)
 	}
 	if h.got = append(h.got, m); len(h.got) < h.expect {
@@ -273,18 +269,18 @@ func (h *Host) barrierArrive(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastms
 	}
 	svc := &h.rt.svc
 	svc.episodes++
-	if h.log != nil {
-		h.log.Converged(svc.arrivals)
+	if h.cons != nil {
+		h.cons.Converged(svc.arrivals)
 		svc.arrivals = svc.arrivals[:0]
 	}
 	return h.barrierRelease(nil, g, nil)
 }
 
-// logArrival shows the NoticeLog every thread's arrival m carries, itself
-// or in its group, and keeps them for Converged.
+// logArrival shows Consistency.Released every thread's arrival m carries,
+// itself or in its group, and keeps them for Converged.
 func (h *Host) logArrival(m *SvcMsg) {
 	if m.Group == nil {
-		h.log.Released(m)
+		h.cons.Released(m)
 		h.rt.svc.arrivals = append(h.rt.svc.arrivals, m)
 	}
 	for _, a := range m.Group {
@@ -319,8 +315,8 @@ func (h *Host) lockRequest(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.
 
 func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
 	svc := &h.rt.svc
-	if h.log != nil {
-		h.log.Released(m)
+	if h.cons != nil {
+		h.cons.Released(m)
 	}
 	next, err := svc.locks.Release(m.LockID, m.From)
 	if err != nil {
@@ -335,8 +331,8 @@ func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Messa
 
 // grant turns a lock request around as its grant.
 func (h *Host) grant(m *SvcMsg) *fastmsg.Message {
-	if h.log != nil {
-		h.log.Granting(m)
+	if h.cons != nil {
+		h.cons.Granting(m)
 	}
 	m.Type = SvcLockGrant
 	return h.Post(m.From, m)

@@ -18,7 +18,7 @@ import (
 )
 
 // An Example runs one example program under the given protocol
-// ("millipage", "ivy" or "lrc"), writing its human-readable output to
+// ("millipage", "ivy" or "lrc-mw"), writing its human-readable output to
 // out and returning the run's report.
 type Example func(protocol string, out io.Writer) (*millipage.Report, error)
 
@@ -86,7 +86,7 @@ func Quickstart(protocol string, out io.Writer) (*millipage.Report, error) {
 // page. Under "millipage" it runs the workload twice — MultiView layout,
 // then the traditional page-granularity layout — and prints the
 // fault/message comparison. The layout is millipage's to choose (ivy is
-// page-grain, lrc's twins absorb the false sharing, and both reject
+// page-grain, lrc-mw's twins absorb the false sharing, and both reject
 // PageGranularity), so under the other protocols it prints their one run.
 // The returned report is the first (MultiView-layout) run's.
 func FalseShare(protocol string, out io.Writer) (*millipage.Report, error) {
@@ -237,7 +237,7 @@ func Histogram(protocol string, out io.Writer) (*millipage.Report, error) {
 
 // LazyRelease demonstrates the Section-5 extension: four hosts write
 // interleaved slots that chunking (ChunkLevel 8) has packed into shared
-// minipages. Under "lrc" each host writes a local twin and run-length
+// minipages. Under "lrc-mw" each host writes a local twin and run-length
 // diffs merge at the barrier — false sharing inside the chunk costs
 // nothing between synchronization points. The same data-race-free
 // program runs under "millipage" and "ivy" for comparison, where the

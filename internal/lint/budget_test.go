@@ -50,20 +50,28 @@ import (
 // host's unlocks. Paid for in dsm, 2,297 -> 2,239: three test-only
 // replication accessors moved to the test that reads them, write-only
 // counters (HostStats, five ReplStats fields) and a one-use alias went.
+//
+// Single-writer lrc's 361 lines went, and the generic base its two
+// realizations shared folded into lrc-mw, with its test-only MPT accessor
+// and Options alias gone (lrc 1,422 -> 1,018); the kernel's
+// Consistency and NoticeLog hooks, with lrc-mw their one implementer,
+// became one interface (cluster 1,852 -> 1,846).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1852},
+	{"cluster", 1846},
 	{"dsm", 2239},
-	{"lrc", 1422},
+	{"lrc", 1018},
 }
 
-// kernelTarget is ROADMAP item 4's goal for the kernel (cluster, dsm and
-// lrc; ivy's 398 were counted in until it became a preset): 10 % under the
-// 6,137 the four packages had before the kernel refactor began. A change
-// that takes the kernel past it fails, whatever the per-package ceilings.
-const kernelTarget = 5523
+// kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
+// to what it stood at once single-writer lrc was deleted and one SC and
+// one DRF-SC implementation remained: ROADMAP item 4's goal was 5,523,
+// 10 % under the 6,137 the packages (ivy's 398 included) had before the
+// kernel refactor began. A change that takes the kernel past it fails,
+// whatever the per-package ceilings.
+const kernelTarget = 5103
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above
@@ -96,7 +104,7 @@ func TestKernelLineBudget(t *testing.T) {
 		total, ceiling = total+lines, ceiling+max
 	}
 	if total > kernelTarget {
-		t.Errorf("kernel: %d non-test lines, %d over item 4's target of %d", total, total-kernelTarget, kernelTarget)
+		t.Errorf("kernel: %d non-test lines, %d over its target of %d", total, total-kernelTarget, kernelTarget)
 	}
 	t.Logf("kernel: %d non-test lines of %d budgeted, target %d", total, ceiling, kernelTarget)
 }

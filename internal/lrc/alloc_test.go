@@ -3,6 +3,7 @@ package lrc
 import (
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 )
@@ -17,7 +18,7 @@ func mwArmedAllocsPerOp(t *testing.T, op func(th *MWThread, cells [2]uint64, i i
 	t.Helper()
 	far := sim.Time(1 << 60)
 	plan := &faultnet.Plan{Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}
-	s, err := NewMW(Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 1, Faults: plan})
+	s, err := NewMW(cluster.Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 1, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,18 +1,29 @@
-// Multi-writer lazy release consistency ("lrc-mw").
+// Package lrc implements the paper's first future-work direction
+// (Section 5, "Reduced-Consistency Protocols"): multi-writer lazy release
+// consistency over minipages ("lrc-mw").
 //
-// The single-writer realization in lrc.go already absorbs write-write
-// false sharing inside a minipage — but it does so by flushing diffs
-// eagerly and invalidating *every* non-home copy at every acquire, so a
-// host that never touches a minipage still refetches it after each
-// barrier. This file implements the TreadMarks-style refinement: per-host
-// vector timestamps partition each host's execution into intervals; a
-// release closes the interval by diffing the dirty minipages against
+// The paper's observation: once chunking makes minipages larger than the
+// sharing unit, false sharing reappears *within* a minipage — and a
+// reduced-consistency protocol can absorb it. This is the TreadMarks-style
+// protocol: per-host vector timestamps partition each host's execution
+// into intervals; a write fault twins the minipage and proceeds locally;
+// a release closes the interval by diffing the dirty minipages against
 // their twins; and a write notice (creator, interval, minipage ids) is
 // what propagates at synchronization, not the data. An acquire
 // invalidates only the minipages named by a causally newer notice; the
 // diffs themselves are fetched lazily from the writers on the next fault
 // and merged in vector-time order, so two hosts writing disjoint bytes
 // of one minipage never ping-pong and never invalidate third parties.
+// Data-race-free programs observe the same results as under sequential
+// consistency.
+//
+// The protocol reuses the whole Millipage substrate: the shared cluster
+// runtime (internal/cluster), the MultiView region and privileged view
+// (internal/core), the VM fault upcalls (internal/vm), the FastMessages
+// model (internal/fastmsg) and the twin/diff machinery with the paper's
+// measured costs (internal/twindiff). The cost Millipage's thin layer
+// avoids — 250 us per 4 KB diff — is charged here, which is exactly what
+// the ablation benchmarks compare.
 //
 // Realization choices, sized for the simulated testbed:
 //
@@ -209,7 +220,11 @@ type MWStats struct {
 // log beside the kernel's barriers and locks and owns the minipage table;
 // every minipage's home is its allocating host.
 type MWSystem struct {
-	base[*MWHost, *MWThread]
+	cluster.Lifecycle[*MWHost, *MWThread]
+	Layout core.Layout
+
+	mpt   *core.MPT
+	homes []int // minipage id -> home host
 
 	// Coordinator state (host 0 only).
 	log     []mwCNotice // append-only between barriers, cleared at each
@@ -303,21 +318,30 @@ type MWHost struct {
 	mergeDiffs []mwFetched
 }
 
-// NewMW builds a multi-writer LRC cluster.
-func NewMW(opt Options) (*MWSystem, error) {
+// NewMW builds a multi-writer LRC cluster: the runtime, the layout, the
+// minipage table and one MultiView region per host. Sharing is
+// minipage-grain and every minipage's home is its allocating host, so
+// opt's Grain, HomeOf and Replication are rejected.
+func NewMW(opt cluster.Options) (*MWSystem, error) {
 	s := &MWSystem{}
-	err := s.init("lrc-mw", opt,
-		func(ct *cluster.Thread, h *MWHost) *MWThread { return &MWThread{Thread: ct, host: h} },
-		func(as *vm.AddressSpace, region *core.Region) {
-			h := &MWHost{
-				sys:    s,
-				Region: region,
-				vc:     make([]uint64, s.Opt.Hosts),
-			}
-			h.Host = s.AddHost(as, h)
-		})
+	err := s.Init("lrc-mw", opt, cluster.Traits{},
+		func(ct *cluster.Thread, h *MWHost) *MWThread { return &MWThread{Thread: ct, host: h} })
 	if err != nil {
 		return nil, err
+	}
+	if s.Layout, err = core.NewLayout(s.Opt.SharedSize, s.Opt.Views); err != nil {
+		return nil, err
+	}
+	s.mpt = core.NewMPT(s.Layout, core.GrainMinipage, s.Opt.ChunkLevel)
+	frames := vm.NewFramePool()
+	for i := 0; i < s.Opt.Hosts; i++ {
+		as := vm.NewAddressSpace()
+		region, err := core.NewRegion(s.Layout, as, frames)
+		if err != nil {
+			return nil, err
+		}
+		h := &MWHost{sys: s, Region: region, vc: make([]uint64, s.Opt.Hosts)}
+		h.Host = s.AddHost(as, h)
 	}
 	return s, nil
 }
@@ -325,11 +349,15 @@ func NewMW(opt Options) (*MWSystem, error) {
 // Stats returns the cluster's counters.
 func (s *MWSystem) Stats() MWStats { return s.stats }
 
-// Totals reports the run's protocol counters; invalidations are the
-// minipages write notices made inaccessible.
+// Totals reports the run's protocol counters: the kernel's, the minipage
+// table's Table-2 columns, and as invalidations the minipages write
+// notices made inaccessible.
 func (s *MWSystem) Totals() cluster.Totals {
-	t := s.footprint()
-	t.Invalidations = s.Stats().Invalidations
+	t := s.Runtime().Totals()
+	t.Minipages = s.mpt.NumMinipages()
+	t.ViewsUsed = s.mpt.ViewsUsed()
+	t.BytesAllocated = s.mpt.BytesAllocated()
+	t.Invalidations = s.stats.Invalidations
 	return t
 }
 
@@ -339,23 +367,45 @@ type MWThread struct {
 	host *MWHost
 }
 
-// Alloc allocates shared memory (cluster.HostHandler); the allocating
-// host becomes the home of the minipages the allocation opens.
+// Alloc allocates shared memory (cluster.HostHandler): it carves size
+// bytes out of the minipage table on behalf of host from, which becomes
+// the home of every minipage the allocation opens. It runs only on host
+// 0, the allocation authority, and charges p the bookkeeping.
 func (h *MWHost) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
-	return h.sys.alloc(p, from, size)
+	s := h.sys
+	p.Sleep(s.Opt.Costs.MallocBase)
+	mp, va, err := s.mpt.Alloc(size)
+	if err != nil {
+		return cluster.Allocation{}, err
+	}
+	for id := len(s.homes); id < s.mpt.NumMinipages(); id++ {
+		s.homes = append(s.homes, from)
+	}
+	return cluster.Allocation{VA: va, Info: mp.Info(s.Layout), Home: s.homes[mp.ID]}, nil
 }
 
-// Mapped maps the allocation at its home (cluster.HostHandler). Unlike
-// the single-writer protocol, the home maps its own minipages read-only:
-// a home write must fault so it is twinned into an interval and announced
-// by a write notice like any other write.
+// Mapped maps the allocation at its home (cluster.HostHandler). The home
+// maps its own minipages read-only: a home write must fault so it is
+// twinned into an interval and announced by a write notice like any
+// other write.
 func (h *MWHost) Mapped(p *sim.Proc, a cluster.Allocation) {
 	if a.Home == h.ID() {
 		h.Region.Protect(a.Info.Base, a.Info.Size, vm.ReadOnly)
 	}
 }
 
-func (h *MWHost) describe(m *mwmsg) (int, uint64, int) { return h.sys.describe(m.Info) }
+// describe gives the trace a header's minipage, address and home from its
+// info (zero for diff requests and replies, which name theirs by id).
+func (h *MWHost) describe(m *mwmsg) (int, uint64, int) {
+	if m.Info.Size == 0 {
+		return -1, 0, -1
+	}
+	home := -1
+	if m.Info.ID < len(h.sys.homes) {
+		home = h.sys.homes[m.Info.ID]
+	}
+	return m.Info.ID, m.Info.Base, home
+}
 
 // Table places the header in the protocol's message table (cluster.Msg).
 func (m *mwmsg) Table() (cluster.Table, int) { return mwTable, int(m.Type) }
@@ -758,7 +808,7 @@ func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
 }
 
 // Released logs the write notices a barrier arrival or an unlock carries
-// (cluster.NoticeLog; host 0 only). An unlock's record ends here.
+// (cluster.Consistency; host 0 only). An unlock's record ends here.
 func (h *MWHost) Released(m *cluster.SvcMsg) {
 	x := h.ext(m)
 	switch r := x.Epoch; {
@@ -775,13 +825,13 @@ func (h *MWHost) Released(m *cluster.SvcMsg) {
 }
 
 // Granting fills a lock grant with every logged notice newer than the
-// requester's vector clock (cluster.NoticeLog).
+// requester's vector clock (cluster.Consistency; host 0 only).
 func (h *MWHost) Granting(m *cluster.SvcMsg) {
 	x := h.ext(m)
 	x.Notices = h.sys.newerThan(x.Notices, x.VC)
 }
 
-// Converged completes a barrier episode (cluster.NoticeLog): every
+// Converged completes a barrier episode (cluster.Consistency): every
 // release gets the converged clock and the notices its arrival's clock
 // had not covered, and the log is cleared.
 func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {

@@ -56,7 +56,7 @@ func TestMWIntervalStoreMatchesMaps(t *testing.T) {
 			var mem [nmp][]byte
 			for id := range va {
 				va[id] = th.Malloc(mpSize)
-				if mp, _ := s.MPT().Lookup(va[id]); mp.ID != id {
+				if mp, _ := s.mpt.Lookup(va[id]); mp.ID != id {
 					t.Fatalf("allocation %d opened minipage %d", id, mp.ID)
 				}
 				mem[id] = make([]byte, mpSize)

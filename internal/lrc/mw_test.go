@@ -5,13 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
+	"millipage/internal/cluster"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
 
+// runMW drives a typed body: System.Run hands bodies the portable
+// AppThread, and these tests exercise the MWThread behind it.
+func runMW(s *MWSystem, body func(th *MWThread)) error {
+	return s.Run(func(t cluster.AppThread) { body(t.(*MWThread)) })
+}
+
 func newMWSys(t *testing.T, hosts, chunk int) *MWSystem {
 	t.Helper()
-	s, err := NewMW(Options{Hosts: hosts, SharedSize: 1 << 18, Views: 8, ChunkLevel: chunk, Seed: 1})
+	s, err := NewMW(cluster.Options{Hosts: hosts, SharedSize: 1 << 18, Views: 8, ChunkLevel: chunk, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +105,56 @@ func TestMWConcurrentWritersDoNotPingPong(t *testing.T) {
 	}
 }
 
+func TestChunkedLRCAgreesWithUnchunked(t *testing.T) {
+	// A SOR-ish band workload: neighbors write adjacent 64-byte rows. The
+	// final content must be the same with chunked minipages (intra-chunk
+	// false sharing absorbed by diffs) as with per-row minipages.
+	run := func(chunk int) []uint32 {
+		s := newMWSys(t, 4, chunk)
+		const rows = 32
+		vas := make([]uint64, rows)
+		out := make([]uint32, rows)
+		err := runMW(s, func(th *MWThread) {
+			if th.Host() == 0 {
+				for r := range vas {
+					vas[r] = th.Malloc(64)
+				}
+			}
+			th.Barrier()
+			for it := 0; it < 3; it++ {
+				for r := th.Host(); r < rows; r += th.NumHosts() {
+					th.WriteU32(vas[r], uint32(r*100+it))
+				}
+				th.Barrier()
+			}
+			if th.Host() == 0 {
+				for r := range vas {
+					out[r] = th.ReadU32(vas[r])
+				}
+			}
+			th.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	plain := run(1)
+	for r := range plain {
+		if plain[r] != uint32(r*100+2) {
+			t.Fatalf("row %d = %d, want %d", r, plain[r], r*100+2)
+		}
+	}
+	for _, chunk := range []int{2, 4, 8} {
+		chunked := run(chunk)
+		for r := range plain {
+			if plain[r] != chunked[r] {
+				t.Fatalf("chunk %d, row %d: plain %d vs chunked %d", chunk, r, plain[r], chunked[r])
+			}
+		}
+	}
+}
+
 func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	// A write notice invalidates exactly the minipages it names: a third
 	// host's copy of an untouched minipage survives the barrier mapped,
@@ -126,8 +183,8 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 		th.Barrier()
 		if th.Host() == 2 {
 			h := s.Host(2)
-			mpA, _ := s.MPT().Lookup(vaA)
-			mpB, _ := s.MPT().Lookup(vaB)
+			mpA, _ := s.mpt.Lookup(vaA)
+			mpB, _ := s.mpt.Lookup(vaB)
 			protA, _ = h.Region.ProtOf(mpA.Info(s.Layout).Base)
 			protB, _ = h.Region.ProtOf(mpB.Info(s.Layout).Base)
 			gotA = th.ReadU32(vaA)

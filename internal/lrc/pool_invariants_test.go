@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"millipage/internal/check"
+	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/twindiff"
@@ -23,7 +24,7 @@ func TestChaosMWSyncRecordsBalance(t *testing.T) {
 	const hosts = 4
 	for name, plan := range map[string]*faultnet.Plan{"clean": nil, "drop-heavy": {Seed: 17, Drop: 0.25, Dup: 0.15}} {
 		t.Run(name, func(t *testing.T) {
-			s, err := NewMW(Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 5, Faults: plan})
+			s, err := NewMW(cluster.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 5, Faults: plan})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -166,7 +166,8 @@ func TestFailoverRegressionTrace(t *testing.T) {
 }
 
 // TestExploreLRCDRF: the DRF workload explores under lazy release
-// consistency too, and SC-dependent workloads are refused.
+// consistency too, named by the "lrc" alias of lrc-mw, and SC-dependent
+// workloads are refused.
 func TestExploreLRCDRF(t *testing.T) {
 	rep, err := Explore(Options{Protocol: "lrc", Workload: "drf", Seed: 1, Schedules: 25, ExploreSeed: 7})
 	if err != nil {

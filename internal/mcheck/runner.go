@@ -26,7 +26,7 @@ const Watchdog = 120 * sim.Second
 
 // Options configures one exploration campaign.
 type Options struct {
-	Protocol string // "millipage", "millipage-repl", "ivy", "lrc", or "lrc-mw"
+	Protocol string // "millipage", "millipage-repl", "ivy" or "lrc-mw"
 	Workload string // a Workloads key: "swmr", "mp", "dekker", "drf", "merge", "failover", "drf-nolock"
 	Faults   string // a fault preset name (FaultPresets), or "" for a clean network
 	Hosts    int    // 0 = the workload's default

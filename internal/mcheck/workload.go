@@ -21,7 +21,7 @@ type workloadRun struct {
 type workloadSpec struct {
 	defaultHosts int
 	fixedHosts   bool // body shape requires exactly defaultHosts
-	sc           bool // requires sequential consistency (not runnable under lrc)
+	sc           bool // requires sequential consistency (not runnable under lrc-mw)
 	repl         bool // exercises replicated management (millipage-repl only)
 	build        func(hosts int, seed int64) workloadRun
 }
@@ -59,7 +59,7 @@ var workloads = map[string]workloadSpec{
 		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 	// drf: the barrier/lock-structured agreement program; runnable
-	// under all three protocols, LRC included.
+	// under every protocol, LRC included.
 	"drf": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.DRF{Hosts: hosts, Rounds: 2, LockReps: 2}
 		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}

@@ -32,7 +32,8 @@ type cell struct {
 // internal/cluster — the program mallocs on host 0 and locks and
 // barriers from every host; the ivy cells when ivy became millipage's
 // page-grain, HomeMod preset. A protocol that reports anything else has
-// changed behaviour, not just shape.
+// changed behaviour, not just shape. The "lrc" alias's cells must match
+// lrc-mw's.
 var pinned = map[string]cell{
 	"millipage/1":        {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 995664, 87, 48},
 	"millipage/1/chunk4": {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 995664, 87, 48},
@@ -46,12 +47,6 @@ var pinned = map[string]cell{
 	"ivy/2/chunk4":       {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 4990240, 587, 262},
 	"ivy/8":              {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 21706424, 3156, 1294},
 	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 21706424, 3156, 1294},
-	"lrc/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 957664, 87, 48},
-	"lrc/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 957664, 87, 48},
-	"lrc/2":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 3561121, 430, 190},
-	"lrc/2/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 3145735, 393, 172},
-	"lrc/8":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 10991522, 5661, 1798},
-	"lrc/8/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 8263725, 3069, 1042},
 	"lrc-mw/1":           {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 1338282, 87, 55},
 	"lrc-mw/1/chunk4":    {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 1343783, 87, 55},
 	"lrc-mw/2":           {cluster.Totals{Invalidations: 3, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 2863286, 357, 161},
@@ -60,19 +55,22 @@ var pinned = map[string]cell{
 	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 11798715, 4077, 1520},
 }
 
-// TestEveryProtocolBuildsRunsAndCounts: every registered name builds at
-// 1, 2 and 8 hosts and chunk levels 1 and 4, runs the DRF agreement
-// program to its oracle, and reports the pinned cell.
+// TestEveryProtocolBuildsRunsAndCounts: every registered name, and the
+// "lrc" alias, builds at 1, 2 and 8 hosts and chunk levels 1 and 4, runs
+// the DRF agreement program to its oracle, and reports the pinned cell of
+// the protocol it names.
 func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 	if got := len(registry.Names()) * 3 * 2; got != len(pinned) {
 		t.Fatalf("%d protocol x host x chunk cells, %d pinned: pin the new protocol's cells", got, len(pinned))
 	}
-	for _, name := range registry.Names() {
+	for _, name := range append(registry.Names(), "lrc") {
+		spec, _ := registry.Lookup(name)
 		for _, hosts := range []int{1, 2, 8} {
 			for _, chunk := range []int{1, 4} {
-				id := fmt.Sprintf("%s/%d", name, hosts)
+				id, pin := fmt.Sprintf("%s/%d", name, hosts), fmt.Sprintf("%s/%d", spec.Name, hosts)
 				if chunk != 1 {
 					id += fmt.Sprintf("/chunk%d", chunk)
+					pin += fmt.Sprintf("/chunk%d", chunk)
 				}
 				t.Run(id, func(t *testing.T) {
 					rec := trace.NewRecorder(16)
@@ -90,8 +88,8 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 					}
 					rt := sys.Runtime()
 					got := cell{sys.Totals(), rt.Elapsed(), rt.Eng.Counters().Events, rec.Total()}
-					if got != pinned[id] {
-						t.Fatalf("got  %+v\nwant %+v", got, pinned[id])
+					if got != pinned[pin] {
+						t.Fatalf("got  %+v\nwant %+v", got, pinned[pin])
 					}
 				})
 			}
@@ -105,7 +103,8 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 // ignored. In force is observed, not assumed: a page grain packs the two
 // cells into one sharing unit, a HomeOf gets asked, replication sends
 // mirrors, two threads a host run twice the bodies. ivy's grain and HomeOf
-// are its preset, so it refuses both and runs replication without one.
+// are its preset, so it refuses both and runs replication without one. The
+// "lrc" alias answers as lrc-mw does.
 func TestOptionMatrix(t *testing.T) {
 	const hosts = 3
 	asked := 0
@@ -127,7 +126,7 @@ func TestOptionMatrix(t *testing.T) {
 		{"two-threads-a-host", []string{"ThreadsPerHost"}, func(o *registry.Options) { o.ThreadsPerHost = 2 },
 			func(_ cluster.Totals, bodies int) bool { return bodies == 2*hosts }},
 	}
-	for _, name := range registry.Names() {
+	for _, name := range append(registry.Names(), "lrc") {
 		for _, oc := range options {
 			t.Run(name+"/"+oc.name, func(t *testing.T) {
 				opt := registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 1}
@@ -173,15 +172,15 @@ func TestOptionMatrix(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	for name, want := range map[string]string{"": "millipage", "Millipage": "millipage", "LRC-MW": "lrc-mw", "ivy": "ivy"} {
+	for name, want := range map[string]string{"": "millipage", "Millipage": "millipage", "LRC-MW": "lrc-mw", "ivy": "ivy", "LRC": "lrc-mw"} {
 		sp, err := registry.Lookup(name)
 		if err != nil || sp.Name != want {
 			t.Errorf("Lookup(%q) = %q, %v; want %q", name, sp.Name, err, want)
 		}
 	}
 	// The consistency contract is the registry's to state: SC for the two
-	// invalidation protocols, DRF-SC for the two release-consistent ones.
-	for name, sc := range map[string]bool{"millipage": true, "ivy": true, "lrc": false, "lrc-mw": false} {
+	// invalidation protocols, DRF-SC for the release-consistent one.
+	for name, sc := range map[string]bool{"millipage": true, "ivy": true, "lrc-mw": false} {
 		if sp, _ := registry.Lookup(name); sp.SC != sc {
 			t.Errorf("%s: SC = %v, want %v", name, sp.SC, sc)
 		}
@@ -190,12 +189,30 @@ func TestLookup(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown protocol built")
 	}
-	for _, name := range registry.Names() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list %s", err, name)
-		}
+	if want := `unknown protocol "treadmarks" (want one of millipage, ivy, lrc-mw)`; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
 	}
 	if sys, err := registry.New("lrc", registry.Options{Hosts: 0, SharedSize: 4096}); err == nil || sys != nil {
 		t.Fatalf("New with a bad option = %v, %v; want a nil System and an error", sys, err)
+	}
+}
+
+// TestLRCIsAnAliasOfLRCMW: "lrc" builds lrc-mw, so one run of the DRF
+// agreement program ends at the same virtual time with the same counters
+// under either name.
+func TestLRCIsAnAliasOfLRCMW(t *testing.T) {
+	var got [2]cell
+	for i, name := range []string{"lrc", "lrc-mw"} {
+		sys, err := registry.New(name, registry.Options{Hosts: 4, SharedSize: 1 << 16, Views: 8, ChunkLevel: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Run((&check.DRF{Hosts: 4, Rounds: 3, LockReps: 2}).Body); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = cell{Totals: sys.Totals(), Elapsed: sys.Runtime().Elapsed()}
+	}
+	if got[0] != got[1] {
+		t.Fatalf("lrc %+v, lrc-mw %+v", got[0], got[1])
 	}
 }

@@ -139,7 +139,6 @@ func Scenarios() []Scenario {
 		smokeMW,
 		base("base-millipage", "millipage"),
 		base("base-ivy", "ivy"),
-		base("base-lrc", "lrc"),
 		base("base-lrc-mw", "lrc-mw"),
 		million,
 		ntTimers,

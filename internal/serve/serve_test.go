@@ -165,7 +165,7 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestProtocolMatrix runs one small scenario under all four protocols:
+// TestProtocolMatrix runs one small scenario under every protocol:
 // the oracle must hold everywhere, and the per-protocol latency
 // profiles must be the profiles of different protocols (the LRC pair
 // acquires the bucket lock on every GET; the SC pair does not).
@@ -175,9 +175,9 @@ func TestProtocolMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Ops = 1500
-	for _, proto := range []string{"millipage", "ivy", "lrc", "lrc-mw"} {
+	for _, proto := range []string{"millipage", "ivy", "lrc-mw"} {
 		res := runProto(t, sc, proto)
-		wantLocked := proto == "lrc" || proto == "lrc-mw"
+		wantLocked := proto == "lrc-mw"
 		gotLocked := res.Report.LockAcquisitions >= res.Ops
 		if wantLocked != gotLocked {
 			t.Errorf("%s: locks=%d for %d ops; lockedReads misrouted", proto, res.Report.LockAcquisitions, res.Ops)
@@ -308,8 +308,8 @@ func TestScenarioTable(t *testing.T) {
 		}
 	}
 	// What a protocol cannot run is the kernel's to reject, by field name.
-	if _, err := Run(Scenario{Protocol: "lrc", Hosts: 2, Keys: 8, Buckets: 2, Clients: 2, Rate: 1000, Ops: 4, Replicated: true}); err == nil ||
+	if _, err := Run(Scenario{Protocol: "lrc-mw", Hosts: 2, Keys: 8, Buckets: 2, Clients: 2, Rate: 1000, Ops: 4, Replicated: true}); err == nil ||
 		!strings.Contains(err.Error(), "Replication") {
-		t.Errorf("Replicated under lrc: %v, want the kernel's Replication error", err)
+		t.Errorf("Replicated under lrc-mw: %v, want the kernel's Replication error", err)
 	}
 }

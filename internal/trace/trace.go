@@ -48,7 +48,7 @@ var opNames []string
 
 // RegisterOps appends a message table's operation names to the shared
 // registry and returns the code of its first entry. Each table (dsm's,
-// lrc's, lrc-mw's, the kernel's services) registers once from an init
+// lrc-mw's, the kernel's services) registers once from an init
 // function and records events as base+op, so they coexist in one binary
 // without clobbering each other's names.
 func RegisterOps(names []string) uint16 {

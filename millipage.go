@@ -73,25 +73,23 @@ type Config struct {
 	//	        PageGranularity and HomeBasedManagement as its preset,
 	//	        so it rejects either set here; Views and ChunkLevel have
 	//	        no meaning at page grain.
-	//	"lrc"       — home-based lazy release consistency over minipages
-	//	        (internal/lrc): twins and diffs, updates propagate at
-	//	        acquires and barriers. Programs must be data-race-free
-	//	        (synchronize through Barrier/Lock, never by spinning on
-	//	        shared memory).
-	//	"lrc-mw"    — true multiple-writer LRC (internal/lrc): per-host
+	//	"lrc-mw"    — multiple-writer lazy release consistency over
+	//	        minipages (internal/lrc): twins and diffs, per-host
 	//	        vector timestamps partition execution into intervals,
 	//	        write notices piggyback on lock grants and barrier
 	//	        releases, and an acquire invalidates only minipages with
 	//	        a causally newer write — the diffs are fetched lazily
-	//	        from the writers on the next fault. Same DRF contract as
-	//	        "lrc".
+	//	        from the writers on the next fault. Programs must be
+	//	        data-race-free (synchronize through Barrier/Lock, never
+	//	        by spinning on shared memory). "lrc" is an alias: it
+	//	        named a single-writer variant, since deleted.
 	//
 	// All protocols run the same Worker API on the same simulated
 	// substrate, so apps and benchmarks sweep protocols by changing only
 	// this field. PageGranularity, HomeBasedManagement and
 	// ManagerReplication are the millipage directory's policy: ivy fixes
-	// the first two, and lrc and lrc-mw fix their own sharing grain and
-	// placement and reject all three.
+	// the first two, and lrc-mw fixes its own sharing grain and placement
+	// and rejects all three.
 	Protocol string
 
 	// Hosts is the number of machines (the paper's cluster has 8).
@@ -214,8 +212,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return &Cluster{protocol: spec.Name, sys: sys}, nil
 }
 
-// Protocol returns the protocol this cluster runs ("millipage", "ivy",
-// "lrc" or "lrc-mw").
+// Protocol returns the protocol this cluster runs ("millipage", "ivy" or
+// "lrc-mw").
 func (c *Cluster) Protocol() string { return c.protocol }
 
 // EngineCounters reports the event engine's deterministic work counts

@@ -51,19 +51,17 @@ func TestNewClusterValidation(t *testing.T) {
 		// or be ignored (the rest): reject it under every protocol.
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
-		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: -1}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
-		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
+		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ChunkLevel: -1}, []string{"ChunkLevel"}},
 		// Only millipage and its ivy preset run several threads per host.
-		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, ThreadsPerHost: 2}, []string{"ThreadsPerHost"}},
 		// The host range holds under every protocol.
 		{millipage.Config{Protocol: "ivy", Hosts: 0, SharedMemory: 1 << 16}, []string{"Hosts"}},
-		{millipage.Config{Protocol: "lrc", Hosts: 1025, SharedMemory: 1 << 16}, []string{"Hosts"}},
+		{millipage.Config{Protocol: "lrc-mw", Hosts: 1025, SharedMemory: 1 << 16}, []string{"Hosts"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: -1, SharedMemory: 1 << 16}, []string{"Hosts"}},
 		// Replicated management: millipage, home-based.
-		{millipage.Config{Protocol: "lrc", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true,
+		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true,
 			ManagerReplication: true}, []string{"Replication"}},
 		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ManagerReplication: true}, []string{"Replication", "HomeBased"}},
 		// ivy is millipage at page grain with HomeMod: both are its preset.
