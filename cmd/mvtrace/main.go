@@ -117,7 +117,7 @@ func main() {
 			sys.ManagerStatsTotal().CompetingRequests)
 	case *lrc.MWSystem:
 		st := sys.Stats()
-		fmt.Printf("\nfetches: %d  diff fetches: %d  notices: %d  invalidations: %d  twins made: %d\n",
-			st.Fetches, st.DiffFetches, st.Notices, st.Invalidations, st.TwinsMade)
+		fmt.Printf("\nfetches: %d  diffs sent: %d  notices: %d  invalidations: %d  twins made: %d\n",
+			st.Fetches, st.DiffsSent, st.Notices, st.Invalidations, st.TwinsMade)
 	}
 }

@@ -110,8 +110,8 @@ func AblationLRC(w io.Writer, hosts, slots, iters, chunk int) error {
 	}
 	fmt.Fprintln(w, "(expected: SC-chunked ping-pongs; LRC-MW absorbs the intra-minipage false")
 	fmt.Fprintln(w, " sharing while keeping the chunked layout's lower minipage count, merging")
-	fmt.Fprintln(w, " concurrent twins with run-length diffs and paying the calibrated twin/diff")
-	fmt.Fprintln(w, " costs instead of whole-minipage refetches)")
+	fmt.Fprintln(w, " concurrent twins' run-length diffs at the homes and paying the calibrated")
+	fmt.Fprintln(w, " twin/diff costs instead of a whole-minipage transfer per write fault)")
 	return nil
 }
 

@@ -57,11 +57,11 @@ func TestE2EAllocsRegression(t *testing.T) {
 		{"E2ESOR8", false, "the end-to-end acceptance workload: a leaked fast path, a pool gated off, " +
 			"per-message garbage reintroduced"},
 		{"E2EWATER8MW", false, "lrc-mw's protocol state, which no other row runs: every lock release closes an " +
-			"interval that is held for two barriers, so whatever is allocated per interval, per notice or " +
-			"per (host, minipage) never reaches a freelist's steady state inside a run. Closed intervals " +
-			"live in per-epoch arenas and per-minipage state in one dense table; a twin, an encoding or a " +
-			"notice list allocated per release goes past the fence (a pooled record and a map per interval, " +
-			"the design before the arenas, sat at 1.94x this pin: the fence is for what is worse than that)"},
+			"interval whose notice is held for two barriers, so whatever is allocated per interval, per notice or " +
+			"per (host, minipage) never reaches a freelist's steady state inside a run. Notice lists live in " +
+			"per-epoch arenas, diff encodings in one reused scratch a host and per-minipage state in one dense " +
+			"table; a twin, an encoding or a notice list allocated per release goes past the fence (a pooled " +
+			"record and a map per interval, an earlier design, sat at 1.94x the pin this row had then)"},
 		{"E2ESOR64", true, "the footprint gate: 64 hosts each map the whole shared image n+1 times and touch " +
 			"little beyond their own band of rows, so bytes/op stays near the pin only while memory objects " +
 			"are demand-zero and page-table entries packed; an eagerly allocated image per host (75 MB/op " +

@@ -123,8 +123,8 @@ func TestChaosDRFOracle(t *testing.T) {
 // under every fault schedule, for every protocol: concurrent writers to
 // disjoint bytes of one minipage, separated by barriers, must converge
 // on the oracle state no matter what the wire does. Under lrc-mw this
-// drives twin creation, diff flushes and lazy diff fetches through
-// drops, partitions and crash/restart windows.
+// drives twin creation, diff flushes and home fetches through drops,
+// partitions and crash/restart windows.
 func TestChaosConcurrentMerge(t *testing.T) {
 	const hosts = 4
 	for _, pr := range protocols() {

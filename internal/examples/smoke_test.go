@@ -27,7 +27,7 @@ var exampleSmoke = []struct {
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
 		"millipage": {elapsedNS: 18513564, digest: 0xb72a594aa3712b99},
 		"ivy":       {elapsedNS: 22327884, digest: 0xc57a633e9fab918e},
-		"lrc-mw":    {elapsedNS: 13677218, digest: 0x6188b8bf20720928},
+		"lrc-mw":    {elapsedNS: 11788110, digest: 0x43d0cf19537a556b},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
 		"millipage": {elapsedNS: 42890570, digest: 0xf3da425141b65a59},
@@ -42,7 +42,7 @@ var exampleSmoke = []struct {
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
 		"millipage": {elapsedNS: 27255393, digest: 0xab83f08930399638},
 		"ivy":       {elapsedNS: 45559278, digest: 0xead0c6394f458e07},
-		"lrc-mw":    {elapsedNS: 23664798, digest: 0x918e57319c1c1a06},
+		"lrc-mw":    {elapsedNS: 22772941, digest: 0x0f4a5dfd954abd5d},
 	}},
 }
 

@@ -56,22 +56,30 @@ import (
 // and Options alias gone (lrc 1,422 -> 1,018); the kernel's
 // Consistency and NoticeLog hooks, with lrc-mw their one implementer,
 // became one interface (cluster 1,852 -> 1,846).
+//
+// lrc-mw became home-based (lrc 1,018 -> 801): every fault on a missing
+// or invalidated copy is one fetch from the home, so the lazy per-writer
+// diff path went — the diff request and reply rows, the merge, the
+// three-generation diff store with its interval GC, the per-minipage
+// pending-notice and seen rows with their slabs, the coordinator's
+// notice stamp (nothing ordered merges by it any more), the lazy path's
+// four counters and ReadFault, which nothing read.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
 	{"cluster", 1846},
 	{"dsm", 2239},
-	{"lrc", 1018},
+	{"lrc", 801},
 }
 
 // kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once single-writer lrc was deleted and one SC and
-// one DRF-SC implementation remained: ROADMAP item 4's goal was 5,523,
-// 10 % under the 6,137 the packages (ivy's 398 included) had before the
-// kernel refactor began. A change that takes the kernel past it fails,
+// to what it stood at once lrc-mw became home-based (5,103 when one SC
+// and one DRF-SC implementation first remained; the kernel refactor's
+// goal was 5,523, 10 % under the 6,137 the packages, ivy's 398 included,
+// had before it began). A change that takes the kernel past it fails,
 // whatever the per-package ceilings.
-const kernelTarget = 5103
+const kernelTarget = 4886
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -53,11 +53,11 @@ func mwArmedAllocsPerOp(t *testing.T, op func(th *MWThread, cells [2]uint64, i i
 // TestMWArmedFaultPingPongAllocFree: with a fault plan armed, each host
 // writing the other's minipage every round — a twin, a diff flushed to
 // the home and acked, a write notice through the coordinator, an
-// invalidation and a lazy diff fetch on the next read — allocates
-// nothing once the pools and arenas are warm: headers and twins come
-// from the same freelists as on the clean wire, diff encodings and
-// notice lists lie in the generation arenas, which have reached their
-// working size after three barriers.
+// invalidation and a home fetch on the next read — allocates nothing
+// once the pools and arenas are warm: headers, twins and fetched bytes
+// come from the same freelists as on the clean wire, diff encodings lie
+// in the host's reused scratch and notice lists in the epoch arenas,
+// which have reached their working size after two barriers.
 func TestMWArmedFaultPingPongAllocFree(t *testing.T) {
 	avg := mwArmedAllocsPerOp(t, func(th *MWThread, cells [2]uint64, i int) {
 		th.WriteU32(cells[1-th.Host()], uint32(i))

@@ -10,12 +10,10 @@
 // a release closes the interval by diffing the dirty minipages against
 // their twins; and a write notice (creator, interval, minipage ids) is
 // what propagates at synchronization, not the data. An acquire
-// invalidates only the minipages named by a causally newer notice; the
-// diffs themselves are fetched lazily from the writers on the next fault
-// and merged in vector-time order, so two hosts writing disjoint bytes
-// of one minipage never ping-pong and never invalidate third parties.
-// Data-race-free programs observe the same results as under sequential
-// consistency.
+// invalidates only the minipages named by a causally newer notice, so
+// two hosts writing disjoint bytes of one minipage never ping-pong and
+// never invalidate third parties. Data-race-free programs observe the
+// same results as under sequential consistency.
 //
 // The protocol reuses the whole Millipage substrate: the shared cluster
 // runtime (internal/cluster), the MultiView region and privileged view
@@ -27,30 +25,28 @@
 //
 // Realization choices, sized for the simulated testbed:
 //
-//   - Home-assisted: every interval's diffs are also flushed to each
-//     minipage's home and acked *before* the releaser's notice can
-//     circulate. The home is therefore always current for every notice
-//     any host can have seen, which gives garbage collection a fallback:
-//     a fetcher whose lazy diff request names a purged interval refetches
-//     the whole minipage from home instead.
+//   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96): every interval's
+//     diffs are flushed to each minipage's home and acked *before* the
+//     releaser's notice can circulate, so the home is current for every
+//     notice any host can have seen. A fault on a missing or invalidated
+//     copy is one fetch of the whole minipage from its home; a dirty
+//     copy lays its own writes back over the home's bytes and re-twins
+//     from them, so its next diff still holds only its own writes.
 //   - Notices flow through the host-0 coordinator, piggybacked on lock
-//     grants and barrier releases. The coordinator stamps each logged
-//     notice with a global sequence (a valid linear extension of
-//     happens-before, since every release's notice reaches the
-//     coordinator before any acquire it precedes is granted), and hands
+//     grants and barrier releases. The coordinator's log order is a valid
+//     linear extension of happens-before (every release's notice reaches
+//     the coordinator before any acquire it precedes is granted); it hands
 //     an acquirer every logged notice newer than its vector clock — a
 //     conservative superset of the happens-before requirement, which is
 //     sound for the data-race-free programs LRC covers.
 //   - Garbage collection: the coordinator clears its notice log at every
 //     barrier (all vector clocks converge to the global max, so nothing
 //     logged earlier can ever be granted again), and each host keeps its
-//     closed intervals in three generations — this barrier epoch's, the
-//     last one's and the one before — and drops the oldest at every
-//     barrier; purged intervals trigger the home-fetch fallback above.
+//     notices' minipage lists in two arenas — this barrier epoch's and
+//     the last one's — and resets the older at every barrier.
 package lrc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -71,32 +67,14 @@ const (
 	mwFetchData
 	mwDiffFlush
 	mwDiffAck
-	mwDiffReq
-	mwDiffReply
 )
 
-// mwNotice is a write notice as created at a release: one closed
-// interval and the minipages it modified.
+// mwNotice is a write notice: one closed interval and the minipages it
+// modified.
 type mwNotice struct {
 	Creator int
 	Seq     uint64 // the creator's vector-clock component for this interval
 	MPs     []int  // minipage ids modified in the interval, sorted
-}
-
-// mwCNotice is a write notice as logged by the coordinator, stamped with
-// the global sequence number that linearizes happens-before.
-type mwCNotice struct {
-	mwNotice
-	VTSum uint64
-}
-
-// mwDiffOut is one interval's diff for one minipage, as served by its
-// creator to a lazy fetcher. Purged means the creator has garbage-
-// collected the interval; the fetcher falls back to a full home fetch.
-type mwDiffOut struct {
-	Seq    uint64
-	Enc    []byte
-	Purged bool
 }
 
 // mwDataMarker is the shared payload of every bulk mwFetchData message.
@@ -112,10 +90,6 @@ type mwmsg struct {
 	Diff []byte // encoded run-length diff (mwDiffFlush)
 
 	FW *cluster.Wait
-
-	MP       int         // minipage id (mwDiffReq, mwDiffReply)
-	Seqs     []uint64    // requested interval seqs (mwDiffReq)
-	DiffsOut []mwDiffOut // served diffs (mwDiffReply)
 }
 
 // mwSync is what the protocol piggybacks on the kernel's synchronization
@@ -125,56 +99,32 @@ type mwmsg struct {
 type mwSync struct {
 	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
 
-	VC      []uint64    // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
-	Notice  mwNotice    // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
-	Epoch   *MWHost     // the releaser, whose epoch's notices ride along (BARRIER_ARRIVE)
-	Notices []mwCNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
-	MaxVC   []uint64    // converged clock (BARRIER_RELEASE)
+	VC      []uint64   // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
+	Notice  mwNotice   // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
+	Epoch   *MWHost    // the releaser, whose epoch's notices ride along (BARRIER_ARRIVE)
+	Notices []mwNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
+	MaxVC   []uint64   // converged clock (BARRIER_RELEASE)
 }
 
-// mwGen holds the intervals a host closed in one barrier epoch, kept for
-// lazy serving until garbage collection. It is flat: interval i's diffs
-// are ents[spans[i][0]:spans[i][1]], sorted by minipage, each an encoding
-// in bytes; mps backs the minipage lists of the intervals' write notices.
-// Home flushes, diff replies and logged notices alias the two arenas, and
-// the creator is their one owner: a closed interval is never written,
-// growth by append leaves the old backing array intact, and gcIntervals
-// resets a generation two barriers after its epoch — a barrier drains
-// every flush, reply and granted notice in flight.
-type mwGen struct {
-	spans [][2]int
-	ents  []mwEnt
-	bytes []byte
-	mps   []int
+// mwEpoch holds the intervals a host closed in one barrier epoch: the
+// minipage lists of their write notices, flat. Logged and granted
+// notices alias the arena, and the creator is its one owner: a closed
+// interval's list is never written, growth by append leaves the old
+// backing array intact, and the arena is reset two barrier releases
+// after its epoch's — by then every host has consumed the epoch's grants
+// and releases, a release carried down the barrier tree included.
+type mwEpoch struct {
+	ends []int // interval i's list is mps[ends[i-1]:ends[i]], the first's from 0
+	mps  []int
 }
-
-// mwEnt locates one minipage's encoded diff, bytes[off:end] of its mwGen.
-type mwEnt struct{ mp, off, end int }
 
 // mwMP is what a host keeps for one minipage, in MWHost.mps by id. It
 // holds two Infos because a chunked minipage grows with each allocation.
 type mwMP struct {
-	twin []byte      // the twin while the minipage is dirty, else nil
-	info core.Info   // as of the twin
-	copy core.Info   // the non-home local copy, as of its fetch; Size 0 if none
-	seen []uint64    // per-creator interval floor the copy reflects
-	pend []pendEntry // notices invalidated but not yet merged
-}
-
-// pendCap is the capacity of a minipage's first pend slice; a full one
-// moves to a piece twice its size.
-const pendCap = 8
-
-// carve cuts n zeroed elements, capacity clipped, off the front of
-// *slab, which it refills 256 elements at a time: one allocation serves
-// many minipages' rows instead of one each.
-func carve[T any](slab *[]T, n int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(n, 256))
-	}
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return s
+	twin  []byte    // the twin while the minipage is dirty, else nil
+	info  core.Info // as of the twin
+	copy  core.Info // the non-home local copy, as of its fetch; Size 0 if none
+	stale bool      // invalidated by a write notice since the fetch
 }
 
 // mwFlush is one eager home flush staged by a release.
@@ -184,36 +134,15 @@ type mwFlush struct {
 	enc  []byte
 }
 
-// mwFetched is one lazily fetched interval diff awaiting its
-// vector-time-ordered merge.
-type mwFetched struct {
-	vtsum uint64
-	enc   []byte
-}
-
-// pendEntry records one write notice a host has applied to its page
-// tables (the minipage is invalidated) but whose diff it has not yet
-// fetched.
-type pendEntry struct {
-	vtsum   uint64
-	creator int
-	seq     uint64
-}
-
 // MWStats aggregates multi-writer protocol activity across the run.
 type MWStats struct {
-	Fetches       uint64 // full minipage fetches from homes
-	DiffFetches   uint64 // lazy diff requests to writers
-	DiffsFetched  uint64 // interval diffs served by those requests
-	HomeFallbacks uint64 // lazy fetches that hit a purged interval
-	DiffsSent     uint64 // eager diff flushes to homes
+	Fetches       uint64 // minipage fetches from homes
+	DiffsSent     uint64 // diff flushes to homes
 	DiffBytes     uint64
 	TwinsMade     uint64
 	WriteFault    uint64
-	ReadFault     uint64
 	Invalidations uint64 // minipages invalidated by write notices
 	Notices       uint64 // write notices logged at the coordinator
-	IntervalsGCed uint64 // closed intervals purged at barriers
 }
 
 // MWSystem is a multi-writer LRC cluster. Host 0 keeps the write-notice
@@ -227,11 +156,10 @@ type MWSystem struct {
 	homes []int // minipage id -> home host
 
 	// Coordinator state (host 0 only).
-	log     []mwCNotice // append-only between barriers, cleared at each
-	logPrev []int       // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
-	logLast []int       // per creator: position of its latest notice, or -1 (Seq rises along each chain)
-	vtctr   uint64      // global notice stamp; monotone across clears
-	maxvc   []uint64    // barrier-episode scratch; every release shares it
+	log     []mwNotice // append-only between barriers, cleared at each
+	logPrev []int      // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
+	logLast []int      // per creator: position of its latest notice, or -1 (Seq rises along each chain)
+	maxvc   []uint64   // barrier-episode scratch; every release shares it
 
 	// The cluster's freelists, shared by every host: recycled protocol
 	// headers and twin/snapshot buffers.
@@ -250,11 +178,9 @@ type MWSystem struct {
 // frame never reaches a handler, so it cannot expose a recycled header.
 func (h *MWHost) allocMW() *mwmsg { return h.sys.freeMW.Get() }
 
-// recycleMW returns a fully consumed pooled header to the freelist,
-// keeping its slice capacities for reuse.
+// recycleMW returns a fully consumed pooled header to the freelist.
 func (h *MWHost) recycleMW(m *mwmsg) {
-	clear(m.DiffsOut)
-	*m = mwmsg{Seqs: m.Seqs[:0], DiffsOut: m.DiffsOut[:0]}
+	*m = mwmsg{}
 	h.sys.freeMW.Put(m)
 }
 
@@ -293,29 +219,20 @@ type MWHost struct {
 	// faulted on. Only a fault grows it, and a host runs one application
 	// thread, so a *mwMP holds until that thread's next fault; the server
 	// thread checks the bound and never grows it.
-	mps      []mwMP
-	dirty    []int    // minipages with a twin, in twinning order; sorted at release
-	seenSlab []uint64 // what the mwMP.seen rows and pend slices are carved from
-	pendSlab []pendEntry
+	mps   []mwMP
+	dirty []int // minipages with a twin, in twinning order; sorted at release
 
-	// Own closed intervals by barrier epoch — gens[2] the current one,
-	// gens[1] the last, gens[0] the one before — with seqs rising from
-	// ivalBase+1 through them in that order.
-	gens      [3]mwGen
-	ivalBase  uint64 // intervals with seq <= ivalBase are purged
-	floorPrev uint64 // GC floor: own seq as of two barriers ago
-	floorCur  uint64 // own seq as of the last barrier
+	// Own closed intervals by barrier epoch: epochs[1] the current one,
+	// epochs[0] the last.
+	epochs [2]mwEpoch
 
 	flushAwait int
 	flushDone  *sim.Event
 
-	// diffReply hands the last diff reply from the message handler to the
-	// (single) application thread.
-	diffReply *mwmsg
-
-	// Steady-state scratch, reused across releases and merges.
-	relFlush   []mwFlush
-	mergeDiffs []mwFetched
+	// Steady-state scratch, reused across releases. The diffs' encodings
+	// are free again once every flush is acked, which release waits for.
+	relFlush []mwFlush
+	diffs    []byte
 }
 
 // NewMW builds a multi-writer LRC cluster: the runtime, the layout, the
@@ -395,7 +312,7 @@ func (h *MWHost) Mapped(p *sim.Proc, a cluster.Allocation) {
 }
 
 // describe gives the trace a header's minipage, address and home from its
-// info (zero for diff requests and replies, which name theirs by id).
+// info (zero for the bulk data marker, which has none).
 func (h *MWHost) describe(m *mwmsg) (int, uint64, int) {
 	if m.Info.Size == 0 {
 		return -1, 0, -1
@@ -410,9 +327,9 @@ func (h *MWHost) describe(m *mwmsg) (int, uint64, int) {
 // Table places the header in the protocol's message table (cluster.Msg).
 func (m *mwmsg) Table() (cluster.Table, int) { return mwTable, int(m.Type) }
 
-// HandleFault services read and write faults: merge pending write
-// notices (lazy diff fetch) or fetch from home if absent; on write, twin
-// and proceed — concurrent writers to one minipage never ping-pong.
+// HandleFault services read and write faults: fetch the minipage from its
+// home if the copy is missing or invalidated; on write, twin and proceed
+// — concurrent writers to one minipage never ping-pong.
 func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 	t := ctx.(*MWThread)
 	c := h.Costs()
@@ -434,11 +351,10 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 		if home == h.ID() {
 			return fmt.Errorf("lrc-mw: home minipage %d unmapped at its home %d", mp.ID, h.ID())
 		}
-		if f.Kind == vm.Read {
-			h.sys.stats.ReadFault++
-		}
-		if m.copy.Size == 0 || !t.mergePending(m, info) {
+		if m.twin == nil {
 			t.fetchFromHome(m, info, home)
+		} else {
+			t.fetchDirty(m, info, home)
 		}
 	}
 
@@ -468,112 +384,9 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 	return h.Region.Protect(info.Base, info.Size, want)
 }
 
-// mergePending fetches the diffs named by the minipage's pending write
-// notices from their creators, applies them in global vector-time order,
-// and reports success. A purged interval at any creator makes it return
-// false (after verifying the copy is clean), and the caller refetches
-// from home instead.
-func (t *MWThread) mergePending(m *mwMP, info core.Info) bool {
-	h := t.host
-	c := h.Costs()
-	p := t.Proc()
-	id, pend := info.ID, m.pend
-	if len(pend) == 0 {
-		// Invalidated with no pending notices cannot happen (pend and the
-		// NoAccess protection are set together), but a fresh never-fetched
-		// copy entry would land here; refetch to be safe.
-		return false
-	}
-	// Sorting by (creator, seq) groups the per-creator requests — creators
-	// ascending, seqs ascending within one — without staging them through
-	// per-call maps. Entries are unique, so the order is deterministic.
-	slices.SortFunc(pend, func(a, b pendEntry) int {
-		if c := cmp.Compare(a.creator, b.creator); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	diffs := h.mergeDiffs[:0]
-	for a := 0; a < len(pend); {
-		cr := pend[a].creator
-		b := a
-		for b < len(pend) && pend[b].creator == cr {
-			b++
-		}
-		h.sys.stats.DiffFetches++
-		fw := t.WaitSlot()
-		req := h.allocMW()
-		req.Type = mwDiffReq
-		req.From = h.ID()
-		req.MP = id
-		req.FW = fw
-		for k := a; k < b; k++ {
-			req.Seqs = append(req.Seqs, pend[k].seq)
-		}
-		t.call(cr, req, cluster.Blocking{For: "diff reply", FW: fw, Wake: c.ThreadWake})
-		reply := h.diffReply
-		h.diffReply = nil
-		for i, d := range reply.DiffsOut {
-			if d.Purged {
-				h.sys.stats.HomeFallbacks++
-				if m.twin != nil {
-					// Purge retention spans two barrier epochs and a dirty twin
-					// cannot survive a barrier, so a dirty minipage's pending
-					// notices are always younger than any purge. A full refetch
-					// here would destroy uncommitted local writes.
-					panic(fmt.Sprintf("lrc-mw: purged interval %d@%d for dirty minipage %d", d.Seq, cr, id))
-				}
-				h.mergeDiffs = diffs[:0]
-				h.recycleMW(reply)
-				return false
-			}
-			h.sys.stats.DiffsFetched++
-			// The reply serves the requested seqs in order, so entry i
-			// carries the diff for pend[a+i]'s notice.
-			diffs = append(diffs, mwFetched{vtsum: pend[a+i].vtsum, enc: d.Enc})
-		}
-		h.recycleMW(reply)
-		a = b
-	}
-	// vtsum is globally unique: the coordinator stamps each notice with a
-	// fresh counter value.
-	slices.SortFunc(diffs, func(a, b mwFetched) int { return cmp.Compare(a.vtsum, b.vtsum) })
-	h.mergeDiffs = diffs
-	cur := h.sys.freeBuf.Get(info.Size)
-	if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
-		panic(err)
-	}
-	twin := m.twin
-	for _, d := range diffs {
-		if err := twindiff.ApplyEncoded(cur, d.enc); err != nil {
-			panic(err)
-		}
-		if twin != nil {
-			// Patch the twin too, so this host's own eventual diff captures
-			// only its own writes.
-			if err := twindiff.ApplyEncoded(twin, d.enc); err != nil {
-				panic(err)
-			}
-		}
-		p.Sleep(twindiff.ApplyCost(len(d.enc)))
-	}
-	if err := h.Region.WritePriv(info.Base, cur); err != nil {
-		panic(err)
-	}
-	h.sys.freeBuf.Put(cur)
-	h.mergeDiffs = diffs[:0]
-	for _, pe := range pend { // m.seen is set: the copy these notices invalidated was fetched
-		if pe.seq > m.seen[pe.creator] {
-			m.seen[pe.creator] = pe.seq
-		}
-	}
-	m.pend = pend[:0] // keep the entry capacity for the next notice
-	return true
-}
-
-// fetchFromHome pulls the minipage's merged contents from its home (the
-// home is current for every notice this host can have seen, because
-// diffs are flushed and acked before any notice circulates).
+// fetchFromHome pulls the minipage's contents from its home (the home is
+// current for every notice this host can have seen, because diffs are
+// flushed and acked before any notice circulates).
 func (t *MWThread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
@@ -585,20 +398,62 @@ func (t *MWThread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	req.Info = info
 	req.FW = fw
 	t.call(home, req, cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
-	m.copy = info
-	if m.seen == nil {
-		m.seen = carve(&h.seenSlab, len(h.vc))
+	m.copy, m.stale = info, false
+}
+
+// fetchDirty refetches a dirty copy an acquire invalidated mid-interval —
+// the concurrent-writer case multi-writer exists for. It diffs the copy
+// against its twin, fetches the home's bytes, lays the local diff over
+// them and re-twins from the home's bytes at the minipage's current
+// extent, so the next release's diff still holds only this host's writes.
+func (t *MWThread) fetchDirty(m *mwMP, info core.Info, home int) {
+	h := t.host
+	p := t.Proc()
+	h.diffs = h.diffs[:0] // no release is in flight: it waits for its acks
+	local := t.diff(m)
+	t.fetchFromHome(m, info, home)
+	h.sys.freeBuf.Put(m.twin)
+	m.twin, m.info = h.sys.freeBuf.Get(info.Size), info
+	cur := h.sys.freeBuf.Get(info.Size)
+	if err := h.Region.ReadPrivInto(info.Base, m.twin); err != nil {
+		panic(err)
 	}
-	copy(m.seen, h.vc)
-	m.pend = m.pend[:0]
+	copy(cur, m.twin)
+	if err := twindiff.ApplyEncoded(cur, local); err != nil {
+		panic(err)
+	}
+	if err := h.Region.WritePriv(info.Base, cur); err != nil {
+		panic(err)
+	}
+	h.sys.freeBuf.Put(cur)
+	p.Sleep(twindiff.TwinCost(info.Size) + twindiff.ApplyCost(len(local)))
+}
+
+// diff appends dirty minipage m's writes since its twin to the host's diff
+// scratch and returns their encoding.
+func (t *MWThread) diff(m *mwMP) []byte {
+	h := t.host
+	cur := h.sys.freeBuf.Get(m.info.Size)
+	if err := h.Region.ReadPrivInto(m.info.Base, cur); err != nil {
+		panic(err)
+	}
+	t.Proc().Sleep(twindiff.CreateCost(m.info.Size))
+	off := len(h.diffs)
+	var err error
+	if h.diffs, err = twindiff.AppendDiff(h.diffs, m.twin, cur); err != nil {
+		panic(err) // minipages are sub-page: offsets always fit the header
+	}
+	h.sys.freeBuf.Put(cur)
+	return h.diffs[off:len(h.diffs):len(h.diffs)]
 }
 
 // release closes the current interval: diff every dirty minipage against
-// its twin, retain the diffs for lazy serving, flush non-home diffs to
-// their homes (acked before the caller may announce the interval), and
-// downgrade the dirty set to read-only so the next write opens a new
-// interval. Returns the interval's write notice, its MPs nil if no writes
-// happened since the last release.
+// its twin, flush non-home diffs to their homes (acked before the caller
+// may announce the interval), and downgrade the dirty set to read-only so
+// the next write opens a new interval — all but a copy an acquire has
+// invalidated, which stays inaccessible until its next fault refetches it.
+// Returns the interval's write notice, its MPs nil if no writes happened
+// since the last release.
 func (t *MWThread) release() mwNotice {
 	h := t.host
 	s := h.sys
@@ -609,44 +464,30 @@ func (t *MWThread) release() mwNotice {
 		return mwNotice{}
 	}
 	slices.Sort(h.dirty)
-	seq := h.vc[h.ID()] + 1
-	g := &h.gens[2]
-	if len(g.spans) == 0 {
+	e := &h.epochs[1]
+	if len(e.ends) == 0 {
 		// The epoch's first interval: nothing wrote through a stale alias
-		// since gcIntervals reset the arenas (checked under -tags invariants).
-		cluster.CheckPoison(g.bytes[:cap(g.bytes)])
-		cluster.CheckPoison(g.mps[:cap(g.mps)])
+		// since the barrier reset the arena (checked under -tags invariants).
+		cluster.CheckPoison(e.mps[:cap(e.mps)])
 	}
-	flushes, lo := h.relFlush[:0], len(g.ents)
+	flushes := h.relFlush[:0]
+	h.diffs = h.diffs[:0]
 	for _, id := range h.dirty {
 		m := &h.mps[id]
-		info, twin := m.info, m.twin
-		home := s.homes[id]
-		cur := h.sys.freeBuf.Get(info.Size)
-		if err := h.Region.ReadPrivInto(info.Base, cur); err != nil {
-			panic(err)
-		}
-		p.Sleep(twindiff.CreateCost(info.Size))
-		off := len(g.bytes)
-		var err error
-		if g.bytes, err = twindiff.AppendDiff(g.bytes, twin, cur); err != nil {
-			panic(err) // minipages are sub-page: offsets always fit the header
-		}
-		enc := g.bytes[off:len(g.bytes):len(g.bytes)]
-		g.ents = append(g.ents, mwEnt{mp: id, off: off, end: len(g.bytes)})
-		h.sys.freeBuf.Put(cur)
-		h.sys.freeBuf.Put(twin)
+		enc := t.diff(m)
+		h.sys.freeBuf.Put(m.twin)
 		m.twin = nil
-		p.Sleep(c.SetProt)
-		if err := h.Region.Protect(info.Base, info.Size, vm.ReadOnly); err != nil {
-			panic(err)
+		if !m.stale {
+			p.Sleep(c.SetProt)
+			if err := h.Region.Protect(m.info.Base, m.info.Size, vm.ReadOnly); err != nil {
+				panic(err)
+			}
 		}
-		if home != h.ID() {
-			flushes = append(flushes, mwFlush{home: home, info: info, enc: enc})
+		if home := s.homes[id]; home != h.ID() {
+			flushes = append(flushes, mwFlush{home: home, info: m.info, enc: enc})
 		}
 	}
-	g.spans = append(g.spans, [2]int{lo, len(g.ents)})
-	h.vc[h.ID()] = seq
+	h.vc[h.ID()]++
 	h.relFlush = flushes[:0]
 	if len(flushes) > 0 {
 		h.flushAwait = len(flushes)
@@ -669,27 +510,30 @@ func (t *MWThread) release() mwNotice {
 	}
 	// The notice's minipage list is retained by the coordinator's log (and
 	// shared by every granted copy) until the next barrier, so it cannot
-	// ride in per-release scratch; it lies in the generation's arena, whose
+	// ride in per-release scratch; it lies in the epoch's arena, whose
 	// two-barrier retention outlives every reader.
-	g.mps = append(g.mps, h.dirty...)
+	e.mps = append(e.mps, h.dirty...)
+	e.ends = append(e.ends, len(e.mps))
 	h.dirty = h.dirty[:0]
-	return h.epochNotice(len(g.spans) - 1)
+	return h.epochNotice(len(e.ends) - 1)
 }
 
 // epochNotice is the write notice of the i-th interval this host closed in
-// the current barrier epoch (gens[2]): its minipages lie in mps where its
-// diffs lie in ents.
+// the current barrier epoch.
 func (h *MWHost) epochNotice(i int) mwNotice {
-	g := &h.gens[2]
-	sp := g.spans[i]
-	return mwNotice{h.ID(), h.vc[h.ID()] - uint64(len(g.spans)-1-i), g.mps[sp[0]:sp[1]:sp[1]]}
+	e := &h.epochs[1]
+	lo, hi := 0, e.ends[i]
+	if i > 0 {
+		lo = e.ends[i-1]
+	}
+	return mwNotice{h.ID(), h.vc[h.ID()] - uint64(len(e.ends)-1-i), e.mps[lo:hi:hi]}
 }
 
 // acquire applies the write notices delivered with a lock grant or
 // barrier release, and a barrier's converged clock: advance the vector
 // clock, and invalidate exactly the minipages a causally newer notice
-// names — the diffs are fetched lazily on the next fault.
-func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
+// names — the next fault fetches them from their homes.
+func (t *MWThread) acquire(notices []mwNotice, maxvc []uint64) {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
@@ -709,11 +553,8 @@ func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 			} else if info.Size == 0 {
 				continue // no copy: nothing to invalidate, a future fetch sees the merge
 			}
-			if len(m.pend) == cap(m.pend) {
-				m.pend = append(carve(&h.pendSlab, max(pendCap, 2*cap(m.pend)))[:0], m.pend...)
-			}
-			m.pend = append(m.pend, pendEntry{vtsum: n.VTSum, creator: n.Creator, seq: n.Seq})
-			if len(m.pend) == 1 {
+			if !m.stale {
+				m.stale = true
 				h.sys.stats.Invalidations++
 				p.Sleep(c.SetProt)
 				if err := h.Region.Protect(info.Base, info.Size, vm.NoAccess); err != nil {
@@ -729,45 +570,12 @@ func (t *MWThread) acquire(notices []mwCNotice, maxvc []uint64) {
 	}
 }
 
-// gcIntervals purges this host's intervals that every other host has
-// provably merged or can refetch from home — anything two barrier epochs
-// old, which is the oldest generation — and makes its arenas the new
-// epoch's. Runs after each completed barrier.
-func (h *MWHost) gcIntervals() {
-	g := h.gens[0]
-	h.ivalBase += uint64(len(g.spans))
-	h.sys.stats.IntervalsGCed += uint64(len(g.spans))
-	if h.ivalBase != h.floorPrev {
-		panic(fmt.Sprintf("lrc-mw: host %d purged through interval %d, GC floor is %d", h.ID(), h.ivalBase, h.floorPrev))
-	}
-	cluster.Poison(g.bytes[:cap(g.bytes)])
-	cluster.Poison(g.mps[:cap(g.mps)])
-	h.gens = [3]mwGen{h.gens[1], h.gens[2], {g.spans[:0], g.ents[:0], g.bytes[:0], g.mps[:0]}}
-	h.floorPrev = h.floorCur
-	h.floorCur = h.vc[h.ID()]
-}
-
-// diffOf returns this host's diff of minipage mp in its interval seq for
-// a lazy fetcher; ok is false if the interval is purged.
-func (h *MWHost) diffOf(seq uint64, mp int) (enc []byte, ok bool) {
-	if seq <= h.ivalBase {
-		return nil, false
-	}
-	i := int(seq - h.ivalBase - 1)
-	for gi := range h.gens {
-		g := &h.gens[gi]
-		if i >= len(g.spans) {
-			i -= len(g.spans)
-			continue
-		}
-		ents := g.ents[g.spans[i][0]:g.spans[i][1]]
-		k, found := slices.BinarySearchFunc(ents, mp, func(e mwEnt, mp int) int { return cmp.Compare(e.mp, mp) })
-		if !found {
-			break
-		}
-		return g.bytes[ents[k].off:ents[k].end:ents[k].end], true
-	}
-	panic(fmt.Sprintf("lrc-mw: interval %d at host %d has no diff for noticed minipage %d", seq, h.ID(), mp))
+// newEpoch makes the last epoch's arena the new epoch's, poisoned, once a
+// barrier has completed.
+func (h *MWHost) newEpoch() {
+	e := h.epochs[0]
+	cluster.Poison(e.mps[:cap(e.mps)])
+	h.epochs = [2]mwEpoch{h.epochs[1], {e.ends[:0], e.mps[:0]}}
 }
 
 // Release is the release half of the consistency model
@@ -796,13 +604,13 @@ func (h *MWHost) Release(ctx any, m *cluster.SvcMsg) {
 // Acquire is the acquire half (cluster.Consistency): apply the write
 // notices piggybacked on the grant or release — only minipages with a
 // causally newer write are invalidated, everything else this host holds
-// stays mapped — and, past a barrier, converge the clock and
-// garbage-collect old intervals.
+// stays mapped — and, past a barrier, converge the clock and open a new
+// notice epoch.
 func (h *MWHost) Acquire(ctx any, m *cluster.SvcMsg) {
 	x := h.ext(m)
 	ctx.(*MWThread).acquire(x.Notices, x.MaxVC)
 	if m.Type == cluster.SvcBarrierRelease {
-		h.gcIntervals()
+		h.newEpoch()
 	}
 	h.recycleSync(m, x)
 }
@@ -813,7 +621,7 @@ func (h *MWHost) Released(m *cluster.SvcMsg) {
 	x := h.ext(m)
 	switch r := x.Epoch; {
 	case r != nil:
-		for i := range r.gens[2].spans {
+		for i := range r.epochs[1].ends {
 			h.logNotice(r.epochNotice(i))
 		}
 	case x.Notice.MPs != nil:
@@ -870,9 +678,9 @@ func (h *MWHost) Converged(arrivals []*cluster.SvcMsg) {
 	}
 }
 
-// logNotice stamps and appends a release's write notice at the
-// coordinator (host 0 only), unless a notice of its creator as new is
-// logged already: a barrier arrival's epoch repeats its unlocks'.
+// logNotice appends a release's write notice at the coordinator (host 0
+// only), unless a notice of its creator as new is logged already: a
+// barrier arrival's epoch repeats its unlocks'.
 func (h *MWHost) logNotice(n mwNotice) {
 	s := h.sys
 	if s.logLast == nil {
@@ -885,22 +693,21 @@ func (h *MWHost) logNotice(n mwNotice) {
 	if last >= 0 && s.log[last].Seq >= n.Seq {
 		return
 	}
-	s.vtctr++
 	h.sys.stats.Notices++
 	s.logPrev = append(s.logPrev, last)
 	s.logLast[n.Creator] = len(s.log)
-	s.log = append(s.log, mwCNotice{mwNotice: n, VTSum: s.vtctr})
+	s.log = append(s.log, n)
 }
 
 // newerThan appends to dst every logged notice newer than vector clock
-// vc, in log (VTSum) order. A creator's notices are logged in Seq order,
+// vc, in log order. A creator's notices are logged in Seq order,
 // so the ones vc has not seen are the tail of its chain, walked from
 // its latest notice back; the scan then starts at the earliest of those
 // instead of at the head of the log. A host's clock covers everything
 // its last grant delivered, so what lies past that point is new to it,
 // apart from its own releases: the cost is the notices emitted, not the
 // log's length.
-func (s *MWSystem) newerThan(dst []mwCNotice, vc []uint64) []mwCNotice {
+func (s *MWSystem) newerThan(dst []mwNotice, vc []uint64) []mwNotice {
 	start := len(s.log)
 	for c, i := range s.logLast {
 		for ; i >= 0 && s.log[i].Seq > vc[c]; i = s.logPrev[i] {
@@ -918,16 +725,14 @@ func (s *MWSystem) newerThan(dst []mwCNotice, vc []uint64) []mwCNotice {
 }
 
 // mwTable is the multi-writer message table (cluster.MsgTable). No handler
-// opens with a charge. Reply headers and acks only record themselves, a
-// diff request is answered from the arenas: those run in engine context.
+// opens with a charge. Reply headers and acks only record themselves:
+// those run in engine context.
 var mwTable = cluster.Register(cluster.MsgTable[*MWHost, *mwmsg]{Describe: (*MWHost).describe, Rows: []cluster.MsgSpec[*MWHost, *mwmsg]{
 	mwFetchReq:   {Name: "MW_FETCH_REQUEST", Handle: (*MWHost).fetch},
 	mwFetchReply: {Name: "MW_FETCH_REPLY", Handle: cluster.Park[*MWHost, *mwmsg], Engine: true},
 	mwFetchData:  {Name: "MW_FETCH_DATA", Handle: (*MWHost).fetchData},
 	mwDiffFlush:  {Name: "MW_DIFF_FLUSH", Handle: (*MWHost).diffFlush},
 	mwDiffAck:    {Name: "MW_DIFF_ACK", Handle: (*MWHost).diffAck, Engine: true},
-	mwDiffReq:    {Name: "MW_DIFF_REQUEST", Handle: (*MWHost).diffRequest, Engine: true},
-	mwDiffReply:  {Name: "MW_DIFF_REPLY", Handle: (*MWHost).diffReplied, Engine: true},
 }})
 
 // fetch ships the home's copy. Request headers turn around in place (the
@@ -983,7 +788,7 @@ func (h *MWHost) diffFlush(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.M
 	to := m.From
 	m.Type = mwDiffAck
 	m.From = h.ID()
-	m.Diff = nil // the encoding stays in the sender's arena
+	m.Diff = nil // the encoding stays in the sender's scratch
 	return h.Post(to, m)
 }
 
@@ -992,27 +797,5 @@ func (h *MWHost) diffAck(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Mes
 		h.flushDone.Set()
 	}
 	h.recycleMW(m)
-	return nil
-}
-
-// diffRequest serves a lazy fetcher the requested intervals' diffs of one
-// minipage, or Purged for those garbage-collected.
-func (h *MWHost) diffRequest(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
-	size := h.Costs().HeaderSize
-	for _, seq := range m.Seqs {
-		enc, ok := h.diffOf(seq, m.MP)
-		m.DiffsOut = append(m.DiffsOut, mwDiffOut{Seq: seq, Enc: enc, Purged: !ok})
-		size += len(enc)
-	}
-	to := m.From
-	m.Type = mwDiffReply
-	m.From = h.ID()
-	m.Seqs = m.Seqs[:0]
-	return h.PostSized(to, m, size)
-}
-
-func (h *MWHost) diffReplied(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
-	h.diffReply = m
-	m.FW.Ev.Set()
 	return nil
 }

@@ -1,12 +1,15 @@
 package lrc
 
 import (
-	"hash/fnv"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"millipage/internal/cluster"
 	"millipage/internal/sim"
+	"millipage/internal/twindiff"
 	"millipage/internal/vm"
 )
 
@@ -158,7 +161,7 @@ func TestChunkedLRCAgreesWithUnchunked(t *testing.T) {
 func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	// A write notice invalidates exactly the minipages it names: a third
 	// host's copy of an untouched minipage survives the barrier mapped,
-	// while its copy of the written one is invalidated and lazily merged.
+	// while its copy of the written one is invalidated and refetched.
 	s := newMWSys(t, 3, 1)
 	var vaA, vaB uint64
 	var gotA, gotB uint32
@@ -204,50 +207,6 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	if gotA != 11 || gotB != 2 {
 		t.Fatalf("host 2 reads A=%d B=%d, want 11 2", gotA, gotB)
 	}
-	if s.Stats().DiffFetches == 0 {
-		t.Fatal("merging the noticed minipage should go through a lazy diff fetch")
-	}
-}
-
-func TestMWLazyDiffFetchNotFullFetch(t *testing.T) {
-	// Re-validating an invalidated copy fetches the interval diff from
-	// the writer, not the whole minipage from home.
-	s := newMWSys(t, 2, 1)
-	var va uint64
-	var got uint32
-	var fullBefore uint64
-	err := runMW(s, func(th *MWThread) {
-		if th.Host() == 0 {
-			va = th.Malloc(256)
-			th.WriteU32(va, 5)
-		}
-		th.Barrier()
-		if th.Host() == 1 {
-			_ = th.ReadU32(va) // full fetch: first copy
-		}
-		th.Barrier()
-		if th.Host() == 0 {
-			th.WriteU32(va, 6)
-		}
-		th.Barrier()
-		if th.Host() == 1 {
-			fullBefore = s.Stats().Fetches // host 1 is the only fetcher in this program
-			got = th.ReadU32(va)           // invalidated: lazy diff merge
-		}
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 6 {
-		t.Fatalf("got %d, want 6", got)
-	}
-	if s.Stats().DiffFetches == 0 {
-		t.Fatal("no lazy diff fetch recorded")
-	}
-	if s.Stats().Fetches != fullBefore {
-		t.Fatalf("re-validation did a full home fetch (%d -> %d), want diff-only", fullBefore, s.Stats().Fetches)
-	}
 }
 
 func TestMWLockedAccumulator(t *testing.T) {
@@ -284,11 +243,10 @@ func TestMWLockedAccumulator(t *testing.T) {
 	}
 }
 
-func TestMWIntervalGCFallsBackToHome(t *testing.T) {
-	// A copy invalidated by a notice but left untouched across enough
-	// barriers outlives the writer's interval record: the lazy fetch
-	// reports the interval purged and the host refetches from home —
-	// still observing the correct merged value.
+func TestMWInvalidatedCopyRefetchedAfterBarriers(t *testing.T) {
+	// A copy invalidated by a notice but left untouched across several
+	// barriers, while the writer's notice epochs are reset, is refetched
+	// from home and observes the written value.
 	s := newMWSys(t, 3, 1)
 	var va uint64
 	var got uint32
@@ -306,7 +264,7 @@ func TestMWIntervalGCFallsBackToHome(t *testing.T) {
 			th.WriteU32(va+128, 7) // interval at host 1; notice invalidates host 2
 		}
 		th.Barrier()
-		th.Barrier() // two more epochs: host 1 garbage-collects the interval
+		th.Barrier() // two more epochs: host 1 resets the interval's arena
 		th.Barrier()
 		if th.Host() == 2 {
 			got = th.ReadU32(va + 128)
@@ -318,12 +276,6 @@ func TestMWIntervalGCFallsBackToHome(t *testing.T) {
 	}
 	if got != 7 {
 		t.Fatalf("got %d, want 7", got)
-	}
-	if s.Stats().IntervalsGCed == 0 {
-		t.Fatal("no interval records were garbage-collected")
-	}
-	if s.Stats().HomeFallbacks == 0 {
-		t.Fatal("expected the purged interval to force a home fetch fallback")
 	}
 }
 
@@ -383,13 +335,13 @@ func TestMWNewerThanMatchesFullScan(t *testing.T) {
 			seq[c] += 1 + uint64(rng.Intn(3))
 			s.logPrev = append(s.logPrev, s.logLast[c])
 			s.logLast[c] = len(s.log)
-			s.log = append(s.log, mwCNotice{mwNotice: mwNotice{Creator: c, Seq: seq[c]}, VTSum: uint64(i + 1)})
+			s.log = append(s.log, mwNotice{Creator: c, Seq: seq[c]})
 		}
 		vc := make([]uint64, hosts)
 		for c := range vc {
 			vc[c] = uint64(rng.Intn(int(seq[c]) + 3))
 		}
-		var want []mwCNotice
+		var want []mwNotice
 		for _, n := range s.log {
 			if n.Seq > vc[n.Creator] {
 				want = append(want, n)
@@ -400,29 +352,105 @@ func TestMWNewerThanMatchesFullScan(t *testing.T) {
 			t.Fatalf("trial %d: %d notices, full scan gives %d", trial, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].VTSum != want[i].VTSum {
-				t.Fatalf("trial %d: notice %d is VTSum %d, full scan gives %d", trial, i, got[i].VTSum, want[i].VTSum)
+			if got[i].Creator != want[i].Creator || got[i].Seq != want[i].Seq {
+				t.Fatalf("trial %d: notice %d is %d@%d, full scan gives %d@%d", trial, i, got[i].Seq, got[i].Creator, want[i].Seq, want[i].Creator)
 			}
 		}
 	}
 }
 
-// TestMWLockHeavyRunPinned holds a whole lock-heavy run to the values
-// recorded before the protocol state moved from per-interval maps and
-// pooled records to generation arenas and dense per-minipage records: 4
-// hosts at chunk level 4 (four cells to a minipage, so every minipage has
-// several concurrent writers), 60 lock releases a host an epoch — each
-// closes an interval that is then held for two barriers — over 5 epochs,
-// so the arenas rotate, GC runs with work to drop and some lazy fetches
-// find their interval purged. Every host owns one
-// word of every cell and reads the others' under the cell's lock; the
-// protocol counters, the elapsed virtual time and a hash of the memory
-// every host reads back at the end must not move.
+// TestMWDirtyCopyFetch: a copy an acquire invalidates while it is dirty
+// keeps its own writes and re-twins from the home's bytes. Host 1 twins
+// minipage M and writes word A; host 2 writes word B of M under a lock;
+// host 1 takes the lock and reads both words — under the lock, which
+// refetches the dirty copy, or after its unlock, which must leave the
+// released copy invalid instead of re-exposing it. Either way it reads
+// both, the home holds both after host 1's unlock, and host 1's flush
+// carried a diff of A alone.
+func TestMWDirtyCopyFetch(t *testing.T) {
+	const offA, offB, valA, valB = 0, 32, 0xa1a1, 0xb2b2
+	for _, underLock := range []bool{true, false} {
+		t.Run(fmt.Sprintf("underLock=%v", underLock), func(t *testing.T) {
+			s := newMWSys(t, 3, 1)
+			var va uint64
+			var gotA, gotB uint32
+			var flushed uint64
+			var home []byte
+			err := runMW(s, func(th *MWThread) {
+				if th.Host() == 0 {
+					va = th.Malloc(64)
+				}
+				th.Barrier()
+				switch th.Host() {
+				case 1:
+					th.WriteU32(va+offA, valA)
+					th.Compute(5 * sim.Millisecond) // host 2's critical section comes first
+					th.Lock(1)
+					if underLock {
+						gotA, gotB = th.ReadU32(va+offA), th.ReadU32(va+offB)
+					}
+					before := s.Stats().DiffBytes
+					th.Unlock(1)
+					flushed = s.Stats().DiffBytes - before
+					mp, _ := s.mpt.Lookup(va) // the home's own memory, through its privileged view
+					b, err := s.Host(0).Region.ReadPriv(mp.Info(s.Layout).Base, 64)
+					if err != nil {
+						t.Error(err)
+					}
+					home = slices.Clone(b)
+					if !underLock {
+						gotA, gotB = th.ReadU32(va+offA), th.ReadU32(va+offB)
+					}
+				case 2:
+					th.Lock(1)
+					th.WriteU32(va+offB, valB)
+					th.Unlock(1)
+				}
+				th.Barrier()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotA != valA || gotB != valB {
+				t.Fatalf("host 1 reads A=%#x B=%#x, want %#x %#x", gotA, gotB, valA, valB)
+			}
+			if a, b := binary.LittleEndian.Uint32(home[offA:]), binary.LittleEndian.Uint32(home[offB:]); a != valA || b != valB {
+				t.Fatalf("home holds A=%#x B=%#x after host 1's unlock, want %#x %#x", a, b, valA, valB)
+			}
+			before, after := make([]byte, 64), make([]byte, 64)
+			binary.LittleEndian.PutUint32(after[offA:], valA)
+			onlyA, err := twindiff.AppendDiff(nil, before, after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flushed != uint64(len(onlyA)) {
+				t.Fatalf("host 1's unlock flushed %d diff bytes, a diff of word A alone is %d", flushed, len(onlyA))
+			}
+		})
+	}
+}
+
+// TestMWLockHeavyRunPinned holds a lock-heavy run to a sequential replay
+// of its own critical sections: 4 hosts at chunk level 4 (four cells to a
+// minipage, so every minipage has several concurrent writers), 60 lock
+// releases a host an epoch over 5 epochs. Every host owns one word of
+// every cell and, under the cell's lock, sums the cell's words and writes
+// its own as that sum plus a step. The sections are logged in grant
+// order; replaying the log in Go must reproduce every sum each host read
+// and, after the last barrier, every host's view of the whole memory. The
+// result depends on lock order, so it is checked against the replay, not
+// pinned; the protocol counters and the elapsed virtual time are pinned
+// as recorded once every fault became a home fetch.
 func TestMWLockHeavyRunPinned(t *testing.T) {
 	const hosts, cells, epochs, locksPerEpoch = 4, 64, 5, 60
+	type section struct {
+		cell, host int
+		step, val  uint32
+	}
 	s := newMWSys(t, hosts, 4)
 	var va [cells]uint64
-	var sums [hosts]uint64
+	var log []section
+	var final [hosts][cells][16]uint32
 	err := runMW(s, func(th *MWThread) {
 		me := th.Host()
 		if me == 0 {
@@ -435,44 +463,57 @@ func TestMWLockHeavyRunPinned(t *testing.T) {
 			for i := 0; i < locksPerEpoch; i++ {
 				// Epochs 0-1 and 4 work on the first eight minipages, epochs 2-3
 				// on the other eight: a copy invalidated late in epoch 1 is
-				// next touched after its notices' intervals are purged.
+				// next touched two barriers later.
 				c := 4*((i+me)%8+8*(e/2%2)) + (i/8+me)%4
 				th.Lock(c)
 				var seen uint32
 				for h := 0; h < hosts; h++ {
 					seen += th.ReadU32(va[c] + uint64(h)*8)
 				}
-				th.WriteU32(va[c]+uint64(me)*8, seen+uint32(e*locksPerEpoch+i+1))
+				step := uint32(e*locksPerEpoch + i + 1)
+				th.WriteU32(va[c]+uint64(me)*8, seen+step)
+				log = append(log, section{c, me, step, seen + step})
 				th.Unlock(c)
 				th.Compute(20 * sim.Microsecond)
 			}
 			th.Barrier()
 		}
-		h := fnv.New64a()
-		var buf [64]byte
 		for c := range va {
-			th.Read(va[c], buf[:])
-			h.Write(buf[:])
+			for w := range final[me][c] {
+				final[me][c][w] = th.ReadU32(va[c] + uint64(w)*4)
+			}
 		}
-		sums[me] = h.Sum64()
 		th.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantStats := MWStats{Fetches: 70, DiffFetches: 2066, DiffsFetched: 2560, HomeFallbacks: 22, DiffsSent: 900,
-		DiffBytes: 5672, TwinsMade: 1200, WriteFault: 1200, ReadFault: 933, Invalidations: 885, Notices: 1200,
-		IntervalsGCed: 960}
-	const wantElapsed, wantSum = sim.Duration(156225719), uint64(0x35fd9ab15bfbde49)
+	var want [cells][16]uint32
+	for k, sec := range log {
+		var seen uint32
+		for h := 0; h < hosts; h++ {
+			seen += want[sec.cell][2*h]
+		}
+		if sec.val != seen+sec.step {
+			t.Fatalf("section %d (cell %d, host %d) wrote %d, the replay's sum gives %d", k, sec.cell, sec.host, sec.val, seen+sec.step)
+		}
+		want[sec.cell][2*sec.host] = sec.val
+	}
+	if len(log) != hosts*epochs*locksPerEpoch {
+		t.Fatalf("%d critical sections logged, want %d", len(log), hosts*epochs*locksPerEpoch)
+	}
+	for h := range final {
+		if final[h] != want {
+			t.Errorf("host %d reads back memory that differs from the replay", h)
+		}
+	}
+	wantStats := MWStats{Fetches: 930, DiffsSent: 900, DiffBytes: 5672, TwinsMade: 1200, WriteFault: 1200,
+		Invalidations: 882, Notices: 1200}
+	const wantElapsed = sim.Duration(138768484)
 	if got := s.Stats(); got != wantStats {
 		t.Errorf("stats %+v, recorded %+v", got, wantStats)
 	}
 	if got := s.Elapsed(); got != wantElapsed {
 		t.Errorf("elapsed %d, recorded %d", got, wantElapsed)
-	}
-	for h, sum := range sums {
-		if sum != wantSum {
-			t.Errorf("host %d reads back memory hashing to %#x, recorded %#x", h, sum, wantSum)
-		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
-	"millipage/internal/twindiff"
 )
 
 // TestChaosMWSyncRecordsBalance: every piggyback record lrc-mw hung on a
@@ -47,10 +46,10 @@ func TestChaosMWSyncRecordsBalance(t *testing.T) {
 	}
 }
 
-// TestMWArenaPoison: a generation's arenas are poisoned when the barrier
-// GC resets them, so an alias that outlived its interval's two-barrier
-// retention reads as neither a diff nor a minipage list, and a write
-// through it is caught by the first release into the reset generation.
+// TestMWArenaPoison: a notice epoch's arena is poisoned when the barrier
+// after the next resets it, so a notice that outlived its two-barrier
+// retention names no minipage, and a write through it is caught by the
+// first release into the reset arena.
 func TestMWArenaPoison(t *testing.T) {
 	s := newMWSys(t, 1, 1)
 	caught := ""
@@ -59,20 +58,13 @@ func TestMWArenaPoison(t *testing.T) {
 		va := th.Malloc(64)
 		th.WriteU32(va, 7)
 		n := th.release()
-		enc, ok := h.diffOf(n.Seq, n.MPs[0])
-		if !ok || len(enc) == 0 {
-			t.Fatalf("interval %d has no diff to hold on to", n.Seq)
-		}
-		for i := 0; i < 3; i++ {
-			h.gcIntervals() // the third resets the generation the interval is in
+		for i := 0; i < 2; i++ {
+			h.newEpoch() // the second resets the arena the notice is in
 		}
 		if n.MPs[0] >= 0 {
-			t.Errorf("a purged notice still names minipage %d", n.MPs[0])
+			t.Errorf("a reset notice still names minipage %d", n.MPs[0])
 		}
-		if err := twindiff.ApplyEncoded(make([]byte, 64), enc); err == nil {
-			t.Error("a purged interval's encoding still applies")
-		}
-		enc[0] = 1 // the write through the stale alias
+		n.MPs[0] = 1 // the write through the stale alias
 		th.WriteU32(va, 8)
 		defer func() { caught = fmt.Sprint(recover()) }()
 		th.release()
@@ -81,6 +73,6 @@ func TestMWArenaPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(caught, "written after it was recycled") {
-		t.Fatalf("release into a generation written through a stale alias: panic %q", caught)
+		t.Fatalf("release into an arena written through a stale alias: panic %q", caught)
 	}
 }

@@ -31,7 +31,8 @@ type cell struct {
 // at the commit before Malloc, Barrier, Lock and Unlock moved into
 // internal/cluster — the program mallocs on host 0 and locks and
 // barriers from every host; the ivy cells when ivy became millipage's
-// page-grain, HomeMod preset. A protocol that reports anything else has
+// page-grain, HomeMod preset; lrc-mw's 2- and 8-host cells when every
+// lrc-mw fault became one home fetch. A protocol that reports anything else has
 // changed behaviour, not just shape. The "lrc" alias's cells must match
 // lrc-mw's.
 var pinned = map[string]cell{
@@ -49,10 +50,10 @@ var pinned = map[string]cell{
 	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 21706424, 3156, 1294},
 	"lrc-mw/1":           {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 1338282, 87, 55},
 	"lrc-mw/1/chunk4":    {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 1343783, 87, 55},
-	"lrc-mw/2":           {cluster.Totals{Invalidations: 3, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 2863286, 357, 161},
-	"lrc-mw/2/chunk4":    {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 2821521, 353, 159},
-	"lrc-mw/8":           {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 12927104, 4841, 1751},
-	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 11798715, 4077, 1520},
+	"lrc-mw/2":           {cluster.Totals{Invalidations: 3, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 3021245, 375, 164},
+	"lrc-mw/2/chunk4":    {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 3097089, 380, 164},
+	"lrc-mw/8":           {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 11053809, 4935, 1610},
+	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 8667067, 2803, 980},
 }
 
 // TestEveryProtocolBuildsRunsAndCounts: every registered name, and the

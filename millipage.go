@@ -78,8 +78,9 @@ type Config struct {
 	//	        vector timestamps partition execution into intervals,
 	//	        write notices piggyback on lock grants and barrier
 	//	        releases, and an acquire invalidates only minipages with
-	//	        a causally newer write — the diffs are fetched lazily
-	//	        from the writers on the next fault. Programs must be
+	//	        a causally newer write. Diffs are flushed to each
+	//	        minipage's home at release, and the next fault fetches
+	//	        the minipage from its home. Programs must be
 	//	        data-race-free (synchronize through Barrier/Lock, never
 	//	        by spinning on shared memory). "lrc" is an alias: it
 	//	        named a single-writer variant, since deleted.
