@@ -56,10 +56,10 @@ type Options struct {
 
 	// HomeOf maps a minipage id to the host that runs its directory
 	// transactions. Nil is the paper's Section 3.3 configuration: every
-	// minipage is homed at the Coordinator and requests leave their host
-	// untranslated. It must be a pure function into [0, hosts): every host
-	// computes homes independently. The Coordinator remains the allocation
-	// authority, the lock table and the barrier tree's root, either way.
+	// minipage is homed at the Coordinator (a request leaves its host
+	// translated either way). It must be a pure function into [0, hosts):
+	// every host computes homes independently. The Coordinator remains the
+	// allocation authority, the lock table and the barrier tree's root.
 	HomeOf func(id, hosts int) int
 
 	// Replication replicates each directory shard as a primary/backup

@@ -151,6 +151,7 @@ type Blocking struct {
 	// payload is sent to host To first, as Host.Send would.
 	To      int
 	Request any
+	Lead    sim.Duration // charged before the send: the requester's own work it waits on (a fault's Translate)
 
 	// Retry, when not nil, keeps a call on FW alive under faults: while the
 	// thread is parked a timer re-issues the request through it with
@@ -167,7 +168,8 @@ type Blocking struct {
 type opStage uint8
 
 const (
-	opSend     opStage = iota // post the request, charge its send CPU
+	opLead     opStage = iota // charge Lead
+	opSend                    // post the request, charge its send CPU
 	opTransmit                // put it on the wire
 	opSuspend                 // charge Pre
 	opRelease                 // arm the retry, give up the host's busy reference
@@ -178,7 +180,7 @@ const (
 // Block is the one place an application thread blocks: it sends b's
 // request, if any, and parks the thread until what b names has happened,
 // releasing the host's busy reference meanwhile so the endpoint poller
-// takes over. The whole operation — send CPU, wire, Pre, the wait itself,
+// takes over. The whole operation — Lead, send CPU, wire, Pre, the wait,
 // Wake — is one engine-side wait sequence (sim.Stepper, Step below), so
 // the thread is switched to once, when it is over, not at every charge.
 func (t *Thread) Block(b Blocking) {
@@ -190,7 +192,7 @@ func (t *Thread) Block(b Blocking) {
 		t.one[0], t.op.Group = b.On, t.one[:]
 	}
 	if b.Request != nil {
-		t.stage = opSend
+		t.stage = opLead
 	}
 	t.p.Drive(t)
 }
@@ -202,6 +204,12 @@ func (t *Thread) Block(b Blocking) {
 func (t *Thread) Step() (sim.Action, sim.Duration) {
 	h, op := t.h, &t.op
 	switch t.stage {
+	case opLead:
+		t.stage = opSend
+		if op.Lead != 0 {
+			return sim.SleepFor, op.Lead
+		}
+		fallthrough
 	case opSend:
 		t.request = h.Post(op.To, op.Request)
 		op.Request = nil

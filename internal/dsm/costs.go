@@ -8,10 +8,12 @@
 //   - Sequential Consistency via Single-Writer/Multiple-Readers.
 //   - One process per host; one of them (host 0) is the manager and owns
 //     the minipage table (MPT) and the directory.
-//   - A fault sends only the faulting address to the manager. The manager
-//     looks it up, writes the translation info (minipage base, size,
-//     privileged-view address) into reserved header space, and forwards
-//     the request; data then travels directly owner → requester.
+//   - A fault looks its address up in the host's MPT replica, writes the
+//     translation info (minipage base, size, privileged-view address) into
+//     reserved header space and sends the request to the manager, which
+//     forwards it; data then travels directly owner → requester. (In the
+//     paper the manager does the lookup; here Translate runs at the
+//     requester, so the one serial point never pays it.)
 //   - The woken faulter sends an ack to the manager, which closes the
 //     transaction. Requests arriving for a minipage with an open
 //     transaction are queued at the manager (and counted: these are the

@@ -85,9 +85,8 @@ func TestHomeOfOverride(t *testing.T) {
 
 // TestMisdeliveredRequestNamesHome: a directory request delivered to a
 // host that is not the minipage's home panics out of Run naming the host,
-// the minipage and its home — whether the request left untranslated (no
-// HomeOf: the wrong host does the lookup itself) or translated. It is the
-// one misrouting check; there is no per-placement one.
+// the minipage and its home, under the single home and under HomeMod. It
+// is the one misrouting check; there is no per-placement one.
 func TestMisdeliveredRequestNamesHome(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -110,7 +109,7 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 				}
 				th.Barrier()
 				if th.Host() == 1 {
-					_, info := th.host.route(th.Proc(), va)
+					_, info := th.host.route(va)
 					th.host.sendNew(th.Proc(), 2, pmsg{Type: mReadReq, From: 1, Addr: va, Info: info})
 				}
 				th.Barrier()

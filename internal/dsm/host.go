@@ -94,8 +94,8 @@ func (sp span) contains(va uint64) bool {
 }
 
 // describe gives the trace a header's minipage, address and home host —
-// -1 for messages that carry no translation record (untranslated
-// requests, the replication layer's control traffic).
+// -1 for messages that carry no translation record (the replication
+// layer's control traffic).
 func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
 		return m.Info.ID, m.Addr, -1
@@ -103,17 +103,12 @@ func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	return m.Info.ID, m.Addr, h.sys.homeOf(m.Info.ID)
 }
 
-// route returns the host that runs the directory transaction for the
-// minipage backing va. With no HomeOf that is the manager host and the
-// request leaves untranslated (the manager performs the MPT lookup);
-// with one the requester resolves va against its MPT replica — charging
-// the same MPTLookup the manager would have — and returns the
-// translation so the home can skip its own lookup.
-func (h *Host) route(p *sim.Proc, va uint64) (int, core.Info) {
-	if h.sys.Opt.HomeOf == nil {
-		return managerHost, core.Info{}
-	}
-	p.Sleep(h.Costs().MPTLookup)
+// route is Figure 3's Translate, run at the requester: it resolves va
+// against this host's MPT replica and returns the host that runs the
+// minipage's directory transaction, with the translation the request
+// carries there, so no home ever looks an address up. The caller charges
+// the MPTLookup, on its own thread.
+func (h *Host) route(va uint64) (int, core.Info) {
 	mp, ok := h.sys.mpt.Lookup(va)
 	if !ok {
 		panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", va))
@@ -135,9 +130,10 @@ func (h *Host) readMinipage(info core.Info) []byte {
 // faulting thread's context, inside the kernel's fault frame, which has
 // recorded the fault and charged the trap and books the time afterwards.
 //
-// Per Figure 3 ("On Read or Write Fault"): build a request carrying only
-// the faulting address, send it to the manager, and wait on the thread's
-// event. On wakeup, send the transaction-closing ack.
+// Per Figure 3 ("On Read or Write Fault"): translate the faulting address
+// (route), send the request to the minipage's home, and wait on the
+// thread's event; the lookup is the first charge of that one wait
+// sequence. On wakeup, send the transaction-closing ack.
 func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	t := ctx.(*Thread)
 	c := h.Costs()
@@ -148,7 +144,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	if f.Kind == vm.Write {
 		typ = mWriteReq
 	}
-	home, info := h.route(p, f.Addr)
+	home, info := h.route(f.Addr)
 	req := &t.req
 	*req = request{h: h, hdr: pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}}
 	faulty := h.Runtime().Faulty()
@@ -159,7 +155,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		req.hdr.Txn = t.NextTxn()
 		fw.Txn = req.hdr.Txn
 	}
-	b := cluster.Blocking{For: "fault reply", FW: fw, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume}
+	b := cluster.Blocking{For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume}
 	if faulty {
 		// Block with a backoff timer re-issuing the request: it survives
 		// crashes on either side. The clean path arms nothing.
@@ -195,10 +191,9 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 // protocol of Figure 3 — note that it does no queuing, no table lookups
 // and no translation of any kind.
 var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
-	// front: resolve opens with the MPT lookup; dropDup before it reads nothing of an unstamped request.
-	mReadReq:  {Name: "READ_REQUEST", Front: (*Host).lookupFront, Handle: dir, Engine: true},
-	mWriteReq: {Name: "WRITE_REQUEST", Front: (*Host).lookupFront, Handle: dir, Engine: true},
-	mPushReq:  {Name: "PUSH_REQUEST", Front: (*Host).lookupFront, Handle: dir},
+	mReadReq:  {Name: "READ_REQUEST", Handle: dir, Engine: true},
+	mWriteReq: {Name: "WRITE_REQUEST", Handle: dir, Engine: true},
+	mPushReq:  {Name: "PUSH_REQUEST", Handle: dir},
 	// front: these open with a protection probe or change; nothing before it.
 	mReadFwd:       {Name: "READ_FWD", Front: getProt, Handle: (*Host).readFwd, Engine: true},
 	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Handle: (*Host).writeFwd, Engine: true},
@@ -228,15 +223,6 @@ func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs
 // no duplicate to drop, no twin to re-ack, a manager with no mirror.
 func (h *Host) plain(m *pmsg) bool { return m.Txn == 0 && h.sys.repl == nil }
 
-// lookupFront is a directory request's MPT lookup (resolve), when it is a
-// plain one that left its host untranslated.
-func (h *Host) lookupFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
-	if h.plain(m) && (h.sys.Opt.HomeOf == nil || m.Info.Size == 0) {
-		return h.Costs().MPTLookup
-	}
-	return fastmsg.NoFront
-}
-
 func (h *Host) upgradeFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 	if h.plain(m) {
 		return h.Costs().SetProt
@@ -252,17 +238,17 @@ func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
 }
 
 // directory leaves to the thread a stamped or replicated message, which may
-// be dropped, re-acked or mirrored first, and an ack closing onto queued
-// requests, each dispatched again behind a lookup charge of its own.
+// be dropped, re-acked or mirrored first. An ack closing onto queued
+// requests runs in engine context like any other: the request it
+// dispatches again is translated, so nothing is charged between effects.
 func (h *Host) directory(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	mg := h.sys.mgrs[h.ID()]
-	if p == nil && (!h.plain(m) || m.Type == mAck && mg.entry(m.Info.ID).queue.Len() > 0) {
+	if p == nil && !h.plain(m) {
 		return fastmsg.Decline
 	}
 	if rp := h.sys.replAt(h.ID()); rp != nil {
 		return rp.dispatchDir(p, m)
 	}
-	return mg.dispatch(p, m)
+	return h.sys.mgrs[h.ID()].dispatch(p, m)
 }
 
 // readFwd is Handle Read Request: downgrade a writable copy, then reply

@@ -64,7 +64,8 @@ type manager struct {
 
 	// waitInit holds requests that reached this home before the
 	// allocation authority's DIR_INIT seeded the shard entry (message
-	// ordering across sender pairs is not guaranteed).
+	// ordering across sender pairs is not guaranteed). Made by the first
+	// such request.
 	waitInit map[int][]*pmsg
 
 	// dirInited (allocation authority only) counts minipages whose
@@ -77,8 +78,9 @@ type manager struct {
 	// Txn is at or below either is a duplicate — created by a retry timer
 	// or crash recovery — and is dropped, never redone: redoing a write
 	// transaction would re-ship bytes over the requester's post-install
-	// stores. Both maps move only under fault injection (Txn == 0 and
-	// the maps stay empty on the clean path).
+	// stores. Both maps move only under fault injection or replication,
+	// made by their first write (raise): on the clean path Txn == 0 and
+	// they stay nil.
 	done     map[int]uint64
 	inflight map[int]uint64
 
@@ -92,12 +94,13 @@ type manager struct {
 	Stats ManagerStats
 }
 
-func newManager(s *System, me int) *manager {
-	return &manager{
-		sys: s, me: me,
-		waitInit: make(map[int][]*pmsg),
-		done:     make(map[int]uint64),
-		inflight: make(map[int]uint64),
+// raise lifts (*m)[k] to v, making the map on first use.
+func raise(m *map[int]uint64, k int, v uint64) {
+	if *m == nil {
+		*m = make(map[int]uint64)
+	}
+	if v > (*m)[k] {
+		(*m)[k] = v
 	}
 }
 
@@ -115,8 +118,7 @@ func (e *dirEntry) Copyset() (hostset.Set, int) { return e.copyset, e.owner }
 // Busy reports whether a transaction is open on the entry.
 func (e *dirEntry) Busy() bool { return e.busy }
 
-func (mg *manager) host() *Host  { return mg.sys.Host(mg.me) }
-func (mg *manager) costs() Costs { return mg.sys.Opt.Costs }
+func (mg *manager) host() *Host { return mg.sys.Host(mg.me) }
 func (mg *manager) entry(id int) *dirEntry {
 	if e := mg.entryOrNil(id); e != nil {
 		return e
@@ -185,9 +187,7 @@ func (mg *manager) dropDup(m *pmsg) bool {
 		mg.DupRequests++
 		return true
 	}
-	if mg.inflight[m.TID] < m.Txn {
-		mg.inflight[m.TID] = m.Txn
-	}
+	raise(&mg.inflight, m.TID, m.Txn)
 	return false
 }
 
@@ -222,33 +222,23 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	panic(fmt.Sprintf("dsm: manager got %v", m.Type))
 }
 
-// resolve performs the directory side of Figure 3's Translate step and
-// locates the shard entry. A request that left its host untranslated (no
-// HomeOf: it carries only the fault address) gets its MPT lookup here;
-// with a HomeOf the requester has already resolved the address against
-// its MPT replica and filled m.Info, so the home only fetches its entry.
-// A single home pays the lookup again for a request re-dispatched from a
-// directory queue (DESIGN.md §3, "the requeue lookup"); the receive
-// sequence charged it for a plain one off the wire (Host.lookupFront). ok
-// is false when the request had to be parked until the allocation
-// authority's DIR_INIT arrives.
-func (mg *manager) resolve(p *sim.Proc, m *pmsg) (e *dirEntry, ok bool) {
-	if mg.sys.Opt.HomeOf == nil || m.Info.Size == 0 {
-		if m.Requeued || !mg.host().plain(m) {
-			p.Sleep(mg.costs().MPTLookup)
-		}
-		mp, found := mg.sys.mpt.Lookup(m.Addr)
-		if !found {
-			panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", m.Addr))
-		}
-		m.Info = mp.Info(mg.sys.Layout)
-	}
+// resolve locates the shard entry of a request, which its requester
+// translated (Host.route): the home does no lookup. It refreshes the
+// translation's extent by id, as a chunk can have grown since. ok is false
+// when the request had to be parked until the allocation authority's
+// DIR_INIT arrives.
+func (mg *manager) resolve(m *pmsg) (e *dirEntry, ok bool) {
 	id := m.Info.ID
 	if !mg.serves(id) {
 		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", mg.me, id, mg.sys.homeOf(id)))
 	}
 	if e := mg.entryOrNil(id); e != nil {
+		mp, _ := mg.sys.mpt.ByID(id)
+		m.Info = mp.Info(mg.sys.Layout)
 		return e, true
+	}
+	if mg.waitInit == nil {
+		mg.waitInit = make(map[int][]*pmsg)
 	}
 	mg.waitInit[id] = append(mg.waitInit[id], m)
 	return nil, false
@@ -352,7 +342,7 @@ func (mg *manager) admit(p *sim.Proc, m *pmsg, kind effect, n *uint64) *fastmsg.
 	if !m.Requeued {
 		*n++
 	}
-	e, ok := mg.resolve(p, m)
+	e, ok := mg.resolve(m)
 	if !ok {
 		return nil
 	}
@@ -499,8 +489,8 @@ func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
 func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	id, tid, txn := m.Info.ID, m.TID, m.Txn
 	mg.host().recyclePM(m) // the ack ends here, matched or not
-	if txn != 0 && txn > mg.done[tid] {
-		mg.done[tid] = txn
+	if txn != 0 {
+		raise(&mg.done, tid, txn)
 	}
 	if mg.sys.replAt(mg.me) != nil {
 		// Replicated path: duplicate re-acks (a requester dropping the

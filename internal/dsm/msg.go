@@ -19,7 +19,7 @@ const managerHost = cluster.Coordinator
 type mtype int
 
 const (
-	mReadReq   mtype = iota // requester -> manager, carries only the fault address
+	mReadReq   mtype = iota // requester -> manager, translated at the requester
 	mWriteReq               // requester -> manager
 	mReadFwd                // manager -> replica, carries translation info
 	mWriteFwd               // manager -> chosen owner
@@ -64,17 +64,18 @@ var dataMarker = &pmsg{Type: mData}
 
 // pmsg is the protocol header. On the wire it is Costs.HeaderSize bytes
 // (32 in the paper's implementation: type, requester, faulting address,
-// and reserved translation-info space the manager fills in — Section 3.3).
-// The FW pointer models the requester-local event handle that rides in the
-// header; only the requester dereferences it.
+// and reserved translation-info space — Section 3.3, where the manager
+// fills it in; here the requester does, Host.route). The FW pointer models
+// the requester-local event handle that rides in the header; only the
+// requester dereferences it.
 type pmsg struct {
 	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
 
 	Type mtype
 	From int    // original requester host
-	Addr uint64 // faulting address (all a request carries when it leaves the requester)
+	Addr uint64 // faulting address
 
-	Info core.Info // translation info, filled in by the manager (reserved header space)
+	Info core.Info // translation info, filled in at the requester (reserved header space)
 
 	Write    bool // for mAck: closing a write transaction
 	Prefetch bool // request was issued by a prefetch: no thread is waiting

@@ -125,6 +125,47 @@ func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 	}
 }
 
+// TestChunkGrowthAfterTranslation covers a chunk that grows between a
+// requester's lookup and the home's handling of its request: host 2
+// translates a read of host 1's first 8-byte allocation just before host
+// 1's second Malloc extends that minipage and host 1 writes the new
+// bytes. Served with the translation as it left host 2, the read copied
+// the first 8 bytes only, yet made the whole page readable, and host 2
+// then read a stale second allocation with no fault. The home now serves
+// the minipage's extent as it stands.
+func TestChunkGrowthAfterTranslation(t *testing.T) {
+	for _, homeOf := range []func(id, hosts int) int{nil, cluster.HomeMod} {
+		for d := sim.Duration(0); d < 8*sim.Microsecond; d += sim.Microsecond {
+			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
+			var a, b uint64
+			err := run(s, func(th *Thread) {
+				if th.Host() == 1 {
+					a = th.Malloc(8)
+					th.WriteU32(a, 1)
+				}
+				th.Barrier()
+				switch th.Host() {
+				case 1:
+					b = th.Malloc(8)
+					th.WriteU32(b, 77)
+				case 2:
+					th.Compute(d)
+					_ = th.ReadU32(a)
+				}
+				th.Barrier()
+				if th.Host() == 2 {
+					if got := th.ReadU32(b); got != 77 {
+						t.Errorf("HomeOf set %v, read after %v: host 2 reads %d in the grown chunk, want 77", homeOf != nil, d, got)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestRunReuseRejected covers the Run-twice guard: a System drives one
 // application; reusing it would restart a spent simulation engine over
 // stale protocol state.

@@ -707,9 +707,7 @@ func (rp *replMgr) promote(p *sim.Proc, k int, nv viewsvc.View) {
 	// old primary had only queued must retry fresh here (see sendXfer);
 	// re-driven open intents re-mark inflight through dropDup below.
 	for tid, txn := range sh.done { //detlint:ok max-merge into a map is order-independent
-		if txn > mg.done[tid] {
-			mg.done[tid] = txn
-		}
+		raise(&mg.done, tid, txn)
 	}
 
 	if nv.HasBackup() && !nv.Synced && rp.xferSent[k] < nv.Num {

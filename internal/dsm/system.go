@@ -59,7 +59,7 @@ func New(opt Options) (*System, error) {
 	}
 	s.mpt = core.NewMPT(s.Layout, opt.Grain, opt.ChunkLevel)
 	for i := 0; i < opt.Hosts; i++ {
-		s.mgrs = append(s.mgrs, newManager(s, i))
+		s.mgrs = append(s.mgrs, &manager{sys: s, me: i})
 	}
 	if opt.Replication {
 		s.initRepl()

@@ -2,7 +2,6 @@ package dsm
 
 import (
 	"millipage/internal/cluster"
-	"millipage/internal/core"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -25,15 +24,17 @@ type Thread struct {
 	pfSeq int
 }
 
-// sendPrefetch issues one prefetch request for the minipage backing va.
-// Under replicated management with fault injection the request gets a
-// private transaction identity — TID from a space disjoint from thread
-// ids, so prefetch dedup never interferes with the thread's own txn
-// monotonicity — and is re-sent on a timer (recomputing the believed
-// primary) until satisfied: a prefetch dropped at a deposed primary must
-// not stall a waiting GangFetch.
-func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, home int, info core.Info, fw *cluster.Wait) {
+// sendPrefetch translates va and issues one prefetch request for the
+// minipage backing it. Under replicated management with fault injection
+// the request gets a private transaction identity — TID from a space
+// disjoint from thread ids, so prefetch dedup never interferes with the
+// thread's own txn monotonicity — and is re-sent on a timer (recomputing
+// the believed primary) until satisfied: a prefetch dropped at a deposed
+// primary must not stall a waiting GangFetch.
+func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, fw *cluster.Wait) {
 	h := t.host
+	p.Sleep(h.Costs().MPTLookup)
+	home, info := h.route(va)
 	hdr := pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
 	if h.sys.replAt(h.ID()) != nil && h.Runtime().Faulty() {
 		t.pfSeq++
@@ -62,9 +63,7 @@ func (t *Thread) Prefetch(va uint64, size int) {
 		return
 	}
 	t.host.prefetchSpans = append(t.host.prefetchSpans, span{base: va, size: size})
-	fw := cluster.NewWait(t.host.sys.Eng)
-	home, info := t.host.route(p, va)
-	t.sendPrefetch(p, va, home, info, fw)
+	t.sendPrefetch(p, va, cluster.NewWait(t.host.sys.Eng))
 	t.Stats.PrefetchTime += p.Now().Sub(start)
 }
 
@@ -74,7 +73,8 @@ func (t *Thread) Prefetch(va uint64, size int) {
 // copies of the new value to all hosts".
 func (t *Thread) Push(va uint64) {
 	p := t.Proc()
-	home, info := t.host.route(p, va)
+	p.Sleep(t.host.Costs().MPTLookup)
+	home, info := t.host.route(va)
 	t.host.sendNew(p, home, pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info})
 }
 
@@ -105,8 +105,7 @@ func (t *Thread) GangFetch(spans []Span) {
 		}
 		h.prefetchSpans = append(h.prefetchSpans, span{base: sp.Addr, size: sp.Size})
 		fw := cluster.NewWait(h.sys.Eng)
-		home, info := h.route(p, sp.Addr)
-		t.sendPrefetch(p, sp.Addr, home, info, fw)
+		t.sendPrefetch(p, sp.Addr, fw)
 		evs = append(evs, fw.Ev)
 	}
 	if len(evs) > 0 {

@@ -1,8 +1,10 @@
 package dsm
 
 import (
+	"fmt"
 	"testing"
 
+	"millipage/internal/sim"
 	"millipage/internal/trace"
 )
 
@@ -47,6 +49,72 @@ func TestProtocolTracing(t *testing.T) {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("events out of order at %d: %v then %v", i, evs[i-1], evs[i])
 		}
+	}
+}
+
+// TestRequestsLeaveTranslated: under the single home every directory
+// request — a read, a write that invalidates two copies, a prefetch and a
+// push — leaves its requester already translated, so each of its records
+// names its home, host 0, and host 0 never looks an address up. The lookup
+// moved rather than went: an uncontended 128 B read fault costs what it
+// cost when host 0 did it.
+func TestRequestsLeaveTranslated(t *testing.T) {
+	const readFault = 186436 * sim.Nanosecond // host 1's read of a, recorded with the lookup at host 0
+	rec := trace.NewRecorder(1 << 14)
+	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Trace: rec})
+	var a, b, c, d uint64
+	var lat sim.Duration
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			a, b, c, d = th.Malloc(128), th.Malloc(128), th.Malloc(128), th.Malloc(128)
+			th.WriteU32(b, 1)
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.Compute(sim.Millisecond) // until host 0 has sent every barrier release
+			before := th.Stats.ReadFaultTime
+			_ = th.ReadU32(a)
+			lat = th.Stats.ReadFaultTime - before
+		}
+		th.Barrier()
+		if th.Host() >= 2 {
+			_ = th.ReadU32(b)
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 0:
+			th.Push(d)
+		case 1:
+			th.WriteU32(b, 2) // invalidates hosts 2 and 3, fetches from host 0
+		case 2:
+			th.Prefetch(c, 128)
+			th.Compute(5 * sim.Millisecond)
+			_ = th.ReadU32(c)
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := map[string]int{}
+	for _, e := range rec.Events() {
+		switch name := trace.OpName(e.Op); {
+		case !e.Structured || e.Kind == trace.Fault:
+		case name == "READ_REQUEST" || name == "WRITE_REQUEST" || name == "PUSH_REQUEST":
+			if e.Kind == trace.Send {
+				sent[name]++
+			}
+			if e.Home != 0 {
+				t.Errorf("%v: names home %d, want 0", e, e.Home)
+			}
+		}
+	}
+	// The reads of hosts 1, 2 and 3 and host 2's prefetch; host 1's write; the push.
+	if want := map[string]int{"READ_REQUEST": 4, "WRITE_REQUEST": 1, "PUSH_REQUEST": 1}; fmt.Sprint(sent) != fmt.Sprint(want) {
+		t.Errorf("requests sent: %v, want %v", sent, want)
+	}
+	if lat != readFault {
+		t.Errorf("uncontended 128 B read fault took %v, want %v", lat, readFault)
 	}
 }
 

@@ -25,22 +25,22 @@ var exampleSmoke = []struct {
 	golden map[string]golden
 }{
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
-		"millipage": {elapsedNS: 18513564, digest: 0xb72a594aa3712b99},
+		"millipage": {elapsedNS: 18469760, digest: 0x5d6e44604d5356e9},
 		"ivy":       {elapsedNS: 22327884, digest: 0xc57a633e9fab918e},
 		"lrc-mw":    {elapsedNS: 11788110, digest: 0x43d0cf19537a556b},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
-		"millipage": {elapsedNS: 42890570, digest: 0xf3da425141b65a59},
+		"millipage": {elapsedNS: 42883570, digest: 0x6cc60a926269c1cd},
 		"ivy":       {elapsedNS: 84907345, digest: 0x713a17e1bc234410},
 		"lrc-mw":    {elapsedNS: 41732500, digest: 0x6c1017990b472b93},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
-		"millipage": {elapsedNS: 17130674, digest: 0x1754937f5345594a},
+		"millipage": {elapsedNS: 15886375, digest: 0x5334f97892e2c90d},
 		"ivy":       {elapsedNS: 41116217, digest: 0xe0d39143eaa1b3ac},
 		"lrc-mw":    {elapsedNS: 10961205, digest: 0xbbea382d74761067},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
-		"millipage": {elapsedNS: 27255393, digest: 0xab83f08930399638},
+		"millipage": {elapsedNS: 29017264, digest: 0xad0e1633ae760a6e},
 		"ivy":       {elapsedNS: 45559278, digest: 0xead0c6394f458e07},
 		"lrc-mw":    {elapsedNS: 22772941, digest: 0x0f4a5dfd954abd5d},
 	}},

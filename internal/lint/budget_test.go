@@ -64,22 +64,31 @@ import (
 // pending-notice and seen rows with their slabs, the coordinator's
 // notice stamp (nothing ordered merges by it any more), the lazy path's
 // four counters and ReadFault, which nothing read.
+//
+// Raised, cluster 1,846 -> 1,854, when every directory request began to
+// leave its requester translated: Blocking.Lead and the opLead stage
+// charge a fault's MPT lookup inside Block's one wait sequence, so moving
+// the lookup off host 0 costs the faulting thread no extra process
+// switch. Paid for in dsm, 2,239 -> 2,215: route's single-home branch,
+// the request rows' lookup front, resolve's lookup and requeue lookup,
+// the ack's decline, and newManager with its three eager maps went.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1846},
-	{"dsm", 2239},
+	{"cluster", 1854},
+	{"dsm", 2215},
 	{"lrc", 801},
 }
 
 // kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once lrc-mw became home-based (5,103 when one SC
-// and one DRF-SC implementation first remained; the kernel refactor's
-// goal was 5,523, 10 % under the 6,137 the packages, ivy's 398 included,
-// had before it began). A change that takes the kernel past it fails,
-// whatever the per-package ceilings.
-const kernelTarget = 4886
+// to what it stood at once every directory request left its requester
+// translated (4,886 once lrc-mw became home-based; 5,103 when one SC and
+// one DRF-SC implementation first remained; the kernel refactor's goal was
+// 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
+// it began). A change that takes the kernel past it fails, whatever the
+// per-package ceilings.
+const kernelTarget = 4870
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

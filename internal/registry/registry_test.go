@@ -32,16 +32,18 @@ type cell struct {
 // internal/cluster — the program mallocs on host 0 and locks and
 // barriers from every host; the ivy cells when ivy became millipage's
 // page-grain, HomeMod preset; lrc-mw's 2- and 8-host cells when every
-// lrc-mw fault became one home fetch. A protocol that reports anything else has
+// lrc-mw fault became one home fetch; millipage's 2- and 8-host cells when
+// every directory request began to leave its requester translated. A
+// protocol that reports anything else has
 // changed behaviour, not just shape. The "lrc" alias's cells must match
 // lrc-mw's.
 var pinned = map[string]cell{
 	"millipage/1":        {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 995664, 87, 48},
 	"millipage/1/chunk4": {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 995664, 87, 48},
-	"millipage/2":        {cluster.Totals{Invalidations: 8, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 4126588, 746, 304},
-	"millipage/2/chunk4": {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 4126828, 596, 262},
-	"millipage/8":        {cluster.Totals{Invalidations: 128, CompetingRequests: 81, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 21296795, 8456, 3100},
-	"millipage/8/chunk4": {cluster.Totals{Invalidations: 44, CompetingRequests: 53, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 15839139, 3991, 1540},
+	"millipage/2":        {cluster.Totals{Invalidations: 8, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 4091588, 753, 304},
+	"millipage/2/chunk4": {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 4073004, 597, 262},
+	"millipage/8":        {cluster.Totals{Invalidations: 128, CompetingRequests: 80, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 20529602, 8470, 3100},
+	"millipage/8/chunk4": {cluster.Totals{Invalidations: 44, CompetingRequests: 52, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 15309416, 4031, 1540},
 	"ivy/1":              {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 995664, 87, 48},
 	"ivy/1/chunk4":       {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 995664, 87, 48},
 	"ivy/2":              {cluster.Totals{Invalidations: 6, CompetingRequests: 2, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 4990240, 587, 262},
