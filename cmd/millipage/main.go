@@ -149,16 +149,13 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -jitter D     reorder hold-back bound (e.g. 2ms)
                          -partition from,until   cut first half from second half
                          -crash host,at,restart  schedule a host crash/restart
-                         -kill-manager  replicate directory shards and crash the
-                                        host-1 primary mid-run (millipage only)
   explore [flags]      schedule-exploration model checking: perturb the order
                        of same-timestamp events over many seeded schedules,
                        assert the SW/MR, consistency and agreement oracles
                        after each, shrink any failing schedule to a minimal
                        replayable trace
-                         -protocol P   millipage, ivy or lrc-mw, plus
-                                       millipage-repl (replicated management)
-                         -workload W   swmr, mp, dekker, drf, merge, failover, drf-nolock
+                         -protocol P   millipage, ivy or lrc-mw
+                         -workload W   swmr, mp, dekker, drf, merge, drf-nolock
                          -faults F     fault preset (see -h), default clean
                          -schedules N  schedules to explore (default 200)
                          -seed/-exploreseed/-preempt/-budget   exploration knobs
@@ -359,7 +356,6 @@ func runChaos(args []string) error {
 	jitter := fs.String("jitter", cfg.Plan.Jitter.String(), "reorder hold-back bound (virtual time)")
 	partition := fs.String("partition", "", "cut first half from second half: from,until (e.g. 2ms,12ms)")
 	crash := fs.String("crash", "", "crash schedule: host,at,restart (e.g. 1,2ms,8ms)")
-	killManager := fs.Bool("kill-manager", false, "replicate directory shards and crash the host-1 primary mid-run (millipage only)")
 	fs.Parse(args)
 
 	cfg.Protocol = *protocol
@@ -407,12 +403,6 @@ func runChaos(args []string) error {
 		}
 		cfg.Plan.Crashes = append(cfg.Plan.Crashes, faultnet.Crash{
 			Host: host, At: sim.Time(at), RestartAt: sim.Time(restart),
-		})
-	}
-	if *killManager {
-		cfg.Replicated = true
-		cfg.Plan.Crashes = append(cfg.Plan.Crashes, faultnet.Crash{
-			Host: 1, At: sim.Time(2 * sim.Millisecond), RestartAt: sim.Time(30 * sim.Millisecond),
 		})
 	}
 	return bench.Chaos(os.Stdout, cfg)

@@ -20,12 +20,6 @@ type ChaosConfig struct {
 	Rounds   int // barrier-separated write/read rounds
 	Seed     int64
 	Plan     faultnet.Plan
-
-	// Replicated runs the workload with primary/backup directory-shard
-	// replication (Config.ManagerReplication, implying home-based
-	// management). Millipage-only; pair it with a crash in the plan to
-	// watch a directory primary die and its backup take over.
-	Replicated bool
 }
 
 // DefaultChaos is a short but hostile schedule: every fault class at
@@ -74,14 +68,12 @@ func Chaos(w io.Writer, cfg ChaosConfig) error {
 		return fmt.Errorf("bench: chaos needs at least one variable and one round")
 	}
 	cl, err := millipage.NewCluster(millipage.Config{
-		Protocol:            cfg.Protocol,
-		Hosts:               cfg.Hosts,
-		SharedMemory:        1 << 20,
-		Views:               16,
-		Seed:                cfg.Seed,
-		Faults:              &cfg.Plan,
-		HomeBasedManagement: cfg.Replicated,
-		ManagerReplication:  cfg.Replicated,
+		Protocol:     cfg.Protocol,
+		Hosts:        cfg.Hosts,
+		SharedMemory: 1 << 20,
+		Views:        16,
+		Seed:         cfg.Seed,
+		Faults:       &cfg.Plan,
 	})
 	if err != nil {
 		return err
@@ -140,9 +132,6 @@ func Chaos(w io.Writer, cfg ChaosConfig) error {
 	fmt.Fprintf(w, "elapsed=%v msgs=%d\n", report.Elapsed, report.MessagesSent)
 	fmt.Fprintf(w, "reliability: retransmits=%d dups=%d ooo=%d dropped=%d\n",
 		report.Retransmits, report.DupsDropped, report.OutOfOrder, report.FramesDropped)
-	if cfg.Replicated {
-		fmt.Fprintf(w, "replication: mirrors=%d promotions=%d\n", report.MirrorsSent, report.Promotions)
-	}
 	fmt.Fprintln(w, "oracle: OK (all variables and the lock counter converged)")
 	return nil
 }

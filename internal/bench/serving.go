@@ -49,12 +49,9 @@ type ServingPoint struct {
 }
 
 // DefaultServingNames is the BENCH_sim.json serving matrix: the base
-// shape under every protocol, the million-client acceptance
-// scenario, and the manager-kill failover row (replicated directory
-// management with the hot shard's primary crashed mid-burst — its
-// percentiles record what a view change costs the tail).
+// shape under every protocol and the million-client acceptance scenario.
 func DefaultServingNames() []string {
-	return []string{"base-millipage", "base-ivy", "base-lrc-mw", "million", "manager-kill"}
+	return []string{"base-millipage", "base-ivy", "base-lrc-mw", "million"}
 }
 
 // servingPoint flattens a serve.Result into its recorded row.

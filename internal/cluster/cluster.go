@@ -49,9 +49,9 @@ type Options struct {
 	ChunkLevel     int // the paper's chunking switch; 0/1 means off
 	Seed           int64
 
-	// Grain, HomeOf and Replication are Millipage's directory policy (its
-	// ivy preset is GrainPage with HomeMod). lrc-mw homes each minipage
-	// at its allocator and rejects all three (Traits.Directory).
+	// Grain and HomeOf are Millipage's directory policy (its ivy preset is
+	// GrainPage with HomeMod). lrc-mw homes each minipage at its allocator
+	// and rejects both (Traits.Directory).
 	Grain core.Grain
 
 	// HomeOf maps a minipage id to the host that runs its directory
@@ -61,16 +61,6 @@ type Options struct {
 	// every host computes homes independently. The Coordinator remains the
 	// allocation authority, the lock table and the barrier tree's root.
 	HomeOf func(id, hosts int) int
-
-	// Replication replicates each directory shard as a primary/backup
-	// pair coordinated by a view service on host 0: directory mutations
-	// are mirrored to the backup before their effects escape, and on the
-	// primary's death the synced backup promotes and re-serves, so a
-	// crashed manager no longer stalls the minipages it homes until
-	// restart. Requires HomeOf: a directory homed entirely at the
-	// Coordinator, which the crash model never kills, has no shard to
-	// fail over. See docs/PROTOCOL.md, "Replicated management".
-	Replication bool
 
 	Net   fastmsg.Params
 	Costs Costs
@@ -97,7 +87,7 @@ func HomeMod(id, hosts int) int { return id % hosts }
 // cell fails fast, it never silently degrades.
 type Traits struct {
 	MultiThreaded bool // ThreadsPerHost > 1
-	Directory     bool // Millipage's directory policy: Grain, HomeOf, Replication
+	Directory     bool // Millipage's directory policy: Grain, HomeOf
 }
 
 // withDefaults fills zero fields with the calibrated defaults. Hosts and
@@ -140,14 +130,10 @@ func (o Options) validate(name string, tr Traits) error {
 		return fmt.Errorf("%s: ThreadsPerHost = %d, but this protocol runs one thread per host", name, o.ThreadsPerHost)
 	case o.ChunkLevel < 1:
 		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
-	case o.Replication && !tr.Directory:
-		return fmt.Errorf("%s: Replication is not supported by this protocol", name)
 	case o.Grain != core.GrainMinipage && !tr.Directory:
 		return fmt.Errorf("%s: Grain is set (PageGranularity), but this protocol fixes its own sharing grain", name)
 	case o.HomeOf != nil && !tr.Directory:
 		return fmt.Errorf("%s: HomeOf is set (HomeBasedManagement), but this protocol places its own directory", name)
-	case o.Replication && o.HomeOf == nil:
-		return fmt.Errorf("%s: Replication requires HomeOf (HomeBasedManagement): a directory homed entirely at host %d has no shard to fail over", name, Coordinator)
 	}
 	return nil
 }

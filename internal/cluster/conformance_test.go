@@ -23,12 +23,12 @@ import (
 )
 
 // protoRun is one protocol under test: a registry entry, optionally with
-// replicated management on top (failover_test.go). The conformance, chaos
-// and failover suites all build their clusters through make.
+// a directory placement of its own (failover_test.go). The conformance,
+// chaos and failover suites all build their clusters through make.
 type protoRun struct {
-	name string
-	spec registry.Spec // spec.SC: sequentially consistent for racy (non-DRF) programs
-	repl bool          // home-based management with primary/backup shard replication
+	name   string
+	spec   registry.Spec // spec.SC: sequentially consistent for racy (non-DRF) programs
+	homeOf func(id, hosts int) int
 }
 
 // protocols returns every registered protocol, then the "lrc" alias of
@@ -45,11 +45,7 @@ func protocols() []protoRun {
 
 // make builds the protocol's cluster; plan is nil for a clean wire.
 func (pr protoRun) make(hosts int, seed int64, plan *faultnet.Plan) (cluster.System, error) {
-	opt := registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, Faults: plan}
-	if pr.repl {
-		opt.HomeOf, opt.Replication = cluster.HomeMod, true
-	}
-	return pr.spec.New(opt)
+	return pr.spec.New(registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, HomeOf: pr.homeOf, Faults: plan})
 }
 
 // TestSWMRInvariant drives a random-ish read/write workload over shared

@@ -1,9 +1,11 @@
-// Failover conformance: the chaos battery's sharing invariants re-run
-// with replicated directory management, under fault schedules that kill
-// the hot shard's primary in the middle of the request burst. The view
-// service must promote the synced backup and the cluster must finish
-// with the oracles intact — exactly-once, no stall until the dead
-// host's restart — and two runs of any schedule must be bit-identical.
+// Home-crash conformance: the chaos battery's sharing invariants re-run
+// with home-based directory management (HomeMod), under fault schedules
+// that crash host 1 — the home of every minipage the workloads below
+// lean on — in the middle of the request burst. Fail-restart with durable
+// memory keeps the dead home's directory shard; the requests it missed
+// are retried and deduplicated by transaction id once it is back, so the
+// cluster must finish with the oracles intact, exactly-once, and two runs
+// of any schedule must be bit-identical.
 package cluster_test
 
 import (
@@ -16,15 +18,14 @@ import (
 	"millipage/internal/sim"
 )
 
-// failoverVictim is the hot shard's primary: every workload below leans
-// on minipages homed at host 1, and every schedule kills host 1 a few
+// failoverVictim is the hot home: every workload below leans on
+// minipages homed at host 1, and every schedule kills host 1 a few
 // virtual milliseconds in — mid-burst, well before any barrier drains.
 const failoverVictim = 1
 
 // failoverSchedules augments each of the four chaos presets with a
-// crash of the hot shard's primary. The victim stays down long enough
-// (30ms) that any protocol stalling until its restart trips the
-// conformance timing rather than quietly riding it out.
+// crash of the hot home, down for 28ms: every request it holds or is
+// sent meanwhile waits out the outage in the retry machinery.
 func failoverSchedules() []schedule {
 	out := make([]schedule, 0, 4)
 	for _, sc := range schedules() {
@@ -42,20 +43,20 @@ func failoverSchedules() []schedule {
 	return out
 }
 
-// replicatedMillipage is the one protocol under test here: millipage
-// with home-based management and primary/backup shard replication.
-func replicatedMillipage() protoRun {
+// homeBasedMillipage is the one protocol under test here: millipage with
+// each minipage's directory at host id % hosts.
+func homeBasedMillipage() protoRun {
 	spec, _ := registry.Lookup("millipage")
-	return protoRun{name: "millipage-repl", spec: spec, repl: true}
+	return protoRun{name: "millipage-home", spec: spec, homeOf: cluster.HomeMod}
 }
 
 // TestFailoverDRFOracle: barrier hand-offs and a lock-guarded
-// accumulator with the hot shard's primary killed mid-burst, under all
-// four fault presets. The agreement oracle proves no increment was lost
-// or doubled across the view change.
+// accumulator with the hot home killed mid-burst, under all four fault
+// presets. The agreement oracle proves no increment was lost or doubled
+// across the outage.
 func TestFailoverDRFOracle(t *testing.T) {
 	const hosts = 4
-	pr := replicatedMillipage()
+	pr := homeBasedMillipage()
 	for _, sc := range failoverSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
 			wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
@@ -70,11 +71,11 @@ func TestFailoverDRFOracle(t *testing.T) {
 }
 
 // TestFailoverSWMR: the Single-Writer/Multiple-Readers sweep, asserted
-// after every completed operation, with the hot shard's primary killed
-// mid-burst under all four fault presets.
+// after every completed operation, with the hot home killed mid-burst
+// under all four fault presets.
 func TestFailoverSWMR(t *testing.T) {
 	const hosts = 4
-	pr := replicatedMillipage()
+	pr := homeBasedMillipage()
 	for _, sc := range failoverSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
 			wl := &check.SWMRSweep{Words: 4, Iters: 16, Seed: 11}
@@ -93,10 +94,10 @@ func TestFailoverSWMR(t *testing.T) {
 
 // TestFailoverConcurrentMerge: concurrent writers to disjoint bytes of
 // one minipage across the kill window — the merge oracle catches any
-// write lost when the shard's directory moved hosts.
+// write lost while the minipage's home was down.
 func TestFailoverConcurrentMerge(t *testing.T) {
 	const hosts = 4
-	pr := replicatedMillipage()
+	pr := homeBasedMillipage()
 	for _, sc := range failoverSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
 			wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
@@ -112,11 +113,11 @@ func TestFailoverConcurrentMerge(t *testing.T) {
 
 // TestFailoverDeterminism runs the lock-guarded accumulator twice under
 // the drop-heaviest kill schedule and requires bit-identical virtual
-// time and transport counters: view changes, promotions and re-drives
+// time and transport counters: the crash, the retries and the recovery
 // all replay exactly.
 func TestFailoverDeterminism(t *testing.T) {
 	const hosts = 4
-	pr := replicatedMillipage()
+	pr := homeBasedMillipage()
 	sc := failoverSchedules()[0] // drop-heavy: the most retry-prone preset
 	var prints [2]string
 	for run := 0; run < 2; run++ {

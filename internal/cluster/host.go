@@ -170,10 +170,9 @@ type Host struct {
 // Resender is a requester's own record of a request in flight, held by a
 // retry timer. Resend re-issues the request from it — a header already
 // sent belongs to the handler that received it — possibly from engine
-// context (p == nil), so it must not block. Release hands the record back.
+// context (p == nil), so it must not block.
 type Resender interface {
 	Resend(p *sim.Proc)
-	Release()
 }
 
 // retryMax caps the exponential backoff of a re-send timer.
@@ -192,10 +191,10 @@ type retryEntry struct {
 
 func (ent *retryEntry) stale() bool { return ent.fw.gen != ent.gen || ent.fw.Ev.IsSet() }
 
-// ArmRetry starts a timer that calls rs.Resend(nil) after base, 2·base,
+// armRetry starts a timer that calls rs.Resend(nil) after base, 2·base,
 // ... (capped at retryMax) until fw's event is set or the slot is reset
 // for a new transaction. The entry it returns is Thread.Block's business.
-func (h *Host) ArmRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
+func (h *Host) armRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
 	if h.retryFn == nil {
 		h.retryFn = h.retryFire
 	}
@@ -224,7 +223,6 @@ func (h *Host) retryFire(a any) {
 // thread's when it wakes. The last one out recycles it.
 func (h *Host) drop(ent *retryEntry) {
 	if ent.holds--; ent.holds == 0 {
-		ent.rs.Release()
 		h.freeRetry.Put(ent)
 	}
 }

@@ -194,7 +194,6 @@ type synResend struct {
 func (r *synResend) Resend(p *sim.Proc) {
 	r.h.Send(p, r.to, &synMsg{typ: synEngTail, val: r.val, fw: r.fw, tab: r.h.tab})
 }
-func (r *synResend) Release() {}
 
 // synResult is everything the receive sequence must leave as it was.
 type synResult struct {

@@ -132,10 +132,8 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		{"threads on a single-threaded protocol", ok(func(o *Options) { o.ThreadsPerHost = 2 }), Traits{}, []string{"ThreadsPerHost"}},
 		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), all, []string{"ChunkLevel"}},
 		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), all, []string{"Drop"}},
-		{"replication unsupported", ok(func(o *Options) { o.HomeOf, o.Replication = HomeMod, true }), Traits{}, []string{"Replication"}},
 		{"grain unsupported", ok(func(o *Options) { o.Grain = core.GrainPage }), Traits{MultiThreaded: true}, []string{"Grain"}},
 		{"placement unsupported", ok(func(o *Options) { o.HomeOf = HomeMod }), Traits{MultiThreaded: true}, []string{"HomeOf"}},
-		{"replication of a single home", ok(func(o *Options) { o.Replication = true }), all, []string{"Replication", "HomeOf"}},
 	}
 	for _, tc := range cases {
 		rt, err := New("test", tc.opt, tc.tr)
@@ -150,7 +148,7 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		}
 	}
 	if _, err := New("test", ok(func(o *Options) {
-		o.ThreadsPerHost, o.Grain, o.HomeOf, o.Replication = 2, core.GrainPage, HomeMod, true
+		o.ThreadsPerHost, o.Grain, o.HomeOf = 2, core.GrainPage, HomeMod
 	}), all); err != nil {
 		t.Errorf("supported traits rejected: %v", err)
 	}

@@ -26,8 +26,7 @@ type System interface {
 }
 
 // Totals is the protocol-independent counter set. A field stays zero
-// where a protocol has no equivalent (only replicated Millipage sends
-// mirrors).
+// where a protocol has no equivalent.
 type Totals struct {
 	Invalidations     uint64
 	CompetingRequests uint64 // requests queued behind open transactions
@@ -38,11 +37,6 @@ type Totals struct {
 	Minipages      int
 	ViewsUsed      int
 	BytesAllocated int
-
-	// Replicated management: primary->backup directory mutations, and
-	// backups that took a shard over after its primary died.
-	MirrorsSent uint64
-	Promotions  uint64
 }
 
 // Lifecycle is the half of a System that is the same under every

@@ -155,7 +155,7 @@ type Blocking struct {
 
 	// Retry, when not nil, keeps a call on FW alive under faults: while the
 	// thread is parked a timer re-issues the request through it with
-	// exponential backoff from RetryBase (Host.ArmRetry), and the request
+	// exponential backoff from RetryBase (Host.armRetry), and the request
 	// is registered in the host's in-flight table so crash recovery
 	// re-sends it at once after restart. Receivers deduplicate by the
 	// transaction id stamped in FW.Txn. Timer and registration die when
@@ -228,7 +228,7 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 		fallthrough
 	case opRelease:
 		if op.Retry != nil {
-			t.ent = h.ArmRetry(op.FW, op.RetryBase, op.Retry)
+			t.ent = h.armRetry(op.FW, op.RetryBase, op.Retry)
 			t.ent.holds++
 			h.inflight = append(h.inflight, t.ent)
 		}

@@ -124,12 +124,11 @@ func TestArmedLockPingPongAllocFree(t *testing.T) {
 	}
 }
 
-// TestArmedPrefetchCostsWhatACleanOneDoes: under replicated management a
-// prefetch issued with a fault plan armed carries a transaction identity
-// and a re-send timer of its own. The timer's entry and the request
-// record it re-sends from come from freelists and go back when the timer
-// fires stale, so a round allocates what it does on a clean wire — the
-// prefetch's rendezvous, and nothing for having been armed.
+// TestArmedPrefetchCostsWhatACleanOneDoes: a prefetch issued with a fault
+// plan armed, to a home other than host 0 (HomeMod), is sent unstamped and
+// arms no re-send timer of its own — the reliable transport carries it —
+// so a round allocates what it does on a clean wire: the prefetch's
+// rendezvous, and nothing for having been armed.
 func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
 	round := func(th *Thread, cell uint64, i int) {
 		if th.Host() == 0 {
@@ -138,17 +137,17 @@ func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
 		th.Barrier()
 		if th.Host() == 1 {
 			th.Prefetch(cell, 4)
-			th.Compute(2 * requestRetryBase) // the timer fires stale in here
+			th.Compute(2 * requestRetryBase) // past a fault request's first re-send
 			if got := th.ReadU32(cell); got != uint32(i) {
 				t.Errorf("round %d: prefetched cell reads %d", i, got)
 			}
 		}
 		th.Barrier()
 	}
-	repl := Options{HomeOf: cluster.HomeMod, Replication: true}
-	clean := allocsPerOp(t, repl, round)
-	repl.Faults = armedPlan()
-	if armed := allocsPerOp(t, repl, round); armed != clean {
+	home := Options{HomeOf: cluster.HomeMod}
+	clean := allocsPerOp(t, home, round)
+	home.Faults = armedPlan()
+	if armed := allocsPerOp(t, home, round); armed != clean {
 		t.Fatalf("an armed prefetch round allocates %.0f objects, a clean one %.0f", armed, clean)
 	}
 }

@@ -1,8 +1,11 @@
 package dsm
 
 import (
+	"fmt"
 	"testing"
 
+	"millipage/internal/cluster"
+	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -156,5 +159,74 @@ func TestReportLatencyDecomposition(t *testing.T) {
 	// in the same order of magnitude (hundreds of us to ~2ms).
 	if avg < 200*sim.Microsecond || avg > 3*sim.Millisecond {
 		t.Fatalf("avg fault time = %v, want hundreds of us (paper: ~750us)", avg)
+	}
+}
+
+// TestPrefetchSurvivesHomeCrash: under HomeMod, host 2 issues a Prefetch
+// and a GangFetch of minipages homed at host 1 — which also holds their
+// only copies — around host 1's crash at 2ms (issued up to 150us before
+// it, they are in flight when it lands); it restarts at 8ms. A prefetch
+// is unstamped and arms no re-send timer, so it rides the reliable
+// transport across the outage: both must complete after the restart,
+// with the home's bytes, and leave no read fault behind.
+func TestPrefetchSurvivesHomeCrash(t *testing.T) {
+	const (
+		home    = 1
+		crashAt = 2 * sim.Millisecond
+		restart = 8 * sim.Millisecond
+	)
+	for _, issue := range []sim.Duration{1850 * sim.Microsecond, 1950 * sim.Microsecond, crashAt, 2500 * sim.Microsecond} {
+		t.Run(fmt.Sprint(issue), func(t *testing.T) {
+			plan := &faultnet.Plan{Seed: 5, Crashes: []faultnet.Crash{
+				{Host: home, At: sim.Time(crashAt), RestartAt: sim.Time(restart)},
+			}}
+			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan})
+			var vas []uint64 // minipages homed at host 1, allocated and written there
+			var gangDone, prefetchDone sim.Time
+			err := run(s, func(th *Thread) {
+				if th.Host() == home {
+					for len(vas) < 3 {
+						va := th.Malloc(64)
+						if mp, _ := s.mpt.Lookup(va); s.homeOf(mp.ID) == home {
+							th.WriteU32(va, uint32(len(vas)+1)*7)
+							vas = append(vas, va)
+						}
+					}
+				}
+				th.Barrier()
+				if th.Host() != 2 {
+					return
+				}
+				if th.Now() > sim.Time(issue) {
+					t.Fatalf("setup ran until %v, past the issue time %v", th.Now(), issue)
+				}
+				th.Compute(sim.Time(issue).Sub(th.Now()))
+				th.Prefetch(vas[0], 64)
+				th.GangFetch([]Span{{Addr: vas[1], Size: 64}, {Addr: vas[2], Size: 64}})
+				gangDone = th.Now()
+				for prot, _ := th.host.Region.ProtOf(vas[0]); prot < vm.ReadOnly; prot, _ = th.host.Region.ProtOf(vas[0]) {
+					if th.Now() > sim.Time(sim.Second) {
+						t.Fatal("prefetch never completed")
+					}
+					th.Compute(100 * sim.Microsecond)
+				}
+				prefetchDone = th.Now()
+				for i, va := range vas {
+					if got, want := th.ReadU32(va), uint32(i+1)*7; got != want {
+						t.Errorf("minipage %d reads %d, want the home's %d", i, got, want)
+					}
+				}
+				if rf := th.host.AS.ReadFaults; rf != 0 {
+					t.Errorf("%d read faults after the prefetches completed, want 0", rf)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gangDone < sim.Time(restart) || prefetchDone < sim.Time(restart) {
+				t.Fatalf("gang done at %v, prefetch by %v: before the home's restart at %v", gangDone, prefetchDone, restart)
+			}
+			t.Logf("gang done at %v, prefetch by %v", gangDone, prefetchDone)
+		})
 	}
 }

@@ -62,27 +62,17 @@ func (t *Thread) call(to int, v pmsg, b cluster.Blocking) {
 	t.Block(b)
 }
 
-// request is a requester's own record of a directory request in flight:
-// a faulting thread's slot (it blocks on one at a time) or a prefetch's
-// record from the freelist. Every send — the first, a retry timer's,
-// crash recovery's — copies it into a pooled header, since the home may
-// have consumed the last one.
+// request is a faulting thread's own record of its directory request in
+// flight (it blocks on one at a time). Every send — the first, a retry
+// timer's, crash recovery's — copies it into a pooled header, since the
+// home may have consumed the last one.
 type request struct {
-	h      *Host
-	hdr    pmsg
-	pooled bool // from freeReq; the timer that holds it releases it
+	h   *Host
+	hdr pmsg
 }
 
-// Resend repeats the request (cluster.Resender). Under replicated
-// management the believed primary is recomputed per retry: that is how a
-// requester finds the promoted backup.
-func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.primaryFor(r.hdr.Info.ID), r.hdr) }
-
-func (r *request) Release() {
-	if r.pooled {
-		r.h.sys.freeReq.Put(r)
-	}
-}
+// Resend repeats the request to the minipage's home (cluster.Resender).
+func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.sys.homeOf(r.hdr.Info.ID), r.hdr) }
 
 type span struct {
 	base uint64
@@ -94,8 +84,8 @@ func (sp span) contains(va uint64) bool {
 }
 
 // describe gives the trace a header's minipage, address and home host —
-// -1 for messages that carry no translation record (the replication
-// layer's control traffic).
+// -1 for a bulk DATA message, whose shared marker carries no translation
+// record.
 func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
 		return m.Info.ID, m.Addr, -1
@@ -113,7 +103,7 @@ func (h *Host) route(va uint64) (int, core.Info) {
 	if !ok {
 		panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", va))
 	}
-	return h.primaryFor(mp.ID), mp.Info(h.sys.Layout)
+	return h.sys.homeOf(mp.ID), mp.Info(h.sys.Layout)
 }
 
 // readMinipage snapshots a minipage's bytes through the privileged view
@@ -165,7 +155,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 
 	// The ack that closes the transaction at the minipage's home. TID/Txn
 	// (zero on the clean path) let the home record the transaction as done.
-	h.sendNew(p, h.primaryFor(fw.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
+	h.sendNew(p, h.sys.homeOf(fw.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: fw.Info,
 		Write: f.Kind == vm.Write, TID: t.ID, Txn: fw.Txn})
 
 	if f.Kind == vm.Read && t.inPrefetchSpan(f.Addr) {
@@ -208,10 +198,6 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mPushData:        {Name: "PUSH_DATA", Handle: park, Engine: true},
 	mInvalidateReply: {Name: "INVALIDATE_REPLY", Handle: dir, Engine: true}, mAck: {Name: "ACK", Handle: dir, Engine: true},
 	mPushAck: {Name: "PUSH_ACK", Handle: dir}, mDirInit: {Name: "DIR_INIT", Handle: dir},
-	mPing: {Name: "PING", Handle: dir}, mViewUpdate: {Name: "VIEW_UPDATE", Handle: dir},
-	mMirror: {Name: "MIRROR", Handle: dir}, mMirrorAck: {Name: "MIRROR_ACK", Handle: dir},
-	mMirrorNak: {Name: "MIRROR_NAK", Handle: dir}, mStateXfer: {Name: "STATE_XFER", Handle: dir},
-	mSyncAck: {Name: "SYNC_ACK", Handle: dir},
 }})
 
 var dir, park = (*Host).directory, cluster.Park[*Host, *pmsg]
@@ -219,9 +205,8 @@ var dir, park = (*Host).directory, cluster.Park[*Host, *pmsg]
 func getProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
 func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
 
-// plain reports whether m is unstamped and the directory unreplicated:
-// no duplicate to drop, no twin to re-ack, a manager with no mirror.
-func (h *Host) plain(m *pmsg) bool { return m.Txn == 0 && h.sys.repl == nil }
+// plain reports whether m is unstamped: no duplicate or late twin to drop.
+func (h *Host) plain(m *pmsg) bool { return m.Txn == 0 }
 
 func (h *Host) upgradeFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 	if h.plain(m) {
@@ -237,16 +222,13 @@ func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
 	return fastmsg.NoFront
 }
 
-// directory leaves to the thread a stamped or replicated message, which may
-// be dropped, re-acked or mirrored first. An ack closing onto queued
-// requests runs in engine context like any other: the request it
-// dispatches again is translated, so nothing is charged between effects.
+// directory leaves to the thread a stamped message, which may be dropped
+// as a duplicate first. An ack closing onto queued requests runs in engine
+// context like any other: the request it dispatches again is translated,
+// so nothing is charged between effects.
 func (h *Host) directory(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if p == nil && !h.plain(m) {
 		return fastmsg.Decline
-	}
-	if rp := h.sys.replAt(h.ID()); rp != nil {
-		return rp.dispatchDir(p, m)
 	}
 	return h.sys.mgrs[h.ID()].dispatch(p, m)
 }
@@ -279,7 +261,7 @@ func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messa
 
 // invalidate drops this host's copy. The request turns around as the
 // reply to whichever home issued the invalidation, echoing the
-// transaction identity (zero off the replicated path).
+// transaction identity (zero on the clean path).
 func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
 	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
 		panic(err)
@@ -289,8 +271,8 @@ func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Me
 }
 
 // data installs the bytes its parked header announced. The thread serves a
-// stamped or replicated reply, which may be dropped and re-acked first, and
-// a prefetch's, whose waiters wake only after its ack is charged.
+// stamped reply, which may be dropped first, and a prefetch's, whose
+// waiters wake only after its ack is charged.
 func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
 	if hdr := h.Peek(fm).(*pmsg); p == nil && (!h.plain(hdr) || hdr.Prefetch) {
 		return fastmsg.Decline
@@ -307,11 +289,8 @@ func (h *Host) upgradeGrant(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.M
 		if p == nil {
 			return fastmsg.Decline
 		}
-		// Late grant for an abandoned transaction, or a duplicate for this
-		// one: drop it. Under replication it may be the re-driven twin of a
-		// completed transaction — the re-ack closes it at the new primary.
-		if m.Txn != 0 && m.FW.Txn != m.Txn || h.sys.replAt(h.ID()) != nil && m.FW.Ev.IsSet() {
-			h.replReAck(p, m)
+		// Late grant for an abandoned transaction: drop it.
+		if m.FW.Txn != m.Txn {
 			h.recyclePM(m)
 			return nil
 		}
@@ -369,18 +348,7 @@ func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
 // This is Figure 3's "Handle Read or Write Reply".
 func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if hdr.Txn != 0 && hdr.FW != nil && hdr.FW.Txn != hdr.Txn {
-		// Late reply for an abandoned transaction: drop before installing.
-		// Under replication, re-ack so a re-driven twin closes at the new
-		// primary instead of holding its entry busy forever.
-		h.replReAck(p, hdr)
-		return
-	}
-	if h.sys.replAt(h.ID()) != nil && hdr.FW != nil && hdr.FW.Ev.IsSet() {
-		// Duplicate reply for a transaction this thread already completed
-		// (its re-driven twin): installing again could re-raise protection
-		// over bytes a later writer invalidated. Drop and re-ack.
-		h.replReAck(p, hdr)
-		return
+		return // late reply for an abandoned transaction: drop before installing
 	}
 	if c := h.Costs(); !h.plain(hdr) {
 		p.Sleep(sim.Duration(len(data))*c.InstallPerByte + c.SetProt) // a plain reply's is its front
@@ -399,16 +367,15 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, prot); err != nil {
 		panic(err)
 	}
-	home := h.primaryFor(hdr.Info.ID)
+	home := h.sys.homeOf(hdr.Info.ID)
 	switch {
 	case hdr.Type == mPushData:
-		// Pushed replica: ack to the home; nobody is waiting. TID/Txn
-		// (zero off the replicated path) match the ack to the open push.
-		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, TID: hdr.TID, Txn: hdr.Txn})
+		// Pushed replica: ack to the home; nobody is waiting.
+		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info})
 	case hdr.Prefetch:
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
-		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Write: false, TID: hdr.TID, Txn: hdr.Txn})
+		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info})
 		if hdr.FW != nil {
 			hdr.FW.Ev.Set()
 		}
@@ -416,21 +383,6 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 		hdr.FW.Info = hdr.Info
 		hdr.FW.Ev.Set()
 	}
-}
-
-// replReAck closes a re-driven transaction whose reply this requester
-// dropped as a duplicate: the twin of a transaction that already
-// completed here. The new primary re-drove it from its mirror and holds
-// the entry busy until an ack arrives — this is that ack. A no-op off
-// the replicated path (the guards' old silent-drop behavior stands) and
-// for unstamped transactions.
-func (h *Host) replReAck(p *sim.Proc, m *pmsg) {
-	rp := h.sys.replAt(h.ID())
-	if rp == nil || m.Txn == 0 {
-		return
-	}
-	h.sendNew(p, h.primaryFor(m.Info.ID), pmsg{Type: mAck, From: h.ID(), Info: m.Info,
-		Write: m.Type == mUpgradeGrant || m.Type == mWriteReply, TID: m.TID, Txn: m.Txn})
 }
 
 // RecoverCrash runs after this host's network stack restarts (fail-restart

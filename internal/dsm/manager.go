@@ -30,11 +30,6 @@ type dirEntry struct {
 	// In-flight push.
 	pushAwait int
 
-	// Replicated-management state; nil unless Options.Replication, which
-	// keeps the record most runs allocate by the ten thousand near 200
-	// bytes instead of 800 (see replEntry).
-	repl *replEntry
-
 	Competing uint64 // requests that found this entry busy (Figure 7's metric)
 }
 
@@ -78,9 +73,8 @@ type manager struct {
 	// Txn is at or below either is a duplicate — created by a retry timer
 	// or crash recovery — and is dropped, never redone: redoing a write
 	// transaction would re-ship bytes over the requester's post-install
-	// stores. Both maps move only under fault injection or replication,
-	// made by their first write (raise): on the clean path Txn == 0 and
-	// they stay nil.
+	// stores. Both maps move only under fault injection, made by their
+	// first write (raise): on the clean path Txn == 0 and they stay nil.
 	done     map[int]uint64
 	inflight map[int]uint64
 
@@ -140,16 +134,8 @@ func (mg *manager) setEntry(id int, e *dirEntry) {
 	mg.dir[id] = e
 }
 
-// serves reports whether this host runs minipage id's directory: as its
-// home or, under replication, as the current primary of its home's shard.
-func (mg *manager) serves(id int) bool {
-	home := mg.sys.homeOf(id)
-	if rp := mg.sys.replAt(mg.me); rp != nil {
-		_, ok := rp.serving[home]
-		return ok
-	}
-	return home == mg.me
-}
+// serves reports whether this host is minipage id's home.
+func (mg *manager) serves(id int) bool { return mg.sys.homeOf(id) == mg.me }
 
 // newEntry carves a directory entry out of the shard's slab arena.
 func (mg *manager) newEntry(copyset hostset.Set, owner int) *dirEntry {
@@ -160,9 +146,6 @@ func (mg *manager) newEntry(copyset hostset.Set, owner int) *dirEntry {
 	mg.deArena = mg.deArena[1:]
 	e.copyset = copyset
 	e.owner = owner
-	if rp := mg.sys.replAt(mg.me); rp != nil {
-		e.repl = rp.newReplEntry()
-	}
 	return e
 }
 
@@ -176,14 +159,14 @@ func (mg *manager) dropDup(m *pmsg) bool {
 	if m.Txn == 0 {
 		return false
 	}
-	if mg.done[m.TID] >= m.Txn && !m.Redrive {
+	if mg.done[m.TID] >= m.Txn {
 		mg.DupRequests++
 		return true
 	}
 	if m.Requeued {
 		return false
 	}
-	if mg.inflight[m.TID] >= m.Txn && !m.Redrive {
+	if mg.inflight[m.TID] >= m.Txn {
 		mg.DupRequests++
 		return true
 	}
@@ -202,11 +185,11 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 			return nil
 		}
 		if m.Type == mReadReq {
-			return mg.admit(p, m, effRead, &mg.Stats.ReadReqs)
+			return mg.admit(p, m, &mg.Stats.ReadReqs)
 		}
-		return mg.admit(p, m, effWrite, &mg.Stats.WriteReqs)
+		return mg.admit(p, m, &mg.Stats.WriteReqs)
 	case mPushReq:
-		return mg.admit(p, m, effPush, &mg.Stats.Pushes)
+		return mg.admit(p, m, &mg.Stats.Pushes)
 	case mAck:
 		return mg.handleAck(p, m)
 	case mInvalidateReply:
@@ -244,27 +227,16 @@ func (mg *manager) resolve(m *pmsg) (e *dirEntry, ok bool) {
 	return nil, false
 }
 
-// seed is the first commit point: the directory entry of a freshly
-// allocated minipage, whose copyset and ownership start at the allocating
-// host, placed where the allocation authority's DIR_INIT (or allocLocal
-// itself) says it is served — then the requests that raced ahead of it
-// replay. Under replication the authority seeds a shard's primary and its
-// backup, in any view: a host that does not serve the minipage shadows
-// it, and a re-seed is a no-op.
+// seed places the directory entry of a freshly allocated minipage, whose
+// copyset and ownership start at the allocating host, at its home (by the
+// allocation authority's DIR_INIT, or allocLocal itself) — then the
+// requests that raced ahead of it replay.
 func (mg *manager) seed(p *sim.Proc, id, from int) {
-	rp := mg.sys.replAt(mg.me)
 	if !mg.serves(id) {
-		if rp == nil {
-			panic(fmt.Sprintf("dsm: host %d got DIR_INIT for minipage %d homed at host %d", mg.me, id, mg.sys.homeOf(id)))
-		}
-		rp.shadowSeed(id, from)
-		return
+		panic(fmt.Sprintf("dsm: host %d got DIR_INIT for minipage %d homed at host %d", mg.me, id, mg.sys.homeOf(id)))
 	}
 	if mg.entryOrNil(id) != nil {
-		if rp == nil {
-			panic(fmt.Sprintf("dsm: duplicate DIR_INIT for minipage %d", id))
-		}
-		return
+		panic(fmt.Sprintf("dsm: duplicate DIR_INIT for minipage %d", id))
 	}
 	mg.setEntry(id, mg.newEntry(hostset.One(from), from))
 	q := mg.waitInit[id]
@@ -295,50 +267,17 @@ func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) (tail *fastmsg.Message) {
 			return nil
 		}
 		next.Requeued = true
-		if tail = mg.dispatch(p, next); mg.sys.repl != nil {
-			// A view change on host 0 may close e meanwhile: look after the send.
-			mg.host().Flush(p, tail)
-			tail = nil
-		}
+		tail = mg.dispatch(p, next)
 	}
 	return tail
 }
 
-// effect names what a commit point releases once the mutation behind it
-// is safe: the forward of an admitted read, write or push, or the close of
-// the open transaction.
-type effect uint8
-
-const (
-	effRead effect = iota
-	effWrite
-	effPush
-	effClose
-)
-
-// release performs a committed effect: at once on an unreplicated or solo
-// shard, on the backup's mirror ack otherwise (repl.go).
-func (mg *manager) release(p *sim.Proc, kind effect, e *dirEntry, m *pmsg) *fastmsg.Message {
-	switch kind {
-	case effRead:
-		return mg.readEffect(e, m)
-	case effWrite:
-		return mg.writeEffect(p, e, m)
-	case effPush:
-		return mg.pushEffect(e, m)
-	}
-	if re := e.repl; re != nil {
-		re.openTID, re.openTxn, re.openMsg = 0, 0, pmsg{}
-	}
-	return mg.closeTxn(p, e)
-}
-
 // admit is the front of Figure 3's "Manager: Handle Read Request" and
 // "Handle Write Request", and of a push: count it (n is its counter),
-// translate, queue it behind an open transaction, else open one and commit
-// its intent. The effect — readEffect, writeEffect, pushEffect — is the
-// rest of the figure's handler.
-func (mg *manager) admit(p *sim.Proc, m *pmsg, kind effect, n *uint64) *fastmsg.Message {
+// translate, queue it behind an open transaction, else open one. The
+// effect — readEffect, writeEffect, pushEffect — is the rest of the
+// figure's handler.
+func (mg *manager) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
 	if !m.Requeued {
 		*n++
 	}
@@ -350,11 +289,18 @@ func (mg *manager) admit(p *sim.Proc, m *pmsg, kind effect, n *uint64) *fastmsg.
 		mg.enqueue(e, m)
 		return nil
 	}
-	if kind == effPush && mg.sys.NumHosts() == 1 {
+	if m.Type == mPushReq && mg.sys.NumHosts() == 1 {
 		mg.host().recyclePM(m)
 		return nil // nothing to replicate to
 	}
-	return mg.commitIntent(p, e, m, kind)
+	e.busy = true
+	switch m.Type {
+	case mReadReq:
+		return mg.readEffect(e, m)
+	case mWriteReq:
+		return mg.writeEffect(p, e, m)
+	}
+	return mg.pushEffect(e, m)
 }
 
 // readEffect is the directory effect of an admitted read — translate is
@@ -400,9 +346,6 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Messa
 		e.pendingWrite = m
 		e.upgrade = true
 		e.invAwait = others.Count()
-		if e.repl != nil {
-			e.repl.invMask = others
-		}
 		return mg.sendInvalidates(p, m, others)
 	}
 
@@ -419,9 +362,6 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Messa
 	e.upgrade = false
 	e.writeSrc = src
 	e.invAwait = invTargets.Count()
-	if e.repl != nil {
-		e.repl.invMask = invTargets
-	}
 	return mg.sendInvalidates(p, m, invTargets)
 }
 
@@ -433,8 +373,8 @@ func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) (tail
 		}
 		mg.host().Flush(p, tail)
 		mg.Stats.Invalidations++
-		// TID/Txn (zero on the clean path) are echoed in the reply so a
-		// replicated home can match it against the open transaction.
+		// TID/Txn (zero on the clean path) are echoed in the reply, which
+		// the server thread then serves like any stamped message.
 		tail = mg.host().postNew(h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn})
 	}
 	return tail
@@ -452,19 +392,8 @@ func (mg *manager) forwardWrite(e *dirEntry, m *pmsg, src int) *fastmsg.Message 
 // handleInvReply is "Manager: Handle Invalidate Reply": once every
 // invalidation is confirmed, release the pending write.
 func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
-	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
-	mg.host().recyclePM(m) // the invalidate reply ends here, counted or not
-	if rp := mg.sys.replAt(mg.me); rp != nil {
-		// A reply forwarded from a deposed primary (or re-delivered after a
-		// re-drive) must not double-count: accept one reply per host per
-		// open invalidation round, matched to the open transaction.
-		e := mg.entryOrNil(id)
-		if e == nil || e.pendingWrite == nil || e.invAwait == 0 ||
-			!e.repl.invMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
-			return nil
-		}
-		e.repl.invMask = e.repl.invMask.Without(from)
-	}
+	id, from := m.Info.ID, m.From
+	mg.host().recyclePM(m) // the invalidate reply ends here
 	e := mg.entry(id)
 	// The replying host no longer holds a copy.
 	e.copyset = e.copyset.Without(from)
@@ -492,29 +421,12 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	if txn != 0 {
 		raise(&mg.done, tid, txn)
 	}
-	if mg.sys.replAt(mg.me) != nil {
-		// Replicated path: duplicate re-acks (a requester dropping the
-		// re-driven twin of a completed transaction) and late acks
-		// forwarded across a view change must close only the transaction
-		// they belong to. Unstamped transactions (Txn 0: the fault-free
-		// clean path, where delivery is FIFO and duplicates cannot arise)
-		// carry the thread id in TID but open with TID 0, so they match on
-		// Txn alone.
-		e := mg.entryOrNil(id)
-		if e == nil || !e.busy {
-			return nil
-		}
-		unstamped := txn == 0 && e.repl.openTxn == 0
-		if !unstamped && (tid != e.repl.openTID || txn != e.repl.openTxn) {
-			return nil
-		}
-	}
-	return mg.commitClose(p, mg.entry(id), id, tid, txn)
+	return mg.closeTxn(p, mg.entry(id))
 }
 
 // allocLocal carves minipage(s) for host `from` and has directory entries
-// it owns seeded where they are served (seedTargets): locally when that
-// is this host, via a DIR_INIT message otherwise. It runs only on host 0
+// it owns seeded at their homes: locally when that is this host, via a
+// DIR_INIT message otherwise. It runs only on host 0
 // (the allocation authority: the MPT grows nowhere else), behind
 // Host.Alloc, and is the first to ask HomeOf about each id.
 func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, error) {
@@ -530,14 +442,12 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, 
 		if hosts := mg.sys.NumHosts(); home < 0 || home >= hosts {
 			mg.host().Runtime().Misuse(mg.me, "HomeOf(%d, %d) = %d is not a host", id, hosts, home)
 		}
-		nmp, _ := mpt.ByID(id)
-		for _, to := range mg.sys.seedTargets(home) {
-			if to == mg.me {
-				mg.seed(p, id, from)
-			} else if to >= 0 {
-				mg.host().sendNew(p, to, pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)})
-			}
+		if home == mg.me {
+			mg.seed(p, id, from)
+			continue
 		}
+		nmp, _ := mpt.ByID(id)
+		mg.host().sendNew(p, home, pmsg{Type: mDirInit, From: from, Info: nmp.Info(mg.sys.Layout)})
 	}
 	mg.dirInited = mpt.NumMinipages()
 
@@ -569,39 +479,18 @@ func (mg *manager) allocLocal(p *sim.Proc, from, size int) (cluster.Allocation, 
 func (mg *manager) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 	e.pushAwait = mg.sys.NumHosts() - 1
 	src := mg.findReplica(e)
-	if e.repl != nil {
-		// Expect one ack from every host but the pusher; acks forwarded
-		// from a deposed primary must not double-count (see handlePushAck).
-		var mask hostset.Set
-		for h := 0; h < mg.sys.NumHosts(); h++ {
-			if h != src {
-				mask = mask.With(h)
-			}
-		}
-		e.repl.pushMask = mask
-	}
 	m.Type = mPushOrder // the request itself goes on to the owner
 	return mg.host().Post(src, m)
 }
 
 // handlePushAck completes the push once every other host holds a copy.
 func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
-	id, from, tid, txn := m.Info.ID, m.From, m.TID, m.Txn
-	mg.host().recyclePM(m) // the push ack ends here, counted or not
-	if mg.sys.replAt(mg.me) != nil {
-		// One ack per host per open push, matched to the open transaction
-		// (as handleInvReply).
-		e := mg.entryOrNil(id)
-		if e == nil || !e.busy || e.pushAwait == 0 ||
-			!e.repl.pushMask.Has(from) || tid != e.repl.openTID || txn != e.repl.openTxn {
-			return nil
-		}
-		e.repl.pushMask = e.repl.pushMask.Without(from)
-	}
+	id, from := m.Info.ID, m.From
+	mg.host().recyclePM(m) // the push ack ends here
 	e := mg.entry(id)
 	e.copyset = e.copyset.With(from)
 	if e.pushAwait--; e.pushAwait > 0 {
 		return nil
 	}
-	return mg.commitClose(p, e, id, tid, txn)
+	return mg.closeTxn(p, e)
 }

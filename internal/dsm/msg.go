@@ -5,7 +5,6 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
-	"millipage/internal/viewsvc"
 )
 
 // managerHost is the elected manager process (Section 3.3: "one of the
@@ -37,15 +36,6 @@ const (
 	mPushAck
 
 	mDirInit // allocation authority -> home: seed the directory shard entry
-
-	// Replicated-management traffic (Options.Replication).
-	mPing       // host -> view service (host 0): liveness heartbeat
-	mViewUpdate // view service -> all hosts: the published view table
-	mMirror     // shard primary -> backup: one mirrored directory mutation
-	mMirrorAck  // backup -> primary: mirror applied, release the effect
-	mMirrorNak  // backup -> primary: mirror refused (newer view); demote
-	mStateXfer  // primary -> fresh backup: full shard state snapshot
-	mSyncAck    // fresh backup -> view service: state transfer installed
 )
 
 func (m mtype) String() string {
@@ -81,13 +71,6 @@ type pmsg struct {
 	Prefetch bool // request was issued by a prefetch: no thread is waiting
 	Requeued bool // dispatched again from a directory queue (stats count it once)
 
-	// Redrive marks a request re-dispatched from a promoted backup's
-	// mirror (Options.Replication). It bypasses the done-side dedup
-	// check: a re-driven transaction whose original completed converges
-	// to the same directory state, and the requester's reply guards plus
-	// its duplicate re-ack close it. Never set off the replicated path.
-	Redrive bool
-
 	// Retry identity, stamped only under fault injection (zero on the
 	// clean path). TID is the requesting thread's global id and Txn its
 	// per-thread transaction number: together they let the home recognize
@@ -98,8 +81,4 @@ type pmsg struct {
 	Txn uint64
 
 	FW *cluster.Wait // requester-local rendezvous (event + reply landing zone)
-
-	// Replicated-management payloads (nil/empty off the replicated path).
-	Mir   *mirrorRec     // mMirror / mMirrorAck / mMirrorNak / mStateXfer / mSyncAck
-	Views []viewsvc.View // mViewUpdate: the full published view table
 }

@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"millipage/internal/cluster"
-	"millipage/internal/hostset"
 	"millipage/internal/sim"
 )
 
@@ -184,19 +183,9 @@ func TestRunReuseRejected(t *testing.T) {
 }
 
 // TestDirEntryFootprint pins the directory entry's size: a run allocates
-// one per minipage, tens of thousands in all, so the replicated-management
-// state (an embedded message and three copysets) lives behind a pointer
-// that only Options.Replication fills in.
+// one per minipage, tens of thousands in all.
 func TestDirEntryFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(dirEntry{}); sz > 256 {
-		t.Fatalf("dirEntry is %d bytes, want <= 256", sz)
-	}
-	for _, repl := range []bool{false, true} {
-		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4,
-			HomeOf: cluster.HomeMod, Replication: repl})
-		e := s.ManagerAt(0).newEntry(hostset.One(0), 0)
-		if (e.repl != nil) != repl {
-			t.Fatalf("Replication=%v: entry carries replication state = %v", repl, e.repl != nil)
-		}
+	if sz := unsafe.Sizeof(dirEntry{}); sz != 224 {
+		t.Fatalf("dirEntry is %d bytes, want 224", sz)
 	}
 }

@@ -23,13 +23,10 @@ type System struct {
 
 	mpt  *core.MPT  // grown only on host 0; read-only replica elsewhere
 	mgrs []*manager // one directory shard per host
-	repl []*replMgr // per-host replication layer; nil when Replication is off
 
-	// The cluster's freelists, shared by every host. See Host.allocPM,
-	// request.
+	// The cluster's freelists, shared by every host. See Host.allocPM.
 	freePM  cluster.Pool[pmsg]
 	freeBuf cluster.SlicePool[byte] // minipage snapshots: filled by the sender, recycled once installed
-	freeReq cluster.Pool[request]   // prefetch retry records
 }
 
 // New builds a cluster. The memory object, views and privileged view are
@@ -61,10 +58,6 @@ func New(opt Options) (*System, error) {
 	for i := 0; i < opt.Hosts; i++ {
 		s.mgrs = append(s.mgrs, &manager{sys: s, me: i})
 	}
-	if opt.Replication {
-		s.initRepl()
-		s.startReplDaemons()
-	}
 	return s, nil
 }
 
@@ -91,8 +84,8 @@ func (s *System) ManagerStatsTotal() ManagerStats {
 	return tot
 }
 
-// Totals sums the protocol counters over every directory shard and
-// replication layer, with the MPT's footprint.
+// Totals sums the protocol counters over every directory shard, with the
+// MPT's footprint.
 func (s *System) Totals() cluster.Totals {
 	ms, t := s.ManagerStatsTotal(), s.Runtime().Totals()
 	t.Invalidations = ms.Invalidations
@@ -100,10 +93,6 @@ func (s *System) Totals() cluster.Totals {
 	t.Minipages = s.mpt.NumMinipages()
 	t.ViewsUsed = s.mpt.ViewsUsed()
 	t.BytesAllocated = s.mpt.BytesAllocated()
-	for _, rp := range s.repl {
-		t.MirrorsSent += rp.Stats.MirrorsSent
-		t.Promotions += rp.Stats.Promotions
-	}
 	return t
 }
 

@@ -18,34 +18,16 @@ type Thread struct {
 
 	// req is the thread's record of its fault request in flight.
 	req request
-
-	// pfSeq numbers this thread's prefetches for the replicated path's
-	// private prefetch transaction identity (see sendPrefetch).
-	pfSeq int
 }
 
 // sendPrefetch translates va and issues one prefetch request for the
-// minipage backing it. Under replicated management with fault injection
-// the request gets a private transaction identity — TID from a space
-// disjoint from thread ids, so prefetch dedup never interferes with the
-// thread's own txn monotonicity — and is re-sent on a timer (recomputing
-// the believed primary) until satisfied: a prefetch dropped at a deposed
-// primary must not stall a waiting GangFetch.
+// minipage backing it. It is unstamped: the reliable transport carries it
+// across a crash of either end, and the home serves it once.
 func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, fw *cluster.Wait) {
 	h := t.host
 	p.Sleep(h.Costs().MPTLookup)
 	home, info := h.route(va)
-	hdr := pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw}
-	if h.sys.replAt(h.ID()) != nil && h.Runtime().Faulty() {
-		t.pfSeq++
-		hdr.TID = h.Runtime().TotalThreads()*t.pfSeq + t.ID
-		hdr.Txn = 1
-		fw.Txn = 1
-		rec := h.sys.freeReq.Get() // the timer re-sends from it, then releases it
-		*rec = request{h, hdr, true}
-		h.ArmRetry(fw, requestRetryBase, rec)
-	}
-	h.sendNew(p, home, hdr)
+	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw})
 	t.Stats.Prefetches++
 }
 

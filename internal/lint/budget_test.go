@@ -72,23 +72,36 @@ import (
 // switch. Paid for in dsm, 2,239 -> 2,215: route's single-home branch,
 // the request rows' lookup front, resolve's lookup and requeue lookup,
 // the ack's decline, and newManager with its three eager maps went.
+//
+// Replicated directory management went (cluster 1,854 -> 1,832, dsm
+// 2,215 -> 1,260): repl.go with its view-service daemons, mirrors, state
+// transfers and promotions; the seven control rows; the replication
+// fields of the protocol header and the directory entry; the
+// mirror-before-effect commit points (effect, release, commitIntent,
+// commitClose), so admit calls its effect and the acks close the
+// transaction directly; the re-ack of re-driven twins; the prefetch's
+// private transaction identity and pooled retry record, with Release on
+// cluster's Resender; the kernel option and its two validate cases;
+// and the mirror and promotion counters of Totals. It lost to the
+// unreplicated directory at every outage the fault presets use.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1854},
-	{"dsm", 2215},
+	{"cluster", 1832},
+	{"dsm", 1260},
 	{"lrc", 801},
 }
 
 // kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once every directory request left its requester
-// translated (4,886 once lrc-mw became home-based; 5,103 when one SC and
+// to what it stood at once replicated management went (4,870 once every
+// directory request left its requester translated; 4,886 once lrc-mw
+// became home-based; 5,103 when one SC and
 // one DRF-SC implementation first remained; the kernel refactor's goal was
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 4870
+const kernelTarget = 3893
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

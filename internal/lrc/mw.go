@@ -238,7 +238,7 @@ type MWHost struct {
 // NewMW builds a multi-writer LRC cluster: the runtime, the layout, the
 // minipage table and one MultiView region per host. Sharing is
 // minipage-grain and every minipage's home is its allocating host, so
-// opt's Grain, HomeOf and Replication are rejected.
+// opt's Grain and HomeOf are rejected.
 func NewMW(opt cluster.Options) (*MWSystem, error) {
 	s := &MWSystem{}
 	err := s.Init("lrc-mw", opt, cluster.Traits{},

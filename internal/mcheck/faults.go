@@ -37,16 +37,6 @@ var faultPresets = map[string]func(hosts int, seed int64) *faultnet.Plan{
 			},
 		}
 	},
-	// manager-kill: the failover litmus schedule — crash the hot
-	// shard's primary (the failover workload's victim host) mid-burst
-	// and keep it down long past the burst, so any protocol stalling
-	// until its restart trips the stall classifier rather than quietly
-	// riding it out. A little frame loss keeps retries in play.
-	"manager-kill": func(hosts int, seed int64) *faultnet.Plan {
-		return &faultnet.Plan{Seed: seed, Drop: 0.02, Crashes: []faultnet.Crash{
-			{Host: 1, At: sim.Time(2 * sim.Millisecond), RestartAt: sim.Time(30 * sim.Millisecond)},
-		}}
-	},
 	"crash-restart": func(hosts int, seed int64) *faultnet.Plan {
 		return &faultnet.Plan{Seed: seed, Drop: 0.02, Crashes: []faultnet.Crash{
 			{Host: hosts - 1, At: sim.Time(2 * sim.Millisecond), RestartAt: sim.Time(8 * sim.Millisecond)},

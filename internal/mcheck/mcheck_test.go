@@ -1,7 +1,6 @@
 package mcheck
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -78,15 +77,14 @@ func TestExploreDistinctSchedules(t *testing.T) {
 	}
 }
 
-// TestExploreFailoverSchedules is the replicated-management campaign
-// guarantee: under the manager-kill preset — the hot shard's primary
-// crashed in the middle of the lock-guarded increment burst — at least
-// 100 distinct schedules must pass the exactly-once oracle, with no
-// stall until the dead host's restart (a stall past the watchdog is a
-// failure classification of its own).
+// TestExploreFailoverSchedules is the directory-crash campaign guarantee:
+// under the crash-restart preset — host 0, the central directory and the
+// lock and allocation authority, crashed mid-run after another host — at
+// least 100 distinct schedules must pass the DRF agreement oracle, none
+// stalling past the watchdog.
 func TestExploreFailoverSchedules(t *testing.T) {
 	rep, err := Explore(Options{
-		Protocol: "millipage-repl", Workload: "failover", Faults: "manager-kill",
+		Protocol: "millipage", Workload: "drf", Faults: "crash-restart",
 		Seed: 3, Schedules: 110, ExploreSeed: 21, Preempt: 0.25, Budget: 40,
 	})
 	if err != nil {
@@ -98,70 +96,6 @@ func TestExploreFailoverSchedules(t *testing.T) {
 	}
 	if rep.Distinct < 100 {
 		t.Fatalf("only %d distinct schedules out of %d explored", rep.Distinct, len(rep.Schedules))
-	}
-	// The litmus refuses to run where replication is off: the workload
-	// would silently test nothing.
-	if _, err := Explore(Options{Protocol: "millipage", Workload: "failover", Schedules: 1}); err == nil {
-		t.Fatal("failover workload accepted without replicated management")
-	}
-}
-
-// TestFailoverRegressionTrace replays the checked-in failover schedule:
-// a seeded manager-kill interleaving recorded while fixing the
-// dedup-table rebuild bug (a promoted backup redoing a completed
-// transaction). The artifact must load, replay bit-identically twice,
-// and pass — forever.
-//
-// Regenerate after an intentional protocol timing change with:
-//
-//	MCHECK_REGEN=1 go test ./internal/mcheck -run TestFailoverRegressionTrace
-func TestFailoverRegressionTrace(t *testing.T) {
-	const path = "testdata/failover-manager-kill.mchk"
-	o := Options{
-		Protocol: "millipage-repl", Workload: "failover", Faults: "manager-kill",
-		Seed: 3, ExploreSeed: 21, Preempt: 0.25, Budget: 40,
-	}
-	if os.Getenv("MCHECK_REGEN") != "" {
-		rec := &Recorder{Inner: NewRandom(o.ExploreSeed+7*0x9E3779B9, o.Preempt, o.Budget)}
-		_, fail, err := o.runOne(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fail != nil {
-			t.Fatalf("regeneration schedule failed: %v", fail)
-		}
-		tr := &Trace{
-			Protocol: o.Protocol, Workload: o.Workload, Faults: o.Faults,
-			Hosts: o.Hosts, Seed: o.Seed, Decisions: rec.Decisions,
-		}
-		if err := tr.Save(path); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s: %d decisions, digest %016x", path, len(tr.Decisions), tr.Digest())
-	}
-	art, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Protocol != "millipage-repl" || art.Workload != "failover" || art.Faults != "manager-kill" {
-		t.Fatalf("artifact drifted: %s/%s/%s", art.Protocol, art.Workload, art.Faults)
-	}
-	r1, err := Replay(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Replay(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Failure != nil || r2.Failure != nil {
-		t.Fatalf("regression trace fails again: %v / %v", r1.Failure, r2.Failure)
-	}
-	if r1.Fingerprint != r2.Fingerprint {
-		t.Fatalf("replay is not deterministic:\n r1: %s\n r2: %s", r1.Fingerprint, r2.Fingerprint)
-	}
-	if r1.Digest != art.Digest() {
-		t.Fatal("replay digest diverged from the artifact")
 	}
 }
 

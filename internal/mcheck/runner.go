@@ -26,8 +26,8 @@ const Watchdog = 120 * sim.Second
 
 // Options configures one exploration campaign.
 type Options struct {
-	Protocol string // "millipage", "millipage-repl", "ivy" or "lrc-mw"
-	Workload string // a Workloads key: "swmr", "mp", "dekker", "drf", "merge", "failover", "drf-nolock"
+	Protocol string // a registry name: "millipage", "ivy" or "lrc-mw"
+	Workload string // a Workloads key: "swmr", "mp", "dekker", "drf", "merge", "drf-nolock"
 	Faults   string // a fault preset name (FaultPresets), or "" for a clean network
 	Hosts    int    // 0 = the workload's default
 	Seed     int64  // system seed: engine rng and fault plan
@@ -83,25 +83,6 @@ type Report struct {
 	Failure   *FailureReport
 }
 
-// replProtocol is millipage with home-based management and shard
-// replication. It is a name of this package, not of the registry — saved
-// MCHK1 traces carry it — mapped to registry options by resolve.
-const replProtocol = "millipage-repl"
-
-// resolve maps an Options.Protocol value to its registry entry, and
-// reports whether it asks for replicated management on top.
-func resolve(protocol string) (registry.Spec, bool, error) {
-	repl := protocol == replProtocol
-	if repl {
-		protocol = "millipage"
-	}
-	spec, err := registry.Lookup(protocol)
-	if err != nil {
-		return spec, repl, fmt.Errorf("mcheck: %w, or %s", err, replProtocol)
-	}
-	return spec, repl, nil
-}
-
 // fingerprint reduces one finished run to a comparable value: elapsed
 // virtual time plus every endpoint's full transport counters. Two runs
 // with equal fingerprints took the same schedule through the protocol.
@@ -117,11 +98,11 @@ func fingerprint(rt *cluster.Runtime) string {
 // faults, seed) under explorer x and classifies the outcome. Every
 // call builds a fresh system: schedules never share state.
 func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
-	proto, repl, err := resolve(o.Protocol)
+	proto, err := registry.Lookup(o.Protocol)
 	if err != nil {
-		return "", nil, err
+		return "", nil, fmt.Errorf("mcheck: %w", err)
 	}
-	wl, err := buildWorkload(o, proto.SC, repl)
+	wl, err := buildWorkload(o, proto.SC)
 	if err != nil {
 		return "", nil, err
 	}
@@ -131,11 +112,7 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 			return "", nil, err
 		}
 	}
-	opt := registry.Options{Hosts: wl.hosts, SharedSize: 1 << 16, Views: 8, Seed: o.Seed, Faults: plan}
-	if repl {
-		opt.HomeOf, opt.Replication = cluster.HomeMod, true
-	}
-	sys, err := proto.New(opt)
+	sys, err := proto.New(registry.Options{Hosts: wl.hosts, SharedSize: 1 << 16, Views: 8, Seed: o.Seed, Faults: plan})
 	if err != nil {
 		return "", nil, err
 	}

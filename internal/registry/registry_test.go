@@ -104,10 +104,9 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 // beyond the common core either builds and runs with the option in force,
 // or is refused with an error naming the field — never accepted and
 // ignored. In force is observed, not assumed: a page grain packs the two
-// cells into one sharing unit, a HomeOf gets asked, replication sends
-// mirrors, two threads a host run twice the bodies. ivy's grain and HomeOf
-// are its preset, so it refuses both and runs replication without one. The
-// "lrc" alias answers as lrc-mw does.
+// cells into one sharing unit, a HomeOf gets asked, two threads a host run
+// twice the bodies. ivy's grain and HomeOf are its preset, so it refuses
+// both. The "lrc" alias answers as lrc-mw does.
 func TestOptionMatrix(t *testing.T) {
 	const hosts = 3
 	asked := 0
@@ -122,10 +121,6 @@ func TestOptionMatrix(t *testing.T) {
 			func(tot cluster.Totals, _ int) bool { return tot.Minipages == 1 }},
 		{"home-of", []string{"HomeOf"}, func(o *registry.Options) { o.HomeOf = homeOf },
 			func(cluster.Totals, int) bool { return asked > 0 }},
-		{"replication", []string{"Replication", "HomeOf"}, func(o *registry.Options) { o.HomeOf, o.Replication = homeOf, true },
-			func(tot cluster.Totals, _ int) bool { return tot.MirrorsSent > 0 }},
-		{"replication-without-home-of", []string{"Replication"}, func(o *registry.Options) { o.Replication = true },
-			func(tot cluster.Totals, _ int) bool { return tot.MirrorsSent > 0 }},
 		{"two-threads-a-host", []string{"ThreadsPerHost"}, func(o *registry.Options) { o.ThreadsPerHost = 2 },
 			func(_ cluster.Totals, bodies int) bool { return bodies == 2*hosts }},
 	}

@@ -26,10 +26,6 @@ var chaosRows = []struct {
 	{"crash-restart", "millipage"},
 	{"crash-restart", "ivy"},
 	{"crash-restart", "lrc-mw"},
-	// The failover row: replicated directory management with the hot
-	// shard's primary crashed mid-burst. Scenario "manager-kill" sets
-	// Replicated, so the protocol stays millipage.
-	{"manager-kill", "millipage"},
 }
 
 func TestChaosServing(t *testing.T) {
@@ -52,18 +48,6 @@ func TestChaosServing(t *testing.T) {
 			// exercised the reliability layer proves nothing.
 			if res.Report.Retransmits == 0 {
 				t.Fatal("fault preset produced no retransmits — the chaos row ran on a clean wire")
-			}
-			// The failover row must actually have failed over: a view change
-			// happened (the dead primary's backup promoted), mirrors flowed,
-			// and — the Run oracles having passed above — zero acked PUTs
-			// were lost or redone across it.
-			if row.scenario == "manager-kill" {
-				if res.Report.Promotions == 0 {
-					t.Fatal("manager-kill run recorded no promotion — the primary was never failed over")
-				}
-				if res.Report.MirrorsSent == 0 {
-					t.Fatal("manager-kill run mirrored nothing — directory effects were not mirror-gated")
-				}
 			}
 			// Double-run determinism under faults: the injector draws from
 			// the plan seed, so even a mangled wire replays bit-identically.

@@ -110,30 +110,6 @@ func Scenarios() []Scenario {
 	crashRestart.Ops = 4_000
 	crashRestart.Rate = 8_000
 
-	// manager-kill is the failover serving row: replicated directory
-	// management with the hot shard's primary (host 1) crashed 2ms into
-	// the burst and kept down for 28ms — roughly the first eighth of the
-	// run. The service must keep answering through the view change (the
-	// synced backup promotes and re-serves); the oracle map proves zero
-	// acked PUTs were lost and none were redone, and the latency
-	// percentiles record what the failover cost the tail.
-	managerKill := Scenario{
-		Name:          "manager-kill",
-		Protocol:      "millipage",
-		Hosts:         4,
-		Keys:          512,
-		Buckets:       32,
-		Clients:       10_000,
-		Rate:          8_000,
-		Ops:           2_000,
-		ReadFrac:      0.80,
-		ZipfS:         0.99,
-		Seed:          1,
-		Faults:        "manager-kill",
-		Replicated:    true,
-		PerfectTimers: true,
-	}
-
 	out := []Scenario{
 		smoke,
 		smokeMW,
@@ -146,7 +122,6 @@ func Scenarios() []Scenario {
 		uniform,
 		dropHeavy,
 		crashRestart,
-		managerKill,
 	}
 	return out
 }

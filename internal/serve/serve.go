@@ -57,12 +57,6 @@ type Scenario struct {
 	Seed   int64
 	Faults string // fault preset name (mcheck.FaultNames), "" or "clean" = clean wire
 
-	// Replicated turns on primary/backup directory-shard replication
-	// (Config.ManagerReplication, which implies home-based management):
-	// the service keeps answering while a shard's primary is dead,
-	// because the synced backup promotes and re-serves. Millipage-only.
-	Replicated bool
-
 	// PerfectTimers removes the NT timer pathology from the service
 	// threads. Serving scenarios default to true (scenarios.go) so
 	// latency percentiles reflect protocol behaviour; set false to watch
@@ -250,15 +244,13 @@ func Run(sc Scenario) (*Result, error) {
 
 	shared := 8*sc.Keys + 64*sc.Buckets + (256 << 10)
 	cl, err := millipage.NewCluster(millipage.Config{
-		Protocol:            sc.Protocol,
-		Hosts:               sc.Hosts,
-		SharedMemory:        shared,
-		Views:               sc.Views,
-		Seed:                sc.Seed,
-		PerfectTimers:       sc.PerfectTimers,
-		Faults:              plan,
-		HomeBasedManagement: sc.Replicated,
-		ManagerReplication:  sc.Replicated,
+		Protocol:      sc.Protocol,
+		Hosts:         sc.Hosts,
+		SharedMemory:  shared,
+		Views:         sc.Views,
+		Seed:          sc.Seed,
+		PerfectTimers: sc.PerfectTimers,
+		Faults:        plan,
 	})
 	if err != nil {
 		return nil, err

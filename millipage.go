@@ -87,10 +87,9 @@ type Config struct {
 	//
 	// All protocols run the same Worker API on the same simulated
 	// substrate, so apps and benchmarks sweep protocols by changing only
-	// this field. PageGranularity, HomeBasedManagement and
-	// ManagerReplication are the millipage directory's policy: ivy fixes
-	// the first two, and lrc-mw fixes its own sharing grain and placement
-	// and rejects all three.
+	// this field. PageGranularity and HomeBasedManagement are the
+	// millipage directory's policy: ivy fixes both, and lrc-mw fixes its
+	// own sharing grain and placement and rejects both.
 	Protocol string
 
 	// Hosts is the number of machines (the paper's cluster has 8).
@@ -129,16 +128,6 @@ type Config struct {
 	// identical either way; only the protocol load distribution (and
 	// hence timing) changes. Millipage-only.
 	HomeBasedManagement bool
-
-	// ManagerReplication replicates each home-based directory shard as a
-	// primary/backup pair coordinated by a view service on host 0:
-	// directory mutations are mirrored to the backup before their effects
-	// escape, and when a shard's primary crashes the synced backup
-	// promotes and keeps serving the shard's minipages — no stall until
-	// the dead host restarts. Millipage-only; requires
-	// HomeBasedManagement, which ivy sets itself. See docs/PROTOCOL.md,
-	// "Replicated management".
-	ManagerReplication bool
 
 	// Seed makes runs reproducible; equal seeds give identical traces.
 	// Default 1.
@@ -196,7 +185,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Views:          cfg.Views,
 		ChunkLevel:     cfg.ChunkLevel,
 		Seed:           cfg.Seed,
-		Replication:    cfg.ManagerReplication,
 		Net:            cfg.netParams(),
 		Faults:         cfg.Faults,
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	millipage "millipage"
-	"millipage/internal/faultnet"
-	"millipage/internal/sim"
 )
 
 func TestNewClusterValidation(t *testing.T) {
@@ -60,10 +58,6 @@ func TestNewClusterValidation(t *testing.T) {
 		{millipage.Config{Protocol: "ivy", Hosts: 0, SharedMemory: 1 << 16}, []string{"Hosts"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: 1025, SharedMemory: 1 << 16}, []string{"Hosts"}},
 		{millipage.Config{Protocol: "lrc-mw", Hosts: -1, SharedMemory: 1 << 16}, []string{"Hosts"}},
-		// Replicated management: millipage, home-based.
-		{millipage.Config{Protocol: "lrc-mw", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true,
-			ManagerReplication: true}, []string{"Replication"}},
-		{millipage.Config{Hosts: 2, SharedMemory: 1 << 16, ManagerReplication: true}, []string{"Replication", "HomeBased"}},
 		// ivy is millipage at page grain with HomeMod: both are its preset.
 		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, PageGranularity: true}, []string{"Grain", "PageGranularity"}},
 		{millipage.Config{Protocol: "ivy", Hosts: 2, SharedMemory: 1 << 16, HomeBasedManagement: true}, []string{"HomeOf", "HomeBasedManagement"}},
@@ -194,90 +188,6 @@ func TestReportString(t *testing.T) {
 	c2, p, rf, wf, sy := report.AvgBreakdown()
 	if tot := c2 + p + rf + wf + sy; tot < 0.999 || tot > 1.001 {
 		t.Fatalf("breakdown sums to %v", tot)
-	}
-}
-
-// TestManagerReplicationEndToEnd drives Config.ManagerReplication
-// through the public API: with the host-1 directory primary crashed
-// mid-run, a lock-guarded increment burst against minipages homed
-// there completes exactly-once, long before the dead host restarts.
-func TestManagerReplicationEndToEnd(t *testing.T) {
-	// Validation: replication needs home-based management, which ivy
-	// fixes itself.
-	bad := []millipage.Config{
-		{Hosts: 4, SharedMemory: 1 << 16, ManagerReplication: true},
-		{Hosts: 4, SharedMemory: 1 << 16, Protocol: "ivy", HomeBasedManagement: true, ManagerReplication: true},
-	}
-	for i, cfg := range bad {
-		if _, err := millipage.NewCluster(cfg); err == nil {
-			t.Fatalf("bad config %d accepted: %+v", i, cfg)
-		}
-	}
-
-	const (
-		hosts   = 4
-		victim  = 1
-		incs    = 4
-		restart = 2 * sim.Second
-	)
-	plan := &faultnet.Plan{
-		Seed: 9,
-		Crashes: []faultnet.Crash{
-			{Host: victim, At: sim.Time(2 * sim.Millisecond), RestartAt: sim.Time(restart)},
-		},
-	}
-	c, err := millipage.NewCluster(millipage.Config{
-		Hosts: hosts, SharedMemory: 1 << 16, Views: 4, Seed: 3,
-		HomeBasedManagement: true, ManagerReplication: true, Faults: plan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vas [hosts]millipage.Addr
-	var maxSeen uint32
-	report, err := c.Run(func(w *millipage.Worker) {
-		if w.Host() == 0 {
-			for i := range vas {
-				vas[i] = w.Malloc(64) // minipage i, homed at host i
-				w.WriteU32(vas[i], 0)
-			}
-		}
-		w.Barrier() // pre-crash rendezvous: everyone, victim included
-		if w.Host() == victim {
-			return // its host crashes at 2ms; the survivors carry on
-		}
-		// Let the crash land and the backup promote, then hammer the
-		// dead host's shard.
-		w.Compute(4 * sim.Millisecond)
-		for i := 0; i < incs; i++ {
-			w.Lock(0)
-			v := w.ReadU32(vas[victim]) + 1
-			w.WriteU32(vas[victim], v)
-			if v > maxSeen {
-				maxSeen = v
-			}
-			w.Unlock(0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exactly-once: the last increment to land observed the full sum.
-	if want := uint32((hosts - 1) * incs); maxSeen != want {
-		t.Fatalf("accumulator high-water = %d, want %d (increments lost or redone across the view change)", maxSeen, want)
-	}
-	// The burst finished long before the victim's restart: no stall.
-	if report.Elapsed >= restart {
-		t.Fatalf("run took %v — stalled until the victim's restart (%v)", report.Elapsed, restart)
-	}
-	if report.Promotions == 0 {
-		t.Fatal("no promotion recorded — the shard never failed over")
-	}
-	if report.MirrorsSent == 0 {
-		t.Fatal("no mirrors recorded — directory effects were not mirror-gated")
-	}
-	if !strings.Contains(report.String(), "replication:") {
-		t.Fatal("Report.String has no replication line on a replicated run")
 	}
 }
 

@@ -37,13 +37,6 @@ type Report struct {
 	OutOfOrder    uint64 // frames buffered across a sequence gap
 	FramesDropped uint64 // frames discarded at down (crashed/partitioned) hosts
 
-	// Replicated-management activity. All zero unless
-	// Config.ManagerReplication: mirrors are the primary->backup
-	// directory-mutation stream, promotions count backups that took a
-	// shard over after its primary died.
-	MirrorsSent uint64
-	Promotions  uint64
-
 	// DSM footprint (Table 2 columns).
 	Minipages  int
 	ViewsUsed  int
@@ -161,8 +154,6 @@ func (c *Cluster) report() *Report {
 	r.CompetingRequests = tot.CompetingRequests
 	r.Barriers = tot.BarrierEpisodes
 	r.LockAcquisitions = tot.LockAcquisitions
-	r.MirrorsSent = tot.MirrorsSent
-	r.Promotions = tot.Promotions
 	r.Minipages = tot.Minipages
 	r.ViewsUsed = tot.ViewsUsed
 	r.SharedUsed = tot.BytesAllocated
@@ -198,9 +189,6 @@ func (r *Report) String() string {
 	if r.Retransmits+r.DupsDropped+r.OutOfOrder+r.FramesDropped > 0 {
 		fmt.Fprintf(&b, "reliability: retransmits=%d dups=%d ooo=%d dropped=%d\n",
 			r.Retransmits, r.DupsDropped, r.OutOfOrder, r.FramesDropped)
-	}
-	if r.MirrorsSent+r.Promotions > 0 {
-		fmt.Fprintf(&b, "replication: mirrors=%d promotions=%d\n", r.MirrorsSent, r.Promotions)
 	}
 	fmt.Fprintf(&b, "dsm: minipages=%d views=%d shared=%dB\n", r.Minipages, r.ViewsUsed, r.SharedUsed)
 	if r.ReadFaultLatency.Count() > 0 {
