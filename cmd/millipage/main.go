@@ -129,8 +129,8 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
   costs                Table 1 and the Section 4.2 microbenchmarks
   mvoverhead [-fast]   Figure 5: MultiView overhead vs number of views
   apps [flags]         Figure 6 and Table 2: the five-application suite;
-                       millipage's figures under the home-based directory
-                       and the paper's central manager
+                       figures under the home-based placement and the
+                       paper's central manager (ivy: its preset's alone)
                          -scale F      problem scale (default 1.0 = paper)
                          -hosts L      comma list of host counts (default 1,2,4,8)
                          -only A       run a single application
@@ -266,12 +266,12 @@ func runApps(args []string) error {
 	return nil
 }
 
-// placed names a protocol under a directory placement.
+// placed names a protocol under a placement of its minipage homes.
 func placed(protocol string, pl bench.Placement) string {
 	if pl.Name == "" {
 		return protocol
 	}
-	return protocol + " (" + pl.Name + " directory)"
+	return protocol + " (" + pl.Name + " placement)"
 }
 
 func runChunking(args []string) error {

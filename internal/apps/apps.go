@@ -42,8 +42,8 @@ type Params struct {
 	Seed          int64
 	Scale         float64 // problem scale: 1.0 = the paper's data sets
 
-	// CentralManagement runs millipage's directory on host 0 alone, the
-	// paper's manager (millipage.Config.CentralManagement).
+	// CentralManagement homes every minipage on host 0, the paper's
+	// manager (millipage.Config.CentralManagement).
 	CentralManagement bool
 
 	// Engine accepts only "" or "seq": there is one event engine. Kept so

@@ -85,6 +85,9 @@ func TestISAgreesAcrossHosts(t *testing.T) {
 	if r4.Report.LockAcquisitions != 0 {
 		t.Fatalf("IS used %d locks; Table 2 lists none", r4.Report.LockAcquisitions)
 	}
+	// Scale 0.02's key count is not a multiple of 8: every key is ranked
+	// at 8 hosts too, none dropped with the remainder.
+	checkAgree(t, RunIS, 8, 0)
 }
 
 func TestWATERAgreesAcrossHosts(t *testing.T) {

@@ -76,13 +76,14 @@ func RunIS(p Params) (Result, error) {
 		w.ResetStats()
 		start := w.Now()
 
-		// Local keys: host h takes slice [h*n, (h+1)*n) of a key sequence
-		// defined by global index, so the key multiset — and hence the
-		// checksum — is identical for every host count.
-		nKeys := totalKeys / hosts
+		// Local keys: host h takes slice [h*total/hosts, (h+1)*total/hosts)
+		// of a key sequence defined by global index, so the key multiset —
+		// and hence the checksum — is identical for every host count.
+		lo := h * totalKeys / hosts
+		nKeys := (h+1)*totalKeys/hosts - lo
 		keys := make([]uint16, nKeys)
 		for i := range keys {
-			keys[i] = uint16(isKeyAt(uint64(h*nKeys+i), uint64(p.Seed)))
+			keys[i] = uint16(isKeyAt(uint64(lo+i), uint64(p.Seed)))
 		}
 		local := make([]uint32, isValues)
 

@@ -169,10 +169,12 @@ var lockstepRows = map[string]bool{"E2ESOR64": true, "E2ESOR256": true}
 // coroswitchesBeforeClose is every end-to-end row's coroswitches_per_op
 // at the commit before a fault's ack became the closing stage of its wait
 // sequence, when the scale-out rows still read under 1.8 per switch.
+// lrc-mw has no closing stage, so its two rows' entries are their own
+// pins, re-recorded with them when lrc-mw began to home by HomeOf.
 var coroswitchesBeforeClose = map[string]uint64{
 	"E2ESOR8":         8_256,
-	"E2EFalseShareMW": 1_474,
-	"E2EWATER8MW":     20_626,
+	"E2EFalseShareMW": 1_702,
+	"E2EWATER8MW":     21_362,
 	"E2ESOR64":        31_352,
 	"E2ESOR256":       93_690,
 	"E2EServe8":       50_816,

@@ -27,22 +27,22 @@ type Figure6Config struct {
 	ChunkWATER int // chunking level for WATER (paper uses chunking for its results)
 	Only       string
 
-	CentralManagement bool // millipage's directory on host 0 alone (Placement)
+	CentralManagement bool // every minipage homed on host 0 (Placement)
 }
 
-// Placement is one millipage directory placement a paper-figure driver
+// Placement is one placement of minipage homes a paper-figure driver
 // reports.
 type Placement struct {
-	Name    string // "" for a protocol that places its own directory
+	Name    string // "" for ivy, whose preset fixes its placement
 	Central bool   // Config.CentralManagement
 }
 
-// Placements are the directory placements to report a protocol's figures
-// under: for millipage the default, home-based one (minipage id homed at
-// host id % N) and the paper's one manager on host 0, the configuration
-// Section 4 measured; other protocols place their own directory.
+// Placements are the placements to report a protocol's figures under: the
+// default, home-based one (minipage id homed at host id % N) and the
+// paper's one manager on host 0, the configuration Section 4 measured.
+// ivy's preset fixes its placement, so it has one.
 func Placements(protocol string) []Placement {
-	if protocol != "" && protocol != "millipage" {
+	if strings.EqualFold(protocol, "ivy") {
 		return []Placement{{}}
 	}
 	return []Placement{{Name: "home-based"}, {Name: "central", Central: true}}

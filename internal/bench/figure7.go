@@ -26,7 +26,7 @@ type Figure7Config struct {
 	Seed    int64
 	Repeats int // seeds averaged per point (sweeper jitter is random)
 
-	CentralManagement bool // the directory on host 0 alone (Placement)
+	CentralManagement bool // every minipage homed on host 0 (Placement)
 }
 
 // DefaultFigure7 matches the paper: chunking levels 1..6 plus "none",

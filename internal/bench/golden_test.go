@@ -194,7 +194,8 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 // tree is the star, and its arrivals, now handled in engine context, send
 // their releases at the same times. Both lrc-mw rows were re-recorded
 // when its faults stopped fetching diffs from their writers and became
-// one fetch from the home; the millipage row when its requests began to
+// one fetch from the home, and again when its homes moved from the
+// allocating host to HomeOf's; the millipage row when its requests began to
 // leave their requesters translated, and again when its directory became
 // home-based by default.
 func TestGoldenTraceDigestLocks(t *testing.T) {
@@ -205,9 +206,9 @@ func TestGoldenTraceDigestLocks(t *testing.T) {
 		elapsed  int64
 		digest   uint64
 	}{
-		{"lrc-mw", 3, 576, 7047931, 0x1e4bf7d2a1445d5d},
+		{"lrc-mw", 3, 550, 5939357, 0x92b4c8289f3eb77e},
 		{"ivy", 3, 807, 12550943, 0xb6f74c0147e6cbf0},
-		{"lrc-mw", 8, 1555, 12674229, 0x47e105761dd7bd5d},
+		{"lrc-mw", 8, 1518, 11659449, 0x8771b5abd455c432},
 		{"millipage", 8, 2543, 19275794, 0x59649d9e834bff58},
 	} {
 		rec := trace.NewRecorder(1 << 16)

@@ -260,6 +260,49 @@ func (c *ChunkExtend) Body(w cluster.AppThread) {
 
 func (c *ChunkExtend) Err() error { return c.bad }
 
+// ChunkGrow grows a minipage under dirty copies, for three hosts. With
+// chunking on, each allocation extends the minipage the first one opened,
+// and a copy already writable takes the new bytes without a fault. Host
+// 1 allocates and writes a, then allocates and writes b; after a barrier
+// host 0 rewrites a and computes while host 2 allocates c, writes it and
+// releases a lock, so host 2's write reaches the minipage's home (host 0
+// under HomeMod and HomeCentral: its id is 0) while the home still holds
+// it dirty from before the growth. After a second barrier every host
+// reads all three words. The program is data-race-free; a protocol whose
+// twin keeps the minipage's old extent loses b, or cannot lay host 2's
+// write over its twin.
+type ChunkGrow struct {
+	a, b, c uint64
+	bad     error
+}
+
+func (g *ChunkGrow) Body(w cluster.AppThread) {
+	if w.Host() == 1 {
+		g.a = w.Malloc(64)
+		w.WriteU32(g.a, 11)
+		g.b = w.Malloc(64)
+		w.WriteU32(g.b, 22)
+	}
+	w.Barrier()
+	switch w.Host() {
+	case 0:
+		w.WriteU32(g.a, 12)
+		w.Compute(5 * sim.Millisecond)
+	case 2:
+		g.c = w.Malloc(64)
+		w.WriteU32(g.c, 33)
+		w.Lock(0)
+		w.Unlock(0)
+	}
+	w.Barrier()
+	if a, b, c := w.ReadU32(g.a), w.ReadU32(g.b), w.ReadU32(g.c); (a != 12 || b != 22 || c != 33) && g.bad == nil {
+		g.bad = fmt.Errorf("host %d reads a=%d b=%d c=%d after the barrier, want 12, 22 and 33", w.Host(), a, b, c)
+	}
+	w.Barrier()
+}
+
+func (g *ChunkGrow) Err() error { return g.bad }
+
 // SWMRSweep drives a seed-dependent read/write mix over Words shared
 // words and asserts the SW/MR invariant after every completed
 // operation. Prots must be set (normally RuntimeProts around the

@@ -72,6 +72,13 @@ func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("chunk-grow", func(t *testing.T) {
+		wl := &check.ChunkGrow{}
+		runDSM(t, 3, wl.Body)
+		if err := wl.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("swmr", func(t *testing.T) {
 		sys := newDSM(t, 3, 2)
 		wl := &check.SWMRSweep{Words: 3, Iters: 8, Seed: 2, Prots: check.RuntimeProts{RT: sys.Runtime()}}

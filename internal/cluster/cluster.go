@@ -49,18 +49,16 @@ type Options struct {
 	ChunkLevel     int // the paper's chunking switch; 0/1 means off
 	Seed           int64
 
-	// Grain and HomeOf are Millipage's directory policy (its ivy preset is
-	// GrainPage). lrc-mw homes each minipage at its allocator and rejects
-	// both (Traits.Directory).
-	Grain core.Grain
+	Grain core.Grain // the minipage table's sharing unit (ivy: GrainPage)
 
-	// HomeOf maps a minipage id to the host that runs its directory
-	// transactions. Nil is HomeMod; HomeCentral is the paper's Section 3.3
-	// configuration, every minipage homed at the Coordinator (a request
-	// leaves its host translated either way). It must be a pure function
-	// into [0, hosts): every host computes homes independently. The
-	// Coordinator remains the allocation authority, the lock table and the
-	// barrier tree's root.
+	// HomeOf maps a minipage id to its home: the host that runs its
+	// directory transactions under millipage, and that every lrc-mw diff
+	// is flushed to and every fetch served from. Nil is HomeMod;
+	// HomeCentral is the paper's Section 3.3 configuration, every minipage
+	// homed at the Coordinator (a request leaves its host translated
+	// either way). It must be a pure function into [0, hosts): every host
+	// computes homes independently. The Coordinator remains the allocation
+	// authority, the lock table and the barrier tree's root.
 	HomeOf func(id, hosts int) int
 
 	Net   fastmsg.Params
@@ -91,7 +89,6 @@ func HomeCentral(id, hosts int) int { return Coordinator }
 // cell fails fast, it never silently degrades.
 type Traits struct {
 	MultiThreaded bool // ThreadsPerHost > 1
-	Directory     bool // Millipage's directory policy: Grain, HomeOf
 }
 
 // withDefaults fills zero fields with the calibrated defaults. Hosts and
@@ -115,6 +112,9 @@ func (o Options) withDefaults() Options {
 	if o.Costs == (Costs{}) {
 		o.Costs = DefaultCosts()
 	}
+	if o.HomeOf == nil {
+		o.HomeOf = HomeMod
+	}
 	return o
 }
 
@@ -134,10 +134,6 @@ func (o Options) validate(name string, tr Traits) error {
 		return fmt.Errorf("%s: ThreadsPerHost = %d, but this protocol runs one thread per host", name, o.ThreadsPerHost)
 	case o.ChunkLevel < 1:
 		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
-	case o.Grain != core.GrainMinipage && !tr.Directory:
-		return fmt.Errorf("%s: Grain is set (PageGranularity), but this protocol fixes its own sharing grain", name)
-	case o.HomeOf != nil && !tr.Directory:
-		return fmt.Errorf("%s: HomeOf is set (CentralManagement), but this protocol places its own directory", name)
 	}
 	return nil
 }
@@ -168,9 +164,6 @@ func New(name string, opt Options, tr Traits) (*Runtime, error) {
 	opt = opt.withDefaults()
 	if err := opt.validate(name, tr); err != nil {
 		return nil, err
-	}
-	if tr.Directory && opt.HomeOf == nil {
-		opt.HomeOf = HomeMod
 	}
 	eng := sim.NewEngine(opt.Seed)
 	net := fastmsg.New(eng, opt.Hosts, opt.Net)

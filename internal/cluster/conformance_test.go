@@ -18,34 +18,46 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/core"
 	"millipage/internal/faultnet"
 	"millipage/internal/registry"
 )
 
 // protoRun is one protocol under test: a registry entry, optionally with
-// a directory placement of its own (failover_test.go). The conformance,
-// chaos and failover suites all build their clusters through make.
+// a placement or a sharing grain of its own. The conformance, chaos and
+// failover suites all build their clusters through make.
 type protoRun struct {
 	name   string
 	spec   registry.Spec // spec.SC: sequentially consistent for racy (non-DRF) programs
 	homeOf func(id, hosts int) int
+	grain  core.Grain
 }
 
 // protocols returns every registered protocol, then the "lrc" alias of
-// lrc-mw: a name the registry accepts gets the oracles of the protocol it
-// builds.
+// lrc-mw — a name the registry accepts gets the oracles of the protocol it
+// builds — then lrc-mw under the paper's central placement and at page
+// grain, the two options millipage's cells reach through its default and
+// its ivy preset.
 func protocols() []protoRun {
 	var prs []protoRun
 	for _, name := range append(registry.Names(), "lrc") {
 		spec, _ := registry.Lookup(name)
 		prs = append(prs, protoRun{name: name, spec: spec})
 	}
-	return prs
+	mw, _ := registry.Lookup("lrc-mw")
+	return append(prs,
+		protoRun{name: "lrc-mw-central", spec: mw, homeOf: cluster.HomeCentral},
+		protoRun{name: "lrc-mw-page", spec: mw, grain: core.GrainPage})
+}
+
+// options are the protocol's cluster options; plan is nil for a clean wire.
+func (pr protoRun) options(hosts int, seed int64, plan *faultnet.Plan) registry.Options {
+	return registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, HomeOf: pr.homeOf, Grain: pr.grain, Faults: plan}
 }
 
 // make builds the protocol's cluster; plan is nil for a clean wire.
 func (pr protoRun) make(hosts int, seed int64, plan *faultnet.Plan) (cluster.System, error) {
-	return pr.spec.New(registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed, HomeOf: pr.homeOf, Faults: plan})
+	return pr.spec.New(pr.options(hosts, seed, plan))
 }
 
 // TestSWMRInvariant drives a random-ish read/write workload over shared
@@ -167,26 +179,42 @@ func TestDRFAgreement(t *testing.T) {
 	}
 }
 
-// TestChunkExtendedAllocation runs the allocation-placement program under
+// TestChunkExtendedAllocation runs the allocation-placement programs under
 // every protocol with chunking off and on. At chunk level 4 host 0's
-// allocation extends the minipage host 1's opened: its write must reach
-// host 2 like any other.
+// allocation extends the minipage host 1's opened (check.ChunkExtend), and
+// under /grow a minipage grows while its allocator, then its home, hold it
+// dirty (check.ChunkGrow): every write must reach every host like any
+// other.
 func TestChunkExtendedAllocation(t *testing.T) {
 	for _, pr := range protocols() {
 		for _, chunk := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/chunk%d", pr.name, chunk), func(t *testing.T) {
-				sys, err := pr.spec.New(registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, ChunkLevel: chunk})
-				if err != nil {
-					t.Fatal(err)
+			for _, grow := range []bool{false, true} {
+				name := fmt.Sprintf("%s/chunk%d", pr.name, chunk)
+				if grow {
+					name += "/grow"
 				}
-				wl := &check.ChunkExtend{}
-				if err := sys.Run(wl.Body); err != nil {
-					t.Fatal(err)
-				}
-				if err := wl.Err(); err != nil {
-					t.Fatal(err)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					opt := pr.options(3, 0, nil)
+					opt.ChunkLevel = chunk
+					sys, err := pr.spec.New(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var wl interface {
+						Body(cluster.AppThread)
+						Err() error
+					} = &check.ChunkExtend{}
+					if grow {
+						wl = &check.ChunkGrow{}
+					}
+					if err := sys.Run(wl.Body); err != nil {
+						t.Fatal(err)
+					}
+					if err := wl.Err(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }
@@ -240,29 +268,34 @@ func TestServiceMisuse(t *testing.T) {
 
 // TestHomeOfOutsideTheClusterIsMisuse: a HomeOf that names a host outside
 // [0, Hosts) fails at the allocation that first asks it — on the
-// coordinator, off the fault path — as the kernel's misuse panic, wherever
-// the Malloc came from; not as an index out of range under a later send.
+// coordinator, off the fault path — as the kernel's misuse panic naming
+// the protocol, wherever the Malloc came from and under both
+// implementations; not as an index out of range under a later send.
 func TestHomeOfOutsideTheClusterIsMisuse(t *testing.T) {
 	for _, host := range []int{0, 1} {
 		t.Run(fmt.Sprintf("malloc-on-host%d", host), func(t *testing.T) {
-			sys, err := registry.New("millipage", registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 8,
-				HomeOf: func(id, hosts int) int { return hosts + 3 }})
-			if err != nil {
-				t.Fatal(err)
+			for _, name := range []string{"millipage", "lrc-mw"} {
+				t.Run(name, func(t *testing.T) {
+					sys, err := registry.New(name, registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 8,
+						HomeOf: func(id, hosts int) int { return hosts + 3 }})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := sys.Runtime().Name + ": host 0: HomeOf(0, 2) = 5 is not a host"
+					defer func() {
+						if got := fmt.Sprint(recover()); got != want {
+							t.Fatalf("Run panicked with %q, want %q", got, want)
+						}
+					}()
+					err = sys.Run(func(w cluster.AppThread) {
+						if w.Host() == host {
+							w.Malloc(64)
+						}
+						w.Barrier()
+					})
+					t.Fatalf("Run returned %v", err)
+				})
 			}
-			const want = "dsm: host 0: HomeOf(0, 2) = 5 is not a host"
-			defer func() {
-				if got := fmt.Sprint(recover()); got != want {
-					t.Fatalf("Run panicked with %q, want %q", got, want)
-				}
-			}()
-			err = sys.Run(func(w cluster.AppThread) {
-				if w.Host() == host {
-					w.Malloc(64)
-				}
-				w.Barrier()
-			})
-			t.Fatalf("Run returned %v", err)
 		})
 	}
 }

@@ -1,9 +1,10 @@
 // Home-crash conformance: the chaos battery's sharing invariants re-run
-// with home-based directory management (HomeMod), under fault schedules
+// with home-based placement (HomeMod) — millipage's directory, and for the
+// data-race-free oracles lrc-mw's homes too — under fault schedules
 // that crash host 1 — the home of every minipage the workloads below
 // lean on — in the middle of the request burst. Fail-restart with durable
-// memory keeps the dead home's directory shard; the requests it missed
-// are retried and deduplicated by transaction id once it is back, so the
+// memory keeps the dead home's directory shard and home copies; the
+// requests it missed are retried and deduplicated once it is back, so the
 // cluster must finish with the oracles intact, exactly-once, and two runs
 // of any schedule must be bit-identical.
 package cluster_test
@@ -43,11 +44,20 @@ func failoverSchedules() []schedule {
 	return out
 }
 
-// homeBasedMillipage is the one protocol under test here: millipage with
-// each minipage's directory at host id % hosts.
+// homeBasedMillipage is millipage with each minipage's directory at host
+// id % hosts.
 func homeBasedMillipage() protoRun {
 	spec, _ := registry.Lookup("millipage")
 	return protoRun{name: "millipage-home", spec: spec, homeOf: cluster.HomeMod}
+}
+
+// homeBased are the protocols the data-race-free failover oracles run:
+// home-based millipage and lrc-mw, whose default placement also homes
+// minipage id at host id % hosts, so host 1 holds the diffs of every
+// minipage it homes when it dies.
+func homeBased() []protoRun {
+	spec, _ := registry.Lookup("lrc-mw")
+	return []protoRun{homeBasedMillipage(), {name: "lrc-mw", spec: spec}}
 }
 
 // TestFailoverDRFOracle: barrier hand-offs and a lock-guarded
@@ -56,15 +66,18 @@ func homeBasedMillipage() protoRun {
 // across the outage.
 func TestFailoverDRFOracle(t *testing.T) {
 	const hosts = 4
-	pr := homeBasedMillipage()
 	for _, sc := range failoverSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
-			wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-			runChaos(t, pr, hosts, 1, sc.plan(hosts, 7), func(rt *cluster.Runtime, w cluster.AppThread) {
-				wl.Body(w)
-			})
-			if err := wl.Err(); err != nil {
-				t.Fatalf("%s: %v", sc.name, err)
+			for _, pr := range homeBased() {
+				t.Run(pr.name, func(t *testing.T) {
+					wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
+					runChaos(t, pr, hosts, 1, sc.plan(hosts, 7), func(rt *cluster.Runtime, w cluster.AppThread) {
+						wl.Body(w)
+					})
+					if err := wl.Err(); err != nil {
+						t.Fatalf("%s: %v", sc.name, err)
+					}
+				})
 			}
 		})
 	}
@@ -97,15 +110,18 @@ func TestFailoverSWMR(t *testing.T) {
 // write lost while the minipage's home was down.
 func TestFailoverConcurrentMerge(t *testing.T) {
 	const hosts = 4
-	pr := homeBasedMillipage()
 	for _, sc := range failoverSchedules() {
 		t.Run(sc.name, func(t *testing.T) {
-			wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
-			runChaos(t, pr, hosts, 1, sc.plan(hosts, 9), func(rt *cluster.Runtime, w cluster.AppThread) {
-				wl.Body(w)
-			})
-			if err := wl.Err(); err != nil {
-				t.Fatalf("%s: %v", sc.name, err)
+			for _, pr := range homeBased() {
+				t.Run(pr.name, func(t *testing.T) {
+					wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
+					runChaos(t, pr, hosts, 1, sc.plan(hosts, 9), func(rt *cluster.Runtime, w cluster.AppThread) {
+						wl.Body(w)
+					})
+					if err := wl.Err(); err != nil {
+						t.Fatalf("%s: %v", sc.name, err)
+					}
+				})
 			}
 		})
 	}

@@ -99,7 +99,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	opt := rt.Opt
 	if rt.Name != "test" || opt.ThreadsPerHost != 1 || opt.Views != 1 || opt.ChunkLevel != 1 ||
-		opt.Seed != 1 || opt.HomeOf != nil {
+		opt.Seed != 1 || opt.HomeOf == nil {
 		t.Fatalf("defaults = %+v", opt)
 	}
 	if opt.Costs == (Costs{}) || opt.Net == (fastmsg.Params{}) {
@@ -117,7 +117,7 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		mut(&o)
 		return o
 	}
-	all := Traits{MultiThreaded: true, Directory: true}
+	all := Traits{MultiThreaded: true}
 	cases := []struct {
 		name   string
 		opt    Options
@@ -132,8 +132,6 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		{"threads on a single-threaded protocol", ok(func(o *Options) { o.ThreadsPerHost = 2 }), Traits{}, []string{"ThreadsPerHost"}},
 		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), all, []string{"ChunkLevel"}},
 		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), all, []string{"Drop"}},
-		{"grain unsupported", ok(func(o *Options) { o.Grain = core.GrainPage }), Traits{MultiThreaded: true}, []string{"Grain"}},
-		{"placement unsupported", ok(func(o *Options) { o.HomeOf = HomeMod }), Traits{MultiThreaded: true}, []string{"HomeOf"}},
 	}
 	for _, tc := range cases {
 		rt, err := New("test", tc.opt, tc.tr)

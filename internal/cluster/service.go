@@ -57,7 +57,6 @@ type Allocation struct {
 	VA    uint64
 	Info  core.Info // the sharing unit the bytes landed in; zero without one
 	Owner bool      // the requester may map the unit writable at once
-	Home  int       // the unit's home host, where the protocol has one
 }
 
 // Consistency is optionally implemented by a release-consistent

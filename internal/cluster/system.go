@@ -90,6 +90,22 @@ func (l *Lifecycle[H, T]) Threads() []T { return l.threads }
 // parallel execution time of the application.
 func (l *Lifecycle[H, T]) Elapsed() sim.Duration { return l.rt.Elapsed() }
 
+// HomeOf returns minipage id's home, Options.HomeOf's answer (New defaults
+// it): the one placement function, whatever the protocol.
+func (l *Lifecycle[H, T]) HomeOf(id int) int { return l.Opt.HomeOf(id, l.Opt.Hosts) }
+
+// CheckHomes panics as misuse unless HomeOf homes each of the minipage
+// ids [lo, hi) on a host. The allocator calls it as it opens them, so a
+// placement outside the cluster fails at the Malloc that first asks it,
+// not as an index out of range under a later send.
+func (l *Lifecycle[H, T]) CheckHomes(lo, hi int) {
+	for id, n := lo, l.Opt.Hosts; id < hi; id++ {
+		if home := l.HomeOf(id); home < 0 || home >= n {
+			l.rt.Misuse(Coordinator, "HomeOf(%d, %d) = %d is not a host", id, n, home)
+		}
+	}
+}
+
 // Run starts ThreadsPerHost application threads on every host, each
 // executing body, and drives the simulation until all of them finish.
 // body receives the protocol's thread wrapper, which is the entire

@@ -27,7 +27,7 @@ func newSys(t *testing.T, opt Options) *System {
 }
 
 // homeEntry is minipage id's directory entry, at its home shard.
-func homeEntry(s *System, id int) *dirEntry { return s.ManagerAt(s.homeOf(id)).entry(id) }
+func homeEntry(s *System, id int) *dirEntry { return s.ManagerAt(s.HomeOf(id)).entry(id) }
 
 func TestSingleHostMallocWriteRead(t *testing.T) {
 	s := newSys(t, Options{Hosts: 1, SharedSize: 1 << 16, Views: 4})

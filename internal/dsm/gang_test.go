@@ -187,7 +187,7 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 				if th.Host() == home {
 					for len(vas) < 3 {
 						va := th.Malloc(64)
-						if mp, _ := s.mpt.Lookup(va); s.homeOf(mp.ID) == home {
+						if mp, _ := s.mpt.Lookup(va); s.HomeOf(mp.ID) == home {
 							th.WriteU32(va, uint32(len(vas)+1)*7)
 							vas = append(vas, va)
 						}

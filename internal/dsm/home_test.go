@@ -37,9 +37,9 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 	}
 	// Each shard holds exactly the entries it is home to.
 	for id := 0; id < 2; id++ {
-		home := s.homeOf(id)
+		home := s.HomeOf(id)
 		if home != id%2 {
-			t.Fatalf("homeOf(%d) = %d, want %d", id, home, id%2)
+			t.Fatalf("HomeOf(%d) = %d, want %d", id, home, id%2)
 		}
 		for h := 0; h < 2; h++ {
 			e := s.ManagerAt(h).entryOrNil(id)
@@ -340,7 +340,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 
 	mpt := s.Manager().MPT()
 	for id := 0; id < mpt.NumMinipages(); id++ {
-		home := s.homeOf(id)
+		home := s.HomeOf(id)
 		// Placement: the entry exists at the home shard and nowhere else.
 		for h := 0; h < hosts; h++ {
 			e := s.ManagerAt(h).entryOrNil(id)

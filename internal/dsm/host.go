@@ -72,7 +72,7 @@ type request struct {
 }
 
 // Resend repeats the request to the minipage's home (cluster.Resender).
-func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.sys.homeOf(r.hdr.Info.ID), r.hdr) }
+func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.sys.HomeOf(r.hdr.Info.ID), r.hdr) }
 
 // Closing is the ack that closes the transaction at the minipage's home
 // once the reply is in (cluster.Closer). TID/Txn (zero on the clean path)
@@ -81,7 +81,7 @@ func (r *request) Closing() (int, any) {
 	h, fw := r.h, r.hdr.FW
 	m := h.allocPM()
 	*m = pmsg{Type: mAck, From: h.ID(), Info: fw.Info, TID: r.hdr.TID, Txn: fw.Txn}
-	return h.sys.homeOf(fw.Info.ID), m
+	return h.sys.HomeOf(fw.Info.ID), m
 }
 
 type span struct {
@@ -100,7 +100,7 @@ func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
 		return m.Info.ID, m.Addr, -1
 	}
-	return m.Info.ID, m.Addr, h.sys.homeOf(m.Info.ID)
+	return m.Info.ID, m.Addr, h.sys.HomeOf(m.Info.ID)
 }
 
 // route is Figure 3's Translate, run at the requester: it resolves va
@@ -113,7 +113,7 @@ func (h *Host) route(va uint64) (int, core.Info) {
 	if !ok {
 		panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", va))
 	}
-	return h.sys.homeOf(mp.ID), mp.Info(h.sys.Layout)
+	return h.sys.HomeOf(mp.ID), mp.Info(h.sys.Layout)
 }
 
 // readMinipage snapshots a minipage's bytes through the privileged view
@@ -383,7 +383,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, prot); err != nil {
 		panic(err)
 	}
-	home := h.sys.homeOf(hdr.Info.ID)
+	home := h.sys.HomeOf(hdr.Info.ID)
 	switch {
 	case hdr.Type == mPushData:
 		// Pushed replica: ack to the home; nobody is waiting.

@@ -118,7 +118,7 @@ func (mg *manager) entryOrNil(id int) *dirEntry {
 }
 
 // serves reports whether this host is minipage id's home.
-func (mg *manager) serves(id int) bool { return mg.sys.homeOf(id) == mg.me }
+func (mg *manager) serves(id int) bool { return mg.sys.HomeOf(id) == mg.me }
 
 // dropDup reports whether m is a duplicate of a transaction this shard
 // has already admitted or completed, recording fresh admissions as it
@@ -177,7 +177,7 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 func (mg *manager) resolve(m *pmsg) *dirEntry {
 	id := m.Info.ID
 	if !mg.serves(id) {
-		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", mg.me, id, mg.sys.homeOf(id)))
+		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", mg.me, id, mg.sys.HomeOf(id)))
 	}
 	mp, _ := mg.sys.mpt.ByID(id)
 	m.Info = mp.Info(mg.sys.Layout)
@@ -364,7 +364,7 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 // table every host reads in place, so no message carries the entry to its
 // home and no request can arrive ahead of it. It runs only on host 0 (the
 // allocation authority: the MPT grows nowhere else), behind Host.Alloc,
-// and is the first to ask HomeOf about each id.
+// and checks HomeOf's answer for each id before anything else asks it.
 func (mg *manager) allocLocal(from, size int) (cluster.Allocation, error) {
 	mg.Stats.Allocs++
 	s, mpt := mg.sys, mg.sys.mpt
@@ -373,10 +373,8 @@ func (mg *manager) allocLocal(from, size int) (cluster.Allocation, error) {
 	if err != nil {
 		return cluster.Allocation{}, err
 	}
+	s.CheckHomes(firstNew, mpt.NumMinipages())
 	for id := firstNew; id < mpt.NumMinipages(); id++ {
-		if home, hosts := s.homeOf(id), s.NumHosts(); home < 0 || home >= hosts {
-			mg.host().Runtime().Misuse(mg.me, "HomeOf(%d, %d) = %d is not a host", id, hosts, home)
-		}
 		for len(s.dir)*dirSlab <= id {
 			s.dir = append(s.dir, make([]dirEntry, dirSlab))
 		}

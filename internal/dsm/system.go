@@ -40,7 +40,7 @@ type System struct {
 // between hosts is ever needed).
 func New(opt Options) (*System, error) {
 	s := &System{}
-	err := s.Init("dsm", opt, cluster.Traits{MultiThreaded: true, Directory: true},
+	err := s.Init("dsm", opt, cluster.Traits{MultiThreaded: true},
 		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
 	if err != nil {
 		return nil, err
@@ -100,8 +100,3 @@ func (s *System) Totals() cluster.Totals {
 	t.BytesAllocated = s.mpt.BytesAllocated()
 	return t
 }
-
-// homeOf returns the host that runs the directory for minipage id:
-// Options.HomeOf's answer (cluster.New defaults it). It is the one
-// placement function; allocLocal checks its range once per id.
-func (s *System) homeOf(id int) int { return s.Opt.HomeOf(id, s.Opt.Hosts) }

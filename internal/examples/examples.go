@@ -85,9 +85,10 @@ func Quickstart(protocol string, out io.Writer) (*millipage.Report, error) {
 // write their own variable, but the variables live on the same physical
 // page. Under "millipage" it runs the workload twice — MultiView layout,
 // then the traditional page-granularity layout — and prints the
-// fault/message comparison. The layout is millipage's to choose (ivy is
-// page-grain, lrc-mw's twins absorb the false sharing, and both reject
-// PageGranularity), so under the other protocols it prints their one run.
+// fault/message comparison. Under the other protocols it prints their one
+// run: ivy is page-grain already and refuses PageGranularity, and lrc-mw's
+// twins absorb the false sharing at either grain, so the comparison says
+// nothing about its layout.
 // The returned report is the first (MultiView-layout) run's.
 func FalseShare(protocol string, out io.Writer) (*millipage.Report, error) {
 	var proto string // the cluster's canonical protocol name

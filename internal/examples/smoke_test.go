@@ -27,22 +27,22 @@ var exampleSmoke = []struct {
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
 		"millipage": {elapsedNS: 18532876, digest: 0xa5d5a67961fb2026},
 		"ivy":       {elapsedNS: 22327884, digest: 0xc57a633e9fab918e},
-		"lrc-mw":    {elapsedNS: 11788110, digest: 0x43d0cf19537a556b},
+		"lrc-mw":    {elapsedNS: 11970583, digest: 0xb24f3ffeb27eae66},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
 		"millipage": {elapsedNS: 41661611, digest: 0x3c958834a4f5c1ca},
 		"ivy":       {elapsedNS: 84907345, digest: 0x713a17e1bc234410},
-		"lrc-mw":    {elapsedNS: 41732500, digest: 0x6c1017990b472b93},
+		"lrc-mw":    {elapsedNS: 40217694, digest: 0xe0c6d1cbade376cf},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
 		"millipage": {elapsedNS: 12925828, digest: 0x033952748eb2c69d},
 		"ivy":       {elapsedNS: 41116217, digest: 0xe0d39143eaa1b3ac},
-		"lrc-mw":    {elapsedNS: 10961205, digest: 0xbbea382d74761067},
+		"lrc-mw":    {elapsedNS: 11813331, digest: 0x98df684b2024df66},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
 		"millipage": {elapsedNS: 25729046, digest: 0xba753c8d1e1dd5e7},
 		"ivy":       {elapsedNS: 45559278, digest: 0xead0c6394f458e07},
-		"lrc-mw":    {elapsedNS: 22772941, digest: 0x0f4a5dfd954abd5d},
+		"lrc-mw":    {elapsedNS: 21447238, digest: 0x1dfa62722b9dd178},
 	}},
 }
 

@@ -97,25 +97,37 @@ import (
 // it grows the MPT every host reads; homeOf's nil branch, the shards'
 // sparse slices with their slab arenas, setEntry and newEntry went for one
 // dense directory in slabs; and the ack's unused Write field.
+//
+// Raised, cluster 1,866 -> 1,874, when lrc-mw began to home by HomeOf:
+// the placement function both implementations call (Lifecycle.HomeOf) and
+// the range check both allocators call once per new id
+// (Lifecycle.CheckHomes) moved into the kernel, while Traits.Directory,
+// its two validate cases and Allocation.Home went. Paid for in dsm, 1,205
+// -> 1,198 (its own homeOf and allocLocal's check), and lrc, 801 -> 795
+// (MWSystem.homes, Alloc's append loop, describe's bounds check and
+// HandleFault's unmapped-home error went, and its thirteen error panics
+// became one must, while growTwin came: a copy away from the home now
+// grows its twin over the bytes a chunk's later allocations add).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1866},
-	{"dsm", 1205},
-	{"lrc", 801},
+	{"cluster", 1874},
+	{"dsm", 1198},
+	{"lrc", 795},
 }
 
 // kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once the home-based directory became the default
-// (3,893 once replicated management went; 4,870 once every
+// to what it stood at once lrc-mw homed by HomeOf (3,872 once the
+// home-based directory became the default; 3,893 once replicated
+// management went; 4,870 once every
 // directory request left its requester translated; 4,886 once lrc-mw
 // became home-based; 5,103 when one SC and
 // one DRF-SC implementation first remained; the kernel refactor's goal was
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3872
+const kernelTarget = 3867
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -25,7 +25,8 @@
 //
 // Realization choices, sized for the simulated testbed:
 //
-//   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96): every interval's
+//   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96), minipage id homed
+//     at Options.HomeOf(id) as under millipage: every interval's
 //     diffs are flushed to each minipage's home and acked *before* the
 //     releaser's notice can circulate, so the home is current for every
 //     notice any host can have seen. A fault on a missing or invalidated
@@ -147,13 +148,12 @@ type MWStats struct {
 
 // MWSystem is a multi-writer LRC cluster. Host 0 keeps the write-notice
 // log beside the kernel's barriers and locks and owns the minipage table;
-// every minipage's home is its allocating host.
+// minipage id's home is Options.HomeOf's answer, as under millipage.
 type MWSystem struct {
 	cluster.Lifecycle[*MWHost, *MWThread]
 	Layout core.Layout
 
-	mpt   *core.MPT
-	homes []int // minipage id -> home host
+	mpt *core.MPT
 
 	// Coordinator state (host 0 only).
 	log     []mwNotice // append-only between barriers, cleared at each
@@ -236,9 +236,7 @@ type MWHost struct {
 }
 
 // NewMW builds a multi-writer LRC cluster: the runtime, the layout, the
-// minipage table and one MultiView region per host. Sharing is
-// minipage-grain and every minipage's home is its allocating host, so
-// opt's Grain and HomeOf are rejected.
+// minipage table at opt's Grain and one MultiView region per host.
 func NewMW(opt cluster.Options) (*MWSystem, error) {
 	s := &MWSystem{}
 	err := s.Init("lrc-mw", opt, cluster.Traits{},
@@ -249,7 +247,7 @@ func NewMW(opt cluster.Options) (*MWSystem, error) {
 	if s.Layout, err = core.NewLayout(s.Opt.SharedSize, s.Opt.Views); err != nil {
 		return nil, err
 	}
-	s.mpt = core.NewMPT(s.Layout, core.GrainMinipage, s.Opt.ChunkLevel)
+	s.mpt = core.NewMPT(s.Layout, s.Opt.Grain, s.Opt.ChunkLevel)
 	frames := vm.NewFramePool()
 	for i := 0; i < s.Opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
@@ -285,28 +283,27 @@ type MWThread struct {
 }
 
 // Alloc allocates shared memory (cluster.HostHandler): it carves size
-// bytes out of the minipage table on behalf of host from, which becomes
-// the home of every minipage the allocation opens. It runs only on host
-// 0, the allocation authority, and charges p the bookkeeping.
-func (h *MWHost) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
+// bytes out of the minipage table on behalf of a host. It runs only on
+// host 0, the allocation authority, and charges p the bookkeeping.
+func (h *MWHost) Alloc(p *sim.Proc, _, size int, _ bool) (cluster.Allocation, error) {
 	s := h.sys
 	p.Sleep(s.Opt.Costs.MallocBase)
+	first := s.mpt.NumMinipages()
 	mp, va, err := s.mpt.Alloc(size)
 	if err != nil {
 		return cluster.Allocation{}, err
 	}
-	for id := len(s.homes); id < s.mpt.NumMinipages(); id++ {
-		s.homes = append(s.homes, from)
-	}
-	return cluster.Allocation{VA: va, Info: mp.Info(s.Layout), Home: s.homes[mp.ID]}, nil
+	s.CheckHomes(first, s.mpt.NumMinipages())
+	return cluster.Allocation{VA: va, Info: mp.Info(s.Layout)}, nil
 }
 
-// Mapped maps the allocation at its home (cluster.HostHandler). The home
-// maps its own minipages read-only: a home write must fault so it is
-// twinned into an interval and announced by a write notice like any
-// other write.
+// Mapped maps the allocation at the allocating host if it is the home
+// (cluster.HostHandler). The home maps its own minipages read-only: a
+// home write must fault so it is twinned into an interval and announced
+// by a write notice like any other write. A home that did not allocate a
+// minipage maps it at its first touch (HandleFault).
 func (h *MWHost) Mapped(p *sim.Proc, a cluster.Allocation) {
-	if a.Home == h.ID() {
+	if h.sys.HomeOf(a.Info.ID) == h.ID() {
 		h.Region.Protect(a.Info.Base, a.Info.Size, vm.ReadOnly)
 	}
 }
@@ -317,11 +314,7 @@ func (h *MWHost) describe(m *mwmsg) (int, uint64, int) {
 	if m.Info.Size == 0 {
 		return -1, 0, -1
 	}
-	home := -1
-	if m.Info.ID < len(h.sys.homes) {
-		home = h.sys.homes[m.Info.ID]
-	}
-	return m.Info.ID, m.Info.Base, home
+	return m.Info.ID, m.Info.Base, h.sys.HomeOf(m.Info.ID)
 }
 
 // Table places the header in the protocol's message table (cluster.Msg).
@@ -329,7 +322,10 @@ func (m *mwmsg) Table() (cluster.Table, int) { return mwTable, int(m.Type) }
 
 // HandleFault services read and write faults: fetch the minipage from its
 // home if the copy is missing or invalidated; on write, twin and proceed
-// — concurrent writers to one minipage never ping-pong.
+// — concurrent writers to one minipage never ping-pong. A home's own copy
+// is never invalidated, and it maps it at its first touch with no fetch:
+// its bytes are current, because every diff is applied at the home
+// before its notice can circulate.
 func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 	t := ctx.(*MWThread)
 	c := h.Costs()
@@ -341,16 +337,13 @@ func (h *MWHost) HandleFault(ctx any, f vm.Fault) error {
 		return fmt.Errorf("lrc-mw: %#x outside any minipage", f.Addr)
 	}
 	info := mp.Info(s.Layout)
-	home := s.homes[mp.ID]
+	home := s.HomeOf(mp.ID)
 	if mp.ID >= len(h.mps) {
-		h.mps = append(h.mps, make([]mwMP, len(s.homes)-len(h.mps))...)
+		h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...)
 	}
 	m := &h.mps[mp.ID]
 
-	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess {
-		if home == h.ID() {
-			return fmt.Errorf("lrc-mw: home minipage %d unmapped at its home %d", mp.ID, h.ID())
-		}
+	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess && home != h.ID() {
 		if m.twin == nil {
 			t.fetchFromHome(m, info, home)
 		} else {
@@ -415,28 +408,24 @@ func (t *MWThread) fetchDirty(m *mwMP, info core.Info, home int) {
 	h.sys.freeBuf.Put(m.twin)
 	m.twin, m.info = h.sys.freeBuf.Get(info.Size), info
 	cur := h.sys.freeBuf.Get(info.Size)
-	if err := h.Region.ReadPrivInto(info.Base, m.twin); err != nil {
-		panic(err)
-	}
+	must(h.Region.ReadPrivInto(info.Base, m.twin))
 	copy(cur, m.twin)
-	if err := twindiff.ApplyEncoded(cur, local); err != nil {
-		panic(err)
-	}
-	if err := h.Region.WritePriv(info.Base, cur); err != nil {
-		panic(err)
-	}
+	must(twindiff.ApplyEncoded(cur, local))
+	must(h.Region.WritePriv(info.Base, cur))
 	h.sys.freeBuf.Put(cur)
 	p.Sleep(twindiff.TwinCost(info.Size) + twindiff.ApplyCost(len(local)))
 }
 
 // diff appends dirty minipage m's writes since its twin to the host's diff
-// scratch and returns their encoding.
+// scratch and returns their encoding. The home's is never sent, so only
+// a copy elsewhere grows its twin to the minipage's extent first.
 func (t *MWThread) diff(m *mwMP) []byte {
 	h := t.host
-	cur := h.sys.freeBuf.Get(m.info.Size)
-	if err := h.Region.ReadPrivInto(m.info.Base, cur); err != nil {
-		panic(err)
+	if h.sys.HomeOf(m.info.ID) != h.ID() {
+		h.growTwin(m)
 	}
+	cur := h.sys.freeBuf.Get(m.info.Size)
+	must(h.Region.ReadPrivInto(m.info.Base, cur))
 	t.Proc().Sleep(twindiff.CreateCost(m.info.Size))
 	off := len(h.diffs)
 	var err error
@@ -445,6 +434,20 @@ func (t *MWThread) diff(m *mwMP) []byte {
 	}
 	h.sys.freeBuf.Put(cur)
 	return h.diffs[off:len(h.diffs):len(h.diffs)]
+}
+
+// growTwin extends dirty m's twin over what its minipage grew by since
+// the twin was made: a chunk's later allocations, which a writable copy
+// takes without a fault. Those bytes were unallocated when the twin was
+// made, so zero on every host.
+func (h *MWHost) growTwin(m *mwMP) {
+	mp, _ := h.sys.mpt.ByID(m.info.ID)
+	if info := mp.Info(h.sys.Layout); info.Size > m.info.Size {
+		twin := h.sys.freeBuf.Get(info.Size)
+		clear(twin[copy(twin, m.twin):])
+		h.sys.freeBuf.Put(m.twin)
+		m.twin, m.info = twin, info
+	}
 }
 
 // release closes the current interval: diff every dirty minipage against
@@ -479,11 +482,9 @@ func (t *MWThread) release() mwNotice {
 		m.twin = nil
 		if !m.stale {
 			p.Sleep(c.SetProt)
-			if err := h.Region.Protect(m.info.Base, m.info.Size, vm.ReadOnly); err != nil {
-				panic(err)
-			}
+			must(h.Region.Protect(m.info.Base, m.info.Size, vm.ReadOnly))
 		}
-		if home := s.homes[id]; home != h.ID() {
+		if home := s.HomeOf(id); home != h.ID() {
 			flushes = append(flushes, mwFlush{home: home, info: m.info, enc: enc})
 		}
 	}
@@ -543,7 +544,7 @@ func (t *MWThread) acquire(notices []mwNotice, maxvc []uint64) {
 			h.vc[n.Creator] = n.Seq
 		}
 		for _, id := range n.MPs {
-			if s.homes[id] == h.ID() || id >= len(h.mps) {
+			if id >= len(h.mps) || s.HomeOf(id) == h.ID() {
 				continue // the home had this diff applied before the notice could circulate; an id never faulted on has no copy
 			}
 			m := &h.mps[id]
@@ -557,9 +558,7 @@ func (t *MWThread) acquire(notices []mwNotice, maxvc []uint64) {
 				m.stale = true
 				h.sys.stats.Invalidations++
 				p.Sleep(c.SetProt)
-				if err := h.Region.Protect(info.Base, info.Size, vm.NoAccess); err != nil {
-					panic(err)
-				}
+				must(h.Region.Protect(info.Base, info.Size, vm.NoAccess))
 			}
 		}
 	}
@@ -740,9 +739,7 @@ var mwTable = cluster.Register(cluster.MsgTable[*MWHost, *mwmsg]{Describe: (*MWH
 // consumer recycles them. The bytes are the tail.
 func (h *MWHost) fetch(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 	data := h.sys.freeBuf.Get(m.Info.Size)
-	if err := h.Region.ReadPrivInto(m.Info.Base, data); err != nil {
-		panic(err)
-	}
+	must(h.Region.ReadPrivInto(m.Info.Base, data))
 	to := m.From
 	m.Type = mwFetchReply
 	h.Send(p, to, m)
@@ -751,14 +748,10 @@ func (h *MWHost) fetch(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Messa
 
 func (h *MWHost) fetchData(p *sim.Proc, _ *mwmsg, fm *fastmsg.Message) *fastmsg.Message {
 	hdr := h.Unpark(fm).(*mwmsg)
-	if err := h.Region.WritePriv(hdr.Info.Base, fm.Data); err != nil {
-		panic(err)
-	}
+	must(h.Region.WritePriv(hdr.Info.Base, fm.Data))
 	h.sys.freeBuf.Put(fm.Data)
 	p.Sleep(h.Costs().SetProt)
-	if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly); err != nil {
-		panic(err)
-	}
+	must(h.Region.Protect(hdr.Info.Base, hdr.Info.Size, vm.ReadOnly))
 	hdr.FW.Info = hdr.Info
 	hdr.FW.Ev.Set()
 	h.recycleMW(hdr)
@@ -767,22 +760,15 @@ func (h *MWHost) fetchData(p *sim.Proc, _ *mwmsg, fm *fastmsg.Message) *fastmsg.
 
 func (h *MWHost) diffFlush(p *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Message {
 	cur := h.sys.freeBuf.Get(m.Info.Size)
-	if err := h.Region.ReadPrivInto(m.Info.Base, cur); err != nil {
-		panic(err)
-	}
-	if err := twindiff.ApplyEncoded(cur, m.Diff); err != nil {
-		panic(err)
-	}
-	if err := h.Region.WritePriv(m.Info.Base, cur); err != nil {
-		panic(err)
-	}
+	must(h.Region.ReadPrivInto(m.Info.Base, cur))
+	must(twindiff.ApplyEncoded(cur, m.Diff))
+	must(h.Region.WritePriv(m.Info.Base, cur))
 	h.sys.freeBuf.Put(cur)
 	if id := m.Info.ID; id < len(h.mps) && h.mps[id].twin != nil {
 		// The home is itself mid-interval on this minipage: patch the
-		// twin too, so the home's own diff stays writes-only.
-		if err := twindiff.ApplyEncoded(h.mps[id].twin, m.Diff); err != nil {
-			panic(err)
-		}
+		// twin too, grown first, so the home's own diff stays writes-only.
+		h.growTwin(&h.mps[id])
+		must(twindiff.ApplyEncoded(h.mps[id].twin, m.Diff))
 	}
 	p.Sleep(twindiff.ApplyCost(len(m.Diff)))
 	to := m.From
@@ -798,4 +784,12 @@ func (h *MWHost) diffAck(_ *sim.Proc, m *mwmsg, _ *fastmsg.Message) *fastmsg.Mes
 	}
 	h.recycleMW(m)
 	return nil
+}
+
+// must panics on err: the region and the diffs it is handed are the
+// protocol's own, so an error is a protocol bug.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }

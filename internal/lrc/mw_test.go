@@ -21,7 +21,13 @@ func runMW(s *MWSystem, body func(th *MWThread)) error {
 
 func newMWSys(t *testing.T, hosts, chunk int) *MWSystem {
 	t.Helper()
-	s, err := NewMW(cluster.Options{Hosts: hosts, SharedSize: 1 << 18, Views: 8, ChunkLevel: chunk, Seed: 1})
+	return newMWSysAt(t, hosts, chunk, nil)
+}
+
+// newMWSysAt is newMWSys with minipages homed by homeOf (nil: the default).
+func newMWSysAt(t *testing.T, hosts, chunk int, homeOf func(id, hosts int) int) *MWSystem {
+	t.Helper()
+	s, err := NewMW(cluster.Options{Hosts: hosts, SharedSize: 1 << 18, Views: 8, ChunkLevel: chunk, Seed: 1, HomeOf: homeOf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +47,37 @@ func TestMWSingleHostWriteRead(t *testing.T) {
 	}
 	if got != 77 {
 		t.Fatalf("got %d", got)
+	}
+}
+
+// TestMWHomeMapsAtFirstTouch: under the default placement host 0
+// allocates one minipage homed at itself and one homed at host 1. Host 1
+// never fetches its own: it maps it at first touch, and holds host 0's
+// write to it, flushed there at the barrier. The other it fetches.
+func TestMWHomeMapsAtFirstTouch(t *testing.T) {
+	s := newMWSys(t, 2, 1)
+	var va, got [2]uint64
+	err := runMW(s, func(th *MWThread) {
+		if th.Host() == 0 {
+			va[0], va[1] = th.Malloc(64), th.Malloc(64)
+			th.WriteU64(va[0], 5)
+			th.WriteU64(va[1], 7) // homed at host 1: one fetch, then a twin
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			got[0], got[1] = th.ReadU64(va[0]), th.ReadU64(va[1])
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != [2]uint64{5, 7} {
+		t.Fatalf("host 1 reads %v, want [5 7]", got)
+	}
+	if st := s.Stats(); st.Fetches != 2 || st.DiffsSent != 1 {
+		t.Fatalf("%d fetches and %d diffs flushed, want host 0's fetch of minipage 1, host 1's of minipage 0 and "+
+			"host 0's flush to host 1", st.Fetches, st.DiffsSent)
 	}
 }
 
@@ -440,14 +477,41 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 // and, after the last barrier, every host's view of the whole memory. The
 // result depends on lock order, so it is checked against the replay, not
 // pinned; the protocol counters and the elapsed virtual time are pinned
-// as recorded once every fault became a home fetch.
+// per placement: under HomeCentral as recorded once every fault became a
+// home fetch, when host 0 homed every minipage because it allocated them
+// all, and under the default as recorded once lrc-mw homed by HomeOf.
 func TestMWLockHeavyRunPinned(t *testing.T) {
+	for _, pl := range []struct {
+		name    string
+		homeOf  func(id, hosts int) int
+		stats   MWStats
+		elapsed sim.Duration
+	}{
+		{"default", nil, MWStats{Fetches: 924, DiffsSent: 900, DiffBytes: 5613, TwinsMade: 1200, WriteFault: 1200,
+			Invalidations: 876, Notices: 1200}, 118675247},
+		{"central", cluster.HomeCentral, MWStats{Fetches: 930, DiffsSent: 900, DiffBytes: 5672, TwinsMade: 1200, WriteFault: 1200,
+			Invalidations: 882, Notices: 1200}, 138768484},
+	} {
+		t.Run(pl.name, func(t *testing.T) {
+			s := lockHeavyRun(t, newMWSysAt(t, 4, 4, pl.homeOf))
+			if got := s.Stats(); got != pl.stats {
+				t.Errorf("stats %+v, recorded %+v", got, pl.stats)
+			}
+			if got := s.Elapsed(); got != pl.elapsed {
+				t.Errorf("elapsed %d, recorded %d", got, pl.elapsed)
+			}
+		})
+	}
+}
+
+// lockHeavyRun runs TestMWLockHeavyRunPinned's program on s, a 4-host
+// cluster at chunk level 4, and checks it against its replay.
+func lockHeavyRun(t *testing.T, s *MWSystem) *MWSystem {
 	const hosts, cells, epochs, locksPerEpoch = 4, 64, 5, 60
 	type section struct {
 		cell, host int
 		step, val  uint32
 	}
-	s := newMWSys(t, hosts, 4)
 	var va [cells]uint64
 	var log []section
 	var final [hosts][cells][16]uint32
@@ -507,13 +571,5 @@ func TestMWLockHeavyRunPinned(t *testing.T) {
 			t.Errorf("host %d reads back memory that differs from the replay", h)
 		}
 	}
-	wantStats := MWStats{Fetches: 930, DiffsSent: 900, DiffBytes: 5672, TwinsMade: 1200, WriteFault: 1200,
-		Invalidations: 882, Notices: 1200}
-	const wantElapsed = sim.Duration(138768484)
-	if got := s.Stats(); got != wantStats {
-		t.Errorf("stats %+v, recorded %+v", got, wantStats)
-	}
-	if got := s.Elapsed(); got != wantElapsed {
-		t.Errorf("elapsed %d, recorded %d", got, wantElapsed)
-	}
+	return s
 }

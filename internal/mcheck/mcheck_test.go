@@ -79,23 +79,28 @@ func TestExploreDistinctSchedules(t *testing.T) {
 }
 
 // TestExploreCentralManager is the campaign guarantee under the paper's
-// one manager, HomeCentral, which millipage runs only when asked: every
-// directory transaction queues at host 0, and >= 100 distinct schedules
-// must pass the DRF agreement oracle.
+// one manager, HomeCentral, which both implementations run only when
+// asked: every millipage directory transaction, and every lrc-mw fetch
+// and diff flush, queues at host 0, and >= 100 distinct schedules must
+// pass the DRF agreement oracle.
 func TestExploreCentralManager(t *testing.T) {
-	rep, err := Explore(Options{
-		Protocol: "millipage", Workload: "drf", Seed: 1,
-		Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40, homeOf: cluster.HomeCentral,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failure != nil {
-		t.Fatalf("schedule %d failed: %v (digest %016x)",
-			rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure, rep.Failure.Schedule.Digest)
-	}
-	if rep.Distinct < 100 {
-		t.Fatalf("only %d distinct schedules out of %d explored", rep.Distinct, len(rep.Schedules))
+	for _, proto := range []string{"millipage", "lrc-mw"} {
+		t.Run(proto, func(t *testing.T) {
+			rep, err := Explore(Options{
+				Protocol: proto, Workload: "drf", Seed: 1,
+				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40, homeOf: cluster.HomeCentral,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failure != nil {
+				t.Fatalf("schedule %d failed: %v (digest %016x)",
+					rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure, rep.Failure.Schedule.Digest)
+			}
+			if rep.Distinct < 100 {
+				t.Fatalf("only %d distinct schedules out of %d explored", rep.Distinct, len(rep.Schedules))
+			}
+		})
 	}
 }
 

@@ -41,7 +41,7 @@ type Options struct {
 	KeepGoing   bool   // keep exploring after the first failure
 	ArtifactDir string // where to write shrunk repro traces; "" = don't write
 
-	// homeOf places millipage's directory; nil is its default. The tests
+	// homeOf places every minipage's home; nil is the default. The tests
 	// set cluster.HomeCentral to explore the paper's one manager.
 	homeOf func(id, hosts int) int
 }

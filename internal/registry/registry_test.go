@@ -36,10 +36,14 @@ type cell struct {
 // every directory request began to leave its requester translated; the
 // millipage cells, and the events of every 2- and 8-host cell, when the
 // directory became home-based by default and a busy host's sweeper began
-// to fire its arrivals with one event a tick. A protocol that reports
-// anything else has
-// changed behaviour, not just shape. The "lrc" alias's cells must match
-// lrc-mw's.
+// to fire its arrivals with one event a tick; lrc-mw's 2- and 8-host cells
+// when lrc-mw began to home minipage id at HomeOf(id), and its /central
+// cells, under HomeCentral, hold the 8-host values recorded before that,
+// when host 0 homed every minipage because it allocated them all;
+// lrc-mw/8/chunk4 again when a copy away from the home began to grow its
+// twin over the bytes a chunk's later allocations add. A
+// protocol that reports anything else has changed behaviour, not just
+// shape. The "lrc" alias's cells must match lrc-mw's.
 var pinned = map[string]cell{
 	"millipage/1":        {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 995664, 87, 48},
 	"millipage/1/chunk4": {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 995664, 87, 48},
@@ -55,19 +59,23 @@ var pinned = map[string]cell{
 	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 36, CompetingRequests: 44, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 21706424, 3102, 1294},
 	"lrc-mw/1":           {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 1338282, 87, 55},
 	"lrc-mw/1/chunk4":    {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 1343783, 87, 55},
-	"lrc-mw/2":           {cluster.Totals{Invalidations: 3, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 3021245, 370, 164},
+	"lrc-mw/2":           {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 2766374, 439, 176},
 	"lrc-mw/2/chunk4":    {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 3097089, 375, 164},
-	"lrc-mw/8":           {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 11053809, 4902, 1610},
-	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 8667067, 2771, 980},
+	"lrc-mw/8":           {cluster.Totals{Invalidations: 116, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 12084730, 4860, 1648},
+	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 50, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 8882525, 2820, 997},
+
+	"lrc-mw/8/central":        {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 11053809, 4902, 1610},
+	"lrc-mw/8/chunk4/central": {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 8667067, 2771, 980},
 }
 
 // TestEveryProtocolBuildsRunsAndCounts: every registered name, and the
 // "lrc" alias, builds at 1, 2 and 8 hosts and chunk levels 1 and 4, runs
 // the DRF agreement program to its oracle, and reports the pinned cell of
-// the protocol it names.
+// the protocol it names; lrc-mw's two /central cells do so under
+// HomeCentral.
 func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
-	if got := len(registry.Names()) * 3 * 2; got != len(pinned) {
-		t.Fatalf("%d protocol x host x chunk cells, %d pinned: pin the new protocol's cells", got, len(pinned))
+	if got := len(registry.Names())*3*2 + 2; got != len(pinned) {
+		t.Fatalf("%d protocol x host x chunk cells and 2 central ones, %d pinned: pin the new protocol's cells", got, len(pinned))
 	}
 	for _, name := range append(registry.Names(), "lrc") {
 		spec, _ := registry.Lookup(name)
@@ -78,28 +86,38 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 					id += fmt.Sprintf("/chunk%d", chunk)
 					pin += fmt.Sprintf("/chunk%d", chunk)
 				}
-				t.Run(id, func(t *testing.T) {
-					rec := trace.NewRecorder(16)
-					sys, err := registry.New(name, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8,
-						ChunkLevel: chunk, Seed: 1, Trace: rec})
-					if err != nil {
-						t.Fatal(err)
-					}
-					wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-					if err := sys.Run(wl.Body); err != nil {
-						t.Fatal(err)
-					}
-					if err := wl.Err(); err != nil {
-						t.Fatal(err)
-					}
-					rt := sys.Runtime()
-					got := cell{sys.Totals(), rt.Elapsed(), rt.Eng.Counters().Events, rec.Total()}
-					if got != pinned[pin] {
-						t.Fatalf("got  %+v\nwant %+v", got, pinned[pin])
-					}
-				})
+				t.Run(id, func(t *testing.T) { runPinned(t, name, hosts, chunk, nil, pin) })
 			}
 		}
+	}
+	for _, c := range []struct {
+		pin   string
+		chunk int
+	}{{"lrc-mw/8/central", 1}, {"lrc-mw/8/chunk4/central", 4}} {
+		t.Run(c.pin, func(t *testing.T) { runPinned(t, "lrc-mw", 8, c.chunk, cluster.HomeCentral, c.pin) })
+	}
+}
+
+// runPinned runs the DRF agreement program under protocol name at the
+// given hosts, chunk level and placement, and checks it against pinned[pin].
+func runPinned(t *testing.T, name string, hosts, chunk int, homeOf func(id, hosts int) int, pin string) {
+	rec := trace.NewRecorder(16)
+	sys, err := registry.New(name, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8,
+		ChunkLevel: chunk, Seed: 1, HomeOf: homeOf, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
+	if err := sys.Run(wl.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rt := sys.Runtime()
+	got := cell{sys.Totals(), rt.Elapsed(), rt.Eng.Counters().Events, rec.Total()}
+	if got != pinned[pin] {
+		t.Fatalf("got  %+v\nwant %+v", got, pinned[pin])
 	}
 }
 

@@ -87,9 +87,8 @@ type Config struct {
 	//
 	// All protocols run the same Worker API on the same simulated
 	// substrate, so apps and benchmarks sweep protocols by changing only
-	// this field. PageGranularity and CentralManagement are the
-	// millipage directory's policy: ivy fixes both, and lrc-mw fixes its
-	// own sharing grain and placement and rejects both.
+	// this field. PageGranularity and CentralManagement mean the same
+	// under millipage and lrc-mw; ivy fixes both.
 	Protocol string
 
 	// Hosts is the number of machines (the paper's cluster has 8).
@@ -115,18 +114,19 @@ type Config struct {
 	// PageGranularity selects the traditional page-based layout instead
 	// of MultiView: allocations pack with no regard for sharing units and
 	// the sharing grain is the full page. This is the false-sharing
-	// baseline (and Figure 7's "none" configuration). Millipage-only
-	// (ivy is millipage with it set).
+	// baseline (and Figure 7's "none" configuration). ivy is millipage
+	// with it set.
 	PageGranularity bool
 
-	// CentralManagement funnels every fault, invalidation and ack through
-	// host 0, the paper's manager (Section 3.3), instead of the default
-	// sharded directory, where each minipage is managed by a statically
-	// assigned home host (id % Hosts) — the same directory under another
-	// placement function. Host 0 is the allocation authority and keeps
-	// the barrier and lock services either way. Application results are
-	// identical either way; only the protocol load distribution (and
-	// hence timing) changes. Millipage-only.
+	// CentralManagement homes every minipage at host 0, the paper's
+	// manager (Section 3.3), instead of at the default's statically
+	// assigned home host (id % Hosts) — the same protocol under another
+	// placement function. Under millipage every fault, invalidation and
+	// ack then goes through host 0; under lrc-mw every fetch and diff
+	// flush. Host 0 is the allocation authority and keeps the barrier
+	// and lock services either way. Application results are identical
+	// either way; only the protocol load distribution (and hence timing)
+	// changes. ivy fixes its own placement and rejects it.
 	CentralManagement bool
 
 	// Seed makes runs reproducible; equal seeds give identical traces.
