@@ -9,6 +9,8 @@ import "millipage/internal/fastmsg"
 // (invariants_on.go); otherwise it is empty and the checks are no-ops.
 type PoolState struct{}
 
+const Invariants = false // whether the build carries the lifecycle checks
+
 func (*PoolState) CheckLive(string) {}
 func checkLive(any, string)         {}
 

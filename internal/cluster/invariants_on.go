@@ -16,6 +16,8 @@ import (
 // through a stale pointer while it sits in a freelist — into a panic at
 // the spot instead of a silently aliased record.
 
+const Invariants = true // whether the build carries the lifecycle checks
+
 // PoolState is embedded in pooled protocol headers.
 type PoolState struct{ recycled bool }
 

@@ -18,20 +18,24 @@ func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
 // Push appends v.
 func (q *FIFO[T]) Push(v T) { q.items = append(q.items, v) }
 
+// Peek returns the oldest item without removing it; ok is false when empty.
+func (q *FIFO[T]) Peek() (v T, ok bool) {
+	if q.head < len(q.items) {
+		v, ok = q.items[q.head], true
+	}
+	return v, ok
+}
+
 // Pop removes and returns the oldest item; ok is false when empty.
 func (q *FIFO[T]) Pop() (v T, ok bool) {
-	var zero T
-	if q.head == len(q.items) {
-		return zero, false
+	if v, ok = q.Peek(); ok {
+		var zero T
+		q.items[q.head] = zero // drop the reference for GC
+		if q.head++; q.head == len(q.items) {
+			q.items, q.head = q.items[:0], 0
+		}
 	}
-	v = q.items[q.head]
-	q.items[q.head] = zero // drop the reference for GC
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v, true
+	return v, ok
 }
 
 // LockService is the coordinator's FIFO lock table. The zero value is

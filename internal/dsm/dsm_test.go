@@ -438,7 +438,8 @@ func TestChunkedAllocationSharesMinipage(t *testing.T) {
 
 func TestManagerQueueDrainsInOrder(t *testing.T) {
 	// Sequential writers via a lock: every transaction closes properly and
-	// the final state is consistent; directory must be idle at the end.
+	// the final state is consistent; directory must be idle at the end,
+	// with no read left in flight.
 	s := newSys(t, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 11})
 	var va uint64
 	err := run(s, func(th *Thread) {
@@ -464,6 +465,9 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 		}
 		if e.queue.Len() != 0 {
 			t.Fatalf("minipage %d has %d stranded queued requests", id, e.queue.Len())
+		}
+		if e.await != 0 {
+			t.Fatalf("minipage %d still has %d reads in flight", id, e.await)
 		}
 	}
 }

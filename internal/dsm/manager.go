@@ -12,7 +12,8 @@ import (
 
 // dirEntry is the manager's directory record for one minipage: which
 // hosts hold copies, who the preferred source is, and the transaction
-// state. Requests arriving while a transaction is open are queued here —
+// state: one write, upgrade or push, or reads in flight from one source
+// replica. Requests the open transaction cannot take are queued here —
 // and only here: non-manager hosts never queue (Section 3.3).
 type dirEntry struct {
 	copyset hostset.Set // hosts holding a valid copy
@@ -21,16 +22,30 @@ type dirEntry struct {
 	busy  bool
 	queue cluster.FIFO[*pmsg]
 
-	// In-flight write invalidation.
+	// In-flight write invalidation or, with none pending, the open reads.
 	pendingWrite *pmsg
-	invAwait     int
+	await        int  // invalidations outstanding, or reads in flight
 	upgrade      bool // pending write is an upgrade (requester already has the bytes)
-	writeSrc     int  // source replica once invalidations finish
+	src          int  // source replica: of the open reads, or of the write once invalidations finish
 
 	// In-flight push.
 	pushAwait int
 
 	Competing uint64 // requests that found this entry busy (Figure 7's metric)
+}
+
+// joins reports whether read m joins the reads open on e: with nothing
+// queued ahead of it, no write waits on them.
+func (e *dirEntry) joins(m *pmsg) bool {
+	return m.Type == mReadReq && e.pendingWrite == nil && e.await > 0 && (m.Requeued || e.queue.Len() == 0)
+}
+
+// checkNoReads panics, under -tags invariants, if reads are in flight on
+// e as it goes idle or opens a write, upgrade or push.
+func (e *dirEntry) checkNoReads() {
+	if cluster.Invariants && e.await != 0 {
+		panic(fmt.Sprintf("dsm: minipage directory entry has %d reads in flight, busy %v", e.await, e.busy))
+	}
 }
 
 // ManagerStats aggregates the manager's protocol activity.
@@ -184,26 +199,17 @@ func (mg *manager) resolve(m *pmsg) *dirEntry {
 	return mg.entry(id)
 }
 
-// enqueue records a competing request (Figure 7 counts these).
-func (mg *manager) enqueue(e *dirEntry, m *pmsg) {
-	e.queue.Push(m)
-	e.Competing++
-	mg.Stats.CompetingRequests++
-}
-
 // closeTxn ends the open transaction on e and dispatches queued competing
-// requests until one reopens the entry (or the queue drains). The loop
-// matters under fault injection: a queued request whose dispatch ends up
-// dropped or deflected must not strand the requests behind it.
+// requests until one reopens the entry and the next cannot join it (or
+// the queue drains). The loop matters under fault injection: a queued
+// request whose dispatch ends up dropped or deflected must not strand the
+// requests behind it.
 func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) (tail *fastmsg.Message) {
 	e.busy = false
-	for !e.busy {
+	e.checkNoReads()
+	for next, ok := e.queue.Peek(); ok && (!e.busy || e.joins(next)); next, ok = e.queue.Peek() {
 		mg.host().Flush(p, tail)
-		next, ok := e.queue.Pop()
-		if !ok {
-			return nil
-		}
-		next.Requeued = true
+		e.queue.Pop()
 		tail = mg.dispatch(p, next)
 	}
 	return tail
@@ -211,40 +217,50 @@ func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) (tail *fastmsg.Message) {
 
 // admit is the front of Figure 3's "Manager: Handle Read Request" and
 // "Handle Write Request", and of a push: count it (n is its counter),
-// translate, queue it behind an open transaction, else open one. The
-// effect — readEffect, writeEffect, pushEffect — is the rest of the
-// figure's handler.
+// translate, count it competing if the entry is busy, queue it behind an
+// open transaction it cannot join, else open one or join it. The effect —
+// readEffect, writeEffect, pushEffect — is the rest of the figure's handler.
 func (mg *manager) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
 	if !m.Requeued {
 		*n++
 	}
 	e := mg.resolve(m)
+	if e.busy && !m.Requeued {
+		e.Competing++
+		mg.Stats.CompetingRequests++
+	}
+	if m.Type == mReadReq && (!e.busy || e.joins(m)) {
+		return mg.readEffect(e, m)
+	}
 	if e.busy {
-		mg.enqueue(e, m)
+		m.Requeued = true
+		e.queue.Push(m)
 		return nil
 	}
 	if m.Type == mPushReq && mg.sys.NumHosts() == 1 {
 		mg.host().recyclePM(m)
 		return nil // nothing to replicate to
 	}
+	e.checkNoReads()
 	e.busy = true
-	switch m.Type {
-	case mReadReq:
-		return mg.readEffect(e, m)
-	case mWriteReq:
+	if m.Type == mWriteReq {
 		return mg.writeEffect(p, e, m)
 	}
 	return mg.pushEffect(e, m)
 }
 
 // readEffect is the directory effect of an admitted read — translate is
-// done; pick a replica, add the requester to the copyset, and forward the
-// request itself, translation filled in.
+// done; pick a replica (the open reads' source, if reads are open), add
+// the requester to the copyset, and forward the request itself,
+// translation filled in.
 func (mg *manager) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
-	src := mg.findReplica(e)
+	if !e.busy {
+		e.busy, e.src = true, mg.findReplica(e)
+	}
+	e.await++
 	e.copyset = e.copyset.With(m.From)
 	m.Type = mReadFwd
-	return mg.host().Post(src, m)
+	return mg.host().Post(e.src, m)
 }
 
 // findReplica picks the host to source the minipage from: the owner if it
@@ -279,7 +295,7 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Messa
 		// Upgrade: the requester has the bytes; invalidate everyone else.
 		e.pendingWrite = m
 		e.upgrade = true
-		e.invAwait = others.Count()
+		e.await = others.Count()
 		return mg.sendInvalidates(p, m, others)
 	}
 
@@ -294,8 +310,8 @@ func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Messa
 	}
 	e.pendingWrite = m
 	e.upgrade = false
-	e.writeSrc = src
-	e.invAwait = invTargets.Count()
+	e.src = src
+	e.await = invTargets.Count()
 	return mg.sendInvalidates(p, m, invTargets)
 }
 
@@ -331,7 +347,7 @@ func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
 	e := mg.entry(id)
 	// The replying host no longer holds a copy.
 	e.copyset = e.copyset.Without(from)
-	if e.invAwait--; e.invAwait > 0 {
+	if e.await--; e.await > 0 {
 		return nil
 	}
 	w := e.pendingWrite
@@ -343,19 +359,23 @@ func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
 		w.Type = mUpgradeGrant
 		return mg.host().Post(w.From, w)
 	}
-	return mg.forwardWrite(e, w, e.writeSrc)
+	return mg.forwardWrite(e, w, e.src)
 }
 
-// handleAck closes the transaction the woken faulting thread confirms,
-// records it as done (so late retries of it are dropped, not replayed),
-// and serves the next competing request.
+// handleAck confirms the transaction of the woken faulting thread, records
+// it as done (so late retries of it are dropped, not replayed), and once
+// no read is left in flight closes the entry and serves the next requests.
 func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	id, tid, txn := m.Info.ID, m.TID, m.Txn
 	mg.host().recyclePM(m) // the ack ends here, matched or not
 	if txn != 0 {
 		raise(&mg.done, tid, txn)
 	}
-	return mg.closeTxn(p, mg.entry(id))
+	e := mg.entry(id)
+	if e.await = max(e.await-1, 0); e.await > 0 {
+		return nil
+	}
+	return mg.closeTxn(p, e)
 }
 
 // allocLocal carves minipage(s) for host `from` and places their

@@ -66,7 +66,7 @@ type pmsg struct {
 	Info core.Info // translation info, filled in at the requester (reserved header space)
 
 	Prefetch bool // request was issued by a prefetch: no thread is waiting
-	Requeued bool // dispatched again from a directory queue (stats count it once)
+	Requeued bool // queued at the directory, to be dispatched again (stats count it once)
 
 	// Retry identity, stamped only under fault injection (zero on the
 	// clean path). TID is the requesting thread's global id and Txn its

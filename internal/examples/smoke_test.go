@@ -25,8 +25,8 @@ var exampleSmoke = []struct {
 	golden map[string]golden
 }{
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
-		"millipage": {elapsedNS: 18532876, digest: 0xa5d5a67961fb2026},
-		"ivy":       {elapsedNS: 22327884, digest: 0xc57a633e9fab918e},
+		"millipage": {elapsedNS: 18263440, digest: 0xb6d7e46f968a2694},
+		"ivy":       {elapsedNS: 21994580, digest: 0x63c68642786f19f7},
 		"lrc-mw":    {elapsedNS: 11970583, digest: 0xb24f3ffeb27eae66},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
@@ -35,8 +35,8 @@ var exampleSmoke = []struct {
 		"lrc-mw":    {elapsedNS: 40217694, digest: 0xe0c6d1cbade376cf},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
-		"millipage": {elapsedNS: 12925828, digest: 0x033952748eb2c69d},
-		"ivy":       {elapsedNS: 41116217, digest: 0xe0d39143eaa1b3ac},
+		"millipage": {elapsedNS: 12784712, digest: 0x7f27a70efb1e437c},
+		"ivy":       {elapsedNS: 28368969, digest: 0x68e8d8dea469d51d},
 		"lrc-mw":    {elapsedNS: 11813331, digest: 0x98df684b2024df66},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{

@@ -108,17 +108,27 @@ import (
 // HandleFault's unmapped-home error went, and its thirteen error panics
 // became one must, while growTwin came: a copy away from the home now
 // grows its twin over the bytes a chunk's later allocations add).
+//
+// Raised, cluster 1,874 -> 1,882 and dsm 1,198 -> 1,218, when a
+// minipage's readers began to share one read transaction at the home: the
+// directory entry counts its reads in flight in the invalidation count's
+// storage, joins a read to the open ones, closes on the last read's ack
+// and dispatches the reads queued behind a write together, and checks
+// under -tags invariants that no read is in flight as the entry goes idle
+// or opens a write or push (dsm +20); the kernel gained FIFO.Peek, which
+// Pop now calls, and the Invariants constant that check reads (+8).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1874},
-	{"dsm", 1198},
+	{"cluster", 1882},
+	{"dsm", 1218},
 	{"lrc", 795},
 }
 
-// kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once lrc-mw homed by HomeOf (3,872 once the
+// kernelTarget is the kernel's line total (cluster, dsm and lrc), raised
+// to what it stood at once a minipage's readers shared one read
+// transaction (3,867 once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
 // management went; 4,870 once every
 // directory request left its requester translated; 4,886 once lrc-mw
@@ -127,7 +137,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3867
+const kernelTarget = 3895
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -23,7 +23,7 @@ type Report struct {
 	ReadFaults        uint64
 	WriteFaults       uint64
 	Invalidations     uint64
-	CompetingRequests uint64 // requests queued behind open transactions
+	CompetingRequests uint64 // requests that found a transaction open: queued, or joined reads in flight
 	Barriers          uint64
 	LockAcquisitions  uint64
 	MessagesSent      uint64
