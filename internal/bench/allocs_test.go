@@ -69,8 +69,8 @@ func TestE2EAllocsRegression(t *testing.T) {
 		{"E2EServe8", false, "the serving path's steady state: the pin is setup-dominated (~1.2k allocations " +
 			"for a 20k-op scenario), so per-op garbage on the GET/PUT hot loop — a boxed histogram add, an " +
 			"interface escape in the generator, a per-response oracle allocation — multiplies past the fence"},
-		{"E2EServeLossy", false, "the armed path (reliability layer on, retry timers and transaction stamps " +
-			"on every fault, two hosts crashing and recovering): one request, reply or retry allocated per " +
+		{"E2EServeLossy", false, "the armed path (reliability layer on, every frame logged for retransmission, " +
+			"two hosts crashing and recovering): one request, reply or frame record allocated per " +
 			"operation instead of drawn from a freelist puts tens of thousands of objects on a pin of about " +
 			"a thousand, which is what the path cost while pooling was switched off under a fault plan"},
 	}
@@ -124,7 +124,10 @@ func TestE2EAllocsRegression(t *testing.T) {
 // 0.39-0.54 once the protocols' message tables put fronts, tails and
 // engine-context handlers into the receive sequence too, and 0.09-0.45
 // since dsm's rows run there first and decline only what would wait, the
-// bound being the worst row, E2EServeLossy, plus 0.05. A sequence that
+// bound being the worst row, E2EServeLossy, plus 0.05. E2EServeLossy fell
+// to 0.14 (E2EFalseShareMW's 0.45 is now the worst row) once the
+// transport became the only recovery layer and a fault request under a
+// fault plan stopped declining to the server thread. A sequence that
 // falls back to process code shows here, with events_per_op — which
 // those sequences must not and did not move — still equal.
 func TestE2ECountersPinned(t *testing.T) {

@@ -1,8 +1,8 @@
 // Chaos conformance: the same sharing invariants as conformance_test.go,
 // re-run under seeded fault injection — frame drops, duplication,
 // reordering, link partitions that heal, and host crash/restart
-// (including the manager host). The transport's reliability layer plus
-// the protocols' retry/dedup hardening must make every run terminate
+// (including the manager host). The transport's reliability layer, the
+// one recovery layer, must make every run terminate
 // with the invariants intact; a watchdog converts a livelock into a
 // test failure instead of a hang.
 package cluster_test
@@ -78,7 +78,7 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 		t.Fatal(err)
 	}
 	rt := sys.Runtime()
-	if rt.Faulty() != (plan != nil) {
+	if rt.Net.FaultsEnabled() != (plan != nil) {
 		t.Fatal("fault plan did not arm")
 	}
 	done := 0

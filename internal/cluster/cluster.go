@@ -67,9 +67,9 @@ type Options struct {
 	// Faults, when non-nil and enabled, makes the wire lossy per the plan:
 	// frames drop, duplicate, jitter, links partition and hosts crash, all
 	// deterministically from the plan's seed. The transport's reliability
-	// layer and the protocols' retry/dedup machinery then restore
-	// exactly-once FIFO semantics. Nil (or an all-zero plan) leaves the
-	// clean path untouched.
+	// layer then restores exactly-once FIFO delivery, the only recovery
+	// layer: every protocol runs the same code on a lossy wire as on a
+	// clean one. Nil (or an all-zero plan) leaves the clean path untouched.
 	Faults *faultnet.Plan
 
 	// Trace, if non-nil, records protocol events (message sends, fault
@@ -154,7 +154,6 @@ type Runtime struct {
 
 	totalThreads int
 	ran          bool
-	faulty       bool
 }
 
 // New defaults and validates opt for the protocol called name, then
@@ -174,35 +173,8 @@ func New(name string, opt Options, tr Traits) (*Runtime, error) {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		net.InstallFaults(inj)
-		net.SetRestartHook(rt.onRestart)
-		rt.faulty = true
 	}
 	return rt, nil
-}
-
-// Faulty reports whether a fault plan is armed on this runtime.
-func (rt *Runtime) Faulty() bool { return rt.faulty }
-
-// CrashRecoverer is optionally implemented by a protocol's HostHandler:
-// RecoverCrash runs in a fresh recovery process after the host's network
-// stack restarts, before the runtime re-issues the host's in-flight
-// blocking requests. Protocols charge their recovery work (rebuilding an
-// MPT replica, rescanning a directory shard) as virtual time here.
-type CrashRecoverer interface {
-	RecoverCrash(p *sim.Proc)
-}
-
-// onRestart is the fastmsg restart hook: spawn the host's recovery
-// process, which runs protocol recovery and then re-sends every
-// in-flight blocking request registered by a Block with a Retry.
-func (rt *Runtime) onRestart(h int) {
-	host := rt.hosts[h]
-	rt.Eng.SpawnDaemon(fmt.Sprintf("recover-%d", h), func(p *sim.Proc) {
-		if cr, ok := host.handler.(CrashRecoverer); ok {
-			cr.RecoverCrash(p)
-		}
-		host.resendInflight(p)
-	})
 }
 
 // NewHost attaches the next host (ids are assigned in call order) and

@@ -4,8 +4,8 @@
 // that crash host 1 — the home of every minipage the workloads below
 // lean on — in the middle of the request burst. Fail-restart with durable
 // memory keeps the dead home's directory shard and home copies; the
-// requests it missed are retried and deduplicated once it is back, so the
-// cluster must finish with the oracles intact, exactly-once, and two runs
+// transport re-delivers the requests it missed, once each, when it is
+// back, so the cluster must finish with the oracles intact, exactly-once, and two runs
 // of any schedule must be bit-identical.
 package cluster_test
 
@@ -26,7 +26,7 @@ const failoverVictim = 1
 
 // failoverSchedules augments each of the four chaos presets with a
 // crash of the hot home, down for 28ms: every request it holds or is
-// sent meanwhile waits out the outage in the retry machinery.
+// sent meanwhile waits out the outage in its sender's transport log.
 func failoverSchedules() []schedule {
 	out := make([]schedule, 0, 4)
 	for _, sc := range schedules() {
@@ -129,12 +129,12 @@ func TestFailoverConcurrentMerge(t *testing.T) {
 
 // TestFailoverDeterminism runs the lock-guarded accumulator twice under
 // the drop-heaviest kill schedule and requires bit-identical virtual
-// time and transport counters: the crash, the retries and the recovery
-// all replay exactly.
+// time and transport counters: the crash, the retransmissions and the
+// recovery all replay exactly.
 func TestFailoverDeterminism(t *testing.T) {
 	const hosts = 4
 	pr := homeBasedMillipage()
-	sc := failoverSchedules()[0] // drop-heavy: the most retry-prone preset
+	sc := failoverSchedules()[0] // drop-heavy: the most retransmission-prone preset
 	var prints [2]string
 	for run := 0; run < 2; run++ {
 		var acc uint64

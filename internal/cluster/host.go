@@ -147,16 +147,6 @@ type Host struct {
 	AS *vm.AddressSpace
 	EP *fastmsg.Endpoint
 
-	// inflight is the host's registry of blocking requests that must
-	// survive faults: each entry was registered by a Thread.Block with a
-	// Retry and stays until its thread wakes. An order-preserving slice — a map
-	// would make crash recovery's re-send order depend on Go's hashing.
-	inflight []*retryEntry
-
-	freeRetry Pool[retryEntry]
-	retrySeq  uint64    // arms so far; numbers the entries
-	retryFn   func(any) // h.retryFire, bound at the first arm
-
 	node, parent, expect int       // its place in the barrier tree (barrierTree)
 	got                  []*SvcMsg // what it collected of the episode so far
 
@@ -165,86 +155,6 @@ type Host struct {
 	rxType   int
 	inEngine bool // an engine-context row is running: Flush(nil) queues
 	late     bool // the row in service posted there: Sending stamps its sends
-}
-
-// Resender is a requester's own record of a request in flight, held by a
-// retry timer. Resend re-issues the request from it — a header already
-// sent belongs to the handler that received it — possibly from engine
-// context (p == nil), so it must not block.
-type Resender interface {
-	Resend(p *sim.Proc)
-}
-
-// retryMax caps the exponential backoff of a re-send timer.
-const retryMax = 200 * sim.Millisecond
-
-// retryEntry is one armed re-send timer and, while its thread is parked
-// in a Block with a Retry, the host's in-flight registration.
-type retryEntry struct {
-	fw    *Wait
-	gen   uint64 // Wait generation at arming; staleness guard
-	seq   uint64 // arming order on this host
-	delay sim.Duration
-	rs    Resender
-	holds int // the one pending timer event, plus the thread parked on it
-}
-
-func (ent *retryEntry) stale() bool { return ent.fw.gen != ent.gen || ent.fw.Ev.IsSet() }
-
-// armRetry starts a timer that calls rs.Resend(nil) after base, 2·base,
-// ... (capped at retryMax) until fw's event is set or the slot is reset
-// for a new transaction. The entry it returns is Thread.Block's business.
-func (h *Host) armRetry(fw *Wait, base sim.Duration, rs Resender) *retryEntry {
-	if h.retryFn == nil {
-		h.retryFn = h.retryFire
-	}
-	h.retrySeq++
-	ent := h.freeRetry.Get()
-	*ent = retryEntry{fw: fw, gen: fw.gen, seq: h.retrySeq, delay: base, rs: rs, holds: 1}
-	h.rt.Eng.AfterArg(base, h.retryFn, ent)
-	return ent
-}
-
-// retryFire is the calendar-side entry of an armed timer.
-func (h *Host) retryFire(a any) {
-	ent := a.(*retryEntry)
-	if ent.stale() {
-		h.drop(ent)
-		return
-	}
-	ent.rs.Resend(nil)
-	if ent.delay *= 2; ent.delay > retryMax {
-		ent.delay = retryMax
-	}
-	h.rt.Eng.AfterArg(ent.delay, h.retryFn, ent)
-}
-
-// drop gives up one hold on ent: the timer's when it fires stale, the
-// thread's when it wakes. The last one out recycles it.
-func (h *Host) drop(ent *retryEntry) {
-	if ent.holds--; ent.holds == 0 {
-		h.freeRetry.Put(ent)
-	}
-}
-
-// resendInflight re-issues every still-pending blocking request, in
-// registration order, after crash recovery. Resend sleeps, so threads
-// wake and register while the loop runs: it goes by arming number (the
-// list's order) to visit the entries registered at its start, once each.
-func (h *Host) resendInflight(p *sim.Proc) {
-	for last, limit := uint64(0), h.retrySeq; ; {
-		i := 0
-		for i < len(h.inflight) && h.inflight[i].seq <= last {
-			i++
-		}
-		if i == len(h.inflight) || h.inflight[i].seq > limit {
-			return
-		}
-		ent := h.inflight[i]
-		if last = ent.seq; !ent.stale() {
-			ent.rs.Resend(p)
-		}
-	}
 }
 
 // ID returns the host id.
@@ -365,7 +275,7 @@ func (h *Host) PostData(to int, data []byte, marker any) *fastmsg.Message {
 
 // Flush is the rest of Send for a posted envelope, if any: charge p and
 // transmit. With p nil an engine-context row queues it, for the receive
-// sequence to charge; anything else, as a retry timer's Resend, is free.
+// sequence to charge.
 func (h *Host) Flush(p *sim.Proc, fm *fastmsg.Message) {
 	switch {
 	case fm == nil:

@@ -1,7 +1,7 @@
 package cluster
 
 // Pool is a LIFO freelist of recycled records — protocol headers,
-// interval records, retry entries. Get hands out a recycled record as it
+// service messages, interval records. Get hands out a recycled record as it
 // was put back (the caller initializes it) or a new one when the list is
 // empty. Under -tags invariants a record that embeds PoolState is marked
 // while it sits here and the pool counts what it made (invariants_on.go).

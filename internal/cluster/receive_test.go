@@ -184,17 +184,6 @@ var synInProcess = func() *synTable {
 	return Register(t)
 }()
 
-// synResend re-issues an application thread's call after a loss.
-type synResend struct {
-	h       *synHost
-	to, val int
-	fw      *Wait
-}
-
-func (r *synResend) Resend(p *sim.Proc) {
-	r.h.Send(p, r.to, &synMsg{typ: synEngTail, val: r.val, fw: r.fw, tab: r.h.tab})
-}
-
 // synResult is everything the receive sequence must leave as it was.
 type synResult struct {
 	err                        string
@@ -222,7 +211,7 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 		hs[i] = &synHost{tab: tab}
 		hs[i].Host = rt.NewHost(vm.NewAddressSpace(), hs[i])
 	}
-	rt.Eng.At(sim.Time(10*sim.Second), rt.Eng.Stop) // a call lost for good still ends the run
+	rt.Eng.At(sim.Time(10*sim.Second), rt.Eng.Stop) // a call that hangs still ends the run
 	runErr := rt.Run(func(ct *Thread) func() {
 		return func() {
 			h := hs[ct.h.id]
@@ -235,12 +224,8 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 					continue
 				}
 				fw := ct.WaitSlot()
-				b := Blocking{For: "syn answer", FW: fw, Wake: sim.Microsecond, To: to,
-					Request: &synMsg{typ: synEngTail, val: val, fw: fw, tab: tab}}
-				if plan != nil {
-					b.Retry, b.RetryBase = &synResend{h, to, val, fw}, 5*sim.Millisecond
-				}
-				ct.Block(b)
+				ct.Block(Blocking{For: "syn answer", FW: fw, Wake: sim.Microsecond, To: to,
+					Request: &synMsg{typ: synEngTail, val: val, fw: fw, tab: tab}})
 			}
 		}
 	})
@@ -269,8 +254,7 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 // SleepFast and MaxPending, the same trace record stream (a queued send's
 // Send record stamped at its turn), endpoint Stats and host state, the
 // same end; only the switches fall. On a clean wire, under drop-heavy and
-// under crash-restart, where retry timers re-send with no process to
-// charge.
+// under crash-restart, where the transport alone carries every call.
 func TestReceiveSequenceIsTheServer(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
@@ -17,17 +16,6 @@ import (
 type Wait struct {
 	Ev   *sim.Event
 	Info core.Info // translation info carried back by the reply
-
-	// Txn is the transaction id the rendezvous is currently waiting for.
-	// Under fault injection the protocol stamps it on outgoing requests so
-	// late replies to an abandoned transaction can be recognized and
-	// dropped; 0 means "no transaction" (clean path, untagged protocols).
-	Txn uint64
-
-	// gen counts WaitSlot resets. Retry timers capture it at registration
-	// and stop firing once the slot has been recycled for a new
-	// transaction.
-	gen uint64
 }
 
 // NewWait returns a fresh rendezvous record. Protocols use it for
@@ -56,19 +44,14 @@ type Thread struct {
 	ID  int // global thread id
 	LID int // local index on the host
 
-	// txnSeq feeds NextTxn: the per-thread transaction counter protocols
-	// use to tag retryable requests.
-	txnSeq uint64
-
 	// The blocking operation in progress (Block), which the thread itself
 	// is the stepper of: what it is (op.Group the events still to wait
-	// for; one backs the common list of one), where Step is in it, the
-	// posted request, the armed path's in-flight registration.
+	// for; one backs the common list of one), where Step is in it, and
+	// the posted request.
 	op      Blocking
 	stage   opStage
 	one     [1]*sim.Event
 	request *fastmsg.Message
-	ent     *retryEntry
 
 	prefetchWait bool // the fault in service waited on a prefetch (WaitedOnPrefetch)
 
@@ -118,16 +101,7 @@ func (t *Thread) WaitSlot() *Wait {
 	fw := t.fw
 	fw.Ev.Reset()
 	fw.Info = core.Info{}
-	fw.Txn = 0
-	fw.gen++
 	return fw
-}
-
-// NextTxn returns the thread's next transaction id (monotone from 1).
-// Protocols stamp it on retryable requests so managers can deduplicate.
-func (t *Thread) NextTxn() uint64 {
-	t.txnSeq++
-	return t.txnSeq
 }
 
 // Blocking describes one blocking operation of an application thread,
@@ -153,16 +127,6 @@ type Blocking struct {
 	Request any
 	Lead    sim.Duration // charged before the send: the requester's own work it waits on (a fault's Translate)
 
-	// Retry, when not nil, keeps a call on FW alive under faults: while the
-	// thread is parked a timer re-issues the request through it with
-	// exponential backoff from RetryBase (Host.armRetry), and the request
-	// is registered in the host's in-flight table so crash recovery
-	// re-sends it at once after restart. Receivers deduplicate by the
-	// transaction id stamped in FW.Txn. Timer and registration die when
-	// FW's event is set or the slot recycled.
-	Retry     Resender
-	RetryBase sim.Duration
-
 	// Close, when not nil, ends a call with the header that closes it (a
 	// fault's ack to the home), taken from it after Wake: it is posted and
 	// its send CPU charged as the sequence's last stage, as a Send from the
@@ -184,7 +148,7 @@ const (
 	opSend                    // post the request, charge its send CPU
 	opTransmit                // put it on the wire
 	opSuspend                 // charge Pre
-	opRelease                 // arm the retry, give up the host's busy reference
+	opRelease                 // give up the host's busy reference
 	opWait                    // wait for the events, take the busy reference back, charge Wake
 	opClose                   // post the closing header, charge its send CPU
 	opClosed                  // put it on the wire
@@ -242,11 +206,6 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 		}
 		fallthrough
 	case opRelease:
-		if op.Retry != nil {
-			t.ent = h.armRetry(op.FW, op.RetryBase, op.Retry)
-			t.ent.holds++
-			h.inflight = append(h.inflight, t.ent)
-		}
 		h.EP.SetBusy(-1)
 		t.stage = opWait
 		fallthrough
@@ -259,12 +218,6 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 			}
 		}
 		h.EP.SetBusy(+1)
-		if ent := t.ent; ent != nil {
-			i := slices.Index(h.inflight, ent)
-			h.inflight = slices.Delete(h.inflight, i, i+1)
-			h.drop(ent)
-			t.ent = nil
-		}
 		t.stage = opClose
 		return sim.SleepFor, op.Wake
 	case opClose:

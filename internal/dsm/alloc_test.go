@@ -8,9 +8,8 @@ import (
 	"millipage/internal/sim"
 )
 
-// armedPlan keeps the reliability layer, the retry timers and the
-// transaction stamps switched on without ever firing a fault: one
-// partition, in the far future.
+// armedPlan keeps the transport's reliability layer switched on without
+// ever firing a fault: one partition, in the far future.
 func armedPlan() *faultnet.Plan {
 	far := sim.Time(1 << 60)
 	return &faultnet.Plan{Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}
@@ -32,7 +31,7 @@ func allocsPerOp(t *testing.T, opt Options, op func(th *Thread, cell uint64, i i
 	opt.Hosts = max(opt.Hosts, 2)
 	opt.SharedSize, opt.Views, opt.Seed = 1<<16, 4, 1
 	s := newSys(t, opt)
-	if s.Runtime().Faulty() != (opt.Faults != nil) {
+	if s.Net.FaultsEnabled() != (opt.Faults != nil) {
 		t.Fatal("fault plan did not arm")
 	}
 	const warmup, measured = 300, 1000
@@ -65,10 +64,10 @@ func allocsPerOp(t *testing.T, opt Options, op func(th *Thread, cell uint64, i i
 
 // TestArmedFaultPingPongAllocFree: with a fault plan armed, a minipage
 // bouncing between two hosts — a write fault with an invalidation on one
-// side, a read fault then an upgrade on the other, every request stamped,
-// registered for crash recovery and covered by a retry timer — allocates
-// nothing once the pools are warm. Headers, snapshot buffers and retry
-// records all come from freelists; there is no second, allocating path.
+// side, a read fault then an upgrade on the other, every frame logged for
+// retransmission — allocates nothing once the pools are warm. Headers and
+// snapshot buffers come from freelists; there is no second, allocating
+// path.
 func TestArmedFaultPingPongAllocFree(t *testing.T) {
 	avg := armedAllocsPerOp(t, func(th *Thread, cell uint64, i int) {
 		if th.Host() == 0 {
@@ -125,9 +124,9 @@ func TestArmedLockPingPongAllocFree(t *testing.T) {
 }
 
 // TestArmedPrefetchCostsWhatACleanOneDoes: a prefetch issued with a fault
-// plan armed, to a home other than host 0 (HomeMod), is sent unstamped and
-// arms no re-send timer of its own — the reliable transport carries it —
-// so a round allocates what it does on a clean wire: the prefetch's
+// plan armed, to a home other than host 0 (HomeMod), takes the path it
+// takes on a clean wire — the reliable transport is the only recovery
+// layer — so a round allocates what it does there: the prefetch's
 // rendezvous, and nothing for having been armed.
 func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
 	round := func(th *Thread, cell uint64, i int) {
@@ -137,7 +136,7 @@ func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
 		th.Barrier()
 		if th.Host() == 1 {
 			th.Prefetch(cell, 4)
-			th.Compute(2 * requestRetryBase) // past a fault request's first re-send
+			th.Compute(20 * sim.Millisecond) // long past the prefetch's round trip
 			if got := th.ReadU32(cell); got != uint32(i) {
 				t.Errorf("round %d: prefetched cell reads %d", i, got)
 			}

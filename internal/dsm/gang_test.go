@@ -165,10 +165,9 @@ func TestReportLatencyDecomposition(t *testing.T) {
 // TestPrefetchSurvivesHomeCrash: under HomeMod, host 2 issues a Prefetch
 // and a GangFetch of minipages homed at host 1 — which also holds their
 // only copies — around host 1's crash at 2ms (issued up to 150us before
-// it, they are in flight when it lands); it restarts at 8ms. A prefetch
-// is unstamped and arms no re-send timer, so it rides the reliable
-// transport across the outage: both must complete after the restart,
-// with the home's bytes, and leave no read fault behind.
+// it, they are in flight when it lands); it restarts at 8ms. The reliable
+// transport carries both across the outage: they must complete after the
+// restart, with the home's bytes, and leave no read fault behind.
 func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 	const (
 		home    = 1
@@ -185,13 +184,7 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 			var gangDone, prefetchDone sim.Time
 			err := run(s, func(th *Thread) {
 				if th.Host() == home {
-					for len(vas) < 3 {
-						va := th.Malloc(64)
-						if mp, _ := s.mpt.Lookup(va); s.HomeOf(mp.ID) == home {
-							th.WriteU32(va, uint32(len(vas)+1)*7)
-							vas = append(vas, va)
-						}
-					}
+					vas = homedAt(s, th, home, 3)
 				}
 				th.Barrier()
 				if th.Host() != 2 {

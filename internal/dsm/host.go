@@ -10,12 +10,6 @@ import (
 	"millipage/internal/vm"
 )
 
-// requestRetryBase is the initial re-send timeout for fault-path manager
-// requests under fault injection: comfortably above a clean round trip
-// plus a long sweeper tick, so retries only fire when something was
-// actually lost. The retry timer doubles it up to its own cap.
-const requestRetryBase = 10 * sim.Millisecond
-
 // Host is one Millipage process: the substrate host (address space, FM
 // endpoint whose service thread runs the protocol handlers) plus the
 // MultiView region and the protocol's per-host state.
@@ -37,7 +31,7 @@ type Host struct {
 // sender until Send, then the handler that receives it — which the
 // transport runs exactly once per message, duplicates and retransmits
 // included. The owner forwards it (mutate and resend), parks it (a
-// directory queue, the kernel's Park) or recycles it; see request for requests.
+// directory queue, the kernel's Park) or recycles it. Requesters keep no copy.
 func (h *Host) allocPM() *pmsg { return h.sys.freePM.Get() }
 
 // recyclePM returns a header its owner is done with to the freelist.
@@ -62,26 +56,20 @@ func (t *Thread) call(to int, v pmsg, b cluster.Blocking) {
 	t.Block(b)
 }
 
-// request is a faulting thread's own record of its directory request in
-// flight (it blocks on one at a time). Every send — the first, a retry
-// timer's, crash recovery's — copies it into a pooled header, since the
-// home may have consumed the last one.
+// request is a faulting thread's record of its directory request in
+// flight (it blocks on one at a time): the rendezvous its reply fills in.
 type request struct {
-	h   *Host
-	hdr pmsg
+	h  *Host
+	fw *cluster.Wait
 }
 
-// Resend repeats the request to the minipage's home (cluster.Resender).
-func (r *request) Resend(p *sim.Proc) { r.h.sendNew(p, r.h.sys.HomeOf(r.hdr.Info.ID), r.hdr) }
-
 // Closing is the ack that closes the transaction at the minipage's home
-// once the reply is in (cluster.Closer). TID/Txn (zero on the clean path)
-// let the home record the transaction as done.
+// once the reply is in (cluster.Closer).
 func (r *request) Closing() (int, any) {
-	h, fw := r.h, r.hdr.FW
+	h, info := r.h, r.fw.Info
 	m := h.allocPM()
-	*m = pmsg{Type: mAck, From: h.ID(), Info: fw.Info, TID: r.hdr.TID, Txn: fw.Txn}
-	return h.sys.HomeOf(fw.Info.ID), m
+	*m = pmsg{Type: mAck, From: h.ID(), Info: info}
+	return h.sys.HomeOf(info.ID), m
 }
 
 type span struct {
@@ -144,23 +132,10 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 		typ = mWriteReq
 	}
 	home, info := h.route(f.Addr)
-	req := &t.req
-	*req = request{h: h, hdr: pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}}
-	faulty := h.Runtime().Faulty()
-	if faulty {
-		// Tag the transaction so the home can deduplicate retries. The
-		// clean path stamps nothing.
-		req.hdr.TID = t.ID
-		req.hdr.Txn = t.NextTxn()
-		fw.Txn = req.hdr.Txn
-	}
-	b := cluster.Blocking{For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: req}
-	if faulty {
-		// Block with a backoff timer re-issuing the request: it survives
-		// crashes on either side. The clean path arms nothing.
-		b.Retry, b.RetryBase = req, requestRetryBase
-	}
-	t.call(home, req.hdr, b) // the host may go idle; the poller takes over
+	t.req = request{h: h, fw: fw}
+	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}, cluster.Blocking{
+		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
+	}) // the host may go idle; the poller takes over
 
 	if f.Kind == vm.Read && t.inPrefetchSpan(f.Addr) {
 		t.WaitedOnPrefetch()
@@ -194,9 +169,8 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Handle: (*Host).writeFwd, Engine: true},
 	mInvalidateReq: {Name: "INVALIDATE_REQUEST", Front: setProt, Handle: (*Host).invalidate, Engine: true},
 	mPushOrder:     {Name: "PUSH_ORDER", Front: getProt, Handle: (*Host).servePush},
-	// front: a plain grant has no late or duplicate twin to drop before its charge.
-	mUpgradeGrant: {Name: "UPGRADE_GRANT", Front: (*Host).upgradeFront, Handle: (*Host).upgradeGrant, Engine: true},
-	// front: nor has a plain reply before its install. Its bytes land after the charge, through
+	mUpgradeGrant:  {Name: "UPGRADE_GRANT", Front: setProt, Handle: (*Host).upgradeGrant, Engine: true},
+	// front: a reply opens with its install. Its bytes land after the charge, through
 	// the privileged view only this thread uses, in a copy NoAccess here (or ReadOnly, same bytes).
 	mData:      {Name: "DATA", Front: (*Host).installFront, Handle: (*Host).data, Engine: true},
 	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
@@ -205,36 +179,20 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mPushAck: {Name: "PUSH_ACK", Handle: dir},
 }})
 
-var dir, park = (*Host).directory, cluster.Park[*Host, *pmsg]
+var park = cluster.Park[*Host, *pmsg]
 
 func getProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
 func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
 
-// plain reports whether m is unstamped: no duplicate or late twin to drop.
-func (h *Host) plain(m *pmsg) bool { return m.Txn == 0 }
-
-func (h *Host) upgradeFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
-	if h.plain(m) {
-		return h.Costs().SetProt
-	}
-	return fastmsg.NoFront
-}
-
 func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
-	if c := h.Costs(); h.plain(h.Peek(fm).(*pmsg)) {
-		return sim.Duration(len(fm.Data))*c.InstallPerByte + c.SetProt
-	}
-	return fastmsg.NoFront
+	c := h.Costs()
+	return sim.Duration(len(fm.Data))*c.InstallPerByte + c.SetProt
 }
 
-// directory leaves to the thread a stamped message, which may be dropped
-// as a duplicate first. An ack closing onto queued requests runs in engine
-// context like any other: the request it dispatches again is translated,
-// so nothing is charged between effects.
-func (h *Host) directory(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	if p == nil && !h.plain(m) {
-		return fastmsg.Decline
-	}
+// dir runs a directory message at this host's shard. An ack closing onto
+// queued requests runs in engine context like any other: the request it
+// dispatches again is translated, so nothing is charged between effects.
+func dir(h *Host, p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	return h.sys.mgrs[h.ID()].dispatch(p, m)
 }
 
@@ -276,21 +234,19 @@ func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messa
 }
 
 // invalidate drops this host's copy. The request turns around as the
-// reply to whichever home issued the invalidation, echoing the
-// transaction identity (zero on the clean path).
+// reply to whichever home issued the invalidation.
 func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
 	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
 		panic(err)
 	}
-	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW, TID: m.TID, Txn: m.Txn}
+	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW}
 	return h.Post(fm.From, m)
 }
 
 // data installs the bytes its parked header announced. The thread serves a
-// stamped reply, which may be dropped first, and a prefetch's, whose
-// waiters wake only after its ack is charged.
+// prefetch's, whose waiters wake only after its ack is charged.
 func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
-	if hdr := h.Peek(fm).(*pmsg); p == nil && (!h.plain(hdr) || hdr.Prefetch) {
+	if p == nil && h.Peek(fm).(*pmsg).Prefetch {
 		return fastmsg.Decline
 	}
 	hdr := h.Unpark(fm).(*pmsg)
@@ -300,18 +256,7 @@ func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message 
 	return nil
 }
 
-func (h *Host) upgradeGrant(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	if !h.plain(m) {
-		if p == nil {
-			return fastmsg.Decline
-		}
-		// Late grant for an abandoned transaction: drop it.
-		if m.FW.Txn != m.Txn {
-			h.recyclePM(m)
-			return nil
-		}
-		p.Sleep(h.Costs().SetProt)
-	}
+func (h *Host) upgradeGrant(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadWrite); err != nil {
 		panic(err)
 	}
@@ -363,12 +308,6 @@ func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
 // raises the application-view protection, and releases whoever waits.
 // This is Figure 3's "Handle Read or Write Reply".
 func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
-	if hdr.Txn != 0 && hdr.FW != nil && hdr.FW.Txn != hdr.Txn {
-		return // late reply for an abandoned transaction: drop before installing
-	}
-	if c := h.Costs(); !h.plain(hdr) {
-		p.Sleep(sim.Duration(len(data))*c.InstallPerByte + c.SetProt) // a plain reply's is its front
-	}
 	if len(data) != hdr.Info.Size {
 		panic(fmt.Sprintf("dsm: host %d: minipage %d size mismatch: got %d want %d",
 			h.ID(), hdr.Info.ID, len(data), hdr.Info.Size))
@@ -399,14 +338,6 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 		hdr.FW.Info = hdr.Info
 		hdr.FW.Ev.Set()
 	}
-}
-
-// RecoverCrash runs after this host's network stack restarts (fail-restart
-// with durable memory: directory shards, region contents and protections
-// survive). The modeled recovery work is rebuilding the host's MPT replica
-// from the allocation authority — one lookup-sized scan per minipage.
-func (h *Host) RecoverCrash(p *sim.Proc) {
-	p.Sleep(sim.Duration(h.sys.mpt.NumMinipages()) * h.Costs().MPTLookup)
 }
 
 // servePush is the owner side of a push update: downgrade to ReadOnly,

@@ -68,31 +68,7 @@ type manager struct {
 	sys *System
 	me  int // the host this shard runs on
 
-	// Retry dedup, keyed by requesting thread id (transaction numbers are
-	// monotone per thread). done is the highest transaction this shard has
-	// seen acked; inflight the highest it has admitted. A request whose
-	// Txn is at or below either is a duplicate — created by a retry timer
-	// or crash recovery — and is dropped, never redone: redoing a write
-	// transaction would re-ship bytes over the requester's post-install
-	// stores. Both maps move only under fault injection, made by their
-	// first write (raise): on the clean path Txn == 0 and they stay nil.
-	done     map[int]uint64
-	inflight map[int]uint64
-
-	// DupRequests counts dropped duplicates (chaos-test observability).
-	DupRequests uint64
-
 	Stats ManagerStats
-}
-
-// raise lifts (*m)[k] to v, making the map on first use.
-func raise(m *map[int]uint64, k int, v uint64) {
-	if *m == nil {
-		*m = make(map[int]uint64)
-	}
-	if v > (*m)[k] {
-		(*m)[k] = v
-	}
 }
 
 // MPT exposes the minipage table (for statistics and tests).
@@ -135,44 +111,14 @@ func (mg *manager) entryOrNil(id int) *dirEntry {
 // serves reports whether this host is minipage id's home.
 func (mg *manager) serves(id int) bool { return mg.sys.HomeOf(id) == mg.me }
 
-// dropDup reports whether m is a duplicate of a transaction this shard
-// has already admitted or completed, recording fresh admissions as it
-// goes. A requeued message was admitted before it was queued, so it
-// skips the admission check — but not the completion check: if a twin
-// of a queued copy already ran to completion, re-dispatching this copy
-// would reopen a closed transaction against stale directory state.
-func (mg *manager) dropDup(m *pmsg) bool {
-	if m.Txn == 0 {
-		return false
-	}
-	if mg.done[m.TID] >= m.Txn {
-		mg.DupRequests++
-		return true
-	}
-	if m.Requeued {
-		return false
-	}
-	if mg.inflight[m.TID] >= m.Txn {
-		mg.DupRequests++
-		return true
-	}
-	raise(&mg.inflight, m.TID, m.Txn)
-	return false
-}
-
 // dispatch routes one manager-bound message and returns the tail of its
 // handler: the last send, posted, when nothing follows it (cluster.MsgSpec).
 // Every function below that returns a *fastmsg.Message returns such a tail.
 func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	switch m.Type {
-	case mReadReq, mWriteReq:
-		if mg.dropDup(m) {
-			mg.host().recyclePM(m)
-			return nil
-		}
-		if m.Type == mReadReq {
-			return mg.admit(p, m, &mg.Stats.ReadReqs)
-		}
+	case mReadReq:
+		return mg.admit(p, m, &mg.Stats.ReadReqs)
+	case mWriteReq:
 		return mg.admit(p, m, &mg.Stats.WriteReqs)
 	case mPushReq:
 		return mg.admit(p, m, &mg.Stats.Pushes)
@@ -201,9 +147,8 @@ func (mg *manager) resolve(m *pmsg) *dirEntry {
 
 // closeTxn ends the open transaction on e and dispatches queued competing
 // requests until one reopens the entry and the next cannot join it (or
-// the queue drains). The loop matters under fault injection: a queued
-// request whose dispatch ends up dropped or deflected must not strand the
-// requests behind it.
+// the queue drains): the reads at the queue's head go out together, and
+// a push that finds nothing to replicate to lets the next one through.
 func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) (tail *fastmsg.Message) {
 	e.busy = false
 	e.checkNoReads()
@@ -323,9 +268,7 @@ func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) (tail
 		}
 		mg.host().Flush(p, tail)
 		mg.Stats.Invalidations++
-		// TID/Txn (zero on the clean path) are echoed in the reply, which
-		// the server thread then serves like any stamped message.
-		tail = mg.host().postNew(h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, TID: m.TID, Txn: m.Txn})
+		tail = mg.host().postNew(h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info})
 	}
 	return tail
 }
@@ -362,15 +305,12 @@ func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
 	return mg.forwardWrite(e, w, e.src)
 }
 
-// handleAck confirms the transaction of the woken faulting thread, records
-// it as done (so late retries of it are dropped, not replayed), and once
-// no read is left in flight closes the entry and serves the next requests.
+// handleAck confirms the transaction of the woken faulting thread and,
+// once no read is left in flight, closes the entry and serves the next
+// requests.
 func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
-	id, tid, txn := m.Info.ID, m.TID, m.Txn
-	mg.host().recyclePM(m) // the ack ends here, matched or not
-	if txn != 0 {
-		raise(&mg.done, tid, txn)
-	}
+	id := m.Info.ID
+	mg.host().recyclePM(m) // the ack ends here
 	e := mg.entry(id)
 	if e.await = max(e.await-1, 0); e.await > 0 {
 		return nil

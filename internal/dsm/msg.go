@@ -68,14 +68,5 @@ type pmsg struct {
 	Prefetch bool // request was issued by a prefetch: no thread is waiting
 	Requeued bool // queued at the directory, to be dispatched again (stats count it once)
 
-	// Retry identity, stamped only under fault injection (zero on the
-	// clean path). TID is the requesting thread's global id and Txn its
-	// per-thread transaction number: together they let the home recognize
-	// and drop duplicate requests created by retry timers and crash
-	// recovery, and let the requester discard replies to an abandoned
-	// transaction. They ride the forward chain untouched.
-	TID int
-	Txn uint64
-
 	FW *cluster.Wait // requester-local rendezvous (event + reply landing zone)
 }

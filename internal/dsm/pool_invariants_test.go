@@ -39,9 +39,8 @@ func headerBalance(s *System) (owned, parked int) {
 // TestChaosHeaderPoolBalances runs the DRF oracle workload under each
 // fault schedule and both directory placements, lets the wire settle,
 // and requires that every pooled header was recycled on whatever path
-// ended it — duplicate requests dropped at the home, late and duplicate
-// replies dropped at the requester, retries answered twice — and none
-// twice: the second half is the -tags invariants build's to catch, the
+// ended it — crashes, drops and retransmitted duplicates included — and
+// none twice: the second half is the -tags invariants build's to catch, the
 // first shows here as a header that is owned but parked nowhere.
 func TestChaosHeaderPoolBalances(t *testing.T) {
 	const hosts = 4
@@ -74,7 +73,7 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 				done := 0
 				err := run(s, func(th *Thread) {
 					d.Body(th)
-					// Outlast every retransmission and retry timer, then
+					// Outlast every retransmission timer, then
 					// end on a rendezvous so nothing but its own (consumed)
 					// messages is in flight when the last thread leaves.
 					th.Compute(sim.Second)

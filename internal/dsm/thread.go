@@ -21,8 +21,8 @@ type Thread struct {
 }
 
 // sendPrefetch translates va and issues one prefetch request for the
-// minipage backing it. It is unstamped: the reliable transport carries it
-// across a crash of either end, and the home serves it once.
+// minipage backing it. The reliable transport carries it across a crash of
+// either end, and the home serves it once, as it does every request.
 func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, fw *cluster.Wait) {
 	h := t.host
 	p.Sleep(h.Costs().MPTLookup)

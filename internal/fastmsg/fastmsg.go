@@ -219,8 +219,7 @@ type Network struct {
 
 	// rel is non-nil once a fault plan is installed: the sequence/ack/
 	// retransmission machinery of reliable.go. Nil on the clean path.
-	rel         *reliability
-	restartHook func(host int)
+	rel *reliability
 }
 
 // queueRoom is the room every endpoint's pending list and inbox start

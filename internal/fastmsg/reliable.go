@@ -26,8 +26,9 @@ package fastmsg
 // the lost tail; a handler already mid-flight at the crash completes
 // (message-granularity failure boundary) and its duplicate, if
 // retransmitted, is recognized and dropped. On restart the host
-// immediately flushes its own outbound sessions and the network's
-// restart hook lets the cluster runtime run protocol-level recovery.
+// immediately flushes its own outbound sessions. That is all the
+// recovery there is: no protocol above re-sends, stamps or deduplicates
+// a request of its own.
 //
 // Everything here is fault-mode only: a Network without InstallFaults
 // never touches this file, keeping the clean path allocation-free and
@@ -153,11 +154,6 @@ func (nw *Network) InstallFaults(inj *faultnet.Injector) {
 
 // FaultsEnabled reports whether a fault plan is installed.
 func (nw *Network) FaultsEnabled() bool { return nw.rel != nil }
-
-// SetRestartHook registers fn to run (in engine context) whenever a
-// crashed host restarts, after its outbound sessions have been flushed.
-// The cluster runtime uses it to spawn protocol-level crash recovery.
-func (nw *Network) SetRestartHook(fn func(host int)) { nw.restartHook = fn }
 
 // Down reports whether host h is currently crashed.
 func (nw *Network) Down(h int) bool {
@@ -476,8 +472,7 @@ func (r *reliability) crash(h int) {
 }
 
 // restart brings host h back: flush every outbound session immediately
-// (peers may be blocked on frames we queued while down) and hand control
-// to the cluster's recovery hook.
+// (peers may be blocked on frames we queued while down).
 func (r *reliability) restart(h int) {
 	rh := r.hosts[h]
 	if !rh.down {
@@ -498,8 +493,5 @@ func (r *reliability) restart(h int) {
 			r.transmit(h, to, m)
 		}
 		r.armTimer(h, to, ss)
-	}
-	if r.nw.restartHook != nil {
-		r.nw.restartHook(h)
 	}
 }

@@ -60,8 +60,8 @@ type Plan struct {
 // Partition is one scheduled bidirectional cut between host sets A and B
 // (bitmasks, bit i = host i). It heals at Until.
 type Partition struct {
-	A, B uint64
-	From sim.Time
+	A, B  uint64
+	From  sim.Time
 	Until sim.Time
 }
 
@@ -71,9 +71,9 @@ type Partition struct {
 // production analogue is a checkpoint or battery-backed store), but its
 // network state does not — frames on the wire to it are lost, received-
 // but-unserviced messages are discarded, and undelivered timer state is
-// gone. The reliability layer's durable session floors plus the cluster
-// runtime's recovery hook (MPT replica rebuild, in-flight fault
-// re-issue) bring the host back into the protocol.
+// gone. The reliability layer's durable session floors and the restart
+// flush of its own outbound sessions bring the host back into the
+// protocol: the peers' retransmissions re-deliver what it lost.
 type Crash struct {
 	Host      int
 	At        sim.Time

@@ -117,18 +117,30 @@ import (
 // under -tags invariants that no read is in flight as the entry goes idle
 // or opens a write or push (dsm +20); the kernel gained FIFO.Peek, which
 // Pop now calls, and the Invariants constant that check reads (+8).
+//
+// The transport became the only recovery layer (cluster 1,882 -> 1,717,
+// dsm 1,218 -> 1,080): Blocking's retry fields, the re-send timers with
+// their entries, pool and backoff, the host's in-flight registry and its
+// crash-time re-send, Wait's transaction id and generation, the thread's
+// transaction counter, the restart hook's recovery process with
+// CrashRecoverer and Runtime.Faulty went from cluster; the header's
+// TID/Txn and their echoes, the fault request's Resend, the home's
+// duplicate tables and counter, the late-reply guards and the stamped
+// branches of the fronts, the directory row, DATA and UPGRADE_GRANT, and
+// RecoverCrash went from dsm.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1882},
-	{"dsm", 1218},
+	{"cluster", 1717},
+	{"dsm", 1080},
 	{"lrc", 795},
 }
 
-// kernelTarget is the kernel's line total (cluster, dsm and lrc), raised
-// to what it stood at once a minipage's readers shared one read
-// transaction (3,867 once lrc-mw homed by HomeOf; 3,872 once the
+// kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
+// to what it stood at once the transport became the only recovery layer
+// (3,895 once a minipage's readers shared one read transaction; 3,867
+// once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
 // management went; 4,870 once every
 // directory request left its requester translated; 4,886 once lrc-mw
@@ -137,7 +149,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3895
+const kernelTarget = 3592
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -22,7 +22,7 @@ func mwArmedAllocsPerOp(t *testing.T, op func(th *MWThread, cells [2]uint64, i i
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Runtime().Faulty() {
+	if !s.Net.FaultsEnabled() {
 		t.Fatal("fault plan did not arm")
 	}
 	const warmup, measured = 300, 1000

@@ -141,10 +141,9 @@ type Config struct {
 	// Faults, when non-nil and enabled, injects deterministic network and
 	// host faults per the plan (drops, duplicates, reordering, delay
 	// jitter, link partitions, host crash/restart), all drawn from the
-	// plan's seed. The substrate's reliability layer and the protocols'
-	// retry/dedup machinery restore exactly-once FIFO delivery, so
-	// applications still run to completion with the same results — only
-	// timing changes. Nil (or an all-zero plan) leaves the clean path
+	// plan's seed. The substrate's reliability layer restores
+	// exactly-once FIFO delivery, so applications still run to completion
+	// with the same results — only timing changes. Nil (or an all-zero plan) leaves the clean path
 	// untouched.
 	Faults *faultnet.Plan
 }
