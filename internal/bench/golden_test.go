@@ -27,7 +27,9 @@ import (
 // allocation authority stopped sending DIR_INITs. WATER's checksum moved
 // in its last digit with the order its force updates take their locks.
 // The manager-load and millipage trace digests moved again when a
-// minipage's readers began to share one read transaction at the home.
+// minipage's readers began to share one read transaction at the home,
+// and with SOR and WATER when invalidation replies began to go to the
+// writer instead of the home.
 
 func TestGoldenManagerLoad(t *testing.T) {
 	cfg := ManagerLoadConfig{Hosts: 4, Vars: 16, Rounds: 3, Seed: 21}
@@ -37,8 +39,8 @@ func TestGoldenManagerLoad(t *testing.T) {
 		elapsed  int64
 		pershard string
 	}{
-		{"central", cluster.HomeCentral, 14867121, "[200 0 0 0]"},
-		{"home-based", cluster.HomeMod, 13054476, "[44 52 52 52]"},
+		{"central", cluster.HomeCentral, 14539576, "[200 0 0 0]"},
+		{"home-based", cluster.HomeMod, 12968340, "[44 52 52 52]"},
 	}
 	const wantChecksum = uint64(0xc91651f70709a3a9)
 	for _, w := range want {
@@ -63,8 +65,8 @@ func TestGoldenSOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(r.Timed) != 56060767 {
-		t.Errorf("timed = %d, want 56060767", int64(r.Timed))
+	if int64(r.Timed) != 55540984 {
+		t.Errorf("timed = %d, want 55540984", int64(r.Timed))
 	}
 	if got := fmt.Sprint(r.Check); got != "64" {
 		t.Errorf("check = %s, want 64", got)
@@ -79,8 +81,8 @@ func TestGoldenWATER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(r.Timed) != 69076759 {
-		t.Errorf("timed = %d, want 69076759", int64(r.Timed))
+	if int64(r.Timed) != 67510419 {
+		t.Errorf("timed = %d, want 67510419", int64(r.Timed))
 	}
 	if got := fmt.Sprint(r.Check); got != "0.017882280184443315" {
 		t.Errorf("check = %s, want 0.017882280184443315", got)
@@ -137,13 +139,13 @@ func TestGoldenTraceDigest(t *testing.T) {
 	if rec.Total() != 605 {
 		t.Errorf("trace total = %d, want 605", rec.Total())
 	}
-	if elapsed != 4940696 {
-		t.Errorf("elapsed = %d, want 4940696", elapsed)
+	if elapsed != 4862028 {
+		t.Errorf("elapsed = %d, want 4862028", elapsed)
 	}
 	h := fnv.New64a()
 	h.Write([]byte(dump))
-	if got := h.Sum64(); got != 0x2b02fb281d6e631b {
-		t.Errorf("trace dump digest = %#x, want 0x2b02fb281d6e631b", got)
+	if got := h.Sum64(); got != 0xe5c581c55ea82fc5 {
+		t.Errorf("trace dump digest = %#x, want 0xe5c581c55ea82fc5", got)
 	}
 }
 
@@ -200,7 +202,8 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 // allocating host to HomeOf's; the millipage row when its requests began to
 // leave their requesters translated, and again when its directory became
 // home-based by default. The ivy and millipage rows were re-recorded when a
-// minipage's readers began to share one read transaction at the home.
+// minipage's readers began to share one read transaction at the home, and
+// when invalidation replies began to go to the writer.
 func TestGoldenTraceDigestLocks(t *testing.T) {
 	for _, w := range []struct {
 		protocol string
@@ -210,9 +213,9 @@ func TestGoldenTraceDigestLocks(t *testing.T) {
 		digest   uint64
 	}{
 		{"lrc-mw", 3, 550, 5939357, 0x92b4c8289f3eb77e},
-		{"ivy", 3, 807, 11535010, 0xf390ed2bb2055ce1},
+		{"ivy", 3, 807, 11354147, 0x1a4ad3b30d275bdd},
 		{"lrc-mw", 8, 1518, 11659449, 0x8771b5abd455c432},
-		{"millipage", 8, 2543, 17894362, 0xcda7861c699ae720},
+		{"millipage", 8, 2543, 17499994, 0xce597d92ed627644},
 	} {
 		rec := trace.NewRecorder(1 << 16)
 		elapsed, dump := tracedLockRun(t, w.protocol, w.hosts, rec)

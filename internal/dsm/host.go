@@ -56,12 +56,25 @@ func (t *Thread) call(to int, v pmsg, b cluster.Blocking) {
 	t.Block(b)
 }
 
-// request is a faulting thread's record of its directory request in
-// flight (it blocks on one at a time): the rendezvous its reply fills in.
+// request is a requester's record of one directory request in flight (a
+// faulting thread blocks on one at a time; a prefetch has its own): the
+// rendezvous its reply fills in, and the count of invalidation replies
+// that holds a write back until every copy the home invalidated is gone.
 type request struct {
-	h  *Host
-	fw *cluster.Wait
+	h    *Host
+	fw   *cluster.Wait
+	owed int // announced by the reply and not yet in; below zero while replies lead it
 }
+
+// settles reports whether counting n, the Invals of a header for r,
+// completes r: the reply announces the invalidations sent, each of their
+// replies counts -1. The count reaches zero only once all are in, as it
+// stays below zero until the announcement. A push's header has no request.
+func (r *request) settles(n int32) bool { return r == nil || r.owed+int(n) == 0 }
+
+func (r *request) settle(n int32) bool { r.owed += int(n); return r.owed == 0 }
+
+func (r *request) wake(info core.Info) { r.fw.Info = info; r.fw.Ev.Set() }
 
 // Closing is the ack that closes the transaction at the minipage's home
 // once the reply is in (cluster.Closer).
@@ -126,6 +139,9 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	t := ctx.(*Thread)
 	c := h.Costs()
 
+	if cluster.Invariants && t.req.owed != 0 {
+		panic(fmt.Sprintf("dsm: host %d: a fault reuses a request that counts %d invalidation replies", h.ID(), t.req.owed))
+	}
 	fw := t.WaitSlot()
 	typ := mReadReq
 	if f.Kind == vm.Write {
@@ -133,7 +149,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	}
 	home, info := h.route(f.Addr)
 	t.req = request{h: h, fw: fw}
-	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, FW: fw}, cluster.Blocking{
+	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Req: &t.req}, cluster.Blocking{
 		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
 	}) // the host may go idle; the poller takes over
 
@@ -169,14 +185,16 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Handle: (*Host).writeFwd, Engine: true},
 	mInvalidateReq: {Name: "INVALIDATE_REQUEST", Front: setProt, Handle: (*Host).invalidate, Engine: true},
 	mPushOrder:     {Name: "PUSH_ORDER", Front: getProt, Handle: (*Host).servePush},
-	mUpgradeGrant:  {Name: "UPGRADE_GRANT", Front: setProt, Handle: (*Host).upgradeGrant, Engine: true},
+	// front: a write's grant and its invalidation replies are counted at the writer;
+	// the one that completes the count opens with raising the copy.
+	mUpgradeGrant:    {Name: "UPGRADE_GRANT", Front: (*Host).settleFront, Handle: (*Host).settleWrite, Engine: true},
+	mInvalidateReply: {Name: "INVALIDATE_REPLY", Front: (*Host).settleFront, Handle: (*Host).settleWrite, Engine: true},
 	// front: a reply opens with its install. Its bytes land after the charge, through
 	// the privileged view only this thread uses, in a copy NoAccess here (or ReadOnly, same bytes).
 	mData:      {Name: "DATA", Front: (*Host).installFront, Handle: (*Host).data, Engine: true},
 	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
-	mPushData:        {Name: "PUSH_DATA", Handle: park, Engine: true},
-	mInvalidateReply: {Name: "INVALIDATE_REPLY", Handle: dir, Engine: true}, mAck: {Name: "ACK", Handle: dir, Engine: true},
-	mPushAck: {Name: "PUSH_ACK", Handle: dir},
+	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
+	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
 }})
 
 var park = cluster.Park[*Host, *pmsg]
@@ -184,9 +202,23 @@ var park = cluster.Park[*Host, *pmsg]
 func getProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
 func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
 
+// installFront is a reply's install, and its protection change if the
+// reply completes its request: a write's copy stays as it is until the
+// last invalidation reply is in.
 func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
-	c := h.Costs()
-	return sim.Duration(len(fm.Data))*c.InstallPerByte + c.SetProt
+	c, hdr := h.Costs(), h.Peek(fm).(*pmsg)
+	d := sim.Duration(len(fm.Data)) * c.InstallPerByte
+	if hdr.Req.settles(hdr.Invals) {
+		d += c.SetProt
+	}
+	return d
+}
+
+func (h *Host) settleFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
+	if m.Req.settles(m.Invals) {
+		return h.Costs().SetProt
+	}
+	return fastmsg.NoFront
 }
 
 // dir runs a directory message at this host's shard. An ack closing onto
@@ -216,9 +248,7 @@ func (h *Host) writable(m *pmsg) bool {
 // out of the privileged view.
 func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.writable(m) {
-		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadOnly); err != nil {
-			panic(err)
-		}
+		h.protect(m.Info, vm.ReadOnly)
 	}
 	return h.replyWithData(p, m, mReadReply)
 }
@@ -227,20 +257,17 @@ func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messag
 // The privileged view still reaches the bytes after the application views
 // are NoAccess — that is what makes this safe and atomic.
 func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
-		panic(err)
-	}
+	h.protect(m.Info, vm.NoAccess)
 	return h.replyWithData(p, m, mWriteReply)
 }
 
 // invalidate drops this host's copy. The request turns around as the
-// reply to whichever home issued the invalidation.
-func (h *Host) invalidate(_ *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
-	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.NoAccess); err != nil {
-		panic(err)
-	}
-	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, FW: m.FW}
-	return h.Post(fm.From, m)
+// reply to the writer, which counts it (settleWrite).
+func (h *Host) invalidate(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.protect(m.Info, vm.NoAccess)
+	writer := m.From
+	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, Invals: -1, Req: m.Req}
+	return h.Post(writer, m)
 }
 
 // data installs the bytes its parked header announced. The thread serves a
@@ -256,14 +283,24 @@ func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message 
 	return nil
 }
 
-func (h *Host) upgradeGrant(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadWrite); err != nil {
-		panic(err)
+// settleWrite counts an upgrade's grant or one invalidation reply at the
+// writer. The one that completes the count raises the copy to ReadWrite
+// (charged in the front) and releases the thread, whose ack then closes
+// the transaction: no other copy is readable by then.
+func (h *Host) settleWrite(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	if m.Req.settle(m.Invals) {
+		h.protect(m.Info, vm.ReadWrite)
+		m.Req.wake(m.Info)
 	}
-	m.FW.Info = m.Info
-	m.FW.Ev.Set()
 	h.recyclePM(m)
 	return nil
+}
+
+// protect sets this host's application-view protection of a minipage.
+func (h *Host) protect(info core.Info, prot vm.Prot) {
+	if err := h.Region.Protect(info.Base, info.Size, prot); err != nil {
+		panic(err)
+	}
 }
 
 // Alloc is the allocator behind Malloc (cluster.HostHandler), run on the
@@ -287,9 +324,7 @@ func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
 		return
 	}
 	p.Sleep(h.Costs().SetProt)
-	if err := h.Region.Protect(a.Info.Base, a.Info.Size, vm.ReadWrite); err != nil {
-		panic(err)
-	}
+	h.protect(a.Info, vm.ReadWrite)
 }
 
 // replyWithData answers a forwarded request from the privileged view:
@@ -306,7 +341,9 @@ func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
 
 // installMinipage receives minipage contents into the privileged view,
 // raises the application-view protection, and releases whoever waits.
-// This is Figure 3's "Handle Read or Write Reply".
+// This is Figure 3's "Handle Read or Write Reply". A write's reply that
+// still counts invalidation replies leaves the copy as it is: the last of
+// them raises it (settleWrite).
 func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if len(data) != hdr.Info.Size {
 		panic(fmt.Sprintf("dsm: host %d: minipage %d size mismatch: got %d want %d",
@@ -315,29 +352,27 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if err := h.Region.WritePriv(hdr.Info.Base, data); err != nil {
 		panic(err)
 	}
+	home := h.sys.HomeOf(hdr.Info.ID)
+	if hdr.Type == mPushData {
+		// Pushed replica: ack to the home; nobody is waiting.
+		h.protect(hdr.Info, vm.ReadOnly)
+		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info})
+		return
+	}
+	if !hdr.Req.settle(hdr.Invals) {
+		return
+	}
 	prot := vm.ReadOnly
 	if hdr.Type == mWriteReply {
 		prot = vm.ReadWrite
 	}
-	if err := h.Region.Protect(hdr.Info.Base, hdr.Info.Size, prot); err != nil {
-		panic(err)
-	}
-	home := h.sys.HomeOf(hdr.Info.ID)
-	switch {
-	case hdr.Type == mPushData:
-		// Pushed replica: ack to the home; nobody is waiting.
-		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info})
-	case hdr.Prefetch:
+	h.protect(hdr.Info, prot)
+	if hdr.Prefetch {
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
 		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info})
-		if hdr.FW != nil {
-			hdr.FW.Ev.Set()
-		}
-	default:
-		hdr.FW.Info = hdr.Info
-		hdr.FW.Ev.Set()
 	}
+	hdr.Req.wake(hdr.Info)
 }
 
 // servePush is the owner side of a push update: downgrade to ReadOnly,
@@ -345,9 +380,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.writable(m) {
 		p.Sleep(h.Costs().SetProt)
-		if err := h.Region.Protect(m.Info.Base, m.Info.Size, vm.ReadOnly); err != nil {
-			panic(err)
-		}
+		h.protect(m.Info, vm.ReadOnly)
 	}
 	for i := 0; i < h.sys.NumHosts(); i++ {
 		if i == h.ID() {

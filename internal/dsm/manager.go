@@ -8,6 +8,7 @@ import (
 	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
+	"millipage/internal/vm"
 )
 
 // dirEntry is the manager's directory record for one minipage: which
@@ -16,17 +17,15 @@ import (
 // replica. Requests the open transaction cannot take are queued here —
 // and only here: non-manager hosts never queue (Section 3.3).
 type dirEntry struct {
-	copyset hostset.Set // hosts holding a valid copy
+	copyset hostset.Set // hosts holding, or about to hold, a valid copy
 	owner   int         // preferred replica: last writer (or allocator)
 
 	busy  bool
 	queue cluster.FIFO[*pmsg]
 
-	// In-flight write invalidation or, with none pending, the open reads.
-	pendingWrite *pmsg
-	await        int  // invalidations outstanding, or reads in flight
-	upgrade      bool // pending write is an upgrade (requester already has the bytes)
-	src          int  // source replica: of the open reads, or of the write once invalidations finish
+	// The open reads: how many are in flight, and their source replica.
+	await int
+	src   int
 
 	// In-flight push.
 	pushAwait int
@@ -37,7 +36,7 @@ type dirEntry struct {
 // joins reports whether read m joins the reads open on e: with nothing
 // queued ahead of it, no write waits on them.
 func (e *dirEntry) joins(m *pmsg) bool {
-	return m.Type == mReadReq && e.pendingWrite == nil && e.await > 0 && (m.Requeued || e.queue.Len() == 0)
+	return m.Type == mReadReq && e.await > 0 && (m.Requeued || e.queue.Len() == 0)
 }
 
 // checkNoReads panics, under -tags invariants, if reads are in flight on
@@ -45,6 +44,18 @@ func (e *dirEntry) joins(m *pmsg) bool {
 func (e *dirEntry) checkNoReads() {
 	if cluster.Invariants && e.await != 0 {
 		panic(fmt.Sprintf("dsm: minipage directory entry has %d reads in flight, busy %v", e.await, e.busy))
+	}
+}
+
+// checkHolders panics, under -tags invariants, if a host outside e's
+// copyset maps minipage info as the entry goes idle. A write's copyset is
+// its writer from admission, before its invalidations land, so copyset ⊇
+// holders holds only while the entry is idle.
+func (mg *manager) checkHolders(e *dirEntry, info core.Info) {
+	for h := 0; cluster.Invariants && h < mg.sys.NumHosts(); h++ {
+		if prot, _ := mg.sys.Host(h).Region.ProtOf(info.Base); prot != vm.NoAccess && !e.copyset.Has(h) {
+			panic(fmt.Sprintf("dsm: host %d maps minipage %d %v outside its copyset %v", h, info.ID, prot, e.copyset))
+		}
 	}
 }
 
@@ -124,8 +135,6 @@ func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 		return mg.admit(p, m, &mg.Stats.Pushes)
 	case mAck:
 		return mg.handleAck(p, m)
-	case mInvalidateReply:
-		return mg.handleInvReply(m)
 	case mPushAck:
 		return mg.handlePushAck(p, m)
 	}
@@ -149,9 +158,10 @@ func (mg *manager) resolve(m *pmsg) *dirEntry {
 // requests until one reopens the entry and the next cannot join it (or
 // the queue drains): the reads at the queue's head go out together, and
 // a push that finds nothing to replicate to lets the next one through.
-func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry) (tail *fastmsg.Message) {
+func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg.Message) {
 	e.busy = false
 	e.checkNoReads()
+	mg.checkHolders(e, info)
 	for next, ok := e.queue.Peek(); ok && (!e.busy || e.joins(next)); next, ok = e.queue.Peek() {
 		mg.host().Flush(p, tail)
 		e.queue.Pop()
@@ -221,101 +231,41 @@ func (mg *manager) findReplica(e *dirEntry) int {
 }
 
 // writeEffect is the directory effect of an admitted write: invalidate
-// every other replica, then have the remaining one ship the minipage (or
-// grant an upgrade if the requester already holds the only bytes).
+// every other replica, then have the source (the owner, if it still holds
+// a copy) ship the minipage, or grant an upgrade if the requester already
+// holds the bytes. The invalidated hosts reply to the writer, which the
+// forward tells how many replies to count, so ownership and the copyset
+// collapse to the writer now; the entry stays busy until the writer's
+// ack, which it sends only once every reply is in.
 func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
-	others := e.copyset.Without(m.From)
-
-	if others.Empty() {
-		// Requester is the sole holder: pure protection upgrade.
-		if e.copyset != hostset.One(m.From) {
-			panic(fmt.Sprintf("dsm: write fault on minipage %d with empty copyset", m.Info.ID))
-		}
-		e.owner = m.From
-		m.Type = mUpgradeGrant
-		return mg.host().Post(m.From, m)
+	to, targets := m.From, e.copyset.Without(m.From)
+	m.Type = mUpgradeGrant
+	if !e.copyset.Has(m.From) {
+		to, m.Type = mg.findReplica(e), mWriteFwd
+		targets = targets.Without(to)
 	}
-
-	if e.copyset.Has(m.From) {
-		// Upgrade: the requester has the bytes; invalidate everyone else.
-		e.pendingWrite = m
-		e.upgrade = true
-		e.await = others.Count()
-		return mg.sendInvalidates(p, m, others)
-	}
-
-	// The requester has nothing: pick a source, invalidate the rest.
-	src := e.owner
-	if !e.copyset.Has(src) {
-		src = others.First()
-	}
-	invTargets := others.Without(src)
-	if invTargets.Empty() {
-		return mg.forwardWrite(e, m, src)
-	}
-	e.pendingWrite = m
-	e.upgrade = false
-	e.src = src
-	e.await = invTargets.Count()
-	return mg.sendInvalidates(p, m, invTargets)
-}
-
-// sendInvalidates issues INVALIDATE_REQUESTs to every host in mask.
-func (mg *manager) sendInvalidates(p *sim.Proc, m *pmsg, mask hostset.Set) (tail *fastmsg.Message) {
+	m.Invals = int32(targets.Count())
+	e.copyset, e.owner = hostset.One(m.From), m.From
 	for h := 0; h < mg.sys.NumHosts(); h++ {
-		if !mask.Has(h) {
-			continue
+		if targets.Has(h) { // each carries the writer's rendezvous for the reply
+			mg.Stats.Invalidations++
+			mg.host().sendNew(p, h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, Req: m.Req})
 		}
-		mg.host().Flush(p, tail)
-		mg.Stats.Invalidations++
-		tail = mg.host().postNew(h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info})
 	}
-	return tail
-}
-
-// forwardWrite forwards the translated write request to the chosen
-// source, transferring ownership of the minipage to the requester.
-func (mg *manager) forwardWrite(e *dirEntry, m *pmsg, src int) *fastmsg.Message {
-	e.copyset = hostset.One(m.From)
-	e.owner = m.From
-	m.Type = mWriteFwd
-	return mg.host().Post(src, m)
-}
-
-// handleInvReply is "Manager: Handle Invalidate Reply": once every
-// invalidation is confirmed, release the pending write.
-func (mg *manager) handleInvReply(m *pmsg) *fastmsg.Message {
-	id, from := m.Info.ID, m.From
-	mg.host().recyclePM(m) // the invalidate reply ends here
-	e := mg.entry(id)
-	// The replying host no longer holds a copy.
-	e.copyset = e.copyset.Without(from)
-	if e.await--; e.await > 0 {
-		return nil
-	}
-	w := e.pendingWrite
-	e.pendingWrite = nil
-	if e.upgrade {
-		e.upgrade = false
-		e.copyset = hostset.One(w.From)
-		e.owner = w.From
-		w.Type = mUpgradeGrant
-		return mg.host().Post(w.From, w)
-	}
-	return mg.forwardWrite(e, w, e.src)
+	return mg.host().Post(to, m)
 }
 
 // handleAck confirms the transaction of the woken faulting thread and,
 // once no read is left in flight, closes the entry and serves the next
 // requests.
 func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
-	id := m.Info.ID
+	info := m.Info
 	mg.host().recyclePM(m) // the ack ends here
-	e := mg.entry(id)
+	e := mg.entry(info.ID)
 	if e.await = max(e.await-1, 0); e.await > 0 {
 		return nil
 	}
-	return mg.closeTxn(p, e)
+	return mg.closeTxn(p, e, info)
 }
 
 // allocLocal carves minipage(s) for host `from` and places their
@@ -375,12 +325,12 @@ func (mg *manager) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 
 // handlePushAck completes the push once every other host holds a copy.
 func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
-	id, from := m.Info.ID, m.From
+	info, from := m.Info, m.From
 	mg.host().recyclePM(m) // the push ack ends here
-	e := mg.entry(id)
+	e := mg.entry(info.ID)
 	e.copyset = e.copyset.With(from)
 	if e.pushAwait--; e.pushAwait > 0 {
 		return nil
 	}
-	return mg.closeTxn(p, e)
+	return mg.closeTxn(p, e, info)
 }

@@ -24,11 +24,11 @@ const (
 	mWriteFwd               // manager -> chosen owner
 	mReadReply              // owner -> requester header; an mData message follows
 	mWriteReply
-	mUpgradeGrant // manager -> requester that already holds the bytes
-	mData         // bulk minipage contents, received directly into the privileged view
-	mInvalidateReq
-	mInvalidateReply
-	mAck // faulting thread's transaction-closing ack to the manager
+	mUpgradeGrant    // manager -> requester that already holds the bytes
+	mData            // bulk minipage contents, received directly into the privileged view
+	mInvalidateReq   // manager -> replica, sent before a write's forward or grant
+	mInvalidateReply // replica -> writer, which counts them
+	mAck             // faulting thread's transaction-closing ack to the manager
 
 	mPushReq   // app thread asks the manager to replicate a minipage everywhere
 	mPushOrder // manager tells the owner to push
@@ -53,7 +53,7 @@ var dataMarker = &pmsg{Type: mData}
 // pmsg is the protocol header. On the wire it is Costs.HeaderSize bytes
 // (32 in the paper's implementation: type, requester, faulting address,
 // and reserved translation-info space — Section 3.3, where the manager
-// fills it in; here the requester does, Host.route). The FW pointer models
+// fills it in; here the requester does, Host.route). The Req pointer models
 // the requester-local event handle that rides in the header; only the
 // requester dereferences it.
 type pmsg struct {
@@ -65,8 +65,9 @@ type pmsg struct {
 
 	Info core.Info // translation info, filled in at the requester (reserved header space)
 
-	Prefetch bool // request was issued by a prefetch: no thread is waiting
-	Requeued bool // queued at the directory, to be dispatched again (stats count it once)
+	Prefetch bool  // request was issued by a prefetch: no thread is waiting
+	Requeued bool  // queued at the directory, to be dispatched again (stats count it once)
+	Invals   int32 // a write's forward or grant: invalidations the home sent; -1 on each reply to one
 
-	FW *cluster.Wait // requester-local rendezvous (event + reply landing zone)
+	Req *request // requester-local record: rendezvous (event + reply landing zone) and reply count
 }

@@ -15,19 +15,15 @@ import (
 // protocol's and the kernel's service headers — (made and
 // not on a freelist, which the pools count under -tags invariants only,
 // hence the build tag) and the ones the protocol has parked
-// where it will find them again: directory queues, writes waiting for
-// their invalidations, reply headers waiting for their data message. With every thread finished and the
+// where it will find them again: directory queues and reply headers
+// waiting for their data message. With every thread finished and the
 // wire quiet the two must agree — a header owned but parked nowhere was
 // dropped by some exit that forgot to recycle it.
 func headerBalance(s *System) (owned, parked int) {
 	owned = s.freePM.Live() + s.Runtime().LiveServiceHeaders()
 	for _, slab := range s.dir {
 		for i := range slab {
-			e := &slab[i]
-			parked += e.queue.Len()
-			if e.pendingWrite != nil {
-				parked++
-			}
+			parked += slab[i].queue.Len()
 		}
 	}
 	for i := 0; i < s.NumHosts(); i++ {

@@ -23,12 +23,15 @@ type Thread struct {
 // sendPrefetch translates va and issues one prefetch request for the
 // minipage backing it. The reliable transport carries it across a crash of
 // either end, and the home serves it once, as it does every request.
-func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, fw *cluster.Wait) {
+// Its rendezvous, returned, outlives the call.
+func (t *Thread) sendPrefetch(p *sim.Proc, va uint64) *cluster.Wait {
 	h := t.host
 	p.Sleep(h.Costs().MPTLookup)
 	home, info := h.route(va)
-	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, FW: fw})
+	r := &request{h: h, fw: cluster.NewWait(h.sys.Eng)}
+	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r})
 	t.Stats.Prefetches++
+	return r.fw
 }
 
 // Prefetch asynchronously requests a read copy of the minipage(s) backing
@@ -45,7 +48,7 @@ func (t *Thread) Prefetch(va uint64, size int) {
 		return
 	}
 	t.host.prefetchSpans = append(t.host.prefetchSpans, span{base: va, size: size})
-	t.sendPrefetch(p, va, cluster.NewWait(t.host.sys.Eng))
+	t.sendPrefetch(p, va)
 	t.Stats.PrefetchTime += p.Now().Sub(start)
 }
 
@@ -86,9 +89,7 @@ func (t *Thread) GangFetch(spans []Span) {
 			continue
 		}
 		h.prefetchSpans = append(h.prefetchSpans, span{base: sp.Addr, size: sp.Size})
-		fw := cluster.NewWait(h.sys.Eng)
-		t.sendPrefetch(p, sp.Addr, fw)
-		evs = append(evs, fw.Ev)
+		evs = append(evs, t.sendPrefetch(p, sp.Addr).Ev)
 	}
 	if len(evs) > 0 {
 		t.Block(cluster.Blocking{For: "prefetch group", Group: evs, Wake: c.ThreadWake})

@@ -25,8 +25,8 @@ var exampleSmoke = []struct {
 	golden map[string]golden
 }{
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
-		"millipage": {elapsedNS: 18263440, digest: 0xb6d7e46f968a2694},
-		"ivy":       {elapsedNS: 21994580, digest: 0x63c68642786f19f7},
+		"millipage": {elapsedNS: 17668492, digest: 0x95d11686a024887f},
+		"ivy":       {elapsedNS: 21404820, digest: 0xf9857e7aa9db03fb},
 		"lrc-mw":    {elapsedNS: 11970583, digest: 0xb24f3ffeb27eae66},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
@@ -35,8 +35,8 @@ var exampleSmoke = []struct {
 		"lrc-mw":    {elapsedNS: 40217694, digest: 0xe0c6d1cbade376cf},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
-		"millipage": {elapsedNS: 12784712, digest: 0x7f27a70efb1e437c},
-		"ivy":       {elapsedNS: 28368969, digest: 0x68e8d8dea469d51d},
+		"millipage": {elapsedNS: 12767564, digest: 0x3b31fef7c48a6701},
+		"ivy":       {elapsedNS: 28114697, digest: 0xb0896b9633d86c3c},
 		"lrc-mw":    {elapsedNS: 11813331, digest: 0x98df684b2024df66},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{

@@ -128,18 +128,29 @@ import (
 // duplicate tables and counter, the late-reply guards and the stamped
 // branches of the fronts, the directory row, DATA and UPGRADE_GRANT, and
 // RecoverCrash went from dsm.
+//
+// Invalidation replies began to go to the writer (dsm 1,080 -> 1,065): the
+// home sends a write's invalidations and its forward or grant together and
+// commits the copyset at once, so the pending write and upgrade fields,
+// the home's invalidation-reply handler, forwardWrite and sendInvalidates
+// went; the writer
+// counts the replies on its request (settle, settleFront) and raises its
+// copy with the last, and closeTxn checks under -tags invariants that no
+// host outside the copyset maps the minipage. Its seven Protect-or-panic
+// blocks became one protect helper, a denser expression rather than a
+// reduction: without it dsm would read 1,074.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
 	{"cluster", 1717},
-	{"dsm", 1080},
+	{"dsm", 1065},
 	{"lrc", 795},
 }
 
 // kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once the transport became the only recovery layer
-// (3,895 once a minipage's readers shared one read transaction; 3,867
+// to what it stood at once invalidation replies went to the writer (3,592
+// once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
 // management went; 4,870 once every
@@ -149,7 +160,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3592
+const kernelTarget = 3577
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above
