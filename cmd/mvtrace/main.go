@@ -19,7 +19,6 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/dsm"
-	"millipage/internal/lrc"
 	"millipage/internal/registry"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -109,14 +108,14 @@ func main() {
 	fmt.Printf("scenario %q under %s on %d hosts — %d events:\n\n", *kind, spec.Name, *hosts, rec.Total())
 	rec.Dump(os.Stdout)
 
-	// The postscript is the one protocol-specific part: each protocol's
-	// own counters, which the portable Totals do not carry.
-	switch sys := sys.(type) {
-	case *dsm.System:
+	// The postscript is the one class-specific part: each consistency
+	// class's own counters, which the portable Totals do not carry.
+	ds := sys.(*dsm.System)
+	if spec.SC {
 		fmt.Printf("\ncompeting requests queued at the manager: %d\n",
-			sys.ManagerStatsTotal().CompetingRequests)
-	case *lrc.MWSystem:
-		st := sys.Stats()
+			ds.ManagerStatsTotal().CompetingRequests)
+	} else {
+		st := ds.MWStats()
 		fmt.Printf("\nfetches: %d  diffs sent: %d  notices: %d  invalidations: %d  twins made: %d\n",
 			st.Fetches, st.DiffsSent, st.Notices, st.Invalidations, st.TwinsMade)
 	}

@@ -25,10 +25,11 @@ var protocolLabels = []struct {
 // protocol behind the root API: Millipage's minipage-grain SW/MR
 // protocol, the same protocol as a classic Li/Hudak page-based DSM (the
 // ivy preset: page grain, page p managed at host p mod N), and
-// multi-writer lazy release consistency (internal/lrc). One driver, one
-// workload; only Config.Protocol changes. It is the quantified version
-// of the paper's introduction: page-grain false sharing is the problem,
-// MultiView minipages and relaxed consistency are the two escapes.
+// multi-writer lazy release consistency (dsm's multi-writer class). One
+// driver, one workload; only Config.Protocol changes. It is the
+// quantified version of the paper's introduction: page-grain false
+// sharing is the problem, MultiView minipages and relaxed consistency are
+// the two escapes.
 func Baseline(w io.Writer, hosts, varsPerHost, iters int) error {
 	const varBytes = 64
 	work := 1 * sim.Millisecond

@@ -110,7 +110,7 @@ func ManagerLoad(cfg ManagerLoadConfig, homeOf func(id, hosts int) int) (Manager
 	res.Elapsed = s.Elapsed()
 	res.Checksum = sum.Sum64()
 	for i := 0; i < cfg.Hosts; i++ {
-		st := s.ManagerAt(i).Stats
+		st := s.Host(i).Stats
 		res.PerShard = append(res.PerShard, st.ReadReqs+st.WriteReqs)
 	}
 	return res, nil

@@ -179,12 +179,12 @@ func New(name string, opt Options, tr Traits) (*Runtime, error) {
 
 // NewHost attaches the next host (ids are assigned in call order) and
 // wires its fault and message entry points to hh, with the runtime's
-// trace recording layered on top.
-func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler) *Host {
+// trace recording layered on top; cons, nil under SC, runs around its
+// synchronizations.
+func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler, cons Consistency) *Host {
 	id := len(rt.hosts)
-	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh, parked: make([]any, rt.Opt.Hosts)}
+	h := &Host{rt: rt, id: id, AS: as, EP: rt.Net.Endpoint(id), handler: hh, cons: cons, parked: make([]any, rt.Opt.Hosts)}
 	h.node, h.parent, h.expect = barrierTree(id, rt.Opt.Hosts, rt.Opt.ThreadsPerHost)
-	h.cons, _ = hh.(Consistency)
 	as.SetFaultHandler(h.onFault)
 	h.EP.SetServer(h)
 	rt.hosts = append(rt.hosts, h)

@@ -142,7 +142,7 @@ type Host struct {
 	rt      *Runtime
 	id      int
 	handler HostHandler
-	cons    Consistency // handler's, if it is release-consistent
+	cons    Consistency // the protocol's synchronization hooks; nil under SC
 
 	AS *vm.AddressSpace
 	EP *fastmsg.Endpoint

@@ -97,7 +97,7 @@ func TestDeclineLeavesNoMark(t *testing.T) {
 		}
 		hs := []*synHost{{tab: bad}, {tab: bad}}
 		for _, h := range hs {
-			h.Host = rt.NewHost(vm.NewAddressSpace(), h)
+			h.Host = rt.NewHost(vm.NewAddressSpace(), h, nil)
 		}
 		mustPanic(t, tc.want, func() {
 			rt.Run(func(ct *Thread) func() {

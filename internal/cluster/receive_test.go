@@ -209,7 +209,7 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 	hs := make([]*synHost, hosts)
 	for i := range hs {
 		hs[i] = &synHost{tab: tab}
-		hs[i].Host = rt.NewHost(vm.NewAddressSpace(), hs[i])
+		hs[i].Host = rt.NewHost(vm.NewAddressSpace(), hs[i], nil)
 	}
 	rt.Eng.At(sim.Time(10*sim.Second), rt.Eng.Stop) // a call that hangs still ends the run
 	runErr := rt.Run(func(ct *Thread) func() {
@@ -311,7 +311,7 @@ func TestReceiveAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
-			rt.NewHost(vm.NewAddressSpace(), nopHandler{})
+			rt.NewHost(vm.NewAddressSpace(), nopHandler{}, nil)
 		}
 		const warmup, measured = 300, 1000
 		avg := -1.0

@@ -39,7 +39,7 @@ func newTestRuntime(hosts, threadsPerHost int) *Runtime {
 		panic(err)
 	}
 	for i := 0; i < hosts; i++ {
-		rt.NewHost(vm.NewAddressSpace(), nopHandler{})
+		rt.NewHost(vm.NewAddressSpace(), nopHandler{}, nil)
 	}
 	return rt
 }

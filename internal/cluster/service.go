@@ -59,16 +59,15 @@ type Allocation struct {
 	Owner bool      // the requester may map the unit writable at once
 }
 
-// Consistency is optionally implemented by a release-consistent
-// protocol's HostHandler; what synchronization carries for it (lrc-mw's
-// write notices) rides in m.Ext. Release and Acquire run in the
-// synchronizing thread (ctx is its wrapper): Release before a
-// BARRIER_ARRIVE, LOCK_REQUEST or UNLOCK leaves, Acquire once the
-// BARRIER_RELEASE or LOCK_GRANT has woken it, with the header that came
-// back. The rest run on the coordinator: Released sees every thread's
-// BARRIER_ARRIVE, as it or its group arrives, and every UNLOCK, Granting a
-// LOCK_REQUEST about to turn into its grant, Converged the arrivals of a
-// completed barrier episode before they turn into releases.
+// Consistency is a release-consistent protocol's hooks, handed to AddHost;
+// what synchronization carries for it (lrc-mw's write notices) rides in
+// m.Ext. Release and Acquire run in the synchronizing thread (ctx is its
+// wrapper): Release before a BARRIER_ARRIVE, LOCK_REQUEST or UNLOCK
+// leaves, Acquire once the BARRIER_RELEASE or LOCK_GRANT has woken it,
+// with the header that came back. The rest run on the coordinator:
+// Released sees every thread's BARRIER_ARRIVE, as it or its group arrives,
+// and every UNLOCK, Granting a LOCK_REQUEST about to become its grant,
+// Converged a completed episode's arrivals before they become releases.
 type Consistency interface {
 	Release(ctx any, m *SvcMsg)
 	Acquire(ctx any, m *SvcMsg)

@@ -135,7 +135,7 @@ func TestBarrierTreeEpisodes(t *testing.T) {
 			}
 			headers := n * tph // live at once when the root completes: every thread's and every node's group
 			for i := 0; i < n; i++ {
-				if h := rt.NewHost(vm.NewAddressSpace(), nopHandler{}); h.expect > 0 {
+				if h := rt.NewHost(vm.NewAddressSpace(), nopHandler{}, nil); h.expect > 0 {
 					headers++
 				}
 			}

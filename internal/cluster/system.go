@@ -67,11 +67,11 @@ func (l *Lifecycle[H, T]) Init(name string, opt Options, tr Traits, wrap func(t 
 	return nil
 }
 
-// AddHost attaches h as the next host (ids follow call order) with as as
-// its address space, and returns the substrate host for h to embed.
-func (l *Lifecycle[H, T]) AddHost(as *vm.AddressSpace, h H) *Host {
+// AddHost attaches h, with address space as and consistency hooks cons (nil
+// under SC), as the next host and returns the substrate host for h to embed.
+func (l *Lifecycle[H, T]) AddHost(as *vm.AddressSpace, h H, cons Consistency) *Host {
 	l.hosts = append(l.hosts, h)
-	return l.rt.NewHost(as, h)
+	return l.rt.NewHost(as, h, cons)
 }
 
 // Runtime returns the shared cluster substrate.

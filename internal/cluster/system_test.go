@@ -50,7 +50,7 @@ func newStubSystem(t *testing.T, opt Options) *stubSystem {
 			t.Fatal(err)
 		}
 		h := &stubHost{}
-		h.Host = s.AddHost(as, h)
+		h.Host = s.AddHost(as, h, nil)
 	}
 	return s
 }

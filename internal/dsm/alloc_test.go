@@ -15,36 +15,39 @@ func armedPlan() *faultnet.Plan {
 	return &faultnet.Plan{Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}
 }
 
-// armedAllocsPerOp is allocsPerOp on a central-manager cluster with the
-// plan armed.
-func armedAllocsPerOp(t *testing.T, op func(th *Thread, cell uint64, i int)) float64 {
+// armedAllocsPerOp is allocsPerOp with the plan armed.
+func armedAllocsPerOp(t *testing.T, mk func(Options) (*System, error), op func(th *Thread, cells []uint64, i int)) float64 {
 	t.Helper()
-	return allocsPerOp(t, Options{Faults: armedPlan()}, op)
+	return allocsPerOp(t, mk, Options{Faults: armedPlan()}, op)
 }
 
-// allocsPerOp runs op on opt.Hosts hosts (two if unset) in lockstep (op
-// must end in a rendezvous of its own) and returns host 0's steady-state
-// heap allocations per call, process-wide — the simulator runs one
-// goroutine at a time, so that is the whole cluster's cost of one round.
-func allocsPerOp(t *testing.T, opt Options, op func(th *Thread, cell uint64, i int)) float64 {
+// allocsPerOp runs op on opt.Hosts hosts (two if unset) of the cluster mk
+// builds, in lockstep (op must end in a rendezvous of its own), and
+// returns host 0's steady-state heap allocations per call, process-wide —
+// the simulator runs one goroutine at a time, so that is the whole
+// cluster's cost of one round. Host 0 allocates one cell per host, in host
+// order, so under the default placement each host is home to its own.
+func allocsPerOp(t *testing.T, mk func(Options) (*System, error), opt Options, op func(th *Thread, cells []uint64, i int)) float64 {
 	t.Helper()
 	opt.Hosts = max(opt.Hosts, 2)
 	opt.SharedSize, opt.Views, opt.Seed = 1<<16, 4, 1
-	s := newSys(t, opt)
+	s := newSys(t, mk, opt)
 	if s.Net.FaultsEnabled() != (opt.Faults != nil) {
 		t.Fatal("fault plan did not arm")
 	}
 	const warmup, measured = 300, 1000
-	var cell uint64
+	cells := make([]uint64, opt.Hosts)
 	avg := -1.0
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
-			cell = th.Malloc(64)
-			th.WriteU32(cell, 0)
+			for h := range cells {
+				cells[h] = th.Malloc(64)
+			}
+			th.WriteU32(cells[0], 0)
 		}
 		th.Barrier()
 		i := 0
-		round := func() { op(th, cell, i); i++ }
+		round := func() { op(th, cells, i); i++ }
 		for i < warmup {
 			round()
 		}
@@ -69,13 +72,13 @@ func allocsPerOp(t *testing.T, opt Options, op func(th *Thread, cell uint64, i i
 // snapshot buffers come from freelists; there is no second, allocating
 // path.
 func TestArmedFaultPingPongAllocFree(t *testing.T) {
-	avg := armedAllocsPerOp(t, func(th *Thread, cell uint64, i int) {
+	avg := armedAllocsPerOp(t, New, func(th *Thread, cells []uint64, i int) {
 		if th.Host() == 0 {
-			th.WriteU32(cell, uint32(i))
+			th.WriteU32(cells[0], uint32(i))
 		}
 		th.Barrier()
 		if th.Host() == 1 {
-			th.WriteU32(cell, th.ReadU32(cell)+1)
+			th.WriteU32(cells[0], th.ReadU32(cells[0])+1)
 		}
 		th.Barrier()
 	})
@@ -91,18 +94,18 @@ func TestArmedFaultPingPongAllocFree(t *testing.T) {
 // all served in engine context where they do not decline — allocate
 // nothing once the pools are warm, on a clean wire and with a plan armed.
 func TestReceiveAllocFree(t *testing.T) {
-	round := func(th *Thread, cell uint64, i int) {
+	round := func(th *Thread, cells []uint64, i int) {
 		if th.Host() != 0 {
-			th.ReadU32(cell)
+			th.ReadU32(cells[0])
 		}
 		th.Barrier()
 		if th.Host() == 0 {
-			th.WriteU32(cell, uint32(i))
+			th.WriteU32(cells[0], uint32(i))
 		}
 		th.Barrier()
 	}
 	for _, plan := range []*faultnet.Plan{nil, armedPlan()} {
-		if avg := allocsPerOp(t, Options{Hosts: 3, Faults: plan}, round); avg != 0 {
+		if avg := allocsPerOp(t, New, Options{Hosts: 3, Faults: plan}, round); avg != 0 {
 			t.Fatalf("armed=%v: a read and write fault round allocates %.1f objects in steady state, want 0", plan != nil, avg)
 		}
 	}
@@ -112,9 +115,9 @@ func TestReceiveAllocFree(t *testing.T) {
 // path: a lock handed back and forth, guarding a counter that migrates
 // with it.
 func TestArmedLockPingPongAllocFree(t *testing.T) {
-	avg := armedAllocsPerOp(t, func(th *Thread, cell uint64, i int) {
+	avg := armedAllocsPerOp(t, New, func(th *Thread, cells []uint64, i int) {
 		th.Lock(1)
-		th.WriteU32(cell, th.ReadU32(cell)+1)
+		th.WriteU32(cells[0], th.ReadU32(cells[0])+1)
 		th.Unlock(1)
 		th.Barrier()
 	})
@@ -129,24 +132,60 @@ func TestArmedLockPingPongAllocFree(t *testing.T) {
 // layer — so a round allocates what it does there: the prefetch's
 // rendezvous, and nothing for having been armed.
 func TestArmedPrefetchCostsWhatACleanOneDoes(t *testing.T) {
-	round := func(th *Thread, cell uint64, i int) {
+	round := func(th *Thread, cells []uint64, i int) {
 		if th.Host() == 0 {
-			th.WriteU32(cell, uint32(i)) // takes host 1's copy away
+			th.WriteU32(cells[0], uint32(i)) // takes host 1's copy away
 		}
 		th.Barrier()
 		if th.Host() == 1 {
-			th.Prefetch(cell, 4)
+			th.Prefetch(cells[0], 4)
 			th.Compute(20 * sim.Millisecond) // long past the prefetch's round trip
-			if got := th.ReadU32(cell); got != uint32(i) {
+			if got := th.ReadU32(cells[0]); got != uint32(i) {
 				t.Errorf("round %d: prefetched cell reads %d", i, got)
 			}
 		}
 		th.Barrier()
 	}
 	home := Options{HomeOf: cluster.HomeMod}
-	clean := allocsPerOp(t, home, round)
+	clean := allocsPerOp(t, New, home, round)
 	home.Faults = armedPlan()
-	if armed := allocsPerOp(t, home, round); armed != clean {
+	if armed := allocsPerOp(t, New, home, round); armed != clean {
 		t.Fatalf("an armed prefetch round allocates %.0f objects, a clean one %.0f", armed, clean)
+	}
+}
+
+// TestMWArmedFaultPingPongAllocFree: with a fault plan armed, each lrc-mw
+// host writing the other's minipage every round — a twin, a diff flushed to
+// the home and acked, a write notice through the coordinator, an
+// invalidation and a home fetch on the next read — allocates nothing
+// once the pools and arenas are warm: headers, twins and fetched bytes
+// come from the same freelists as on the clean wire, diff encodings lie
+// in the host's reused scratch and notice lists in the epoch arenas,
+// which have reached their working size after two barriers.
+func TestMWArmedFaultPingPongAllocFree(t *testing.T) {
+	avg := armedAllocsPerOp(t, NewMW, func(th *Thread, cells []uint64, i int) {
+		th.WriteU32(cells[1-th.Host()], uint32(i))
+		th.Barrier()
+		if got := th.ReadU32(cells[th.Host()]); got != uint32(i) {
+			t.Errorf("round %d host %d: read %d", i, th.Host(), got)
+		}
+		th.Barrier()
+	})
+	if avg != 0 {
+		t.Fatalf("armed lrc-mw fault ping-pong allocates %.0f objects/round in steady state, want 0", avg)
+	}
+}
+
+// TestMWArmedLockPingPongAllocFree is the same gate for lock hand-offs:
+// every unlock closes an interval and every grant carries its notice.
+func TestMWArmedLockPingPongAllocFree(t *testing.T) {
+	avg := armedAllocsPerOp(t, NewMW, func(th *Thread, cells []uint64, i int) {
+		th.Lock(1)
+		th.WriteU32(cells[0], th.ReadU32(cells[0])+1)
+		th.Unlock(1)
+		th.Barrier()
+	})
+	if avg != 0 {
+		t.Fatalf("armed lrc-mw lock ping-pong allocates %.0f objects/round in steady state, want 0", avg)
 	}
 }

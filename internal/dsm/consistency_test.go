@@ -18,7 +18,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
+			s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var data, flag uint64
 			var observed uint32
 			err := run(s, func(th *Thread) {
@@ -56,7 +56,7 @@ func TestLitmusDekker(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
+			s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var flags [2]uint64
 			var saw [2]uint32
 			err := run(s, func(th *Thread) {
@@ -88,7 +88,7 @@ func TestLitmusCoherence(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: seed})
+			s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var cell uint64
 			violated := false
 			err := run(s, func(th *Thread) {
@@ -129,7 +129,7 @@ func TestLitmusCoherence(t *testing.T) {
 // minipage contents through the privileged view while application views
 // are protected, so a reader never observes a torn 16-byte record.
 func TestLitmusNoTornRecords(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: 9})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: 9})
 	var rec uint64
 	torn := false
 	err := run(s, func(th *Thread) {

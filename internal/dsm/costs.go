@@ -1,9 +1,10 @@
-// Package dsm implements Millipage: a fine-granularity, sequentially
-// consistent, page-based software DSM built on the MultiView technique
-// (internal/core), a simulated VM subsystem (internal/vm) and a simulated
-// FastMessages layer (internal/fastmsg).
+// Package dsm implements the paper's minipage DSM, built on the MultiView
+// technique (internal/core), a simulated VM subsystem (internal/vm) and a
+// simulated FastMessages layer (internal/fastmsg), under two consistency
+// classes of one System, Host and Thread.
 //
-// The protocol is the paper's Figure 3, verbatim in structure:
+// New builds Millipage: fine-granularity, sequentially consistent, and
+// the paper's Figure 3, verbatim in structure:
 //
 //   - Sequential Consistency via Single-Writer/Multiple-Readers.
 //   - One process per host; one of them (host 0) is the manager and owns
@@ -23,6 +24,37 @@
 //   - DSM server threads access memory through the privileged view:
 //     updates are atomic with respect to the application views, and
 //     send/receive is zero-copy.
+//
+// NewMW builds lrc-mw, the paper's first future-work direction (Section
+// 5, "Reduced-Consistency Protocols"): multi-writer lazy release
+// consistency over the same minipages (mw.go). Once chunking makes
+// minipages larger than the sharing unit, false sharing reappears within
+// a minipage, and a reduced-consistency protocol can absorb it. Per-host
+// vector timestamps partition each host's execution into intervals; a
+// write fault twins the minipage and proceeds locally; a release closes
+// the interval by diffing the dirty minipages against their twins; and a
+// write notice (creator, interval, minipage ids) is what propagates at
+// synchronization, not the data. An acquire invalidates only the
+// minipages a causally newer notice names, so two hosts writing disjoint
+// bytes of one minipage never ping-pong. Data-race-free programs observe
+// the same results as under sequential consistency. The 250 us per 4 KB
+// diff that Millipage's thin layer avoids is charged here.
+//
+//   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96), minipage id homed
+//     at Options.HomeOf(id) as under SC: every interval's diffs are
+//     flushed to each minipage's home and acked before the releaser's
+//     notice can circulate, so the home is current for every notice any
+//     host can have seen. A fault on a missing or invalidated copy is one
+//     fetch of the whole minipage from its home; a dirty copy lays its
+//     own writes back over the home's bytes and re-twins from them.
+//   - Notices flow through the host-0 coordinator, piggybacked on lock
+//     grants and barrier releases. The log order is a linear extension of
+//     happens-before; an acquirer gets every logged notice newer than its
+//     vector clock, a conservative superset that is sound for
+//     data-race-free programs.
+//   - The coordinator clears its log at every barrier, and each host keeps
+//     its notices' minipage lists in two arenas — this barrier epoch's and
+//     the last one's — and resets the older at every barrier.
 package dsm
 
 import "millipage/internal/cluster"

@@ -12,25 +12,26 @@ import (
 )
 
 // run drives a typed body: System.Run hands bodies the portable
-// AppThread, and these tests exercise the Millipage thread behind it.
+// AppThread, and these tests exercise the thread behind it.
 func run(s *System, body func(th *Thread)) error {
 	return s.Run(func(t cluster.AppThread) { body(t.(*Thread)) })
 }
 
-func newSys(t *testing.T, opt Options) *System {
+// newSys builds a cluster of the class mk sets: New's SC or NewMW's.
+func newSys(t *testing.T, mk func(Options) (*System, error), opt Options) *System {
 	t.Helper()
-	s, err := New(opt)
+	s, err := mk(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// homeEntry is minipage id's directory entry, at its home shard.
-func homeEntry(s *System, id int) *dirEntry { return s.ManagerAt(s.HomeOf(id)).entry(id) }
+// homeEntry is minipage id's directory entry, at its home.
+func homeEntry(s *System, id int) *dirEntry { return s.Host(s.HomeOf(id)).entry(id) }
 
 func TestSingleHostMallocWriteRead(t *testing.T) {
-	s := newSys(t, Options{Hosts: 1, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Views: 4})
 	var got uint64
 	err := run(s, func(th *Thread) {
 		va := th.Malloc(64)
@@ -46,7 +47,7 @@ func TestSingleHostMallocWriteRead(t *testing.T) {
 }
 
 func TestTwoHostReadFetch(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var got [2]uint32
 	err := run(s, func(th *Thread) {
@@ -71,14 +72,14 @@ func TestTwoHostReadFetch(t *testing.T) {
 		t.Fatalf("host 1 read faults = %d, want 1", rf)
 	}
 	// Directory: copyset = {0,1}, owner 0.
-	cs, owner := s.Manager().Directory()[0].Copyset()
+	cs, owner := s.Host(0).Directory()[0].Copyset()
 	if cs != hostset.Of(0, 1) || owner != 0 {
 		t.Fatalf("copyset=%v owner=%d", cs, owner)
 	}
 }
 
 func TestWriteInvalidatesReaders(t *testing.T) {
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -102,14 +103,14 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	}
 	// After the final reads, every host is back in the copyset; owner is
 	// the last writer, host 3.
-	cs, owner := s.Manager().Directory()[0].Copyset()
+	cs, owner := s.Host(0).Directory()[0].Copyset()
 	if owner != 3 {
 		t.Fatalf("owner = %d, want 3", owner)
 	}
 	if cs != hostset.Of(0, 1, 2, 3) {
 		t.Fatalf("copyset = %v, want {0,1,2,3}", cs)
 	}
-	if inv := s.Manager().Stats.Invalidations; inv < 2 {
+	if inv := s.Host(0).Stats.Invalidations; inv < 2 {
 		t.Fatalf("invalidations = %d, want >= 2", inv)
 	}
 }
@@ -140,7 +141,7 @@ func checkSWMR(t *testing.T, s *System, info core.Info) {
 }
 
 func TestSWMRInvariantUnderContention(t *testing.T) {
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 7})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 7})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -164,16 +165,16 @@ func TestSWMRInvariantUnderContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, _ := s.Manager().MPT().ByID(0)
+	mp, _ := s.MPT().ByID(0)
 	checkSWMR(t, s, mp.Info(s.Layout))
-	if s.Manager().Stats.CompetingRequests == 0 {
+	if s.Host(0).Stats.CompetingRequests == 0 {
 		t.Log("note: no competing requests under this schedule")
 	}
 }
 
 func TestLockProtectedCounter(t *testing.T) {
 	const perHost = 10
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var final uint32
 	err := run(s, func(th *Thread) {
@@ -204,7 +205,7 @@ func TestFalseSharingAvoided(t *testing.T) {
 	// Two variables on the same physical page, different minipages:
 	// concurrent writers to different variables must not invalidate each
 	// other (no write faults after the first).
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var vas [2]uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -232,7 +233,7 @@ func TestFalseSharingAvoided(t *testing.T) {
 	}
 	// Verify the two variables do share a physical page (the test would be
 	// vacuous otherwise).
-	mps := s.Manager().MPT().Minipages()
+	mps := s.MPT().Minipages()
 	if mps[0].Off/vm.PageSize != mps[1].Off/vm.PageSize {
 		t.Fatal("variables landed on different pages; test setup broken")
 	}
@@ -242,7 +243,7 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 	// Same workload under the traditional page-based layout: the two
 	// variables share one page-size minipage and ping-pong between the
 	// writers.
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 1, Grain: core.GrainPage})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 1, Grain: core.GrainPage})
 	var vas [2]uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -270,7 +271,7 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 // page grain hands its allocator every fresh page writable, not only the
 // first, so a 1-host run takes no fault at all.
 func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
-	s := newSys(t, Options{Hosts: 1, SharedSize: 1 << 16, Grain: core.GrainPage})
+	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Grain: core.GrainPage})
 	err := run(s, func(th *Thread) {
 		for _, size := range []int{6000, 9000, 100, 5000} {
 			va := th.Malloc(size)
@@ -288,7 +289,7 @@ func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
 }
 
 func TestCompetingRequestsCounted(t *testing.T) {
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -306,16 +307,16 @@ func TestCompetingRequestsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Manager().Stats.CompetingRequests == 0 {
+	if s.Host(0).Stats.CompetingRequests == 0 {
 		t.Fatal("no competing requests recorded for simultaneous faults")
 	}
-	if s.Manager().Directory()[0].Competing == 0 {
+	if s.Host(0).Directory()[0].Competing == 0 {
 		t.Fatal("per-minipage competing counter not incremented")
 	}
 }
 
 func TestBarrierRendezvous(t *testing.T) {
-	s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 14, Views: 1})
+	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 14, Views: 1})
 	var order []int
 	err := run(s, func(th *Thread) {
 		th.Compute(sim.Duration(th.Host()) * sim.Millisecond) // staggered arrivals
@@ -335,7 +336,7 @@ func TestBarrierRendezvous(t *testing.T) {
 
 func TestPrefetchHidesReadLatency(t *testing.T) {
 	run := func(prefetch bool) sim.Duration {
-		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 20, Views: 1, Seed: 5})
+		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 20, Views: 1, Seed: 5})
 		var va uint64
 		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
@@ -375,7 +376,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 }
 
 func TestPushReplicatesToAllHosts(t *testing.T) {
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -400,14 +401,14 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 			t.Fatalf("host %d read faults = %d, want 0 (push should predeliver)", i, rf)
 		}
 	}
-	cs, _ := s.Manager().Directory()[0].Copyset()
+	cs, _ := s.Host(0).Directory()[0].Copyset()
 	if cs != hostset.Of(0, 1, 2, 3) {
 		t.Fatalf("copyset after push = %v", cs)
 	}
 }
 
 func TestChunkedAllocationSharesMinipage(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4})
 	var vas [8]uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -440,7 +441,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 	// Sequential writers via a lock: every transaction closes properly and
 	// the final state is consistent; directory must be idle at the end,
 	// with no read left in flight.
-	s := newSys(t, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 11})
+	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 11})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -473,7 +474,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 }
 
 func TestThreadStatsBreakdown(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -514,7 +515,7 @@ func TestThreadStatsBreakdown(t *testing.T) {
 }
 
 func TestMultipleThreadsPerHost(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2})
+	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
 	counts := make(map[int]int)
 	err := run(s, func(th *Thread) {
@@ -542,7 +543,7 @@ func TestMultipleThreadsPerHost(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
-		s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 99})
+		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 99})
 		var va uint64
 		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
@@ -561,7 +562,7 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Elapsed(), s.Manager().Stats.CompetingRequests
+		return s.Elapsed(), s.Host(0).Stats.CompetingRequests
 	}
 	e1, c1 := run()
 	e2, c2 := run()
@@ -574,7 +575,7 @@ func TestViewIsolationAcrossMinipages(t *testing.T) {
 	// Protections of minipages sharing a page must move independently:
 	// after host 1 fetches minipage A for reading, minipage B on the same
 	// page must still be NoAccess on host 1.
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va, vb uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -606,7 +607,7 @@ func TestManyMinipagesStress(t *testing.T) {
 	// A few hundred minipages cycling through owners; checks directory
 	// consistency at scale.
 	const n = 200
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 20, Views: 16, Seed: 13})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 16, Seed: 13})
 	vas := make([]uint64, n)
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -661,7 +662,7 @@ func TestRequestsCountedOnceWhenQueued(t *testing.T) {
 	// Simultaneous faults on one minipage queue at the manager; each
 	// request must count once in ReadReqs even though it is dispatched
 	// again when dequeued.
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -677,10 +678,10 @@ func TestRequestsCountedOnceWhenQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Manager().Stats.CompetingRequests == 0 {
+	if s.Host(0).Stats.CompetingRequests == 0 {
 		t.Fatal("expected queued competing requests")
 	}
-	if got := s.Manager().Stats.ReadReqs; got != 3 {
+	if got := s.Host(0).Stats.ReadReqs; got != 3 {
 		t.Fatalf("ReadReqs = %d, want 3 (one per faulting host)", got)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestGangFetchBringsAllMinipages(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	const n = 12
 	vas := make([]uint64, n)
 	err := run(s, func(th *Thread) {
@@ -54,7 +54,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 	// owner.
 	const n = 16
 	run := func(gang bool) sim.Duration {
-		s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 3})
+		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 3})
 		vas := make([]uint64, n)
 		var spent sim.Duration
 		err := run(s, func(th *Thread) {
@@ -97,7 +97,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 }
 
 func TestGangFetchSkipsPresent(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -124,7 +124,7 @@ func TestReportLatencyDecomposition(t *testing.T) {
 	// The paper's Section 4.3.1: with busy hosts, the average fault time
 	// is dominated by service-thread delay. Build a busy two-host
 	// workload and check the report exposes sensible decomposition.
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4, Seed: 11})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4, Seed: 11})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -179,7 +179,7 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 			plan := &faultnet.Plan{Seed: 5, Crashes: []faultnet.Crash{
 				{Host: home, At: sim.Time(crashAt), RestartAt: sim.Time(restart)},
 			}}
-			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan})
+			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan})
 			var vas []uint64 // minipages homed at host 1, allocated and written there
 			var gangDone, prefetchDone sim.Time
 			err := run(s, func(th *Thread) {

@@ -15,7 +15,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 	// The TwoHostReadFetch scenario under the default placement, HomeMod:
 	// same application results, but the directory entry lives at the
 	// minipage's home shard, not (necessarily) host 0.
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var vas [2]uint64
 	var got [2]uint32
 	err := run(s, func(th *Thread) {
@@ -42,7 +42,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 			t.Fatalf("HomeOf(%d) = %d, want %d", id, home, id%2)
 		}
 		for h := 0; h < 2; h++ {
-			e := s.ManagerAt(h).entryOrNil(id)
+			e := s.Host(h).entryOrNil(id)
 			if (h == home) != (e != nil) {
 				t.Fatalf("minipage %d: entry presence at host %d = %v, home is %d",
 					id, h, e != nil, home)
@@ -50,7 +50,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 		}
 	}
 	// Host 1's read of minipage 1 was served by its own shard.
-	if rr := s.ManagerAt(1).Stats.ReadReqs; rr == 0 {
+	if rr := s.Host(1).Stats.ReadReqs; rr == 0 {
 		t.Fatal("host 1's shard served no read requests")
 	}
 }
@@ -62,7 +62,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 // authority's record — the allocator's copy, owned by it. The read then
 // leaves host 2 the owner and adds host 0 to the copyset.
 func TestHomeSeedsFromTranslation(t *testing.T) {
-	s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var before hostset.Set
 	beforeOwner, beforeReqs := -1, uint64(0)
@@ -74,8 +74,8 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 		}
 		th.Barrier()
 		if th.Host() == 0 {
-			before, beforeOwner = s.ManagerAt(1).entryOrNil(1).Copyset()
-			beforeReqs = s.ManagerAt(1).Stats.ReadReqs + s.ManagerAt(1).Stats.WriteReqs
+			before, beforeOwner = s.Host(1).entryOrNil(1).Copyset()
+			beforeReqs = s.Host(1).Stats.ReadReqs + s.Host(1).Stats.WriteReqs
 			if got := th.ReadU32(va); got != 5 {
 				t.Errorf("host 0 reads %d, want 5", got)
 			}
@@ -91,18 +91,18 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 	if before != hostset.One(2) || beforeOwner != 2 {
 		t.Fatalf("minipage 1 before any request: copyset %v owner %d, want {2} owned by 2", before, beforeOwner)
 	}
-	cs, owner := s.ManagerAt(1).entryOrNil(1).Copyset()
+	cs, owner := s.Host(1).entryOrNil(1).Copyset()
 	if cs != hostset.Of(0, 2) || owner != 2 {
 		t.Fatalf("minipage 1: copyset %v owner %d, want {0, 2} owned by 2", cs, owner)
 	}
-	if rr := s.ManagerAt(1).Stats.ReadReqs; rr != 1 {
+	if rr := s.Host(1).Stats.ReadReqs; rr != 1 {
 		t.Fatalf("host 1's shard served %d read requests, want 1", rr)
 	}
 }
 
 func TestHomeOfOverride(t *testing.T) {
 	// A custom HomeOf places every minipage at the last host.
-	s := newSys(t, Options{
+	s := newSys(t, New, Options{
 		Hosts: 3, SharedSize: 1 << 16, Views: 4,
 		HomeOf: func(id, hosts int) int { return hosts - 1 },
 	})
@@ -121,10 +121,10 @@ func TestHomeOfOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := s.ManagerAt(2).entryOrNil(0); e == nil {
+	if e := s.Host(2).entryOrNil(0); e == nil {
 		t.Fatal("entry not at the overridden home")
 	}
-	if e := s.ManagerAt(0).entryOrNil(0); e != nil {
+	if e := s.Host(0).entryOrNil(0); e != nil {
 		t.Fatal("host 0 kept a directory entry it is not home to")
 	}
 }
@@ -140,7 +140,7 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 		home   int // of minipage 1 on three hosts
 	}{{"single-home", cluster.HomeCentral, 0}, {"home-mod", cluster.HomeMod, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, HomeOf: tc.homeOf})
+			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, HomeOf: tc.homeOf})
 			want := fmt.Sprintf("dsm: host 2 got request for minipage 1 homed at host %d", tc.home)
 			defer func() {
 				if got := fmt.Sprint(recover()); got != want {
@@ -183,7 +183,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		shardRq [hosts]uint64
 	}
 	run := func(homeOf func(id, hosts int) int) outcome {
-		s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, HomeOf: homeOf})
+		s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, HomeOf: homeOf})
 		var vas [nVars]uint64
 		var out outcome
 		err := run(s, func(th *Thread) {
@@ -220,7 +220,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		for i := 0; i < hosts; i++ {
 			out.rf[i] = s.Host(i).AS.ReadFaults
 			out.wf[i] = s.Host(i).AS.WriteFaults
-			out.shardRq[i] = s.ManagerAt(i).Stats.ReadReqs + s.ManagerAt(i).Stats.WriteReqs
+			out.shardRq[i] = s.Host(i).Stats.ReadReqs + s.Host(i).Stats.WriteReqs
 		}
 		out.invs = s.ManagerStatsTotal().Invalidations
 		return out
@@ -299,7 +299,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	}
 	val := func(v, r int) uint32 { return uint32(v*999983 + r*10007 + 7) }
 
-	s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: cluster.HomeMod})
+	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: cluster.HomeMod})
 	vas := make([]uint64, nVars)
 	var finalErr error
 	err := run(s, func(th *Thread) {
@@ -338,18 +338,18 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 		t.Fatal(finalErr)
 	}
 
-	mpt := s.Manager().MPT()
+	mpt := s.MPT()
 	for id := 0; id < mpt.NumMinipages(); id++ {
 		home := s.HomeOf(id)
 		// Placement: the entry exists at the home shard and nowhere else.
 		for h := 0; h < hosts; h++ {
-			e := s.ManagerAt(h).entryOrNil(id)
+			e := s.Host(h).entryOrNil(id)
 			if (h == home) != (e != nil) {
 				t.Fatalf("minipage %d: entry presence at host %d = %v, home is %d",
 					id, h, e != nil, home)
 			}
 		}
-		e := s.ManagerAt(home).entry(id)
+		e := s.Host(home).entry(id)
 		if e.Busy() || e.queue.Len() != 0 {
 			t.Fatalf("minipage %d not quiesced at home %d", id, home)
 		}
@@ -374,7 +374,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 
 func TestHomeBasedDeterministic(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
-		s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: cluster.HomeMod})
+		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: cluster.HomeMod})
 		var va uint64
 		err := run(s, func(th *Thread) {
 			if th.Host() == 0 {
@@ -404,7 +404,7 @@ func TestHomeBasedDeterministic(t *testing.T) {
 
 func TestHomeBasedPushAndChunking(t *testing.T) {
 	// Push and chunked allocation both work against remote homes.
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: cluster.HomeMod})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: cluster.HomeMod})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 1 {

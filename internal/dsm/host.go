@@ -10,17 +10,21 @@ import (
 	"millipage/internal/vm"
 )
 
-// Host is one Millipage process: the substrate host (address space, FM
-// endpoint whose service thread runs the protocol handlers) plus the
-// MultiView region and the protocol's per-host state.
+// Host is one process: the substrate host (address space, FM endpoint
+// whose service thread runs the protocol handlers) plus the MultiView
+// region and the class's per-host state.
 type Host struct {
 	*cluster.Host
 	sys    *System
 	Region *core.Region
 
+	Stats ManagerStats // the SC directory's, for the minipages homed here
+
 	// prefetchSpans tracks in-flight prefetch requests so a fault into a
 	// prefetched region is accounted as prefetch wait, not a read fault.
 	prefetchSpans []span
+
+	mwHost // lrc-mw's
 }
 
 // allocPM returns a protocol header from the cluster's freelist. The
@@ -95,7 +99,7 @@ func (sp span) contains(va uint64) bool {
 }
 
 // describe gives the trace a header's minipage, address and home host —
-// -1 for a bulk DATA message, whose shared marker carries no translation
+// -1 for a bulk data message, whose shared marker carries no translation
 // record.
 func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
@@ -137,6 +141,9 @@ func (h *Host) readMinipage(info core.Info) []byte {
 // the first charge of that one wait sequence and the ack its last.
 func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	t := ctx.(*Thread)
+	if h.sys.mw {
+		return t.mwFault(f)
+	}
 	c := h.Costs()
 
 	if cluster.Invariants && t.req.owed != 0 {
@@ -171,10 +178,11 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 }
 
 // table is the protocol's message table (cluster.MsgTable). Directory
-// traffic goes to this host's shard, which checks that the minipage is
+// traffic goes to this host's directory, which checks that the minipage is
 // homed here (resolve, entry). Everything else is the thin non-manager
 // protocol of Figure 3 — note that it does no queuing, no table lookups
-// and no translation of any kind.
+// and no translation of any kind — and lrc-mw's rows, none of which opens
+// with a charge.
 var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
 	mReadReq:  {Name: "READ_REQUEST", Handle: dir, Engine: true},
 	mWriteReq: {Name: "WRITE_REQUEST", Handle: dir, Engine: true},
@@ -195,6 +203,10 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
 	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
 	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
+	// lrc-mw: reply headers and acks only record themselves, in engine context.
+	mFetchReq: {Name: "MW_FETCH_REQUEST", Handle: (*Host).fetch}, mFetchReply: {Name: "MW_FETCH_REPLY", Handle: park, Engine: true},
+	mFetchData: {Name: "MW_FETCH_DATA", Handle: (*Host).fetchData}, mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
+	mDiffAck: {Name: "MW_DIFF_ACK", Handle: (*Host).diffAck, Engine: true},
 }})
 
 var park = cluster.Park[*Host, *pmsg]
@@ -221,11 +233,11 @@ func (h *Host) settleFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 	return fastmsg.NoFront
 }
 
-// dir runs a directory message at this host's shard. An ack closing onto
-// queued requests runs in engine context like any other: the request it
+// dir runs a directory message at this host. An ack closing onto queued
+// requests runs in engine context like any other: the request it
 // dispatches again is translated, so nothing is charged between effects.
 func dir(h *Host, p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	return h.sys.mgrs[h.ID()].dispatch(p, m)
+	return h.dispatch(p, m)
 }
 
 // readFwdFront is READ_FWD's probe, and a writable copy's downgrade.
@@ -298,7 +310,13 @@ func (h *Host) settleWrite(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Me
 
 // protect sets this host's application-view protection of a minipage.
 func (h *Host) protect(info core.Info, prot vm.Prot) {
-	if err := h.Region.Protect(info.Base, info.Size, prot); err != nil {
+	must(h.Region.Protect(info.Base, info.Size, prot))
+}
+
+// must panics on err: the region and the diffs it is handed are the
+// protocol's own, so an error is a protocol bug.
+func must(err error) {
+	if err != nil {
 		panic(err)
 	}
 }
@@ -308,18 +326,25 @@ func (h *Host) protect(info core.Info, prot vm.Prot) {
 // server thread; the manager host's own malloc is an in-process call on
 // the MPT, as in the real library, and pays the lookup with it.
 func (h *Host) Alloc(p *sim.Proc, from, size int, local bool) (cluster.Allocation, error) {
+	if h.sys.mw {
+		return h.mwAlloc(p, size)
+	}
 	c := h.Costs()
 	cost := c.MallocBase
 	if local {
 		cost += c.MPTLookup
 	}
 	p.Sleep(cost)
-	return h.sys.mgrs[managerHost].allocLocal(from, size)
+	return h.allocLocal(from, size)
 }
 
 // Mapped gives the allocating host the minipages it owns writable with no
 // fault (cluster.HostHandler): allocLocal's Info covers every one of them.
 func (h *Host) Mapped(p *sim.Proc, a cluster.Allocation) {
+	if h.sys.mw {
+		h.mwMapped(a)
+		return
+	}
 	if !a.Owner {
 		return
 	}
@@ -349,9 +374,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 		panic(fmt.Sprintf("dsm: host %d: minipage %d size mismatch: got %d want %d",
 			h.ID(), hdr.Info.ID, len(data), hdr.Info.Size))
 	}
-	if err := h.Region.WritePriv(hdr.Info.Base, data); err != nil {
-		panic(err)
-	}
+	must(h.Region.WritePriv(hdr.Info.Base, data))
 	home := h.sys.HomeOf(hdr.Info.ID)
 	if hdr.Type == mPushData {
 		// Pushed replica: ack to the home; nobody is waiting.

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"millipage/internal/core"
-	"millipage/internal/faultnet"
 	"millipage/internal/fastmsg"
+	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -52,7 +52,7 @@ func TestWriteWaitsForEveryInvalidation(t *testing.T) {
 		{"reorder-heavy", &faultnet.Plan{Seed: 3, Drop: 0.05, Reorder: 0.6, Jitter: 3 * sim.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 2, Seed: 5, Faults: tc.plan})
+			s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 2, Seed: 5, Faults: tc.plan})
 			var va uint64
 			writer, replies, bytesIn, acked := -1, 0, false, false
 			spyRows(t, func(h *Host, typ mtype, info core.Info, from int, done bool) {

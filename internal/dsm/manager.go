@@ -51,15 +51,19 @@ func (e *dirEntry) checkNoReads() {
 // copyset maps minipage info as the entry goes idle. A write's copyset is
 // its writer from admission, before its invalidations land, so copyset ⊇
 // holders holds only while the entry is idle.
-func (mg *manager) checkHolders(e *dirEntry, info core.Info) {
-	for h := 0; cluster.Invariants && h < mg.sys.NumHosts(); h++ {
-		if prot, _ := mg.sys.Host(h).Region.ProtOf(info.Base); prot != vm.NoAccess && !e.copyset.Has(h) {
-			panic(fmt.Sprintf("dsm: host %d maps minipage %d %v outside its copyset %v", h, info.ID, prot, e.copyset))
+func (h *Host) checkHolders(e *dirEntry, info core.Info) {
+	for i := 0; cluster.Invariants && i < h.sys.NumHosts(); i++ {
+		if prot, _ := h.sys.Host(i).Region.ProtOf(info.Base); prot != vm.NoAccess && !e.copyset.Has(i) {
+			panic(fmt.Sprintf("dsm: host %d maps minipage %d %v outside its copyset %v", i, info.ID, prot, e.copyset))
 		}
 	}
 }
 
-// ManagerStats aggregates the manager's protocol activity.
+// ManagerStats aggregates a home's directory activity (Host.Stats). Each
+// host is home to the minipages Options.HomeOf places there and runs their
+// transactions in its server thread — the job is essentially "to mark and
+// forward requests to hosts"; under HomeCentral host 0 is home to every
+// minipage and the other hosts' counters stay zero.
 type ManagerStats struct {
 	ReadReqs          uint64
 	WriteReqs         uint64
@@ -69,29 +73,13 @@ type ManagerStats struct {
 	Pushes            uint64
 }
 
-// manager is one host's directory shard: the transaction state for every
-// minipage homed at that host, kept in the System's directory. Its
-// handlers run in the host's server thread; the job is essentially "to
-// mark and forward requests to hosts". Host 0's instance is additionally
-// the allocation authority (the MPT grows only there). Under HomeCentral
-// host 0 is home to every minipage and the other shards stay idle.
-type manager struct {
-	sys *System
-	me  int // the host this shard runs on
-
-	Stats ManagerStats
-}
-
-// MPT exposes the minipage table (for statistics and tests).
-func (mg *manager) MPT() *core.MPT { return mg.sys.mpt }
-
-// Directory returns the shard's directory entries, indexed by minipage
-// id. Entries homed at other hosts are nil (under HomeCentral, host 0's
-// shard has every entry).
-func (mg *manager) Directory() []*dirEntry {
-	dir := make([]*dirEntry, mg.sys.mpt.NumMinipages())
+// Directory returns the directory entries homed at this host, indexed by
+// minipage id. Entries homed at other hosts are nil (under HomeCentral,
+// host 0 has every entry).
+func (h *Host) Directory() []*dirEntry {
+	dir := make([]*dirEntry, h.sys.mpt.NumMinipages())
 	for id := range dir {
-		dir[id] = mg.entryOrNil(id)
+		dir[id] = h.entryOrNil(id)
 	}
 	return dir
 }
@@ -102,70 +90,68 @@ func (e *dirEntry) Copyset() (hostset.Set, int) { return e.copyset, e.owner }
 // Busy reports whether a transaction is open on the entry.
 func (e *dirEntry) Busy() bool { return e.busy }
 
-func (mg *manager) host() *Host { return mg.sys.Host(mg.me) }
-
 // dirSlab is how many entries one slab of the directory holds.
 const dirSlab = 256
 
-// entry returns the directory entry of minipage id, which this shard is
+// entry returns the directory entry of minipage id, which this host is
 // home to. allocLocal placed it when it carved the minipage.
-func (mg *manager) entry(id int) *dirEntry { return &mg.sys.dir[id/dirSlab][id%dirSlab] }
+func (h *Host) entry(id int) *dirEntry { return &h.sys.dir[id/dirSlab][id%dirSlab] }
 
-// entryOrNil is entry, or nil for a minipage this shard is not home to.
-func (mg *manager) entryOrNil(id int) *dirEntry {
-	if id < 0 || id >= mg.sys.mpt.NumMinipages() || !mg.serves(id) {
+// entryOrNil is entry, or nil for a minipage this host is not home to.
+func (h *Host) entryOrNil(id int) *dirEntry {
+	if id < 0 || id >= h.sys.mpt.NumMinipages() || !h.serves(id) {
 		return nil
 	}
-	return mg.entry(id)
+	return h.entry(id)
 }
 
 // serves reports whether this host is minipage id's home.
-func (mg *manager) serves(id int) bool { return mg.sys.HomeOf(id) == mg.me }
+func (h *Host) serves(id int) bool { return h.sys.HomeOf(id) == h.ID() }
 
 // dispatch routes one manager-bound message and returns the tail of its
 // handler: the last send, posted, when nothing follows it (cluster.MsgSpec).
 // Every function below that returns a *fastmsg.Message returns such a tail.
-func (mg *manager) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	switch m.Type {
 	case mReadReq:
-		return mg.admit(p, m, &mg.Stats.ReadReqs)
+		return h.admit(p, m, &h.Stats.ReadReqs)
 	case mWriteReq:
-		return mg.admit(p, m, &mg.Stats.WriteReqs)
+		return h.admit(p, m, &h.Stats.WriteReqs)
 	case mPushReq:
-		return mg.admit(p, m, &mg.Stats.Pushes)
+		return h.admit(p, m, &h.Stats.Pushes)
 	case mAck:
-		return mg.handleAck(p, m)
+		return h.handleAck(p, m)
 	case mPushAck:
-		return mg.handlePushAck(p, m)
+		return h.handlePushAck(p, m)
 	}
 	panic(fmt.Sprintf("dsm: manager got %v", m.Type))
 }
 
-// resolve locates the shard entry of a request, which its requester
+// resolve locates the directory entry of a request, which its requester
 // translated (Host.route): the home does no lookup. It refreshes the
 // translation's extent by id, as a chunk can have grown since.
-func (mg *manager) resolve(m *pmsg) *dirEntry {
+func (h *Host) resolve(m *pmsg) *dirEntry {
 	id := m.Info.ID
-	if !mg.serves(id) {
-		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", mg.me, id, mg.sys.HomeOf(id)))
+	if !h.serves(id) {
+		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", h.ID(), id, h.sys.HomeOf(id)))
 	}
-	mp, _ := mg.sys.mpt.ByID(id)
-	m.Info = mp.Info(mg.sys.Layout)
-	return mg.entry(id)
+	mp, _ := h.sys.mpt.ByID(id)
+	m.Info = mp.Info(h.sys.Layout)
+	return h.entry(id)
 }
 
 // closeTxn ends the open transaction on e and dispatches queued competing
 // requests until one reopens the entry and the next cannot join it (or
 // the queue drains): the reads at the queue's head go out together, and
 // a push that finds nothing to replicate to lets the next one through.
-func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg.Message) {
+func (h *Host) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg.Message) {
 	e.busy = false
 	e.checkNoReads()
-	mg.checkHolders(e, info)
+	h.checkHolders(e, info)
 	for next, ok := e.queue.Peek(); ok && (!e.busy || e.joins(next)); next, ok = e.queue.Peek() {
-		mg.host().Flush(p, tail)
+		h.Flush(p, tail)
 		e.queue.Pop()
-		tail = mg.dispatch(p, next)
+		tail = h.dispatch(p, next)
 	}
 	return tail
 }
@@ -175,52 +161,52 @@ func (mg *manager) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fas
 // translate, count it competing if the entry is busy, queue it behind an
 // open transaction it cannot join, else open one or join it. The effect —
 // readEffect, writeEffect, pushEffect — is the rest of the figure's handler.
-func (mg *manager) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
+func (h *Host) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
 	if !m.Requeued {
 		*n++
 	}
-	e := mg.resolve(m)
+	e := h.resolve(m)
 	if e.busy && !m.Requeued {
 		e.Competing++
-		mg.Stats.CompetingRequests++
+		h.Stats.CompetingRequests++
 	}
 	if m.Type == mReadReq && (!e.busy || e.joins(m)) {
-		return mg.readEffect(e, m)
+		return h.readEffect(e, m)
 	}
 	if e.busy {
 		m.Requeued = true
 		e.queue.Push(m)
 		return nil
 	}
-	if m.Type == mPushReq && mg.sys.NumHosts() == 1 {
-		mg.host().recyclePM(m)
+	if m.Type == mPushReq && h.sys.NumHosts() == 1 {
+		h.recyclePM(m)
 		return nil // nothing to replicate to
 	}
 	e.checkNoReads()
 	e.busy = true
 	if m.Type == mWriteReq {
-		return mg.writeEffect(p, e, m)
+		return h.writeEffect(p, e, m)
 	}
-	return mg.pushEffect(e, m)
+	return h.pushEffect(e, m)
 }
 
 // readEffect is the directory effect of an admitted read — translate is
 // done; pick a replica (the open reads' source, if reads are open), add
 // the requester to the copyset, and forward the request itself,
 // translation filled in.
-func (mg *manager) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
+func (h *Host) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 	if !e.busy {
-		e.busy, e.src = true, mg.findReplica(e)
+		e.busy, e.src = true, h.findReplica(e)
 	}
 	e.await++
 	e.copyset = e.copyset.With(m.From)
 	m.Type = mReadFwd
-	return mg.host().Post(e.src, m)
+	return h.Post(e.src, m)
 }
 
 // findReplica picks the host to source the minipage from: the owner if it
 // still holds a copy, otherwise the lowest-numbered replica.
-func (mg *manager) findReplica(e *dirEntry) int {
+func (h *Host) findReplica(e *dirEntry) int {
 	if e.copyset.Empty() {
 		panic("dsm: findReplica on empty copyset")
 	}
@@ -237,35 +223,35 @@ func (mg *manager) findReplica(e *dirEntry) int {
 // forward tells how many replies to count, so ownership and the copyset
 // collapse to the writer now; the entry stays busy until the writer's
 // ack, which it sends only once every reply is in.
-func (mg *manager) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
+func (h *Host) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
 	to, targets := m.From, e.copyset.Without(m.From)
 	m.Type = mUpgradeGrant
 	if !e.copyset.Has(m.From) {
-		to, m.Type = mg.findReplica(e), mWriteFwd
+		to, m.Type = h.findReplica(e), mWriteFwd
 		targets = targets.Without(to)
 	}
 	m.Invals = int32(targets.Count())
 	e.copyset, e.owner = hostset.One(m.From), m.From
-	for h := 0; h < mg.sys.NumHosts(); h++ {
-		if targets.Has(h) { // each carries the writer's rendezvous for the reply
-			mg.Stats.Invalidations++
-			mg.host().sendNew(p, h, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, Req: m.Req})
+	for i := 0; i < h.sys.NumHosts(); i++ {
+		if targets.Has(i) { // each carries the writer's rendezvous for the reply
+			h.Stats.Invalidations++
+			h.sendNew(p, i, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, Req: m.Req})
 		}
 	}
-	return mg.host().Post(to, m)
+	return h.Post(to, m)
 }
 
 // handleAck confirms the transaction of the woken faulting thread and,
 // once no read is left in flight, closes the entry and serves the next
 // requests.
-func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	info := m.Info
-	mg.host().recyclePM(m) // the ack ends here
-	e := mg.entry(info.ID)
+	h.recyclePM(m) // the ack ends here
+	e := h.entry(info.ID)
 	if e.await = max(e.await-1, 0); e.await > 0 {
 		return nil
 	}
-	return mg.closeTxn(p, e, info)
+	return h.closeTxn(p, e, info)
 }
 
 // allocLocal carves minipage(s) for host `from` and places their
@@ -275,9 +261,9 @@ func (mg *manager) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 // home and no request can arrive ahead of it. It runs only on host 0 (the
 // allocation authority: the MPT grows nowhere else), behind Host.Alloc,
 // and checks HomeOf's answer for each id before anything else asks it.
-func (mg *manager) allocLocal(from, size int) (cluster.Allocation, error) {
-	mg.Stats.Allocs++
-	s, mpt := mg.sys, mg.sys.mpt
+func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
+	h.Stats.Allocs++
+	s, mpt := h.sys, h.sys.mpt
 	firstNew := mpt.NumMinipages()
 	mp, va, err := mpt.Alloc(size)
 	if err != nil {
@@ -300,15 +286,15 @@ func (mg *manager) allocLocal(from, size int) (cluster.Allocation, error) {
 	// copies). Served elsewhere: conservatively no — the first write faults
 	// to the home instead, which keeps SW/MR without another round-trip
 	// from the allocation path.
-	e := mg.entryOrNil(mp.ID)
+	e := h.entryOrNil(mp.ID)
 	owner := mp.ID >= firstNew || e != nil && !e.busy && e.copyset == hostset.One(from)
-	info := mp.Info(mg.sys.Layout)
+	info := mp.Info(h.sys.Layout)
 	if hi, _ := mpt.ByID(mpt.NumMinipages() - 1); hi.ID > mp.ID {
 		lo, _ := mpt.ByID(firstNew)
 		if owner {
 			lo = mp
 		}
-		info, owner = lo.Info(mg.sys.Layout), true
+		info, owner = lo.Info(h.sys.Layout), true
 		info.Size = hi.Off + hi.Size - lo.Off
 	}
 	return cluster.Allocation{VA: va, Info: info, Owner: owner}, nil
@@ -316,21 +302,21 @@ func (mg *manager) allocLocal(from, size int) (cluster.Allocation, error) {
 
 // pushEffect is the directory effect of an admitted push: order the owner
 // to replicate the minipage to all hosts.
-func (mg *manager) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
-	e.pushAwait = mg.sys.NumHosts() - 1
-	src := mg.findReplica(e)
+func (h *Host) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
+	e.pushAwait = h.sys.NumHosts() - 1
+	src := h.findReplica(e)
 	m.Type = mPushOrder // the request itself goes on to the owner
-	return mg.host().Post(src, m)
+	return h.Post(src, m)
 }
 
 // handlePushAck completes the push once every other host holds a copy.
-func (mg *manager) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	info, from := m.Info, m.From
-	mg.host().recyclePM(m) // the push ack ends here
-	e := mg.entry(info.ID)
+	h.recyclePM(m) // the push ack ends here
+	e := h.entry(info.ID)
 	e.copyset = e.copyset.With(from)
 	if e.pushAwait--; e.pushAwait > 0 {
 		return nil
 	}
-	return mg.closeTxn(p, e, info)
+	return h.closeTxn(p, e, info)
 }

@@ -7,14 +7,9 @@ import (
 	"millipage/internal/core"
 )
 
-// managerHost is the elected manager process (Section 3.3: "one of the
-// processes is elected as the manager"), which is also the kernel's
-// allocation and synchronization coordinator.
-const managerHost = cluster.Coordinator
-
 // mtype enumerates the protocol message types of Figure 3, plus the push
-// updates the paper describes in prose. Allocation and synchronization
-// traffic is the kernel's (cluster.SvcMsg).
+// updates the paper describes in prose and lrc-mw's five. Allocation and
+// synchronization traffic is the kernel's (cluster.SvcMsg).
 type mtype int
 
 const (
@@ -34,6 +29,13 @@ const (
 	mPushOrder // manager tells the owner to push
 	mPushData  // header for pushed contents (mData follows)
 	mPushAck
+
+	// lrc-mw's (mw.go): a fault's fetch from the home, a release's diff flush.
+	mFetchReq   // requester -> home
+	mFetchReply // home -> requester header; an mFetchData message follows
+	mFetchData  // the home's bytes
+	mDiffFlush  // releaser -> home, carries the diff
+	mDiffAck    // home -> releaser
 )
 
 func (m mtype) String() string {
@@ -61,13 +63,14 @@ type pmsg struct {
 
 	Type mtype
 	From int    // original requester host
-	Addr uint64 // faulting address
+	Addr uint64 // faulting address; the minipage's base in lrc-mw's headers
 
 	Info core.Info // translation info, filled in at the requester (reserved header space)
 
-	Prefetch bool  // request was issued by a prefetch: no thread is waiting
-	Requeued bool  // queued at the directory, to be dispatched again (stats count it once)
-	Invals   int32 // a write's forward or grant: invalidations the home sent; -1 on each reply to one
+	Prefetch bool   // request was issued by a prefetch: no thread is waiting
+	Requeued bool   // queued at the directory, to be dispatched again (stats count it once)
+	Invals   int32  // a write's forward or grant: invalidations the home sent; -1 on each reply to one
+	Diff     []byte // encoded run-length diff (mDiffFlush)
 
 	Req *request // requester-local record: rendezvous (event + reply landing zone) and reply count
 }

@@ -53,7 +53,7 @@ func runRandomProgram(t *testing.T, seed int64, hosts int) {
 
 	val := func(v, r int) uint32 { return uint32(v*1000003 + r*10007 + 13) }
 
-	s := newSys(t, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed})
+	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed})
 	vas := make([]uint64, nVars)
 	var finalErr error
 	err := run(s, func(th *Thread) {
@@ -111,7 +111,7 @@ func runRandomProgram(t *testing.T, seed int64, hosts int) {
 		if e := homeEntry(s, id); e.Busy() || e.queue.Len() != 0 {
 			t.Fatalf("minipage %d not quiesced", id)
 		}
-		mp, _ := s.Manager().MPT().ByID(id)
+		mp, _ := s.MPT().ByID(id)
 		info := mp.Info(s.Layout)
 		writable, readable := 0, 0
 		for i := 0; i < hosts; i++ {

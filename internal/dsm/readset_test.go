@@ -27,7 +27,7 @@ func homeEvents(s *System, rec *trace.Recorder, id int) (evs []trace.Event, ops 
 // fastest, not seven round trips.
 func TestReadersServedTogether(t *testing.T) {
 	const writer = 3
-	s := newSys(t, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 5})
+	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 5})
 	var va uint64
 	lat := make([]sim.Duration, 8)
 	err := run(s, func(th *Thread) {
@@ -74,7 +74,7 @@ func TestReadersServedTogether(t *testing.T) {
 // then invalidates every reader's copy.
 func TestWriteWaitsForReadSet(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
-	s := newSys(t, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 3, Trace: rec})
+	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 3, Trace: rec})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -142,7 +142,7 @@ func countOps(ops []string, op string) (n int) {
 // ack arrives, and the entry closes on the second ack.
 func TestThreadsOfOneHostReadTogether(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
-	s := newSys(t, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
+	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.ID == 0 {

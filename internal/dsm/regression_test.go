@@ -17,7 +17,7 @@ import (
 // misclassified as prefetch waits and, worse, later Prefetch calls for
 // the range were silently swallowed.
 func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -55,7 +55,7 @@ func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 // TestGangFetchSpansClearedWhenUnaligned is the same leak through the
 // composed-views path, with several unaligned members at once.
 func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var vas [3]uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -94,7 +94,7 @@ func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 	for _, homeOf := range []func(id, hosts int) int{cluster.HomeCentral, cluster.HomeMod} {
 		for _, allocator := range []int{0, 2} {
-			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
+			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var va uint64
 			err := run(s, func(th *Thread) {
 				if th.Host() == allocator {
@@ -137,7 +137,7 @@ func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 func TestChunkGrowthAfterTranslation(t *testing.T) {
 	for i, homeOf := range []func(id, hosts int) int{cluster.HomeCentral, cluster.HomeMod} {
 		for d := sim.Duration(0); d < 8*sim.Microsecond; d += sim.Microsecond {
-			s := newSys(t, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
+			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var a, b uint64
 			err := run(s, func(th *Thread) {
 				if th.Host() == 1 {
@@ -171,7 +171,7 @@ func TestChunkGrowthAfterTranslation(t *testing.T) {
 // application; reusing it would restart a spent simulation engine over
 // stale protocol state.
 func TestRunReuseRejected(t *testing.T) {
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 14, Views: 1})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 14, Views: 1})
 	if err := run(s, func(th *Thread) { th.Barrier() }); err != nil {
 		t.Fatal(err)
 	}

@@ -8,40 +8,58 @@ import (
 	"millipage/internal/vm"
 )
 
-// Options configures a Millipage cluster. It is the one Options struct
-// every protocol shares; cluster.New defaults and validates it.
+// Options configures a cluster. It is the one Options struct every
+// protocol shares; cluster.New defaults and validates it.
 type Options = cluster.Options
 
-// System is one Millipage cluster: the shared cluster runtime plus the
-// protocol state — the MPT, the directory and one directory shard per
-// host. Host 0 is the allocation authority; every host runs the directory
-// shard for the minipages Options.HomeOf homes at it: HomeMod by default,
-// host 0 for all of them under HomeCentral — the paper's manager.
+// System is one minipage cluster under one of two consistency classes,
+// which its constructor sets: New's sequentially consistent Millipage, and
+// NewMW's multi-writer lazy release consistency (mw.go). Either way it is
+// the shared cluster runtime plus the MPT, which grows only on host 0 (the
+// allocation authority), and minipage id is homed at Options.HomeOf(id):
+// HomeMod by default, host 0 for all of them under HomeCentral — the
+// paper's manager. Under SC each host runs the directory for the
+// minipages homed at it; under lrc-mw the home serves fetches and applies
+// diffs, and host 0 keeps the write-notice log.
 type System struct {
 	cluster.Lifecycle[*Host, *Thread]
 	Layout core.Layout
 
-	mpt  *core.MPT  // grown only on host 0; read-only replica elsewhere
-	mgrs []*manager // one directory shard per host
+	mw  bool      // the multi-writer class
+	mpt *core.MPT // grown only on host 0; read-only replica elsewhere
 
-	// dir is the directory, one entry per minipage id in slabs of dirSlab,
-	// so that growing it moves no entry. The allocation authority places
-	// each entry (manager.allocLocal); after that only the minipage's home
-	// shard touches it (manager.entry).
+	// dir is the SC directory, one entry per minipage id in slabs of
+	// dirSlab, so that growing it moves no entry. The allocation authority
+	// places each entry (Host.allocLocal); after that only the minipage's
+	// home touches it (Host.entry).
 	dir [][]dirEntry
 
+	// lrc-mw's coordinator state (host 0 only).
+	log     []mwNotice // append-only between barriers, cleared at each
+	logPrev []int      // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
+	logLast []int      // per creator: position of its latest notice, or -1 (Seq rises along each chain)
+	maxvc   []uint64   // barrier-episode scratch; every release shares it
+	stats   MWStats    // every host's lrc-mw counters: hosts run one at a time
+
 	// The cluster's freelists, shared by every host. See Host.allocPM.
-	freePM  cluster.Pool[pmsg]
-	freeBuf cluster.SlicePool[byte] // minipage snapshots: filled by the sender, recycled once installed
+	freePM   cluster.Pool[pmsg]
+	freeSync cluster.Pool[mwSync]
+	freeBuf  cluster.SlicePool[byte] // minipage snapshots, recycled once installed, and lrc-mw's twins
 }
 
-// New builds a cluster. The memory object, views and privileged view are
-// mapped identically in every host (Section 2.4: no address translation
-// between hosts is ever needed).
+// New builds a Millipage cluster. The memory object, views and privileged
+// view are mapped identically in every host (Section 2.4: no address
+// translation between hosts is ever needed).
 func New(opt Options) (*System, error) {
-	s := &System{}
-	err := s.Init("dsm", opt, cluster.Traits{MultiThreaded: true},
-		func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
+	return newSystem("dsm", opt, cluster.Traits{MultiThreaded: true}, false)
+}
+
+// NewMW builds a multi-writer LRC cluster, one application thread a host.
+func NewMW(opt Options) (*System, error) { return newSystem("lrc-mw", opt, cluster.Traits{}, true) }
+
+func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, error) {
+	s := &System{mw: mw}
+	err := s.Init(name, opt, tr, func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
 	if err != nil {
 		return nil, err
 	}
@@ -49,52 +67,54 @@ func New(opt Options) (*System, error) {
 	if s.Layout, err = core.NewLayout(opt.SharedSize, opt.Views); err != nil {
 		return nil, err
 	}
-
 	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {
 		as := vm.NewAddressSpace()
 		region, err := core.NewRegion(s.Layout, as, frames)
 		if err != nil {
-			return nil, fmt.Errorf("dsm: host %d: %w", i, err)
+			return nil, fmt.Errorf("%s: host %d: %w", name, i, err)
 		}
 		h := &Host{sys: s, Region: region}
-		h.Host = s.AddHost(as, h)
+		var cons cluster.Consistency
+		if mw {
+			h.vc, cons = make([]uint64, opt.Hosts), h
+		}
+		h.Host = s.AddHost(as, h, cons)
 	}
 	s.mpt = core.NewMPT(s.Layout, opt.Grain, opt.ChunkLevel)
-	for i := 0; i < opt.Hosts; i++ {
-		s.mgrs = append(s.mgrs, &manager{sys: s, me: i})
-	}
 	return s, nil
 }
 
-// Manager returns host 0's manager state (directory, MPT, counters).
-// Under HomeCentral it holds every directory entry.
-func (s *System) Manager() *manager { return s.mgrs[managerHost] }
+// MPT exposes the minipage table (for statistics and tests).
+func (s *System) MPT() *core.MPT { return s.mpt }
 
-// ManagerAt returns host i's directory shard.
-func (s *System) ManagerAt(i int) *manager { return s.mgrs[i] }
-
-// ManagerStatsTotal sums the protocol counters over every directory
-// shard. Under HomeCentral it equals Manager().Stats.
+// ManagerStatsTotal sums the SC directory counters over every host.
 func (s *System) ManagerStatsTotal() ManagerStats {
 	var tot ManagerStats
-	for _, mg := range s.mgrs {
-		tot.ReadReqs += mg.Stats.ReadReqs
-		tot.WriteReqs += mg.Stats.WriteReqs
-		tot.Invalidations += mg.Stats.Invalidations
-		tot.CompetingRequests += mg.Stats.CompetingRequests
-		tot.Allocs += mg.Stats.Allocs
-		tot.Pushes += mg.Stats.Pushes
+	for i := 0; i < s.NumHosts(); i++ {
+		st := &s.Host(i).Stats
+		tot.ReadReqs += st.ReadReqs
+		tot.WriteReqs += st.WriteReqs
+		tot.Invalidations += st.Invalidations
+		tot.CompetingRequests += st.CompetingRequests
+		tot.Allocs += st.Allocs
+		tot.Pushes += st.Pushes
 	}
 	return tot
 }
 
-// Totals sums the protocol counters over every directory shard, with the
-// MPT's footprint.
+// MWStats returns the cluster's lrc-mw counters.
+func (s *System) MWStats() MWStats { return s.stats }
+
+// Totals reports the run's protocol counters: the kernel's, the MPT's
+// Table-2 columns, and the class's invalidations — the directory's, or
+// the minipages write notices made inaccessible.
 func (s *System) Totals() cluster.Totals {
 	ms, t := s.ManagerStatsTotal(), s.Runtime().Totals()
-	t.Invalidations = ms.Invalidations
-	t.CompetingRequests = ms.CompetingRequests
+	t.Invalidations, t.CompetingRequests = ms.Invalidations, ms.CompetingRequests
+	if s.mw {
+		t.Invalidations = s.stats.Invalidations
+	}
 	t.Minipages = s.mpt.NumMinipages()
 	t.ViewsUsed = s.mpt.ViewsUsed()
 	t.BytesAllocated = s.mpt.BytesAllocated()

@@ -10,7 +10,7 @@ import (
 // user-facing Millipage API (Section 3.4's library interface). The
 // generic surface (memory access, Malloc, Barrier, Lock, Unlock, Compute,
 // stats) is the embedded substrate thread; this type adds the Millipage
-// protocol operations.
+// protocol operations, which only the SC class serves.
 // All methods must be called from the thread's own body function.
 type Thread struct {
 	*cluster.Thread

@@ -11,7 +11,7 @@ import (
 
 func TestProtocolTracing(t *testing.T) {
 	rec := trace.NewRecorder(4096)
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Trace: rec})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Trace: rec})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -62,7 +62,7 @@ func TestProtocolTracing(t *testing.T) {
 func TestRequestsLeaveTranslated(t *testing.T) {
 	const readFault = 186436 * sim.Nanosecond // host 1's read of a, recorded with the lookup at host 0
 	rec := trace.NewRecorder(1 << 14)
-	s := newSys(t, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeCentral, Trace: rec})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeCentral, Trace: rec})
 	var a, b, c, d uint64
 	var lat sim.Duration
 	err := run(s, func(th *Thread) {
@@ -122,7 +122,7 @@ func TestRequestsLeaveTranslated(t *testing.T) {
 func TestTracingFilter(t *testing.T) {
 	rec := trace.NewRecorder(1024)
 	rec.Filter = func(e trace.Event) bool { return e.Kind == trace.Fault }
-	s := newSys(t, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
 	err := run(s, func(th *Thread) {
 		if th.Host() == 0 {

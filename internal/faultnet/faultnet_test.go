@@ -45,12 +45,12 @@ func TestValidate(t *testing.T) {
 		{Dup: -0.1},
 		{Reorder: 0.5}, // no jitter
 		{Jitter: -1},
-		{Partitions: []Partition{{A: 0, B: 1, From: 0, Until: 10}}},        // empty side
-		{Partitions: []Partition{{A: 1, B: 1, From: 0, Until: 10}}},        // overlap
-		{Partitions: []Partition{{A: 1, B: 2, From: 10, Until: 10}}},       // never heals
-		{Partitions: []Partition{{A: 1, B: 1 << 10, From: 0, Until: 10}}},  // host out of range
-		{Crashes: []Crash{{Host: 9, At: 0, RestartAt: 10}}},                // host out of range
-		{Crashes: []Crash{{Host: 0, At: 10, RestartAt: 10}}},               // never restarts
+		{Partitions: []Partition{{A: 0, B: 1, From: 0, Until: 10}}},       // empty side
+		{Partitions: []Partition{{A: 1, B: 1, From: 0, Until: 10}}},       // overlap
+		{Partitions: []Partition{{A: 1, B: 2, From: 10, Until: 10}}},      // never heals
+		{Partitions: []Partition{{A: 1, B: 1 << 10, From: 0, Until: 10}}}, // host out of range
+		{Crashes: []Crash{{Host: 9, At: 0, RestartAt: 10}}},               // host out of range
+		{Crashes: []Crash{{Host: 0, At: 10, RestartAt: 10}}},              // never restarts
 	}
 	for i, pl := range bad {
 		if err := pl.Validate(4); err == nil {
@@ -126,15 +126,15 @@ func TestPartitioned(t *testing.T) {
 		at   sim.Time
 		want bool
 	}{
-		{0, 1, 99, false},   // before the window
-		{0, 1, 100, true},   // window start is inclusive
-		{1, 0, 150, true},   // symmetric
-		{0, 2, 199, true},   // last instant
-		{0, 1, 200, false},  // healed
-		{1, 2, 150, false},  // same side
-		{3, 0, 160, true},   // second window
-		{3, 1, 160, false},  // pair not split by any window
-		{0, 3, 249, true},   // second window, reversed
+		{0, 1, 99, false},  // before the window
+		{0, 1, 100, true},  // window start is inclusive
+		{1, 0, 150, true},  // symmetric
+		{0, 2, 199, true},  // last instant
+		{0, 1, 200, false}, // healed
+		{1, 2, 150, false}, // same side
+		{3, 0, 160, true},  // second window
+		{3, 1, 160, false}, // pair not split by any window
+		{0, 3, 249, true},  // second window, reversed
 	}
 	for _, c := range cases {
 		if got := in.Partitioned(c.a, c.b, c.at); got != c.want {

@@ -10,7 +10,7 @@ import (
 
 // kernelBudget is the ceiling on each kernel package's non-test .go
 // lines — what `cat internal/<pkg>/*.go | wc -l` prints with the _test.go
-// files left out, the count ROADMAP item 4 tracks. It only ratchets down:
+// files left out, the count ROADMAP's "Lines" bullet tracks. It only ratchets down:
 // a change that deletes lines lowers its package's ceiling to the new
 // count in the same commit, and one that needs a ceiling raised says so
 // in review.
@@ -139,17 +139,28 @@ import (
 // host outside the copyset maps the minipage. Its seven Protect-or-panic
 // blocks became one protect helper, a denser expression rather than a
 // reduction: without it dsm would read 1,074.
+//
+// lrc-mw became dsm's second consistency class (dsm and lrc 1,065 + 795
+// -> 1,716, cluster 1,717 -> 1,716): lrc's System, Host and Thread
+// types, its constructor with its copy of the layout, region and MPT
+// construction, its header type, header pool, message table, trace
+// description, Totals and MWThread.call went, the multi-writer code moving
+// over as it was, its five rows appended to dsm's table; dsm's manager
+// type, the System's per-host slice of them and their accessors went, its
+// methods and counters now the Host's. The kernel hands a host's
+// Consistency hooks to AddHost instead of finding them by type assertion,
+// so one Host type serves both classes.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1717},
-	{"dsm", 1065},
-	{"lrc", 795},
+	{"cluster", 1716},
+	{"dsm", 1716},
 }
 
-// kernelTarget is the kernel's line total (cluster, dsm and lrc), lowered
-// to what it stood at once invalidation replies went to the writer (3,592
+// kernelTarget is the kernel's line total (cluster and dsm), lowered to
+// what it stood at once lrc-mw became dsm's second consistency class
+// (3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
@@ -160,7 +171,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3577
+const kernelTarget = 3432
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

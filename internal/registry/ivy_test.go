@@ -50,7 +50,7 @@ func TestIvyDistributedManagers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpt := s.Manager().MPT()
+	mpt := s.MPT()
 	if mpt.NumMinipages() != pages {
 		t.Fatalf("%d minipages for %d pages", mpt.NumMinipages(), pages)
 	}
@@ -58,14 +58,14 @@ func TestIvyDistributedManagers(t *testing.T) {
 		mp, _ := mpt.ByID(id)
 		home := (mp.Off / vm.PageSize) % hosts
 		for h := 0; h < hosts; h++ {
-			dir := s.ManagerAt(h).Directory()
+			dir := s.Host(h).Directory()
 			if served := id < len(dir) && dir[id] != nil; served != (h == home) {
 				t.Errorf("page %d served at host %d = %v, want only at host %d", mp.Off/vm.PageSize, h, served, home)
 			}
 		}
 	}
 	for h := 0; h < hosts; h++ {
-		if s.ManagerAt(h).Stats.ReadReqs == 0 {
+		if s.Host(h).Stats.ReadReqs == 0 {
 			t.Errorf("host %d's shard served no reads", h)
 		}
 	}

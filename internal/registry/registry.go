@@ -11,7 +11,6 @@ import (
 	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/dsm"
-	"millipage/internal/lrc"
 )
 
 // Options is the configuration every protocol is built from.
@@ -33,7 +32,7 @@ type Spec struct {
 var specs = []Spec{
 	{"millipage", true, build(dsm.New)},
 	{"ivy", true, ivy},
-	{"lrc-mw", false, build(lrc.NewMW)},
+	{"lrc-mw", false, build(dsm.NewMW)},
 }
 
 // build adapts a protocol's typed constructor; a failed construction must

@@ -34,9 +34,9 @@ func FuzzEncodeDecode(f *testing.F) {
 	}
 	seed(runs)
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})                // short header
-	f.Add([]byte{0, 0, 255, 0, 1})        // truncated data
-	f.Add([]byte{5, 0, 0, 0})             // empty run
+	f.Add([]byte{1, 2, 3})                      // short header
+	f.Add([]byte{0, 0, 255, 0, 1})              // truncated data
+	f.Add([]byte{5, 0, 0, 0})                   // empty run
 	f.Add([]byte{9, 0, 1, 0, 1, 0, 0, 1, 0, 2}) // unsorted pair
 
 	f.Fuzz(func(t *testing.T, b []byte) {

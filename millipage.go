@@ -74,8 +74,9 @@ type Config struct {
 	//	        so it rejects PageGranularity and CentralManagement set
 	//	        here; Views and ChunkLevel have no meaning at page grain.
 	//	"lrc-mw"    — multiple-writer lazy release consistency over
-	//	        minipages (internal/lrc): twins and diffs, per-host
-	//	        vector timestamps partition execution into intervals,
+	//	        minipages (internal/dsm's second class): twins and
+	//	        diffs, per-host vector timestamps partition execution
+	//	        into intervals,
 	//	        write notices piggyback on lock grants and barrier
 	//	        releases, and an acquire invalidates only minipages with
 	//	        a causally newer write. Diffs are flushed to each
@@ -152,6 +153,7 @@ type Config struct {
 // configured protocol.
 type Cluster struct {
 	protocol string
+	sc       bool // the protocol is SC: its Workers take the Millipage hints
 	sys      cluster.System
 }
 
@@ -197,7 +199,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{protocol: spec.Name, sys: sys}, nil
+	return &Cluster{protocol: spec.Name, sc: spec.SC, sys: sys}, nil
 }
 
 // Protocol returns the protocol this cluster runs ("millipage", "ivy" or
@@ -215,8 +217,11 @@ func (c *Cluster) EngineCounters() sim.Counters { return c.sys.Runtime().Eng.Cou
 // Cluster runs one application; create a new Cluster per run.
 func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
 	err := c.sys.Run(func(t cluster.AppThread) {
-		mp, _ := t.(*dsm.Thread)
-		body(&Worker{t: t, mp: mp})
+		w := &Worker{t: t}
+		if c.sc {
+			w.mp = t.(*dsm.Thread)
+		}
+		body(w)
 	})
 	if err != nil {
 		return nil, err
@@ -224,11 +229,8 @@ func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
 	return c.report(), nil
 }
 
-// System exposes the underlying Millipage DSM system for benchmarks and
-// tests that need raw access (statistics, directory state). It is nil
-// when the cluster runs another protocol; most applications never need
-// it.
-func (c *Cluster) System() *dsm.System {
-	sys, _ := c.sys.(*dsm.System)
-	return sys
-}
+// System exposes the underlying minipage system for benchmarks and tests
+// that need raw access (statistics, directory state). Every protocol
+// builds one: millipage and ivy under SC, lrc-mw under the multi-writer
+// class. Most applications never need it.
+func (c *Cluster) System() *dsm.System { return c.sys.(*dsm.System) }

@@ -17,7 +17,7 @@ import (
 // performance hints; under other protocols they are correct no-ops.
 type Worker struct {
 	t  cluster.AppThread
-	mp *dsm.Thread // non-nil only under millipage and its ivy preset
+	mp *dsm.Thread // non-nil only under the SC protocols, whose hints it takes
 }
 
 // Host returns the id of the host this worker runs on (0..Hosts-1).
