@@ -129,7 +129,9 @@ func TestE2EAllocsRegression(t *testing.T) {
 // transport became the only recovery layer and a fault request under a
 // fault plan stopped declining to the server thread. A sequence that
 // falls back to process code shows here, with events_per_op — which
-// those sequences must not and did not move — still equal.
+// those sequences must not and did not move — still equal. Events and
+// hops have a ceiling of their own (eventsAndHops), which the pins may
+// not exceed either.
 func TestE2ECountersPinned(t *testing.T) {
 	for _, p := range pinnedPoints(t) {
 		if p.EventsPerOp == 0 {
@@ -162,7 +164,30 @@ func TestE2ECountersPinned(t *testing.T) {
 		if before == 0 || kept > 0.50 {
 			t.Errorf("%s: %d process switches, want at most 0.50 x the %d of the commit before engine-side wait sequences", p.Name, c.Switches, before)
 		}
+		if ceil, ok := eventsAndHops[p.Name]; !ok || max(c.Events, p.EventsPerOp) > ceil.events || max(c.Hops, p.HopsPerOp) > ceil.hops {
+			t.Errorf("%s: %d events and %d hops (pinned %d and %d), want at most the ceiling's %d and %d",
+				p.Name, c.Events, c.Hops, p.EventsPerOp, p.HopsPerOp, ceil.events, ceil.hops)
+		}
 	}
+}
+
+// eventsAndHops is the ceiling on every end-to-end row's events_per_op and
+// hops_per_op: the clockless ratchet the host clock's drift needs, since
+// the wall-clock gate compares each change only with its parent. A change
+// that must add events or hops raises its row here, in the same diff as
+// the pins, and says why. Recorded when a host's messages to itself
+// stopped crossing the wire and a home began to source reads from its own
+// copy (E2ESOR8 97,992 events before); the lrc-mw rows' hops rose then as
+// its fetch request began to run in engine context, where a process
+// switch was.
+var eventsAndHops = map[string]struct{ events, hops uint64 }{
+	"E2ESOR8":         {94_088, 57_414},
+	"E2EFalseShareMW": {3_377, 1_055},
+	"E2EWATER8MW":     {51_331, 19_292},
+	"E2ESOR64":        {197_743, 118_730},
+	"E2ESOR256":       {425_438, 244_306},
+	"E2EServe8":       {393_545, 228_420},
+	"E2EServeLossy":   {459_957, 176_623},
 }
 
 // lockstepRows are the rows whose switches are all but all application

@@ -29,7 +29,9 @@ import (
 // The manager-load and millipage trace digests moved again when a
 // minipage's readers began to share one read transaction at the home,
 // and with SOR and WATER when invalidation replies began to go to the
-// writer instead of the home.
+// writer instead of the home. All of them moved when a host's messages to
+// itself stopped crossing the wire and a home holding a copy began to
+// source reads from it.
 
 func TestGoldenManagerLoad(t *testing.T) {
 	cfg := ManagerLoadConfig{Hosts: 4, Vars: 16, Rounds: 3, Seed: 21}
@@ -39,8 +41,8 @@ func TestGoldenManagerLoad(t *testing.T) {
 		elapsed  int64
 		pershard string
 	}{
-		{"central", cluster.HomeCentral, 14539576, "[200 0 0 0]"},
-		{"home-based", cluster.HomeMod, 12968340, "[44 52 52 52]"},
+		{"central", cluster.HomeCentral, 12926705, "[200 0 0 0]"},
+		{"home-based", cluster.HomeMod, 12848271, "[44 52 52 52]"},
 	}
 	const wantChecksum = uint64(0xc91651f70709a3a9)
 	for _, w := range want {
@@ -65,8 +67,8 @@ func TestGoldenSOR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(r.Timed) != 55540984 {
-		t.Errorf("timed = %d, want 55540984", int64(r.Timed))
+	if int64(r.Timed) != 49865899 {
+		t.Errorf("timed = %d, want 49865899", int64(r.Timed))
 	}
 	if got := fmt.Sprint(r.Check); got != "64" {
 		t.Errorf("check = %s, want 64", got)
@@ -81,8 +83,8 @@ func TestGoldenWATER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(r.Timed) != 67510419 {
-		t.Errorf("timed = %d, want 67510419", int64(r.Timed))
+	if int64(r.Timed) != 67497867 {
+		t.Errorf("timed = %d, want 67497867", int64(r.Timed))
 	}
 	if got := fmt.Sprint(r.Check); got != "0.017882280184443315" {
 		t.Errorf("check = %s, want 0.017882280184443315", got)
@@ -139,13 +141,13 @@ func TestGoldenTraceDigest(t *testing.T) {
 	if rec.Total() != 605 {
 		t.Errorf("trace total = %d, want 605", rec.Total())
 	}
-	if elapsed != 4862028 {
-		t.Errorf("elapsed = %d, want 4862028", elapsed)
+	if elapsed != 4665864 {
+		t.Errorf("elapsed = %d, want 4665864", elapsed)
 	}
 	h := fnv.New64a()
 	h.Write([]byte(dump))
-	if got := h.Sum64(); got != 0xe5c581c55ea82fc5 {
-		t.Errorf("trace dump digest = %#x, want 0xe5c581c55ea82fc5", got)
+	if got := h.Sum64(); got != 0x86d529b199ebe9d1 {
+		t.Errorf("trace dump digest = %#x, want 0x86d529b199ebe9d1", got)
 	}
 }
 
@@ -203,7 +205,10 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 // leave their requesters translated, and again when its directory became
 // home-based by default. The ivy and millipage rows were re-recorded when a
 // minipage's readers began to share one read transaction at the home, and
-// when invalidation replies began to go to the writer.
+// when invalidation replies began to go to the writer. All four moved when
+// a host's messages to itself stopped crossing the wire (lrc-mw's through
+// host 0's own lock and barrier traffic) and a home began to source reads
+// from its own copy.
 func TestGoldenTraceDigestLocks(t *testing.T) {
 	for _, w := range []struct {
 		protocol string
@@ -212,10 +217,10 @@ func TestGoldenTraceDigestLocks(t *testing.T) {
 		elapsed  int64
 		digest   uint64
 	}{
-		{"lrc-mw", 3, 550, 5939357, 0x92b4c8289f3eb77e},
-		{"ivy", 3, 807, 11354147, 0x1a4ad3b30d275bdd},
-		{"lrc-mw", 8, 1518, 11659449, 0x8771b5abd455c432},
-		{"millipage", 8, 2543, 17499994, 0xce597d92ed627644},
+		{"lrc-mw", 3, 562, 5927642, 0x9b5738f9d52da89},
+		{"ivy", 3, 704, 9288720, 0x2ced59555299149d},
+		{"lrc-mw", 8, 1524, 11891934, 0x9f4c8b628f25b92d},
+		{"millipage", 8, 2480, 16895391, 0x2a805ac950b2c24},
 	} {
 		rec := trace.NewRecorder(1 << 16)
 		elapsed, dump := tracedLockRun(t, w.protocol, w.hosts, rec)

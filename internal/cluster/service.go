@@ -37,6 +37,7 @@ func (t SvcType) String() string { return svcTable.Rows[t].Name }
 // address and no home.
 type SvcMsg struct {
 	PoolState // recycled mark under -tags invariants; empty otherwise
+	Link[SvcMsg]
 
 	Type   SvcType
 	From   int   // the requesting host, on the way out and back

@@ -2,40 +2,39 @@ package cluster
 
 import "fmt"
 
-// FIFO is a head-indexed queue. Pop advances a head index instead of
-// re-slicing away the front: the q = q[1:] pattern sheds the array's
-// front capacity, so a queue that cycles under load re-allocates on
-// every append. The backing array is reset (and references released)
-// once drained.
-type FIFO[T any] struct {
-	items []T
-	head  int
+// Link is what a record embeds to wait in a FIFO. A pooled header has one
+// owner (DESIGN.md §6), so it waits in at most one queue at a time, and
+// parking it there allocates nothing.
+type Link[T any] struct{ next *T }
+
+func (l *Link[T]) link() *Link[T] { return l }
+
+// FIFO is a queue threaded through its records' Links: a directory
+// entry's or a lock's waiting requests.
+type FIFO[T any, P interface {
+	*T
+	link() *Link[T]
+}] struct{ head, tail P }
+
+// Peek returns the oldest record, or nil when nothing is queued.
+func (q *FIFO[T, P]) Peek() P { return q.head }
+
+// Push appends v, which waits in no other queue.
+func (q *FIFO[T, P]) Push(v P) {
+	if q.head == nil {
+		q.head = v
+	} else {
+		q.tail.link().next = v
+	}
+	q.tail = v
 }
 
-// Len reports the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) - q.head }
-
-// Push appends v.
-func (q *FIFO[T]) Push(v T) { q.items = append(q.items, v) }
-
-// Peek returns the oldest item without removing it; ok is false when empty.
-func (q *FIFO[T]) Peek() (v T, ok bool) {
-	if q.head < len(q.items) {
-		v, ok = q.items[q.head], true
+// Pop removes the oldest record and returns it unlinked, or nil.
+func (q *FIFO[T, P]) Pop() (v P) {
+	if v = q.head; v != nil {
+		q.head, v.link().next = v.link().next, nil
 	}
-	return v, ok
-}
-
-// Pop removes and returns the oldest item; ok is false when empty.
-func (q *FIFO[T]) Pop() (v T, ok bool) {
-	if v, ok = q.Peek(); ok {
-		var zero T
-		q.items[q.head] = zero // drop the reference for GC
-		if q.head++; q.head == len(q.items) {
-			q.items, q.head = q.items[:0], 0
-		}
-	}
-	return v, ok
+	return v
 }
 
 // LockService is the coordinator's FIFO lock table. The zero value is
@@ -50,7 +49,7 @@ type LockService struct {
 type lockState struct {
 	held   bool
 	holder int // the host the lock was granted to, while held
-	queue  FIFO[*SvcMsg]
+	queue  FIFO[SvcMsg, *SvcMsg]
 }
 
 // Acquire grants lock m.LockID to m.From immediately (true) or queues m
@@ -88,8 +87,7 @@ func (l *LockService) Release(id, from int) (next *SvcMsg, err error) {
 	case ls.holder != from:
 		return nil, fmt.Errorf("unlock of lock %d, which host %d holds", id, ls.holder)
 	}
-	next, ok := ls.queue.Pop()
-	if !ok {
+	if next = ls.queue.Pop(); next == nil {
 		ls.held = false
 		return nil, nil
 	}

@@ -8,55 +8,70 @@ import (
 	"millipage/internal/vm"
 )
 
+// item is a record that can wait in a FIFO.
+type item struct {
+	Link[item]
+	v int
+}
+
 func TestFIFOOrderAndDrainReset(t *testing.T) {
-	var q FIFO[int]
-	if q.Len() != 0 {
-		t.Fatalf("empty Len = %d", q.Len())
+	var q FIFO[item, *item]
+	if q.Peek() != nil || q.Pop() != nil {
+		t.Fatal("empty queue returned a record")
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop on empty queue returned ok")
+	items := make([]item, 13)
+	for i := 0; i < 5; i++ {
+		items[i].v = i
+		q.Push(&items[i])
 	}
 	for i := 0; i < 5; i++ {
-		q.Push(i)
-	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", q.Len())
-	}
-	for i := 0; i < 5; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop #%d = %d, %v; want %d, true", i, v, ok, i)
+		if v := q.Pop(); v == nil || v.v != i {
+			t.Fatalf("Pop #%d = %v; want %d", i, v, i)
 		}
 	}
-	// Fully drained: the backing array must reset so the next cycle
-	// reuses it instead of growing.
-	if q.head != 0 || len(q.items) != 0 {
-		t.Fatalf("drained queue not reset: head=%d len=%d", q.head, len(q.items))
+	if q.Peek() != nil {
+		t.Fatal("drained queue not empty")
 	}
-	// Interleaved push/pop keeps FIFO order across the head index.
-	q.Push(10)
-	q.Push(11)
-	if v, _ := q.Pop(); v != 10 {
-		t.Fatalf("interleaved Pop = %d, want 10", v)
+	// Interleaved push/pop keeps FIFO order, a drained queue restarting at
+	// its next Push.
+	items[10].v, items[11].v, items[12].v = 10, 11, 12
+	q.Push(&items[10])
+	q.Push(&items[11])
+	if v := q.Pop(); v.v != 10 {
+		t.Fatalf("interleaved Pop = %d, want 10", v.v)
 	}
-	q.Push(12)
+	q.Push(&items[12])
+	if v := q.Peek(); v == nil || v.v != 11 {
+		t.Fatalf("Peek = %v; want 11", v)
+	}
 	for want := 11; want <= 12; want++ {
-		if v, ok := q.Pop(); !ok || v != want {
-			t.Fatalf("Pop = %d, %v; want %d", v, ok, want)
+		if v := q.Pop(); v == nil || v.v != want {
+			t.Fatalf("Pop = %v; want %d", v, want)
 		}
 	}
 }
 
+// TestFIFOReleasesReferences: a popped record leaves unlinked, so it can
+// wait in a queue again and pins nothing behind it, and queueing records
+// allocates nothing.
 func TestFIFOReleasesReferences(t *testing.T) {
-	var q FIFO[*int]
-	x := new(int)
+	var q FIFO[item, *item]
+	x, y := new(item), new(item)
 	q.Push(x)
-	q.Push(new(int))
-	q.Pop()
-	// The popped slot must be zeroed so the queue does not pin the
-	// element for the garbage collector.
-	if q.items[0] != nil {
-		t.Fatal("popped slot still references the element")
+	q.Push(y)
+	if v := q.Pop(); v != x || x.next != nil {
+		t.Fatal("popped record still links to its successor")
+	}
+	if v := q.Pop(); v != y || q.Peek() != nil {
+		t.Fatal("queue lost its record")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		q.Push(x)
+		q.Push(y)
+		q.Pop()
+		q.Pop()
+	}); allocs != 0 {
+		t.Fatalf("Push and Pop allocate %.1f times", allocs)
 	}
 }
 

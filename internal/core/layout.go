@@ -222,16 +222,12 @@ func (r *Region) ReadPriv(base uint64, size int) ([]byte, error) {
 
 // ReadPrivInto copies len(buf) bytes of the minipage at app-view address
 // base into buf via the privileged view — the allocation-free form of
-// ReadPriv for callers with a reusable scratch buffer.
+// ReadPriv for callers with a reusable scratch buffer. Pages nothing has
+// touched read as zeros and stay untouched.
 func (r *Region) ReadPrivInto(base uint64, buf []byte) error {
 	_, off, ok := r.L.Decompose(base)
 	if !ok {
 		return fmt.Errorf("core: %#x is not a view address", base)
 	}
-	i := 0
-	return r.AS.BypassRange(r.L.PrivAddr(off), len(buf), func(chunk []byte) error {
-		copy(buf[i:], chunk)
-		i += len(chunk)
-		return nil
-	})
+	return r.AS.ReadBypass(r.L.PrivAddr(off), buf)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"millipage/internal/cluster"
+	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
@@ -126,6 +127,54 @@ func TestHomeOfOverride(t *testing.T) {
 	}
 	if e := s.Host(0).entryOrNil(0); e != nil {
 		t.Fatal("host 0 kept a directory entry it is not home to")
+	}
+}
+
+// TestHomeSourcesReads: a read of a minipage whose home holds a copy is
+// served from the home's copy, though its owner holds one too, and the
+// forward to itself never reaches the wire. Every minipage is homed at
+// host 2; host 1 allocates and writes one, host 2 reads it, then host 3
+// reads it while every other thread computes: over host 3's read the home
+// sends the reply header and the bytes and nothing else, and the owner
+// sends nothing.
+func TestHomeSourcesReads(t *testing.T) {
+	s := newSys(t, New, Options{
+		Hosts: 4, SharedSize: 1 << 16, Views: 4,
+		HomeOf: func(id, hosts int) int { return 2 },
+	})
+	var va uint64
+	var home, owner [2]fastmsg.Stats
+	err := run(s, func(th *Thread) {
+		if th.Host() == 1 {
+			va = th.Malloc(64)
+			th.WriteU32(va, 7)
+		}
+		th.Barrier()
+		if th.Host() == 2 && th.ReadU32(va) != 7 {
+			t.Error("home read a stale copy")
+		}
+		th.Barrier()
+		if th.Host() != 3 {
+			th.Compute(50 * sim.Millisecond)
+			return
+		}
+		home[0], owner[0] = s.Host(2).EP.Stats(), s.Host(1).EP.Stats()
+		if got := th.ReadU32(va); got != 7 {
+			t.Errorf("host 3 read %d, want 7", got)
+		}
+		home[1], owner[1] = s.Host(2).EP.Stats(), s.Host(1).EP.Stats()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent, looped := home[1].Sent-home[0].Sent, home[1].Looped-home[0].Looped; sent != 2 || looped != 1 {
+		t.Errorf("over the read the home sent %d on the wire and %d to itself, want 2 (reply and bytes) and 1 (its forward)", sent, looped)
+	}
+	if sent := owner[1].Sent - owner[0].Sent; sent != 0 {
+		t.Errorf("the owner sent %d over a read its home sourced", sent)
+	}
+	if cs, o := s.Host(2).entry(0).Copyset(); cs != hostset.Of(1, 2, 3) || o != 1 {
+		t.Errorf("copyset %v owner %d, want {1, 2, 3} owned by 1", cs, o)
 	}
 }
 
@@ -350,7 +399,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 			}
 		}
 		e := s.Host(home).entry(id)
-		if e.Busy() || e.queue.Len() != 0 {
+		if e.Busy() || queued(e) != 0 {
 			t.Fatalf("minipage %d not quiesced at home %d", id, home)
 		}
 		mp, _ := mpt.ByID(id)

@@ -203,8 +203,8 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
 	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
 	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
-	// lrc-mw: reply headers and acks only record themselves, in engine context.
-	mFetchReq: {Name: "MW_FETCH_REQUEST", Handle: (*Host).fetch}, mFetchReply: {Name: "MW_FETCH_REPLY", Handle: park, Engine: true},
+	// lrc-mw: the fetch request, reply headers and acks never wait, so run in engine context.
+	mFetchReq: {Name: "MW_FETCH_REQUEST", Handle: (*Host).fetch, Engine: true}, mFetchReply: {Name: "MW_FETCH_REPLY", Handle: park, Engine: true},
 	mFetchData: {Name: "MW_FETCH_DATA", Handle: (*Host).fetchData}, mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
 	mDiffAck: {Name: "MW_DIFF_ACK", Handle: (*Host).diffAck, Engine: true},
 }})
@@ -309,8 +309,22 @@ func (h *Host) settleWrite(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Me
 }
 
 // protect sets this host's application-view protection of a minipage.
+// Under -tags invariants an SC minipage then holds SW/MR, or it panics: a
+// writable copy is the only copy anywhere.
 func (h *Host) protect(info core.Info, prot vm.Prot) {
 	must(h.Region.Protect(info.Base, info.Size, prot))
+	held, writer := 0, -1
+	for i := 0; cluster.Invariants && !h.sys.mw && i < h.sys.NumHosts(); i++ {
+		if prot, _ := h.sys.Host(i).Region.ProtOf(info.Base); prot != vm.NoAccess {
+			held++
+			if prot == vm.ReadWrite {
+				writer = i
+			}
+		}
+	}
+	if writer >= 0 && held > 1 {
+		panic(fmt.Sprintf("dsm: host %d holds minipage %d writable beside %d other copies, as host %d sets it %v", writer, info.ID, held-1, h.ID(), prot))
+	}
 }
 
 // must panics on err: the region and the diffs it is handed are the

@@ -21,7 +21,7 @@ type dirEntry struct {
 	owner   int         // preferred replica: last writer (or allocator)
 
 	busy  bool
-	queue cluster.FIFO[*pmsg]
+	queue cluster.FIFO[pmsg, *pmsg]
 
 	// The open reads: how many are in flight, and their source replica.
 	await int
@@ -36,7 +36,7 @@ type dirEntry struct {
 // joins reports whether read m joins the reads open on e: with nothing
 // queued ahead of it, no write waits on them.
 func (e *dirEntry) joins(m *pmsg) bool {
-	return m.Type == mReadReq && e.await > 0 && (m.Requeued || e.queue.Len() == 0)
+	return m.Type == mReadReq && e.await > 0 && (m.Requeued || e.queue.Peek() == nil)
 }
 
 // checkNoReads panics, under -tags invariants, if reads are in flight on
@@ -148,10 +148,9 @@ func (h *Host) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg
 	e.busy = false
 	e.checkNoReads()
 	h.checkHolders(e, info)
-	for next, ok := e.queue.Peek(); ok && (!e.busy || e.joins(next)); next, ok = e.queue.Peek() {
+	for next := e.queue.Peek(); next != nil && (!e.busy || e.joins(next)); next = e.queue.Peek() {
 		h.Flush(p, tail)
-		e.queue.Pop()
-		tail = h.dispatch(p, next)
+		tail = h.dispatch(p, e.queue.Pop())
 	}
 	return tail
 }
@@ -204,13 +203,17 @@ func (h *Host) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 	return h.Post(e.src, m)
 }
 
-// findReplica picks the host to source the minipage from: the owner if it
-// still holds a copy, otherwise the lowest-numbered replica.
+// findReplica picks the host to source the minipage from: the home itself
+// if it holds a copy, so the forward never leaves it, else the owner if it
+// still holds one, else the lowest-numbered replica. Under SW/MR every
+// copy in the copyset holds the same bytes.
 func (h *Host) findReplica(e *dirEntry) int {
-	if e.copyset.Empty() {
+	switch {
+	case e.copyset.Empty():
 		panic("dsm: findReplica on empty copyset")
-	}
-	if e.copyset.Has(e.owner) {
+	case e.copyset.Has(h.ID()):
+		return h.ID()
+	case e.copyset.Has(e.owner):
 		return e.owner
 	}
 	return e.copyset.First()

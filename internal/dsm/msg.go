@@ -59,7 +59,8 @@ var dataMarker = &pmsg{Type: mData}
 // the requester-local event handle that rides in the header; only the
 // requester dereferences it.
 type pmsg struct {
-	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
+	cluster.PoolState  // recycled mark under -tags invariants; empty otherwise
+	cluster.Link[pmsg] // its place in a directory entry's queue
 
 	Type mtype
 	From int    // original requester host

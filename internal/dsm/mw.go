@@ -487,9 +487,7 @@ func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
 	// can ever be granted again: clear it.
 	s.log = s.log[:0]
 	s.logPrev = s.logPrev[:0]
-	for c := range s.logLast {
-		s.logLast[c] = -1
-	}
+	clear(s.logLast)
 }
 
 // logNotice appends a release's write notice at the coordinator (host 0
@@ -499,18 +497,15 @@ func (h *Host) logNotice(n mwNotice) {
 	s := h.sys
 	if s.logLast == nil {
 		s.logLast = make([]int, s.NumHosts())
-		for c := range s.logLast {
-			s.logLast[c] = -1
-		}
 	}
-	last := s.logLast[n.Creator]
+	last := s.logLast[n.Creator] - 1
 	if last >= 0 && s.log[last].Seq >= n.Seq {
 		return
 	}
 	s.stats.Notices++
 	s.logPrev = append(s.logPrev, last)
-	s.logLast[n.Creator] = len(s.log)
 	s.log = append(s.log, n)
+	s.logLast[n.Creator] = len(s.log)
 }
 
 // newerThan appends to dst every logged notice newer than vector clock
@@ -523,13 +518,14 @@ func (h *Host) logNotice(n mwNotice) {
 // log's length.
 func (s *System) newerThan(dst []mwNotice, vc []uint64) []mwNotice {
 	start := len(s.log)
-	for c, i := range s.logLast {
-		for ; i >= 0 && s.log[i].Seq > vc[c]; i = s.logPrev[i] {
+	for c, last := range s.logLast {
+		for i := last - 1; i >= 0 && s.log[i].Seq > vc[c]; i = s.logPrev[i] {
 			if i < start {
 				start = i
 			}
 		}
 	}
+	dst = slices.Grow(dst, len(s.log)-start) // at most these: one growth, not a doubling run
 	for _, n := range s.log[start:] {
 		if n.Seq > vc[n.Creator] {
 			dst = append(dst, n)

@@ -25,7 +25,7 @@ func headerBalance(s *System) (owned, parked int) {
 	owned = s.freePM.Live() + s.Runtime().LiveServiceHeaders()
 	for _, slab := range s.dir {
 		for i := range slab {
-			parked += slab[i].queue.Len()
+			parked += queued(&slab[i])
 		}
 	}
 	for i := 0; i < s.NumHosts(); i++ {

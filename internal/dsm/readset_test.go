@@ -177,8 +177,8 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 		t.Errorf("%d read forwards left the home before the first ack, want 2 (events %v)", fwds, ops)
 	}
 	e := homeEntry(s, 0)
-	if e.Busy() || e.await != 0 || e.queue.Len() != 0 {
-		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.Busy(), e.await, e.queue.Len())
+	if e.Busy() || e.await != 0 || queued(e) != 0 {
+		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.Busy(), e.await, queued(e))
 	}
 	if cs, _ := e.Copyset(); cs != hostset.Of(0, 1) {
 		t.Errorf("copyset %v, want hosts 0 and 1", cs)

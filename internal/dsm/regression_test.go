@@ -187,7 +187,7 @@ func TestRunReuseRejected(t *testing.T) {
 // TestDirEntryFootprint pins the directory entry's size: a run allocates
 // one per minipage, tens of thousands in all.
 func TestDirEntryFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(dirEntry{}); sz != 208 {
-		t.Fatalf("dirEntry is %d bytes, want 208", sz)
+	if sz := unsafe.Sizeof(dirEntry{}); sz != 192 {
+		t.Fatalf("dirEntry is %d bytes, want 192", sz)
 	}
 }

@@ -37,7 +37,7 @@ type System struct {
 	// lrc-mw's coordinator state (host 0 only).
 	log     []mwNotice // append-only between barriers, cleared at each
 	logPrev []int      // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
-	logLast []int      // per creator: position of its latest notice, or -1 (Seq rises along each chain)
+	logLast []int      // per creator: 1 + position of its latest notice, or 0 (Seq rises along each chain)
 	maxvc   []uint64   // barrier-episode scratch; every release shares it
 	stats   MWStats    // every host's lrc-mw counters: hosts run one at a time
 
@@ -89,16 +89,11 @@ func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, e
 func (s *System) MPT() *core.MPT { return s.mpt }
 
 // ManagerStatsTotal sums the SC directory counters over every host.
-func (s *System) ManagerStatsTotal() ManagerStats {
-	var tot ManagerStats
+func (s *System) ManagerStatsTotal() (tot ManagerStats) {
 	for i := 0; i < s.NumHosts(); i++ {
 		st := &s.Host(i).Stats
-		tot.ReadReqs += st.ReadReqs
-		tot.WriteReqs += st.WriteReqs
-		tot.Invalidations += st.Invalidations
-		tot.CompetingRequests += st.CompetingRequests
-		tot.Allocs += st.Allocs
-		tot.Pushes += st.Pushes
+		tot = ManagerStats{tot.ReadReqs + st.ReadReqs, tot.WriteReqs + st.WriteReqs, tot.Invalidations + st.Invalidations,
+			tot.CompetingRequests + st.CompetingRequests, tot.Allocs + st.Allocs, tot.Pushes + st.Pushes}
 	}
 	return tot
 }

@@ -57,10 +57,12 @@ func TestProtocolTracing(t *testing.T) {
 // request — a read, a write that invalidates two copies, a prefetch and a
 // push — leaves its requester already translated, so each of its records
 // names its home, host 0, and host 0 never looks an address up. The lookup
-// moved rather than went: an uncontended 128 B read fault costs what it
-// cost when host 0 did it.
+// moved rather than went: an uncontended 128 B read fault cost what it
+// cost when host 0 did it, 186.436us, until host 0, the home and the
+// owner, stopped sending its forward to itself over the wire: the fault no
+// longer pays that hop's WireLatency and PollIdle (1.532 + 3us).
 func TestRequestsLeaveTranslated(t *testing.T) {
-	const readFault = 186436 * sim.Nanosecond // host 1's read of a, recorded with the lookup at host 0
+	const readFault = 181904 * sim.Nanosecond // host 1's read of a
 	rec := trace.NewRecorder(1 << 14)
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeCentral, Trace: rec})
 	var a, b, c, d uint64

@@ -25,24 +25,24 @@ var exampleSmoke = []struct {
 	golden map[string]golden
 }{
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
-		"millipage": {elapsedNS: 17668492, digest: 0x95d11686a024887f},
-		"ivy":       {elapsedNS: 21404820, digest: 0xf9857e7aa9db03fb},
-		"lrc-mw":    {elapsedNS: 11970583, digest: 0xb24f3ffeb27eae66},
+		"millipage": {elapsedNS: 16827052, digest: 0xfbd45545002a8e11},
+		"ivy":       {elapsedNS: 20471000, digest: 0x87aeeaff484e5189},
+		"lrc-mw":    {elapsedNS: 11886735, digest: 0xaa81ad66acd198d1},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
-		"millipage": {elapsedNS: 41661611, digest: 0x3c958834a4f5c1ca},
-		"ivy":       {elapsedNS: 84907345, digest: 0x713a17e1bc234410},
-		"lrc-mw":    {elapsedNS: 40217694, digest: 0xe0c6d1cbade376cf},
+		"millipage": {elapsedNS: 41661611, digest: 0x4d63670449f56e60},
+		"ivy":       {elapsedNS: 86578603, digest: 0xcd3c5d56df57095f},
+		"lrc-mw":    {elapsedNS: 40211038, digest: 0x07951d4ac36bd0a6},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
-		"millipage": {elapsedNS: 12767564, digest: 0x3b31fef7c48a6701},
-		"ivy":       {elapsedNS: 28114697, digest: 0xb0896b9633d86c3c},
-		"lrc-mw":    {elapsedNS: 11813331, digest: 0x98df684b2024df66},
+		"millipage": {elapsedNS: 12629704, digest: 0xcb3eb085e4e8d594},
+		"ivy":       {elapsedNS: 27711224, digest: 0xfde8145c57e973d6},
+		"lrc-mw":    {elapsedNS: 11804113, digest: 0x4a7af42a2fc1f9ce},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
-		"millipage": {elapsedNS: 25729046, digest: 0xba753c8d1e1dd5e7},
-		"ivy":       {elapsedNS: 45559278, digest: 0xead0c6394f458e07},
-		"lrc-mw":    {elapsedNS: 21447238, digest: 0x1dfa62722b9dd178},
+		"millipage": {elapsedNS: 27774088, digest: 0xd36e44284db4c702},
+		"ivy":       {elapsedNS: 46042454, digest: 0x26af3085741afd2b},
+		"lrc-mw":    {elapsedNS: 21423110, digest: 0x23100023313936ca},
 	}},
 }
 

@@ -28,6 +28,12 @@
 // raw wire becomes lossy instead, and a sequence-numbered ack/
 // retransmission layer above it restores exactly-once FIFO delivery;
 // the clean path is untouched — no sequencing, no acks, no allocation.
+//
+// A host's link to itself is not a wire: a message addressed to its own
+// sender joins the sender's receive queue at the send instant. It pays
+// the send and receive CPU like any message, but no wire latency and no
+// poll or sweep, and no fault plan drops, duplicates, delays or
+// partitions it (deliver).
 package fastmsg
 
 import (
@@ -314,12 +320,14 @@ func (nw *Network) Size() int { return len(nw.eps) }
 // Params returns the network's cost model.
 func (nw *Network) Params() Params { return nw.params }
 
-// Stats aggregates per-endpoint message accounting. The last four
-// counters move only under an installed fault plan.
+// Stats aggregates per-endpoint message accounting: Sent, Received and
+// BytesSent count the wire, Looped the messages a host sent itself. The
+// last four counters move only under an installed fault plan.
 type Stats struct {
 	Sent         uint64
 	Received     uint64
 	BytesSent    uint64
+	Looped       uint64
 	ServiceDelay sim.Duration // total arrival→handler-start delay
 
 	Retransmits uint64 // frames re-sent by the reliability layer
@@ -482,11 +490,17 @@ func (ep *Endpoint) Queue(m *Message) {
 }
 
 // Transmit is the second half of Send: it puts a posted message on the
-// wire, or hands it to the reliability layer. It may run in engine context.
+// wire, or hands it to the reliability layer, or loops it back to this
+// endpoint. It may run in engine context.
 func (ep *Endpoint) Transmit(m *Message) {
 	to := m.To
 	if r := ep.nw.rel; r != nil {
 		r.send(ep, to, m)
+		return
+	}
+	if to == ep.id {
+		ep.stats.Looped++
+		ep.deliver(m)
 		return
 	}
 	at := ep.eng.Now().Add(ep.nw.params.WireLatency(m.Size))
@@ -515,8 +529,13 @@ func (nw *Network) arriveAny(a any) {
 // deliver admits one message to the poll/sweep machinery that hands it
 // to the service thread: on an idle host the poller's own event, on a busy
 // one the sweeper's next tick, whose one event every arrival until then
-// shares (sweepAny).
+// shares (sweepAny). A message from this host itself never waits for
+// either: the sender is the poller, so it goes to the service thread now.
 func (ep *Endpoint) deliver(m *Message) {
+	if m.From == ep.id {
+		ep.ready.Put(m)
+		return
+	}
 	pm := ep.newPending(m, ep.eng.Now())
 	ep.pending = append(ep.pending, pm)
 	if ep.busy == 0 {

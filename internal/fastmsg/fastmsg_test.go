@@ -240,23 +240,6 @@ func TestSizeDefaultsToDataLength(t *testing.T) {
 	}
 }
 
-func TestSelfSendDelivers(t *testing.T) {
-	eng := sim.NewEngine(4)
-	nw := New(eng, 1, DefaultParams())
-	var got *Message
-	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) { got = m })
-	eng.Spawn("self", func(p *sim.Proc) {
-		nw.Endpoint(0).Send(p, 0, &Message{Size: 32, Payload: "loopback"})
-		p.Sleep(sim.Millisecond)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.Payload != "loopback" || got.From != 0 {
-		t.Fatalf("self-send: %+v", got)
-	}
-}
-
 func TestNegativeBusyPanics(t *testing.T) {
 	eng := sim.NewEngine(4)
 	nw := New(eng, 1, DefaultParams())

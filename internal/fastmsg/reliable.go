@@ -30,6 +30,12 @@ package fastmsg
 // recovery there is: no protocol above re-sends, stamps or deduplicates
 // a request of its own.
 //
+// A host's link to itself keeps its session — sequence numbers, the send
+// log, the ack at completion — so a crash that wipes a self-addressed
+// message from the receive queue re-delivers it exactly once at the
+// restart flush. Nothing else can lose it: it skips the faulty wire both
+// ways (transmit, sendAck), and so its link arms no timer.
+//
 // Everything here is fault-mode only: a Network without InstallFaults
 // never touches this file, keeping the clean path allocation-free and
 // bit-identical in virtual time.
@@ -168,8 +174,12 @@ func (r *reliability) send(ep *Endpoint, to int, m *Message) {
 	ss.nextSeq++
 	ss.unacked = append(ss.unacked, m)
 	r.nw.retainMessage(m) // the send log's hold, dropped when an ack pops it
-	ep.stats.Sent++
-	ep.stats.BytesSent += uint64(m.Size)
+	if to == ep.id {
+		ep.stats.Looped++
+	} else {
+		ep.stats.Sent++
+		ep.stats.BytesSent += uint64(m.Size)
+	}
 	r.transmit(ep.id, to, m)
 	if !ss.timerArmed {
 		r.armTimer(ep.id, to, ss)
@@ -183,6 +193,11 @@ func (r *reliability) send(ep *Endpoint, to int, m *Message) {
 func (r *reliability) transmit(from, to int, m *Message) {
 	if r.hosts[from].down {
 		return // NIC is dead; the restart flush re-sends
+	}
+	if from == to {
+		r.nw.retainMessage(m) // the admission's hold, as a wire arrival's
+		r.arrive(r.nw.eps[to], m)
+		return
 	}
 	r.selfCheckData(m)
 	now := r.nw.eng.Now()
@@ -201,8 +216,11 @@ func (r *reliability) transmit(from, to int, m *Message) {
 }
 
 // armTimer schedules the link's retransmission timer at its current RTO,
-// on a pooled record so arming never allocates.
+// on a pooled record so arming never allocates. A self link has none.
 func (r *reliability) armTimer(from, to int, ss *sendSession) {
+	if from == to {
+		return
+	}
 	ss.timerArmed = true
 	ss.timerGen++
 	if ss.rto == 0 {
@@ -347,6 +365,10 @@ func (r *reliability) complete(ep *Endpoint, m *Message) {
 // re-ack, so acks need no sequencing of their own.
 func (r *reliability) sendAck(from, to int, cum uint64) {
 	if r.hosts[from].down {
+		return
+	}
+	if from == to {
+		r.ackArrive(to, from, cum)
 		return
 	}
 	r.selfCheckAck(from, to, cum)

@@ -150,17 +150,31 @@ import (
 // methods and counters now the Host's. The kernel hands a host's
 // Consistency hooks to AddHost instead of finding them by type assertion,
 // so one Host type serves both classes.
+//
+// A home began to source reads from its own copy (dsm +3, closeTxn's pop
+// folded into its dispatch), SC minipages began to check SW/MR at every
+// protection change under -tags invariants (dsm +14), and the directory
+// and lock queues became intrusive lists through a link in each header,
+// so parking one allocates nothing (cluster 1,716 -> 1,715, dsm +1).
+// Paid for in dsm, 1,716 -> 1,713: the Costs alias and DefaultCosts,
+// which the rest of the repo reaches in cluster, went with costs.go's
+// import, and its package comment, which still placed every directory
+// entry on host 0, was rewritten shorter as doc.go (-12); the
+// coordinator's notice chains count from 1, so a cleared table needs no
+// -1 fill (logNotice, Converged; -5, of which newerThan's one-growth Grow
+// took 1 back); and ManagerStatsTotal became one struct expression (-5),
+// a denser expression rather than a reduction.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1716},
-	{"dsm", 1716},
+	{"cluster", 1715},
+	{"dsm", 1713},
 }
 
 // kernelTarget is the kernel's line total (cluster and dsm), lowered to
-// what it stood at once lrc-mw became dsm's second consistency class
-// (3,577 once invalidation replies went to the writer; 3,592
+// what it stood at once a home began to source reads from its own copy
+// (3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
@@ -171,7 +185,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3432
+const kernelTarget = 3428
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -521,6 +521,27 @@ func (as *AddressSpace) Bypass(va uint64, n int) ([]byte, error) {
 	return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil
 }
 
+// ReadBypass copies len(buf) bytes at va into buf ignoring protections,
+// like BypassRange, but reads a frame nothing has touched as the zeros it
+// holds instead of materialising it: a demand-zero page shipped out by
+// its privileged view costs no memory at the sender.
+func (as *AddressSpace) ReadBypass(va uint64, buf []byte) error {
+	for len(buf) > 0 {
+		e := as.slot(va / PageSize)
+		if e == nil {
+			return unmapped(va)
+		}
+		off, n := int(va%PageSize), min(len(buf), PageSize-int(va%PageSize))
+		if f := as.objs[e.obj].frames[e.frame]; f != nil {
+			copy(buf[:n], f[off:])
+		} else {
+			clear(buf[:n])
+		}
+		buf, va = buf[n:], va+uint64(n)
+	}
+	return nil
+}
+
 // BypassRange is Bypass generalized to page-crossing ranges: it invokes fn
 // once per page-contiguous chunk with the chunk's aliased frame bytes.
 func (as *AddressSpace) BypassRange(va uint64, n int, fn func(chunk []byte) error) error {

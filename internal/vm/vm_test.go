@@ -306,6 +306,31 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 	}
 }
 
+// TestReadBypassLeavesDemandZeroUntouched: a privileged read across a
+// touched and an untouched page copies the one's bytes and the other's
+// zeros, and materialises no frame.
+func TestReadBypassLeavesDemandZeroUntouched(t *testing.T) {
+	mo := NewMemObject(2 * PageSize)
+	as := NewAddressSpace()
+	if err := as.MapView(0x10000, mo, 0, 2, NoAccess); err != nil {
+		t.Fatal(err)
+	}
+	copy(mo.Frame(0)[PageSize-4:], "DATA")
+	buf := bytes.Repeat([]byte{0xFF}, 12)
+	if err := as.ReadBypass(0x10000+uint64(PageSize)-4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := append([]byte("DATA"), make([]byte, 8)...); !bytes.Equal(buf, want) {
+		t.Fatalf("ReadBypass = %q, want %q", buf, want)
+	}
+	if mo.Resident() != 1 {
+		t.Fatalf("%d frames resident after the read, want 1", mo.Resident())
+	}
+	if err := as.ReadBypass(0x10000+2*uint64(PageSize)-4, buf); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("ReadBypass past the view: %v, want ErrUnmapped", err)
+	}
+}
+
 func TestTypedAccessors(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
