@@ -59,8 +59,9 @@ func TestE2EAllocsRegression(t *testing.T) {
 		{"E2EWATER8MW", false, "lrc-mw's protocol state, which no other row runs: every lock release closes an " +
 			"interval whose notice is held for two barriers, so whatever is allocated per interval, per notice or " +
 			"per (host, minipage) never reaches a freelist's steady state inside a run. Notice lists live in " +
-			"per-epoch arenas, diff encodings in one reused scratch a host and per-minipage state in one dense " +
-			"table; a twin, an encoding or a notice list allocated per release goes past the fence (a pooled " +
+			"per-epoch arenas, diff encodings in pooled buffers their flushes own, needs in one slab a host and " +
+			"per-minipage state in one dense table; a twin, an encoding, a need or a notice list allocated per " +
+			"release goes past the fence (a pooled " +
 			"record and a map per interval, an earlier design, sat at 1.94x the pin this row had then)"},
 		{"E2ESOR64", true, "the footprint gate: 64 hosts each map the whole shared image n+1 times and touch " +
 			"little beyond their own band of rows, so bytes/op stays near the pin only while memory objects " +
@@ -179,11 +180,14 @@ func TestE2ECountersPinned(t *testing.T) {
 // stopped crossing the wire and a home began to source reads from its own
 // copy (E2ESOR8 97,992 events before); the lrc-mw rows' hops rose then as
 // its fetch request began to run in engine context, where a process
-// switch was.
+// switch was. The lrc-mw rows were lowered to their pins when a home's
+// own writes stopped taking twins and a release stopped waiting for its
+// diffs' acks (E2EWATER8MW 51,331 events and 19,292 hops before,
+// E2EFalseShareMW 3,377 and 1,055).
 var eventsAndHops = map[string]struct{ events, hops uint64 }{
 	"E2ESOR8":         {94_088, 57_414},
-	"E2EFalseShareMW": {3_377, 1_055},
-	"E2EWATER8MW":     {51_331, 19_292},
+	"E2EFalseShareMW": {2_791, 735},
+	"E2EWATER8MW":     {43_491, 14_519},
 	"E2ESOR64":        {197_743, 118_730},
 	"E2ESOR256":       {425_438, 244_306},
 	"E2EServe8":       {393_545, 228_420},
@@ -198,11 +202,13 @@ var lockstepRows = map[string]bool{"E2ESOR64": true, "E2ESOR256": true}
 // at the commit before a fault's ack became the closing stage of its wait
 // sequence, when the scale-out rows still read under 1.8 per switch.
 // lrc-mw has no closing stage, so its two rows' entries are their own
-// pins, re-recorded with them when lrc-mw began to home by HomeOf.
+// pins, re-recorded with them when lrc-mw began to home by HomeOf and
+// lowered with them when its releases stopped waiting for diff acks
+// (1,702 and 21,362 before).
 var coroswitchesBeforeClose = map[string]uint64{
 	"E2ESOR8":         8_256,
-	"E2EFalseShareMW": 1_702,
-	"E2EWATER8MW":     21_362,
+	"E2EFalseShareMW": 1_454,
+	"E2EWATER8MW":     18_716,
 	"E2ESOR64":        31_352,
 	"E2ESOR256":       93_690,
 	"E2EServe8":       50_816,

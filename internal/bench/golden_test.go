@@ -208,7 +208,9 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 // when invalidation replies began to go to the writer. All four moved when
 // a host's messages to itself stopped crossing the wire (lrc-mw's through
 // host 0's own lock and barrier traffic) and a home began to source reads
-// from its own copy.
+// from its own copy. The lrc-mw rows were re-recorded when a home's own
+// writes stopped taking twins and diffs and a release stopped waiting for
+// its diffs to be acked (MW_DIFF_ACK went).
 func TestGoldenTraceDigestLocks(t *testing.T) {
 	for _, w := range []struct {
 		protocol string
@@ -217,9 +219,9 @@ func TestGoldenTraceDigestLocks(t *testing.T) {
 		elapsed  int64
 		digest   uint64
 	}{
-		{"lrc-mw", 3, 562, 5927642, 0x9b5738f9d52da89},
+		{"lrc-mw", 3, 508, 5098526, 0xf54bb6741a841e1},
 		{"ivy", 3, 704, 9288720, 0x2ced59555299149d},
-		{"lrc-mw", 8, 1524, 11891934, 0x9f4c8b628f25b92d},
+		{"lrc-mw", 8, 1386, 10304192, 0x942fc60c79757418},
 		{"millipage", 8, 2480, 16895391, 0x2a805ac950b2c24},
 	} {
 		rec := trace.NewRecorder(1 << 16)

@@ -39,12 +39,12 @@
 // diff that Millipage's thin layer avoids is charged here.
 //
 //   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96), minipage id homed
-//     at Options.HomeOf(id) as under SC: every interval's diffs are
-//     flushed to each minipage's home and acked before the releaser's
-//     notice can circulate, so the home is current for every notice any
-//     host can have seen. A fault on a missing or invalidated copy is one
-//     fetch of the whole minipage from its home; a dirty copy lays its
-//     own writes back over the home's bytes and re-twins from them.
+//     at Options.HomeOf(id) as under SC: a release sends each diff to its
+//     home and goes on; a home's own writes take no twin and no diff. A
+//     fault on a missing or invalidated copy is one whole-minipage fetch
+//     from its home, served once the home has applied every diff its host
+//     holds a notice for, as a home's acquire waits for them. A dirty copy
+//     lays its own writes back over the home's bytes and re-twins from them.
 //   - Notices flow through the host-0 coordinator, piggybacked on lock
 //     grants and barrier releases. The log order is a linear extension of
 //     happens-before; an acquirer gets every logged notice newer than its

@@ -203,10 +203,9 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
 	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
 	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
-	// lrc-mw: the fetch request, reply headers and acks never wait, so run in engine context.
+	// lrc-mw: the fetch request, served or parked, and the reply header never wait, so run in engine context.
 	mFetchReq: {Name: "MW_FETCH_REQUEST", Handle: (*Host).fetch, Engine: true}, mFetchReply: {Name: "MW_FETCH_REPLY", Handle: park, Engine: true},
 	mFetchData: {Name: "MW_FETCH_DATA", Handle: (*Host).fetchData}, mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
-	mDiffAck: {Name: "MW_DIFF_ACK", Handle: (*Host).diffAck, Engine: true},
 }})
 
 var park = cluster.Park[*Host, *pmsg]

@@ -8,7 +8,7 @@ import (
 )
 
 // mtype enumerates the protocol message types of Figure 3, plus the push
-// updates the paper describes in prose and lrc-mw's five. Allocation and
+// updates the paper describes in prose and lrc-mw's four. Allocation and
 // synchronization traffic is the kernel's (cluster.SvcMsg).
 type mtype int
 
@@ -34,8 +34,7 @@ const (
 	mFetchReq   // requester -> home
 	mFetchReply // home -> requester header; an mFetchData message follows
 	mFetchData  // the home's bytes
-	mDiffFlush  // releaser -> home, carries the diff
-	mDiffAck    // home -> releaser
+	mDiffFlush  // releaser -> home, carries the diff and its interval
 )
 
 func (m mtype) String() string {
@@ -68,10 +67,12 @@ type pmsg struct {
 
 	Info core.Info // translation info, filled in at the requester (reserved header space)
 
-	Prefetch bool   // request was issued by a prefetch: no thread is waiting
-	Requeued bool   // queued at the directory, to be dispatched again (stats count it once)
-	Invals   int32  // a write's forward or grant: invalidations the home sent; -1 on each reply to one
-	Diff     []byte // encoded run-length diff (mDiffFlush)
+	Prefetch bool     // request was issued by a prefetch: no thread is waiting
+	Requeued bool     // queued at the directory, to be dispatched again (stats count it once)
+	Invals   int32    // a write's forward or grant: invalidations the home sent; -1 on each reply to one
+	Diff     []byte   // encoded run-length diff (mDiffFlush), owned by the message
+	Seq      uint64   // the interval of mDiffFlush's diff
+	Need     []mwNeed // the diffs mFetchReq's home must have applied first
 
 	Req *request // requester-local record: rendezvous (event + reply landing zone) and reply count
 }

@@ -53,17 +53,21 @@ type mwEpoch struct {
 // mwMP is what a host keeps for one minipage, in mwHost.mps by id. It
 // holds two Infos because a chunked minipage grows with each allocation.
 type mwMP struct {
-	twin  []byte    // the twin while the minipage is dirty, else nil
-	info  core.Info // as of the twin
+	twin  []byte    // the twin while a copy away from the home is dirty, else nil
+	info  core.Info // as of the twin, or of the home's write fault
 	copy  core.Info // the non-home local copy, as of its fetch; Size 0 if none
 	stale bool      // invalidated by a write notice since the fetch
+	wrote bool      // the home wrote it this interval: dirty, with no twin
+	need  int       // 1 + the index of its first need in mwHost.needs; 0 if none
 }
 
-// mwFlush is one eager home flush staged by a release.
-type mwFlush struct {
-	home int
-	info core.Info
-	enc  []byte
+// mwNeed is one writer's newest interval whose diff of a minipage a host
+// holds a notice for, which the home must apply before it serves the host
+// the minipage: a list per minipage in the host's slab, next 1-based.
+type mwNeed struct {
+	Creator int
+	Seq     uint64
+	next    int
 }
 
 // MWStats aggregates multi-writer protocol activity across the run.
@@ -73,6 +77,9 @@ type MWStats struct {
 	DiffBytes     uint64
 	TwinsMade     uint64
 	WriteFault    uint64
+	HomeWrites    uint64 // write faults of a home on its own minipage: no twin, no diff
+	FetchesParked uint64 // fetches a home held for a diff still in flight
+	HomeWaits     uint64 // times a home's acquire blocked for a diff of its own minipage in flight
 	Invalidations uint64 // minipages invalidated by write notices
 	Notices       uint64 // write notices logged at the coordinator
 }
@@ -81,24 +88,30 @@ type MWStats struct {
 type mwHost struct {
 	vc []uint64 // vector clock: vc[c] = newest interval of host c known here
 
-	// mps is indexed by minipage id and covers the ids this host has
-	// faulted on. Only a fault grows it, and a host runs one application
-	// thread, so a *mwMP holds until that thread's next fault; the server
-	// thread checks the bound and never grows it.
+	// mps is indexed by minipage id and covers the MPT as of this host's
+	// last fault or acquire, which alone grow it. A host runs one
+	// application thread, so a *mwMP holds until that thread's next fault
+	// or acquire; the server thread never reads it.
 	mps   []mwMP
-	dirty []int // minipages with a twin, in twinning order; sorted at release
+	dirty []int // minipages written this interval, in fault order; sorted at release
 
 	// Own closed intervals by barrier epoch: epochs[1] the current one,
 	// epochs[0] the last.
 	epochs [2]mwEpoch
 
-	flushAwait int
-	flushDone  *sim.Event
+	// needs is the slab of every minipage's need list, its free records
+	// chained from needFree (an index plus 1; 0 if none). fetchNeed is the
+	// list a fetch carries, reused once its reply is in.
+	needs     []mwNeed
+	needFree  int
+	fetchNeed []mwNeed
+	diffs     []byte // encoding scratch: a diff leaves in a pooled copy of its own length
 
-	// Steady-state scratch, reused across releases. The diffs' encodings
-	// are free again once every flush is acked, which release waits for.
-	relFlush []mwFlush
-	diffs    []byte
+	// As a home: per creator, the last diff applied here (applied); the
+	// fetches that wait for a diff in flight; the event each apply sets.
+	flushed   []uint64
+	fetchQ    cluster.FIFO[pmsg, *pmsg]
+	applyDone *sim.Event
 }
 
 // ext returns the piggyback record riding on m.
@@ -134,7 +147,7 @@ func (h *Host) mwAlloc(p *sim.Proc, size int) (cluster.Allocation, error) {
 
 // mwMapped maps the allocation at the allocating host if it is the home.
 // The home maps its own minipages read-only: a home write must fault so it
-// is twinned into an interval and announced by a write notice like any
+// is recorded in an interval and announced by a write notice like any
 // other write. A home that did not allocate a minipage maps it at its
 // first touch (mwFault).
 func (h *Host) mwMapped(a cluster.Allocation) {
@@ -145,10 +158,12 @@ func (h *Host) mwMapped(a cluster.Allocation) {
 
 // mwFault services read and write faults: fetch the minipage from its
 // home if the copy is missing or invalidated; on write, twin and proceed
-// — concurrent writers to one minipage never ping-pong. A home's own copy
+// — concurrent writers to one minipage never ping-pong. The home's own
+// write is only recorded for the interval's notice: its bytes are the
+// minipage's, so it needs no twin and no diff. A home's own copy
 // is never invalidated, and it maps it at its first touch with no fetch:
-// its bytes are current, because every diff is applied at the home
-// before its notice can circulate.
+// its bytes are current for every notice it holds, as its acquire waits
+// for their diffs.
 func (t *Thread) mwFault(f vm.Fault) error {
 	h, p := t.host, t.Proc()
 	c, s := h.Costs(), h.sys
@@ -159,9 +174,7 @@ func (t *Thread) mwFault(f vm.Fault) error {
 	}
 	info := mp.Info(s.Layout)
 	home := s.HomeOf(mp.ID)
-	if mp.ID >= len(h.mps) {
-		h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...)
-	}
+	h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...) // cover the MPT
 	m := &h.mps[mp.ID]
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess && home != h.ID() {
@@ -172,16 +185,19 @@ func (t *Thread) mwFault(f vm.Fault) error {
 		}
 	}
 
-	dirty := m.twin != nil
+	dirty := m.twin != nil || m.wrote
 	if f.Kind == vm.Write {
 		s.stats.WriteFault++
 		if !dirty {
-			twin := s.freeBuf.Get(info.Size)
-			if err := h.Region.ReadPrivInto(info.Base, twin); err != nil {
-				return err
-			}
-			m.twin, m.info = twin, info
+			m.info, m.wrote = info, home == h.ID()
 			h.dirty = append(h.dirty, mp.ID)
+		}
+		switch {
+		case m.wrote:
+			s.stats.HomeWrites++
+		case !dirty:
+			m.twin = s.freeBuf.Get(info.Size)
+			must(h.Region.ReadPrivInto(info.Base, m.twin))
 			s.stats.TwinsMade++
 			p.Sleep(twindiff.TwinCost(info.Size))
 		}
@@ -198,18 +214,43 @@ func (t *Thread) mwFault(f vm.Fault) error {
 	return h.Region.Protect(info.Base, info.Size, want)
 }
 
-// fetchFromHome pulls the minipage's contents from its home (the home is
-// current for every notice this host can have seen, because diffs are
-// flushed and acked before any notice circulates).
+// fetchFromHome pulls the minipage's contents from its home. The request
+// carries the minipage's needs, every diff the home must have applied
+// before it serves this host, and they start over.
 func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
 	h.sys.stats.Fetches++
+	need := h.fetchNeed[:0]
+	for i := m.need; i != 0; {
+		n := &h.needs[i-1]
+		need = append(need, *n)
+		i, n.next, h.needFree = n.next, h.needFree, i
+	}
+	m.need, h.fetchNeed = 0, need
 	fw := t.WaitSlot()
 	t.req = request{h: h, fw: fw}
-	t.call(home, pmsg{Type: mFetchReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req},
-		cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
+	rq := h.allocPM()
+	*rq = pmsg{Type: mFetchReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need}
+	h.Flush(t.Proc(), h.PostSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
+	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
+}
+
+// addNeed records creator c's interval seq against minipage m, keeping
+// the newest per creator.
+func (h *Host) addNeed(m *mwMP, c int, seq uint64) {
+	for i := m.need; i != 0; i = h.needs[i-1].next {
+		if n := &h.needs[i-1]; n.Creator == c {
+			n.Seq = max(n.Seq, seq)
+			return
+		}
+	}
+	i := h.needFree
+	if i == 0 {
+		h.needs, i = append(h.needs, mwNeed{}), len(h.needs)+1
+	}
+	h.needFree, h.needs[i-1], m.need = h.needs[i-1].next, mwNeed{c, seq, m.need}, i
 }
 
 // fetchDirty refetches a dirty copy an acquire invalidated mid-interval —
@@ -220,7 +261,6 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 func (t *Thread) fetchDirty(m *mwMP, info core.Info, home int) {
 	h := t.host
 	p := t.Proc()
-	h.diffs = h.diffs[:0] // no release is in flight: it waits for its acks
 	local := t.diff(m)
 	t.fetchFromHome(m, info, home)
 	h.sys.freeBuf.Put(m.twin)
@@ -231,27 +271,23 @@ func (t *Thread) fetchDirty(m *mwMP, info core.Info, home int) {
 	must(twindiff.ApplyEncoded(cur, local))
 	must(h.Region.WritePriv(info.Base, cur))
 	h.sys.freeBuf.Put(cur)
+	h.sys.freeBuf.Put(local)
 	p.Sleep(twindiff.TwinCost(info.Size) + twindiff.ApplyCost(len(local)))
 }
 
-// diff appends dirty minipage m's writes since its twin to the host's diff
-// scratch and returns their encoding. The home's is never sent, so only
-// a copy elsewhere grows its twin to the minipage's extent first.
+// diff encodes dirty copy m's writes since its twin, grown first to the
+// minipage's extent, in a pooled buffer its receiver recycles.
 func (t *Thread) diff(m *mwMP) []byte {
 	h := t.host
-	if h.sys.HomeOf(m.info.ID) != h.ID() {
-		h.growTwin(m)
-	}
+	h.growTwin(m)
 	cur := h.sys.freeBuf.Get(m.info.Size)
 	must(h.Region.ReadPrivInto(m.info.Base, cur))
 	t.Proc().Sleep(twindiff.CreateCost(m.info.Size))
-	off := len(h.diffs)
 	var err error
-	if h.diffs, err = twindiff.AppendDiff(h.diffs, m.twin, cur); err != nil {
-		panic(err) // minipages are sub-page: offsets always fit the header
-	}
+	h.diffs, err = twindiff.AppendDiff(h.diffs[:0], m.twin, cur)
+	must(err) // minipages are sub-page: offsets always fit the header
 	h.sys.freeBuf.Put(cur)
-	return h.diffs[off:len(h.diffs):len(h.diffs)]
+	return append(h.sys.freeBuf.Get(len(h.diffs))[:0], h.diffs...)
 }
 
 // growTwin extends dirty m's twin over what its minipage grew by since
@@ -268,9 +304,10 @@ func (h *Host) growTwin(m *mwMP) {
 	}
 }
 
-// release closes the current interval: diff every dirty minipage against
-// its twin, flush non-home diffs to their homes (acked before the caller
-// may announce the interval), and downgrade the dirty set to read-only so
+// release closes the current interval: diff every dirty copy away from
+// the home against its twin and send the diff, stamped with the interval,
+// to the home as it is made (no ack: a fetch that needs it waits there),
+// and downgrade the dirty set, the home's writes included, to read-only so
 // the next write opens a new interval — all but a copy an acquire has
 // invalidated, which stays inaccessible until its next fault refetches it.
 // Returns the interval's write notice, its MPs nil if no writes happened
@@ -291,39 +328,25 @@ func (t *Thread) release() mwNotice {
 		// since the barrier reset the arena (checked under -tags invariants).
 		cluster.CheckPoison(e.mps[:cap(e.mps)])
 	}
-	flushes := h.relFlush[:0]
-	h.diffs = h.diffs[:0]
+	seq := h.vc[h.ID()] + 1
 	for _, id := range h.dirty {
 		m := &h.mps[id]
-		enc := t.diff(m)
+		if !m.wrote {
+			enc := t.diff(m)
+			s.stats.DiffsSent++
+			s.stats.DiffBytes += uint64(len(enc))
+			fm := h.allocPM()
+			*fm = pmsg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq}
+			h.Flush(p, h.PostSized(s.HomeOf(id), fm, c.HeaderSize+len(enc)))
+		}
 		s.freeBuf.Put(m.twin)
-		m.twin = nil
+		m.twin, m.wrote = nil, false
 		if !m.stale {
 			p.Sleep(c.SetProt)
 			h.protect(m.info, vm.ReadOnly)
 		}
-		if home := s.HomeOf(id); home != h.ID() {
-			flushes = append(flushes, mwFlush{home: home, info: m.info, enc: enc})
-		}
 	}
-	h.vc[h.ID()]++
-	h.relFlush = flushes[:0]
-	if len(flushes) > 0 {
-		h.flushAwait = len(flushes)
-		if h.flushDone == nil {
-			h.flushDone = sim.NewEvent(s.Eng)
-		} else {
-			h.flushDone.Reset()
-		}
-		for _, f := range flushes {
-			s.stats.DiffsSent++
-			s.stats.DiffBytes += uint64(len(f.enc))
-			fm := h.allocPM()
-			*fm = pmsg{Type: mDiffFlush, From: h.ID(), Addr: f.info.Base, Info: f.info, Diff: f.enc}
-			h.Flush(p, h.PostSized(f.home, fm, c.HeaderSize+len(f.enc)))
-		}
-		t.Block(cluster.Blocking{For: "flush done", On: h.flushDone, Wake: c.ThreadWake})
-	}
+	h.vc[h.ID()] = seq
 	// The notice's minipage list is retained by the coordinator's log (and
 	// shared by every granted copy) until the next barrier, so it cannot
 	// ride in per-release scratch; it lies in the epoch's arena, whose
@@ -348,21 +371,33 @@ func (h *Host) epochNotice(i int) mwNotice {
 // acquire applies the write notices delivered with a lock grant or
 // barrier release, and a barrier's converged clock: advance the vector
 // clock, and invalidate exactly the minipages a causally newer notice
-// names — the next fault fetches them from their homes.
+// names — the next fault fetches them from their homes, needing the
+// notices' diffs there. A home waits for a named diff of its own
+// minipages instead.
 func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
 	p := t.Proc()
+	h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...) // a need outlives a copy
 	for _, n := range notices {
 		if n.Seq > h.vc[n.Creator] {
 			h.vc[n.Creator] = n.Seq
 		}
 		for _, id := range n.MPs {
-			if id >= len(h.mps) || s.HomeOf(id) == h.ID() {
-				continue // the home had this diff applied before the notice could circulate; an id never faulted on has no copy
-			}
 			m := &h.mps[id]
+			switch s.HomeOf(id) {
+			case h.ID(): // the home reads its own copy: wait for a diff still on the wire
+				for !h.applied(n.Creator, n.Seq, id) {
+					s.stats.HomeWaits++
+					h.applyDone.Reset()
+					t.Block(cluster.Blocking{For: "diff apply", On: h.applyDone, Wake: c.ThreadWake})
+				}
+				continue
+			case n.Creator: // the home's writes are in its copy
+			default:
+				h.addNeed(m, n.Creator, n.Seq)
+			}
 			info := m.copy
 			if m.twin != nil {
 				info = m.info
@@ -384,6 +419,12 @@ func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
 	}
 }
 
+// applied reports whether this home has applied creator c's diff of
+// minipage id from interval seq. A creator sends its diffs by interval,
+// then id, over one FIFO link, so it has once that diff or a later one is
+// in: flushed[c] is the last one's interval and id, 32 bits each, packed.
+func (h *Host) applied(c int, seq uint64, id int) bool { return h.flushed[c] >= seq<<32|uint64(id) }
+
 // newEpoch makes the last epoch's arena the new epoch's, poisoned, once a
 // barrier has completed.
 func (h *Host) newEpoch() {
@@ -394,7 +435,7 @@ func (h *Host) newEpoch() {
 
 // Release is the release half of the consistency model
 // (cluster.Consistency). A barrier arrival and an unlock close the
-// interval — diffs flushed and acked before the message leaves — and
+// interval — its diffs sent to their homes before the message leaves — and
 // carry write notices for the coordinator's log: an unlock its interval's,
 // a barrier arrival every one of its epoch, since it may reach the
 // coordinator through the barrier tree ahead of this host's unlocks. A
@@ -534,10 +575,20 @@ func (s *System) newerThan(dst []mwNotice, vc []uint64) []mwNotice {
 	return dst
 }
 
-// fetch ships the home's copy. The request header turns around in place
-// (the requester is blocked on its request and holds no other reference);
-// the bytes are the tail.
-func (h *Host) fetch(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+// fetch ships the home's copy once it has applied every diff the request
+// needs; until then the request waits in fetchQ, retried (fm nil) at each
+// apply. The header turns around in place (the requester is blocked on it
+// and holds no other reference); the bytes are the tail.
+func (h *Host) fetch(p *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+	for _, n := range m.Need {
+		if !h.applied(n.Creator, n.Seq, m.Info.ID) {
+			if fm != nil {
+				h.sys.stats.FetchesParked++
+			}
+			h.fetchQ.Push(m)
+			return nil
+		}
+	}
 	to, data := m.From, h.readMinipage(m.Info)
 	m.Type = mFetchReply
 	h.Send(p, to, m)
@@ -555,29 +606,23 @@ func (h *Host) fetchData(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Mes
 	return nil
 }
 
+// diffFlush applies a diff to the home's copy and recycles it, then
+// retries the fetches waiting for a diff and wakes an acquire that may be.
 func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	cur := h.sys.freeBuf.Get(m.Info.Size)
 	must(h.Region.ReadPrivInto(m.Info.Base, cur))
 	must(twindiff.ApplyEncoded(cur, m.Diff))
 	must(h.Region.WritePriv(m.Info.Base, cur))
 	h.sys.freeBuf.Put(cur)
-	if id := m.Info.ID; id < len(h.mps) && h.mps[id].twin != nil {
-		// The home is itself mid-interval on this minipage: patch the
-		// twin too, grown first, so the home's own diff stays writes-only.
-		h.growTwin(&h.mps[id])
-		must(twindiff.ApplyEncoded(h.mps[id].twin, m.Diff))
-	}
 	p.Sleep(twindiff.ApplyCost(len(m.Diff)))
-	to := m.From
-	m.Type, m.From = mDiffAck, h.ID()
-	m.Diff = nil // the encoding stays in the sender's scratch
-	return h.Post(to, m)
-}
-
-func (h *Host) diffAck(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	if h.flushAwait--; h.flushAwait == 0 {
-		h.flushDone.Set()
-	}
+	h.sys.freeBuf.Put(m.Diff)
+	h.flushed[m.From] = m.Seq<<32 | uint64(m.Info.ID)
 	h.recyclePM(m)
+	h.applyDone.Set()
+	q := h.fetchQ
+	h.fetchQ = cluster.FIFO[pmsg, *pmsg]{}
+	for f := q.Pop(); f != nil; f = q.Pop() {
+		h.Flush(p, h.fetch(p, f, nil))
+	}
 	return nil
 }

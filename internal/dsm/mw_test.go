@@ -9,6 +9,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/twindiff"
 	"millipage/internal/vm"
@@ -93,8 +94,10 @@ func TestMWDiffsMergeAtBarrier(t *testing.T) {
 	if s.MWStats().DiffsSent == 0 {
 		t.Fatal("no diffs flushed")
 	}
-	if s.MWStats().TwinsMade < 2 {
-		t.Fatalf("TwinsMade = %d, want at least one per writer", s.MWStats().TwinsMade)
+	// Host 0 is the minipage's home: its write takes no twin.
+	if st := s.MWStats(); st.TwinsMade < 1 || st.HomeWrites < 1 {
+		t.Fatalf("TwinsMade = %d and HomeWrites = %d, want at least one twin per writer away from the home and "+
+			"the home's write", st.TwinsMade, st.HomeWrites)
 	}
 }
 
@@ -378,8 +381,9 @@ func TestMWNewerThanMatchesFullScan(t *testing.T) {
 // host 1 takes the lock and reads both words — under the lock, which
 // refetches the dirty copy, or after its unlock, which must leave the
 // released copy invalid instead of re-exposing it. Either way it reads
-// both, the home holds both after host 1's unlock, and host 1's flush
-// carried a diff of A alone.
+// both, the home holds both after the next barrier (an unlock does not
+// wait for its diff to be applied), and host 1's flush carried a diff of A
+// alone.
 func TestMWDirtyCopyFetch(t *testing.T) {
 	const offA, offB, valA, valB = 0, 32, 0xa1a1, 0xb2b2
 	for _, underLock := range []bool{true, false} {
@@ -405,12 +409,6 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 					before := s.MWStats().DiffBytes
 					th.Unlock(1)
 					flushed = s.MWStats().DiffBytes - before
-					mp, _ := s.mpt.Lookup(va) // the home's own memory, through its privileged view
-					b, err := s.Host(0).Region.ReadPriv(mp.Info(s.Layout).Base, 64)
-					if err != nil {
-						t.Error(err)
-					}
-					home = slices.Clone(b)
 					if !underLock {
 						gotA, gotB = th.ReadU32(va+offA), th.ReadU32(va+offB)
 					}
@@ -420,6 +418,14 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 					th.Unlock(1)
 				}
 				th.Barrier()
+				if th.Host() == 1 {
+					mp, _ := s.mpt.Lookup(va) // the home's own memory, through its privileged view
+					b, err := s.Host(0).Region.ReadPriv(mp.Info(s.Layout).Base, 64)
+					if err != nil {
+						t.Error(err)
+					}
+					home = slices.Clone(b)
+				}
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -428,7 +434,7 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 				t.Fatalf("host 1 reads A=%#x B=%#x, want %#x %#x", gotA, gotB, valA, valB)
 			}
 			if a, b := binary.LittleEndian.Uint32(home[offA:]), binary.LittleEndian.Uint32(home[offB:]); a != valA || b != valB {
-				t.Fatalf("home holds A=%#x B=%#x after host 1's unlock, want %#x %#x", a, b, valA, valB)
+				t.Fatalf("home holds A=%#x B=%#x after the barrier, want %#x %#x", a, b, valA, valB)
 			}
 			before, after := make([]byte, 64), make([]byte, 64)
 			binary.LittleEndian.PutUint32(after[offA:], valA)
@@ -457,7 +463,8 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 // home fetch, when host 0 homed every minipage because it allocated them
 // all, and under the default as recorded once lrc-mw homed by HomeOf;
 // both again when host 0's lock and barrier traffic to itself stopped
-// crossing the wire.
+// crossing the wire, and when a home's writes stopped taking twins and a
+// release stopped waiting for its diffs to be applied.
 func TestMWLockHeavyRunPinned(t *testing.T) {
 	for _, pl := range []struct {
 		name    string
@@ -465,10 +472,10 @@ func TestMWLockHeavyRunPinned(t *testing.T) {
 		stats   MWStats
 		elapsed sim.Duration
 	}{
-		{"default", nil, MWStats{Fetches: 933, DiffsSent: 900, DiffBytes: 5613, TwinsMade: 1200, WriteFault: 1200,
-			Invalidations: 885, Notices: 1200}, 119536520},
-		{"central", cluster.HomeCentral, MWStats{Fetches: 937, DiffsSent: 900, DiffBytes: 5681, TwinsMade: 1200, WriteFault: 1200,
-			Invalidations: 889, Notices: 1200}, 137060996},
+		{"default", nil, MWStats{Fetches: 932, DiffsSent: 900, DiffBytes: 5617, TwinsMade: 900, WriteFault: 1200,
+			HomeWrites: 300, Invalidations: 884, Notices: 1200}, 110765269},
+		{"central", cluster.HomeCentral, MWStats{Fetches: 926, DiffsSent: 900, DiffBytes: 5673, TwinsMade: 900, WriteFault: 1200,
+			HomeWrites: 300, Invalidations: 878, Notices: 1200}, 117145561},
 	} {
 		t.Run(pl.name, func(t *testing.T) {
 			s := lockHeavyRun(t, newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8, ChunkLevel: 4, HomeOf: pl.homeOf}))
@@ -575,5 +582,137 @@ func TestClassesShareNoState(t *testing.T) {
 		if s.mw && (len(s.dir) != 0 || s.ManagerStatsTotal() != (ManagerStats{})) {
 			t.Errorf("%s: directory state after an lrc-mw run: %d slabs, %+v", name, len(s.dir), s.ManagerStatsTotal())
 		}
+	}
+}
+
+// TestMWFetchWaitsForNamedDiff: a release does not wait for its diffs, so
+// the fetch and the home's acquire do. A partition cuts host 1, which
+// writes minipage 2 under lock 1, from host 2, the minipage's home, from
+// after host 1 fetched its copy until cutUntil: the diff is still on the
+// wire as the unlock's notice reaches the other hosts. Host 0 takes lock 1
+// and reads the minipage; its fetch parks at the home until the diff
+// lands. Host 2 takes lock 2, whose grant names the same notice, and reads
+// its own copy only once the diff is applied. Host 1's unlock returns
+// inside the partition. At one host every write is a home write: no twin,
+// no diff.
+func TestMWFetchWaitsForNamedDiff(t *testing.T) {
+	const val = 0xfeed
+	cutFrom, cutUntil := sim.Time(2*sim.Millisecond), sim.Time(20*sim.Millisecond)
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, Faults: &faultnet.Plan{
+		Partitions: []faultnet.Partition{{A: 0b010, B: 0b100, From: cutFrom, Until: cutUntil}}}})
+	var va [3]uint64
+	var got [3]uint32
+	var at [3]sim.Time
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			for i := range va {
+				va[i] = th.Malloc(64)
+			}
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 1:
+			th.ReadU32(va[2]) // its copy, fetched before the cut
+			th.Compute(3 * sim.Millisecond)
+			th.Lock(1)
+			th.WriteU32(va[2], val)
+			th.Unlock(1)
+		case 0:
+			th.Compute(5 * sim.Millisecond)
+			th.Lock(1)
+			got[0] = th.ReadU32(va[2])
+			th.Unlock(1)
+		case 2:
+			th.Compute(5 * sim.Millisecond)
+			th.Lock(2)
+			got[2] = th.ReadU32(va[2])
+			th.Unlock(2)
+		}
+		at[th.Host()] = th.Now()
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.HomeOf(2) != 2 {
+		t.Fatalf("minipage 2 is homed at host %d, the test wants host 2", s.HomeOf(2))
+	}
+	if got[0] != val || got[2] != val {
+		t.Fatalf("host 0 read %#x and the home %#x, want %#x", got[0], got[2], val)
+	}
+	if at[1] >= cutUntil || at[0] < cutUntil || at[2] < cutUntil {
+		t.Fatalf("done at %v (hosts 0-2): the releaser must finish inside the partition, until %v, the readers after it", at, cutUntil)
+	}
+	if st := s.MWStats(); st.FetchesParked != 1 || st.HomeWaits == 0 {
+		t.Fatalf("%d fetches parked and %d home waits, want host 0's fetch parked and host 2's acquire held", st.FetchesParked, st.HomeWaits)
+	}
+
+	s = newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 18, Views: 8})
+	if err := run(s, func(th *Thread) {
+		va := th.Malloc(256)
+		for i := 0; i < 4; i++ {
+			th.Lock(0)
+			th.WriteU32(va+uint64(i)*64, uint32(i))
+			th.Unlock(0)
+			th.Barrier()
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.MWStats(); st.TwinsMade != 0 || st.DiffsSent != 0 || st.HomeWrites != 4 {
+		t.Fatalf("1 host: %d twins, %d diffs and %d home writes, want 0, 0 and one per interval, 4", st.TwinsMade, st.DiffsSent, st.HomeWrites)
+	}
+}
+
+// TestMWFetchWaitsForEveryDiffOfItsInterval: a home counts a writer's
+// diffs by interval and minipage, not by interval alone. Host 1 writes two
+// 4 KB minipages homed at host 2, ids 2 and 5, in one interval, and a
+// partition cuts it from host 2 between the two diffs its unlock sends (a
+// 4 KB diff takes 250 us to make): the first is applied, the second held.
+// Host 0's fetch of minipage 5 must wait for the second.
+func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
+	const val = 0x5eed
+	program := func(cut faultnet.Partition) (unlock sim.Time, got uint32, s *System) {
+		s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 20, Views: 8,
+			Faults: &faultnet.Plan{Partitions: []faultnet.Partition{cut}}})
+		var va [6]uint64
+		err := run(s, func(th *Thread) {
+			if th.Host() == 0 {
+				for i := range va {
+					va[i] = th.Malloc(4096)
+				}
+			}
+			th.Barrier()
+			switch th.Host() {
+			case 1:
+				th.ReadU32(va[2])
+				th.ReadU32(va[5])
+				th.Lock(1)
+				th.WriteU32(va[2], val)
+				th.WriteU32(va[5], val)
+				unlock = th.Now()
+				th.Unlock(1)
+			case 0:
+				th.Compute(10 * sim.Millisecond)
+				th.Lock(1)
+				got = th.ReadU32(va[5])
+				th.Unlock(1)
+			}
+			th.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return unlock, got, s
+	}
+	far := sim.Time(1 << 60)
+	unlock, _, _ := program(faultnet.Partition{A: 0b010, B: 0b100, From: far, Until: far + 1}) // armed, never cut: the same timing
+	from := unlock + sim.Time(380*sim.Microsecond)
+	_, got, s := program(faultnet.Partition{A: 0b010, B: 0b100, From: from, Until: from + sim.Time(20*sim.Millisecond)})
+	if got != val {
+		t.Fatalf("host 0 read %#x from minipage 5, want %#x", got, val)
+	}
+	if st := s.MWStats(); st.FetchesParked != 1 {
+		t.Fatalf("%d fetches parked, want host 0's", st.FetchesParked)
 	}
 }

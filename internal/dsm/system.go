@@ -5,6 +5,7 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
 
@@ -77,7 +78,7 @@ func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, e
 		h := &Host{sys: s, Region: region}
 		var cons cluster.Consistency
 		if mw {
-			h.vc, cons = make([]uint64, opt.Hosts), h
+			h.vc, h.flushed, h.applyDone, cons = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng), h
 		}
 		h.Host = s.AddHost(as, h, cons)
 	}

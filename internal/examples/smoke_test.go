@@ -27,22 +27,22 @@ var exampleSmoke = []struct {
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
 		"millipage": {elapsedNS: 16827052, digest: 0xfbd45545002a8e11},
 		"ivy":       {elapsedNS: 20471000, digest: 0x87aeeaff484e5189},
-		"lrc-mw":    {elapsedNS: 11886735, digest: 0xaa81ad66acd198d1},
+		"lrc-mw":    {elapsedNS: 10192872, digest: 0xc92b67a0dce332df},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
 		"millipage": {elapsedNS: 41661611, digest: 0x4d63670449f56e60},
 		"ivy":       {elapsedNS: 86578603, digest: 0xcd3c5d56df57095f},
-		"lrc-mw":    {elapsedNS: 40211038, digest: 0x07951d4ac36bd0a6},
+		"lrc-mw":    {elapsedNS: 40206664, digest: 0x15de8b345aceb367},
 	}},
 	{name: "histogram", run: Histogram, golden: map[string]golden{
 		"millipage": {elapsedNS: 12629704, digest: 0xcb3eb085e4e8d594},
 		"ivy":       {elapsedNS: 27711224, digest: 0xfde8145c57e973d6},
-		"lrc-mw":    {elapsedNS: 11804113, digest: 0x4a7af42a2fc1f9ce},
+		"lrc-mw":    {elapsedNS: 11341764, digest: 0x10674f46baab1b37},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
 		"millipage": {elapsedNS: 27774088, digest: 0xd36e44284db4c702},
 		"ivy":       {elapsedNS: 46042454, digest: 0x26af3085741afd2b},
-		"lrc-mw":    {elapsedNS: 21423110, digest: 0x23100023313936ca},
+		"lrc-mw":    {elapsedNS: 20884141, digest: 0x329e3fe44d46a576},
 	}},
 }
 

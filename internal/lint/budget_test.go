@@ -164,17 +164,28 @@ import (
 // -1 fill (logNotice, Converged; -5, of which newerThan's one-growth Grow
 // took 1 back); and ManagerStatsTotal became one struct expression (-5),
 // a denser expression rather than a reduction.
+//
+// Raised, dsm 1,713 -> 1,759, when lrc-mw's releases stopped waiting for
+// their diffs: the version gate. A home's own writes stopped taking twins
+// and diffs first, on its own line-negative (1,713 -> 1,711: diff's
+// growTwin guard and diffFlush's twin patch went for a per-minipage
+// mark). Then MW_DIFF_ACK, its handler, the release's wait and its flush
+// staging went, and in their place each home keeps the version of the
+// last diff it applied per creator, a flush carries its interval, an
+// acquire records what it must see per minipage in a slab (the needs and
+// their free list), a fetch carries them, and the home parks a fetch, or
+// blocks its own acquire, until the versions cover them (+48).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
 	{"cluster", 1715},
-	{"dsm", 1713},
+	{"dsm", 1759},
 }
 
-// kernelTarget is the kernel's line total (cluster and dsm), lowered to
-// what it stood at once a home began to source reads from its own copy
-// (3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
+// kernelTarget is the kernel's line total (cluster and dsm), raised to
+// what it stood at once lrc-mw's releases stopped waiting for their diffs
+// (3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
@@ -185,7 +196,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3428
+const kernelTarget = 3474
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above
