@@ -118,7 +118,7 @@ func main() {
 		st := ds.MWStats()
 		fmt.Printf("\nfetches: %d  diffs sent: %d  notices: %d  invalidations: %d  twins made: %d\n",
 			st.Fetches, st.DiffsSent, st.Notices, st.Invalidations, st.TwinsMade)
-		fmt.Printf("home writes: %d  fetches parked at the home: %d  home acquires held for a diff: %d\n",
-			st.HomeWrites, st.FetchesParked, st.HomeWaits)
+		fmt.Printf("home writes: %d  fetches parked at the home: %d  home acquires held for a diff: %d  homes moved: %d\n",
+			st.HomeWrites, st.FetchesParked, st.HomeWaits, st.Migrations)
 	}
 }

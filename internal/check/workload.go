@@ -303,6 +303,58 @@ func (g *ChunkGrow) Body(w cluster.AppThread) {
 
 func (g *ChunkGrow) Err() error { return g.bad }
 
+// HomeMove is the home-migration program, for two or more hosts: the last
+// host alone writes word 0 of a block host 0 allocated (one minipage, id
+// 0, so homed at host 0 under HomeMod and HomeCentral) in two barrier
+// epochs — which under lrc-mw moves its home to that host — then every
+// host writes its own word and reads every word after a barrier, and
+// adds its id + 1 to word 0 under a lock. The program is data-race-free;
+// a protocol that loses a diff sent to the old home, or serves a copy
+// the new home lacks a write of, breaks a word.
+type HomeMove struct {
+	Hosts int
+
+	block uint64
+	bad   error
+}
+
+func (m *HomeMove) Body(w cluster.AppThread) {
+	h := w.Host()
+	word := func(c int) uint64 { return m.block + uint64(64*c) }
+	if h == 0 {
+		m.block = w.Malloc(64 * m.Hosts)
+	}
+	w.Barrier()
+	for r := uint32(1); r <= 2; r++ {
+		if h == m.Hosts-1 {
+			w.WriteU32(word(0), r)
+		}
+		w.Barrier()
+		m.expect(h, 0, w.ReadU32(word(0)), r)
+		w.Barrier()
+	}
+	w.WriteU32(word(h), uint32(100+h))
+	w.Barrier()
+	for c := 0; c < m.Hosts; c++ {
+		m.expect(h, c, w.ReadU32(word(c)), uint32(100+c))
+	}
+	w.Barrier()
+	w.Lock(0)
+	w.WriteU32(word(0), w.ReadU32(word(0))+uint32(h+1))
+	w.Unlock(0)
+	w.Barrier()
+	m.expect(h, 0, w.ReadU32(word(0)), uint32(100+m.Hosts*(m.Hosts+1)/2))
+	w.Barrier()
+}
+
+func (m *HomeMove) expect(h, c int, got, want uint32) {
+	if got != want && m.bad == nil {
+		m.bad = fmt.Errorf("host %d reads word %d = %d, want %d", h, c, got, want)
+	}
+}
+
+func (m *HomeMove) Err() error { return m.bad }
+
 // SWMRSweep drives a seed-dependent read/write mix over Words shared
 // words and asserts the SW/MR invariant after every completed
 // operation. Prots must be set (normally RuntimeProts around the

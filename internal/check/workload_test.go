@@ -72,6 +72,13 @@ func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Run("home-move", func(t *testing.T) {
+		wl := &check.HomeMove{Hosts: 3}
+		runDSM(t, 3, wl.Body)
+		if err := wl.Err(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("chunk-grow", func(t *testing.T) {
 		wl := &check.ChunkGrow{}
 		runDSM(t, 3, wl.Body)

@@ -99,8 +99,9 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 
 // TestChaosDRFOracle is the data-race-free oracles under every fault
 // schedule, for every protocol: barrier hand-offs, a lock-guarded
-// accumulator and a lock taken over a dirty copy must produce the exact
-// oracle state no matter what the wire does.
+// accumulator, a lock taken over a dirty copy and a minipage whose home
+// moves to its writer (under lrc-mw) must produce the exact oracle state
+// no matter what the wire does.
 func TestChaosDRFOracle(t *testing.T) {
 	const hosts = 4
 	for _, pr := range protocols() {

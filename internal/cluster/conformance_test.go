@@ -151,7 +151,8 @@ type workload struct {
 func drfWorkloads(hosts int) []workload {
 	drf := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
 	dirty := &check.DirtyAcquire{Hosts: hosts}
-	return []workload{{drf.Body, drf.Err}, {dirty.Body, dirty.Err}}
+	move := &check.HomeMove{Hosts: hosts}
+	return []workload{{drf.Body, drf.Err}, {dirty.Body, dirty.Err}, {move.Body, move.Err}}
 }
 
 // TestDRFAgreement runs the barrier- and lock-structured (data-race-free)

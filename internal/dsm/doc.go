@@ -38,13 +38,13 @@
 // the same results as under sequential consistency. The 250 us per 4 KB
 // diff that Millipage's thin layer avoids is charged here.
 //
-//   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96), minipage id homed
-//     at Options.HomeOf(id) as under SC: a release sends each diff to its
-//     home and goes on; a home's own writes take no twin and no diff. A
-//     fault on a missing or invalidated copy is one whole-minipage fetch
-//     from its home, served once the home has applied every diff its host
-//     holds a notice for, as a home's acquire waits for them. A dirty copy
-//     lays its own writes back over the home's bytes and re-twins from them.
+//   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96), homed at HomeOf(id)
+//     until a barrier moves the home to a sole writer of two epochs: a
+//     release sends each diff to the home and goes on; a home's writes
+//     take no twin or diff. A fault on a missing or invalidated copy is
+//     one whole-minipage fetch, served once the home has applied every
+//     diff its host holds a notice for, as a home's acquire waits for them.
+//     A dirty copy lays its writes back over the home's bytes and re-twins.
 //   - Notices flow through the host-0 coordinator, piggybacked on lock
 //     grants and barrier releases. The log order is a linear extension of
 //     happens-before; an acquirer gets every logged notice newer than its

@@ -98,14 +98,14 @@ func (sp span) contains(va uint64) bool {
 	return va >= sp.base && va < sp.base+uint64(sp.size)
 }
 
-// describe gives the trace a header's minipage, address and home host —
-// -1 for a bulk data message, whose shared marker carries no translation
-// record.
+// describe gives the trace a header's minipage, address and home host, as
+// this host knows it — -1 for a bulk data message, whose shared marker
+// carries no translation record.
 func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
 		return m.Info.ID, m.Addr, -1
 	}
-	return m.Info.ID, m.Addr, h.sys.HomeOf(m.Info.ID)
+	return m.Info.ID, m.Addr, h.homeOf(m.Info.ID)
 }
 
 // route is Figure 3's Translate, run at the requester: it resolves va

@@ -36,6 +36,18 @@ type mwSync struct {
 	Epoch   *Host      // the releaser, whose epoch's notices ride along (BARRIER_ARRIVE)
 	Notices []mwNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
 	MaxVC   []uint64   // converged clock (BARRIER_RELEASE)
+	Moves   []mwMove   // the barrier's home moves (BARRIER_RELEASE)
+}
+
+// mwMove moves minipage ID's home to host To at a barrier.
+type mwMove struct{ ID, To int }
+
+// mwPlace is the coordinator's record of a minipage, in System.places by id.
+type mwPlace struct {
+	home  int32  // 1 + the host a barrier moved it to; 0 while at HomeOf
+	sole  int32  // 1 + the only writer of barrier epoch `epoch`; -1 if several
+	last  int32  // sole as of the last epoch before that which wrote it
+	epoch uint32 // the epoch sole describes
 }
 
 // mwEpoch holds the intervals a host closed in one barrier epoch: the
@@ -58,6 +70,7 @@ type mwMP struct {
 	copy  core.Info // the non-home local copy, as of its fetch; Size 0 if none
 	stale bool      // invalidated by a write notice since the fetch
 	wrote bool      // the home wrote it this interval: dirty, with no twin
+	home  int32     // 1 + the host a barrier moved its home to; 0 while at HomeOf
 	need  int       // 1 + the index of its first need in mwHost.needs; 0 if none
 }
 
@@ -80,6 +93,7 @@ type MWStats struct {
 	HomeWrites    uint64 // write faults of a home on its own minipage: no twin, no diff
 	FetchesParked uint64 // fetches a home held for a diff still in flight
 	HomeWaits     uint64 // times a home's acquire blocked for a diff of its own minipage in flight
+	Migrations    uint64 // homes a barrier moved to a stable sole writer
 	Invalidations uint64 // minipages invalidated by write notices
 	Notices       uint64 // write notices logged at the coordinator
 }
@@ -91,7 +105,7 @@ type mwHost struct {
 	// mps is indexed by minipage id and covers the MPT as of this host's
 	// last fault or acquire, which alone grow it. A host runs one
 	// application thread, so a *mwMP holds until that thread's next fault
-	// or acquire; the server thread never reads it.
+	// or acquire; the server thread reads only a home (homeOf), for the trace.
 	mps   []mwMP
 	dirty []int // minipages written this interval, in fault order; sorted at release
 
@@ -151,7 +165,7 @@ func (h *Host) mwAlloc(p *sim.Proc, size int) (cluster.Allocation, error) {
 // other write. A home that did not allocate a minipage maps it at its
 // first touch (mwFault).
 func (h *Host) mwMapped(a cluster.Allocation) {
-	if h.sys.HomeOf(a.Info.ID) == h.ID() {
+	if h.homeOf(a.Info.ID) == h.ID() {
 		h.protect(a.Info, vm.ReadOnly)
 	}
 }
@@ -173,9 +187,8 @@ func (t *Thread) mwFault(f vm.Fault) error {
 		return fmt.Errorf("lrc-mw: %#x outside any minipage", f.Addr)
 	}
 	info := mp.Info(s.Layout)
-	home := s.HomeOf(mp.ID)
 	h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...) // cover the MPT
-	m := &h.mps[mp.ID]
+	m, home := &h.mps[mp.ID], h.homeOf(mp.ID)
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess && home != h.ID() {
 		if m.twin == nil {
@@ -221,13 +234,7 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
 	h.sys.stats.Fetches++
-	need := h.fetchNeed[:0]
-	for i := m.need; i != 0; {
-		n := &h.needs[i-1]
-		need = append(need, *n)
-		i, n.next, h.needFree = n.next, h.needFree, i
-	}
-	m.need, h.fetchNeed = 0, need
+	need := h.takeNeeds(m)
 	fw := t.WaitSlot()
 	t.req = request{h: h, fw: fw}
 	rq := h.allocPM()
@@ -235,6 +242,18 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h.Flush(t.Proc(), h.PostSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
 	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
+}
+
+// takeNeeds frees m's need list, copied into the fetchNeed scratch it returns.
+func (h *Host) takeNeeds(m *mwMP) []mwNeed {
+	need := h.fetchNeed[:0]
+	for i := m.need; i != 0; {
+		n := &h.needs[i-1]
+		need = append(need, *n)
+		i, n.next, h.needFree = n.next, h.needFree, i
+	}
+	m.need, h.fetchNeed = 0, need
+	return need
 }
 
 // addNeed records creator c's interval seq against minipage m, keeping
@@ -337,7 +356,7 @@ func (t *Thread) release() mwNotice {
 			s.stats.DiffBytes += uint64(len(enc))
 			fm := h.allocPM()
 			*fm = pmsg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq}
-			h.Flush(p, h.PostSized(s.HomeOf(id), fm, c.HeaderSize+len(enc)))
+			h.Flush(p, h.PostSized(h.homeOf(id), fm, c.HeaderSize+len(enc)))
 		}
 		s.freeBuf.Put(m.twin)
 		m.twin, m.wrote = nil, false
@@ -386,7 +405,7 @@ func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
 		}
 		for _, id := range n.MPs {
 			m := &h.mps[id]
-			switch s.HomeOf(id) {
+			switch h.homeOf(id) {
 			case h.ID(): // the home reads its own copy: wait for a diff still on the wire
 				for !h.applied(n.Creator, n.Seq, id) {
 					s.stats.HomeWaits++
@@ -459,15 +478,51 @@ func (h *Host) Release(ctx any, m *cluster.SvcMsg) {
 // Acquire is the acquire half (cluster.Consistency): apply the write
 // notices piggybacked on the grant or release — only minipages with a
 // causally newer write are invalidated, everything else this host holds
-// stays mapped — and, past a barrier, converge the clock and open a new
-// notice epoch.
+// stays mapped — and, past a barrier, converge the clock, move homes (after
+// the notices: an old home waits out the mover's diffs) and open an epoch.
 func (h *Host) Acquire(ctx any, m *cluster.SvcMsg) {
 	x := h.ext(m)
 	ctx.(*Thread).acquire(x.Notices, x.MaxVC)
 	if m.Type == cluster.SvcBarrierRelease {
+		h.move(x.Moves)
 		h.newEpoch()
 	}
 	h.recycleSync(m, x)
+}
+
+// move applies a barrier's home moves. The mover's copy holds every write
+// so far, so needs are dropped; the old home keeps its bytes, current after
+// its acquire's waits, as an ordinary cached copy.
+func (h *Host) move(moves []mwMove) {
+	s := h.sys
+	for _, mv := range moves {
+		m := &h.mps[mv.ID]
+		if mp, _ := s.mpt.ByID(mv.ID); h.homeOf(mv.ID) == h.ID() {
+			m.copy = mp.Info(s.Layout)
+			if prot, _ := h.Region.ProtOf(m.copy.Base); prot == vm.NoAccess {
+				m.copy = core.Info{} // never touched here: no copy
+			}
+		}
+		if cluster.Invariants && mv.To == h.ID() && (m.stale || m.twin != nil) {
+			panic(fmt.Sprintf("lrc-mw: host %d: minipage %d moves here with a stale or dirty copy", h.ID(), mv.ID))
+		}
+		h.takeNeeds(m)
+		m.home = int32(mv.To) + 1
+	}
+	for id := 0; cluster.Invariants && id < len(s.places); id++ {
+		if h.mps[id].home != s.places[id].home {
+			panic(fmt.Sprintf("lrc-mw: host %d's home mark of minipage %d is %d, the coordinator's %d", h.ID(), id, h.mps[id].home, s.places[id].home))
+		}
+	}
+}
+
+// homeOf is minipage id's home as this host knows it: HomeOf until a
+// barrier moved it.
+func (h *Host) homeOf(id int) int {
+	if id < len(h.mps) && h.mps[id].home != 0 {
+		return int(h.mps[id].home) - 1
+	}
+	return h.sys.HomeOf(id)
 }
 
 // Released logs the write notices a barrier arrival or an unlock carries
@@ -519,9 +574,10 @@ func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
 			maxvc[n.Creator] = n.Seq
 		}
 	}
+	moves := s.moves()
 	for _, a := range arrivals {
 		x := h.ext(a)
-		x.MaxVC = maxvc
+		x.MaxVC, x.Moves = maxvc, moves
 		x.Notices = s.newerThan(x.Notices, x.VC)
 	}
 	// Every host's clock now converges to maxvc, so nothing in the log
@@ -529,6 +585,36 @@ func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
 	s.log = s.log[:0]
 	s.logPrev = s.logPrev[:0]
 	clear(s.logLast)
+}
+
+// moves finds the epoch's home moves in the log: a minipage moves to w if
+// w was its only writer in this epoch and in the last one that wrote it,
+// and is not its home yet. A sole writer that changes every epoch (a lock
+// rotating, one host's initialization) keeps it. One list serves every release.
+func (s *System) moves() []mwMove {
+	s.epoch++
+	s.places = append(s.places, make([]mwPlace, s.mpt.NumMinipages()-len(s.places))...)
+	for _, n := range s.log {
+		for _, id := range n.MPs {
+			switch w, c := &s.places[id], int32(n.Creator)+1; {
+			case w.epoch != s.epoch:
+				w.last, w.sole, w.epoch = w.sole, c, s.epoch
+			case w.sole != c:
+				w.sole = -1
+			}
+		}
+	}
+	s.moved = s.moved[:0]
+	for _, n := range s.log {
+		for _, id := range n.MPs {
+			if w, c := &s.places[id], int32(n.Creator)+1; w.sole == c && w.last == c && w.home != c && (w.home != 0 || s.HomeOf(id) != n.Creator) {
+				w.home = c
+				s.moved = append(s.moved, mwMove{id, n.Creator})
+				s.stats.Migrations++
+			}
+		}
+	}
+	return s.moved
 }
 
 // logNotice appends a release's write notice at the coordinator (host 0

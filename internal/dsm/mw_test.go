@@ -9,6 +9,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/twindiff"
@@ -714,5 +715,187 @@ func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 	}
 	if st := s.MWStats(); st.FetchesParked != 1 {
 		t.Fatalf("%d fetches parked, want host 0's", st.FetchesParked)
+	}
+}
+
+// TestMWHomeFollowsStableWriter: host 2 writes minipage 1, homed at host 1,
+// alone in two barrier epochs in a row, so the second barrier moves its
+// home to host 2 on every host. Host 2's third-epoch write is then a home
+// write, with no twin and no diff, and host 3's first read of the minipage
+// is one fetch that host 2 serves and host 1 takes no part in. Host 3 held
+// needs for host 2's first two diffs, which went to host 1: had the move
+// not dropped them, host 2 would park that fetch for good.
+func TestMWHomeFollowsStableWriter(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8})
+	var va [2]uint64
+	var before, after MWStats
+	var mover, old [2]fastmsg.Stats
+	var got uint32
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			va[0], va[1] = th.Malloc(64), th.Malloc(64)
+		}
+		th.Barrier()
+		for epoch := uint32(1); epoch <= 3; epoch++ {
+			if th.Host() == 2 {
+				if epoch == 3 {
+					before = s.MWStats()
+				}
+				th.WriteU32(va[1], epoch)
+			}
+			th.Barrier()
+		}
+		if th.Host() != 3 {
+			if th.Host() == 2 {
+				after = s.MWStats()
+			}
+			th.Compute(50 * sim.Millisecond)
+			return
+		}
+		mover[0], old[0] = s.Host(2).EP.Stats(), s.Host(1).EP.Stats()
+		got = th.ReadU32(va[1])
+		mover[1], old[1] = s.Host(2).EP.Stats(), s.Host(1).EP.Stats()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.HomeOf(1) != 1 {
+		t.Fatalf("minipage 1 starts at host %d, the test wants host 1", s.HomeOf(1))
+	}
+	for i := 0; i < 4; i++ {
+		if home := s.Host(i).homeOf(1); home != 2 {
+			t.Errorf("host %d homes minipage 1 at host %d, want the writer, 2", i, home)
+		}
+	}
+	if st := s.MWStats(); st.Migrations != 1 {
+		t.Errorf("%d migrations, want 1", st.Migrations)
+	}
+	if hw, tw, df := after.HomeWrites-before.HomeWrites, after.TwinsMade-before.TwinsMade, after.DiffsSent-before.DiffsSent; hw != 1 || tw != 0 || df != 0 {
+		t.Errorf("the third epoch took %d home writes, %d twins and %d diffs, want 1, 0 and 0", hw, tw, df)
+	}
+	if got != 3 {
+		t.Errorf("host 3 read %d, want the third epoch's 3", got)
+	}
+	if sent, was := mover[1].Sent-mover[0].Sent, old[1].Sent-old[0].Sent; sent != 2 || was != 0 {
+		t.Errorf("over host 3's read the new home sent %d and the old one %d, want 2 (reply and bytes) and 0", sent, was)
+	}
+
+	// The oracle workload the explorer and the chaos suite run moves one home.
+	s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
+	wl := &check.HomeMove{Hosts: 3}
+	if err := run(s, func(th *Thread) { wl.Body(th) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.MWStats(); st.Migrations != 1 || s.Host(1).homeOf(0) != 2 {
+		t.Errorf("check.HomeMove: %d migrations, minipage 0 homed at host %d; want 1, at host 2", st.Migrations, s.Host(1).homeOf(0))
+	}
+}
+
+// TestMWRotatingWriterKeepsHome: a minipage's only writer changes every
+// epoch, hosts 2 and 3 taking turns under a lock, so no writer is the sole
+// one of two epochs in a row and the home never moves. Every read sees the
+// last epoch's value.
+func TestMWRotatingWriterKeepsHome(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8})
+	var va [2]uint64
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			va[0], va[1] = th.Malloc(64), th.Malloc(64)
+		}
+		th.Barrier()
+		for epoch := uint32(1); epoch <= 8; epoch++ {
+			if th.Host() == 2+int(epoch%2) {
+				th.Lock(0)
+				th.WriteU32(va[1], epoch)
+				th.Unlock(0)
+			}
+			th.Barrier()
+			if got := th.ReadU32(va[1]); got != epoch {
+				t.Errorf("host %d read %d after epoch %d", th.Host(), got, epoch)
+			}
+			th.Barrier()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.MWStats(); st.Migrations != 0 {
+		t.Errorf("%d migrations, want none", st.Migrations)
+	}
+	for i := 0; i < 4; i++ {
+		if home := s.Host(i).homeOf(1); home != 1 {
+			t.Errorf("host %d homes minipage 1 at host %d, want HomeOf's 1", i, home)
+		}
+	}
+}
+
+// TestMWMoveWaitsForDiffInFlight: host 1 maps minipage 1, homed at itself;
+// host 2 then writes it alone in two epochs, and a partition cuts host 2
+// from host 1 as the second epoch's barrier arrival sends its diff, until
+// cutUntil. The release moves the home to host 2. Host 1's acquire holds
+// the old home until the diff lands, and only then lets go, keeping its
+// bytes as a cached copy it reads without a fetch. Host 0 meanwhile reads
+// the minipage from the new home, inside the partition.
+func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
+	const val = 0xd1ff
+	cutFrom, cutUntil := sim.Time(10*sim.Millisecond), sim.Time(40*sim.Millisecond)
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, Faults: &faultnet.Plan{
+		Partitions: []faultnet.Partition{{A: 0b100, B: 0b010, From: cutFrom, Until: cutUntil}}}})
+	var va [2]uint64
+	var got [3]uint32
+	var arrive, done [3]sim.Time
+	var sent [2]uint64
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			va[0], va[1] = th.Malloc(64), th.Malloc(64)
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.ReadU32(va[1]) // the home maps its copy
+		}
+		th.Barrier()
+		if th.Host() == 2 {
+			th.WriteU32(va[1], 1)
+		}
+		th.Barrier()
+		if th.Host() == 2 {
+			th.Compute(cutFrom.Sub(th.Now()) + sim.Millisecond)
+			th.WriteU32(va[1], val)
+		}
+		arrive[th.Host()] = th.Now()
+		th.Barrier()
+		done[th.Host()] = th.Now()
+		switch th.Host() {
+		case 0:
+			got[0] = th.ReadU32(va[1])
+			done[0] = th.Now()
+		case 1:
+			sent[0] = s.Host(1).EP.Stats().Sent
+			got[1] = th.ReadU32(va[1])
+			sent[1] = s.Host(1).EP.Stats().Sent
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arrive[2] < cutFrom || arrive[2] >= cutUntil {
+		t.Fatalf("host 2 arrives at %v, want inside the partition [%v, %v)", arrive[2], cutFrom, cutUntil)
+	}
+	if got[0] != val || got[1] != val {
+		t.Errorf("host 0 read %#x and the old home %#x, want %#x", got[0], got[1], val)
+	}
+	if done[1] < cutUntil || done[0] >= cutUntil {
+		t.Errorf("the old home left the barrier at %v and host 0 had read at %v: want the old home held past %v, host 0 served before it",
+			done[1], done[0], cutUntil)
+	}
+	if sent[1] != sent[0] {
+		t.Errorf("the old home sent %d messages to read its cached copy, want none", sent[1]-sent[0])
+	}
+	if st := s.MWStats(); st.Migrations != 1 || st.HomeWaits == 0 {
+		t.Errorf("%d migrations and %d home waits, want 1 and the old home's acquire held", st.Migrations, st.HomeWaits)
 	}
 }

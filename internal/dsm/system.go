@@ -20,8 +20,8 @@ type Options = cluster.Options
 // allocation authority), and minipage id is homed at Options.HomeOf(id):
 // HomeMod by default, host 0 for all of them under HomeCentral — the
 // paper's manager. Under SC each host runs the directory for the
-// minipages homed at it; under lrc-mw the home serves fetches and applies
-// diffs, and host 0 keeps the write-notice log.
+// minipages homed at it; under lrc-mw the home (which follows a stable
+// sole writer) serves fetches and applies diffs; host 0 logs notices.
 type System struct {
 	cluster.Lifecycle[*Host, *Thread]
 	Layout core.Layout
@@ -40,6 +40,9 @@ type System struct {
 	logPrev []int      // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
 	logLast []int      // per creator: 1 + position of its latest notice, or 0 (Seq rises along each chain)
 	maxvc   []uint64   // barrier-episode scratch; every release shares it
+	places  []mwPlace  // by minipage id: where its home is, who wrote it
+	moved   []mwMove   // barrier-episode scratch, shared like maxvc
+	epoch   uint32     // barrier epochs completed
 	stats   MWStats    // every host's lrc-mw counters: hosts run one at a time
 
 	// The cluster's freelists, shared by every host. See Host.allocPM.

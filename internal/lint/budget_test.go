@@ -175,17 +175,31 @@ import (
 // acquire records what it must see per minipage in a slab (the needs and
 // their free list), a fetch carries them, and the home parks a fetch, or
 // blocks its own acquire, until the versions cover them (+48).
+//
+// Raised, dsm 1,759 -> 1,848, when lrc-mw's homes began to follow a
+// stable sole writer: the migration code. The coordinator keeps each
+// minipage's home and its sole writer of this and of its last written
+// epoch (mwPlace, System.places and its epoch count), and finds a
+// barrier's moves in the epoch's notices (System.moves) for the
+// BARRIER_RELEASE to carry (mwSync.Moves, mwMove); each host keeps its
+// own table in its per-minipage record (mwMP.home, homeOf), applies the
+// moves after the release's notices (Host.move: the old home's cached
+// copy, the dropped needs, and under -tags invariants the mover's copy
+// and the table checked against the coordinator's), and the fault,
+// release, acquire, allocation map and trace read it; the fetch's need
+// walk became takeNeeds, which a move also calls; and Migrations counts
+// the moves (+89).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
 	{"cluster", 1715},
-	{"dsm", 1759},
+	{"dsm", 1848},
 }
 
 // kernelTarget is the kernel's line total (cluster and dsm), raised to
-// what it stood at once lrc-mw's releases stopped waiting for their diffs
-// (3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
+// what it stood at once lrc-mw's homes began to follow their writer
+// (3,474 once lrc-mw's releases stopped waiting for their diffs; 3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
@@ -196,7 +210,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3474
+const kernelTarget = 3563
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -145,6 +145,22 @@ func TestExploreLRCDRF(t *testing.T) {
 	}
 }
 
+// TestExploreHomeMove explores the home-migration program under lrc-mw
+// across a partition that heals and a crash and restart: the minipage's
+// home moves to its sole writer mid-run, and every later write and read
+// of it goes through the new home.
+func TestExploreHomeMove(t *testing.T) {
+	for _, preset := range []string{"partition-heal", "crash-restart"} {
+		rep, err := Explore(Options{Protocol: "lrc-mw", Workload: "home-move", Faults: preset, Seed: 1, Schedules: 12, ExploreSeed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failure != nil {
+			t.Fatalf("%s: schedule %d failed: %v", preset, rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure)
+		}
+	}
+}
+
 // TestExploreWithFaults composes exploration with every fault preset.
 func TestExploreWithFaults(t *testing.T) {
 	for _, preset := range FaultNames() {

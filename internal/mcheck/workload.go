@@ -65,6 +65,13 @@ var workloads = map[string]workloadSpec{
 		wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 2}
 		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
+	// home-move: one host writes a minipage alone for two epochs, which
+	// moves its home there under lrc-mw; then every host writes its own
+	// word of it and adds to a shared one under a lock.
+	"home-move": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
+		wl := &check.HomeMove{Hosts: hosts}
+		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+	}},
 	// drf-nolock: the intentionally injected bug — the accumulator
 	// update races because the lock is skipped. Exploration must catch
 	// the lost update; used by self-tests and demos, never by CI gates
