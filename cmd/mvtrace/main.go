@@ -112,8 +112,8 @@ func main() {
 	// class's own counters, which the portable Totals do not carry.
 	ds := sys.(*dsm.System)
 	if spec.SC {
-		fmt.Printf("\ncompeting requests queued at the manager: %d\n",
-			ds.ManagerStatsTotal().CompetingRequests)
+		fmt.Printf("\ncompeting requests queued at the manager: %d  homes moved: %d\n",
+			ds.ManagerStatsTotal().CompetingRequests, ds.MWStats().Migrations)
 	} else {
 		st := ds.MWStats()
 		fmt.Printf("\nfetches: %d  diffs sent: %d  notices: %d  invalidations: %d  twins made: %d\n",

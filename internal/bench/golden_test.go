@@ -83,8 +83,8 @@ func TestGoldenWATER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(r.Timed) != 67497867 {
-		t.Errorf("timed = %d, want 67497867", int64(r.Timed))
+	if int64(r.Timed) != 66445576 {
+		t.Errorf("timed = %d, want 66445576", int64(r.Timed))
 	}
 	if got := fmt.Sprint(r.Check); got != "0.017882280184443315" {
 		t.Errorf("check = %s, want 0.017882280184443315", got)

@@ -306,11 +306,13 @@ func (g *ChunkGrow) Err() error { return g.bad }
 // HomeMove is the home-migration program, for two or more hosts: the last
 // host alone writes word 0 of a block host 0 allocated (one minipage, id
 // 0, so homed at host 0 under HomeMod and HomeCentral) in two barrier
-// epochs — which under lrc-mw moves its home to that host — then every
-// host writes its own word and reads every word after a barrier, and
-// adds its id + 1 to word 0 under a lock. The program is data-race-free;
-// a protocol that loses a diff sent to the old home, or serves a copy
-// the new home lacks a write of, breaks a word.
+// epochs, every host reading it after each — which moves its home to
+// that host under either consistency class — then every host writes its
+// own word and reads every word after a barrier, and adds its id + 1 to
+// word 0 under a lock. The program is data-race-free; a protocol that
+// loses a diff sent to the old home, serves a copy the new home lacks a
+// write of, or loses a directory message routed across the move breaks a
+// word or hangs.
 type HomeMove struct {
 	Hosts int
 

@@ -8,8 +8,8 @@
 //
 //   - Sequential Consistency via Single-Writer/Multiple-Readers.
 //   - One process per host. Host 0 owns the minipage table (MPT); each
-//     minipage's directory entry lives at its home, Options.HomeOf(id)
-//     (host 0 for all of them under HomeCentral, the paper's manager).
+//     minipage's directory entry lives at its home: Options.HomeOf(id) at
+//     first (host 0 under HomeCentral), then a stable sole writer (home.go).
 //   - A fault translates its address in the host's MPT replica, writes
 //     the translation into reserved header space and sends the request to
 //     the home, which forwards it to a replica — itself first, so a home

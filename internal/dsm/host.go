@@ -24,6 +24,10 @@ type Host struct {
 	// prefetched region is accounted as prefetch wait, not a read fault.
 	prefetchSpans []span
 
+	homes []int16 // homeOf's table as of epoch, the barriers this host was released from
+	epoch uint32
+	early cluster.FIFO[pmsg, *pmsg] // directory messages routed in a later epoch (dir)
+
 	mwHost // lrc-mw's
 }
 
@@ -85,8 +89,8 @@ func (r *request) wake(info core.Info) { r.fw.Info = info; r.fw.Ev.Set() }
 func (r *request) Closing() (int, any) {
 	h, info := r.h, r.fw.Info
 	m := h.allocPM()
-	*m = pmsg{Type: mAck, From: h.ID(), Info: info}
-	return h.sys.HomeOf(info.ID), m
+	*m = pmsg{Type: mAck, From: h.ID(), Info: info, Epoch: h.epoch}
+	return h.homeOf(info.ID), m
 }
 
 type span struct {
@@ -118,7 +122,7 @@ func (h *Host) route(va uint64) (int, core.Info) {
 	if !ok {
 		panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", va))
 	}
-	return h.sys.HomeOf(mp.ID), mp.Info(h.sys.Layout)
+	return h.homeOf(mp.ID), mp.Info(h.sys.Layout)
 }
 
 // readMinipage snapshots a minipage's bytes through the privileged view
@@ -156,7 +160,7 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	}
 	home, info := h.route(f.Addr)
 	t.req = request{h: h, fw: fw}
-	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Req: &t.req}, cluster.Blocking{
+	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Req: &t.req, Epoch: h.epoch}, cluster.Blocking{
 		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
 	}) // the host may go idle; the poller takes over
 
@@ -230,13 +234,6 @@ func (h *Host) settleFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 		return h.Costs().SetProt
 	}
 	return fastmsg.NoFront
-}
-
-// dir runs a directory message at this host. An ack closing onto queued
-// requests runs in engine context like any other: the request it
-// dispatches again is translated, so nothing is charged between effects.
-func dir(h *Host, p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
-	return h.dispatch(p, m)
 }
 
 // readFwdFront is READ_FWD's probe, and a writable copy's downgrade.
@@ -388,11 +385,11 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 			h.ID(), hdr.Info.ID, len(data), hdr.Info.Size))
 	}
 	must(h.Region.WritePriv(hdr.Info.Base, data))
-	home := h.sys.HomeOf(hdr.Info.ID)
+	home := h.homeOf(hdr.Info.ID)
 	if hdr.Type == mPushData {
 		// Pushed replica: ack to the home; nobody is waiting.
 		h.protect(hdr.Info, vm.ReadOnly)
-		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info})
+		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, Epoch: h.epoch})
 		return
 	}
 	if !hdr.Req.settle(hdr.Invals) {
@@ -406,7 +403,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if hdr.Prefetch {
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
-		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info})
+		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Epoch: h.epoch})
 	}
 	hdr.Req.wake(hdr.Info)
 }

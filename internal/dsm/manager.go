@@ -106,7 +106,7 @@ func (h *Host) entryOrNil(id int) *dirEntry {
 }
 
 // serves reports whether this host is minipage id's home.
-func (h *Host) serves(id int) bool { return h.sys.HomeOf(id) == h.ID() }
+func (h *Host) serves(id int) bool { return h.homeOf(id) == h.ID() }
 
 // dispatch routes one manager-bound message and returns the tail of its
 // handler: the last send, posted, when nothing follows it (cluster.MsgSpec).
@@ -133,7 +133,7 @@ func (h *Host) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 func (h *Host) resolve(m *pmsg) *dirEntry {
 	id := m.Info.ID
 	if !h.serves(id) {
-		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", h.ID(), id, h.sys.HomeOf(id)))
+		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", h.ID(), id, h.homeOf(id)))
 	}
 	mp, _ := h.sys.mpt.ByID(id)
 	m.Info = mp.Info(h.sys.Layout)
@@ -235,6 +235,7 @@ func (h *Host) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
 	}
 	m.Invals = int32(targets.Count())
 	e.copyset, e.owner = hostset.One(m.From), m.From
+	h.sys.record(m.Info.ID).add(m.From, m.Epoch) // the home's, read in place by moves
 	for i := 0; i < h.sys.NumHosts(); i++ {
 		if targets.Has(i) { // each carries the writer's rendezvous for the reply
 			h.Stats.Invalidations++

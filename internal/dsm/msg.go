@@ -70,6 +70,7 @@ type pmsg struct {
 	Prefetch bool     // request was issued by a prefetch: no thread is waiting
 	Requeued bool     // queued at the directory, to be dispatched again (stats count it once)
 	Invals   int32    // a write's forward or grant: invalidations the home sent; -1 on each reply to one
+	Epoch    uint32   // a home-bound message's: the barrier epoch its sender routed it in (dir)
 	Diff     []byte   // encoded run-length diff (mDiffFlush), owned by the message
 	Seq      uint64   // the interval of mDiffFlush's diff
 	Need     []mwNeed // the diffs mFetchReq's home must have applied first

@@ -31,23 +31,16 @@ var mwDataMarker = &pmsg{Type: mFetchData, Info: core.Info{ID: -1}}
 type mwSync struct {
 	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
 
-	VC      []uint64   // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
-	Notice  mwNotice   // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
-	Epoch   *Host      // the releaser, whose epoch's notices ride along (BARRIER_ARRIVE)
-	Notices []mwNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
-	MaxVC   []uint64   // converged clock (BARRIER_RELEASE)
-	Moves   []mwMove   // the barrier's home moves (BARRIER_RELEASE)
-}
+	VC       []uint64   // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
+	Notice   mwNotice   // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
+	Releaser *Host      // whose epoch's notices ride along (BARRIER_ARRIVE)
+	Notices  []mwNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
+	MaxVC    []uint64   // converged clock (BARRIER_RELEASE)
 
-// mwMove moves minipage ID's home to host To at a barrier.
-type mwMove struct{ ID, To int }
-
-// mwPlace is the coordinator's record of a minipage, in System.places by id.
-type mwPlace struct {
-	home  int32  // 1 + the host a barrier moved it to; 0 while at HomeOf
-	sole  int32  // 1 + the only writer of barrier epoch `epoch`; -1 if several
-	last  int32  // sole as of the last epoch before that which wrote it
-	epoch uint32 // the epoch sole describes
+	// BARRIER_RELEASE, both classes: the moves, the table after them, the epoch opened.
+	Moves []homeMove
+	Homes []int16
+	Epoch uint32
 }
 
 // mwEpoch holds the intervals a host closed in one barrier epoch: the
@@ -70,7 +63,6 @@ type mwMP struct {
 	copy  core.Info // the non-home local copy, as of its fetch; Size 0 if none
 	stale bool      // invalidated by a write notice since the fetch
 	wrote bool      // the home wrote it this interval: dirty, with no twin
-	home  int32     // 1 + the host a barrier moved its home to; 0 while at HomeOf
 	need  int       // 1 + the index of its first need in mwHost.needs; 0 if none
 }
 
@@ -93,7 +85,7 @@ type MWStats struct {
 	HomeWrites    uint64 // write faults of a home on its own minipage: no twin, no diff
 	FetchesParked uint64 // fetches a home held for a diff still in flight
 	HomeWaits     uint64 // times a home's acquire blocked for a diff of its own minipage in flight
-	Migrations    uint64 // homes a barrier moved to a stable sole writer
+	Migrations    uint64 // homes a barrier moved to a stable sole writer, under either class
 	Invalidations uint64 // minipages invalidated by write notices
 	Notices       uint64 // write notices logged at the coordinator
 }
@@ -470,7 +462,7 @@ func (h *Host) Release(ctx any, m *cluster.SvcMsg) {
 		x.VC = append(x.VC[:0], h.vc...)
 	}
 	if m.Type == cluster.SvcBarrierArrive {
-		x.Epoch = h // read in place: the epoch stays as it is until this barrier's release
+		x.Releaser = h // read in place: the epoch stays as it is until this barrier's release
 	}
 	x.CheckLive("Send")
 }
@@ -481,19 +473,20 @@ func (h *Host) Release(ctx any, m *cluster.SvcMsg) {
 // stays mapped — and, past a barrier, converge the clock, move homes (after
 // the notices: an old home waits out the mover's diffs) and open an epoch.
 func (h *Host) Acquire(ctx any, m *cluster.SvcMsg) {
-	x := h.ext(m)
-	ctx.(*Thread).acquire(x.Notices, x.MaxVC)
+	t, x := ctx.(*Thread), h.ext(m)
+	t.acquire(x.Notices, x.MaxVC)
 	if m.Type == cluster.SvcBarrierRelease {
 		h.move(x.Moves)
+		h.adopt(t.Proc(), x)
 		h.newEpoch()
 	}
 	h.recycleSync(m, x)
 }
 
-// move applies a barrier's home moves. The mover's copy holds every write
-// so far, so needs are dropped; the old home keeps its bytes, current after
-// its acquire's waits, as an ordinary cached copy.
-func (h *Host) move(moves []mwMove) {
+// move does lrc-mw's part of a barrier's home moves, before adopt. The
+// mover's copy holds every write so far, so needs are dropped; the old home
+// keeps its bytes, current after its acquire's waits, as a cached copy.
+func (h *Host) move(moves []homeMove) {
 	s := h.sys
 	for _, mv := range moves {
 		m := &h.mps[mv.ID]
@@ -507,29 +500,14 @@ func (h *Host) move(moves []mwMove) {
 			panic(fmt.Sprintf("lrc-mw: host %d: minipage %d moves here with a stale or dirty copy", h.ID(), mv.ID))
 		}
 		h.takeNeeds(m)
-		m.home = int32(mv.To) + 1
 	}
-	for id := 0; cluster.Invariants && id < len(s.places); id++ {
-		if h.mps[id].home != s.places[id].home {
-			panic(fmt.Sprintf("lrc-mw: host %d's home mark of minipage %d is %d, the coordinator's %d", h.ID(), id, h.mps[id].home, s.places[id].home))
-		}
-	}
-}
-
-// homeOf is minipage id's home as this host knows it: HomeOf until a
-// barrier moved it.
-func (h *Host) homeOf(id int) int {
-	if id < len(h.mps) && h.mps[id].home != 0 {
-		return int(h.mps[id].home) - 1
-	}
-	return h.sys.HomeOf(id)
 }
 
 // Released logs the write notices a barrier arrival or an unlock carries
 // (cluster.Consistency; host 0 only). An unlock's record ends here.
 func (h *Host) Released(m *cluster.SvcMsg) {
 	x := h.ext(m)
-	switch r := x.Epoch; {
+	switch r := x.Releaser; {
 	case r != nil:
 		for i := range r.epochs[1].ends {
 			h.logNotice(r.epochNotice(i))
@@ -550,10 +528,11 @@ func (h *Host) Granting(m *cluster.SvcMsg) {
 }
 
 // Converged completes a barrier episode (cluster.Consistency): every
-// release gets the converged clock and the notices its arrival's clock
-// had not covered, and the log is cleared.
+// release gets the converged clock, the notices its arrival's clock had
+// not covered and the barrier's home moves, and the log is cleared.
 func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
 	s := h.sys
+	moves := s.moves()
 	// One converged-clock scratch serves every release message: each
 	// acquirer only reads it, and all of them have consumed it before
 	// the next episode can complete and overwrite it.
@@ -574,10 +553,9 @@ func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
 			maxvc[n.Creator] = n.Seq
 		}
 	}
-	moves := s.moves()
 	for _, a := range arrivals {
 		x := h.ext(a)
-		x.MaxVC, x.Moves = maxvc, moves
+		x.MaxVC, x.Moves, x.Homes, x.Epoch = maxvc, moves, s.homes, s.epoch
 		x.Notices = s.newerThan(x.Notices, x.VC)
 	}
 	// Every host's clock now converges to maxvc, so nothing in the log
@@ -585,36 +563,6 @@ func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
 	s.log = s.log[:0]
 	s.logPrev = s.logPrev[:0]
 	clear(s.logLast)
-}
-
-// moves finds the epoch's home moves in the log: a minipage moves to w if
-// w was its only writer in this epoch and in the last one that wrote it,
-// and is not its home yet. A sole writer that changes every epoch (a lock
-// rotating, one host's initialization) keeps it. One list serves every release.
-func (s *System) moves() []mwMove {
-	s.epoch++
-	s.places = append(s.places, make([]mwPlace, s.mpt.NumMinipages()-len(s.places))...)
-	for _, n := range s.log {
-		for _, id := range n.MPs {
-			switch w, c := &s.places[id], int32(n.Creator)+1; {
-			case w.epoch != s.epoch:
-				w.last, w.sole, w.epoch = w.sole, c, s.epoch
-			case w.sole != c:
-				w.sole = -1
-			}
-		}
-	}
-	s.moved = s.moved[:0]
-	for _, n := range s.log {
-		for _, id := range n.MPs {
-			if w, c := &s.places[id], int32(n.Creator)+1; w.sole == c && w.last == c && w.home != c && (w.home != 0 || s.HomeOf(id) != n.Creator) {
-				w.home = c
-				s.moved = append(s.moved, mwMove{id, n.Creator})
-				s.stats.Migrations++
-			}
-		}
-	}
-	return s.moved
 }
 
 // logNotice appends a release's write notice at the coordinator (host 0

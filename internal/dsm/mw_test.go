@@ -562,9 +562,11 @@ func lockHeavyRun(t *testing.T, s *System) *System {
 
 // TestClassesShareNoState: each consistency class leaves the other's state
 // untouched. The DRF oracle run under millipage keeps no converged clock,
-// notice log or lrc-mw counter, which lrc-mw's synchronization hooks would
-// fill if the kernel ran them for an SC host; under lrc-mw the same run
-// places no directory entry and counts no directory request.
+// notice log or lrc-mw counter, which lrc-mw's
+// synchronization hooks would fill if the kernel ran them for an SC host
+// (it runs SC's barrier half only); under lrc-mw the same run places no
+// directory entry and counts no directory request. Migrations is both
+// classes' home-move counter, so it is left out.
 func TestClassesShareNoState(t *testing.T) {
 	const hosts = 4
 	for _, mk := range []func(Options) (*System, error){New, NewMW} {
@@ -576,9 +578,10 @@ func TestClassesShareNoState(t *testing.T) {
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}
-		name := s.Runtime().Name
-		if !s.mw && (s.maxvc != nil || len(s.log) != 0 || s.MWStats() != (MWStats{})) {
-			t.Errorf("%s: lrc-mw state after an SC run: converged clock %v, %d notices logged, %+v", name, s.maxvc, len(s.log), s.MWStats())
+		name, st := s.Runtime().Name, s.MWStats()
+		st.Migrations = 0
+		if !s.mw && (s.maxvc != nil || len(s.log) != 0 || st != (MWStats{})) {
+			t.Errorf("%s: lrc-mw state after an SC run: converged clock %v, %d notices logged, %+v", name, s.maxvc, len(s.log), st)
 		}
 		if s.mw && (len(s.dir) != 0 || s.ManagerStatsTotal() != (ManagerStats{})) {
 			t.Errorf("%s: directory state after an lrc-mw run: %d slabs, %+v", name, len(s.dir), s.ManagerStatsTotal())

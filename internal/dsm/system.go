@@ -17,11 +17,11 @@ type Options = cluster.Options
 // which its constructor sets: New's sequentially consistent Millipage, and
 // NewMW's multi-writer lazy release consistency (mw.go). Either way it is
 // the shared cluster runtime plus the MPT, which grows only on host 0 (the
-// allocation authority), and minipage id is homed at Options.HomeOf(id):
-// HomeMod by default, host 0 for all of them under HomeCentral — the
-// paper's manager. Under SC each host runs the directory for the
-// minipages homed at it; under lrc-mw the home (which follows a stable
-// sole writer) serves fetches and applies diffs; host 0 logs notices.
+// allocation authority), and minipage id's home starts at HomeOf(id) —
+// HomeMod by default, host 0 under HomeCentral, the paper's manager — and
+// follows a stable sole writer (home.go). Under SC each host runs the
+// directory for the minipages homed at it; under lrc-mw the home serves
+// fetches and applies diffs; host 0 logs notices.
 type System struct {
 	cluster.Lifecycle[*Host, *Thread]
 	Layout core.Layout
@@ -35,15 +35,19 @@ type System struct {
 	// home touches it (Host.entry).
 	dir [][]dirEntry
 
+	places  []writeRecord // by minipage id, read in place by moves (home.go)
+	homes   []int16       // host 0's home table by minipage id: 1 + the host a barrier moved it to; 0 while at HomeOf
+	spare   []int16       // the table before it
+	moved   []homeMove    // the last barrier's moves, shared like maxvc
+	epoch   uint32        // barrier epochs completed
+	release mwSync        // the record every SC release carries
+
 	// lrc-mw's coordinator state (host 0 only).
 	log     []mwNotice // append-only between barriers, cleared at each
 	logPrev []int      // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
 	logLast []int      // per creator: 1 + position of its latest notice, or 0 (Seq rises along each chain)
 	maxvc   []uint64   // barrier-episode scratch; every release shares it
-	places  []mwPlace  // by minipage id: where its home is, who wrote it
-	moved   []mwMove   // barrier-episode scratch, shared like maxvc
-	epoch   uint32     // barrier epochs completed
-	stats   MWStats    // every host's lrc-mw counters: hosts run one at a time
+	stats   MWStats    // every host's lrc-mw counters, and both classes' Migrations: hosts run one at a time
 
 	// The cluster's freelists, shared by every host. See Host.allocPM.
 	freePM   cluster.Pool[pmsg]
@@ -79,7 +83,7 @@ func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, e
 			return nil, fmt.Errorf("%s: host %d: %w", name, i, err)
 		}
 		h := &Host{sys: s, Region: region}
-		var cons cluster.Consistency
+		var cons cluster.Consistency = scSync{h}
 		if mw {
 			h.vc, h.flushed, h.applyDone, cons = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng), h
 		}

@@ -29,7 +29,7 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64) *cluster.Wait {
 	p.Sleep(h.Costs().MPTLookup)
 	home, info := h.route(va)
 	r := &request{h: h, fw: cluster.NewWait(h.sys.Eng)}
-	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r})
+	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r, Epoch: h.epoch})
 	t.Stats.Prefetches++
 	return r.fw
 }
@@ -60,7 +60,7 @@ func (t *Thread) Push(va uint64) {
 	p := t.Proc()
 	p.Sleep(t.host.Costs().MPTLookup)
 	home, info := t.host.route(va)
-	t.host.sendNew(p, home, pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info})
+	t.host.sendNew(p, home, pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info, Epoch: t.host.epoch})
 }
 
 // Span names a shared region for group operations.

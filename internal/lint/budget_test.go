@@ -189,17 +189,34 @@ import (
 // release, acquire, allocation map and trace read it; the fetch's need
 // walk became takeNeeds, which a move also calls; and Migrations counts
 // the moves (+89).
+//
+// Raised, dsm 1,848 -> 1,937, when SC homes began to follow their writer
+// through the same code (home.go): the move rule left mw.go for both
+// classes (System.moves, a scan of one write-record table by minipage id,
+// System.places, which lrc-mw's notices and SC's writeEffect fill, with
+// record growing it), and the home table became one for both (a dense
+// list by id, double buffered on the coordinator, replacing mwPlace's
+// home and mwMP.home; homeOf, and adopt, each host taking the table a
+// BARRIER_RELEASE carries, checked against the coordinator's under -tags
+// invariants). SC hosts got the Consistency seam for its barrier half
+// only (scSync, whose lock hooks are empty), every home-bound SC message
+// carries the barrier epoch it was routed in (pmsg.Epoch, stamped at six
+// sends), and dir parks one from a later epoch in the host's early queue
+// until its release, forwards one from an earlier epoch to the host's
+// current home, and leaves a same-epoch misroute to resolve's panic; the
+// release's record gained the table and the epoch (mwSync.Homes, Epoch),
+// and its releaser field was renamed (+89).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
 	{"cluster", 1715},
-	{"dsm", 1848},
+	{"dsm", 1937},
 }
 
 // kernelTarget is the kernel's line total (cluster and dsm), raised to
-// what it stood at once lrc-mw's homes began to follow their writer
-// (3,474 once lrc-mw's releases stopped waiting for their diffs; 3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
+// what it stood at once SC homes began to follow their writer too (3,563
+// once lrc-mw's homes began to follow their writer; 3,474 once lrc-mw's releases stopped waiting for their diffs; 3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
 // home-based directory became the default; 3,893 once replicated
@@ -210,7 +227,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3563
+const kernelTarget = 3652
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

@@ -145,18 +145,22 @@ func TestExploreLRCDRF(t *testing.T) {
 	}
 }
 
-// TestExploreHomeMove explores the home-migration program under lrc-mw
-// across a partition that heals and a crash and restart: the minipage's
-// home moves to its sole writer mid-run, and every later write and read
-// of it goes through the new home.
+// TestExploreHomeMove explores the home-migration program under both
+// consistency classes across a partition that heals and a crash and
+// restart: the minipage's home moves to its sole writer mid-run (a
+// schedule that moves none fails), and every later write and read of it
+// goes through the new home — under millipage, every directory message
+// still in flight to the old home across the move included.
 func TestExploreHomeMove(t *testing.T) {
-	for _, preset := range []string{"partition-heal", "crash-restart"} {
-		rep, err := Explore(Options{Protocol: "lrc-mw", Workload: "home-move", Faults: preset, Seed: 1, Schedules: 12, ExploreSeed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Failure != nil {
-			t.Fatalf("%s: schedule %d failed: %v", preset, rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure)
+	for _, proto := range []string{"millipage", "lrc-mw"} {
+		for _, preset := range []string{"partition-heal", "crash-restart"} {
+			rep, err := Explore(Options{Protocol: proto, Workload: "home-move", Faults: preset, Seed: 1, Schedules: 12, ExploreSeed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Failure != nil {
+				t.Fatalf("%s, %s: schedule %d failed: %v", proto, preset, rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure)
+			}
 		}
 	}
 }

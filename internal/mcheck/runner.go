@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 
 	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
 	"millipage/internal/registry"
 	"millipage/internal/sim"
@@ -143,6 +144,8 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 		}
 	case wl.err() != nil:
 		return fp, &Failure{Kind: "oracle", Msg: wl.err().Error()}, nil
+	case wl.moves && sys.(*dsm.System).MWStats().Migrations == 0:
+		return fp, &Failure{Kind: "oracle", Msg: "no home moved"}, nil
 	case done < rt.TotalThreads():
 		return fp, &Failure{Kind: "stall", Msg: fmt.Sprintf("%d of %d threads finished before the %v watchdog", done, rt.TotalThreads(), sim.Duration(Watchdog))}, nil
 	}

@@ -14,6 +14,7 @@ type workloadRun struct {
 	hosts int
 	body  func(rt *cluster.Runtime, w cluster.AppThread)
 	err   func() error
+	moves bool // the run must move a home: a schedule that moves none fails
 }
 
 // workloadSpec names a workload and its constraints.
@@ -66,11 +67,12 @@ var workloads = map[string]workloadSpec{
 		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 	// home-move: one host writes a minipage alone for two epochs, which
-	// moves its home there under lrc-mw; then every host writes its own
-	// word of it and adds to a shared one under a lock.
+	// moves its home there under every protocol; then every host writes its
+	// own word of it and adds to a shared one under a lock. A run that moves
+	// no home fails, so the workload cannot stop covering a move unnoticed.
 	"home-move": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.HomeMove{Hosts: hosts}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err, moves: true}
 	}},
 	// drf-nolock: the intentionally injected bug — the accumulator
 	// update races because the lock is skipped. Exploration must catch
