@@ -73,14 +73,19 @@ func main() {
 				_ = t.ReadU32(va)
 			}
 		case "lock":
+			// Every host adds to a counter under a lock, twice: under SC a
+			// host's second read is served exclusive once its first write
+			// went to the home, and its write then sends no message.
 			if t.Host() == 0 {
 				va = t.Malloc(64)
 				t.WriteU32(va, 0)
 			}
 			t.Barrier()
-			t.Lock(1)
-			t.WriteU32(va, t.ReadU32(va)+1)
-			t.Unlock(1)
+			for i := 0; i < 2; i++ {
+				t.Lock(1)
+				t.WriteU32(va, t.ReadU32(va)+1)
+				t.Unlock(1)
+			}
 		default:
 			fmt.Fprintf(os.Stderr, "mvtrace: unknown scenario %q\n", *kind)
 			os.Exit(2)
@@ -112,8 +117,9 @@ func main() {
 	// class's own counters, which the portable Totals do not carry.
 	ds := sys.(*dsm.System)
 	if spec.SC {
-		fmt.Printf("\ncompeting requests queued at the manager: %d  homes moved: %d\n",
-			ds.ManagerStatsTotal().CompetingRequests, ds.MWStats().Migrations)
+		ms := ds.ManagerStatsTotal()
+		fmt.Printf("\ncompeting requests queued at the manager: %d  exclusive reads: %d  homes moved: %d\n",
+			ms.CompetingRequests, ms.ExclusiveReads, ds.MWStats().Migrations)
 	} else {
 		st := ds.MWStats()
 		fmt.Printf("\nfetches: %d  diffs sent: %d  notices: %d  invalidations: %d  twins made: %d\n",

@@ -93,6 +93,11 @@ func (d *Dekker) Err() error { return DekkerOutcome(d.r[0], d.r[1]) }
 // accumulator. Every protocol — including LRC, whose guarantee covers
 // exactly DRF programs — must produce the oracle state.
 //
+// Turns adds that many rounds of barrier-ordered turns at the lock, host
+// by host, after the contended updates: each turn finds the accumulator
+// last written by another host, so under SC a host that wrote it under
+// the lock before reads it exclusive.
+//
 // SkipLock omits the Lock/Unlock pair around the accumulator update.
 // That is an intentionally injected bug (the read-modify-write races),
 // used by the model checker's self-tests to prove exploration finds
@@ -101,6 +106,7 @@ type DRF struct {
 	Hosts    int
 	Rounds   int
 	LockReps int
+	Turns    int
 	SkipLock bool
 
 	cells []uint64
@@ -146,6 +152,21 @@ func (d *DRF) Body(w cluster.AppThread) {
 	}
 	w.Barrier()
 	if err := DRFAccumulatorOutcome(d.Hosts, d.LockReps, h, w.ReadU32(d.acc)); err != nil && d.bad == nil {
+		d.bad = err
+	}
+	w.Barrier()
+	if d.Turns == 0 {
+		return
+	}
+	for i := 0; i < d.Turns*d.Hosts; i++ {
+		if i%d.Hosts == h {
+			w.Lock(3)
+			w.WriteU32(d.acc, w.ReadU32(d.acc)+uint32(h+1))
+			w.Unlock(3)
+		}
+		w.Barrier()
+	}
+	if err := DRFAccumulatorOutcome(d.Hosts, d.LockReps+d.Turns, h, w.ReadU32(d.acc)); err != nil && d.bad == nil {
 		d.bad = err
 	}
 	w.Barrier()

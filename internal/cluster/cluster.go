@@ -179,7 +179,7 @@ func New(name string, opt Options, tr Traits) (*Runtime, error) {
 
 // NewHost attaches the next host (ids are assigned in call order) and
 // wires its fault and message entry points to hh, with the runtime's
-// trace recording layered on top; cons, nil under SC, runs around its
+// trace recording layered on top; cons, nil for none, runs around its
 // synchronizations.
 func (rt *Runtime) NewHost(as *vm.AddressSpace, hh HostHandler, cons Consistency) *Host {
 	id := len(rt.hosts)

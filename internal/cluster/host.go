@@ -142,7 +142,7 @@ type Host struct {
 	rt      *Runtime
 	id      int
 	handler HostHandler
-	cons    Consistency // the protocol's synchronization hooks; nil under SC
+	cons    Consistency // the protocol's synchronization hooks (SC's: the barrier half), or nil
 
 	AS *vm.AddressSpace
 	EP *fastmsg.Endpoint

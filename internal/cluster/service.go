@@ -180,6 +180,7 @@ func (t *Thread) Lock(id int) {
 	t.release(m)
 	t.call(Coordinator, m, "lock grant")
 	t.acquire(m)
+	t.locks++
 	t.Stats.SynchTime += t.p.Now().Sub(start)
 	t.Stats.LockOps++
 }
@@ -190,6 +191,7 @@ func (t *Thread) Lock(id int) {
 func (t *Thread) Unlock(id int) {
 	start := t.p.Now()
 	m := t.h.newSvc(SvcUnlock, id)
+	t.locks--
 	t.release(m)
 	t.h.Send(t.p, Coordinator, m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)

@@ -30,6 +30,7 @@ type System interface {
 type Totals struct {
 	Invalidations     uint64
 	CompetingRequests uint64 // requests queued behind open transactions
+	ExclusiveReads    uint64 // SC reads under a lock that the home served as write misses
 	BarrierEpisodes   uint64
 	LockAcquisitions  uint64
 
@@ -68,7 +69,7 @@ func (l *Lifecycle[H, T]) Init(name string, opt Options, tr Traits, wrap func(t 
 }
 
 // AddHost attaches h, with address space as and consistency hooks cons (nil
-// under SC), as the next host and returns the substrate host for h to embed.
+// for none), as the next host and returns the substrate host for h to embed.
 func (l *Lifecycle[H, T]) AddHost(as *vm.AddressSpace, h H, cons Consistency) *Host {
 	l.hosts = append(l.hosts, h)
 	return l.rt.NewHost(as, h, cons)

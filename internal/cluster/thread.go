@@ -54,6 +54,7 @@ type Thread struct {
 	request *fastmsg.Message
 
 	prefetchWait bool // the fault in service waited on a prefetch (WaitedOnPrefetch)
+	locks        int  // the locks it holds (HoldsLock)
 
 	Stats ThreadStats
 }
@@ -66,6 +67,9 @@ func (t *Thread) SetSelf(self any) { t.self = self }
 // WaitedOnPrefetch, called from HandleFault, has the fault frame book the
 // read fault in service as prefetch wait instead of read-fault time.
 func (t *Thread) WaitedOnPrefetch() { t.prefetchWait = true }
+
+// HoldsLock reports whether the thread is in a critical section.
+func (t *Thread) HoldsLock() bool { return t.locks > 0 }
 
 // Proc returns the thread's simulated process (valid once running).
 func (t *Thread) Proc() *sim.Proc { return t.p }

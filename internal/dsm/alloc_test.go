@@ -113,7 +113,8 @@ func TestReceiveAllocFree(t *testing.T) {
 
 // TestArmedLockPingPongAllocFree is the same gate for the synchronization
 // path: a lock handed back and forth, guarding a counter that migrates
-// with it.
+// with it — each read under the lock served exclusive, each write raising
+// the copy in place (the marks live in slabs allocLocal grew).
 func TestArmedLockPingPongAllocFree(t *testing.T) {
 	avg := armedAllocsPerOp(t, New, func(th *Thread, cells []uint64, i int) {
 		th.Lock(1)

@@ -71,7 +71,8 @@ func (t *Thread) call(to int, v pmsg, b cluster.Blocking) {
 type request struct {
 	h    *Host
 	fw   *cluster.Wait
-	owed int // announced by the reply and not yet in; below zero while replies lead it
+	owed int  // announced by the reply and not yet in; below zero while replies lead it
+	excl bool // a read sent exclusive: if the home served it so, its copy lands marked (raise)
 }
 
 // settles reports whether counting n, the Invals of a header for r,
@@ -153,14 +154,21 @@ func (h *Host) HandleFault(ctx any, f vm.Fault) error {
 	if cluster.Invariants && t.req.owed != 0 {
 		panic(fmt.Sprintf("dsm: host %d: a fault reuses a request that counts %d invalidation replies", h.ID(), t.req.owed))
 	}
-	fw := t.WaitSlot()
-	typ := mReadReq
-	if f.Kind == vm.Write {
-		typ = mWriteReq
-	}
 	home, info := h.route(f.Addr)
-	t.req = request{h: h, fw: fw}
-	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Req: &t.req, Epoch: h.epoch}, cluster.Blocking{
+	typ, excl := mReadReq, f.Kind == vm.Read && t.HoldsLock() && h.marked(info.ID, rmwMark)
+	if f.Kind == vm.Write {
+		if h.unmark(info.ID, exclMark) { // the only copy: raise it here, then pay for it
+			h.protect(info, vm.ReadWrite)
+			t.Proc().Sleep(c.MPTLookup + c.SetProt + c.FaultResume)
+			return nil
+		}
+		if typ = mWriteReq; t.HoldsLock() { // a read-modify-write: the next read under a lock goes exclusive
+			h.mark(info.ID, rmwMark)
+		}
+	}
+	fw := t.WaitSlot()
+	t.req = request{h: h, fw: fw, excl: excl}
+	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Excl: excl, Req: &t.req, Epoch: h.epoch}, cluster.Blocking{
 		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
 	}) // the host may go idle; the poller takes over
 
@@ -255,6 +263,7 @@ func (h *Host) writable(m *pmsg) bool {
 // the front, after the probe), then reply with header and data straight
 // out of the privileged view.
 func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.lose(m.Info.ID)
 	if h.writable(m) {
 		h.protect(m.Info, vm.ReadOnly)
 	}
@@ -265,6 +274,7 @@ func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messag
 // The privileged view still reaches the bytes after the application views
 // are NoAccess — that is what makes this safe and atomic.
 func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.lose(m.Info.ID)
 	h.protect(m.Info, vm.NoAccess)
 	return h.replyWithData(p, m, mWriteReply)
 }
@@ -297,11 +307,24 @@ func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message 
 // the transaction: no other copy is readable by then.
 func (h *Host) settleWrite(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	if m.Req.settle(m.Invals) {
-		h.protect(m.Info, vm.ReadWrite)
+		h.raise(m.Info, m.Req, true)
 		m.Req.wake(m.Info)
 	}
 	h.recyclePM(m)
 	return nil
+}
+
+// raise maps the copy request r completes: ReadOnly for a read, ReadWrite
+// for a write, and for a read the home served as a write miss ReadOnly,
+// marked as the only copy.
+func (h *Host) raise(info core.Info, r *request, write bool) {
+	prot := vm.ReadOnly
+	if write && r.excl {
+		h.mark(info.ID, exclMark)
+	} else if write {
+		prot = vm.ReadWrite
+	}
+	h.protect(info, prot)
 }
 
 // protect sets this host's application-view protection of a minipage.
@@ -395,11 +418,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if !hdr.Req.settle(hdr.Invals) {
 		return
 	}
-	prot := vm.ReadOnly
-	if hdr.Type == mWriteReply {
-		prot = vm.ReadWrite
-	}
-	h.protect(hdr.Info, prot)
+	h.raise(hdr.Info, hdr.Req, hdr.Type == mWriteReply)
 	if hdr.Prefetch {
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
@@ -411,6 +430,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 // servePush is the owner side of a push update: downgrade to ReadOnly,
 // then replicate the minipage to every other host.
 func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+	h.lose(m.Info.ID)
 	if h.writable(m) {
 		p.Sleep(h.Costs().SetProt)
 		h.protect(m.Info, vm.ReadOnly)

@@ -68,6 +68,7 @@ type pmsg struct {
 	Info core.Info // translation info, filled in at the requester (reserved header space)
 
 	Prefetch bool     // request was issued by a prefetch: no thread is waiting
+	Excl     bool     // a read under a lock its host has written under: served exclusive if it can be (admit)
 	Requeued bool     // queued at the directory, to be dispatched again (stats count it once)
 	Invals   int32    // a write's forward or grant: invalidations the home sent; -1 on each reply to one
 	Epoch    uint32   // a home-bound message's: the barrier epoch its sender routed it in (dir)

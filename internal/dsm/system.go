@@ -33,7 +33,8 @@ type System struct {
 	// dirSlab, so that growing it moves no entry. The allocation authority
 	// places each entry (Host.allocLocal); after that only the minipage's
 	// home touches it (Host.entry).
-	dir [][]dirEntry
+	dir   [][]dirEntry
+	marks [][]uint64 // every host's two marks on each minipage, in slabs grown with dir (Host.bit)
 
 	places  []writeRecord // by minipage id, read in place by moves (home.go)
 	homes   []int16       // host 0's home table by minipage id: 1 + the host a barrier moved it to; 0 while at HomeOf
@@ -101,7 +102,7 @@ func (s *System) ManagerStatsTotal() (tot ManagerStats) {
 	for i := 0; i < s.NumHosts(); i++ {
 		st := &s.Host(i).Stats
 		tot = ManagerStats{tot.ReadReqs + st.ReadReqs, tot.WriteReqs + st.WriteReqs, tot.Invalidations + st.Invalidations,
-			tot.CompetingRequests + st.CompetingRequests, tot.Allocs + st.Allocs, tot.Pushes + st.Pushes}
+			tot.CompetingRequests + st.CompetingRequests, tot.Allocs + st.Allocs, tot.Pushes + st.Pushes, tot.ExclusiveReads + st.ExclusiveReads}
 	}
 	return tot
 }
@@ -114,7 +115,7 @@ func (s *System) MWStats() MWStats { return s.stats }
 // the minipages write notices made inaccessible.
 func (s *System) Totals() cluster.Totals {
 	ms, t := s.ManagerStatsTotal(), s.Runtime().Totals()
-	t.Invalidations, t.CompetingRequests = ms.Invalidations, ms.CompetingRequests
+	t.Invalidations, t.CompetingRequests, t.ExclusiveReads = ms.Invalidations, ms.CompetingRequests, ms.ExclusiveReads
 	if s.mw {
 		t.Invalidations = s.stats.Invalidations
 	}

@@ -25,8 +25,8 @@ var exampleSmoke = []struct {
 	golden map[string]golden
 }{
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
-		"millipage": {elapsedNS: 16827052, digest: 0xfbd45545002a8e11},
-		"ivy":       {elapsedNS: 20471000, digest: 0x87aeeaff484e5189},
+		"millipage": {elapsedNS: 13395484, digest: 0x7f1b0a1a819be187},
+		"ivy":       {elapsedNS: 17039432, digest: 0xed4c0e67f87f14ca},
 		"lrc-mw":    {elapsedNS: 10192872, digest: 0xc92b67a0dce332df},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{

@@ -206,16 +206,30 @@ import (
 // current home, and leaves a same-epoch misroute to resolve's panic; the
 // release's record gained the table and the epoch (mwSync.Homes, Epoch),
 // and its releaser field was renamed (+89).
+//
+// Raised, cluster 1,715 -> 1,722 and dsm 1,937 -> 2,000, when a read under
+// a lock began to be served exclusive: the kernel's thread counts the locks
+// it holds (Thread.locks, HoldsLock, Lock and Unlock) and Totals carries
+// ExclusiveReads (+7); in dsm, each host's rmw and excl marks per minipage
+// in bit slabs that allocLocal grows beside the directory (System.marks,
+// markSlab, bit, marked, mark, unmark, lose), the fault's exclusive read
+// and local upgrade (HandleFault; pmsg.Excl, request.excl), the home
+// serving an exclusive read through writeEffect (admit) and counting it
+// (ManagerStats.ExclusiveReads), the reply's install marking the copy
+// (raise, which installMinipage's and settleWrite's protection changes
+// became), the loss in READ_FWD, WRITE_FWD and a push order, and doc.go's
+// paragraph (+63).
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1715},
-	{"dsm", 1937},
+	{"cluster", 1722},
+	{"dsm", 2000},
 }
 
 // kernelTarget is the kernel's line total (cluster and dsm), raised to
-// what it stood at once SC homes began to follow their writer too (3,563
+// what it stood at once a read under a lock began to be served exclusive
+// (3,652 once SC homes began to follow their writer too; 3,563
 // once lrc-mw's homes began to follow their writer; 3,474 once lrc-mw's releases stopped waiting for their diffs; 3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
 // once lrc-mw homed by HomeOf; 3,872 once the
@@ -227,7 +241,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3652
+const kernelTarget = 3722
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

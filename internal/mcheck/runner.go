@@ -146,6 +146,8 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 		return fp, &Failure{Kind: "oracle", Msg: wl.err().Error()}, nil
 	case wl.moves && sys.(*dsm.System).MWStats().Migrations == 0:
 		return fp, &Failure{Kind: "oracle", Msg: "no home moved"}, nil
+	case wl.excl && proto.SC && sys.Totals().ExclusiveReads == 0:
+		return fp, &Failure{Kind: "oracle", Msg: "no read under a lock was served exclusive"}, nil
 	case done < rt.TotalThreads():
 		return fp, &Failure{Kind: "stall", Msg: fmt.Sprintf("%d of %d threads finished before the %v watchdog", done, rt.TotalThreads(), sim.Duration(Watchdog))}, nil
 	}

@@ -15,6 +15,7 @@ type workloadRun struct {
 	body  func(rt *cluster.Runtime, w cluster.AppThread)
 	err   func() error
 	moves bool // the run must move a home: a schedule that moves none fails
+	excl  bool // under SC the run must serve a read under a lock exclusive: a schedule that serves none fails
 }
 
 // workloadSpec names a workload and its constraints.
@@ -53,10 +54,12 @@ var workloads = map[string]workloadSpec{
 		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 	// drf: the barrier/lock-structured agreement program; runnable
-	// under every protocol, LRC included.
+	// under every protocol, LRC included. Under SC a run whose locked
+	// read-modify-writes served no read exclusive fails: its turns at the
+	// lock make one in every schedule.
 	"drf": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
-		wl := &check.DRF{Hosts: hosts, Rounds: 2, LockReps: 2}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+		wl := &check.DRF{Hosts: hosts, Rounds: 2, LockReps: 2, Turns: 1}
+		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err, excl: true}
 	}},
 	// merge: the multiple-writer agreement program — every host writes
 	// its own word of one shared minipage each round. DRF, so runnable
