@@ -211,7 +211,9 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 // from its own copy. The lrc-mw rows were re-recorded when a home's own
 // writes stopped taking twins and diffs and a release stopped waiting for
 // its diffs to be acked (MW_DIFF_ACK went). The ivy and millipage rows were
-// re-recorded when a read under a lock began to be served exclusive.
+// re-recorded when a read under a lock began to be served exclusive, and
+// the lrc-mw rows when its fetch became a READ_REQUEST answered by
+// READ_REPLY and DATA, whose install is charged (the MW_FETCH rows went).
 func TestGoldenTraceDigestLocks(t *testing.T) {
 	for _, w := range []struct {
 		protocol string
@@ -220,9 +222,9 @@ func TestGoldenTraceDigestLocks(t *testing.T) {
 		elapsed  int64
 		digest   uint64
 	}{
-		{"lrc-mw", 3, 508, 5098526, 0xf54bb6741a841e1},
+		{"lrc-mw", 3, 508, 5102110, 0x67836d52e57e4872},
 		{"ivy", 3, 663, 9003712, 0xa6a8bad1cc35102d},
-		{"lrc-mw", 8, 1386, 10304192, 0x942fc60c79757418},
+		{"lrc-mw", 8, 1386, 10312640, 0x99c42e087ee2bf0e},
 		{"millipage", 8, 2060, 14826764, 0x35a5ecf0efc88209},
 	} {
 		rec := trace.NewRecorder(1 << 16)

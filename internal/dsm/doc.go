@@ -45,8 +45,8 @@
 //   - Home-based (HLRC: Zhou, Iftode & Li, OSDI '96), homed at HomeOf(id)
 //     until a barrier moves the home to a sole writer of two epochs: a
 //     release sends each diff to the home and goes on; a home's writes
-//     take no twin or diff. A fault on a missing or invalidated copy is
-//     one whole-minipage fetch, served once the home has applied every
+//     take no twin or diff. A fault on a missing or invalidated copy is one
+//     read the home serves on SC's rows, no ack, once it has applied every
 //     diff its host holds a notice for, as a home's acquire waits for them.
 //     A dirty copy lays its writes back over the home's bytes and re-twins.
 //   - Notices flow through the host-0 coordinator, piggybacked on lock

@@ -120,13 +120,16 @@ func (h scSync) Converged(arrivals []*cluster.SvcMsg) {
 }
 
 // dir runs a directory message at this host, an ack closing onto queued
-// requests in engine context too (each is translated). One for a minipage
-// homed elsewhere crossed a home move: routed in a later barrier epoch
-// than this host's, it waits for this host's release (adopt); in an
-// earlier one, it goes on to this host's home for it; in the same, resolve
-// panics.
+// requests in engine context too (each is translated). lrc-mw keeps no
+// directory: its read is a fetch, whose requester, blocked on it, cannot
+// cross a barrier. One for a minipage homed elsewhere crossed a home move:
+// routed in a later barrier epoch than this host's, it waits for this
+// host's release (adopt); in an earlier one, it goes on to this host's
+// home for it; in the same, resolve panics.
 func dir(h *Host, p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 	switch {
+	case h.sys.mw:
+		return h.fetch(p, m)
 	case m.Epoch == h.epoch || h.serves(m.Info.ID):
 		return h.dispatch(p, m)
 	case m.Epoch > h.epoch:

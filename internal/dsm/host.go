@@ -193,8 +193,8 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 // traffic goes to this host's directory, which checks that the minipage is
 // homed here (resolve, entry). Everything else is the thin non-manager
 // protocol of Figure 3 — note that it does no queuing, no table lookups
-// and no translation of any kind — and lrc-mw's rows, none of which opens
-// with a charge.
+// and no translation of any kind — and lrc-mw's diff flush, which opens
+// with no charge.
 var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).describe, Rows: []cluster.MsgSpec[*Host, *pmsg]{
 	mReadReq:  {Name: "READ_REQUEST", Handle: dir, Engine: true},
 	mWriteReq: {Name: "WRITE_REQUEST", Handle: dir, Engine: true},
@@ -215,9 +215,7 @@ var table = cluster.Register(cluster.MsgTable[*Host, *pmsg]{Describe: (*Host).de
 	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
 	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
 	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
-	// lrc-mw: the fetch request, served or parked, and the reply header never wait, so run in engine context.
-	mFetchReq: {Name: "MW_FETCH_REQUEST", Handle: (*Host).fetch, Engine: true}, mFetchReply: {Name: "MW_FETCH_REPLY", Handle: park, Engine: true},
-	mFetchData: {Name: "MW_FETCH_DATA", Handle: (*Host).fetchData}, mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
+	mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
 }})
 
 var park = cluster.Park[*Host, *pmsg]

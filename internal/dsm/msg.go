@@ -8,7 +8,8 @@ import (
 )
 
 // mtype enumerates the protocol message types of Figure 3, plus the push
-// updates the paper describes in prose and lrc-mw's four. Allocation and
+// updates the paper describes in prose and lrc-mw's diff flush; lrc-mw's
+// fetch is a READ_REQUEST its home serves itself. Allocation and
 // synchronization traffic is the kernel's (cluster.SvcMsg).
 type mtype int
 
@@ -30,11 +31,7 @@ const (
 	mPushData  // header for pushed contents (mData follows)
 	mPushAck
 
-	// lrc-mw's (mw.go): a fault's fetch from the home, a release's diff flush.
-	mFetchReq   // requester -> home
-	mFetchReply // home -> requester header; an mFetchData message follows
-	mFetchData  // the home's bytes
-	mDiffFlush  // releaser -> home, carries the diff and its interval
+	mDiffFlush // lrc-mw's (mw.go): releaser -> home, carries the diff and its interval
 )
 
 func (m mtype) String() string {
@@ -69,12 +66,12 @@ type pmsg struct {
 
 	Prefetch bool     // request was issued by a prefetch: no thread is waiting
 	Excl     bool     // a read under a lock its host has written under: served exclusive if it can be (admit)
-	Requeued bool     // queued at the directory, to be dispatched again (stats count it once)
+	Requeued bool     // queued at the directory or parked by fetch, to be served again (stats count it once)
 	Invals   int32    // a write's forward or grant: invalidations the home sent; -1 on each reply to one
 	Epoch    uint32   // a home-bound message's: the barrier epoch its sender routed it in (dir)
 	Diff     []byte   // encoded run-length diff (mDiffFlush), owned by the message
 	Seq      uint64   // the interval of mDiffFlush's diff
-	Need     []mwNeed // the diffs mFetchReq's home must have applied first
+	Need     []mwNeed // lrc-mw's read: the diffs its home must have applied first
 
 	Req *request // requester-local record: rendezvous (event + reply landing zone) and reply count
 }

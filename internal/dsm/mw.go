@@ -20,10 +20,6 @@ type mwNotice struct {
 	MPs     []int  // minipage ids modified in the interval, sorted
 }
 
-// mwDataMarker is the shared payload of every bulk mFetchData message; its
-// id of -1 traces it with no minipage.
-var mwDataMarker = &pmsg{Type: mFetchData, Info: core.Info{ID: -1}}
-
 // mwSync is what the protocol piggybacks on the kernel's synchronization
 // headers (cluster.SvcMsg.Ext). One pooled record travels out with a
 // request and back with its answer, so its slice capacities are reused
@@ -219,7 +215,8 @@ func (t *Thread) mwFault(f vm.Fault) error {
 	return h.Region.Protect(info.Base, info.Size, want)
 }
 
-// fetchFromHome pulls the minipage's contents from its home. The request
+// fetchFromHome pulls the minipage's contents from its home with a read
+// request, which the home serves itself (fetch) and no ack closes. It
 // carries the minipage's needs, every diff the home must have applied
 // before it serves this host, and they start over.
 func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
@@ -230,7 +227,7 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	fw := t.WaitSlot()
 	t.req = request{h: h, fw: fw}
 	rq := h.allocPM()
-	*rq = pmsg{Type: mFetchReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need}
+	*rq = pmsg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need}
 	h.Flush(t.Proc(), h.PostSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
 	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
@@ -609,35 +606,23 @@ func (s *System) newerThan(dst []mwNotice, vc []uint64) []mwNotice {
 	return dst
 }
 
-// fetch ships the home's copy once it has applied every diff the request
-// needs; until then the request waits in fetchQ, retried (fm nil) at each
-// apply. The header turns around in place (the requester is blocked on it
-// and holds no other reference); the bytes are the tail.
-func (h *Host) fetch(p *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+// fetch serves a read at its home, the source, with no directory
+// transaction: the copy ships once the home has applied every diff the
+// request needs; until then the request waits in fetchQ, retried at each
+// apply and counted parked once. The header turns around as the reply
+// (the requester is blocked on it and holds no other reference).
+func (h *Host) fetch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	for _, n := range m.Need {
 		if !h.applied(n.Creator, n.Seq, m.Info.ID) {
-			if fm != nil {
+			if !m.Requeued {
+				m.Requeued = true
 				h.sys.stats.FetchesParked++
 			}
 			h.fetchQ.Push(m)
 			return nil
 		}
 	}
-	to, data := m.From, h.readMinipage(m.Info)
-	m.Type = mFetchReply
-	h.Send(p, to, m)
-	return h.PostData(to, data, mwDataMarker)
-}
-
-func (h *Host) fetchData(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
-	hdr := h.Unpark(fm).(*pmsg)
-	must(h.Region.WritePriv(hdr.Info.Base, fm.Data))
-	h.sys.freeBuf.Put(fm.Data)
-	p.Sleep(h.Costs().SetProt)
-	h.protect(hdr.Info, vm.ReadOnly)
-	hdr.Req.wake(hdr.Info)
-	h.recyclePM(hdr)
-	return nil
+	return h.replyWithData(p, m, mReadReply)
 }
 
 // diffFlush applies a diff to the home's copy and recycles it, then
@@ -656,7 +641,7 @@ func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 	q := h.fetchQ
 	h.fetchQ = cluster.FIFO[pmsg, *pmsg]{}
 	for f := q.Pop(); f != nil; f = q.Pop() {
-		h.Flush(p, h.fetch(p, f, nil))
+		h.Flush(p, h.fetch(p, f))
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
+	"millipage/internal/trace"
 	"millipage/internal/twindiff"
 	"millipage/internal/vm"
 )
@@ -464,8 +465,9 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 // home fetch, when host 0 homed every minipage because it allocated them
 // all, and under the default as recorded once lrc-mw homed by HomeOf;
 // both again when host 0's lock and barrier traffic to itself stopped
-// crossing the wire, and when a home's writes stopped taking twins and a
-// release stopped waiting for its diffs to be applied.
+// crossing the wire, when a home's writes stopped taking twins and a
+// release stopped waiting for its diffs to be applied, and when the fetch
+// became a read whose reply charges the install of its bytes.
 func TestMWLockHeavyRunPinned(t *testing.T) {
 	for _, pl := range []struct {
 		name    string
@@ -473,10 +475,10 @@ func TestMWLockHeavyRunPinned(t *testing.T) {
 		stats   MWStats
 		elapsed sim.Duration
 	}{
-		{"default", nil, MWStats{Fetches: 932, DiffsSent: 900, DiffBytes: 5617, TwinsMade: 900, WriteFault: 1200,
-			HomeWrites: 300, Invalidations: 884, Notices: 1200}, 110765269},
-		{"central", cluster.HomeCentral, MWStats{Fetches: 926, DiffsSent: 900, DiffBytes: 5673, TwinsMade: 900, WriteFault: 1200,
-			HomeWrites: 300, Invalidations: 878, Notices: 1200}, 117145561},
+		{"default", nil, MWStats{Fetches: 938, DiffsSent: 900, DiffBytes: 5612, TwinsMade: 900, WriteFault: 1200,
+			HomeWrites: 300, Invalidations: 890, Notices: 1200}, 112077864},
+		{"central", cluster.HomeCentral, MWStats{Fetches: 929, DiffsSent: 900, DiffBytes: 5673, TwinsMade: 900, WriteFault: 1200,
+			HomeWrites: 300, Invalidations: 881, Notices: 1200}, 117624373},
 	} {
 		t.Run(pl.name, func(t *testing.T) {
 			s := lockHeavyRun(t, newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8, ChunkLevel: 4, HomeOf: pl.homeOf}))
@@ -900,5 +902,88 @@ func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
 	}
 	if st := s.MWStats(); st.Migrations != 1 || st.HomeWaits == 0 {
 		t.Errorf("%d migrations and %d home waits, want 1 and the old home's acquire held", st.Migrations, st.HomeWaits)
+	}
+}
+
+// TestMWFetchIsARead: an lrc-mw fetch runs on SC's read rows. Host 1 homes
+// every minipage, allocates a 128 B and a 4 KB one and writes both; after
+// a barrier host 2 reads each once, uncontended. Each fetch is one
+// READ_REQUEST to its home, answered by one READ_REPLY and one DATA; no
+// ACK, READ_FWD or INVALIDATE_REQUEST is sent, and no directory counts
+// anything. Each fetch's latency is pinned: what it was while the fetch
+// had rows of its own, whose reply did not charge the install of its
+// bytes, plus that charge, Info.Size x InstallPerByte.
+func TestMWFetchIsARead(t *testing.T) {
+	rec := trace.NewRecorder(1 << 12)
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, Trace: rec,
+		HomeOf: func(id, hosts int) int { return 1 }})
+	fetches := []struct {
+		size   int
+		va     uint64
+		parent sim.Duration // the latency before the fetch became a read
+		got    sim.Duration
+	}{{size: 128, parent: 151828}, {size: 4096, parent: 227220}}
+	err := run(s, func(th *Thread) {
+		if th.Host() == 1 {
+			for i := range fetches {
+				fetches[i].va = th.Malloc(fetches[i].size)
+				th.WriteU32(fetches[i].va, uint32(i+1))
+			}
+		}
+		th.Barrier()
+		for i := range fetches {
+			if th.Host() != 2 {
+				break
+			}
+			start := th.Proc().Now()
+			if got := th.ReadU32(fetches[i].va); got != uint32(i+1) {
+				t.Errorf("host 2 read %d from the %d B minipage, want %d", got, fetches[i].size, i+1)
+			}
+			fetches[i].got = th.Proc().Now().Sub(start)
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A data message's send is its header's tail: the trace records its
+	// handling only.
+	seen := map[string][]trace.Event{}
+	for _, e := range rec.Events() {
+		if name := trace.OpName(e.Op); e.Kind == trace.Send || e.Kind == trace.Handle && name == "DATA" {
+			seen[name] = append(seen[name], e)
+		}
+	}
+	for _, name := range []string{"READ_REQUEST", "READ_REPLY", "DATA"} {
+		if len(seen[name]) != len(fetches) {
+			t.Errorf("%d %s, want one per fetch: %v", len(seen[name]), name, seen[name])
+		}
+		host, peer := 2, 1 // host 2 sends the request and handles the bytes
+		if name == "READ_REPLY" {
+			host, peer = 1, 2 // the home answers
+		}
+		for _, e := range seen[name] {
+			if name == "READ_REQUEST" && e.Home != 1 {
+				t.Errorf("%v names home %d, want 1", e, e.Home)
+			}
+			if e.Host != host || e.Peer != peer {
+				t.Errorf("%v: want h%d->h%d", e, host, peer)
+			}
+		}
+	}
+	for _, name := range []string{"ACK", "READ_FWD", "INVALIDATE_REQUEST"} {
+		if len(seen[name]) != 0 {
+			t.Errorf("an lrc-mw fetch sent %s: %v", name, seen[name])
+		}
+	}
+	if ms := s.ManagerStatsTotal(); ms != (ManagerStats{}) {
+		t.Errorf("lrc-mw counted directory work: %+v", ms)
+	}
+	c := s.Opt.Costs
+	for i, f := range fetches {
+		mp, _ := s.MPT().ByID(i)
+		if want := f.parent + sim.Duration(mp.Info(s.Layout).Size)*c.InstallPerByte; f.got != want {
+			t.Errorf("the %d B fetch took %v, want %v: %v before the fetch was a read, and the install of its bytes", f.size, f.got, want, f.parent)
+		}
 	}
 }

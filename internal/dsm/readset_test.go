@@ -9,11 +9,11 @@ import (
 	"millipage/internal/vm"
 )
 
-// homeEvents returns the structured message events of minipage id that
+// homeEvents returns the message events of minipage id that
 // its home recorded, in order, each with its op name.
 func homeEvents(s *System, rec *trace.Recorder, id int) (evs []trace.Event, ops []string) {
 	for _, e := range rec.Events() {
-		if e.Structured && e.Kind != trace.Fault && e.MP == int32(id) && e.Host == s.HomeOf(id) {
+		if e.Kind != trace.Fault && e.MP == int32(id) && e.Host == s.HomeOf(id) {
 			evs, ops = append(evs, e), append(ops, trace.OpName(e.Op))
 		}
 	}

@@ -102,7 +102,7 @@ func TestRequestsLeaveTranslated(t *testing.T) {
 	sent := map[string]int{}
 	for _, e := range rec.Events() {
 		switch name := trace.OpName(e.Op); {
-		case !e.Structured || e.Kind == trace.Fault:
+		case e.Kind == trace.Fault:
 		case name == "READ_REQUEST" || name == "WRITE_REQUEST" || name == "PUSH_REQUEST":
 			if e.Kind == trace.Send {
 				sent[name]++

@@ -27,7 +27,7 @@ var exampleSmoke = []struct {
 	{name: "quickstart", run: Quickstart, golden: map[string]golden{
 		"millipage": {elapsedNS: 13395484, digest: 0x7f1b0a1a819be187},
 		"ivy":       {elapsedNS: 17039432, digest: 0xed4c0e67f87f14ca},
-		"lrc-mw":    {elapsedNS: 10192872, digest: 0xc92b67a0dce332df},
+		"lrc-mw":    {elapsedNS: 10194376, digest: 0x6db5b2ab0710c85f},
 	}},
 	{name: "falseshare", run: FalseShare, golden: map[string]golden{
 		"millipage": {elapsedNS: 41661611, digest: 0x4d63670449f56e60},
@@ -37,12 +37,12 @@ var exampleSmoke = []struct {
 	{name: "histogram", run: Histogram, golden: map[string]golden{
 		"millipage": {elapsedNS: 12629704, digest: 0xcb3eb085e4e8d594},
 		"ivy":       {elapsedNS: 27711224, digest: 0xfde8145c57e973d6},
-		"lrc-mw":    {elapsedNS: 11341764, digest: 0x10674f46baab1b37},
+		"lrc-mw":    {elapsedNS: 11362244, digest: 0x6d78734fe2ec1571},
 	}},
 	{name: "lazyrelease", run: LazyRelease, golden: map[string]golden{
 		"millipage": {elapsedNS: 27774088, digest: 0xd36e44284db4c702},
 		"ivy":       {elapsedNS: 46042454, digest: 0x26af3085741afd2b},
-		"lrc-mw":    {elapsedNS: 20884141, digest: 0x329e3fe44d46a576},
+		"lrc-mw":    {elapsedNS: 20937389, digest: 0xed8c486851898f4f},
 	}},
 }
 

@@ -55,7 +55,9 @@ type cell struct {
 // reads one invalidation more); the millipage and ivy 2- and 8-host cells
 // when a read under a lock began to be served exclusive, so that the
 // critical section's write raises its copy with no message (every one
-// faster, with fewer invalidations).
+// faster, with fewer invalidations); lrc-mw's 2- and 8-host cells, /central
+// included, when its fetch became a read whose reply charges the install
+// of its bytes (lrc-mw/8 fires three events more).
 // A protocol that reports anything else has changed behaviour, not just
 // shape. The "lrc" alias's cells must match lrc-mw's.
 var pinned = map[string]cell{
@@ -73,13 +75,13 @@ var pinned = map[string]cell{
 	"ivy/8/chunk4":       {cluster.Totals{Invalidations: 28, CompetingRequests: 44, ExclusiveReads: 8, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 1, ViewsUsed: 1, BytesAllocated: 4096}, 16330960, 2966, 1214},
 	"lrc-mw/1":           {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128}, 1200648, 28, 55},
 	"lrc-mw/1/chunk4":    {cluster.Totals{BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128}, 1188648, 28, 55},
-	"lrc-mw/2":           {cluster.Totals{Invalidations: 4, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 2325509, 356, 160},
-	"lrc-mw/2/chunk4":    {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 2662249, 296, 154},
-	"lrc-mw/8":           {cluster.Totals{Invalidations: 116, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 11081812, 4605, 1574},
-	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 50, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 7784821, 2550, 923},
+	"lrc-mw/2":           {cluster.Totals{Invalidations: 4, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192}, 2326021, 356, 160},
+	"lrc-mw/2/chunk4":    {cluster.Totals{Invalidations: 5, BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 1, ViewsUsed: 1, BytesAllocated: 192}, 2666857, 296, 154},
+	"lrc-mw/8":           {cluster.Totals{Invalidations: 116, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 11093332, 4608, 1574},
+	"lrc-mw/8/chunk4":    {cluster.Totals{Invalidations: 50, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 7796341, 2550, 923},
 
-	"lrc-mw/8/central":        {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 9994687, 4627, 1540},
-	"lrc-mw/8/chunk4/central": {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 7629253, 2516, 910},
+	"lrc-mw/8/central":        {cluster.Totals{Invalidations: 111, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 9, ViewsUsed: 8, BytesAllocated: 576}, 10004159, 4627, 1540},
+	"lrc-mw/8/chunk4/central": {cluster.Totals{Invalidations: 48, BarrierEpisodes: 9, LockAcquisitions: 16, Minipages: 3, ViewsUsed: 3, BytesAllocated: 576}, 7640261, 2516, 910},
 }
 
 // TestEveryProtocolBuildsRunsAndCounts: every registered name, and the

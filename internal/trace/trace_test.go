@@ -10,8 +10,8 @@ import (
 
 func TestRecordAndEvents(t *testing.T) {
 	r := NewRecorder(8)
-	r.Recordf(100, Send, 0, 1, "READ_REQUEST mp=%d", 3)
-	r.Recordf(200, Fault, 1, -1, "read fault @%#x", 0x2000)
+	r.RecordMsg(100, Send, 0, 1, -1, fixtureBase+0, 3, 0x2000)
+	r.RecordFault(200, 1, false, 0x2000)
 	evs := r.Events()
 	if len(evs) != 2 {
 		t.Fatalf("len = %d", len(evs))
@@ -27,7 +27,7 @@ func TestRecordAndEvents(t *testing.T) {
 func TestRingWraps(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.Recordf(sim.Time(i), Note, 0, -1, "e%d", i)
+		r.RecordMsg(sim.Time(i), Send, 0, 1, -1, fixtureBase+0, i, 0)
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -35,9 +35,8 @@ func TestRingWraps(t *testing.T) {
 	}
 	// Chronological order, the last four.
 	for i, e := range evs {
-		want := "e" + string(rune('6'+i))
-		if e.What != want {
-			t.Fatalf("evs[%d] = %q, want %q", i, e.What, want)
+		if want := int32(6 + i); e.MP != want || e.At != sim.Time(want) {
+			t.Fatalf("evs[%d] = %+v, want mp=%d", i, e, want)
 		}
 	}
 	if r.Total() != 10 {
@@ -48,25 +47,25 @@ func TestRingWraps(t *testing.T) {
 func TestFilter(t *testing.T) {
 	r := NewRecorder(8)
 	r.Filter = func(e Event) bool { return e.Kind == Fault }
-	r.Recordf(1, Send, 0, 1, "dropped")
-	r.Recordf(2, Fault, 0, -1, "kept")
-	if r.Len() != 1 || r.Events()[0].What != "kept" {
+	r.RecordMsg(1, Send, 0, 1, -1, fixtureBase+0, 3, 0)
+	r.RecordFault(2, 0, true, 0x4000)
+	if r.Len() != 1 || r.Events()[0].At != 2 {
 		t.Fatalf("filter failed: %+v", r.Events())
 	}
 }
 
 func TestDumpAndGrep(t *testing.T) {
 	r := NewRecorder(2)
-	r.Recordf(1, Send, 0, 1, "alpha")
-	r.Recordf(2, Send, 1, 0, "beta")
-	r.Recordf(3, Send, 0, 1, "gamma")
+	r.RecordMsg(1, Send, 0, 1, -1, fixtureBase+0, 1, 0)
+	r.RecordMsg(2, Send, 1, 0, -1, fixtureBase+1, 2, 0)
+	r.RecordMsg(3, Send, 0, 1, -1, fixtureBase+2, 3, 0)
 	var buf bytes.Buffer
 	r.Dump(&buf)
 	out := buf.String()
-	if !strings.Contains(out, "gamma") || !strings.Contains(out, "1 earlier events dropped") {
+	if !strings.Contains(out, "READ_FWD mp=3") || !strings.Contains(out, "1 earlier events dropped") {
 		t.Fatalf("dump:\n%s", out)
 	}
-	if hits := r.Grep("beta"); len(hits) != 1 {
+	if hits := r.Grep("WRITE_REQUEST"); len(hits) != 1 {
 		t.Fatalf("grep = %+v", hits)
 	}
 }
@@ -74,7 +73,6 @@ func TestDumpAndGrep(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{}) // must not panic
-	r.Recordf(0, Note, 0, -1, "x")
 	r.RecordMsg(0, Send, 0, 1, -1, 0, 0, 0)
 	r.RecordFault(0, 0, true, 0)
 	if r.Enabled() {
@@ -99,7 +97,6 @@ func structuredFixture() *Recorder {
 	r.RecordMsg(200, Send, 1, 3, 1, fixtureBase+1, 9, 0x3000) // WRITE_REQUEST mp=9
 	r.RecordFault(250, 3, false, 0x4000)                      // read fault on h3
 	r.RecordFault(300, 3, true, 0x4100)                       // write fault on h3
-	r.Recordf(400, Note, 0, -1, "free-form mp=7 note")
 	return r
 }
 
@@ -134,14 +131,16 @@ func TestGrepStructuredHost(t *testing.T) {
 
 func TestGrepStructuredMinipage(t *testing.T) {
 	r := structuredFixture()
-	// mp=7 matches the typed message events; the free-form note mentions
-	// "mp=7" only as text and must not match a structured minipage query.
+	// mp=7 matches the message events; a fault's MP is not a minipage.
 	got := r.Grep("mp=7")
 	if len(got) != 2 {
 		t.Fatalf("mp=7 hits = %d, want 2: %+v", len(got), got)
 	}
+	if got := r.Grep("mp=0"); len(got) != 0 {
+		t.Fatalf("mp=0 matched faults: %+v", got)
+	}
 	for _, e := range got {
-		if !e.Structured || e.MP != 7 {
+		if e.Kind == Fault || e.MP != 7 {
 			t.Fatalf("mp=7 matched %+v", e)
 		}
 	}
@@ -196,61 +195,14 @@ func TestRecordMsgAllocFree(t *testing.T) {
 	}
 }
 
-// TestRecordfArenaNoAlias pins the arena contract: an Events() snapshot
-// must stay intact while later Recordf calls rewrite the slot buffers the
-// snapshot's events once aliased.
-func TestRecordfArenaNoAlias(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 4; i++ {
-		r.Recordf(sim.Time(i), Note, 0, -1, "first-%d", i)
-	}
-	snap := r.Events()
-	for i := 0; i < 8; i++ {
-		r.Recordf(sim.Time(100+i), Note, 0, -1, "second-%d", i)
-	}
-	for i, e := range snap {
-		want := "first-" + string(rune('0'+i))
-		if e.What != want {
-			t.Fatalf("snapshot[%d].What = %q after wrap, want %q", i, e.What, want)
-		}
-	}
-	// Slot buffers must be distinct: two retained events may never share
-	// payload storage.
-	seen := map[*byte]int{}
-	for i, e := range r.events {
-		if len(e.what) == 0 {
-			continue
-		}
-		p := &e.what[0]
-		if j, dup := seen[p]; dup {
-			t.Fatalf("slots %d and %d share an arena buffer", j, i)
-		}
-		seen[p] = i
-	}
-}
-
-// TestRecordfArenaSteadyAllocs pins the arena payoff: once the ring has
-// wrapped, a no-argument Recordf reuses its slot buffer and performs no
-// heap allocation at all.
-func TestRecordfArenaSteadyAllocs(t *testing.T) {
-	r := NewRecorder(8)
-	for i := 0; i < 16; i++ { // warm every slot buffer
-		r.Recordf(sim.Time(i), Note, 0, -1, "a reasonably long warmup payload")
-	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		r.Recordf(1, Note, 0, -1, "steady-state note payload")
-	}); avg != 0 {
-		t.Fatalf("Recordf allocates %.2f objects/event in steady state, want 0", avg)
-	}
-}
-
 // TestResetRecycles checks that a Reset recorder renders a repeated
-// history identically — the recycled arena buffers leave no residue.
+// history identically — the recycled ring leaves no residue.
 func TestResetRecycles(t *testing.T) {
 	r := NewRecorder(8)
 	run := func() string {
-		r.Recordf(1, Send, 0, 1, "payload %d and %#x", 42, 0xbeef)
-		r.RecordMsg(2, Handle, 1, 0, -1, fixtureBase+2, 5, 0)
+		r.RecordMsg(1, Send, 0, 1, 2, fixtureBase+1, 42, 0xbeef)
+		r.RecordFault(2, 1, false, 0xbeef)
+		r.RecordMsg(3, Handle, 1, 0, -1, fixtureBase+2, 5, 0)
 		var buf bytes.Buffer
 		r.Dump(&buf)
 		return buf.String()
