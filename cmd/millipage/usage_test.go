@@ -1,36 +1,31 @@
 package main
 
 import (
-	"flag"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"millipage/internal/pins"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/usage.golden from the current usage text")
-
 // TestUsageGolden pins the full usage text. A diff here means the CLI
-// surface changed; regenerate with
-//
-//	go test ./cmd/millipage/ -run TestUsageGolden -update
-//
-// after updating the doc comment and the dispatch switch to match.
+// surface changed; update the doc comment and the dispatch switch to
+// match, and UPDATE_PINS=1 rewrites testdata/usage.golden.
 func TestUsageGolden(t *testing.T) {
 	const path = "testdata/usage.golden"
-	if *update {
+	if pins.Update() {
 		if err := os.WriteFile(path, []byte(usageText+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", path)
 		return
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (rerun with -update to create it)", err)
+		t.Fatal(err)
 	}
 	if got, want := usageText+"\n", string(blob); got != want {
-		t.Fatalf("usage text diverged from %s; rerun with -update if the change is intended\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+		t.Fatalf("usage text diverged from %s; if the change is intended, rewrite it with\n\tUPDATE_PINS=1 go test -count=1 -run '^TestUsageGolden$' ./cmd/millipage/\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
 

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
+
+	"millipage/internal/pins"
 )
 
 // TestMsgHopAllocFree pins the clean message path's steady state: with
@@ -21,21 +21,22 @@ func TestMsgHopAllocFree(t *testing.T) {
 	}
 }
 
-// pinnedPoints returns the benchmark rows BENCH_sim.json at the repo root
-// pins.
-func pinnedPoints(t *testing.T) []PerfPoint {
+// benchPath is BENCH_sim.json at the repo root, which pins the benchmark
+// rows: their allocation fences, their engine counters and the serving
+// rows' fingerprints.
+const benchPath = "../../BENCH_sim.json"
+
+// pinnedReport returns the report at benchPath, skipping t if there is none.
+func pinnedReport(t *testing.T) benchReport {
 	t.Helper()
-	blob, err := os.ReadFile("../../BENCH_sim.json")
+	r, err := readBenchReport(benchPath)
 	if err != nil {
-		t.Skipf("no pinned report: %v", err)
+		t.Fatal(err)
 	}
-	var report struct {
-		Benchmarks []PerfPoint `json:"benchmarks"`
+	if len(r.Benchmarks) == 0 {
+		t.Skipf("no pinned report at %s", benchPath)
 	}
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	return report.Benchmarks
+	return r
 }
 
 // TestE2EAllocsRegression is the one gate on the end-to-end rows'
@@ -76,7 +77,7 @@ func TestE2EAllocsRegression(t *testing.T) {
 			"a thousand, which is what the path cost while pooling was switched off under a fault plan"},
 	}
 	pinned := map[string]PerfPoint{}
-	for _, p := range pinnedPoints(t) {
+	for _, p := range pinnedReport(t).Benchmarks {
 		pinned[p.Name] = p
 	}
 	for _, row := range rows {
@@ -100,41 +101,25 @@ func TestE2EAllocsRegression(t *testing.T) {
 // BENCH_sim.json recorded: every end-to-end row's run must fire exactly
 // the pinned number of calendar events, process switches and engine-side
 // hops, and pay exactly the pinned number of coroutine switches for them.
-// The counts are pure functions of (program, seed), so unlike the fences
-// above this is an equality — an engine change that claims the same
-// behaviour either reproduces them or has changed the schedule. On top
-// of the equality two bounds. No row's schedule may cost more than 1.8
-// coroswitches per process switch: 2.0 is every switch bouncing through
-// the Run goroutine again, as is a resume chain capped at one driver.
-// The rows read 1.21-1.32 while the servers' switches were most of them
-// (a server and a thread handing off to each other cost 1 + 1), and
-// 1.23-1.59 since dsm's rows run in engine context first, 1.23-1.61 since
-// barrier arrivals do too: what is left is mostly application threads
-// released by a barrier in lockstep, the round-robin shape whose price is
-// 2(n-1)/n whatever the discipline (E2ESOR8, 8 threads, 1.61; the bound
-// was 1.4, and 1.6 for E2ESOR256). Once a fault's ack became the last stage
-// of its wait sequence the scale-out rows lost their cheap switches and
-// are that shape all but alone (E2ESOR64 1.89, E2ESOR256 1.96), so for
-// them (lockstepRows) the ratio measures the workload, not the engine.
-// They are held instead to at most the coroswitches they paid before the
-// closing stage (coroswitchesBeforeClose), and so is every other row; a
-// chain-less engine, 2.0 on every row, still fails the five held to 1.8.
-// And no row may switch more than 0.50 times as often as it did before
-// the substrate's receive, block and call sequences moved into the engine
-// (switchesBeforeHops, that commit's pins): they measured 0.67-0.71 then,
-// 0.39-0.54 once the protocols' message tables put fronts, tails and
-// engine-context handlers into the receive sequence too, and 0.09-0.45
-// since dsm's rows run there first and decline only what would wait, the
-// bound being the worst row, E2EServeLossy, plus 0.05. E2EServeLossy fell
-// to 0.14 (E2EFalseShareMW's 0.45 is now the worst row) once the
-// transport became the only recovery layer and a fault request under a
-// fault plan stopped declining to the server thread. A sequence that
-// falls back to process code shows here, with events_per_op — which
-// those sequences must not and did not move — still equal. Events and
-// hops have a ceiling of their own (eventsAndHops), which the pins may
-// not exceed either.
+// The counts are pure functions of (program, seed), so an engine change
+// that claims the same behaviour reproduces them; under UPDATE_PINS=1 the
+// test rewrites the four columns of every row in place instead, if every
+// bound below holds. No row may cost more than 1.8 coroswitches per
+// process switch (2.0 is every switch bouncing through the Run goroutine
+// again, as is a resume chain capped at one driver), except the scale-out
+// rows (lockstepRows): threads a barrier releases in lockstep cost
+// 2(n-1)/n whatever the discipline. Every row is held to the coroswitches
+// it paid before a fault's ack closed its wait sequence
+// (coroswitchesBeforeClose), which a chain-less engine, 2.0 on every row,
+// exceeds, and to 0.50 of the process switches it made before the receive,
+// block and call sequences moved into the engine (switchesBeforeHops),
+// which a sequence that falls back to process code exceeds with
+// events_per_op still equal. Events and hops have a ceiling of their own
+// (eventsAndHops).
 func TestE2ECountersPinned(t *testing.T) {
-	for _, p := range pinnedPoints(t) {
+	report := pinnedReport(t)
+	for i := range report.Benchmarks {
+		p := &report.Benchmarks[i]
 		if p.EventsPerOp == 0 {
 			continue // a micro row: its op is an event or a message, not a run
 		}
@@ -148,9 +133,12 @@ func TestE2ECountersPinned(t *testing.T) {
 			t.Errorf("%s: %v", p.Name, err)
 			continue
 		}
+		if pins.Update() {
+			p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp, p.HopsPerOp = c.Events, c.Switches, c.Coroswitches, c.Hops
+		}
 		if c.Events != p.EventsPerOp || c.Switches != p.SwitchesPerOp || c.Coroswitches != p.CoroswitchesPerOp || c.Hops != p.HopsPerOp {
-			t.Errorf("%s: %d events / %d switches / %d coroswitches / %d hops, pinned %d / %d / %d / %d",
-				p.Name, c.Events, c.Switches, c.Coroswitches, c.Hops, p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp, p.HopsPerOp)
+			t.Errorf("%s: %d events / %d switches / %d coroswitches / %d hops, pinned %d / %d / %d / %d; %s",
+				p.Name, c.Events, c.Switches, c.Coroswitches, c.Hops, p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp, p.HopsPerOp, rerecord(t))
 		}
 		ratio := float64(c.Coroswitches) / float64(c.Switches)
 		before := switchesBeforeHops[p.Name]
@@ -170,30 +158,30 @@ func TestE2ECountersPinned(t *testing.T) {
 				p.Name, c.Events, c.Hops, p.EventsPerOp, p.HopsPerOp, ceil.events, ceil.hops)
 		}
 	}
+	rewritePinned(t, report)
+}
+
+// rerecord says how to re-record t's rows of BENCH_sim.json.
+func rerecord(t *testing.T) string {
+	return "if the schedule moved on purpose, re-record with\n\tUPDATE_PINS=1 go test -count=1 -run '^" + t.Name() + "$' ./internal/bench/"
+}
+
+// rewritePinned writes report, as t re-recorded it, back to BENCH_sim.json
+// under UPDATE_PINS=1, unless t failed.
+func rewritePinned(t *testing.T, report benchReport) {
+	if pins.Update() && !t.Failed() {
+		if err := writeBenchReport(benchPath, report); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // eventsAndHops is the ceiling on every end-to-end row's events_per_op and
 // hops_per_op: the clockless ratchet the host clock's drift needs, since
 // the wall-clock gate compares each change only with its parent. A change
-// that must add events or hops raises its row here, in the same diff as
-// the pins, and says why. Recorded when a host's messages to itself
-// stopped crossing the wire and a home began to source reads from its own
-// copy (E2ESOR8 97,992 events before); the lrc-mw rows' hops rose then as
-// its fetch request began to run in engine context, where a process
-// switch was. The lrc-mw rows were lowered to their pins when a home's
-// own writes stopped taking twins and a release stopped waiting for its
-// diffs' acks (E2EWATER8MW 51,331 events and 19,292 hops before,
-// E2EFalseShareMW 3,377 and 1,055), E2EWATER8MW again when lrc-mw
-// homes began to follow a stable sole writer (43,491 and 14,519 before),
-// and the SOR scale-out rows when SC homes began to follow theirs too
-// (E2ESOR64 197,743 and 118,730 before, E2ESOR256 425,438 and 244,306),
-// and the serving rows when a read under a lock began to be served
-// exclusive (E2EServe8 393,545 and 228,420 before, E2EServeLossy 459,957
-// and 176,623). The lrc-mw rows' hops, and E2EFalseShareMW's events, rose
-// when the fetch became a read: its reply installs in engine context,
-// where a switch to the server thread was, and the install's charge
-// shifts the schedule (E2EWATER8MW 14,190 hops before, E2EFalseShareMW
-// 2,791 events and 735 hops; both rows' switches and coroswitches fell).
+// that must add events or hops raises its row here by hand, in the same
+// diff as the re-recorded pins, and says why; an update run never records
+// a count above it.
 var eventsAndHops = map[string]struct{ events, hops uint64 }{
 	"E2ESOR8":         {94_088, 57_414},
 	"E2EFalseShareMW": {2_802, 912},
@@ -212,10 +200,7 @@ var lockstepRows = map[string]bool{"E2ESOR64": true, "E2ESOR256": true}
 // at the commit before a fault's ack became the closing stage of its wait
 // sequence, when the scale-out rows still read under 1.8 per switch.
 // lrc-mw has no closing stage, so its two rows' entries are their own
-// pins, re-recorded with them when lrc-mw began to home by HomeOf and
-// lowered with them when its releases stopped waiting for diff acks
-// (1,702 and 21,362 before) and, E2EWATER8MW's, when its homes began to
-// follow a stable sole writer (18,716 before).
+// pins, lowered with them by hand.
 var coroswitchesBeforeClose = map[string]uint64{
 	"E2ESOR8":         8_256,
 	"E2EFalseShareMW": 1_454,

@@ -2,11 +2,11 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"millipage/internal/pins"
 )
 
 // TestServingWorkersInvariance is the acceptance criterion on the sweep
@@ -78,23 +78,17 @@ func TestWriteServingPreservesBenchmarks(t *testing.T) {
 // the scenario produces today, so the published latency percentiles are
 // never from a stream the current code no longer generates. Rows for
 // scenarios this build does not know are a failure too — stale names
-// mean the file was not regenerated after a registry change.
+// mean the file was not regenerated after a registry change. Under
+// UPDATE_PINS=1 each row it replays is rewritten from the live run.
 func TestServingRowsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays the recorded serving scenarios")
 	}
-	blob, err := os.ReadFile("../../BENCH_sim.json")
-	if err != nil {
-		t.Skipf("no pinned report: %v", err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(blob, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
+	report := pinnedReport(t)
 	if len(report.Serving) == 0 {
 		t.Fatal("BENCH_sim.json has no serving rows")
 	}
-	for _, row := range report.Serving {
+	for i, row := range report.Serving {
 		if row.Name == "million" {
 			continue // covered by TestMillion in internal/serve; too big for this gate
 		}
@@ -103,9 +97,11 @@ func TestServingRowsPinned(t *testing.T) {
 			t.Errorf("%s: %v", row.Name, err)
 			continue
 		}
-		if pts[0].Fingerprint != row.Fingerprint {
-			t.Errorf("%s: fingerprint %s, recorded %s — regenerate the serving rows",
-				row.Name, pts[0].Fingerprint, row.Fingerprint)
+		if pins.Update() {
+			report.Serving[i] = pts[0]
+		} else if pts[0].Fingerprint != row.Fingerprint {
+			t.Errorf("%s: fingerprint %s, recorded %s; %s", row.Name, pts[0].Fingerprint, row.Fingerprint, rerecord(t))
 		}
 	}
+	rewritePinned(t, report)
 }

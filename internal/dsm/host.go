@@ -104,11 +104,11 @@ func (sp span) contains(va uint64) bool {
 }
 
 // describe gives the trace a header's minipage, address and home host, as
-// this host knows it — -1 for a bulk data message, whose shared marker
-// carries no translation record.
+// this host knows it — no minipage and no home (-1) for a bulk data
+// message, whose shared marker carries no translation record.
 func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 	if m.Info.Size == 0 {
-		return m.Info.ID, m.Addr, -1
+		return -1, m.Addr, -1
 	}
 	return m.Info.ID, m.Addr, h.homeOf(m.Info.ID)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"millipage/internal/cluster"
+	"millipage/internal/pins"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
 )
@@ -57,12 +58,9 @@ func TestProtocolTracing(t *testing.T) {
 // request — a read, a write that invalidates two copies, a prefetch and a
 // push — leaves its requester already translated, so each of its records
 // names its home, host 0, and host 0 never looks an address up. The lookup
-// moved rather than went: an uncontended 128 B read fault cost what it
-// cost when host 0 did it, 186.436us, until host 0, the home and the
-// owner, stopped sending its forward to itself over the wire: the fault no
-// longer pays that hop's WireLatency and PollIdle (1.532 + 3us).
+// moved rather than went: the latency of host 1's uncontended 128 B read
+// fault, which pays it, is pinned.
 func TestRequestsLeaveTranslated(t *testing.T) {
-	const readFault = 181904 * sim.Nanosecond // host 1's read of a
 	rec := trace.NewRecorder(1 << 14)
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeCentral, Trace: rec})
 	var a, b, c, d uint64
@@ -116,9 +114,7 @@ func TestRequestsLeaveTranslated(t *testing.T) {
 	if want := map[string]int{"READ_REQUEST": 4, "WRITE_REQUEST": 1, "PUSH_REQUEST": 1}; fmt.Sprint(sent) != fmt.Sprint(want) {
 		t.Errorf("requests sent: %v, want %v", sent, want)
 	}
-	if lat != readFault {
-		t.Errorf("uncontended 128 B read fault took %v, want %v", lat, readFault)
-	}
+	pins.Check(t, "RequestsLeaveTranslated", fmt.Sprintf("readfault=%d", int64(lat)))
 }
 
 func TestTracingFilter(t *testing.T) {

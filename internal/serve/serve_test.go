@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite testdata/fingerprints.golden from this run")
+	"millipage/internal/pins"
+)
 
 func TestScenarioValidation(t *testing.T) {
 	ok, err := Lookup("smoke")
@@ -226,22 +224,13 @@ func TestMillion(t *testing.T) {
 	}
 }
 
-// goldenScenarios are the rows TestGoldenFingerprints pins: fast enough
-// for every `go test` run, covering both SC and multi-writer protocols
-// and both chaos presets.
-var goldenScenarios = []string{"smoke", "smoke-lrc-mw", "drop-heavy", "crash-restart"}
-
-// TestGoldenFingerprints pins the determinism fingerprint of the golden
-// scenario rows. A diff here means serving behaviour changed — generator
-// stream, protocol timing, or oracle-visible responses. Regenerate with
-//
-//	go test ./internal/serve/ -run TestGoldenFingerprints -update
-//
-// and say why in the commit message.
+// TestGoldenFingerprints pins the determinism fingerprint of four
+// scenario rows, fast enough for every `go test` run and covering both SC
+// and multi-writer protocols and both chaos presets. A diff here means
+// serving behaviour changed — generator stream, protocol timing, or
+// oracle-visible responses.
 func TestGoldenFingerprints(t *testing.T) {
-	got := make(map[string]uint64, len(goldenScenarios))
-	var lines []string
-	for _, name := range goldenScenarios {
+	for _, name := range []string{"smoke", "smoke-lrc-mw", "drop-heavy", "crash-restart"} {
 		sc, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -250,39 +239,7 @@ func TestGoldenFingerprints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = res.Fingerprint
-		lines = append(lines, fmt.Sprintf("%s %016x\n", name, res.Fingerprint))
-	}
-	const path = "testdata/fingerprints.golden"
-	if *update {
-		if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (rerun with -update to create it)", err)
-	}
-	want := make(map[string]uint64)
-	for _, line := range strings.Split(strings.TrimSpace(string(blob)), "\n") {
-		var name string
-		var fp uint64
-		if _, err := fmt.Sscanf(line, "%s %x", &name, &fp); err != nil {
-			t.Fatalf("bad golden line %q: %v", line, err)
-		}
-		want[name] = fp
-	}
-	for _, name := range goldenScenarios {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: missing from golden file (rerun with -update)", name)
-			continue
-		}
-		if got[name] != w {
-			t.Errorf("%s: fingerprint %016x, golden %016x", name, got[name], w)
-		}
+		pins.Check(t, "GoldenFingerprints/"+name, fmt.Sprintf("%016x", res.Fingerprint))
 	}
 }
 
