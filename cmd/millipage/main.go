@@ -12,7 +12,7 @@
 //	millipage chaos [flags]          seeded fault injection + convergence check
 //	millipage explore [flags]        schedule-exploration model checking
 //	millipage serve [flags]          DSM-backed KV serving scenarios
-//	millipage bench [-out F]         simulator wall-clock benchmarks
+//	millipage bench [-out F]         end-to-end runs in counts (no clock)
 //	millipage all [flags]            everything above
 //
 // Common flags: -scale (problem scale, 1.0 = the paper's data sets),
@@ -175,8 +175,10 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -out F        with -all: report path (default BENCH_sim.json)
                          -protocol P   millipage, ivy or lrc-mw
                          -hosts/-clients/-rate/-ops/-seed/-faults   overrides
-  bench [-out F]       simulator wall-clock benchmarks vs the frozen
-                       pre-optimization baseline (default -out BENCH_sim.json)
+  bench [-out F]       what each end-to-end run costs in counts, no clock:
+                       allocations, bytes and event-engine work per run
+                       (default -out BENCH_sim.json; wall clock is
+                       benchmark/run.sh's)
   all [flags]          everything (-scale, -fast, -seed)
 
 global flags (before the subcommand):

@@ -124,6 +124,7 @@ type MWRow struct {
 	Faults   uint64
 	Messages uint64
 	Engine   sim.Counters // what the run cost the event engine
+	Checked  bool         // the application's own verification ran and passed
 }
 
 // FalseShareKernel runs the interleaved-writer false-sharing kernel —
@@ -181,7 +182,7 @@ func WaterChunkPoint(protocol string, scale float64, seed int64) (MWRow, error) 
 	return MWRow{
 		Name: "WATER chunk5/8H", Protocol: protocol, Timed: res.Timed,
 		Faults: rep.ReadFaults + rep.WriteFaults, Messages: rep.MessagesSent,
-		Engine: res.Engine.Counters,
+		Engine: res.Engine.Counters, Checked: res.Checked,
 	}, nil
 }
 

@@ -6,21 +6,6 @@ import (
 	"millipage/internal/pins"
 )
 
-// TestMsgHopAllocFree pins the clean message path's steady state: with
-// pooled envelopes and tracing off, a full one-hop send/deliver/handle
-// cycle performs zero heap allocations per message. It reuses the
-// perfbench workload so the regression test and the recorded benchmark
-// measure exactly the same path.
-func TestMsgHopAllocFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full benchmark")
-	}
-	r := testing.Benchmark(benchMsgHop)
-	if allocs := r.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("message hop allocates %d objects/op in steady state, want 0", allocs)
-	}
-}
-
 // benchPath is BENCH_sim.json at the repo root, which pins the benchmark
 // rows: their allocation fences, their engine counters and the serving
 // rows' fingerprints.
@@ -82,10 +67,13 @@ func TestE2EAllocsRegression(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.row, func(t *testing.T) {
-			r := testing.Benchmark(benchE2E(row.row))
-			got, pin, unit := r.AllocsPerOp(), pinned[row.row].AllocsPerOp, "objects"
+			m, err := measure(row.row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, pin, unit := m.AllocsPerOp, pinned[row.row].AllocsPerOp, "objects"
 			if row.bytes {
-				got, pin, unit = r.AllocedBytesPerOp(), pinned[row.row].BytesPerOp, "bytes"
+				got, pin, unit = m.BytesPerOp, pinned[row.row].BytesPerOp, "bytes"
 			}
 			if pin <= 0 {
 				t.Fatalf("BENCH_sim.json has no %s/op pin for %s", unit, row.row)
@@ -115,15 +103,15 @@ func TestE2EAllocsRegression(t *testing.T) {
 // block and call sequences moved into the engine (switchesBeforeHops),
 // which a sequence that falls back to process code exceeds with
 // events_per_op still equal. Events and hops have a ceiling of their own
-// (eventsAndHops).
+// (eventsAndHops). The pinned rows are exactly the end-to-end runs, and a
+// run that fails its own check fails the test, so no update records it.
 func TestE2ECountersPinned(t *testing.T) {
 	report := pinnedReport(t)
+	pinned := map[string]bool{}
 	for i := range report.Benchmarks {
 		p := &report.Benchmarks[i]
-		if p.EventsPerOp == 0 {
-			continue // a micro row: its op is an event or a message, not a run
-		}
-		run, ok := e2eRuns[p.Name]
+		pinned[p.Name] = true
+		run, ok := e2eRun(p.Name)
 		if !ok {
 			t.Errorf("BENCH_sim.json pins counters for %s, which is no end-to-end run", p.Name)
 			continue
@@ -156,6 +144,11 @@ func TestE2ECountersPinned(t *testing.T) {
 		if ceil, ok := eventsAndHops[p.Name]; !ok || max(c.Events, p.EventsPerOp) > ceil.events || max(c.Hops, p.HopsPerOp) > ceil.hops {
 			t.Errorf("%s: %d events and %d hops (pinned %d and %d), want at most the ceiling's %d and %d",
 				p.Name, c.Events, c.Hops, p.EventsPerOp, p.HopsPerOp, ceil.events, ceil.hops)
+		}
+	}
+	for _, r := range e2eRuns {
+		if !pinned[r.name] {
+			t.Errorf("BENCH_sim.json has no row for the end-to-end run %s; record one with\n\tgo run ./cmd/millipage bench", r.name)
 		}
 	}
 	rewritePinned(t, report)

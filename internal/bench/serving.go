@@ -12,11 +12,11 @@ import (
 
 // The serving bench: the KV/session-cache scenarios of internal/serve
 // measured as a sweep and recorded in BENCH_sim.json next to the
-// wall-clock simulator rows. Unlike those, serving rows are virtual-time
-// service metrics — per-op-type latency percentiles, throughput and the
-// fault-service breakdown — and are exactly reproducible (the
-// fingerprint column pins the whole run), so regenerating the file on a
-// different machine must not change them.
+// end-to-end rows' counts. Serving rows are virtual-time service metrics
+// — per-op-type latency percentiles, throughput and the fault-service
+// breakdown — and are exactly reproducible (the fingerprint column pins
+// the whole run), so regenerating the file on a different machine must
+// not change them.
 
 // ServingPoint is one serving-scenario measurement.
 type ServingPoint struct {
@@ -111,9 +111,9 @@ func WriteServingTable(w io.Writer, pts []ServingPoint) {
 	}
 }
 
-// benchReport is the full BENCH_sim.json schema: the wall-clock
-// simulator rows and the serving rows, written by different commands —
-// each writer preserves the other's section.
+// benchReport is the full BENCH_sim.json schema: the end-to-end rows'
+// counts and the serving rows, written by different commands — each
+// writer preserves the other's section.
 type benchReport struct {
 	Note        string         `json:"note"`
 	Benchmarks  []PerfPoint    `json:"benchmarks"`
@@ -151,7 +151,7 @@ func writeBenchReport(path string, r benchReport) error {
 // WriteServing runs the named scenarios (nil = the default matrix),
 // renders the table, and — when path is non-empty — updates the serving
 // section of the BENCH_sim.json report at path, preserving the
-// wall-clock benchmark section.
+// benchmarks section.
 func WriteServing(w io.Writer, names []string, path string) error {
 	if names == nil {
 		names = DefaultServingNames()

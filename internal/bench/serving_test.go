@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -37,16 +39,16 @@ func TestServingWorkersInvariance(t *testing.T) {
 	}
 }
 
-// TestWriteServingPreservesBenchmarks checks the BENCH_sim.json contract:
-// writing the serving section must leave the wall-clock benchmarks
-// section byte-for-byte intact, and vice versa the reader must round-trip
-// rows it did not produce.
+// TestWriteServingPreservesBenchmarks checks one half of the
+// BENCH_sim.json contract: writing the serving section must leave the
+// benchmarks section intact, the reader round-tripping rows it did not
+// produce.
 func TestWriteServingPreservesBenchmarks(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_sim.json")
 	pre := benchReport{
 		Note:       "pinned",
-		Benchmarks: []PerfPoint{{Name: "E2ESOR8", Baseline: PerfBaseline{NsPerOp: 1, AllocsPerOp: 2, BytesPerOp: 3}, NsPerOp: 4, AllocsPerOp: 5, BytesPerOp: 6, Speedup: 7}},
+		Benchmarks: []PerfPoint{{Name: "E2ESOR8", AllocsPerOp: 1, BytesPerOp: 2, EventsPerOp: 3, SwitchesPerOp: 4, CoroswitchesPerOp: 5, HopsPerOp: 6}},
 	}
 	if err := writeBenchReport(path, pre); err != nil {
 		t.Fatal(err)
@@ -70,6 +72,48 @@ func TestWriteServingPreservesBenchmarks(t *testing.T) {
 	}
 	if post.Serving[0].GetP999Us <= 0 || post.Serving[0].ThroughputOpsPerSec <= 0 {
 		t.Fatalf("serving row missing tail latency or throughput: %+v", post.Serving[0])
+	}
+}
+
+// TestWriteLedgerPreservesServing checks the other half: writing the
+// benchmarks section must leave the serving section, note and rows, byte
+// for byte as it was.
+func TestWriteLedgerPreservesServing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	pre := benchReport{
+		Note:        "old",
+		Benchmarks:  []PerfPoint{{Name: "E2ESOR8", AllocsPerOp: 1}},
+		ServingNote: "serving rows — recorded",
+		Serving:     []ServingPoint{{Name: "smoke", Protocol: "millipage", Hosts: 4, ThroughputOpsPerSec: 1234.5678901234567, GetP999Us: 2048, Fingerprint: "00000000deadbeef"}},
+	}
+	if err := writeBenchReport(path, pre); err != nil {
+		t.Fatal(err)
+	}
+	serving := func() (note, rows json.RawMessage) {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]json.RawMessage
+		if err := json.Unmarshal(blob, &raw); err != nil {
+			t.Fatal(err)
+		}
+		return raw["serving_note"], raw["serving"]
+	}
+	noteBefore, rowsBefore := serving()
+	ledger := []PerfPoint{{Name: "E2ESOR8", AllocsPerOp: 5, BytesPerOp: 6, EventsPerOp: 7, SwitchesPerOp: 8, CoroswitchesPerOp: 9, HopsPerOp: 10}}
+	if err := writeLedger(path, ledger); err != nil {
+		t.Fatal(err)
+	}
+	if note, rows := serving(); !bytes.Equal(note, noteBefore) || !bytes.Equal(rows, rowsBefore) {
+		t.Fatalf("ledger write changed the serving section:\nbefore: %s %s\nafter:  %s %s", noteBefore, rowsBefore, note, rows)
+	}
+	post, err := readBenchReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post.Note != ledgerNote || len(post.Benchmarks) != 1 || post.Benchmarks[0] != ledger[0] {
+		t.Fatalf("benchmarks section not written: %+v", post)
 	}
 }
 

@@ -13,10 +13,34 @@ import (
 // path is required to be allocation-free in steady state: envelopes,
 // pending records and calendar events are all recycled, and the FIFO
 // queues never shed capacity.
-func BenchmarkMsgHopPooled(b *testing.B) {
+func BenchmarkMsgHopPooled(b *testing.B) { benchPooledHop(b, false) }
+
+// BenchmarkMsgHopArmed is the same hop with the reliability layer armed
+// but no fault ever firing (armFarPartition), so every frame also pays
+// for sequence numbers, cumulative acks and retransmit-timer bookkeeping.
+func BenchmarkMsgHopArmed(b *testing.B) { benchPooledHop(b, true) }
+
+// armFarPartition installs a fault plan whose only entry is a partition
+// window in the far future: Enabled() holds, so the reliability layer
+// runs, but no fault ever fires.
+func armFarPartition(tb testing.TB, nw *Network) {
+	far := sim.Time(1 << 60)
+	inj, err := faultnet.NewInjector(faultnet.Plan{
+		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
+	}, 2, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	nw.InstallFaults(inj)
+}
+
+func benchPooledHop(b *testing.B, armed bool) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
 	nw := New(eng, 2, DefaultParams())
+	if armed {
+		armFarPartition(b, nw)
+	}
 	got := 0
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { got++ })
 	eng.Spawn("sender", func(p *sim.Proc) {
@@ -100,8 +124,8 @@ func TestMsgHopSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestMsgHopArmedSteadyStateAllocFree pins the same criterion for the
-// armed path: with the reliability layer installed (a far-future
-// partition keeps Enabled() true but no fault ever fires) a pooled
+// armed path: with the reliability layer installed (armFarPartition) a
+// pooled
 // one-hop send — sequence numbering, send-log retention, cumulative
 // acks, retransmit-timer bookkeeping and all — also costs zero heap
 // allocations in steady state. Envelopes are refcount-pooled, the timer
@@ -110,14 +134,7 @@ func TestMsgHopSteadyStateAllocFree(t *testing.T) {
 func TestMsgHopArmedSteadyStateAllocFree(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng, 2, DefaultParams())
-	far := sim.Time(1 << 60)
-	inj, err := faultnet.NewInjector(faultnet.Plan{
-		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
-	}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.InstallFaults(inj)
+	armFarPartition(t, nw)
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {})
 	const warmup, measured = 200, 2000
 	var avg float64
