@@ -124,6 +124,7 @@ type MWRow struct {
 	Faults   uint64
 	Messages uint64
 	Engine   sim.Counters // what the run cost the event engine
+	Check    float64      // the application's checksum (WaterChunkPoint)
 	Checked  bool         // the application's own verification ran and passed
 }
 
@@ -182,7 +183,7 @@ func WaterChunkPoint(protocol string, scale float64, seed int64) (MWRow, error) 
 	return MWRow{
 		Name: "WATER chunk5/8H", Protocol: protocol, Timed: res.Timed,
 		Faults: rep.ReadFaults + rep.WriteFaults, Messages: rep.MessagesSent,
-		Engine: res.Engine.Counters, Checked: res.Checked,
+		Engine: res.Engine.Counters, Check: res.Check, Checked: res.Checked,
 	}, nil
 }
 

@@ -51,8 +51,10 @@ func TestE2EAllocsRegression(t *testing.T) {
 			"record and a map per interval, an earlier design, sat at 1.94x the pin this row had then)"},
 		{"E2ESOR64", true, "the footprint gate: 64 hosts each map the whole shared image n+1 times and touch " +
 			"little beyond their own band of rows, so bytes/op stays near the pin only while memory objects " +
-			"are demand-zero and page-table entries packed; an eagerly allocated image per host (75 MB/op " +
-			"before they became sparse), a fat PTE or a fat directory entry multiplies by the host count"},
+			"are demand-zero and host state is sized by the cluster; an eagerly allocated image per host " +
+			"(75 MB/op before they became sparse) multiplies by the host count. Entry sizes are pinned " +
+			"exactly elsewhere (vm's TestPTEPacking, dsm's TestDirEntryFootprint): 8-byte PTEs and a " +
+			"1,024-host copyset in every directory entry read 1.47x this pin, inside the fence"},
 		{"E2EServe8", false, "the serving path's steady state: the pin is setup-dominated (~1.2k allocations " +
 			"for a 20k-op scenario), so per-op garbage on the GET/PUT hot loop — a boxed histogram add, an " +
 			"interface escape in the generator, a per-response oracle allocation — multiplies past the fence"},
@@ -111,9 +113,9 @@ func TestE2ECountersPinned(t *testing.T) {
 	for i := range report.Benchmarks {
 		p := &report.Benchmarks[i]
 		pinned[p.Name] = true
-		run, ok := e2eRun(p.Name)
-		if !ok {
-			t.Errorf("BENCH_sim.json pins counters for %s, which is no end-to-end run", p.Name)
+		run, err := e2eRun(p.Name)
+		if err != nil {
+			t.Errorf("BENCH_sim.json pins counters for %s: %v", p.Name, err)
 			continue
 		}
 		c, err := run()

@@ -211,7 +211,10 @@ func TestDiffCostsOutput(t *testing.T) {
 // shapes are the ones that would show traffic outgrowing it.
 func TestCalendarStaysSmall(t *testing.T) {
 	for _, name := range []string{"E2ESOR8", "E2ESOR64", "E2ESOR256", "E2EServe8", "E2EServeLossy"} {
-		run, _ := e2eRun(name)
+		run, err := e2eRun(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		c, err := run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

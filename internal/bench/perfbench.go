@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
+	"math"
 	"testing"
 
 	"millipage/internal/apps"
@@ -39,28 +39,39 @@ type PerfPoint struct {
 	HopsPerOp         uint64 `json:"hops_per_op"`
 }
 
-// e2eRuns are the ledger's rows, in its order: one whole run each,
-// reporting what it cost the event engine, or an error when the run's own
-// result check fails, so no wrong run is ever recorded.
-var e2eRuns = []struct {
+// e2eRow is one ledger row: one whole run, reporting what it cost the
+// event engine, or an error when the run's answer is wrong, so no wrong
+// run is ever recorded. A row with a ref checks its run against the
+// application's answer at one host, which ref computes once, before and
+// outside any measurement (e2eRun).
+type e2eRow struct {
 	name string
-	run  func() (sim.Counters, error)
-}{
+	ref  func() (float64, error) // the answer run must give, or nil for a row with no oracle
+	run  func(ref float64) (sim.Counters, error)
+}
+
+// e2eRuns are the ledger's rows, in its order.
+var e2eRuns = []e2eRow{
 	// The 8-host SOR run (reduced scale), the acceptance workload for
 	// the hot-path work.
-	{"E2ESOR8", sorRun(apps.Params{Hosts: 8, Scale: 0.1})},
+	sorRow("E2ESOR8", apps.Params{Hosts: 8, Scale: 0.1}),
 
 	// The SC-vs-multi-writer comparison kernels under lrc-mw (twins,
 	// run-length diffs, write notices). The false-sharing kernel has no
 	// oracle of its own.
-	{"E2EFalseShareMW", func() (sim.Counters, error) {
+	{"E2EFalseShareMW", nil, func(float64) (sim.Counters, error) {
 		row, err := FalseShareKernel("lrc-mw", 1)
 		return row.Engine, err
 	}},
-	{"E2EWATER8MW", func() (sim.Counters, error) {
+	{"E2EWATER8MW", func() (float64, error) {
+		r, err := apps.RunWATER(apps.Params{Protocol: "lrc-mw", Hosts: 1, Scale: 0.1, Seed: 1, ChunkLevel: 5})
+		return r.Check, err
+	}, func(ref float64) (sim.Counters, error) {
 		row, err := WaterChunkPoint("lrc-mw", 0.1, 1)
-		if err == nil && !row.Checked {
-			err = errors.New("WATER under lrc-mw failed its own check")
+		// Lock order changes the floating-point sums across host counts:
+		// the WATER suite's relative tolerance.
+		if err == nil && (!row.Checked || math.Abs(row.Check-ref)/math.Max(math.Abs(ref), 1) > 1e-6) {
+			err = fmt.Errorf("WATER under lrc-mw at 8 hosts checks %v, the 1-host run %v", row.Check, ref)
 		}
 		return row.Engine, err
 	}},
@@ -69,49 +80,65 @@ var e2eRuns = []struct {
 	// keep one run bounded; its cost is dominated by per-host protocol
 	// state and 256 threads' barrier arrivals, which combine up the
 	// fan-in-8 barrier tree.
-	{"E2ESOR64", sorRun(apps.Params{Hosts: 64, Scale: 0.1})},
-	{"E2ESOR256", sorRun(apps.Params{Hosts: 256, Scale: 0.05})},
+	sorRow("E2ESOR64", apps.Params{Hosts: 64, Scale: 0.1}),
+	sorRow("E2ESOR256", apps.Params{Hosts: 256, Scale: 0.05}),
 
 	// One base serving scenario (8 hosts, 100k simulated clients, 20k
 	// Zipfian ops under SC-Millipage) — the acceptance workload of the
 	// serving subsystem and the anchor of its allocs/op CI gate
 	// (TestE2EAllocsRegression/E2EServe8).
-	{"E2EServe8", scenarioRun("base-millipage", nil)},
+	{"E2EServe8", nil, scenarioRun("base-millipage", nil)},
 
 	// One serving scenario with the reliability layer armed — 4 hosts,
 	// 20k ops at 2000 ops/s under the crash-restart preset (2% frame
 	// loss, two host crash/restarts): the benchmark harness's
 	// serve-lossy workload.
-	{"E2EServeLossy", scenarioRun("crash-restart", func(sc *serve.Scenario) {
+	{"E2EServeLossy", nil, scenarioRun("crash-restart", func(sc *serve.Scenario) {
 		sc.Rate, sc.Ops = 2_000, 20_000
 	})},
 }
 
-// e2eRun returns the named ledger row's run.
-func e2eRun(name string) (func() (sim.Counters, error), bool) {
+// e2eRun returns the named ledger row's run, its reference answer already
+// computed.
+func e2eRun(name string) (func() (sim.Counters, error), error) {
 	for _, r := range e2eRuns {
-		if r.name == name {
-			return r.run, true
+		if r.name != name {
+			continue
 		}
+		var ref float64
+		if r.ref != nil {
+			var err error
+			if ref, err = r.ref(); err != nil {
+				return nil, fmt.Errorf("%s: the 1-host reference run: %w", name, err)
+			}
+		}
+		return func() (sim.Counters, error) { return r.run(ref) }, nil
 	}
-	return nil, false
+	return nil, fmt.Errorf("no end-to-end run %s", name)
 }
 
-func sorRun(p apps.Params) func() (sim.Counters, error) {
+// sorRow is the ledger row of SOR at p, whose checksum must equal the
+// 1-host run's exactly: SOR's sums do not depend on the host count.
+func sorRow(name string, p apps.Params) e2eRow {
 	p.Seed = 1
-	return func() (sim.Counters, error) {
+	one := p
+	one.Hosts = 1
+	return e2eRow{name, func() (float64, error) {
+		r, err := apps.RunSOR(one)
+		return r.Check, err
+	}, func(ref float64) (sim.Counters, error) {
 		r, err := apps.RunSOR(p)
-		if err == nil && !r.Checked {
-			err = fmt.Errorf("SOR at %d hosts failed its own check (checksum %v)", p.Hosts, r.Check)
+		if err == nil && (!r.Checked || r.Check != ref) {
+			err = fmt.Errorf("SOR at %d hosts checks %v, the 1-host run %v", p.Hosts, r.Check, ref)
 		}
 		return r.Engine.Counters, err
-	}
+	}}
 }
 
 // scenarioRun runs the named serving scenario, reshaped by shape when it
 // is not nil.
-func scenarioRun(name string, shape func(*serve.Scenario)) func() (sim.Counters, error) {
-	return func() (sim.Counters, error) {
+func scenarioRun(name string, shape func(*serve.Scenario)) func(float64) (sim.Counters, error) {
+	return func(float64) (sim.Counters, error) {
 		sc, err := serve.Lookup(name)
 		if err != nil {
 			return sim.Counters{}, err
@@ -132,12 +159,11 @@ func scenarioRun(name string, shape func(*serve.Scenario)) func() (sim.Counters,
 // its last run. `millipage bench` writes the pins from it and
 // TestE2EAllocsRegression checks them with it.
 func measure(name string) (PerfPoint, error) {
-	run, ok := e2eRun(name)
-	if !ok {
-		return PerfPoint{}, fmt.Errorf("no end-to-end run %s", name)
+	run, err := e2eRun(name)
+	if err != nil {
+		return PerfPoint{}, err
 	}
 	var c sim.Counters
-	var err error
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if c, err = run(); err != nil {

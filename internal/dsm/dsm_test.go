@@ -2,11 +2,11 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
-	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -83,8 +83,8 @@ func TestTwoHostReadFetch(t *testing.T) {
 		t.Fatalf("host 1 read faults = %d, want 1", rf)
 	}
 	// Directory: copyset = {0,1}, owner 0.
-	cs, owner := s.Host(0).Directory()[0].Copyset()
-	if cs != hostset.Of(0, 1) || owner != 0 {
+	cs, owner := s.Copyset(0)
+	if !slices.Equal(cs, []int{0, 1}) || owner != 0 {
 		t.Fatalf("copyset=%v owner=%d", cs, owner)
 	}
 }
@@ -114,11 +114,11 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	}
 	// After the final reads, every host is back in the copyset; owner is
 	// the last writer, host 3.
-	cs, owner := s.Host(0).Directory()[0].Copyset()
+	cs, owner := s.Copyset(0)
 	if owner != 3 {
 		t.Fatalf("owner = %d, want 3", owner)
 	}
-	if cs != hostset.Of(0, 1, 2, 3) {
+	if !slices.Equal(cs, []int{0, 1, 2, 3}) {
 		t.Fatalf("copyset = %v, want {0,1,2,3}", cs)
 	}
 	if inv := s.Host(0).Stats.Invalidations; inv < 2 {
@@ -412,8 +412,8 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 			t.Fatalf("host %d read faults = %d, want 0 (push should predeliver)", i, rf)
 		}
 	}
-	cs, _ := s.Host(0).Directory()[0].Copyset()
-	if cs != hostset.Of(0, 1, 2, 3) {
+	cs, _ := s.Copyset(0)
+	if !slices.Equal(cs, []int{0, 1, 2, 3}) {
 		t.Fatalf("copyset after push = %v", cs)
 	}
 }
@@ -649,8 +649,8 @@ func TestManyMinipagesStress(t *testing.T) {
 		if e.Busy() || queued(e) != 0 {
 			t.Fatalf("entry %d not quiesced", id)
 		}
-		cs, _ := e.Copyset()
-		if cs.Empty() {
+		cs, _ := s.Copyset(id)
+		if len(cs) == 0 {
 			t.Fatalf("entry %d empty copyset", id)
 		}
 	}

@@ -1,10 +1,10 @@
 package dsm
 
 import (
+	"slices"
 	"testing"
 
 	"millipage/internal/core"
-	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -139,7 +139,7 @@ func TestReadOnlyCriticalSectionStaysShared(t *testing.T) {
 	if want := [5][2]bool{{true, false}, {true, false}, {true, true}, {false, false}, {false, false}}; marks != want {
 		t.Errorf("host 0's rmw and excl marks after each step %v, want %v", marks, want)
 	}
-	if cs, _ := homeEntry(s, 0).Copyset(); cs != hostset.Of(0, 1) {
+	if cs, _ := s.Copyset(0); !slices.Equal(cs, []int{0, 1}) {
 		t.Errorf("copyset %v after host 0's last read, want {0, 1}: served shared", cs)
 	}
 	if prot, _ := s.Host(1).Region.ProtOf(va); prot != vm.ReadOnly {

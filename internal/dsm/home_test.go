@@ -3,12 +3,12 @@ package dsm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"millipage/internal/cluster"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
-	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -66,7 +66,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 func TestHomeSeedsFromTranslation(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	var before hostset.Set
+	var before []int
 	beforeOwner, beforeReqs := -1, uint64(0)
 	err := run(s, func(th *Thread) {
 		if th.Host() == 2 {
@@ -76,7 +76,7 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 		}
 		th.Barrier()
 		if th.Host() == 0 {
-			before, beforeOwner = s.Host(1).entryOrNil(1).Copyset()
+			before, beforeOwner = s.Copyset(1)
 			beforeReqs = s.Host(1).Stats.ReadReqs + s.Host(1).Stats.WriteReqs
 			if got := th.ReadU32(va); got != 5 {
 				t.Errorf("host 0 reads %d, want 5", got)
@@ -90,11 +90,11 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 	if beforeReqs != 0 {
 		t.Fatalf("host 1's shard served %d requests before host 0's read, want 0", beforeReqs)
 	}
-	if before != hostset.One(2) || beforeOwner != 2 {
+	if !slices.Equal(before, []int{2}) || beforeOwner != 2 {
 		t.Fatalf("minipage 1 before any request: copyset %v owner %d, want {2} owned by 2", before, beforeOwner)
 	}
-	cs, owner := s.Host(1).entryOrNil(1).Copyset()
-	if cs != hostset.Of(0, 2) || owner != 2 {
+	cs, owner := s.Copyset(1)
+	if !slices.Equal(cs, []int{0, 2}) || owner != 2 {
 		t.Fatalf("minipage 1: copyset %v owner %d, want {0, 2} owned by 2", cs, owner)
 	}
 	if rr := s.Host(1).Stats.ReadReqs; rr != 1 {
@@ -174,7 +174,7 @@ func TestHomeSourcesReads(t *testing.T) {
 	if sent := owner[1].Sent - owner[0].Sent; sent != 0 {
 		t.Errorf("the owner sent %d over a read its home sourced", sent)
 	}
-	if cs, o := s.Host(2).entry(0).Copyset(); cs != hostset.Of(1, 2, 3) || o != 1 {
+	if cs, o := s.Copyset(0); !slices.Equal(cs, []int{1, 2, 3}) || o != 1 {
 		t.Errorf("copyset %v owner %d, want {1, 2, 3} owned by 1", cs, o)
 	}
 }
@@ -421,13 +421,13 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 		mp, _ := mpt.ByID(id)
 		info := mp.Info(s.Layout)
 		// Copyset agrees with view protections on every host.
-		cs, _ := e.Copyset()
+		cs, _ := s.Copyset(id)
 		for h := 0; h < hosts; h++ {
 			prot, perr := s.Host(h).Region.ProtOf(info.Base)
 			if perr != nil {
 				t.Fatal(perr)
 			}
-			inSet := cs.Has(h)
+			inSet := slices.Contains(cs, h)
 			readable := prot >= vm.ReadOnly
 			if inSet != readable {
 				t.Fatalf("minipage %d host %d: copyset bit %v but protection %v", id, h, inSet, prot)

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"slices"
 	"testing"
 
 	"millipage/internal/core"
@@ -133,5 +134,54 @@ func TestWriteWaitsForEveryInvalidation(t *testing.T) {
 	}
 	if early == 0 || late == 0 {
 		t.Errorf("%d replies came before their write's bytes or grant and %d after: the test needs both", early, late)
+	}
+}
+
+// TestCopysetPastOneWord: at 130 hosts a copyset spans three words of host
+// bits, and minipage 1's starts mid-word. Hosts 0, 63, 64 and 129 (either
+// side of both word boundaries) read it, then host 129 writes it: the home
+// invalidates exactly the three other readers, and the copyset collapses
+// to the writer.
+func TestCopysetPastOneWord(t *testing.T) {
+	const hosts, writer = 130, 129
+	readers := []int{0, 63, 64, writer}
+	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 2})
+	var va uint64
+	var before []int
+	var invalsBefore uint64
+	err := run(s, func(th *Thread) {
+		if th.Host() == 0 {
+			th.Malloc(64) // minipage 0, whose copyset starts on a word
+			va = th.Malloc(64)
+			th.WriteU32(va, 7)
+		}
+		th.Barrier()
+		if slices.Contains(readers, th.Host()) && th.ReadU32(va) != 7 {
+			t.Errorf("host %d read a stale value", th.Host())
+		}
+		th.Barrier()
+		if th.Host() == writer {
+			before, _ = s.Copyset(1)
+			invalsBefore = s.ManagerStatsTotal().Invalidations
+			th.WriteU32(va, 8)
+		}
+		th.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(before, readers) {
+		t.Errorf("copyset before the write %v, want %v", before, readers)
+	}
+	if n := s.ManagerStatsTotal().Invalidations - invalsBefore; n != 3 {
+		t.Errorf("the write sent %d invalidations, want 3", n)
+	}
+	if cs, owner := s.Copyset(1); !slices.Equal(cs, []int{writer}) || owner != writer {
+		t.Errorf("copyset %v owner %d after the write, want host %d alone", cs, owner, writer)
+	}
+	for _, h := range readers[:3] {
+		if prot, _ := s.Host(h).Region.ProtOf(va); prot != vm.NoAccess {
+			t.Errorf("host %d keeps a %v copy after the write", h, prot)
+		}
 	}
 }

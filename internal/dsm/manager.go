@@ -11,26 +11,20 @@ import (
 	"millipage/internal/vm"
 )
 
-// dirEntry is the manager's directory record for one minipage: which
-// hosts hold copies, who the preferred source is, and the transaction
-// state: one write, upgrade or push, or reads in flight from one source
-// replica. Requests the open transaction cannot take are queued here —
-// and only here: non-manager hosts never queue (Section 3.3).
+// dirEntry is the manager's directory record for one minipage: who the
+// preferred source is, and the transaction state: one write, upgrade or
+// push, or reads in flight from one source replica. Which hosts hold
+// copies is the minipage's copyset mark (System.copyset). Requests the
+// open transaction cannot take are queued here — and only here:
+// non-manager hosts never queue (Section 3.3).
 type dirEntry struct {
-	copyset hostset.Set // hosts holding, or about to hold, a valid copy
-	owner   int         // preferred replica: last writer (or allocator)
-
-	busy  bool
-	queue cluster.FIFO[pmsg, *pmsg]
-
-	// The open reads: how many are in flight, and their source replica.
-	await int
-	src   int
-
-	// In-flight push.
-	pushAwait int
-
+	queue     cluster.FIFO[pmsg, *pmsg]
 	Competing uint64 // requests that found this entry busy (Figure 7's metric)
+	owner     int32  // preferred replica: last writer (or allocator)
+	await     int32  // the open reads: how many are in flight,
+	src       int32  // and their source replica
+	pushAwait int32  // in-flight push
+	busy      bool
 }
 
 // joins reports whether read m joins the reads open on e: with nothing
@@ -47,14 +41,14 @@ func (e *dirEntry) checkNoReads() {
 	}
 }
 
-// checkHolders panics, under -tags invariants, if a host outside e's
-// copyset maps minipage info as the entry goes idle. A write's copyset is
-// its writer from admission, before its invalidations land, so copyset ⊇
+// checkHolders panics, under -tags invariants, if a host outside minipage
+// info's copyset maps it as its entry goes idle. A write's copyset is its
+// writer from admission, before its invalidations land, so copyset ⊇
 // holders holds only while the entry is idle.
-func (h *Host) checkHolders(e *dirEntry, info core.Info) {
-	for i := 0; cluster.Invariants && i < h.sys.NumHosts(); i++ {
-		if prot, _ := h.sys.Host(i).Region.ProtOf(info.Base); prot != vm.NoAccess && !e.copyset.Has(i) {
-			panic(fmt.Sprintf("dsm: host %d maps minipage %d %v outside its copyset %v", i, info.ID, prot, e.copyset))
+func (h *Host) checkHolders(info core.Info) {
+	for i, cs := 0, h.sys.copyset(info.ID); cluster.Invariants && i < h.sys.NumHosts(); i++ {
+		if prot, _ := h.sys.Host(i).Region.ProtOf(info.Base); prot != vm.NoAccess && !cs.Has(i) {
+			panic(fmt.Sprintf("dsm: host %d maps minipage %d %v outside its copyset %v", i, info.ID, prot, cs))
 		}
 	}
 }
@@ -85,8 +79,11 @@ func (h *Host) Directory() []*dirEntry {
 	return dir
 }
 
-// Copyset returns the copyset and owner of minipage id.
-func (e *dirEntry) Copyset() (hostset.Set, int) { return e.copyset, e.owner }
+// Copyset returns the hosts holding minipage id, in ascending order, and
+// its owner.
+func (s *System) Copyset(id int) ([]int, int) {
+	return s.copyset(id).Members(), int(s.dir[id/dirSlab][id%dirSlab].owner)
+}
 
 // Busy reports whether a transaction is open on the entry.
 func (e *dirEntry) Busy() bool { return e.busy }
@@ -98,24 +95,22 @@ const dirSlab = 256
 // home to. allocLocal placed it when it carved the minipage.
 func (h *Host) entry(id int) *dirEntry { return &h.sys.dir[id/dirSlab][id%dirSlab] }
 
-// A host's two marks on an SC minipage (Host.bit), in bit slabs of markSlab
-// minipages, 2 KB a host, that allocLocal grows beside the directory.
+// The host sets of an SC minipage, one bit a host each in System.marks,
+// which allocLocal grows beside the directory: its copyset, and each
+// host's own two marks on it.
 const (
-	rmwMark  = iota // a thread here wrote it to the home under a lock: reads under one go exclusive
+	copyMark = iota // hosts holding, or about to hold, a valid copy
+	rmwMark         // a thread here wrote it to the home under a lock: reads under one go exclusive
 	exclMark        // this host holds the only copy and has not written it: a write raises it here
-	markSlab = 32 * dirSlab
+	numMarks
 )
 
-// bit is this host's mark k on minipage id: its word and bit in the
-// minipage's bit slab, which holds each host's rmw bits, then its excl bits.
-func (h *Host) bit(id, k int) (*uint64, uint64) {
-	i := (h.ID()*2+k)*markSlab + id%markSlab
-	return &h.sys.marks[id/markSlab][i/64], 1 << (i % 64)
-}
+// copyset is minipage id's copyset, read and changed in place.
+func (s *System) copyset(id int) hostset.Set { return s.marks.Set(id, copyMark) }
 
-func (h *Host) marked(id, k int) bool { w, b := h.bit(id, k); return *w&b != 0 }
-func (h *Host) mark(id, k int)        { w, b := h.bit(id, k); *w |= b }
-func (h *Host) unmark(id, k int) bool { w, b := h.bit(id, k); was := *w&b != 0; *w &^= b; return was }
+func (h *Host) marked(id, k int) bool { return h.sys.marks.Set(id, k).Has(h.ID()) }
+func (h *Host) mark(id, k int)        { h.sys.marks.Set(id, k).Add(h.ID()) }
+func (h *Host) unmark(id, k int) bool { return h.sys.marks.Set(id, k).Remove(h.ID()) }
 
 // lose drops the excl mark as this host's copy is taken or shared; a copy
 // still marked was never written, so its rmw mark goes too: a critical
@@ -176,7 +171,7 @@ func (h *Host) resolve(m *pmsg) *dirEntry {
 func (h *Host) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg.Message) {
 	e.busy = false
 	e.checkNoReads()
-	h.checkHolders(e, info)
+	h.checkHolders(info)
 	for next := e.queue.Peek(); next != nil && (!e.busy || e.joins(next)); next = e.queue.Peek() {
 		h.Flush(p, tail)
 		tail = h.dispatch(p, e.queue.Pop())
@@ -198,7 +193,7 @@ func (h *Host) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
 		e.Competing++
 		h.Stats.CompetingRequests++
 	}
-	shared := !m.Excl || m.Requeued || e.copyset.Has(m.From) // exclusive unless queued (wanted elsewhere now) or a copy is coming
+	shared := !m.Excl || m.Requeued || h.sys.copyset(m.Info.ID).Has(m.From) // exclusive unless queued (wanted elsewhere now) or a copy is coming
 	if m.Type == mReadReq && (!e.busy && shared || e.joins(m)) {
 		return h.readEffect(e, m)
 	}
@@ -227,55 +222,58 @@ func (h *Host) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
 // the requester to the copyset, and forward the request itself,
 // translation filled in.
 func (h *Host) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
+	cs := h.sys.copyset(m.Info.ID)
 	if !e.busy {
-		e.busy, e.src = true, h.findReplica(e)
+		e.busy, e.src = true, int32(h.findReplica(e, cs))
 	}
 	e.await++
-	e.copyset = e.copyset.With(m.From)
+	cs.Add(m.From)
 	m.Type = mReadFwd
-	return h.Post(e.src, m)
+	return h.Post(int(e.src), m)
 }
 
-// findReplica picks the host to source the minipage from: the home itself
-// if it holds a copy, so the forward never leaves it, else the owner if it
-// still holds one, else the lowest-numbered replica. Under SW/MR every
-// copy in the copyset holds the same bytes.
-func (h *Host) findReplica(e *dirEntry) int {
+// findReplica picks the host in copyset cs to source the minipage from:
+// the home itself if it holds a copy, so the forward never leaves it, else
+// the owner if it still holds one, else the lowest-numbered replica. Under
+// SW/MR every copy in the copyset holds the same bytes.
+func (h *Host) findReplica(e *dirEntry, cs hostset.Set) int {
 	switch {
-	case e.copyset.Empty():
-		panic("dsm: findReplica on empty copyset")
-	case e.copyset.Has(h.ID()):
+	case cs.Has(h.ID()):
 		return h.ID()
-	case e.copyset.Has(e.owner):
-		return e.owner
+	case cs.Has(int(e.owner)):
+		return int(e.owner)
+	case cs.Next(-1) < 0:
+		panic("dsm: findReplica on empty copyset")
 	}
-	return e.copyset.First()
+	return cs.Next(-1)
 }
 
 // writeEffect is the directory effect of an admitted write, or of a read
-// served exclusive (its requester holds no copy): invalidate
-// every other replica, then have the source (the owner, if it still holds
-// a copy) ship the minipage, or grant an upgrade if the requester already
-// holds the bytes. The invalidated hosts reply to the writer, which the
-// forward tells how many replies to count, so ownership and the copyset
-// collapse to the writer now; the entry stays busy until the writer's
-// ack, which it sends only once every reply is in.
+// served exclusive (its requester holds no copy): invalidate every other
+// replica, in ascending host order, then have the source (the owner, if it
+// still holds a copy) ship the minipage, or grant an upgrade if the
+// requester already holds the bytes. The invalidated hosts reply to the
+// writer, which the forward tells how many replies to count, so ownership
+// and the copyset collapse to the writer now; the entry stays busy, which
+// keeps every other handler off the copyset while the sends are charged,
+// until the writer's ack, which it sends only once every reply is in.
 func (h *Host) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
-	to, targets := m.From, e.copyset.Without(m.From)
+	cs := h.sys.copyset(m.Info.ID)
+	to := m.From // the requester, or else the source, keeps its copy
 	m.Type = mUpgradeGrant
-	if !e.copyset.Has(m.From) {
-		to, m.Type = h.findReplica(e), mWriteFwd
-		targets = targets.Without(to)
+	if !cs.Has(m.From) {
+		to, m.Type = h.findReplica(e, cs), mWriteFwd
 	}
-	m.Invals = int32(targets.Count())
-	e.copyset, e.owner = hostset.One(m.From), m.From
+	m.Invals = int32(cs.Count() - 1)
+	e.owner = int32(m.From)
 	h.sys.record(m.Info.ID).add(m.From, m.Epoch) // the home's, read in place by moves
-	for i := 0; i < h.sys.NumHosts(); i++ {
-		if targets.Has(i) { // each carries the writer's rendezvous for the reply
+	for i := cs.Next(-1); i >= 0; i = cs.Next(i) {
+		if i != to { // each carries the writer's rendezvous for the reply
 			h.Stats.Invalidations++
 			h.sendNew(p, i, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, Req: m.Req})
 		}
 	}
+	cs.Reset(m.From)
 	return h.Post(to, m)
 }
 
@@ -308,14 +306,13 @@ func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
 		return cluster.Allocation{}, err
 	}
 	s.CheckHomes(firstNew, mpt.NumMinipages())
+	s.marks.Grow(mpt.NumMinipages())
 	for id := firstNew; id < mpt.NumMinipages(); id++ {
 		for len(s.dir)*dirSlab <= id {
 			s.dir = append(s.dir, make([]dirEntry, dirSlab))
 		}
-		for len(s.marks)*markSlab <= id {
-			s.marks = append(s.marks, make([]uint64, s.NumHosts()*2*markSlab/64))
-		}
-		s.dir[id/dirSlab][id%dirSlab] = dirEntry{copyset: hostset.One(from), owner: from}
+		s.dir[id/dirSlab][id%dirSlab] = dirEntry{owner: int32(from)}
+		s.copyset(id).Reset(from)
 	}
 
 	// Does the requester own the minipage (and so get it writable with
@@ -328,7 +325,7 @@ func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
 	// to the home instead, which keeps SW/MR without another round-trip
 	// from the allocation path.
 	e := h.entryOrNil(mp.ID)
-	owner := mp.ID >= firstNew || e != nil && !e.busy && e.copyset == hostset.One(from)
+	owner := mp.ID >= firstNew || e != nil && !e.busy && s.copyset(mp.ID).Only(from)
 	info := mp.Info(h.sys.Layout)
 	if hi, _ := mpt.ByID(mpt.NumMinipages() - 1); hi.ID > mp.ID {
 		lo, _ := mpt.ByID(firstNew)
@@ -344,8 +341,8 @@ func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
 // pushEffect is the directory effect of an admitted push: order the owner
 // to replicate the minipage to all hosts.
 func (h *Host) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
-	e.pushAwait = h.sys.NumHosts() - 1
-	src := h.findReplica(e)
+	e.pushAwait = int32(h.sys.NumHosts() - 1)
+	src := h.findReplica(e, h.sys.copyset(m.Info.ID))
 	m.Type = mPushOrder // the request itself goes on to the owner
 	return h.Post(src, m)
 }
@@ -355,7 +352,7 @@ func (h *Host) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	info, from := m.Info, m.From
 	h.recyclePM(m) // the push ack ends here
 	e := h.entry(info.ID)
-	e.copyset = e.copyset.With(from)
+	h.sys.copyset(info.ID).Add(from)
 	if e.pushAwait--; e.pushAwait > 0 {
 		return nil
 	}

@@ -1,9 +1,9 @@
 package dsm
 
 import (
+	"slices"
 	"testing"
 
-	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
 	"millipage/internal/vm"
@@ -61,7 +61,7 @@ func TestReadersServedTogether(t *testing.T) {
 		t.Errorf("read faults took %v to %v: the readers were served one after another", fastest, slowest)
 	}
 	e := homeEntry(s, 0)
-	if cs, owner := e.Copyset(); cs != hostset.Of(0, 1, 2, 3, 4, 5, 6, 7) || owner != writer {
+	if cs, owner := s.Copyset(0); !slices.Equal(cs, []int{0, 1, 2, 3, 4, 5, 6, 7}) || owner != writer {
 		t.Errorf("copyset %v owner %d, want every host and owner %d", cs, owner, writer)
 	}
 	if e.Competing == 0 {
@@ -122,7 +122,7 @@ func TestWriteWaitsForReadSet(t *testing.T) {
 			t.Errorf("host %d keeps a %v copy after the write", h, prot)
 		}
 	}
-	if cs, owner := homeEntry(s, 0).Copyset(); cs != hostset.One(7) || owner != 7 {
+	if cs, owner := s.Copyset(0); !slices.Equal(cs, []int{7}) || owner != 7 {
 		t.Errorf("copyset %v owner %d after the write, want host 7 alone", cs, owner)
 	}
 }
@@ -180,7 +180,7 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 	if e.Busy() || e.await != 0 || queued(e) != 0 {
 		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.Busy(), e.await, queued(e))
 	}
-	if cs, _ := e.Copyset(); cs != hostset.Of(0, 1) {
+	if cs, _ := s.Copyset(0); !slices.Equal(cs, []int{0, 1}) {
 		t.Errorf("copyset %v, want hosts 0 and 1", cs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
@@ -34,7 +35,7 @@ type System struct {
 	// places each entry (Host.allocLocal); after that only the minipage's
 	// home touches it (Host.entry).
 	dir   [][]dirEntry
-	marks [][]uint64 // every host's two marks on each minipage, in slabs grown with dir (Host.bit)
+	marks hostset.Table // each minipage's copyset and every host's two marks on it, grown with dir
 
 	places  []writeRecord // by minipage id, read in place by moves (home.go)
 	homes   []int16       // host 0's home table by minipage id: 1 + the host a barrier moved it to; 0 while at HomeOf
@@ -73,6 +74,7 @@ func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, e
 		return nil, err
 	}
 	opt = s.Opt
+	s.marks = hostset.NewTable(opt.Hosts, numMarks)
 	if s.Layout, err = core.NewLayout(opt.SharedSize, opt.Views); err != nil {
 		return nil, err
 	}

@@ -1,75 +1,141 @@
-// Package hostset provides a fixed-capacity set of host identifiers for
-// protocol copysets. A plain uint64 bitmask caps the cluster at 64
-// hosts and — worse — overflows silently above that: 1<<h is 0 for
-// h >= 64, so a big cluster loses copyset members without any error
-// until a directory operation trips over an impossibly empty set. Set
-// keeps the bitmask idiom but spans CapHosts hosts: it is a comparable
-// value type (== compares membership), its zero value is the empty set,
-// and no operation allocates.
+// Package hostset is the cluster's table of host bits: for each minipage,
+// a fixed number of marks, each one bit per host. A protocol keeps its
+// per-minipage host sets here — SC's copysets and each host's marks —
+// sized by the cluster it runs, not by the 1,024-host cap: at 8 hosts a
+// copyset is one byte, at 64 one word. The table grows in slabs, so
+// growing it moves no bit and costs one allocation per slab.
 package hostset
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"strings"
+)
 
-// CapHosts is the largest host id + 1 a Set can hold. It matches the
-// cluster's host-count cap (millipage.Config.Hosts).
-const CapHosts = 1024
+// slabRows is how many rows (minipages) one slab of a table holds. It is a
+// multiple of 64, so every slab is a whole number of words.
+const slabRows = 8192
 
-const words = CapHosts / 64
-
-// Set is a bit set of host ids in [0, CapHosts). Out-of-range ids panic
-// (index out of range), the same loud failure an oversized cluster
-// config produces.
-type Set [words]uint64
-
-// One returns the singleton {h}.
-func One(h int) Set {
-	var s Set
-	s[h>>6] = 1 << uint(h&63)
-	return s
+// Table holds, for each row, marks sets of host ids in [0, hosts). A row's
+// set for one mark is hosts consecutive bits of its slab, ascending by host
+// id; a slab holds each mark's sets of slabRows rows in turn.
+type Table struct {
+	hosts, marks int
+	slabs        [][]uint64
 }
 
-// Of returns the set of the given hosts.
-func Of(hs ...int) Set {
-	var s Set
-	for _, h := range hs {
-		s[h>>6] |= 1 << uint(h&63)
+// NewTable returns an empty table of marks sets a row over hosts hosts.
+func NewTable(hosts, marks int) Table { return Table{hosts: hosts, marks: marks} }
+
+// Grow makes rows [0, rows) addressable; a new row's sets are empty.
+func (t *Table) Grow(rows int) {
+	for len(t.slabs)*slabRows < rows {
+		t.slabs = append(t.slabs, make([]uint64, t.marks*slabRows*t.hosts/64))
 	}
-	return s
+}
+
+// Set returns row's set for mark, a view into the table: changing it
+// changes the table.
+func (t *Table) Set(row, mark int) Set {
+	return Set{w: t.slabs[row/slabRows], at: (mark*slabRows + row%slabRows) * t.hosts, n: t.hosts}
+}
+
+// Set is one row's set of host ids for one mark: bits [at, at+n) of w.
+// Its methods panic on a host id outside [0, n), the loud failure an
+// oversized cluster would produce, never touching a neighbouring row.
+type Set struct {
+	w     []uint64
+	at, n int
+}
+
+// bit returns h's word and mask.
+func (s Set) bit(h int) (*uint64, uint64) {
+	if uint(h) >= uint(s.n) {
+		panic(fmt.Sprintf("hostset: host %d outside a set of %d hosts", h, s.n))
+	}
+	i := s.at + h
+	return &s.w[i>>6], 1 << (i & 63)
 }
 
 // Has reports whether h is a member.
-func (s Set) Has(h int) bool { return s[h>>6]&(1<<uint(h&63)) != 0 }
+func (s Set) Has(h int) bool { w, b := s.bit(h); return *w&b != 0 }
 
-// With returns s ∪ {h}.
-func (s Set) With(h int) Set {
-	s[h>>6] |= 1 << uint(h&63)
-	return s
+// Add makes h a member.
+func (s Set) Add(h int) { w, b := s.bit(h); *w |= b }
+
+// Remove takes h out of the set and reports whether it was a member.
+func (s Set) Remove(h int) bool { w, b := s.bit(h); was := *w&b != 0; *w &^= b; return was }
+
+// Reset makes the set {h}.
+func (s Set) Reset(h int) {
+	for i, end := s.at, s.at+s.n; i < end; {
+		k := min(64-i&63, end-i)
+		s.w[i>>6] &^= (1<<k - 1) << (i & 63)
+		i += k
+	}
+	s.Add(h)
 }
 
-// Without returns s \ {h}.
-func (s Set) Without(h int) Set {
-	s[h>>6] &^= 1 << uint(h&63)
-	return s
+// word returns the members among host ids [64j, 64j+64), bit i for host
+// 64j+i.
+func (s Set) word(j int) uint64 {
+	i := s.at + j<<6
+	w := s.w[i>>6] >> (i & 63)
+	if i&63 != 0 && i>>6+1 < len(s.w) {
+		w |= s.w[i>>6+1] << (64 - i&63)
+	}
+	if rest := s.n - j<<6; rest < 64 {
+		w &= 1<<rest - 1
+	}
+	return w
 }
-
-// Empty reports whether the set has no members.
-func (s Set) Empty() bool { return s == Set{} }
 
 // Count returns the number of members.
 func (s Set) Count() int {
 	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
+	for j := 0; j<<6 < s.n; j++ {
+		n += bits.OnesCount64(s.word(j))
 	}
 	return n
 }
 
-// First returns the lowest member, or -1 when the set is empty.
-func (s Set) First() int {
-	for i, w := range s {
+// Next returns the lowest member above h, or -1 if there is none; Next(-1)
+// is the lowest member.
+func (s Set) Next(h int) int {
+	h++
+	for j := h >> 6; j<<6 < s.n; j++ {
+		w := s.word(j)
+		if j == h>>6 {
+			w &^= 1<<(h&63) - 1
+		}
 		if w != 0 {
-			return i<<6 + bits.TrailingZeros64(w)
+			return j<<6 + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
+}
+
+// Only reports whether the set is {h}.
+func (s Set) Only(h int) bool { return s.Has(h) && s.Count() == 1 }
+
+// Members returns the members in ascending order.
+func (s Set) Members() []int {
+	var hs []int
+	for h := s.Next(-1); h >= 0; h = s.Next(h) {
+		hs = append(hs, h)
+	}
+	return hs
+}
+
+func (s Set) String() string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for h := s.Next(-1); h >= 0; h = s.Next(h) {
+		if b.Len() > 1 {
+			b.WriteString(", ")
+		}
+		fmt.Fprint(&b, h)
+	}
+	b.WriteByte('}')
+	return b.String()
 }

@@ -223,16 +223,21 @@ import (
 // Lowered, dsm 2,000 -> 1,983, when lrc-mw's fetch became a read served
 // on SC's rows: its request, reply header and data rows, its data marker
 // and its install handler went; dir hands the read to fetch.
+//
+// Lowered, dsm 1,983 -> 1,982, when the copyset left the directory entry
+// for a row of host bits beside the rmw and excl marks, and those marks'
+// slab and bit arithmetic moved into hostset's one host-bit table.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
 	{"cluster", 1722},
-	{"dsm", 1983},
+	{"dsm", 1982},
 }
 
 // kernelTarget is the kernel's line total (cluster and dsm), lowered to
-// what it stood at once lrc-mw's fetch became a read on SC's rows (3,722
+// what it stood at once the copyset became host bits sized by the cluster
+// (3,705 once lrc-mw's fetch became a read on SC's rows; 3,722
 // once a read under a lock began to be served exclusive; 3,652 once SC homes began to follow their writer too; 3,563
 // once lrc-mw's homes began to follow their writer; 3,474 once lrc-mw's releases stopped waiting for their diffs; 3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
@@ -245,7 +250,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3705
+const kernelTarget = 3704
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

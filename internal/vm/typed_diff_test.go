@@ -22,9 +22,9 @@ func refResolve(as *AddressSpace, ctx any, va uint64, n int, kind AccessKind) ([
 		if e == nil {
 			return nil, fmt.Errorf("%w: %#x", ErrUnmapped, va)
 		}
-		if e.prot.allows(kind) {
+		if e.prot().allows(kind) {
 			off := int(va % PageSize)
-			return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil
+			return as.objs[e.obj()].Frame(e.frame())[off : off+n], nil
 		}
 		if kind == Write {
 			as.WriteFaults++
@@ -32,12 +32,12 @@ func refResolve(as *AddressSpace, ctx any, va uint64, n int, kind AccessKind) ([
 			as.ReadFaults++
 		}
 		if as.handler == nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoHandler, Fault{Addr: va, Kind: kind, Prot: e.prot})
+			return nil, fmt.Errorf("%w: %v", ErrNoHandler, Fault{Addr: va, Kind: kind, Prot: e.prot()})
 		}
 		if attempt >= maxFaultRetries {
-			return nil, fmt.Errorf("%w: %v", ErrFaultStorm, Fault{Addr: va, Kind: kind, Prot: e.prot})
+			return nil, fmt.Errorf("%w: %v", ErrFaultStorm, Fault{Addr: va, Kind: kind, Prot: e.prot()})
 		}
-		if err := as.handler(ctx, Fault{Addr: va, Kind: kind, Prot: e.prot}); err != nil {
+		if err := as.handler(ctx, Fault{Addr: va, Kind: kind, Prot: e.prot()}); err != nil {
 			return nil, err
 		}
 	}

@@ -21,7 +21,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // PageSize is the architecture page size used throughout the reproduction,
@@ -133,9 +132,6 @@ func (p *FramePool) NewMemObject(size int) *MemObject {
 		panic("vm: NewMemObject with non-positive size")
 	}
 	pages := (size + PageSize - 1) / PageSize
-	if pages > math.MaxInt32 {
-		panic("vm: NewMemObject larger than a page-table entry can address")
-	}
 	return &MemObject{pool: p, frames: make([]*[PageSize]byte, pages)}
 }
 
@@ -181,14 +177,37 @@ type PTE struct {
 	Prot  Prot
 }
 
-// pte is a PTE as the page table stores it, packed to 8 bytes: the dense
+// pte is a PTE as the page table stores it, packed into 4 bytes as the
+// paper's Pentium II packed its own: the frame in the low frameBits, the
+// object index above it, the protection in the top two bits. The dense
 // table spans every view and the guard gaps between them, so its entry
-// size is most of a host's fixed footprint.
-type pte struct {
-	frame int32
-	obj   uint16 // index into AddressSpace.objs; 0 marks an unmapped slot
-	prot  Prot
+// size is most of a host's fixed footprint. The zero entry is unmapped
+// (object index 0).
+type pte uint32
+
+const (
+	frameBits = 22
+	objBits   = 8
+	protShift = frameBits + objBits
+
+	// maxFrame is the largest frame index a page-table entry holds (an
+	// object of up to 16 GB); MapView rejects a view past it.
+	maxFrame = 1<<frameBits - 1
+	// maxObjects is how many memory objects one address space can map;
+	// MapView rejects the next.
+	maxObjects = 1<<objBits - 1
+)
+
+func packPTE(frame int, obj uint32, prot Prot) pte {
+	return pte(frame) | pte(obj)<<frameBits | pte(prot)<<protShift
 }
+
+func (e pte) frame() int  { return int(e & maxFrame) }
+func (e pte) obj() uint32 { return uint32(e>>frameBits) & maxObjects }
+func (e pte) prot() Prot  { return Prot(e >> protShift) }
+
+// withProt returns e with its protection set to prot.
+func (e pte) withProt(prot Prot) pte { return e&(1<<protShift-1) | pte(prot)<<protShift }
 
 // Fault describes a protection or presence violation, as delivered to the
 // installed fault handler.
@@ -256,7 +275,7 @@ func (as *AddressSpace) slot(vpn uint64) *pte {
 		return nil
 	}
 	e := &as.pt[i]
-	if e.obj == 0 {
+	if e.obj() == 0 {
 		return nil
 	}
 	return e
@@ -264,20 +283,20 @@ func (as *AddressSpace) slot(vpn uint64) *pte {
 
 // objIndex returns obj's index in the space's object list, adding it if
 // this is its first view here.
-func (as *AddressSpace) objIndex(obj *MemObject) (uint16, error) {
+func (as *AddressSpace) objIndex(obj *MemObject) (uint32, error) {
 	for i, o := range as.objs {
 		if o == obj {
-			return uint16(i), nil
+			return uint32(i), nil
 		}
 	}
 	if len(as.objs) == 0 {
 		as.objs = as.objs0[:1] // index 0 marks an unmapped slot
 	}
-	if len(as.objs) > math.MaxUint16 {
-		return 0, fmt.Errorf("vm: MapView of more than %d objects into one address space", math.MaxUint16)
+	if len(as.objs) > maxObjects {
+		return 0, fmt.Errorf("vm: MapView of more than %d objects into one address space", maxObjects)
 	}
 	as.objs = append(as.objs, obj)
-	return uint16(len(as.objs) - 1), nil
+	return uint32(len(as.objs) - 1), nil
 }
 
 // ensure grows the table to cover vpns [lo, hi).
@@ -336,6 +355,10 @@ func (as *AddressSpace) MapView(va uint64, obj *MemObject, firstFrame, nPages in
 		return fmt.Errorf("vm: MapView frames [%d,%d) out of object range %d",
 			firstFrame, firstFrame+nPages, obj.NumPages())
 	}
+	if firstFrame+nPages-1 > maxFrame {
+		return fmt.Errorf("vm: MapView frames [%d,%d) past the largest frame a page-table entry holds, %d",
+			firstFrame, firstFrame+nPages, maxFrame)
+	}
 	oi, err := as.objIndex(obj)
 	if err != nil {
 		return err
@@ -344,12 +367,12 @@ func (as *AddressSpace) MapView(va uint64, obj *MemObject, firstFrame, nPages in
 	as.ensure(vpn, vpn+uint64(nPages))
 	view := as.pt[vpn-as.base:][:nPages]
 	for i := range view {
-		if view[i].obj != 0 {
+		if view[i].obj() != 0 {
 			return fmt.Errorf("vm: MapView overlaps existing mapping at %#x", (vpn+uint64(i))*PageSize)
 		}
 	}
 	for i := range view {
-		view[i] = pte{frame: int32(firstFrame + i), obj: oi, prot: prot}
+		view[i] = packPTE(firstFrame+i, oi, prot)
 	}
 	return nil
 }
@@ -359,7 +382,7 @@ func (as *AddressSpace) Unmap(va uint64, nPages int) {
 	vpn := va / PageSize
 	for i := 0; i < nPages; i++ {
 		if p := vpn + uint64(i); p >= as.base && p < as.base+uint64(len(as.pt)) {
-			as.pt[p-as.base] = pte{}
+			as.pt[p-as.base] = 0
 		}
 	}
 }
@@ -377,7 +400,7 @@ func (as *AddressSpace) Protect(va uint64, nPages int, prot Prot) error {
 		if e == nil {
 			return unmapped(vpn * PageSize)
 		}
-		e.prot = prot
+		*e = e.withProt(prot)
 		return nil
 	}
 	for i := 0; i < nPages; i++ {
@@ -386,7 +409,8 @@ func (as *AddressSpace) Protect(va uint64, nPages int, prot Prot) error {
 		}
 	}
 	for i := 0; i < nPages; i++ {
-		as.pt[vpn+uint64(i)-as.base].prot = prot
+		e := &as.pt[vpn+uint64(i)-as.base]
+		*e = e.withProt(prot)
 	}
 	return nil
 }
@@ -397,7 +421,7 @@ func (as *AddressSpace) ProtOf(va uint64) (Prot, error) {
 	if e == nil {
 		return NoAccess, unmapped(va)
 	}
-	return e.prot, nil
+	return e.prot(), nil
 }
 
 // Lookup returns the PTE of the vpage containing va, if mapped. The
@@ -407,7 +431,7 @@ func (as *AddressSpace) Lookup(va uint64) (PTE, bool) {
 	if e == nil {
 		return PTE{}, false
 	}
-	return PTE{Obj: as.objs[e.obj], Frame: int(e.frame), Prot: e.prot}, true
+	return PTE{Obj: as.objs[e.obj()], Frame: e.frame(), Prot: e.prot()}, true
 }
 
 // Mapped reports whether the vpage containing va is mapped.
@@ -421,8 +445,8 @@ func (as *AddressSpace) Mapped(va uint64) bool {
 // protection test and a load, as on the paper's MMU. The rest is fault's.
 func (as *AddressSpace) resolve(ctx any, va uint64, kind AccessKind) (*[PageSize]byte, error) {
 	if i := va/PageSize - as.base; i < uint64(len(as.pt)) { // wraps past len(as.pt) when va is below the table
-		if e := as.pt[i]; e.obj != 0 && e.prot.allows(kind) {
-			if f := as.objs[e.obj].frames[e.frame]; f != nil {
+		if e := as.pt[i]; e.prot().allows(kind) { // an unmapped entry is zero: NoAccess
+			if f := as.objs[e.obj()].frames[e.frame()]; f != nil {
 				return f, nil
 			}
 		}
@@ -442,8 +466,8 @@ func (as *AddressSpace) fault(ctx any, va uint64, kind AccessKind) (*[PageSize]b
 		if e == nil {
 			return nil, unmapped(va)
 		}
-		if e.prot.allows(kind) {
-			return as.objs[e.obj].frame(int(e.frame)), nil
+		if e.prot().allows(kind) {
+			return as.objs[e.obj()].frame(e.frame()), nil
 		}
 		if kind == Write {
 			as.WriteFaults++
@@ -451,12 +475,12 @@ func (as *AddressSpace) fault(ctx any, va uint64, kind AccessKind) (*[PageSize]b
 			as.ReadFaults++
 		}
 		if as.handler == nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoHandler, Fault{Addr: va, Kind: kind, Prot: e.prot})
+			return nil, fmt.Errorf("%w: %v", ErrNoHandler, Fault{Addr: va, Kind: kind, Prot: e.prot()})
 		}
 		if attempt >= maxFaultRetries {
-			return nil, fmt.Errorf("%w: %v", ErrFaultStorm, Fault{Addr: va, Kind: kind, Prot: e.prot})
+			return nil, fmt.Errorf("%w: %v", ErrFaultStorm, Fault{Addr: va, Kind: kind, Prot: e.prot()})
 		}
-		if err := as.handler(ctx, Fault{Addr: va, Kind: kind, Prot: e.prot}); err != nil {
+		if err := as.handler(ctx, Fault{Addr: va, Kind: kind, Prot: e.prot()}); err != nil {
 			return nil, err
 		}
 	}
@@ -518,7 +542,7 @@ func (as *AddressSpace) Bypass(va uint64, n int) ([]byte, error) {
 		return nil, unmapped(va)
 	}
 	off := int(va % PageSize)
-	return as.objs[e.obj].Frame(int(e.frame))[off : off+n], nil
+	return as.objs[e.obj()].Frame(e.frame())[off : off+n], nil
 }
 
 // ReadBypass copies len(buf) bytes at va into buf ignoring protections,
@@ -532,7 +556,7 @@ func (as *AddressSpace) ReadBypass(va uint64, buf []byte) error {
 			return unmapped(va)
 		}
 		off, n := int(va%PageSize), min(len(buf), PageSize-int(va%PageSize))
-		if f := as.objs[e.obj].frames[e.frame]; f != nil {
+		if f := as.objs[e.obj()].frames[e.frame()]; f != nil {
 			copy(buf[:n], f[off:])
 		} else {
 			clear(buf[:n])

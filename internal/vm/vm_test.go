@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMemObjectRoundsUpToPages(t *testing.T) {
@@ -61,6 +62,63 @@ func TestMapViewRejectsFrameRange(t *testing.T) {
 	as := NewAddressSpace()
 	if err := as.MapView(0x10000, mo, 1, 2, ReadWrite); err == nil {
 		t.Fatal("out-of-range frames accepted")
+	}
+}
+
+// TestPTEPacking pins the page-table entry at the Pentium II's 4 bytes and
+// holds MapView to what the packing can hold: the largest frame and the
+// last object index map, look up, protect and unmap like any other; a
+// frame or an object one past them is an error, never a silent wrap onto
+// a smaller frame or another object.
+func TestPTEPacking(t *testing.T) {
+	if sz := unsafe.Sizeof(pte(0)); sz != 4 {
+		t.Fatalf("page-table entry is %d bytes, want 4", sz)
+	}
+	mo := NewMemObject((maxFrame + 2) * PageSize) // demand-zero: only the frame touched below is allocated
+	as := NewAddressSpace()
+	const va = 0x10000
+	if err := as.MapView(va, mo, maxFrame, 1, NoAccess); err != nil {
+		t.Fatalf("MapView of the largest frame: %v", err)
+	}
+	if e, ok := as.Lookup(va); !ok || e.Obj != mo || e.Frame != maxFrame || e.Prot != NoAccess {
+		t.Fatalf("Lookup = %+v, %v; want frame %d of the object, NoAccess", e, ok, maxFrame)
+	}
+	if err := as.Protect(va, 1, ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteAt(nil, va+8, []byte("top")); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := as.Lookup(va); !ok || e.Frame != maxFrame || e.Prot != ReadWrite {
+		t.Fatalf("Lookup after Protect = %+v, %v; want frame %d, ReadWrite", e, ok, maxFrame)
+	}
+	if got := mo.Frame(maxFrame)[8:11]; string(got) != "top" {
+		t.Fatalf("frame %d holds %q, want the write through its view", maxFrame, got)
+	}
+	as.Unmap(va, 1)
+	if _, ok := as.Lookup(va); ok || as.Mapped(va) {
+		t.Fatal("page still mapped after Unmap")
+	}
+
+	if err := as.MapView(va, mo, maxFrame, 2, ReadWrite); err == nil {
+		t.Fatalf("MapView of frame %d accepted", maxFrame+1)
+	}
+	if as.Mapped(va) {
+		t.Fatal("a rejected MapView mapped a page")
+	}
+
+	objs := NewAddressSpace()
+	for i := 0; i < maxObjects; i++ {
+		if err := objs.MapView(va+uint64(i)*PageSize, NewMemObject(PageSize), 0, 1, ReadOnly); err != nil {
+			t.Fatalf("MapView of object %d: %v", i+1, err)
+		}
+	}
+	last := va + uint64(maxObjects)*PageSize
+	if err := objs.MapView(last, NewMemObject(PageSize), 0, 1, ReadOnly); err == nil {
+		t.Fatalf("MapView of object %d accepted", maxObjects+1)
+	}
+	if objs.Mapped(last) {
+		t.Fatal("a rejected MapView mapped a page")
 	}
 }
 
