@@ -24,20 +24,24 @@ func pinnedReport(t *testing.T) benchReport {
 	return r
 }
 
+// bytesFence is how far past its pinned bytes/op a footprint row may go.
+const bytesFence = 1.25
+
 // TestE2EAllocsRegression is the one gate on the end-to-end rows'
 // deterministic cost columns: each row's run must stay within twice the
-// allocs/op (or bytes/op) BENCH_sim.json pins for it. Allocation counts
-// are deterministic enough for a 2x fence (unlike wall-clock time, which
-// shared CI boxes make unpinnable), so this catches a pooling or
-// footprint regression before it shows up as a slow simulator. CI
-// selects it with the regexp AllocsRegression|BytesRegression.
+// allocs/op BENCH_sim.json pins for it, or within 1.25x of its bytes/op.
+// Allocation counts are deterministic enough for a 2x fence (unlike
+// wall-clock time, which shared CI boxes make unpinnable), and bytes/op
+// repeat to within 0.1 %, so this catches a pooling or footprint
+// regression before it shows up as a slow simulator. CI selects it with
+// the regexp AllocsRegression|BytesRegression.
 func TestE2EAllocsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full benchmarks")
 	}
 	rows := []struct {
 		row     string
-		bytes   bool   // fence bytes/op instead of allocs/op
+		bytes   bool   // fence bytes/op at bytesFence instead of allocs/op at 2x
 		catches string // the regression this row is there for
 	}{
 		{"E2ESOR8", false, "the end-to-end acceptance workload: a leaked fast path, a pool gated off, " +
@@ -52,9 +56,10 @@ func TestE2EAllocsRegression(t *testing.T) {
 		{"E2ESOR64", true, "the footprint gate: 64 hosts each map the whole shared image n+1 times and touch " +
 			"little beyond their own band of rows, so bytes/op stays near the pin only while memory objects " +
 			"are demand-zero and host state is sized by the cluster; an eagerly allocated image per host " +
-			"(75 MB/op before they became sparse) multiplies by the host count. Entry sizes are pinned " +
-			"exactly elsewhere (vm's TestPTEPacking, dsm's TestDirEntryFootprint): 8-byte PTEs and a " +
-			"1,024-host copyset in every directory entry read 1.47x this pin, inside the fence"},
+			"(75 MB/op before they became sparse) multiplies by the host count, and so does every byte of a " +
+			"page-table entry, whose dense table spans all n+1 views and their guard gaps: 4-byte entries " +
+			"read about 1.40x this pin, and 8-byte entries with a 1,024-host copyset in every directory " +
+			"entry 2.06x. Entry sizes are also pinned exactly (vm's TestPTEPacking, dsm's TestDirEntryFootprint)"},
 		{"E2EServe8", false, "the serving path's steady state: the pin is setup-dominated (~1.2k allocations " +
 			"for a 20k-op scenario), so per-op garbage on the GET/PUT hot loop — a boxed histogram add, an " +
 			"interface escape in the generator, a per-response oracle allocation — multiplies past the fence"},
@@ -80,8 +85,12 @@ func TestE2EAllocsRegression(t *testing.T) {
 			if pin <= 0 {
 				t.Fatalf("BENCH_sim.json has no %s/op pin for %s", unit, row.row)
 			}
-			if got > 2*pin {
-				t.Fatalf("%s allocates %d %s/op, more than 2x the pinned %d (%s)", row.row, got, unit, pin, row.catches)
+			fence := 2.0
+			if row.bytes {
+				fence = bytesFence
+			}
+			if float64(got) > fence*float64(pin) {
+				t.Fatalf("%s allocates %d %s/op, more than %gx the pinned %d (%s)", row.row, got, unit, fence, pin, row.catches)
 			}
 		})
 	}

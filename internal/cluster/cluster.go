@@ -45,7 +45,7 @@ type Options struct {
 	Hosts          int // number of hosts, in [1, 1024]; required
 	ThreadsPerHost int // application threads per host (paper: uniprocessors, 1)
 	SharedSize     int // bytes of shared memory; required
-	Views          int // application views (minipage protocols); see Table 2
+	Views          int // application views (minipage protocols), at most core.MaxViews; see Table 2
 	ChunkLevel     int // the paper's chunking switch; 0/1 means off
 	Seed           int64
 

@@ -49,14 +49,23 @@ type Layout struct {
 	Stride     uint64 // distance between consecutive view bases
 }
 
+// MaxViews is the most application views a layout has: a region maps
+// them and the privileged view into each host's address space, and a
+// one-byte page-table entry names one of vm.MaxMappings mappings.
+const MaxViews = vm.MaxMappings - 1
+
 // NewLayout computes the view geometry for a shared region of sharedSize
-// bytes with numViews application views.
+// bytes with numViews application views, in [1, MaxViews].
 func NewLayout(sharedSize, numViews int) (Layout, error) {
 	if sharedSize <= 0 {
 		return Layout{}, fmt.Errorf("core: shared size %d must be positive", sharedSize)
 	}
 	if numViews < 1 {
-		return Layout{}, fmt.Errorf("core: need at least 1 view, got %d", numViews)
+		return Layout{}, fmt.Errorf("core: Views = %d; need at least 1", numViews)
+	}
+	if numViews > MaxViews {
+		return Layout{}, fmt.Errorf("core: Views = %d, more than %d: a one-byte page-table entry names %d mappings, "+
+			"one for each view and one for the privileged view", numViews, MaxViews, vm.MaxMappings)
 	}
 	pages := (sharedSize + vm.PageSize - 1) / vm.PageSize
 	objSize := pages * vm.PageSize

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"millipage/internal/vm"
@@ -149,14 +150,46 @@ func TestRegionsOnOnePoolAreDisjoint(t *testing.T) {
 func TestLayoutVASpanGuardsAddressBudget(t *testing.T) {
 	// The paper was limited to about 1.63 GB of views: the layout exposes
 	// the span so callers can check it (we do not hard-fail, since the
-	// simulated address space is 64-bit).
-	l := mustLayout(t, 16<<20, 104) // the paper's N=16MB, n=104 example
+	// simulated address space is 64-bit). The paper's N=16MB, n=104
+	// example is past MaxViews here, so the widest layout stands in.
+	l := mustLayout(t, 16<<20, MaxViews)
 	span := l.VASpan()
-	if span < 104*16<<20 {
+	if span < MaxViews*16<<20 {
 		t.Fatalf("VASpan = %d, impossibly small", span)
 	}
-	if span > 4<<30 {
-		t.Fatalf("VASpan = %d, should be around 1.7GB for this configuration", span)
+	if span > 1630<<20 {
+		t.Fatalf("VASpan = %d, past the paper's 1.63 GB budget for this configuration", span)
+	}
+}
+
+// A layout holds at most MaxViews application views: a region maps them
+// and the privileged view, one page-table mapping each. At the bound every
+// view maps, protects and reads what the privileged view wrote; one past
+// it is refused with an error naming Views.
+func TestRegionAtMaxViews(t *testing.T) {
+	if _, err := NewLayout(2*vm.PageSize, MaxViews+1); err == nil || !strings.Contains(err.Error(), "Views") {
+		t.Fatalf("NewLayout with %d views = %v, want an error naming Views", MaxViews+1, err)
+	}
+	l := mustLayout(t, 2*vm.PageSize, MaxViews)
+	r, err := NewRegion(l, vm.NewAddressSpace(), vm.NewFramePool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const off = vm.PageSize + 24
+	if err := r.WritePriv(l.AppAddr(0, off), []byte{0xC3}); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v <= MaxViews; v++ {
+		va := l.PrivAddr(off)
+		if v < MaxViews {
+			va = l.AppAddr(v, off)
+		}
+		if err := r.Protect(va, 1, vm.ReadOnly); err != nil {
+			t.Fatalf("view %d: %v", v, err)
+		}
+		if b, err := r.AS.ReadU8(nil, va); err != nil || b != 0xC3 {
+			t.Fatalf("view %d reads %#x, %v; want the privileged write 0xc3", v, b, err)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@
 // per-minipage host sets here — SC's copysets and each host's marks —
 // sized by the cluster it runs, not by the 1,024-host cap: at 8 hosts a
 // copyset is one byte, at 64 one word. The table grows in slabs, so
-// growing it moves no bit and costs one allocation per slab.
+// growing it moves no bit and costs one allocation per slab, and a slab is
+// sized by its bytes, so a wide cluster does not pay for rows it never
+// reaches.
 package hostset
 
 import (
@@ -12,32 +14,46 @@ import (
 	"strings"
 )
 
-// slabRows is how many rows (minipages) one slab of a table holds. It is a
-// multiple of 64, so every slab is a whole number of words.
-const slabRows = 8192
+// maxSlabRows is how many rows (minipages) one slab of a table holds at
+// most; slabBits caps a slab at what maxSlabRows rows of three marks cost
+// at 64 hosts, 192 KiB, so past 64 hosts a slab holds fewer rows.
+const (
+	maxSlabRows = 8192
+	slabBits    = maxSlabRows * 3 * 64
+)
+
+// rowsPerSlab returns how many rows one slab of a table holds: as many as
+// fit slabBits, at most maxSlabRows, and a multiple of 64, so every slab
+// is a whole number of words.
+func rowsPerSlab(hosts, marks int) int {
+	return max(64, min(maxSlabRows, slabBits/(marks*hosts))&^63)
+}
 
 // Table holds, for each row, marks sets of host ids in [0, hosts). A row's
 // set for one mark is hosts consecutive bits of its slab, ascending by host
-// id; a slab holds each mark's sets of slabRows rows in turn.
+// id; a slab holds each mark's sets of its rows in turn.
 type Table struct {
 	hosts, marks int
+	perSlab      int // rows a slab holds
 	slabs        [][]uint64
 }
 
 // NewTable returns an empty table of marks sets a row over hosts hosts.
-func NewTable(hosts, marks int) Table { return Table{hosts: hosts, marks: marks} }
+func NewTable(hosts, marks int) Table {
+	return Table{hosts: hosts, marks: marks, perSlab: rowsPerSlab(hosts, marks)}
+}
 
 // Grow makes rows [0, rows) addressable; a new row's sets are empty.
 func (t *Table) Grow(rows int) {
-	for len(t.slabs)*slabRows < rows {
-		t.slabs = append(t.slabs, make([]uint64, t.marks*slabRows*t.hosts/64))
+	for len(t.slabs)*t.perSlab < rows {
+		t.slabs = append(t.slabs, make([]uint64, t.marks*t.perSlab*t.hosts/64))
 	}
 }
 
 // Set returns row's set for mark, a view into the table: changing it
 // changes the table.
 func (t *Table) Set(row, mark int) Set {
-	return Set{w: t.slabs[row/slabRows], at: (mark*slabRows + row%slabRows) * t.hosts, n: t.hosts}
+	return Set{w: t.slabs[row/t.perSlab], at: (mark*t.perSlab + row%t.perSlab) * t.hosts, n: t.hosts}
 }
 
 // Set is one row's set of host ids for one mark: bits [at, at+n) of w.

@@ -169,6 +169,51 @@ func TestOptionMatrix(t *testing.T) {
 	}
 }
 
+// TestViewsBound: every protocol runs at core.MaxViews views with the
+// views in force — that many small allocations share one page, each in a
+// view of its own, except under ivy's page grain — and refuses one view
+// more with an error naming Views, before anything runs.
+func TestViewsBound(t *testing.T) {
+	for _, name := range append(registry.Names(), "lrc") {
+		t.Run(name, func(t *testing.T) {
+			opt := registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: core.MaxViews + 1, Seed: 1}
+			if _, err := registry.New(name, opt); err == nil || !strings.Contains(err.Error(), "Views") {
+				t.Fatalf("%d views: %v, want a refusal naming Views", opt.Views, err)
+			}
+			opt.Views = core.MaxViews
+			sys, err := registry.New(name, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := make([]uint64, core.MaxViews)
+			err = sys.Run(func(w cluster.AppThread) {
+				if w.ThreadID() == 0 {
+					for i := range cells {
+						cells[i] = w.Malloc(64)
+						w.WriteU32(cells[i], uint32(i+1))
+					}
+				}
+				w.Barrier()
+				for i, c := range cells {
+					if got := w.ReadU32(c); got != uint32(i+1) {
+						t.Errorf("thread %d reads %d in cell %d", w.ThreadID(), got, i)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := core.MaxViews
+			if name == "ivy" {
+				want = 1
+			}
+			if got := sys.Totals().ViewsUsed; got != want {
+				t.Errorf("ViewsUsed = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
 func TestLookup(t *testing.T) {
 	for name, want := range map[string]string{"": "millipage", "Millipage": "millipage", "LRC-MW": "lrc-mw", "ivy": "ivy", "LRC": "lrc-mw"} {
 		sp, err := registry.Lookup(name)

@@ -23,8 +23,9 @@ func refResolve(as *AddressSpace, ctx any, va uint64, n int, kind AccessKind) ([
 			return nil, fmt.Errorf("%w: %#x", ErrUnmapped, va)
 		}
 		if e.prot().allows(kind) {
+			obj, frame := as.target(va/PageSize, *e)
 			off := int(va % PageSize)
-			return as.objs[e.obj()].Frame(e.frame())[off : off+n], nil
+			return obj.Frame(frame)[off : off+n], nil
 		}
 		if kind == Write {
 			as.WriteFaults++
@@ -215,7 +216,9 @@ func sameErr(a, b error) bool {
 // bytes runs on two identical address spaces, one through the package's
 // accessors and one through the reference above. After every step the two
 // must agree on the value, the error, the fault counters, the handler's
-// call sequence and the frames touched; at the end, on every frame byte.
+// call sequence and the frames touched; at the end, on every frame byte. A
+// remap refused because the mapping table is full fails the test: both
+// sides would refuse it alike, so the remaps it covers would shrink unseen.
 func TestTypedAccessMatchesByteAccess(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -258,6 +261,9 @@ func TestTypedAccessMatchesByteAccess(t *testing.T) {
 				first, n, prot := rng.Intn(diffObjPages), 1+rng.Intn(2), Prot(rng.Intn(3))
 				desc = fmt.Sprintf("MapView(%#x, frame %d, %d, %v)", va, first, n, prot)
 				errA, errB = a.as.MapView(va, a.mo, first, n, prot), b.as.MapView(va, b.mo, first, n, prot)
+				if errors.Is(errA, errMappingsFull) {
+					t.Fatalf("seed %d step %d: %s: %v; the program's remaps must fit the mapping table", seed, step, desc, errA)
+				}
 			case r < 80:
 				va, w := addr(), rng.Intn(numWidths)
 				if int(va%PageSize)+widthSize(w) > PageSize {

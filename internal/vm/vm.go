@@ -177,37 +177,33 @@ type PTE struct {
 	Prot  Prot
 }
 
-// pte is a PTE as the page table stores it, packed into 4 bytes as the
-// paper's Pentium II packed its own: the frame in the low frameBits, the
-// object index above it, the protection in the top two bits. The dense
-// table spans every view and the guard gaps between them, so its entry
-// size is most of a host's fixed footprint. The zero entry is unmapped
-// (object index 0).
-type pte uint32
+// pte is a PTE as the page table stores it, in one byte: the index of its
+// mapping in the address space's mapping table in the low six bits, the
+// protection in the top two. A view maps one object at one offset, so
+// every page of it shares one mapping, and MultiView's n+1 views of a
+// region take n+1 of them. The dense table spans every view and the guard
+// gaps between them, so its entry size is most of a host's fixed
+// footprint. The zero entry is unmapped (mapping index 0).
+type pte uint8
 
-const (
-	frameBits = 22
-	objBits   = 8
-	protShift = frameBits + objBits
+const protShift = 6
 
-	// maxFrame is the largest frame index a page-table entry holds (an
-	// object of up to 16 GB); MapView rejects a view past it.
-	maxFrame = 1<<frameBits - 1
-	// maxObjects is how many memory objects one address space can map;
-	// MapView rejects the next.
-	maxObjects = 1<<objBits - 1
-)
+// MaxMappings is how many distinct (object, offset) mappings one address
+// space holds: what the six index bits of a page-table entry name, less
+// the unmapped index 0. MapView rejects the next.
+const MaxMappings = 1<<protShift - 1
 
-func packPTE(frame int, obj uint32, prot Prot) pte {
-	return pte(frame) | pte(obj)<<frameBits | pte(prot)<<protShift
-}
-
-func (e pte) frame() int  { return int(e & maxFrame) }
-func (e pte) obj() uint32 { return uint32(e>>frameBits) & maxObjects }
-func (e pte) prot() Prot  { return Prot(e >> protShift) }
+func (e pte) prot() Prot { return Prot(e >> protShift) }
 
 // withProt returns e with its protection set to prot.
-func (e pte) withProt(prot Prot) pte { return e&(1<<protShift-1) | pte(prot)<<protShift }
+func (e pte) withProt(prot Prot) pte { return e&MaxMappings | pte(prot)<<protShift }
+
+// mapping is one record of an address space's mapping table: the object a
+// view maps and the offset from a vpn to its frame, frame = vpn + delta.
+type mapping struct {
+	obj   *MemObject
+	delta int
+}
 
 // Fault describes a protection or presence violation, as delivered to the
 // installed fault handler.
@@ -232,6 +228,8 @@ var (
 	ErrUnmapped   = errors.New("vm: address not mapped")
 	ErrNoHandler  = errors.New("vm: fault with no handler installed")
 	ErrFaultStorm = errors.New("vm: access still faulting after repeated handler invocations")
+	// errMappingsFull is MapView's error for a mapping past MaxMappings.
+	errMappingsFull = fmt.Errorf("vm: MapView of a new (object, offset) mapping into an address space that holds %d", MaxMappings)
 )
 
 // unmapped is the error of an operation on the unmapped address va.
@@ -252,10 +250,9 @@ const maxFaultRetries = 8
 // per-access translation an index instead of a map probe — the single
 // hottest operation in the whole simulator.
 type AddressSpace struct {
-	base    uint64        // vpn of pt[0]
-	pt      []pte         // dense page table
-	objs    []*MemObject  // the objects pt's entries index; objs[0] is nil
-	objs0   [2]*MemObject // backs objs while one object is mapped: no allocation per host
+	base    uint64                   // vpn of pt[0]
+	pt      []pte                    // dense page table
+	maps    [MaxMappings + 1]mapping // the table pt's entries index, inline: no allocation per host
 	handler FaultHandler
 
 	// Counters, read by the DSM statistics layer.
@@ -264,9 +261,7 @@ type AddressSpace struct {
 }
 
 // NewAddressSpace returns an empty address space.
-func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{}
-}
+func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
 
 // slot returns the live entry for vpn, or nil if the page is unmapped.
 func (as *AddressSpace) slot(vpn uint64) *pte {
@@ -275,28 +270,32 @@ func (as *AddressSpace) slot(vpn uint64) *pte {
 		return nil
 	}
 	e := &as.pt[i]
-	if e.obj() == 0 {
+	if *e == 0 {
 		return nil
 	}
 	return e
 }
 
-// objIndex returns obj's index in the space's object list, adding it if
-// this is its first view here.
-func (as *AddressSpace) objIndex(obj *MemObject) (uint32, error) {
-	for i, o := range as.objs {
-		if o == obj {
-			return uint32(i), nil
+// target returns the object and frame that e, vpn's entry, maps.
+func (as *AddressSpace) target(vpn uint64, e pte) (*MemObject, int) {
+	m := &as.maps[e&MaxMappings]
+	return m.obj, int(vpn) + m.delta
+}
+
+// mapIndex returns the index of the mapping (obj, delta), claiming a free
+// record if no view has mapped that pair yet. Records are never freed:
+// remapping a view reuses its own.
+func (as *AddressSpace) mapIndex(obj *MemObject, delta int) (pte, error) {
+	want := mapping{obj, delta}
+	for i := 1; i < len(as.maps); i++ {
+		if as.maps[i].obj == nil {
+			as.maps[i] = want
+		}
+		if as.maps[i] == want {
+			return pte(i), nil
 		}
 	}
-	if len(as.objs) == 0 {
-		as.objs = as.objs0[:1] // index 0 marks an unmapped slot
-	}
-	if len(as.objs) > maxObjects {
-		return 0, fmt.Errorf("vm: MapView of more than %d objects into one address space", maxObjects)
-	}
-	as.objs = append(as.objs, obj)
-	return uint32(len(as.objs) - 1), nil
+	return 0, errMappingsFull
 }
 
 // ensure grows the table to cover vpns [lo, hi).
@@ -355,24 +354,20 @@ func (as *AddressSpace) MapView(va uint64, obj *MemObject, firstFrame, nPages in
 		return fmt.Errorf("vm: MapView frames [%d,%d) out of object range %d",
 			firstFrame, firstFrame+nPages, obj.NumPages())
 	}
-	if firstFrame+nPages-1 > maxFrame {
-		return fmt.Errorf("vm: MapView frames [%d,%d) past the largest frame a page-table entry holds, %d",
-			firstFrame, firstFrame+nPages, maxFrame)
-	}
-	oi, err := as.objIndex(obj)
-	if err != nil {
-		return err
-	}
 	vpn := va / PageSize
 	as.ensure(vpn, vpn+uint64(nPages))
 	view := as.pt[vpn-as.base:][:nPages]
 	for i := range view {
-		if view[i].obj() != 0 {
+		if view[i] != 0 {
 			return fmt.Errorf("vm: MapView overlaps existing mapping at %#x", (vpn+uint64(i))*PageSize)
 		}
 	}
+	m, err := as.mapIndex(obj, firstFrame-int(vpn))
+	if err != nil {
+		return err
+	}
 	for i := range view {
-		view[i] = packPTE(firstFrame+i, oi, prot)
+		view[i] = m | pte(prot)<<protShift
 	}
 	return nil
 }
@@ -431,7 +426,8 @@ func (as *AddressSpace) Lookup(va uint64) (PTE, bool) {
 	if e == nil {
 		return PTE{}, false
 	}
-	return PTE{Obj: as.objs[e.obj()], Frame: e.frame(), Prot: e.prot()}, true
+	obj, frame := as.target(va/PageSize, *e)
+	return PTE{Obj: obj, Frame: frame, Prot: e.prot()}, true
 }
 
 // Mapped reports whether the vpage containing va is mapped.
@@ -444,9 +440,10 @@ func (as *AddressSpace) Mapped(va uint64) bool {
 // range, mapped, protection sufficient, frame resident): a translation, a
 // protection test and a load, as on the paper's MMU. The rest is fault's.
 func (as *AddressSpace) resolve(ctx any, va uint64, kind AccessKind) (*[PageSize]byte, error) {
-	if i := va/PageSize - as.base; i < uint64(len(as.pt)) { // wraps past len(as.pt) when va is below the table
-		if e := as.pt[i]; e.prot().allows(kind) { // an unmapped entry is zero: NoAccess
-			if f := as.objs[e.obj()].frames[e.frame()]; f != nil {
+	if vpn := va / PageSize; vpn-as.base < uint64(len(as.pt)) { // wraps past len(as.pt) when va is below the table
+		if e := as.pt[vpn-as.base]; e.prot().allows(kind) { // an unmapped entry is zero: NoAccess
+			m := &as.maps[e&MaxMappings]
+			if f := m.obj.frames[int(vpn)+m.delta]; f != nil {
 				return f, nil
 			}
 		}
@@ -467,7 +464,8 @@ func (as *AddressSpace) fault(ctx any, va uint64, kind AccessKind) (*[PageSize]b
 			return nil, unmapped(va)
 		}
 		if e.prot().allows(kind) {
-			return as.objs[e.obj()].frame(e.frame()), nil
+			obj, frame := as.target(va/PageSize, *e)
+			return obj.frame(frame), nil
 		}
 		if kind == Write {
 			as.WriteFaults++
@@ -541,8 +539,9 @@ func (as *AddressSpace) Bypass(va uint64, n int) ([]byte, error) {
 	if e == nil {
 		return nil, unmapped(va)
 	}
+	obj, frame := as.target(va/PageSize, *e)
 	off := int(va % PageSize)
-	return as.objs[e.obj()].Frame(e.frame())[off : off+n], nil
+	return obj.Frame(frame)[off : off+n], nil
 }
 
 // ReadBypass copies len(buf) bytes at va into buf ignoring protections,
@@ -556,7 +555,8 @@ func (as *AddressSpace) ReadBypass(va uint64, buf []byte) error {
 			return unmapped(va)
 		}
 		off, n := int(va%PageSize), min(len(buf), PageSize-int(va%PageSize))
-		if f := as.objs[e.obj()].frames[e.frame()]; f != nil {
+		obj, frame := as.target(va/PageSize, *e)
+		if f := obj.frames[frame]; f != nil {
 			copy(buf[:n], f[off:])
 		} else {
 			clear(buf[:n])

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -65,60 +66,92 @@ func TestMapViewRejectsFrameRange(t *testing.T) {
 	}
 }
 
-// TestPTEPacking pins the page-table entry at the Pentium II's 4 bytes and
-// holds MapView to what the packing can hold: the largest frame and the
-// last object index map, look up, protect and unmap like any other; a
-// frame or an object one past them is an error, never a silent wrap onto
-// a smaller frame or another object.
+// TestPTEPacking pins the page-table entry at one byte and holds MapView
+// to what the byte can name: MaxMappings distinct (object, offset)
+// mappings each map, protect, look up and unmap like any other; the next
+// is an error that maps nothing, never a wrap onto another mapping; at the
+// cap a remap of a pair the table holds still succeeds; and a frame index
+// is no longer bounded by the entry, so a view past the old 2^22-frame
+// limit maps like the first.
 func TestPTEPacking(t *testing.T) {
-	if sz := unsafe.Sizeof(pte(0)); sz != 4 {
-		t.Fatalf("page-table entry is %d bytes, want 4", sz)
+	if sz := unsafe.Sizeof(pte(0)); sz != 1 {
+		t.Fatalf("page-table entry is %d bytes, want 1", sz)
 	}
-	mo := NewMemObject((maxFrame + 2) * PageSize) // demand-zero: only the frame touched below is allocated
-	as := NewAddressSpace()
 	const va = 0x10000
-	if err := as.MapView(va, mo, maxFrame, 1, NoAccess); err != nil {
-		t.Fatalf("MapView of the largest frame: %v", err)
-	}
-	if e, ok := as.Lookup(va); !ok || e.Obj != mo || e.Frame != maxFrame || e.Prot != NoAccess {
-		t.Fatalf("Lookup = %+v, %v; want frame %d of the object, NoAccess", e, ok, maxFrame)
-	}
-	if err := as.Protect(va, 1, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.WriteAt(nil, va+8, []byte("top")); err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := as.Lookup(va); !ok || e.Frame != maxFrame || e.Prot != ReadWrite {
-		t.Fatalf("Lookup after Protect = %+v, %v; want frame %d, ReadWrite", e, ok, maxFrame)
-	}
-	if got := mo.Frame(maxFrame)[8:11]; string(got) != "top" {
-		t.Fatalf("frame %d holds %q, want the write through its view", maxFrame, got)
-	}
-	as.Unmap(va, 1)
-	if _, ok := as.Lookup(va); ok || as.Mapped(va) {
-		t.Fatal("page still mapped after Unmap")
-	}
-
-	if err := as.MapView(va, mo, maxFrame, 2, ReadWrite); err == nil {
-		t.Fatalf("MapView of frame %d accepted", maxFrame+1)
-	}
-	if as.Mapped(va) {
-		t.Fatal("a rejected MapView mapped a page")
-	}
-
-	objs := NewAddressSpace()
-	for i := 0; i < maxObjects; i++ {
-		if err := objs.MapView(va+uint64(i)*PageSize, NewMemObject(PageSize), 0, 1, ReadOnly); err != nil {
-			t.Fatalf("MapView of object %d: %v", i+1, err)
+	as := NewAddressSpace()
+	objs := make([]*MemObject, MaxMappings)
+	page := func(i int) uint64 { return va + uint64(2*i)*PageSize } // a gap between views
+	for i := range objs {
+		objs[i] = NewMemObject(PageSize)
+		if i%2 == 1 { // odd ones share an object at distinct offsets
+			objs[i] = objs[i-1]
+		}
+		if err := as.MapView(page(i), objs[i], 0, 1, NoAccess); err != nil {
+			t.Fatalf("MapView of mapping %d: %v", i+1, err)
 		}
 	}
-	last := va + uint64(maxObjects)*PageSize
-	if err := objs.MapView(last, NewMemObject(PageSize), 0, 1, ReadOnly); err == nil {
-		t.Fatalf("MapView of object %d accepted", maxObjects+1)
+	for i, mo := range objs {
+		if e, ok := as.Lookup(page(i)); !ok || e.Obj != mo || e.Frame != 0 || e.Prot != NoAccess {
+			t.Fatalf("mapping %d: Lookup = %+v, %v; want frame 0 of its object, NoAccess", i+1, e, ok)
+		}
+		if err := as.Protect(page(i), 1, ReadWrite); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.WriteU32(nil, page(i)+4*uint64(i%2), uint32(i)); err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := as.Lookup(page(i)); !ok || e.Obj != mo || e.Prot != ReadWrite {
+			t.Fatalf("mapping %d: Lookup after Protect = %+v, %v; want ReadWrite", i+1, e, ok)
+		}
 	}
-	if objs.Mapped(last) {
+	for i, mo := range objs {
+		if got := binary.LittleEndian.Uint32(mo.Frame(0)[4*(i%2):]); got != uint32(i) {
+			t.Fatalf("mapping %d: its frame holds %d, want the write through its view", i+1, got)
+		}
+	}
+
+	last := page(MaxMappings)
+	if err := as.MapView(last, NewMemObject(PageSize), 0, 1, ReadOnly); !errors.Is(err, errMappingsFull) {
+		t.Fatalf("MapView of mapping %d = %v, want the full-table error", MaxMappings+1, err)
+	}
+	if as.Mapped(last) {
 		t.Fatal("a rejected MapView mapped a page")
+	}
+
+	as.Unmap(page(3), 1)
+	if _, ok := as.Lookup(page(3)); ok || as.Mapped(page(3)) {
+		t.Fatal("page still mapped after Unmap")
+	}
+	if _, err := as.ReadU8(nil, page(3)); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("read of an unmapped page = %v, want ErrUnmapped", err)
+	}
+	if err := as.MapView(page(3), objs[3], 0, 1, ReadOnly); err != nil {
+		t.Fatalf("remap of a pair the full table holds: %v", err)
+	}
+	if v, err := as.ReadU32(nil, page(3)+4); err != nil || v != 3 {
+		t.Fatalf("read through the remapped view = %d, %v; want 3", v, err)
+	}
+	for i := range objs {
+		as.Unmap(page(i), 1)
+		if _, ok := as.Lookup(page(i)); ok || as.Mapped(page(i)) {
+			t.Fatalf("mapping %d: page still mapped after Unmap", i+1)
+		}
+	}
+
+	const oldLimit = 1 << 22                       // frames an entry held when it packed its frame
+	big := NewMemObject((oldLimit + 2) * PageSize) // demand-zero: only the frame touched below is allocated
+	far := NewAddressSpace()
+	if err := far.MapView(va, big, oldLimit, 2, ReadWrite); err != nil {
+		t.Fatalf("MapView of frames [%d,%d): %v", oldLimit, oldLimit+2, err)
+	}
+	if err := far.WriteAt(nil, va+PageSize+8, []byte("top")); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := far.Lookup(va + PageSize); !ok || e.Obj != big || e.Frame != oldLimit+1 {
+		t.Fatalf("Lookup = %+v, %v; want frame %d", e, ok, oldLimit+1)
+	}
+	if got := big.Frame(oldLimit + 1)[8:11]; string(got) != "top" || big.Resident() != 1 {
+		t.Fatalf("frame %d holds %q (%d resident), want the write through its view alone", oldLimit+1, got, big.Resident())
 	}
 }
 

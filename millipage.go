@@ -105,7 +105,8 @@ type Config struct {
 	SharedMemory int
 
 	// Views is the number of application views, which bounds how many
-	// minipages can share one physical page (Section 2.4). Default 1.
+	// minipages can share one physical page (Section 2.4). Default 1,
+	// at most 62: each view is one mapping a page-table entry names.
 	Views int
 
 	// ChunkLevel aggregates this many successive same-size allocations
