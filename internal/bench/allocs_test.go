@@ -193,7 +193,7 @@ var eventsAndHops = map[string]struct{ events, hops uint64 }{
 	"E2ESOR64":        {187_422, 117_536},
 	"E2ESOR256":       {386_064, 239_353},
 	"E2EServe8":       {382_911, 221_106},
-	"E2EServeLossy":   {418_608, 157_476},
+	"E2EServeLossy":   {399_375, 142_396},
 }
 
 // lockstepRows are the rows whose switches are all but all application

@@ -27,9 +27,10 @@ type schedule struct {
 	plan func(hosts int, seed int64) *faultnet.Plan
 }
 
-// schedules returns the ISSUE's four-point chaos matrix. Partition and
-// crash windows sit a few virtual milliseconds in — inside the barrier
-// phases of every workload below.
+// schedules returns the four-point chaos matrix. Partition and crash
+// windows open half a virtual millisecond in: the shortest workload
+// below ends about 1.3 ms in on a clean wire, and runChaos fails a cell
+// that ends before its windows open or whose windows drop no frame.
 func schedules() []schedule {
 	return []schedule{
 		{"drop-heavy", func(hosts int, seed int64) *faultnet.Plan {
@@ -52,15 +53,15 @@ func schedules() []schedule {
 				Seed: seed,
 				Drop: 0.05,
 				Partitions: []faultnet.Partition{
-					{A: a, B: b, From: sim.Time(2 * sim.Millisecond), Until: sim.Time(12 * sim.Millisecond)},
+					{A: a, B: b, From: sim.Time(500 * sim.Microsecond), Until: sim.Time(10500 * sim.Microsecond)},
 				},
 			}
 		}},
 		{"crash-restart", func(hosts int, seed int64) *faultnet.Plan {
 			crashes := []faultnet.Crash{
-				{Host: hosts - 1, At: sim.Time(2 * sim.Millisecond), RestartAt: sim.Time(8 * sim.Millisecond)},
+				{Host: hosts - 1, At: sim.Time(500 * sim.Microsecond), RestartAt: sim.Time(6500 * sim.Microsecond)},
 				// The manager / allocation authority itself.
-				{Host: 0, At: sim.Time(15 * sim.Millisecond), RestartAt: sim.Time(22 * sim.Millisecond)},
+				{Host: 0, At: sim.Time(1 * sim.Millisecond), RestartAt: sim.Time(8 * sim.Millisecond)},
 			}
 			return &faultnet.Plan{Seed: seed, Drop: 0.02, Crashes: crashes}
 		}},
@@ -94,7 +95,39 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 		t.Fatalf("watchdog: %d of %d threads finished before %v (livelock under faults)",
 			done, rt.TotalThreads(), chaosWatchdog)
 	}
+	if plan != nil {
+		metFault(t, rt, plan)
+	}
 	return rt
+}
+
+// metFault fails a run that ended before one of its plan's crash or
+// partition windows opened, or whose windows dropped no frame: such a
+// cell tests the fault-free wire under another name.
+func metFault(t *testing.T, rt *cluster.Runtime, plan *faultnet.Plan) {
+	t.Helper()
+	var down, cut uint64
+	for i := 0; i < rt.NumHosts(); i++ {
+		st := rt.Net.Endpoint(i).Stats()
+		down, cut = down+st.DroppedDown, cut+st.Partitioned
+	}
+	end := sim.Time(rt.Elapsed())
+	for _, c := range plan.Crashes {
+		if end <= c.At {
+			t.Errorf("the run ended at %v, before host %d's crash at %v", end, c.Host, c.At)
+		}
+	}
+	for _, p := range plan.Partitions {
+		if end <= p.From {
+			t.Errorf("the run ended at %v, before the partition at %v", end, p.From)
+		}
+	}
+	if len(plan.Crashes) > 0 && down == 0 {
+		t.Errorf("the crashes discarded no frame (DroppedDown 0 on every host)")
+	}
+	if len(plan.Partitions) > 0 && cut == 0 {
+		t.Errorf("no frame was sent into the partition (Partitioned 0 on every host)")
+	}
 }
 
 // TestChaosDRFOracle is the data-race-free oracles under every fault

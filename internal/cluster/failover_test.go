@@ -20,8 +20,8 @@ import (
 )
 
 // failoverVictim is the hot home: every workload below leans on
-// minipages homed at host 1, and every schedule kills host 1 a few
-// virtual milliseconds in — mid-burst, well before any barrier drains.
+// minipages homed at host 1, and every schedule kills host 1 a virtual
+// millisecond in — mid-burst, well before any barrier drains.
 const failoverVictim = 1
 
 // failoverSchedules augments each of the four chaos presets with a
@@ -35,8 +35,8 @@ func failoverSchedules() []schedule {
 			pl := base.plan(hosts, seed)
 			pl.Crashes = append(pl.Crashes, faultnet.Crash{
 				Host:      failoverVictim,
-				At:        sim.Time(2 * sim.Millisecond),
-				RestartAt: sim.Time(30 * sim.Millisecond),
+				At:        sim.Time(1 * sim.Millisecond),
+				RestartAt: sim.Time(29 * sim.Millisecond),
 			})
 			return pl
 		}})

@@ -76,7 +76,7 @@ func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, e
 	opt = s.Opt
 	s.marks = hostset.NewTable(opt.Hosts, numMarks)
 	if s.Layout, err = core.NewLayout(opt.SharedSize, opt.Views); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	frames := vm.NewFramePool()
 	for i := 0; i < opt.Hosts; i++ {

@@ -305,8 +305,8 @@ func (nw *Network) retainMessage(m *Message) { m.refs++ }
 
 // releaseMessage drops one reliability-layer hold on m and recycles the
 // envelope once the last holder is gone. The last hold can only drop
-// after the destination's handler completed (the send-log hold needs a
-// cumulative ack, which complete() emits), so a pool envelope is always
+// after the destination's handler completed (the send-log hold needs an
+// ack whose processed floor covers it), so a pool envelope is always
 // msgDelivered here.
 func (nw *Network) releaseMessage(m *Message) {
 	m.refs--
@@ -329,7 +329,7 @@ func (nw *Network) Params() Params { return nw.params }
 
 // Stats aggregates per-endpoint message accounting: Sent, Received and
 // BytesSent count the wire, Looped the messages a host sent itself. The
-// last four counters move only under an installed fault plan.
+// last five counters move only under an installed fault plan.
 type Stats struct {
 	Sent         uint64
 	Received     uint64
@@ -340,7 +340,8 @@ type Stats struct {
 	Retransmits uint64 // frames re-sent by the reliability layer
 	DupsDropped uint64 // duplicate frames discarded at the receiver
 	OutOfOrder  uint64 // frames buffered waiting for a sequence gap
-	DroppedDown uint64 // frames discarded because this host was down
+	DroppedDown uint64 // frames this host's crash discarded: wiped at it, or sent or arriving while down
+	Partitioned uint64 // frames and acks this host sent into an active partition
 }
 
 // AvgServiceDelay reports the mean delay between a message's arrival and

@@ -4,7 +4,8 @@ package fastmsg
 // endpoints directly, but the reliability layer's contract is defined
 // in terms of what a real FM implementation would put on the wire:
 // a framed header carrying the link addressing, the per-link sequence
-// or cumulative-ack number, and the bulk bytes, integrity-checked.
+// number or an ack's two floors and incarnation, and the bulk bytes,
+// integrity-checked.
 // This file is that specification — EncodeFrame/DecodeFrame are the
 // single source of truth for the format — and the fault-mode transmit
 // path runs every outgoing frame through an encode/decode self-check,
@@ -21,11 +22,11 @@ import (
 // Frame kinds.
 const (
 	FrameData uint8 = 1 // a sequenced payload frame
-	FrameAck  uint8 = 2 // a cumulative acknowledgement
+	FrameAck  uint8 = 2 // a cumulative acknowledgement: admitted and processed floors
 )
 
 const (
-	frameVersion  = 0x01
+	frameVersion  = 0x02
 	frameMagic    = 0xFA
 	maxFrameHosts = 1 << 16 // sanity bound on host indices
 	maxFrameSize  = 1 << 30 // sanity bound on the modeled wire size
@@ -36,9 +37,11 @@ type Frame struct {
 	Kind uint8
 	From int
 	To   int
-	Seq  uint64 // per-link sequence (data) or cumulative ack floor (ack)
+	Seq  uint64 // per-link sequence (data) or admitted floor (ack)
 	Size int    // modeled wire size in bytes (data only)
 	Data []byte // bulk bytes (data only; nil for ack)
+	Done uint64 // processed floor (ack only)
+	Inc  uint64 // the receiver's incarnation (ack only)
 }
 
 // EncodeFrame renders f in the wire format: magic, version, kind,
@@ -63,6 +66,9 @@ func appendFrame(dst []byte, f *Frame) []byte {
 		dst = binary.AppendUvarint(dst, uint64(f.Size))
 		dst = binary.AppendUvarint(dst, uint64(len(f.Data)))
 		dst = append(dst, f.Data...)
+	} else {
+		dst = binary.AppendUvarint(dst, f.Done)
+		dst = binary.AppendUvarint(dst, f.Inc)
 	}
 	return binary.BigEndian.AppendUint32(dst, fnv1a32(dst[start:]))
 }
@@ -155,6 +161,13 @@ func decodeFrameInto(f *Frame, b []byte) error {
 			f.Data = rest[:dlen:dlen]
 			rest = rest[dlen:]
 		}
+	} else {
+		if f.Done, err = field("done", f.Seq); err != nil {
+			return err
+		}
+		if f.Inc, err = field("inc", 1<<62); err != nil {
+			return err
+		}
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrFrameField, len(rest))
@@ -174,7 +187,7 @@ func (r *reliability) selfCheckFrame(f *Frame) {
 		panic("fastmsg: frame codec self-check: " + err.Error())
 	}
 	if g.Kind != f.Kind || g.From != f.From || g.To != f.To || g.Seq != f.Seq ||
-		g.Size != f.Size || len(g.Data) != len(f.Data) {
+		g.Size != f.Size || len(g.Data) != len(f.Data) || g.Done != f.Done || g.Inc != f.Inc {
 		panic("fastmsg: frame codec self-check: round trip changed the frame")
 	}
 }
@@ -185,8 +198,8 @@ func (r *reliability) selfCheckData(m *Message) {
 	r.selfCheckFrame(&f)
 }
 
-// selfCheckAck asserts the wire format round-trips a cumulative ack.
-func (r *reliability) selfCheckAck(from, to int, cum uint64) {
-	f := Frame{Kind: FrameAck, From: from, To: to, Seq: cum}
+// selfCheckAck asserts the wire format round-trips an ack.
+func (r *reliability) selfCheckAck(from, to int, a ack) {
+	f := Frame{Kind: FrameAck, From: from, To: to, Seq: a.admitted, Done: a.done, Inc: a.inc}
 	r.selfCheckFrame(&f)
 }

@@ -11,7 +11,7 @@ func frameSeeds() []*Frame {
 		{Kind: FrameData, From: 0, To: 1, Seq: 1, Size: 40, Data: []byte("hello")},
 		{Kind: FrameData, From: 3, To: 0, Seq: 1 << 40, Size: 4096, Data: bytes.Repeat([]byte{0xAB}, 64)},
 		{Kind: FrameData, From: 7, To: 7, Seq: 2, Size: 0, Data: nil},
-		{Kind: FrameAck, From: 1, To: 0, Seq: 17},
+		{Kind: FrameAck, From: 1, To: 0, Seq: 17, Done: 12, Inc: 2},
 		{Kind: FrameAck, From: 65535, To: 65534, Seq: 1},
 	}
 }
@@ -24,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("decode(encode(%+v)): %v", f, err)
 		}
 		if g.Kind != f.Kind || g.From != f.From || g.To != f.To || g.Seq != f.Seq ||
-			g.Size != f.Size || !bytes.Equal(g.Data, f.Data) {
+			g.Size != f.Size || !bytes.Equal(g.Data, f.Data) || g.Done != f.Done || g.Inc != f.Inc {
 			t.Fatalf("round trip changed the frame: %+v -> %+v", f, g)
 		}
 		r := &reliability{}
@@ -36,13 +36,14 @@ func TestFrameDecodeRejects(t *testing.T) {
 	good := EncodeFrame(frameSeeds()[0])
 	body := good[:len(good)-4]
 	cases := map[string][]byte{
-		"empty":         nil,
-		"short":         good[:5],
-		"bad checksum":  append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^0xFF),
-		"bad magic":     reseal(body, func(b []byte) { b[0] = 0x00 }),
-		"bad version":   reseal(body, func(b []byte) { b[1] = 0x7F }),
-		"bad kind":      reseal(body, func(b []byte) { b[2] = 9 }),
-		"trailing junk": reseal(append(append([]byte{}, body...), 0x00), nil),
+		"empty":              nil,
+		"short":              good[:5],
+		"bad checksum":       append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^0xFF),
+		"bad magic":          reseal(body, func(b []byte) { b[0] = 0x00 }),
+		"bad version":        reseal(body, func(b []byte) { b[1] = 0x7F }),
+		"bad kind":           reseal(body, func(b []byte) { b[2] = 9 }),
+		"trailing junk":      reseal(append(append([]byte{}, body...), 0x00), nil),
+		"done past admitted": EncodeFrame(&Frame{Kind: FrameAck, Seq: 3, Done: 4}),
 	}
 	for name, b := range cases {
 		if _, err := DecodeFrame(b); err == nil {
@@ -85,7 +86,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-decode of re-encoded accepted frame failed: %v", err)
 		}
 		if g.Kind != fr.Kind || g.From != fr.From || g.To != fr.To || g.Seq != fr.Seq ||
-			g.Size != fr.Size || !bytes.Equal(g.Data, fr.Data) {
+			g.Size != fr.Size || !bytes.Equal(g.Data, fr.Data) || g.Done != fr.Done || g.Inc != fr.Inc {
 			t.Fatalf("round trip changed an accepted frame: %+v -> %+v", fr, g)
 		}
 	})

@@ -564,3 +564,101 @@ func TestInstallFaultsAfterTraffic(t *testing.T) {
 	}
 	expectPanic(t, "after traffic", func() { nw.InstallFaults(inj) })
 }
+
+// TestLostFrameResentAtWireRoundTrip: on an idle two-host link, a frame
+// lost to its first transmission is re-sent at the wire's round trip,
+// not at RTOMin: the admission ack does not wait for the receiver's
+// poller or sweeper, so the timer need not either.
+func TestLostFrameResentAtWireRoundTrip(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := New(eng, 2, DefaultParams())
+	inj, err := faultnet.NewInjector(faultnet.Plan{ // loses exactly the frame sent at time zero
+		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: 0, Until: 1}},
+	}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.InstallFaults(inj)
+	var servedAt []sim.Time
+	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { servedAt = append(servedAt, p.Now()) })
+	m := nw.Endpoint(0).AllocMessage()
+	m.Size = 32
+	nw.Endpoint(0).Send(nil, 1, m)
+	eng.Spawn("watch", func(p *sim.Proc) { p.Sleep(10 * sim.Millisecond) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := nw.Endpoint(0).Stats(); st.Partitioned != 1 || st.Retransmits != 1 {
+		t.Fatalf("sender stats %+v, want the first transmission partitioned and one retransmit", st)
+	}
+	if len(servedAt) != 1 || servedAt[0] > sim.Time(100*sim.Microsecond) {
+		t.Fatalf("served at %v, want once within 100µs of the send", servedAt)
+	}
+}
+
+// TestResyncAfterCrashLosesAdmittedFrames: host 2 crashes holding frames
+// from hosts 0 and 1 that it admitted (so their senders stopped timing
+// them) but had not serviced, and the first resync ack it sends host 0
+// at its restart falls into a partition. Its resync chain must re-send
+// until host 0 re-sends the lost tail: every frame is still handled
+// exactly once, in order. Without the chain, host 0 never learns of the
+// restart and the run stalls.
+func TestResyncAfterCrashLosesAdmittedFrames(t *testing.T) {
+	const msgs = 6
+	crashAt, restartAt := sim.Time(2500*sim.Microsecond), sim.Time(5*sim.Millisecond)
+	eng := sim.NewEngine(1)
+	nw := New(eng, 3, DefaultParams())
+	inj, err := faultnet.NewInjector(faultnet.Plan{
+		Crashes:    []faultnet.Crash{{Host: 2, At: crashAt, RestartAt: restartAt}},
+		Partitions: []faultnet.Partition{{A: 0b001, B: 0b100, From: restartAt, Until: restartAt + 1}},
+	}, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.InstallFaults(inj)
+	got := [2][]int{}
+	nw.Endpoint(2).SetHandler(func(p *sim.Proc, m *Message) {
+		got[m.From] = append(got[m.From], m.Payload.(int))
+		p.Sleep(sim.Millisecond) // the rest queue up, admitted
+	})
+	for h := 0; h < 2; h++ {
+		ep := nw.Endpoint(h)
+		ep.SetHandler(func(p *sim.Proc, m *Message) {})
+		for k := 0; k < msgs; k++ {
+			m := ep.AllocMessage()
+			m.Size, m.Payload = 32, k
+			ep.Send(nil, 2, m)
+		}
+	}
+	var lost [2]uint64
+	eng.At(restartAt, func() {
+		for h := range lost {
+			rs := &nw.rel.hosts[2].recv[h]
+			lost[h] = rs.lost - rs.nextAccept
+		}
+	})
+	eng.Spawn("watch", func(p *sim.Proc) {
+		for p.Now() < sim.Time(sim.Second) && len(got[0])+len(got[1]) < 2*msgs {
+			p.Sleep(sim.Millisecond)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lost[0] == 0 || lost[1] == 0 {
+		t.Fatalf("the crash lost %v admitted frames from hosts 0 and 1, want some from each", lost)
+	}
+	if st := nw.Endpoint(2).Stats(); st.Partitioned != 1 {
+		t.Fatalf("host 2 stats %+v, want its first resync to host 0 partitioned", st)
+	}
+	for h, seq := range got {
+		if len(seq) != msgs {
+			t.Fatalf("host %d's frames handled %v, want all %d", h, seq, msgs)
+		}
+		for k, v := range seq {
+			if v != k {
+				t.Fatalf("host %d's frames handled %v, want each once, in order", h, seq)
+			}
+		}
+	}
+}

@@ -52,7 +52,10 @@ type Plan struct {
 	Crashes []Crash
 
 	// Retransmit timer bounds for the reliability layer; zero selects
-	// the defaults (RTOMin 3ms, RTOMax 50ms of virtual time).
+	// the defaults (3ms and 50ms of virtual time). RTOMin is the ceiling
+	// of a link's first timeout, which is otherwise the wire's round trip
+	// of the largest frame sent so far at the jitter bound, with slack;
+	// RTOMax caps the exponential backoff.
 	RTOMin sim.Duration
 	RTOMax sim.Duration
 }
@@ -80,8 +83,9 @@ type Crash struct {
 	RestartAt sim.Time
 }
 
-// DefaultRTOMin and DefaultRTOMax bound the reliability layer's
-// exponential-backoff retransmission timer.
+// DefaultRTOMin is the ceiling of a link's first retransmission timeout
+// (the one a plan with a large Jitter reaches), and DefaultRTOMax the
+// ceiling of its exponential backoff.
 const (
 	DefaultRTOMin = 3 * sim.Millisecond
 	DefaultRTOMax = 50 * sim.Millisecond

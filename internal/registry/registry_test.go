@@ -176,9 +176,14 @@ func TestOptionMatrix(t *testing.T) {
 func TestViewsBound(t *testing.T) {
 	for _, name := range append(registry.Names(), "lrc") {
 		t.Run(name, func(t *testing.T) {
+			_, err := registry.New(name, registry.Options{Hosts: 0, SharedSize: 1 << 16, Seed: 1})
+			if err == nil {
+				t.Fatal("0 hosts accepted")
+			}
+			proto, _, _ := strings.Cut(err.Error(), ": ")
 			opt := registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: core.MaxViews + 1, Seed: 1}
-			if _, err := registry.New(name, opt); err == nil || !strings.Contains(err.Error(), "Views") {
-				t.Fatalf("%d views: %v, want a refusal naming Views", opt.Views, err)
+			if _, err := registry.New(name, opt); err == nil || !strings.Contains(err.Error(), "Views") || !strings.HasPrefix(err.Error(), proto+": ") {
+				t.Fatalf("%d views: %v, want a refusal naming Views, led like every Options refusal by %q", opt.Views, err, proto)
 			}
 			opt.Views = core.MaxViews
 			sys, err := registry.New(name, opt)

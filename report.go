@@ -35,7 +35,7 @@ type Report struct {
 	Retransmits   uint64 // frames re-sent by retransmit timers
 	DupsDropped   uint64 // duplicate frames discarded at receivers
 	OutOfOrder    uint64 // frames buffered across a sequence gap
-	FramesDropped uint64 // frames discarded at down (crashed/partitioned) hosts
+	FramesDropped uint64 // frames discarded by crashed hosts or sent into partitions
 
 	// DSM footprint (Table 2 columns).
 	Minipages  int
@@ -118,7 +118,7 @@ func (c *Cluster) report() *Report {
 		r.Retransmits += es.Retransmits
 		r.DupsDropped += es.DupsDropped
 		r.OutOfOrder += es.OutOfOrder
-		r.FramesDropped += es.DroppedDown
+		r.FramesDropped += es.DroppedDown + es.Partitioned
 	}
 	// Latency decomposition.
 	var rfTime, wfTime Duration
