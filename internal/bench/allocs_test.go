@@ -33,8 +33,8 @@ const bytesFence = 1.25
 // Allocation counts are deterministic enough for a 2x fence (unlike
 // wall-clock time, which shared CI boxes make unpinnable), and bytes/op
 // repeat to within 0.1 %, so this catches a pooling or footprint
-// regression before it shows up as a slow simulator. CI selects it with
-// the regexp AllocsRegression|BytesRegression.
+// regression before it shows up as a slow simulator. It runs full
+// benchmarks, so -short skips it.
 func TestE2EAllocsRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full benchmarks")

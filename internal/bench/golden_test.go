@@ -190,7 +190,10 @@ func TestTraceDoubleRunDeterminism(t *testing.T) {
 // TestSweepParallelMatchesSequential forces the sweep helper through both
 // its sequential and its multi-worker path over the same grid and
 // requires identical results and identical progress bytes. GOMAXPROCS
-// does not matter: parallel sweeps must only reorder wall-clock work.
+// does not matter: parallel sweeps must only reorder wall-clock work. The
+// worker width is an atomic knob the sweeps read while tests and the CLI
+// write it, which is why the check script's full tier repeats this test
+// under -race.
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	saved := Workers()
 	defer SetWorkers(saved)

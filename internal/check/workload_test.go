@@ -32,7 +32,7 @@ func runDSM(t *testing.T, hosts int, body func(w cluster.AppThread)) {
 func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 	t.Run("message-passing", func(t *testing.T) {
 		wl := &check.MessagePassing{}
-		runDSM(t, 2, wl.Body)
+		runDSM(t, 3, wl.Body) // host 2 is background traffic
 		if err := wl.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 		}
 	})
 	t.Run("drf", func(t *testing.T) {
-		wl := &check.DRF{Hosts: 3, Rounds: 2, LockReps: 2}
+		wl := &check.DRF{Hosts: 3, Rounds: 2, LockReps: 2, Turns: 1}
 		runDSM(t, 3, wl.Body)
 		if err := wl.Err(); err != nil {
 			t.Fatal(err)

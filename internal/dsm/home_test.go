@@ -137,7 +137,8 @@ func TestHomeOfOverride(t *testing.T) {
 // host 2; host 1 allocates and writes one, host 2 reads it, then host 3
 // reads it while every other thread computes: over host 3's read the home
 // sends the reply header and the bytes and nothing else, and the owner
-// sends nothing.
+// sends nothing. Under -tags invariants every protection change on the way
+// checks SW/MR across all hosts.
 func TestHomeSourcesReads(t *testing.T) {
 	s := newSys(t, New, Options{
 		Hosts: 4, SharedSize: 1 << 16, Views: 4,
@@ -620,8 +621,11 @@ func TestSCRotatingWriterKeepsHome(t *testing.T) {
 	}
 }
 
-// TestSCMoveWithAckInFlight: host 2 writes minipage 1, homed at host 1,
-// alone in two epochs, and in the second host 3 reads it after the write.
+// TestSCMoveWithAckInFlight holds a reader's ack to an SC home across the
+// barrier that moves the home: a request to the new home waits for that
+// home's release, then for the forwarded ack. Host 2 writes minipage 1,
+// homed at host 1, alone in two epochs, and in the second host 3 reads it
+// after the write.
 // A partition cuts host 3 from host 1 after the read's request is in and
 // before its ack leaves, until heal1, so the read's transaction is still
 // open at host 1 as the barrier moves the entry to host 2. A second

@@ -895,7 +895,9 @@ func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
 // ACK, READ_FWD or INVALIDATE_REQUEST is sent, and no directory counts
 // anything. Each fetch's latency is pinned: what it was while the fetch
 // had rows of its own, whose reply did not charge the install of its
-// bytes, plus that charge, Info.Size x InstallPerByte.
+// bytes, plus that charge, Info.Size x InstallPerByte. The reply's header
+// is recycled by that install; under -tags invariants a recycled header is
+// poisoned, so a use after it or a second recycle panics here.
 func TestMWFetchIsARead(t *testing.T) {
 	rec := trace.NewRecorder(1 << 12)
 	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, Trace: rec,

@@ -10,7 +10,8 @@ import (
 // TestInternalIsDeterministic is the lint gate: no simulation code under
 // internal/ may read the wall clock, draw from the global RNG, import
 // sync or sync/atomic, or iterate a map without either sorting or a
-// //detlint:ok exemption.
+// //detlint:ok exemption. The sync exemptions are the two places a second
+// goroutine exists: sim's idle-carrier list and bench's replica sweep.
 func TestInternalIsDeterministic(t *testing.T) {
 	root, err := filepath.Abs("..")
 	if err != nil {
