@@ -181,13 +181,13 @@ func BenchmarkFigure7Chunking(b *testing.B) {
 
 // BenchmarkVMAccess measures the software-VM access path.
 func BenchmarkVMAccess(b *testing.B) {
-	cluster, err := millipage.NewCluster(millipage.Config{
+	c, err := millipage.NewCluster(millipage.Config{
 		Hosts: 1, SharedMemory: 1 << 20, Views: 4,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := cluster.System()
+	sys := c.System()
 	host := sys.Host(0)
 	as := host.AS
 	if err := as.Protect(sys.Layout.ViewBase(0), sys.Layout.NumPages, 2); err != nil {

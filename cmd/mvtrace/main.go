@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/registry"
 	"millipage/internal/sim"
@@ -35,7 +34,7 @@ func main() {
 	// The scenarios use only the protocol-independent application API, so
 	// one body runs under every protocol.
 	var va uint64
-	scenario := func(t cluster.AppThread) {
+	scenario := func(t *dsm.Thread) {
 		switch *kind {
 		case "read":
 			// Host 1 read-misses a minipage owned by host 0.
@@ -115,13 +114,12 @@ func main() {
 
 	// The postscript is the one class-specific part: each consistency
 	// class's own counters, which the portable Totals do not carry.
-	ds := sys.(*dsm.System)
 	if spec.SC {
-		ms := ds.ManagerStatsTotal()
+		ms := sys.ManagerStatsTotal()
 		fmt.Printf("\ncompeting requests queued at the manager: %d  exclusive reads: %d  homes moved: %d\n",
-			ms.CompetingRequests, ms.ExclusiveReads, ds.MWStats().Migrations)
+			ms.CompetingRequests, ms.ExclusiveReads, sys.MWStats().Migrations)
 	} else {
-		st := ds.MWStats()
+		st := sys.MWStats()
 		fmt.Printf("\nfetches: %d  diffs sent: %d  notices: %d  invalidations: %d  twins made: %d\n",
 			st.Fetches, st.DiffsSent, st.Notices, st.Invalidations, st.TwinsMade)
 		fmt.Printf("home writes: %d  fetches parked at the home: %d  home acquires held for a diff: %d  homes moved: %d\n",

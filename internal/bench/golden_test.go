@@ -69,7 +69,7 @@ func tracedRun(t *testing.T, rec *trace.Recorder) (elapsed int64, dump string) {
 		t.Fatal(err)
 	}
 	var vas [8]uint64
-	err = s.Run(func(th cluster.AppThread) {
+	err = s.Run(func(th *dsm.Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(64)
@@ -127,7 +127,7 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 		t.Fatal(err)
 	}
 	var vas [6]uint64
-	err = s.Run(func(th cluster.AppThread) {
+	err = s.Run(func(th *dsm.Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(64)

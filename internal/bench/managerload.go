@@ -75,7 +75,7 @@ func ManagerLoad(cfg ManagerLoadConfig, homeOf func(id, hosts int) int) (Manager
 	}
 	vas := make([]uint64, cfg.Vars)
 	sum := fnv.New64a()
-	err = s.Run(func(th cluster.AppThread) {
+	err = s.Run(func(th *dsm.Thread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(64)

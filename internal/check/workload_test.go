@@ -5,6 +5,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 	"millipage/internal/registry"
 )
 
@@ -12,7 +13,7 @@ import (
 // protocol sweep lives in internal/cluster's conformance suite; this
 // test only proves the exported workload bodies are runnable and their
 // oracles accept a correct protocol.
-func newDSM(t *testing.T, hosts int, seed int64) cluster.System {
+func newDSM(t *testing.T, hosts int, seed int64) *dsm.System {
 	t.Helper()
 	sys, err := registry.New("millipage", registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
 	if err != nil {
@@ -24,7 +25,7 @@ func newDSM(t *testing.T, hosts int, seed int64) cluster.System {
 // runDSM executes body on the default schedule, no faults.
 func runDSM(t *testing.T, hosts int, body func(w cluster.AppThread)) {
 	t.Helper()
-	if err := newDSM(t, hosts, 1).Run(body); err != nil {
+	if err := newDSM(t, hosts, 1).Run(func(w *dsm.Thread) { body(w) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -89,7 +90,7 @@ func TestWorkloadsPassOnCorrectProtocol(t *testing.T) {
 	t.Run("swmr", func(t *testing.T) {
 		sys := newDSM(t, 3, 2)
 		wl := &check.SWMRSweep{Words: 3, Iters: 8, Seed: 2, Prots: check.RuntimeProts{RT: sys.Runtime()}}
-		if err := sys.Run(wl.Body); err != nil {
+		if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := wl.Err(); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 )
@@ -84,7 +85,7 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 	}
 	done := 0
 	rt.Eng.At(sim.Time(chaosWatchdog), rt.Eng.Stop)
-	err = sys.Run(func(w cluster.AppThread) {
+	err = sys.Run(func(w *dsm.Thread) {
 		body(rt, w)
 		done++
 	})

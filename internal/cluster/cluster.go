@@ -1,21 +1,20 @@
-// Package cluster is the shared runtime substrate under every DSM
-// protocol in this repository (dsm's Millipage, lrc-mw): the
-// one Options struct with its defaulting and validation, host and
-// application-thread lifecycle, the fault/message rendezvous, message
-// endpoint wiring with pooled envelopes, per-thread time-breakdown
-// accounting, trace hooks, and the coordinator — the allocation, barrier
-// and lock services of the paper's manager, barriers combining up a tree
-// rooted there, with the four thread operations in front (service.go).
+// Package cluster is the runtime substrate under dsm's System (Millipage
+// and lrc-mw): the one Options struct with its defaulting and
+// validation, host and application-thread lifecycle, the fault/message
+// rendezvous, message endpoint wiring with pooled envelopes, per-thread
+// time-breakdown accounting, trace hooks, and the coordinator — the
+// allocation, barrier and lock services of the paper's manager, barriers
+// combining up a tree rooted there, with the four thread operations in
+// front (service.go).
 //
-// A protocol implements the HostHandler interface — fault handling,
-// message handling, trace description, the allocator — embeds a
-// Lifecycle in its System type, and otherwise consists purely of policy:
-// what a fault sends where, what a message does to the directory, where
-// allocations live, what a release-consistent protocol does around a
-// synchronization (Consistency). Everything mechanical (option
-// checks, spawning threads, wrapper installation, the one blocking point
-// with its busy-reference counting, envelope pooling, the service
-// messages and their handlers, stats) lives here exactly once.
+// The protocol above implements the HostHandler interface — fault
+// handling, the allocator — declares its messages in a MsgTable, and
+// otherwise consists purely of policy: what a fault sends where, what a
+// message does to the directory, where allocations live, what a
+// release-consistent class does around a synchronization (Consistency).
+// Everything mechanical (option checks, spawning threads, the one
+// blocking point with its busy-reference counting, envelope pooling, the
+// service messages and their handlers, stats) lives here exactly once.
 //
 // Determinism contract: the runtime issues the virtual-time operations
 // of the service paths itself — the BarrierBase charge before a barrier
@@ -84,13 +83,6 @@ func HomeMod(id, hosts int) int { return id % hosts }
 // selects: the paper's one manager, the Coordinator, homes every minipage.
 func HomeCentral(id, hosts int) int { return Coordinator }
 
-// Traits are the Options a protocol can honour beyond the common core.
-// New rejects a request for one the protocol lacks — an unsupported
-// cell fails fast, it never silently degrades.
-type Traits struct {
-	MultiThreaded bool // ThreadsPerHost > 1
-}
-
 // withDefaults fills zero fields with the calibrated defaults. Hosts and
 // SharedSize have none: they are required.
 func (o Options) withDefaults() Options {
@@ -118,11 +110,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate rejects every value or combination the named protocol cannot
-// run, with an error naming the field. It is the only such check: the
-// root package, the registry and the protocol constructors all rely on
-// it.
-func (o Options) validate(name string, tr Traits) error {
+// validate rejects every value or combination no protocol can run, with
+// an error naming the field. The root package, the registry and the
+// protocol constructors rely on it; lrc-mw adds its one refusal of its
+// own (dsm.NewMW).
+func (o Options) validate(name string) error {
 	switch {
 	case o.Hosts < 1 || o.Hosts > 1024:
 		return fmt.Errorf("%s: Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8)", name, o.Hosts)
@@ -130,8 +122,6 @@ func (o Options) validate(name string, tr Traits) error {
 		return fmt.Errorf("%s: SharedSize = %d bytes of shared memory; must be positive", name, o.SharedSize)
 	case o.ThreadsPerHost < 1:
 		return fmt.Errorf("%s: ThreadsPerHost = %d; must be positive", name, o.ThreadsPerHost)
-	case o.ThreadsPerHost > 1 && !tr.MultiThreaded:
-		return fmt.Errorf("%s: ThreadsPerHost = %d, but this protocol runs one thread per host", name, o.ThreadsPerHost)
 	case o.ChunkLevel < 1:
 		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
 	}
@@ -139,8 +129,8 @@ func (o Options) validate(name string, tr Traits) error {
 }
 
 // Runtime is one cluster's substrate: the simulation engine, the network,
-// the hosts and the application threads. Protocol packages reach it
-// through the Lifecycle they embed in their System types.
+// the hosts and the application threads. dsm's System builds and holds
+// it.
 type Runtime struct {
 	Name  string  // the protocol's name; prefixes error messages
 	Opt   Options // as defaulted by New
@@ -159,9 +149,9 @@ type Runtime struct {
 // New defaults and validates opt for the protocol called name, then
 // builds the engine and network. Hosts are attached afterwards with
 // NewHost, one call per host in id order.
-func New(name string, opt Options, tr Traits) (*Runtime, error) {
+func New(name string, opt Options) (*Runtime, error) {
 	opt = opt.withDefaults()
-	if err := opt.validate(name, tr); err != nil {
+	if err := opt.validate(name); err != nil {
 		return nil, err
 	}
 	eng := sim.NewEngine(opt.Seed)
@@ -210,9 +200,9 @@ func (rt *Runtime) Elapsed() sim.Duration { return sim.Duration(rt.Eng.Now()) }
 // Run starts ThreadsPerHost application threads on every host and drives
 // the simulation until all of them finish. mk is called once per thread,
 // in global-id order, with the thread's substrate record; it returns the
-// body to execute. Lifecycle.Run is the mk every protocol uses: it makes
-// the protocol's thread wrapper around t, installs it with t.SetSelf (so
-// faults carry the wrapper as context) and closes over it.
+// body to execute. dsm's System.Run makes its thread wrapper around t
+// there, installs it with t.SetSelf (so faults carry the wrapper as
+// context) and closes over it.
 func (rt *Runtime) Run(mk func(t *Thread) func()) error {
 	if mk == nil {
 		return fmt.Errorf("%s: nil thread body", rt.Name)

@@ -19,6 +19,7 @@ import (
 	"millipage/internal/check"
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
 	"millipage/internal/registry"
 )
@@ -56,7 +57,7 @@ func (pr protoRun) options(hosts int, seed int64, plan *faultnet.Plan) registry.
 }
 
 // make builds the protocol's cluster; plan is nil for a clean wire.
-func (pr protoRun) make(hosts int, seed int64, plan *faultnet.Plan) (cluster.System, error) {
+func (pr protoRun) make(hosts int, seed int64, plan *faultnet.Plan) (*dsm.System, error) {
 	return pr.spec.New(pr.options(hosts, seed, plan))
 }
 
@@ -76,7 +77,7 @@ func TestSWMRInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				wl := &check.SWMRSweep{Words: 4, Iters: 24, Seed: uint64(seed), Prots: check.RuntimeProts{RT: sys.Runtime()}}
-				if err := sys.Run(wl.Body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {
@@ -103,7 +104,7 @@ func TestSCMessagePassing(t *testing.T) {
 					t.Fatal(err)
 				}
 				wl := &check.MessagePassing{}
-				if err := sys.Run(wl.Body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {
@@ -129,7 +130,7 @@ func TestSCDekker(t *testing.T) {
 					t.Fatal(err)
 				}
 				wl := &check.Dekker{}
-				if err := sys.Run(wl.Body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {
@@ -169,7 +170,7 @@ func TestDRFAgreement(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := sys.Run(wl.body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { wl.body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.err(); err != nil {
@@ -208,7 +209,7 @@ func TestChunkExtendedAllocation(t *testing.T) {
 					if grow {
 						wl = &check.ChunkGrow{}
 					}
-					if err := sys.Run(wl.Body); err != nil {
+					if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 						t.Fatal(err)
 					}
 					if err := wl.Err(); err != nil {
@@ -250,7 +251,7 @@ func TestServiceMisuse(t *testing.T) {
 							t.Fatalf("Run panicked with %q, want %q...", got, want)
 						}
 					}()
-					err = sys.Run(func(w cluster.AppThread) {
+					err = sys.Run(func(w *dsm.Thread) {
 						if w.Host() == 2 {
 							w.Lock(5)
 						}
@@ -288,7 +289,7 @@ func TestHomeOfOutsideTheClusterIsMisuse(t *testing.T) {
 							t.Fatalf("Run panicked with %q, want %q", got, want)
 						}
 					}()
-					err = sys.Run(func(w cluster.AppThread) {
+					err = sys.Run(func(w *dsm.Thread) {
 						if w.Host() == host {
 							w.Malloc(64)
 						}
@@ -333,7 +334,7 @@ func TestAccessFailureNamesThread(t *testing.T) {
 						t.Fatalf("Run panicked with %q, want %q", got, want)
 					}
 				}()
-				err = sys.Run(func(w cluster.AppThread) {
+				err = sys.Run(func(w *dsm.Thread) {
 					if w.ThreadID() == 1 {
 						tc.op(w)
 					}
@@ -361,7 +362,7 @@ func TestConcurrentMergeAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
-				if err := sys.Run(wl.Body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := wl.Err(); err != nil {

@@ -9,9 +9,9 @@ import (
 	"millipage/internal/vm"
 )
 
-// HostHandler is the per-host half of the Protocol interface: the policy
-// callbacks the runtime invokes for the events it cannot interpret
-// itself. See docs/PROTOCOL.md ("The Protocol interface") for the full
+// HostHandler is the per-host seam to the protocol: the callbacks the
+// runtime invokes for the events it cannot interpret itself. See
+// docs/PROTOCOL.md ("The kernel and its one implementation") for the
 // contract, including determinism rules and trace obligations.
 type HostHandler interface {
 	// HandleFault services an application thread's access fault inside

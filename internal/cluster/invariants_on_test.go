@@ -91,7 +91,7 @@ func TestDeclineLeavesNoMark(t *testing.T) {
 				return nil
 			}},
 		}})
-		rt, err := New("syn", Options{Hosts: 2, SharedSize: vm.PageSize}, Traits{})
+		rt, err := New("syn", Options{Hosts: 2, SharedSize: vm.PageSize})
 		if err != nil {
 			t.Fatal(err)
 		}

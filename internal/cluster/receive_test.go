@@ -202,7 +202,7 @@ func synRun(t *testing.T, tab *synTable, plan *faultnet.Plan) synResult {
 	t.Helper()
 	const hosts = 4
 	rec := trace.NewRecorder(1 << 17)
-	rt, err := New("syn", Options{Hosts: hosts, SharedSize: vm.PageSize, Seed: 3, Faults: plan, Trace: rec}, Traits{})
+	rt, err := New("syn", Options{Hosts: hosts, SharedSize: vm.PageSize, Seed: 3, Faults: plan, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestReceiveSequenceIsTheServer(t *testing.T) {
 func TestReceiveAllocFree(t *testing.T) {
 	far := sim.Time(1 << 60)
 	for _, plan := range []*faultnet.Plan{nil, {Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}} {
-		rt, err := New("test", Options{Hosts: 2, SharedSize: vm.PageSize, Faults: plan}, Traits{})
+		rt, err := New("test", Options{Hosts: 2, SharedSize: vm.PageSize, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ var nopTable = Register(MsgTable[nopHandler, *nopMsg]{
 func (*nopMsg) Table() (Table, int) { return nopTable, 0 }
 
 func newTestRuntime(hosts, threadsPerHost int) *Runtime {
-	rt, err := New("test", Options{Hosts: hosts, ThreadsPerHost: threadsPerHost, SharedSize: vm.PageSize}, Traits{MultiThreaded: true})
+	rt, err := New("test", Options{Hosts: hosts, ThreadsPerHost: threadsPerHost, SharedSize: vm.PageSize})
 	if err != nil {
 		panic(err)
 	}
@@ -93,7 +93,7 @@ func TestRunGuards(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	rt, err := New("test", Options{Hosts: 1, SharedSize: vm.PageSize}, Traits{})
+	rt, err := New("test", Options{Hosts: 1, SharedSize: vm.PageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestNewRejectsUnrunnableOptions: New is the one validation site. A
+// TestNewRejectsUnrunnableOptions: New is the kernel's validation site. A
 // value or combination the protocol cannot run is an error naming every
 // field involved — never a panic out of the constructor, never a silent
 // degrade.
@@ -117,24 +117,21 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		mut(&o)
 		return o
 	}
-	all := Traits{MultiThreaded: true}
 	cases := []struct {
 		name   string
 		opt    Options
-		tr     Traits
 		fields []string
 	}{
-		{"no hosts", ok(func(o *Options) { o.Hosts = 0 }), all, []string{"Hosts"}},
-		{"negative hosts", ok(func(o *Options) { o.Hosts = -1 }), all, []string{"Hosts"}},
-		{"too many hosts", ok(func(o *Options) { o.Hosts = 1025 }), all, []string{"Hosts"}},
-		{"no shared memory", ok(func(o *Options) { o.SharedSize = 0 }), all, []string{"SharedSize"}},
-		{"negative threads", ok(func(o *Options) { o.ThreadsPerHost = -1 }), all, []string{"ThreadsPerHost"}},
-		{"threads on a single-threaded protocol", ok(func(o *Options) { o.ThreadsPerHost = 2 }), Traits{}, []string{"ThreadsPerHost"}},
-		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), all, []string{"ChunkLevel"}},
-		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), all, []string{"Drop"}},
+		{"no hosts", ok(func(o *Options) { o.Hosts = 0 }), []string{"Hosts"}},
+		{"negative hosts", ok(func(o *Options) { o.Hosts = -1 }), []string{"Hosts"}},
+		{"too many hosts", ok(func(o *Options) { o.Hosts = 1025 }), []string{"Hosts"}},
+		{"no shared memory", ok(func(o *Options) { o.SharedSize = 0 }), []string{"SharedSize"}},
+		{"negative threads", ok(func(o *Options) { o.ThreadsPerHost = -1 }), []string{"ThreadsPerHost"}},
+		{"negative chunk level", ok(func(o *Options) { o.ChunkLevel = -1 }), []string{"ChunkLevel"}},
+		{"invalid fault plan", ok(func(o *Options) { o.Faults = &faultnet.Plan{Drop: 2} }), []string{"Drop"}},
 	}
 	for _, tc := range cases {
-		rt, err := New("test", tc.opt, tc.tr)
+		rt, err := New("test", tc.opt)
 		if err == nil || rt != nil {
 			t.Errorf("%s: New = %v, %v; want an error", tc.name, rt, err)
 			continue
@@ -147,8 +144,8 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 	}
 	if _, err := New("test", ok(func(o *Options) {
 		o.ThreadsPerHost, o.Grain, o.HomeOf = 2, core.GrainPage, HomeMod
-	}), all); err != nil {
-		t.Errorf("supported traits rejected: %v", err)
+	})); err != nil {
+		t.Errorf("supported options rejected: %v", err)
 	}
 }
 

@@ -85,6 +85,21 @@ type services struct {
 	free     Pool[SvcMsg]
 }
 
+// Totals is the run's protocol counter set. A field stays zero where a
+// consistency class has no equivalent.
+type Totals struct {
+	Invalidations     uint64
+	CompetingRequests uint64 // requests queued behind open transactions
+	ExclusiveReads    uint64 // SC reads under a lock that the home served as write misses
+	BarrierEpisodes   uint64
+	LockAcquisitions  uint64
+
+	// Footprint (Table 2 columns).
+	Minipages      int
+	ViewsUsed      int
+	BytesAllocated int
+}
+
 // Totals returns the counters the kernel keeps itself; a protocol's
 // Totals starts from it.
 func (rt *Runtime) Totals() Totals {

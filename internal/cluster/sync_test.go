@@ -144,7 +144,7 @@ func TestBarrierTreeShape(t *testing.T) {
 func TestBarrierTreeEpisodes(t *testing.T) {
 	for _, n := range []int{fanIn + 1, 40} {
 		for _, tph := range []int{1, 2} {
-			rt, err := New("test", Options{Hosts: n, ThreadsPerHost: tph, SharedSize: vm.PageSize}, Traits{MultiThreaded: true})
+			rt, err := New("test", Options{Hosts: n, ThreadsPerHost: tph, SharedSize: vm.PageSize})
 			if err != nil {
 				t.Fatal(err)
 			}

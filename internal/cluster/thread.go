@@ -60,7 +60,7 @@ type Thread struct {
 }
 
 // SetSelf installs the protocol's thread wrapper as the fault-handler
-// context for this thread's memory accesses. Lifecycle.Run calls it
+// context for this thread's memory accesses. dsm's System.Run calls it
 // before the body starts.
 func (t *Thread) SetSelf(self any) { t.self = self }
 
@@ -346,9 +346,9 @@ func (st ThreadStats) Other() sim.Duration {
 		st.PrefetchTime - st.SynchTime - st.MallocTime
 }
 
-// AppThread is the protocol-independent application API: the surface a
-// portable DSM program (and the root millipage package) uses, which every
-// protocol's Thread type has by embedding *Thread.
+// AppThread is the protocol-independent application API: the surface
+// internal/check's workload bodies run on under either consistency class,
+// which dsm's Thread has by embedding *Thread.
 type AppThread interface {
 	Host() int
 	NumHosts() int

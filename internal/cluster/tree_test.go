@@ -10,6 +10,7 @@ import (
 
 	"millipage/internal/check"
 	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 )
@@ -25,7 +26,7 @@ func TestTreeDRFAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				d := &check.DRF{Hosts: hosts, Rounds: 2, LockReps: 2}
-				if err := sys.Run(d.Body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { d.Body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := d.Err(); err != nil {
@@ -38,7 +39,7 @@ func TestTreeDRFAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				mp := &check.MessagePassing{}
-				if err := sys.Run(mp.Body); err != nil {
+				if err := sys.Run(func(w *dsm.Thread) { mp.Body(w) }); err != nil {
 					t.Fatal(err)
 				}
 				if err := mp.Err(); err != nil {

@@ -38,7 +38,7 @@ func allocsPerOp(t *testing.T, mk func(Options) (*System, error), opt Options, o
 	const warmup, measured = 300, 1000
 	cells := make([]uint64, opt.Hosts)
 	avg := -1.0
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for h := range cells {
 				cells[h] = th.Malloc(64)

@@ -21,7 +21,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var data, flag uint64
 			var observed uint32
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					data = th.Malloc(64)
 					flag = th.Malloc(64)
@@ -59,7 +59,7 @@ func TestLitmusDekker(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var flags [2]uint64
 			var saw [2]uint32
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					flags[0] = th.Malloc(64)
 					flags[1] = th.Malloc(64)
@@ -91,7 +91,7 @@ func TestLitmusCoherence(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var cell uint64
 			violated := false
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					cell = th.Malloc(64)
 					th.WriteU32(cell, 0)
@@ -132,7 +132,7 @@ func TestLitmusNoTornRecords(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: 9})
 	var rec uint64
 	torn := false
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			rec = th.Malloc(64)
 			th.WriteU64(rec, 0)

@@ -3,6 +3,7 @@ package dsm
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"millipage/internal/cluster"
@@ -10,12 +11,6 @@ import (
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
-
-// run drives a typed body: System.Run hands bodies the portable
-// AppThread, and these tests exercise the thread behind it.
-func run(s *System, body func(th *Thread)) error {
-	return s.Run(func(t cluster.AppThread) { body(t.(*Thread)) })
-}
 
 // newSys builds a cluster of the class mk sets: New's SC or NewMW's.
 func newSys(t *testing.T, mk func(Options) (*System, error), opt Options) *System {
@@ -41,10 +36,69 @@ func queued(e *dirEntry) (n int) {
 	return n
 }
 
+// TestSystemRun holds the System's own lifecycle: the accessors agree
+// with the runtime, Run makes one Thread per substrate thread on its own
+// host, in global-id order, and a fault carries the Thread its body runs
+// on as the handler's context (HandleFault writes the fault's request
+// into it); the run lasts as long as its slowest thread; Run refuses a
+// nil body and a second run.
+func TestSystemRun(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16})
+	rt := s.Runtime()
+	if s.NumHosts() != 2 || s.Eng != rt.Eng || s.Net != rt.Net || s.Opt.Seed != 1 || s.Opt.Views != 1 {
+		t.Fatalf("accessors disagree with the runtime: %d hosts, options %+v", s.NumHosts(), s.Opt)
+	}
+	for i := 0; i < 2; i++ {
+		if s.Host(i).ID() != i || s.Host(i).Host != rt.Host(i) {
+			t.Fatalf("Host(%d) is not the runtime's host %d", i, i)
+		}
+	}
+	var va uint64
+	bodies := make([]*Thread, 4)
+	err := s.Run(func(th *Thread) {
+		bodies[th.ThreadID()] = th
+		if th.ThreadID() == 0 {
+			va = th.Malloc(64)
+		}
+		th.Barrier()
+		if th.ThreadID() == 3 {
+			th.WriteU32(va, 7) // a write fault on host 1
+		}
+		th.Compute(sim.Duration(th.ThreadID()+1) * sim.Millisecond)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ths := s.Threads()
+	if len(ths) != 4 || rt.TotalThreads() != 4 {
+		t.Fatalf("threads = %d (total %d), want 4", len(ths), rt.TotalThreads())
+	}
+	var last sim.Time
+	for i, th := range ths {
+		if th != bodies[i] || th.Thread != rt.Threads()[i] || th.host != s.Host(th.Host()) || th.Host() != i/2 {
+			t.Fatalf("thread %d is not the body's, the runtime's thread %d on host %d", i, i, i/2)
+		}
+		last = max(last, th.Stats.End)
+	}
+	if r := ths[3].req; r.h != ths[3].host || r.fw == nil || ths[3].Stats.WriteFaults != 1 {
+		t.Fatalf("thread 3's fault: request on %v, %d write faults; want its own host's, 1", r.h, ths[3].Stats.WriteFaults)
+	}
+	if s.Elapsed() != rt.Elapsed() || s.Elapsed() != sim.Duration(last) {
+		t.Fatalf("Elapsed = %v, runtime's %v, last thread ended at %v", s.Elapsed(), rt.Elapsed(), last)
+	}
+
+	if err := s.Run(func(*Thread) {}); err == nil || !strings.Contains(err.Error(), "Run called twice") {
+		t.Fatalf("second Run = %v, want the run-twice error", err)
+	}
+	if err := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 16}).Run(nil); err == nil || err.Error() != "lrc-mw: nil thread body" {
+		t.Fatalf("Run(nil) = %v, want the nil-body error", err)
+	}
+}
+
 func TestSingleHostMallocWriteRead(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Views: 4})
 	var got uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		va := th.Malloc(64)
 		th.WriteU64(va, 0xFEEDFACE)
 		got = th.ReadU64(va)
@@ -61,7 +115,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var got [2]uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 12345)
@@ -92,7 +146,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 func TestWriteInvalidatesReaders(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -154,7 +208,7 @@ func checkSWMR(t *testing.T, s *System, info core.Info) {
 func TestSWMRInvariantUnderContention(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 7})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 0)
@@ -188,7 +242,7 @@ func TestLockProtectedCounter(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var final uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(8)
 			th.WriteU32(va, 0)
@@ -218,7 +272,7 @@ func TestFalseSharingAvoided(t *testing.T) {
 	// other (no write faults after the first).
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var vas [2]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			vas[0] = th.Malloc(64)
 			vas[1] = th.Malloc(64)
@@ -256,7 +310,7 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 	// writers.
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 1, Grain: core.GrainPage})
 	var vas [2]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			vas[0] = th.Malloc(64)
 			vas[1] = th.Malloc(64)
@@ -283,7 +337,7 @@ func TestFalseSharingWithPageGrain(t *testing.T) {
 // first, so a 1-host run takes no fault at all.
 func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Grain: core.GrainPage})
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		for _, size := range []int{6000, 9000, 100, 5000} {
 			va := th.Malloc(size)
 			for off := 0; off < size; off += 512 {
@@ -302,7 +356,7 @@ func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
 func TestCompetingRequestsCounted(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -329,7 +383,7 @@ func TestCompetingRequestsCounted(t *testing.T) {
 func TestBarrierRendezvous(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 14, Views: 1})
 	var order []int
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		th.Compute(sim.Duration(th.Host()) * sim.Millisecond) // staggered arrivals
 		th.Barrier()
 		order = append(order, th.Host())
@@ -349,7 +403,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 	run := func(prefetch bool) sim.Duration {
 		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 20, Views: 1, Seed: 5})
 		var va uint64
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(4096)
 				th.Write(va, make([]byte, 4096))
@@ -389,7 +443,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 func TestPushReplicatesToAllHosts(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 41)
@@ -421,7 +475,7 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 func TestChunkedAllocationSharesMinipage(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4})
 	var vas [8]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(672)
@@ -454,7 +508,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 	// with no read left in flight.
 	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 11})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 0)
@@ -487,7 +541,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 func TestThreadStatsBreakdown(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 5)
@@ -529,7 +583,7 @@ func TestMultipleThreadsPerHost(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
 	counts := make(map[int]int)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.ID == 0 {
 			va = th.Malloc(8)
 			th.WriteU32(va, 0)
@@ -556,7 +610,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
 		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 99})
 		var va uint64
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(64)
 				th.WriteU32(va, 0)
@@ -588,7 +642,7 @@ func TestViewIsolationAcrossMinipages(t *testing.T) {
 	// page must still be NoAccess on host 1.
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va, vb uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			vb = th.Malloc(64)
@@ -620,7 +674,7 @@ func TestManyMinipagesStress(t *testing.T) {
 	const n = 200
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 16, Seed: 13})
 	vas := make([]uint64, n)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(200)
@@ -675,7 +729,7 @@ func TestRequestsCountedOnceWhenQueued(t *testing.T) {
 	// again when dequeued.
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)

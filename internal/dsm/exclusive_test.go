@@ -37,7 +37,7 @@ func TestLockedRMWTakesOneRequest(t *testing.T) {
 			msgs[round][typ]++
 		}
 	}, countedRows...)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		h := th.Host()
 		if h == 2 {
 			va = th.Malloc(64)
@@ -110,7 +110,7 @@ func TestReadOnlyCriticalSectionStaysShared(t *testing.T) {
 		host  int
 		write bool
 	}{{0, true}, {1, true}, {0, false}, {1, true}, {0, false}}
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 2 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 0)
@@ -178,7 +178,7 @@ func TestReadFwdDuringLocalUpgrade(t *testing.T) {
 		var got [3]uint32
 		var read uint32
 		var faults uint64
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			h := th.Host()
 			if h == 2 {
 				va = th.Malloc(64)
@@ -250,7 +250,7 @@ func TestQueuedExclusiveReadIsServedShared(t *testing.T) {
 			msgs[typ]++
 		}
 	}, countedRows...)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		h := th.Host()
 		if h == 2 {
 			va = th.Malloc(64)

@@ -14,7 +14,7 @@ func TestGangFetchBringsAllMinipages(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	const n = 12
 	vas := make([]uint64, n)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(256)
@@ -57,7 +57,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 3})
 		vas := make([]uint64, n)
 		var spent sim.Duration
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				for i := range vas {
 					vas[i] = th.Malloc(256)
@@ -99,7 +99,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 func TestGangFetchSkipsPresent(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 9)
@@ -126,7 +126,7 @@ func TestReportLatencyDecomposition(t *testing.T) {
 	// workload and check the report exposes sensible decomposition.
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4, Seed: 11})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 1)
@@ -182,7 +182,7 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan})
 			var vas []uint64 // minipages homed at host 1, allocated and written there
 			var gangDone, prefetchDone sim.Time
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == home {
 					vas = homedAt(s, th, home, 3)
 				}

@@ -20,7 +20,7 @@ func TestHomeBasedBasicOperation(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var vas [2]uint64
 	var got [2]uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			vas[0] = th.Malloc(128) // minipage 0, homed at host 0
 			vas[1] = th.Malloc(128) // minipage 1, homed at host 1
@@ -68,7 +68,7 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 	var va uint64
 	var before []int
 	beforeOwner, beforeReqs := -1, uint64(0)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 2 {
 			th.Malloc(64)      // minipage 0, homed at host 0
 			va = th.Malloc(64) // minipage 1, homed at host 1
@@ -109,7 +109,7 @@ func TestHomeOfOverride(t *testing.T) {
 		HomeOf: func(id, hosts int) int { return hosts - 1 },
 	})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 7)
@@ -146,7 +146,7 @@ func TestHomeSourcesReads(t *testing.T) {
 	})
 	var va uint64
 	var home, owner [2]fastmsg.Stats
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 1 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 7)
@@ -204,7 +204,7 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 				}
 			}()
 			var va uint64
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					th.Malloc(64)
 					va = th.Malloc(64) // minipage 1
@@ -252,7 +252,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, HomeOf: homeOf})
 		var vas [nVars]uint64
 		var out outcome
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				for v := range vas {
 					vas[v] = th.Malloc(96)
@@ -368,7 +368,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: cluster.HomeMod})
 	vas := make([]uint64, nVars)
 	var finalErr error
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(sizes[v])
@@ -442,7 +442,7 @@ func TestHomeBasedDeterministic(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
 		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: cluster.HomeMod})
 		var va uint64
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(64)
 				th.WriteU32(va, 0)
@@ -472,7 +472,7 @@ func TestHomeBasedPushAndChunking(t *testing.T) {
 	// Push and chunked allocation both work against remote homes.
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: cluster.HomeMod})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 1 {
 			va = th.Malloc(128) // remote malloc; chunked minipage
 			th.WriteU32(va, 41)
@@ -521,7 +521,7 @@ func TestSCHomeFollowsStableWriter(t *testing.T) {
 			var mover, old, reader [2]fastmsg.Stats
 			var moverReqs [2]uint64
 			var oldDir [2]ManagerStats
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					va[0], va[1] = th.Malloc(64), th.Malloc(64)
 				}
@@ -590,7 +590,7 @@ func TestSCHomeFollowsStableWriter(t *testing.T) {
 func TestSCRotatingWriterKeepsHome(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va [2]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -647,7 +647,7 @@ func TestSCMoveWithAckInFlight(t *testing.T) {
 	var oldHome [2]ManagerStats
 	var oldSent [2]uint64
 	var competing uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		h := th.Host()
 		if h == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)

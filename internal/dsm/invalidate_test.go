@@ -115,7 +115,7 @@ func TestWriteWaitsForEveryInvalidation(t *testing.T) {
 				}
 				th.Barrier()
 			}
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					va = th.Malloc(128)
 					th.WriteU32(va, 1)
@@ -149,7 +149,7 @@ func TestCopysetPastOneWord(t *testing.T) {
 	var va uint64
 	var before []int
 	var invalsBefore uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			th.Malloc(64) // minipage 0, whose copyset starts on a word
 			va = th.Malloc(64)

@@ -305,7 +305,7 @@ func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
 	if err != nil {
 		return cluster.Allocation{}, err
 	}
-	s.CheckHomes(firstNew, mpt.NumMinipages())
+	s.checkHomes(firstNew, mpt.NumMinipages())
 	s.marks.Grow(mpt.NumMinipages())
 	for id := firstNew; id < mpt.NumMinipages(); id++ {
 		for len(s.dir)*dirSlab <= id {

@@ -143,7 +143,7 @@ func (h *Host) mwAlloc(p *sim.Proc, size int) (cluster.Allocation, error) {
 	if err != nil {
 		return cluster.Allocation{}, err
 	}
-	s.CheckHomes(first, s.mpt.NumMinipages())
+	s.checkHomes(first, s.mpt.NumMinipages())
 	return cluster.Allocation{VA: va, Info: mp.Info(s.Layout)}, nil
 }
 

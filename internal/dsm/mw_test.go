@@ -21,7 +21,7 @@ import (
 func TestMWSingleHostWriteRead(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 18, Views: 8})
 	var got uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		va := th.Malloc(64)
 		th.WriteU32(va, 77)
 		got = th.ReadU32(va)
@@ -41,7 +41,7 @@ func TestMWSingleHostWriteRead(t *testing.T) {
 func TestMWHomeMapsAtFirstTouch(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var va, got [2]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 			th.WriteU64(va[0], 5)
@@ -71,7 +71,7 @@ func TestMWDiffsMergeAtBarrier(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	var got [2][2]uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 		}
@@ -112,7 +112,7 @@ func TestMWConcurrentWritersDoNotPingPong(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	const writes = 50
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(512)
 		}
@@ -140,7 +140,7 @@ func TestChunkedLRCAgreesWithUnchunked(t *testing.T) {
 		const rows = 32
 		vas := make([]uint64, rows)
 		out := make([]uint32, rows)
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				for r := range vas {
 					vas[r] = th.Malloc(64)
@@ -189,7 +189,7 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	var vaA, vaB uint64
 	var gotA, gotB uint32
 	var protA, protB vm.Prot
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			vaA = th.Malloc(256)
 			vaB = th.Malloc(256)
@@ -239,7 +239,7 @@ func TestMWLockedAccumulator(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: hosts, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	var got [hosts]uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 0)
@@ -273,7 +273,7 @@ func TestMWInvalidatedCopyRefetchedAfterBarriers(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	var got uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 1)
@@ -306,7 +306,7 @@ func TestMWDeterminism(t *testing.T) {
 	run := func() (sim.Duration, MWStats) {
 		s := newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8})
 		var va uint64
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(1024)
 			}
@@ -396,7 +396,7 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 			var gotA, gotB uint32
 			var flushed uint64
 			var home []byte
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 0 {
 					va = th.Malloc(64)
 				}
@@ -486,7 +486,7 @@ func lockHeavyRun(t *testing.T, s *System) *System {
 	var va [cells]uint64
 	var log []section
 	var final [hosts][cells][16]uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		me := th.Host()
 		if me == 0 {
 			for c := range va {
@@ -557,7 +557,7 @@ func TestClassesShareNoState(t *testing.T) {
 	for _, mk := range []func(Options) (*System, error){New, NewMW} {
 		s := newSys(t, mk, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8})
 		d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
-		if err := run(s, func(th *Thread) { d.Body(th) }); err != nil {
+		if err := s.Run(func(th *Thread) { d.Body(th) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Err(); err != nil {
@@ -592,7 +592,7 @@ func TestMWFetchWaitsForNamedDiff(t *testing.T) {
 	var va [3]uint64
 	var got [3]uint32
 	var at [3]sim.Time
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range va {
 				va[i] = th.Malloc(64)
@@ -637,7 +637,7 @@ func TestMWFetchWaitsForNamedDiff(t *testing.T) {
 	}
 
 	s = newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 18, Views: 8})
-	if err := run(s, func(th *Thread) {
+	if err := s.Run(func(th *Thread) {
 		va := th.Malloc(256)
 		for i := 0; i < 4; i++ {
 			th.Lock(0)
@@ -665,7 +665,7 @@ func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 		s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 20, Views: 8,
 			Faults: &faultnet.Plan{Partitions: []faultnet.Partition{cut}}})
 		var va [6]uint64
-		err := run(s, func(th *Thread) {
+		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
 				for i := range va {
 					va[i] = th.Malloc(4096)
@@ -719,7 +719,7 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 	var before, after MWStats
 	var mover, old [2]fastmsg.Stats
 	var got uint32
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -771,7 +771,7 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 	// The oracle workload the explorer and the chaos suite run moves one home.
 	s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
 	wl := &check.HomeMove{Hosts: 3}
-	if err := run(s, func(th *Thread) { wl.Body(th) }); err != nil {
+	if err := s.Run(func(th *Thread) { wl.Body(th) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := wl.Err(); err != nil {
@@ -789,7 +789,7 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 func TestMWRotatingWriterKeepsHome(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8})
 	var va [2]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -836,7 +836,7 @@ func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
 	var got [3]uint32
 	var arrive, done [3]sim.Time
 	var sent [2]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -908,7 +908,7 @@ func TestMWFetchIsARead(t *testing.T) {
 		parent sim.Duration // the latency before the fetch became a read
 		got    sim.Duration
 	}{{size: 128, parent: 151828}, {size: 4096, parent: 227220}}
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 1 {
 			for i := range fetches {
 				fetches[i].va = th.Malloc(fetches[i].size)

@@ -69,7 +69,7 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 				s.Eng.At(sim.Time(20*sim.Second), s.Eng.Stop) // watchdog
 				d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
 				done := 0
-				err := run(s, func(th *Thread) {
+				err := s.Run(func(th *Thread) {
 					d.Body(th)
 					// Outlast every retransmission timer, then
 					// end on a rendezvous so nothing but its own (consumed)
@@ -115,7 +115,7 @@ func TestChaosMWSyncRecordsBalance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := newSys(t, NewMW, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 5, Faults: plan})
 			d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				d.Body(th)
 				th.Compute(sim.Second) // outlast every retransmission
 				th.Barrier()
@@ -140,7 +140,7 @@ func TestChaosMWSyncRecordsBalance(t *testing.T) {
 func TestMWArenaPoison(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 18, Views: 8})
 	caught := ""
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		h := th.host
 		va := th.Malloc(64)
 		th.WriteU32(va, 7)

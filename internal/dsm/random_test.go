@@ -56,7 +56,7 @@ func runRandomProgram(t *testing.T, seed int64, hosts int) {
 	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed})
 	vas := make([]uint64, nVars)
 	var finalErr error
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(sizes[v])

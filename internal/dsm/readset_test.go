@@ -30,7 +30,7 @@ func TestReadersServedTogether(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 5})
 	var va uint64
 	lat := make([]sim.Duration, 8)
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 		}
@@ -76,7 +76,7 @@ func TestWriteWaitsForReadSet(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
 	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 3, Trace: rec})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 1)
@@ -144,7 +144,7 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
 	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.ID == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 9)

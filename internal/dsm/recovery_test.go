@@ -54,7 +54,7 @@ func TestOneRequestPerFault(t *testing.T) {
 	// Cells 0 and 2 are hosts 0's and 2's to write.
 	var vas []uint64
 	done := 0
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == home {
 			vas = homedAt(s, th, home, 3)
 		}
@@ -139,7 +139,7 @@ func TestRequestQueuedAtCrashIsServedOnce(t *testing.T) {
 	var vas []uint64
 	var served sim.Time
 	done := 0
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == home {
 			vas = homedAt(s, th, home, 1)
 		}

@@ -19,7 +19,7 @@ import (
 func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.Write(va, make([]byte, 256))
@@ -57,7 +57,7 @@ func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var vas [3]uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(256)
@@ -96,7 +96,7 @@ func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 		for _, allocator := range []int{0, 2} {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var va uint64
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == allocator {
 					va = th.Malloc(8)
 					th.WriteU32(va, 1)
@@ -139,7 +139,7 @@ func TestChunkGrowthAfterTranslation(t *testing.T) {
 		for d := sim.Duration(0); d < 8*sim.Microsecond; d += sim.Microsecond {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var a, b uint64
-			err := run(s, func(th *Thread) {
+			err := s.Run(func(th *Thread) {
 				if th.Host() == 1 {
 					a = th.Malloc(8)
 					th.WriteU32(a, 1)
@@ -172,10 +172,10 @@ func TestChunkGrowthAfterTranslation(t *testing.T) {
 // stale protocol state.
 func TestRunReuseRejected(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 14, Views: 1})
-	if err := run(s, func(th *Thread) { th.Barrier() }); err != nil {
+	if err := s.Run(func(th *Thread) { th.Barrier() }); err != nil {
 		t.Fatal(err)
 	}
-	err := run(s, func(th *Thread) {})
+	err := s.Run(func(th *Thread) {})
 	if err == nil {
 		t.Fatal("second Run on the same System succeeded")
 	}

@@ -5,6 +5,7 @@ import (
 
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
@@ -24,8 +25,14 @@ type Options = cluster.Options
 // directory for the minipages homed at it; under lrc-mw the home serves
 // fetches and applies diffs; host 0 logs notices.
 type System struct {
-	cluster.Lifecycle[*Host, *Thread]
+	Opt    Options // as defaulted by cluster.New
+	Eng    *sim.Engine
+	Net    *fastmsg.Network
 	Layout core.Layout
+
+	rt      *cluster.Runtime
+	hosts   []*Host
+	threads []*Thread // by global id, made by Run
 
 	mw  bool      // the multi-writer class
 	mpt *core.MPT // grown only on host 0; read-only replica elsewhere
@@ -60,26 +67,28 @@ type System struct {
 // New builds a Millipage cluster. The memory object, views and privileged
 // view are mapped identically in every host (Section 2.4: no address
 // translation between hosts is ever needed).
-func New(opt Options) (*System, error) {
-	return newSystem("dsm", opt, cluster.Traits{MultiThreaded: true}, false)
-}
+func New(opt Options) (*System, error) { return newSystem("dsm", opt, false) }
 
-// NewMW builds a multi-writer LRC cluster, one application thread a host.
-func NewMW(opt Options) (*System, error) { return newSystem("lrc-mw", opt, cluster.Traits{}, true) }
+// NewMW builds a multi-writer LRC cluster, one application thread a host:
+// a host's interval, vector clock and twins are its one thread's.
+func NewMW(opt Options) (*System, error) { return newSystem("lrc-mw", opt, true) }
 
-func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, error) {
-	s := &System{mw: mw}
-	err := s.Init(name, opt, tr, func(ct *cluster.Thread, h *Host) *Thread { return &Thread{Thread: ct, host: h} })
+func newSystem(name string, opt Options, mw bool) (*System, error) {
+	rt, err := cluster.New(name, opt)
 	if err != nil {
 		return nil, err
 	}
-	opt = s.Opt
+	opt = rt.Opt
+	if mw && opt.ThreadsPerHost > 1 {
+		return nil, fmt.Errorf("%s: ThreadsPerHost = %d, but lrc-mw runs one thread per host", name, opt.ThreadsPerHost)
+	}
+	s := &System{Opt: opt, Eng: rt.Eng, Net: rt.Net, rt: rt, mw: mw, hosts: make([]*Host, opt.Hosts)}
 	s.marks = hostset.NewTable(opt.Hosts, numMarks)
 	if s.Layout, err = core.NewLayout(opt.SharedSize, opt.Views); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	frames := vm.NewFramePool()
-	for i := 0; i < opt.Hosts; i++ {
+	for i := range s.hosts {
 		as := vm.NewAddressSpace()
 		region, err := core.NewRegion(s.Layout, as, frames)
 		if err != nil {
@@ -90,10 +99,58 @@ func newSystem(name string, opt Options, tr cluster.Traits, mw bool) (*System, e
 		if mw {
 			h.vc, h.flushed, h.applyDone, cons = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng), h
 		}
-		h.Host = s.AddHost(as, h, cons)
+		s.hosts[i] = h
+		h.Host = rt.NewHost(as, h, cons)
 	}
 	s.mpt = core.NewMPT(s.Layout, opt.Grain, opt.ChunkLevel)
 	return s, nil
+}
+
+// Run starts ThreadsPerHost application threads on every host, each
+// executing body, and drives the simulation until all of them finish. A
+// System runs one application; the run-twice guard is the Runtime's.
+func (s *System) Run(body func(*Thread)) error {
+	if body == nil {
+		return fmt.Errorf("%s: nil thread body", s.rt.Name)
+	}
+	return s.rt.Run(func(ct *cluster.Thread) func() {
+		t := &Thread{Thread: ct, host: s.hosts[ct.Host()]}
+		ct.SetSelf(t)
+		s.threads = append(s.threads, t)
+		return func() { body(t) }
+	})
+}
+
+// Runtime returns the cluster substrate.
+func (s *System) Runtime() *cluster.Runtime { return s.rt }
+
+// Host returns host i.
+func (s *System) Host(i int) *Host { return s.hosts[i] }
+
+// NumHosts returns the cluster size.
+func (s *System) NumHosts() int { return len(s.hosts) }
+
+// Threads returns the application threads after Run (for statistics).
+func (s *System) Threads() []*Thread { return s.threads }
+
+// Elapsed returns the virtual time at which the simulation stopped — the
+// parallel execution time of the application.
+func (s *System) Elapsed() sim.Duration { return s.rt.Elapsed() }
+
+// HomeOf returns minipage id's home before any move: Options.HomeOf's
+// answer (cluster.New defaults it).
+func (s *System) HomeOf(id int) int { return s.Opt.HomeOf(id, s.Opt.Hosts) }
+
+// checkHomes panics as misuse unless HomeOf homes each of the minipage
+// ids [lo, hi) on a host. The allocators call it as they open them, so a
+// placement outside the cluster fails at the Malloc that first asks it,
+// not as an index out of range under a later send.
+func (s *System) checkHomes(lo, hi int) {
+	for id, n := lo, s.Opt.Hosts; id < hi; id++ {
+		if home := s.HomeOf(id); home < 0 || home >= n {
+			s.rt.Misuse(cluster.Coordinator, "HomeOf(%d, %d) = %d is not a host", id, n, home)
+		}
+	}
 }
 
 // MPT exposes the minipage table (for statistics and tests).
@@ -116,7 +173,7 @@ func (s *System) MWStats() MWStats { return s.stats }
 // Table-2 columns, and the class's invalidations — the directory's, or
 // the minipages write notices made inaccessible.
 func (s *System) Totals() cluster.Totals {
-	ms, t := s.ManagerStatsTotal(), s.Runtime().Totals()
+	ms, t := s.ManagerStatsTotal(), s.rt.Totals()
 	t.Invalidations, t.CompetingRequests, t.ExclusiveReads = ms.Invalidations, ms.CompetingRequests, ms.ExclusiveReads
 	if s.mw {
 		t.Invalidations = s.stats.Invalidations

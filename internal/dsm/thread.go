@@ -10,7 +10,8 @@ import (
 // user-facing Millipage API (Section 3.4's library interface). The
 // generic surface (memory access, Malloc, Barrier, Lock, Unlock, Compute,
 // stats) is the embedded substrate thread; this type adds the Millipage
-// protocol operations, which only the SC class serves.
+// performance hints, which only the SC class serves: under lrc-mw they
+// are correct no-ops.
 // All methods must be called from the thread's own body function.
 type Thread struct {
 	*cluster.Thread
@@ -39,6 +40,9 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64) *cluster.Wait {
 // paper inserts two such calls in LU to hide its large minipage service
 // delays (Section 4.3.1).
 func (t *Thread) Prefetch(va uint64, size int) {
+	if t.host.sys.mw {
+		return
+	}
 	p := t.Proc()
 	start := p.Now()
 	if prot, err := t.host.AS.ProtOf(va); err == nil && prot >= vm.ReadOnly {
@@ -57,6 +61,9 @@ func (t *Thread) Prefetch(va uint64, size int) {
 // paper's modification to TSP's minimal-tour bound: "it pushes readable
 // copies of the new value to all hosts".
 func (t *Thread) Push(va uint64) {
+	if t.host.sys.mw {
+		return
+	}
 	p := t.Proc()
 	p.Sleep(t.host.Costs().MPTLookup)
 	home, info := t.host.route(va)
@@ -76,6 +83,9 @@ type Span struct {
 // member rather than the sum — the "coarse grain operation mode" for
 // read phases, without giving up fine-grain write sharing.
 func (t *Thread) GangFetch(spans []Span) {
+	if t.host.sys.mw {
+		return
+	}
 	p := t.Proc()
 	start := p.Now()
 	h := t.host

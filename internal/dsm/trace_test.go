@@ -14,7 +14,7 @@ func TestProtocolTracing(t *testing.T) {
 	rec := trace.NewRecorder(4096)
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Trace: rec})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 5)
@@ -65,7 +65,7 @@ func TestRequestsLeaveTranslated(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeCentral, Trace: rec})
 	var a, b, c, d uint64
 	var lat sim.Duration
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			a, b, c, d = th.Malloc(128), th.Malloc(128), th.Malloc(128), th.Malloc(128)
 			th.WriteU32(b, 1)
@@ -122,7 +122,7 @@ func TestTracingFilter(t *testing.T) {
 	rec.Filter = func(e trace.Event) bool { return e.Kind == trace.Fault }
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
-	err := run(s, func(th *Thread) {
+	err := s.Run(func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)

@@ -63,34 +63,6 @@ func benchPooledHop(b *testing.B, armed bool) {
 	}
 }
 
-// BenchmarkMsgHopLiteral is the same hop with caller-allocated envelopes
-// (the pre-pooling interface, still supported for receivers that retain
-// messages): exactly the literal Message per send on top of the pooled
-// path's zero.
-func BenchmarkMsgHopLiteral(b *testing.B) {
-	b.ReportAllocs()
-	eng := sim.NewEngine(1)
-	nw := New(eng, 2, DefaultParams())
-	got := 0
-	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { got++ })
-	eng.Spawn("sender", func(p *sim.Proc) {
-		ep := nw.Endpoint(0)
-		for i := 0; i < b.N; i++ {
-			ep.Send(p, 1, &Message{Size: 32})
-		}
-		for got < b.N {
-			p.Sleep(10 * sim.Millisecond)
-		}
-	})
-	b.ResetTimer()
-	if err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if got != b.N {
-		b.Fatalf("delivered %d of %d", got, b.N)
-	}
-}
-
 // TestMsgHopSteadyStateAllocFree pins the acceptance criterion as a
 // test, not just a benchmark number: after warmup, a pooled one-hop send
 // costs zero heap allocations.

@@ -129,15 +129,14 @@ func (pr Params) OneWay(size int) sim.Duration {
 // Size is the wire size used by the cost model — protocols set it to the
 // header size plus len(Data).
 //
-// Allocation-sensitive senders obtain envelopes with AllocMessage
-// instead of allocating literals. A pool envelope is sent at most once
-// and neither sender nor handler may retain it past the handler's
-// return. What it carries has one owner, with or without a fault plan:
-// Payload and Data pass to the destination's handler, which runs exactly
-// once per message and may recycle them. Under faults the send log,
-// duplicates and retransmits still share the envelope, so completion
-// detaches both and leaves a header-only ghost that arrive drops on Seq.
-// Literal-constructed messages may be kept by the receiver indefinitely.
+// Every envelope comes from AllocMessage. It is sent at most once and
+// neither sender nor handler may retain it past the handler's return: a
+// handler copies what it keeps. What it carries has one owner, with or
+// without a fault plan: Payload and Data pass to the destination's
+// handler, which runs exactly once per message and may recycle them.
+// Under faults the send log, duplicates and retransmits still share the
+// envelope, so completion detaches both and leaves a header-only ghost
+// that arrive drops on Seq.
 type Message struct {
 	From    int
 	To      int
@@ -156,22 +155,19 @@ type Message struct {
 	// arrival is the only holder.
 	refs int
 
-	pooled bool  // lifecycle managed by the network free pool
-	state  uint8 // envelope lifecycle, for retention/double-free detection
+	state uint8 // envelope lifecycle, for retention/double-free detection
 }
 
-// Envelope lifecycle states. Literal-constructed messages stay at
-// msgLiteral and are unchecked (their historical ownership: the receiver
-// may retain them). Pool envelopes walk allocated → sent → delivered →
-// recycled; any other transition is a lifecycle bug (an envelope re-sent
-// or retained past its handler's return) and panics at the spot instead
-// of silently aliasing a recycled record.
+// Envelope lifecycle states. An envelope walks allocated → sent →
+// delivered → recycled; any other transition is a lifecycle bug (an
+// envelope re-sent, retained past its handler's return, or not from
+// AllocMessage) and panics at the spot instead of silently aliasing a
+// recycled record.
 const (
-	msgLiteral uint8 = iota
+	msgRecycled uint8 = iota // the zero value: in the free pool, or never allocated; any use is a bug
 	msgAllocated
 	msgSent
 	msgDelivered
-	msgRecycled // parked in the free pool; any use is a retention bug
 )
 
 // Handler processes one delivered message in the destination's service
@@ -280,21 +276,20 @@ func (ep *Endpoint) allocMessage() *Message {
 		}
 		m, nw.msgSlab = &nw.msgSlab[0], nw.msgSlab[1:]
 	}
-	m.pooled, m.state = true, msgAllocated
+	m.state = msgAllocated
 	return m
 }
 
-// recycleMessage returns a delivered pool envelope to the network's
-// freelist. A recycled envelope is zeroed, so recycling it twice (a
-// handler retained it past return and a later path freed it again)
-// trips the state check here rather than corrupting the pool with an
-// aliased record.
+// recycleMessage returns a delivered envelope to the network's freelist.
+// A recycled envelope is zeroed, so recycling it twice (a handler
+// retained it past return and a later path freed it again) trips the
+// state check here rather than corrupting the pool with an aliased
+// record.
 func (ep *Endpoint) recycleMessage(m *Message) {
-	if !m.pooled || m.state != msgDelivered {
-		panic("fastmsg: recycle of an envelope that is not a delivered pool envelope (double free?)")
+	if m.state != msgDelivered {
+		panic("fastmsg: recycle of an envelope that is not a delivered one (double free?)")
 	}
 	*m = Message{}
-	m.state = msgRecycled
 	ep.nw.free = append(ep.nw.free, m)
 }
 
@@ -306,23 +301,20 @@ func (nw *Network) retainMessage(m *Message) { m.refs++ }
 // releaseMessage drops one reliability-layer hold on m and recycles the
 // envelope once the last holder is gone. The last hold can only drop
 // after the destination's handler completed (the send-log hold needs an
-// ack whose processed floor covers it), so a pool envelope is always
+// ack whose processed floor covers it), so the envelope is always
 // msgDelivered here.
 func (nw *Network) releaseMessage(m *Message) {
 	m.refs--
 	if m.refs < 0 {
 		panic("fastmsg: release of an envelope with no holders (double free?)")
 	}
-	if m.refs == 0 && m.pooled {
+	if m.refs == 0 {
 		nw.eps[m.To].recycleMessage(m)
 	}
 }
 
 // Endpoint returns endpoint i.
 func (nw *Network) Endpoint(i int) *Endpoint { return nw.eps[i] }
-
-// Size returns the number of endpoints.
-func (nw *Network) Size() int { return len(nw.eps) }
 
 // Params returns the network's cost model.
 func (nw *Network) Params() Params { return nw.params }
@@ -406,9 +398,6 @@ type pendingMsg struct {
 	refs    int // fire events in the calendar still referencing this record
 }
 
-// ID returns the endpoint's host id.
-func (ep *Endpoint) ID() int { return ep.id }
-
 // Stats returns a copy of the endpoint's counters.
 func (ep *Endpoint) Stats() Stats { return ep.stats }
 
@@ -439,9 +428,6 @@ func (ep *Endpoint) SetBusy(delta int) {
 		}
 	}
 }
-
-// Busy reports whether any application thread on this host is runnable.
-func (ep *Endpoint) Busy() bool { return ep.busy > 0 }
 
 // AllocMessage returns a zeroed envelope, reusing one whose handler has
 // already completed when possible. See the Message doc for the
@@ -474,15 +460,13 @@ func (ep *Endpoint) Post(to int, m *Message) sim.Duration {
 	if m.Size <= 0 {
 		m.Size = len(m.Data)
 	}
-	if m.state == msgRecycled {
-		panic("fastmsg: Send of a recycled envelope — it was retained past its handler's return")
+	switch m.state {
+	case msgRecycled:
+		panic("fastmsg: Send of an envelope not from AllocMessage, or retained past its handler's return")
+	case msgSent, msgDelivered:
+		panic("fastmsg: Send of an envelope already in flight — AllocMessage envelopes are single-send")
 	}
-	if m.pooled {
-		if m.state != msgAllocated {
-			panic("fastmsg: Send of a pooled envelope that is already in flight — AllocMessage envelopes are single-send")
-		}
-		m.state = msgSent
-	}
+	m.state = msgSent
 	m.From = ep.id
 	m.To = to
 	return ep.nw.params.SendCPU(m.Size)
@@ -770,7 +754,7 @@ func (ep *Endpoint) Step() (sim.Action, sim.Duration) {
 				// Under faults the send log and late wire duplicates may still
 				// hold the envelope; drop only the delivery pipeline's hold.
 				ep.nw.releaseMessage(m)
-			} else if m.pooled {
+			} else {
 				ep.recycleMessage(m)
 			}
 		case recvTransmit:

@@ -13,6 +13,14 @@ func newPair(t *testing.T, params Params) (*sim.Engine, *Network) {
 	return eng, New(eng, 2, params)
 }
 
+// send sends to endpoint `to` a fresh envelope from ep carrying payload,
+// of size bytes.
+func send(p *sim.Proc, ep *Endpoint, to, size int, payload any) {
+	m := ep.AllocMessage()
+	m.Size, m.Payload = size, payload
+	ep.Send(p, to, m)
+}
+
 func TestOneWayCostMatchesTable1(t *testing.T) {
 	// The paper's Table 1: header (32 B) 12 µs, 0.5 KB 22 µs, 1 KB 34 µs,
 	// 4 KB 90 µs. The calibrated model must land within 10% of each.
@@ -34,20 +42,20 @@ func TestOneWayCostMatchesTable1(t *testing.T) {
 func TestDeliveryToIdleHost(t *testing.T) {
 	eng, nw := newPair(t, DefaultParams())
 	var gotAt sim.Time
-	var got *Message
+	var got Message // a copy: the envelope is recycled once the handler returns
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
-		got = m
+		got = *m
 		gotAt = p.Now()
 	})
 	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) {})
 	eng.Spawn("sender", func(p *sim.Proc) {
-		nw.Endpoint(0).Send(p, 1, &Message{Size: 32, Payload: "ping"})
+		send(p, nw.Endpoint(0), 1, 32, "ping")
 		p.Sleep(sim.Millisecond) // keep the run alive through delivery
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil {
+	if gotAt == 0 {
 		t.Fatal("message not delivered")
 	}
 	if got.Payload != "ping" || got.From != 0 || got.To != 1 {
@@ -71,8 +79,8 @@ func TestFIFOPerDestination(t *testing.T) {
 		ep := nw.Endpoint(0)
 		// Engine-context sends (p=nil charges nothing) issued back-to-back
 		// so wire latency alone would reorder them.
-		ep.Send(nil, 1, &Message{Size: 65536, Payload: 1})
-		ep.Send(nil, 1, &Message{Size: 8, Payload: 2})
+		send(nil, ep, 1, 65536, 1)
+		send(nil, ep, 1, 8, 2)
 		p.Sleep(sim.Second)
 	})
 	if err := eng.Run(); err != nil {
@@ -92,7 +100,7 @@ func TestBusyHostWaitsForSweeper(t *testing.T) {
 	var sentAt sim.Time
 	eng.Spawn("sender", func(p *sim.Proc) {
 		sentAt = p.Now()
-		nw.Endpoint(0).Send(p, 1, &Message{Size: 32})
+		send(p, nw.Endpoint(0), 1, 32, nil)
 		p.Sleep(20 * sim.Millisecond)
 	})
 	if err := eng.Run(); err != nil {
@@ -116,7 +124,7 @@ func TestIdleTransitionFlushesPending(t *testing.T) {
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { handledAt = p.Now() })
 	nw.Endpoint(1).SetBusy(+1)
 	eng.Spawn("sender", func(p *sim.Proc) {
-		nw.Endpoint(0).Send(p, 1, &Message{Size: 32})
+		send(p, nw.Endpoint(0), 1, 32, nil)
 		p.Sleep(500 * sim.Microsecond)
 		nw.Endpoint(1).SetBusy(-1) // app thread blocks; host 1 goes idle
 		p.Sleep(5 * sim.Millisecond)
@@ -141,7 +149,7 @@ func TestPerfectTimersServiceQuickly(t *testing.T) {
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { handledAt = p.Now() })
 	nw.Endpoint(1).SetBusy(+1)
 	eng.Spawn("sender", func(p *sim.Proc) {
-		nw.Endpoint(0).Send(p, 1, &Message{Size: 32})
+		send(p, nw.Endpoint(0), 1, 32, nil)
 		p.Sleep(10 * sim.Millisecond)
 	})
 	if err := eng.Run(); err != nil {
@@ -156,7 +164,7 @@ func TestHandlerCanReply(t *testing.T) {
 	eng, nw := newPair(t, DefaultParams())
 	done := false
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
-		nw.Endpoint(1).Send(p, 0, &Message{Size: 32, Payload: "pong"})
+		send(p, nw.Endpoint(1), 0, 32, "pong")
 	})
 	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) {
 		if m.Payload == "pong" {
@@ -164,7 +172,7 @@ func TestHandlerCanReply(t *testing.T) {
 		}
 	})
 	eng.Spawn("sender", func(p *sim.Proc) {
-		nw.Endpoint(0).Send(p, 1, &Message{Size: 32, Payload: "ping"})
+		send(p, nw.Endpoint(0), 1, 32, "ping")
 		p.Sleep(sim.Millisecond)
 	})
 	if err := eng.Run(); err != nil {
@@ -180,14 +188,14 @@ func TestRoundTripSmallMessageNearPaper(t *testing.T) {
 	// model should be in the same ballpark (within 2x, it is a model).
 	eng, nw := newPair(t, DefaultParams())
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
-		nw.Endpoint(1).Send(p, 0, &Message{Size: 200})
+		send(p, nw.Endpoint(1), 0, 200, nil)
 	})
 	var rtt sim.Duration
 	evDone := sim.NewEvent(eng)
 	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) { evDone.Set() })
 	eng.Spawn("pinger", func(p *sim.Proc) {
 		start := p.Now()
-		nw.Endpoint(0).Send(p, 1, &Message{Size: 200})
+		send(p, nw.Endpoint(0), 1, 200, nil)
 		evDone.Wait(p)
 		rtt = p.Now().Sub(start)
 	})
@@ -205,7 +213,7 @@ func TestStatsAccounting(t *testing.T) {
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {})
 	eng.Spawn("sender", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
-			nw.Endpoint(0).Send(p, 1, &Message{Size: 100})
+			send(p, nw.Endpoint(0), 1, 100, nil)
 		}
 		p.Sleep(sim.Millisecond)
 	})
@@ -229,7 +237,9 @@ func TestSizeDefaultsToDataLength(t *testing.T) {
 	var gotSize int
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { gotSize = m.Size })
 	eng.Spawn("s", func(p *sim.Proc) {
-		nw.Endpoint(0).Send(p, 1, &Message{Data: make([]byte, 77)})
+		m := nw.Endpoint(0).AllocMessage()
+		m.Data = make([]byte, 77)
+		nw.Endpoint(0).Send(p, 1, m)
 		p.Sleep(sim.Millisecond)
 	})
 	if err := eng.Run(); err != nil {
@@ -268,7 +278,7 @@ func TestManyMessagesKeepPerPairOrder(t *testing.T) {
 			if k%2 == 0 {
 				size = 8192
 			}
-			nw.Endpoint(0).Send(p, 1+k%2, &Message{Size: size, Payload: k})
+			send(p, nw.Endpoint(0), 1+k%2, size, k)
 		}
 		p.Sleep(20 * sim.Millisecond)
 	})
@@ -297,7 +307,7 @@ func TestServiceDelayStatsAccumulate(t *testing.T) {
 	nw.Endpoint(1).SetBusy(+1) // sweeper-bound deliveries
 	eng.Spawn("s", func(p *sim.Proc) {
 		for i := 0; i < 20; i++ {
-			nw.Endpoint(0).Send(p, 1, &Message{Size: 32})
+			send(p, nw.Endpoint(0), 1, 32, nil)
 			p.Sleep(sim.Millisecond)
 		}
 		p.Sleep(10 * sim.Millisecond)

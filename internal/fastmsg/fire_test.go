@@ -17,9 +17,9 @@ func TestFireRemovesEntryOutOfArrivalOrder(t *testing.T) {
 	nw := New(eng, 2, DefaultParams())
 	ep := nw.Endpoint(1)
 
-	a := &pendingMsg{m: &Message{Payload: "a"}, arrived: eng.Now()}
-	b := &pendingMsg{m: &Message{Payload: "b"}, arrived: eng.Now()}
-	c := &pendingMsg{m: &Message{Payload: "c"}, arrived: eng.Now()}
+	a := &pendingMsg{m: ep.AllocMessage(), arrived: eng.Now()}
+	b := &pendingMsg{m: ep.AllocMessage(), arrived: eng.Now()}
+	c := &pendingMsg{m: ep.AllocMessage(), arrived: eng.Now()}
 	ep.pending = []*pendingMsg{a, b, c}
 
 	ep.fire(b) // out of arrival order: a has not fired yet
@@ -58,7 +58,7 @@ func TestPerSenderFIFOAcrossBusyTransitions(t *testing.T) {
 	sender := func(id int) func(*sim.Proc) {
 		return func(p *sim.Proc) {
 			for i := 0; i < perSender; i++ {
-				nw.Endpoint(id).Send(p, 2, &Message{Size: 32, Payload: i*2 + id})
+				send(p, nw.Endpoint(id), 2, 32, i*2+id)
 				p.Sleep(50 * sim.Microsecond)
 			}
 		}
@@ -107,7 +107,9 @@ func TestBusyArrivalsShareOneSweepEvent(t *testing.T) {
 	ep.SetBusy(+1)
 	base := eng.Counters().MaxPending // the two service threads' first resumes
 	for i := 0; i < 3; i++ {
-		nw.arriveAny(&Message{From: 0, To: 1, Size: 32, Payload: i})
+		m := nw.Endpoint(0).AllocMessage()
+		m.From, m.To, m.Size, m.Payload = 0, 1, 32, i
+		nw.arriveAny(m)
 	}
 	if peak := eng.Counters().MaxPending; peak != base+1 {
 		t.Fatalf("three busy arrivals left %d events pending, want one sweep event", peak-base)

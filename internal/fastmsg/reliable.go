@@ -77,10 +77,6 @@ type reliability struct {
 	timerFn func(any) // r.timerFireAny, bound in InstallFaults
 	ackFn   func(any) // r.ackArriveAny, bound in InstallFaults
 
-	// Scratch for the per-frame codec self-check (see selfCheckFrame).
-	frameBuf []byte
-	frameTmp Frame
-
 	seqScratch []uint64 // crash: a reorder buffer's keys, sorted
 }
 
@@ -270,7 +266,6 @@ func (r *reliability) transmit(from, to int, m *Message) {
 		r.arrive(r.nw.eps[to], m)
 		return
 	}
-	r.selfCheckData(m)
 	now := r.nw.eng.Now()
 	if r.inj.Partitioned(from, to, now) {
 		r.nw.eps[from].stats.Partitioned++
@@ -439,7 +434,7 @@ func (r *reliability) beginService(ep *Endpoint, m *Message) {
 
 // complete advances the link's processed floor once the handler for m
 // has returned, acks it on the self link (a remote link's next admission
-// ack carries it), and detaches a pool envelope's Payload and Data.
+// ack carries it), and detaches the envelope's Payload and Data.
 // Called from the service thread; acks are charged no CPU (FM acks
 // piggyback on the NIC).
 func (r *reliability) complete(ep *Endpoint, m *Message) {
@@ -459,10 +454,8 @@ func (r *reliability) complete(ep *Endpoint, m *Message) {
 	if m.From == ep.id {
 		r.ackLink(ep.id, ep.id)
 	}
-	if m.pooled {
-		// The handler's now, maybe recycled: the shared envelope is a ghost.
-		m.Payload, m.Data = nil, nil
-	}
+	// The handler's now, maybe recycled: the shared envelope is a ghost.
+	m.Payload, m.Data = nil, nil
 }
 
 // ackLink acks the (to → from) link with receiver from's floors and
@@ -484,7 +477,6 @@ func (r *reliability) sendAck(from, to int, a ack) {
 		r.ackArrive(to, from, a)
 		return
 	}
-	r.selfCheckAck(from, to, a)
 	now := r.nw.eng.Now()
 	if r.inj.Partitioned(from, to, now) {
 		r.nw.eps[from].stats.Partitioned++

@@ -101,7 +101,7 @@ import (
 // Raised, cluster 1,866 -> 1,874, when lrc-mw began to home by HomeOf:
 // the placement function both implementations call (Lifecycle.HomeOf) and
 // the range check both allocators call once per new id
-// (Lifecycle.CheckHomes) moved into the kernel, while Traits.Directory,
+// (Lifecycle.CheckHomes) moved into the kernel, while the Directory trait,
 // its two validate cases and Allocation.Home went. Paid for in dsm, 1,205
 // -> 1,198 (its own homeOf and allocLocal's check), and lrc, 801 -> 795
 // (MWSystem.homes, Alloc's append loop, describe's bounds check and
@@ -227,17 +227,27 @@ import (
 // Lowered, dsm 1,983 -> 1,982, when the copyset left the directory entry
 // for a row of host bits beside the rmw and excl marks, and those marks'
 // slab and bit arithmetic moved into hostset's one host-bit table.
+//
+// Moved, not raised, dsm 1,982 -> 2,049, and lowered, cluster 1,722 ->
+// 1,603, when the protocol plug-in layer went: the System interface, the
+// generic Lifecycle base and the protocol traits, built for four
+// protocols with one left.
+// dsm's System now holds the runtime and its own typed hosts and threads
+// and does what Lifecycle did (the build, Run, the accessors, HomeOf and
+// the home range check) as concrete code, NewMW refuses more than one
+// thread a host itself, and Prefetch, Push and GangFetch became no-ops
+// under lrc-mw in dsm, where the root Worker used to skip them.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"cluster", 1722},
-	{"dsm", 1982},
+	{"cluster", 1603},
+	{"dsm", 2049},
 }
 
 // kernelTarget is the kernel's line total (cluster and dsm), lowered to
-// what it stood at once the copyset became host bits sized by the cluster
-// (3,705 once lrc-mw's fetch became a read on SC's rows; 3,722
+// what it stood at once the protocol plug-in layer went (3,704 once the
+// copyset became host bits sized by the cluster; 3,705 once lrc-mw's fetch became a read on SC's rows; 3,722
 // once a read under a lock began to be served exclusive; 3,652 once SC homes began to follow their writer too; 3,563
 // once lrc-mw's homes began to follow their writer; 3,474 once lrc-mw's releases stopped waiting for their diffs; 3,428 once a home began to source reads from its own copy; 3,432 once lrc-mw became dsm's second consistency class; 3,577 once invalidation replies went to the writer; 3,592
 // once the transport became the only recovery layer; 3,895 once a minipage's readers shared one read transaction; 3,867
@@ -250,7 +260,7 @@ var kernelBudget = []struct {
 // 5,523, 10 % under the 6,137 the packages, ivy's 398 included, had before
 // it began). A change that takes the kernel past it fails, whatever the
 // per-package ceilings.
-const kernelTarget = 3704
+const kernelTarget = 3652
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

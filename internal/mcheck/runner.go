@@ -125,7 +125,7 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 	rt.Eng.SetExplorer(x)
 	rt.Eng.At(sim.Time(Watchdog), rt.Eng.Stop)
 	done := 0
-	runErr := sys.Run(func(w cluster.AppThread) {
+	runErr := sys.Run(func(w *dsm.Thread) {
 		wl.body(rt, w)
 		done++
 	})
@@ -144,7 +144,7 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 		}
 	case wl.err() != nil:
 		return fp, &Failure{Kind: "oracle", Msg: wl.err().Error()}, nil
-	case wl.moves && sys.(*dsm.System).MWStats().Migrations == 0:
+	case wl.moves && sys.MWStats().Migrations == 0:
 		return fp, &Failure{Kind: "oracle", Msg: "no home moved"}, nil
 	case wl.excl && proto.SC && sys.Totals().ExclusiveReads == 0:
 		return fp, &Failure{Kind: "oracle", Msg: "no read under a lock was served exclusive"}, nil

@@ -3,7 +3,6 @@ package registry_test
 import (
 	"testing"
 
-	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/registry"
 	"millipage/internal/sim"
@@ -18,7 +17,7 @@ func newIvy(t *testing.T, hosts int) *dsm.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys.(*dsm.System)
+	return sys
 }
 
 // TestIvyDistributedManagers: page p's directory is served at host p % N
@@ -29,7 +28,7 @@ func TestIvyDistributedManagers(t *testing.T) {
 	const hosts, pages = 4, 8
 	s := newIvy(t, hosts)
 	var va uint64
-	err := s.Run(func(w cluster.AppThread) {
+	err := s.Run(func(w *dsm.Thread) {
 		if w.Host() == 0 {
 			va = w.Malloc(pages * vm.PageSize)
 			for p := 0; p < pages; p++ {
@@ -88,7 +87,7 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 			t.Fatal(err)
 		}
 		var vars [2]uint64
-		err = sys.Run(func(w cluster.AppThread) {
+		err = sys.Run(func(w *dsm.Thread) {
 			if w.Host() == 0 {
 				vars[0], vars[1] = w.Malloc(64), w.Malloc(64)
 			}
@@ -114,7 +113,7 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 func TestIvyQueuedCompetingRequests(t *testing.T) {
 	s := newIvy(t, 4)
 	var va uint64
-	err := s.Run(func(w cluster.AppThread) {
+	err := s.Run(func(w *dsm.Thread) {
 		if w.Host() == 0 {
 			va = w.Malloc(64)
 			w.WriteU32(va, 7)

@@ -26,32 +26,20 @@ type Spec struct {
 	// synchronize through Barrier/Lock and never spin on shared memory.
 	SC bool
 
-	New func(Options) (cluster.System, error)
+	New func(Options) (*dsm.System, error)
 }
 
 var specs = []Spec{
-	{"millipage", true, build(dsm.New)},
+	{"millipage", true, dsm.New},
 	{"ivy", true, ivy},
-	{"lrc-mw", false, build(dsm.NewMW)},
-}
-
-// build adapts a protocol's typed constructor; a failed construction must
-// come back as a nil interface, not a nil pointer inside one.
-func build[S cluster.System](mk func(Options) (S, error)) func(Options) (cluster.System, error) {
-	return func(opt Options) (cluster.System, error) {
-		s, err := mk(opt)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
+	{"lrc-mw", false, dsm.NewMW},
 }
 
 // ivy is the Li/Hudak page-based baseline as a preset of millipage: the
 // sharing unit is the page, and page p's directory is served at host p mod
 // N (Li & Hudak's "fixed distributed manager"), millipage's default
 // placement. The two are the preset, so a caller may not set them.
-func ivy(opt Options) (cluster.System, error) {
+func ivy(opt Options) (*dsm.System, error) {
 	switch {
 	case opt.Grain != core.GrainMinipage:
 		return nil, fmt.Errorf("ivy: Grain is set (PageGranularity), but ivy is millipage at page grain already")
@@ -59,7 +47,7 @@ func ivy(opt Options) (cluster.System, error) {
 		return nil, fmt.Errorf("ivy: HomeOf is set (CentralManagement), but ivy homes page p at host p mod N already")
 	}
 	opt.Grain = core.GrainPage
-	return build(dsm.New)(opt)
+	return dsm.New(opt)
 }
 
 // Names lists the registered protocols in their canonical order.
@@ -94,7 +82,7 @@ func Lookup(name string) (Spec, error) {
 }
 
 // New builds the named protocol's system from opt.
-func New(name string, opt Options) (cluster.System, error) {
+func New(name string, opt Options) (*dsm.System, error) {
 	sp, err := Lookup(name)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"millipage/internal/check"
 	"millipage/internal/cluster"
 	"millipage/internal/core"
+	"millipage/internal/dsm"
 	"millipage/internal/pins"
 	"millipage/internal/registry"
 	"millipage/internal/trace"
@@ -84,7 +85,7 @@ func runPinned(t *testing.T, name string, hosts, chunk int, homeOf func(id, host
 		t.Fatal(err)
 	}
 	wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-	if err := sys.Run(wl.Body); err != nil {
+	if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := wl.Err(); err != nil {
@@ -142,7 +143,7 @@ func TestOptionMatrix(t *testing.T) {
 				}
 				var cells [2]uint64
 				bodies := 0
-				err = sys.Run(func(w cluster.AppThread) {
+				err = sys.Run(func(w *dsm.Thread) {
 					if w.ThreadID() == 0 {
 						cells[0], cells[1] = w.Malloc(64), w.Malloc(64)
 						w.WriteU32(cells[0], 0)
@@ -191,7 +192,7 @@ func TestViewsBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			cells := make([]uint64, core.MaxViews)
-			err = sys.Run(func(w cluster.AppThread) {
+			err = sys.Run(func(w *dsm.Thread) {
 				if w.ThreadID() == 0 {
 					for i := range cells {
 						cells[i] = w.Malloc(64)
@@ -255,7 +256,8 @@ func TestLRCIsAnAliasOfLRCMW(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Run((&check.DRF{Hosts: 4, Rounds: 3, LockReps: 2}).Body); err != nil {
+		wl := &check.DRF{Hosts: 4, Rounds: 3, LockReps: 2}
+		if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 			t.Fatal(err)
 		}
 		got[i] = fmt.Sprintf("%+v elapsed %d", sys.Totals(), int64(sys.Runtime().Elapsed()))

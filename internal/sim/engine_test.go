@@ -200,34 +200,6 @@ func TestQueueThatNeverDrainsStaysSmall(t *testing.T) {
 	}
 }
 
-func TestMutexMutualExclusion(t *testing.T) {
-	e := NewEngine(1)
-	m := NewMutex(e)
-	inside := 0
-	maxInside := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn(fmt.Sprintf("locker%d", i), func(p *Proc) {
-			m.Lock(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(7)
-			inside--
-			m.Unlock()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("max concurrent holders = %d, want 1", maxInside)
-	}
-	if e.Now() != Time(5*7) {
-		t.Fatalf("finished at %v, want 35ns (serialized)", e.Now())
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
 	s := NewSignal(e)

@@ -168,16 +168,13 @@ func TestDeadlockReportsWaitReason(t *testing.T) {
 	e := NewEngine(1)
 	s := NewSignal(e)
 	s.SetLabel("reply for txn 7")
-	m := NewMutex(e)
-	m.SetLabel("lock-3")
+	ev := NewEvent(e)
+	ev.SetLabel("lock-3")
 	e.Spawn("askew", func(p *Proc) { s.Wait(p) })
-	e.Spawn("holder", func(p *Proc) {
-		m.Lock(p)
-		s.Wait(p) // never signaled; holds lock-3 forever
-	})
+	e.Spawn("parked", func(p *Proc) { s.Wait(p) }) // never signaled
 	e.Spawn("queued", func(p *Proc) {
 		p.Sleep(1)
-		m.Lock(p)
+		ev.Wait(p) // never set
 	})
 	err := e.Run()
 	de, ok := err.(*ErrDeadlock)
@@ -189,7 +186,7 @@ func TestDeadlockReportsWaitReason(t *testing.T) {
 	}
 	want := map[string]string{
 		"askew":  "reply for txn 7",
-		"holder": "reply for txn 7",
+		"parked": "reply for txn 7",
 		"queued": "lock-3",
 	}
 	for _, w := range de.Waits {
@@ -203,7 +200,7 @@ func TestDeadlockReportsWaitReason(t *testing.T) {
 		t.Errorf("deadlock message lacks wait reasons: %s", msg)
 	}
 	// Blocked stays the plain sorted name list for older consumers.
-	if fmt.Sprint(de.Blocked) != "[askew holder queued]" {
+	if fmt.Sprint(de.Blocked) != "[askew parked queued]" {
 		t.Errorf("Blocked = %v", de.Blocked)
 	}
 }

@@ -133,36 +133,6 @@ func (ev *Event) Reset() { ev.set = false }
 // IsSet reports whether the event is currently set.
 func (ev *Event) IsSet() bool { return ev.set }
 
-// Mutex is a FIFO mutual-exclusion lock for simulated processes.
-type Mutex struct {
-	held bool
-	sig  Signal
-}
-
-// NewMutex returns an unlocked mutex bound to e.
-func NewMutex(e *Engine) *Mutex { return &Mutex{sig: Signal{e: e}} }
-
-// SetLabel names the mutex for deadlock reports.
-func (m *Mutex) SetLabel(label string) { m.sig.SetLabel(label) }
-
-// Lock blocks p until it acquires the mutex.
-func (m *Mutex) Lock(p *Proc) {
-	for m.held {
-		m.sig.Wait(p)
-	}
-	m.held = true
-}
-
-// Unlock releases the mutex and wakes the longest-waiting locker. It
-// panics if the mutex is not held.
-func (m *Mutex) Unlock() {
-	if !m.held {
-		panic("sim: Unlock of unlocked Mutex")
-	}
-	m.held = false
-	m.sig.Pulse()
-}
-
 // Queue is an unbounded deterministic FIFO mailbox. Put never blocks; Get
 // blocks the calling process until an item is available. Concurrent
 // getters are served in arrival order.

@@ -154,8 +154,7 @@ type Config struct {
 // configured protocol.
 type Cluster struct {
 	protocol string
-	sc       bool // the protocol is SC: its Workers take the Millipage hints
-	sys      cluster.System
+	sys      *dsm.System
 }
 
 // netParams returns the fastmsg parameters cfg implies: zero (letting
@@ -172,9 +171,9 @@ func (cfg Config) netParams() fastmsg.Params {
 }
 
 // NewCluster builds a cluster from cfg. Every value and combination the
-// chosen protocol cannot run is rejected by the kernel's one validation
-// site (cluster.New, reached through the registry) with an error naming
-// the field.
+// chosen protocol cannot run is rejected with an error naming the field:
+// by the kernel's one validation site (cluster.New, reached through the
+// registry), or by dsm.NewMW for lrc-mw's one thread a host.
 func NewCluster(cfg Config) (*Cluster, error) {
 	spec, err := registry.Lookup(cfg.Protocol)
 	if err != nil {
@@ -200,7 +199,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{protocol: spec.Name, sc: spec.SC, sys: sys}, nil
+	return &Cluster{protocol: spec.Name, sys: sys}, nil
 }
 
 // Protocol returns the protocol this cluster runs ("millipage", "ivy" or
@@ -217,13 +216,7 @@ func (c *Cluster) EngineCounters() sim.Counters { return c.sys.Runtime().Eng.Cou
 // and blocks until all of them finish, returning the run's Report. A
 // Cluster runs one application; create a new Cluster per run.
 func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
-	err := c.sys.Run(func(t cluster.AppThread) {
-		w := &Worker{t: t}
-		if c.sc {
-			w.mp = t.(*dsm.Thread)
-		}
-		body(w)
-	})
+	err := c.sys.Run(func(t *dsm.Thread) { body(&Worker{t: t}) })
 	if err != nil {
 		return nil, err
 	}
@@ -234,4 +227,4 @@ func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
 // that need raw access (statistics, directory state). Every protocol
 // builds one: millipage and ivy under SC, lrc-mw under the multi-writer
 // class. Most applications never need it.
-func (c *Cluster) System() *dsm.System { return c.sys.(*dsm.System) }
+func (c *Cluster) System() *dsm.System { return c.sys }

@@ -66,10 +66,9 @@ full() {
 		awk -v p="$pct" -v f="$want" 'BEGIN { exit (p+0 >= f+0) ? 0 : 1 }'
 	done
 
-	# Bounded mutation of the adversarial-input surfaces: the wire-frame
-	# codec, the twin/diff codec and minipage address traversal. Their
-	# checked-in corpora replay in every go test run.
-	go test -run '^$' -fuzztime=15s -fuzz=FuzzFrameDecode ./internal/fastmsg/
+	# Bounded mutation of the two adversarial-input surfaces: the twin/diff
+	# codec and minipage address traversal. Their checked-in corpora replay
+	# in every go test run.
 	go test -run '^$' -fuzztime=15s -fuzz=FuzzEncodeDecode ./internal/twindiff/
 	go test -run '^$' -fuzztime=15s -fuzz=FuzzTraverse ./internal/mmu/
 

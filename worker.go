@@ -1,7 +1,6 @@
 package millipage
 
 import (
-	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/sim"
 )
@@ -16,8 +15,7 @@ import (
 // any Config.Protocol. Prefetch, Push and GangFetch are Millipage
 // performance hints; under other protocols they are correct no-ops.
 type Worker struct {
-	t  cluster.AppThread
-	mp *dsm.Thread // non-nil only under the SC protocols, whose hints it takes
+	t *dsm.Thread
 }
 
 // Host returns the id of the host this worker runs on (0..Hosts-1).
@@ -89,22 +87,14 @@ func (w *Worker) Unlock(id int) { w.t.Unlock(id) }
 // Prefetch asynchronously requests a read copy of the minipage(s) backing
 // [addr, addr+size), overlapping the fetch with computation. It is a
 // Millipage performance hint (ivy too); under lrc-mw a no-op.
-func (w *Worker) Prefetch(addr Addr, size int) {
-	if w.mp != nil {
-		w.mp.Prefetch(addr, size)
-	}
-}
+func (w *Worker) Prefetch(addr Addr, size int) { w.t.Prefetch(addr, size) }
 
 // Push replicates the minipage containing addr — which this worker's host
 // must hold writable — to every host as a read copy. Use it for
 // frequently read, rarely written values (the paper's TSP minimal-tour
 // bound). It is a Millipage performance hint (ivy too); under lrc-mw it
 // is a no-op.
-func (w *Worker) Push(addr Addr) {
-	if w.mp != nil {
-		w.mp.Push(addr)
-	}
-}
+func (w *Worker) Push(addr Addr) { w.t.Push(addr) }
 
 // Span names a shared region for group operations.
 type Span = dsm.Span
@@ -114,8 +104,4 @@ type Span = dsm.Span
 // composed-views idea: coarse-grain read phases over fine-grain sharing
 // units. It is a Millipage performance hint (ivy too); under lrc-mw it
 // is a no-op.
-func (w *Worker) GangFetch(spans []Span) {
-	if w.mp != nil {
-		w.mp.GangFetch(spans)
-	}
-}
+func (w *Worker) GangFetch(spans []Span) { w.t.GangFetch(spans) }
