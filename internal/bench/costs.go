@@ -8,7 +8,7 @@ import (
 	"io"
 
 	millipage "millipage"
-	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 	"millipage/internal/twindiff"
@@ -18,7 +18,7 @@ import (
 // the calibrated local costs with the messaging model's end-to-end
 // send/receive times.
 func Table1(w io.Writer) {
-	c := cluster.DefaultCosts()
+	c := dsm.DefaultCosts()
 	net := fastmsg.DefaultParams()
 	fmt.Fprintln(w, "Table 1: cost of basic operations (paper value in parentheses)")
 	rows := []struct {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"millipage/internal/apps"
-	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/pins"
 	"millipage/internal/registry"
@@ -24,7 +23,7 @@ func TestGoldenManagerLoad(t *testing.T) {
 	for _, w := range []struct {
 		m      string
 		homeOf func(id, hosts int) int
-	}{{"central", cluster.HomeCentral}, {"home-based", cluster.HomeMod}} {
+	}{{"central", dsm.HomeCentral}, {"home-based", dsm.HomeMod}} {
 		r, err := ManagerLoad(cfg, w.homeOf)
 		if err != nil {
 			t.Fatal(err)
@@ -63,8 +62,8 @@ func TestGoldenWATER(t *testing.T) {
 // trace dump.
 func tracedRun(t *testing.T, rec *trace.Recorder) (elapsed int64, dump string) {
 	t.Helper()
-	s, err := dsm.New(dsm.Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, Seed: 9,
-		HomeOf: cluster.HomeMod, Trace: rec})
+	s, err := dsm.New("millipage", dsm.Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, Seed: 9,
+		HomeOf: dsm.HomeMod, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 	}
 	var buf bytes.Buffer
 	rec.Dump(&buf)
-	return int64(s.Runtime().Elapsed()), buf.String()
+	return int64(s.Elapsed()), buf.String()
 }
 
 // TestGoldenTraceDigestLocks pins the trace of tracedLockRun under lrc-mw

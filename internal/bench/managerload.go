@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"io"
 
-	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/sim"
 )
@@ -52,7 +51,7 @@ func DefaultManagerLoad() ManagerLoadConfig {
 }
 
 // ManagerLoad runs the workload under one directory placement (homeOf is
-// dsm.Options.HomeOf: cluster.HomeCentral homes every minipage at host 0,
+// dsm.Options.HomeOf: dsm.HomeCentral homes every minipage at host 0,
 // the paper's manager) and reports how
 // the directory requests spread across hosts. The program is DRF and
 // phase-deterministic: in round r variable v is written by host
@@ -63,7 +62,7 @@ func ManagerLoad(cfg ManagerLoadConfig, homeOf func(id, hosts int) int) (Manager
 	if cfg.Hosts < 1 {
 		return res, fmt.Errorf("bench: manager load needs at least one host, got %d", cfg.Hosts)
 	}
-	s, err := dsm.New(dsm.Options{
+	s, err := dsm.New("millipage", dsm.Options{
 		Hosts:      cfg.Hosts,
 		SharedSize: 1 << 20,
 		Views:      16,
@@ -123,7 +122,7 @@ func ManagerLoadCompare(w io.Writer, cfg ManagerLoadConfig) error {
 	modes := []struct {
 		name   string
 		homeOf func(id, hosts int) int
-	}{{"central", cluster.HomeCentral}, {"home-based", cluster.HomeMod}}
+	}{{"central", dsm.HomeCentral}, {"home-based", dsm.HomeMod}}
 	rows, err := sweep(len(modes), func(i int) (ManagerLoadResult, error) {
 		return ManagerLoad(cfg, modes[i].homeOf)
 	})

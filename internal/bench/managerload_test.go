@@ -5,17 +5,17 @@ import (
 	"strings"
 	"testing"
 
-	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 )
 
 func TestManagerLoadSpreadsAcrossHomes(t *testing.T) {
 	cfg := DefaultManagerLoad()
 
-	central, err := ManagerLoad(cfg, cluster.HomeCentral)
+	central, err := ManagerLoad(cfg, dsm.HomeCentral)
 	if err != nil {
 		t.Fatal(err)
 	}
-	homed, err := ManagerLoad(cfg, cluster.HomeMod)
+	homed, err := ManagerLoad(cfg, dsm.HomeMod)
 	if err != nil {
 		t.Fatal(err)
 	}

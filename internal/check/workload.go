@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 
-	"millipage/internal/cluster"
 	"millipage/internal/sim"
 )
 
@@ -27,7 +26,7 @@ type MessagePassing struct {
 	seen       bool
 }
 
-func (m *MessagePassing) Body(w cluster.AppThread) {
+func (m *MessagePassing) Body(w AppThread) {
 	if w.Host() == 0 {
 		m.data = w.Malloc(64)
 		m.flag = w.Malloc(64)
@@ -68,7 +67,7 @@ type Dekker struct {
 	r    [2]uint32
 }
 
-func (d *Dekker) Body(w cluster.AppThread) {
+func (d *Dekker) Body(w AppThread) {
 	if w.Host() == 0 {
 		d.x = w.Malloc(64)
 		d.y = w.Malloc(64)
@@ -114,7 +113,7 @@ type DRF struct {
 	bad   error
 }
 
-func (d *DRF) Body(w cluster.AppThread) {
+func (d *DRF) Body(w AppThread) {
 	h := w.Host()
 	if h == 0 {
 		d.cells = make([]uint64, d.Hosts)
@@ -189,7 +188,7 @@ type ConcurrentMerge struct {
 	bad   error
 }
 
-func (m *ConcurrentMerge) Body(w cluster.AppThread) {
+func (m *ConcurrentMerge) Body(w AppThread) {
 	h := w.Host()
 	if h == 0 {
 		m.block = w.Malloc(64 * m.Hosts)
@@ -226,7 +225,7 @@ type DirtyAcquire struct {
 	bad   error
 }
 
-func (d *DirtyAcquire) Body(w cluster.AppThread) {
+func (d *DirtyAcquire) Body(w AppThread) {
 	h := w.Host()
 	if h == 0 {
 		d.block = w.Malloc(4 * d.Hosts)
@@ -262,7 +261,7 @@ type ChunkExtend struct {
 	bad  error
 }
 
-func (c *ChunkExtend) Body(w cluster.AppThread) {
+func (c *ChunkExtend) Body(w AppThread) {
 	if w.Host() == 1 {
 		c.a = w.Malloc(64)
 		w.WriteU32(c.a, 11)
@@ -297,7 +296,7 @@ type ChunkGrow struct {
 	bad     error
 }
 
-func (g *ChunkGrow) Body(w cluster.AppThread) {
+func (g *ChunkGrow) Body(w AppThread) {
 	if w.Host() == 1 {
 		g.a = w.Malloc(64)
 		w.WriteU32(g.a, 11)
@@ -341,7 +340,7 @@ type HomeMove struct {
 	bad   error
 }
 
-func (m *HomeMove) Body(w cluster.AppThread) {
+func (m *HomeMove) Body(w AppThread) {
 	h := w.Host()
 	word := func(c int) uint64 { return m.block + uint64(64*c) }
 	if h == 0 {
@@ -380,8 +379,8 @@ func (m *HomeMove) Err() error { return m.bad }
 
 // SWMRSweep drives a seed-dependent read/write mix over Words shared
 // words and asserts the SW/MR invariant after every completed
-// operation. Prots must be set (normally RuntimeProts around the
-// run's cluster) before the body runs.
+// operation. Prots must be set (normally the run's *dsm.System) before
+// the body runs.
 type SWMRSweep struct {
 	Words int
 	Iters int
@@ -392,7 +391,7 @@ type SWMRSweep struct {
 	bad error
 }
 
-func (s *SWMRSweep) Body(w cluster.AppThread) {
+func (s *SWMRSweep) Body(w AppThread) {
 	if w.Host() == 0 {
 		s.vas = make([]uint64, s.Words)
 		for i := range s.vas {

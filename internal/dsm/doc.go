@@ -3,6 +3,14 @@
 // simulated FastMessages layer (internal/fastmsg), under two consistency
 // classes of one System, Host and Thread.
 //
+// The package is also the runtime both classes run on: the one Options
+// struct, defaulted and validated in New; host and application-thread
+// lifecycle; the fault frame (Host.onFault) and the one blocking point
+// (Thread.Block); the message tables a host dispatches, with its send and
+// receive paths (table.go); per-thread time accounting; and the
+// coordinator — the allocation, barrier and lock services of the paper's
+// manager, barriers combining up a tree rooted there (service.go).
+//
 // New builds Millipage: fine-granularity, sequentially consistent, and
 // the paper's Figure 3, verbatim in structure:
 //

@@ -6,16 +6,16 @@ import (
 	"strings"
 	"testing"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
 
-// newSys builds a cluster of the class mk sets: New's SC or NewMW's.
-func newSys(t *testing.T, mk func(Options) (*System, error), opt Options) *System {
+// newSys builds a cluster of the class mk sets, New's SC or NewMW's,
+// named "test".
+func newSys(t *testing.T, mk func(string, Options) (*System, error), opt Options) *System {
 	t.Helper()
-	s, err := mk(opt)
+	s, err := mk("test", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func homeEntry(s *System, id int) *dirEntry { return s.Host(s.HomeOf(id)).entry(
 
 // queued counts the requests waiting in e's queue, leaving them there.
 func queued(e *dirEntry) (n int) {
-	var q cluster.FIFO[pmsg, *pmsg]
+	var q FIFO[pmsg, *pmsg]
 	for m := e.queue.Pop(); m != nil; m = e.queue.Pop() {
 		q.Push(m)
 		n++
@@ -36,23 +36,15 @@ func queued(e *dirEntry) (n int) {
 	return n
 }
 
-// TestSystemRun holds the System's own lifecycle: the accessors agree
-// with the runtime, Run makes one Thread per substrate thread on its own
-// host, in global-id order, and a fault carries the Thread its body runs
-// on as the handler's context (HandleFault writes the fault's request
-// into it); the run lasts as long as its slowest thread; Run refuses a
-// nil body and a second run.
+// TestSystemRun holds the System's own lifecycle: Run makes
+// ThreadsPerHost threads on every host, in global-id order with local ids
+// per host, and a fault carries the Thread its body runs on as the
+// handler's context (handleFault writes the fault's request into it); a
+// thread's time after ResetStats is its compute and its fault; the run
+// lasts as long as its slowest thread; Run refuses a nil body and a
+// second run.
 func TestSystemRun(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16})
-	rt := s.Runtime()
-	if s.NumHosts() != 2 || s.Eng != rt.Eng || s.Net != rt.Net || s.Opt.Seed != 1 || s.Opt.Views != 1 {
-		t.Fatalf("accessors disagree with the runtime: %d hosts, options %+v", s.NumHosts(), s.Opt)
-	}
-	for i := 0; i < 2; i++ {
-		if s.Host(i).ID() != i || s.Host(i).Host != rt.Host(i) {
-			t.Fatalf("Host(%d) is not the runtime's host %d", i, i)
-		}
-	}
 	var va uint64
 	bodies := make([]*Thread, 4)
 	err := s.Run(func(th *Thread) {
@@ -61,6 +53,7 @@ func TestSystemRun(t *testing.T) {
 			va = th.Malloc(64)
 		}
 		th.Barrier()
+		th.ResetStats()
 		if th.ThreadID() == 3 {
 			th.WriteU32(va, 7) // a write fault on host 1
 		}
@@ -70,27 +63,30 @@ func TestSystemRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ths := s.Threads()
-	if len(ths) != 4 || rt.TotalThreads() != 4 {
-		t.Fatalf("threads = %d (total %d), want 4", len(ths), rt.TotalThreads())
+	if len(ths) != 4 {
+		t.Fatalf("threads = %d, want 4", len(ths))
 	}
 	var last sim.Time
 	for i, th := range ths {
-		if th != bodies[i] || th.Thread != rt.Threads()[i] || th.host != s.Host(th.Host()) || th.Host() != i/2 {
-			t.Fatalf("thread %d is not the body's, the runtime's thread %d on host %d", i, i, i/2)
+		if th != bodies[i] || th.ID != i || th.LID != i%2 || th.host != s.Host(th.Host()) || th.Host() != i/2 || s.Host(i/2).ID() != i/2 {
+			t.Fatalf("thread %d is not the body's, local thread %d on host %d", i, i%2, i/2)
+		}
+		if want := sim.Duration(i+1) * sim.Millisecond; th.Stats.ComputeTime != want || th.Stats.Other() != 0 {
+			t.Fatalf("thread %d: compute=%v other=%v, want %v and nothing else", i, th.Stats.ComputeTime, th.Stats.Other(), want)
 		}
 		last = max(last, th.Stats.End)
 	}
 	if r := ths[3].req; r.h != ths[3].host || r.fw == nil || ths[3].Stats.WriteFaults != 1 {
 		t.Fatalf("thread 3's fault: request on %v, %d write faults; want its own host's, 1", r.h, ths[3].Stats.WriteFaults)
 	}
-	if s.Elapsed() != rt.Elapsed() || s.Elapsed() != sim.Duration(last) {
-		t.Fatalf("Elapsed = %v, runtime's %v, last thread ended at %v", s.Elapsed(), rt.Elapsed(), last)
+	if s.Elapsed() != sim.Duration(last) {
+		t.Fatalf("Elapsed = %v, the last thread ended at %v", s.Elapsed(), last)
 	}
 
 	if err := s.Run(func(*Thread) {}); err == nil || !strings.Contains(err.Error(), "Run called twice") {
 		t.Fatalf("second Run = %v, want the run-twice error", err)
 	}
-	if err := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 16}).Run(nil); err == nil || err.Error() != "lrc-mw: nil thread body" {
+	if err := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 16}).Run(nil); err == nil || err.Error() != "test: nil thread body" {
 		t.Fatalf("Run(nil) = %v, want the nil-body error", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
@@ -179,7 +178,7 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 			plan := &faultnet.Plan{Seed: 5, Crashes: []faultnet.Crash{
 				{Host: home, At: sim.Time(crashAt), RestartAt: sim.Time(restart)},
 			}}
-			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan})
+			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: HomeMod, Faults: plan})
 			var vas []uint64 // minipages homed at host 1, allocated and written there
 			var gangDone, prefetchDone sim.Time
 			err := s.Run(func(th *Thread) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"millipage/internal/cluster"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 )
@@ -89,33 +88,11 @@ func (h *Host) adopt(p *sim.Proc, x *mwSync) {
 		return
 	}
 	h.epoch, h.homes = x.Epoch, x.Homes
-	if s := h.sys; cluster.Invariants && (h.epoch != s.epoch || !slices.Equal(h.homes, s.homes)) {
+	if s := h.sys; Invariants && (h.epoch != s.epoch || !slices.Equal(h.homes, s.homes)) {
 		panic(fmt.Sprintf("dsm: host %d's home table at epoch %d is %v, the coordinator's at %d %v", h.ID(), h.epoch, h.homes, s.epoch, s.homes))
 	}
 	for m := h.early.Pop(); m != nil; m = h.early.Pop() {
 		h.Send(p, h.ID(), m)
-	}
-}
-
-// scSync is an SC host's Consistency: the barrier half only. Its
-// releases carry the coordinator's one record of the barrier's moves.
-type scSync struct{ *Host }
-
-func (scSync) Release(any, *cluster.SvcMsg) {}
-func (scSync) Released(*cluster.SvcMsg)     {}
-func (scSync) Granting(*cluster.SvcMsg)     {}
-
-func (h scSync) Acquire(ctx any, m *cluster.SvcMsg) {
-	if m.Type == cluster.SvcBarrierRelease {
-		h.adopt(ctx.(*Thread).Proc(), h.ext(m))
-	}
-}
-
-func (h scSync) Converged(arrivals []*cluster.SvcMsg) {
-	s, moves := h.sys, h.sys.moves()
-	s.release = mwSync{Moves: moves, Homes: s.homes, Epoch: s.epoch}
-	for _, a := range arrivals {
-		a.Ext = &s.release
 	}
 }
 

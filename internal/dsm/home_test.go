@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"millipage/internal/cluster"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
@@ -193,8 +192,8 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 		homeOf   func(id, hosts int) int
 		to, home int // where the request goes, and minipage 1's home on three hosts
 		move     bool
-	}{{"single-home", cluster.HomeCentral, 2, 0, false}, {"home-mod", cluster.HomeMod, 2, 1, false},
-		{"moved-home", cluster.HomeMod, 0, 2, true}} {
+	}{{"single-home", HomeCentral, 2, 0, false}, {"home-mod", HomeMod, 2, 1, false},
+		{"moved-home", HomeMod, 0, 2, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, HomeOf: tc.homeOf})
 			want := fmt.Sprintf("dsm: host %d got request for minipage 1 homed at host %d", tc.to, tc.home)
@@ -222,7 +221,7 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 				}
 				if th.Host() == 1 {
 					_, info := th.host.route(va)
-					th.host.sendNew(th.Proc(), tc.to, pmsg{Type: mReadReq, From: 1, Addr: va, Info: info, Epoch: th.host.epoch})
+					th.host.sendNew(th.p, tc.to, pmsg{Type: mReadReq, From: 1, Addr: va, Info: info, Epoch: th.host.epoch})
 				}
 				th.Barrier()
 			})
@@ -292,7 +291,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		return out
 	}
 
-	central, homed := run(cluster.HomeCentral), run(cluster.HomeMod)
+	central, homed := run(HomeCentral), run(HomeMod)
 
 	// Application results are identical.
 	want := func(v int) uint32 { return uint32(v) + rounds*(rounds+1)/2 }
@@ -365,7 +364,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	}
 	val := func(v, r int) uint32 { return uint32(v*999983 + r*10007 + 7) }
 
-	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: cluster.HomeMod})
+	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: HomeMod})
 	vas := make([]uint64, nVars)
 	var finalErr error
 	err := s.Run(func(th *Thread) {
@@ -440,7 +439,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 
 func TestHomeBasedDeterministic(t *testing.T) {
 	run := func() (sim.Duration, uint64) {
-		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: cluster.HomeMod})
+		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: HomeMod})
 		var va uint64
 		err := s.Run(func(th *Thread) {
 			if th.Host() == 0 {
@@ -470,7 +469,7 @@ func TestHomeBasedDeterministic(t *testing.T) {
 
 func TestHomeBasedPushAndChunking(t *testing.T) {
 	// Push and chunked allocation both work against remote homes.
-	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: cluster.HomeMod})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: HomeMod})
 	var va uint64
 	err := s.Run(func(th *Thread) {
 		if th.Host() == 1 {
@@ -513,7 +512,7 @@ func TestSCHomeFollowsStableWriter(t *testing.T) {
 		name   string
 		homeOf func(id, hosts int) int
 		old    int
-	}{{"home-mod", cluster.HomeMod, 1}, {"central", cluster.HomeCentral, 0}} {
+	}{{"home-mod", HomeMod, 1}, {"central", HomeCentral, 0}} {
 		t.Run(pl.name, func(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: pl.homeOf})
 			var va [2]uint64

@@ -3,7 +3,6 @@ package dsm
 import (
 	"fmt"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/hostset"
@@ -18,7 +17,7 @@ import (
 // open transaction cannot take are queued here — and only here:
 // non-manager hosts never queue (Section 3.3).
 type dirEntry struct {
-	queue     cluster.FIFO[pmsg, *pmsg]
+	queue     FIFO[pmsg, *pmsg]
 	Competing uint64 // requests that found this entry busy (Figure 7's metric)
 	owner     int32  // preferred replica: last writer (or allocator)
 	await     int32  // the open reads: how many are in flight,
@@ -36,7 +35,7 @@ func (e *dirEntry) joins(m *pmsg) bool {
 // checkNoReads panics, under -tags invariants, if reads are in flight on
 // e as it goes idle or opens a write, upgrade or push.
 func (e *dirEntry) checkNoReads() {
-	if cluster.Invariants && e.await != 0 {
+	if Invariants && e.await != 0 {
 		panic(fmt.Sprintf("dsm: minipage directory entry has %d reads in flight, busy %v", e.await, e.busy))
 	}
 }
@@ -46,7 +45,7 @@ func (e *dirEntry) checkNoReads() {
 // writer from admission, before its invalidations land, so copyset ⊇
 // holders holds only while the entry is idle.
 func (h *Host) checkHolders(info core.Info) {
-	for i, cs := 0, h.sys.copyset(info.ID); cluster.Invariants && i < h.sys.NumHosts(); i++ {
+	for i, cs := 0, h.sys.copyset(info.ID); Invariants && i < h.sys.NumHosts(); i++ {
 		if prot, _ := h.sys.Host(i).Region.ProtOf(info.Base); prot != vm.NoAccess && !cs.Has(i) {
 			panic(fmt.Sprintf("dsm: host %d maps minipage %d %v outside its copyset %v", i, info.ID, prot, cs))
 		}
@@ -133,7 +132,7 @@ func (h *Host) entryOrNil(id int) *dirEntry {
 func (h *Host) serves(id int) bool { return h.homeOf(id) == h.ID() }
 
 // dispatch routes one manager-bound message and returns the tail of its
-// handler: the last send, posted, when nothing follows it (cluster.MsgSpec).
+// handler: the last send, posted, when nothing follows it (MsgSpec).
 // Every function below that returns a *fastmsg.Message returns such a tail.
 func (h *Host) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	switch m.Type {
@@ -295,15 +294,15 @@ func (h *Host) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 // host: its Malloc made the only copy. Like the MPT, the directory is one
 // table every host reads in place, so no message carries the entry to its
 // home and no request can arrive ahead of it. It runs only on host 0 (the
-// allocation authority: the MPT grows nowhere else), behind Host.Alloc,
+// allocation authority: the MPT grows nowhere else), behind Host.alloc,
 // and checks HomeOf's answer for each id before anything else asks it.
-func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
+func (h *Host) allocLocal(from, size int) (Allocation, error) {
 	h.Stats.Allocs++
 	s, mpt := h.sys, h.sys.mpt
 	firstNew := mpt.NumMinipages()
 	mp, va, err := mpt.Alloc(size)
 	if err != nil {
-		return cluster.Allocation{}, err
+		return Allocation{}, err
 	}
 	s.checkHomes(firstNew, mpt.NumMinipages())
 	s.marks.Grow(mpt.NumMinipages())
@@ -335,7 +334,7 @@ func (h *Host) allocLocal(from, size int) (cluster.Allocation, error) {
 		info, owner = lo.Info(h.sys.Layout), true
 		info.Size = hi.Off + hi.Size - lo.Off
 	}
-	return cluster.Allocation{VA: va, Info: info, Owner: owner}, nil
+	return Allocation{VA: va, Info: info, Owner: owner}, nil
 }
 
 // pushEffect is the directory effect of an admitted push: order the owner

@@ -3,14 +3,13 @@ package dsm
 import (
 	"fmt"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 )
 
 // mtype enumerates the protocol message types of Figure 3, plus the push
 // updates the paper describes in prose and lrc-mw's diff flush; lrc-mw's
 // fetch is a READ_REQUEST its home serves itself. Allocation and
-// synchronization traffic is the kernel's (cluster.SvcMsg).
+// synchronization traffic is the coordinator's (SvcMsg).
 type mtype int
 
 const (
@@ -41,7 +40,7 @@ func (m mtype) String() string {
 	return fmt.Sprintf("mtype(%d)", int(m))
 }
 
-func (m *pmsg) Table() (cluster.Table, int) { return table, int(m.Type) }
+func (m *pmsg) Table() (Table, int) { return table, int(m.Type) }
 
 // dataMarker is the shared payload of every bulk mData message: the
 // header that matters was sent separately, so data messages all carry
@@ -55,8 +54,8 @@ var dataMarker = &pmsg{Type: mData}
 // the requester-local event handle that rides in the header; only the
 // requester dereferences it.
 type pmsg struct {
-	cluster.PoolState  // recycled mark under -tags invariants; empty otherwise
-	cluster.Link[pmsg] // its place in a directory entry's queue
+	PoolState  // recycled mark under -tags invariants; empty otherwise
+	Link[pmsg] // its place in a directory entry's queue
 
 	Type mtype
 	From int    // original requester host

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
@@ -20,12 +19,12 @@ type mwNotice struct {
 	MPs     []int  // minipage ids modified in the interval, sorted
 }
 
-// mwSync is what the protocol piggybacks on the kernel's synchronization
-// headers (cluster.SvcMsg.Ext). One pooled record travels out with a
-// request and back with its answer, so its slice capacities are reused
+// mwSync is what the protocol piggybacks on the coordinator's
+// synchronization headers (SvcMsg.Ext). One pooled record travels out with
+// a request and back with its answer, so its slice capacities are reused
 // from one synchronization to the next.
 type mwSync struct {
-	cluster.PoolState // recycled mark under -tags invariants; empty otherwise
+	PoolState // recycled mark under -tags invariants; empty otherwise
 
 	VC       []uint64   // sender's vector clock (LOCK_REQUEST, BARRIER_ARRIVE)
 	Notice   mwNotice   // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
@@ -112,20 +111,20 @@ type mwHost struct {
 	// As a home: per creator, the last diff applied here (applied); the
 	// fetches that wait for a diff in flight; the event each apply sets.
 	flushed   []uint64
-	fetchQ    cluster.FIFO[pmsg, *pmsg]
+	fetchQ    FIFO[pmsg, *pmsg]
 	applyDone *sim.Event
 }
 
 // ext returns the piggyback record riding on m.
-func (h *Host) ext(m *cluster.SvcMsg) *mwSync {
-	x := m.Ext.(*mwSync)
+func (h *Host) ext(m *SvcMsg) *mwSync {
+	x := m.Ext
 	x.CheckLive("dispatch")
 	return x
 }
 
 // recycleSync takes a consumed piggyback record off m and returns it to
 // the freelist, keeping its slice capacities for reuse.
-func (h *Host) recycleSync(m *cluster.SvcMsg, x *mwSync) {
+func (h *Host) recycleSync(m *SvcMsg, x *mwSync) {
 	m.Ext = nil
 	clear(x.Notices)
 	*x = mwSync{VC: x.VC[:0], Notices: x.Notices[:0]}
@@ -135,16 +134,16 @@ func (h *Host) recycleSync(m *cluster.SvcMsg, x *mwSync) {
 // mwAlloc carves size bytes out of the minipage table on behalf of a host
 // and charges p the bookkeeping. It runs only on host 0, the allocation
 // authority.
-func (h *Host) mwAlloc(p *sim.Proc, size int) (cluster.Allocation, error) {
+func (h *Host) mwAlloc(p *sim.Proc, size int) (Allocation, error) {
 	s := h.sys
 	p.Sleep(s.Opt.Costs.MallocBase)
 	first := s.mpt.NumMinipages()
 	mp, va, err := s.mpt.Alloc(size)
 	if err != nil {
-		return cluster.Allocation{}, err
+		return Allocation{}, err
 	}
 	s.checkHomes(first, s.mpt.NumMinipages())
-	return cluster.Allocation{VA: va, Info: mp.Info(s.Layout)}, nil
+	return Allocation{VA: va, Info: mp.Info(s.Layout)}, nil
 }
 
 // mwMapped maps the allocation at the allocating host if it is the home.
@@ -152,7 +151,7 @@ func (h *Host) mwAlloc(p *sim.Proc, size int) (cluster.Allocation, error) {
 // is recorded in an interval and announced by a write notice like any
 // other write. A home that did not allocate a minipage maps it at its
 // first touch (mwFault).
-func (h *Host) mwMapped(a cluster.Allocation) {
+func (h *Host) mwMapped(a Allocation) {
 	if h.homeOf(a.Info.ID) == h.ID() {
 		h.protect(a.Info, vm.ReadOnly)
 	}
@@ -167,7 +166,7 @@ func (h *Host) mwMapped(a cluster.Allocation) {
 // its bytes are current for every notice it holds, as its acquire waits
 // for their diffs.
 func (t *Thread) mwFault(f vm.Fault) error {
-	h, p := t.host, t.Proc()
+	h, p := t.host, t.p
 	c, s := h.Costs(), h.sys
 
 	mp, ok := s.mpt.Lookup(f.Addr)
@@ -228,8 +227,8 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	t.req = request{h: h, fw: fw}
 	rq := h.allocPM()
 	*rq = pmsg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need}
-	h.Flush(t.Proc(), h.PostSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
-	t.Block(cluster.Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
+	h.Flush(t.p, h.PostSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
+	t.Block(Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
 }
 
@@ -268,7 +267,7 @@ func (h *Host) addNeed(m *mwMP, c int, seq uint64) {
 // extent, so the next release's diff still holds only this host's writes.
 func (t *Thread) fetchDirty(m *mwMP, info core.Info, home int) {
 	h := t.host
-	p := t.Proc()
+	p := t.p
 	local := t.diff(m)
 	t.fetchFromHome(m, info, home)
 	h.sys.freeBuf.Put(m.twin)
@@ -290,7 +289,7 @@ func (t *Thread) diff(m *mwMP) []byte {
 	h.growTwin(m)
 	cur := h.sys.freeBuf.Get(m.info.Size)
 	must(h.Region.ReadPrivInto(m.info.Base, cur))
-	t.Proc().Sleep(twindiff.CreateCost(m.info.Size))
+	t.p.Sleep(twindiff.CreateCost(m.info.Size))
 	var err error
 	h.diffs, err = twindiff.AppendDiff(h.diffs[:0], m.twin, cur)
 	must(err) // minipages are sub-page: offsets always fit the header
@@ -324,7 +323,7 @@ func (t *Thread) release() mwNotice {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
-	p := t.Proc()
+	p := t.p
 
 	if len(h.dirty) == 0 {
 		return mwNotice{}
@@ -334,7 +333,7 @@ func (t *Thread) release() mwNotice {
 	if len(e.ends) == 0 {
 		// The epoch's first interval: nothing wrote through a stale alias
 		// since the barrier reset the arena (checked under -tags invariants).
-		cluster.CheckPoison(e.mps[:cap(e.mps)])
+		CheckPoison(e.mps[:cap(e.mps)])
 	}
 	seq := h.vc[h.ID()] + 1
 	for _, id := range h.dirty {
@@ -386,7 +385,7 @@ func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
-	p := t.Proc()
+	p := t.p
 	h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...) // a need outlives a copy
 	for _, n := range notices {
 		if n.Seq > h.vc[n.Creator] {
@@ -399,7 +398,7 @@ func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
 				for !h.applied(n.Creator, n.Seq, id) {
 					s.stats.HomeWaits++
 					h.applyDone.Reset()
-					t.Block(cluster.Blocking{For: "diff apply", On: h.applyDone, Wake: c.ThreadWake})
+					t.Block(Blocking{For: "diff apply", On: h.applyDone, Wake: c.ThreadWake})
 				}
 				continue
 			case n.Creator: // the home's writes are in its copy
@@ -437,44 +436,45 @@ func (h *Host) applied(c int, seq uint64, id int) bool { return h.flushed[c] >= 
 // barrier has completed.
 func (h *Host) newEpoch() {
 	e := h.epochs[0]
-	cluster.Poison(e.mps[:cap(e.mps)])
+	Poison(e.mps[:cap(e.mps)])
 	h.epochs = [2]mwEpoch{h.epochs[1], {e.ends[:0], e.mps[:0]}}
 }
 
-// Release is the release half of the consistency model
-// (cluster.Consistency). A barrier arrival and an unlock close the
+// mwRelease is the release half of the consistency model, run as
+// synchronization m leaves (Thread.syncRelease). A barrier arrival and an unlock close the
 // interval — its diffs sent to their homes before the message leaves — and
 // carry write notices for the coordinator's log: an unlock its interval's,
 // a barrier arrival every one of its epoch, since it may reach the
 // coordinator through the barrier tree ahead of this host's unlocks. A
 // barrier arrival and a lock request carry the vector clock the answer's
 // notices are chosen against.
-func (h *Host) Release(ctx any, m *cluster.SvcMsg) {
-	x := h.sys.freeSync.Get()
+func (t *Thread) mwRelease(m *SvcMsg) {
+	h, x := t.host, t.host.sys.freeSync.Get()
 	m.Ext = x
-	if m.Type != cluster.SvcLockReq {
-		x.Notice = ctx.(*Thread).release()
+	if m.Type != SvcLockReq {
+		x.Notice = t.release()
 	}
-	if m.Type != cluster.SvcUnlock {
+	if m.Type != SvcUnlock {
 		x.VC = append(x.VC[:0], h.vc...)
 	}
-	if m.Type == cluster.SvcBarrierArrive {
+	if m.Type == SvcBarrierArrive {
 		x.Releaser = h // read in place: the epoch stays as it is until this barrier's release
 	}
 	x.CheckLive("Send")
 }
 
-// Acquire is the acquire half (cluster.Consistency): apply the write
+// mwAcquire is the acquire half (Thread.syncAcquire): apply the write
 // notices piggybacked on the grant or release — only minipages with a
 // causally newer write are invalidated, everything else this host holds
 // stays mapped — and, past a barrier, converge the clock, move homes (after
 // the notices: an old home waits out the mover's diffs) and open an epoch.
-func (h *Host) Acquire(ctx any, m *cluster.SvcMsg) {
-	t, x := ctx.(*Thread), h.ext(m)
+func (t *Thread) mwAcquire(m *SvcMsg) {
+	h := t.host
+	x := h.ext(m)
 	t.acquire(x.Notices, x.MaxVC)
-	if m.Type == cluster.SvcBarrierRelease {
+	if m.Type == SvcBarrierRelease {
 		h.move(x.Moves)
-		h.adopt(t.Proc(), x)
+		h.adopt(t.p, x)
 		h.newEpoch()
 	}
 	h.recycleSync(m, x)
@@ -493,16 +493,16 @@ func (h *Host) move(moves []homeMove) {
 				m.copy = core.Info{} // never touched here: no copy
 			}
 		}
-		if cluster.Invariants && mv.To == h.ID() && (m.stale || m.twin != nil) {
+		if Invariants && mv.To == h.ID() && (m.stale || m.twin != nil) {
 			panic(fmt.Sprintf("lrc-mw: host %d: minipage %d moves here with a stale or dirty copy", h.ID(), mv.ID))
 		}
 		h.takeNeeds(m)
 	}
 }
 
-// Released logs the write notices a barrier arrival or an unlock carries
-// (cluster.Consistency; host 0 only). An unlock's record ends here.
-func (h *Host) Released(m *cluster.SvcMsg) {
+// released logs the write notices a barrier arrival or an unlock carries
+// (host 0 only). An unlock's record ends here.
+func (h *Host) released(m *SvcMsg) {
 	x := h.ext(m)
 	switch r := x.Releaser; {
 	case r != nil:
@@ -512,24 +512,33 @@ func (h *Host) Released(m *cluster.SvcMsg) {
 	case x.Notice.MPs != nil:
 		h.logNotice(x.Notice)
 	}
-	if m.Type == cluster.SvcUnlock {
+	if m.Type == SvcUnlock {
 		h.recycleSync(m, x)
 	}
 }
 
-// Granting fills a lock grant with every logged notice newer than the
-// requester's vector clock (cluster.Consistency; host 0 only).
-func (h *Host) Granting(m *cluster.SvcMsg) {
+// granting fills a lock grant with every logged notice newer than the
+// requester's vector clock (host 0 only).
+func (h *Host) granting(m *SvcMsg) {
 	x := h.ext(m)
 	x.Notices = h.sys.newerThan(x.Notices, x.VC)
 }
 
-// Converged completes a barrier episode (cluster.Consistency): every
-// release gets the converged clock, the notices its arrival's clock had
-// not covered and the barrier's home moves, and the log is cleared.
-func (h *Host) Converged(arrivals []*cluster.SvcMsg) {
+// converged completes a barrier episode at the coordinator, under either
+// class: every release gets the barrier's home moves. Under SC they ride
+// in the coordinator's one record; under lrc-mw each release also gets
+// the converged clock and the notices its arrival's clock had not
+// covered, and the log is cleared.
+func (h *Host) converged(arrivals []*SvcMsg) {
 	s := h.sys
 	moves := s.moves()
+	if !s.mw {
+		s.release = mwSync{Moves: moves, Homes: s.homes, Epoch: s.epoch}
+		for _, a := range arrivals {
+			a.Ext = &s.release
+		}
+		return
+	}
 	// One converged-clock scratch serves every release message: each
 	// acquirer only reads it, and all of them have consumed it before
 	// the next episode can complete and overwrite it.
@@ -639,7 +648,7 @@ func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 	h.recyclePM(m)
 	h.applyDone.Set()
 	q := h.fetchQ
-	h.fetchQ = cluster.FIFO[pmsg, *pmsg]{}
+	h.fetchQ = FIFO[pmsg, *pmsg]{}
 	for f := q.Pop(); f != nil; f = q.Pop() {
 		h.Flush(p, h.fetch(p, f))
 	}

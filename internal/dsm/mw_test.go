@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"millipage/internal/check"
-	"millipage/internal/cluster"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
 	"millipage/internal/pins"
@@ -467,7 +466,7 @@ func TestMWLockHeavyRunPinned(t *testing.T) {
 	for _, pl := range []struct {
 		name   string
 		homeOf func(id, hosts int) int
-	}{{"default", nil}, {"central", cluster.HomeCentral}} {
+	}{{"default", nil}, {"central", HomeCentral}} {
 		t.Run(pl.name, func(t *testing.T) {
 			s := lockHeavyRun(t, newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8, ChunkLevel: 4, HomeOf: pl.homeOf}))
 			pins.Check(t, "MWLockHeavyRunPinned/"+pl.name, fmt.Sprintf("elapsed=%d stats=%+v", int64(s.Elapsed()), s.MWStats()))
@@ -548,13 +547,13 @@ func lockHeavyRun(t *testing.T, s *System) *System {
 // TestClassesShareNoState: each consistency class leaves the other's state
 // untouched. The DRF oracle run under millipage keeps no converged clock,
 // notice log or lrc-mw counter, which lrc-mw's
-// synchronization hooks would fill if the kernel ran them for an SC host
-// (it runs SC's barrier half only); under lrc-mw the same run places no
+// synchronization work would fill if it ran for an SC host (SC runs the
+// barrier half only); under lrc-mw the same run places no
 // directory entry and counts no directory request. Migrations is both
 // classes' home-move counter, so it is left out.
 func TestClassesShareNoState(t *testing.T) {
 	const hosts = 4
-	for _, mk := range []func(Options) (*System, error){New, NewMW} {
+	for _, mk := range []func(string, Options) (*System, error){New, NewMW} {
 		s := newSys(t, mk, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8})
 		d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
 		if err := s.Run(func(th *Thread) { d.Body(th) }); err != nil {
@@ -563,13 +562,13 @@ func TestClassesShareNoState(t *testing.T) {
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}
-		name, st := s.Runtime().Name, s.MWStats()
+		st := s.MWStats()
 		st.Migrations = 0
 		if !s.mw && (s.maxvc != nil || len(s.log) != 0 || st != (MWStats{})) {
-			t.Errorf("%s: lrc-mw state after an SC run: converged clock %v, %d notices logged, %+v", name, s.maxvc, len(s.log), st)
+			t.Errorf("lrc-mw state after an SC run: converged clock %v, %d notices logged, %+v", s.maxvc, len(s.log), st)
 		}
 		if s.mw && (len(s.dir) != 0 || s.ManagerStatsTotal() != (ManagerStats{})) {
-			t.Errorf("%s: directory state after an lrc-mw run: %d slabs, %+v", name, len(s.dir), s.ManagerStatsTotal())
+			t.Errorf("directory state after an lrc-mw run: %d slabs, %+v", len(s.dir), s.ManagerStatsTotal())
 		}
 	}
 }
@@ -920,11 +919,11 @@ func TestMWFetchIsARead(t *testing.T) {
 			if th.Host() != 2 {
 				break
 			}
-			start := th.Proc().Now()
+			start := th.p.Now()
 			if got := th.ReadU32(fetches[i].va); got != uint32(i+1) {
 				t.Errorf("host 2 read %d from the %d B minipage, want %d", got, fetches[i].size, i+1)
 			}
-			fetches[i].got = th.Proc().Now().Sub(start)
+			fetches[i].got = th.p.Now().Sub(start)
 		}
 		th.Barrier()
 	})

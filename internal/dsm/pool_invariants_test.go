@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"millipage/internal/check"
-	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 )
@@ -22,7 +21,7 @@ import (
 // wire quiet the two must agree — a header owned but parked nowhere was
 // dropped by some exit that forgot to recycle it.
 func headerBalance(s *System) (owned, parked int) {
-	owned = s.freePM.Live() + s.Runtime().LiveServiceHeaders()
+	owned = s.freePM.Live() + s.LiveServiceHeaders()
 	for _, slab := range s.dir {
 		for i := range slab {
 			parked += queued(&slab[i])
@@ -59,7 +58,7 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 	for _, mgmt := range []struct {
 		name   string
 		homeOf func(id, hosts int) int
-	}{{"central", cluster.HomeCentral}, {"home-based", cluster.HomeMod}} {
+	}{{"central", HomeCentral}, {"home-based", HomeMod}} {
 		for _, pl := range plans {
 			t.Run(mgmt.name+"/"+pl.name, func(t *testing.T) {
 				plan := pl.plan

@@ -3,7 +3,6 @@ package dsm
 import (
 	"testing"
 
-	"millipage/internal/cluster"
 	"millipage/internal/faultnet"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -49,7 +48,7 @@ func TestOneRequestPerFault(t *testing.T) {
 	)
 	plan := &faultnet.Plan{Seed: 5, Crashes: []faultnet.Crash{{Host: home, At: sim.Time(crashAt), RestartAt: sim.Time(restart)}}}
 	rec := requestRecorder()
-	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan, Trace: rec})
+	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, HomeOf: HomeMod, Faults: plan, Trace: rec})
 	s.Eng.At(sim.Time(sim.Second), s.Eng.Stop) // watchdog
 	// Cells 0 and 2 are hosts 0's and 2's to write.
 	var vas []uint64
@@ -129,7 +128,7 @@ func TestRequestQueuedAtCrashIsServedOnce(t *testing.T) {
 	)
 	plan := &faultnet.Plan{Seed: 5, Crashes: []faultnet.Crash{{Host: home, At: sim.Time(crashAt), RestartAt: sim.Time(restart)}}}
 	rec := requestRecorder()
-	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, HomeOf: cluster.HomeMod, Faults: plan, Trace: rec})
+	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, HomeOf: HomeMod, Faults: plan, Trace: rec})
 	s.Eng.At(sim.Time(sim.Second), s.Eng.Stop) // watchdog
 	c, net := s.Opt.Costs, s.Opt.Net
 	// From the access to the request's arrival: the trap, the lookup, the

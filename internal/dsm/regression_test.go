@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"millipage/internal/cluster"
 	"millipage/internal/sim"
 )
 
@@ -92,7 +91,7 @@ func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 // write then went through without a fault, so no invalidation reached
 // host 1, which went on reading the first value.
 func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
-	for _, homeOf := range []func(id, hosts int) int{cluster.HomeCentral, cluster.HomeMod} {
+	for _, homeOf := range []func(id, hosts int) int{HomeCentral, HomeMod} {
 		for _, allocator := range []int{0, 2} {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var va uint64
@@ -135,7 +134,7 @@ func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 // then read a stale second allocation with no fault. The home now serves
 // the minipage's extent as it stands.
 func TestChunkGrowthAfterTranslation(t *testing.T) {
-	for i, homeOf := range []func(id, hosts int) int{cluster.HomeCentral, cluster.HomeMod} {
+	for i, homeOf := range []func(id, hosts int) int{HomeCentral, HomeMod} {
 		for d := sim.Duration(0); d < 8*sim.Microsecond; d += sim.Microsecond {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var a, b uint64

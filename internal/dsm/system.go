@@ -3,36 +3,124 @@ package dsm
 import (
 	"fmt"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/fastmsg"
+	"millipage/internal/faultnet"
 	"millipage/internal/hostset"
 	"millipage/internal/sim"
+	"millipage/internal/trace"
 	"millipage/internal/vm"
 )
 
-// Options configures a cluster. It is the one Options struct every
-// protocol shares; cluster.New defaults and validates it.
-type Options = cluster.Options
+// Options configures one simulated cluster. Both classes take the same
+// struct — the registry builds any protocol from one value — and New is
+// the one place it is defaulted and validated.
+type Options struct {
+	Hosts          int // number of hosts, in [1, 1024]; required
+	ThreadsPerHost int // application threads per host (paper: uniprocessors, 1)
+	SharedSize     int // bytes of shared memory; required
+	Views          int // application views, at most core.MaxViews; see Table 2
+	ChunkLevel     int // the paper's chunking switch; 0/1 means off
+	Seed           int64
+
+	Grain core.Grain // the minipage table's sharing unit (ivy: GrainPage)
+
+	// HomeOf maps a minipage id to its home: the host that runs its
+	// directory transactions under millipage, and that every lrc-mw diff
+	// is flushed to and every fetch served from. Nil is HomeMod;
+	// HomeCentral is the paper's Section 3.3 configuration, every minipage
+	// homed at the Coordinator (a request leaves its host translated
+	// either way). It must be a pure function into [0, hosts): every host
+	// computes homes independently. The Coordinator remains the allocation
+	// authority, the lock table and the barrier tree's root.
+	HomeOf func(id, hosts int) int
+
+	Net   fastmsg.Params
+	Costs Costs
+
+	// Faults, when non-nil and enabled, makes the wire lossy per the plan:
+	// frames drop, duplicate, jitter, links partition and hosts crash, all
+	// deterministically from the plan's seed. The transport's reliability
+	// layer then restores exactly-once FIFO delivery, the only recovery
+	// layer: both classes run the same code on a lossy wire as on a clean
+	// one. Nil (or an all-zero plan) leaves the clean path untouched.
+	Faults *faultnet.Plan
+
+	// Trace, if non-nil, records protocol events (message sends, fault
+	// entries, handler dispatches) for debugging.
+	Trace *trace.Recorder
+}
+
+// HomeMod is the default HomeOf: minipage id is homed at host id % hosts.
+func HomeMod(id, hosts int) int { return id % hosts }
+
+// HomeCentral is the HomeOf that the root package's CentralManagement
+// selects: the paper's one manager, the Coordinator, homes every minipage.
+func HomeCentral(id, hosts int) int { return Coordinator }
+
+// withDefaults fills zero fields with the calibrated defaults. Hosts and
+// SharedSize have none: they are required.
+func (o Options) withDefaults() Options {
+	if o.ThreadsPerHost == 0 {
+		o.ThreadsPerHost = 1
+	}
+	if o.Views == 0 {
+		o.Views = 1
+	}
+	if o.ChunkLevel == 0 {
+		o.ChunkLevel = 1
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.Net == (fastmsg.Params{}) {
+		o.Net = fastmsg.DefaultParams()
+	}
+	if o.Costs == (Costs{}) {
+		o.Costs = DefaultCosts()
+	}
+	if o.HomeOf == nil {
+		o.HomeOf = HomeMod
+	}
+	return o
+}
+
+// validate rejects every value or combination no protocol can run, with
+// an error naming the field; lrc-mw adds its one refusal (newSystem).
+func (o Options) validate(name string) error {
+	switch {
+	case o.Hosts < 1 || o.Hosts > 1024:
+		return fmt.Errorf("%s: Hosts = %d out of range [1, 1024]; set Hosts to the cluster size (the paper uses 8)", name, o.Hosts)
+	case o.SharedSize <= 0:
+		return fmt.Errorf("%s: SharedSize = %d bytes of shared memory; must be positive", name, o.SharedSize)
+	case o.ThreadsPerHost < 1:
+		return fmt.Errorf("%s: ThreadsPerHost = %d; must be positive", name, o.ThreadsPerHost)
+	case o.ChunkLevel < 1:
+		return fmt.Errorf("%s: ChunkLevel = %d; must not be negative", name, o.ChunkLevel)
+	}
+	return nil
+}
 
 // System is one minipage cluster under one of two consistency classes,
 // which its constructor sets: New's sequentially consistent Millipage, and
 // NewMW's multi-writer lazy release consistency (mw.go). Either way it is
-// the shared cluster runtime plus the MPT, which grows only on host 0 (the
-// allocation authority), and minipage id's home starts at HomeOf(id) —
-// HomeMod by default, host 0 under HomeCentral, the paper's manager — and
-// follows a stable sole writer (home.go). Under SC each host runs the
-// directory for the minipages homed at it; under lrc-mw the home serves
-// fetches and applies diffs; host 0 logs notices.
+// the simulation engine, the network, the hosts and the application
+// threads, plus the MPT, which grows only on host 0 (the allocation
+// authority), and minipage id's home starts at HomeOf(id) — HomeMod by
+// default, host 0 under HomeCentral, the paper's manager — and follows a
+// stable sole writer (home.go). Under SC each host runs the directory for
+// the minipages homed at it; under lrc-mw the home serves fetches and
+// applies diffs; host 0 logs notices.
 type System struct {
-	Opt    Options // as defaulted by cluster.New
+	Name   string  // the protocol's, as the caller chose it; prefixes every refusal and misuse panic
+	Opt    Options // as defaulted by New
 	Eng    *sim.Engine
 	Net    *fastmsg.Network
 	Layout core.Layout
 
-	rt      *cluster.Runtime
 	hosts   []*Host
 	threads []*Thread // by global id, made by Run
+	svc     services  // the coordinator's allocator, barrier and lock state
 
 	mw  bool      // the multi-writer class
 	mpt *core.MPT // grown only on host 0; read-only replica elsewhere
@@ -59,31 +147,40 @@ type System struct {
 	stats   MWStats    // every host's lrc-mw counters, and both classes' Migrations: hosts run one at a time
 
 	// The cluster's freelists, shared by every host. See Host.allocPM.
-	freePM   cluster.Pool[pmsg]
-	freeSync cluster.Pool[mwSync]
-	freeBuf  cluster.SlicePool[byte] // minipage snapshots, recycled once installed, and lrc-mw's twins
+	freePM   Pool[pmsg]
+	freeSync Pool[mwSync]
+	freeBuf  SlicePool[byte] // minipage snapshots, recycled once installed, and lrc-mw's twins
 }
 
-// New builds a Millipage cluster. The memory object, views and privileged
-// view are mapped identically in every host (Section 2.4: no address
-// translation between hosts is ever needed).
-func New(opt Options) (*System, error) { return newSystem("dsm", opt, false) }
+// New builds a Millipage cluster for the protocol called name (millipage,
+// or ivy at page grain). The memory object, views and privileged view are
+// mapped identically in every host (Section 2.4: no address translation
+// between hosts is ever needed).
+func New(name string, opt Options) (*System, error) { return newSystem(name, opt, false) }
 
 // NewMW builds a multi-writer LRC cluster, one application thread a host:
 // a host's interval, vector clock and twins are its one thread's.
-func NewMW(opt Options) (*System, error) { return newSystem("lrc-mw", opt, true) }
+func NewMW(name string, opt Options) (*System, error) { return newSystem(name, opt, true) }
 
 func newSystem(name string, opt Options, mw bool) (*System, error) {
-	rt, err := cluster.New(name, opt)
-	if err != nil {
+	opt = opt.withDefaults()
+	if err := opt.validate(name); err != nil {
 		return nil, err
 	}
-	opt = rt.Opt
+	s := &System{Name: name, Opt: opt, Eng: sim.NewEngine(opt.Seed), mw: mw, hosts: make([]*Host, opt.Hosts)}
+	s.Net = fastmsg.New(s.Eng, opt.Hosts, opt.Net)
+	if opt.Faults.Enabled() {
+		inj, err := faultnet.NewInjector(*opt.Faults, opt.Hosts, opt.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		s.Net.InstallFaults(inj)
+	}
 	if mw && opt.ThreadsPerHost > 1 {
 		return nil, fmt.Errorf("%s: ThreadsPerHost = %d, but lrc-mw runs one thread per host", name, opt.ThreadsPerHost)
 	}
-	s := &System{Opt: opt, Eng: rt.Eng, Net: rt.Net, rt: rt, mw: mw, hosts: make([]*Host, opt.Hosts)}
 	s.marks = hostset.NewTable(opt.Hosts, numMarks)
+	var err error
 	if s.Layout, err = core.NewLayout(opt.SharedSize, opt.Views); err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -94,13 +191,15 @@ func newSystem(name string, opt Options, mw bool) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: host %d: %w", name, i, err)
 		}
-		h := &Host{sys: s, Region: region}
-		var cons cluster.Consistency = scSync{h}
+		h := &Host{sys: s, id: i, AS: as, Region: region, parked: make([]any, opt.Hosts)}
 		if mw {
-			h.vc, h.flushed, h.applyDone, cons = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng), h
+			h.vc, h.flushed, h.applyDone = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng)
 		}
+		h.EP = s.Net.Endpoint(i)
+		h.node, h.parent, h.expect = barrierTree(i, opt.Hosts, opt.ThreadsPerHost)
+		as.SetFaultHandler(h.onFault)
+		h.EP.SetServer(h)
 		s.hosts[i] = h
-		h.Host = rt.NewHost(as, h, cons)
 	}
 	s.mpt = core.NewMPT(s.Layout, opt.Grain, opt.ChunkLevel)
 	return s, nil
@@ -108,21 +207,30 @@ func newSystem(name string, opt Options, mw bool) (*System, error) {
 
 // Run starts ThreadsPerHost application threads on every host, each
 // executing body, and drives the simulation until all of them finish. A
-// System runs one application; the run-twice guard is the Runtime's.
+// System runs one application.
 func (s *System) Run(body func(*Thread)) error {
-	if body == nil {
-		return fmt.Errorf("%s: nil thread body", s.rt.Name)
+	switch {
+	case body == nil:
+		return fmt.Errorf("%s: nil thread body", s.Name)
+	case s.threads != nil:
+		return fmt.Errorf("%s: System.Run called twice; create a new System per run", s.Name)
 	}
-	return s.rt.Run(func(ct *cluster.Thread) func() {
-		t := &Thread{Thread: ct, host: s.hosts[ct.Host()]}
-		ct.SetSelf(t)
-		s.threads = append(s.threads, t)
-		return func() { body(t) }
-	})
+	for _, h := range s.hosts {
+		for j := 0; j < s.Opt.ThreadsPerHost; j++ {
+			t := &Thread{host: h, ID: len(s.threads), LID: j}
+			s.threads = append(s.threads, t)
+			s.Eng.Spawn(fmt.Sprintf("app-%d.%d", h.id, j), func(p *sim.Proc) {
+				t.p = p
+				h.EP.SetBusy(+1)
+				t.Stats.Start = p.Now()
+				body(t)
+				t.Stats.End = p.Now()
+				h.EP.SetBusy(-1)
+			})
+		}
+	}
+	return s.Eng.Run()
 }
-
-// Runtime returns the cluster substrate.
-func (s *System) Runtime() *cluster.Runtime { return s.rt }
 
 // Host returns host i.
 func (s *System) Host(i int) *Host { return s.hosts[i] }
@@ -130,15 +238,18 @@ func (s *System) Host(i int) *Host { return s.hosts[i] }
 // NumHosts returns the cluster size.
 func (s *System) NumHosts() int { return len(s.hosts) }
 
+// ProtOf reports host h's application-view protection for va (check.Prots).
+func (s *System) ProtOf(h int, va uint64) (vm.Prot, error) { return s.hosts[h].AS.ProtOf(va) }
+
 // Threads returns the application threads after Run (for statistics).
 func (s *System) Threads() []*Thread { return s.threads }
 
 // Elapsed returns the virtual time at which the simulation stopped — the
 // parallel execution time of the application.
-func (s *System) Elapsed() sim.Duration { return s.rt.Elapsed() }
+func (s *System) Elapsed() sim.Duration { return sim.Duration(s.Eng.Now()) }
 
 // HomeOf returns minipage id's home before any move: Options.HomeOf's
-// answer (cluster.New defaults it).
+// answer (New defaults it).
 func (s *System) HomeOf(id int) int { return s.Opt.HomeOf(id, s.Opt.Hosts) }
 
 // checkHomes panics as misuse unless HomeOf homes each of the minipage
@@ -148,9 +259,16 @@ func (s *System) HomeOf(id int) int { return s.Opt.HomeOf(id, s.Opt.Hosts) }
 func (s *System) checkHomes(lo, hi int) {
 	for id, n := lo, s.Opt.Hosts; id < hi; id++ {
 		if home := s.HomeOf(id); home < 0 || home >= n {
-			s.rt.Misuse(cluster.Coordinator, "HomeOf(%d, %d) = %d is not a host", id, n, home)
+			s.misuse(Coordinator, "HomeOf(%d, %d) = %d is not a host", id, n, home)
 		}
 	}
+}
+
+// misuse reports an application's misuse of a service, or of an Options
+// function found out about at run time (HomeOf): it surfaces from Run
+// naming the protocol, the host concerned and what was asked.
+func (s *System) misuse(from int, format string, args ...any) {
+	panic(fmt.Sprintf("%s: host %d: %s", s.Name, from, fmt.Sprintf(format, args...)))
 }
 
 // MPT exposes the minipage table (for statistics and tests).
@@ -169,17 +287,31 @@ func (s *System) ManagerStatsTotal() (tot ManagerStats) {
 // MWStats returns the cluster's lrc-mw counters.
 func (s *System) MWStats() MWStats { return s.stats }
 
-// Totals reports the run's protocol counters: the kernel's, the MPT's
-// Table-2 columns, and the class's invalidations — the directory's, or
-// the minipages write notices made inaccessible.
-func (s *System) Totals() cluster.Totals {
-	ms, t := s.ManagerStatsTotal(), s.rt.Totals()
-	t.Invalidations, t.CompetingRequests, t.ExclusiveReads = ms.Invalidations, ms.CompetingRequests, ms.ExclusiveReads
+// Totals is the run's protocol counter set. A field stays zero where a
+// consistency class has no equivalent.
+type Totals struct {
+	Invalidations     uint64
+	CompetingRequests uint64 // requests queued behind open transactions
+	ExclusiveReads    uint64 // SC reads under a lock that the home served as write misses
+	BarrierEpisodes   uint64
+	LockAcquisitions  uint64
+
+	// Footprint (Table 2 columns).
+	Minipages      int
+	ViewsUsed      int
+	BytesAllocated int
+}
+
+// Totals reports the run's protocol counters: the coordinator's, the
+// MPT's Table-2 columns, and the class's invalidations — the directory's,
+// or the minipages write notices made inaccessible.
+func (s *System) Totals() Totals {
+	ms := s.ManagerStatsTotal()
+	t := Totals{Invalidations: ms.Invalidations, CompetingRequests: ms.CompetingRequests, ExclusiveReads: ms.ExclusiveReads,
+		BarrierEpisodes: s.svc.episodes, LockAcquisitions: s.svc.locks.Acquisitions,
+		Minipages: s.mpt.NumMinipages(), ViewsUsed: s.mpt.ViewsUsed(), BytesAllocated: s.mpt.BytesAllocated()}
 	if s.mw {
 		t.Invalidations = s.stats.Invalidations
 	}
-	t.Minipages = s.mpt.NumMinipages()
-	t.ViewsUsed = s.mpt.ViewsUsed()
-	t.BytesAllocated = s.mpt.BytesAllocated()
 	return t
 }

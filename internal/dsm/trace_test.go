@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"millipage/internal/cluster"
 	"millipage/internal/pins"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -62,7 +61,7 @@ func TestProtocolTracing(t *testing.T) {
 // fault, which pays it, is pinned.
 func TestRequestsLeaveTranslated(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
-	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: cluster.HomeCentral, Trace: rec})
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: HomeCentral, Trace: rec})
 	var a, b, c, d uint64
 	var lat sim.Duration
 	err := s.Run(func(th *Thread) {

@@ -59,7 +59,7 @@ func TestCheckScriptNamesRealTests(t *testing.T) {
 func TestDeadPatternsFindsEachDeadAlternative(t *testing.T) {
 	root := repoRoot(t)
 	for _, c := range []struct{ line, dead string }{
-		{`go test -run 'AllocsRegression|BytesRegression|AllocFree' -v ./internal/bench/ ./internal/fastmsg/ ./internal/cluster/ ./internal/dsm/`, "BytesRegression"},
+		{`go test -run 'AllocsRegression|BytesRegression|AllocFree' -v ./internal/bench/ ./internal/fastmsg/ ./internal/dsm/`, "BytesRegression"},
 		{`go test -run '^(TestAcrossWordBoundaries|TestAcross)$' ./internal/hostset/`, "TestAcross"},
 		{`go test -run '^$' -bench 'AccessSamePage|NoSuchKernel' ./internal/vm/ ./internal/apps/`, "NoSuchKernel"},
 		{`go test -run '^$' -fuzz=FuzzFrameDecode ./internal/mmu/`, "FuzzFrameDecode"},

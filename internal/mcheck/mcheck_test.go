@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 	"millipage/internal/sim"
 )
 
@@ -88,7 +88,7 @@ func TestExploreCentralManager(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			rep, err := Explore(Options{
 				Protocol: proto, Workload: "drf", Seed: 1,
-				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40, homeOf: cluster.HomeCentral,
+				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40, homeOf: dsm.HomeCentral,
 			})
 			if err != nil {
 				t.Fatal(err)

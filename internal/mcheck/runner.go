@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"millipage/internal/cluster"
 	"millipage/internal/dsm"
 	"millipage/internal/faultnet"
 	"millipage/internal/registry"
@@ -43,7 +42,7 @@ type Options struct {
 	ArtifactDir string // where to write shrunk repro traces; "" = don't write
 
 	// homeOf places every minipage's home; nil is the default. The tests
-	// set cluster.HomeCentral to explore the paper's one manager.
+	// set dsm.HomeCentral to explore the paper's one manager.
 	homeOf func(id, hosts int) int
 }
 
@@ -91,7 +90,7 @@ type Report struct {
 // fingerprint reduces one finished run to a comparable value: elapsed
 // virtual time plus every endpoint's full transport counters. Two runs
 // with equal fingerprints took the same schedule through the protocol.
-func fingerprint(rt *cluster.Runtime) string {
+func fingerprint(rt *dsm.System) string {
 	s := fmt.Sprintf("elapsed=%d", rt.Elapsed())
 	for i := 0; i < rt.NumHosts(); i++ {
 		s += fmt.Sprintf(";%+v", rt.Net.Endpoint(i).Stats())
@@ -121,15 +120,14 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	rt := sys.Runtime()
-	rt.Eng.SetExplorer(x)
-	rt.Eng.At(sim.Time(Watchdog), rt.Eng.Stop)
+	sys.Eng.SetExplorer(x)
+	sys.Eng.At(sim.Time(Watchdog), sys.Eng.Stop)
 	done := 0
 	runErr := sys.Run(func(w *dsm.Thread) {
-		wl.body(rt, w)
+		wl.body(sys, w)
 		done++
 	})
-	fp := fingerprint(rt)
+	fp := fingerprint(sys)
 	switch {
 	case runErr != nil:
 		var pe *sim.ErrPanic
@@ -148,8 +146,8 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 		return fp, &Failure{Kind: "oracle", Msg: "no home moved"}, nil
 	case wl.excl && proto.SC && sys.Totals().ExclusiveReads == 0:
 		return fp, &Failure{Kind: "oracle", Msg: "no read under a lock was served exclusive"}, nil
-	case done < rt.TotalThreads():
-		return fp, &Failure{Kind: "stall", Msg: fmt.Sprintf("%d of %d threads finished before the %v watchdog", done, rt.TotalThreads(), sim.Duration(Watchdog))}, nil
+	case done < len(sys.Threads()):
+		return fp, &Failure{Kind: "stall", Msg: fmt.Sprintf("%d of %d threads finished before the %v watchdog", done, len(sys.Threads()), sim.Duration(Watchdog))}, nil
 	}
 	return fp, nil, nil
 }

@@ -5,14 +5,14 @@ import (
 	"sort"
 
 	"millipage/internal/check"
-	"millipage/internal/cluster"
+	"millipage/internal/dsm"
 )
 
 // workloadRun is one built workload instance: the portable body every
 // thread executes, and the oracle to consult after the run.
 type workloadRun struct {
 	hosts int
-	body  func(rt *cluster.Runtime, w cluster.AppThread)
+	body  func(sys *dsm.System, w check.AppThread)
 	err   func() error
 	moves bool // the run must move a home: a schedule that moves none fails
 	excl  bool // under SC the run must serve a read under a lock exclusive: a schedule that serves none fails
@@ -33,9 +33,9 @@ var workloads = map[string]workloadSpec{
 		wl := &check.SWMRSweep{Words: 4, Iters: 12, Seed: uint64(seed)}
 		return workloadRun{
 			hosts: hosts,
-			body: func(rt *cluster.Runtime, w cluster.AppThread) {
+			body: func(sys *dsm.System, w check.AppThread) {
 				if wl.Prots == nil {
-					wl.Prots = check.RuntimeProts{RT: rt}
+					wl.Prots = sys
 				}
 				wl.Body(w)
 			},
@@ -46,12 +46,12 @@ var workloads = map[string]workloadSpec{
 	// data), with one background-traffic host.
 	"mp": {defaultHosts: 3, sc: true, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.MessagePassing{}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+		return workloadRun{hosts: hosts, body: func(sys *dsm.System, w check.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 	// dekker: the store-buffering litmus; exactly two hosts.
 	"dekker": {defaultHosts: 2, fixedHosts: true, sc: true, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.Dekker{}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+		return workloadRun{hosts: hosts, body: func(sys *dsm.System, w check.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 	// drf: the barrier/lock-structured agreement program; runnable
 	// under every protocol, LRC included. Under SC a run whose locked
@@ -59,7 +59,7 @@ var workloads = map[string]workloadSpec{
 	// lock make one in every schedule.
 	"drf": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.DRF{Hosts: hosts, Rounds: 2, LockReps: 2, Turns: 1}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err, excl: true}
+		return workloadRun{hosts: hosts, body: func(sys *dsm.System, w check.AppThread) { wl.Body(w) }, err: wl.Err, excl: true}
 	}},
 	// merge: the multiple-writer agreement program — every host writes
 	// its own word of one shared minipage each round. DRF, so runnable
@@ -67,7 +67,7 @@ var workloads = map[string]workloadSpec{
 	// of concurrent intervals directly.
 	"merge": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 2}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+		return workloadRun{hosts: hosts, body: func(sys *dsm.System, w check.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 	// home-move: one host writes a minipage alone for two epochs, which
 	// moves its home there under every protocol; then every host writes its
@@ -75,7 +75,7 @@ var workloads = map[string]workloadSpec{
 	// no home fails, so the workload cannot stop covering a move unnoticed.
 	"home-move": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.HomeMove{Hosts: hosts}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err, moves: true}
+		return workloadRun{hosts: hosts, body: func(sys *dsm.System, w check.AppThread) { wl.Body(w) }, err: wl.Err, moves: true}
 	}},
 	// drf-nolock: the intentionally injected bug — the accumulator
 	// update races because the lock is skipped. Exploration must catch
@@ -83,7 +83,7 @@ var workloads = map[string]workloadSpec{
 	// that expect success.
 	"drf-nolock": {defaultHosts: 3, build: func(hosts int, seed int64) workloadRun {
 		wl := &check.DRF{Hosts: hosts, Rounds: 1, LockReps: 2, SkipLock: true}
-		return workloadRun{hosts: hosts, body: func(rt *cluster.Runtime, w cluster.AppThread) { wl.Body(w) }, err: wl.Err}
+		return workloadRun{hosts: hosts, body: func(sys *dsm.System, w check.AppThread) { wl.Body(w) }, err: wl.Err}
 	}},
 }
 

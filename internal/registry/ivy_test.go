@@ -101,8 +101,7 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := sys.Runtime()
-		if wf := rt.Host(0).AS.WriteFaults + rt.Host(1).AS.WriteFaults; !pc.want(wf) {
+		if wf := sys.Host(0).AS.WriteFaults + sys.Host(1).AS.WriteFaults; !pc.want(wf) {
 			t.Errorf("%s: %d write faults", pc.proto, wf)
 		}
 	}

@@ -8,13 +8,12 @@ import (
 	"fmt"
 	"strings"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/dsm"
 )
 
 // Options is the configuration every protocol is built from.
-type Options = cluster.Options
+type Options = dsm.Options
 
 // Spec describes one registered protocol.
 type Spec struct {
@@ -26,8 +25,12 @@ type Spec struct {
 	// synchronize through Barrier/Lock and never spin on shared memory.
 	SC bool
 
-	New func(Options) (*dsm.System, error)
+	build func(name string, opt Options) (*dsm.System, error)
 }
+
+// New builds the protocol's system from opt; its refusals, and its misuse
+// panics, start with the protocol's name.
+func (sp Spec) New(opt Options) (*dsm.System, error) { return sp.build(sp.Name, opt) }
 
 var specs = []Spec{
 	{"millipage", true, dsm.New},
@@ -39,15 +42,15 @@ var specs = []Spec{
 // sharing unit is the page, and page p's directory is served at host p mod
 // N (Li & Hudak's "fixed distributed manager"), millipage's default
 // placement. The two are the preset, so a caller may not set them.
-func ivy(opt Options) (*dsm.System, error) {
+func ivy(name string, opt Options) (*dsm.System, error) {
 	switch {
 	case opt.Grain != core.GrainMinipage:
-		return nil, fmt.Errorf("ivy: Grain is set (PageGranularity), but ivy is millipage at page grain already")
+		return nil, fmt.Errorf("%s: Grain is set (PageGranularity), but ivy is millipage at page grain already", name)
 	case opt.HomeOf != nil:
-		return nil, fmt.Errorf("ivy: HomeOf is set (CentralManagement), but ivy homes page p at host p mod N already")
+		return nil, fmt.Errorf("%s: HomeOf is set (CentralManagement), but ivy homes page p at host p mod N already", name)
 	}
 	opt.Grain = core.GrainPage
-	return dsm.New(opt)
+	return dsm.New(name, opt)
 }
 
 // Names lists the registered protocols in their canonical order.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"millipage/internal/check"
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/dsm"
 	"millipage/internal/pins"
@@ -21,7 +20,7 @@ import (
 // allocations take. The schedule half — invalidations, competing requests,
 // exclusive reads, elapsed virtual time, engine events and traced events —
 // is pinned (package pins). The "lrc" alias's cells are lrc-mw's.
-var layout = map[string]cluster.Totals{
+var layout = map[string]dsm.Totals{
 	"millipage/1":        {BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 2, ViewsUsed: 2, BytesAllocated: 128},
 	"millipage/1/chunk4": {BarrierEpisodes: 9, LockAcquisitions: 2, Minipages: 1, ViewsUsed: 1, BytesAllocated: 128},
 	"millipage/2":        {BarrierEpisodes: 9, LockAcquisitions: 4, Minipages: 3, ViewsUsed: 3, BytesAllocated: 192},
@@ -71,7 +70,7 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 		pin   string
 		chunk int
 	}{{"lrc-mw/8/central", 1}, {"lrc-mw/8/chunk4/central", 4}} {
-		t.Run(c.pin, func(t *testing.T) { runPinned(t, "lrc-mw", 8, c.chunk, cluster.HomeCentral, c.pin) })
+		t.Run(c.pin, func(t *testing.T) { runPinned(t, "lrc-mw", 8, c.chunk, dsm.HomeCentral, c.pin) })
 	}
 }
 
@@ -91,14 +90,14 @@ func runPinned(t *testing.T, name string, hosts, chunk int, homeOf func(id, host
 	if err := wl.Err(); err != nil {
 		t.Fatal(err)
 	}
-	tot, rt := sys.Totals(), sys.Runtime()
-	lay := cluster.Totals{BarrierEpisodes: tot.BarrierEpisodes, LockAcquisitions: tot.LockAcquisitions,
+	tot := sys.Totals()
+	lay := dsm.Totals{BarrierEpisodes: tot.BarrierEpisodes, LockAcquisitions: tot.LockAcquisitions,
 		Minipages: tot.Minipages, ViewsUsed: tot.ViewsUsed, BytesAllocated: tot.BytesAllocated}
 	if lay != layout[pin] {
 		t.Errorf("layout %+v, want %+v", lay, layout[pin])
 	}
 	pins.Check(t, "EveryProtocol/"+pin, fmt.Sprintf("invalidations=%d competing=%d exclusive=%d elapsed=%d events=%d traced=%d",
-		tot.Invalidations, tot.CompetingRequests, tot.ExclusiveReads, int64(rt.Elapsed()), rt.Eng.Counters().Events, rec.Total()))
+		tot.Invalidations, tot.CompetingRequests, tot.ExclusiveReads, int64(sys.Elapsed()), sys.Eng.Counters().Events, rec.Total()))
 }
 
 // TestOptionMatrix: every registered protocol crossed with every option
@@ -116,14 +115,14 @@ func TestOptionMatrix(t *testing.T) {
 		name    string
 		fields  []string // a refusal names one of them
 		set     func(o *registry.Options)
-		inForce func(tot cluster.Totals, bodies int) bool
+		inForce func(tot dsm.Totals, bodies int) bool
 	}{
 		{"grain-page", []string{"Grain"}, func(o *registry.Options) { o.Grain = core.GrainPage },
-			func(tot cluster.Totals, _ int) bool { return tot.Minipages == 1 }},
+			func(tot dsm.Totals, _ int) bool { return tot.Minipages == 1 }},
 		{"home-of", []string{"HomeOf"}, func(o *registry.Options) { o.HomeOf = homeOf },
-			func(cluster.Totals, int) bool { return asked > 0 }},
+			func(dsm.Totals, int) bool { return asked > 0 }},
 		{"two-threads-a-host", []string{"ThreadsPerHost"}, func(o *registry.Options) { o.ThreadsPerHost = 2 },
-			func(_ cluster.Totals, bodies int) bool { return bodies == 2*hosts }},
+			func(_ dsm.Totals, bodies int) bool { return bodies == 2*hosts }},
 	}
 	for _, name := range append(registry.Names(), "lrc") {
 		for _, oc := range options {
@@ -173,18 +172,19 @@ func TestOptionMatrix(t *testing.T) {
 // TestViewsBound: every protocol runs at core.MaxViews views with the
 // views in force — that many small allocations share one page, each in a
 // view of its own, except under ivy's page grain — and refuses one view
-// more with an error naming Views, before anything runs.
+// more with an error naming Views, before anything runs. That refusal and
+// an Options one start with the name the registry resolved (lrc-mw for
+// lrc), as every refusal and misuse panic does.
 func TestViewsBound(t *testing.T) {
 	for _, name := range append(registry.Names(), "lrc") {
 		t.Run(name, func(t *testing.T) {
-			_, err := registry.New(name, registry.Options{Hosts: 0, SharedSize: 1 << 16, Seed: 1})
-			if err == nil {
-				t.Fatal("0 hosts accepted")
+			spec, _ := registry.Lookup(name)
+			if _, err := registry.New(name, registry.Options{Hosts: 0, SharedSize: 1 << 16, Seed: 1}); err == nil || !strings.HasPrefix(err.Error(), spec.Name+": ") {
+				t.Fatalf("0 hosts: %v, want a refusal led by the protocol's name %q", err, spec.Name)
 			}
-			proto, _, _ := strings.Cut(err.Error(), ": ")
 			opt := registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: core.MaxViews + 1, Seed: 1}
-			if _, err := registry.New(name, opt); err == nil || !strings.Contains(err.Error(), "Views") || !strings.HasPrefix(err.Error(), proto+": ") {
-				t.Fatalf("%d views: %v, want a refusal naming Views, led like every Options refusal by %q", opt.Views, err, proto)
+			if _, err := registry.New(name, opt); err == nil || !strings.Contains(err.Error(), "Views") || !strings.HasPrefix(err.Error(), spec.Name+": ") {
+				t.Fatalf("%d views: %v, want a refusal naming Views, led by the protocol's name %q", opt.Views, err, spec.Name)
 			}
 			opt.Views = core.MaxViews
 			sys, err := registry.New(name, opt)
@@ -260,7 +260,7 @@ func TestLRCIsAnAliasOfLRCMW(t *testing.T) {
 		if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
 			t.Fatal(err)
 		}
-		got[i] = fmt.Sprintf("%+v elapsed %d", sys.Totals(), int64(sys.Runtime().Elapsed()))
+		got[i] = fmt.Sprintf("%+v elapsed %d", sys.Totals(), int64(sys.Elapsed()))
 	}
 	if got[0] != got[1] {
 		t.Fatalf("lrc %s, lrc-mw %s", got[0], got[1])

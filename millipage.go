@@ -44,7 +44,6 @@ package millipage
 import (
 	"fmt"
 
-	"millipage/internal/cluster"
 	"millipage/internal/core"
 	"millipage/internal/dsm"
 	"millipage/internal/fastmsg"
@@ -172,7 +171,7 @@ func (cfg Config) netParams() fastmsg.Params {
 
 // NewCluster builds a cluster from cfg. Every value and combination the
 // chosen protocol cannot run is rejected with an error naming the field:
-// by the kernel's one validation site (cluster.New, reached through the
+// by the one validation site (dsm.New, reached through the
 // registry), or by dsm.NewMW for lrc-mw's one thread a host.
 func NewCluster(cfg Config) (*Cluster, error) {
 	spec, err := registry.Lookup(cfg.Protocol)
@@ -190,7 +189,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		Faults:         cfg.Faults,
 	}
 	if cfg.CentralManagement {
-		opt.HomeOf = cluster.HomeCentral
+		opt.HomeOf = dsm.HomeCentral
 	}
 	if cfg.PageGranularity {
 		opt.Grain = core.GrainPage
@@ -210,7 +209,7 @@ func (c *Cluster) Protocol() string { return c.protocol }
 // (events fired, process switches and the coroutine switches they took,
 // fast-path sleeps, calendar high-water mark): what a run cost the
 // simulator, as opposed to what it simulated.
-func (c *Cluster) EngineCounters() sim.Counters { return c.sys.Runtime().Eng.Counters() }
+func (c *Cluster) EngineCounters() sim.Counters { return c.sys.Eng.Counters() }
 
 // Run executes body on ThreadsPerHost application threads on every host
 // and blocks until all of them finish, returning the run's Report. A

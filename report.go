@@ -86,16 +86,15 @@ func (tr ThreadReport) Breakdown() (comp, prefetch, readF, writeF, synch float64
 }
 
 func (c *Cluster) report() *Report {
-	rt := c.sys.Runtime()
+	sys := c.sys
 	r := &Report{
 		Protocol: c.protocol,
-		Hosts:    rt.NumHosts(),
-		Elapsed:  rt.Elapsed(),
+		Hosts:    sys.NumHosts(),
+		Elapsed:  sys.Elapsed(),
 	}
-	// The generic half: every protocol runs on the shared cluster
-	// substrate, so threads, faults, messages and latencies come from the
-	// runtime regardless of protocol.
-	for _, t := range rt.Threads() {
+	// The generic half: every protocol runs on one dsm.System, so threads,
+	// faults, messages and latencies come from it regardless of protocol.
+	for _, t := range sys.Threads() {
 		st := t.Stats
 		r.Threads = append(r.Threads, ThreadReport{
 			Host:      t.Host(),
@@ -109,10 +108,10 @@ func (c *Cluster) report() *Report {
 			Other:     st.Other(),
 		})
 	}
-	for i := 0; i < rt.NumHosts(); i++ {
-		r.ReadFaults += rt.Host(i).AS.ReadFaults
-		r.WriteFaults += rt.Host(i).AS.WriteFaults
-		es := rt.Net.Endpoint(i).Stats()
+	for i := 0; i < sys.NumHosts(); i++ {
+		r.ReadFaults += sys.Host(i).AS.ReadFaults
+		r.WriteFaults += sys.Host(i).AS.WriteFaults
+		es := sys.Net.Endpoint(i).Stats()
 		r.MessagesSent += es.Sent
 		r.BytesSent += es.BytesSent
 		r.Retransmits += es.Retransmits
@@ -123,7 +122,7 @@ func (c *Cluster) report() *Report {
 	// Latency decomposition.
 	var rfTime, wfTime Duration
 	var rfN, wfN uint64
-	for _, t := range rt.Threads() {
+	for _, t := range sys.Threads() {
 		rfTime += t.Stats.ReadFaultTime + t.Stats.PrefetchTime
 		wfTime += t.Stats.WriteFaultTime
 		rfN += t.Stats.ReadFaults
@@ -139,8 +138,8 @@ func (c *Cluster) report() *Report {
 	}
 	var svc Duration
 	var recv uint64
-	for i := 0; i < rt.NumHosts(); i++ {
-		es := rt.Net.Endpoint(i).Stats()
+	for i := 0; i < sys.NumHosts(); i++ {
+		es := sys.Net.Endpoint(i).Stats()
 		svc += es.ServiceDelay
 		recv += es.Received
 	}
