@@ -6,6 +6,14 @@ import (
 	"millipage/internal/pins"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // benchPath is BENCH_sim.json at the repo root, which pins the benchmark
 // rows: their allocation fences, their engine counters and the serving
 // rows' fingerprints.
@@ -15,9 +23,7 @@ const benchPath = "../../BENCH_sim.json"
 func pinnedReport(t *testing.T) benchReport {
 	t.Helper()
 	r, err := readBenchReport(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(r.Benchmarks) == 0 {
 		t.Skipf("no pinned report at %s", benchPath)
 	}
@@ -75,9 +81,7 @@ func TestE2EAllocsRegression(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.row, func(t *testing.T) {
 			m, err := measure(row.row)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			got, pin, unit := m.AllocsPerOp, pinned[row.row].AllocsPerOp, "objects"
 			if row.bytes {
 				got, pin, unit = m.BytesPerOp, pinned[row.row].BytesPerOp, "bytes"
@@ -174,9 +178,7 @@ func rerecord(t *testing.T) string {
 // under UPDATE_PINS=1, unless t failed.
 func rewritePinned(t *testing.T, report benchReport) {
 	if pins.Update() && !t.Failed() {
-		if err := writeBenchReport(benchPath, report); err != nil {
-			t.Fatal(err)
-		}
+		must(t, writeBenchReport(benchPath, report))
 	}
 }
 

@@ -26,18 +26,14 @@ func TestFetchCostsInPaperBallpark(t *testing.T) {
 	for _, pl := range Placements("millipage") {
 		t.Run(pl.Name, func(t *testing.T) {
 			d, err := measureReadFetch(128, pl.Central)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			us := d.Microseconds()
 			// Paper: 204 us. Accept a generous band; the trend tests are below.
 			if us < 120 || us > 300 {
 				t.Fatalf("128B read fetch = %.0fus, want within [120,300] (paper 204)", us)
 			}
 			d4k, err := measureReadFetch(4096, pl.Central)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if d4k <= d {
 				t.Fatalf("4KB fetch (%v) not slower than 128B fetch (%v)", d4k, d)
 			}
@@ -49,13 +45,9 @@ func TestWriteFetchGrowsWithCopies(t *testing.T) {
 	for _, pl := range Placements("millipage") {
 		t.Run(pl.Name, func(t *testing.T) {
 			w1, err := measureWriteFetch(128, 1, pl.Central)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			w7, err := measureWriteFetch(128, 7, pl.Central)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if w7 <= w1 {
 				t.Fatalf("write fetch with 7 copies (%v) not slower than with 1 (%v)", w7, w1)
 			}
@@ -65,13 +57,9 @@ func TestWriteFetchGrowsWithCopies(t *testing.T) {
 
 func TestBarrierLinearInHosts(t *testing.T) {
 	b1, err := measureBarrier(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	b8, err := measureBarrier(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if b8 <= b1 {
 		t.Fatalf("8-host barrier (%v) not slower than 1-host (%v)", b8, b1)
 	}
@@ -82,9 +70,7 @@ func TestBarrierLinearInHosts(t *testing.T) {
 	// Past the paper's testbed the barrier combines up a fan-in-8 tree:
 	// three levels at 256 hosts, not 256 arrivals into one service thread.
 	b256, err := measureBarrier(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if b256 > 3*b8 {
 		t.Fatalf("256-host barrier (%v) over 3x the 8-host one (%v)", b256, b8)
 	}
@@ -92,9 +78,7 @@ func TestBarrierLinearInHosts(t *testing.T) {
 
 func TestLockUnlockInPaperBand(t *testing.T) {
 	d, err := measureLockUnlock()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if us := d.Microseconds(); us < 40 || us > 120 {
 		t.Fatalf("lock+unlock = %.0fus, want within [40,120] (paper 67-80)", us)
 	}
@@ -130,9 +114,7 @@ func TestFigure5ShapeSmallGrid(t *testing.T) {
 func TestFigure6SmallScale(t *testing.T) {
 	cfg := Figure6Config{Hosts: []int{1, 2}, Scale: 0.02, Seed: 1, ChunkWATER: 2, Only: "IS"}
 	runs, err := Figure6(cfg, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(runs) != 2 {
 		t.Fatalf("runs = %d, want 2", len(runs))
 	}
@@ -168,9 +150,7 @@ func TestFigure6RejectsUnknownOnly(t *testing.T) {
 func TestFigure7SmallScale(t *testing.T) {
 	cfg := Figure7Config{Hosts: []int{4}, Levels: []int{1, 4, 0}, Scale: 0.04, Seed: 1}
 	pts, err := Figure7(cfg, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -212,9 +192,7 @@ func TestDiffCostsOutput(t *testing.T) {
 func TestCalendarStaysSmall(t *testing.T) {
 	for _, name := range []string{"E2ESOR8", "E2ESOR64", "E2ESOR256", "E2EServe8", "E2EServeLossy"} {
 		run, err := e2eRun(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		c, err := run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -262,16 +240,12 @@ func TestSuiteEveryProtocolChecksAndRepeats(t *testing.T) {
 		t.Run(c.app.Name+"/"+c.protocol, func(t *testing.T) {
 			p := apps.Params{Protocol: c.protocol, Hosts: 8, Scale: 0.05, Seed: 1, PerfectTimers: true}
 			first, err := c.app.Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if !first.Checked {
 				t.Errorf("not checked: checksum %v", first.Check)
 			}
 			again, err := c.app.Run(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if again.Timed != first.Timed {
 				t.Errorf("timed section: %v, then %v", first.Timed, again.Timed)
 			}

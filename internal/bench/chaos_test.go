@@ -46,9 +46,7 @@ func TestChaosCleanPlanStaysClean(t *testing.T) {
 	cfg := DefaultChaos()
 	cfg.Plan = faultnet.Plan{}
 	var buf bytes.Buffer
-	if err := Chaos(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
+	must(t, Chaos(&buf, cfg))
 	if !strings.Contains(buf.String(), "reliability: retransmits=0 dups=0 ooo=0 dropped=0") {
 		t.Errorf("clean plan produced reliability activity:\n%s", buf.String())
 	}
@@ -102,9 +100,7 @@ func TestManagerLoadSweepParallelDeterminism(t *testing.T) {
 	run := func(workers int) string {
 		SetWorkers(workers)
 		var buf bytes.Buffer
-		if err := ManagerLoadCompare(&buf, cfg); err != nil {
-			t.Fatal(err)
-		}
+		must(t, ManagerLoadCompare(&buf, cfg))
 		return buf.String()
 	}
 	if seq, par := run(1), run(2); seq != par {

@@ -25,9 +25,7 @@ func TestGoldenManagerLoad(t *testing.T) {
 		homeOf func(id, hosts int) int
 	}{{"central", dsm.HomeCentral}, {"home-based", dsm.HomeMod}} {
 		r, err := ManagerLoad(cfg, w.homeOf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if r.Checksum != 0xc91651f70709a3a9 {
 			t.Errorf("%v checksum = %#x, want 0xc91651f70709a3a9", w.m, r.Checksum)
 		}
@@ -37,9 +35,7 @@ func TestGoldenManagerLoad(t *testing.T) {
 
 func TestGoldenSOR(t *testing.T) {
 	r, err := apps.RunSOR(apps.Params{Hosts: 4, Scale: 0.05, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if got := fmt.Sprint(r.Check); got != "64" {
 		t.Errorf("check = %s, want 64", got)
 	}
@@ -48,9 +44,7 @@ func TestGoldenSOR(t *testing.T) {
 
 func TestGoldenWATER(t *testing.T) {
 	r, err := apps.RunWATER(apps.Params{Hosts: 4, Scale: 0.05, Seed: 3, ChunkLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if got := fmt.Sprint(r.Check); got != "0.017882280184443315" {
 		t.Errorf("check = %s, want 0.017882280184443315", got)
 	}
@@ -64,9 +58,7 @@ func tracedRun(t *testing.T, rec *trace.Recorder) (elapsed int64, dump string) {
 	t.Helper()
 	s, err := dsm.New("millipage", dsm.Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, Seed: 9,
 		HomeOf: dsm.HomeMod, Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var vas [8]uint64
 	err = s.Run(func(th *dsm.Thread) {
 		if th.Host() == 0 {
@@ -89,9 +81,7 @@ func tracedRun(t *testing.T, rec *trace.Recorder) (elapsed int64, dump string) {
 			th.Barrier()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var buf bytes.Buffer
 	rec.Dump(&buf)
 	return int64(s.Elapsed()), buf.String()
@@ -122,9 +112,7 @@ func traceDigest(rec *trace.Recorder, elapsed int64, dump string) string {
 func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder) (elapsed int64, dump string) {
 	t.Helper()
 	s, err := registry.New(protocol, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 4, Seed: 9, Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var vas [6]uint64
 	err = s.Run(func(th *dsm.Thread) {
 		if th.Host() == 0 {
@@ -146,9 +134,7 @@ func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var buf bytes.Buffer
 	rec.Dump(&buf)
 	return int64(s.Elapsed()), buf.String()
@@ -202,9 +188,7 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 		var progress bytes.Buffer
 		cfg := Figure7Config{Hosts: []int{2, 3}, Levels: []int{1, 2}, Scale: 0.05, Seed: 5, Repeats: 2}
 		pts, err := Figure7(cfg, &progress)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return pts, progress.String()
 	}
 

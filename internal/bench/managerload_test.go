@@ -12,13 +12,9 @@ func TestManagerLoadSpreadsAcrossHomes(t *testing.T) {
 	cfg := DefaultManagerLoad()
 
 	central, err := ManagerLoad(cfg, dsm.HomeCentral)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	homed, err := ManagerLoad(cfg, dsm.HomeMod)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 
 	// Application results are byte-identical across modes.
 	if central.Checksum != homed.Checksum {
@@ -53,9 +49,7 @@ func TestManagerLoadSpreadsAcrossHomes(t *testing.T) {
 func TestManagerLoadCompareOutput(t *testing.T) {
 	cfg := ManagerLoadConfig{Hosts: 4, Vars: 16, Rounds: 2, Seed: 5}
 	var buf bytes.Buffer
-	if err := ManagerLoadCompare(&buf, cfg); err != nil {
-		t.Fatal(err)
-	}
+	must(t, ManagerLoadCompare(&buf, cfg))
 	out := buf.String()
 	for _, want := range []string{"central", "home-based", "max/mean", "identical checksums"} {
 		if !strings.Contains(out, want) {

@@ -23,9 +23,7 @@ func TestServingWorkersInvariance(t *testing.T) {
 	SetWorkers(4)
 	par, parErr := RunServing(names)
 	SetWorkers(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if parErr != nil {
 		t.Fatal(parErr)
 	}
@@ -50,20 +48,14 @@ func TestWriteServingPreservesBenchmarks(t *testing.T) {
 		Note:       "pinned",
 		Benchmarks: []PerfPoint{{Name: "E2ESOR8", AllocsPerOp: 1, BytesPerOp: 2, EventsPerOp: 3, SwitchesPerOp: 4, CoroswitchesPerOp: 5, HopsPerOp: 6}},
 	}
-	if err := writeBenchReport(path, pre); err != nil {
-		t.Fatal(err)
-	}
+	must(t, writeBenchReport(path, pre))
 	var out bytes.Buffer
-	if err := WriteServing(&out, []string{"smoke"}, path); err != nil {
-		t.Fatal(err)
-	}
+	must(t, WriteServing(&out, []string{"smoke"}, path))
 	if !strings.Contains(out.String(), "smoke") {
 		t.Fatalf("table output missing the scenario row:\n%s", out.String())
 	}
 	post, err := readBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if post.Note != "pinned" || len(post.Benchmarks) != 1 || post.Benchmarks[0] != pre.Benchmarks[0] {
 		t.Fatalf("serving write disturbed the benchmarks section: %+v", post)
 	}
@@ -86,32 +78,22 @@ func TestWriteLedgerPreservesServing(t *testing.T) {
 		ServingNote: "serving rows — recorded",
 		Serving:     []ServingPoint{{Name: "smoke", Protocol: "millipage", Hosts: 4, ThroughputOpsPerSec: 1234.5678901234567, GetP999Us: 2048, Fingerprint: "00000000deadbeef"}},
 	}
-	if err := writeBenchReport(path, pre); err != nil {
-		t.Fatal(err)
-	}
+	must(t, writeBenchReport(path, pre))
 	serving := func() (note, rows json.RawMessage) {
 		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		var raw map[string]json.RawMessage
-		if err := json.Unmarshal(blob, &raw); err != nil {
-			t.Fatal(err)
-		}
+		must(t, json.Unmarshal(blob, &raw))
 		return raw["serving_note"], raw["serving"]
 	}
 	noteBefore, rowsBefore := serving()
 	ledger := []PerfPoint{{Name: "E2ESOR8", AllocsPerOp: 5, BytesPerOp: 6, EventsPerOp: 7, SwitchesPerOp: 8, CoroswitchesPerOp: 9, HopsPerOp: 10}}
-	if err := writeLedger(path, ledger); err != nil {
-		t.Fatal(err)
-	}
+	must(t, writeLedger(path, ledger))
 	if note, rows := serving(); !bytes.Equal(note, noteBefore) || !bytes.Equal(rows, rowsBefore) {
 		t.Fatalf("ledger write changed the serving section:\nbefore: %s %s\nafter:  %s %s", noteBefore, rowsBefore, note, rows)
 	}
 	post, err := readBenchReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if post.Note != ledgerNote || len(post.Benchmarks) != 1 || post.Benchmarks[0] != ledger[0] {
 		t.Fatalf("benchmarks section not written: %+v", post)
 	}

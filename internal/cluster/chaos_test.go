@@ -17,6 +17,14 @@ import (
 	"millipage/internal/sim"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // chaosWatchdog bounds a chaos run's virtual time: well past any
 // retransmission backoff chain, far below forever.
 const chaosWatchdog = 120 * sim.Second
@@ -75,21 +83,16 @@ func runChaos(t *testing.T, pr protoRun, hosts int, seed int64, plan *faultnet.P
 	body func(sys *dsm.System, w check.AppThread)) *dsm.System {
 	t.Helper()
 	sys, err := pr.make(hosts, seed, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if sys.Net.FaultsEnabled() != (plan != nil) {
 		t.Fatal("fault plan did not arm")
 	}
 	done := 0
 	sys.Eng.At(sim.Time(chaosWatchdog), sys.Eng.Stop)
-	err = sys.Run(func(w *dsm.Thread) {
+	run(t, sys, func(w *dsm.Thread) {
 		body(sys, w)
 		done++
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if done != len(sys.Threads()) {
 		t.Fatalf("watchdog: %d of %d threads finished before %v (livelock under faults)",
 			done, len(sys.Threads()), chaosWatchdog)
@@ -193,9 +196,7 @@ func TestChaosSWMR(t *testing.T) {
 					}
 					wl.Body(w)
 				})
-				if err := wl.Err(); err != nil {
-					t.Fatal(err)
-				}
+				must(t, wl.Err())
 			})
 		}
 	}

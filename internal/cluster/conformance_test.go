@@ -72,16 +72,10 @@ func TestSWMRInvariant(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
 				sys, err := pr.make(hosts, seed, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
 				wl := &check.SWMRSweep{Words: 4, Iters: 24, Seed: uint64(seed), Prots: sys}
-				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-					t.Fatal(err)
-				}
-				if err := wl.Err(); err != nil {
-					t.Fatal(err)
-				}
+				run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
+				must(t, wl.Err())
 			})
 		}
 	}
@@ -99,13 +93,9 @@ func TestSCMessagePassing(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
 				sys, err := pr.make(2, seed, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
 				wl := &check.MessagePassing{}
-				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-					t.Fatal(err)
-				}
+				run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
 				if err := wl.Err(); err != nil {
 					t.Fatalf("%s: %v", pr.name, err)
 				}
@@ -125,13 +115,9 @@ func TestSCDekker(t *testing.T) {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
 				sys, err := pr.make(2, seed, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
 				wl := &check.Dekker{}
-				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-					t.Fatal(err)
-				}
+				run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
 				if err := wl.Err(); err != nil {
 					t.Fatalf("%s: %v", pr.name, err)
 				}
@@ -166,12 +152,8 @@ func TestDRFAgreement(t *testing.T) {
 		t.Run(pr.name, func(t *testing.T) {
 			for _, wl := range drfWorkloads(hosts) {
 				sys, err := pr.make(hosts, 1, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sys.Run(func(w *dsm.Thread) { wl.body(w) }); err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
+				run(t, sys, func(w *dsm.Thread) { wl.body(w) })
 				if err := wl.err(); err != nil {
 					t.Fatalf("%s: %v", pr.name, err)
 				}
@@ -198,9 +180,7 @@ func TestChunkExtendedAllocation(t *testing.T) {
 					opt := pr.options(3, 0, nil)
 					opt.ChunkLevel = chunk
 					sys, err := pr.spec.New(opt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					must(t, err)
 					var wl interface {
 						Body(check.AppThread)
 						Err() error
@@ -208,12 +188,8 @@ func TestChunkExtendedAllocation(t *testing.T) {
 					if grow {
 						wl = &check.ChunkGrow{}
 					}
-					if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-						t.Fatal(err)
-					}
-					if err := wl.Err(); err != nil {
-						t.Fatal(err)
-					}
+					run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
+					must(t, wl.Err())
 				})
 			}
 		}
@@ -241,9 +217,7 @@ func TestServiceMisuse(t *testing.T) {
 			for _, host := range []int{0, 1} {
 				t.Run(fmt.Sprintf("%s/%s/host%d", pr.name, tc.name, host), func(t *testing.T) {
 					sys, err := pr.make(3, 1, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
+					must(t, err)
 					want := fmt.Sprintf("%s: host %d: %s", pr.spec.Name, host, tc.want)
 					defer func() {
 						if got := fmt.Sprint(recover()); !strings.HasPrefix(got, want) {
@@ -279,9 +253,7 @@ func TestHomeOfOutsideTheClusterIsMisuse(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					sys, err := registry.New(name, registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 8,
 						HomeOf: func(id, hosts int) int { return hosts + 3 }})
-					if err != nil {
-						t.Fatal(err)
-					}
+					must(t, err)
 					want := name + ": host 0: HomeOf(0, 2) = 5 is not a host"
 					defer func() {
 						if got := fmt.Sprint(recover()); got != want {
@@ -302,45 +274,54 @@ func TestHomeOfOutsideTheClusterIsMisuse(t *testing.T) {
 }
 
 // TestAccessFailureNamesThread: a shared-memory access that cannot complete
-// — here, to an address no view maps — fails the same way through all eight
-// access methods and under every protocol: a panic out of Run naming the
-// protocol, the thread, the kind of access and the address, then the cause.
+// — to an address no view maps, or inside the views but allocated to
+// nothing — fails the same way through all eight access methods and under
+// every protocol: a panic out of Run naming the protocol, the thread, the
+// kind of access and the address, then the cause.
 func TestAccessFailureNamesThread(t *testing.T) {
-	const va = 0x18 // below every view
 	ops := []struct {
 		name, kind string
-		op         func(w check.AppThread)
+		op         func(w check.AppThread, va uint64)
 	}{
-		{"Read", "read", func(w check.AppThread) { w.Read(va, make([]byte, 8)) }},
-		{"Write", "write", func(w check.AppThread) { w.Write(va, make([]byte, 8)) }},
-		{"ReadU32", "read", func(w check.AppThread) { w.ReadU32(va) }},
-		{"WriteU32", "write", func(w check.AppThread) { w.WriteU32(va, 1) }},
-		{"ReadU64", "read", func(w check.AppThread) { w.ReadU64(va) }},
-		{"WriteU64", "write", func(w check.AppThread) { w.WriteU64(va, 1) }},
-		{"ReadF64", "read", func(w check.AppThread) { w.ReadF64(va) }},
-		{"WriteF64", "write", func(w check.AppThread) { w.WriteF64(va, 1) }},
+		{"Read", "read", func(w check.AppThread, va uint64) { w.Read(va, make([]byte, 8)) }},
+		{"Write", "write", func(w check.AppThread, va uint64) { w.Write(va, make([]byte, 8)) }},
+		{"ReadU32", "read", func(w check.AppThread, va uint64) { w.ReadU32(va) }},
+		{"WriteU32", "write", func(w check.AppThread, va uint64) { w.WriteU32(va, 1) }},
+		{"ReadU64", "read", func(w check.AppThread, va uint64) { w.ReadU64(va) }},
+		{"WriteU64", "write", func(w check.AppThread, va uint64) { w.WriteU64(va, 1) }},
+		{"ReadF64", "read", func(w check.AppThread, va uint64) { w.ReadF64(va) }},
+		{"WriteF64", "write", func(w check.AppThread, va uint64) { w.WriteF64(va, 1) }},
+	}
+	addrs := []struct {
+		suffix, cause string // cause formats the address
+		va            func(w check.AppThread) uint64
+	}{
+		{"", "vm: address not mapped: %#x", func(check.AppThread) uint64 { return 0x18 }}, // below every view
+		{"/unallocated", "%#x is not in any minipage", func(w check.AppThread) uint64 { return w.Malloc(64) + 4096 }},
 	}
 	for _, pr := range protocols() {
 		for _, tc := range ops {
-			t.Run(pr.name+"/"+tc.name, func(t *testing.T) {
-				sys, err := pr.make(3, 1, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := fmt.Sprintf("%s: thread 1: %s %#x: vm: address not mapped: %#x", pr.spec.Name, tc.kind, va, va)
-				defer func() {
-					if got := fmt.Sprint(recover()); got != want {
-						t.Fatalf("Run panicked with %q, want %q", got, want)
-					}
-				}()
-				err = sys.Run(func(w *dsm.Thread) {
-					if w.ThreadID() == 1 {
-						tc.op(w)
-					}
-					w.Barrier()
+			for _, a := range addrs {
+				t.Run(pr.name+"/"+tc.name+a.suffix, func(t *testing.T) {
+					sys, err := pr.make(3, 1, nil)
+					must(t, err)
+					var want string
+					defer func() {
+						if got := fmt.Sprint(recover()); got != want {
+							t.Fatalf("Run panicked with %q, want %q", got, want)
+						}
+					}()
+					err = sys.Run(func(w *dsm.Thread) {
+						if w.ThreadID() == 1 {
+							va := a.va(w)
+							want = fmt.Sprintf("%s: thread 1: %s %#x: "+a.cause, pr.spec.Name, tc.kind, va, va)
+							tc.op(w, va)
+						}
+						w.Barrier()
+					})
+					t.Fatalf("Run returned %v", err)
 				})
-				t.Fatalf("Run returned %v", err)
-			})
+			}
 		}
 	}
 }
@@ -357,13 +338,9 @@ func TestConcurrentMergeAgreement(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", pr.name, seed), func(t *testing.T) {
 				sys, err := pr.make(hosts, seed, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
 				wl := &check.ConcurrentMerge{Hosts: hosts, Rounds: 3}
-				if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-					t.Fatal(err)
-				}
+				run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
 				if err := wl.Err(); err != nil {
 					t.Fatalf("%s: %v", pr.name, err)
 				}

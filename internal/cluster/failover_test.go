@@ -98,9 +98,7 @@ func TestFailoverSWMR(t *testing.T) {
 				}
 				wl.Body(w)
 			})
-			if err := wl.Err(); err != nil {
-				t.Fatal(err)
-			}
+			must(t, wl.Err())
 		})
 	}
 }

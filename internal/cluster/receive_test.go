@@ -282,45 +282,3 @@ func TestReceiveSequenceIsTheServer(t *testing.T) {
 		})
 	}
 }
-
-// TestReceiveAllocFree: a lock handed back and forth between two hosts
-// with a barrier after each round — a lock request turned into its grant
-// as the tail, the grant, the unlock and the barrier's arrivals handled in
-// engine context, its releases a queued send and the tail — allocates
-// nothing in steady state, on a clean wire and with a fault plan armed.
-func TestReceiveAllocFree(t *testing.T) {
-	far := sim.Time(1 << 60)
-	for _, plan := range []*faultnet.Plan{nil, {Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}}}} {
-		s := newSys(t, dsm.Options{Hosts: 2, SharedSize: vm.PageSize, Faults: plan})
-		if s.Net.FaultsEnabled() != (plan != nil) {
-			t.Fatal("fault plan did not arm")
-		}
-		const warmup, measured = 300, 1000
-		avg := -1.0
-		err := s.Run(func(th *dsm.Thread) {
-			i := 0
-			round := func() {
-				th.Lock(1)
-				th.Unlock(1)
-				th.Barrier()
-				i++
-			}
-			for i < warmup {
-				round()
-			}
-			if th.Host() == 0 {
-				avg = testing.AllocsPerRun(measured, round)
-				return
-			}
-			for i < warmup+1+measured {
-				round()
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if avg != 0 {
-			t.Fatalf("armed=%v: a lock round allocates %.1f objects in steady state, want 0", plan != nil, avg)
-		}
-	}
-}

@@ -31,56 +31,14 @@ func (*nopMsg) Table() (dsm.Table, int) { return nopTable, 0 }
 func newSys(t *testing.T, opt dsm.Options) *dsm.System {
 	t.Helper()
 	s, err := dsm.New("test", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return s
 }
 
-func TestRunThreadLifecycle(t *testing.T) {
-	s := newSys(t, dsm.Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: vm.PageSize})
-	err := s.Run(func(th *dsm.Thread) {
-		th.Compute(sim.Duration(th.ID+1) * sim.Millisecond)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ths := s.Threads()
-	if len(ths) != 4 || ths[0].NumThreads() != 4 {
-		t.Fatalf("threads = %d (total %d), want 4", len(ths), ths[0].NumThreads())
-	}
-	// Global ids in spawn order, local ids per host, hosts in id order.
-	wantHost := []int{0, 0, 1, 1}
-	wantLID := []int{0, 1, 0, 1}
-	for i, th := range ths {
-		if th.ID != i || th.Host() != wantHost[i] || th.LID != wantLID[i] {
-			t.Fatalf("thread %d: ID=%d host=%d LID=%d, want %d/%d/%d",
-				i, th.ID, th.Host(), th.LID, i, wantHost[i], wantLID[i])
-		}
-		want := sim.Duration(i+1) * sim.Millisecond
-		if th.Stats.ComputeTime != want || th.Stats.Total() != want {
-			t.Fatalf("thread %d: compute=%v total=%v, want %v",
-				i, th.Stats.ComputeTime, th.Stats.Total(), want)
-		}
-	}
-	// The run lasts as long as the slowest thread.
-	if s.Elapsed() != 4*sim.Millisecond {
-		t.Fatalf("Elapsed = %v, want 4ms", s.Elapsed())
-	}
-}
-
-func TestRunGuards(t *testing.T) {
-	s := newSys(t, dsm.Options{Hosts: 1, SharedSize: vm.PageSize})
-	if err := s.Run(nil); err == nil || !strings.Contains(err.Error(), "test: nil thread body") {
-		t.Fatalf("Run(nil) = %v, want nil-thread-body error", err)
-	}
-	body := func(*dsm.Thread) {}
-	if err := s.Run(body); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(body); err == nil || !strings.Contains(err.Error(), "Run called twice") {
-		t.Fatalf("second Run = %v, want run-twice error", err)
-	}
+// run runs body on sys and fails the test if Run fails.
+func run(t *testing.T, sys *dsm.System, body func(*dsm.Thread)) {
+	t.Helper()
+	must(t, sys.Run(body))
 }
 
 func TestOptionsDefaults(t *testing.T) {

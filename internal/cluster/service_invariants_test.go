@@ -39,9 +39,7 @@ func TestChaosServiceHeaderPoolBalances(t *testing.T) {
 					w.Compute(sim.Second)
 					w.Barrier()
 				})
-				if err := d.Err(); err != nil {
-					t.Fatal(err)
-				}
+				must(t, d.Err())
 				if live := sys.LiveServiceHeaders(); live != 0 {
 					t.Fatalf("%d service headers are still owned after the run (recycled twice, if negative)", live)
 				}

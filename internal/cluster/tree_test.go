@@ -21,16 +21,10 @@ func TestTreeDRFAgreement(t *testing.T) {
 		for _, pr := range protocols() {
 			t.Run(fmt.Sprintf("%s/%d", pr.name, hosts), func(t *testing.T) {
 				sys, err := pr.make(hosts, 1, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
 				d := &check.DRF{Hosts: hosts, Rounds: 2, LockReps: 2}
-				if err := sys.Run(func(w *dsm.Thread) { d.Body(w) }); err != nil {
-					t.Fatal(err)
-				}
-				if err := d.Err(); err != nil {
-					t.Fatal(err)
-				}
+				run(t, sys, func(w *dsm.Thread) { d.Body(w) })
+				must(t, d.Err())
 				if !pr.spec.SC {
 					return
 				}
@@ -38,12 +32,8 @@ func TestTreeDRFAgreement(t *testing.T) {
 					t.Fatal(err)
 				}
 				mp := &check.MessagePassing{}
-				if err := sys.Run(func(w *dsm.Thread) { mp.Body(w) }); err != nil {
-					t.Fatal(err)
-				}
-				if err := mp.Err(); err != nil {
-					t.Fatal(err)
-				}
+				run(t, sys, func(w *dsm.Thread) { mp.Body(w) })
+				must(t, mp.Err())
 			})
 		}
 	}
@@ -82,9 +72,7 @@ func TestChaosTree(t *testing.T) {
 				}
 				wl.Body(w)
 			})
-			if err := wl.Err(); err != nil {
-				t.Fatal(err)
-			}
+			must(t, wl.Err())
 			if got, want := sys.Totals().BarrierEpisodes, uint64(2*wl.Rounds+3); got != want {
 				t.Fatalf("%d barrier episodes, want %d", got, want)
 			}

@@ -8,12 +8,18 @@ import (
 	"millipage/internal/vm"
 )
 
-func mustLayout(t *testing.T, size, views int) Layout {
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
 	t.Helper()
-	l, err := NewLayout(size, views)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+func mustLayout(t *testing.T, size, views int) Layout {
+	t.Helper()
+	l, err := NewLayout(size, views)
+	must(t, err)
 	return l
 }
 
@@ -66,9 +72,7 @@ func TestRegionMapsAllViews(t *testing.T) {
 	l := mustLayout(t, 4*vm.PageSize, 3)
 	as := vm.NewAddressSpace()
 	r, err := NewRegion(l, as, vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for i := 0; i < 3; i++ {
 		if p, err := as.ProtOf(l.ViewBase(i)); err != nil || p != vm.NoAccess {
 			t.Fatalf("view %d prot = %v, %v", i, p, err)
@@ -91,14 +95,10 @@ func TestRegionProtectIsPerView(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 3)
 	as := vm.NewAddressSpace()
 	r, err := NewRegion(l, as, vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// A 100-byte minipage in view 1, page 0.
 	base := l.AppAddr(1, 50)
-	if err := r.Protect(base, 100, vm.ReadWrite); err != nil {
-		t.Fatal(err)
-	}
+	must(t, r.Protect(base, 100, vm.ReadWrite))
 	if p, _ := as.ProtOf(l.ViewBase(1)); p != vm.ReadWrite {
 		t.Fatal("view 1 page 0 not upgraded")
 	}
@@ -109,9 +109,7 @@ func TestRegionProtectIsPerView(t *testing.T) {
 	}
 	// A minipage straddling pages protects both vpages.
 	base2 := l.AppAddr(0, vm.PageSize-10)
-	if err := r.Protect(base2, 20, vm.ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, r.Protect(base2, 20, vm.ReadOnly))
 	if p, _ := as.ProtOf(l.ViewBase(0)); p != vm.ReadOnly {
 		t.Fatal("first vpage not protected")
 	}
@@ -124,28 +122,18 @@ func TestPrivViewReadWrite(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 2)
 	as := vm.NewAddressSpace()
 	r, err := NewRegion(l, as, vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	base := l.AppAddr(1, 4090) // straddles page 0/1
-	if err := r.WritePriv(base, []byte("0123456789AB")); err != nil {
-		t.Fatal(err)
-	}
+	must(t, r.WritePriv(base, []byte("0123456789AB")))
 	got, err := r.ReadPriv(base, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if string(got) != "0123456789AB" {
 		t.Fatalf("got %q", got)
 	}
 	// And the app view aliases it (once readable).
-	if err := r.Protect(base, 12, vm.ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, r.Protect(base, 12, vm.ReadOnly))
 	buf, err := as.ReadAt(nil, base, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if string(buf) != "0123456789AB" {
 		t.Fatalf("app view sees %q", buf)
 	}
@@ -158,9 +146,7 @@ func TestAllocAssignsDistinctViewsPerPage(t *testing.T) {
 	seen := map[[2]int]bool{} // (page, view) pairs must be unique
 	for i := 0; i < 64; i++ {
 		mp, va, err := mpt.Alloc(256)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if mp.Size != 256 {
 			t.Fatalf("size = %d", mp.Size)
 		}
@@ -186,9 +172,7 @@ func TestAllocNeverStraddlesForSmall(t *testing.T) {
 	mpt := NewMPT(l, GrainMinipage, 1)
 	for i := 0; i < 100; i++ {
 		mp, _, err := mpt.Alloc(672)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		first := mp.Off / vm.PageSize
 		last := (mp.Off + mp.Size - 1) / vm.PageSize
 		if first != last {
@@ -206,9 +190,7 @@ func TestAllocLargeTakesExclusivePages(t *testing.T) {
 	mpt := NewMPT(l, GrainMinipage, 1)
 	for i := 0; i < 8; i++ {
 		mp, _, err := mpt.Alloc(4096)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if mp.Off%vm.PageSize != 0 {
 			t.Fatalf("large alloc not page aligned: off=%d", mp.Off)
 		}
@@ -221,9 +203,7 @@ func TestAllocLargeTakesExclusivePages(t *testing.T) {
 	}
 	// A multi-page allocation spans contiguous exclusive pages.
 	mp, _, err := mpt.Alloc(3 * vm.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if mp.Size != 3*vm.PageSize || mp.Off%vm.PageSize != 0 {
 		t.Fatalf("multi-page alloc = %+v", mp)
 	}
@@ -237,9 +217,7 @@ func TestChunkingAggregatesAllocations(t *testing.T) {
 	var mps []*Minipage
 	for i := 0; i < 16; i++ {
 		mp, va, err := mpt.Alloc(672)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if got, ok := mpt.Lookup(va); !ok || got != mp {
 			t.Fatalf("lookup mismatch at alloc %d", i)
 		}
@@ -274,9 +252,7 @@ func TestPageGrainMode(t *testing.T) {
 	seen := map[*Minipage]bool{}
 	for i := 0; i < 40; i++ { // 40 * 672 = 26880 bytes over 7 pages
 		mp, va, err := mpt.Alloc(672)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		seen[mp] = true
 		if mp.Size != vm.PageSize {
 			t.Fatalf("page-grain minipage size = %d", mp.Size)
@@ -314,9 +290,7 @@ func TestViewLimitOpensNewPage(t *testing.T) {
 	a, _, _ := mpt.Alloc(8)
 	b, _, _ := mpt.Alloc(8)
 	c, _, err := mpt.Alloc(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if a.Off/vm.PageSize != 0 || b.Off/vm.PageSize != 0 {
 		t.Fatalf("first two allocations not on page 0: %d %d", a.Off, b.Off)
 	}
@@ -339,9 +313,7 @@ func TestLookupRejectsWrongView(t *testing.T) {
 	l := mustLayout(t, 4*vm.PageSize, 4)
 	mpt := NewMPT(l, GrainMinipage, 1)
 	mp, va, err := mpt.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// Same offset through a different view is not this minipage's address.
 	otherView := (mp.View + 1) % l.NumViews
 	_, off, _ := l.Decompose(va)
@@ -357,9 +329,7 @@ func TestMinipageInfoTranslation(t *testing.T) {
 	l := mustLayout(t, 4*vm.PageSize, 4)
 	mpt := NewMPT(l, GrainMinipage, 1)
 	mp, va, err := mpt.Alloc(128)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	info := mp.Info(l)
 	if info.Base != va {
 		t.Fatalf("info.Base = %#x, va = %#x", info.Base, va)
@@ -431,7 +401,5 @@ func TestAllocatorInvariantsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, quick.Check(f, &quick.Config{MaxCount: 120}))
 }

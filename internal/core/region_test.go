@@ -12,9 +12,7 @@ func TestRegionErrorPaths(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 2)
 	as := vm.NewAddressSpace()
 	r, err := NewRegion(l, as, vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// Addresses outside every view are rejected.
 	if _, err := r.PrivBytes(0x1, 8); err == nil {
 		t.Fatal("PrivBytes accepted a non-view address")
@@ -36,15 +34,11 @@ func TestPrivBytesAliasesSinglePage(t *testing.T) {
 	l := mustLayout(t, 2*vm.PageSize, 2)
 	as := vm.NewAddressSpace()
 	r, err := NewRegion(l, as, vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// Within one page: the returned slice aliases the frame (zero copy).
 	base := l.AppAddr(1, 100)
 	bs, err := r.PrivBytes(base, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	bs[0] = 0xEE
 	if r.Obj.Frame(0)[100] != 0xEE {
 		t.Fatal("single-page PrivBytes is not aliased")
@@ -54,9 +48,7 @@ func TestPrivBytesAliasesSinglePage(t *testing.T) {
 	r.Obj.Frame(0)[vm.PageSize-1] = 0x11
 	r.Obj.Frame(1)[0] = 0x22
 	bs2, err := r.PrivBytes(base2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if bs2[7] != 0x11 || bs2[8] != 0x22 {
 		t.Fatalf("cross-page PrivBytes contents wrong: %x", bs2)
 	}
@@ -69,13 +61,9 @@ func TestRegionIsDemandZero(t *testing.T) {
 	l := mustLayout(t, 16*vm.PageSize, 4)
 	as := vm.NewAddressSpace()
 	r, err := NewRegion(l, as, vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	base := l.AppAddr(2, 5*vm.PageSize+40)
-	if err := r.Protect(base, 2*vm.PageSize, vm.ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, r.Protect(base, 2*vm.PageSize, vm.ReadOnly))
 	if p, err := r.ProtOf(base); err != nil || p != vm.ReadOnly {
 		t.Fatalf("ProtOf = %v, %v", p, err)
 	}
@@ -86,13 +74,9 @@ func TestRegionIsDemandZero(t *testing.T) {
 		t.Fatalf("%d frames resident in a region nothing has accessed", n)
 	}
 	got, err := as.ReadAt(nil, base, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	priv, err := r.ReadPriv(l.AppAddr(0, 9*vm.PageSize), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for i := range got {
 		if got[i] != 0 || priv[i] != 0 {
 			t.Fatalf("untouched memory reads %x through the view, %x through ReadPriv", got, priv)
@@ -114,33 +98,23 @@ func TestRegionsOnOnePoolAreDisjoint(t *testing.T) {
 	var rs [3]*Region
 	for h := range rs {
 		r, err := NewRegion(l, vm.NewAddressSpace(), pool)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		rs[h] = r
 	}
 	base := l.AppAddr(1, vm.PageSize-4) // straddles pages 0/1
 	for h, r := range rs {
-		if err := r.Protect(base, 8, vm.ReadWrite); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.AS.WriteU64(nil, base, 0x1111_1111_1111_1111*uint64(h+1)); err != nil {
-			t.Fatal(err)
-		}
+		must(t, r.Protect(base, 8, vm.ReadWrite))
+		must(t, r.AS.WriteU64(nil, base, 0x1111_1111_1111_1111*uint64(h+1)))
 	}
 	for h, r := range rs {
 		want := 0x1111_1111_1111_1111 * uint64(h+1)
 		got, err := r.PrivBytes(base, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if v := binary.LittleEndian.Uint64(got); v != want {
 			t.Fatalf("host %d: PrivBytes reads %#x, the application wrote %#x", h, v, want)
 		}
 		other := l.AppAddr(0, vm.PageSize-4)
-		if err := r.Protect(other, 8, vm.ReadOnly); err != nil {
-			t.Fatal(err)
-		}
+		must(t, r.Protect(other, 8, vm.ReadOnly))
 		if v, err := r.AS.ReadU64(nil, other); err != nil || v != want {
 			t.Fatalf("host %d: view 0 reads %#x (%v), view 1 wrote %#x", h, v, err, want)
 		}
@@ -172,13 +146,9 @@ func TestRegionAtMaxViews(t *testing.T) {
 	}
 	l := mustLayout(t, 2*vm.PageSize, MaxViews)
 	r, err := NewRegion(l, vm.NewAddressSpace(), vm.NewFramePool())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	const off = vm.PageSize + 24
-	if err := r.WritePriv(l.AppAddr(0, off), []byte{0xC3}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, r.WritePriv(l.AppAddr(0, off), []byte{0xC3}))
 	for v := 0; v <= MaxViews; v++ {
 		va := l.PrivAddr(off)
 		if v < MaxViews {
@@ -218,9 +188,7 @@ func TestPageGrainLookupAnywhereInAllocation(t *testing.T) {
 	// An allocation spanning pages: every interior address resolves to a
 	// page minipage.
 	_, va, err := mpt.Alloc(3 * vm.PageSize / 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, off := range []uint64{0, 17, vm.PageSize - 1, vm.PageSize, vm.PageSize + 99} {
 		if _, ok := mpt.Lookup(va + off); !ok {
 			t.Fatalf("offset %d did not resolve", off)

@@ -37,7 +37,7 @@ func allocsPerOp(t *testing.T, mk func(string, Options) (*System, error), opt Op
 	const warmup, measured = 300, 1000
 	cells := make([]uint64, opt.Hosts)
 	avg := -1.0
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for h := range cells {
 				cells[h] = th.Malloc(64)
@@ -58,9 +58,6 @@ func allocsPerOp(t *testing.T, mk func(string, Options) (*System, error), opt Op
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return avg
 }
 
@@ -111,18 +108,23 @@ func TestReceiveAllocFree(t *testing.T) {
 }
 
 // TestArmedLockPingPongAllocFree is the same gate for the synchronization
-// path: a lock handed back and forth, guarding a counter that migrates
-// with it — each read under the lock served exclusive, each write raising
-// the copy in place (the marks live in slabs allocLocal grew).
+// path, on a clean wire and with a plan armed: a lock handed back and
+// forth, guarding a counter that migrates with it — the lock request
+// turned into its grant as the tail, the unlock and the barrier's arrivals
+// in engine context, each read under the lock served exclusive, each
+// write raising the copy in place (the marks live in slabs allocLocal
+// grew).
 func TestArmedLockPingPongAllocFree(t *testing.T) {
-	avg := armedAllocsPerOp(t, New, func(th *Thread, cells []uint64, i int) {
+	round := func(th *Thread, cells []uint64, i int) {
 		th.Lock(1)
 		th.WriteU32(cells[0], th.ReadU32(cells[0])+1)
 		th.Unlock(1)
 		th.Barrier()
-	})
-	if avg != 0 {
-		t.Fatalf("armed lock ping-pong allocates %.0f objects/round in steady state, want 0", avg)
+	}
+	for _, plan := range []*faultnet.Plan{nil, armedPlan()} {
+		if avg := allocsPerOp(t, New, Options{Faults: plan}, round); avg != 0 {
+			t.Fatalf("armed=%v: lock ping-pong allocates %.0f objects/round in steady state, want 0", plan != nil, avg)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func TestLitmusMessagePassing(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var data, flag uint64
 			var observed uint32
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 0 {
 					data = th.Malloc(64)
 					flag = th.Malloc(64)
@@ -40,9 +40,6 @@ func TestLitmusMessagePassing(t *testing.T) {
 					observed = th.ReadU32(data)
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if observed != 42 {
 				t.Fatalf("flag observed but data = %d (SC violation)", observed)
 			}
@@ -59,7 +56,7 @@ func TestLitmusDekker(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var flags [2]uint64
 			var saw [2]uint32
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 0 {
 					flags[0] = th.Malloc(64)
 					flags[1] = th.Malloc(64)
@@ -72,9 +69,6 @@ func TestLitmusDekker(t *testing.T) {
 				th.WriteU32(flags[me], 1)
 				saw[me] = th.ReadU32(flags[1-me])
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if saw[0] == 0 && saw[1] == 0 {
 				t.Fatal("both hosts read 0 (forbidden under SC)")
 			}
@@ -91,7 +85,7 @@ func TestLitmusCoherence(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: seed})
 			var cell uint64
 			violated := false
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 0 {
 					cell = th.Malloc(64)
 					th.WriteU32(cell, 0)
@@ -115,9 +109,6 @@ func TestLitmusCoherence(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if violated {
 				t.Fatal("monotonic writer observed out of order")
 			}
@@ -132,7 +123,7 @@ func TestLitmusNoTornRecords(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Seed: 9})
 	var rec uint64
 	torn := false
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			rec = th.Malloc(64)
 			th.WriteU64(rec, 0)
@@ -168,9 +159,6 @@ func TestLitmusNoTornRecords(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if torn {
 		t.Fatal("reader observed a torn record")
 	}

@@ -22,6 +22,14 @@ func newSys(t *testing.T, mk func(string, Options) (*System, error), opt Options
 	return s
 }
 
+// run runs body on s and fails the test if Run fails.
+func run(t *testing.T, s *System, body func(*Thread)) {
+	t.Helper()
+	if err := s.Run(body); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // homeEntry is minipage id's directory entry, at its home.
 func homeEntry(s *System, id int) *dirEntry { return s.Host(s.HomeOf(id)).entry(id) }
 
@@ -47,7 +55,7 @@ func TestSystemRun(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16})
 	var va uint64
 	bodies := make([]*Thread, 4)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		bodies[th.ThreadID()] = th
 		if th.ThreadID() == 0 {
 			va = th.Malloc(64)
@@ -59,12 +67,9 @@ func TestSystemRun(t *testing.T) {
 		}
 		th.Compute(sim.Duration(th.ThreadID()+1) * sim.Millisecond)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ths := s.Threads()
-	if len(ths) != 4 {
-		t.Fatalf("threads = %d, want 4", len(ths))
+	if len(ths) != 4 || ths[0].NumThreads() != 4 {
+		t.Fatalf("threads = %d (NumThreads %d), want 4", len(ths), ths[0].NumThreads())
 	}
 	var last sim.Time
 	for i, th := range ths {
@@ -94,14 +99,11 @@ func TestSystemRun(t *testing.T) {
 func TestSingleHostMallocWriteRead(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Views: 4})
 	var got uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		va := th.Malloc(64)
 		th.WriteU64(va, 0xFEEDFACE)
 		got = th.ReadU64(va)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got != 0xFEEDFACE {
 		t.Fatalf("got %#x", got)
 	}
@@ -111,7 +113,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
 	var got [2]uint32
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 12345)
@@ -121,9 +123,6 @@ func TestTwoHostReadFetch(t *testing.T) {
 		got[th.Host()] = th.ReadU32(va) + th.ReadU32(va+4)
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got[0] != 80235 || got[1] != 80235 {
 		t.Fatalf("got %v", got)
 	}
@@ -142,7 +141,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 func TestWriteInvalidatesReaders(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -159,9 +158,6 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// After the final reads, every host is back in the copyset; owner is
 	// the last writer, host 3.
 	cs, owner := s.Copyset(0)
@@ -201,139 +197,12 @@ func checkSWMR(t *testing.T, s *System, info core.Info) {
 	}
 }
 
-func TestSWMRInvariantUnderContention(t *testing.T) {
-	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 7})
-	var va uint64
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			va = th.Malloc(64)
-			th.WriteU32(va, 0)
-		}
-		th.Barrier()
-		// Everyone hammers the same minipage with reads and writes.
-		for i := 0; i < 20; i++ {
-			if (i+th.Host())%3 == 0 {
-				th.Lock(1)
-				v := th.ReadU32(va)
-				th.WriteU32(va, v+1)
-				th.Unlock(1)
-			} else {
-				_ = th.ReadU32(va)
-			}
-		}
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, _ := s.MPT().ByID(0)
-	checkSWMR(t, s, mp.Info(s.Layout))
-	if s.Host(0).Stats.CompetingRequests == 0 {
-		t.Log("note: no competing requests under this schedule")
-	}
-}
-
-func TestLockProtectedCounter(t *testing.T) {
-	const perHost = 10
-	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
-	var va uint64
-	var final uint32
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			va = th.Malloc(8)
-			th.WriteU32(va, 0)
-		}
-		th.Barrier()
-		for i := 0; i < perHost; i++ {
-			th.Lock(7)
-			th.WriteU32(va, th.ReadU32(va)+1)
-			th.Unlock(7)
-		}
-		th.Barrier()
-		if th.Host() == 0 {
-			final = th.ReadU32(va)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final != 4*perHost {
-		t.Fatalf("counter = %d, want %d (lost updates => SC violation)", final, 4*perHost)
-	}
-}
-
-func TestFalseSharingAvoided(t *testing.T) {
-	// Two variables on the same physical page, different minipages:
-	// concurrent writers to different variables must not invalidate each
-	// other (no write faults after the first).
-	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
-	var vas [2]uint64
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			vas[0] = th.Malloc(64)
-			vas[1] = th.Malloc(64)
-		}
-		th.Barrier()
-		mine := vas[th.Host()]
-		for i := 0; i < 50; i++ {
-			th.WriteU32(mine, uint32(i))
-		}
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Host 1 takes exactly one write fault to acquire its variable; the 49
-	// subsequent writes hit the already-writable minipage. Host 0 owns its
-	// variable from allocation: zero faults.
-	if wf := s.Host(1).AS.WriteFaults; wf != 1 {
-		t.Fatalf("host 1 write faults = %d, want 1 (false sharing?)", wf)
-	}
-	if wf := s.Host(0).AS.WriteFaults; wf != 0 {
-		t.Fatalf("host 0 write faults = %d, want 0", wf)
-	}
-	// Verify the two variables do share a physical page (the test would be
-	// vacuous otherwise).
-	mps := s.MPT().Minipages()
-	if mps[0].Off/vm.PageSize != mps[1].Off/vm.PageSize {
-		t.Fatal("variables landed on different pages; test setup broken")
-	}
-}
-
-func TestFalseSharingWithPageGrain(t *testing.T) {
-	// Same workload under the traditional page-based layout: the two
-	// variables share one page-size minipage and ping-pong between the
-	// writers.
-	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 1, Grain: core.GrainPage})
-	var vas [2]uint64
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			vas[0] = th.Malloc(64)
-			vas[1] = th.Malloc(64)
-		}
-		th.Barrier()
-		mine := vas[th.Host()]
-		for i := 0; i < 30; i++ {
-			th.WriteU32(mine, uint32(i))
-			th.Compute(500 * sim.Microsecond) // keep the hosts overlapped
-		}
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf := s.Host(0).AS.WriteFaults + s.Host(1).AS.WriteFaults
-	if wf < 5 {
-		t.Fatalf("total write faults = %d, want many (page ping-pong)", wf)
-	}
-}
-
 // TestPageGrainAllocationOwnsEveryPage: an allocation spanning pages at
 // page grain hands its allocator every fresh page writable, not only the
 // first, so a 1-host run takes no fault at all.
 func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Grain: core.GrainPage})
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		for _, size := range []int{6000, 9000, 100, 5000} {
 			va := th.Malloc(size)
 			for off := 0; off < size; off += 512 {
@@ -341,57 +210,8 @@ func TestPageGrainAllocationOwnsEveryPage(t *testing.T) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if as := s.Host(0).AS; as.ReadFaults+as.WriteFaults != 0 {
 		t.Fatalf("%d read and %d write faults on one host, want none", as.ReadFaults, as.WriteFaults)
-	}
-}
-
-func TestCompetingRequestsCounted(t *testing.T) {
-	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
-	var va uint64
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			va = th.Malloc(64)
-			th.WriteU32(va, 1)
-		}
-		th.Barrier()
-		// All three non-owners fault simultaneously on the same minipage:
-		// at least one request must queue behind the open transaction.
-		if th.Host() != 0 {
-			_ = th.ReadU32(va)
-		}
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Host(0).Stats.CompetingRequests == 0 {
-		t.Fatal("no competing requests recorded for simultaneous faults")
-	}
-	if s.Host(0).Directory()[0].Competing == 0 {
-		t.Fatal("per-minipage competing counter not incremented")
-	}
-}
-
-func TestBarrierRendezvous(t *testing.T) {
-	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 14, Views: 1})
-	var order []int
-	err := s.Run(func(th *Thread) {
-		th.Compute(sim.Duration(th.Host()) * sim.Millisecond) // staggered arrivals
-		th.Barrier()
-		order = append(order, th.Host())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 {
-		t.Fatalf("only %d threads passed the barrier", len(order))
-	}
-	if s.Totals().BarrierEpisodes != 1 {
-		t.Fatalf("episodes = %d", s.Totals().BarrierEpisodes)
 	}
 }
 
@@ -399,7 +219,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 	run := func(prefetch bool) sim.Duration {
 		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 20, Views: 1, Seed: 5})
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(4096)
 				th.Write(va, make([]byte, 4096))
@@ -410,17 +230,10 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 					th.Prefetch(va, 4096)
 				}
 				th.Compute(5 * sim.Millisecond) // overlap window
-				buf := make([]byte, 4096)
-				start := th.Now()
-				th.Read(va, buf)
-				th.Stats.ComputeTime += 0 // keep form
-				_ = start
+				th.Read(va, make([]byte, 4096))
 			}
 			th.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Read-fault time on host 1's thread.
 		var rf sim.Duration
 		for _, th := range s.Threads() {
@@ -439,7 +252,7 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 func TestPushReplicatesToAllHosts(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 41)
@@ -454,9 +267,6 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 			t.Errorf("host %d read %d", th.Host(), got)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 1; i < 4; i++ {
 		if rf := s.Host(i).AS.ReadFaults; rf != 0 {
 			t.Fatalf("host %d read faults = %d, want 0 (push should predeliver)", i, rf)
@@ -471,7 +281,7 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 func TestChunkedAllocationSharesMinipage(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4})
 	var vas [8]uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(672)
@@ -493,9 +303,6 @@ func TestChunkedAllocationSharesMinipage(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestManagerQueueDrainsInOrder(t *testing.T) {
@@ -504,7 +311,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 	// with no read left in flight.
 	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 11})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 0)
@@ -517,9 +324,6 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for id := 0; id < s.mpt.NumMinipages(); id++ {
 		e := homeEntry(s, id)
 		if e.Busy() {
@@ -537,7 +341,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 func TestThreadStatsBreakdown(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 5)
@@ -550,9 +354,6 @@ func TestThreadStatsBreakdown(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, th := range s.Threads() {
 		st := th.Stats
 		if st.ComputeTime != 2*sim.Millisecond {
@@ -575,38 +376,11 @@ func TestThreadStatsBreakdown(t *testing.T) {
 	}
 }
 
-func TestMultipleThreadsPerHost(t *testing.T) {
-	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2})
-	var va uint64
-	counts := make(map[int]int)
-	err := s.Run(func(th *Thread) {
-		if th.ID == 0 {
-			va = th.Malloc(8)
-			th.WriteU32(va, 0)
-		}
-		th.Barrier()
-		th.Lock(1)
-		th.WriteU32(va, th.ReadU32(va)+1)
-		th.Unlock(1)
-		th.Barrier()
-		counts[th.ID]++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 4 {
-		t.Fatalf("threads completed = %d, want 4", len(counts))
-	}
-	// Final value visible to a fresh read.
-	s2 := s // counter written by 4 threads
-	_ = s2
-}
-
 func TestDeterministicRuns(t *testing.T) {
-	run := func() (sim.Duration, uint64) {
+	run := func() (sim.Duration, ManagerStats) {
 		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 99})
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(64)
 				th.WriteU32(va, 0)
@@ -620,15 +394,12 @@ func TestDeterministicRuns(t *testing.T) {
 			}
 			th.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Elapsed(), s.Host(0).Stats.CompetingRequests
+		return s.Elapsed(), s.ManagerStatsTotal()
 	}
 	e1, c1 := run()
 	e2, c2 := run()
 	if e1 != e2 || c1 != c2 {
-		t.Fatalf("nondeterministic: (%v,%d) vs (%v,%d)", e1, c1, e2, c2)
+		t.Fatalf("nondeterministic: (%v, %+v) vs (%v, %+v)", e1, c1, e2, c2)
 	}
 }
 
@@ -638,7 +409,7 @@ func TestViewIsolationAcrossMinipages(t *testing.T) {
 	// page must still be NoAccess on host 1.
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va, vb uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			vb = th.Malloc(64)
@@ -659,9 +430,6 @@ func TestViewIsolationAcrossMinipages(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestManyMinipagesStress(t *testing.T) {
@@ -670,7 +438,7 @@ func TestManyMinipagesStress(t *testing.T) {
 	const n = 200
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 16, Seed: 13})
 	vas := make([]uint64, n)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(200)
@@ -691,9 +459,6 @@ func TestManyMinipagesStress(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for id := 0; id < s.mpt.NumMinipages(); id++ {
 		e := homeEntry(s, id)
 		if e.Busy() || queued(e) != 0 {
@@ -725,7 +490,7 @@ func TestRequestsCountedOnceWhenQueued(t *testing.T) {
 	// again when dequeued.
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 3})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -736,11 +501,8 @@ func TestRequestsCountedOnceWhenQueued(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Host(0).Stats.CompetingRequests == 0 {
-		t.Fatal("expected queued competing requests")
+	if s.Host(0).Stats.CompetingRequests == 0 || s.Host(0).Directory()[0].Competing == 0 {
+		t.Fatal("expected queued competing requests, counted by the directory and by its minipage")
 	}
 	if got := s.Host(0).Stats.ReadReqs; got != 3 {
 		t.Fatalf("ReadReqs = %d, want 3 (one per faulting host)", got)

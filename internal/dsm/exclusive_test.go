@@ -37,7 +37,7 @@ func TestLockedRMWTakesOneRequest(t *testing.T) {
 			msgs[round][typ]++
 		}
 	}, countedRows...)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		h := th.Host()
 		if h == 2 {
 			va = th.Malloc(64)
@@ -63,9 +63,6 @@ func TestLockedRMWTakesOneRequest(t *testing.T) {
 			final = th.ReadU32(va)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if final != rounds {
 		t.Fatalf("counter = %d, want %d", final, rounds)
 	}
@@ -110,7 +107,7 @@ func TestReadOnlyCriticalSectionStaysShared(t *testing.T) {
 		host  int
 		write bool
 	}{{0, true}, {1, true}, {0, false}, {1, true}, {0, false}}
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 2 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 0)
@@ -130,9 +127,6 @@ func TestReadOnlyCriticalSectionStaysShared(t *testing.T) {
 			marks[i] = [2]bool{s.Host(0).marked(0, rmwMark), s.Host(0).marked(0, exclMark)}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if want := [5]uint64{0, 0, 1, 2, 2}; excl != want {
 		t.Errorf("exclusive reads after each step %v, want %v", excl, want)
 	}
@@ -250,7 +244,7 @@ func TestQueuedExclusiveReadIsServedShared(t *testing.T) {
 			msgs[typ]++
 		}
 	}, countedRows...)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		h := th.Host()
 		if h == 2 {
 			va = th.Malloc(64)
@@ -287,9 +281,6 @@ func TestQueuedExclusiveReadIsServedShared(t *testing.T) {
 			got[h] = th.ReadU32(va + uint64(4*h))
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got != [2]uint32{2, 2} {
 		t.Fatalf("hosts 0 and 1 read %v, want 2 and 2", got)
 	}

@@ -13,7 +13,7 @@ func TestGangFetchBringsAllMinipages(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	const n = 12
 	vas := make([]uint64, n)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(256)
@@ -42,9 +42,6 @@ func TestGangFetchBringsAllMinipages(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestGangFetchOverlapsLatency(t *testing.T) {
@@ -56,7 +53,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8, Seed: 3})
 		vas := make([]uint64, n)
 		var spent sim.Duration
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				for i := range vas {
 					vas[i] = th.Malloc(256)
@@ -80,9 +77,6 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 			}
 			th.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return spent
 	}
 	sequential := run(false)
@@ -98,7 +92,7 @@ func TestGangFetchOverlapsLatency(t *testing.T) {
 func TestGangFetchSkipsPresent(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 9)
@@ -114,9 +108,6 @@ func TestGangFetchSkipsPresent(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestReportLatencyDecomposition(t *testing.T) {
@@ -125,7 +116,7 @@ func TestReportLatencyDecomposition(t *testing.T) {
 	// workload and check the report exposes sensible decomposition.
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4, Seed: 11})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 1)
@@ -141,9 +132,6 @@ func TestReportLatencyDecomposition(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ft sim.Duration
 	var n uint64
 	for _, th := range s.Threads() {
@@ -181,7 +169,7 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 8, HomeOf: HomeMod, Faults: plan})
 			var vas []uint64 // minipages homed at host 1, allocated and written there
 			var gangDone, prefetchDone sim.Time
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == home {
 					vas = homedAt(s, th, home, 3)
 				}
@@ -212,9 +200,6 @@ func TestPrefetchSurvivesHomeCrash(t *testing.T) {
 					t.Errorf("%d read faults after the prefetches completed, want 0", rf)
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if gangDone < sim.Time(restart) || prefetchDone < sim.Time(restart) {
 				t.Fatalf("gang done at %v, prefetch by %v: before the home's restart at %v", gangDone, prefetchDone, restart)
 			}

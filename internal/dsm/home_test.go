@@ -12,50 +12,6 @@ import (
 	"millipage/internal/vm"
 )
 
-func TestHomeBasedBasicOperation(t *testing.T) {
-	// The TwoHostReadFetch scenario under the default placement, HomeMod:
-	// same application results, but the directory entry lives at the
-	// minipage's home shard, not (necessarily) host 0.
-	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
-	var vas [2]uint64
-	var got [2]uint32
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			vas[0] = th.Malloc(128) // minipage 0, homed at host 0
-			vas[1] = th.Malloc(128) // minipage 1, homed at host 1
-			th.WriteU32(vas[0], 111)
-			th.WriteU32(vas[1], 222)
-		}
-		th.Barrier()
-		got[th.Host()] = th.ReadU32(vas[0]) + th.ReadU32(vas[1])
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 333 || got[1] != 333 {
-		t.Fatalf("got %v", got)
-	}
-	// Each shard holds exactly the entries it is home to.
-	for id := 0; id < 2; id++ {
-		home := s.HomeOf(id)
-		if home != id%2 {
-			t.Fatalf("HomeOf(%d) = %d, want %d", id, home, id%2)
-		}
-		for h := 0; h < 2; h++ {
-			e := s.Host(h).entryOrNil(id)
-			if (h == home) != (e != nil) {
-				t.Fatalf("minipage %d: entry presence at host %d = %v, home is %d",
-					id, h, e != nil, home)
-			}
-		}
-	}
-	// Host 1's read of minipage 1 was served by its own shard.
-	if rr := s.Host(1).Stats.ReadReqs; rr == 0 {
-		t.Fatal("host 1's shard served no read requests")
-	}
-}
-
 // TestHomeSeedsFromTranslation: no message seeds a directory entry. Host
 // 2 allocates minipage 1, homed at host 1, and host 0 then reads it: that
 // read request is the first message host 1's shard gets about the
@@ -67,7 +23,7 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 	var va uint64
 	var before []int
 	beforeOwner, beforeReqs := -1, uint64(0)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 2 {
 			th.Malloc(64)      // minipage 0, homed at host 0
 			va = th.Malloc(64) // minipage 1, homed at host 1
@@ -83,9 +39,6 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if beforeReqs != 0 {
 		t.Fatalf("host 1's shard served %d requests before host 0's read, want 0", beforeReqs)
 	}
@@ -108,7 +61,7 @@ func TestHomeOfOverride(t *testing.T) {
 		HomeOf: func(id, hosts int) int { return hosts - 1 },
 	})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 7)
@@ -119,9 +72,6 @@ func TestHomeOfOverride(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if e := s.Host(2).entryOrNil(0); e == nil {
 		t.Fatal("entry not at the overridden home")
 	}
@@ -145,7 +95,7 @@ func TestHomeSourcesReads(t *testing.T) {
 	})
 	var va uint64
 	var home, owner [2]fastmsg.Stats
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 1 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 7)
@@ -165,9 +115,6 @@ func TestHomeSourcesReads(t *testing.T) {
 		}
 		home[1], owner[1] = s.Host(2).EP.Stats(), s.Host(1).EP.Stats()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sent, looped := home[1].Sent-home[0].Sent, home[1].Looped-home[0].Looped; sent != 2 || looped != 1 {
 		t.Errorf("over the read the home sent %d on the wire and %d to itself, want 2 (reply and bytes) and 1 (its forward)", sent, looped)
 	}
@@ -220,7 +167,7 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 					th.Barrier()
 				}
 				if th.Host() == 1 {
-					_, info := th.host.route(va)
+					_, info, _ := th.host.route(va)
 					th.host.sendNew(th.p, tc.to, pmsg{Type: mReadReq, From: 1, Addr: va, Info: info, Epoch: th.host.epoch})
 				}
 				th.Barrier()
@@ -251,7 +198,7 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 		s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 8, Seed: 42, HomeOf: homeOf})
 		var vas [nVars]uint64
 		var out outcome
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				for v := range vas {
 					vas[v] = th.Malloc(96)
@@ -279,9 +226,6 @@ func TestCentralHomeBasedEquivalence(t *testing.T) {
 				}
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < hosts; i++ {
 			out.rf[i] = s.Host(i).AS.ReadFaults
 			out.wf[i] = s.Host(i).AS.WriteFaults
@@ -367,7 +311,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed, HomeOf: HomeMod})
 	vas := make([]uint64, nVars)
 	var finalErr error
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(sizes[v])
@@ -396,9 +340,6 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if finalErr != nil {
 		t.Fatal(finalErr)
 	}
@@ -437,41 +378,11 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 	}
 }
 
-func TestHomeBasedDeterministic(t *testing.T) {
-	run := func() (sim.Duration, uint64) {
-		s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Seed: 17, HomeOf: HomeMod})
-		var va uint64
-		err := s.Run(func(th *Thread) {
-			if th.Host() == 0 {
-				va = th.Malloc(64)
-				th.WriteU32(va, 0)
-			}
-			th.Barrier()
-			for i := 0; i < 5; i++ {
-				th.Lock(2)
-				th.WriteU32(va, th.ReadU32(va)+1)
-				th.Unlock(2)
-				th.Compute(100 * sim.Microsecond)
-			}
-			th.Barrier()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Elapsed(), s.ManagerStatsTotal().CompetingRequests
-	}
-	e1, c1 := run()
-	e2, c2 := run()
-	if e1 != e2 || c1 != c2 {
-		t.Fatalf("nondeterministic: (%v,%d) vs (%v,%d)", e1, c1, e2, c2)
-	}
-}
-
 func TestHomeBasedPushAndChunking(t *testing.T) {
 	// Push and chunked allocation both work against remote homes.
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 20, Views: 6, ChunkLevel: 4, HomeOf: HomeMod})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 1 {
 			va = th.Malloc(128) // remote malloc; chunked minipage
 			th.WriteU32(va, 41)
@@ -485,9 +396,6 @@ func TestHomeBasedPushAndChunking(t *testing.T) {
 			t.Errorf("host %d read %d", th.Host(), got)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
 		if i == 1 {
 			continue
@@ -520,7 +428,7 @@ func TestSCHomeFollowsStableWriter(t *testing.T) {
 			var mover, old, reader [2]fastmsg.Stats
 			var moverReqs [2]uint64
 			var oldDir [2]ManagerStats
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 0 {
 					va[0], va[1] = th.Malloc(64), th.Malloc(64)
 				}
@@ -549,9 +457,6 @@ func TestSCHomeFollowsStableWriter(t *testing.T) {
 					th.Barrier()
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if s.HomeOf(1) != pl.old {
 				t.Fatalf("minipage 1 starts at host %d, the test wants host %d", s.HomeOf(1), pl.old)
 			}
@@ -589,7 +494,7 @@ func TestSCHomeFollowsStableWriter(t *testing.T) {
 func TestSCRotatingWriterKeepsHome(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
 	var va [2]uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -607,9 +512,6 @@ func TestSCRotatingWriterKeepsHome(t *testing.T) {
 			th.Barrier()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st := s.MWStats(); st.Migrations != 0 {
 		t.Errorf("%d migrations, want none", st.Migrations)
 	}
@@ -646,7 +548,7 @@ func TestSCMoveWithAckInFlight(t *testing.T) {
 	var oldHome [2]ManagerStats
 	var oldSent [2]uint64
 	var competing uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		h := th.Host()
 		if h == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
@@ -684,9 +586,6 @@ func TestSCMoveWithAckInFlight(t *testing.T) {
 		th.Barrier()
 		got[h] = th.ReadU32(va[1])
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if readDone < cut || readDone > cut+sim.Time(100*sim.Microsecond) {
 		t.Fatalf("host 3's read ends at %v, want just after the cut at %v: the ack must leave inside the partition", readDone, cut)
 	}

@@ -51,16 +51,18 @@ func (h *Host) Costs() Costs { return h.sys.Opt.Costs }
 // progress: collecting them, or waiting for its group's release.
 func (h *Host) Collected() int { return len(h.got) }
 
-// allocPM returns a protocol header from the cluster's freelist. The
-// caller must fully initialize it (*m = pmsg{...}); pooled headers are
-// returned dirty.
+// allocPM returns a protocol header from the cluster's freelist, set to v.
 //
 // A header has one owner at a time, with and without a fault plan: the
 // sender until Send, then the handler that receives it — which the
 // transport runs exactly once per message, duplicates and retransmits
 // included. The owner forwards it (mutate and resend), parks it (a
 // directory queue, park) or recycles it. Requesters keep no copy.
-func (h *Host) allocPM() *pmsg { return h.sys.freePM.Get() }
+func (h *Host) allocPM(v pmsg) *pmsg {
+	m := h.sys.freePM.Get()
+	*m = v
+	return m
+}
 
 // recyclePM returns a header its owner is done with to the freelist.
 // Only headers obtained from allocPM may be recycled — never dataMarker.
@@ -69,18 +71,12 @@ func (h *Host) recyclePM(m *pmsg) { h.sys.freePM.Put(m) }
 // sendNew ships a fresh pooled header holding v; postNew posts it.
 func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) { h.Flush(p, h.postNew(to, v)) }
 
-func (h *Host) postNew(to int, v pmsg) *fastmsg.Message {
-	m := h.allocPM()
-	*m = v
-	return h.Post(to, m)
-}
+func (h *Host) postNew(to int, v pmsg) *fastmsg.Message { return h.Post(to, h.allocPM(v)) }
 
 // call is sendNew for a request whose reply thread t then waits for, as b
 // says: send and wait are one sequence (Thread.Block).
 func (t *Thread) call(to int, v pmsg, b Blocking) {
-	m := t.host.allocPM()
-	*m = v
-	b.To, b.Request = to, m
+	b.To, b.Request = to, t.host.allocPM(v)
 	t.Block(b)
 }
 
@@ -109,9 +105,7 @@ func (r *request) wake(info core.Info) { r.fw.Info = info; r.fw.Ev.Set() }
 // once the reply is in (Blocking.Close).
 func (r *request) closing() (int, any) {
 	h, info := r.h, r.fw.Info
-	m := h.allocPM()
-	*m = pmsg{Type: mAck, From: h.ID(), Info: info, Epoch: h.epoch}
-	return h.homeOf(info.ID), m
+	return h.homeOf(info.ID), h.allocPM(pmsg{Type: mAck, From: h.ID(), Info: info, Epoch: h.epoch})
 }
 
 type span struct {
@@ -137,13 +131,13 @@ func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
 // against this host's MPT replica and returns the host that runs the
 // minipage's directory transaction, with the translation the request
 // carries there, so no home ever looks an address up. The caller charges
-// the MPTLookup, on its own thread.
-func (h *Host) route(va uint64) (int, core.Info) {
+// the MPTLookup, on its own thread. Both classes' faults look up here.
+func (h *Host) route(va uint64) (home int, info core.Info, err error) {
 	mp, ok := h.sys.mpt.Lookup(va)
 	if !ok {
-		panic(fmt.Sprintf("dsm: access violation: %#x is not in any minipage", va))
+		return 0, info, fmt.Errorf("%#x is not in any minipage", va)
 	}
-	return h.homeOf(mp.ID), mp.Info(h.sys.Layout)
+	return h.homeOf(mp.ID), mp.Info(h.sys.Layout), nil
 }
 
 // readMinipage snapshots a minipage's bytes through the privileged view
@@ -206,7 +200,10 @@ func (h *Host) handleFault(t *Thread, f vm.Fault) error {
 	if Invariants && t.req.owed != 0 {
 		panic(fmt.Sprintf("dsm: host %d: a fault reuses a request that counts %d invalidation replies", h.ID(), t.req.owed))
 	}
-	home, info := h.route(f.Addr)
+	home, info, err := h.route(f.Addr)
+	if err != nil {
+		return err
+	}
 	typ, excl := mReadReq, f.Kind == vm.Read && t.HoldsLock() && h.marked(info.ID, rmwMark)
 	if f.Kind == vm.Write {
 		if h.unmark(info.ID, exclMark) { // the only copy: raise it here, then pay for it
@@ -342,7 +339,7 @@ func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message 
 	if p == nil && h.Peek(fm).(*pmsg).Prefetch {
 		return fastmsg.Decline
 	}
-	hdr := h.Unpark(fm).(*pmsg)
+	hdr := h.unpark(fm).(*pmsg)
 	h.installMinipage(p, hdr, fm.Data)
 	h.recyclePM(hdr)
 	h.sys.freeBuf.Put(fm.Data)
@@ -452,7 +449,7 @@ func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
 	to, data := m.From, h.readMinipage(m.Info)
 	m.Type = typ
 	h.Send(p, to, m)
-	return h.PostData(to, data, dataMarker)
+	return h.postData(to, data, dataMarker)
 }
 
 // installMinipage receives minipage contents into the privileged view,
@@ -497,13 +494,12 @@ func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 		if i == h.ID() {
 			continue
 		}
-		hdr := h.allocPM()
-		*hdr = *m
+		hdr := h.allocPM(*m)
 		hdr.Type = mPushData
 		h.Send(p, i, hdr)
 		// One snapshot per destination: each buffer is recycled
 		// independently by its receiver's install path.
-		h.Flush(p, h.PostData(i, h.readMinipage(m.Info), dataMarker))
+		h.Flush(p, h.postData(i, h.readMinipage(m.Info), dataMarker))
 	}
 	h.recyclePM(m) // the push order ends here
 	return nil

@@ -115,7 +115,7 @@ func TestWriteWaitsForEveryInvalidation(t *testing.T) {
 				}
 				th.Barrier()
 			}
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 0 {
 					va = th.Malloc(128)
 					th.WriteU32(va, 1)
@@ -127,9 +127,6 @@ func TestWriteWaitsForEveryInvalidation(t *testing.T) {
 				write(th, 3, 3) // an upgrade: hosts 0-2, 4-6 and 8 are invalidated
 				read(th, 0, hosts-1, 3)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 	if early == 0 || late == 0 {
@@ -149,7 +146,7 @@ func TestCopysetPastOneWord(t *testing.T) {
 	var va uint64
 	var before []int
 	var invalsBefore uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			th.Malloc(64) // minipage 0, whose copyset starts on a word
 			va = th.Malloc(64)
@@ -167,9 +164,6 @@ func TestCopysetPastOneWord(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !slices.Equal(before, readers) {
 		t.Errorf("copyset before the write %v, want %v", before, readers)
 	}

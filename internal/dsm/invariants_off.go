@@ -24,6 +24,6 @@ func retire[T any](*T)                         {}
 func reuse[T any](*T)                          {}
 func retireSlice[T byte | int](_ []T, _ [][]T) {}
 
-// Poison and CheckPoison mark and verify retired buffers under the tag.
-func Poison[T byte | int]([]T)      {}
-func CheckPoison[T byte | int]([]T) {}
+// poison and checkPoison mark and verify retired buffers under the tag.
+func poison[T byte | int]([]T)      {}
+func checkPoison[T byte | int]([]T) {}

@@ -84,21 +84,21 @@ func reuse[T any](v *T) {
 	}
 }
 
-const poison = 0xDB
+const poisonByte = 0xDB
 
-// poisonExt is poison sign-extended: 0xDB as a byte, -37 as a minipage id.
-var poisonExt int8 = poison - 256
+// poisonExt is poisonByte sign-extended: 0xDB as a byte, -37 as a minipage id.
+var poisonExt int8 = poisonByte - 256
 
-// Poison fills a retired buffer or arena — bytes or minipage ids — with
-// poison: neither a diff nor a minipage to a reader through a stale alias.
-func Poison[T byte | int](s []T) {
+// poison fills a retired buffer or arena — bytes or minipage ids — with
+// poisonByte: neither a diff nor a minipage to a reader through a stale alias.
+func poison[T byte | int](s []T) {
 	for i := range s {
 		s[i] = T(poisonExt)
 	}
 }
 
-// CheckPoison panics if s has been written since Poison filled it.
-func CheckPoison[T byte | int](s []T) {
+// checkPoison panics if s has been written since poison filled it.
+func checkPoison[T byte | int](s []T) {
 	if slices.ContainsFunc(s, func(v T) bool { return v != T(poisonExt) }) {
 		panic("dsm: pooled buffer was written after it was recycled")
 	}
@@ -113,7 +113,7 @@ func retireSlice[T byte | int](s []T, free [][]T) {
 			panic("dsm: buffer recycled twice")
 		}
 	}
-	Poison(s)
+	poison(s)
 }
 
 // Parked returns the reply headers parked at h waiting for their bytes.

@@ -45,8 +45,8 @@ func TestSlicePoolInvariants(t *testing.T) {
 	b := make([]byte, 32, 64)
 	sp.Put(b)
 	for i, c := range b[:cap(b)] {
-		if c != poison {
-			t.Fatalf("byte %d of a recycled buffer is %#x, want the %#x poison", i, c, poison)
+		if c != poisonByte {
+			t.Fatalf("byte %d of a recycled buffer is %#x, want the %#x poison", i, c, poisonByte)
 		}
 	}
 	mustPanic(t, "buffer recycled twice", func() { sp.Put(b[:8]) })

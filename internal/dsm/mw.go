@@ -169,13 +169,12 @@ func (t *Thread) mwFault(f vm.Fault) error {
 	h, p := t.host, t.p
 	c, s := h.Costs(), h.sys
 
-	mp, ok := s.mpt.Lookup(f.Addr)
-	if !ok {
-		return fmt.Errorf("lrc-mw: %#x outside any minipage", f.Addr)
+	home, info, err := h.route(f.Addr)
+	if err != nil {
+		return err
 	}
-	info := mp.Info(s.Layout)
 	h.mps = append(h.mps, make([]mwMP, s.mpt.NumMinipages()-len(h.mps))...) // cover the MPT
-	m, home := &h.mps[mp.ID], h.homeOf(mp.ID)
+	m := &h.mps[info.ID]
 
 	if prot, _ := h.Region.ProtOf(info.Base); prot == vm.NoAccess && home != h.ID() {
 		if m.twin == nil {
@@ -190,7 +189,7 @@ func (t *Thread) mwFault(f vm.Fault) error {
 		s.stats.WriteFault++
 		if !dirty {
 			m.info, m.wrote = info, home == h.ID()
-			h.dirty = append(h.dirty, mp.ID)
+			h.dirty = append(h.dirty, info.ID)
 		}
 		switch {
 		case m.wrote:
@@ -225,9 +224,8 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	need := h.takeNeeds(m)
 	fw := t.WaitSlot()
 	t.req = request{h: h, fw: fw}
-	rq := h.allocPM()
-	*rq = pmsg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need}
-	h.Flush(t.p, h.PostSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
+	rq := h.allocPM(pmsg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need})
+	h.Flush(t.p, h.postSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
 	t.Block(Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
 }
@@ -333,7 +331,7 @@ func (t *Thread) release() mwNotice {
 	if len(e.ends) == 0 {
 		// The epoch's first interval: nothing wrote through a stale alias
 		// since the barrier reset the arena (checked under -tags invariants).
-		CheckPoison(e.mps[:cap(e.mps)])
+		checkPoison(e.mps[:cap(e.mps)])
 	}
 	seq := h.vc[h.ID()] + 1
 	for _, id := range h.dirty {
@@ -342,9 +340,8 @@ func (t *Thread) release() mwNotice {
 			enc := t.diff(m)
 			s.stats.DiffsSent++
 			s.stats.DiffBytes += uint64(len(enc))
-			fm := h.allocPM()
-			*fm = pmsg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq}
-			h.Flush(p, h.PostSized(h.homeOf(id), fm, c.HeaderSize+len(enc)))
+			fm := h.allocPM(pmsg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq})
+			h.Flush(p, h.postSized(h.homeOf(id), fm, c.HeaderSize+len(enc)))
 		}
 		s.freeBuf.Put(m.twin)
 		m.twin, m.wrote = nil, false
@@ -436,7 +433,7 @@ func (h *Host) applied(c int, seq uint64, id int) bool { return h.flushed[c] >= 
 // barrier has completed.
 func (h *Host) newEpoch() {
 	e := h.epochs[0]
-	Poison(e.mps[:cap(e.mps)])
+	poison(e.mps[:cap(e.mps)])
 	h.epochs = [2]mwEpoch{h.epochs[1], {e.ends[:0], e.mps[:0]}}
 }
 

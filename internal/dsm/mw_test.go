@@ -20,14 +20,11 @@ import (
 func TestMWSingleHostWriteRead(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 18, Views: 8})
 	var got uint32
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		va := th.Malloc(64)
 		th.WriteU32(va, 77)
 		got = th.ReadU32(va)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got != 77 {
 		t.Fatalf("got %d", got)
 	}
@@ -40,7 +37,7 @@ func TestMWSingleHostWriteRead(t *testing.T) {
 func TestMWHomeMapsAtFirstTouch(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var va, got [2]uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 			th.WriteU64(va[0], 5)
@@ -52,9 +49,6 @@ func TestMWHomeMapsAtFirstTouch(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got != [2]uint64{5, 7} {
 		t.Fatalf("host 1 reads %v, want [5 7]", got)
 	}
@@ -70,7 +64,7 @@ func TestMWDiffsMergeAtBarrier(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	var got [2][2]uint32
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 		}
@@ -85,9 +79,6 @@ func TestMWDiffsMergeAtBarrier(t *testing.T) {
 		got[th.Host()][1] = th.ReadU32(va + 128)
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for h := 0; h < 2; h++ {
 		if got[h][0] != 111 || got[h][1] != 222 {
 			t.Fatalf("host %d sees %v, want [111 222]", h, got[h])
@@ -111,7 +102,7 @@ func TestMWConcurrentWritersDoNotPingPong(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	const writes = 50
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(512)
 		}
@@ -122,9 +113,6 @@ func TestMWConcurrentWritersDoNotPingPong(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if s.MWStats().WriteFault > 4 {
 		t.Fatalf("WriteFault = %d for %d writes by 2 hosts; concurrent writers ping-pong", s.MWStats().WriteFault, 2*writes)
 	}
@@ -139,7 +127,7 @@ func TestChunkedLRCAgreesWithUnchunked(t *testing.T) {
 		const rows = 32
 		vas := make([]uint64, rows)
 		out := make([]uint32, rows)
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				for r := range vas {
 					vas[r] = th.Malloc(64)
@@ -159,9 +147,6 @@ func TestChunkedLRCAgreesWithUnchunked(t *testing.T) {
 			}
 			th.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return out
 	}
 	plain := run(1)
@@ -188,7 +173,7 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	var vaA, vaB uint64
 	var gotA, gotB uint32
 	var protA, protB vm.Prot
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			vaA = th.Malloc(256)
 			vaB = th.Malloc(256)
@@ -217,9 +202,6 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if protA != vm.NoAccess {
 		t.Fatalf("noticed minipage A is %v at host 2 after the barrier, want NoAccess", protA)
 	}
@@ -231,40 +213,6 @@ func TestMWNoticeOnlyInvalidation(t *testing.T) {
 	}
 }
 
-func TestMWLockedAccumulator(t *testing.T) {
-	// The lock-guarded accumulator: write notices piggyback on the lock
-	// grant, so each holder observes the previous holder's writes.
-	const hosts, reps = 3, 4
-	s := newSys(t, NewMW, Options{Hosts: hosts, SharedSize: 1 << 18, Views: 8})
-	var va uint64
-	var got [hosts]uint32
-	err := s.Run(func(th *Thread) {
-		if th.Host() == 0 {
-			va = th.Malloc(64)
-			th.WriteU32(va, 0)
-		}
-		th.Barrier()
-		for i := 0; i < reps; i++ {
-			th.Lock(7)
-			th.WriteU32(va, th.ReadU32(va)+uint32(th.Host()+1))
-			th.Unlock(7)
-			th.Compute(50 * sim.Microsecond)
-		}
-		th.Barrier()
-		got[th.Host()] = th.ReadU32(va)
-		th.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := uint32(reps * hosts * (hosts + 1) / 2)
-	for h := 0; h < hosts; h++ {
-		if got[h] != want {
-			t.Fatalf("host %d: accumulator = %d, want %d", h, got[h], want)
-		}
-	}
-}
-
 func TestMWInvalidatedCopyRefetchedAfterBarriers(t *testing.T) {
 	// A copy invalidated by a notice but left untouched across several
 	// barriers, while the writer's notice epochs are reset, is refetched
@@ -272,7 +220,7 @@ func TestMWInvalidatedCopyRefetchedAfterBarriers(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
 	var va uint64
 	var got uint32
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.WriteU32(va, 1)
@@ -293,9 +241,6 @@ func TestMWInvalidatedCopyRefetchedAfterBarriers(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got != 7 {
 		t.Fatalf("got %d, want 7", got)
 	}
@@ -305,7 +250,7 @@ func TestMWDeterminism(t *testing.T) {
 	run := func() (sim.Duration, MWStats) {
 		s := newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8})
 		var va uint64
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				va = th.Malloc(1024)
 			}
@@ -325,9 +270,6 @@ func TestMWDeterminism(t *testing.T) {
 			}
 			th.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return s.Elapsed(), s.MWStats()
 	}
 	e1, st1 := run()
@@ -395,7 +337,7 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 			var gotA, gotB uint32
 			var flushed uint64
 			var home []byte
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 0 {
 					va = th.Malloc(64)
 				}
@@ -429,9 +371,6 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 					home = slices.Clone(b)
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if gotA != valA || gotB != valB {
 				t.Fatalf("host 1 reads A=%#x B=%#x, want %#x %#x", gotA, gotB, valA, valB)
 			}
@@ -485,7 +424,7 @@ func lockHeavyRun(t *testing.T, s *System) *System {
 	var va [cells]uint64
 	var log []section
 	var final [hosts][cells][16]uint32
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		me := th.Host()
 		if me == 0 {
 			for c := range va {
@@ -519,9 +458,6 @@ func lockHeavyRun(t *testing.T, s *System) *System {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want [cells][16]uint32
 	for k, sec := range log {
 		var seen uint32
@@ -556,9 +492,7 @@ func TestClassesShareNoState(t *testing.T) {
 	for _, mk := range []func(string, Options) (*System, error){New, NewMW} {
 		s := newSys(t, mk, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8})
 		d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
-		if err := s.Run(func(th *Thread) { d.Body(th) }); err != nil {
-			t.Fatal(err)
-		}
+		run(t, s, func(th *Thread) { d.Body(th) })
 		if err := d.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -591,7 +525,7 @@ func TestMWFetchWaitsForNamedDiff(t *testing.T) {
 	var va [3]uint64
 	var got [3]uint32
 	var at [3]sim.Time
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range va {
 				va[i] = th.Malloc(64)
@@ -619,9 +553,6 @@ func TestMWFetchWaitsForNamedDiff(t *testing.T) {
 		at[th.Host()] = th.Now()
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if s.HomeOf(2) != 2 {
 		t.Fatalf("minipage 2 is homed at host %d, the test wants host 2", s.HomeOf(2))
 	}
@@ -664,7 +595,7 @@ func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 		s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 20, Views: 8,
 			Faults: &faultnet.Plan{Partitions: []faultnet.Partition{cut}}})
 		var va [6]uint64
-		err := s.Run(func(th *Thread) {
+		run(t, s, func(th *Thread) {
 			if th.Host() == 0 {
 				for i := range va {
 					va[i] = th.Malloc(4096)
@@ -688,9 +619,6 @@ func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 			}
 			th.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return unlock, got, s
 	}
 	far := sim.Time(1 << 60)
@@ -718,7 +646,7 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 	var before, after MWStats
 	var mover, old [2]fastmsg.Stats
 	var got uint32
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -743,9 +671,6 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 		got = th.ReadU32(va[1])
 		mover[1], old[1] = s.Host(2).EP.Stats(), s.Host(1).EP.Stats()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if s.HomeOf(1) != 1 {
 		t.Fatalf("minipage 1 starts at host %d, the test wants host 1", s.HomeOf(1))
 	}
@@ -770,9 +695,7 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 	// The oracle workload the explorer and the chaos suite run moves one home.
 	s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
 	wl := &check.HomeMove{Hosts: 3}
-	if err := s.Run(func(th *Thread) { wl.Body(th) }); err != nil {
-		t.Fatal(err)
-	}
+	run(t, s, func(th *Thread) { wl.Body(th) })
 	if err := wl.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -788,7 +711,7 @@ func TestMWHomeFollowsStableWriter(t *testing.T) {
 func TestMWRotatingWriterKeepsHome(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 4, SharedSize: 1 << 18, Views: 8})
 	var va [2]uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -806,9 +729,6 @@ func TestMWRotatingWriterKeepsHome(t *testing.T) {
 			th.Barrier()
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st := s.MWStats(); st.Migrations != 0 {
 		t.Errorf("%d migrations, want none", st.Migrations)
 	}
@@ -835,7 +755,7 @@ func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
 	var got [3]uint32
 	var arrive, done [3]sim.Time
 	var sent [2]uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va[0], va[1] = th.Malloc(64), th.Malloc(64)
 		}
@@ -866,9 +786,6 @@ func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if arrive[2] < cutFrom || arrive[2] >= cutUntil {
 		t.Fatalf("host 2 arrives at %v, want inside the partition [%v, %v)", arrive[2], cutFrom, cutUntil)
 	}
@@ -907,7 +824,7 @@ func TestMWFetchIsARead(t *testing.T) {
 		parent sim.Duration // the latency before the fetch became a read
 		got    sim.Duration
 	}{{size: 128, parent: 151828}, {size: 4096, parent: 227220}}
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 1 {
 			for i := range fetches {
 				fetches[i].va = th.Malloc(fetches[i].size)
@@ -927,9 +844,6 @@ func TestMWFetchIsARead(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A data message's send is its header's tail: the trace records its
 	// handling only.
 	seen := map[string][]trace.Event{}

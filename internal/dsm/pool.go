@@ -39,7 +39,7 @@ func (sp *SlicePool[T]) Get(n int) []T {
 			last := len(sp.free) - 1
 			sp.free[i] = sp.free[last]
 			sp.free = sp.free[:last]
-			CheckPoison(s[:cap(s)])
+			checkPoison(s[:cap(s)])
 			return s
 		}
 	}

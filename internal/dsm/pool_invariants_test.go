@@ -68,7 +68,7 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 				s.Eng.At(sim.Time(20*sim.Second), s.Eng.Stop) // watchdog
 				d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
 				done := 0
-				err := s.Run(func(th *Thread) {
+				run(t, s, func(th *Thread) {
 					d.Body(th)
 					// Outlast every retransmission timer, then
 					// end on a rendezvous so nothing but its own (consumed)
@@ -77,9 +77,6 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 					th.Barrier()
 					done++
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				if done != hosts {
 					t.Fatalf("watchdog: %d of %d threads finished", done, hosts)
 				}
@@ -114,14 +111,11 @@ func TestChaosMWSyncRecordsBalance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := newSys(t, NewMW, Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 5, Faults: plan})
 			d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				d.Body(th)
 				th.Compute(sim.Second) // outlast every retransmission
 				th.Barrier()
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := d.Err(); err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +133,7 @@ func TestChaosMWSyncRecordsBalance(t *testing.T) {
 func TestMWArenaPoison(t *testing.T) {
 	s := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 18, Views: 8})
 	caught := ""
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		h := th.host
 		va := th.Malloc(64)
 		th.WriteU32(va, 7)
@@ -155,9 +149,6 @@ func TestMWArenaPoison(t *testing.T) {
 		defer func() { caught = fmt.Sprint(recover()) }()
 		th.release()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !strings.Contains(caught, "written after it was recycled") {
 		t.Fatalf("release into an arena written through a stale alias: panic %q", caught)
 	}

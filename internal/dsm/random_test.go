@@ -56,7 +56,7 @@ func runRandomProgram(t *testing.T, seed int64, hosts int) {
 	s := newSys(t, New, Options{Hosts: hosts, SharedSize: 1 << 20, Views: 16, Seed: seed})
 	vas := make([]uint64, nVars)
 	var finalErr error
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for v := range vas {
 				vas[v] = th.Malloc(sizes[v])
@@ -100,9 +100,6 @@ func runRandomProgram(t *testing.T, seed int64, hosts int) {
 			}
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if finalErr != nil {
 		t.Fatal(finalErr)
 	}

@@ -30,7 +30,7 @@ func TestReadersServedTogether(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 5})
 	var va uint64
 	lat := make([]sim.Duration, 8)
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 		}
@@ -47,9 +47,6 @@ func TestReadersServedTogether(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fastest, slowest := sim.Duration(1<<62), sim.Duration(0)
 	for h, d := range lat {
 		if h == writer {
@@ -76,7 +73,7 @@ func TestWriteWaitsForReadSet(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
 	s := newSys(t, New, Options{Hosts: 8, SharedSize: 1 << 16, Views: 2, Seed: 3, Trace: rec})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(128)
 			th.WriteU32(va, 1)
@@ -93,9 +90,6 @@ func TestWriteWaitsForReadSet(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, ops := homeEvents(s, rec, 0)
 	acks, writeAt, firstInval := 0, -1, -1
 	for i, op := range ops {
@@ -144,7 +138,7 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 	rec := trace.NewRecorder(1 << 14)
 	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.ID == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 9)
@@ -160,9 +154,6 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	evs, ops := homeEvents(s, rec, 0)
 	fwds := 0
 	for i, op := range ops {

@@ -53,7 +53,7 @@ func TestOneRequestPerFault(t *testing.T) {
 	// Cells 0 and 2 are hosts 0's and 2's to write.
 	var vas []uint64
 	done := 0
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == home {
 			vas = homedAt(s, th, home, 3)
 		}
@@ -81,9 +81,6 @@ func TestOneRequestPerFault(t *testing.T) {
 		}
 		done++
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if done != hosts {
 		t.Fatalf("watchdog: %d of %d threads finished", done, hosts)
 	}
@@ -138,7 +135,7 @@ func TestRequestQueuedAtCrashIsServedOnce(t *testing.T) {
 	var vas []uint64
 	var served sim.Time
 	done := 0
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == home {
 			vas = homedAt(s, th, home, 1)
 		}
@@ -157,9 +154,6 @@ func TestRequestQueuedAtCrashIsServedOnce(t *testing.T) {
 		}
 		done++
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if done != hosts {
 		t.Fatalf("watchdog: %d of %d threads finished: the request lost at the crash was never re-delivered", done, hosts)
 	}

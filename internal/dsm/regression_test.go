@@ -1,7 +1,7 @@
 package dsm
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 	"unsafe"
 
@@ -18,7 +18,7 @@ import (
 func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(256)
 			th.Write(va, make([]byte, 256))
@@ -46,9 +46,6 @@ func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestGangFetchSpansClearedWhenUnaligned is the same leak through the
@@ -56,7 +53,7 @@ func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	var vas [3]uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
 				vas[i] = th.Malloc(256)
@@ -78,9 +75,6 @@ func TestGangFetchSpansClearedWhenUnaligned(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestChunkExtensionKeepsReadersCoherent covers a chunk extension that
@@ -95,7 +89,7 @@ func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 		for _, allocator := range []int{0, 2} {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var va uint64
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == allocator {
 					va = th.Malloc(8)
 					th.WriteU32(va, 1)
@@ -118,9 +112,6 @@ func TestChunkExtensionKeepsReadersCoherent(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
@@ -138,7 +129,7 @@ func TestChunkGrowthAfterTranslation(t *testing.T) {
 		for d := sim.Duration(0); d < 8*sim.Microsecond; d += sim.Microsecond {
 			s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, ChunkLevel: 4, HomeOf: homeOf})
 			var a, b uint64
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				if th.Host() == 1 {
 					a = th.Malloc(8)
 					th.WriteU32(a, 1)
@@ -159,27 +150,7 @@ func TestChunkGrowthAfterTranslation(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 		}
-	}
-}
-
-// TestRunReuseRejected covers the Run-twice guard: a System drives one
-// application; reusing it would restart a spent simulation engine over
-// stale protocol state.
-func TestRunReuseRejected(t *testing.T) {
-	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 14, Views: 1})
-	if err := s.Run(func(th *Thread) { th.Barrier() }); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Run(func(th *Thread) {})
-	if err == nil {
-		t.Fatal("second Run on the same System succeeded")
-	}
-	if !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 
@@ -189,5 +160,39 @@ func TestRunReuseRejected(t *testing.T) {
 func TestDirEntryFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(dirEntry{}); sz != 48 {
 		t.Fatalf("dirEntry is %d bytes, want 48", sz)
+	}
+}
+
+// TestHintOutsideEveryMinipageIsMisuse: a Prefetch, GangFetch or Push of
+// an address inside the views that no allocation covers is the
+// application's misuse, reported as the coordinator's misuse is, naming
+// the protocol and the host, where a fault there fails the access.
+func TestHintOutsideEveryMinipageIsMisuse(t *testing.T) {
+	for _, hint := range []struct {
+		name string
+		give func(th *Thread, va uint64)
+	}{
+		{"prefetch", func(th *Thread, va uint64) { th.Prefetch(va, 64) }},
+		{"prefetch", func(th *Thread, va uint64) { th.GangFetch([]Span{{va, 64}}) }},
+		{"push", func(th *Thread, va uint64) { th.Push(va) }},
+	} {
+		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
+		var want string
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("%s: Run panicked with %q, want %q", hint.name, got, want)
+				}
+			}()
+			err := s.Run(func(th *Thread) {
+				if th.Host() == 1 {
+					va := th.Malloc(64) + 4096
+					want = fmt.Sprintf("test: host 1: %s: %#x is not in any minipage", hint.name, va)
+					hint.give(th, va)
+				}
+				th.Barrier()
+			})
+			t.Errorf("%s: Run returned %v", hint.name, err)
+		}()
 	}
 }

@@ -84,7 +84,7 @@ func TestBarrierTreeEpisodes(t *testing.T) {
 				}
 			}
 			arrived := 0
-			err := s.Run(func(th *Thread) {
+			run(t, s, func(th *Thread) {
 				for ep := 1; ep <= 3; ep++ {
 					th.Compute(sim.Duration(th.ID*37%101+ep*13) * sim.Microsecond)
 					arrived++
@@ -94,9 +94,6 @@ func TestBarrierTreeEpisodes(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if e := s.Totals().BarrierEpisodes; e != 3 {
 				t.Errorf("n=%d tph=%d: %d episodes, want 3", n, tph, e)
 			}

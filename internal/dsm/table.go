@@ -80,14 +80,14 @@ func (t *MsgTable[M]) serve(h *Host, typ int, p *sim.Proc, fm *fastmsg.Message) 
 }
 
 // park is the row of a reply header whose bytes follow it on the same
-// channel: it waits for them, by sender (Unpark).
+// channel: it waits for them, by sender (unpark).
 func park(h *Host, _ *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
 	h.parked[fm.From] = fm.Payload
 	return nil
 }
 
-// Unpark takes the header parked for data message fm; Peek only looks.
-func (h *Host) Unpark(fm *fastmsg.Message) (hdr any) {
+// unpark takes the header parked for data message fm; Peek only looks.
+func (h *Host) unpark(fm *fastmsg.Message) (hdr any) {
 	hdr, h.parked[fm.From] = h.Peek(fm), nil
 	return hdr
 }
@@ -123,14 +123,14 @@ func (h *Host) Serve(p *sim.Proc, fm *fastmsg.Message) *fastmsg.Message {
 func (h *Host) Send(p *sim.Proc, to int, payload any) { h.Flush(p, h.Post(to, payload)) }
 
 // Post is Send up to the charge: it records the send and returns the
-// posted envelope, for a handler's tail or Flush. PostSized gives the wire
+// posted envelope, for a handler's tail or Flush. postSized gives the wire
 // size of a header with variable-length extras (lrc's encoded diffs). From
 // an engine-context row the record waits for the send's turn (Sending).
 func (h *Host) Post(to int, payload any) *fastmsg.Message {
-	return h.PostSized(to, payload, h.Costs().HeaderSize)
+	return h.postSized(to, payload, h.Costs().HeaderSize)
 }
 
-func (h *Host) PostSized(to int, payload any, size int) *fastmsg.Message {
+func (h *Host) postSized(to int, payload any, size int) *fastmsg.Message {
 	checkLive(payload, "Send")
 	fm := h.EP.AllocMessage()
 	fm.Size, fm.Payload = size, payload
@@ -144,7 +144,7 @@ func (h *Host) PostSized(to int, payload any, size int) *fastmsg.Message {
 }
 
 // Sending stamps a header an engine-context row posted as its charge
-// begins: where the thread, sending in-process, posted it. (PostData's
+// begins: where the thread, sending in-process, posted it. (postData's
 // bytes, which are never nil, are not traced.)
 func (h *Host) Sending(fm *fastmsg.Message) {
 	if h.late && fm.Data == nil {
@@ -160,10 +160,10 @@ func (h *Host) stamp(fm *fastmsg.Message) {
 	}
 }
 
-// PostData posts raw sharing-unit bytes (no header: FM delivers them
+// postData posts raw sharing-unit bytes (no header: FM delivers them
 // directly into the destination's memory, the paper's zero-copy path);
 // marker is the protocol's immutable data payload. The header is traced.
-func (h *Host) PostData(to int, data []byte, marker any) *fastmsg.Message {
+func (h *Host) postData(to int, data []byte, marker any) *fastmsg.Message {
 	fm := h.EP.AllocMessage()
 	fm.Size, fm.Data, fm.Payload = len(data), data, marker
 	h.EP.Post(to, fm)

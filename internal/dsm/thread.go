@@ -18,10 +18,10 @@ type Wait struct {
 	Info core.Info // translation info carried back by the reply
 }
 
-// NewWait returns a fresh rendezvous record, for a transaction that
+// newWait returns a fresh rendezvous record, for a transaction that
 // outlives the issuing call (a prefetch); synchronous paths reuse the
 // thread's slot via WaitSlot.
-func NewWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
+func newWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
 
 // Thread is one application thread's view of the DSM: the entire
 // user-facing Millipage API (Section 3.4's library interface) — memory
@@ -89,7 +89,7 @@ func (t *Thread) Compute(d sim.Duration) {
 // WaitSlot returns the thread's rendezvous, reset for a new transaction.
 func (t *Thread) WaitSlot() *Wait {
 	if t.fw == nil {
-		t.fw = NewWait(t.host.sys.Eng)
+		t.fw = newWait(t.host.sys.Eng)
 		return t.fw
 	}
 	fw := t.fw
@@ -333,15 +333,20 @@ func (st ThreadStats) Other() sim.Duration {
 		st.PrefetchTime - st.SynchTime - st.MallocTime
 }
 
-// sendPrefetch translates va and issues one prefetch request for the
-// minipage backing it. The reliable transport carries it across a crash of
-// either end, and the home serves it once, as it does every request.
-// Its rendezvous, returned, outlives the call.
-func (t *Thread) sendPrefetch(p *sim.Proc, va uint64) *Wait {
+// sendPrefetch records [va, va+size) as in flight, translates va and
+// issues one prefetch request for the minipage backing it. The reliable
+// transport carries it across a crash of either end, and the home serves
+// it once, as it does every request. Its rendezvous, returned, outlives
+// the call.
+func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, size int) *Wait {
 	h := t.host
+	h.prefetchSpans = append(h.prefetchSpans, span{base: va, size: size})
 	p.Sleep(h.Costs().MPTLookup)
-	home, info := h.route(va)
-	r := &request{h: h, fw: NewWait(h.sys.Eng)}
+	home, info, err := h.route(va)
+	if err != nil {
+		h.sys.misuse(h.ID(), "prefetch: %v", err)
+	}
+	r := &request{h: h, fw: newWait(h.sys.Eng)}
 	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r, Epoch: h.epoch})
 	t.Stats.Prefetches++
 	return r.fw
@@ -363,8 +368,7 @@ func (t *Thread) Prefetch(va uint64, size int) {
 	if t.inPrefetchSpan(va) {
 		return
 	}
-	t.host.prefetchSpans = append(t.host.prefetchSpans, span{base: va, size: size})
-	t.sendPrefetch(p, va)
+	t.sendPrefetch(p, va, size)
 	t.Stats.PrefetchTime += p.Now().Sub(start)
 }
 
@@ -378,7 +382,10 @@ func (t *Thread) Push(va uint64) {
 	}
 	p := t.p
 	p.Sleep(t.host.Costs().MPTLookup)
-	home, info := t.host.route(va)
+	home, info, err := t.host.route(va)
+	if err != nil {
+		t.host.sys.misuse(t.host.ID(), "push: %v", err)
+	}
 	t.host.sendNew(p, home, pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info, Epoch: t.host.epoch})
 }
 
@@ -410,8 +417,7 @@ func (t *Thread) GangFetch(spans []Span) {
 		if t.inPrefetchSpan(sp.Addr) {
 			continue
 		}
-		h.prefetchSpans = append(h.prefetchSpans, span{base: sp.Addr, size: sp.Size})
-		evs = append(evs, t.sendPrefetch(p, sp.Addr).Ev)
+		evs = append(evs, t.sendPrefetch(p, sp.Addr, sp.Size).Ev)
 	}
 	if len(evs) > 0 {
 		t.Block(Blocking{For: "prefetch group", Group: evs, Wake: c.ThreadWake})

@@ -13,7 +13,7 @@ func TestProtocolTracing(t *testing.T) {
 	rec := trace.NewRecorder(4096)
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4, Trace: rec})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 5)
@@ -24,9 +24,6 @@ func TestProtocolTracing(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if rec.Total() == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -64,7 +61,7 @@ func TestRequestsLeaveTranslated(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: HomeCentral, Trace: rec})
 	var a, b, c, d uint64
 	var lat sim.Duration
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			a, b, c, d = th.Malloc(128), th.Malloc(128), th.Malloc(128), th.Malloc(128)
 			th.WriteU32(b, 1)
@@ -93,9 +90,6 @@ func TestRequestsLeaveTranslated(t *testing.T) {
 		}
 		th.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sent := map[string]int{}
 	for _, e := range rec.Events() {
 		switch name := trace.OpName(e.Op); {
@@ -121,7 +115,7 @@ func TestTracingFilter(t *testing.T) {
 	rec.Filter = func(e trace.Event) bool { return e.Kind == trace.Fault }
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Trace: rec})
 	var va uint64
-	err := s.Run(func(th *Thread) {
+	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			va = th.Malloc(64)
 			th.WriteU32(va, 1)
@@ -131,9 +125,6 @@ func TestTracingFilter(t *testing.T) {
 			_ = th.ReadU32(va)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, e := range rec.Events() {
 		if e.Kind != trace.Fault {
 			t.Fatalf("non-fault event passed the filter: %v", e)

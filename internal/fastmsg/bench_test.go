@@ -85,9 +85,7 @@ func TestMsgHopSteadyStateAllocFree(t *testing.T) {
 			ep.Send(p, 1, m)
 		})
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	// AllocsPerRun rounds to integers; any steady-state allocation on the
 	// path shows up as >= 1.
 	if avg != 0 {
@@ -127,9 +125,7 @@ func TestMsgHopArmedSteadyStateAllocFree(t *testing.T) {
 		}
 		avg = testing.AllocsPerRun(measured, send)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if avg != 0 {
 		t.Fatalf("armed send path allocates %.2f objects/msg in steady state, want 0", avg)
 	}

@@ -6,6 +6,20 @@ import (
 	"millipage/internal/sim"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustRun runs eng and fails the test if Run does.
+func mustRun(t testing.TB, eng *sim.Engine) {
+	t.Helper()
+	must(t, eng.Run())
+}
+
 // newPair builds a 2-endpoint network with handler plumbing for tests.
 func newPair(t *testing.T, params Params) (*sim.Engine, *Network) {
 	t.Helper()
@@ -52,9 +66,7 @@ func TestDeliveryToIdleHost(t *testing.T) {
 		send(p, nw.Endpoint(0), 1, 32, "ping")
 		p.Sleep(sim.Millisecond) // keep the run alive through delivery
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if gotAt == 0 {
 		t.Fatal("message not delivered")
 	}
@@ -83,9 +95,7 @@ func TestFIFOPerDestination(t *testing.T) {
 		send(nil, ep, 1, 8, 2)
 		p.Sleep(sim.Second)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v, want [1 2]", order)
 	}
@@ -103,9 +113,7 @@ func TestBusyHostWaitsForSweeper(t *testing.T) {
 		send(p, nw.Endpoint(0), 1, 32, nil)
 		p.Sleep(20 * sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	delay := handledAt.Sub(sentAt)
 	if delay < pr.SweepShortLo {
 		t.Fatalf("busy-host delivery after %v, want at least a sweeper gap (>=%v)", delay, pr.SweepShortLo)
@@ -129,9 +137,7 @@ func TestIdleTransitionFlushesPending(t *testing.T) {
 		nw.Endpoint(1).SetBusy(-1) // app thread blocks; host 1 goes idle
 		p.Sleep(5 * sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if handledAt == 0 {
 		t.Fatal("message never handled")
 	}
@@ -152,9 +158,7 @@ func TestPerfectTimersServiceQuickly(t *testing.T) {
 		send(p, nw.Endpoint(0), 1, 32, nil)
 		p.Sleep(10 * sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if sim.Duration(handledAt) > 50*sim.Microsecond {
 		t.Fatalf("perfect-timer delivery took %v, want < 50us", sim.Duration(handledAt))
 	}
@@ -175,9 +179,7 @@ func TestHandlerCanReply(t *testing.T) {
 		send(p, nw.Endpoint(0), 1, 32, "ping")
 		p.Sleep(sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if !done {
 		t.Fatal("no pong")
 	}
@@ -199,9 +201,7 @@ func TestRoundTripSmallMessageNearPaper(t *testing.T) {
 		evDone.Wait(p)
 		rtt = p.Now().Sub(start)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	us := rtt.Microseconds()
 	if us < 15 || us > 50 {
 		t.Fatalf("200B roundtrip = %.1fus, want 15-50us (paper: 25us)", us)
@@ -217,9 +217,7 @@ func TestStatsAccounting(t *testing.T) {
 		}
 		p.Sleep(sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	s0, s1 := nw.Endpoint(0).Stats(), nw.Endpoint(1).Stats()
 	if s0.Sent != 5 || s0.BytesSent != 500 {
 		t.Fatalf("sender stats = %+v", s0)
@@ -242,9 +240,7 @@ func TestSizeDefaultsToDataLength(t *testing.T) {
 		nw.Endpoint(0).Send(p, 1, m)
 		p.Sleep(sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if gotSize != 77 {
 		t.Fatalf("Size = %d, want 77", gotSize)
 	}
@@ -282,9 +278,7 @@ func TestManyMessagesKeepPerPairOrder(t *testing.T) {
 		}
 		p.Sleep(20 * sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	for dst := 1; dst <= 2; dst++ {
 		prev := -1
 		for _, v := range got[dst] {
@@ -312,9 +306,7 @@ func TestServiceDelayStatsAccumulate(t *testing.T) {
 		}
 		p.Sleep(10 * sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	s := nw.Endpoint(1).Stats()
 	if s.Received != 20 {
 		t.Fatalf("received = %d", s.Received)

@@ -74,9 +74,7 @@ func TestPerSenderFIFOAcrossBusyTransitions(t *testing.T) {
 		}
 		p.Sleep(10 * sim.Millisecond) // let the sweeper-delayed tail drain
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 
 	if len(got) != 2*perSender {
 		t.Fatalf("delivered %d messages, want %d", len(got), 2*perSender)
@@ -115,9 +113,7 @@ func TestBusyArrivalsShareOneSweepEvent(t *testing.T) {
 		t.Fatalf("three busy arrivals left %d events pending, want one sweep event", peak-base)
 	}
 	eng.Spawn("clock", func(p *sim.Proc) { p.Sleep(5 * sim.Millisecond) })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if fmt.Sprint(got) != "[0 1 2]" {
 		t.Fatalf("delivered %v, want [0 1 2]", got)
 	}

@@ -45,9 +45,7 @@ func selfSends(t *testing.T, nw *Network, n int, busy bool) []sim.Duration {
 			ep.SetBusy(-1)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if len(late) != n {
 		t.Fatalf("%d of %d self-sends delivered", len(late), n)
 	}
@@ -80,9 +78,7 @@ func TestSelfSendUnderDropHeavy(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		nw := New(sim.NewEngine(seed), 2, DefaultParams())
 		inj, err := faultnet.NewInjector(faultnet.Plan{Drop: 0.25, Dup: 0.15}, 2, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		nw.InstallFaults(inj)
 		for k, d := range selfSends(t, nw, 200, seed%2 == 0) {
 			if d != 0 {
@@ -110,9 +106,7 @@ func TestSelfSendSurvivesCrash(t *testing.T) {
 	eng := sim.NewEngine(1)
 	nw := New(eng, 2, pr)
 	inj, err := faultnet.NewInjector(faultnet.Plan{Crashes: []faultnet.Crash{{Host: 0, At: crashAt, RestartAt: restartAt}}}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 	ep := nw.Endpoint(0)
 	var got []int
@@ -132,9 +126,7 @@ func TestSelfSendSurvivesCrash(t *testing.T) {
 		}
 		p.Sleep(20 * sim.Millisecond)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("handlers ran for %v, want [0 1]", got)
 	}

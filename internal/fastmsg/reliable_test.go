@@ -21,9 +21,7 @@ func relHarness(t *testing.T, hosts, msgs int, plan faultnet.Plan, seed int64) *
 	eng := sim.NewEngine(seed)
 	nw := New(eng, hosts, DefaultParams())
 	inj, err := faultnet.NewInjector(plan, hosts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 
 	// got[dst][src] collects the payload sequence each link delivered.
@@ -147,9 +145,7 @@ func TestReliablePartitionHeal(t *testing.T) {
 	cut := faultnet.Partition{A: 0b01, B: 0b10,
 		From: 0, Until: sim.Time(40 * sim.Millisecond)}
 	inj, err := faultnet.NewInjector(faultnet.Plan{Partitions: []faultnet.Partition{cut}}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 	var gotAt []sim.Time
 	var payloads []int
@@ -171,9 +167,7 @@ func TestReliablePartitionHeal(t *testing.T) {
 			p.Sleep(sim.Millisecond)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if len(payloads) != 5 {
 		t.Fatalf("delivered %d of 5 across the partition", len(payloads))
 	}
@@ -200,9 +194,7 @@ func TestReliableCrashRedelivery(t *testing.T) {
 	inj, err := faultnet.NewInjector(faultnet.Plan{
 		Crashes: []faultnet.Crash{{Host: 1, At: crashAt, RestartAt: restartAt}},
 	}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 	var payloads []int
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
@@ -226,9 +218,7 @@ func TestReliableCrashRedelivery(t *testing.T) {
 			p.Sleep(sim.Millisecond)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if len(payloads) != 40 {
 		t.Fatalf("delivered %d of 40 across the crash", len(payloads))
 	}
@@ -284,9 +274,7 @@ func TestCrashAtTheFireInstant(t *testing.T) {
 		inj, err := faultnet.NewInjector(faultnet.Plan{ // armed, and nothing fires by itself
 			Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
 		}, 2, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		nw.InstallFaults(inj)
 		var handledAt []sim.Time
 		nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { handledAt = append(handledAt, p.Now()) })
@@ -350,9 +338,7 @@ func TestCompletedEnvelopeIsGhost(t *testing.T) {
 		Drop: 0.5, Dup: 0.5,
 		Crashes: []faultnet.Crash{{Host: 1, At: sim.Time(20 * sim.Millisecond), RestartAt: sim.Time(45 * sim.Millisecond)}},
 	}, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 	var boxes []*box
 	var bufs [][]byte
@@ -409,9 +395,7 @@ func TestCompletedEnvelopeIsGhost(t *testing.T) {
 			p.Sleep(sim.Millisecond)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if t.Failed() {
 		return
 	}
@@ -436,9 +420,7 @@ func TestReliableDeterminism(t *testing.T) {
 		eng := sim.NewEngine(5)
 		nw := New(eng, 3, DefaultParams())
 		inj, err := faultnet.NewInjector(plan, 3, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		nw.InstallFaults(inj)
 		got := 0
 		for i := 0; i < 3; i++ {
@@ -460,9 +442,7 @@ func TestReliableDeterminism(t *testing.T) {
 				p.Sleep(sim.Millisecond)
 			}
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, eng)
 		var fp fingerprint
 		fp.elapsed = eng.Now()
 		for i := 0; i < 3; i++ {
@@ -533,9 +513,7 @@ func TestEnvelopeRetainedResend(t *testing.T) {
 		}
 		p.Sleep(sim.Millisecond) // let the service thread recycle it
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if retained == nil {
 		t.Fatal("handler never ran")
 	}
@@ -555,13 +533,9 @@ func TestInstallFaultsAfterTraffic(t *testing.T) {
 		m.Size = 32
 		nw.Endpoint(0).Send(p, 1, m)
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	inj, err := faultnet.NewInjector(faultnet.Plan{Drop: 0.1}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	expectPanic(t, "after traffic", func() { nw.InstallFaults(inj) })
 }
 
@@ -577,9 +551,7 @@ func TestLostFrameResentAtWireRoundTrip(t *testing.T) {
 	inj, err := faultnet.NewInjector(faultnet.Plan{ // loses exactly the frame sent at time zero
 		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: 0, Until: 1}},
 	}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 	var servedAt []sim.Time
 	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { servedAt = append(servedAt, p.Now()) })
@@ -587,9 +559,7 @@ func TestLostFrameResentAtWireRoundTrip(t *testing.T) {
 	m.Size = 32
 	nw.Endpoint(0).Send(nil, 1, m)
 	eng.Spawn("watch", func(p *sim.Proc) { p.Sleep(10 * sim.Millisecond) })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if st := nw.Endpoint(0).Stats(); st.Partitioned != 1 || st.Retransmits != 1 {
 		t.Fatalf("sender stats %+v, want the first transmission partitioned and one retransmit", st)
 	}
@@ -614,9 +584,7 @@ func TestResyncAfterCrashLosesAdmittedFrames(t *testing.T) {
 		Crashes:    []faultnet.Crash{{Host: 2, At: crashAt, RestartAt: restartAt}},
 		Partitions: []faultnet.Partition{{A: 0b001, B: 0b100, From: restartAt, Until: restartAt + 1}},
 	}, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	nw.InstallFaults(inj)
 	got := [2][]int{}
 	nw.Endpoint(2).SetHandler(func(p *sim.Proc, m *Message) {
@@ -644,9 +612,7 @@ func TestResyncAfterCrashLosesAdmittedFrames(t *testing.T) {
 			p.Sleep(sim.Millisecond)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, eng)
 	if lost[0] == 0 || lost[1] == 0 {
 		t.Fatalf("the crash lost %v admitted frames from hosts 0 and 1, want some from each", lost)
 	}

@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // kernelBudget is the ceiling on each kernel package's non-test .go
 // lines — what `cat internal/<pkg>/*.go | wc -l` prints with the _test.go
 // files left out, the count ROADMAP's "Lines" bullet tracks. It only
@@ -18,13 +26,13 @@ var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"dsm", 3387},
+	{"dsm", 3386},
 }
 
 // kernelTarget is the kernel's line total, lowered with its ceilings. A
 // change that takes the kernel past it fails, whatever the per-package
 // ceilings.
-const kernelTarget = 3387
+const kernelTarget = 3386
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above
@@ -43,9 +51,7 @@ func TestKernelLineBudget(t *testing.T) {
 				continue
 			}
 			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			lines += bytes.Count(src, []byte("\n"))
 		}
 		switch {

@@ -37,16 +37,12 @@ var selects = map[string][]string{
 func TestCheckScriptNamesRealTests(t *testing.T) {
 	root := repoRoot(t)
 	script, err := os.ReadFile(filepath.Join(root, "scripts", "check.sh"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, d := range deadPatterns(t, root, string(script)) {
 		t.Errorf("scripts/check.sh: %s", d)
 	}
 	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for i, line := range strings.Split(string(ci), "\n") {
 		if goTestOrRun.MatchString(line) {
 			t.Errorf("ci.yml:%d: %q: run it from a tier of scripts/check.sh", i+1, strings.TrimSpace(line))
@@ -78,9 +74,7 @@ func TestDeadPatternsFindsEachDeadAlternative(t *testing.T) {
 func repoRoot(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return root
 }
 
@@ -210,14 +204,10 @@ func funcsIn(t *testing.T, dir, pkg string) []string {
 	var names []string
 	scan := func(d string) {
 		files, err := filepath.Glob(filepath.Join(d, "*_test.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		for _, f := range files {
 			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
 				names = append(names, m[1])
 			}
@@ -243,8 +233,6 @@ func funcsIn(t *testing.T, dir, pkg string) []string {
 		scan(path)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	return names
 }

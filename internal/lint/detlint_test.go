@@ -14,13 +14,9 @@ import (
 // goroutine exists: sim's idle-carrier list and bench's replica sweep.
 func TestInternalIsDeterministic(t *testing.T) {
 	root, err := filepath.Abs("..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	findings, err := Check(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
@@ -33,9 +29,7 @@ func TestInternalIsDeterministic(t *testing.T) {
 func writeFixture(t *testing.T, src string) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "fix.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(filepath.Join(dir, "fix.go"), []byte(src), 0o644))
 	return dir
 }
 
@@ -65,9 +59,7 @@ func bad() int64 {
 }
 `)
 	fs, err := Check(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	got := strings.Join(rules(fs), ",")
 	if got != "map-range,time-now,global-rand" {
 		t.Fatalf("rules = %q, want map-range,time-now,global-rand\nfindings: %v", got, fs)
@@ -94,9 +86,7 @@ func good(seed int64) int {
 }
 `)
 	fs, err := Check(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(fs) != 0 {
 		t.Fatalf("false positives: %v", fs)
 	}
@@ -115,9 +105,7 @@ func good() int {
 }
 `)
 	fs, err := Check(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(fs) != 0 {
 		t.Fatalf("false positives on shadowed identifier: %v", fs)
 	}
@@ -143,13 +131,9 @@ import "sync"
 
 var wg sync.WaitGroup
 `
-	if err := os.WriteFile(filepath.Join(dir, "fix_test.go"), []byte(testFile), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	must(t, os.WriteFile(filepath.Join(dir, "fix_test.go"), []byte(testFile), 0o644))
 	fs, err := Check(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if got := strings.Join(rules(fs), ","); got != "sync-import,sync-import" {
 		t.Fatalf("rules = %q, want sync-import,sync-import (fix.go only)\nfindings: %v", got, fs)
 	}

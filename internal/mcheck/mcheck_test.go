@@ -9,6 +9,14 @@ import (
 	"millipage/internal/sim"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTraceRoundTrip pins the MCHK1 artifact format.
 func TestTraceRoundTrip(t *testing.T) {
 	tr := &Trace{
@@ -18,9 +26,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		Failure:   "oracle: host 1: accumulator = 11, want 12",
 	}
 	got, err := UnmarshalTrace(tr.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if got.Protocol != tr.Protocol || got.Workload != tr.Workload || got.Faults != tr.Faults ||
 		got.Hosts != tr.Hosts || got.Seed != tr.Seed || got.Failure != tr.Failure ||
 		len(got.Decisions) != len(tr.Decisions) {
@@ -37,9 +43,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 	// Save/Load through a file.
 	path := filepath.Join(t.TempDir(), "t.mchk")
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	must(t, tr.Save(path))
 	if _, err := LoadTrace(path); err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +68,7 @@ func TestExploreDistinctSchedules(t *testing.T) {
 				Protocol: proto, Workload: "drf", Seed: 1,
 				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if rep.Failure != nil {
 				t.Fatalf("schedule %d failed: %v (digest %016x)",
 					rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure, rep.Failure.Schedule.Digest)
@@ -90,9 +92,7 @@ func TestExploreCentralManager(t *testing.T) {
 				Protocol: proto, Workload: "drf", Seed: 1,
 				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40, homeOf: dsm.HomeCentral,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if rep.Failure != nil {
 				t.Fatalf("schedule %d failed: %v (digest %016x)",
 					rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure, rep.Failure.Schedule.Digest)
@@ -114,9 +114,7 @@ func TestExploreFailoverSchedules(t *testing.T) {
 		Protocol: "millipage", Workload: "drf", Faults: "crash-restart",
 		Seed: 3, Schedules: 110, ExploreSeed: 21, Preempt: 0.25, Budget: 40,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if rep.Failure != nil {
 		t.Fatalf("schedule %d failed: %v (digest %016x)",
 			rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure, rep.Failure.Schedule.Digest)
@@ -131,9 +129,7 @@ func TestExploreFailoverSchedules(t *testing.T) {
 // workloads are refused.
 func TestExploreLRCDRF(t *testing.T) {
 	rep, err := Explore(Options{Protocol: "lrc", Workload: "drf", Seed: 1, Schedules: 25, ExploreSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if rep.Failure != nil {
 		t.Fatalf("lrc drf failed: %v", rep.Failure.Schedule.Failure)
 	}
@@ -155,9 +151,7 @@ func TestExploreHomeMove(t *testing.T) {
 	for _, proto := range []string{"millipage", "lrc-mw"} {
 		for _, preset := range []string{"partition-heal", "crash-restart"} {
 			rep, err := Explore(Options{Protocol: proto, Workload: "home-move", Faults: preset, Seed: 1, Schedules: 12, ExploreSeed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if rep.Failure != nil {
 				t.Fatalf("%s, %s: schedule %d failed: %v", proto, preset, rep.Failure.Schedule.Index, rep.Failure.Schedule.Failure)
 			}
@@ -173,9 +167,7 @@ func TestExploreWithFaults(t *testing.T) {
 				Protocol: "millipage", Workload: "drf", Faults: preset,
 				Seed: 3, Schedules: 8, ExploreSeed: 11, Preempt: 0.1, Budget: 20,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if rep.Failure != nil {
 				t.Fatalf("schedule %d under %s failed: %v",
 					rep.Failure.Schedule.Index, preset, rep.Failure.Schedule.Failure)
@@ -190,9 +182,7 @@ func TestExploreWithFaults(t *testing.T) {
 func TestReplayBitIdentical(t *testing.T) {
 	o := Options{Protocol: "millipage", Workload: "drf", Seed: 5, Schedules: 4, ExploreSeed: 99, Preempt: 0.2, Budget: 30}
 	rep, err := Explore(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if rep.Failure != nil {
 		t.Fatalf("exploration failed: %v", rep.Failure.Schedule.Failure)
 	}
@@ -209,21 +199,13 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sched3.mchk")
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	must(t, tr.Save(path))
 	loaded, err := LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	r1, err := Replay(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	r2, err := Replay(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if r1.Fingerprint != fp0 || r2.Fingerprint != fp0 {
 		t.Fatalf("replay fingerprints diverged:\n rec: %s\n r1:  %s\n r2:  %s", fp0, r1.Fingerprint, r2.Fingerprint)
 	}
@@ -244,9 +226,7 @@ func TestInjectedBugCaughtShrunkReplayed(t *testing.T) {
 		Schedules: 60, ExploreSeed: 1, Preempt: 0.3, Budget: 50,
 		ArtifactDir: dir,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if rep.Failure == nil {
 		t.Fatalf("injected lost-update bug survived %d explored schedules", len(rep.Schedules))
 	}
@@ -266,14 +246,10 @@ func TestInjectedBugCaughtShrunkReplayed(t *testing.T) {
 
 	// The artifact replays to the same failure, twice.
 	art, err := LoadTrace(fr.ArtifactPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	for i := 0; i < 2; i++ {
 		res, err := Replay(art)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if res.Failure == nil || res.Failure.Kind != "oracle" {
 			t.Fatalf("replay %d of artifact: failure = %v, want the oracle violation", i, res.Failure)
 		}
@@ -299,9 +275,7 @@ func TestInjectedBugCaughtShrunkReplayed(t *testing.T) {
 		copy(dec, fr.Shrunk.Decisions)
 		dec[i].Pick = 0
 		_, f, err := o.runOne(&Replayer{Decisions: dec})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		if f != nil && f.Kind == "oracle" {
 			t.Fatalf("shrunk trace is not 1-minimal: zeroing decision %d still fails", i)
 		}

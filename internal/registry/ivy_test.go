@@ -28,7 +28,7 @@ func TestIvyDistributedManagers(t *testing.T) {
 	const hosts, pages = 4, 8
 	s := newIvy(t, hosts)
 	var va uint64
-	err := s.Run(func(w *dsm.Thread) {
+	run(t, s, func(w *dsm.Thread) {
 		if w.Host() == 0 {
 			va = w.Malloc(pages * vm.PageSize)
 			for p := 0; p < pages; p++ {
@@ -46,9 +46,6 @@ func TestIvyDistributedManagers(t *testing.T) {
 		}
 		w.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	mpt := s.MPT()
 	if mpt.NumMinipages() != pages {
 		t.Fatalf("%d minipages for %d pages", mpt.NumMinipages(), pages)
@@ -87,7 +84,7 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 			t.Fatal(err)
 		}
 		var vars [2]uint64
-		err = sys.Run(func(w *dsm.Thread) {
+		run(t, sys, func(w *dsm.Thread) {
 			if w.Host() == 0 {
 				vars[0], vars[1] = w.Malloc(64), w.Malloc(64)
 			}
@@ -98,9 +95,6 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 			}
 			w.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if wf := sys.Host(0).AS.WriteFaults + sys.Host(1).AS.WriteFaults; !pc.want(wf) {
 			t.Errorf("%s: %d write faults", pc.proto, wf)
 		}
@@ -112,7 +106,7 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 func TestIvyQueuedCompetingRequests(t *testing.T) {
 	s := newIvy(t, 4)
 	var va uint64
-	err := s.Run(func(w *dsm.Thread) {
+	run(t, s, func(w *dsm.Thread) {
 		if w.Host() == 0 {
 			va = w.Malloc(64)
 			w.WriteU32(va, 7)
@@ -123,9 +117,6 @@ func TestIvyQueuedCompetingRequests(t *testing.T) {
 		}
 		w.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if s.Totals().CompetingRequests == 0 {
 		t.Fatal("no competing requests recorded")
 	}

@@ -74,6 +74,14 @@ func TestEveryProtocolBuildsRunsAndCounts(t *testing.T) {
 	}
 }
 
+// run runs body on sys and fails the test if Run fails.
+func run(t *testing.T, sys *dsm.System, body func(*dsm.Thread)) {
+	t.Helper()
+	if err := sys.Run(body); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runPinned runs the DRF agreement program under protocol name at the
 // given hosts, chunk level and placement, and checks it against cell pin.
 func runPinned(t *testing.T, name string, hosts, chunk int, homeOf func(id, hosts int) int, pin string) {
@@ -84,9 +92,7 @@ func runPinned(t *testing.T, name string, hosts, chunk int, homeOf func(id, host
 		t.Fatal(err)
 	}
 	wl := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 2}
-	if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-		t.Fatal(err)
-	}
+	run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
 	if err := wl.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +148,7 @@ func TestOptionMatrix(t *testing.T) {
 				}
 				var cells [2]uint64
 				bodies := 0
-				err = sys.Run(func(w *dsm.Thread) {
+				run(t, sys, func(w *dsm.Thread) {
 					if w.ThreadID() == 0 {
 						cells[0], cells[1] = w.Malloc(64), w.Malloc(64)
 						w.WriteU32(cells[0], 0)
@@ -158,9 +164,6 @@ func TestOptionMatrix(t *testing.T) {
 					}
 					bodies++
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
 				if !oc.inForce(sys.Totals(), bodies) {
 					t.Errorf("accepted and ignored: %+v after %d bodies, HomeOf asked %d times", sys.Totals(), bodies, asked)
 				}
@@ -192,7 +195,7 @@ func TestViewsBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			cells := make([]uint64, core.MaxViews)
-			err = sys.Run(func(w *dsm.Thread) {
+			run(t, sys, func(w *dsm.Thread) {
 				if w.ThreadID() == 0 {
 					for i := range cells {
 						cells[i] = w.Malloc(64)
@@ -206,9 +209,6 @@ func TestViewsBound(t *testing.T) {
 					}
 				}
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			want := core.MaxViews
 			if name == "ivy" {
 				want = 1
@@ -257,9 +257,7 @@ func TestLRCIsAnAliasOfLRCMW(t *testing.T) {
 			t.Fatal(err)
 		}
 		wl := &check.DRF{Hosts: 4, Rounds: 3, LockReps: 2}
-		if err := sys.Run(func(w *dsm.Thread) { wl.Body(w) }); err != nil {
-			t.Fatal(err)
-		}
+		run(t, sys, func(w *dsm.Thread) { wl.Body(w) })
 		got[i] = fmt.Sprintf("%+v elapsed %d", sys.Totals(), int64(sys.Elapsed()))
 	}
 	if got[0] != got[1] {

@@ -2,6 +2,14 @@ package serve
 
 import "testing"
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Chaos conformance for the serving workload: the scenario rows below
 // run real GET/PUT traffic while the faultnet preset mangles the wire —
 // a quarter of all frames dropped and 15% duplicated under drop-heavy;
@@ -33,9 +41,7 @@ func TestChaosServing(t *testing.T) {
 		row := row
 		t.Run(row.scenario+"/"+row.protocol, func(t *testing.T) {
 			sc, err := Lookup(row.scenario)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			sc.Protocol = row.protocol
 			res, err := Run(sc)
 			if err != nil {
@@ -52,9 +58,7 @@ func TestChaosServing(t *testing.T) {
 			// Double-run determinism under faults: the injector draws from
 			// the plan seed, so even a mangled wire replays bit-identically.
 			res2, err := Run(sc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			must(t, err)
 			if res.Fingerprint != res2.Fingerprint {
 				t.Fatalf("chaos serving fingerprint differs across runs: %016x vs %016x",
 					res.Fingerprint, res2.Fingerprint)

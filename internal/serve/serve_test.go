@@ -10,9 +10,7 @@ import (
 
 func TestScenarioValidation(t *testing.T) {
 	ok, err := Lookup("smoke")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	cases := []struct {
 		name   string
 		mutate func(*Scenario)
@@ -132,17 +130,11 @@ func TestGeneratorShape(t *testing.T) {
 // quantiles and elapsed time.
 func TestDeterminism(t *testing.T) {
 	sc, err := Lookup("smoke")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if a.Fingerprint != b.Fingerprint {
 		t.Fatalf("fingerprints differ: %016x vs %016x", a.Fingerprint, b.Fingerprint)
 	}
@@ -155,9 +147,7 @@ func TestDeterminism(t *testing.T) {
 	// A different seed must actually change the stream.
 	sc.Seed = 2
 	c, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if c.Fingerprint == a.Fingerprint {
 		t.Fatal("seed change did not change the fingerprint")
 	}
@@ -169,9 +159,7 @@ func TestDeterminism(t *testing.T) {
 // acquires the bucket lock on every GET; the SC pair does not).
 func TestProtocolMatrix(t *testing.T) {
 	sc, err := Lookup("smoke")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	sc.Ops = 1500
 	for _, proto := range []string{"millipage", "ivy", "lrc-mw"} {
 		res := runProto(t, sc, proto)
@@ -205,20 +193,14 @@ func TestMillion(t *testing.T) {
 		t.Skip("large scenario")
 	}
 	sc, err := Lookup("million")
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	a, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if a.Scenario.Clients != 1_000_000 {
 		t.Fatalf("clients = %d", a.Scenario.Clients)
 	}
 	b, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if a.Fingerprint != b.Fingerprint {
 		t.Fatalf("million fingerprint differs across runs: %016x vs %016x", a.Fingerprint, b.Fingerprint)
 	}
@@ -232,9 +214,7 @@ func TestMillion(t *testing.T) {
 func TestGoldenFingerprints(t *testing.T) {
 	for _, name := range []string{"smoke", "smoke-lrc-mw", "drop-heavy", "crash-restart"} {
 		sc, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		res, err := Run(sc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

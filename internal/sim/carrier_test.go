@@ -98,9 +98,7 @@ var lifecycleShapes = []func(t *testing.T){
 				}
 			})
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 	},
 	func(t *testing.T) { // stop
 		e := NewEngine(1)
@@ -114,9 +112,7 @@ var lifecycleShapes = []func(t *testing.T){
 				}
 			})
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 	},
 	func(t *testing.T) { // deadlock
 		e := NewEngine(1)
@@ -141,16 +137,12 @@ var lifecycleShapes = []func(t *testing.T){
 			})
 		}
 		e.Spawn("w", func(p *Proc) { p.Sleep(100) })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 	},
 	func(t *testing.T) { // stop, deep
 		e := NewEngine(1)
 		exits := stack(t, e, lifecycleProcs, false, func(*Proc) { e.Stop() })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 		wantExits(t, exits)
 	},
 	func(t *testing.T) { // mid-sequence
@@ -170,9 +162,7 @@ var lifecycleShapes = []func(t *testing.T){
 			})
 		}
 		e.Spawn("w", func(p *Proc) { p.Sleep(100) })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 		wantExits(t, exits)
 	},
 }
@@ -227,9 +217,7 @@ func TestReapedProcRunsDefersOnce(t *testing.T) {
 		}
 	})
 	e.Spawn("w", func(p *Proc) { p.Sleep(12) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if blockedDefers != 1 || daemonDefers != 1 {
 		t.Errorf("deferred functions ran %d and %d times, want once each", blockedDefers, daemonDefers)
 	}
@@ -249,9 +237,7 @@ func TestNeverStartedProcTakesNoCarrier(t *testing.T) {
 	e.Spawn("stopper", func(p *Proc) { e.Stop() })
 	late := e.Spawn("late", func(p *Proc) { ran = true })
 	before := idleCount()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if ran || late.c != nil {
 		t.Errorf("never-started process: ran=%v carrier=%v", ran, late.c)
 	}
@@ -405,9 +391,7 @@ func TestChildCarrierReleasedByResumer(t *testing.T) {
 			t.Errorf("%+v, want 3 switches (parent, child, parent) for 3 coroswitches (2 resumes, the child's last yield)", c)
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 }
 
 // chainProcs is how many processes the chain tests stack: Run -> p0 ->

@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// mustRun runs e and fails the test if Run does.
+func mustRun(t testing.TB, e *Engine) {
+	t.Helper()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSleepAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	var woke Time
@@ -13,9 +21,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 		p.Sleep(5 * Microsecond)
 		woke = p.Now()
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if woke != Time(5*Microsecond) {
 		t.Fatalf("woke at %v, want 5us", woke)
 	}
@@ -36,9 +42,7 @@ func TestEventOrderIsTimestampThenSeq(t *testing.T) {
 		p.Sleep(5)
 		order = append(order, "c")
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	want := []string{"c", "a", "b"}
 	for i := range want {
 		if order[i] != want[i] {
@@ -60,9 +64,7 @@ func TestSpawnFromProcess(t *testing.T) {
 			}
 		})
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if !childRan {
 		t.Fatal("child never ran")
 	}
@@ -84,9 +86,7 @@ func TestSignalBroadcastFIFO(t *testing.T) {
 		p.Sleep(100)
 		s.Broadcast()
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	for i := range order {
 		if order[i] != i {
 			t.Fatalf("wake order = %v, want ascending", order)
@@ -110,9 +110,7 @@ func TestEventLatch(t *testing.T) {
 		p.Sleep(42)
 		ev.Set()
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if at != 42 {
 		t.Fatalf("waiter released at %v, want 42ns", at)
 	}
@@ -133,9 +131,7 @@ func TestQueueFIFO(t *testing.T) {
 			q.Put(i)
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("got %v, want [0 1 2]", got)
@@ -189,9 +185,7 @@ func TestQueueThatNeverDrainsStaysSmall(t *testing.T) {
 			p.Sleep(2)
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if c := cap(q.items); c > 8 {
 		t.Errorf("the queue's backing array grew to %d slots holding at most 3 items", c)
 	}
@@ -222,9 +216,7 @@ func TestDaemonDoesNotBlockRun(t *testing.T) {
 		}
 	})
 	e.Spawn("worker", func(p *Proc) { p.Sleep(10 * Microsecond) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if e.Now() != Time(10*Microsecond) {
 		t.Fatalf("ended at %v, want 10us", e.Now())
 	}
@@ -240,9 +232,7 @@ func TestStop(t *testing.T) {
 			}
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if e.Now() != Time(5*Microsecond) {
 		t.Fatalf("stopped at %v, want 5us", e.Now())
 	}
@@ -254,9 +244,7 @@ func TestEngineCallbacks(t *testing.T) {
 	e.At(30, func() { fired = append(fired, e.Now()) })
 	e.At(10, func() { fired = append(fired, e.Now()) })
 	e.Spawn("w", func(p *Proc) { p.Sleep(100) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if len(fired) != 2 || fired[0] != 10 || fired[1] != 30 {
 		t.Fatalf("fired = %v, want [10 30]", fired)
 	}
@@ -279,9 +267,7 @@ func TestSameInstantOrder(t *testing.T) {
 	})
 	e.At(10, mark("older"))
 	e.Spawn("w", func(p *Proc) { p.Sleep(100) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if got, want := fmt.Sprint(order), "[first older during-1 during-2 during-3 later]"; got != want {
 		t.Fatalf("order = %v, want %v", got, want)
 	}
@@ -314,9 +300,7 @@ func TestSleepFastPathConditions(t *testing.T) {
 			t.Errorf("after the yield: %+v, want 5 events, still 1 switch and 2 fast sleeps, at most 2 pending", c)
 		}
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if got, want := fmt.Sprint(order), "[timer woke same-instant yielded]"; got != want {
 		t.Fatalf("order = %v, want %v", got, want)
 	}
@@ -344,9 +328,7 @@ func TestHandoverPrice(t *testing.T) {
 	} {
 		e := NewEngine(1)
 		row.spawn(e)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 		c := e.Counters()
 		t.Logf("%-16s %d switches, %d coroswitches (%.3f per switch)", row.name, c.Switches, c.Coroswitches,
 			float64(c.Coroswitches)/float64(c.Switches))
@@ -383,9 +365,7 @@ func TestDeterministicReplay(t *testing.T) {
 				trace = append(trace, fmt.Sprintf("got%d@%d", v, p.Now()))
 			}
 		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 		return trace
 	}
 	a, b := run(7), run(7)

@@ -111,9 +111,7 @@ func TestExplorerSeesYields(t *testing.T) {
 		p.Sleep(0)
 	})
 	e.At(10, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	if !sawYield {
 		t.Error("no tie event carried FromYield")
 	}
@@ -233,9 +231,7 @@ func TestExplorerTiePushback(t *testing.T) {
 		e.At(10, func() {})
 	}
 	e.Spawn("w", func(p *Proc) { p.Sleep(20) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	mustRun(t, e)
 	// 4 callbacks tie with each other (the spawn resume fires at t=0):
 	// arity shrinks 4, 3, 2 and then the final pop is forced.
 	if fmt.Sprint(arities) != "[4 3 2]" {
@@ -262,9 +258,7 @@ func TestSetExplorerKeepsEarlierEvents(t *testing.T) {
 			fired = append(fired, "w")
 			p.Sleep(1) // Run ends with its last process; let the tie drain first
 		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
+		mustRun(t, e)
 		return fmt.Sprint(fired), arities
 	}
 	if order, arities := run(func(int) int { return 0 }); order != "[a b c w]" || fmt.Sprint(arities) != "[4 3 2]" {

@@ -613,9 +613,7 @@ func TestDrivePrice(t *testing.T) {
 		for _, driven := range []bool{false, true} {
 			e := NewEngine(1)
 			row.spawn(e, ops, driven)
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
+			mustRun(t, e)
 			c := e.Counters()
 			t.Logf("%-8s driven=%-5v %d events, %d switches, %d coroswitches, %d hops", row.name, driven, c.Events, c.Switches, c.Coroswitches, c.Hops)
 			want := row.process

@@ -8,13 +8,19 @@ import (
 	"millipage/internal/sim"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDiffEmptyWhenUnchanged(t *testing.T) {
 	page := make([]byte, 4096)
 	twin := Twin(page)
 	runs, err := Diff(twin, page)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(runs) != 0 {
 		t.Fatalf("runs = %d, want 0", len(runs))
 	}
@@ -25,9 +31,7 @@ func TestDiffSingleChange(t *testing.T) {
 	twin := Twin(page)
 	page[100] = 0xFF
 	runs, err := Diff(twin, page)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(runs) != 1 || runs[0].Off != 100 || len(runs[0].Data) != 1 {
 		t.Fatalf("runs = %+v", runs)
 	}
@@ -68,13 +72,9 @@ func TestLengthMismatch(t *testing.T) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	runs := []Run{{Off: 3, Data: []byte{1, 2, 3}}, {Off: 4000, Data: []byte{9}}}
 	enc, err := Encode(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	dec, err := Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(dec) != 2 || dec[0].Off != 3 || !bytes.Equal(dec[1].Data, []byte{9}) {
 		t.Fatalf("decoded %+v", dec)
 	}
@@ -126,9 +126,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	mustEnc := func(runs []Run) []byte {
 		t.Helper()
 		enc, err := Encode(runs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return enc
 	}
 	a := mustEnc([]Run{{Off: 100, Data: []byte{1, 2}}})
@@ -179,9 +177,7 @@ func TestDiffApplyProperty(t *testing.T) {
 		}
 		return bytes.Equal(restored, page)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, quick.Check(f, &quick.Config{MaxCount: 300}))
 }
 
 // TestStreamingFormsMatch checks the zero-alloc entry points against the
@@ -225,9 +221,7 @@ func TestStreamingFormsMatch(t *testing.T) {
 		}
 		return bytes.Equal(restored, page)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, quick.Check(f, &quick.Config{MaxCount: 300}))
 }
 
 // TestApplyEncodedAllOrNothing: a diff whose tail is corrupt must leave
@@ -238,9 +232,7 @@ func TestApplyEncodedAllOrNothing(t *testing.T) {
 	page[10] = 1
 	page[200] = 2
 	enc, err := AppendDiff(nil, twin, page)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	target := Twin(twin)
 	bad := append(append([]byte(nil), enc...), 0xff) // truncated trailing header
 	if err := ApplyEncoded(target, bad); err == nil {
@@ -271,12 +263,8 @@ func TestDiffRoundTripAllocFree(t *testing.T) {
 	buf := make([]byte, 0, 2*len(page))
 	if avg := testing.AllocsPerRun(100, func() {
 		enc, err := AppendDiff(buf[:0], twin, page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ApplyEncoded(page, enc); err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
+		must(t, ApplyEncoded(page, enc))
 	}); avg != 0 {
 		t.Fatalf("diff round trip allocates %.2f objects/op, want 0", avg)
 	}
@@ -322,9 +310,7 @@ func checkAgainstBytewise(t *testing.T, twin, cur []byte) {
 	t.Helper()
 	want := diffBytewise(twin, cur)
 	got, err := Diff(twin, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(got) != len(want) {
 		t.Fatalf("len %d: %d runs, byte-wise reference gives %d", len(cur), len(got), len(want))
 	}
@@ -335,13 +321,9 @@ func checkAgainstBytewise(t *testing.T, twin, cur []byte) {
 		}
 	}
 	wantEnc, err := Encode(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	gotEnc, err := AppendDiff(nil, twin, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !bytes.Equal(gotEnc, wantEnc) {
 		t.Fatalf("len %d: AppendDiff differs from the encoded reference", len(cur))
 	}
@@ -390,7 +372,5 @@ func TestWordSkipMatchesBytewise(t *testing.T) {
 		checkAgainstBytewise(t, orig, cur)
 		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, quick.Check(f, &quick.Config{MaxCount: 300}))
 }

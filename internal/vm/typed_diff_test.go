@@ -154,9 +154,7 @@ func newDiffWorld(t *testing.T) *diffWorld {
 	for v, at := range []int{0, 4, 10} { // views 0 and 1 adjacent, then the gap
 		for p := 0; p < diffObjPages; p++ {
 			va := uint64(diffBase + (at+p)*PageSize)
-			if err := w.as.MapView(va, w.mo, p, 1, Prot((v+p)%3)); err != nil {
-				t.Fatal(err)
-			}
+			must(t, w.as.MapView(va, w.mo, p, 1, Prot((v+p)%3)))
 		}
 	}
 	return w

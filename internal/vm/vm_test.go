@@ -9,6 +9,14 @@ import (
 	"unsafe"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMemObjectRoundsUpToPages(t *testing.T) {
 	mo := NewMemObject(PageSize + 1)
 	if mo.NumPages() != 2 {
@@ -23,17 +31,11 @@ func TestMapViewAndAccess(t *testing.T) {
 	mo := NewMemObject(4 * PageSize)
 	as := NewAddressSpace()
 	const base = 0x10000
-	if err := as.MapView(base, mo, 0, 4, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(base, mo, 0, 4, ReadWrite))
 	want := []byte("hello, millipage")
-	if err := as.WriteAt(nil, base+100, want); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.WriteAt(nil, base+100, want))
 	got, err := as.ReadAt(nil, base+100, len(want))
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
@@ -50,9 +52,7 @@ func TestMapViewRejectsUnaligned(t *testing.T) {
 func TestMapViewRejectsOverlap(t *testing.T) {
 	mo := NewMemObject(2 * PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 2, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 2, ReadWrite))
 	if err := as.MapView(0x11000, mo, 0, 1, ReadWrite); err == nil {
 		t.Fatal("overlapping MapView succeeded")
 	}
@@ -94,12 +94,8 @@ func TestPTEPacking(t *testing.T) {
 		if e, ok := as.Lookup(page(i)); !ok || e.Obj != mo || e.Frame != 0 || e.Prot != NoAccess {
 			t.Fatalf("mapping %d: Lookup = %+v, %v; want frame 0 of its object, NoAccess", i+1, e, ok)
 		}
-		if err := as.Protect(page(i), 1, ReadWrite); err != nil {
-			t.Fatal(err)
-		}
-		if err := as.WriteU32(nil, page(i)+4*uint64(i%2), uint32(i)); err != nil {
-			t.Fatal(err)
-		}
+		must(t, as.Protect(page(i), 1, ReadWrite))
+		must(t, as.WriteU32(nil, page(i)+4*uint64(i%2), uint32(i)))
 		if e, ok := as.Lookup(page(i)); !ok || e.Obj != mo || e.Prot != ReadWrite {
 			t.Fatalf("mapping %d: Lookup after Protect = %+v, %v; want ReadWrite", i+1, e, ok)
 		}
@@ -144,9 +140,7 @@ func TestPTEPacking(t *testing.T) {
 	if err := far.MapView(va, big, oldLimit, 2, ReadWrite); err != nil {
 		t.Fatalf("MapView of frames [%d,%d): %v", oldLimit, oldLimit+2, err)
 	}
-	if err := far.WriteAt(nil, va+PageSize+8, []byte("top")); err != nil {
-		t.Fatal(err)
-	}
+	must(t, far.WriteAt(nil, va+PageSize+8, []byte("top")))
 	if e, ok := far.Lookup(va + PageSize); !ok || e.Obj != big || e.Frame != oldLimit+1 {
 		t.Fatalf("Lookup = %+v, %v; want frame %d", e, ok, oldLimit+1)
 	}
@@ -161,24 +155,16 @@ func TestViewAliasingWithIndependentProtection(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
 	const v1, v2 = 0x10000, 0x20000
-	if err := as.MapView(v1, mo, 0, 1, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapView(v2, mo, 0, 1, ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(v1, mo, 0, 1, ReadWrite))
+	must(t, as.MapView(v2, mo, 0, 1, ReadOnly))
 	// The frame's first touch is the write through view1: the frame it
 	// materialises must be the one view2 and Bypass then find.
 	if mo.Resident() != 0 {
 		t.Fatalf("%d frames resident before any access", mo.Resident())
 	}
-	if err := as.WriteAt(nil, v1+8, []byte{0xAB}); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.WriteAt(nil, v1+8, []byte{0xAB}))
 	b, err := as.ReadU8(nil, v2+8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if b != 0xAB {
 		t.Fatalf("write through view1 not visible through view2: got %#x", b)
 	}
@@ -202,9 +188,7 @@ func TestFaultHandlerUpgradesProtection(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
 	const base = 0x10000
-	if err := as.MapView(base, mo, 0, 1, NoAccess); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(base, mo, 0, 1, NoAccess))
 	var faults []Fault
 	as.SetFaultHandler(func(ctx any, f Fault) error {
 		faults = append(faults, f)
@@ -218,9 +202,7 @@ func TestFaultHandlerUpgradesProtection(t *testing.T) {
 	if _, err := as.ReadU8(nil, base+5); err != nil {
 		t.Fatal(err)
 	}
-	if err := as.WriteU8(nil, base+5, 9); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.WriteU8(nil, base+5, 9))
 	if len(faults) != 2 {
 		t.Fatalf("faults = %d, want 2 (one read upgrade, one write upgrade)", len(faults))
 	}
@@ -235,9 +217,7 @@ func TestFaultHandlerUpgradesProtection(t *testing.T) {
 func TestFaultStormDetected(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 1, NoAccess); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 1, NoAccess))
 	as.SetFaultHandler(func(ctx any, f Fault) error { return nil }) // never fixes
 	_, err := as.ReadU8(nil, 0x10000)
 	if !errors.Is(err, ErrFaultStorm) {
@@ -249,12 +229,8 @@ func TestAccessSpansPagesWithPerPageChecks(t *testing.T) {
 	mo := NewMemObject(2 * PageSize)
 	as := NewAddressSpace()
 	const base = 0x10000
-	if err := as.MapView(base, mo, 0, 1, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapView(base+PageSize, mo, 1, 1, NoAccess); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(base, mo, 0, 1, ReadWrite))
+	must(t, as.MapView(base+PageSize, mo, 1, 1, NoAccess))
 	upgrades := 0
 	as.SetFaultHandler(func(ctx any, f Fault) error {
 		upgrades++
@@ -265,16 +241,12 @@ func TestAccessSpansPagesWithPerPageChecks(t *testing.T) {
 		data[i] = byte(i)
 	}
 	// Write straddling the page boundary: second page must fault once.
-	if err := as.WriteAt(nil, base+uint64(PageSize)-50, data); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.WriteAt(nil, base+uint64(PageSize)-50, data))
 	if upgrades != 1 {
 		t.Fatalf("upgrades = %d, want 1", upgrades)
 	}
 	got, err := as.ReadAt(nil, base+uint64(PageSize)-50, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !bytes.Equal(got, data) {
 		t.Fatal("straddling write/read mismatch")
 	}
@@ -290,9 +262,7 @@ func TestUnmappedAccess(t *testing.T) {
 func TestUnmap(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 1, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 1, ReadWrite))
 	as.Unmap(0x10000, 1)
 	if as.Mapped(0x10000) {
 		t.Fatal("still mapped after Unmap")
@@ -308,9 +278,7 @@ func TestProtectFailingChangesNothing(t *testing.T) {
 	const base = 0x10000
 	prots := []Prot{ReadOnly, ReadWrite, NoAccess}
 	for i, p := range prots {
-		if err := as.MapView(base+uint64(i)*PageSize, mo, i, 1, p); err != nil {
-			t.Fatal(err)
-		}
+		must(t, as.MapView(base+uint64(i)*PageSize, mo, i, 1, p))
 	}
 	as.Reserve(base, 8) // the table covers the unmapped pages past the view too
 	for _, c := range []struct {
@@ -327,9 +295,7 @@ func TestProtectFailingChangesNothing(t *testing.T) {
 			}
 		}
 	}
-	if err := as.Protect(base, 3, ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.Protect(base, 3, ReadOnly))
 	for i := range prots {
 		if got, _ := as.ProtOf(base + uint64(i)*PageSize); got != ReadOnly {
 			t.Fatalf("after Protect of the whole view: page %d is %v", i, got)
@@ -340,13 +306,9 @@ func TestProtectFailingChangesNothing(t *testing.T) {
 func TestBypassIgnoresProtection(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 1, NoAccess); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 1, NoAccess))
 	mem, err := as.Bypass(0x10000+16, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	copy(mem, "ZEROCOPY")
 	// Visible through the object's frames directly (aliasing, no copy).
 	if string(mo.Frame(0)[16:24]) != "ZEROCOPY" {
@@ -360,12 +322,8 @@ func TestBypassIgnoresProtection(t *testing.T) {
 func TestBypassRangeCrossesPages(t *testing.T) {
 	mo := NewMemObject(2 * PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 2, NoAccess); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapView(0x20000, mo, 0, 2, ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 2, NoAccess))
+	must(t, as.MapView(0x20000, mo, 0, 2, ReadOnly))
 	n := 0
 	err := as.BypassRange(0x10000+uint64(PageSize)-10, 20, func(chunk []byte) error {
 		n += len(chunk)
@@ -374,9 +332,7 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if n != 20 {
 		t.Fatalf("visited %d bytes, want 20", n)
 	}
@@ -386,9 +342,7 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 	// Both frames were first touched by that privileged write; the other
 	// view reads it back.
 	got, err := as.ReadAt(nil, 0x20000+uint64(PageSize)-10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 20)) {
 		t.Fatalf("BypassRange write read back through the second view as %x", got)
 	}
@@ -403,14 +357,10 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 func TestReadBypassLeavesDemandZeroUntouched(t *testing.T) {
 	mo := NewMemObject(2 * PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 2, NoAccess); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 2, NoAccess))
 	copy(mo.Frame(0)[PageSize-4:], "DATA")
 	buf := bytes.Repeat([]byte{0xFF}, 12)
-	if err := as.ReadBypass(0x10000+uint64(PageSize)-4, buf); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.ReadBypass(0x10000+uint64(PageSize)-4, buf))
 	if want := append([]byte("DATA"), make([]byte, 8)...); !bytes.Equal(buf, want) {
 		t.Fatalf("ReadBypass = %q, want %q", buf, want)
 	}
@@ -425,24 +375,16 @@ func TestReadBypassLeavesDemandZeroUntouched(t *testing.T) {
 func TestTypedAccessors(t *testing.T) {
 	mo := NewMemObject(PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, 1, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.WriteU32(nil, 0x10000, 0xDEADBEEF); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, 1, ReadWrite))
+	must(t, as.WriteU32(nil, 0x10000, 0xDEADBEEF))
 	if v, _ := as.ReadU32(nil, 0x10000); v != 0xDEADBEEF {
 		t.Fatalf("u32 = %#x", v)
 	}
-	if err := as.WriteU64(nil, 0x10008, 1<<40+7); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.WriteU64(nil, 0x10008, 1<<40+7))
 	if v, _ := as.ReadU64(nil, 0x10008); v != 1<<40+7 {
 		t.Fatalf("u64 = %d", v)
 	}
-	if err := as.WriteF64(nil, 0x10010, 3.25); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.WriteF64(nil, 0x10010, 3.25))
 	if v, _ := as.ReadF64(nil, 0x10010); v != 3.25 {
 		t.Fatalf("f64 = %v", v)
 	}
@@ -457,9 +399,7 @@ func TestViewAliasProperty(t *testing.T) {
 		mo := NewMemObject(pages * PageSize)
 		as := NewAddressSpace()
 		for _, b := range bases {
-			if err := as.MapView(b, mo, 0, pages, ReadWrite); err != nil {
-				t.Fatal(err)
-			}
+			must(t, as.MapView(b, mo, 0, pages, ReadWrite))
 		}
 		return as
 	}
@@ -510,15 +450,9 @@ func TestMemObjectIsDemandZero(t *testing.T) {
 	mo := NewMemObject(pages * PageSize)
 	as := NewAddressSpace()
 	const v1, v2 = 0x10000, 0x40000
-	if err := as.MapView(v1, mo, 0, pages, NoAccess); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapView(v2, mo, 0, pages, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.Protect(v1, pages, ReadOnly); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(v1, mo, 0, pages, NoAccess))
+	must(t, as.MapView(v2, mo, 0, pages, ReadWrite))
+	must(t, as.Protect(v1, pages, ReadOnly))
 	for i := uint64(0); i < pages; i++ {
 		if p, err := as.ProtOf(v1 + i*PageSize); err != nil || p != ReadOnly {
 			t.Fatalf("ProtOf page %d = %v, %v", i, p, err)
@@ -534,9 +468,7 @@ func TestMemObjectIsDemandZero(t *testing.T) {
 		t.Fatalf("%d frames resident after MapView/Protect/ProtOf/Lookup, want 0", mo.Resident())
 	}
 	got, err := as.ReadAt(nil, v1+3*PageSize+100, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if !bytes.Equal(got, make([]byte, 64)) {
 		t.Fatalf("first read of an untouched frame = %x, want zeros", got)
 	}
@@ -591,9 +523,7 @@ func TestAccessResidentAllocatesNothing(t *testing.T) {
 	const pages = 4
 	mo := NewMemObject(pages * PageSize)
 	as := NewAddressSpace()
-	if err := as.MapView(0x10000, mo, 0, pages, ReadWrite); err != nil {
-		t.Fatal(err)
-	}
+	must(t, as.MapView(0x10000, mo, 0, pages, ReadWrite))
 	buf := make([]byte, 2*PageSize)
 	if err := as.Access(nil, 0x10000, make([]byte, pages*PageSize), Write); err != nil {
 		t.Fatal(err) // every frame resident
@@ -602,12 +532,8 @@ func TestAccessResidentAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() {
 		va := 0x10000 + (i*1000)%(2*PageSize)
 		i++
-		if err := as.Access(nil, va, buf, Write); err != nil {
-			t.Fatal(err)
-		}
-		if err := as.Access(nil, va, buf[:8], Read); err != nil {
-			t.Fatal(err)
-		}
+		must(t, as.Access(nil, va, buf, Write))
+		must(t, as.Access(nil, va, buf[:8], Read))
 	}); n != 0 {
 		t.Fatalf("Access on resident pages allocates %v times per run, want 0", n)
 	}
@@ -620,9 +546,7 @@ func TestAccessResidentAllocatesNothing(t *testing.T) {
 				if err == nil {
 					err = typedWrite(as, nil, va, w, v+1)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				must(t, err)
 			}
 		}
 		i++

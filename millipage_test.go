@@ -7,6 +7,14 @@ import (
 	millipage "millipage"
 )
 
+// must fails the test if err is not nil.
+func must(t testing.TB, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestNewClusterValidation(t *testing.T) {
 	if _, err := millipage.NewCluster(millipage.Config{Hosts: 2}); err == nil {
 		t.Fatal("zero SharedMemory accepted")
@@ -87,9 +95,7 @@ func TestNewClusterValidation(t *testing.T) {
 
 func TestRunTwiceRejected(t *testing.T) {
 	c, err := millipage.NewCluster(millipage.Config{Hosts: 1, SharedMemory: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if _, err := c.Run(func(w *millipage.Worker) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +106,7 @@ func TestRunTwiceRejected(t *testing.T) {
 
 func TestWorkerIdentityAndTime(t *testing.T) {
 	c, err := millipage.NewCluster(millipage.Config{Hosts: 3, SharedMemory: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	seen := map[int]bool{}
 	_, err = c.Run(func(w *millipage.Worker) {
 		if w.NumHosts() != 3 || w.NumThreads() != 3 {
@@ -115,9 +119,7 @@ func TestWorkerIdentityAndTime(t *testing.T) {
 			t.Errorf("Compute advanced %v, want 5us", w.Now()-before)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if len(seen) != 3 {
 		t.Fatalf("hosts seen = %v", seen)
 	}
@@ -125,9 +127,7 @@ func TestWorkerIdentityAndTime(t *testing.T) {
 
 func TestSharedDataEndToEnd(t *testing.T) {
 	c, err := millipage.NewCluster(millipage.Config{Hosts: 4, SharedMemory: 1 << 18, Views: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var arr millipage.Addr
 	const n = 32
 	report, err := c.Run(func(w *millipage.Worker) {
@@ -150,9 +150,7 @@ func TestSharedDataEndToEnd(t *testing.T) {
 		}
 		w.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if report.Hosts != 4 || report.Elapsed <= 0 {
 		t.Fatalf("report = %+v", report)
 	}
@@ -163,9 +161,7 @@ func TestSharedDataEndToEnd(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	c, err := millipage.NewCluster(millipage.Config{Hosts: 2, SharedMemory: 1 << 16, Views: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var a millipage.Addr
 	report, err := c.Run(func(w *millipage.Worker) {
 		if w.Host() == 0 {
@@ -176,9 +172,7 @@ func TestReportString(t *testing.T) {
 		_ = w.ReadU32(a)
 		w.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	s := report.String()
 	for _, want := range []string{"hosts=2", "faults:", "breakdown:", "minipages=1"} {
 		if !strings.Contains(s, want) {
@@ -195,9 +189,7 @@ func TestPageGranularityConfig(t *testing.T) {
 	c, err := millipage.NewCluster(millipage.Config{
 		Hosts: 2, SharedMemory: 1 << 16, PageGranularity: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	var a, b millipage.Addr
 	report, err := c.Run(func(w *millipage.Worker) {
 		if w.Host() == 0 {
@@ -216,9 +208,7 @@ func TestPageGranularityConfig(t *testing.T) {
 		}
 		w.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if report.ViewsUsed != 1 {
 		t.Fatalf("views = %d, want 1 under page granularity", report.ViewsUsed)
 	}
@@ -232,9 +222,7 @@ func TestDeterministicSeeds(t *testing.T) {
 		c, err := millipage.NewCluster(millipage.Config{
 			Hosts: 4, SharedMemory: 1 << 16, Views: 4, Seed: seed,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		var a millipage.Addr
 		report, err := c.Run(func(w *millipage.Worker) {
 			if w.Host() == 0 {
@@ -249,9 +237,7 @@ func TestDeterministicSeeds(t *testing.T) {
 			}
 			w.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		return report.Elapsed
 	}
 	if run(42) != run(42) {
@@ -267,9 +253,7 @@ func TestPerfectTimersFaster(t *testing.T) {
 		c, err := millipage.NewCluster(millipage.Config{
 			Hosts: 2, SharedMemory: 1 << 16, Views: 2, Seed: 5, PerfectTimers: perfect,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		var a millipage.Addr
 		report, err := c.Run(func(w *millipage.Worker) {
 			if w.Host() == 0 {
@@ -289,9 +273,7 @@ func TestPerfectTimersFaster(t *testing.T) {
 			}
 			w.Barrier()
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		// The fault-service delay shows up in host 1's write-fault time
 		// (total elapsed is bounded by host 0's compute either way).
 		for _, tr := range report.Threads {

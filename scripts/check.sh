@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# check.sh runs the repository's checks in three tiers; CI runs all three.
+# check.sh runs the repository's checks in four tiers; CI runs all four.
 #
 #   scripts/check.sh fast    build, vet, gofmt and every test once
 #   scripts/check.sh full    every test under -race, then again under
@@ -7,8 +7,10 @@
 #                            diffed; stress reruns, coverage floors, fuzz,
 #                            the benchmark module and each Go benchmark once
 #   scripts/check.sh smoke   the cmd/millipage cells listed at the bottom
+#   scripts/check.sh mutants every mutant of testdata/mutants killed by its
+#                            killers, known survivors surviving
 #
-# Tiers run in the order given (`scripts/check.sh fast full smoke`). Tests
+# Tiers run in the order given (`scripts/check.sh fast full smoke mutants`). Tests
 # are selected by running all of them, so a new Test anywhere in the module
 # runs under every build with no edit here. The only -run patterns are the
 # stress reruns'; internal/lint's TestCheckScriptNamesRealTests fails if an
@@ -168,12 +170,22 @@ invariants apps -only SOR -hosts 256 -scale 0.05
 CELLS
 }
 
+# mutants runs the mutant catalogue (cmd/mutate): each mutant undoes one
+# optimization or guard, and the tests or commands it names must fail with
+# it in place, so an oracle that stops catching its bug fails here. A
+# known survivor is marked with the ROADMAP item that will kill it, and
+# fails the tier once something does. A change that adds an optimization
+# adds the mutant that undoes it.
+mutants() {
+	go run ./cmd/mutate
+}
+
 [ $# -gt 0 ] || set -- usage
 for tier in "$@"; do
 	case $tier in
-	fast | full | smoke) ;;
+	fast | full | smoke | mutants) ;;
 	*)
-		echo "usage: scripts/check.sh fast|full|smoke ..." >&2
+		echo "usage: scripts/check.sh fast|full|smoke|mutants ..." >&2
 		exit 2
 		;;
 	esac
