@@ -100,6 +100,23 @@ func TestE2EAllocsRegression(t *testing.T) {
 	}
 }
 
+// TestLedgerMeasureReproduces: two measurements of a ledger row agree in
+// every column, so a re-record of BENCH_sim.json moves only the rows a
+// change moved. Not under the race detector, which the ledger is never
+// measured under.
+func TestLedgerMeasureReproduces(t *testing.T) {
+	if race {
+		t.Skip("allocation counts do not repeat under the race detector")
+	}
+	a, err := measure("E2EFalseShareMW")
+	must(t, err)
+	b, err := measure("E2EFalseShareMW")
+	must(t, err)
+	if a != b {
+		t.Fatalf("two measurements differ:\n%+v\n%+v", a, b)
+	}
+}
+
 // TestE2ECountersPinned holds the event engine to the event stream
 // BENCH_sim.json recorded: every end-to-end row's run must fire exactly
 // the pinned number of calendar events, process switches and engine-side

@@ -10,6 +10,7 @@ import (
 	"millipage/internal/dsm"
 	"millipage/internal/pins"
 	"millipage/internal/registry"
+	"millipage/internal/sim"
 	"millipage/internal/trace"
 )
 
@@ -49,6 +50,23 @@ func TestGoldenWATER(t *testing.T) {
 		t.Errorf("check = %s, want 0.017882280184443315", got)
 	}
 	pins.Check(t, "GoldenWATER", fmt.Sprintf("timed=%d", int64(r.Timed)))
+}
+
+// TestGoldenLUPrefetch pins Figure 6's prefetch column where the suite
+// fills it: LU prefetches the blocks of its next step, and a read fault
+// on a block whose prefetch is still in flight is booked as prefetch
+// wait, not as a read fault.
+func TestGoldenLUPrefetch(t *testing.T) {
+	r, err := apps.RunLU(apps.Params{Hosts: 4, Scale: 0.125, Seed: 3})
+	must(t, err)
+	var prefetch, readFault sim.Duration
+	for _, tr := range r.Report.Threads {
+		prefetch, readFault = prefetch+tr.Prefetch, readFault+tr.ReadFault
+	}
+	if prefetch == 0 {
+		t.Fatal("no thread waited on a prefetch")
+	}
+	pins.Check(t, "GoldenLUPrefetch", fmt.Sprintf("timed=%d prefetch=%d readfault=%d", int64(r.Timed), int64(prefetch), int64(readFault)))
 }
 
 // tracedRun executes the fixed three-host home-based (HomeMod) workload with rec

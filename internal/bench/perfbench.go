@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"testing"
+	"runtime"
+	"runtime/debug"
 
 	"millipage/internal/apps"
 	"millipage/internal/serve"
@@ -20,7 +21,7 @@ import (
 // benchmarks.
 
 // ledgerNote is the benchmarks section's note in BENCH_sim.json.
-const ledgerNote = "clockless cost of each end-to-end run: heap allocations and bytes per run (testing.Benchmark; TestE2EAllocsRegression fences them at 2x) and event-engine counts per run (TestE2ECountersPinned pins them exactly); wall-clock time is benchmark/run.sh's"
+const ledgerNote = "clockless cost of each end-to-end run: heap allocations and bytes per run (the least of 4 runs after a warm-up; TestE2EAllocsRegression fences them at 2x) and event-engine counts per run (TestE2ECountersPinned pins them exactly); wall-clock time is benchmark/run.sh's"
 
 // PerfPoint is one ledger row: what one run of an end-to-end workload
 // costs.
@@ -154,35 +155,43 @@ func scenarioRun(name string, shape func(*serve.Scenario)) func(float64) (sim.Co
 	}
 }
 
-// measure runs the named row under testing.Benchmark and returns its
-// ledger row: allocations and bytes per run, and the engine counters of
-// its last run. `millipage bench` writes the pins from it and
-// TestE2EAllocsRegression checks them with it.
+// ledgerReps is how many runs of a row measure takes the least of.
+const ledgerReps = 4
+
+// measure runs the named row once to warm up and then ledgerReps times,
+// and returns its ledger row: the fewest allocations and bytes of those
+// runs, and the engine counters of the last. testing.Benchmark's mean
+// over a time-driven b.N moved by a few objects from one measurement to
+// the next, as a collection empties the process-wide pools (fmt's among
+// them) at no fixed point in a run. Here a collection comes before the
+// warm-up, which refills them, and none during the runs; and the least,
+// not the mean, leaves out a run in which the scheduler or a map's seed
+// cost an object more: two measurements agree exactly. `millipage bench`
+// writes the pins from it and TestE2EAllocsRegression checks them with
+// it.
 func measure(name string) (PerfPoint, error) {
 	run, err := e2eRun(name)
-	if err != nil {
-		return PerfPoint{}, err
+	if err == nil {
+		runtime.GC()
+		_, err = run()
 	}
-	var c sim.Counters
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if c, err = run(); err != nil {
-				b.FailNow()
-			}
-		}
-	})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	p := PerfPoint{Name: name, AllocsPerOp: math.MaxInt64, BytesPerOp: math.MaxInt64}
+	for i := 0; i < ledgerReps && err == nil; i++ {
+		var before, after runtime.MemStats
+		var c sim.Counters
+		runtime.ReadMemStats(&before)
+		c, err = run()
+		runtime.ReadMemStats(&after)
+		p.AllocsPerOp = min(p.AllocsPerOp, int64(after.Mallocs-before.Mallocs))
+		p.BytesPerOp = min(p.BytesPerOp, int64(after.TotalAlloc-before.TotalAlloc))
+		p.EventsPerOp, p.SwitchesPerOp, p.CoroswitchesPerOp, p.HopsPerOp = c.Events, c.Switches, c.Coroswitches, c.Hops
+	}
 	if err != nil {
 		return PerfPoint{}, fmt.Errorf("%s: %w", name, err)
 	}
-	return PerfPoint{
-		Name:              name,
-		AllocsPerOp:       r.AllocsPerOp(),
-		BytesPerOp:        r.AllocedBytesPerOp(),
-		EventsPerOp:       c.Events,
-		SwitchesPerOp:     c.Switches,
-		CoroswitchesPerOp: c.Coroswitches,
-		HopsPerOp:         c.Hops,
-	}, nil
+	return p, nil
 }
 
 // writeLedger replaces the benchmarks section of the report at path with

@@ -48,9 +48,9 @@ const treeVictim = 1
 // holds and every barrier completes exactly once. The seed is one on which
 // a drop-heavy wire let lrc-mw hosts' barrier arrivals reach the
 // Coordinator, in their groups, ahead of an unlock they sent it before:
-// when an arrival carried only its own interval's notice, the converged
-// clocks covered the unlock's notice that nobody was sent, and stale
-// copies of the accumulator survived the barrier.
+// when an arrival carried only its own interval's notice, the unlock's
+// notice was logged only after the barrier, and stale copies of the
+// accumulator survived it.
 func TestChaosTree(t *testing.T) {
 	const hosts, seed = 24, 63
 	for _, pr := range protocols() {

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"millipage/internal/core"
+	"millipage/internal/pins"
 	"millipage/internal/sim"
+	"millipage/internal/trace"
 	"millipage/internal/vm"
 )
 
@@ -76,8 +78,8 @@ func TestSystemRun(t *testing.T) {
 		if th != bodies[i] || th.ID != i || th.LID != i%2 || th.host != s.Host(th.Host()) || th.Host() != i/2 || s.Host(i/2).ID() != i/2 {
 			t.Fatalf("thread %d is not the body's, local thread %d on host %d", i, i%2, i/2)
 		}
-		if want := sim.Duration(i+1) * sim.Millisecond; th.Stats.ComputeTime != want || th.Stats.Other() != 0 {
-			t.Fatalf("thread %d: compute=%v other=%v, want %v and nothing else", i, th.Stats.ComputeTime, th.Stats.Other(), want)
+		if want := sim.Duration(i+1) * sim.Millisecond; th.Stats.ComputeTime != want || th.Stats.Other() != 0 || th.Stats.SynchTime != 0 {
+			t.Fatalf("thread %d: compute=%v synch=%v other=%v, want %v and nothing else since ResetStats", i, th.Stats.ComputeTime, th.Stats.SynchTime, th.Stats.Other(), want)
 		}
 		last = max(last, th.Stats.End)
 	}
@@ -93,6 +95,28 @@ func TestSystemRun(t *testing.T) {
 	}
 	if err := newSys(t, NewMW, Options{Hosts: 1, SharedSize: 1 << 16}).Run(nil); err == nil || err.Error() != "test: nil thread body" {
 		t.Fatalf("Run(nil) = %v, want the nil-body error", err)
+	}
+}
+
+// TestStoppedRunNamesUnfinishedThreads: a run that Eng.Stop ends before
+// every thread finishes returns ErrStopped, naming each unfinished thread
+// and what it waits for, so a harness's watchdog needs no count of its
+// own. A thread that finished is not named.
+func TestStoppedRunNamesUnfinishedThreads(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16})
+	s.Eng.At(sim.Time(sim.Millisecond), s.Eng.Stop)
+	err := s.Run(func(th *Thread) {
+		switch th.Host() {
+		case 0, 1:
+			th.Barrier()
+		case 2:
+			th.Malloc(64)
+			th.Compute(sim.Second) // named with no wait reason: its malloc is over
+		}
+	})
+	want := ErrStopped{{Name: "app-0.0", Waiting: "barrier release"}, {Name: "app-1.0", Waiting: "barrier release"}, {Name: "app-2.0"}}
+	if got, ok := err.(ErrStopped); !ok || !slices.Equal(got, want) {
+		t.Fatalf("Run = %v, want %v", err, want)
 	}
 }
 
@@ -249,8 +273,12 @@ func TestPrefetchHidesReadLatency(t *testing.T) {
 	}
 }
 
+// TestPushReplicatesToAllHosts: a push from host 0's writable copy leaves
+// a read-only copy at every host. The owner's downgrade before it
+// replicates is charged, so the time of the last push ack is pinned.
 func TestPushReplicatesToAllHosts(t *testing.T) {
-	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4})
+	rec := trace.NewRecorder(1 << 12)
+	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Trace: rec})
 	var va uint64
 	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
@@ -276,6 +304,11 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 	if !slices.Equal(cs, []int{0, 1, 2, 3}) {
 		t.Fatalf("copyset after push = %v", cs)
 	}
+	acks := rec.Grep("PUSH_ACK")
+	if len(acks) == 0 {
+		t.Fatal("no push ack traced")
+	}
+	pins.Check(t, "PushReplicatesToAllHosts", fmt.Sprintf("lastack=%d", int64(acks[len(acks)-1].At)))
 }
 
 func TestChunkedAllocationSharesMinipage(t *testing.T) {

@@ -291,3 +291,83 @@ func TestQueuedExclusiveReadIsServedShared(t *testing.T) {
 		t.Errorf("%v, want one read served exclusive (WRITE_REPLY), one shared (READ_REPLY) and its write an upgrade", msgs)
 	}
 }
+
+// TestPushDropsExclusiveRead: a push replicates the minipage, so its owner
+// no longer holds the only copy. Hosts 0 and 1 take turns at lock 1
+// incrementing a counter homed at host 2, so host 0's second critical
+// section reads it exclusive; host 0 then pushes it and writes it. The
+// write must go to the home and invalidate the pushed copies, not raise
+// host 0's copy in place: host 1 reads the last count.
+func TestPushDropsExclusiveRead(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4, HomeOf: homedAt2})
+	var va uint64
+	var got uint32
+	run(t, s, func(th *Thread) {
+		h := th.Host()
+		if h == 2 {
+			va = th.Malloc(64)
+			th.WriteU32(va, 0)
+		}
+		th.Barrier()
+		for r := 0; r < 3; r++ {
+			if h == r%2 {
+				th.Lock(1)
+				v := th.ReadU32(va)
+				if r == 2 {
+					th.Push(va)
+					th.Compute(5 * sim.Millisecond) // every host holds the pushed copy
+				}
+				th.WriteU32(va, v+1)
+				th.Unlock(1)
+			}
+			th.Barrier()
+		}
+		if h == 1 {
+			got = th.ReadU32(va)
+		}
+	})
+	if got != 3 {
+		t.Fatalf("host 1 reads %d after the pushed copy's write, want 3", got)
+	}
+}
+
+// TestAllocationRaisesOwnedPage: at page grain an allocation that starts in
+// a page its requester alone holds, idle, maps that page writable with the
+// new ones. Hosts 0 and 1 take turns at lock 1 incrementing a counter on
+// page 0, so host 1's second critical section reads it exclusive: the only
+// copy, read-only until a write raises it. Host 1 then allocates 8 KB,
+// from the rest of page 0 on, and its write to the counter takes no fault.
+func TestAllocationRaisesOwnedPage(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Grain: core.GrainPage})
+	var va, big uint64
+	var faults uint64
+	run(t, s, func(th *Thread) {
+		h := th.Host()
+		if h == 0 {
+			va = th.Malloc(64)
+		}
+		th.Barrier()
+		for r := 0; r < 3; r++ {
+			if h == (r+1)%2 {
+				th.Lock(1)
+				v := th.ReadU32(va)
+				if r == 2 {
+					big = th.Malloc(8192)
+					faults = s.Host(1).AS.WriteFaults
+				}
+				th.WriteU32(va, v+1)
+				if r == 2 {
+					faults = s.Host(1).AS.WriteFaults - faults
+				}
+				th.Unlock(1)
+			}
+			th.Barrier()
+		}
+	})
+	if big/vm.PageSize != va/vm.PageSize {
+		t.Fatalf("the allocation starts on page %d, the test wants the counter's, %d", big/vm.PageSize, va/vm.PageSize)
+	}
+	if faults != 0 {
+		t.Fatalf("host 1's write after its allocation took %d faults, want none", faults)
+	}
+}

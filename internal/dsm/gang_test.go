@@ -5,14 +5,20 @@ import (
 	"testing"
 
 	"millipage/internal/faultnet"
+	"millipage/internal/pins"
 	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
 
+// TestGangFetchBringsAllMinipages: one GangFetch leaves every member
+// readable with no fault. Its wait is pinned: the group wakes as the
+// server thread, not the engine, installs each reply, after charging the
+// prefetch's closing ack.
 func TestGangFetchBringsAllMinipages(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 18, Views: 8})
 	const n = 12
 	vas := make([]uint64, n)
+	var wait sim.Duration
 	run(t, s, func(th *Thread) {
 		if th.Host() == 0 {
 			for i := range vas {
@@ -27,6 +33,7 @@ func TestGangFetchBringsAllMinipages(t *testing.T) {
 				spans[i] = Span{Addr: vas[i], Size: 256}
 			}
 			th.GangFetch(spans)
+			wait = th.Stats.PrefetchTime
 			// All minipages readable locally: zero read faults follow.
 			for i := range vas {
 				if got := th.ReadU32(vas[i]); got != uint32(i)*3 {
@@ -42,6 +49,7 @@ func TestGangFetchBringsAllMinipages(t *testing.T) {
 		}
 		th.Barrier()
 	})
+	pins.Check(t, "GangFetchBringsAllMinipages", fmt.Sprintf("wait=%d", int64(wait)))
 }
 
 func TestGangFetchOverlapsLatency(t *testing.T) {
@@ -104,6 +112,26 @@ func TestGangFetchSkipsPresent(t *testing.T) {
 			th.GangFetch([]Span{{Addr: va, Size: 128}})
 			if th.Stats.Prefetches != before {
 				t.Error("gang fetch re-requested a readable minipage")
+			}
+		}
+		th.Barrier()
+	})
+}
+
+// TestGangFetchIsANoOpUnderMW: lrc-mw serves none of the Millipage hints,
+// so a GangFetch of a minipage host 1 does not hold requests nothing.
+func TestGangFetchIsANoOpUnderMW(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 2, SharedSize: 1 << 18, Views: 4})
+	var va uint64
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			va = th.Malloc(128)
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.GangFetch([]Span{{Addr: va, Size: 128}})
+			if th.Stats.Prefetches != 0 || th.Stats.PrefetchTime != 0 {
+				t.Errorf("lrc-mw's gang fetch sent %d prefetches in %v", th.Stats.Prefetches, th.Stats.PrefetchTime)
 			}
 		}
 		th.Barrier()

@@ -80,13 +80,11 @@ func (s *System) home(table []int16, id int) int {
 // homeOf is minipage id's home as this host knows it.
 func (h *Host) homeOf(id int) int { return h.sys.home(h.homes, id) }
 
-// adopt makes a barrier release's home table this host's, once however
-// many threads it wakes, and sends itself the directory messages that
-// waited for it (dir); under -tags invariants it is the coordinator's.
+// adopt makes a barrier release's home table this host's, and sends
+// itself the directory messages that waited for it (dir); under -tags
+// invariants it is the coordinator's. Each thread the release wakes adopts
+// it; the host's later ones find nothing left to do.
 func (h *Host) adopt(p *sim.Proc, x *mwSync) {
-	if x.Epoch == h.epoch {
-		return
-	}
 	h.epoch, h.homes = x.Epoch, x.Homes
 	if s := h.sys; Invariants && (h.epoch != s.epoch || !slices.Equal(h.homes, s.homes)) {
 		panic(fmt.Sprintf("dsm: host %d's home table at epoch %d is %v, the coordinator's at %d %v", h.ID(), h.epoch, h.homes, s.epoch, s.homes))

@@ -536,9 +536,23 @@ func TestSCRotatingWriterKeepsHome(t *testing.T) {
 // read. Once the first partition heals, the old home forwards the ack to
 // host 2, which closes the read and serves the write. The old home serves
 // nothing after the move and sends nothing but the ack.
+// The ack heals after host 2's release, or before it: then the old home,
+// released, forwards it to a new home that is not, and stamps it with its
+// own epoch, so host 2 holds it for its release beside the write instead
+// of taking it for a request misdelivered in the epoch it is still in.
 func TestSCMoveWithAckInFlight(t *testing.T) {
+	for _, order := range []struct {
+		name         string
+		heal1, heal2 sim.Time
+	}{{"ack-after-release", sim.Time(25 * sim.Millisecond), sim.Time(15 * sim.Millisecond)},
+		{"ack-before-release", sim.Time(15 * sim.Millisecond), sim.Time(25 * sim.Millisecond)}} {
+		t.Run(order.name, func(t *testing.T) { testSCMoveWithAckInFlight(t, order.heal1, order.heal2) })
+	}
+}
+
+func testSCMoveWithAckInFlight(t *testing.T, heal1, heal2 sim.Time) {
 	read := sim.Time(10 * sim.Millisecond)
-	cut, heal1, heal2 := read+120*sim.Time(sim.Microsecond), sim.Time(25*sim.Millisecond), sim.Time(15*sim.Millisecond)
+	cut := read + 120*sim.Time(sim.Microsecond)
 	s := newSys(t, New, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, Faults: &faultnet.Plan{Partitions: []faultnet.Partition{
 		{A: 1 << 3, B: 1 << 1, From: cut, Until: heal1}, {A: 1 << 0, B: 1 << 2, From: cut, Until: heal2}}}})
 	var va [2]uint64

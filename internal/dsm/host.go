@@ -177,7 +177,6 @@ func (h *Host) onFault(ctx any, f vm.Fault) error {
 	case t.prefetchWait:
 		time = &st.PrefetchTime
 	}
-	t.prefetchWait = false
 	*time += elapsed
 	*n++
 	hist.Add(elapsed)
@@ -196,7 +195,7 @@ func (h *Host) handleFault(t *Thread, f vm.Fault) error {
 		return t.mwFault(f)
 	}
 	c := h.Costs()
-
+	t.prefetchWait = t.inPrefetchSpan(f.Addr) // before the wait, whose end finds the span cleared
 	if Invariants && t.req.owed != 0 {
 		panic(fmt.Sprintf("dsm: host %d: a fault reuses a request that counts %d invalidation replies", h.ID(), t.req.owed))
 	}
@@ -220,10 +219,6 @@ func (h *Host) handleFault(t *Thread, f vm.Fault) error {
 	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Excl: excl, Req: &t.req, Epoch: h.epoch}, Blocking{
 		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
 	}) // the host may go idle; the poller takes over
-
-	if f.Kind == vm.Read && t.inPrefetchSpan(f.Addr) {
-		t.prefetchWait = true
-	}
 	return nil
 }
 
@@ -427,11 +422,10 @@ func (h *Host) alloc(p *sim.Proc, from, size int, local bool) Allocation {
 // mapped runs on the allocating host once it knows its allocation — in
 // the server thread that received the reply, or in the thread itself on
 // the Coordinator — and gives it the minipages it owns writable with no
-// fault: allocLocal's Info covers every one of them.
+// fault: allocLocal's Info covers every one of them (lrc-mw's own none).
 func (h *Host) mapped(p *sim.Proc, a Allocation) {
 	if h.sys.mw {
 		h.mwMapped(a)
-		return
 	}
 	if !a.Owner {
 		return

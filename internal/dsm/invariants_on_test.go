@@ -5,6 +5,11 @@ package dsm
 import (
 	"strings"
 	"testing"
+
+	"millipage/internal/core"
+	"millipage/internal/fastmsg"
+	"millipage/internal/sim"
+	"millipage/internal/vm"
 )
 
 func mustPanic(t *testing.T, want string, fn func()) {
@@ -62,4 +67,51 @@ func TestSlicePoolInvariants(t *testing.T) {
 	mustPanic(t, "buffer recycled twice", func() { ints.Put(s) })
 	s[1] = 7
 	mustPanic(t, "written after it was recycled", func() { ints.Get(2) })
+}
+
+// TestProtectChecksSWMR: under -tags invariants, SC's protect panics once a
+// minipage is writable at one host beside a copy at another, whichever
+// host's protection change makes it so.
+func TestProtectChecksSWMR(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 4})
+	var info core.Info
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 { // the allocating host maps its minipage writable
+			_, info, _ = th.host.route(th.Malloc(64))
+		}
+	})
+	mustPanic(t, "host 0 holds minipage 0 writable beside 1 other copies", func() { s.Host(1).protect(info, vm.ReadOnly) })
+}
+
+// declMsg is TestDeclineAfterDataPanics' header: one row, by its table.
+type declMsg struct {
+	PoolState
+	tab Table
+}
+
+func (m *declMsg) Table() (Table, int) { return m.tab, 0 }
+
+// TestDeclineAfterDataPanics: under -tags invariants a row that posts a
+// minipage's bytes in engine context and then declines it panics, as one
+// that posts a header does (cluster's TestDeclineLeavesNoMark): the thread
+// that serves the message next would post them again.
+func TestDeclineAfterDataPanics(t *testing.T) {
+	tab := Register(MsgTable[*declMsg]{Describe: func(*Host, *declMsg) (int, uint64, int) { return -1, 0, -1 }, Rows: []MsgSpec[*declMsg]{
+		{Name: "DECL_DATA", Engine: true, Handle: func(h *Host, p *sim.Proc, _ *declMsg, fm *fastmsg.Message) *fastmsg.Message {
+			if p == nil {
+				h.postData(fm.From, make([]byte, 8), dataMarker)
+				return fastmsg.Decline
+			}
+			return nil
+		}},
+	}})
+	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16})
+	mustPanic(t, "DECL_DATA declined engine context after posting or queueing a send", func() {
+		s.Run(func(th *Thread) {
+			if th.ID == 0 { // host 1 is idle: it serves the message at once
+				th.Send(1, &declMsg{tab: tab})
+				th.Compute(sim.Millisecond)
+			}
+		})
+	})
 }

@@ -62,7 +62,6 @@ type ManagerStats struct {
 	WriteReqs         uint64
 	Invalidations     uint64 // invalidate requests issued
 	CompetingRequests uint64 // requests queued behind an open transaction
-	Allocs            uint64
 	Pushes            uint64
 	ExclusiveReads    uint64 // reads under a lock served as write misses (admit)
 }
@@ -297,7 +296,6 @@ func (h *Host) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 // allocation authority: the MPT grows nowhere else), behind Host.alloc,
 // and checks HomeOf's answer for each id before anything else asks it.
 func (h *Host) allocLocal(from, size int) (Allocation, error) {
-	h.Stats.Allocs++
 	s, mpt := h.sys, h.sys.mpt
 	firstNew := mpt.NumMinipages()
 	mp, va, err := mpt.Alloc(size)

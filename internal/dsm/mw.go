@@ -30,7 +30,6 @@ type mwSync struct {
 	Notice   mwNotice   // the releaser's closed interval, MPs nil if it wrote nothing (UNLOCK)
 	Releaser *Host      // whose epoch's notices ride along (BARRIER_ARRIVE)
 	Notices  []mwNotice // piggybacked write notices (LOCK_GRANT, BARRIER_RELEASE)
-	MaxVC    []uint64   // converged clock (BARRIER_RELEASE)
 
 	// BARRIER_RELEASE, both classes: the moves, the table after them, the epoch opened.
 	Moves []homeMove
@@ -373,12 +372,11 @@ func (h *Host) epochNotice(i int) mwNotice {
 }
 
 // acquire applies the write notices delivered with a lock grant or
-// barrier release, and a barrier's converged clock: advance the vector
-// clock, and invalidate exactly the minipages a causally newer notice
-// names — the next fault fetches them from their homes, needing the
-// notices' diffs there. A home waits for a named diff of its own
-// minipages instead.
-func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
+// barrier release: advance the vector clock, and invalidate exactly the
+// minipages a causally newer notice names — the next fault fetches them
+// from their homes, needing the notices' diffs there. A home waits for a
+// named diff of its own minipages instead.
+func (t *Thread) acquire(notices []mwNotice) {
 	h := t.host
 	s := h.sys
 	c := h.Costs()
@@ -414,11 +412,6 @@ func (t *Thread) acquire(notices []mwNotice, maxvc []uint64) {
 				p.Sleep(c.SetProt)
 				h.protect(info, vm.NoAccess)
 			}
-		}
-	}
-	for i, v := range maxvc {
-		if v > h.vc[i] {
-			h.vc[i] = v
 		}
 	}
 }
@@ -463,12 +456,12 @@ func (t *Thread) mwRelease(m *SvcMsg) {
 // mwAcquire is the acquire half (Thread.syncAcquire): apply the write
 // notices piggybacked on the grant or release — only minipages with a
 // causally newer write are invalidated, everything else this host holds
-// stays mapped — and, past a barrier, converge the clock, move homes (after
-// the notices: an old home waits out the mover's diffs) and open an epoch.
+// stays mapped — and, past a barrier, move homes (after the notices: an
+// old home waits out the mover's diffs) and open an epoch.
 func (t *Thread) mwAcquire(m *SvcMsg) {
 	h := t.host
 	x := h.ext(m)
-	t.acquire(x.Notices, x.MaxVC)
+	t.acquire(x.Notices)
 	if m.Type == SvcBarrierRelease {
 		h.move(x.Moves)
 		h.adopt(t.p, x)
@@ -522,47 +515,25 @@ func (h *Host) granting(m *SvcMsg) {
 }
 
 // converged completes a barrier episode at the coordinator, under either
-// class: every release gets the barrier's home moves. Under SC they ride
-// in the coordinator's one record; under lrc-mw each release also gets
-// the converged clock and the notices its arrival's clock had not
-// covered, and the log is cleared.
+// class: every release gets the barrier's home moves and the notices its
+// arrival's clock had not covered, and the log is cleared. Under SC they
+// ride in the coordinator's one record, and the log is empty.
 func (h *Host) converged(arrivals []*SvcMsg) {
 	s := h.sys
 	moves := s.moves()
 	if !s.mw {
-		s.release = mwSync{Moves: moves, Homes: s.homes, Epoch: s.epoch}
 		for _, a := range arrivals {
 			a.Ext = &s.release
-		}
-		return
-	}
-	// One converged-clock scratch serves every release message: each
-	// acquirer only reads it, and all of them have consumed it before
-	// the next episode can complete and overwrite it.
-	if s.maxvc == nil {
-		s.maxvc = make([]uint64, s.NumHosts())
-	}
-	maxvc := s.maxvc
-	clear(maxvc)
-	for _, a := range arrivals {
-		for i, v := range h.ext(a).VC {
-			if v > maxvc[i] {
-				maxvc[i] = v
-			}
-		}
-	}
-	for _, n := range s.log {
-		if n.Seq > maxvc[n.Creator] {
-			maxvc[n.Creator] = n.Seq
 		}
 	}
 	for _, a := range arrivals {
 		x := h.ext(a)
-		x.MaxVC, x.Moves, x.Homes, x.Epoch = maxvc, moves, s.homes, s.epoch
+		x.Moves, x.Homes, x.Epoch = moves, s.homes, s.epoch
 		x.Notices = s.newerThan(x.Notices, x.VC)
 	}
-	// Every host's clock now converges to maxvc, so nothing in the log
-	// can ever be granted again: clear it.
+	// Every arrival carried its epoch's notices, so each release's notices
+	// bring its host's clock up to the whole log, which nothing can be
+	// granted from again: clear it.
 	s.log = s.log[:0]
 	s.logPrev = s.logPrev[:0]
 	clear(s.logLast)

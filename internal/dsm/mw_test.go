@@ -325,7 +325,7 @@ func TestMWNewerThanMatchesFullScan(t *testing.T) {
 // host 1 takes the lock and reads both words — under the lock, which
 // refetches the dirty copy, or after its unlock, which must leave the
 // released copy invalid instead of re-exposing it. Either way it reads
-// both, the home holds both after the next barrier (an unlock does not
+// both (under the lock, and writes A again with no fault), the home holds both after the next barrier (an unlock does not
 // wait for its diff to be applied), and host 1's flush carried a diff of A
 // alone.
 func TestMWDirtyCopyFetch(t *testing.T) {
@@ -349,6 +349,11 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 					th.Lock(1)
 					if underLock {
 						gotA, gotB = th.ReadU32(va+offA), th.ReadU32(va+offB)
+						faults := s.MWStats().WriteFault
+						th.WriteU32(va+offA, valA) // the refetched dirty copy stays writable
+						if n := s.MWStats().WriteFault - faults; n != 0 {
+							t.Errorf("a write to the refetched dirty copy took %d write faults, want none", n)
+						}
 					}
 					before := s.MWStats().DiffBytes
 					th.Unlock(1)
@@ -481,8 +486,8 @@ func lockHeavyRun(t *testing.T, s *System) *System {
 }
 
 // TestClassesShareNoState: each consistency class leaves the other's state
-// untouched. The DRF oracle run under millipage keeps no converged clock,
-// notice log or lrc-mw counter, which lrc-mw's
+// untouched. The DRF oracle run under millipage keeps no notice log or
+// lrc-mw counter, which lrc-mw's
 // synchronization work would fill if it ran for an SC host (SC runs the
 // barrier half only); under lrc-mw the same run places no
 // directory entry and counts no directory request. Migrations is both
@@ -498,8 +503,8 @@ func TestClassesShareNoState(t *testing.T) {
 		}
 		st := s.MWStats()
 		st.Migrations = 0
-		if !s.mw && (s.maxvc != nil || len(s.log) != 0 || st != (MWStats{})) {
-			t.Errorf("lrc-mw state after an SC run: converged clock %v, %d notices logged, %+v", s.maxvc, len(s.log), st)
+		if !s.mw && (s.logLast != nil || len(s.log) != 0 || st != (MWStats{})) {
+			t.Errorf("lrc-mw state after an SC run: notice log %v, %d notices logged, %+v", s.logLast, len(s.log), st)
 		}
 		if s.mw && (len(s.dir) != 0 || s.ManagerStatsTotal() != (ManagerStats{})) {
 			t.Errorf("directory state after an lrc-mw run: %d slabs, %+v", len(s.dir), s.ManagerStatsTotal())
@@ -588,10 +593,15 @@ func TestMWFetchWaitsForNamedDiff(t *testing.T) {
 // 4 KB minipages homed at host 2, ids 2 and 5, in one interval, and a
 // partition cuts it from host 2 between the two diffs its unlock sends (a
 // 4 KB diff takes 250 us to make): the first is applied, the second held.
-// Host 0's fetch of minipage 5 must wait for the second.
+// Host 0's fetch of minipage 5 must wait for the second. Cut before both,
+// the fetch is retried as the first lands and parks again, counted once.
+// Written in the other order, the diffs still leave by id: cut between
+// them, host 0's fetch of minipage 2 finds its diff applied and does not
+// park, where diffs sent in write order would have let the home take
+// minipage 5's diff for 2's and serve the fetch without it.
 func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 	const val = 0x5eed
-	program := func(cut faultnet.Partition) (unlock sim.Time, got uint32, s *System) {
+	program := func(cut faultnet.Partition, written [2]int, read int) (unlock sim.Time, got uint32, s *System) {
 		s = newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 20, Views: 8,
 			Faults: &faultnet.Plan{Partitions: []faultnet.Partition{cut}}})
 		var va [6]uint64
@@ -607,14 +617,14 @@ func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 				th.ReadU32(va[2])
 				th.ReadU32(va[5])
 				th.Lock(1)
-				th.WriteU32(va[2], val)
-				th.WriteU32(va[5], val)
+				th.WriteU32(va[written[0]], val)
+				th.WriteU32(va[written[1]], val)
 				unlock = th.Now()
 				th.Unlock(1)
 			case 0:
 				th.Compute(10 * sim.Millisecond)
 				th.Lock(1)
-				got = th.ReadU32(va[5])
+				got = th.ReadU32(va[read])
 				th.Unlock(1)
 			}
 			th.Barrier()
@@ -622,14 +632,22 @@ func TestMWFetchWaitsForEveryDiffOfItsInterval(t *testing.T) {
 		return unlock, got, s
 	}
 	far := sim.Time(1 << 60)
-	unlock, _, _ := program(faultnet.Partition{A: 0b010, B: 0b100, From: far, Until: far + 1}) // armed, never cut: the same timing
-	from := unlock + sim.Time(380*sim.Microsecond)
-	_, got, s := program(faultnet.Partition{A: 0b010, B: 0b100, From: from, Until: from + sim.Time(20*sim.Millisecond)})
-	if got != val {
-		t.Fatalf("host 0 read %#x from minipage 5, want %#x", got, val)
-	}
-	if st := s.MWStats(); st.FetchesParked != 1 {
-		t.Fatalf("%d fetches parked, want host 0's", st.FetchesParked)
+	for _, c := range []struct {
+		written      [2]int
+		read, parked int // parked: cut between the diffs; cut before both, always 1
+	}{{[2]int{2, 5}, 5, 1}, {[2]int{5, 2}, 2, 0}} {
+		unlock, _, _ := program(faultnet.Partition{A: 0b010, B: 0b100, From: far, Until: far + 1}, c.written, c.read) // armed, never cut: the same timing
+		// Cut between the diffs, then before both.
+		for i, after := range []sim.Duration{380 * sim.Microsecond, 100 * sim.Microsecond} {
+			from := unlock + sim.Time(after)
+			_, got, s := program(faultnet.Partition{A: 0b010, B: 0b100, From: from, Until: from + sim.Time(20*sim.Millisecond)}, c.written, c.read)
+			if got != val {
+				t.Fatalf("written %v, cut %v after the unlock: host 0 read %#x from minipage %d, want %#x", c.written, after, got, c.read, val)
+			}
+			if st := s.MWStats(); st.FetchesParked != uint64(max(c.parked, i)) {
+				t.Fatalf("written %v, cut %v after the unlock: %d fetches parked, want %d", c.written, after, st.FetchesParked, max(c.parked, i))
+			}
+		}
 	}
 }
 
@@ -888,5 +906,214 @@ func TestMWFetchIsARead(t *testing.T) {
 		if want := f.parent + sim.Duration(mp.Info(s.Layout).Size)*c.InstallPerByte; f.got != want {
 			t.Errorf("the %d B fetch took %v, want %v: %v before the fetch was a read, and the install of its bytes", f.size, f.got, want, f.parent)
 		}
+	}
+}
+
+// TestMWNeedKeepsNewestInterval: a host that learns two intervals of one
+// writer for one minipage needs the newer one's diff at the home. Host 2
+// writes minipage 0 (homed at host 0) in two critical sections, and host
+// 1's one grant carries both notices: its need for the minipage names
+// host 2's second interval, once.
+func TestMWNeedKeepsNewestInterval(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
+	var va uint64
+	var need []mwNeed
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			va = th.Malloc(64)
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 2:
+			for i := range 2 {
+				th.Lock(1)
+				th.WriteU32(va, uint32(i))
+				th.Unlock(1)
+			}
+		case 1:
+			th.Compute(5 * sim.Millisecond) // both critical sections come first
+			th.Lock(1)
+			h := th.host
+			for i := h.mps[0].need; i != 0; i = h.needs[i-1].next {
+				need = append(need, mwNeed{Creator: h.needs[i-1].Creator, Seq: h.needs[i-1].Seq})
+			}
+			th.Unlock(1)
+		}
+		th.Barrier()
+	})
+	if want := []mwNeed{{Creator: 2, Seq: 2}}; !slices.Equal(need, want) {
+		t.Fatalf("host 1 needs %+v for minipage 0, want %+v", need, want)
+	}
+}
+
+// TestMWHomeWaitsAgain: a home's acquire that waits for a diff waits on
+// an event every apply sets, so it resets the event first. Host 2, the
+// home of minipage 2, applies host 1's diff of it in the first epoch; in
+// the second a partition holds host 1's next diff while host 2 takes the
+// lock host 1 released it under. Host 2's acquire blocks once, until the
+// diff lands, and reads it.
+func TestMWHomeWaitsAgain(t *testing.T) {
+	const cutFrom, cutUntil = sim.Time(5 * sim.Millisecond), sim.Time(15 * sim.Millisecond)
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, Faults: &faultnet.Plan{
+		Partitions: []faultnet.Partition{{A: 0b010, B: 0b100, From: cutFrom, Until: cutUntil}}}})
+	var va [3]uint64
+	var got uint32
+	var waits uint64
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			for i := range va {
+				va[i] = th.Malloc(64)
+			}
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.Lock(1)
+			th.WriteU32(va[2], 1)
+			th.Unlock(1)
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 1:
+			th.Compute(cutFrom.Sub(th.Now()) + sim.Millisecond)
+			th.Lock(1)
+			th.WriteU32(va[2], 2)
+			th.Unlock(1)
+		case 2:
+			th.Compute(cutFrom.Sub(th.Now()) + 3*sim.Millisecond)
+			before := s.MWStats().HomeWaits
+			th.Lock(1)
+			waits = s.MWStats().HomeWaits - before
+			got = th.ReadU32(va[2])
+			th.Unlock(1)
+		}
+		th.Barrier()
+	})
+	if s.HomeOf(2) != 2 {
+		t.Fatalf("minipage 2 is homed at host %d, the test wants host 2", s.HomeOf(2))
+	}
+	if got != 2 || waits != 1 {
+		t.Fatalf("host 2 read %d after %d home waits, want 2 after 1", got, waits)
+	}
+}
+
+// TestMWBarrierAnnouncesItsEpoch: a barrier arrival carries every interval
+// its host closed in the epoch, since an unlock that carries one may reach
+// the coordinator after the arrival does (TestChaosTree's drop-heavy
+// schedule). Host 1 closes an interval whose notice goes nowhere, as if its
+// unlock were still on the wire, and arrives at the barrier: host 2's
+// cached copy of the minipage is invalidated by it all the same.
+func TestMWBarrierAnnouncesItsEpoch(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8})
+	var va uint64
+	var got uint32
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			va = th.Malloc(64)
+		}
+		th.Barrier()
+		if th.Host() == 2 {
+			th.ReadU32(va) // a copy, kept across the next barrier
+		}
+		th.Barrier()
+		if th.Host() == 1 {
+			th.WriteU32(va, 7)
+			th.release() // its notice is not logged
+		}
+		th.Barrier()
+		if th.Host() == 2 {
+			got = th.ReadU32(va)
+		}
+	})
+	if got != 7 {
+		t.Fatalf("host 2 read %d past the barrier, want 7", got)
+	}
+}
+
+// TestMWTwinGrowsWithChunk: a dirty copy takes its chunk's later
+// allocations without a fault, and its twin grows over them at release
+// from the old twin, with zeros past it. Host 1 twins cell a of a chunk
+// whose word 8 host 0 wrote, host 0 allocates cell b in the same chunk,
+// and host 1 writes a and b; host 2 meanwhile writes word 8 under a lock.
+// Host 1's diff carries its own words alone, so host 2's stays.
+func TestMWTwinGrowsWithChunk(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, ChunkLevel: 4})
+	var a, b uint64
+	var got [3]uint32
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			a = th.Malloc(64)
+			th.WriteU32(a+8, 0x11)
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 0:
+			th.Compute(sim.Millisecond)
+			b = th.Malloc(64)
+		case 1:
+			th.WriteU32(a, 0xa)
+			th.Compute(2 * sim.Millisecond)
+			th.WriteU32(b, 0xb)
+			th.Compute(3 * sim.Millisecond)
+			th.Lock(1)
+			th.Unlock(1)
+		case 2:
+			th.Compute(3 * sim.Millisecond)
+			th.Lock(2)
+			th.WriteU32(a+8, 0x22)
+			th.Unlock(2)
+		}
+		th.Barrier()
+		if th.Host() == 0 {
+			got = [3]uint32{th.ReadU32(a), th.ReadU32(a + 8), th.ReadU32(b)}
+		}
+	})
+	if ma, _ := s.mpt.Lookup(a); ma.ID != func() int { mb, _ := s.mpt.Lookup(b); return mb.ID }() {
+		t.Fatal("cells a and b lie in two minipages, the test wants one chunk")
+	}
+	if got != [3]uint32{0xa, 0x22, 0xb} {
+		t.Fatalf("home reads %#x, want [0xa 0x22 0xb]", got)
+	}
+}
+
+// TestMWInvalidationCoversGrownChunk: an acquire invalidates a dirty copy
+// over the extent it was twinned at, which its chunk's growth since the
+// fetch made two pages. Host 1 fetches cell a (one page), host 0 allocates
+// cell b on the chunk's second page, and host 1 writes a; host 2 writes b
+// under a lock that host 1 then takes. Host 1 must fault on b and read
+// host 2's word, not its own stale page.
+func TestMWInvalidationCoversGrownChunk(t *testing.T) {
+	s := newSys(t, NewMW, Options{Hosts: 3, SharedSize: 1 << 18, Views: 8, ChunkLevel: 2})
+	var a, b uint64
+	var got uint32
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			a = th.Malloc(3000)
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 0:
+			th.Compute(sim.Millisecond)
+			b = th.Malloc(3000)
+		case 1:
+			th.ReadU32(a)
+			th.Compute(2 * sim.Millisecond)
+			th.WriteU32(a, 1)
+			th.Compute(3 * sim.Millisecond)
+			th.Lock(1)
+			got = th.ReadU32(b + 1500)
+			th.Unlock(1)
+		case 2:
+			th.Compute(3 * sim.Millisecond)
+			th.Lock(1)
+			th.WriteU32(b+1500, 0x77)
+			th.Unlock(1)
+		}
+		th.Barrier()
+	})
+	if mb, _ := s.mpt.Lookup(b); a/vm.PageSize == (b+1500)/vm.PageSize || mb.Info(s.Layout).Base != a {
+		t.Fatal("word b+1500 is not on the second page of cell a's minipage")
+	}
+	if got != 0x77 {
+		t.Fatalf("host 1 read %#x from cell b, want 0x77", got)
 	}
 }

@@ -67,7 +67,6 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 					HomeOf: mgmt.homeOf, Faults: &plan})
 				s.Eng.At(sim.Time(20*sim.Second), s.Eng.Stop) // watchdog
 				d := &check.DRF{Hosts: hosts, Rounds: 3, LockReps: 4}
-				done := 0
 				run(t, s, func(th *Thread) {
 					d.Body(th)
 					// Outlast every retransmission timer, then
@@ -75,11 +74,7 @@ func TestChaosHeaderPoolBalances(t *testing.T) {
 					// messages is in flight when the last thread leaves.
 					th.Compute(sim.Second)
 					th.Barrier()
-					done++
 				})
-				if done != hosts {
-					t.Fatalf("watchdog: %d of %d threads finished", done, hosts)
-				}
 				if err := d.Err(); err != nil {
 					t.Fatal(err)
 				}

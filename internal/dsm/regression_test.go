@@ -39,10 +39,43 @@ func TestPrefetchSpanClearedWhenUnaligned(t *testing.T) {
 		if th.Host() == 1 {
 			before := th.Stats.Prefetches
 			th.Prefetch(va+8, 64)
+			th.Prefetch(va+8, 64) // in flight: not sent again
 			if th.Stats.Prefetches != before+1 {
-				t.Error("re-Prefetch after invalidation was swallowed by a stale span")
+				t.Errorf("%d prefetches sent, want 1: a re-Prefetch after invalidation swallowed by a stale span, or one in flight sent again", th.Stats.Prefetches-before)
 			}
 			th.Compute(20 * sim.Millisecond)
+		}
+		th.Barrier()
+	})
+}
+
+// TestPrefetchSpanKeptUntilItsReply: a prefetch's reply clears its own
+// span only. Host 2 prefetches a minipage host 0 wrote and one host 1
+// wrote; host 1 is computing, so the first reply is in while the second
+// request waits there, and neither a second Prefetch of it nor a
+// GangFetch naming it is sent.
+func TestPrefetchSpanKeptUntilItsReply(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 3, SharedSize: 1 << 16, Views: 4})
+	var va [2]uint64
+	run(t, s, func(th *Thread) {
+		if h := th.Host(); h < 2 {
+			va[h] = th.Malloc(64)
+			th.WriteU32(va[h], 1)
+		}
+		th.Barrier()
+		switch th.Host() {
+		case 1:
+			th.Compute(10 * sim.Millisecond)
+		case 2:
+			th.Prefetch(va[0], 64)
+			th.Prefetch(va[1], 64)
+			th.Compute(sim.Millisecond)
+			before := th.Stats.Prefetches
+			th.Prefetch(va[1], 64)
+			th.GangFetch([]Span{{va[1], 64}})
+			if n := len(th.host.prefetchSpans); n != 1 || th.Stats.Prefetches != before {
+				t.Errorf("%d spans in flight and %d prefetches sent again, want host 1's only and none", n, th.Stats.Prefetches-before)
+			}
 		}
 		th.Barrier()
 	})

@@ -147,7 +147,6 @@ func (t *Thread) Lock(id int) {
 	t.syncAcquire(m)
 	t.locks++
 	t.Stats.SynchTime += t.p.Now().Sub(start)
-	t.Stats.LockOps++
 }
 
 // Unlock releases the lock with the given id. The release is
@@ -160,7 +159,6 @@ func (t *Thread) Unlock(id int) {
 	t.syncRelease(m)
 	t.Send(Coordinator, m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)
-	t.Stats.LockOps++
 }
 
 // svcTable is the coordinator's message table. Setting an event, collecting or

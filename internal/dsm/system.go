@@ -135,7 +135,7 @@ type System struct {
 	places  []writeRecord // by minipage id, read in place by moves (home.go)
 	homes   []int16       // host 0's home table by minipage id: 1 + the host a barrier moved it to; 0 while at HomeOf
 	spare   []int16       // the table before it
-	moved   []homeMove    // the last barrier's moves, shared like maxvc
+	moved   []homeMove    // the last barrier's moves, which every release shares
 	epoch   uint32        // barrier epochs completed
 	release mwSync        // the record every SC release carries
 
@@ -143,7 +143,6 @@ type System struct {
 	log     []mwNotice // append-only between barriers, cleared at each
 	logPrev []int      // logPrev[i]: position of the previous notice by log[i]'s creator, or -1
 	logLast []int      // per creator: 1 + position of its latest notice, or 0 (Seq rises along each chain)
-	maxvc   []uint64   // barrier-episode scratch; every release shares it
 	stats   MWStats    // every host's lrc-mw counters, and both classes' Migrations: hosts run one at a time
 
 	// The cluster's freelists, shared by every host. See Host.allocPM.
@@ -205,9 +204,8 @@ func newSystem(name string, opt Options, mw bool) (*System, error) {
 	return s, nil
 }
 
-// Run starts ThreadsPerHost application threads on every host, each
-// executing body, and drives the simulation until all of them finish. A
-// System runs one application.
+// Run runs body on ThreadsPerHost new threads of every host until all of
+// them finish, or returns ErrStopped. A System runs one application.
 func (s *System) Run(body func(*Thread)) error {
 	switch {
 	case body == nil:
@@ -219,18 +217,27 @@ func (s *System) Run(body func(*Thread)) error {
 		for j := 0; j < s.Opt.ThreadsPerHost; j++ {
 			t := &Thread{host: h, ID: len(s.threads), LID: j}
 			s.threads = append(s.threads, t)
-			s.Eng.Spawn(fmt.Sprintf("app-%d.%d", h.id, j), func(p *sim.Proc) {
-				t.p = p
+			t.p = s.Eng.Spawn(fmt.Sprintf("app-%d.%d", h.id, j), func(p *sim.Proc) {
 				h.EP.SetBusy(+1)
-				t.Stats.Start = p.Now()
 				body(t)
-				t.Stats.End = p.Now()
+				t.Stats.End, t.p = p.Now(), nil
 				h.EP.SetBusy(-1)
 			})
 		}
 	}
-	return s.Eng.Run()
+	err := s.Eng.Run()
+	for _, t := range s.threads {
+		if stopped, is := err.(ErrStopped); t.p != nil && (err == nil || is) {
+			err = append(stopped, sim.BlockedProc{Name: t.p.Name(), Waiting: t.op.For})
+		}
+	}
+	return err
 }
+
+// ErrStopped is the threads Eng.Stop left unfinished, each with its last Blocking.For.
+type ErrStopped []sim.BlockedProc
+
+func (e ErrStopped) Error() string { return fmt.Sprint("dsm: stopped: ", []sim.BlockedProc(e)) }
 
 // Host returns host i.
 func (s *System) Host(i int) *Host { return s.hosts[i] }
@@ -279,7 +286,7 @@ func (s *System) ManagerStatsTotal() (tot ManagerStats) {
 	for i := 0; i < s.NumHosts(); i++ {
 		st := &s.Host(i).Stats
 		tot = ManagerStats{tot.ReadReqs + st.ReadReqs, tot.WriteReqs + st.WriteReqs, tot.Invalidations + st.Invalidations,
-			tot.CompetingRequests + st.CompetingRequests, tot.Allocs + st.Allocs, tot.Pushes + st.Pushes, tot.ExclusiveReads + st.ExclusiveReads}
+			tot.CompetingRequests + st.CompetingRequests, tot.Pushes + st.Pushes, tot.ExclusiveReads + st.ExclusiveReads}
 	}
 	return tot
 }

@@ -32,7 +32,7 @@ func newWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
 // All methods must be called from the thread's own body function.
 type Thread struct {
 	host *Host
-	p    *sim.Proc
+	p    *sim.Proc // nil once its body has returned
 
 	// fw is the thread's reusable rendezvous for synchronous blocking
 	// operations (faults, malloc, barriers, locks). A thread blocks on at
@@ -86,15 +86,14 @@ func (t *Thread) Compute(d sim.Duration) {
 	t.p.Sleep(d)
 }
 
-// WaitSlot returns the thread's rendezvous, reset for a new transaction.
+// WaitSlot returns the thread's rendezvous, reset for a new transaction
+// (whose reply sets its Info).
 func (t *Thread) WaitSlot() *Wait {
 	if t.fw == nil {
 		t.fw = newWait(t.host.sys.Eng)
-		return t.fw
 	}
 	fw := t.fw
 	fw.Ev.Reset()
-	fw.Info = core.Info{}
 	return fw
 }
 
@@ -143,7 +142,6 @@ const (
 	opWait                    // wait for the events, take the busy reference back, charge Wake
 	opClose                   // post the closing header, charge its send CPU
 	opClosed                  // put it on the wire
-	opDone
 )
 
 // Block is the one place an application thread blocks: it sends b's
@@ -182,13 +180,10 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 		fallthrough
 	case opSend:
 		t.request = h.Post(op.To, op.Request)
-		op.Request = nil
 		t.stage = opTransmit
 		return sim.SleepFor, h.sys.Opt.Net.SendCPU(t.request.Size)
 	case opTransmit:
 		h.EP.Transmit(t.request)
-		t.request = nil
-		t.stage = opSuspend
 		fallthrough
 	case opSuspend:
 		t.stage = opRelease
@@ -212,20 +207,16 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 		t.stage = opClose
 		return sim.SleepFor, op.Wake
 	case opClose:
-		t.stage = opDone
 		if op.Close != nil {
 			to, m := op.Close.closing()
 			t.request, t.stage = h.Post(to, m), opClosed
 			return sim.SleepFor, h.sys.Opt.Net.SendCPU(t.request.Size)
 		}
-		return sim.Run, 0
 	case opClosed:
 		h.EP.Transmit(t.request)
-		t.request, t.stage = nil, opDone
-		fallthrough
-	default:
-		return sim.Run, 0
 	}
+	t.request, t.op = nil, Blocking{} // no recycled header or stale wait reason outlives the operation
+	return sim.Run, 0
 }
 
 // ResetStats zeroes the thread's accumulated statistics and restarts its
@@ -315,7 +306,6 @@ type ThreadStats struct {
 	WriteFaults uint64
 	Prefetches  uint64
 	Barriers    uint64
-	LockOps     uint64
 
 	// Latency histograms (log-scale) for tail analysis: the paper's mean
 	// service delays hide the NT timers' bimodal shape.

@@ -26,13 +26,13 @@ var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"dsm", 3386},
+	{"dsm", 3342},
 }
 
 // kernelTarget is the kernel's line total, lowered with its ceilings. A
 // change that takes the kernel past it fails, whatever the per-package
 // ceilings.
-const kernelTarget = 3386
+const kernelTarget = 3342
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above

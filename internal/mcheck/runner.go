@@ -122,21 +122,20 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 	}
 	sys.Eng.SetExplorer(x)
 	sys.Eng.At(sim.Time(Watchdog), sys.Eng.Stop)
-	done := 0
-	runErr := sys.Run(func(w *dsm.Thread) {
-		wl.body(sys, w)
-		done++
-	})
+	runErr := sys.Run(func(w *dsm.Thread) { wl.body(sys, w) })
 	fp := fingerprint(sys)
 	switch {
 	case runErr != nil:
 		var pe *sim.ErrPanic
 		var de *sim.ErrDeadlock
+		var se dsm.ErrStopped
 		switch {
 		case errors.As(runErr, &pe):
 			return fp, &Failure{Kind: "panic", Msg: runErr.Error()}, nil
 		case errors.As(runErr, &de):
 			return fp, &Failure{Kind: "deadlock", Msg: runErr.Error()}, nil
+		case errors.As(runErr, &se):
+			return fp, &Failure{Kind: "stall", Msg: fmt.Sprintf("%v watchdog: %v", sim.Duration(Watchdog), runErr)}, nil
 		default:
 			return fp, &Failure{Kind: "run-error", Msg: runErr.Error()}, nil
 		}
@@ -146,8 +145,6 @@ func (o *Options) runOne(x sim.Explorer) (string, *Failure, error) {
 		return fp, &Failure{Kind: "oracle", Msg: "no home moved"}, nil
 	case wl.excl && proto.SC && sys.Totals().ExclusiveReads == 0:
 		return fp, &Failure{Kind: "oracle", Msg: "no read under a lock was served exclusive"}, nil
-	case done < len(sys.Threads()):
-		return fp, &Failure{Kind: "stall", Msg: fmt.Sprintf("%d of %d threads finished before the %v watchdog", done, len(sys.Threads()), sim.Duration(Watchdog))}, nil
 	}
 	return fp, nil, nil
 }

@@ -8,7 +8,8 @@
 #                            the benchmark module and each Go benchmark once
 #   scripts/check.sh smoke   the cmd/millipage cells listed at the bottom
 #   scripts/check.sh mutants every mutant of testdata/mutants killed by its
-#                            killers, known survivors surviving
+#                            killers, known survivors surviving, and each
+#                            kernel statement the change touches settled
 #
 # Tiers run in the order given (`scripts/check.sh fast full smoke mutants`). Tests
 # are selected by running all of them, so a new Test anywhere in the module
@@ -175,7 +176,9 @@ CELLS
 # it in place, so an oracle that stops catching its bug fails here. A
 # known survivor is marked with the ROADMAP item that will kill it, and
 # fails the tier once something does. A change that adds an optimization
-# adds the mutant that undoes it.
+# adds the mutant that undoes it. The catalogue's statement-deletion
+# family deletes each internal/dsm statement the change touches, one at a
+# time: each must be killed, fail to build, or be listed equivalent.
 mutants() {
 	go run ./cmd/mutate
 }
