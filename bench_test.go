@@ -179,30 +179,6 @@ func BenchmarkFigure7Chunking(b *testing.B) {
 
 // --- Substrate micro-benchmarks (real wall-clock Go performance) -------
 
-// BenchmarkVMAccess measures the software-VM access path.
-func BenchmarkVMAccess(b *testing.B) {
-	c, err := millipage.NewCluster(millipage.Config{
-		Hosts: 1, SharedMemory: 1 << 20, Views: 4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := c.System()
-	host := sys.Host(0)
-	as := host.AS
-	if err := as.Protect(sys.Layout.ViewBase(0), sys.Layout.NumPages, 2); err != nil {
-		b.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	base := sys.Layout.ViewBase(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := as.Access(nil, base+uint64((i*64)%(1<<19)), buf, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMMUTraversal measures the hardware-model throughput
 // (accesses/second of the TLB+cache simulation).
 func BenchmarkMMUTraversal(b *testing.B) {

@@ -18,9 +18,7 @@ func runExplore(args []string) error {
 	hosts := fs.Int("hosts", 0, "cluster size (0 = the workload's default)")
 	seed := fs.Int64("seed", 1, "system seed: engine rng and fault plan")
 	schedules := fs.Int("schedules", 200, "schedules to explore (schedule 0 is the default order)")
-	exploreSeed := fs.Int64("exploreseed", 0, "seed for the schedule perturbation strategies (0 = -seed)")
-	preempt := fs.Float64("preempt", 0.25, "probability of deferring a yielded process at a tie")
-	budget := fs.Int("budget", 50, "max preemptions per schedule (0 = unbounded)")
+	exploreSeed := fs.Int64("exploreseed", 0, "seed for the schedule shuffle (0 = -seed)")
 	shrinkRuns := fs.Int("shrinkruns", mcheck.DefaultShrinkRuns, "replay budget for the delta-debugging shrinker")
 	keepGoing := fs.Bool("keepgoing", false, "keep exploring after the first failure")
 	artifacts := fs.String("artifacts", "", "directory for shrunk repro traces (empty = don't write)")
@@ -35,7 +33,6 @@ func runExplore(args []string) error {
 		Protocol: *protocol, Workload: *workload, Faults: *faults,
 		Hosts: *hosts, Seed: *seed,
 		Schedules: *schedules, ExploreSeed: *exploreSeed,
-		Preempt: *preempt, Budget: *budget,
 		ShrinkRuns: *shrinkRuns, KeepGoing: *keepGoing, ArtifactDir: *artifacts,
 	}
 	if o.ExploreSeed == 0 {

@@ -161,7 +161,7 @@ const usageText = `usage: millipage [global flags] <costs|mvoverhead|apps|chunki
                          -workload W   swmr, mp, dekker, drf, merge, drf-nolock
                          -faults F     fault preset (see -h), default clean
                          -schedules N  schedules to explore (default 200)
-                         -seed/-exploreseed/-preempt/-budget   exploration knobs
+                         -seed/-exploreseed   exploration knobs
                          -artifacts D  write shrunk repro traces into D
                          -replay F     re-execute a saved .mchk trace
   serve [flags]        DSM-backed KV/session-cache serving scenarios: open-loop

@@ -169,10 +169,11 @@ func (f *family) run(killers [][]string, all bool) (string, error) {
 	}
 	dir, _ := os.MkdirTemp("", "mutant")
 	defer os.RemoveAll(dir)
+	cache := goCache(all && len(picked) > 0, killers)
 	killedBy, nobuild, equivalent := make([]int, len(killers)), 0, 0
 	var errs []error
 	for _, i := range picked {
-		s, start := f.stmts[i], time.Now()
+		s, start, kept := f.stmts[i], time.Now(), cacheEntries(cache)
 		src := f.srcs[s.file]
 		abs, _ := filepath.Abs(filepath.Join(f.dir, s.file))
 		ov, err := overlay(dir, abs, append(src[:s.off:s.off], src[s.end:]...))
@@ -200,6 +201,7 @@ func (f *family) run(killers [][]string, all bool) (string, error) {
 		case listed:
 			errs = append(errs, fmt.Errorf("%v is listed (%s), but %s: drop the listing", s, l, verdict))
 		}
+		dropAdded(cache, kept)
 		fmt.Printf("  %v: %s (%.1f s)\n", s, verdict, time.Since(start).Seconds())
 	}
 	sum := fmt.Sprintf("%d of %d statements: killed by each killer %v, %d nobuild, %d equivalent", len(picked), len(f.stmts), killedBy, nobuild, equivalent)
@@ -260,4 +262,48 @@ func (f *family) changed(diff []byte) (picked []int) {
 		}
 	}
 	return picked
+}
+
+// goCache returns the build cache a whole-family run (whole) cleans up
+// after each mutant, "" for none, once the killers have run on the tree
+// as it is: what a clean build puts there is kept for every mutant
+// after. The default run, a change's few statements, keeps its entries,
+// so that running the tier again on the same change hits them.
+func goCache(whole bool, killers [][]string) string {
+	out, err := exec.Command("go", "env", "GOCACHE").Output()
+	if err != nil || !whole {
+		return ""
+	}
+	for _, k := range killers {
+		run(k, "")
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// cacheEntries lists the entries of build cache dir: the files of its
+// two-hex-digit subdirectories.
+func cacheEntries(dir string) map[string]bool {
+	names := map[string]bool{}
+	if dir == "" {
+		return names
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "[0-9a-f][0-9a-f]", "*"))
+	for _, f := range files {
+		names[f] = true
+	}
+	return names
+}
+
+// dropAdded removes the entries of build cache dir absent from kept: a
+// mutant's builds and test results, which no later run reproduces. A
+// cache entry is only ever an optimisation, so a statement-deletion run
+// leaves the cache as it found it instead of growing it by megabytes a
+// statement. An entry another go command adds meanwhile goes too: run
+// nothing else against the cache while a named family runs.
+func dropAdded(dir string, kept map[string]bool) {
+	for f := range cacheEntries(dir) {
+		if !kept[f] {
+			os.Remove(f)
+		}
+	}
 }

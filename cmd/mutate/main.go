@@ -10,7 +10,8 @@
 // A file with a `delete <package dir>` line instead is a family: one
 // mutant per statement of the package, the equivalent ones listed in the
 // same file (family.go). Named, it runs every statement; in the default run,
-// those the change touches.
+// those the change touches. A named family removes the build-cache
+// entries each mutant added (family.go).
 //
 // Every go command it starts, and each program under it, runs under an
 // address-space cap and a deadline (bounded), so a mutant that loops
@@ -98,13 +99,16 @@ func overlay(dir, file string, src []byte) (string, error) {
 	return ov, errors.Join(os.WriteFile(with, src, 0o644), os.WriteFile(ov, []byte(fmt.Sprintf(`{"Replace":{%q:%q}}`, file, with)), 0o644))
 }
 
-// run runs killer k (go <verb> <args>) under overlay ov, bounded: a test
-// binary under -timeout, the command and its children killed at the
-// deadline.
+// run runs killer k (go <verb> <args>) under overlay ov, or on the tree
+// as it is if ov is "", bounded: a test binary under -timeout, the
+// command and its children killed at the deadline.
 func run(k []string, ov string) outcome {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	args := []string{k[1], "-overlay=" + ov}
+	args := []string{k[1]}
+	if ov != "" {
+		args = append(args, "-overlay="+ov)
+	}
 	if k[1] == "test" {
 		args = append(args, "-timeout="+testTimeout.String())
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -232,4 +233,37 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+// TestDropAdded: after a mutant, the entries its builds added to the cache
+// go, and everything the cache held before it stays, files outside the
+// entry directories included.
+func TestDropAdded(t *testing.T) {
+	dir := t.TempDir()
+	put := func(names ...string) {
+		for _, n := range names {
+			p := filepath.Join(dir, n)
+			if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(p, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put("README", "trim.txt", "0a/old-a", "ff/old-d")
+	kept := cacheEntries(dir)
+	put("0a/new-a", "7c/new-d", "testexpand-added")
+	dropAdded(dir, kept)
+	var left []string
+	filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, p)
+			left = append(left, rel)
+		}
+		return nil
+	})
+	if want := []string{"0a/old-a", "README", "ff/old-d", "testexpand-added", "trim.txt"}; !slices.Equal(left, want) {
+		t.Fatalf("left %q, want %q", left, want)
+	}
 }

@@ -129,7 +129,8 @@ func traceDigest(rec *trace.Recorder, elapsed int64, dump string) string {
 // fetches the invalidated minipage from its home.
 func tracedLockRun(t *testing.T, protocol string, hosts int, rec *trace.Recorder) (elapsed int64, dump string) {
 	t.Helper()
-	s, err := registry.New(protocol, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 4, Seed: 9, Trace: rec})
+	spec, _ := registry.Lookup(protocol)
+	s, err := spec.New(registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 4, Seed: 9, Trace: rec})
 	must(t, err)
 	var vas [6]uint64
 	err = s.Run(func(th *dsm.Thread) {

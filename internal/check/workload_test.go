@@ -22,7 +22,8 @@ func must(t testing.TB, err error) {
 // oracles accept a correct protocol.
 func newDSM(t *testing.T, hosts int, seed int64) *dsm.System {
 	t.Helper()
-	sys, err := registry.New("millipage", registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
+	spec, _ := registry.Lookup("millipage")
+	sys, err := spec.New(registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: seed})
 	must(t, err)
 	return sys
 }

@@ -251,7 +251,8 @@ func TestHomeOfOutsideTheClusterIsMisuse(t *testing.T) {
 		t.Run(fmt.Sprintf("malloc-on-host%d", host), func(t *testing.T) {
 			for _, name := range []string{"millipage", "lrc-mw"} {
 				t.Run(name, func(t *testing.T) {
-					sys, err := registry.New(name, registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 8,
+					spec, _ := registry.Lookup(name)
+					sys, err := spec.New(registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 8,
 						HomeOf: func(id, hosts int) int { return hosts + 3 }})
 					must(t, err)
 					want := name + ": host 0: HomeOf(0, 2) = 5 is not a host"

@@ -46,13 +46,13 @@ const treeVictim = 1
 // TestChaosTree: under every protocol, at 24 hosts, under drop-heavy and
 // with an interior node crashed mid-episode and restarted, the DRF oracle
 // holds and every barrier completes exactly once. The seed is one on which
-// a drop-heavy wire let lrc-mw hosts' barrier arrivals reach the
+// a drop-heavy wire lets lrc-mw hosts' barrier arrivals reach the
 // Coordinator, in their groups, ahead of an unlock they sent it before:
-// when an arrival carried only its own interval's notice, the unlock's
-// notice was logged only after the barrier, and stale copies of the
-// accumulator survived it.
+// with an arrival that carries only its own interval's notice (the
+// arrival-without-epoch mutant), the unlock's notice is logged only after
+// the barrier, and a stale copy of the accumulator survives it.
 func TestChaosTree(t *testing.T) {
-	const hosts, seed = 24, 63
+	const hosts, seed = 24, 85
 	for _, pr := range protocols() {
 		// run runs the DRF program under plan and returns the first instant
 		// past 2 ms at which treeVictim holds part of an episode.

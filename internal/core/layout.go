@@ -69,23 +69,15 @@ func NewLayout(sharedSize, numViews int) (Layout, error) {
 	}
 	pages := (sharedSize + vm.PageSize - 1) / vm.PageSize
 	objSize := pages * vm.PageSize
-	stride := uint64(objSize) + viewGuard
-	// Round the stride to a page multiple (it already is: objSize and
-	// viewGuard are page multiples), and sanity-check the 32-bit-era
-	// address-space budget the paper ran under (about 1.63 GB of user VA).
-	l := Layout{
+	// objSize and viewGuard are page multiples, and so is the stride.
+	return Layout{
 		ObjectSize: objSize,
 		NumPages:   pages,
 		NumViews:   numViews,
 		Base:       DefaultBase,
-		Stride:     stride,
-	}
-	return l, nil
+		Stride:     uint64(objSize) + viewGuard,
+	}, nil
 }
-
-// VASpan reports the total virtual address space the layout consumes —
-// the quantity that limited the paper's experiments to n <= 1.63GB/N.
-func (l Layout) VASpan() uint64 { return uint64(l.NumViews+1) * l.Stride }
 
 // ViewBase returns the base VA of application view i.
 func (l Layout) ViewBase(i int) uint64 {
@@ -179,30 +171,6 @@ func (r *Region) Protect(base uint64, size int, prot vm.Prot) error {
 // address base.
 func (r *Region) ProtOf(base uint64) (vm.Prot, error) { return r.AS.ProtOf(base) }
 
-// PrivBytes returns the minipage's backing bytes via the privileged view,
-// aliased (zero copy), given its app-view base address and size. It is
-// how DSM server threads read and write minipage contents regardless of
-// the application-view protections.
-func (r *Region) PrivBytes(base uint64, size int) ([]byte, error) {
-	_, off, ok := r.L.Decompose(base)
-	if !ok {
-		return nil, fmt.Errorf("core: %#x is not a view address", base)
-	}
-	var out []byte
-	err := r.AS.BypassRange(r.L.PrivAddr(off), size, func(chunk []byte) error {
-		if out == nil && len(chunk) == size {
-			out = chunk // common case: within one page, alias directly
-			return nil
-		}
-		out = append(out, chunk...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // WritePriv copies data into the minipage at app-view address base via the
 // privileged view — the paper's atomic user-mode minipage update: the
 // application views can be NoAccess while this proceeds.
@@ -219,20 +187,9 @@ func (r *Region) WritePriv(base uint64, data []byte) error {
 	})
 }
 
-// ReadPriv copies the minipage at app-view address base out via the
-// privileged view.
-func (r *Region) ReadPriv(base uint64, size int) ([]byte, error) {
-	buf := make([]byte, size)
-	if err := r.ReadPrivInto(base, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // ReadPrivInto copies len(buf) bytes of the minipage at app-view address
-// base into buf via the privileged view — the allocation-free form of
-// ReadPriv for callers with a reusable scratch buffer. Pages nothing has
-// touched read as zeros and stay untouched.
+// base into buf via the privileged view. Pages nothing has touched read as
+// zeros and stay untouched.
 func (r *Region) ReadPrivInto(base uint64, buf []byte) error {
 	_, off, ok := r.L.Decompose(base)
 	if !ok {

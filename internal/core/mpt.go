@@ -121,13 +121,6 @@ func NewMPT(l Layout, grain Grain, chunkLevel int) *MPT {
 	}
 }
 
-// Layout returns the table's view geometry.
-func (t *MPT) Layout() Layout { return t.l }
-
-// Minipages returns all allocated minipages in allocation order. The
-// returned slice is the table's own; callers must not modify it.
-func (t *MPT) Minipages() []*Minipage { return t.mps }
-
 // NumMinipages reports the number of allocated minipages.
 func (t *MPT) NumMinipages() int { return len(t.mps) }
 

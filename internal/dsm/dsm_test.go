@@ -53,6 +53,16 @@ func queued(e *dirEntry) (n int) {
 // thread's time after ResetStats is its compute and its fault; the run
 // lasts as long as its slowest thread; Run refuses a nil body and a
 // second run.
+// copysetOf returns the hosts holding minipage id, in ascending order, and
+// its owner.
+func copysetOf(s *System, id int) (hs []int, owner int) {
+	cs := s.copyset(id)
+	for h := cs.Next(-1); h >= 0; h = cs.Next(h) {
+		hs = append(hs, h)
+	}
+	return hs, int(s.dir[id/dirSlab][id%dirSlab].owner)
+}
+
 func TestSystemRun(t *testing.T) {
 	s := newSys(t, New, Options{Hosts: 2, ThreadsPerHost: 2, SharedSize: 1 << 16})
 	var va uint64
@@ -156,7 +166,7 @@ func TestTwoHostReadFetch(t *testing.T) {
 		t.Fatalf("host 1 read faults = %d, want 1", rf)
 	}
 	// Directory: copyset = {0,1}, owner 0.
-	cs, owner := s.Copyset(0)
+	cs, owner := copysetOf(s, 0)
 	if !slices.Equal(cs, []int{0, 1}) || owner != 0 {
 		t.Fatalf("copyset=%v owner=%d", cs, owner)
 	}
@@ -184,7 +194,7 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	})
 	// After the final reads, every host is back in the copyset; owner is
 	// the last writer, host 3.
-	cs, owner := s.Copyset(0)
+	cs, owner := copysetOf(s, 0)
 	if owner != 3 {
 		t.Fatalf("owner = %d, want 3", owner)
 	}
@@ -300,7 +310,7 @@ func TestPushReplicatesToAllHosts(t *testing.T) {
 			t.Fatalf("host %d read faults = %d, want 0 (push should predeliver)", i, rf)
 		}
 	}
-	cs, _ := s.Copyset(0)
+	cs, _ := copysetOf(s, 0)
 	if !slices.Equal(cs, []int{0, 1, 2, 3}) {
 		t.Fatalf("copyset after push = %v", cs)
 	}
@@ -359,7 +369,7 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 	})
 	for id := 0; id < s.mpt.NumMinipages(); id++ {
 		e := homeEntry(s, id)
-		if e.Busy() {
+		if e.busy {
 			t.Fatalf("minipage %d directory entry still busy after run", id)
 		}
 		if queued(e) != 0 {
@@ -494,10 +504,10 @@ func TestManyMinipagesStress(t *testing.T) {
 	})
 	for id := 0; id < s.mpt.NumMinipages(); id++ {
 		e := homeEntry(s, id)
-		if e.Busy() || queued(e) != 0 {
+		if e.busy || queued(e) != 0 {
 			t.Fatalf("entry %d not quiesced", id)
 		}
-		cs, _ := s.Copyset(id)
+		cs, _ := copysetOf(s, id)
 		if len(cs) == 0 {
 			t.Fatalf("entry %d empty copyset", id)
 		}

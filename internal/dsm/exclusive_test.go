@@ -133,7 +133,7 @@ func TestReadOnlyCriticalSectionStaysShared(t *testing.T) {
 	if want := [5][2]bool{{true, false}, {true, false}, {true, true}, {false, false}, {false, false}}; marks != want {
 		t.Errorf("host 0's rmw and excl marks after each step %v, want %v", marks, want)
 	}
-	if cs, _ := s.Copyset(0); !slices.Equal(cs, []int{0, 1}) {
+	if cs, _ := copysetOf(s, 0); !slices.Equal(cs, []int{0, 1}) {
 		t.Errorf("copyset %v after host 0's last read, want {0, 1}: served shared", cs)
 	}
 	if prot, _ := s.Host(1).Region.ProtOf(va); prot != vm.ReadOnly {

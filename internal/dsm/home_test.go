@@ -31,7 +31,7 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 		}
 		th.Barrier()
 		if th.Host() == 0 {
-			before, beforeOwner = s.Copyset(1)
+			before, beforeOwner = copysetOf(s, 1)
 			beforeReqs = s.Host(1).Stats.ReadReqs + s.Host(1).Stats.WriteReqs
 			if got := th.ReadU32(va); got != 5 {
 				t.Errorf("host 0 reads %d, want 5", got)
@@ -45,7 +45,7 @@ func TestHomeSeedsFromTranslation(t *testing.T) {
 	if !slices.Equal(before, []int{2}) || beforeOwner != 2 {
 		t.Fatalf("minipage 1 before any request: copyset %v owner %d, want {2} owned by 2", before, beforeOwner)
 	}
-	cs, owner := s.Copyset(1)
+	cs, owner := copysetOf(s, 1)
 	if !slices.Equal(cs, []int{0, 2}) || owner != 2 {
 		t.Fatalf("minipage 1: copyset %v owner %d, want {0, 2} owned by 2", cs, owner)
 	}
@@ -121,7 +121,7 @@ func TestHomeSourcesReads(t *testing.T) {
 	if sent := owner[1].Sent - owner[0].Sent; sent != 0 {
 		t.Errorf("the owner sent %d over a read its home sourced", sent)
 	}
-	if cs, o := s.Copyset(0); !slices.Equal(cs, []int{1, 2, 3}) || o != 1 {
+	if cs, o := copysetOf(s, 0); !slices.Equal(cs, []int{1, 2, 3}) || o != 1 {
 		t.Errorf("copyset %v owner %d, want {1, 2, 3} owned by 1", cs, o)
 	}
 }
@@ -356,13 +356,13 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 			}
 		}
 		e := s.Host(home).entry(id)
-		if e.Busy() || queued(e) != 0 {
+		if e.busy || queued(e) != 0 {
 			t.Fatalf("minipage %d not quiesced at home %d", id, home)
 		}
 		mp, _ := mpt.ByID(id)
 		info := mp.Info(s.Layout)
 		// Copyset agrees with view protections on every host.
-		cs, _ := s.Copyset(id)
+		cs, _ := copysetOf(s, id)
 		for h := 0; h < hosts; h++ {
 			prot, perr := s.Host(h).Region.ProtOf(info.Base)
 			if perr != nil {

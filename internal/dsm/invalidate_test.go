@@ -62,15 +62,15 @@ func TestWriteWaitsForEveryInvalidation(t *testing.T) {
 				}
 				e := homeEntry(s, 0)
 				if typ == mAck && from == writer && !done {
-					if !e.Busy() || replies != readers || !bytesIn {
-						t.Errorf("the write's ack reached the home with the entry busy %v, %d replies in, bytes or grant in %v", e.Busy(), replies, bytesIn)
+					if !e.busy || replies != readers || !bytesIn {
+						t.Errorf("the write's ack reached the home with the entry busy %v, %d replies in, bytes or grant in %v", e.busy, replies, bytesIn)
 					}
 					acked = true
 				}
 				if h.ID() != writer || typ == mAck {
 					return
 				}
-				if !e.Busy() {
+				if !e.busy {
 					t.Errorf("%v reached writer %d with the home entry idle", typ, writer)
 				}
 				if done && typ == mInvalidateReply {
@@ -158,7 +158,7 @@ func TestCopysetPastOneWord(t *testing.T) {
 		}
 		th.Barrier()
 		if th.Host() == writer {
-			before, _ = s.Copyset(1)
+			before, _ = copysetOf(s, 1)
 			invalsBefore = s.ManagerStatsTotal().Invalidations
 			th.WriteU32(va, 8)
 		}
@@ -170,7 +170,7 @@ func TestCopysetPastOneWord(t *testing.T) {
 	if n := s.ManagerStatsTotal().Invalidations - invalsBefore; n != 3 {
 		t.Errorf("the write sent %d invalidations, want 3", n)
 	}
-	if cs, owner := s.Copyset(1); !slices.Equal(cs, []int{writer}) || owner != writer {
+	if cs, owner := copysetOf(s, 1); !slices.Equal(cs, []int{writer}) || owner != writer {
 		t.Errorf("copyset %v owner %d after the write, want host %d alone", cs, owner, writer)
 	}
 	for _, h := range readers[:3] {

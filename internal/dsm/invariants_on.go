@@ -116,11 +116,6 @@ func retireSlice[T byte | int](s []T, free [][]T) {
 	poison(s)
 }
 
-// Parked returns the reply headers parked at h waiting for their bytes.
-func (h *Host) Parked() int {
-	return len(slices.DeleteFunc(slices.Clone(h.parked), func(hdr any) bool { return hdr == nil }))
-}
-
 // LiveServiceHeaders returns the service headers somebody still owns.
 // With every thread finished and the wire quiet there are none: nothing
 // parks one past a run.

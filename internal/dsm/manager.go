@@ -77,15 +77,6 @@ func (h *Host) Directory() []*dirEntry {
 	return dir
 }
 
-// Copyset returns the hosts holding minipage id, in ascending order, and
-// its owner.
-func (s *System) Copyset(id int) ([]int, int) {
-	return s.copyset(id).Members(), int(s.dir[id/dirSlab][id%dirSlab].owner)
-}
-
-// Busy reports whether a transaction is open on the entry.
-func (e *dirEntry) Busy() bool { return e.busy }
-
 // dirSlab is how many entries one slab of the directory holds.
 const dirSlab = 256
 

@@ -369,11 +369,10 @@ func TestMWDirtyCopyFetch(t *testing.T) {
 				th.Barrier()
 				if th.Host() == 1 {
 					mp, _ := s.mpt.Lookup(va) // the home's own memory, through its privileged view
-					b, err := s.Host(0).Region.ReadPriv(mp.Info(s.Layout).Base, 64)
-					if err != nil {
+					home = make([]byte, 64)
+					if err := s.Host(0).Region.ReadPrivInto(mp.Info(s.Layout).Base, home); err != nil {
 						t.Error(err)
 					}
-					home = slices.Clone(b)
 				}
 			})
 			if gotA != valA || gotB != valB {

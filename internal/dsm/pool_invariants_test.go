@@ -27,8 +27,12 @@ func headerBalance(s *System) (owned, parked int) {
 			parked += queued(&slab[i])
 		}
 	}
-	for i := 0; i < s.NumHosts(); i++ {
-		parked += s.Host(i).Parked()
+	for i := 0; i < s.NumHosts(); i++ { // reply headers waiting for their bytes
+		for _, hdr := range s.Host(i).parked {
+			if hdr != nil {
+				parked++
+			}
+		}
 	}
 	return owned, parked
 }

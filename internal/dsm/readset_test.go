@@ -58,7 +58,7 @@ func TestReadersServedTogether(t *testing.T) {
 		t.Errorf("read faults took %v to %v: the readers were served one after another", fastest, slowest)
 	}
 	e := homeEntry(s, 0)
-	if cs, owner := s.Copyset(0); !slices.Equal(cs, []int{0, 1, 2, 3, 4, 5, 6, 7}) || owner != writer {
+	if cs, owner := copysetOf(s, 0); !slices.Equal(cs, []int{0, 1, 2, 3, 4, 5, 6, 7}) || owner != writer {
 		t.Errorf("copyset %v owner %d, want every host and owner %d", cs, owner, writer)
 	}
 	if e.Competing == 0 {
@@ -116,7 +116,7 @@ func TestWriteWaitsForReadSet(t *testing.T) {
 			t.Errorf("host %d keeps a %v copy after the write", h, prot)
 		}
 	}
-	if cs, owner := s.Copyset(0); !slices.Equal(cs, []int{7}) || owner != 7 {
+	if cs, owner := copysetOf(s, 0); !slices.Equal(cs, []int{7}) || owner != 7 {
 		t.Errorf("copyset %v owner %d after the write, want host 7 alone", cs, owner)
 	}
 }
@@ -168,10 +168,10 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 		t.Errorf("%d read forwards left the home before the first ack, want 2 (events %v)", fwds, ops)
 	}
 	e := homeEntry(s, 0)
-	if e.Busy() || e.await != 0 || queued(e) != 0 {
-		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.Busy(), e.await, queued(e))
+	if e.busy || e.await != 0 || queued(e) != 0 {
+		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.busy, e.await, queued(e))
 	}
-	if cs, _ := s.Copyset(0); !slices.Equal(cs, []int{0, 1}) {
+	if cs, _ := copysetOf(s, 0); !slices.Equal(cs, []int{0, 1}) {
 		t.Errorf("copyset %v, want hosts 0 and 1", cs)
 	}
 }

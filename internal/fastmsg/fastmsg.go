@@ -250,7 +250,6 @@ func New(eng *sim.Engine, n int, params Params) *Network {
 			pending:     pending[lo:lo:hi],
 		}
 		ep.ready.Reserve(inbox[lo:lo:hi])
-		ep.ready.SetLabel("inbox")
 		ep.out = ep.outBuf[:0]
 		nw.eps[i] = ep
 		eng.SpawnDaemon(fmt.Sprintf("fm-server-%d", i), ep.serve)
@@ -316,9 +315,6 @@ func (nw *Network) releaseMessage(m *Message) {
 // Endpoint returns endpoint i.
 func (nw *Network) Endpoint(i int) *Endpoint { return nw.eps[i] }
 
-// Params returns the network's cost model.
-func (nw *Network) Params() Params { return nw.params }
-
 // Stats aggregates per-endpoint message accounting: Sent, Received and
 // BytesSent count the wire, Looped the messages a host sent itself. The
 // last five counters move only under an installed fault plan.
@@ -334,15 +330,6 @@ type Stats struct {
 	OutOfOrder  uint64 // frames buffered waiting for a sequence gap
 	DroppedDown uint64 // frames this host's crash discarded: wiped at it, or sent or arriving while down
 	Partitioned uint64 // frames and acks this host sent into an active partition
-}
-
-// AvgServiceDelay reports the mean delay between a message's arrival and
-// its handler starting — the paper's "response of the server thread".
-func (s Stats) AvgServiceDelay() sim.Duration {
-	if s.Received == 0 {
-		return 0
-	}
-	return s.ServiceDelay / sim.Duration(s.Received)
 }
 
 // Endpoint is one host's attachment to the network.
@@ -419,10 +406,7 @@ func (ep *Endpoint) SetBusy(delta int) {
 	}
 	if was > 0 && ep.busy == 0 {
 		// Poller takes over: flush pending messages promptly.
-		for _, pm := range ep.pending[ep.pendHead:] {
-			if pm.fired {
-				continue
-			}
+		for _, pm := range ep.pending[ep.pendHead:] { // fire removes what it fires
 			pm.refs++
 			ep.eng.AfterArg(ep.nw.params.PollIdle, ep.nw.fireFn, pm)
 		}
@@ -621,9 +605,8 @@ func (ep *Endpoint) fire(pm *pendingMsg) {
 				best = q
 			}
 		}
-		if best != pm {
+		if best != pm { // arrival times stay: only their sum is counted
 			pm.m, best.m = best.m, pm.m
-			pm.arrived, best.arrived = best.arrived, pm.arrived
 		}
 	}
 	pm.fired = true

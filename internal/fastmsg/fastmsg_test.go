@@ -193,12 +193,12 @@ func TestRoundTripSmallMessageNearPaper(t *testing.T) {
 		send(p, nw.Endpoint(1), 0, 200, nil)
 	})
 	var rtt sim.Duration
-	evDone := sim.NewEvent(eng)
-	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) { evDone.Set() })
+	done := sim.NewQueue[struct{}](eng)
+	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) { done.Put(struct{}{}) })
 	eng.Spawn("pinger", func(p *sim.Proc) {
 		start := p.Now()
 		send(p, nw.Endpoint(0), 1, 200, nil)
-		evDone.Wait(p)
+		done.Get(p)
 		rtt = p.Now().Sub(start)
 	})
 	mustRun(t, eng)
@@ -225,7 +225,7 @@ func TestStatsAccounting(t *testing.T) {
 	if s1.Received != 5 {
 		t.Fatalf("receiver stats = %+v", s1)
 	}
-	if s1.AvgServiceDelay() <= 0 {
+	if s1.ServiceDelay <= 0 {
 		t.Fatal("no service delay recorded")
 	}
 }
@@ -311,7 +311,7 @@ func TestServiceDelayStatsAccumulate(t *testing.T) {
 	if s.Received != 20 {
 		t.Fatalf("received = %d", s.Received)
 	}
-	if avg := s.AvgServiceDelay(); avg < pr.SweepShortLo/2 {
+	if avg := s.ServiceDelay / sim.Duration(s.Received); avg < pr.SweepShortLo/2 {
 		t.Fatalf("avg service delay = %v, implausibly small for a busy host", avg)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // each handler's lateness past its send plus SendCPU and RecvCPU.
 func selfSends(t *testing.T, nw *Network, n int, busy bool) []sim.Duration {
 	t.Helper()
-	eng, ep, pr := nw.eng, nw.Endpoint(0), nw.Params()
+	eng, ep, pr := nw.eng, nw.Endpoint(0), nw.params
 	var sentAt []sim.Time
 	var late []sim.Duration
 	ep.SetHandler(func(p *sim.Proc, m *Message) {

@@ -203,11 +203,6 @@ func (nw *Network) InstallFaults(inj *faultnet.Injector) {
 // FaultsEnabled reports whether a fault plan is installed.
 func (nw *Network) FaultsEnabled() bool { return nw.rel != nil }
 
-// Down reports whether host h is currently crashed.
-func (nw *Network) Down(h int) bool {
-	return nw.rel != nil && nw.rel.hosts[h].down
-}
-
 // timeout is a timeout as a session keeps it: rto, or for 0 the first,
 // a round trip of the largest frame sent so far and its ack, both at the
 // jitter bound, with slack, capped at RTOMin.
@@ -380,21 +375,18 @@ func (r *reliability) arrive(ep *Endpoint, m *Message) {
 	}
 	from := m.From
 	rs := &rh.recv[from]
-	if m.Seq < rs.nextAccept {
-		// Already admitted once: a wire duplicate or a retransmission
-		// that crossed our ack. Re-ack so the sender stops resending even
-		// if the original ack was lost.
+	// A frame admitted once (a wire duplicate, or a retransmission that
+	// crossed our ack) is dropped and re-acked, so the sender stops
+	// resending even if the original ack was lost. So is the twin of the
+	// frame in service when a crash rolled the accept floor back under its
+	// handler, but unacked: the handler has not finished it.
+	admitted := m.Seq < rs.nextAccept
+	if admitted || m.Seq == rs.nextAccept && rh.inServiceFrom == from && rh.inServiceSeq == m.Seq {
 		ep.stats.DupsDropped++
 		r.nw.releaseMessage(m) // may recycle and zero m; no field reads past here
-		r.ackLink(ep.id, from)
-		return
-	}
-	if m.Seq == rs.nextAccept && rh.inServiceFrom == from && rh.inServiceSeq == m.Seq {
-		// A crash rolled the accept floor back under the handler that is
-		// still processing this very sequence number; its retransmitted
-		// twin must not be admitted again.
-		ep.stats.DupsDropped++
-		r.nw.releaseMessage(m)
+		if admitted {
+			r.ackLink(ep.id, from)
+		}
 		return
 	}
 	if m.Seq > rs.nextAccept {

@@ -134,15 +134,6 @@ func (s Set) Next(h int) int {
 // Only reports whether the set is {h}.
 func (s Set) Only(h int) bool { return s.Has(h) && s.Count() == 1 }
 
-// Members returns the members in ascending order.
-func (s Set) Members() []int {
-	var hs []int
-	for h := s.Next(-1); h >= 0; h = s.Next(h) {
-		hs = append(hs, h)
-	}
-	return hs
-}
-
 func (s Set) String() string {
 	var b strings.Builder
 	b.WriteByte('{')

@@ -26,13 +26,27 @@ var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"dsm", 3342},
+	{"dsm", 3328},
 }
 
 // kernelTarget is the kernel's line total, lowered with its ceilings. A
 // change that takes the kernel past it fails, whatever the per-package
 // ceilings.
-const kernelTarget = 3342
+const kernelTarget = 3328
+
+// substrateBudget is the same ratchet over the simulator substrate the
+// kernel runs on and the model checker that explores it.
+var substrateBudget = []struct {
+	pkg string
+	max int
+}{
+	{"sim", 1168},
+	{"fastmsg", 1401},
+	{"faultnet", 250},
+	{"vm", 618},
+	{"core", 613},
+	{"mcheck", 804},
+}
 
 // TestKernelLineBudget holds the protocol kernel to its line budget, so
 // "non-test lines are rising again" is a reviewed edit of the table above
@@ -40,30 +54,45 @@ const kernelTarget = 3342
 func TestKernelLineBudget(t *testing.T) {
 	total, ceiling := 0, 0
 	for _, b := range kernelBudget {
-		pkg, max := b.pkg, b.max
-		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("internal/%s: no sources (%v)", pkg, err)
-		}
-		lines := 0
-		for _, f := range files {
-			if strings.HasSuffix(f, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(f)
-			must(t, err)
-			lines += bytes.Count(src, []byte("\n"))
-		}
-		switch {
-		case lines > max:
-			t.Errorf("internal/%s has %d non-test lines, over its budget of %d: delete the difference, or raise the ceiling in this file and say why", pkg, lines, max)
-		case lines < max:
-			t.Errorf("internal/%s has %d non-test lines, under its budget of %d: lower the ceiling to %d so the gain is kept", pkg, lines, max, lines)
-		}
-		total, ceiling = total+lines, ceiling+max
+		lines := withinBudget(t, b.pkg, b.max)
+		total, ceiling = total+lines, ceiling+b.max
 	}
 	if total > kernelTarget {
 		t.Errorf("kernel: %d non-test lines, %d over its target of %d", total, total-kernelTarget, kernelTarget)
 	}
 	t.Logf("kernel: %d non-test lines of %d budgeted, target %d", total, ceiling, kernelTarget)
+}
+
+// TestSubstrateLineBudget holds each substrate package to its ceiling.
+func TestSubstrateLineBudget(t *testing.T) {
+	for _, b := range substrateBudget {
+		withinBudget(t, b.pkg, b.max)
+	}
+}
+
+// withinBudget counts internal/pkg's non-test lines and fails the test
+// unless they are exactly max: over it is growth, under it a gain the
+// ceiling must keep.
+func withinBudget(t *testing.T, pkg string, max int) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("internal/%s: no sources (%v)", pkg, err)
+	}
+	lines := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		must(t, err)
+		lines += bytes.Count(src, []byte("\n"))
+	}
+	switch {
+	case lines > max:
+		t.Errorf("internal/%s has %d non-test lines, over its budget of %d: delete the difference, or raise the ceiling in this file and say why", pkg, lines, max)
+	case lines < max:
+		t.Errorf("internal/%s has %d non-test lines, under its budget of %d: lower the ceiling to %d so the gain is kept", pkg, lines, max, lines)
+	}
+	return lines
 }

@@ -49,10 +49,10 @@ var globalRand = map[string]bool{
 	"Perm": true, "Shuffle": true, "Seed": true, "Read": true,
 }
 
-// Check scans every non-test Go file in the packages under root
+// check scans every non-test Go file in the packages under root
 // (recursively) and returns the unsuppressed findings, sorted by
 // position.
-func Check(root string) ([]Finding, error) {
+func check(root string) ([]Finding, error) {
 	var dirs []string
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
 		if err != nil {

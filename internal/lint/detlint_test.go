@@ -15,7 +15,7 @@ import (
 func TestInternalIsDeterministic(t *testing.T) {
 	root, err := filepath.Abs("..")
 	must(t, err)
-	findings, err := Check(root)
+	findings, err := check(root)
 	must(t, err)
 	for _, f := range findings {
 		t.Errorf("%s", f)
@@ -58,7 +58,7 @@ func bad() int64 {
 	return time.Now().UnixNano() + int64(rand.Intn(10)) + int64(s)
 }
 `)
-	fs, err := Check(dir)
+	fs, err := check(dir)
 	must(t, err)
 	got := strings.Join(rules(fs), ",")
 	if got != "map-range,time-now,global-rand" {
@@ -85,7 +85,7 @@ func good(seed int64) int {
 	return r.Intn(10) + s
 }
 `)
-	fs, err := Check(dir)
+	fs, err := check(dir)
 	must(t, err)
 	if len(fs) != 0 {
 		t.Fatalf("false positives: %v", fs)
@@ -104,7 +104,7 @@ func good() int {
 	return time.Now()
 }
 `)
-	fs, err := Check(dir)
+	fs, err := check(dir)
 	must(t, err)
 	if len(fs) != 0 {
 		t.Fatalf("false positives on shadowed identifier: %v", fs)
@@ -132,7 +132,7 @@ import "sync"
 var wg sync.WaitGroup
 `
 	must(t, os.WriteFile(filepath.Join(dir, "fix_test.go"), []byte(testFile), 0o644))
-	fs, err := Check(dir)
+	fs, err := check(dir)
 	must(t, err)
 	if got := strings.Join(rules(fs), ","); got != "sync-import,sync-import" {
 		t.Fatalf("rules = %q, want sync-import,sync-import (fix.go only)\nfindings: %v", got, fs)
@@ -148,7 +148,7 @@ import (
 var mu sync.Mutex
 var n atomic.Int64
 `)
-	if fs, err = Check(dir); err != nil || len(fs) != 0 {
+	if fs, err = check(dir); err != nil || len(fs) != 0 {
 		t.Fatalf("suppressed imports still reported: %v, %v", fs, err)
 	}
 }

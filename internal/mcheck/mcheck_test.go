@@ -66,7 +66,7 @@ func TestExploreDistinctSchedules(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			rep, err := Explore(Options{
 				Protocol: proto, Workload: "drf", Seed: 1,
-				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40,
+				Schedules: 110, ExploreSeed: 42,
 			})
 			must(t, err)
 			if rep.Failure != nil {
@@ -90,7 +90,7 @@ func TestExploreCentralManager(t *testing.T) {
 		t.Run(proto, func(t *testing.T) {
 			rep, err := Explore(Options{
 				Protocol: proto, Workload: "drf", Seed: 1,
-				Schedules: 110, ExploreSeed: 42, Preempt: 0.25, Budget: 40, homeOf: dsm.HomeCentral,
+				Schedules: 110, ExploreSeed: 42, homeOf: dsm.HomeCentral,
 			})
 			must(t, err)
 			if rep.Failure != nil {
@@ -112,7 +112,7 @@ func TestExploreCentralManager(t *testing.T) {
 func TestExploreFailoverSchedules(t *testing.T) {
 	rep, err := Explore(Options{
 		Protocol: "millipage", Workload: "drf", Faults: "crash-restart",
-		Seed: 3, Schedules: 110, ExploreSeed: 21, Preempt: 0.25, Budget: 40,
+		Seed: 3, Schedules: 110, ExploreSeed: 21,
 	})
 	must(t, err)
 	if rep.Failure != nil {
@@ -165,7 +165,7 @@ func TestExploreWithFaults(t *testing.T) {
 		t.Run(preset, func(t *testing.T) {
 			rep, err := Explore(Options{
 				Protocol: "millipage", Workload: "drf", Faults: preset,
-				Seed: 3, Schedules: 8, ExploreSeed: 11, Preempt: 0.1, Budget: 20,
+				Seed: 3, Schedules: 8, ExploreSeed: 11,
 			})
 			must(t, err)
 			if rep.Failure != nil {
@@ -180,7 +180,7 @@ func TestExploreWithFaults(t *testing.T) {
 // fingerprint (elapsed virtual time + full transport counters) across
 // two independent replays, including through a save/load cycle.
 func TestReplayBitIdentical(t *testing.T) {
-	o := Options{Protocol: "millipage", Workload: "drf", Seed: 5, Schedules: 4, ExploreSeed: 99, Preempt: 0.2, Budget: 30}
+	o := Options{Protocol: "millipage", Workload: "drf", Seed: 5, Schedules: 4, ExploreSeed: 99}
 	rep, err := Explore(o)
 	must(t, err)
 	if rep.Failure != nil {
@@ -188,7 +188,7 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 	// Re-record schedule 3 to get its trace (Explore keeps digests only
 	// for passing schedules), by replaying the same strategy seed.
-	rec := &Recorder{Inner: NewRandom(o.ExploreSeed+3*0x9E3779B9, o.Preempt, o.Budget)}
+	rec := &Recorder{Inner: NewRandom(o.ExploreSeed + 3*0x9E3779B9)}
 	fp0, fail, err := o.runOne(rec)
 	if err != nil || fail != nil {
 		t.Fatal(err, fail)
@@ -223,7 +223,7 @@ func TestInjectedBugCaughtShrunkReplayed(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Explore(Options{
 		Protocol: "millipage", Workload: "drf-nolock", Seed: 1,
-		Schedules: 60, ExploreSeed: 1, Preempt: 0.3, Budget: 50,
+		Schedules: 60, ExploreSeed: 1,
 		ArtifactDir: dir,
 	})
 	must(t, err)

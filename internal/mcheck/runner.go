@@ -32,10 +32,8 @@ type Options struct {
 	Hosts    int    // 0 = the workload's default
 	Seed     int64  // system seed: engine rng and fault plan
 
-	Schedules   int     // schedules to explore (schedule 0 is the default order)
-	ExploreSeed int64   // seeds the per-schedule random strategies
-	Preempt     float64 // probability of deferring a yielded process at a tie
-	Budget      int     // max preemptions per schedule; 0 = unbounded
+	Schedules   int   // schedules to explore (schedule 0 is the default order)
+	ExploreSeed int64 // seeds the per-schedule random strategies
 
 	ShrinkRuns  int    // replay budget for the shrinker; 0 = DefaultShrinkRuns
 	KeepGoing   bool   // keep exploring after the first failure
@@ -166,7 +164,7 @@ func Explore(o Options) (*Report, error) {
 		if i == 0 {
 			strat = &Replayer{} // no decisions: the default schedule
 		} else {
-			strat = NewRandom(o.ExploreSeed+int64(i)*0x9E3779B9, o.Preempt, o.Budget)
+			strat = NewRandom(o.ExploreSeed + int64(i)*0x9E3779B9)
 		}
 		rec := &Recorder{Inner: strat}
 		fp, fail, err := o.runOne(rec)

@@ -6,55 +6,18 @@ import (
 	"millipage/internal/sim"
 )
 
-// Random is the exploration strategy: a seeded uniform tie-break
-// shuffle, optionally biased toward preempting processes that yielded.
-//
-// With Preempt = 0 every tied event is equally likely, which diffuses
-// over the schedule space. Preempt > 0 adds targeted hostility at
-// exactly the points the paper's protocols are most delicate — a
-// process that volunteered the processor (Yield / Sleep(0), e.g. a
-// spin-wait backoff) is then kept parked with that probability while
-// non-yield work at the same instant runs first, for at most Budget
-// preemptions per run (bounded preemption keeps the schedule space
-// tractable, in the PCT tradition).
+// Random is the exploration strategy: a seeded uniform shuffle of every
+// tie, which diffuses over the schedule space.
 type Random struct {
-	Preempt float64 // probability of deferring a FromYield event
-	Budget  int     // max preemptions per run; 0 means no bound
-
-	rng   *rand.Rand
-	spent int
+	rng *rand.Rand
 }
 
 // NewRandom returns a Random strategy seeded with seed.
-func NewRandom(seed int64, preempt float64, budget int) *Random {
-	return &Random{Preempt: preempt, Budget: budget, rng: rand.New(rand.NewSource(seed))}
+func NewRandom(seed int64) *Random {
+	return &Random{rng: rand.New(rand.NewSource(seed))}
 }
 
-func (s *Random) ChooseTie(ties []sim.EventInfo) int {
-	k := s.rng.Intn(len(ties))
-	if s.Preempt <= 0 || !ties[k].FromYield || (s.Budget > 0 && s.spent >= s.Budget) {
-		return k
-	}
-	if s.rng.Float64() >= s.Preempt {
-		return k
-	}
-	// Preempt the yielder: redirect to a uniformly chosen non-yield
-	// event, if any exists at this instant.
-	other := -1
-	n := 0
-	for i, ti := range ties {
-		if !ti.FromYield {
-			if n++; s.rng.Intn(n) == 0 {
-				other = i
-			}
-		}
-	}
-	if other < 0 {
-		return k // everyone yielded; someone has to run
-	}
-	s.spent++
-	return other
-}
+func (s *Random) ChooseTie(ties []sim.EventInfo) int { return s.rng.Intn(len(ties)) }
 
 // Recorder wraps a strategy and records every decision it takes, in
 // the order the engine asked. The recorded sequence replays the

@@ -244,9 +244,6 @@ func New(cfg Config) *Machine {
 	}
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // fetchData charges one data reference at physical address addr.
 func (m *Machine) fetchData(addr uint64) uint64 {
 	if m.l1.access(addr) {

@@ -13,7 +13,8 @@ import (
 // directory at host p mod hosts.
 func newIvy(t *testing.T, hosts int) *dsm.System {
 	t.Helper()
-	sys, err := registry.New("ivy", registry.Options{Hosts: hosts, SharedSize: 1 << 16, Seed: 1})
+	spec, _ := registry.Lookup("ivy")
+	sys, err := spec.New(registry.Options{Hosts: hosts, SharedSize: 1 << 16, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,8 @@ func TestIvyFalseSharingIsStructural(t *testing.T) {
 		{"ivy", func(wf uint64) bool { return wf >= 10 }},
 		{"millipage", func(wf uint64) bool { return wf == 1 }},
 	} {
-		sys, err := registry.New(pc.proto, registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Seed: 1})
+		spec, _ := registry.Lookup(pc.proto)
+		sys, err := spec.New(registry.Options{Hosts: 2, SharedSize: 1 << 16, Views: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,12 +83,3 @@ func Lookup(name string) (Spec, error) {
 	}
 	return Spec{}, fmt.Errorf("unknown protocol %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
-
-// New builds the named protocol's system from opt.
-func New(name string, opt Options) (*dsm.System, error) {
-	sp, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return sp.New(opt)
-}

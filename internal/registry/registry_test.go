@@ -86,7 +86,8 @@ func run(t *testing.T, sys *dsm.System, body func(*dsm.Thread)) {
 // given hosts, chunk level and placement, and checks it against cell pin.
 func runPinned(t *testing.T, name string, hosts, chunk int, homeOf func(id, hosts int) int, pin string) {
 	rec := trace.NewRecorder(16)
-	sys, err := registry.New(name, registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8,
+	spec, _ := registry.Lookup(name)
+	sys, err := spec.New(registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8,
 		ChunkLevel: chunk, Seed: 1, HomeOf: homeOf, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,8 @@ func TestOptionMatrix(t *testing.T) {
 				opt := registry.Options{Hosts: hosts, SharedSize: 1 << 16, Views: 8, Seed: 1}
 				oc.set(&opt)
 				asked = 0
-				sys, err := registry.New(name, opt)
+				spec, _ := registry.Lookup(name)
+				sys, err := spec.New(opt)
 				if err != nil {
 					for _, f := range oc.fields {
 						if strings.Contains(err.Error(), f) {
@@ -182,15 +184,15 @@ func TestViewsBound(t *testing.T) {
 	for _, name := range append(registry.Names(), "lrc") {
 		t.Run(name, func(t *testing.T) {
 			spec, _ := registry.Lookup(name)
-			if _, err := registry.New(name, registry.Options{Hosts: 0, SharedSize: 1 << 16, Seed: 1}); err == nil || !strings.HasPrefix(err.Error(), spec.Name+": ") {
+			if _, err := spec.New(registry.Options{Hosts: 0, SharedSize: 1 << 16, Seed: 1}); err == nil || !strings.HasPrefix(err.Error(), spec.Name+": ") {
 				t.Fatalf("0 hosts: %v, want a refusal led by the protocol's name %q", err, spec.Name)
 			}
 			opt := registry.Options{Hosts: 3, SharedSize: 1 << 16, Views: core.MaxViews + 1, Seed: 1}
-			if _, err := registry.New(name, opt); err == nil || !strings.Contains(err.Error(), "Views") || !strings.HasPrefix(err.Error(), spec.Name+": ") {
+			if _, err := spec.New(opt); err == nil || !strings.Contains(err.Error(), "Views") || !strings.HasPrefix(err.Error(), spec.Name+": ") {
 				t.Fatalf("%d views: %v, want a refusal naming Views, led by the protocol's name %q", opt.Views, err, spec.Name)
 			}
 			opt.Views = core.MaxViews
-			sys, err := registry.New(name, opt)
+			sys, err := spec.New(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,14 +236,15 @@ func TestLookup(t *testing.T) {
 			t.Errorf("%s: SC = %v, want %v", name, sp.SC, sc)
 		}
 	}
-	_, err := registry.New("treadmarks", registry.Options{Hosts: 1, SharedSize: 4096})
+	_, err := registry.Lookup("treadmarks")
 	if err == nil {
-		t.Fatal("unknown protocol built")
+		t.Fatal("unknown protocol found")
 	}
 	if want := `unknown protocol "treadmarks" (want one of millipage, ivy, lrc-mw)`; err.Error() != want {
 		t.Errorf("error %q, want %q", err, want)
 	}
-	if sys, err := registry.New("lrc", registry.Options{Hosts: 0, SharedSize: 4096}); err == nil || sys != nil {
+	lrc, _ := registry.Lookup("lrc")
+	if sys, err := lrc.New(registry.Options{Hosts: 0, SharedSize: 4096}); err == nil || sys != nil {
 		t.Fatalf("New with a bad option = %v, %v; want a nil System and an error", sys, err)
 	}
 }
@@ -252,7 +255,8 @@ func TestLookup(t *testing.T) {
 func TestLRCIsAnAliasOfLRCMW(t *testing.T) {
 	var got [2]string
 	for i, name := range []string{"lrc", "lrc-mw"} {
-		sys, err := registry.New(name, registry.Options{Hosts: 4, SharedSize: 1 << 16, Views: 8, ChunkLevel: 4, Seed: 1})
+		spec, _ := registry.Lookup(name)
+		sys, err := spec.New(registry.Options{Hosts: 4, SharedSize: 1 << 16, Views: 8, ChunkLevel: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

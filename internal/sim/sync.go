@@ -1,6 +1,6 @@
 package sim
 
-// The FIFO collections here (Signal waiters, Queue items) are consumed
+// The FIFO collections here (signal waiters, Queue items) are consumed
 // from the front. Popping with s = s[1:] would shed front capacity until
 // every append reallocates — a steady-state allocation per operation on
 // the simulator's hottest paths — so they keep an explicit head index
@@ -20,41 +20,35 @@ func makeRoom[T any](s []T, head int) ([]T, int) {
 	return s, head
 }
 
-// Signal is a condition-variable-like wakeup primitive. Processes block on
+// signal is a condition-variable-like wakeup primitive. Processes block on
 // it with Wait; any simulation code (another process or an engine callback)
 // releases them with Broadcast or Pulse. Waiters are released in FIFO
 // order, preserving determinism.
 //
 // As with condition variables, Wait returning does not by itself imply that
 // the awaited predicate holds: callers re-check in a loop.
-type Signal struct {
+type signal struct {
 	e       *Engine
 	label   string
 	waiters []*Proc
 	head    int
 }
 
-// NewSignal returns a Signal bound to e.
-func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
-
 // SetLabel names the signal for deadlock reports: a process found
 // blocked on it is reported as "name (waiting on label)". Callers on
 // reused rendezvous slots may relabel per operation; assigning a
 // constant string costs nothing.
-func (s *Signal) SetLabel(label string) { s.label = label }
-
-// Label returns the signal's deadlock-report label.
-func (s *Signal) Label() string { return s.label }
+func (s *signal) SetLabel(label string) { s.label = label }
 
 // Wait blocks p until the signal is pulsed or broadcast.
-func (s *Signal) Wait(p *Proc) {
+func (s *signal) Wait(p *Proc) {
 	s.Enlist(p)
 	p.park(stateBlocked)
 }
 
 // Enlist is Wait up to the park: p joins the tail of the wait list. It is
 // for a Stepper, whose Step enlists its process and returns Block.
-func (s *Signal) Enlist(p *Proc) {
+func (s *signal) Enlist(p *Proc) {
 	s.waiters, s.head = makeRoom(s.waiters, s.head)
 	s.waiters = append(s.waiters, p)
 	p.waitOn = s
@@ -63,11 +57,11 @@ func (s *Signal) Enlist(p *Proc) {
 // Broadcast wakes every waiting process. The wakeups are delivered at the
 // current virtual time, after any events already scheduled for this
 // instant.
-func (s *Signal) Broadcast() {
-	// wake only schedules resume events, so no new waiter can appear
-	// while this loop runs (the engine is serial).
+func (s *signal) Broadcast() {
+	// A wakeup only schedules a resume event, so no new waiter can
+	// appear while this loop runs (the engine is serial).
 	for _, w := range s.waiters[s.head:] {
-		s.e.wake(w)
+		s.e.scheduleResume(s.e.now, w)
 	}
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
@@ -75,7 +69,7 @@ func (s *Signal) Broadcast() {
 }
 
 // Pulse wakes the longest-waiting process, if any.
-func (s *Signal) Pulse() {
+func (s *signal) Pulse() {
 	if s.head == len(s.waiters) {
 		return
 	}
@@ -86,11 +80,8 @@ func (s *Signal) Pulse() {
 		s.waiters = s.waiters[:0]
 		s.head = 0
 	}
-	s.e.wake(w)
+	s.e.scheduleResume(s.e.now, w)
 }
-
-// Waiting reports the number of processes currently blocked on s.
-func (s *Signal) Waiting() int { return len(s.waiters) - s.head }
 
 // Event is a one-shot latch, the analogue of a Win32 manual-reset event:
 // processes Wait until Set fires, after which Wait returns immediately
@@ -98,31 +89,22 @@ func (s *Signal) Waiting() int { return len(s.waiters) - s.head }
 // request is serviced.
 type Event struct {
 	set bool
-	sig Signal
+	sig signal
 }
 
 // NewEvent returns an unset event bound to e.
-func NewEvent(e *Engine) *Event { return &Event{sig: Signal{e: e}} }
+func NewEvent(e *Engine) *Event { return &Event{sig: signal{e: e}} }
 
 // SetLabel names the event for deadlock reports.
 func (ev *Event) SetLabel(label string) { ev.sig.SetLabel(label) }
 
-// Wait blocks p until the event is set. Returns immediately if already set.
-func (ev *Event) Wait(p *Proc) {
-	for !ev.set {
-		ev.sig.Wait(p)
-	}
-}
-
 // Enlist registers p to be woken by Set, without parking it (see
-// Signal.Enlist); the caller has found the event unset.
+// signal.Enlist); the caller has found the event unset.
 func (ev *Event) Enlist(p *Proc) { ev.sig.Enlist(p) }
 
-// Set fires the event, releasing all current and future waiters.
+// Set fires the event, releasing all current and future waiters. Setting
+// a set event finds no waiter to release.
 func (ev *Event) Set() {
-	if ev.set {
-		return
-	}
 	ev.set = true
 	ev.sig.Broadcast()
 }
@@ -139,14 +121,11 @@ func (ev *Event) IsSet() bool { return ev.set }
 type Queue[T any] struct {
 	items []T
 	head  int
-	sig   Signal
+	sig   signal
 }
 
 // NewQueue returns an empty queue bound to e.
-func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{sig: Signal{e: e}} }
-
-// SetLabel names the queue for deadlock reports.
-func (q *Queue[T]) SetLabel(label string) { q.sig.SetLabel(label) }
+func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{sig: signal{e: e}} }
 
 // Reserve has an empty queue fill buf's capacity before it first grows:
 // a caller making many queues can carve them out of one allocation.
@@ -178,7 +157,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 }
 
 // Enlist registers p to be woken by the next Put, without parking it (see
-// Signal.Enlist); the caller has found the queue empty with TryGet.
+// signal.Enlist); the caller has found the queue empty with TryGet.
 func (q *Queue[T]) Enlist(p *Proc) { q.sig.Enlist(p) }
 
 // TryGet removes and returns the oldest item without blocking. ok is false

@@ -7,10 +7,8 @@ package stats
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"strings"
 
 	"millipage/internal/sim"
 )
@@ -25,7 +23,6 @@ type Histogram struct {
 	count   uint64
 	sum     sim.Duration
 	max     sim.Duration
-	min     sim.Duration
 }
 
 // bucketOf maps a duration to its bucket index.
@@ -54,9 +51,6 @@ func (h *Histogram) Add(d sim.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
 }
 
 // Count reports the number of observations.
@@ -69,12 +63,6 @@ func (h *Histogram) Mean() sim.Duration {
 	}
 	return h.sum / sim.Duration(h.count)
 }
-
-// Max reports the largest observation.
-func (h *Histogram) Max() sim.Duration { return h.max }
-
-// Min reports the smallest observation.
-func (h *Histogram) Min() sim.Duration { return h.min }
 
 // Quantile reports an upper bound on the q-quantile (0 < q <= 1) at the
 // histogram's bucket resolution (~2x).
@@ -113,9 +101,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-	if other.count > 0 && (h.count == other.count || other.min < h.min) {
-		h.min = other.min
-	}
 }
 
 // P50, P99 and P999 are the serving-report quantiles, as Quantile
@@ -145,25 +130,4 @@ func (h *Histogram) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v p999=%v max=%v",
 		h.count, h.Mean(), h.P50(), h.Quantile(0.95), h.P99(), h.P999(), h.max)
-}
-
-// Dump writes an ASCII bar rendering of the non-empty buckets.
-func (h *Histogram) Dump(w io.Writer) {
-	var peak uint64
-	for _, c := range h.buckets {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		fmt.Fprintln(w, "(empty)")
-		return
-	}
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		bar := int(c * 40 / peak)
-		fmt.Fprintf(w, "%12v %8d %s\n", bucketLow(i), c, strings.Repeat("#", bar))
-	}
 }

@@ -12,7 +12,7 @@ import (
 // word that straddles a page boundary goes through Access, which checks
 // each of its two pages on its own.
 
-// load reads the size-byte (1, 4 or 8) word at va, zero-extended.
+// load reads the size-byte (4 or 8) word at va, zero-extended.
 func (as *AddressSpace) load(ctx any, va uint64, size int) (uint64, error) {
 	off := int(va % PageSize)
 	if off+size > PageSize {
@@ -26,16 +26,13 @@ func (as *AddressSpace) load(ctx any, va uint64, size int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch size {
-	case 8:
+	if size == 8 {
 		return binary.LittleEndian.Uint64(f[off:]), nil
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(f[off:])), nil
 	}
-	return uint64(f[off]), nil
+	return uint64(binary.LittleEndian.Uint32(f[off:])), nil
 }
 
-// store writes the low size bytes (1, 4 or 8) of v at va.
+// store writes the low size bytes (4 or 8) of v at va.
 func (as *AddressSpace) store(ctx any, va uint64, size int, v uint64) error {
 	off := int(va % PageSize)
 	if off+size > PageSize {
@@ -47,13 +44,10 @@ func (as *AddressSpace) store(ctx any, va uint64, size int, v uint64) error {
 	if err != nil {
 		return err
 	}
-	switch size {
-	case 8:
+	if size == 8 {
 		binary.LittleEndian.PutUint64(f[off:], v)
-	case 4:
+	} else {
 		binary.LittleEndian.PutUint32(f[off:], uint32(v))
-	default:
-		f[off] = byte(v)
 	}
 	return nil
 }
@@ -88,15 +82,4 @@ func (as *AddressSpace) ReadF64(ctx any, va uint64) (float64, error) {
 // WriteF64 writes a little-endian float64 at va.
 func (as *AddressSpace) WriteF64(ctx any, va uint64, v float64) error {
 	return as.store(ctx, va, 8, math.Float64bits(v))
-}
-
-// ReadU8 reads the byte at va.
-func (as *AddressSpace) ReadU8(ctx any, va uint64) (byte, error) {
-	v, err := as.load(ctx, va, 1)
-	return byte(v), err
-}
-
-// WriteU8 writes one byte at va.
-func (as *AddressSpace) WriteU8(ctx any, va uint64, v byte) error {
-	return as.store(ctx, va, 1, uint64(v))
 }

@@ -78,23 +78,19 @@ func refWrite(as *AddressSpace, ctx any, va uint64, size int, v uint64) error {
 	return refAccess(as, ctx, va, b[:size], Write)
 }
 
-// The widths a typed step draws from: 1, 4 and 8 bytes, and 8 bytes through
+// The widths a typed step draws from: 4 and 8 bytes, and 8 bytes through
 // the float accessors.
 const (
-	widthU8 = iota
-	widthU32
+	widthU32 = iota
 	widthU64
 	widthF64
 	numWidths
 )
 
-func widthSize(w int) int { return [numWidths]int{1, 4, 8, 8}[w] }
+func widthSize(w int) int { return [numWidths]int{4, 8, 8}[w] }
 
 func typedRead(as *AddressSpace, ctx any, va uint64, w int) (uint64, error) {
 	switch w {
-	case widthU8:
-		v, err := as.ReadU8(ctx, va)
-		return uint64(v), err
 	case widthU32:
 		v, err := as.ReadU32(ctx, va)
 		return uint64(v), err
@@ -108,8 +104,6 @@ func typedRead(as *AddressSpace, ctx any, va uint64, w int) (uint64, error) {
 
 func typedWrite(as *AddressSpace, ctx any, va uint64, w int, v uint64) error {
 	switch w {
-	case widthU8:
-		return as.WriteU8(ctx, va, byte(v))
 	case widthU32:
 		return as.WriteU32(ctx, va, uint32(v))
 	case widthU64:
@@ -126,7 +120,6 @@ const (
 	handlerStep           // raises the page one level a call: a write to NoAccess faults twice
 	handlerRefuse         // returns errDiffRefused
 	handlerIdle           // returns nil and changes nothing: ErrFaultStorm
-	handlerUnmap          // unmaps the page: the retry finds ErrUnmapped
 	numHandlers
 )
 
@@ -181,8 +174,6 @@ func (w *diffWorld) setMode(t *testing.T, mode int) {
 			return w.as.Protect(f.Addr, 1, f.Prot+1)
 		case handlerRefuse:
 			return fmt.Errorf("%w at %#x", errDiffRefused, f.Addr)
-		case handlerUnmap:
-			w.as.Unmap(f.Addr, 1)
 		}
 		return nil
 	})
@@ -207,8 +198,7 @@ func sameErr(a, b error) bool {
 
 // TestTypedAccessMatchesByteAccess is the proof obligation of the split
 // access path (hit leaf, out-of-line fault loop, typed accessors decoding in
-// the frame): a seeded random program of protection changes, unmaps and
-// remaps, handler changes, typed accesses of every width — at random
+// the frame): a seeded random program of protection changes, remaps, handler changes, typed accesses of every width — at random
 // offsets and at the last bytes of a page, so words straddle page,
 // protection, view and mapping boundaries — and plain accesses of 0–600
 // bytes runs on two identical address spaces, one through the package's
@@ -249,11 +239,6 @@ func TestTypedAccessMatchesByteAccess(t *testing.T) {
 				desc = fmt.Sprintf("handler mode %d", mode)
 				a.setMode(t, mode)
 				b.setMode(t, mode)
-			case r < 19:
-				va, n := addr(), 1+rng.Intn(2)
-				desc = fmt.Sprintf("Unmap(%#x, %d)", va, n)
-				a.as.Unmap(va, n)
-				b.as.Unmap(va, n)
 			case r < 25:
 				va := uint64(diffBase + rng.Intn(diffSpan)*PageSize)
 				first, n, prot := rng.Intn(diffObjPages), 1+rng.Intn(2), Prot(rng.Intn(3))
@@ -303,8 +288,8 @@ func TestTypedAccessMatchesByteAccess(t *testing.T) {
 				t.Fatalf("seed %d step %d: %s: handler calls = %v, reference %v", seed, step, desc, a.calls, b.calls)
 			}
 			a.calls, b.calls = a.calls[:0], b.calls[:0]
-			if a.mo.Resident() != b.mo.Resident() {
-				t.Fatalf("seed %d step %d: %s: resident = %d, reference %d", seed, step, desc, a.mo.Resident(), b.mo.Resident())
+			if resident(a.mo) != resident(b.mo) {
+				t.Fatalf("seed %d step %d: %s: resident = %d, reference %d", seed, step, desc, resident(a.mo), resident(b.mo))
 			}
 			switch {
 			case errA == nil:

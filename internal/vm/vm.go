@@ -111,12 +111,11 @@ func (p *FramePool) frame(slabBytes int) *[PageSize]byte {
 //
 // Like the section it stands for, the object is demand-zero: a frame
 // materialises, zeroed, the first time it is touched (Frame, and hence any
-// access or Bypass that reaches it). Mapping, protecting and looking up
-// pages touch nothing.
+// access or Bypass that reaches it). Mapping and protecting pages touch
+// nothing.
 type MemObject struct {
-	pool     *FramePool
-	frames   []*[PageSize]byte // nil until first touch
-	resident int
+	pool   *FramePool
+	frames []*[PageSize]byte // nil until first touch
 }
 
 // NewMemObject creates a demand-zero memory object of the given size,
@@ -141,10 +140,6 @@ func (mo *MemObject) NumPages() int { return len(mo.frames) }
 // Size reports the object's size in bytes (always a multiple of PageSize).
 func (mo *MemObject) Size() int { return len(mo.frames) * PageSize }
 
-// Resident reports how many of the object's frames have been touched and
-// so occupy memory.
-func (mo *MemObject) Resident() int { return mo.resident }
-
 // Frame returns the backing bytes of frame i, materialising it zeroed on
 // first touch. The returned slice aliases the object's storage: writes
 // through it are visible through every view.
@@ -165,19 +160,10 @@ func (mo *MemObject) frame(i int) *[PageSize]byte {
 func (mo *MemObject) touch(i int) *[PageSize]byte {
 	f := mo.pool.frame(min(mo.Size(), slabMax))
 	mo.frames[i] = f
-	mo.resident++
 	return f
 }
 
-// PTE is one page-table entry as Lookup reports it: which frame of which
-// object a virtual page maps, and with what protection.
-type PTE struct {
-	Obj   *MemObject
-	Frame int
-	Prot  Prot
-}
-
-// pte is a PTE as the page table stores it, in one byte: the index of its
+// pte is a page-table entry, in one byte: the index of its
 // mapping in the address space's mapping table in the low six bits, the
 // protection in the top two. A view maps one object at one offset, so
 // every page of it shares one mapping, and MultiView's n+1 views of a
@@ -372,16 +358,6 @@ func (as *AddressSpace) MapView(va uint64, obj *MemObject, firstFrame, nPages in
 	return nil
 }
 
-// Unmap removes nPages mappings starting at page-aligned va.
-func (as *AddressSpace) Unmap(va uint64, nPages int) {
-	vpn := va / PageSize
-	for i := 0; i < nPages; i++ {
-		if p := vpn + uint64(i); p >= as.base && p < as.base+uint64(len(as.pt)) {
-			as.pt[p-as.base] = 0
-		}
-	}
-}
-
 // Protect sets the protection of nPages vpages starting at the page
 // containing va — the analogue of VirtualProtect. It affects only these
 // vpages; other views of the same frames are untouched, which is the
@@ -417,22 +393,6 @@ func (as *AddressSpace) ProtOf(va uint64) (Prot, error) {
 		return NoAccess, unmapped(va)
 	}
 	return e.prot(), nil
-}
-
-// Lookup returns the PTE of the vpage containing va, if mapped. The
-// returned struct is a copy; use Protect to change protections.
-func (as *AddressSpace) Lookup(va uint64) (PTE, bool) {
-	e := as.slot(va / PageSize)
-	if e == nil {
-		return PTE{}, false
-	}
-	obj, frame := as.target(va/PageSize, *e)
-	return PTE{Obj: obj, Frame: frame, Prot: e.prot()}, true
-}
-
-// Mapped reports whether the vpage containing va is mapped.
-func (as *AddressSpace) Mapped(va uint64) bool {
-	return as.slot(va/PageSize) != nil
 }
 
 // resolve returns the frame behind the vpage containing va once the page's
@@ -510,21 +470,6 @@ func (as *AddressSpace) Access(ctx any, va uint64, buf []byte, kind AccessKind) 
 		buf = buf[n:]
 	}
 	return nil
-}
-
-// ReadAt copies n bytes at va into a new slice, faulting as needed.
-func (as *AddressSpace) ReadAt(ctx any, va uint64, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if err := as.Access(ctx, va, buf, Read); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// WriteAt writes data at va, faulting as needed.
-func (as *AddressSpace) WriteAt(ctx any, va uint64, data []byte) error {
-	// Access never modifies buf on writes, but takes []byte for symmetry.
-	return as.Access(ctx, va, data, Write)
 }
 
 // Bypass returns the frame bytes for va..va+n ignoring protections — the

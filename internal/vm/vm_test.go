@@ -17,6 +17,45 @@ func must(t testing.TB, err error) {
 	}
 }
 
+// readAt reads n bytes at va into a new slice through Access.
+func readAt(as *AddressSpace, va uint64, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, as.Access(nil, va, buf, Read)
+}
+
+// writeAt writes data at va through Access.
+func writeAt(as *AddressSpace, va uint64, data []byte) error {
+	return as.Access(nil, va, data, Write)
+}
+
+// entry is a page-table entry decoded: which frame of which object the
+// vpage at va maps, with what protection, and whether it is mapped.
+type entry struct {
+	obj   *MemObject
+	frame int
+	prot  Prot
+	ok    bool
+}
+
+func lookup(as *AddressSpace, va uint64) entry {
+	e := as.slot(va / PageSize)
+	if e == nil {
+		return entry{}
+	}
+	obj, frame := as.target(va/PageSize, *e)
+	return entry{obj, frame, e.prot(), true}
+}
+
+// resident counts the object's frames touched so far.
+func resident(mo *MemObject) (n int) {
+	for _, f := range mo.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func TestMemObjectRoundsUpToPages(t *testing.T) {
 	mo := NewMemObject(PageSize + 1)
 	if mo.NumPages() != 2 {
@@ -33,8 +72,8 @@ func TestMapViewAndAccess(t *testing.T) {
 	const base = 0x10000
 	must(t, as.MapView(base, mo, 0, 4, ReadWrite))
 	want := []byte("hello, millipage")
-	must(t, as.WriteAt(nil, base+100, want))
-	got, err := as.ReadAt(nil, base+100, len(want))
+	must(t, writeAt(as, base+100, want))
+	got, err := readAt(as, base+100, len(want))
 	must(t, err)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %q, want %q", got, want)
@@ -68,9 +107,8 @@ func TestMapViewRejectsFrameRange(t *testing.T) {
 
 // TestPTEPacking pins the page-table entry at one byte and holds MapView
 // to what the byte can name: MaxMappings distinct (object, offset)
-// mappings each map, protect, look up and unmap like any other; the next
-// is an error that maps nothing, never a wrap onto another mapping; at the
-// cap a remap of a pair the table holds still succeeds; and a frame index
+// mappings each map and protect like any other; the next is an error that
+// maps nothing, never a wrap onto another mapping; and a frame index
 // is no longer bounded by the entry, so a view past the old 2^22-frame
 // limit maps like the first.
 func TestPTEPacking(t *testing.T) {
@@ -91,13 +129,13 @@ func TestPTEPacking(t *testing.T) {
 		}
 	}
 	for i, mo := range objs {
-		if e, ok := as.Lookup(page(i)); !ok || e.Obj != mo || e.Frame != 0 || e.Prot != NoAccess {
-			t.Fatalf("mapping %d: Lookup = %+v, %v; want frame 0 of its object, NoAccess", i+1, e, ok)
+		if e := lookup(as, page(i)); !e.ok || e.obj != mo || e.frame != 0 || e.prot != NoAccess {
+			t.Fatalf("mapping %d: entry %+v; want frame 0 of its object, NoAccess", i+1, e)
 		}
 		must(t, as.Protect(page(i), 1, ReadWrite))
 		must(t, as.WriteU32(nil, page(i)+4*uint64(i%2), uint32(i)))
-		if e, ok := as.Lookup(page(i)); !ok || e.Obj != mo || e.Prot != ReadWrite {
-			t.Fatalf("mapping %d: Lookup after Protect = %+v, %v; want ReadWrite", i+1, e, ok)
+		if e := lookup(as, page(i)); !e.ok || e.obj != mo || e.prot != ReadWrite {
+			t.Fatalf("mapping %d: entry after Protect %+v; want ReadWrite", i+1, e)
 		}
 	}
 	for i, mo := range objs {
@@ -110,28 +148,8 @@ func TestPTEPacking(t *testing.T) {
 	if err := as.MapView(last, NewMemObject(PageSize), 0, 1, ReadOnly); !errors.Is(err, errMappingsFull) {
 		t.Fatalf("MapView of mapping %d = %v, want the full-table error", MaxMappings+1, err)
 	}
-	if as.Mapped(last) {
+	if lookup(as, last).ok {
 		t.Fatal("a rejected MapView mapped a page")
-	}
-
-	as.Unmap(page(3), 1)
-	if _, ok := as.Lookup(page(3)); ok || as.Mapped(page(3)) {
-		t.Fatal("page still mapped after Unmap")
-	}
-	if _, err := as.ReadU8(nil, page(3)); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("read of an unmapped page = %v, want ErrUnmapped", err)
-	}
-	if err := as.MapView(page(3), objs[3], 0, 1, ReadOnly); err != nil {
-		t.Fatalf("remap of a pair the full table holds: %v", err)
-	}
-	if v, err := as.ReadU32(nil, page(3)+4); err != nil || v != 3 {
-		t.Fatalf("read through the remapped view = %d, %v; want 3", v, err)
-	}
-	for i := range objs {
-		as.Unmap(page(i), 1)
-		if _, ok := as.Lookup(page(i)); ok || as.Mapped(page(i)) {
-			t.Fatalf("mapping %d: page still mapped after Unmap", i+1)
-		}
 	}
 
 	const oldLimit = 1 << 22                       // frames an entry held when it packed its frame
@@ -140,12 +158,12 @@ func TestPTEPacking(t *testing.T) {
 	if err := far.MapView(va, big, oldLimit, 2, ReadWrite); err != nil {
 		t.Fatalf("MapView of frames [%d,%d): %v", oldLimit, oldLimit+2, err)
 	}
-	must(t, far.WriteAt(nil, va+PageSize+8, []byte("top")))
-	if e, ok := far.Lookup(va + PageSize); !ok || e.Obj != big || e.Frame != oldLimit+1 {
-		t.Fatalf("Lookup = %+v, %v; want frame %d", e, ok, oldLimit+1)
+	must(t, writeAt(far, va+PageSize+8, []byte("top")))
+	if e := lookup(far, va+PageSize); !e.ok || e.obj != big || e.frame != oldLimit+1 {
+		t.Fatalf("entry %+v; want frame %d", e, oldLimit+1)
 	}
-	if got := big.Frame(oldLimit + 1)[8:11]; string(got) != "top" || big.Resident() != 1 {
-		t.Fatalf("frame %d holds %q (%d resident), want the write through its view alone", oldLimit+1, got, big.Resident())
+	if got := big.Frame(oldLimit + 1)[8:11]; string(got) != "top" || resident(big) != 1 {
+		t.Fatalf("frame %d holds %q (%d resident), want the write through its view alone", oldLimit+1, got, resident(big))
 	}
 }
 
@@ -159,23 +177,23 @@ func TestViewAliasingWithIndependentProtection(t *testing.T) {
 	must(t, as.MapView(v2, mo, 0, 1, ReadOnly))
 	// The frame's first touch is the write through view1: the frame it
 	// materialises must be the one view2 and Bypass then find.
-	if mo.Resident() != 0 {
-		t.Fatalf("%d frames resident before any access", mo.Resident())
+	if resident(mo) != 0 {
+		t.Fatalf("%d frames resident before any access", resident(mo))
 	}
-	must(t, as.WriteAt(nil, v1+8, []byte{0xAB}))
-	b, err := as.ReadU8(nil, v2+8)
+	must(t, writeAt(as, v1+8, []byte{0xAB}))
+	b, err := readAt(as, v2+8, 1)
 	must(t, err)
-	if b != 0xAB {
-		t.Fatalf("write through view1 not visible through view2: got %#x", b)
+	if b[0] != 0xAB {
+		t.Fatalf("write through view1 not visible through view2: got %#x", b[0])
 	}
 	if mem, err := as.Bypass(v2+8, 1); err != nil || mem[0] != 0xAB {
 		t.Fatalf("write through view1 not visible through Bypass: %v, %v", mem, err)
 	}
-	if mo.Resident() != 1 {
-		t.Fatalf("%d frames resident after touching one page through two views", mo.Resident())
+	if resident(mo) != 1 {
+		t.Fatalf("%d frames resident after touching one page through two views", resident(mo))
 	}
 	// view2 is ReadOnly: a write must fault, and with no handler, error.
-	if err := as.WriteAt(nil, v2+8, []byte{1}); !errors.Is(err, ErrNoHandler) {
+	if err := writeAt(as, v2+8, []byte{1}); !errors.Is(err, ErrNoHandler) {
 		t.Fatalf("write through ReadOnly view: err = %v, want ErrNoHandler", err)
 	}
 	// view1 keeps its own protection.
@@ -199,10 +217,10 @@ func TestFaultHandlerUpgradesProtection(t *testing.T) {
 			return as.Protect(f.Addr, 1, ReadWrite)
 		}
 	})
-	if _, err := as.ReadU8(nil, base+5); err != nil {
+	if _, err := as.ReadU32(nil, base+4); err != nil {
 		t.Fatal(err)
 	}
-	must(t, as.WriteU8(nil, base+5, 9))
+	must(t, as.WriteU32(nil, base+4, 9))
 	if len(faults) != 2 {
 		t.Fatalf("faults = %d, want 2 (one read upgrade, one write upgrade)", len(faults))
 	}
@@ -219,7 +237,7 @@ func TestFaultStormDetected(t *testing.T) {
 	as := NewAddressSpace()
 	must(t, as.MapView(0x10000, mo, 0, 1, NoAccess))
 	as.SetFaultHandler(func(ctx any, f Fault) error { return nil }) // never fixes
-	_, err := as.ReadU8(nil, 0x10000)
+	_, err := as.ReadU32(nil, 0x10000)
 	if !errors.Is(err, ErrFaultStorm) {
 		t.Fatalf("err = %v, want ErrFaultStorm", err)
 	}
@@ -241,11 +259,11 @@ func TestAccessSpansPagesWithPerPageChecks(t *testing.T) {
 		data[i] = byte(i)
 	}
 	// Write straddling the page boundary: second page must fault once.
-	must(t, as.WriteAt(nil, base+uint64(PageSize)-50, data))
+	must(t, writeAt(as, base+uint64(PageSize)-50, data))
 	if upgrades != 1 {
 		t.Fatalf("upgrades = %d, want 1", upgrades)
 	}
-	got, err := as.ReadAt(nil, base+uint64(PageSize)-50, 100)
+	got, err := readAt(as, base+uint64(PageSize)-50, 100)
 	must(t, err)
 	if !bytes.Equal(got, data) {
 		t.Fatal("straddling write/read mismatch")
@@ -254,18 +272,8 @@ func TestAccessSpansPagesWithPerPageChecks(t *testing.T) {
 
 func TestUnmappedAccess(t *testing.T) {
 	as := NewAddressSpace()
-	if _, err := as.ReadU8(nil, 0x999999); !errors.Is(err, ErrUnmapped) {
+	if _, err := as.ReadU32(nil, 0x999999); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("err = %v, want ErrUnmapped", err)
-	}
-}
-
-func TestUnmap(t *testing.T) {
-	mo := NewMemObject(PageSize)
-	as := NewAddressSpace()
-	must(t, as.MapView(0x10000, mo, 0, 1, ReadWrite))
-	as.Unmap(0x10000, 1)
-	if as.Mapped(0x10000) {
-		t.Fatal("still mapped after Unmap")
 	}
 }
 
@@ -341,13 +349,13 @@ func TestBypassRangeCrossesPages(t *testing.T) {
 	}
 	// Both frames were first touched by that privileged write; the other
 	// view reads it back.
-	got, err := as.ReadAt(nil, 0x20000+uint64(PageSize)-10, 20)
+	got, err := readAt(as, 0x20000+uint64(PageSize)-10, 20)
 	must(t, err)
 	if !bytes.Equal(got, bytes.Repeat([]byte{0x5A}, 20)) {
 		t.Fatalf("BypassRange write read back through the second view as %x", got)
 	}
-	if mo.Resident() != 2 {
-		t.Fatalf("%d frames resident, want 2", mo.Resident())
+	if resident(mo) != 2 {
+		t.Fatalf("%d frames resident, want 2", resident(mo))
 	}
 }
 
@@ -364,8 +372,8 @@ func TestReadBypassLeavesDemandZeroUntouched(t *testing.T) {
 	if want := append([]byte("DATA"), make([]byte, 8)...); !bytes.Equal(buf, want) {
 		t.Fatalf("ReadBypass = %q, want %q", buf, want)
 	}
-	if mo.Resident() != 1 {
-		t.Fatalf("%d frames resident after the read, want 1", mo.Resident())
+	if resident(mo) != 1 {
+		t.Fatalf("%d frames resident after the read, want 1", resident(mo))
 	}
 	if err := as.ReadBypass(0x10000+2*uint64(PageSize)-4, buf); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("ReadBypass past the view: %v, want ErrUnmapped", err)
@@ -422,10 +430,10 @@ func TestViewAliasProperty(t *testing.T) {
 			o := uint64(off) % uint64(pages*PageSize-len(data))
 			w := bases[int(wi)%len(bases)]
 			r := bases[int(ri)%len(bases)]
-			if err := as.WriteAt(nil, w+o, data); err != nil {
+			if err := writeAt(as, w+o, data); err != nil {
 				return false
 			}
-			got, err := as.ReadAt(nil, r+o, len(data))
+			got, err := readAt(as, r+o, len(data))
 			if err != nil || !bytes.Equal(got, data) {
 				return false
 			}
@@ -457,29 +465,29 @@ func TestMemObjectIsDemandZero(t *testing.T) {
 		if p, err := as.ProtOf(v1 + i*PageSize); err != nil || p != ReadOnly {
 			t.Fatalf("ProtOf page %d = %v, %v", i, p, err)
 		}
-		if pte, ok := as.Lookup(v2 + i*PageSize); !ok || pte.Obj != mo || pte.Frame != int(i) || pte.Prot != ReadWrite {
-			t.Fatalf("Lookup page %d = %+v, %v", i, pte, ok)
+		if e := lookup(as, v2+i*PageSize); !e.ok || e.obj != mo || e.frame != int(i) || e.prot != ReadWrite {
+			t.Fatalf("entry of page %d = %+v", i, e)
 		}
-		if !as.Mapped(v1 + i*PageSize) {
+		if !lookup(as, v1+i*PageSize).ok {
 			t.Fatalf("page %d not mapped", i)
 		}
 	}
-	if mo.Resident() != 0 {
-		t.Fatalf("%d frames resident after MapView/Protect/ProtOf/Lookup, want 0", mo.Resident())
+	if resident(mo) != 0 {
+		t.Fatalf("%d frames resident after MapView/Protect/ProtOf, want 0", resident(mo))
 	}
-	got, err := as.ReadAt(nil, v1+3*PageSize+100, 64)
+	got, err := readAt(as, v1+3*PageSize+100, 64)
 	must(t, err)
 	if !bytes.Equal(got, make([]byte, 64)) {
 		t.Fatalf("first read of an untouched frame = %x, want zeros", got)
 	}
-	if mo.Resident() != 1 {
-		t.Fatalf("%d frames resident after reading one page, want 1", mo.Resident())
+	if resident(mo) != 1 {
+		t.Fatalf("%d frames resident after reading one page, want 1", resident(mo))
 	}
 	if mem, err := as.Bypass(v2+5*PageSize, PageSize); err != nil || !bytes.Equal(mem, make([]byte, PageSize)) {
 		t.Fatalf("first Bypass of an untouched frame is not a page of zeros (err %v)", err)
 	}
-	if mo.Resident() != 2 {
-		t.Fatalf("%d frames resident after touching two pages, want 2", mo.Resident())
+	if resident(mo) != 2 {
+		t.Fatalf("%d frames resident after touching two pages, want 2", resident(mo))
 	}
 }
 
@@ -512,8 +520,8 @@ func TestPoolObjectsNeverShareFrames(t *testing.T) {
 			t.Fatalf("frame %d: a wrote %#x..%#x, b wrote %#x..%#x", i, fa[0], fa[PageSize-1], fb[0], fb[PageSize-1])
 		}
 	}
-	if a.Resident() != pages || b.Resident() != pages {
-		t.Fatalf("resident = %d, %d, want %d each", a.Resident(), b.Resident(), pages)
+	if resident(a) != pages || resident(b) != pages {
+		t.Fatalf("resident = %d, %d, want %d each", resident(a), resident(b), pages)
 	}
 }
 

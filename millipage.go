@@ -221,9 +221,3 @@ func (c *Cluster) Run(body func(w *Worker)) (*Report, error) {
 	}
 	return c.report(), nil
 }
-
-// System exposes the underlying minipage system for benchmarks and tests
-// that need raw access (statistics, directory state). Every protocol
-// builds one: millipage and ivy under SC, lrc-mw under the multi-writer
-// class. Most applications never need it.
-func (c *Cluster) System() *dsm.System { return c.sys }

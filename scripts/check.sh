@@ -9,7 +9,8 @@
 #   scripts/check.sh smoke   the cmd/millipage cells listed at the bottom
 #   scripts/check.sh mutants every mutant of testdata/mutants killed by its
 #                            killers, known survivors surviving, and each
-#                            kernel statement the change touches settled
+#                            kernel and substrate statement the change
+#                            touches settled
 #
 # Tiers run in the order given (`scripts/check.sh fast full smoke mutants`). Tests
 # are selected by running all of them, so a new Test anywhere in the module
@@ -109,7 +110,7 @@ smoke() {
 		"$bin/$build" $args </dev/null
 	done <<'CELLS'
 # Schedule exploration under every protocol name: same-timestamp event
-# order and bounded preemptions over >= 100 distinct schedules. ivy is
+# order shuffled over >= 100 distinct schedules. ivy is
 # millipage's page-grain preset.
 plain explore -schedules 120 -seed 7 -workload drf
 plain explore -schedules 120 -seed 7 -protocol ivy -workload swmr
@@ -177,8 +178,10 @@ CELLS
 # known survivor is marked with the ROADMAP item that will kill it, and
 # fails the tier once something does. A change that adds an optimization
 # adds the mutant that undoes it. The catalogue's statement-deletion
-# family deletes each internal/dsm statement the change touches, one at a
-# time: each must be killed, fail to build, or be listed equivalent.
+# families delete each statement the change touches in the kernel
+# (internal/dsm) and the substrate under it (sim, fastmsg, faultnet, vm,
+# core), one at a time: each must be killed, fail to build, or be listed
+# equivalent.
 mutants() {
 	go run ./cmd/mutate
 }
