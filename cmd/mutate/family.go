@@ -39,7 +39,7 @@ func (s stmt) String() string {
 }
 
 // load parses the package and resolves each listing, `equivalent <file>
-// <func> <quoted statement> <reason>`, to the one statement it names.
+// <func> <quoted statement>[#n] <reason>`, to the one statement it names.
 func (f *family) load(listings []string) error {
 	files, _ := filepath.Glob(filepath.Join(f.dir, "*.go"))
 	f.srcs, f.listed = map[string][]byte{}, map[int]string{}
@@ -95,32 +95,45 @@ func (f *family) load(listings []string) error {
 	return errors.Join(errs...)
 }
 
-// lookup returns the statement a listing names, and its reason.
+// lookup returns the statement a listing names, and its reason. A quoted
+// statement that occurs more than once in its function takes the
+// occurrence it names as a suffix, "text"#n, counted from 1 in source
+// order.
 func (f *family) lookup(e string) (int, string, error) {
 	file, rest, _ := strings.Cut(e, " ")
 	fn, rest, _ := strings.Cut(rest, " ")
 	q, err := strconv.QuotedPrefix(rest)
 	if err != nil {
-		return 0, "", fmt.Errorf("want <file> <func> <quoted statement> <reason>")
+		return 0, "", fmt.Errorf("want <file> <func> <quoted statement>[#n] <reason>")
 	}
 	text, _ := strconv.Unquote(q)
-	reason := strings.TrimSpace(rest[len(q):])
-	at := -1
+	rest = rest[len(q):]
+	nth := 0 // the occurrence named; 0, the only one
+	if suffix, ok := strings.CutPrefix(rest, "#"); ok {
+		n, after, _ := strings.Cut(suffix, " ")
+		if nth, err = strconv.Atoi(n); err != nil || nth < 1 {
+			return 0, "", fmt.Errorf("occurrence #%s is not a count from 1", n)
+		}
+		rest = after
+	}
+	reason := strings.TrimSpace(rest)
+	var at []int
 	for i, s := range f.stmts {
 		if s.file == file && s.fn == fn && s.text == text {
-			if at >= 0 {
-				return 0, "", fmt.Errorf("matches two statements, lines %d and %d", f.stmts[at].line, s.line)
-			}
-			at = i
+			at = append(at, i)
 		}
 	}
 	switch {
-	case at < 0:
+	case len(at) == 0:
 		return 0, "", fmt.Errorf("matches no statement")
+	case nth == 0 && len(at) > 1:
+		return 0, "", fmt.Errorf("matches %d statements, lines %d and %d: name one with #n after the quote", len(at), f.stmts[at[0]].line, f.stmts[at[1]].line)
+	case nth > len(at):
+		return 0, "", fmt.Errorf("names occurrence %d of %d", nth, len(at))
 	case reason == "":
 		return 0, "", fmt.Errorf("gives no reason")
 	}
-	return at, reason, nil
+	return at[max(nth, 1)-1], reason, nil
 }
 
 // declName names a declaration's function as a listing does: f, T.m or
@@ -169,7 +182,11 @@ func (f *family) run(killers [][]string, all bool) (string, error) {
 	}
 	dir, _ := os.MkdirTemp("", "mutant")
 	defer os.RemoveAll(dir)
-	cache := goCache(all && len(picked) > 0, killers)
+	cache, err := goCache(all && len(picked) > 0, killers)
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(cache) // "" removes nothing
 	killedBy, nobuild, equivalent := make([]int, len(killers)), 0, 0
 	var errs []error
 	for _, i := range picked {
@@ -182,7 +199,7 @@ func (f *family) run(killers [][]string, all bool) (string, error) {
 		}
 		verdict := "survived"
 		for k, killer := range killers {
-			o := run(killer, ov)
+			o := run(killer, ov, cache)
 			if first := compileError(o.out); first != "" {
 				verdict, nobuild = "nobuild: "+strings.TrimPrefix(first, dir+"/"), nobuild+1
 				break
@@ -264,20 +281,26 @@ func (f *family) changed(diff []byte) (picked []int) {
 	return picked
 }
 
-// goCache returns the build cache a whole-family run (whole) cleans up
-// after each mutant, "" for none, once the killers have run on the tree
-// as it is: what a clean build puts there is kept for every mutant
-// after. The default run, a change's few statements, keeps its entries,
-// so that running the tier again on the same change hits them.
-func goCache(whole bool, killers [][]string) string {
-	out, err := exec.Command("go", "env", "GOCACHE").Output()
-	if err != nil || !whole {
-		return ""
+// goCache returns the build cache of a whole-family run (whole), "" for
+// none: a new directory of its own, for the run to remove at its end,
+// which the killers have run on once, on the tree as it is, so what a
+// clean build puts there is kept for every mutant after. No other go
+// command can add entries to it, so the run cleans up after each mutant
+// (dropAdded) without losing any but its own. The default run, a change's
+// few statements, uses the shared cache and keeps its entries, so that
+// running the tier again on the same change hits them.
+func goCache(whole bool, killers [][]string) (string, error) {
+	if !whole {
+		return "", nil
+	}
+	dir, err := os.MkdirTemp("", "mutate-gocache")
+	if err != nil {
+		return "", err
 	}
 	for _, k := range killers {
-		run(k, "")
+		run(k, "", dir)
 	}
-	return strings.TrimSpace(string(out))
+	return dir, nil
 }
 
 // cacheEntries lists the entries of build cache dir: the files of its
@@ -295,11 +318,9 @@ func cacheEntries(dir string) map[string]bool {
 }
 
 // dropAdded removes the entries of build cache dir absent from kept: a
-// mutant's builds and test results, which no later run reproduces. A
-// cache entry is only ever an optimisation, so a statement-deletion run
-// leaves the cache as it found it instead of growing it by megabytes a
-// statement. An entry another go command adds meanwhile goes too: run
-// nothing else against the cache while a named family runs.
+// mutant's builds and test results, which no later run reproduces, so
+// the family's own cache stays the size of a clean build instead of
+// growing by megabytes a statement.
 func dropAdded(dir string, kept map[string]bool) {
 	for f := range cacheEntries(dir) {
 		if !kept[f] {

@@ -10,8 +10,9 @@
 // A file with a `delete <package dir>` line instead is a family: one
 // mutant per statement of the package, the equivalent ones listed in the
 // same file (family.go). Named, it runs every statement; in the default run,
-// those the change touches. A named family removes the build-cache
-// entries each mutant added (family.go).
+// those the change touches. A named family runs on a build cache of its
+// own, warmed once, removes the entries each mutant added and, at the
+// end, the cache (family.go); the default run uses the shared cache.
 //
 // Every go command it starts, and each program under it, runs under an
 // address-space cap and a deadline (bounded), so a mutant that loops
@@ -100,9 +101,10 @@ func overlay(dir, file string, src []byte) (string, error) {
 }
 
 // run runs killer k (go <verb> <args>) under overlay ov, or on the tree
-// as it is if ov is "", bounded: a test binary under -timeout, the
-// command and its children killed at the deadline.
-func run(k []string, ov string) outcome {
+// as it is if ov is "", with build cache dir cache, or the shared one if
+// cache is "", bounded: a test binary under -timeout, the command and its
+// children killed at the deadline.
+func run(k []string, ov, cache string) outcome {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	args := []string{k[1]}
@@ -114,6 +116,9 @@ func run(k []string, ov string) outcome {
 	}
 	cmd := exec.CommandContext(ctx, k[0], append(args, k[2:]...)...)
 	cmd.Env = slices.DeleteFunc(os.Environ(), func(e string) bool { return strings.HasPrefix(e, "UPDATE_PINS=") })
+	if cache != "" {
+		cmd.Env = append(cmd.Env, "GOCACHE="+cache) // the last of a key wins
+	}
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	out, err := cmd.CombinedOutput()
@@ -153,11 +158,11 @@ func try(path string, matrix, named bool) (string, error) {
 		return "", err
 	}
 	if matrix {
-		return "fails " + strings.Join(failed([]byte(run([]string{"go", "test", "-json", "./..."}, ov).out)), " "), nil
+		return "fails " + strings.Join(failed([]byte(run([]string{"go", "test", "-json", "./..."}, ov, "").out)), " "), nil
 	}
 	var outs []outcome
 	for _, k := range m.killers {
-		outs = append(outs, run(k, ov))
+		outs = append(outs, run(k, ov, ""))
 	}
 	return judge(m, outs)
 }

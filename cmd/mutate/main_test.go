@@ -134,14 +134,20 @@ func TestFamilyStatements(t *testing.T) {
 	}
 	for listing, want := range map[string]string{
 		`fam.go f "x--" gone`:             "matches no statement",
-		`fam.go f "x++" twice`:            "matches two statements",
+		`fam.go f "x++" twice`:            "matches 2 statements",
+		`fam.go f "x++"#2 the second`:     "",
+		`fam.go f "x++"#3 a third`:        "names occurrence 3 of 2",
+		`fam.go f "x++"#0 none`:           "not a count from 1",
 		`fam.go (*T).inc "t.n++"`:         "gives no reason",
-		`fam.go (*T).inc t.n++ unquoted`:  "want <file> <func> <quoted statement> <reason>",
+		`fam.go (*T).inc t.n++ unquoted`:  "want <file> <func> <quoted statement>[#n] <reason>",
 		`fam.go (*T).inc "t.n = 0" wraps`: "",
 	} {
 		if _, _, err := f.lookup(listing); err == nil && want != "" || err != nil && !strings.Contains(err.Error(), want) {
 			t.Errorf("lookup(%s) = %v, want %q", listing, err, want)
 		}
+	}
+	if i, reason, err := f.lookup(`fam.go f "x++"#2 the second`); err != nil || i != 7 || reason != "the second" {
+		t.Errorf(`lookup of "x++"#2 = %d, %q, %v; want statement 7, "the second"`, i, reason, err)
 	}
 }
 
@@ -265,5 +271,28 @@ func TestDropAdded(t *testing.T) {
 	})
 	if want := []string{"0a/old-a", "README", "ff/old-d", "testexpand-added", "trim.txt"}; !slices.Equal(left, want) {
 		t.Fatalf("left %q, want %q", left, want)
+	}
+}
+
+// TestFamilyCache: a whole-family run builds in a cache of its own, which
+// the go commands it runs use, so no other go command can add to it or
+// lose entries from it; the default run gets none, and its go commands
+// use the shared cache.
+func TestFamilyCache(t *testing.T) {
+	goenv := []string{"go", "env", "GOCACHE"}
+	if cache, err := goCache(false, [][]string{goenv}); cache != "" || err != nil {
+		t.Fatalf("the default run's cache is %q (%v), want the shared one", cache, err)
+	}
+	shared := strings.TrimSpace(run(goenv, "", "").out)
+	cache, err := goCache(true, [][]string{goenv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(cache)
+	if cache == "" || cache == shared {
+		t.Fatalf("a family's cache is %q, want a directory of its own, not the shared %q", cache, shared)
+	}
+	if got := strings.TrimSpace(run(goenv, "", cache).out); got != cache {
+		t.Errorf("a family's go command builds in %q, want its cache %q", got, cache)
 	}
 }

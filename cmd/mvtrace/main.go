@@ -90,7 +90,7 @@ func main() {
 			os.Exit(2)
 		}
 		t.Barrier()
-		t.Compute(5 * sim.Millisecond) // let trailing acks drain into the trace
+		t.Idle(5 * sim.Millisecond) // let trailing acks drain into the trace
 	}
 
 	spec, err := registry.Lookup(*protocol)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"millipage/internal/core"
+	"millipage/internal/fastmsg"
 	"millipage/internal/pins"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -415,6 +416,77 @@ func TestThreadStatsBreakdown(t *testing.T) {
 		}
 		if st.Total() < st.ComputeTime+st.SynchTime {
 			t.Fatalf("total %v < parts", st.Total())
+		}
+	}
+}
+
+// TestIdleWaitIsNotComputation: Idle advances the clock by exactly d and
+// books it as idle time, outside every breakdown category; d <= 0 does
+// nothing at all.
+func TestIdleWaitIsNotComputation(t *testing.T) {
+	s := newSys(t, New, Options{Hosts: 1, SharedSize: 1 << 16, Views: 2})
+	run(t, s, func(th *Thread) {
+		th.ResetStats()
+		start, evs := th.Now(), s.Eng.Counters()
+		th.Idle(0)
+		th.Idle(-sim.Millisecond)
+		if th.Now() != start || th.Stats.IdleTime != 0 || s.Eng.Counters() != evs {
+			t.Errorf("Idle(<= 0) moved the clock by %v, booked %v or scheduled an event", th.Now().Sub(start), th.Stats.IdleTime)
+		}
+		th.Idle(750 * sim.Microsecond)
+		th.Compute(250 * sim.Microsecond)
+		if got := th.Now().Sub(start); got != sim.Millisecond {
+			t.Errorf("Idle(750us) + Compute(250us) took %v, want 1ms", got)
+		}
+		th.Stats.End = th.Now()
+		if st := th.Stats; st.IdleTime != 750*sim.Microsecond || st.ComputeTime != 250*sim.Microsecond || st.Other() != 0 {
+			t.Errorf("idle %v, compute %v, other %v; want 750us, 250us, 0", st.IdleTime, st.ComputeTime, st.Other())
+		}
+	})
+}
+
+// TestIdleHostPollsRequests: host 1 reads a minipage homed and held at
+// host 0 while host 0's only thread waits. In Idle the host counts as
+// idle, so its poller serves each arrival after exactly PollIdle; in
+// Compute it is busy, and each waits for a sweeper tick.
+func TestIdleHostPollsRequests(t *testing.T) {
+	for _, idle := range []bool{true, false} {
+		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16, Views: 2})
+		var va uint64
+		var got fastmsg.Stats
+		run(t, s, func(th *Thread) {
+			if th.Host() == 0 {
+				va = th.Malloc(128)
+				th.WriteU32(va, 7)
+			}
+			th.Barrier()
+			ep := th.host.EP
+			if th.Host() == 1 {
+				th.Compute(100 * sim.Microsecond) // host 0 is waiting by now
+				if v := th.ReadU32(va); v != 7 {
+					t.Errorf("read %d, want 7", v)
+				}
+			} else {
+				before := ep.Stats()
+				if idle {
+					th.Idle(2 * sim.Millisecond)
+				} else {
+					th.Compute(2 * sim.Millisecond)
+				}
+				got = ep.Stats()
+				got.Received -= before.Received
+				got.ServiceDelay -= before.ServiceDelay
+			}
+			th.Barrier()
+		})
+		poll := s.Opt.Net.PollIdle * sim.Duration(got.Received)
+		switch {
+		case got.Received == 0:
+			t.Errorf("idle=%v: host 0 received nothing while it waited", idle)
+		case idle && got.ServiceDelay != poll:
+			t.Errorf("Idle: %d arrivals waited %v, want PollIdle each (%v)", got.Received, got.ServiceDelay, poll)
+		case !idle && got.ServiceDelay < s.Opt.Net.SweepShortLo*sim.Duration(got.Received):
+			t.Errorf("Compute: %d arrivals waited %v, want a sweep gap each", got.Received, got.ServiceDelay)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func newWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
 
 // Thread is one application thread's view of the DSM: the entire
 // user-facing Millipage API (Section 3.4's library interface) — memory
-// access, Malloc, Barrier, Lock and Unlock (service.go), Compute and stats,
+// access, Malloc, Barrier, Lock and Unlock (service.go), Compute, Idle and stats,
 // and the Millipage performance hints, which only the SC class serves:
 // under lrc-mw they are correct no-ops. Behind it are its simulated
 // process, its rendezvous slot and its time-breakdown statistics.
@@ -84,6 +84,19 @@ func (t *Thread) Now() sim.Time { return t.p.Now() }
 func (t *Thread) Compute(d sim.Duration) {
 	t.Stats.ComputeTime += d
 	t.p.Sleep(d)
+}
+
+// Idle waits d without computing, as a server's event loop polling its
+// ingress and FM: like Block it gives up the host's busy reference, so
+// arrivals are served after PollIdle, not at a sweeper tick. It books d as
+// IdleTime and resumes at now+d, with no block or wake charge.
+func (t *Thread) Idle(d sim.Duration) {
+	if d > 0 {
+		t.Stats.IdleTime += d
+		t.host.EP.SetBusy(-1)
+		t.p.Sleep(d)
+		t.host.EP.SetBusy(+1)
+	}
 }
 
 // WaitSlot returns the thread's rendezvous, reset for a new transaction
@@ -301,6 +314,7 @@ type ThreadStats struct {
 	PrefetchTime   sim.Duration // waits attributable to in-flight prefetches, plus issue cost
 	SynchTime      sim.Duration // barriers and locks
 	MallocTime     sim.Duration
+	IdleTime       sim.Duration // waits in Idle: no category's, not even computation's
 
 	ReadFaults  uint64
 	WriteFaults uint64
@@ -320,7 +334,7 @@ func (st ThreadStats) Total() sim.Duration { return st.End.Sub(st.Start) }
 // residual bookkeeping); Figure 6 folds this into computation.
 func (st ThreadStats) Other() sim.Duration {
 	return st.Total() - st.ComputeTime - st.ReadFaultTime - st.WriteFaultTime -
-		st.PrefetchTime - st.SynchTime - st.MallocTime
+		st.PrefetchTime - st.SynchTime - st.MallocTime - st.IdleTime
 }
 
 // sendPrefetch records [va, va+size) as in flight, translates va and

@@ -668,3 +668,58 @@ func TestCrashUnderTheHandlerDeliversOnce(t *testing.T) {
 		t.Error("no duplicate dropped: the crash did not land under the handler")
 	}
 }
+
+// TestCrashRewindsThePendingList: host 1 crashes with two records fired
+// off the head of its pending list and a third still waiting for its poll
+// event. The crash empties the list, its head included. After the
+// restart the resent messages arrive while host 1 is busy, and its
+// busy→idle transition walks the list and hands them to the poller: each
+// message is handled once, in order, long before the busy host's
+// sweeper would have run, and nothing is left in the list.
+func TestCrashRewindsThePendingList(t *testing.T) {
+	pr := DefaultParams()
+	pr.PerfectTimers, pr.SweepShortLo = true, 5*sim.Millisecond // a sweep tick comes too late
+	eng := sim.NewEngine(1)
+	nw := New(eng, 2, pr)
+	far := sim.Time(1 << 60)
+	inj, err := faultnet.NewInjector(faultnet.Plan{ // armed, and nothing fires by itself
+		Partitions: []faultnet.Partition{{A: 0b01, B: 0b10, From: far, Until: far + 1}},
+	}, 2, 1)
+	must(t, err)
+	nw.InstallFaults(inj)
+	ep := nw.Endpoint(1)
+	var got []int
+	var last sim.Time
+	ep.SetHandler(func(p *sim.Proc, m *Message) { got, last = append(got, m.Payload.(int)), p.Now() })
+	nw.Endpoint(0).SetHandler(func(p *sim.Proc, m *Message) {})
+	// Arrivals W, W+1 and W+2 µs fire PollIdle after each: the crash at
+	// W+4.5 µs finds the first two fired and the third pending.
+	for k := range 3 {
+		eng.At(sim.Time(k)*sim.Time(sim.Microsecond), func() { send(nil, nw.Endpoint(0), 1, 32, k) })
+	}
+	crash := sim.Time(pr.WireLatency(32) + pr.PollIdle + 1500*sim.Nanosecond)
+	restart := crash.Add(sim.Millisecond)
+	eng.At(crash, func() {
+		if ep.pendHead != 2 || len(ep.pending) != 3 {
+			t.Errorf("at the crash the pending list is %d records from head %d, want 3 from 2", len(ep.pending), ep.pendHead)
+		}
+		nw.rel.crash(1)
+	})
+	eng.At(restart, func() {
+		nw.rel.restart(1)
+		ep.SetBusy(+1)
+	})
+	idle := restart.Add(500 * sim.Microsecond) // after the resends arrived
+	eng.At(idle, func() { ep.SetBusy(-1) })
+	eng.Spawn("watch", func(p *sim.Proc) { p.Sleep(restart.Add(20 * sim.Millisecond).Sub(p.Now())) })
+	mustRun(t, eng)
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("handler ran for %v, want each of 0, 1, 2 once, in order", got)
+	}
+	if last > idle.Add(sim.Millisecond) {
+		t.Errorf("last message handled at %v, want soon after host 1 went idle at %v", last, idle)
+	}
+	if len(ep.pending) != 0 || ep.pendHead != 0 {
+		t.Errorf("%d records left in the pending list, head %d", len(ep.pending), ep.pendHead)
+	}
+}

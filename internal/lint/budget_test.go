@@ -21,18 +21,20 @@ func must(t testing.TB, err error) {
 // files left out, the count ROADMAP's "Lines" bullet tracks. It only
 // ratchets down: a change that deletes lines lowers its package's ceiling
 // to the new count in the same commit, and one that needs a ceiling
-// raised says why here and in review.
+// raised says why here and in review. dsm rose 3,328 → 3,342 for
+// Thread.Idle (13 lines) and ThreadStats.IdleTime (1): a wait that is not
+// computation, so a waiting server's host counts as idle.
 var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"dsm", 3328},
+	{"dsm", 3342},
 }
 
 // kernelTarget is the kernel's line total, lowered with its ceilings. A
 // change that takes the kernel past it fails, whatever the per-package
 // ceilings.
-const kernelTarget = 3328
+const kernelTarget = 3342
 
 // substrateBudget is the same ratchet over the simulator substrate the
 // kernel runs on and the model checker that explores it.

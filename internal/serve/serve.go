@@ -59,8 +59,10 @@ type Scenario struct {
 
 	// PerfectTimers removes the NT timer pathology from the service
 	// threads. Serving scenarios default to true (scenarios.go) so
-	// latency percentiles reflect protocol behaviour; set false to watch
-	// the paper's Section 3.5.1 timer tail reappear at p999.
+	// latency percentiles reflect protocol behaviour; set false for the
+	// paper's Section 3.5.1 sweeper gaps, which a request meets only when
+	// it reaches a host in the middle of an operation: a thread waiting
+	// for its next arrival polls (Idle).
 	PerfectTimers bool
 
 	Views int // minipages per page bound; default 16
@@ -301,10 +303,12 @@ func Run(sc Scenario) (*Result, error) {
 		for i := 0; i < ops; i++ {
 			next += g.gap()
 			if now := w.Now(); now < next {
-				// Open loop: idle until the arrival. When the thread is
-				// behind, the op has been queueing — its latency below
-				// includes the backlog delay, as a real ingress queue would.
-				w.Compute(next - now)
+				// Open loop: idle until the arrival, polling, so the host
+				// serves DSM requests meanwhile as an idle one does. When
+				// the thread is behind, the op has been queueing — its
+				// latency below includes the backlog delay, as a real
+				// ingress queue would.
+				w.Idle(next - now)
 			}
 			key, client, isGet := g.op()
 			addr := keyAddr[key]

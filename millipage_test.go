@@ -169,6 +169,7 @@ func TestReportString(t *testing.T) {
 			w.WriteU32(a, 7)
 		}
 		w.Barrier()
+		w.Idle(millipage.Duration(1_000_000)) // 1ms, outside the breakdown
 		_ = w.ReadU32(a)
 		w.Barrier()
 	})
@@ -182,6 +183,10 @@ func TestReportString(t *testing.T) {
 	c2, p, rf, wf, sy := report.AvgBreakdown()
 	if tot := c2 + p + rf + wf + sy; tot < 0.999 || tot > 1.001 {
 		t.Fatalf("breakdown sums to %v", tot)
+	}
+	tr := report.Threads[1]
+	if _, _, rf, _, _ := tr.Breakdown(); tr.Idle != millipage.Duration(1_000_000) || rf != float64(tr.ReadFault)/float64(tr.Total-tr.Idle) {
+		t.Fatalf("host 1: idle %v, read-fault share %v of %v; want 1ms, the share of the time less the idle time", tr.Idle, rf, tr)
 	}
 }
 

@@ -66,14 +66,16 @@ type ThreadReport struct {
 	WriteFlt  Duration
 	Synch     Duration
 	Malloc    Duration
+	Idle      Duration // waits in Worker.Idle, outside the breakdown
 	Other     Duration
 }
 
 // Breakdown returns the Figure 6 (right) fractions: computation (with
 // allocation and residual protocol time folded in, as the paper does),
-// prefetch, read fault, write fault and synchronization — summing to 1.
+// prefetch, read fault, write fault and synchronization — summing to 1,
+// over the thread's time less its idle time.
 func (tr ThreadReport) Breakdown() (comp, prefetch, readF, writeF, synch float64) {
-	tot := float64(tr.Total)
+	tot := float64(tr.Total - tr.Idle)
 	if tot == 0 {
 		return 1, 0, 0, 0, 0
 	}
@@ -105,6 +107,7 @@ func (c *Cluster) report() *Report {
 			WriteFlt:  st.WriteFaultTime,
 			Synch:     st.SynchTime,
 			Malloc:    st.MallocTime,
+			Idle:      st.IdleTime,
 			Other:     st.Other(),
 		})
 	}

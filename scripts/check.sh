@@ -155,12 +155,15 @@ plain chaos -seed 7 -crash 1,2ms,30ms
 # Serving, twice each: an SC protocol's lock-free reads and lrc-mw, on a
 # clean wire and under drop-heavy (whose latency the transport's timer
 # sets); crash-restart crashes host 0, a home and the lock and allocation
-# authority, mid-serve.
+# authority, mid-serve; nt-timers, under the paper's bimodal sweeper gaps,
+# hands each request reaching a thread that waits for its next arrival
+# (Idle) to the poller through the busy-to-idle flush.
 plain serve -scenario smoke -check
 plain serve -scenario smoke-lrc-mw -check
 plain serve -scenario drop-heavy -check
 plain serve -scenario drop-heavy -protocol lrc-mw -check
 plain serve -scenario crash-restart -check
+plain serve -scenario nt-timers -check
 # Past the paper's 8 hosts. LU is 99 % barrier time at 256 hosts, so a
 # tree that stalls or serialises shows as a hang or as the star's 41 ms.
 # SOR at 64 hosts is the footprint shape: every host maps the whole image

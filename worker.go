@@ -38,6 +38,13 @@ func (w *Worker) Now() Duration { return sim.Duration(w.t.Now()) }
 // modeled cost of the code between shared-memory operations.
 func (w *Worker) Compute(d Duration) { w.t.Compute(d) }
 
+// Idle waits d without computing — a server's event loop polling both
+// its ingress and the network. While it waits the host counts as idle, so
+// DSM requests from other hosts are served at the poller's latency
+// instead of the busy host's sweeper tick. The wait is reported as
+// ThreadReport.Idle, outside the time breakdown. d <= 0 does nothing.
+func (w *Worker) Idle(d Duration) { w.t.Idle(d) }
+
 // ResetStats zeroes this thread's time-breakdown statistics and restarts
 // its clock. Benchmarks call it at the start of the timed section so
 // setup is excluded from the reported breakdown.
