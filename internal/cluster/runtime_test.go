@@ -3,7 +3,6 @@
 package cluster_test
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
@@ -11,21 +10,8 @@ import (
 	"millipage/internal/dsm"
 	"millipage/internal/fastmsg"
 	"millipage/internal/faultnet"
-	"millipage/internal/sim"
 	"millipage/internal/vm"
 )
-
-// nopMsg is a message no host answers: its one row drops it.
-type nopMsg struct{ dsm.PoolState }
-
-var nopTable = dsm.Register(dsm.MsgTable[*nopMsg]{
-	Describe: func(*dsm.Host, *nopMsg) (int, uint64, int) { return -1, 0, -1 },
-	Rows: []dsm.MsgSpec[*nopMsg]{{Name: "NOP", Handle: func(*dsm.Host, *sim.Proc, *nopMsg, *fastmsg.Message) *fastmsg.Message {
-		return nil
-	}}},
-})
-
-func (*nopMsg) Table() (dsm.Table, int) { return nopTable, 0 }
 
 // newSys builds an SC cluster named "test".
 func newSys(t *testing.T, opt dsm.Options) *dsm.System {
@@ -92,45 +78,5 @@ func TestNewRejectsUnrunnableOptions(t *testing.T) {
 		o.ThreadsPerHost, o.Grain, o.HomeOf = 2, core.GrainPage, dsm.HomeMod
 	})); err != nil {
 		t.Errorf("supported options rejected: %v", err)
-	}
-}
-
-// TestDeadlockNamesWhatThreadsWaitFor: a run whose replies never come
-// ends in a deadlock report that says, thread by thread, which operation
-// hangs — the wait reason every Block carries — whether the thread was
-// blocked by its own first Step (no request, nothing to charge) or, mid-
-// sequence, by one the engine ran after the request's send charge.
-func TestDeadlockNamesWhatThreadsWaitFor(t *testing.T) {
-	s := newSys(t, dsm.Options{Hosts: 3, SharedSize: vm.PageSize})
-	set := sim.NewEvent(s.Eng)
-	set.Set()
-	err := s.Run(func(th *dsm.Thread) {
-		switch th.ID {
-		case 0: // a call nobody answers (host 1 drops the request)
-			th.Block(dsm.Blocking{For: "lock grant", FW: th.WaitSlot(), To: 1, Request: &nopMsg{}, Wake: sim.Microsecond})
-		case 1:
-			th.Block(dsm.Blocking{For: "flush done", On: sim.NewEvent(s.Eng), Pre: sim.Microsecond})
-		case 2: // the group's first member is there, the second never comes
-			th.Block(dsm.Blocking{For: "prefetch group", Group: []*sim.Event{set, sim.NewEvent(s.Eng)}})
-		}
-		t.Errorf("thread %d woke", th.ID)
-	})
-	de, ok := err.(*sim.ErrDeadlock)
-	if !ok {
-		t.Fatalf("Run = %v, want a deadlock", err)
-	}
-	want := []sim.BlockedProc{
-		{Name: "app-0.0", Waiting: "lock grant"},
-		{Name: "app-1.0", Waiting: "flush done"},
-		{Name: "app-2.0", Waiting: "prefetch group"},
-	}
-	if !slices.Equal(de.Waits, want) {
-		t.Errorf("blocked on %v, want %v", de.Waits, want)
-	}
-	if got := s.Net.Endpoint(1).Stats().Received; got != 1 {
-		t.Errorf("host 1 received %d requests, want thread 0's", got)
-	}
-	if s.Eng.Counters().Hops == 0 {
-		t.Error("no Step ran in engine context: nobody was blocked mid-sequence")
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 // TestChaosServiceHeaderPoolBalances: under every protocol, on a clean
 // wire and a drop-heavy one, at 4 hosts and at 24, where barriers combine
-// up the tree in group headers, every service header the DRF program's
-// mallocs, barriers and locks took from the kernel's freelist is back on
+// up the tree in group headers, every header the DRF program's mallocs,
+// barriers, locks and faults took from the kernel's freelist is back on
 // it once the threads have finished, and none twice, which the
 // freelist's own checks would have caught on the way. (The pools count
 // what they make only under -tags invariants, hence the build tag.)
@@ -40,8 +40,8 @@ func TestChaosServiceHeaderPoolBalances(t *testing.T) {
 					w.Barrier()
 				})
 				must(t, d.Err())
-				if live := sys.LiveServiceHeaders(); live != 0 {
-					t.Fatalf("%d service headers are still owned after the run (recycled twice, if negative)", live)
+				if live := sys.LiveHeaders(); live != 0 {
+					t.Fatalf("%d headers are still owned after the run (recycled twice, if negative)", live)
 				}
 			})
 		}

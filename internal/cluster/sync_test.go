@@ -9,24 +9,18 @@ import (
 	"millipage/internal/dsm"
 )
 
-// item is a record that can wait in a FIFO.
-type item struct {
-	dsm.Link[item]
-	v int
-}
-
 func TestFIFOOrderAndDrainReset(t *testing.T) {
-	var q dsm.FIFO[item, *item]
+	var q dsm.FIFO
 	if q.Peek() != nil || q.Pop() != nil {
 		t.Fatal("empty queue returned a record")
 	}
-	items := make([]item, 13)
+	items := make([]dsm.Msg, 13)
 	for i := 0; i < 5; i++ {
-		items[i].v = i
+		items[i].From = i
 		q.Push(&items[i])
 	}
 	for i := 0; i < 5; i++ {
-		if v := q.Pop(); v == nil || v.v != i {
+		if v := q.Pop(); v == nil || v.From != i {
 			t.Fatalf("Pop #%d = %v; want %d", i, v, i)
 		}
 	}
@@ -35,18 +29,18 @@ func TestFIFOOrderAndDrainReset(t *testing.T) {
 	}
 	// Interleaved push/pop keeps FIFO order, a drained queue restarting at
 	// its next Push.
-	items[10].v, items[11].v, items[12].v = 10, 11, 12
+	items[10].From, items[11].From, items[12].From = 10, 11, 12
 	q.Push(&items[10])
 	q.Push(&items[11])
-	if v := q.Pop(); v.v != 10 {
-		t.Fatalf("interleaved Pop = %d, want 10", v.v)
+	if v := q.Pop(); v.From != 10 {
+		t.Fatalf("interleaved Pop = %d, want 10", v.From)
 	}
 	q.Push(&items[12])
-	if v := q.Peek(); v == nil || v.v != 11 {
+	if v := q.Peek(); v == nil || v.From != 11 {
 		t.Fatalf("Peek = %v; want 11", v)
 	}
 	for want := 11; want <= 12; want++ {
-		if v := q.Pop(); v == nil || v.v != want {
+		if v := q.Pop(); v == nil || v.From != want {
 			t.Fatalf("Pop = %v; want %d", v, want)
 		}
 	}
@@ -56,14 +50,14 @@ func TestFIFOOrderAndDrainReset(t *testing.T) {
 // wait in a queue again and pins nothing behind it, and queueing records
 // allocates nothing.
 func TestFIFOReleasesReferences(t *testing.T) {
-	var q dsm.FIFO[item, *item]
-	x, y := new(item), new(item)
+	var q dsm.FIFO
+	x, y := new(dsm.Msg), new(dsm.Msg)
 	q.Push(x)
 	q.Push(y)
 	if v := q.Pop(); v != x {
 		t.Fatal("queue lost its record")
 	}
-	var r dsm.FIFO[item, *item] // x alone: a link to y left behind would queue y too
+	var r dsm.FIFO // x alone: a link to y left behind would queue y too
 	if r.Push(x); r.Pop() != x || r.Peek() != nil {
 		t.Fatal("popped record still links to its successor")
 	}
@@ -82,7 +76,7 @@ func TestFIFOReleasesReferences(t *testing.T) {
 
 func TestLockServiceFIFOGrants(t *testing.T) {
 	var l dsm.LockService
-	req := func(id, from int) *dsm.SvcMsg { return &dsm.SvcMsg{LockID: id, From: from} }
+	req := func(id, from int) *dsm.Msg { return &dsm.Msg{LockID: id, From: from} }
 	if !l.Acquire(req(7, 0)) {
 		t.Fatal("first Acquire not granted immediately")
 	}
@@ -98,7 +92,7 @@ func TestLockServiceFIFOGrants(t *testing.T) {
 	if next, err := l.Release(7, 2); err == nil || next != nil || !strings.Contains(err.Error(), "host 0 holds") {
 		t.Fatalf("Release by a waiter = %v, %v; want an error naming holder 0", next, err)
 	}
-	for from, want := range []*dsm.SvcMsg{b, c, nil} {
+	for from, want := range []*dsm.Msg{b, c, nil} {
 		if next, err := l.Release(7, from); err != nil || next != want {
 			t.Fatalf("Release by host %d = %v, %v; want %v", from, next, err, want)
 		}

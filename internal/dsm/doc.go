@@ -6,7 +6,7 @@
 // The package is also the runtime both classes run on: the one Options
 // struct, defaulted and validated in New; host and application-thread
 // lifecycle; the fault frame (Host.onFault) and the one blocking point
-// (Thread.Block); the message tables a host dispatches, with its send and
+// (Thread.Block); the message table a host dispatches, with its send and
 // receive paths (table.go); per-thread time accounting; and the
 // coordinator — the allocation, barrier and lock services of the paper's
 // manager, barriers combining up a tree rooted there (service.go).

@@ -36,14 +36,11 @@ func run(t *testing.T, s *System, body func(*Thread)) {
 // homeEntry is minipage id's directory entry, at its home.
 func homeEntry(s *System, id int) *dirEntry { return s.Host(s.HomeOf(id)).entry(id) }
 
-// queued counts the requests waiting in e's queue, leaving them there.
-func queued(e *dirEntry) (n int) {
-	var q FIFO[pmsg, *pmsg]
-	for m := e.queue.Pop(); m != nil; m = e.queue.Pop() {
-		q.Push(m)
+// queued counts the requests waiting in q.
+func queued(q *FIFO) (n int) {
+	for m := q.head; m != nil; m = m.next {
 		n++
 	}
-	e.queue = q
 	return n
 }
 
@@ -373,8 +370,8 @@ func TestManagerQueueDrainsInOrder(t *testing.T) {
 		if e.busy {
 			t.Fatalf("minipage %d directory entry still busy after run", id)
 		}
-		if queued(e) != 0 {
-			t.Fatalf("minipage %d has %d stranded queued requests", id, queued(e))
+		if queued(&e.queue) != 0 {
+			t.Fatalf("minipage %d has %d stranded queued requests", id, queued(&e.queue))
 		}
 		if e.await != 0 {
 			t.Fatalf("minipage %d still has %d reads in flight", id, e.await)
@@ -576,7 +573,7 @@ func TestManyMinipagesStress(t *testing.T) {
 	})
 	for id := 0; id < s.mpt.NumMinipages(); id++ {
 		e := homeEntry(s, id)
-		if e.busy || queued(e) != 0 {
+		if e.busy || queued(&e.queue) != 0 {
 			t.Fatalf("entry %d not quiesced", id)
 		}
 		cs, _ := copysetOf(s, id)

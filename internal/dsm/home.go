@@ -90,7 +90,7 @@ func (h *Host) adopt(p *sim.Proc, x *mwSync) {
 		panic(fmt.Sprintf("dsm: host %d's home table at epoch %d is %v, the coordinator's at %d %v", h.ID(), h.epoch, h.homes, s.epoch, s.homes))
 	}
 	for m := h.early.Pop(); m != nil; m = h.early.Pop() {
-		h.Send(p, h.ID(), m)
+		h.send(p, h.ID(), m)
 	}
 }
 
@@ -101,7 +101,7 @@ func (h *Host) adopt(p *sim.Proc, x *mwSync) {
 // routed in a later barrier epoch than this host's, it waits for this
 // host's release (adopt); in an earlier one, it goes on to this host's
 // home for it; in the same, resolve panics.
-func dir(h *Host, p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func dir(h *Host, p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	switch {
 	case h.sys.mw:
 		return h.fetch(p, m)
@@ -112,5 +112,5 @@ func dir(h *Host, p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
 		return nil
 	}
 	m.Epoch = h.epoch
-	return h.Post(h.homeOf(m.Info.ID), m)
+	return h.post(h.homeOf(m.Info.ID), m)
 }

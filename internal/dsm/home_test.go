@@ -168,7 +168,7 @@ func TestMisdeliveredRequestNamesHome(t *testing.T) {
 				}
 				if th.Host() == 1 {
 					_, info, _ := th.host.route(va)
-					th.host.sendNew(th.p, tc.to, pmsg{Type: mReadReq, From: 1, Addr: va, Info: info, Epoch: th.host.epoch})
+					th.host.sendNew(th.p, tc.to, Msg{Type: mReadReq, From: 1, Addr: va, Info: info, Epoch: th.host.epoch})
 				}
 				th.Barrier()
 			})
@@ -356,7 +356,7 @@ func runShardInvariantProgram(t *testing.T, seed int64, hosts int) {
 			}
 		}
 		e := s.Host(home).entry(id)
-		if e.busy || queued(e) != 0 {
+		if e.busy || queued(&e.queue) != 0 {
 			t.Fatalf("minipage %d not quiesced at home %d", id, home)
 		}
 		mp, _ := mpt.ByID(id)

@@ -27,16 +27,14 @@ type Host struct {
 
 	homes []int16 // homeOf's table as of epoch, the barriers this host was released from
 	epoch uint32
-	early FIFO[pmsg, *pmsg] // directory messages routed in a later epoch (dir)
+	early FIFO // directory messages routed in a later epoch (dir)
 
-	node, parent, expect int       // its place in the barrier tree (barrierTree)
-	got                  []*SvcMsg // what it collected of the episode so far
+	node, parent, expect int    // its place in the barrier tree (barrierTree)
+	got                  []*Msg // what it collected of the episode so far
 
-	parked   []any // reply headers waiting for their bytes, by sender (park)
-	rx       Table // the table and row of the message in service (Receive)
-	rxType   int
-	inEngine bool // an engine-context row is running: Flush(nil) queues
-	late     bool // the row in service posted there: Sending stamps its sends
+	parked   []*Msg // reply headers waiting for their bytes, by sender (park)
+	inEngine bool   // an engine-context row is running: flush(nil) queues
+	late     bool   // the row in service posted there: Sending stamps its sends
 
 	mwHost // lrc-mw's
 }
@@ -58,7 +56,7 @@ func (h *Host) Collected() int { return len(h.got) }
 // transport runs exactly once per message, duplicates and retransmits
 // included. The owner forwards it (mutate and resend), parks it (a
 // directory queue, park) or recycles it. Requesters keep no copy.
-func (h *Host) allocPM(v pmsg) *pmsg {
+func (h *Host) allocPM(v Msg) *Msg {
 	m := h.sys.freePM.Get()
 	*m = v
 	return m
@@ -66,16 +64,16 @@ func (h *Host) allocPM(v pmsg) *pmsg {
 
 // recyclePM returns a header its owner is done with to the freelist.
 // Only headers obtained from allocPM may be recycled — never dataMarker.
-func (h *Host) recyclePM(m *pmsg) { h.sys.freePM.Put(m) }
+func (h *Host) recyclePM(m *Msg) { h.sys.freePM.Put(m) }
 
 // sendNew ships a fresh pooled header holding v; postNew posts it.
-func (h *Host) sendNew(p *sim.Proc, to int, v pmsg) { h.Flush(p, h.postNew(to, v)) }
+func (h *Host) sendNew(p *sim.Proc, to int, v Msg) { h.flush(p, h.postNew(to, v)) }
 
-func (h *Host) postNew(to int, v pmsg) *fastmsg.Message { return h.Post(to, h.allocPM(v)) }
+func (h *Host) postNew(to int, v Msg) *fastmsg.Message { return h.post(to, h.allocPM(v)) }
 
 // call is sendNew for a request whose reply thread t then waits for, as b
 // says: send and wait are one sequence (Thread.Block).
-func (t *Thread) call(to int, v pmsg, b Blocking) {
+func (t *Thread) call(to int, v Msg, b Blocking) {
 	b.To, b.Request = to, t.host.allocPM(v)
 	t.Block(b)
 }
@@ -103,9 +101,9 @@ func (r *request) wake(info core.Info) { r.fw.Info = info; r.fw.Ev.Set() }
 
 // closing is the ack that closes the transaction at the minipage's home
 // once the reply is in (Blocking.Close).
-func (r *request) closing() (int, any) {
+func (r *request) closing() (int, *Msg) {
 	h, info := r.h, r.fw.Info
-	return h.homeOf(info.ID), h.allocPM(pmsg{Type: mAck, From: h.ID(), Info: info, Epoch: h.epoch})
+	return h.homeOf(info.ID), h.allocPM(Msg{Type: mAck, From: h.ID(), Info: info, Epoch: h.epoch})
 }
 
 type span struct {
@@ -119,9 +117,13 @@ func (sp span) contains(va uint64) bool {
 
 // describe gives the trace a header's minipage, address and home host, as
 // this host knows it — no minipage and no home (-1) for a bulk data
-// message, whose shared marker carries no translation record.
-func (h *Host) describe(m *pmsg) (mp int, addr uint64, home int) {
-	if m.Info.Size == 0 {
+// message, whose shared marker carries no translation record, nor for the
+// coordinator's services, which concern no sharing unit (nor address).
+func (h *Host) describe(m *Msg) (mp int, addr uint64, home int) {
+	switch {
+	case m.Type >= mAllocReq:
+		return -1, 0, -1
+	case m.Info.Size == 0:
 		return -1, m.Addr, -1
 	}
 	return m.Info.ID, m.Addr, h.homeOf(m.Info.ID)
@@ -216,7 +218,7 @@ func (h *Host) handleFault(t *Thread, f vm.Fault) error {
 	}
 	fw := t.WaitSlot()
 	t.req = request{h: h, fw: fw, excl: excl}
-	t.call(home, pmsg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Excl: excl, Req: &t.req, Epoch: h.epoch}, Blocking{
+	t.call(home, Msg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Excl: excl, Req: &t.req, Epoch: h.epoch}, Blocking{
 		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
 	}) // the host may go idle; the poller takes over
 	return nil
@@ -233,43 +235,14 @@ func (t *Thread) inPrefetchSpan(va uint64) bool {
 	return false
 }
 
-// table is the protocol's message table (MsgTable). Directory
-// traffic goes to this host's directory, which checks that the minipage is
-// homed here (resolve, entry). Everything else is the thin non-manager
-// protocol of Figure 3 — note that it does no queuing, no table lookups
-// and no translation of any kind — and lrc-mw's diff flush, which opens
-// with no charge.
-var table = Register(MsgTable[*pmsg]{Describe: (*Host).describe, Rows: []MsgSpec[*pmsg]{
-	mReadReq:  {Name: "READ_REQUEST", Handle: dir, Engine: true},
-	mWriteReq: {Name: "WRITE_REQUEST", Handle: dir, Engine: true},
-	mPushReq:  {Name: "PUSH_REQUEST", Handle: dir},
-	// front: these open with a protection probe or change (and READ_FWD a writable
-	// copy's downgrade after its probe); nothing before it.
-	mReadFwd:       {Name: "READ_FWD", Front: (*Host).readFwdFront, Handle: (*Host).readFwd, Engine: true},
-	mWriteFwd:      {Name: "WRITE_FWD", Front: setProt, Handle: (*Host).writeFwd, Engine: true},
-	mInvalidateReq: {Name: "INVALIDATE_REQUEST", Front: setProt, Handle: (*Host).invalidate, Engine: true},
-	mPushOrder:     {Name: "PUSH_ORDER", Front: getProt, Handle: (*Host).servePush},
-	// front: a write's grant and its invalidation replies are counted at the writer;
-	// the one that completes the count opens with raising the copy.
-	mUpgradeGrant:    {Name: "UPGRADE_GRANT", Front: (*Host).settleFront, Handle: (*Host).settleWrite, Engine: true},
-	mInvalidateReply: {Name: "INVALIDATE_REPLY", Front: (*Host).settleFront, Handle: (*Host).settleWrite, Engine: true},
-	// front: a reply opens with its install. Its bytes land after the charge, through
-	// the privileged view only this thread uses, in a copy NoAccess here (or ReadOnly, same bytes).
-	mData:      {Name: "DATA", Front: (*Host).installFront, Handle: (*Host).data, Engine: true},
-	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
-	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
-	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
-	mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
-}})
-
-func getProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
-func setProt(h *Host, _ *pmsg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
+func getProt(h *Host, _ *Msg, _ *fastmsg.Message) sim.Duration { return h.Costs().GetProt }
+func setProt(h *Host, _ *Msg, _ *fastmsg.Message) sim.Duration { return h.Costs().SetProt }
 
 // installFront is a reply's install, and its protection change if the
 // reply completes its request: a write's copy stays as it is until the
 // last invalidation reply is in.
-func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
-	c, hdr := h.Costs(), h.Peek(fm).(*pmsg)
+func (h *Host) installFront(_ *Msg, fm *fastmsg.Message) sim.Duration {
+	c, hdr := h.Costs(), h.peek(fm)
 	d := sim.Duration(len(fm.Data)) * c.InstallPerByte
 	if hdr.Req.settles(hdr.Invals) {
 		d += c.SetProt
@@ -277,7 +250,7 @@ func (h *Host) installFront(_ *pmsg, fm *fastmsg.Message) sim.Duration {
 	return d
 }
 
-func (h *Host) settleFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
+func (h *Host) settleFront(m *Msg, _ *fastmsg.Message) sim.Duration {
 	if m.Req.settles(m.Invals) {
 		return h.Costs().SetProt
 	}
@@ -285,7 +258,7 @@ func (h *Host) settleFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 }
 
 // readFwdFront is READ_FWD's probe, and a writable copy's downgrade.
-func (h *Host) readFwdFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
+func (h *Host) readFwdFront(m *Msg, _ *fastmsg.Message) sim.Duration {
 	c := h.Costs()
 	if h.writable(m) {
 		return c.GetProt + c.SetProt
@@ -294,7 +267,7 @@ func (h *Host) readFwdFront(m *pmsg, _ *fastmsg.Message) sim.Duration {
 }
 
 // writable reports whether this host's copy of m's minipage is ReadWrite.
-func (h *Host) writable(m *pmsg) bool {
+func (h *Host) writable(m *Msg) bool {
 	prot, _ := h.Region.ProtOf(m.Info.Base)
 	return prot == vm.ReadWrite
 }
@@ -302,7 +275,7 @@ func (h *Host) writable(m *pmsg) bool {
 // readFwd is Handle Read Request: downgrade a writable copy (charged in
 // the front, after the probe), then reply with header and data straight
 // out of the privileged view.
-func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) readFwd(p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	h.lose(m.Info.ID)
 	if h.writable(m) {
 		h.protect(m.Info, vm.ReadOnly)
@@ -313,7 +286,7 @@ func (h *Host) readFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messag
 // writeFwd is Handle Write Request: invalidate own copy, reply with data.
 // The privileged view still reaches the bytes after the application views
 // are NoAccess — that is what makes this safe and atomic.
-func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) writeFwd(p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	h.lose(m.Info.ID)
 	h.protect(m.Info, vm.NoAccess)
 	return h.replyWithData(p, m, mWriteReply)
@@ -321,20 +294,20 @@ func (h *Host) writeFwd(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Messa
 
 // invalidate drops this host's copy. The request turns around as the
 // reply to the writer, which counts it (settleWrite).
-func (h *Host) invalidate(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) invalidate(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	h.protect(m.Info, vm.NoAccess)
 	writer := m.From
-	*m = pmsg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, Invals: -1, Req: m.Req}
-	return h.Post(writer, m)
+	*m = Msg{Type: mInvalidateReply, From: h.ID(), Info: m.Info, Invals: -1, Req: m.Req}
+	return h.post(writer, m)
 }
 
 // data installs the bytes its parked header announced. The thread serves a
 // prefetch's, whose waiters wake only after its ack is charged.
-func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message {
-	if p == nil && h.Peek(fm).(*pmsg).Prefetch {
+func (h *Host) data(p *sim.Proc, _ *Msg, fm *fastmsg.Message) *fastmsg.Message {
+	if p == nil && h.peek(fm).Prefetch {
 		return fastmsg.Decline
 	}
-	hdr := h.unpark(fm).(*pmsg)
+	hdr := h.unpark(fm)
 	h.installMinipage(p, hdr, fm.Data)
 	h.recyclePM(hdr)
 	h.sys.freeBuf.Put(fm.Data)
@@ -345,7 +318,7 @@ func (h *Host) data(p *sim.Proc, _ *pmsg, fm *fastmsg.Message) *fastmsg.Message 
 // writer. The one that completes the count raises the copy to ReadWrite
 // (charged in the front) and releases the thread, whose ack then closes
 // the transaction: no other copy is readable by then.
-func (h *Host) settleWrite(_ *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) settleWrite(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	if m.Req.settle(m.Invals) {
 		h.raise(m.Info, m.Req, true)
 		m.Req.wake(m.Info)
@@ -394,16 +367,17 @@ func must(err error) {
 	}
 }
 
-// alloc is the allocator behind Malloc, run on the Coordinator for host
-// from: a remote request pays the allocator's bookkeeping in the server
-// thread; the Coordinator's own malloc is an in-process call on the MPT,
-// as in the real library, and under SC pays the lookup with it. Running
-// out of shared memory is the application's misuse.
-func (h *Host) alloc(p *sim.Proc, from, size int, local bool) Allocation {
-	var a Allocation
+// alloc is the allocator behind Malloc, run on the Coordinator for request
+// m, which it turns into the answer: the address, the sharing unit the
+// bytes landed in and whether the requester owns it (Addr, Info, Owner). A
+// remote request pays the allocator's bookkeeping in the server thread;
+// the Coordinator's own malloc is an in-process call on the MPT, as in the
+// real library, and under SC pays the lookup with it. Running out of
+// shared memory is the application's misuse.
+func (h *Host) alloc(p *sim.Proc, m *Msg, local bool) {
 	var err error
 	if h.sys.mw {
-		a, err = h.mwAlloc(p, size)
+		err = h.mwAlloc(p, m)
 	} else {
 		c := h.Costs()
 		cost := c.MallocBase
@@ -411,27 +385,26 @@ func (h *Host) alloc(p *sim.Proc, from, size int, local bool) Allocation {
 			cost += c.MPTLookup
 		}
 		p.Sleep(cost)
-		a, err = h.allocLocal(from, size)
+		err = h.allocLocal(m)
 	}
 	if err != nil {
-		h.sys.misuse(from, "Malloc(%d): %v", size, err)
+		h.sys.misuse(m.From, "Malloc(%d): %v", m.Size, err)
 	}
-	return a
 }
 
-// mapped runs on the allocating host once it knows its allocation — in
+// mapped runs on the allocating host once it knows its allocation m — in
 // the server thread that received the reply, or in the thread itself on
 // the Coordinator — and gives it the minipages it owns writable with no
 // fault: allocLocal's Info covers every one of them (lrc-mw's own none).
-func (h *Host) mapped(p *sim.Proc, a Allocation) {
+func (h *Host) mapped(p *sim.Proc, m *Msg) {
 	if h.sys.mw {
-		h.mwMapped(a)
+		h.mwMapped(m.Info)
 	}
-	if !a.Owner {
+	if !m.Owner {
 		return
 	}
 	p.Sleep(h.Costs().SetProt)
-	h.protect(a.Info, vm.ReadWrite)
+	h.protect(m.Info, vm.ReadWrite)
 }
 
 // replyWithData answers a forwarded request from the privileged view:
@@ -439,11 +412,11 @@ func (h *Host) mapped(p *sim.Proc, a Allocation) {
 // bytes follow on the same channel, as the tail. They are snapshot before
 // the header's charge; nothing can write them during it, as this host's
 // copy is ReadOnly or NoAccess and its privileged view is this thread's.
-func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
+func (h *Host) replyWithData(p *sim.Proc, m *Msg, typ mtype) *fastmsg.Message {
 	to, data := m.From, h.readMinipage(m.Info)
 	m.Type = typ
-	h.Send(p, to, m)
-	return h.postData(to, data, dataMarker)
+	h.send(p, to, m)
+	return h.postData(to, data)
 }
 
 // installMinipage receives minipage contents into the privileged view,
@@ -451,7 +424,7 @@ func (h *Host) replyWithData(p *sim.Proc, m *pmsg, typ mtype) *fastmsg.Message {
 // This is Figure 3's "Handle Read or Write Reply". A write's reply that
 // still counts invalidation replies leaves the copy as it is: the last of
 // them raises it (settleWrite).
-func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
+func (h *Host) installMinipage(p *sim.Proc, hdr *Msg, data []byte) {
 	if len(data) != hdr.Info.Size {
 		panic(fmt.Sprintf("dsm: host %d: minipage %d size mismatch: got %d want %d",
 			h.ID(), hdr.Info.ID, len(data), hdr.Info.Size))
@@ -461,7 +434,7 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if hdr.Type == mPushData {
 		// Pushed replica: ack to the home; nobody is waiting.
 		h.protect(hdr.Info, vm.ReadOnly)
-		h.sendNew(p, home, pmsg{Type: mPushAck, From: h.ID(), Info: hdr.Info, Epoch: h.epoch})
+		h.sendNew(p, home, Msg{Type: mPushAck, From: h.ID(), Info: hdr.Info, Epoch: h.epoch})
 		return
 	}
 	if !hdr.Req.settle(hdr.Invals) {
@@ -471,14 +444,14 @@ func (h *Host) installMinipage(p *sim.Proc, hdr *pmsg, data []byte) {
 	if hdr.Prefetch {
 		// Prefetch completion: the server thread closes the transaction.
 		h.clearPrefetchSpan(hdr.Info)
-		h.sendNew(p, home, pmsg{Type: mAck, From: h.ID(), Info: hdr.Info, Epoch: h.epoch})
+		h.sendNew(p, home, Msg{Type: mAck, From: h.ID(), Info: hdr.Info, Epoch: h.epoch})
 	}
 	hdr.Req.wake(hdr.Info)
 }
 
 // servePush is the owner side of a push update: downgrade to ReadOnly,
 // then replicate the minipage to every other host.
-func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) servePush(p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	h.lose(m.Info.ID)
 	if h.writable(m) {
 		p.Sleep(h.Costs().SetProt)
@@ -490,10 +463,10 @@ func (h *Host) servePush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 		}
 		hdr := h.allocPM(*m)
 		hdr.Type = mPushData
-		h.Send(p, i, hdr)
+		h.send(p, i, hdr)
 		// One snapshot per destination: each buffer is recycled
 		// independently by its receiver's install path.
-		h.Flush(p, h.postData(i, h.readMinipage(m.Info), dataMarker))
+		h.flush(p, h.postData(i, h.readMinipage(m.Info)))
 	}
 	h.recyclePM(m) // the push order ends here
 	return nil

@@ -15,15 +15,15 @@ import (
 // check runs before and after each message is handled, with the type and
 // translation the header arrived with (a DATA message's, its parked reply
 // header's) and the host it came from.
-func spyRows(t *testing.T, check func(h *Host, typ mtype, info core.Info, from int, done bool), rows ...mtype) {
-	for _, typ := range rows {
-		row := &table.Rows[typ]
+func spyRows(t *testing.T, check func(h *Host, typ mtype, info core.Info, from int, done bool), types ...mtype) {
+	for _, typ := range types {
+		row := &rows[typ]
 		orig := row.Handle
 		t.Cleanup(func() { row.Handle = orig })
-		row.Handle = func(h *Host, p *sim.Proc, m *pmsg, fm *fastmsg.Message) *fastmsg.Message {
+		row.Handle = func(h *Host, p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {
 			kind, info, from := typ, m.Info, m.From
 			if typ == mData {
-				hdr := h.Peek(fm).(*pmsg)
+				hdr := h.peek(fm)
 				kind, info = hdr.Type, hdr.Info
 			}
 			check(h, kind, info, from, false)

@@ -2,8 +2,6 @@
 
 package dsm
 
-import "millipage/internal/fastmsg"
-
 // PoolState is embedded in pooled protocol headers. Built with -tags
 // invariants it carries the recycled mark the freelists set and check
 // (invariants_on.go); otherwise it is empty and the checks are no-ops.
@@ -12,9 +10,8 @@ type PoolState struct{}
 const Invariants = false // whether the build carries the lifecycle checks
 
 func (*PoolState) CheckLive(string) {}
-func checkLive(any, string)         {}
 
-func (*Host) checkDecline(*fastmsg.Message) {}
+func (*Host) checkDecline(*Msg) {}
 
 type poolCount struct{}
 

@@ -2,12 +2,7 @@
 
 package dsm
 
-import (
-	"slices"
-
-	"millipage/internal/fastmsg"
-	"millipage/internal/trace"
-)
+import "slices"
 
 // Lifecycle invariants for the protocols' freelists, mirroring fastmsg's
 // envelope state machine. A pooled header or buffer has one owner at a
@@ -20,8 +15,6 @@ const Invariants = true // whether the build carries the lifecycle checks
 
 // PoolState is embedded in pooled protocol headers.
 type PoolState struct{ recycled bool }
-
-func checkLive(payload any, where string) { payload.(Msg).CheckLive(where) }
 
 // CheckLive panics if the header sits in a freelist; where names the use.
 func (s *PoolState) CheckLive(where string) {
@@ -49,12 +42,10 @@ func (s *PoolState) reuse() {
 // checkDecline panics unless a row that declined engine context left no
 // mark for the thread to find: no send posted (nor so queued), the message
 // in hand not recycled.
-func (h *Host) checkDecline(fm *fastmsg.Message) {
-	checkLive(fm.Payload, "decline")
+func (h *Host) checkDecline(m *Msg) {
+	m.CheckLive("decline")
 	if h.late {
-		t, typ := fm.Payload.(Msg).Table()
-		op, _, _, _ := t.describe(h, typ, fm.Payload)
-		panic("dsm: " + trace.OpName(op) + " declined engine context after posting or queueing a send")
+		panic("dsm: " + rows[m.Type].Name + " declined engine context after posting or queueing a send")
 	}
 }
 
@@ -116,7 +107,6 @@ func retireSlice[T byte | int](s []T, free [][]T) {
 	poison(s)
 }
 
-// LiveServiceHeaders returns the service headers somebody still owns.
-// With every thread finished and the wire quiet there are none: nothing
-// parks one past a run.
-func (s *System) LiveServiceHeaders() int { return s.svc.free.Live() }
+// LiveHeaders returns the headers somebody still owns. With every thread
+// finished and the wire quiet there are none: nothing parks one past a run.
+func (s *System) LiveHeaders() int { return s.freePM.Live() }

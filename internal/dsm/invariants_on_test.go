@@ -83,35 +83,37 @@ func TestProtectChecksSWMR(t *testing.T) {
 	mustPanic(t, "host 0 holds minipage 0 writable beside 1 other copies", func() { s.Host(1).protect(info, vm.ReadOnly) })
 }
 
-// declMsg is TestDeclineAfterDataPanics' header: one row, by its table.
-type declMsg struct {
-	PoolState
-	tab Table
-}
-
-func (m *declMsg) Table() (Table, int) { return m.tab, 0 }
-
-// TestDeclineAfterDataPanics: under -tags invariants a row that posts a
-// minipage's bytes in engine context and then declines it panics, as one
-// that posts a header does (cluster's TestDeclineLeavesNoMark): the thread
-// that serves the message next would post them again.
-func TestDeclineAfterDataPanics(t *testing.T) {
-	tab := Register(MsgTable[*declMsg]{Describe: func(*Host, *declMsg) (int, uint64, int) { return -1, 0, -1 }, Rows: []MsgSpec[*declMsg]{
-		{Name: "DECL_DATA", Engine: true, Handle: func(h *Host, p *sim.Proc, _ *declMsg, fm *fastmsg.Message) *fastmsg.Message {
+// TestDeclineLeavesNoMark: under -tags invariants a row that declines
+// engine context after an effect — a header posted, a send queued, a
+// minipage's bytes posted, the message in hand recycled — panics, naming
+// what it did: the thread that serves the message next would find the
+// state the row left, not the one it would have found, and post again.
+func TestDeclineLeavesNoMark(t *testing.T) {
+	const posted = "SYN_BAD declined engine context after posting or queueing a send"
+	for _, tc := range []struct {
+		want   string
+		effect func(h *Host, m *Msg, fm *fastmsg.Message)
+	}{
+		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.post(fm.From, &Msg{}) }},
+		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.send(nil, fm.From, &Msg{}) }},
+		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.postData(fm.From, make([]byte, 8)) }},
+		{"decline of a recycled header", func(h *Host, m *Msg, _ *fastmsg.Message) { h.recyclePM(m) }},
+	} {
+		installRow(t, 0, row{Name: "SYN_BAD", Engine: true, Handle: func(h *Host, p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {
 			if p == nil {
-				h.postData(fm.From, make([]byte, 8), dataMarker)
+				tc.effect(h, m, fm)
 				return fastmsg.Decline
 			}
 			return nil
-		}},
-	}})
-	s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16})
-	mustPanic(t, "DECL_DATA declined engine context after posting or queueing a send", func() {
-		s.Run(func(th *Thread) {
-			if th.ID == 0 { // host 1 is idle: it serves the message at once
-				th.Send(1, &declMsg{tab: tab})
-				th.Compute(sim.Millisecond)
-			}
+		}})
+		s := newSys(t, New, Options{Hosts: 2, SharedSize: 1 << 16})
+		mustPanic(t, tc.want, func() {
+			s.Run(func(th *Thread) {
+				if th.ID == 0 { // host 1 is idle: it serves the message at once
+					th.host.send(th.p, 1, &Msg{})
+					th.Compute(sim.Millisecond)
+				}
+			})
 		})
-	})
+	}
 }

@@ -17,7 +17,7 @@ import (
 // open transaction cannot take are queued here — and only here:
 // non-manager hosts never queue (Section 3.3).
 type dirEntry struct {
-	queue     FIFO[pmsg, *pmsg]
+	queue     FIFO
 	Competing uint64 // requests that found this entry busy (Figure 7's metric)
 	owner     int32  // preferred replica: last writer (or allocator)
 	await     int32  // the open reads: how many are in flight,
@@ -28,7 +28,7 @@ type dirEntry struct {
 
 // joins reports whether read m joins the reads open on e: with nothing
 // queued ahead of it, no write waits on them.
-func (e *dirEntry) joins(m *pmsg) bool {
+func (e *dirEntry) joins(m *Msg) bool {
 	return m.Type == mReadReq && e.await > 0 && (m.Requeued || e.queue.Peek() == nil)
 }
 
@@ -122,9 +122,9 @@ func (h *Host) entryOrNil(id int) *dirEntry {
 func (h *Host) serves(id int) bool { return h.homeOf(id) == h.ID() }
 
 // dispatch routes one manager-bound message and returns the tail of its
-// handler: the last send, posted, when nothing follows it (MsgSpec).
+// handler: the last send, posted, when nothing follows it (row).
 // Every function below that returns a *fastmsg.Message returns such a tail.
-func (h *Host) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) dispatch(p *sim.Proc, m *Msg) *fastmsg.Message {
 	switch m.Type {
 	case mReadReq:
 		return h.admit(p, m, &h.Stats.ReadReqs)
@@ -143,7 +143,7 @@ func (h *Host) dispatch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 // resolve locates the directory entry of a request, which its requester
 // translated (Host.route): the home does no lookup. It refreshes the
 // translation's extent by id, as a chunk can have grown since.
-func (h *Host) resolve(m *pmsg) *dirEntry {
+func (h *Host) resolve(m *Msg) *dirEntry {
 	id := m.Info.ID
 	if !h.serves(id) {
 		panic(fmt.Sprintf("dsm: host %d got request for minipage %d homed at host %d", h.ID(), id, h.homeOf(id)))
@@ -162,7 +162,7 @@ func (h *Host) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg
 	e.checkNoReads()
 	h.checkHolders(info)
 	for next := e.queue.Peek(); next != nil && (!e.busy || e.joins(next)); next = e.queue.Peek() {
-		h.Flush(p, tail)
+		h.flush(p, tail)
 		tail = h.dispatch(p, e.queue.Pop())
 	}
 	return tail
@@ -173,7 +173,7 @@ func (h *Host) closeTxn(p *sim.Proc, e *dirEntry, info core.Info) (tail *fastmsg
 // translate, count it competing if the entry is busy, queue it behind an
 // open transaction it cannot join, else open one or join it. The effect —
 // readEffect, writeEffect, pushEffect — is the rest of the figure's handler.
-func (h *Host) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
+func (h *Host) admit(p *sim.Proc, m *Msg, n *uint64) *fastmsg.Message {
 	if !m.Requeued {
 		*n++
 	}
@@ -210,7 +210,7 @@ func (h *Host) admit(p *sim.Proc, m *pmsg, n *uint64) *fastmsg.Message {
 // done; pick a replica (the open reads' source, if reads are open), add
 // the requester to the copyset, and forward the request itself,
 // translation filled in.
-func (h *Host) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
+func (h *Host) readEffect(e *dirEntry, m *Msg) *fastmsg.Message {
 	cs := h.sys.copyset(m.Info.ID)
 	if !e.busy {
 		e.busy, e.src = true, int32(h.findReplica(e, cs))
@@ -218,7 +218,7 @@ func (h *Host) readEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
 	e.await++
 	cs.Add(m.From)
 	m.Type = mReadFwd
-	return h.Post(int(e.src), m)
+	return h.post(int(e.src), m)
 }
 
 // findReplica picks the host in copyset cs to source the minipage from:
@@ -246,7 +246,7 @@ func (h *Host) findReplica(e *dirEntry, cs hostset.Set) int {
 // and the copyset collapse to the writer now; the entry stays busy, which
 // keeps every other handler off the copyset while the sends are charged,
 // until the writer's ack, which it sends only once every reply is in.
-func (h *Host) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
+func (h *Host) writeEffect(p *sim.Proc, e *dirEntry, m *Msg) *fastmsg.Message {
 	cs := h.sys.copyset(m.Info.ID)
 	to := m.From // the requester, or else the source, keeps its copy
 	m.Type = mUpgradeGrant
@@ -259,17 +259,17 @@ func (h *Host) writeEffect(p *sim.Proc, e *dirEntry, m *pmsg) *fastmsg.Message {
 	for i := cs.Next(-1); i >= 0; i = cs.Next(i) {
 		if i != to { // each carries the writer's rendezvous for the reply
 			h.Stats.Invalidations++
-			h.sendNew(p, i, pmsg{Type: mInvalidateReq, From: m.From, Info: m.Info, Req: m.Req})
+			h.sendNew(p, i, Msg{Type: mInvalidateReq, From: m.From, Info: m.Info, Req: m.Req})
 		}
 	}
 	cs.Reset(m.From)
-	return h.Post(to, m)
+	return h.post(to, m)
 }
 
 // handleAck confirms the transaction of the woken faulting thread and,
 // once no read is left in flight, closes the entry and serves the next
 // requests.
-func (h *Host) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) handleAck(p *sim.Proc, m *Msg) *fastmsg.Message {
 	info := m.Info
 	h.recyclePM(m) // the ack ends here
 	e := h.entry(info.ID)
@@ -279,19 +279,19 @@ func (h *Host) handleAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
 	return h.closeTxn(p, e, info)
 }
 
-// allocLocal carves minipage(s) for host `from` and places their
+// allocLocal carves minipage(s) for request m and places their
 // directory entries, whose copyset and ownership start at the allocating
 // host: its Malloc made the only copy. Like the MPT, the directory is one
 // table every host reads in place, so no message carries the entry to its
 // home and no request can arrive ahead of it. It runs only on host 0 (the
 // allocation authority: the MPT grows nowhere else), behind Host.alloc,
 // and checks HomeOf's answer for each id before anything else asks it.
-func (h *Host) allocLocal(from, size int) (Allocation, error) {
-	s, mpt := h.sys, h.sys.mpt
+func (h *Host) allocLocal(m *Msg) error {
+	s, mpt, from := h.sys, h.sys.mpt, m.From
 	firstNew := mpt.NumMinipages()
-	mp, va, err := mpt.Alloc(size)
+	mp, va, err := mpt.Alloc(m.Size)
 	if err != nil {
-		return Allocation{}, err
+		return err
 	}
 	s.checkHomes(firstNew, mpt.NumMinipages())
 	s.marks.Grow(mpt.NumMinipages())
@@ -323,20 +323,21 @@ func (h *Host) allocLocal(from, size int) (Allocation, error) {
 		info, owner = lo.Info(h.sys.Layout), true
 		info.Size = hi.Off + hi.Size - lo.Off
 	}
-	return Allocation{VA: va, Info: info, Owner: owner}, nil
+	m.Addr, m.Info, m.Owner = va, info, owner
+	return nil
 }
 
 // pushEffect is the directory effect of an admitted push: order the owner
 // to replicate the minipage to all hosts.
-func (h *Host) pushEffect(e *dirEntry, m *pmsg) *fastmsg.Message {
+func (h *Host) pushEffect(e *dirEntry, m *Msg) *fastmsg.Message {
 	e.pushAwait = int32(h.sys.NumHosts() - 1)
 	src := h.findReplica(e, h.sys.copyset(m.Info.ID))
 	m.Type = mPushOrder // the request itself goes on to the owner
-	return h.Post(src, m)
+	return h.post(src, m)
 }
 
 // handlePushAck completes the push once every other host holds a copy.
-func (h *Host) handlePushAck(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) handlePushAck(p *sim.Proc, m *Msg) *fastmsg.Message {
 	info, from := m.Info, m.From
 	h.recyclePM(m) // the push ack ends here
 	e := h.entry(info.ID)

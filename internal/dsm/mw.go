@@ -20,7 +20,7 @@ type mwNotice struct {
 }
 
 // mwSync is what the protocol piggybacks on the coordinator's
-// synchronization headers (SvcMsg.Ext). One pooled record travels out with
+// synchronization headers (Msg.Ext). One pooled record travels out with
 // a request and back with its answer, so its slice capacities are reused
 // from one synchronization to the next.
 type mwSync struct {
@@ -110,12 +110,12 @@ type mwHost struct {
 	// As a home: per creator, the last diff applied here (applied); the
 	// fetches that wait for a diff in flight; the event each apply sets.
 	flushed   []uint64
-	fetchQ    FIFO[pmsg, *pmsg]
+	fetchQ    FIFO
 	applyDone *sim.Event
 }
 
 // ext returns the piggyback record riding on m.
-func (h *Host) ext(m *SvcMsg) *mwSync {
+func (h *Host) ext(m *Msg) *mwSync {
 	x := m.Ext
 	x.CheckLive("dispatch")
 	return x
@@ -123,26 +123,27 @@ func (h *Host) ext(m *SvcMsg) *mwSync {
 
 // recycleSync takes a consumed piggyback record off m and returns it to
 // the freelist, keeping its slice capacities for reuse.
-func (h *Host) recycleSync(m *SvcMsg, x *mwSync) {
+func (h *Host) recycleSync(m *Msg, x *mwSync) {
 	m.Ext = nil
 	clear(x.Notices)
 	*x = mwSync{VC: x.VC[:0], Notices: x.Notices[:0]}
 	h.sys.freeSync.Put(x)
 }
 
-// mwAlloc carves size bytes out of the minipage table on behalf of a host
-// and charges p the bookkeeping. It runs only on host 0, the allocation
-// authority.
-func (h *Host) mwAlloc(p *sim.Proc, size int) (Allocation, error) {
+// mwAlloc carves request m's bytes out of the minipage table on behalf of a
+// host and charges p the bookkeeping. It runs only on host 0, the
+// allocation authority.
+func (h *Host) mwAlloc(p *sim.Proc, m *Msg) error {
 	s := h.sys
 	p.Sleep(s.Opt.Costs.MallocBase)
 	first := s.mpt.NumMinipages()
-	mp, va, err := s.mpt.Alloc(size)
+	mp, va, err := s.mpt.Alloc(m.Size)
 	if err != nil {
-		return Allocation{}, err
+		return err
 	}
 	s.checkHomes(first, s.mpt.NumMinipages())
-	return Allocation{VA: va, Info: mp.Info(s.Layout)}, nil
+	m.Addr, m.Info = va, mp.Info(s.Layout)
+	return nil
 }
 
 // mwMapped maps the allocation at the allocating host if it is the home.
@@ -150,9 +151,9 @@ func (h *Host) mwAlloc(p *sim.Proc, size int) (Allocation, error) {
 // is recorded in an interval and announced by a write notice like any
 // other write. A home that did not allocate a minipage maps it at its
 // first touch (mwFault).
-func (h *Host) mwMapped(a Allocation) {
-	if h.homeOf(a.Info.ID) == h.ID() {
-		h.protect(a.Info, vm.ReadOnly)
+func (h *Host) mwMapped(info core.Info) {
+	if h.homeOf(info.ID) == h.ID() {
+		h.protect(info, vm.ReadOnly)
 	}
 }
 
@@ -223,8 +224,8 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	need := h.takeNeeds(m)
 	fw := t.WaitSlot()
 	t.req = request{h: h, fw: fw}
-	rq := h.allocPM(pmsg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need})
-	h.Flush(t.p, h.postSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
+	rq := h.allocPM(Msg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need})
+	h.flush(t.p, h.postSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
 	t.Block(Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
 }
@@ -339,8 +340,8 @@ func (t *Thread) release() mwNotice {
 			enc := t.diff(m)
 			s.stats.DiffsSent++
 			s.stats.DiffBytes += uint64(len(enc))
-			fm := h.allocPM(pmsg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq})
-			h.Flush(p, h.postSized(h.homeOf(id), fm, c.HeaderSize+len(enc)))
+			fm := h.allocPM(Msg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq})
+			h.flush(p, h.postSized(h.homeOf(id), fm, c.HeaderSize+len(enc)))
 		}
 		s.freeBuf.Put(m.twin)
 		m.twin, m.wrote = nil, false
@@ -438,16 +439,16 @@ func (h *Host) newEpoch() {
 // coordinator through the barrier tree ahead of this host's unlocks. A
 // barrier arrival and a lock request carry the vector clock the answer's
 // notices are chosen against.
-func (t *Thread) mwRelease(m *SvcMsg) {
+func (t *Thread) mwRelease(m *Msg) {
 	h, x := t.host, t.host.sys.freeSync.Get()
 	m.Ext = x
-	if m.Type != SvcLockReq {
+	if m.Type != mLockReq {
 		x.Notice = t.release()
 	}
-	if m.Type != SvcUnlock {
+	if m.Type != mUnlock {
 		x.VC = append(x.VC[:0], h.vc...)
 	}
-	if m.Type == SvcBarrierArrive {
+	if m.Type == mBarrierArrive {
 		x.Releaser = h // read in place: the epoch stays as it is until this barrier's release
 	}
 	x.CheckLive("Send")
@@ -458,11 +459,11 @@ func (t *Thread) mwRelease(m *SvcMsg) {
 // causally newer write are invalidated, everything else this host holds
 // stays mapped — and, past a barrier, move homes (after the notices: an
 // old home waits out the mover's diffs) and open an epoch.
-func (t *Thread) mwAcquire(m *SvcMsg) {
+func (t *Thread) mwAcquire(m *Msg) {
 	h := t.host
 	x := h.ext(m)
 	t.acquire(x.Notices)
-	if m.Type == SvcBarrierRelease {
+	if m.Type == mBarrierRelease {
 		h.move(x.Moves)
 		h.adopt(t.p, x)
 		h.newEpoch()
@@ -492,7 +493,7 @@ func (h *Host) move(moves []homeMove) {
 
 // released logs the write notices a barrier arrival or an unlock carries
 // (host 0 only). An unlock's record ends here.
-func (h *Host) released(m *SvcMsg) {
+func (h *Host) released(m *Msg) {
 	x := h.ext(m)
 	switch r := x.Releaser; {
 	case r != nil:
@@ -502,14 +503,14 @@ func (h *Host) released(m *SvcMsg) {
 	case x.Notice.MPs != nil:
 		h.logNotice(x.Notice)
 	}
-	if m.Type == SvcUnlock {
+	if m.Type == mUnlock {
 		h.recycleSync(m, x)
 	}
 }
 
 // granting fills a lock grant with every logged notice newer than the
 // requester's vector clock (host 0 only).
-func (h *Host) granting(m *SvcMsg) {
+func (h *Host) granting(m *Msg) {
 	x := h.ext(m)
 	x.Notices = h.sys.newerThan(x.Notices, x.VC)
 }
@@ -518,7 +519,7 @@ func (h *Host) granting(m *SvcMsg) {
 // class: every release gets the barrier's home moves and the notices its
 // arrival's clock had not covered, and the log is cleared. Under SC they
 // ride in the coordinator's one record, and the log is empty.
-func (h *Host) converged(arrivals []*SvcMsg) {
+func (h *Host) converged(arrivals []*Msg) {
 	s := h.sys
 	moves := s.moves()
 	if !s.mw {
@@ -588,7 +589,7 @@ func (s *System) newerThan(dst []mwNotice, vc []uint64) []mwNotice {
 // request needs; until then the request waits in fetchQ, retried at each
 // apply and counted parked once. The header turns around as the reply
 // (the requester is blocked on it and holds no other reference).
-func (h *Host) fetch(p *sim.Proc, m *pmsg) *fastmsg.Message {
+func (h *Host) fetch(p *sim.Proc, m *Msg) *fastmsg.Message {
 	for _, n := range m.Need {
 		if !h.applied(n.Creator, n.Seq, m.Info.ID) {
 			if !m.Requeued {
@@ -604,7 +605,7 @@ func (h *Host) fetch(p *sim.Proc, m *pmsg) *fastmsg.Message {
 
 // diffFlush applies a diff to the home's copy and recycles it, then
 // retries the fetches waiting for a diff and wakes an acquire that may be.
-func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) diffFlush(p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	cur := h.sys.freeBuf.Get(m.Info.Size)
 	must(h.Region.ReadPrivInto(m.Info.Base, cur))
 	must(twindiff.ApplyEncoded(cur, m.Diff))
@@ -616,9 +617,9 @@ func (h *Host) diffFlush(p *sim.Proc, m *pmsg, _ *fastmsg.Message) *fastmsg.Mess
 	h.recyclePM(m)
 	h.applyDone.Set()
 	q := h.fetchQ
-	h.fetchQ = FIFO[pmsg, *pmsg]{}
+	h.fetchQ = FIFO{}
 	for f := q.Pop(); f != nil; f = q.Pop() {
-		h.Flush(p, h.fetch(p, f))
+		h.flush(p, h.fetch(p, f))
 	}
 	return nil
 }

@@ -12,23 +12,26 @@ import (
 	"millipage/internal/sim"
 )
 
-// headerBalance returns the pooled headers somebody still owns — the
-// protocol's and the kernel's service headers — (made and
-// not on a freelist, which the pools count under -tags invariants only,
-// hence the build tag) and the ones the protocol has parked
-// where it will find them again: directory queues and reply headers
-// waiting for their data message. With every thread finished and the
-// wire quiet the two must agree — a header owned but parked nowhere was
-// dropped by some exit that forgot to recycle it.
+// headerBalance returns the pooled headers somebody still owns (made and
+// not on the freelist, which the pool counts under -tags invariants only,
+// hence the build tag) and the ones the protocol has parked where it will
+// find them again: directory and lock queues, barrier collections and
+// reply headers waiting for their data message. With every thread
+// finished and the wire quiet the two must agree — a header owned but
+// parked nowhere was dropped by some exit that forgot to recycle it.
 func headerBalance(s *System) (owned, parked int) {
-	owned = s.freePM.Live() + s.LiveServiceHeaders()
+	owned = s.freePM.Live()
 	for _, slab := range s.dir {
 		for i := range slab {
-			parked += queued(&slab[i])
+			parked += queued(&slab[i].queue)
 		}
 	}
-	for i := 0; i < s.NumHosts(); i++ { // reply headers waiting for their bytes
-		for _, hdr := range s.Host(i).parked {
+	for _, l := range s.svc.locks.locks {
+		parked += queued(&l.queue)
+	}
+	for i := 0; i < s.NumHosts(); i++ {
+		parked += len(s.Host(i).got)
+		for _, hdr := range s.Host(i).parked { // reply headers waiting for their bytes
 			if hdr != nil {
 				parked++
 			}

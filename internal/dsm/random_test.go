@@ -105,7 +105,7 @@ func runRandomProgram(t *testing.T, seed int64, hosts int) {
 	}
 	// Post-run protocol invariants: quiesced directory, SW/MR protections.
 	for id := 0; id < s.mpt.NumMinipages(); id++ {
-		if e := homeEntry(s, id); e.busy || queued(e) != 0 {
+		if e := homeEntry(s, id); e.busy || queued(&e.queue) != 0 {
 			t.Fatalf("minipage %d not quiesced", id)
 		}
 		mp, _ := s.MPT().ByID(id)

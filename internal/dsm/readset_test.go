@@ -168,8 +168,8 @@ func TestThreadsOfOneHostReadTogether(t *testing.T) {
 		t.Errorf("%d read forwards left the home before the first ack, want 2 (events %v)", fwds, ops)
 	}
 	e := homeEntry(s, 0)
-	if e.busy || e.await != 0 || queued(e) != 0 {
-		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.busy, e.await, queued(e))
+	if e.busy || e.await != 0 || queued(&e.queue) != 0 {
+		t.Errorf("entry busy %v with %d reads in flight and %d queued after the run", e.busy, e.await, queued(&e.queue))
 	}
 	if cs, _ := copysetOf(s, 0); !slices.Equal(cs, []int{0, 1}) {
 		t.Errorf("copyset %v, want hosts 0 and 1", cs)

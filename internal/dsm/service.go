@@ -3,7 +3,6 @@ package dsm
 import (
 	"slices"
 
-	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 )
@@ -14,63 +13,11 @@ import (
 // behind them are the whole of it, under every protocol.
 const Coordinator = 0
 
-// SvcType enumerates the service messages.
-type SvcType uint8
-
-const (
-	SvcAllocReq SvcType = iota
-	SvcAllocReply
-	SvcBarrierArrive
-	SvcBarrierRelease
-	SvcLockReq
-	SvcLockGrant
-	SvcUnlock
-)
-
-func (t SvcType) String() string { return svcTable.Rows[t].Name }
-
-// SvcMsg is the service header, pooled per cluster. A request turns
-// around in place as its answer, so the header a thread sends is the one
-// that wakes it, and the thread recycles it once it has read the answer.
-// Service traffic concerns no sharing unit: traces show it with mp=-1, no
-// address and no home.
-type SvcMsg struct {
-	PoolState // recycled mark under -tags invariants; empty otherwise
-	Link[SvcMsg]
-
-	Type   SvcType
-	From   int   // the requesting host, on the way out and back
-	FW     *Wait // requester-local rendezvous
-	LockID int
-	Size   int        // SvcAllocReq
-	Alloc  Allocation // SvcAllocReply
-	Group  []*SvcMsg  // a barrier group: what its tree node collected, up and back down
-
-	// Ext is the class's piggyback: lrc-mw's vector clock and write
-	// notices, attached in mwRelease, read and refilled on the coordinator
-	// and consumed in mwAcquire; a barrier release's home moves under both.
-	Ext *mwSync
-}
-
-// Allocation is what the allocator (Host.alloc) hands out.
-type Allocation struct {
-	VA    uint64
-	Info  core.Info // the sharing unit the bytes landed in; zero without one
-	Owner bool      // the requester may map the unit writable at once
-}
-
-// services is the coordinator's state plus the cluster's header pool.
+// services is the coordinator's state.
 type services struct {
-	episodes uint64    // completed barrier episodes
-	arrivals []*SvcMsg // the episode's threads, for converged
+	episodes uint64 // completed barrier episodes
+	arrivals []*Msg // the episode's threads, for converged
 	locks    LockService
-	free     Pool[SvcMsg]
-}
-
-func (h *Host) newSvc(typ SvcType, lock int) *SvcMsg {
-	m := h.sys.svc.free.Get()
-	*m = SvcMsg{Type: typ, From: h.id, LockID: lock}
-	return m
 }
 
 // Malloc allocates size bytes of shared memory and returns the address,
@@ -83,52 +30,50 @@ func (t *Thread) Malloc(size int) uint64 {
 	if size <= 0 {
 		h.sys.misuse(h.id, "Malloc(%d): size must be positive", size)
 	}
-	var a Allocation
+	m := h.allocPM(Msg{Type: mAllocReq, From: h.id, Size: size})
 	if h.id == Coordinator {
-		a = h.alloc(t.p, h.id, size, true)
-		h.mapped(t.p, a)
+		h.alloc(t.p, m, true)
+		h.mapped(t.p, m)
 	} else {
-		m := h.newSvc(SvcAllocReq, 0)
-		m.Size = size
 		t.ask(Coordinator, m, "malloc reply")
-		a = m.Alloc
-		h.sys.svc.free.Put(m)
 	}
+	va := m.Addr
+	h.recyclePM(m)
 	t.Stats.MallocTime += t.p.Now().Sub(start)
-	return a.VA
+	return va
 }
 
 // ask sends request m to host `to` and blocks until its answer.
-func (t *Thread) ask(to int, m *SvcMsg, what string) {
-	fw := t.WaitSlot()
-	m.FW = fw
-	t.Block(Blocking{For: what, FW: fw, Wake: t.host.Costs().ThreadWake, To: to, Request: m})
+func (t *Thread) ask(to int, m *Msg, what string) {
+	t.req = request{h: t.host, fw: t.WaitSlot()}
+	m.Req = &t.req
+	t.Block(Blocking{For: what, FW: t.req.fw, Wake: t.host.Costs().ThreadWake, To: to, Request: m})
 }
 
 // syncRelease runs lrc-mw's release half as synchronization m leaves (SC
 // has none); syncAcquire the class's acquire half once m's answer has
 // woken the thread — under SC a barrier release's home moves — and ends
 // the answer's header.
-func (t *Thread) syncRelease(m *SvcMsg) {
+func (t *Thread) syncRelease(m *Msg) {
 	if t.host.sys.mw {
 		t.mwRelease(m)
 	}
 }
 
-func (t *Thread) syncAcquire(m *SvcMsg) {
+func (t *Thread) syncAcquire(m *Msg) {
 	switch h := t.host; {
 	case h.sys.mw:
 		t.mwAcquire(m)
-	case m.Type == SvcBarrierRelease:
+	case m.Type == mBarrierRelease:
 		h.adopt(t.p, h.ext(m))
 	}
-	t.host.sys.svc.free.Put(m)
+	t.host.recyclePM(m)
 }
 
 // Barrier blocks until every application thread in the cluster arrives.
 func (t *Thread) Barrier() {
 	start := t.p.Now()
-	m := t.host.newSvc(SvcBarrierArrive, 0)
+	m := t.host.allocPM(Msg{Type: mBarrierArrive, From: t.host.id})
 	t.syncRelease(m)
 	t.p.Sleep(t.host.Costs().BarrierBase)
 	t.ask(t.host.node, m, "barrier release")
@@ -141,7 +86,7 @@ func (t *Thread) Barrier() {
 // coordinator).
 func (t *Thread) Lock(id int) {
 	start := t.p.Now()
-	m := t.host.newSvc(SvcLockReq, id)
+	m := t.host.allocPM(Msg{Type: mLockReq, From: t.host.id, LockID: id})
 	t.syncRelease(m)
 	t.ask(Coordinator, m, "lock grant")
 	t.syncAcquire(m)
@@ -154,43 +99,27 @@ func (t *Thread) Lock(id int) {
 // order.
 func (t *Thread) Unlock(id int) {
 	start := t.p.Now()
-	m := t.host.newSvc(SvcUnlock, id)
+	m := t.host.allocPM(Msg{Type: mUnlock, From: t.host.id, LockID: id})
 	t.locks--
 	t.syncRelease(m)
-	t.Send(Coordinator, m)
+	t.host.send(t.p, Coordinator, m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)
 }
 
-// svcTable is the coordinator's message table. Setting an event, collecting or
-// releasing a barrier, granting a lock or queueing its request never waits
-// (nor does the coordinator's class work): those rows run in engine
-// context, the last send as the tail.
-var svcTable = Register(MsgTable[*SvcMsg]{Rows: []MsgSpec[*SvcMsg]{
-	SvcAllocReq:       {Name: "ALLOC_REQUEST", Handle: (*Host).allocRequest},
-	SvcAllocReply:     {Name: "ALLOC_REPLY", Handle: (*Host).allocReply},
-	SvcBarrierArrive:  {Name: "BARRIER_ARRIVE", Handle: (*Host).barrierArrive, Engine: true},
-	SvcBarrierRelease: {Name: "BARRIER_RELEASE", Handle: (*Host).barrierRelease, Engine: true},
-	SvcLockReq:        {Name: "LOCK_REQUEST", Handle: (*Host).lockRequest, Engine: true},
-	SvcLockGrant:      {Name: "LOCK_GRANT", Handle: (*Host).answer, Engine: true},
-	SvcUnlock:         {Name: "UNLOCK", Handle: (*Host).unlock, Engine: true},
-}, Describe: func(*Host, *SvcMsg) (int, uint64, int) { return -1, 0, -1 }})
-
-func (m *SvcMsg) Table() (Table, int) { return svcTable, int(m.Type) }
-
-func (h *Host) allocRequest(p *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
-	m.Alloc = h.alloc(p, m.From, m.Size, false)
-	m.Type = SvcAllocReply
-	return h.Post(m.From, m)
+func (h *Host) allocRequest(p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
+	h.alloc(p, m, false)
+	m.Type = mAllocReply
+	return h.post(m.From, m)
 }
 
-func (h *Host) allocReply(p *sim.Proc, m *SvcMsg, fm *fastmsg.Message) *fastmsg.Message {
-	h.mapped(p, m.Alloc)
+func (h *Host) allocReply(p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {
+	h.mapped(p, m)
 	return h.answer(p, m, fm)
 }
 
 // answer wakes the requester, which reads the answer and recycles it.
-func (h *Host) answer(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
-	m.FW.Ev.Set()
+func (h *Host) answer(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
+	m.Req.fw.Ev.Set()
 	return nil
 }
 
@@ -220,16 +149,16 @@ func barrierTree(id, n, tph int) (node, parent, expect int) {
 // barrierArrive collects a thread's arrival, or a child node's group, at
 // its tree node. With the last the node's group goes up or, at the root,
 // the episode is complete and turns around as the releases.
-func (h *Host) barrierArrive(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) barrierArrive(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.id == Coordinator {
 		h.logArrival(m)
 	}
 	if h.got = append(h.got, m); len(h.got) < h.expect {
 		return nil
 	}
-	g := h.newSvc(SvcBarrierArrive, 0)
+	g := h.allocPM(Msg{Type: mBarrierArrive, From: h.id})
 	if g.Group = h.got; h.id != Coordinator {
-		return h.Post(h.parent, g)
+		return h.post(h.parent, g)
 	}
 	svc := &h.sys.svc
 	svc.episodes++
@@ -240,7 +169,7 @@ func (h *Host) barrierArrive(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastms
 
 // logArrival shows lrc-mw's released every thread's arrival m carries,
 // itself or in its group, and keeps them for converged.
-func (h *Host) logArrival(m *SvcMsg) {
+func (h *Host) logArrival(m *Msg) {
 	if m.Group == nil {
 		if h.sys.mw {
 			h.released(m)
@@ -255,29 +184,29 @@ func (h *Host) logArrival(m *SvcMsg) {
 // barrierRelease wakes a released thread or, for a group, releases what its
 // node collected: groups first, the largest first, as they have further to
 // go, then threads in the order they came.
-func (h *Host) barrierRelease(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) (tail *fastmsg.Message) {
+func (h *Host) barrierRelease(_ *sim.Proc, m *Msg, _ *fastmsg.Message) (tail *fastmsg.Message) {
 	if m.Group == nil {
 		return h.answer(nil, m, nil)
 	}
-	h.sys.svc.free.Put(m)
-	slices.SortStableFunc(h.got, func(a, b *SvcMsg) int { return len(b.Group) - len(a.Group) })
+	h.recyclePM(m)
+	slices.SortStableFunc(h.got, func(a, b *Msg) int { return len(b.Group) - len(a.Group) })
 	for _, a := range h.got {
-		h.Flush(nil, tail)
-		a.Type = SvcBarrierRelease
-		tail = h.Post(a.From, a)
+		h.flush(nil, tail)
+		a.Type = mBarrierRelease
+		tail = h.post(a.From, a)
 	}
 	h.got = h.got[:0]
 	return tail
 }
 
-func (h *Host) lockRequest(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) lockRequest(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	if h.sys.svc.locks.Acquire(m) {
 		return h.grant(m)
 	}
 	return nil // queued: the table holds m until an unlock pops it
 }
 
-func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Message {
+func (h *Host) unlock(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	svc := &h.sys.svc
 	if h.sys.mw {
 		h.released(m)
@@ -286,7 +215,7 @@ func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Messa
 	if err != nil {
 		h.sys.misuse(m.From, "%v", err)
 	}
-	svc.free.Put(m)
+	h.recyclePM(m)
 	if next == nil {
 		return nil
 	}
@@ -294,10 +223,10 @@ func (h *Host) unlock(_ *sim.Proc, m *SvcMsg, _ *fastmsg.Message) *fastmsg.Messa
 }
 
 // grant turns a lock request around as its grant.
-func (h *Host) grant(m *SvcMsg) *fastmsg.Message {
+func (h *Host) grant(m *Msg) *fastmsg.Message {
 	if h.sys.mw {
 		h.granting(m)
 	}
-	m.Type = SvcLockGrant
-	return h.Post(m.From, m)
+	m.Type = mLockGrant
+	return h.post(m.From, m)
 }

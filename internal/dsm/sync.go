@@ -2,37 +2,32 @@ package dsm
 
 import "fmt"
 
-// Link is what a record embeds to wait in a FIFO. A pooled header has one
+// Link is what a header embeds to wait in a FIFO. A pooled header has one
 // owner (DESIGN.md §6), so it waits in at most one queue at a time, and
 // parking it there allocates nothing.
-type Link[T any] struct{ next *T }
+type Link struct{ next *Msg }
 
-func (l *Link[T]) link() *Link[T] { return l }
+// FIFO is a queue threaded through its headers' Links: a directory
+// entry's, a lock's or a home's waiting requests.
+type FIFO struct{ head, tail *Msg }
 
-// FIFO is a queue threaded through its records' Links: a directory
-// entry's or a lock's waiting requests.
-type FIFO[T any, P interface {
-	*T
-	link() *Link[T]
-}] struct{ head, tail P }
-
-// Peek returns the oldest record, or nil when nothing is queued.
-func (q *FIFO[T, P]) Peek() P { return q.head }
+// Peek returns the oldest header, or nil when nothing is queued.
+func (q *FIFO) Peek() *Msg { return q.head }
 
 // Push appends v, which waits in no other queue.
-func (q *FIFO[T, P]) Push(v P) {
+func (q *FIFO) Push(v *Msg) {
 	if q.head == nil {
 		q.head = v
 	} else {
-		q.tail.link().next = v
+		q.tail.next = v
 	}
 	q.tail = v
 }
 
-// Pop removes the oldest record and returns it unlinked, or nil.
-func (q *FIFO[T, P]) Pop() (v P) {
+// Pop removes the oldest header and returns it unlinked, or nil.
+func (q *FIFO) Pop() (v *Msg) {
 	if v = q.head; v != nil {
-		q.head, v.link().next = v.link().next, nil
+		q.head, v.next = v.next, nil
 	}
 	return v
 }
@@ -49,12 +44,12 @@ type LockService struct {
 type lockState struct {
 	held   bool
 	holder int // the host the lock was granted to, while held
-	queue  FIFO[SvcMsg, *SvcMsg]
+	queue  FIFO
 }
 
 // Acquire grants lock m.LockID to m.From immediately (true) or queues m
 // behind the current holder (false); grants are FIFO.
-func (l *LockService) Acquire(m *SvcMsg) bool {
+func (l *LockService) Acquire(m *Msg) bool {
 	ls := l.locks[m.LockID]
 	if ls == nil {
 		if l.locks == nil {
@@ -79,7 +74,7 @@ func (l *LockService) Acquire(m *SvcMsg) bool {
 // queued waiter, whose request it returns. Releasing a lock that is free
 // or held by another host is the application's error and changes
 // nothing.
-func (l *LockService) Release(id, from int) (next *SvcMsg, err error) {
+func (l *LockService) Release(id, from int) (next *Msg, err error) {
 	ls := l.locks[id]
 	switch {
 	case ls == nil || !ls.held:

@@ -97,7 +97,7 @@ func TestBarrierTreeEpisodes(t *testing.T) {
 			if e := s.Totals().BarrierEpisodes; e != 3 {
 				t.Errorf("n=%d tph=%d: %d episodes, want 3", n, tph, e)
 			}
-			if pooled := len(s.svc.free.free); pooled != headers {
+			if pooled := len(s.freePM.free); pooled != headers {
 				t.Errorf("n=%d tph=%d: %d headers back in the pool, want %d", n, tph, pooled, headers)
 			}
 		}

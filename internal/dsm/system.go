@@ -146,7 +146,7 @@ type System struct {
 	stats   MWStats    // every host's lrc-mw counters, and both classes' Migrations: hosts run one at a time
 
 	// The cluster's freelists, shared by every host. See Host.allocPM.
-	freePM   Pool[pmsg]
+	freePM   Pool[Msg]
 	freeSync Pool[mwSync]
 	freeBuf  SlicePool[byte] // minipage snapshots, recycled once installed, and lrc-mw's twins
 }
@@ -190,7 +190,7 @@ func newSystem(name string, opt Options, mw bool) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: host %d: %w", name, i, err)
 		}
-		h := &Host{sys: s, id: i, AS: as, Region: region, parked: make([]any, opt.Hosts)}
+		h := &Host{sys: s, id: i, AS: as, Region: region, parked: make([]*Msg, opt.Hosts)}
 		if mw {
 			h.vc, h.flushed, h.applyDone = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng)
 		}

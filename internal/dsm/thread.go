@@ -53,7 +53,7 @@ type Thread struct {
 	one     [1]*sim.Event
 	request *fastmsg.Message
 
-	req request // its fault request in flight
+	req request // its request in flight: a fault's, or a service call's rendezvous (ask)
 
 	prefetchWait bool // the read fault in service waited on a prefetch: onFault books it as prefetch wait
 	locks        int  // the locks it holds (HoldsLock)
@@ -110,9 +110,6 @@ func (t *Thread) WaitSlot() *Wait {
 	return fw
 }
 
-// Send ships a header-sized protocol message to host to from the thread.
-func (t *Thread) Send(to int, payload any) { t.host.Send(t.p, to, payload) }
-
 // Blocking describes one blocking operation of an application thread,
 // the argument of Thread.Block: what to wait for, what the wait costs the
 // thread on either side and, for a call, the request that goes out first.
@@ -130,10 +127,10 @@ type Blocking struct {
 	Pre  sim.Duration // charged before blocking (suspending the thread on its event); 0 charges nothing
 	Wake sim.Duration // charged after waking (SetEvent and scheduler latency, fault resumption)
 
-	// Request, when not nil, makes the operation a call: the header-sized
-	// payload is sent to host To first, as Host.Send would.
+	// Request, when not nil, makes the operation a call: the header is
+	// sent to host To first, as Host.send would.
 	To      int
-	Request any
+	Request *Msg
 	Lead    sim.Duration // charged before the send: the requester's own work it waits on (a fault's Translate)
 
 	// Close, when not nil, ends a call with the header that closes it (a
@@ -192,7 +189,7 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 		}
 		fallthrough
 	case opSend:
-		t.request = h.Post(op.To, op.Request)
+		t.request = h.post(op.To, op.Request)
 		t.stage = opTransmit
 		return sim.SleepFor, h.sys.Opt.Net.SendCPU(t.request.Size)
 	case opTransmit:
@@ -222,7 +219,7 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 	case opClose:
 		if op.Close != nil {
 			to, m := op.Close.closing()
-			t.request, t.stage = h.Post(to, m), opClosed
+			t.request, t.stage = h.post(to, m), opClosed
 			return sim.SleepFor, h.sys.Opt.Net.SendCPU(t.request.Size)
 		}
 	case opClosed:
@@ -351,7 +348,7 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, size int) *Wait {
 		h.sys.misuse(h.ID(), "prefetch: %v", err)
 	}
 	r := &request{h: h, fw: newWait(h.sys.Eng)}
-	h.sendNew(p, home, pmsg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r, Epoch: h.epoch})
+	h.sendNew(p, home, Msg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r, Epoch: h.epoch})
 	t.Stats.Prefetches++
 	return r.fw
 }
@@ -390,7 +387,7 @@ func (t *Thread) Push(va uint64) {
 	if err != nil {
 		t.host.sys.misuse(t.host.ID(), "push: %v", err)
 	}
-	t.host.sendNew(p, home, pmsg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info, Epoch: t.host.epoch})
+	t.host.sendNew(p, home, Msg{Type: mPushReq, From: t.host.ID(), Addr: va, Info: info, Epoch: t.host.epoch})
 }
 
 // Span names a shared region for group operations.

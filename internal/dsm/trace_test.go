@@ -21,6 +21,9 @@ func TestProtocolTracing(t *testing.T) {
 		th.Barrier()
 		if th.Host() == 1 {
 			_ = th.ReadU32(va)
+			th.Malloc(64)
+			th.Lock(1)
+			th.Unlock(1)
 		}
 		th.Barrier()
 	})
@@ -28,7 +31,8 @@ func TestProtocolTracing(t *testing.T) {
 		t.Fatal("no events recorded")
 	}
 	// The read transaction leaves its footprints: the fault, the request
-	// to the manager, the forward, the reply, and the ack.
+	// to the manager, the forward, the reply, and the ack; host 1's malloc
+	// and lock theirs.
 	for _, want := range []string{
 		"read fault",
 		"READ_REQUEST",
@@ -36,16 +40,22 @@ func TestProtocolTracing(t *testing.T) {
 		"READ_REPLY",
 		"ACK",
 		"BARRIER_ARRIVE",
+		"ALLOC_REPLY",
+		"LOCK_GRANT",
 	} {
 		if len(rec.Grep(want)) == 0 {
 			t.Errorf("trace missing %q", want)
 		}
 	}
-	// Events are time-ordered.
+	// Events are time-ordered. Service traffic concerns no sharing unit,
+	// an allocation's reply included, which carries one.
 	evs := rec.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatalf("events out of order at %d: %v then %v", i, evs[i-1], evs[i])
+	for i, e := range evs {
+		if i > 0 && e.At < evs[i-1].At {
+			t.Fatalf("events out of order at %d: %v then %v", i, evs[i-1], e)
+		}
+		if e.Kind != trace.Fault && mtype(e.Op) >= mAllocReq && (e.MP != -1 || e.Addr != 0 || e.Home != -1) {
+			t.Errorf("service record %v names mp=%d addr=%#x home %d, want -1, 0, -1", e, e.MP, e.Addr, e.Home)
 		}
 	}
 }

@@ -109,9 +109,10 @@ type relHost struct {
 	send []sendSession // indexed by destination host
 	recv []recvSession // indexed by source host
 
-	// The message currently in the service thread's handler, if any.
-	// A crash rolls the accept floor back underneath it; this record
-	// keeps its retransmitted twin from being admitted a second time.
+	// The message the service thread took last. A crash rolls the accept
+	// floor back underneath one still in its handler; this record keeps
+	// its retransmitted twin from being admitted a second time (once the
+	// handler completes, the floor is past it).
 	inServiceFrom int
 	inServiceSeq  uint64
 }
@@ -322,8 +323,9 @@ func (r *reliability) timerFireAny(a any) {
 
 // timerFire is the link's one calendar event: disarmed, it goes; short
 // of a deadline that moved on, it re-schedules itself there; due, it
-// re-sends every unadmitted frame (go-back-N) and re-arms with doubled
-// backoff.
+// re-sends every unadmitted frame (go-back-N: there is one, as a link is
+// armed only over them and disarmed once an ack admits the last) and
+// re-arms with doubled backoff.
 func (r *reliability) timerFire(from, to int, gen uint64) {
 	ss := &r.hosts[from].send[to]
 	if gen != ss.timerGen {
@@ -339,11 +341,7 @@ func (r *reliability) timerFire(from, to int, gen uint64) {
 		r.schedule(from, to, gen, false, ss.deadline)
 		return
 	}
-	ss.deadline = 0
-	if !r.resend(from, to, ss) {
-		ss.rto = 0
-		return
-	}
+	r.resend(from, to, ss)
 	ss.rto = r.backoff(ss.rto)
 	r.arm(from, to, ss)
 }
@@ -442,7 +440,6 @@ func (r *reliability) complete(ep *Endpoint, m *Message) {
 		// mid-flight; it has now completed, so the floor moves past it.
 		rs.nextAccept = rs.nextProcess
 	}
-	rh.inServiceFrom, rh.inServiceSeq = -1, 0
 	if m.From == ep.id {
 		r.ackLink(ep.id, ep.id)
 	}
@@ -460,11 +457,10 @@ func (r *reliability) ackLink(from, to int) {
 
 // sendAck ships an ack over the same faulty wire as any frame. A lost
 // ack is healed by the next duplicate's re-ack or by the next admission,
-// so acks need no sequencing of their own.
+// so acks need no sequencing of their own. Only a self link acks from a
+// host that is down (a handler completing across the crash), and
+// ackArrive drops that ack as it drops any a down host is sent.
 func (r *reliability) sendAck(from, to int, a ack) {
-	if r.hosts[from].down {
-		return
-	}
 	if from == to {
 		r.ackArrive(to, from, a)
 		return
@@ -515,7 +511,7 @@ func (r *reliability) ackArriveAny(a any) {
 func (r *reliability) ackArrive(at, from int, a ack) {
 	rh := r.hosts[at]
 	if rh.down {
-		return
+		return // lost with the wire to a crashed host: its restart flush re-sends what it covered
 	}
 	ss := &rh.send[from]
 	for ss.unaHead < len(ss.unacked) && ss.unacked[ss.unaHead].Seq <= a.done {
@@ -607,8 +603,9 @@ func (r *reliability) crash(h int) {
 
 // restart brings host h back under a new incarnation: flush every
 // outbound session immediately (peers may be blocked on frames we queued
-// while down), tell every peer we are back, and start a resync chain to
-// each peer whose admitted frames the crash lost.
+// while down), tell every peer we are back (the self link's ack, after
+// the flush re-admitted its frames, frees only its log), and start a
+// resync chain to each peer whose admitted frames the crash lost.
 func (r *reliability) restart(h int) {
 	rh := r.hosts[h]
 	if !rh.down {
@@ -623,9 +620,6 @@ func (r *reliability) restart(h int) {
 		}
 	}
 	for from := range rh.recv {
-		if from == h {
-			continue
-		}
 		r.ackLink(h, from)
 		rs := &rh.recv[from]
 		rs.resyncRTO = 0

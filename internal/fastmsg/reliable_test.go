@@ -632,6 +632,74 @@ func TestResyncAfterCrashLosesAdmittedFrames(t *testing.T) {
 	}
 }
 
+// TestAckToACrashedHostIsLost: host 0 crashes with its frame's admission
+// ack on the wire to it. The ack is lost with the crash, so the restart
+// flush re-sends the frame, a duplicate host 1 drops; the frame is
+// handled once.
+func TestAckToACrashedHostIsLost(t *testing.T) {
+	pr := DefaultParams()
+	eng := sim.NewEngine(1)
+	nw := New(eng, 2, pr)
+	crash := sim.Time(pr.WireLatency(32) + pr.WireBase/2)
+	inj, err := faultnet.NewInjector(faultnet.Plan{Crashes: []faultnet.Crash{{Host: 0, At: crash, RestartAt: crash.Add(sim.Millisecond)}}}, 2, 1)
+	must(t, err)
+	nw.InstallFaults(inj)
+	handled := 0
+	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { handled++ })
+	send(nil, nw.Endpoint(0), 1, 32, 0)
+	eng.Spawn("watch", func(p *sim.Proc) { p.Sleep(10 * sim.Millisecond) })
+	mustRun(t, eng)
+	if st := nw.Endpoint(1).Stats(); handled != 1 || st.DupsDropped != 1 {
+		t.Fatalf("frame handled %d times, host 1 stats %+v; want it handled once and its resend dropped", handled, st)
+	}
+}
+
+// TestResyncChainPerCrash: busy host 1 loses admitted frames in three
+// crashes, each restart's ack lost to a partition. The second crash and
+// restart fall between two resends of the first restart's resync chain,
+// which goes on alone, its backoff started over; the third comes after
+// that chain ended and starts its own. A chain re-sends at T, 3T, 5T...
+// after the restart that (re)started it, T the first timeout, and every
+// frame is handled once.
+func TestResyncChainPerCrash(t *testing.T) {
+	pr := DefaultParams()
+	pr.PerfectTimers, pr.SweepShortLo = true, 5*sim.Millisecond // nothing is served before the sweep
+	T := 2*pr.WireLatency(32) + 4*pr.WireBase
+	r1 := sim.Time(200 * sim.Microsecond)
+	var cut []faultnet.Partition
+	for _, at := range []sim.Duration{0, 5 * T / 2, 7 * T} {
+		cut = append(cut, faultnet.Partition{A: 0b01, B: 0b10, From: r1.Add(at), Until: r1.Add(at) + 1})
+	}
+	eng := sim.NewEngine(1)
+	nw := New(eng, 2, pr)
+	inj, err := faultnet.NewInjector(faultnet.Plan{Partitions: cut}, 2, 1)
+	must(t, err)
+	nw.InstallFaults(inj)
+	var got []int
+	var fires []sim.Duration // by half T after the first restart
+	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) { got = append(got, m.Payload.(int)) })
+	nw.Endpoint(1).SetBusy(+1)
+	for k := range 8 {
+		send(nil, nw.Endpoint(0), 1, 32, k)
+	}
+	fire := nw.rel.timerFn
+	nw.rel.timerFn = func(a any) {
+		if a.(*timerRec).resync {
+			fires = append(fires, 2*eng.Now().Sub(r1)/T)
+		}
+		fire(a)
+	}
+	for _, c := range cut {
+		eng.At(c.From.Add(-T/2), func() { nw.rel.crash(1) })
+		eng.At(c.From, func() { nw.rel.restart(1) })
+	}
+	eng.Spawn("watch", func(p *sim.Proc) { p.Sleep(20 * sim.Millisecond) })
+	mustRun(t, eng)
+	if !slices.Equal(fires, []sim.Duration{2, 6, 10, 16, 20}) || !slices.Equal(got, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("resync chains fired at %v half-timeouts after the first restart, want 2 6 10 16 20; handler ran for %v, want 0 to 7 once each, in order", fires, got)
+	}
+}
+
 // TestCrashUnderTheHandlerDeliversOnce: a host that crashes while its
 // service thread is still processing a frame, and restarts before it is
 // done, asks for the link again from the frame its floor rolled back to;

@@ -28,13 +28,13 @@ var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"dsm", 3342},
+	{"dsm", 3247},
 }
 
 // kernelTarget is the kernel's line total, lowered with its ceilings. A
 // change that takes the kernel past it fails, whatever the per-package
 // ceilings.
-const kernelTarget = 3342
+const kernelTarget = 3247
 
 // substrateBudget is the same ratchet over the simulator substrate the
 // kernel runs on and the model checker that explores it.
@@ -43,7 +43,7 @@ var substrateBudget = []struct {
 	max int
 }{
 	{"sim", 1168},
-	{"fastmsg", 1401},
+	{"fastmsg", 1395},
 	{"faultnet", 250},
 	{"vm", 618},
 	{"core", 613},

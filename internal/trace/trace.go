@@ -39,21 +39,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// opNames maps protocol operation codes (Event.Op) to display names. It
-// is appended to once per protocol package, from init functions, and
-// read-only afterwards.
+// opNames maps protocol operation codes (Event.Op) to display names.
 var opNames []string
 
-// RegisterOps appends a message table's operation names to the shared
-// registry and returns the code of its first entry. Each table (dsm's,
-// lrc-mw's, the kernel's services) registers once from an init
-// function and records events as base+op, so they coexist in one binary
-// without clobbering each other's names.
-func RegisterOps(names []string) uint16 {
-	base := len(opNames)
-	opNames = append(opNames, names...)
-	return uint16(base)
-}
+// RegisterOps names the operation codes, by code: the kernel registers its
+// one message table, whose message types are the codes, at init.
+func RegisterOps(names []string) { opNames = names }
 
 // OpName returns the registered name of op.
 func OpName(op uint16) string {

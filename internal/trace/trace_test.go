@@ -10,7 +10,7 @@ import (
 
 func TestRecordAndEvents(t *testing.T) {
 	r := NewRecorder(8)
-	r.RecordMsg(100, Send, 0, 1, -1, fixtureBase+0, 3, 0x2000)
+	r.RecordMsg(100, Send, 0, 1, -1, 0, 3, 0x2000)
 	r.RecordFault(200, 1, false, 0x2000)
 	evs := r.Events()
 	if len(evs) != 2 {
@@ -27,7 +27,7 @@ func TestRecordAndEvents(t *testing.T) {
 func TestRingWraps(t *testing.T) {
 	r := NewRecorder(4)
 	for i := 0; i < 10; i++ {
-		r.RecordMsg(sim.Time(i), Send, 0, 1, -1, fixtureBase+0, i, 0)
+		r.RecordMsg(sim.Time(i), Send, 0, 1, -1, 0, i, 0)
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -47,7 +47,7 @@ func TestRingWraps(t *testing.T) {
 func TestFilter(t *testing.T) {
 	r := NewRecorder(8)
 	r.Filter = func(e Event) bool { return e.Kind == Fault }
-	r.RecordMsg(1, Send, 0, 1, -1, fixtureBase+0, 3, 0)
+	r.RecordMsg(1, Send, 0, 1, -1, 0, 3, 0)
 	r.RecordFault(2, 0, true, 0x4000)
 	if r.Len() != 1 || r.Events()[0].At != 2 {
 		t.Fatalf("filter failed: %+v", r.Events())
@@ -56,9 +56,9 @@ func TestFilter(t *testing.T) {
 
 func TestDumpAndGrep(t *testing.T) {
 	r := NewRecorder(2)
-	r.RecordMsg(1, Send, 0, 1, -1, fixtureBase+0, 1, 0)
-	r.RecordMsg(2, Send, 1, 0, -1, fixtureBase+1, 2, 0)
-	r.RecordMsg(3, Send, 0, 1, -1, fixtureBase+2, 3, 0)
+	r.RecordMsg(1, Send, 0, 1, -1, 0, 1, 0)
+	r.RecordMsg(2, Send, 1, 0, -1, 1, 2, 0)
+	r.RecordMsg(3, Send, 0, 1, -1, 2, 3, 0)
 	var buf bytes.Buffer
 	r.Dump(&buf)
 	out := buf.String()
@@ -83,20 +83,17 @@ func TestNilRecorderSafe(t *testing.T) {
 	}
 }
 
-// fixtureBase is the test op table's base code, registered once — the
-// registry is append-only, so repeated registration per test would leak
-// a copy of the table per call.
-var fixtureBase = RegisterOps([]string{"READ_REQUEST", "WRITE_REQUEST", "READ_FWD"})
+func init() { RegisterOps([]string{"READ_REQUEST", "WRITE_REQUEST", "READ_FWD"}) }
 
 // structuredFixture records a small mixed protocol history through the
 // typed entry points, as the DSM layer does.
 func structuredFixture() *Recorder {
 	r := NewRecorder(32)
-	r.RecordMsg(100, Send, 0, 2, 1, fixtureBase+0, 7, 0x2000) // READ_REQUEST mp=7, h0->h2, home h1
-	r.RecordMsg(150, Handle, 2, 0, 1, fixtureBase+0, 7, 0)    // its handler
-	r.RecordMsg(200, Send, 1, 3, 1, fixtureBase+1, 9, 0x3000) // WRITE_REQUEST mp=9
-	r.RecordFault(250, 3, false, 0x4000)                      // read fault on h3
-	r.RecordFault(300, 3, true, 0x4100)                       // write fault on h3
+	r.RecordMsg(100, Send, 0, 2, 1, 0, 7, 0x2000) // READ_REQUEST mp=7, h0->h2, home h1
+	r.RecordMsg(150, Handle, 2, 0, 1, 0, 7, 0)    // its handler
+	r.RecordMsg(200, Send, 1, 3, 1, 1, 9, 0x3000) // WRITE_REQUEST mp=9
+	r.RecordFault(250, 3, false, 0x4000)          // read fault on h3
+	r.RecordFault(300, 3, true, 0x4100)           // write fault on h3
 	return r
 }
 
@@ -200,9 +197,9 @@ func TestRecordMsgAllocFree(t *testing.T) {
 func TestResetRecycles(t *testing.T) {
 	r := NewRecorder(8)
 	run := func() string {
-		r.RecordMsg(1, Send, 0, 1, 2, fixtureBase+1, 42, 0xbeef)
+		r.RecordMsg(1, Send, 0, 1, 2, 1, 42, 0xbeef)
 		r.RecordFault(2, 1, false, 0xbeef)
-		r.RecordMsg(3, Handle, 1, 0, -1, fixtureBase+2, 5, 0)
+		r.RecordMsg(3, Handle, 1, 0, -1, 2, 5, 0)
 		var buf bytes.Buffer
 		r.Dump(&buf)
 		return buf.String()

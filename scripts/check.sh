@@ -52,12 +52,13 @@ full() {
 	go test -count=1 -race -tags invariants ./...
 
 	# Stress reruns where real Go concurrency lives: the kernel's runtime
-	# (the cluster suites over every protocol, and dsm's barrier tree),
+	# (the cluster suites over every protocol, and dsm's barrier tree,
+	# receive sequence and deadlock report),
 	# bench's parallel replica sweeps, and sim's idle-carrier list (the one
 	# package-level state engines share), its resume chains and steppers.
 	# Repetition gives a scheduling-order bug more chances to surface.
 	go test -race -count=3 ./internal/cluster/
-	go test -race -count=3 -run '^(TestBarrierTreeShape|TestBarrierTreeEpisodes)$' ./internal/dsm/
+	go test -race -count=3 -run '^(TestBarrierTreeShape|TestBarrierTreeEpisodes|TestReceiveSequenceIsTheServer|TestDeadlockNamesWhatThreadsWaitFor)$' ./internal/dsm/
 	go test -race -count=3 -run 'TestSweep' ./internal/bench/
 	go test -race -count=10 -run 'TestConcurrentEnginesShareCarriers|TestCarriersDoNotGrowPerRun|TestChain|TestChildCarrierReleasedByResumer|TestHandoverPrice|TestStepper|TestDrive' ./internal/sim/
 
