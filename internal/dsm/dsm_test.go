@@ -91,7 +91,7 @@ func TestSystemRun(t *testing.T) {
 		}
 		last = max(last, th.Stats.End)
 	}
-	if r := ths[3].req; r.h != ths[3].host || r.fw == nil || ths[3].Stats.WriteFaults != 1 {
+	if r := ths[3].req; r.h != ths[3].host || r.ev == nil || ths[3].Stats.WriteFaults != 1 {
 		t.Fatalf("thread 3's fault: request on %v, %d write faults; want its own host's, 1", r.h, ths[3].Stats.WriteFaults)
 	}
 	if s.Elapsed() != sim.Duration(last) {

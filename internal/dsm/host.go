@@ -32,9 +32,8 @@ type Host struct {
 	node, parent, expect int    // its place in the barrier tree (barrierTree)
 	got                  []*Msg // what it collected of the episode so far
 
-	parked   []*Msg // reply headers waiting for their bytes, by sender (park)
-	inEngine bool   // an engine-context row is running: flush(nil) queues
-	late     bool   // the row in service posted there: Sending stamps its sends
+	inEngine bool // an engine-context row is running: flush(nil) queues
+	late     bool // the row in service posted there: Sending stamps its sends
 
 	mwHost // lrc-mw's
 }
@@ -54,8 +53,9 @@ func (h *Host) Collected() int { return len(h.got) }
 // A header has one owner at a time, with and without a fault plan: the
 // sender until Send, then the handler that receives it — which the
 // transport runs exactly once per message, duplicates and retransmits
-// included. The owner forwards it (mutate and resend), parks it (a
-// directory queue, park) or recycles it. Requesters keep no copy.
+// included; a reply header's bytes, which carry it on (postData), are its
+// last message. The owner forwards it (mutate and resend), parks it (a
+// directory queue) or recycles it. Requesters keep no copy.
 func (h *Host) allocPM(v Msg) *Msg {
 	m := h.sys.freePM.Get()
 	*m = v
@@ -63,7 +63,7 @@ func (h *Host) allocPM(v Msg) *Msg {
 }
 
 // recyclePM returns a header its owner is done with to the freelist.
-// Only headers obtained from allocPM may be recycled — never dataMarker.
+// Only headers obtained from allocPM may be recycled.
 func (h *Host) recyclePM(m *Msg) { h.sys.freePM.Put(m) }
 
 // sendNew ships a fresh pooled header holding v; postNew posts it.
@@ -71,20 +71,15 @@ func (h *Host) sendNew(p *sim.Proc, to int, v Msg) { h.flush(p, h.postNew(to, v)
 
 func (h *Host) postNew(to int, v Msg) *fastmsg.Message { return h.post(to, h.allocPM(v)) }
 
-// call is sendNew for a request whose reply thread t then waits for, as b
-// says: send and wait are one sequence (Thread.Block).
-func (t *Thread) call(to int, v Msg, b Blocking) {
-	b.To, b.Request = to, t.host.allocPM(v)
-	t.Block(b)
-}
-
-// request is a requester's record of one directory request in flight (a
-// faulting thread blocks on one at a time; a prefetch has its own): the
-// rendezvous its reply fills in, and the count of invalidation replies
-// that holds a write back until every copy the home invalidated is gone.
+// request is a requester's record of one request in flight, a thread's
+// (Thread.call) or a prefetch's: the event its answer sets, the
+// translation a directory reply carries back, and the count of
+// invalidation replies that holds a write back until every copy the home
+// invalidated is gone.
 type request struct {
 	h    *Host
-	fw   *Wait
+	ev   *sim.Event
+	info core.Info
 	owed int  // announced by the reply and not yet in; below zero while replies lead it
 	excl bool // a read sent exclusive: if the home served it so, its copy lands marked (raise)
 }
@@ -97,12 +92,12 @@ func (r *request) settles(n int32) bool { return r == nil || r.owed+int(n) == 0 
 
 func (r *request) settle(n int32) bool { r.owed += int(n); return r.owed == 0 }
 
-func (r *request) wake(info core.Info) { r.fw.Info = info; r.fw.Ev.Set() }
+func (r *request) wake(info core.Info) { r.info = info; r.ev.Set() }
 
 // closing is the ack that closes the transaction at the minipage's home
-// once the reply is in (Blocking.Close).
+// once the reply is in (blocking.Close).
 func (r *request) closing() (int, *Msg) {
-	h, info := r.h, r.fw.Info
+	h, info := r.h, r.info
 	return h.homeOf(info.ID), h.allocPM(Msg{Type: mAck, From: h.ID(), Info: info, Epoch: h.epoch})
 }
 
@@ -116,15 +111,12 @@ func (sp span) contains(va uint64) bool {
 }
 
 // describe gives the trace a header's minipage, address and home host, as
-// this host knows it — no minipage and no home (-1) for a bulk data
-// message, whose shared marker carries no translation record, nor for the
-// coordinator's services, which concern no sharing unit (nor address).
+// this host knows it (a minipage's bytes are described by the reply
+// header they carry), or -1, 0, -1 for the coordinator's services, which
+// concern no sharing unit.
 func (h *Host) describe(m *Msg) (mp int, addr uint64, home int) {
-	switch {
-	case m.Type >= mAllocReq:
+	if m.Type >= mAllocReq {
 		return -1, 0, -1
-	case m.Info.Size == 0:
-		return -1, m.Addr, -1
 	}
 	return m.Info.ID, m.Addr, h.homeOf(m.Info.ID)
 }
@@ -216,10 +208,8 @@ func (h *Host) handleFault(t *Thread, f vm.Fault) error {
 			h.mark(info.ID, rmwMark)
 		}
 	}
-	fw := t.WaitSlot()
-	t.req = request{h: h, fw: fw, excl: excl}
-	t.call(home, Msg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Excl: excl, Req: &t.req, Epoch: h.epoch}, Blocking{
-		For: "fault reply", FW: fw, Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: &t.req,
+	t.call(home, h.allocPM(Msg{Type: typ, From: h.ID(), Addr: f.Addr, Info: info, Excl: excl, Epoch: h.epoch}), blocking{
+		For: "fault reply", Lead: c.MPTLookup, Pre: c.BlockThread, Wake: c.ThreadWake + c.FaultResume, Close: true,
 	}) // the host may go idle; the poller takes over
 	return nil
 }
@@ -241,8 +231,8 @@ func setProt(h *Host, _ *Msg, _ *fastmsg.Message) sim.Duration { return h.Costs(
 // installFront is a reply's install, and its protection change if the
 // reply completes its request: a write's copy stays as it is until the
 // last invalidation reply is in.
-func (h *Host) installFront(_ *Msg, fm *fastmsg.Message) sim.Duration {
-	c, hdr := h.Costs(), h.peek(fm)
+func (h *Host) installFront(hdr *Msg, fm *fastmsg.Message) sim.Duration {
+	c := h.Costs()
 	d := sim.Duration(len(fm.Data)) * c.InstallPerByte
 	if hdr.Req.settles(hdr.Invals) {
 		d += c.SetProt
@@ -301,13 +291,13 @@ func (h *Host) invalidate(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Mess
 	return h.post(writer, m)
 }
 
-// data installs the bytes its parked header announced. The thread serves a
-// prefetch's, whose waiters wake only after its ack is charged.
-func (h *Host) data(p *sim.Proc, _ *Msg, fm *fastmsg.Message) *fastmsg.Message {
-	if p == nil && h.peek(fm).Prefetch {
+// data installs the bytes of reply header hdr, which rode with them, and
+// ends it. The thread serves a prefetch's, whose waiters wake only after
+// its ack is charged.
+func (h *Host) data(p *sim.Proc, hdr *Msg, fm *fastmsg.Message) *fastmsg.Message {
+	if p == nil && hdr.Prefetch {
 		return fastmsg.Decline
 	}
-	hdr := h.unpark(fm)
 	h.installMinipage(p, hdr, fm.Data)
 	h.recyclePM(hdr)
 	h.sys.freeBuf.Put(fm.Data)
@@ -409,14 +399,15 @@ func (h *Host) mapped(p *sim.Proc, m *Msg) {
 
 // replyWithData answers a forwarded request from the privileged view:
 // the forward itself turns around as the reply header, and the minipage
-// bytes follow on the same channel, as the tail. They are snapshot before
-// the header's charge; nothing can write them during it, as this host's
-// copy is ReadOnly or NoAccess and its privileged view is this thread's.
+// bytes follow on the same channel, carrying it, as the tail. They are
+// snapshot before the header's charge; nothing can write them during it,
+// as this host's copy is ReadOnly or NoAccess and its privileged view is
+// this thread's.
 func (h *Host) replyWithData(p *sim.Proc, m *Msg, typ mtype) *fastmsg.Message {
 	to, data := m.From, h.readMinipage(m.Info)
 	m.Type = typ
 	h.send(p, to, m)
-	return h.postData(to, data)
+	return h.postData(to, m, data)
 }
 
 // installMinipage receives minipage contents into the privileged view,
@@ -466,7 +457,7 @@ func (h *Host) servePush(p *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Messa
 		h.send(p, i, hdr)
 		// One snapshot per destination: each buffer is recycled
 		// independently by its receiver's install path.
-		h.flush(p, h.postData(i, h.readMinipage(m.Info)))
+		h.flush(p, h.postData(i, hdr, h.readMinipage(m.Info)))
 	}
 	h.recyclePM(m) // the push order ends here
 	return nil

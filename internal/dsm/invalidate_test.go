@@ -13,8 +13,8 @@ import (
 
 // spyRows wraps the handlers of the given rows for the rest of the test:
 // check runs before and after each message is handled, with the type and
-// translation the header arrived with (a DATA message's, its parked reply
-// header's) and the host it came from.
+// translation the header arrived with (a DATA message's, the reply
+// header it carries) and the host it came from.
 func spyRows(t *testing.T, check func(h *Host, typ mtype, info core.Info, from int, done bool), types ...mtype) {
 	for _, typ := range types {
 		row := &rows[typ]
@@ -23,8 +23,7 @@ func spyRows(t *testing.T, check func(h *Host, typ mtype, info core.Info, from i
 		row.Handle = func(h *Host, p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {
 			kind, info, from := typ, m.Info, m.From
 			if typ == mData {
-				hdr := h.peek(fm)
-				kind, info = hdr.Type, hdr.Info
+				kind = m.Type
 			}
 			check(h, kind, info, from, false)
 			tail := orig(h, p, m, fm)

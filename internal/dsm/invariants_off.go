@@ -11,7 +11,7 @@ const Invariants = false // whether the build carries the lifecycle checks
 
 func (*PoolState) CheckLive(string) {}
 
-func (*Host) checkDecline(*Msg) {}
+func (*Host) checkDecline(*Msg, mtype) {}
 
 type poolCount struct{}
 

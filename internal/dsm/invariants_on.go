@@ -42,10 +42,10 @@ func (s *PoolState) reuse() {
 // checkDecline panics unless a row that declined engine context left no
 // mark for the thread to find: no send posted (nor so queued), the message
 // in hand not recycled.
-func (h *Host) checkDecline(m *Msg) {
+func (h *Host) checkDecline(m *Msg, typ mtype) {
 	m.CheckLive("decline")
 	if h.late {
-		panic("dsm: " + rows[m.Type].Name + " declined engine context after posting or queueing a send")
+		panic("dsm: " + rows[typ].Name + " declined engine context after posting or queueing a send")
 	}
 }
 

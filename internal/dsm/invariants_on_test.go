@@ -96,7 +96,7 @@ func TestDeclineLeavesNoMark(t *testing.T) {
 	}{
 		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.post(fm.From, &Msg{}) }},
 		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.send(nil, fm.From, &Msg{}) }},
-		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.postData(fm.From, make([]byte, 8)) }},
+		{posted, func(h *Host, _ *Msg, fm *fastmsg.Message) { h.postData(fm.From, &Msg{}, make([]byte, 8)) }},
 		{"decline of a recycled header", func(h *Host, m *Msg, _ *fastmsg.Message) { h.recyclePM(m) }},
 	} {
 		installRow(t, 0, row{Name: "SYN_BAD", Engine: true, Handle: func(h *Host, p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {

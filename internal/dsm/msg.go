@@ -18,10 +18,10 @@ const (
 	mWriteReq               // requester -> manager
 	mReadFwd                // manager -> replica, carries translation info
 	mWriteFwd               // manager -> chosen owner
-	mReadReply              // owner -> requester header; an mData message follows
+	mReadReply              // owner -> requester header; an mData message follows, carrying it
 	mWriteReply
 	mUpgradeGrant    // manager -> requester that already holds the bytes
-	mData            // bulk minipage contents, received directly into the privileged view
+	mData            // bulk minipage contents, received directly into the privileged view; the row, never a header's type
 	mInvalidateReq   // manager -> replica, sent before a write's forward or grant
 	mInvalidateReply // replica -> writer, which counts them
 	mAck             // faulting thread's transaction-closing ack to the manager
@@ -49,20 +49,17 @@ func (m mtype) String() string {
 	return fmt.Sprintf("mtype(%d)", int(m))
 }
 
-// dataMarker is the shared payload of every bulk mData message: the
-// header that matters was sent separately, so data messages all carry
-// the same immutable marker instead of allocating a header apiece.
-var dataMarker = &Msg{Type: mData}
-
 // Msg is the header of every message a Host sends, pooled per cluster. On
 // the wire it is Costs.HeaderSize bytes (32 in the paper's implementation:
 // type, requester, faulting address, and reserved translation-info space —
 // Section 3.3, where the manager fills it in; here the requester does,
-// Host.route). The Req pointer models the requester-local event handle that
-// rides in the header; only the requester dereferences it. A service
-// request turns around in place as its answer, so the header a thread sends
-// is the one that wakes it, and the thread recycles it once it has read the
-// answer.
+// Host.route), plus 8 B a need and a diff's bytes (Host.post). The Req
+// pointer models the requester-local event handle that rides in the
+// header; only the requester dereferences it. A request turns around in
+// place as its answer, so the header a thread sends is the one that wakes
+// it; a reply with bytes rides on to the requester as their payload
+// (postData), and the thread recycles a service's answer once it has read
+// it.
 type Msg struct {
 	PoolState // recycled mark under -tags invariants; empty otherwise
 	Link      // its place in a directory entry's, a lock's or a fetch queue
@@ -91,5 +88,5 @@ type Msg struct {
 	// and consumed in mwAcquire; a barrier release's home moves under both.
 	Ext *mwSync
 
-	Req *request // requester-local record: rendezvous (event + reply landing zone) and reply count
+	Req *request // the requester's record of the request: its event, reply and reply count
 }

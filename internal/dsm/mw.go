@@ -221,12 +221,8 @@ func (t *Thread) fetchFromHome(m *mwMP, info core.Info, home int) {
 	h := t.host
 	c := h.Costs()
 	h.sys.stats.Fetches++
-	need := h.takeNeeds(m)
-	fw := t.WaitSlot()
-	t.req = request{h: h, fw: fw}
-	rq := h.allocPM(Msg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Req: &t.req, Need: need})
-	h.flush(t.p, h.postSized(home, rq, c.HeaderSize+8*len(need))) // a need: a host id and an interval, 32 bits each
-	t.Block(Blocking{For: "fault reply", FW: fw, Wake: c.ThreadWake + c.FaultResume})
+	rq := h.allocPM(Msg{Type: mReadReq, From: h.ID(), Addr: info.Base, Info: info, Need: h.takeNeeds(m)})
+	t.call(home, rq, blocking{For: "fault reply", Wake: c.ThreadWake + c.FaultResume})
 	m.copy, m.stale = info, false
 }
 
@@ -340,8 +336,7 @@ func (t *Thread) release() mwNotice {
 			enc := t.diff(m)
 			s.stats.DiffsSent++
 			s.stats.DiffBytes += uint64(len(enc))
-			fm := h.allocPM(Msg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq})
-			h.flush(p, h.postSized(h.homeOf(id), fm, c.HeaderSize+len(enc)))
+			h.sendNew(p, h.homeOf(id), Msg{Type: mDiffFlush, From: h.ID(), Addr: m.info.Base, Info: m.info, Diff: enc, Seq: seq})
 		}
 		s.freeBuf.Put(m.twin)
 		m.twin, m.wrote = nil, false
@@ -394,7 +389,7 @@ func (t *Thread) acquire(notices []mwNotice) {
 				for !h.applied(n.Creator, n.Seq, id) {
 					s.stats.HomeWaits++
 					h.applyDone.Reset()
-					t.Block(Blocking{For: "diff apply", On: h.applyDone, Wake: c.ThreadWake})
+					t.block(blocking{For: "diff apply", On: h.applyDone, Wake: c.ThreadWake})
 				}
 				continue
 			case n.Creator: // the home's writes are in its copy
@@ -588,7 +583,8 @@ func (s *System) newerThan(dst []mwNotice, vc []uint64) []mwNotice {
 // transaction: the copy ships once the home has applied every diff the
 // request needs; until then the request waits in fetchQ, retried at each
 // apply and counted parked once. The header turns around as the reply
-// (the requester is blocked on it and holds no other reference).
+// (the requester is blocked on it and holds no other reference), its
+// need list dropped: the reply goes at HeaderSize.
 func (h *Host) fetch(p *sim.Proc, m *Msg) *fastmsg.Message {
 	for _, n := range m.Need {
 		if !h.applied(n.Creator, n.Seq, m.Info.ID) {
@@ -600,6 +596,7 @@ func (h *Host) fetch(p *sim.Proc, m *Msg) *fastmsg.Message {
 			return nil
 		}
 	}
+	m.Need = nil
 	return h.replyWithData(p, m, mReadReply)
 }
 

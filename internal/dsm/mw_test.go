@@ -821,12 +821,71 @@ func TestMWMoveWaitsForDiffInFlight(t *testing.T) {
 	}
 }
 
+// TestHeaderWireSize: post charges each header at its wire size. Host 0
+// homes every minipage; hosts 1 and 2 write one, so after the barrier
+// host 3's lrc-mw fetch carries two needs and host 1's one: each goes at
+// HeaderSize plus 8 B a need, and its READ_REPLY, the need list dropped,
+// at HeaderSize. A diff flush goes at HeaderSize plus its diff, a
+// minipage's bytes at its size, and every other header, under either
+// class, at HeaderSize.
+func TestHeaderWireSize(t *testing.T) {
+	for _, mk := range []func(string, Options) (*System, error){New, NewMW} {
+		s := newSys(t, mk, Options{Hosts: 4, SharedSize: 1 << 16, Views: 4, HomeOf: HomeCentral})
+		t.Run(fmt.Sprint("mw=", s.mw), func(t *testing.T) { checkWireSizes(t, s) })
+	}
+}
+
+func checkWireSizes(t *testing.T, s *System) {
+	needs, diffs := map[int]int{}, 0 // by requester, the needs its last fetch carried
+	for typ := range rows {
+		r := rows[typ]
+		orig := r.Handle
+		r.Handle = func(h *Host, p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {
+			want := s.Opt.Costs.HeaderSize
+			switch {
+			case fm.Data != nil:
+				want = m.Info.Size
+			case m.Type == mDiffFlush:
+				want, diffs = want+len(m.Diff), diffs+1
+			case m.Type == mReadReq && s.mw:
+				want, needs[m.From] = want+8*len(m.Need), len(m.Need)
+			}
+			if fm.Size != want {
+				t.Errorf("%s from host %d went at %d B, want %d", rows[m.Type].Name, fm.From, fm.Size, want)
+			}
+			return orig(h, p, m, fm)
+		}
+		installRow(t, mtype(typ), r)
+	}
+	var va uint64
+	run(t, s, func(th *Thread) {
+		if th.Host() == 0 {
+			va = th.Malloc(64)
+		}
+		th.Barrier()
+		if h := th.Host(); h == 1 || h == 2 {
+			th.Lock(h)
+			th.WriteU32(va+uint64(4*h), 1)
+			th.Unlock(h)
+		}
+		th.Barrier()
+		if h := th.Host(); h == 3 || h == 1 {
+			th.ReadU32(va)
+		}
+		th.Barrier()
+	})
+	if s.mw && (needs[3] != 2 || needs[1] != 1 || diffs != 2) {
+		t.Errorf("fetches carried %v needs by host and %d diffs were flushed, want host 3's 2, host 1's 1 and 2 diffs", needs, diffs)
+	}
+}
+
 // TestMWFetchIsARead: an lrc-mw fetch runs on SC's read rows. Host 1 homes
 // every minipage, allocates a 128 B and a 4 KB one and writes both; after
 // a barrier host 2 reads each once, uncontended. Each fetch is one
 // READ_REQUEST to its home, answered by one READ_REPLY and one DATA; no
 // ACK, READ_FWD or INVALIDATE_REQUEST is sent, and no directory counts
-// anything. Each fetch's latency is pinned: what it was while the fetch
+// anything, and each DATA record names the minipage and home its reply
+// header names. Each fetch's latency is pinned: what it was while the fetch
 // had rows of its own, whose reply did not charge the install of its
 // bytes, plus that charge, Info.Size x InstallPerByte. The reply's header
 // is recycled by that install; under -tags invariants a recycled header is
@@ -891,11 +950,7 @@ func TestMWFetchIsARead(t *testing.T) {
 			t.Errorf("an lrc-mw fetch sent %s: %v", name, seen[name])
 		}
 	}
-	for _, e := range rec.Grep("mp=0") { // a DATA message's shared marker names no minipage
-		if trace.OpName(e.Op) == "DATA" {
-			t.Errorf("%v traces a fetch's bytes as minipage 0's", e)
-		}
-	}
+	checkDataTraced(t, rec)
 	if ms := s.ManagerStatsTotal(); ms != (ManagerStats{}) {
 		t.Errorf("lrc-mw counted directory work: %+v", ms)
 	}

@@ -15,10 +15,10 @@ import (
 // headerBalance returns the pooled headers somebody still owns (made and
 // not on the freelist, which the pool counts under -tags invariants only,
 // hence the build tag) and the ones the protocol has parked where it will
-// find them again: directory and lock queues, barrier collections and
-// reply headers waiting for their data message. With every thread
-// finished and the wire quiet the two must agree — a header owned but
-// parked nowhere was dropped by some exit that forgot to recycle it.
+// find them again: directory and lock queues and barrier collections (a
+// reply header rides with its bytes, so none waits for them). With every
+// thread finished and the wire quiet the two must agree — a header owned
+// but parked nowhere was dropped by some exit that forgot to recycle it.
 func headerBalance(s *System) (owned, parked int) {
 	owned = s.freePM.Live()
 	for _, slab := range s.dir {
@@ -31,11 +31,6 @@ func headerBalance(s *System) (owned, parked int) {
 	}
 	for i := 0; i < s.NumHosts(); i++ {
 		parked += len(s.Host(i).got)
-		for _, hdr := range s.Host(i).parked { // reply headers waiting for their bytes
-			if hdr != nil {
-				parked++
-			}
-		}
 	}
 	return owned, parked
 }

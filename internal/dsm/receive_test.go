@@ -95,7 +95,7 @@ func (r *synState) engTailRow(h *Host, _ *sim.Proc, m *Msg, fm *fastmsg.Message)
 
 func (r *synState) engRow(h *Host, _ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
 	if r.fold(h, m).Req != nil {
-		m.Req.fw.Ev.Set()
+		m.Req.ev.Set()
 	}
 	return nil
 }
@@ -198,9 +198,7 @@ func synRun(t *testing.T, inProcess bool, plan *faultnet.Plan) synResult {
 				th.host.send(th.p, to, &Msg{Type: typ, Seq: 4, Addr: val})
 				continue
 			}
-			fw := th.WaitSlot()
-			th.Block(Blocking{For: "syn answer", FW: fw, Wake: sim.Microsecond, To: to,
-				Request: &Msg{Type: synEngTail, Addr: val, Req: &request{fw: fw}}})
+			th.call(to, &Msg{Type: synEngTail, Addr: val}, blocking{For: "syn answer", Wake: sim.Microsecond})
 		}
 	})
 	c := s.Eng.Counters()
@@ -274,7 +272,7 @@ func TestReceiveSequenceIsTheServer(t *testing.T) {
 
 // TestDeadlockNamesWhatThreadsWaitFor: a run whose replies never come
 // ends in a deadlock report that says, thread by thread, which operation
-// hangs — the wait reason every Block carries — whether the thread was
+// hangs — the wait reason every block carries — whether the thread was
 // blocked by its own first Step (no request, nothing to charge) or, mid-
 // sequence, by one the engine ran after the request's send charge.
 func TestDeadlockNamesWhatThreadsWaitFor(t *testing.T) {
@@ -285,11 +283,11 @@ func TestDeadlockNamesWhatThreadsWaitFor(t *testing.T) {
 	err := s.Run(func(th *Thread) {
 		switch th.ID {
 		case 0: // a call nobody answers (host 1 drops the request)
-			th.Block(Blocking{For: "lock grant", FW: th.WaitSlot(), To: 1, Request: &Msg{}, Wake: sim.Microsecond})
+			th.call(1, &Msg{}, blocking{For: "lock grant", Wake: sim.Microsecond})
 		case 1:
-			th.Block(Blocking{For: "flush done", On: sim.NewEvent(s.Eng), Pre: sim.Microsecond})
+			th.block(blocking{For: "flush done", On: sim.NewEvent(s.Eng), Pre: sim.Microsecond})
 		case 2: // the group's first member is there, the second never comes
-			th.Block(Blocking{For: "prefetch group", Group: []*sim.Event{set, sim.NewEvent(s.Eng)}})
+			th.block(blocking{For: "prefetch group", Group: []*sim.Event{set, sim.NewEvent(s.Eng)}})
 		}
 		t.Errorf("thread %d woke", th.ID)
 	})

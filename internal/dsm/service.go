@@ -35,19 +35,12 @@ func (t *Thread) Malloc(size int) uint64 {
 		h.alloc(t.p, m, true)
 		h.mapped(t.p, m)
 	} else {
-		t.ask(Coordinator, m, "malloc reply")
+		t.call(Coordinator, m, blocking{For: "malloc reply", Wake: h.Costs().ThreadWake})
 	}
 	va := m.Addr
 	h.recyclePM(m)
 	t.Stats.MallocTime += t.p.Now().Sub(start)
 	return va
-}
-
-// ask sends request m to host `to` and blocks until its answer.
-func (t *Thread) ask(to int, m *Msg, what string) {
-	t.req = request{h: t.host, fw: t.WaitSlot()}
-	m.Req = &t.req
-	t.Block(Blocking{For: what, FW: t.req.fw, Wake: t.host.Costs().ThreadWake, To: to, Request: m})
 }
 
 // syncRelease runs lrc-mw's release half as synchronization m leaves (SC
@@ -76,7 +69,7 @@ func (t *Thread) Barrier() {
 	m := t.host.allocPM(Msg{Type: mBarrierArrive, From: t.host.id})
 	t.syncRelease(m)
 	t.p.Sleep(t.host.Costs().BarrierBase)
-	t.ask(t.host.node, m, "barrier release")
+	t.call(t.host.node, m, blocking{For: "barrier release", Wake: t.host.Costs().ThreadWake})
 	t.syncAcquire(m)
 	t.Stats.SynchTime += t.p.Now().Sub(start)
 	t.Stats.Barriers++
@@ -88,7 +81,7 @@ func (t *Thread) Lock(id int) {
 	start := t.p.Now()
 	m := t.host.allocPM(Msg{Type: mLockReq, From: t.host.id, LockID: id})
 	t.syncRelease(m)
-	t.ask(Coordinator, m, "lock grant")
+	t.call(Coordinator, m, blocking{For: "lock grant", Wake: t.host.Costs().ThreadWake})
 	t.syncAcquire(m)
 	t.locks++
 	t.Stats.SynchTime += t.p.Now().Sub(start)
@@ -119,7 +112,7 @@ func (h *Host) allocReply(p *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Mes
 
 // answer wakes the requester, which reads the answer and recycles it.
 func (h *Host) answer(_ *sim.Proc, m *Msg, _ *fastmsg.Message) *fastmsg.Message {
-	m.Req.fw.Ev.Set()
+	m.Req.ev.Set()
 	return nil
 }
 

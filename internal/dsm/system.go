@@ -190,7 +190,7 @@ func newSystem(name string, opt Options, mw bool) (*System, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: host %d: %w", name, i, err)
 		}
-		h := &Host{sys: s, id: i, AS: as, Region: region, parked: make([]*Msg, opt.Hosts)}
+		h := &Host{sys: s, id: i, AS: as, Region: region}
 		if mw {
 			h.vc, h.flushed, h.applyDone = make([]uint64, opt.Hosts), make([]uint64, opt.Hosts), sim.NewEvent(s.Eng)
 		}
@@ -215,7 +215,7 @@ func (s *System) Run(body func(*Thread)) error {
 	}
 	for _, h := range s.hosts {
 		for j := 0; j < s.Opt.ThreadsPerHost; j++ {
-			t := &Thread{host: h, ID: len(s.threads), LID: j}
+			t := &Thread{host: h, ID: len(s.threads), LID: j, req: request{ev: sim.NewEvent(s.Eng)}}
 			s.threads = append(s.threads, t)
 			t.p = s.Eng.Spawn(fmt.Sprintf("app-%d.%d", h.id, j), func(p *sim.Proc) {
 				h.EP.SetBusy(+1)
@@ -234,7 +234,7 @@ func (s *System) Run(body func(*Thread)) error {
 	return err
 }
 
-// ErrStopped is the threads Eng.Stop left unfinished, each with its last Blocking.For.
+// ErrStopped is the threads Eng.Stop left unfinished, each with what it waits for.
 type ErrStopped []sim.BlockedProc
 
 func (e ErrStopped) Error() string { return fmt.Sprint("dsm: stopped: ", []sim.BlockedProc(e)) }

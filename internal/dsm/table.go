@@ -1,8 +1,6 @@
 package dsm
 
 import (
-	"fmt"
-
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 	"millipage/internal/trace"
@@ -50,8 +48,8 @@ var rows = [...]row{
 	// front: a reply opens with its install. Its bytes land after the charge, through
 	// the privileged view only this thread uses, in a copy NoAccess here (or ReadOnly, same bytes).
 	mData:      {Name: "DATA", Front: (*Host).installFront, Handle: (*Host).data, Engine: true},
-	mReadReply: {Name: "READ_REPLY", Handle: park, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: park, Engine: true},
-	mPushData: {Name: "PUSH_DATA", Handle: park, Engine: true},
+	mReadReply: {Name: "READ_REPLY", Handle: ahead, Engine: true}, mWriteReply: {Name: "WRITE_REPLY", Handle: ahead, Engine: true},
+	mPushData: {Name: "PUSH_DATA", Handle: ahead, Engine: true},
 	mAck:      {Name: "ACK", Handle: dir, Engine: true}, mPushAck: {Name: "PUSH_ACK", Handle: dir},
 	mDiffFlush: {Name: "MW_DIFF_FLUSH", Handle: (*Host).diffFlush},
 
@@ -72,50 +70,43 @@ func init() {
 	trace.RegisterOps(names)
 }
 
-// park is the row of a reply header whose bytes follow it on the same
-// channel: it waits for them, by sender (unpark).
-func park(h *Host, _ *sim.Proc, m *Msg, fm *fastmsg.Message) *fastmsg.Message {
-	h.parked[fm.From] = m
-	return nil
-}
+// ahead is the row of a reply header whose bytes follow it on the same
+// channel: the header rides with them, and DATA's row takes it.
+func ahead(*Host, *sim.Proc, *Msg, *fastmsg.Message) *fastmsg.Message { return nil }
 
-// unpark takes the header parked for data message fm; peek only looks.
-func (h *Host) unpark(fm *fastmsg.Message) (hdr *Msg) {
-	hdr, h.parked[fm.From] = h.peek(fm), nil
-	return hdr
-}
-
-func (h *Host) peek(fm *fastmsg.Message) *Msg {
-	hdr := h.parked[fm.From]
-	if hdr == nil {
-		panic(fmt.Sprintf("%s: host %d: data from %d with no pending header", h.sys.Name, h.id, fm.From))
+// header returns fm's header and the type of the row it runs: DATA's for
+// a minipage's bytes, whose payload is the reply header they follow.
+func header(fm *fastmsg.Message) (*Msg, mtype) {
+	m := fm.Payload.(*Msg)
+	if fm.Data != nil {
+		return m, mData
 	}
-	return hdr
+	return m, m.Type
 }
 
 // Receive, Serve and Sending make the Host its endpoint's fastmsg.Server.
 // Receive records the dispatch, at the RecvCPU resume as the thread did,
 // and finds the message's row and its front; Serve runs the row.
 func (h *Host) Receive(fm *fastmsg.Message) (sim.Duration, bool) {
-	m := fm.Payload.(*Msg)
+	m, typ := header(fm)
 	m.CheckLive("receive")
 	if tr := h.sys.Opt.Trace; tr.Enabled() {
 		mp, _, home := h.describe(m)
-		tr.RecordMsg(h.sys.Eng.Now(), trace.Handle, h.id, fm.From, home, uint16(m.Type), mp, 0)
+		tr.RecordMsg(h.sys.Eng.Now(), trace.Handle, h.id, fm.From, home, uint16(typ), mp, 0)
 	}
-	if row := &rows[m.Type]; row.Front != nil {
+	if row := &rows[typ]; row.Front != nil {
 		return row.Front(h, m, fm), row.Engine
 	}
-	return fastmsg.NoFront, rows[m.Type].Engine
+	return fastmsg.NoFront, rows[typ].Engine
 }
 
 func (h *Host) Serve(p *sim.Proc, fm *fastmsg.Message) (tail *fastmsg.Message) {
-	m := fm.Payload.(*Msg)
+	m, typ := header(fm)
 	h.inEngine, h.late = p == nil, false
-	tail = rows[m.Type].Handle(h, p, m, fm)
+	tail = rows[typ].Handle(h, p, m, fm)
 	h.inEngine = false
 	if tail == fastmsg.Decline {
-		h.checkDecline(m)
+		h.checkDecline(m, typ)
 	}
 	return tail
 }
@@ -126,17 +117,14 @@ func (h *Host) Serve(p *sim.Proc, fm *fastmsg.Message) (tail *fastmsg.Message) {
 func (h *Host) send(p *sim.Proc, to int, m *Msg) { h.flush(p, h.post(to, m)) }
 
 // post is send up to the charge: it records the send and returns the
-// posted envelope, for a handler's tail or flush. postSized gives the wire
-// size of a header with variable-length extras (lrc's encoded diffs). From
-// an engine-context row the record waits for the send's turn (Sending).
+// posted envelope, for a handler's tail or flush. A header goes at its
+// wire size: HeaderSize, plus 8 B a need an lrc-mw fetch carries (a host
+// id and an interval, 32 bits each) and a diff flush's diff. From an
+// engine-context row the record waits for the send's turn (Sending).
 func (h *Host) post(to int, m *Msg) *fastmsg.Message {
-	return h.postSized(to, m, h.Costs().HeaderSize)
-}
-
-func (h *Host) postSized(to int, m *Msg, size int) *fastmsg.Message {
 	m.CheckLive("Send")
 	fm := h.EP.AllocMessage()
-	fm.Size, fm.Payload = size, m
+	fm.Size, fm.Payload = h.Costs().HeaderSize+8*len(m.Need)+len(m.Diff), m
 	h.EP.Post(to, fm)
 	if h.inEngine {
 		h.late = true
@@ -163,12 +151,14 @@ func (h *Host) stamp(fm *fastmsg.Message) {
 	}
 }
 
-// postData posts raw sharing-unit bytes (no header: FM delivers them
-// directly into the destination's memory, the paper's zero-copy path),
-// dataMarker their payload. The header is traced.
-func (h *Host) postData(to int, data []byte) *fastmsg.Message {
+// postData posts raw sharing-unit bytes behind reply header m, sent just
+// before them: FM delivers the bytes directly into the destination's
+// memory (the paper's zero-copy path), and m rides with them as their
+// payload, for DATA's row to install them by and recycle. Only the
+// header's send is traced.
+func (h *Host) postData(to int, m *Msg, data []byte) *fastmsg.Message {
 	fm := h.EP.AllocMessage()
-	fm.Size, fm.Data, fm.Payload = len(data), data, dataMarker
+	fm.Size, fm.Data, fm.Payload = len(data), data, m
 	h.EP.Post(to, fm)
 	h.late = h.late || h.inEngine // for checkDecline; the bytes are not traced
 	return fm

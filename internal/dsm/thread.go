@@ -3,57 +3,40 @@ package dsm
 import (
 	"fmt"
 
-	"millipage/internal/core"
 	"millipage/internal/fastmsg"
 	"millipage/internal/sim"
 	"millipage/internal/stats"
 	"millipage/internal/vm"
 )
 
-// Wait is the per-transaction rendezvous between a requesting thread and
-// its host's DSM server thread: the event the thread blocks on, plus the
-// reply fields the handler fills in before setting it.
-type Wait struct {
-	Ev   *sim.Event
-	Info core.Info // translation info carried back by the reply
-}
-
-// newWait returns a fresh rendezvous record, for a transaction that
-// outlives the issuing call (a prefetch); synchronous paths reuse the
-// thread's slot via WaitSlot.
-func newWait(eng *sim.Engine) *Wait { return &Wait{Ev: sim.NewEvent(eng)} }
-
 // Thread is one application thread's view of the DSM: the entire
 // user-facing Millipage API (Section 3.4's library interface) — memory
 // access, Malloc, Barrier, Lock and Unlock (service.go), Compute, Idle and stats,
 // and the Millipage performance hints, which only the SC class serves:
 // under lrc-mw they are correct no-ops. Behind it are its simulated
-// process, its rendezvous slot and its time-breakdown statistics.
+// process, its request record and its time-breakdown statistics.
 // All methods must be called from the thread's own body function.
 type Thread struct {
 	host *Host
 	p    *sim.Proc // nil once its body has returned
 
-	// fw is the thread's reusable rendezvous for synchronous blocking
-	// operations (faults, malloc, barriers, locks). A thread blocks on at
-	// most one of these at a time, so a single record per thread suffices;
-	// prefetch paths allocate fresh records because their rendezvous
-	// outlives the issuing call.
-	fw *Wait
-
 	ID  int // global thread id
 	LID int // local index on the host
 
-	// The blocking operation in progress (Block), which the thread itself
+	// The blocking operation in progress (block), which the thread itself
 	// is the stepper of: what it is (op.Group the events still to wait
 	// for; one backs the common list of one), where Step is in it, and
 	// the posted request.
-	op      Blocking
+	op      blocking
 	stage   opStage
 	one     [1]*sim.Event
 	request *fastmsg.Message
 
-	req request // its request in flight: a fault's, or a service call's rendezvous (ask)
+	// req is its request in flight (call): a fault's, a fetch's or a
+	// service call's. A thread waits on one at a time, so one record,
+	// event and all, serves every call; a prefetch's outlives the issuing
+	// call and has its own.
+	req request
 
 	prefetchWait bool // the read fault in service waited on a prefetch: onFault books it as prefetch wait
 	locks        int  // the locks it holds (HoldsLock)
@@ -87,7 +70,7 @@ func (t *Thread) Compute(d sim.Duration) {
 }
 
 // Idle waits d without computing, as a server's event loop polling its
-// ingress and FM: like Block it gives up the host's busy reference, so
+// ingress and FM: like block it gives up the host's busy reference, so
 // arrivals are served after PollIdle, not at a sweeper tick. It books d as
 // IdleTime and resumes at now+d, with no block or wake charge.
 func (t *Thread) Idle(d sim.Duration) {
@@ -99,28 +82,16 @@ func (t *Thread) Idle(d sim.Duration) {
 	}
 }
 
-// WaitSlot returns the thread's rendezvous, reset for a new transaction
-// (whose reply sets its Info).
-func (t *Thread) WaitSlot() *Wait {
-	if t.fw == nil {
-		t.fw = newWait(t.host.sys.Eng)
-	}
-	fw := t.fw
-	fw.Ev.Reset()
-	return fw
-}
-
-// Blocking describes one blocking operation of an application thread,
-// the argument of Thread.Block: what to wait for, what the wait costs the
+// blocking describes one blocking operation of an application thread,
+// the argument of Thread.block: what to wait for, what the wait costs the
 // thread on either side and, for a call, the request that goes out first.
-type Blocking struct {
+type blocking struct {
 	// For says what the thread waits for ("fault reply", "lock grant"); a
 	// deadlock report prints it as the thread's wait reason.
 	For string
 
-	// The wait ends when FW's event is set — or, without a rendezvous, the
-	// bare event On, or every event of Group, awaited in order.
-	FW    *Wait
+	// The wait ends when the event On is set, or every event of Group,
+	// awaited in order.
 	On    *sim.Event
 	Group []*sim.Event
 
@@ -133,11 +104,11 @@ type Blocking struct {
 	Request *Msg
 	Lead    sim.Duration // charged before the send: the requester's own work it waits on (a fault's Translate)
 
-	// Close, when not nil, ends a call with the header that closes it (a
-	// fault's ack to the home), taken from it after Wake: it is posted and
-	// its send CPU charged as the sequence's last stage, as a Send from the
-	// woken thread would.
-	Close *request
+	// Close ends a call with the ack that closes its transaction at the
+	// home (request.closing), made after Wake: it is posted and its send
+	// CPU charged as the sequence's last stage, as a Send from the woken
+	// thread would.
+	Close bool
 }
 
 // opStage is where a blocking operation's sequence stands.
@@ -154,19 +125,16 @@ const (
 	opClosed                  // put it on the wire
 )
 
-// Block is the one place an application thread blocks: it sends b's
+// block is the one place an application thread blocks: it sends b's
 // request, if any, and parks the thread until what b names has happened,
 // releasing the host's busy reference meanwhile so the endpoint poller
 // takes over. The whole operation — Lead, send CPU, wire, Pre, the wait,
 // Wake, the closing send — is one engine-side wait sequence (sim.Stepper,
 // Step below), so the thread is switched to once, when it is over, not at
 // every charge.
-func (t *Thread) Block(b Blocking) {
+func (t *Thread) block(b blocking) {
 	t.op, t.stage = b, opSuspend
-	switch {
-	case b.FW != nil:
-		t.one[0], t.op.Group = b.FW.Ev, t.one[:]
-	case b.On != nil:
+	if b.On != nil {
 		t.one[0], t.op.Group = b.On, t.one[:]
 	}
 	if b.Request != nil {
@@ -175,8 +143,20 @@ func (t *Thread) Block(b Blocking) {
 	t.p.Drive(t)
 }
 
+// call sends request m to host `to` and waits for its answer, as b says:
+// the thread's request record rides in m, and the send and the wait are
+// one sequence (block). A fault, an lrc-mw fetch and the coordinator's
+// services are each one call.
+func (t *Thread) call(to int, m *Msg, b blocking) {
+	r := &t.req
+	r.ev.Reset()
+	*r = request{h: t.host, ev: r.ev, excl: m.Excl}
+	m.Req, b.On, b.To, b.Request = r, r.ev, to, m
+	t.block(b)
+}
+
 // Step advances the blocking operation in progress (sim.Stepper): the
-// first one in the thread itself, at Block, the later ones in engine
+// first one in the thread itself, at block, the later ones in engine
 // context at the thread's resume events, doing there exactly what the
 // thread did between its Sleeps and Waits when it ran them itself.
 func (t *Thread) Step() (sim.Action, sim.Duration) {
@@ -217,15 +197,15 @@ func (t *Thread) Step() (sim.Action, sim.Duration) {
 		t.stage = opClose
 		return sim.SleepFor, op.Wake
 	case opClose:
-		if op.Close != nil {
-			to, m := op.Close.closing()
+		if op.Close {
+			to, m := t.req.closing()
 			t.request, t.stage = h.post(to, m), opClosed
 			return sim.SleepFor, h.sys.Opt.Net.SendCPU(t.request.Size)
 		}
 	case opClosed:
 		h.EP.Transmit(t.request)
 	}
-	t.request, t.op = nil, Blocking{} // no recycled header or stale wait reason outlives the operation
+	t.request, t.op = nil, blocking{} // no recycled header or stale wait reason outlives the operation
 	return sim.Run, 0
 }
 
@@ -337,9 +317,9 @@ func (st ThreadStats) Other() sim.Duration {
 // sendPrefetch records [va, va+size) as in flight, translates va and
 // issues one prefetch request for the minipage backing it. The reliable
 // transport carries it across a crash of either end, and the home serves
-// it once, as it does every request. Its rendezvous, returned, outlives
-// the call.
-func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, size int) *Wait {
+// it once, as it does every request. Its request record, whose event it
+// returns, outlives the call.
+func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, size int) *sim.Event {
 	h := t.host
 	h.prefetchSpans = append(h.prefetchSpans, span{base: va, size: size})
 	p.Sleep(h.Costs().MPTLookup)
@@ -347,10 +327,10 @@ func (t *Thread) sendPrefetch(p *sim.Proc, va uint64, size int) *Wait {
 	if err != nil {
 		h.sys.misuse(h.ID(), "prefetch: %v", err)
 	}
-	r := &request{h: h, fw: newWait(h.sys.Eng)}
+	r := &request{h: h, ev: sim.NewEvent(h.sys.Eng)}
 	h.sendNew(p, home, Msg{Type: mReadReq, From: h.ID(), Addr: va, Info: info, Prefetch: true, Req: r, Epoch: h.epoch})
 	t.Stats.Prefetches++
-	return r.fw
+	return r.ev
 }
 
 // Prefetch asynchronously requests a read copy of the minipage(s) backing
@@ -418,10 +398,10 @@ func (t *Thread) GangFetch(spans []Span) {
 		if t.inPrefetchSpan(sp.Addr) {
 			continue
 		}
-		evs = append(evs, t.sendPrefetch(p, sp.Addr, sp.Size).Ev)
+		evs = append(evs, t.sendPrefetch(p, sp.Addr, sp.Size))
 	}
 	if len(evs) > 0 {
-		t.Block(Blocking{For: "prefetch group", Group: evs, Wake: c.ThreadWake})
+		t.block(blocking{For: "prefetch group", Group: evs, Wake: c.ThreadWake})
 	}
 	t.Stats.PrefetchTime += p.Now().Sub(start)
 }

@@ -48,7 +48,9 @@ func TestProtocolTracing(t *testing.T) {
 		}
 	}
 	// Events are time-ordered. Service traffic concerns no sharing unit,
-	// an allocation's reply included, which carries one.
+	// an allocation's reply included, which carries one; a minipage's bytes
+	// are their reply header's.
+	checkDataTraced(t, rec)
 	evs := rec.Events()
 	for i, e := range evs {
 		if i > 0 && e.At < evs[i-1].At {
@@ -56,6 +58,23 @@ func TestProtocolTracing(t *testing.T) {
 		}
 		if e.Kind != trace.Fault && mtype(e.Op) >= mAllocReq && (e.MP != -1 || e.Addr != 0 || e.Home != -1) {
 			t.Errorf("service record %v names mp=%d addr=%#x home %d, want -1, 0, -1", e, e.MP, e.Addr, e.Home)
+		}
+	}
+}
+
+// checkDataTraced fails t unless every DATA record names the minipage and
+// home of the reply header handled last on its link, the one it carries.
+func checkDataTraced(t *testing.T, rec *trace.Recorder) {
+	hdrs := map[[2]int]trace.Event{} // by receiving host and sender
+	for _, e := range rec.Events() {
+		switch link, name := [2]int{e.Host, e.Peer}, trace.OpName(e.Op); {
+		case e.Kind != trace.Handle:
+		case name == "DATA":
+			if hdr := hdrs[link]; hdr.MP != e.MP || hdr.Home != e.Home {
+				t.Errorf("%v names mp=%d home %d, its reply header %v mp=%d home %d", e, e.MP, e.Home, hdr, hdr.MP, hdr.Home)
+			}
+		case name == "READ_REPLY" || name == "WRITE_REPLY" || name == "PUSH_DATA":
+			hdrs[link] = e
 		}
 	}
 }

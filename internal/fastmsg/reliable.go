@@ -402,17 +402,19 @@ func (r *reliability) arrive(ep *Endpoint, m *Message) {
 	}
 	rs.nextAccept++
 	ep.deliver(m)
-	for {
-		next, ok := rs.ooo[rs.nextAccept]
-		if !ok {
-			break
-		}
-		delete(rs.ooo, rs.nextAccept)
-		rs.nextAccept++
-		ep.deliver(next)
-	}
+	admitBuffered(ep, rs)
 	if from != ep.id {
 		r.ackLink(ep.id, from)
+	}
+}
+
+// admitBuffered admits, in sequence, the buffered frames that follow the
+// link's accept floor, moving it past each.
+func admitBuffered(ep *Endpoint, rs *recvSession) {
+	for m, ok := rs.ooo[rs.nextAccept]; ok; m, ok = rs.ooo[rs.nextAccept] {
+		delete(rs.ooo, rs.nextAccept)
+		rs.nextAccept++
+		ep.deliver(m)
 	}
 }
 
@@ -437,8 +439,9 @@ func (r *reliability) complete(ep *Endpoint, m *Message) {
 	rs.nextProcess = m.Seq + 1
 	if rs.nextAccept < rs.nextProcess {
 		// A crash rolled the accept floor back while this handler was
-		// mid-flight; it has now completed, so the floor moves past it.
+		// mid-flight; now the floor moves past it and what queued behind.
 		rs.nextAccept = rs.nextProcess
+		admitBuffered(ep, rs)
 	}
 	if m.From == ep.id {
 		r.ackLink(ep.id, ep.id)

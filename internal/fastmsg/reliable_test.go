@@ -737,6 +737,44 @@ func TestCrashUnderTheHandlerDeliversOnce(t *testing.T) {
 	}
 }
 
+// TestCompletionAdmitsBufferedFrames: host 1 crashes under a handler that
+// sleeps 1 ms and restarts while it still runs; the sender re-sends past
+// the rolled-back floor at once, so frames 1 to 3 arrive behind the frame
+// in service and wait in the reorder buffer. The handler's completion
+// moves the floor past it and admits them: frame 1 is handled as frame 0
+// ends, not when a retransmission or the resync chain next reaches the
+// floor.
+func TestCompletionAdmitsBufferedFrames(t *testing.T) {
+	eng := sim.NewEngine(1)
+	nw := New(eng, 2, DefaultParams())
+	inj, err := faultnet.NewInjector(faultnet.Plan{
+		Crashes: []faultnet.Crash{{Host: 1, At: sim.Time(300 * sim.Microsecond), RestartAt: sim.Time(400 * sim.Microsecond)}},
+	}, 2, 1)
+	must(t, err)
+	nw.InstallFaults(inj)
+	var at []sim.Time // when each frame's handler began
+	nw.Endpoint(1).SetHandler(func(p *sim.Proc, m *Message) {
+		at = append(at, p.Now())
+		p.Sleep(sim.Millisecond)
+	})
+	eng.At(sim.Time(sim.Second), eng.Stop)
+	eng.Spawn("sender", func(p *sim.Proc) {
+		for k := range 4 {
+			send(p, nw.Endpoint(0), 1, 32, k)
+		}
+		for len(at) < 4 {
+			p.Sleep(sim.Millisecond)
+		}
+	})
+	mustRun(t, eng)
+	if st := nw.Endpoint(1).Stats(); len(at) != 4 || at[0] > sim.Time(300*sim.Microsecond) || st.OutOfOrder == 0 {
+		t.Fatalf("handlers began at %v, %d frames buffered; want 4, the first before the crash, and frames buffered behind it", at, st.OutOfOrder)
+	}
+	if gap := at[1].Sub(at[0]); gap > sim.Millisecond+20*sim.Microsecond {
+		t.Errorf("frame 1 was handled %v after frame 0 began, want within 20us of its 1 ms handler's end", gap)
+	}
+}
+
 // TestCrashRewindsThePendingList: host 1 crashes with two records fired
 // off the head of its pending list and a third still waiting for its poll
 // event. The crash empties the list, its head included. After the

@@ -28,22 +28,25 @@ var kernelBudget = []struct {
 	pkg string
 	max int
 }{
-	{"dsm", 3247},
+	{"dsm", 3195},
 }
 
 // kernelTarget is the kernel's line total, lowered with its ceilings. A
 // change that takes the kernel past it fails, whatever the per-package
 // ceilings.
-const kernelTarget = 3247
+const kernelTarget = 3195
 
 // substrateBudget is the same ratchet over the simulator substrate the
-// kernel runs on and the model checker that explores it.
+// kernel runs on and the model checker that explores it. fastmsg rose
+// 1,395 → 1,398 for admitBuffered, which a handler completing across a
+// crash now calls too: the frames buffered behind its rolled-back floor
+// are admitted as it ends, not at the sender's next retransmission.
 var substrateBudget = []struct {
 	pkg string
 	max int
 }{
 	{"sim", 1168},
-	{"fastmsg", 1395},
+	{"fastmsg", 1398},
 	{"faultnet", 250},
 	{"vm", 618},
 	{"core", 613},
